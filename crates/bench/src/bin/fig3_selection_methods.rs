@@ -106,7 +106,7 @@ fn redundancy_study(data: &[Prepared]) {
             let t0 = Instant::now();
             let cands: Vec<(usize, &Discretized)> =
                 codes.iter().map(|(i, c)| (*i, c)).collect();
-            let kept = select_non_redundant(&cands, &[], &labels, &scorer);
+            let kept = select_non_redundant::<&Discretized>(&cands, &[], &labels, &scorer);
             elapsed += t0.elapsed().as_secs_f64() * 1000.0;
             let keep: Vec<usize> = kept.iter().take(KAPPA).map(|s| s.index).collect();
             accs.push(train_gbdt(&d.train, &d.test, &keep));

@@ -41,9 +41,9 @@ use autofeat_data::join::left_join_normalized;
 use autofeat_data::parallel::{run_indexed_ctl, ItemOutcome};
 use autofeat_data::sample::stratified_sample;
 use autofeat_data::stats::completeness;
-use autofeat_data::{CacheStats, Interrupt, Result, RunControl, Table};
+use autofeat_data::{CacheStats, DataError, Interrupt, Result, RunControl, Table};
 use autofeat_graph::{JoinHop, JoinPath, NodeId};
-use autofeat_metrics::discretize::{discretize_equal_frequency, Discretized};
+use autofeat_metrics::discretize::{discretize_equal_frequency, Discretized, MAX_BINS};
 use autofeat_metrics::redundancy::RedundancyScorer;
 use autofeat_metrics::relevance::DEFAULT_BINS;
 use autofeat_metrics::selection::{select_k_best, select_non_redundant};
@@ -415,6 +415,16 @@ impl AutoFeat {
         let labels: Vec<i64> = (0..label_col.len())
             .map(|i| label_col.get_f64(i).map_or(-1, |v| v as i64))
             .collect();
+        // Checked here so a regression-like target is a typed error before
+        // any join runs, not a panic inside `Discretized::from_codes`.
+        let classes = labels.iter().collect::<HashSet<_>>().len();
+        if classes > MAX_BINS as usize {
+            return Err(DataError::TooManyClasses {
+                column: ctx.label().to_string(),
+                classes,
+                max: MAX_BINS as usize,
+            });
+        }
         let label_codes = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
 
         let drg = ctx.drg();
@@ -435,13 +445,17 @@ impl AutoFeat {
         // redundancy sums must accumulate in the same order every run, so a
         // hash map (whose value order is randomized per process) is not an
         // option here.
-        let mut r_sel: Vec<(String, Discretized)> = Vec::new();
+        // Names and codes are kept in step in two vectors, so the codes go
+        // to the redundancy analysis as they are.
+        let mut r_sel_names: Vec<String> = Vec::new();
+        let mut r_sel_codes: Vec<Discretized> = Vec::new();
         for f in ctx.base_features() {
             if join_cols.contains(&(ctx.base_name().to_string(), f.clone())) {
                 continue;
             }
             let col = label_encode_column(sampled.column(&f)?);
-            r_sel.push((f.clone(), discretize_equal_frequency(&col.to_f64_lossy(), DEFAULT_BINS)));
+            r_sel_codes.push(discretize_equal_frequency(&col.to_f64_lossy(), DEFAULT_BINS));
+            r_sel_names.push(f);
         }
 
         // `mut`: degradation rung 2 drops the scorer mid-run to skip the
@@ -803,36 +817,39 @@ impl AutoFeat {
                         let entry = &current[c.entry];
 
                         // ---- Redundancy analysis (streaming, vs R_sel). ----
-                        let (kept_local, red_scores): (Vec<usize>, Vec<f64>) =
-                            match &redundancy_scorer {
-                                Some(scorer) => {
-                                    let cands2: Vec<(usize, &Discretized)> =
-                                        sh.codes.iter().enumerate().collect();
-                                    let already: Vec<&Discretized> =
-                                        r_sel.iter().map(|(_, d)| d).collect();
-                                    let kept = select_non_redundant(
-                                        &cands2,
-                                        &already,
-                                        &label_codes,
-                                        scorer,
-                                    );
-                                    (
-                                        kept.iter().map(|s| s.index).collect(),
-                                        kept.iter().map(|s| s.score).collect(),
-                                    )
+                        // `kept[li]`: whether relevant feature `li` survives.
+                        let (kept, red_scores): (Vec<bool>, Vec<f64>) = match &redundancy_scorer {
+                            Some(scorer) => {
+                                let cands2: Vec<(usize, &Discretized)> =
+                                    sh.codes.iter().enumerate().collect();
+                                let picked = select_non_redundant(
+                                    &cands2,
+                                    &r_sel_codes,
+                                    &label_codes,
+                                    scorer,
+                                );
+                                let mut kept = vec![false; sh.codes.len()];
+                                for s in &picked {
+                                    kept[s.index] = true;
                                 }
-                                // Ablation: redundancy off ⇒ keep all
-                                // relevant.
-                                None => ((0..sh.codes.len()).collect(), Vec::new()),
-                            };
+                                (kept, picked.iter().map(|s| s.score).collect())
+                            }
+                            // Ablation: redundancy off ⇒ keep all relevant.
+                            None => (vec![true; sh.codes.len()], Vec::new()),
+                        };
 
-                        // Update R_sel (Algorithm 1, line 18).
-                        let mut new_features = Vec::with_capacity(kept_local.len());
-                        for &li in &kept_local {
-                            let name = sh.relevant_names[li].clone();
-                            match r_sel.iter_mut().find(|(n, _)| *n == name) {
-                                Some((_, d)) => *d = sh.codes[li].clone(),
-                                None => r_sel.push((name.clone(), sh.codes[li].clone())),
+                        // Update R_sel (Algorithm 1, line 18): the kept codes
+                        // move in, the rest are dropped.
+                        let mut new_features = Vec::new();
+                        for ((name, codes), _) in
+                            sh.relevant_names.into_iter().zip(sh.codes).zip(kept).filter(|(_, k)| *k)
+                        {
+                            match r_sel_names.iter().position(|n| *n == name) {
+                                Some(at) => r_sel_codes[at] = codes,
+                                None => {
+                                    r_sel_names.push(name.clone());
+                                    r_sel_codes.push(codes);
+                                }
                             }
                             if !selected_union.contains(&name) {
                                 selected_union.push(name.clone());

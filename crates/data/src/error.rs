@@ -29,6 +29,9 @@ pub enum DataError {
     Io(String),
     /// A generic invalid-argument error.
     Invalid(String),
+    /// The label column has more distinct classes than the scoring kernels
+    /// can code (a regression-like target handed to a classification run).
+    TooManyClasses { column: String, classes: usize, max: usize },
     /// The operation was stopped cooperatively (cancel or deadline) before
     /// completing. Not a failure: callers wind down and keep partials.
     Interrupted(Interrupt),
@@ -74,6 +77,10 @@ impl fmt::Display for DataError {
             ),
             DataError::Io(msg) => write!(f, "io error: {msg}"),
             DataError::Invalid(msg) => write!(f, "invalid argument: {msg}"),
+            DataError::TooManyClasses { column, classes, max } => write!(
+                f,
+                "label column `{column}` has {classes} distinct classes, more than the {max} supported"
+            ),
             DataError::Interrupted(reason) => write!(f, "interrupted: {reason}"),
             DataError::BuildPanicked { table, message } => {
                 write!(f, "join-index build for table `{table}` panicked: {message}")

@@ -3,38 +3,101 @@
 //! Mutual-information estimators operate on discrete codes. Continuous
 //! features are binned with equal-frequency binning by default (robust to
 //! skew); equal-width binning is available as an alternative. Missing values
-//! (`NaN`) map to `None` and are skipped pairwise by the estimators.
+//! (`NaN`) get the column's own extra bin `n_bins`, which the estimators fill
+//! like any other and leave out when they read the table (pairwise deletion).
 
-/// A discretized feature: per-row bin codes (None = missing) and the number
-/// of bins actually used.
+use crate::ranks::{from_sort_key, sort_key};
+
+/// Stored width of one bin code.
+pub(crate) type Code = u8;
+
+/// Largest bin count a [`Discretized`] can hold: codes `0..n_bins` plus the
+/// missing bin `n_bins` must all fit a [`Code`].
+pub const MAX_BINS: u32 = Code::MAX as u32;
+
+/// A discretized feature: one dense code per row and the number of bins
+/// actually used. Present rows hold `0..n_bins`, missing rows hold `n_bins`
+/// — so every code indexes an `n_bins + 1`-wide contingency axis without a
+/// branch. The fields are private because the kernels index with them
+/// unchecked by any `Option`: the constructors are the only place a code is
+/// made, and they keep `code <= n_bins <= MAX_BINS`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Discretized {
-    /// Per-row bin code.
-    pub codes: Vec<Option<u32>>,
-    /// Number of distinct bins (codes are in `0..n_bins`).
-    pub n_bins: u32,
+    codes: Vec<Code>,
+    n_bins: u32,
 }
 
 impl Discretized {
     /// Build directly from integer-like codes (used for already-discrete
     /// features such as class labels). Codes are compacted to `0..k`.
+    ///
+    /// # Panics
+    /// When there are more than [`MAX_BINS`] distinct values.
     pub fn from_codes<I: IntoIterator<Item = Option<i64>>>(iter: I) -> Self {
         let raw: Vec<Option<i64>> = iter.into_iter().collect();
         let mut distinct: Vec<i64> = raw.iter().flatten().copied().collect();
         distinct.sort_unstable();
         distinct.dedup();
+        assert!(
+            distinct.len() <= MAX_BINS as usize,
+            "{} distinct codes exceed MAX_BINS ({MAX_BINS})",
+            distinct.len()
+        );
+        let missing = distinct.len() as Code;
         let codes = raw
             .iter()
-            .map(|v| {
-                v.map(|x| distinct.binary_search(&x).expect("value present") as u32)
-            })
+            .map(|v| v.map_or(missing, |x| distinct.binary_search(&x).expect("value present") as Code))
             .collect();
         Discretized { codes, n_bins: distinct.len() as u32 }
     }
 
+    /// Bin every finite value with `bin` (which must stay below `n_bins`);
+    /// non-finite values get the missing bin.
+    fn from_values(values: &[f64], n_bins: u32, bin: impl Fn(f64) -> usize) -> Self {
+        debug_assert!(n_bins <= MAX_BINS);
+        let missing = n_bins as Code;
+        let codes = values
+            .iter()
+            .map(|&x| if x.is_finite() { bin(x) as Code } else { missing })
+            .collect();
+        Discretized { codes, n_bins }
+    }
+
+    /// The rows in `rows`, in that order, over the same bins.
+    pub(crate) fn gather(&self, rows: &[usize]) -> Self {
+        Discretized { codes: rows.iter().map(|&i| self.codes[i]).collect(), n_bins: self.n_bins }
+    }
+
+    /// Number of distinct bins (present codes are in `0..n_bins`).
+    pub fn n_bins(&self) -> u32 {
+        self.n_bins
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The bin of `row`, `None` when the value is missing.
+    pub fn code(&self, row: usize) -> Option<u32> {
+        let c = u32::from(self.codes[row]);
+        (c < self.n_bins).then_some(c)
+    }
+
     /// Number of non-missing entries.
     pub fn n_present(&self) -> usize {
-        self.codes.iter().filter(|c| c.is_some()).count()
+        let missing = self.n_bins as Code;
+        self.codes.iter().filter(|&&c| c != missing).count()
+    }
+
+    /// The dense codes: `n_bins` marks a missing row.
+    pub(crate) fn codes(&self) -> &[Code] {
+        &self.codes
     }
 }
 
@@ -43,135 +106,109 @@ impl Discretized {
 /// high-cardinality columns (the common case for continuous features) bail
 /// after scanning at most `cap + 1` distinct values instead of paying a full
 /// sort + dedup of the column, and the quantile path then performs the only
-/// sort. `-0.0` is normalized to `0.0` before hashing, matching the numeric
-/// comparison semantics of the sorted-dedup this replaces.
+/// sort. The buffer never holds more than `cap + 1` values, so a binary
+/// search per row beats hashing it. `-0.0` and `0.0` compare equal and share
+/// an entry.
 fn distinct_capped(values: &[f64], cap: usize) -> Option<Vec<f64>> {
-    let mut seen: std::collections::HashSet<u64> =
-        std::collections::HashSet::with_capacity(cap.saturating_add(1));
+    let mut seen: Vec<f64> = Vec::with_capacity(cap.saturating_add(1));
     for &x in values {
         if !x.is_finite() {
             continue;
         }
-        let bits = if x == 0.0 { 0.0f64 } else { x }.to_bits();
-        if seen.insert(bits) && seen.len() > cap {
-            return None;
+        let at = seen.partition_point(|&d| d < x);
+        if seen.get(at) != Some(&x) {
+            if seen.len() == cap {
+                return None;
+            }
+            seen.insert(at, if x == 0.0 { 0.0 } else { x });
         }
     }
-    let mut v: Vec<f64> = seen.into_iter().map(f64::from_bits).collect();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    Some(v)
+    Some(seen)
 }
 
-/// Equal-frequency (quantile) binning into at most `n_bins` bins.
+/// Equal-frequency (quantile) binning into at most `n_bins` bins (and never
+/// more than [`MAX_BINS`]).
 ///
 /// When the feature has ≤ `n_bins` distinct values it is treated as already
 /// discrete and each value gets its own bin. Identical values always share a
 /// bin (boundaries never split ties).
 pub fn discretize_equal_frequency(values: &[f64], n_bins: u32) -> Discretized {
     assert!(n_bins >= 1, "n_bins must be >= 1");
-    let distinct = match distinct_capped(values, n_bins as usize) {
-        None => None, // more distinct values than bins: quantile path
-        Some(d) if d.is_empty() => {
-            return Discretized { codes: vec![None; values.len()], n_bins: 0 };
-        }
-        Some(d) => Some(d),
-    };
-    if let Some(distinct) = distinct {
-        // Already discrete: direct value → bin mapping.
-        let codes = values
-            .iter()
-            .map(|&x| {
-                if x.is_finite() {
-                    Some(distinct.partition_point(|&d| d < x) as u32)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        return Discretized { codes, n_bins: distinct.len() as u32 };
+    let n_bins = n_bins.min(MAX_BINS);
+    if let Some(distinct) = distinct_capped(values, n_bins as usize) {
+        // Already discrete (or nothing present): direct value → bin mapping.
+        return Discretized::from_values(values, distinct.len() as u32, |x| {
+            distinct.partition_point(|&d| d < x)
+        });
     }
 
-    // Quantile boundaries over the sorted present values.
-    let mut sorted: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    // Quantile boundaries over the sorted present values. Equal values are
+    // interchangeable here, so the sort need not be stable, and it runs on
+    // integer keys.
+    let mut sorted: Vec<u64> =
+        values.iter().filter(|x| x.is_finite()).map(|&x| sort_key(x)).collect();
+    sorted.sort_unstable();
     let n = sorted.len();
     let mut boundaries: Vec<f64> = Vec::with_capacity(n_bins as usize - 1);
     for b in 1..n_bins {
         let q = (b as f64 / n_bins as f64 * n as f64) as usize;
         let q = q.clamp(1, n - 1);
-        boundaries.push(sorted[q]);
+        boundaries.push(from_sort_key(sorted[q]));
     }
     boundaries.dedup_by(|a, b| a == b);
-
-    let codes: Vec<Option<u32>> = values
-        .iter()
-        .map(|&x| {
-            if x.is_finite() {
-                Some(boundaries.partition_point(|&bnd| bnd <= x) as u32)
-            } else {
-                None
-            }
-        })
-        .collect();
-    let n_used = codes.iter().flatten().copied().max().map_or(0, |m| m + 1);
-    Discretized { codes, n_bins: n_used }
+    let bin = |x: f64| boundaries.partition_point(|&bnd| bnd <= x);
+    // The largest value lands in the highest bin used.
+    let n_used = bin(from_sort_key(sorted[n - 1])) as u32 + 1;
+    Discretized::from_values(values, n_used, bin)
 }
 
-/// Equal-width binning into `n_bins` bins over `[min, max]`.
+/// Equal-width binning into `n_bins` bins (at most [`MAX_BINS`]) over
+/// `[min, max]`.
 pub fn discretize_equal_width(values: &[f64], n_bins: u32) -> Discretized {
     assert!(n_bins >= 1, "n_bins must be >= 1");
-    let present: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    if present.is_empty() {
-        return Discretized { codes: vec![None; values.len()], n_bins: 0 };
+    let n_bins = n_bins.min(MAX_BINS);
+    let present = || values.iter().copied().filter(|x| x.is_finite());
+    if present().next().is_none() {
+        return Discretized::from_values(values, 0, |_| 0);
     }
-    let min = present.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = present.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let min = present().fold(f64::INFINITY, f64::min);
+    let max = present().fold(f64::NEG_INFINITY, f64::max);
     if min == max {
-        return Discretized {
-            codes: values
-                .iter()
-                .map(|x| if x.is_finite() { Some(0) } else { None })
-                .collect(),
-            n_bins: 1,
-        };
+        return Discretized::from_values(values, 1, |_| 0);
     }
     let width = (max - min) / n_bins as f64;
-    let codes: Vec<Option<u32>> = values
-        .iter()
-        .map(|&x| {
-            if x.is_finite() {
-                Some((((x - min) / width) as u32).min(n_bins - 1))
-            } else {
-                None
-            }
-        })
-        .collect();
-    Discretized { codes, n_bins }
+    Discretized::from_values(values, n_bins, |x| {
+        (((x - min) / width) as u32).min(n_bins - 1) as usize
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn codes(d: &Discretized) -> Vec<Option<u32>> {
+        (0..d.len()).map(|i| d.code(i)).collect()
+    }
+
     #[test]
     fn discrete_passthrough() {
         let d = discretize_equal_frequency(&[0.0, 1.0, 1.0, 2.0], 10);
-        assert_eq!(d.n_bins, 3);
-        assert_eq!(d.codes, vec![Some(0), Some(1), Some(1), Some(2)]);
+        assert_eq!(d.n_bins(), 3);
+        assert_eq!(codes(&d), vec![Some(0), Some(1), Some(1), Some(2)]);
     }
 
     #[test]
     fn nan_maps_to_none() {
         let d = discretize_equal_frequency(&[1.0, f64::NAN, 2.0], 4);
-        assert_eq!(d.codes[1], None);
+        assert_eq!(d.code(1), None);
         assert_eq!(d.n_present(), 2);
     }
 
     #[test]
     fn all_nan_yields_zero_bins() {
         let d = discretize_equal_frequency(&[f64::NAN, f64::NAN], 4);
-        assert_eq!(d.n_bins, 0);
-        assert!(d.codes.iter().all(Option::is_none));
+        assert_eq!(d.n_bins(), 0);
+        assert!(codes(&d).iter().all(Option::is_none));
     }
 
     #[test]
@@ -195,13 +232,13 @@ mod tests {
         // 5 distinct values: discrete path with 5+ bins, quantile with 4.
         let values = [4.0, 0.0, 2.0, 1.0, 3.0, 2.0, 0.0];
         let discrete = discretize_equal_frequency(&values, 5);
-        assert_eq!(discrete.n_bins, 5);
+        assert_eq!(discrete.n_bins(), 5);
         let quantile = discretize_equal_frequency(&values, 4);
-        assert!(quantile.n_bins <= 4);
+        assert!(quantile.n_bins() <= 4);
         // Both must keep equal values in one bin and stay monotone.
         for d in [&discrete, &quantile] {
-            assert_eq!(d.codes[2], d.codes[5]);
-            assert_eq!(d.codes[1], d.codes[6]);
+            assert_eq!(d.code(2), d.code(5));
+            assert_eq!(d.code(1), d.code(6));
         }
     }
 
@@ -209,10 +246,10 @@ mod tests {
     fn equal_frequency_balances_counts() {
         let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let d = discretize_equal_frequency(&values, 4);
-        assert_eq!(d.n_bins, 4);
+        assert_eq!(d.n_bins(), 4);
         let mut counts = [0usize; 4];
-        for c in d.codes.iter().flatten() {
-            counts[*c as usize] += 1;
+        for c in codes(&d).into_iter().flatten() {
+            counts[c as usize] += 1;
         }
         for &c in &counts {
             assert_eq!(c, 25);
@@ -227,8 +264,8 @@ mod tests {
         values.extend((0..10).map(|i| 2.0 + i as f64));
         // distinct = 11 > 4 bins, so quantile path is taken
         let d = discretize_equal_frequency(&values, 4);
-        let first = d.codes[0];
-        assert!(d.codes[..90].iter().all(|&c| c == first));
+        let first = d.code(0);
+        assert!(codes(&d)[..90].iter().all(|&c| c == first));
     }
 
     #[test]
@@ -236,35 +273,35 @@ mod tests {
         let values: Vec<f64> = (0..50).map(|i| (i as f64).exp().min(1e12)).collect();
         let d = discretize_equal_frequency(&values, 5);
         // Codes must be monotone non-decreasing over sorted input.
-        let codes: Vec<u32> = d.codes.iter().map(|c| c.unwrap()).collect();
-        assert!(codes.windows(2).all(|w| w[0] <= w[1]));
-        assert!(d.n_bins >= 2);
+        let bins: Vec<u32> = codes(&d).into_iter().map(|c| c.unwrap()).collect();
+        assert!(bins.windows(2).all(|w| w[0] <= w[1]));
+        assert!(d.n_bins() >= 2);
     }
 
     #[test]
     fn equal_width_boundaries() {
         let d = discretize_equal_width(&[0.0, 2.5, 5.0, 7.5, 10.0], 2);
-        assert_eq!(d.codes, vec![Some(0), Some(0), Some(1), Some(1), Some(1)]);
+        assert_eq!(codes(&d), vec![Some(0), Some(0), Some(1), Some(1), Some(1)]);
     }
 
     #[test]
     fn equal_width_constant_column() {
         let d = discretize_equal_width(&[3.0, 3.0, f64::NAN], 4);
-        assert_eq!(d.n_bins, 1);
-        assert_eq!(d.codes, vec![Some(0), Some(0), None]);
+        assert_eq!(d.n_bins(), 1);
+        assert_eq!(codes(&d), vec![Some(0), Some(0), None]);
     }
 
     #[test]
     fn from_codes_compacts() {
         let d = Discretized::from_codes([Some(10), Some(-5), None, Some(10)]);
-        assert_eq!(d.n_bins, 2);
-        assert_eq!(d.codes, vec![Some(1), Some(0), None, Some(1)]);
+        assert_eq!(d.n_bins(), 2);
+        assert_eq!(codes(&d), vec![Some(1), Some(0), None, Some(1)]);
     }
 
     #[test]
     fn max_value_in_last_bin() {
         let values: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let d = discretize_equal_width(&values, 3);
-        assert_eq!(d.codes[9], Some(2));
+        assert_eq!(d.code(9), Some(2));
     }
 }

@@ -3,6 +3,7 @@
 //! All estimators skip rows where any involved feature is missing (pairwise
 //! deletion) and use natural-log entropy internally, reported in **bits**.
 
+use crate::contingency::Tables;
 use crate::discretize::Discretized;
 
 const LN_2: f64 = std::f64::consts::LN_2;
@@ -24,51 +25,45 @@ fn h_from_counts(counts: impl IntoIterator<Item = usize>, total: usize) -> f64 {
 
 /// Shannon entropy `H(X)` in bits, over the non-missing rows.
 pub fn entropy(x: &Discretized) -> f64 {
-    let mut counts = vec![0usize; x.n_bins as usize];
-    let mut total = 0usize;
-    for c in x.codes.iter().flatten() {
-        counts[*c as usize] += 1;
-        total += 1;
+    let mut counts = vec![0usize; x.n_bins() as usize + 1];
+    for &c in x.codes() {
+        counts[c as usize] += 1;
     }
+    counts.pop(); // the missing bin
+    let total = counts.iter().sum();
     h_from_counts(counts, total)
+}
+
+/// The pair table of `(x, y)` with its marginals, and the number of rows
+/// where both are present.
+fn pair_table(x: &Discretized, y: &Discretized) -> (Tables, usize) {
+    let mut t = Tables::default();
+    t.fill_pairs(&[x], y);
+    let (nx, ny) = (x.n_bins() as usize, y.n_bins() as usize);
+    let total = t.m.of(&t.counts, ny + 1, nx, ny);
+    (t, total)
+}
+
+/// `H(X, Y)` over the present cells of a [`pair_table`], in x-major order.
+fn joint_h(t: &Tables, total: usize) -> f64 {
+    let (nx, ny) = (t.m.x.len(), t.m.y.len());
+    let cells = t.counts.chunks(ny + 1).take(nx).flat_map(|row| &row[..ny]);
+    h_from_counts(cells.map(|&c| c as usize), total)
 }
 
 /// Joint entropy `H(X, Y)` in bits, over rows where both are present.
 pub fn joint_entropy(x: &Discretized, y: &Discretized) -> f64 {
-    assert_eq!(x.codes.len(), y.codes.len(), "feature length mismatch");
-    let nx = x.n_bins as usize;
-    let ny = y.n_bins as usize;
-    let mut counts = vec![0usize; nx * ny];
-    let mut total = 0usize;
-    for (cx, cy) in x.codes.iter().zip(&y.codes) {
-        if let (Some(a), Some(b)) = (cx, cy) {
-            counts[*a as usize * ny + *b as usize] += 1;
-            total += 1;
-        }
-    }
-    h_from_counts(counts, total)
+    let (t, total) = pair_table(x, y);
+    joint_h(&t, total)
 }
 
 /// Conditional entropy `H(X | Y) = H(X, Y) − H(Y)`, computed over the rows
-/// where both features are present (so the identity holds exactly).
+/// where both features are present (so the identity holds exactly): `H(Y)`
+/// comes from the y-marginal of the same table.
 pub fn conditional_entropy(x: &Discretized, y: &Discretized) -> f64 {
-    assert_eq!(x.codes.len(), y.codes.len(), "feature length mismatch");
-    // One pass fills both tables; H(Y) is computed over the *joint* support
-    // so the identity holds exactly. (Previously this materialised the list
-    // of jointly-present row indices and re-scanned the rows twice.)
-    let ny = y.n_bins as usize;
-    let mut joint = vec![0usize; x.n_bins as usize * ny];
-    let mut y_counts = vec![0usize; ny];
-    let mut total = 0usize;
-    for (cx, cy) in x.codes.iter().zip(&y.codes) {
-        if let (Some(a), Some(b)) = (cx, cy) {
-            joint[*a as usize * ny + *b as usize] += 1;
-            y_counts[*b as usize] += 1;
-            total += 1;
-        }
-    }
-    let h_y = h_from_counts(y_counts, total);
-    h_from_counts(joint, total) - h_y
+    let (t, total) = pair_table(x, y);
+    let h_y = h_from_counts(t.m.y.iter().copied(), total);
+    joint_h(&t, total) - h_y
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! for redundancy; both are exposed here alongside the alternatives so the
 //! ablation experiments (Fig. 9) can swap them.
 
+mod contingency;
 pub mod discretize;
 pub mod entropy;
 pub mod fcbf;
@@ -32,7 +33,7 @@ pub mod relevance;
 pub mod selection;
 pub mod streaming;
 
-pub use discretize::{discretize_equal_frequency, discretize_equal_width, Discretized};
+pub use discretize::{discretize_equal_frequency, discretize_equal_width, Discretized, MAX_BINS};
 pub use fcbf::fcbf;
 pub use entropy::{conditional_entropy, entropy, joint_entropy};
 pub use mi::{conditional_mutual_information, mutual_information};

@@ -5,56 +5,30 @@
 //! framework (Eq. 1). Both are estimated from contingency counts over the
 //! rows where every involved feature is present, and reported in bits.
 
+use crate::contingency::{Marginals, Tables, BATCH};
 use crate::discretize::Discretized;
 
 const LN_2: f64 = std::f64::consts::LN_2;
 
-/// Flat contingency counts of one (sub)population: `joint[a*ny + b]` plus
-/// the marginals and sample count derived from it. All counts are exact
-/// integers, so every estimator computing from the same counts produces the
-/// same floating-point result regardless of which code path filled them.
-struct JointCounts {
-    joint: Vec<u32>,
-    mx: Vec<usize>,
-    my: Vec<usize>,
-    total: usize,
-}
-
-fn joint_counts(x: &Discretized, y: &Discretized, nx: usize, ny: usize) -> JointCounts {
-    let mut joint = vec![0u32; nx * ny];
-    let mut mx = vec![0usize; nx];
-    let mut my = vec![0usize; ny];
-    let mut total = 0usize;
-    for (cx, cy) in x.codes.iter().zip(&y.codes) {
-        if let (Some(a), Some(b)) = (cx, cy) {
-            joint[*a as usize * ny + *b as usize] += 1;
-            mx[*a as usize] += 1;
-            my[*b as usize] += 1;
-            total += 1;
-        }
-    }
-    JointCounts { joint, mx, my, total }
-}
-
-/// Plug-in MI in bits from a flat contingency slice. The accumulation order
-/// (x-major, skipping empty rows/cells) is the contract every caller —
-/// direct MI, per-stratum CMI, the fused estimator — relies on for
-/// bit-identical results.
-fn mi_from_counts(joint: &[u32], mx: &[usize], my: &[usize], total: usize, ny: usize) -> f64 {
+/// Plug-in MI in bits from the present cells `joint[a·stride + b]`. The
+/// accumulation order (x-major, skipping empty rows/cells) is the contract
+/// every caller — direct MI, per-stratum CMI, the fused estimator — relies
+/// on for bit-identical results. All counts are exact integers, so whichever
+/// pass filled them, the same counts give the same float.
+fn mi_from_counts(joint: &[u32], stride: usize, mx: &[usize], my: &[usize], total: usize) -> f64 {
     let n = total as f64;
     let mut mi = 0.0;
     for (a, &ma) in mx.iter().enumerate() {
         if ma == 0 {
             continue;
         }
-        for b in 0..ny {
-            let c = joint[a * ny + b];
+        let px = ma as f64 / n;
+        for (&c, &mb) in joint[a * stride..][..my.len()].iter().zip(my) {
             if c == 0 {
                 continue;
             }
             let pxy = c as f64 / n;
-            let px = ma as f64 / n;
-            let py = my[b] as f64 / n;
+            let py = mb as f64 / n;
             mi += pxy * (pxy / (px * py)).ln();
         }
     }
@@ -70,20 +44,47 @@ fn miller_madow_bias(mx: &[usize], my: &[usize], total: usize) -> f64 {
     (kx - 1.0) * (ky - 1.0) / (2.0 * total as f64 * LN_2)
 }
 
+/// `(rows, I)` of one `nx × ny` table: the jointly-present row count and the
+/// plug-in or Miller-Madow-corrected MI over them (0 when there are none).
+fn mi_of_table(
+    joint: &[u32],
+    stride: usize,
+    (nx, ny): (usize, usize),
+    corrected: bool,
+    m: &mut Marginals,
+) -> (usize, f64) {
+    let total = m.of(joint, stride, nx, ny);
+    if total == 0 {
+        return (0, 0.0);
+    }
+    let raw = mi_from_counts(joint, stride, &m.x, &m.y, total);
+    let mi = if corrected { (raw - miller_madow_bias(&m.x, &m.y, total)).max(0.0) } else { raw };
+    (total, mi)
+}
+
+/// `I(X_k;Y)` for up to [`BATCH`] columns `xs` against one `y`, in `xs`
+/// order; a full batch shares a single pass over the rows. Entries past
+/// `xs.len()` are 0.
+pub(crate) fn mi_batch(
+    t: &mut Tables,
+    xs: &[&Discretized],
+    y: &Discretized,
+    corrected: bool,
+) -> [f64; BATCH] {
+    let offs = t.fill_pairs(xs, y);
+    let ny = y.n_bins() as usize;
+    let mut out = [0.0; BATCH];
+    for ((mi, x), off) in out.iter_mut().zip(xs).zip(offs) {
+        let dims = (x.n_bins() as usize, ny);
+        *mi = mi_of_table(&t.counts[off..], ny + 1, dims, corrected, &mut t.m).1;
+    }
+    out
+}
+
 /// Mutual information `I(X;Y)` in bits. Symmetric; zero for independent
 /// features; never negative (up to floating-point noise, which is clamped).
 pub fn mutual_information(x: &Discretized, y: &Discretized) -> f64 {
-    assert_eq!(x.codes.len(), y.codes.len(), "feature length mismatch");
-    let nx = x.n_bins as usize;
-    let ny = y.n_bins as usize;
-    if nx == 0 || ny == 0 {
-        return 0.0;
-    }
-    let c = joint_counts(x, y, nx, ny);
-    if c.total == 0 {
-        return 0.0;
-    }
-    mi_from_counts(&c.joint, &c.mx, &c.my, c.total, ny)
+    mi_batch(&mut Tables::default(), &[x], y, false)[0]
 }
 
 /// Miller-Madow bias-corrected mutual information.
@@ -94,30 +95,20 @@ pub fn mutual_information(x: &Discretized, y: &Discretized) -> f64 {
 /// features look redundant. This subtracts that first-order correction
 /// (clamped at zero). The redundancy criteria use it for every term so weak
 /// fresh features are not spuriously rejected.
-///
-/// One contingency pass serves both the raw estimate and the occupied-bin
-/// counts (previously a second full scan of the rows).
 pub fn mutual_information_corrected(x: &Discretized, y: &Discretized) -> f64 {
-    assert_eq!(x.codes.len(), y.codes.len(), "feature length mismatch");
-    let nx = x.n_bins as usize;
-    let ny = y.n_bins as usize;
-    if nx == 0 || ny == 0 {
-        return 0.0;
-    }
-    let c = joint_counts(x, y, nx, ny);
-    if c.total == 0 {
-        return 0.0;
-    }
-    let raw = mi_from_counts(&c.joint, &c.mx, &c.my, c.total, ny);
-    (raw - miller_madow_bias(&c.mx, &c.my, c.total)).max(0.0)
+    mi_batch(&mut Tables::default(), &[x], y, true)[0]
 }
 
-/// Cell budget for the flat `nz × nx × ny` conditional contingency array
-/// (16 MiB of `u32`s). Within budget the whole CMI is one row pass plus
-/// cheap per-stratum slice loops; beyond it the gather-per-stratum fallback
-/// keeps memory bounded. Both produce identical counts, hence identical
-/// floats.
+/// Cell budget for the flat conditional contingency array (16 MiB of
+/// `u32`s), counting the missing bin on every axis: `(nx+1)(ny+1)(nz+1)`
+/// cells. Within budget the whole CMI is one row pass plus cheap per-stratum
+/// slice loops; beyond it the gather-per-stratum fallback keeps memory
+/// bounded. Both produce identical counts, hence identical floats.
 const FLAT_CMI_MAX_CELLS: usize = 1 << 22;
+
+fn fits_flat(x: &Discretized, y: &Discretized, z: &Discretized) -> bool {
+    [x, y, z].iter().map(|d| d.n_bins() as usize + 1).product::<usize>() <= FLAT_CMI_MAX_CELLS
+}
 
 /// Conditional mutual information `I(X;Y|Z) = Σ_z p(z)·I(X;Y|Z=z)` in bits.
 pub fn conditional_mutual_information(
@@ -139,73 +130,60 @@ pub fn conditional_mutual_information_corrected(
     cmi_impl(x, y, z, true)
 }
 
-fn cmi_impl(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool) -> f64 {
-    assert_eq!(x.codes.len(), y.codes.len(), "feature length mismatch");
-    assert_eq!(x.codes.len(), z.codes.len(), "feature length mismatch");
-    let nx = x.n_bins as usize;
-    let ny = y.n_bins as usize;
-    let nz = z.n_bins as usize;
-    if nx == 0 || ny == 0 || nz == 0 {
-        return 0.0;
-    }
-    let fits_flat = nx
-        .checked_mul(ny)
-        .and_then(|v| v.checked_mul(nz))
-        .is_some_and(|cells| cells <= FLAT_CMI_MAX_CELLS);
-    if !fits_flat {
-        return cmi_gather(x, y, z, corrected);
-    }
+/// One pass fills the 3-way table `counts[a·slab + c·(ny+1) + b]` of
+/// `(x, z, y)`; each z-stratum is then the strided slice starting at
+/// `c·(ny+1)` — no per-stratum row gathering or re-counting. The stratum
+/// `c = nz` holds the rows where z is missing.
+fn fill_conditional(t: &mut Tables, x: &Discretized, y: &Discretized, z: &Discretized) {
+    assert_eq!(z.len(), y.len(), "feature length mismatch");
+    let sy = y.n_bins() as usize + 1;
+    let (yc, zc) = (y.codes(), z.codes());
+    let slab = (z.n_bins() as usize + 1) * sy;
+    t.fill(&[x], yc.len(), slab, |i| zc[i] as usize * sy + yc[i] as usize);
+}
 
-    // One pass fills the full 3-way contingency; each z-stratum is then a
-    // contiguous slice — no per-stratum row gathering or re-counting.
-    let mut counts = vec![0u32; nz * nx * ny];
-    let mut z_totals = vec![0usize; nz];
-    let mut total = 0usize;
-    for i in 0..x.codes.len() {
-        if let (Some(a), Some(b), Some(c)) = (x.codes[i], y.codes[i], z.codes[i]) {
-            counts[(c as usize * nx + a as usize) * ny + b as usize] += 1;
-            z_totals[c as usize] += 1;
-            total += 1;
-        }
-    }
+/// `Σ_z p(z)·I(X;Y|Z=z)` from the table [`fill_conditional`] left in `t`,
+/// strata in ascending z, empty ones skipped.
+fn cmi_from_table(t: &mut Tables, (nx, ny, nz): (usize, usize, usize), corrected: bool) -> f64 {
+    let sy = ny + 1;
+    let slab = (nz + 1) * sy;
+    let total: usize = (0..nz).map(|c| t.m.of(&t.counts[c * sy..], slab, nx, ny)).sum();
     if total == 0 {
         return 0.0;
     }
-    let mut mx = vec![0usize; nx];
-    let mut my = vec![0usize; ny];
     let mut cmi = 0.0;
-    for (zc, &n_z) in z_totals.iter().enumerate() {
-        if n_z == 0 {
-            continue;
+    for c in 0..nz {
+        let (n_z, mi_z) = mi_of_table(&t.counts[c * sy..], slab, (nx, ny), corrected, &mut t.m);
+        if n_z > 0 {
+            cmi += (n_z as f64 / total as f64) * mi_z;
         }
-        let slice = &counts[zc * nx * ny..(zc + 1) * nx * ny];
-        mx.iter_mut().for_each(|v| *v = 0);
-        my.iter_mut().for_each(|v| *v = 0);
-        for a in 0..nx {
-            for b in 0..ny {
-                let c = slice[a * ny + b] as usize;
-                mx[a] += c;
-                my[b] += c;
-            }
-        }
-        let mut mi_z = mi_from_counts(slice, &mx, &my, n_z, ny);
-        if corrected {
-            mi_z = (mi_z - miller_madow_bias(&mx, &my, n_z)).max(0.0);
-        }
-        cmi += (n_z as f64 / total as f64) * mi_z;
     }
     cmi.max(0.0)
 }
 
-/// Fallback CMI for pathological bin counts: partition rows by z and score
-/// each stratum from gathered sub-codes (the original implementation).
+fn dims(x: &Discretized, y: &Discretized, z: &Discretized) -> (usize, usize, usize) {
+    (x.n_bins() as usize, y.n_bins() as usize, z.n_bins() as usize)
+}
+
+fn cmi_impl(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool) -> f64 {
+    if !fits_flat(x, y, z) {
+        return cmi_gather(x, y, z, corrected);
+    }
+    let mut t = Tables::default();
+    fill_conditional(&mut t, x, y, z);
+    cmi_from_table(&mut t, dims(x, y, z), corrected)
+}
+
+/// Fallback CMI for bin counts whose flat table would not fit the budget:
+/// partition rows by z and score each stratum from gathered sub-codes.
 fn cmi_gather(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool) -> f64 {
-    let nz = z.n_bins as usize;
-    let mut strata: Vec<Vec<usize>> = vec![Vec::new(); nz];
+    assert_eq!(x.len(), y.len(), "feature length mismatch");
+    assert_eq!(x.len(), z.len(), "feature length mismatch");
+    let mut strata: Vec<Vec<usize>> = vec![Vec::new(); z.n_bins() as usize];
     let mut total = 0usize;
-    for i in 0..x.codes.len() {
-        if let (Some(_), Some(_), Some(c)) = (&x.codes[i], &y.codes[i], &z.codes[i]) {
-            strata[*c as usize].push(i);
+    for i in 0..x.len() {
+        if let (Some(_), Some(_), Some(c)) = (x.code(i), y.code(i), z.code(i)) {
+            strata[c as usize].push(i);
             total += 1;
         }
     }
@@ -217,15 +195,11 @@ fn cmi_gather(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool
         if rows.is_empty() {
             continue;
         }
-        let sub = |d: &Discretized| Discretized {
-            codes: rows.iter().map(|&i| d.codes[i]).collect(),
-            n_bins: d.n_bins,
-        };
         let w = rows.len() as f64 / total as f64;
         let mi_z = if corrected {
-            mutual_information_corrected(&sub(x), &sub(y))
+            mutual_information_corrected(&x.gather(rows), &y.gather(rows))
         } else {
-            mutual_information(&sub(x), &sub(y))
+            mutual_information(&x.gather(rows), &y.gather(rows))
         };
         cmi += w * mi_z;
     }
@@ -236,95 +210,41 @@ fn cmi_gather(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool
 /// criterion (CIFE, JMI, CMIM) evaluates per already-selected feature.
 ///
 /// One 3-way contingency pass replaces the two separate row scans: the MI
-/// marginal joint is recovered as the z-sum of the conditional counts plus
-/// the rows where x and y are present but z is missing, so both results are
-/// **bit-identical** to calling [`mutual_information`] and
-/// [`conditional_mutual_information`] separately (the same integer counts
-/// feed the same accumulation loops).
+/// joint is the sum of the conditional counts over every z-stratum, the
+/// z-missing one included, so both results are **bit-identical** to calling
+/// [`mutual_information`] and [`conditional_mutual_information`] separately
+/// (the same integer counts feed the same accumulation loops).
 pub fn mi_and_cmi(x: &Discretized, y: &Discretized, z: &Discretized) -> (f64, f64) {
-    assert_eq!(x.codes.len(), y.codes.len(), "feature length mismatch");
-    assert_eq!(x.codes.len(), z.codes.len(), "feature length mismatch");
-    let nx = x.n_bins as usize;
-    let ny = y.n_bins as usize;
-    let nz = z.n_bins as usize;
-    if nx == 0 || ny == 0 {
-        return (0.0, 0.0);
-    }
-    let fits_flat = nz > 0
-        && nx
-            .checked_mul(ny)
-            .and_then(|v| v.checked_mul(nz))
-            .is_some_and(|cells| cells <= FLAT_CMI_MAX_CELLS);
-    if !fits_flat {
-        return (
-            mutual_information(x, y),
-            conditional_mutual_information(x, y, z),
-        );
-    }
+    mi_and_cmi_with(&mut Tables::default(), x, y, z)
+}
 
-    let mut counts = vec![0u32; nz * nx * ny];
-    // Rows with x,y present but z missing: they count toward MI, not CMI.
-    let mut extra = vec![0u32; nx * ny];
-    let mut z_totals = vec![0usize; nz];
-    let mut cmi_total = 0usize;
-    let mut mi_total = 0usize;
-    for i in 0..x.codes.len() {
-        if let (Some(a), Some(b)) = (x.codes[i], y.codes[i]) {
-            mi_total += 1;
-            match z.codes[i] {
-                Some(c) => {
-                    counts[(c as usize * nx + a as usize) * ny + b as usize] += 1;
-                    z_totals[c as usize] += 1;
-                    cmi_total += 1;
-                }
-                None => extra[a as usize * ny + b as usize] += 1,
+/// [`mi_and_cmi`] on caller-owned tables.
+pub(crate) fn mi_and_cmi_with(
+    t: &mut Tables,
+    x: &Discretized,
+    y: &Discretized,
+    z: &Discretized,
+) -> (f64, f64) {
+    if !fits_flat(x, y, z) {
+        return (mutual_information(x, y), conditional_mutual_information(x, y, z));
+    }
+    fill_conditional(t, x, y, z);
+    let (nx, ny, nz) = dims(x, y, z);
+    let sy = ny + 1;
+    t.joint.clear();
+    t.joint.resize(nx * sy, 0);
+    for (a, row) in t.joint.chunks_exact_mut(sy).enumerate() {
+        for stratum in t.counts[a * (nz + 1) * sy..][..(nz + 1) * sy].chunks_exact(sy) {
+            for (j, &c) in row.iter_mut().zip(stratum) {
+                *j += c;
             }
         }
     }
-    if mi_total == 0 {
+    let (xy_rows, mi) = mi_of_table(&t.joint, sy, (nx, ny), false, &mut t.m);
+    if xy_rows == 0 {
         return (0.0, 0.0);
     }
-
-    // MI over all xy-present rows: joint = Σ_z conditional + z-missing.
-    let mut joint = extra;
-    for zc in 0..nz {
-        let slice = &counts[zc * nx * ny..(zc + 1) * nx * ny];
-        for (j, &c) in joint.iter_mut().zip(slice) {
-            *j += c;
-        }
-    }
-    let mut mx = vec![0usize; nx];
-    let mut my = vec![0usize; ny];
-    for a in 0..nx {
-        for b in 0..ny {
-            let c = joint[a * ny + b] as usize;
-            mx[a] += c;
-            my[b] += c;
-        }
-    }
-    let mi = mi_from_counts(&joint, &mx, &my, mi_total, ny);
-
-    if cmi_total == 0 {
-        return (mi, 0.0);
-    }
-    let mut cmi = 0.0;
-    for (zc, &n_z) in z_totals.iter().enumerate() {
-        if n_z == 0 {
-            continue;
-        }
-        let slice = &counts[zc * nx * ny..(zc + 1) * nx * ny];
-        mx.iter_mut().for_each(|v| *v = 0);
-        my.iter_mut().for_each(|v| *v = 0);
-        for a in 0..nx {
-            for b in 0..ny {
-                let c = slice[a * ny + b] as usize;
-                mx[a] += c;
-                my[b] += c;
-            }
-        }
-        cmi += (n_z as f64 / cmi_total as f64) * mi_from_counts(slice, &mx, &my, n_z, ny);
-    }
-    (mi, cmi.max(0.0))
+    (mi, cmi_from_table(t, (nx, ny, nz), false))
 }
 
 #[cfg(test)]

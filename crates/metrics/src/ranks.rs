@@ -1,36 +1,57 @@
 //! Rank transforms for Spearman correlation.
 
+/// An integer whose unsigned order is the numeric order of finite `x`, with
+/// `-0.0` and `0.0` sharing a key. Sorting these is several times cheaper
+/// than sorting floats through `partial_cmp`.
+pub(crate) fn sort_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits(); // -0.0 + 0.0 == 0.0
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// The value [`sort_key`] was taken from.
+pub(crate) fn from_sort_key(key: u64) -> f64 {
+    f64::from_bits(key ^ ((!(key as i64) >> 63) as u64 | 1 << 63))
+}
+
 /// Average (fractional) ranks of `values`, 1-based, with ties receiving the
 /// mean of the ranks they span. `NaN`s receive `NaN` ranks and are excluded
 /// from the ranking of the rest.
 pub fn average_ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx = Vec::new();
+    let mut order = Vec::new();
     let mut ranks = Vec::new();
-    average_ranks_into(values, &mut idx, &mut ranks);
+    average_ranks_into(values, &mut order, &mut ranks);
     ranks
 }
 
-/// [`average_ranks`] into caller-owned buffers: `idx` is sort scratch,
-/// `ranks` receives the result (both cleared and refilled). Hot loops that
-/// rank column after column (Spearman over every candidate feature) reuse
-/// two warm allocations instead of allocating per call. The math — sort
-/// order, tie averaging — is identical to [`average_ranks`].
-pub fn average_ranks_into(values: &[f64], idx: &mut Vec<usize>, ranks: &mut Vec<f64>) {
-    idx.clear();
-    idx.extend((0..values.len()).filter(|&i| values[i].is_finite()));
-    idx.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite"));
+/// [`average_ranks`] into caller-owned buffers: `order` is sort scratch
+/// (`(sort key, row)` of every finite value), `ranks` receives the result
+/// (both cleared and refilled). Hot loops that rank column after column
+/// (Spearman over every candidate feature) reuse two warm allocations
+/// instead of allocating per call. Tied rows all get their group's mean
+/// rank, so the order the unstable sort leaves them in does not matter.
+pub fn average_ranks_into(values: &[f64], order: &mut Vec<(u64, u32)>, ranks: &mut Vec<f64>) {
+    assert!(u32::try_from(values.len()).is_ok(), "more rows than a u32 can number");
+    order.clear();
+    order.extend(
+        values
+            .iter()
+            .enumerate()
+            .filter(|(_, x)| x.is_finite())
+            .map(|(row, &x)| (sort_key(x), row as u32)),
+    );
+    order.sort_unstable_by_key(|&(key, _)| key);
     ranks.clear();
     ranks.resize(values.len(), f64::NAN);
     let mut i = 0;
-    while i < idx.len() {
+    while i < order.len() {
         let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
+        while j + 1 < order.len() && order[j + 1].0 == order[i].0 {
             j += 1;
         }
         // ranks i+1 ..= j+1 (1-based), average
         let avg = (i + 1 + j + 1) as f64 / 2.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
+        for &(_, row) in &order[i..=j] {
+            ranks[row as usize] = avg;
         }
         i = j + 1;
     }
@@ -66,13 +87,30 @@ mod tests {
     }
 
     #[test]
+    fn sort_key_orders_like_the_values_and_round_trips() {
+        let vals = [-1e300, -2.5, -1e-300, -0.0, 0.0, 1e-300, 1.0, 2.5, 1e300];
+        for w in vals.windows(2) {
+            assert_eq!(sort_key(w[0]) < sort_key(w[1]), w[0] < w[1], "{w:?}");
+            assert_eq!(sort_key(w[0]) == sort_key(w[1]), w[0] == w[1], "{w:?}");
+        }
+        for v in vals {
+            assert_eq!(from_sort_key(sort_key(v)), v);
+        }
+    }
+
+    #[test]
+    fn negative_and_positive_zero_tie() {
+        assert_eq!(average_ranks(&[0.0, -1.0, -0.0]), vec![2.5, 1.0, 2.5]);
+    }
+
+    #[test]
     fn empty_input() {
         assert!(average_ranks(&[]).is_empty());
     }
 
     #[test]
     fn into_variant_reuses_buffers_and_matches() {
-        let mut idx = vec![99usize; 8];
+        let mut idx = vec![(99u64, 9u32); 8];
         let mut ranks = vec![1.0f64; 8];
         for vals in [
             vec![3.0, 1.0, 2.0, 2.0],

@@ -16,8 +16,9 @@
 //! A candidate with `J(X_k) > 0` adds more label information than it
 //! duplicates and is considered non-redundant.
 
+use crate::contingency::{Tables, BATCH};
 use crate::discretize::{discretize_equal_frequency, Discretized};
-use crate::mi::{mi_and_cmi, mutual_information, mutual_information_corrected as mi_est};
+use crate::mi::{mi_and_cmi_with, mi_batch};
 use crate::relevance::DEFAULT_BINS;
 
 /// The redundancy criteria compared in §V-D.
@@ -72,7 +73,8 @@ impl RedundancyMethod {
 }
 
 /// Scores candidates against an already-selected feature set using a
-/// [`RedundancyMethod`]. Discretizes inputs once and caches codes.
+/// [`RedundancyMethod`]. Holds the method and the bin count only; callers
+/// discretize once ([`RedundancyScorer::codes`]) and keep the codes.
 #[derive(Debug, Clone)]
 pub struct RedundancyScorer {
     method: RedundancyMethod,
@@ -117,38 +119,60 @@ impl RedundancyScorer {
         selected: &[&Discretized],
         labels: &Discretized,
     ) -> f64 {
+        self.score_with(&mut Tables::default(), candidate, selected, labels, false)
+    }
+
+    /// [`RedundancyScorer::score_codes`] on caller-owned tables. The penalty
+    /// terms are gathered [`BATCH`] selected columns per row pass and added
+    /// in `selected` order, so `J` does not depend on the batch width.
+    ///
+    /// With `reject_early`, MIFS (β ≥ 0), MRMR and CMIM stop as soon as the
+    /// running score is ≤ 0 and return that value: every penalty term is
+    /// clamped ≥ 0 and joins a sum (or a running maximum) in a fixed order,
+    /// so the running penalty is a floating-point lower bound of the final
+    /// one and `J > 0` can no longer come true. CIFE and JMI add conditional
+    /// terms back and always run to the end.
+    pub(crate) fn score_with(
+        &self,
+        t: &mut Tables,
+        candidate: &Discretized,
+        selected: &[&Discretized],
+        labels: &Discretized,
+        reject_early: bool,
+    ) -> f64 {
         let corrected = !self.method.needs_conditional();
-        let rel = if corrected {
-            mi_est(candidate, labels)
-        } else {
-            mutual_information(candidate, labels)
-        };
+        let rel = mi_batch(t, &[candidate], labels, corrected)[0];
         if selected.is_empty() {
             return rel;
         }
         match self.method {
-            RedundancyMethod::Mifs { beta } => {
-                let red: f64 = selected
-                    .iter()
-                    .map(|s| mi_est(s, candidate))
-                    .sum();
-                rel - beta * red
-            }
-            RedundancyMethod::Mrmr => {
-                let red: f64 = selected
-                    .iter()
-                    .map(|s| mi_est(s, candidate))
-                    .sum();
-                rel - red / selected.len() as f64
+            RedundancyMethod::Mifs { .. } | RedundancyMethod::Mrmr => {
+                let j = |red: f64| match self.method {
+                    RedundancyMethod::Mifs { beta } => rel - beta * red,
+                    _ => rel - red / selected.len() as f64,
+                };
+                // A negative β would turn the penalty into a reward.
+                let reject_early = reject_early
+                    && !matches!(self.method, RedundancyMethod::Mifs { beta } if beta.is_nan() || beta < 0.0);
+                // `-0.0` is what `Iterator::sum` starts from.
+                let mut red = -0.0;
+                for batch in selected.chunks(BATCH) {
+                    if reject_early && j(red) <= 0.0 {
+                        break;
+                    }
+                    for mi in &mi_batch(t, batch, candidate, true)[..batch.len()] {
+                        red += mi;
+                    }
+                }
+                j(red)
             }
             // The conditional criteria evaluate the I(X_j;X_k) and
-            // I(X_j;X_k|Y) pair per selected feature; `mi_and_cmi` fills one
-            // shared contingency pass for both (bit-identical to the two
-            // separate estimator calls).
+            // I(X_j;X_k|Y) pair per selected feature from one shared 3-way
+            // pass (bit-identical to the two separate estimator calls).
             RedundancyMethod::Cife => {
                 let mut j = rel;
                 for s in selected {
-                    let (mi, cmi) = mi_and_cmi(s, candidate, labels);
+                    let (mi, cmi) = mi_and_cmi_with(t, s, candidate, labels);
                     j -= mi;
                     j += cmi;
                 }
@@ -158,20 +182,21 @@ impl RedundancyScorer {
                 let inv = 1.0 / selected.len() as f64;
                 let mut j = rel;
                 for s in selected {
-                    let (mi, cmi) = mi_and_cmi(s, candidate, labels);
+                    let (mi, cmi) = mi_and_cmi_with(t, s, candidate, labels);
                     j -= inv * mi;
                     j += inv * cmi;
                 }
                 j
             }
             RedundancyMethod::Cmim => {
-                let worst = selected
-                    .iter()
-                    .map(|s| {
-                        let (mi, cmi) = mi_and_cmi(s, candidate, labels);
-                        mi - cmi
-                    })
-                    .fold(f64::NEG_INFINITY, f64::max);
+                let mut worst = f64::NEG_INFINITY;
+                for s in selected {
+                    if reject_early && rel - worst.max(0.0) <= 0.0 {
+                        break;
+                    }
+                    let (mi, cmi) = mi_and_cmi_with(t, s, candidate, labels);
+                    worst = worst.max(mi - cmi);
+                }
                 rel - worst.max(0.0)
             }
         }

@@ -9,7 +9,7 @@
 use crate::discretize::{discretize_equal_frequency, Discretized};
 use crate::entropy::entropy;
 use crate::mi::mutual_information;
-use crate::ranks::average_ranks_into;
+use crate::ranks::{average_ranks, average_ranks_into};
 
 /// Number of bins used when discretizing continuous features for the
 /// information-theoretic measures.
@@ -93,7 +93,8 @@ impl RelevanceMethod {
             }
             RelevanceMethod::Spearman => {
                 let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-                features.iter().map(|x| spearman_correlation(x, &y).abs()).collect()
+                let y_ranks = average_ranks(&y);
+                features.iter().map(|x| spearman_with(x, &y, Some(&y_ranks)).abs()).collect()
             }
             RelevanceMethod::Relief => Relief::default().scores(features, labels),
         }
@@ -204,12 +205,26 @@ pub struct Spearman;
 ///
 /// The gathered columns and both rank buffers live in thread-local scratch:
 /// ranking every candidate feature against the label reuses five warm
-/// allocations instead of paying five fresh ones per call. Ranks and the
-/// final Pearson are computed exactly as before.
+/// allocations instead of paying five fresh ones per call.
 pub fn spearman_correlation(x: &[f64], y: &[f64]) -> f64 {
+    spearman_with(x, y, None)
+}
+
+/// [`spearman_correlation`], given the ranks of the whole of an all-finite
+/// `y` when the caller has them: a feature without missing rows deletes no
+/// pair, so those are the ranks over the common rows and `y` is not sorted
+/// again for it.
+fn spearman_with(x: &[f64], y: &[f64], y_ranks: Option<&[f64]>) -> f64 {
     assert_eq!(x.len(), y.len(), "length mismatch");
     SPEARMAN_SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
+        if let Some(ry) = y_ranks.filter(|_| x.iter().all(|a| a.is_finite())) {
+            if x.len() < 2 {
+                return 0.0;
+            }
+            average_ranks_into(x, &mut scratch.order, &mut scratch.rx);
+            return pearson_correlation(&scratch.rx, ry);
+        }
         // Pairwise deletion first so the ranks are computed on the common rows.
         scratch.xs.clear();
         scratch.ys.clear();
@@ -222,8 +237,8 @@ pub fn spearman_correlation(x: &[f64], y: &[f64]) -> f64 {
         if scratch.xs.len() < 2 {
             return 0.0;
         }
-        average_ranks_into(&scratch.xs, &mut scratch.idx, &mut scratch.rx);
-        average_ranks_into(&scratch.ys, &mut scratch.idx, &mut scratch.ry);
+        average_ranks_into(&scratch.xs, &mut scratch.order, &mut scratch.rx);
+        average_ranks_into(&scratch.ys, &mut scratch.order, &mut scratch.ry);
         pearson_correlation(&scratch.rx, &scratch.ry)
     })
 }
@@ -232,7 +247,7 @@ pub fn spearman_correlation(x: &[f64], y: &[f64]) -> f64 {
 struct SpearmanScratch {
     xs: Vec<f64>,
     ys: Vec<f64>,
-    idx: Vec<usize>,
+    order: Vec<(u64, u32)>,
     rx: Vec<f64>,
     ry: Vec<f64>,
 }

@@ -7,8 +7,11 @@
 //!   a candidate is kept iff its `J` score against the selected-so-far set
 //!   is positive, and once kept it joins the conditioning set.
 
+use std::borrow::Borrow;
+
 use autofeat_obs as obs;
 
+use crate::contingency::Tables;
 use crate::discretize::Discretized;
 use crate::redundancy::RedundancyScorer;
 use crate::relevance::RelevanceMethod;
@@ -57,19 +60,25 @@ pub fn select_k_best(
 /// `candidates` are `(index, codes)` pairs, visited in the given order
 /// (callers pass them in descending relevance); `already_selected` holds the
 /// discretized codes of `R_sel`, the features selected on previous pipeline
-/// steps. Returns the kept features with their `J` scores.
-pub fn select_non_redundant(
+/// steps, owned or borrowed. Returns the kept features with their `J`
+/// scores. A candidate whose running score has already fallen to ≤ 0 is
+/// dropped without scoring it against the rest of the set (see
+/// `RedundancyScorer::score_with`): the kept set and the kept scores are
+/// those of the exhaustive loop.
+pub fn select_non_redundant<S: Borrow<Discretized>>(
     candidates: &[(usize, &Discretized)],
-    already_selected: &[&Discretized],
+    already_selected: &[S],
     labels: &Discretized,
     scorer: &RedundancyScorer,
 ) -> Vec<SelectedFeature> {
     let _span = obs::span("redundancy");
     obs::add("metrics.redundancy_candidates", candidates.len() as u64);
     let mut kept: Vec<SelectedFeature> = Vec::new();
-    let mut conditioning: Vec<&Discretized> = already_selected.to_vec();
+    let mut conditioning: Vec<&Discretized> =
+        already_selected.iter().map(Borrow::borrow).collect();
+    let mut tables = Tables::default();
     for &(index, codes) in candidates {
-        let j = scorer.score_codes(codes, &conditioning, labels);
+        let j = scorer.score_with(&mut tables, codes, &conditioning, labels, true);
         if j > 0.0 {
             kept.push(SelectedFeature { index, score: j });
             conditioning.push(codes);
@@ -143,7 +152,7 @@ mod tests {
         let scorer = RedundancyScorer::new(RedundancyMethod::Mrmr);
         let cands: Vec<(usize, &Discretized)> =
             vec![(0, &codes[0]), (1, &codes[1])];
-        let kept = select_non_redundant(&cands, &[], &ycodes, &scorer);
+        let kept = select_non_redundant::<&Discretized>(&cands, &[], &ycodes, &scorer);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].index, 0);
     }
@@ -173,7 +182,7 @@ mod tests {
         let ycodes = Discretized::from_codes(y.iter().map(|&l| Some(l)));
         let scorer = RedundancyScorer::new(RedundancyMethod::Mrmr);
         let cands: Vec<(usize, &Discretized)> = vec![(0, &codes[0])];
-        let kept = select_non_redundant(&cands, &[], &ycodes, &scorer);
+        let kept = select_non_redundant::<&Discretized>(&cands, &[], &ycodes, &scorer);
         assert_eq!(kept.len(), 1);
         assert!(kept[0].score > 0.0);
     }
@@ -182,6 +191,6 @@ mod tests {
     fn empty_candidates_empty_result() {
         let ycodes = Discretized::from_codes([Some(0), Some(1)]);
         let scorer = RedundancyScorer::new(RedundancyMethod::Mrmr);
-        assert!(select_non_redundant(&[], &[], &ycodes, &scorer).is_empty());
+        assert!(select_non_redundant::<&Discretized>(&[], &[], &ycodes, &scorer).is_empty());
     }
 }

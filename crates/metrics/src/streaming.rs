@@ -40,8 +40,9 @@ pub struct StreamingSelector {
     kappa: usize,
     labels: Vec<i64>,
     label_codes: Discretized,
-    /// `(name, codes)` of every selected feature so far.
-    selected: Vec<(String, Discretized)>,
+    /// Names of the selected features so far, and their codes in step.
+    selected_names: Vec<String>,
+    selected_codes: Vec<Discretized>,
 }
 
 impl StreamingSelector {
@@ -63,28 +64,27 @@ impl StreamingSelector {
             kappa,
             labels,
             label_codes,
-            selected: Vec::new(),
+            selected_names: Vec::new(),
+            selected_codes: Vec::new(),
         }
     }
 
     /// Number of features selected so far.
     pub fn n_selected(&self) -> usize {
-        self.selected.len()
+        self.selected_names.len()
     }
 
     /// Names of the selected features, in selection order.
     pub fn selected_names(&self) -> Vec<&str> {
-        self.selected.iter().map(|(n, _)| n.as_str()).collect()
+        self.selected_names.iter().map(String::as_str).collect()
     }
 
     /// Seed the selected set without selection (the base table's features
     /// enter `R_sel` unconditionally, Algorithm 1's input).
     pub fn seed(&mut self, name: impl Into<String>, values: &[f64]) {
         assert_eq!(values.len(), self.labels.len(), "row count mismatch");
-        self.selected.push((
-            name.into(),
-            discretize_equal_frequency(values, DEFAULT_BINS),
-        ));
+        self.selected_names.push(name.into());
+        self.selected_codes.push(discretize_equal_frequency(values, DEFAULT_BINS));
     }
 
     /// Offer a batch of `(name, values)` features (one join's new columns).
@@ -107,27 +107,29 @@ impl StreamingSelector {
             .iter()
             .map(|&(i, _)| discretize_equal_frequency(&data[i], DEFAULT_BINS))
             .collect();
-        let selected: Vec<(usize, f64)> = match &self.redundancy {
+        // `kept[local]`: did `codes[local]` survive, and with which `J`.
+        let kept: Vec<Option<f64>> = match &self.redundancy {
             Some(scorer) => {
                 let cands: Vec<(usize, &Discretized)> =
                     codes.iter().enumerate().collect();
-                let already: Vec<&Discretized> =
-                    self.selected.iter().map(|(_, c)| c).collect();
-                select_non_redundant(&cands, &already, &self.label_codes, scorer)
-                    .into_iter()
-                    .map(|s| (relevant[s.index].0, s.score))
-                    .collect()
+                let mut kept = vec![None; codes.len()];
+                for s in
+                    select_non_redundant(&cands, &self.selected_codes, &self.label_codes, scorer)
+                {
+                    kept[s.index] = Some(s.score);
+                }
+                kept
             }
-            None => relevant.clone(),
+            None => relevant.iter().map(|&(_, score)| Some(score)).collect(),
         };
-        // Update R_sel.
-        for &(batch_idx, _) in &selected {
-            let local = relevant
-                .iter()
-                .position(|&(i, _)| i == batch_idx)
-                .expect("selected came from relevant");
-            self.selected
-                .push((batch[batch_idx].0.clone(), codes[local].clone()));
+        // Update R_sel: the accepted codes move in.
+        let mut selected = Vec::new();
+        for ((&(batch_idx, _), code), j) in relevant.iter().zip(codes).zip(kept) {
+            if let Some(j) = j {
+                selected.push((batch_idx, j));
+                self.selected_names.push(batch[batch_idx].0.clone());
+                self.selected_codes.push(code);
+            }
         }
         BatchOutcome { relevant, selected }
     }

@@ -145,6 +145,131 @@ pub fn wide_uniform_ctx(n_sat: usize, n_rows: usize, dup: usize) -> SearchContex
     SearchContext::from_kfk(tables, &kfk, "base", "target").unwrap()
 }
 
+/// A lake whose joins leave holes: `part` covers 80 % of the base keys (so
+/// every candidate column it contributes is 20 % missing after the left
+/// join) and carries explicit nulls on top, a noisy label copy, a duplicate
+/// of it, a many-valued column and six more noisy label views; `deep` hangs off `part` and covers seven
+/// eighths of *its* keys; `thin` covers 40 % of the base keys and falls below the
+/// default τ. Exercises pairwise deletion in every estimator, the
+/// redundancy drop, and the quality prune.
+pub fn sparse_ctx(n: usize) -> SearchContext {
+    let ni = n as i64;
+    let labels: Vec<i64> = (0..ni).map(|i| ((i * 7) % 5 < 2) as i64).collect();
+    let base = Table::new(
+        "base",
+        vec![
+            ("k", Column::from_ints((0..ni).map(Some).collect::<Vec<_>>())),
+            (
+                "b0",
+                Column::from_floats((0..n).map(|i| Some(((i * 29) % 23) as f64)).collect::<Vec<_>>()),
+            ),
+            ("target", Column::from_ints(labels.iter().copied().map(Some).collect::<Vec<_>>())),
+        ],
+    )
+    .unwrap();
+    let covered: Vec<i64> = (0..ni).filter(|i| i % 5 != 4).collect();
+    let noisy = |i: i64| {
+        let l = labels[i as usize];
+        if i % 11 == 0 { 1 - l } else { l }
+    };
+    let part = Table::new(
+        "part",
+        vec![
+            ("k", Column::from_ints(covered.iter().map(|&i| Some(i)).collect::<Vec<_>>())),
+            ("k2", Column::from_ints(covered.iter().map(|&i| Some(700 + i)).collect::<Vec<_>>())),
+            (
+                "sig",
+                Column::from_floats(
+                    covered
+                        .iter()
+                        .map(|&i| (i % 13 != 0).then(|| (noisy(i) * 3 + i % 3) as f64))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            (
+                "dup",
+                Column::from_floats(
+                    covered
+                        .iter()
+                        .map(|&i| (i % 13 != 0).then(|| (noisy(i) * 3 + i % 3) as f64 * 2.0))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            (
+                "wide",
+                Column::from_floats(
+                    covered
+                        .iter()
+                        .map(|&i| {
+                            (i % 17 != 3)
+                                .then(|| ((i * 37) % 101) as f64 + 40.0 * labels[i as usize] as f64)
+                        })
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ],
+    )
+    .unwrap();
+    // Six differently-noised views of the label: the running selected set
+    // grows past any small batch width under every criterion.
+    let mut part = part;
+    for (v, p) in [3i64, 4, 6, 7, 9, 10].into_iter().enumerate() {
+        let col = Column::from_floats(
+            covered
+                .iter()
+                .map(|&i| {
+                    let l = labels[i as usize];
+                    let seen = if (i + v as i64) % p == 0 { 1 - l } else { l };
+                    Some((seen * 4 + (i * (v as i64 + 2)) % 4) as f64)
+                })
+                .collect::<Vec<_>>(),
+        );
+        part = part.with_column(format!("v{v}"), col).unwrap();
+    }
+    let deep_keys: Vec<i64> = covered.iter().copied().filter(|i| i % 8 != 1).collect();
+    let deep = Table::new(
+        "deep",
+        vec![
+            ("k2", Column::from_ints(deep_keys.iter().map(|&i| Some(700 + i)).collect::<Vec<_>>())),
+            (
+                "d",
+                Column::from_floats(
+                    deep_keys
+                        .iter()
+                        .map(|&i| Some(((i * 3) % 7) as f64 - 2.0 * labels[i as usize] as f64))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ],
+    )
+    .unwrap();
+    let thin_keys: Vec<i64> = (0..ni).filter(|i| i % 5 < 2).collect();
+    let thin = Table::new(
+        "thin",
+        vec![
+            ("k", Column::from_ints(thin_keys.iter().map(|&i| Some(i)).collect::<Vec<_>>())),
+            (
+                "t",
+                Column::from_floats(
+                    thin_keys.iter().map(|&i| Some(labels[i as usize] as f64)).collect::<Vec<_>>(),
+                ),
+            ),
+        ],
+    )
+    .unwrap();
+    SearchContext::from_kfk(
+        vec![base, part, deep, thin],
+        &[
+            ("base".into(), "k".into(), "part".into(), "k".into()),
+            ("part".into(), "k2".into(), "deep".into(), "k2".into()),
+            ("base".into(), "k".into(), "thin".into(), "k".into()),
+        ],
+        "base",
+        "target",
+    )
+    .unwrap()
+}
+
 /// The same lake with all ingest key metadata (dictionaries + row
 /// fingerprints) stripped, forcing every join index onto the hashed
 /// fallback path. Dict-determinism tests compare discovery over a context

@@ -150,3 +150,37 @@ fn disconnected_base_yields_empty_result() {
     assert_eq!(r.truncation, None);
     assert!(r.failures.is_empty());
 }
+
+#[test]
+fn regression_like_label_is_a_typed_error() {
+    // 300 distinct label values: more classes than a bin code can number.
+    // Must surface as an error from `discover`, before any join — not as
+    // the panic `Discretized::from_codes` raises beyond `MAX_BINS`.
+    let n = 300i64;
+    let base = Table::new(
+        "base",
+        vec![
+            ("k", int_col((0..n).map(Some).collect())),
+            ("target", int_col((0..n).map(Some).collect())),
+        ],
+    )
+    .unwrap();
+    let ext = Table::new(
+        "ext",
+        vec![
+            ("k", int_col((0..n).map(Some).collect())),
+            ("f", Column::from_floats((0..n).map(|i| Some(i as f64)).collect::<Vec<_>>())),
+        ],
+    )
+    .unwrap();
+    let ctx = kfk_ctx(vec![base, ext]);
+    let err = AutoFeat::paper().discover(&ctx).unwrap_err();
+    assert_eq!(
+        err,
+        autofeat::data::DataError::TooManyClasses {
+            column: "target".into(),
+            classes: 300,
+            max: autofeat::metrics::MAX_BINS as usize,
+        }
+    );
+}
