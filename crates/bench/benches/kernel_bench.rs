@@ -44,12 +44,12 @@ fn bench_index_build(c: &mut Criterion) {
         let (_, hashed) = join_tables(n, 3, false);
         let hcol = hashed.column("k").unwrap().clone();
         group.bench_with_input(BenchmarkId::new("hashed", n), &n, |b, _| {
-            b.iter(|| black_box(JoinIndex::build(&hashed, &hcol)))
+            b.iter(|| black_box(JoinIndex::build(&hashed, &hcol).unwrap()))
         });
         let (_, coded) = join_tables(n, 3, true);
         let ccol = coded.column("k").unwrap().clone();
         group.bench_with_input(BenchmarkId::new("dict_coded", n), &n, |b, _| {
-            b.iter(|| black_box(JoinIndex::build(&coded, &ccol)))
+            b.iter(|| black_box(JoinIndex::build(&coded, &ccol).unwrap()))
         });
     }
     group.finish();
@@ -61,7 +61,7 @@ fn bench_probe(c: &mut Criterion) {
     for &keyed in &[false, true] {
         let (l, r) = join_tables(10_000, 3, keyed);
         let rcol = r.column("k").unwrap().clone();
-        let idx = JoinIndex::build(&r, &rcol);
+        let idx = JoinIndex::build(&r, &rcol).unwrap();
         let name = if keyed { "dict_coded" } else { "hashed" };
         group.bench_with_input(BenchmarkId::new(name, 10_000), &keyed, |b, _| {
             b.iter(|| {

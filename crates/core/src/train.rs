@@ -39,7 +39,15 @@ pub fn evaluate_feature_set(
 ) -> Result<Vec<(ModelKind, f64)>> {
     let _span = autofeat_obs::span("model_eval");
     let mut rng = StdRng::seed_from_u64(seed);
-    let split = train_test_split(table, label, TEST_FRAC, &mut rng)?;
+    // Split only what the learners read: a materialized path's columns are
+    // views over the lake, and the split is where their cells get copied.
+    let mut read: Vec<&str> = Vec::with_capacity(features.len() + 1);
+    for name in features.iter().copied().chain([label]) {
+        if !read.contains(&name) {
+            read.push(name);
+        }
+    }
+    let split = train_test_split(&table.select(&read)?, label, TEST_FRAC, &mut rng)?;
     let train_m = to_matrix(&split.train, features, label)?;
     let test_m = to_matrix(&split.test, features, label)?;
     let mut out = Vec::with_capacity(models.len());

@@ -508,14 +508,16 @@ impl LakeIndexCache {
 
     /// The join index for `(table, column)`, building it on first use.
     ///
-    /// Errors only when `column` is missing from `table` (resolved before
-    /// any locking, so a bad column name never poisons an entry). The first
+    /// Errors only when `column` is missing from `table` or the table is
+    /// too large to index (both resolved before any locking, so neither
+    /// poisons an entry). The first
     /// caller per entry builds and counts a **miss**; every other caller —
     /// including threads that waited on a racing build — counts a **hit**.
     /// Every miss corresponds to exactly one index build (denied entries
     /// are re-created, rebuilt, and re-counted on later touches).
     pub fn get_or_build(&self, table: &Table, column: &str) -> Result<Arc<JoinIndex>> {
         let key_col = table.column(column)?;
+        crate::join::check_row_count(table.name(), key_col.len())?;
         // Cooperative deadline/cancel poll before potentially expensive
         // build work; a cold build is the costliest single step a join
         // takes, so this is a natural interrupt point.
@@ -534,7 +536,9 @@ impl LakeIndexCache {
                 built = true;
                 let _span = obs::span("index_build");
                 let t0 = Instant::now();
-                let index = Arc::new(JoinIndex::build(table, key_col));
+                let index = Arc::new(
+                    JoinIndex::build(table, key_col).expect("row count checked before the probe"),
+                );
                 let elapsed = t0.elapsed();
                 obs::record_secs("cache.index_build_secs", elapsed.as_secs_f64());
                 self.build_nanos
@@ -834,7 +838,7 @@ mod tests {
     /// same shape, so budgets can be expressed in index multiples.
     fn one_index_bytes() -> u64 {
         let t = lake_table("probe", 6);
-        JoinIndex::build(&t, t.column("key").unwrap()).resident_bytes() as u64
+        JoinIndex::build(&t, t.column("key").unwrap()).unwrap().resident_bytes() as u64
     }
 
     #[test]

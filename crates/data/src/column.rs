@@ -1,131 +1,188 @@
 //! Typed, null-aware columns.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::error::{DataError, Result};
-use crate::value::{DType, Key, Value};
+use autofeat_obs as obs;
 
-/// A typed column of nullable values.
-///
-/// Each variant stores `Option<T>` per row; `None` is the SQL NULL. Float
-/// `NaN`s are normalized to `None` on insertion so that nulls have exactly
-/// one representation.
-///
-/// The dense payload is behind an [`Arc`], so **cloning a column is O(1)**:
-/// tables produced by joins share their left-hand columns with the input
-/// table instead of deep-copying them (the frontier tables of the discovery
-/// BFS grow by one table's worth of columns per hop, not by a full copy of
-/// the accumulated table). Mutating operations ([`Column::push`],
-/// [`Column::push_null`]) copy-on-write via [`Arc::make_mut`], so sharing is
-/// never observable.
+use crate::error::{DataError, Result};
+use crate::value::{float_key, DType, Key, Value};
+
+/// Row-map entry of a base row with no right-hand row: it reads as null.
+pub const NO_ROW: u32 = u32::MAX;
+
+/// The dense storage of a column: `Option<T>` per row, `None` is the SQL
+/// NULL. Float `NaN`s are normalized to `None` on insertion so that nulls
+/// have exactly one representation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Column {
-    /// 64-bit integers.
+enum Payload {
     Int(Arc<Vec<Option<i64>>>),
-    /// 64-bit floats (never `NaN`; `NaN` is stored as `None`).
     Float(Arc<Vec<Option<f64>>>),
-    /// UTF-8 strings with cheap `Arc` clones.
     Str(Arc<Vec<Option<Arc<str>>>>),
-    /// Booleans.
     Bool(Arc<Vec<Option<bool>>>),
 }
 
+/// Run one expression over whichever typed vector a payload holds.
+macro_rules! each {
+    ($payload:expr, $v:ident => $e:expr) => {
+        match $payload {
+            Payload::Int($v) => $e,
+            Payload::Float($v) => $e,
+            Payload::Str($v) => $e,
+            Payload::Bool($v) => $e,
+        }
+    };
+}
+
+/// What makes a column a view: row `i` reads `payload[map[i]]`, or null
+/// where `map[i]` is [`NO_ROW`].
+#[derive(Debug, Clone)]
+struct View {
+    /// One source row per row of the column; shared by every right-hand
+    /// column of one join.
+    map: Arc<[u32]>,
+    /// The null count when the join could tell it without reading a cell
+    /// (a null-free source has exactly `rows − matched`).
+    nulls: Option<usize>,
+}
+
+/// A typed column of nullable values, in one of two representations.
+///
+/// A **dense** column owns one cell per row. A **view** is what a join
+/// returns for its right-hand side: the source column's payload plus a row
+/// map, read through on every access and never copied until something
+/// needs the cells in place ([`Column::take`], [`Column::push`]). The two
+/// are indistinguishable through the accessors, and `==` is value equality
+/// across them.
+///
+/// Payload and map sit behind [`Arc`]s, so **cloning a column is O(1)**:
+/// tables produced by joins share their left-hand columns with the input
+/// table instead of deep-copying them. Mutating operations
+/// ([`Column::push`], [`Column::push_null`]) copy-on-write, so sharing is
+/// never observable.
+#[derive(Debug, Clone)]
+pub struct Column {
+    payload: Payload,
+    view: Option<View>,
+}
+
+impl PartialEq for Column {
+    /// Value equality: a view equals the dense column holding the same
+    /// cells, in either order.
+    fn eq(&self, other: &Self) -> bool {
+        if self.view.is_none() && other.view.is_none() {
+            return self.payload == other.payload;
+        }
+        self.dtype() == other.dtype()
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| self.get(i) == other.get(i))
+    }
+}
+
 impl Column {
+    fn dense(payload: Payload) -> Self {
+        Column { payload, view: None }
+    }
+
     /// An empty column of the given type.
     pub fn empty(dtype: DType) -> Self {
-        match dtype {
-            DType::Int => Column::Int(Arc::new(Vec::new())),
-            DType::Float => Column::Float(Arc::new(Vec::new())),
-            DType::Str => Column::Str(Arc::new(Vec::new())),
-            DType::Bool => Column::Bool(Arc::new(Vec::new())),
-        }
+        Column::with_capacity(dtype, 0)
     }
 
     /// An empty column of the given type with pre-reserved capacity.
     pub fn with_capacity(dtype: DType, cap: usize) -> Self {
-        match dtype {
-            DType::Int => Column::Int(Arc::new(Vec::with_capacity(cap))),
-            DType::Float => Column::Float(Arc::new(Vec::with_capacity(cap))),
-            DType::Str => Column::Str(Arc::new(Vec::with_capacity(cap))),
-            DType::Bool => Column::Bool(Arc::new(Vec::with_capacity(cap))),
-        }
+        Column::dense(match dtype {
+            DType::Int => Payload::Int(Arc::new(Vec::with_capacity(cap))),
+            DType::Float => Payload::Float(Arc::new(Vec::with_capacity(cap))),
+            DType::Str => Payload::Str(Arc::new(Vec::with_capacity(cap))),
+            DType::Bool => Payload::Bool(Arc::new(Vec::with_capacity(cap))),
+        })
     }
 
     /// Build an int column from an iterator of optional values.
     pub fn from_ints<I: IntoIterator<Item = Option<i64>>>(iter: I) -> Self {
-        Column::Int(Arc::new(iter.into_iter().collect()))
+        Column::dense(Payload::Int(Arc::new(iter.into_iter().collect())))
     }
 
     /// Build a float column; `NaN`s become nulls.
     pub fn from_floats<I: IntoIterator<Item = Option<f64>>>(iter: I) -> Self {
-        Column::Float(Arc::new(
-            iter.into_iter()
-                .map(|v| v.filter(|f| !f.is_nan()))
-                .collect(),
-        ))
+        Column::dense(Payload::Float(Arc::new(
+            iter.into_iter().map(|v| v.filter(|f| !f.is_nan())).collect(),
+        )))
     }
 
     /// Build a string column from anything string-like.
     pub fn from_strs<S: AsRef<str>, I: IntoIterator<Item = Option<S>>>(iter: I) -> Self {
-        Column::Str(Arc::new(
-            iter.into_iter()
-                .map(|v| v.map(|s| Arc::from(s.as_ref())))
-                .collect(),
-        ))
+        Column::dense(Payload::Str(Arc::new(
+            iter.into_iter().map(|v| v.map(|s| Arc::from(s.as_ref()))).collect(),
+        )))
     }
 
     /// Build a bool column.
     pub fn from_bools<I: IntoIterator<Item = Option<bool>>>(iter: I) -> Self {
-        Column::Bool(Arc::new(iter.into_iter().collect()))
+        Column::dense(Payload::Bool(Arc::new(iter.into_iter().collect())))
     }
 
-    /// Whether two columns share the same underlying payload allocation —
-    /// true after an O(1) clone, false once either side has been mutated
-    /// (copy-on-write) or was built independently.
+    /// This column read through `map`: row `i` of the result is row
+    /// `map[i]` of `self`, null at [`NO_ROW`]. No cell is copied. `nulls`
+    /// is the result's null count when the caller knows it. A view of a
+    /// view composes the two maps, so reads stay one hop deep.
+    pub(crate) fn view(&self, map: &Arc<[u32]>, nulls: Option<usize>) -> Column {
+        let map = match &self.view {
+            None => Arc::clone(map),
+            Some(inner) => map
+                .iter()
+                .map(|&r| if r == NO_ROW { NO_ROW } else { inner.map[r as usize] })
+                .collect(),
+        };
+        Column { payload: self.payload.clone(), view: Some(View { map, nulls }) }
+    }
+
+    /// Whether two columns share the same underlying allocations — payload
+    /// **and**, for views, row map: true after an O(1) clone, false once
+    /// either side has been mutated (copy-on-write) or was built
+    /// independently. Two views of one source through different joins
+    /// answer `false`.
     pub fn shares_payload(&self, other: &Column) -> bool {
-        match (self, other) {
-            (Column::Int(a), Column::Int(b)) => Arc::ptr_eq(a, b),
-            (Column::Float(a), Column::Float(b)) => Arc::ptr_eq(a, b),
-            (Column::Str(a), Column::Str(b)) => Arc::ptr_eq(a, b),
-            (Column::Bool(a), Column::Bool(b)) => Arc::ptr_eq(a, b),
+        let same_map = match (&self.view, &other.view) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.map, &b.map),
             _ => false,
-        }
+        };
+        same_map
+            && match (&self.payload, &other.payload) {
+                (Payload::Int(a), Payload::Int(b)) => Arc::ptr_eq(a, b),
+                (Payload::Float(a), Payload::Float(b)) => Arc::ptr_eq(a, b),
+                (Payload::Str(a), Payload::Str(b)) => Arc::ptr_eq(a, b),
+                (Payload::Bool(a), Payload::Bool(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+    }
+
+    /// [`Column::shares_payload`] under the name version-sensitive
+    /// consumers use (the join-index cache's slot verification): a cheap
+    /// *data-version identity*. Two logically equal but separately built
+    /// columns answer `false`; a `true` answer implies equal contents.
+    pub fn same_data(&self, other: &Column) -> bool {
+        self.shares_payload(other)
     }
 
     /// The column's data type.
     pub fn dtype(&self) -> DType {
-        match self {
-            Column::Int(_) => DType::Int,
-            Column::Float(_) => DType::Float,
-            Column::Str(_) => DType::Str,
-            Column::Bool(_) => DType::Bool,
-        }
-    }
-
-    /// Whether two columns share one underlying payload allocation (O(1)
-    /// clones of the same column). Used as a cheap *data-version identity*:
-    /// two logically equal but separately built columns answer `false`,
-    /// which is exactly what version-sensitive consumers (the join-index
-    /// cache's slot verification) need. Copy-on-write mutation breaks the
-    /// sharing, so a `true` answer also implies equal contents.
-    pub fn same_data(&self, other: &Column) -> bool {
-        match (self, other) {
-            (Column::Int(a), Column::Int(b)) => Arc::ptr_eq(a, b),
-            (Column::Float(a), Column::Float(b)) => Arc::ptr_eq(a, b),
-            (Column::Str(a), Column::Str(b)) => Arc::ptr_eq(a, b),
-            (Column::Bool(a), Column::Bool(b)) => Arc::ptr_eq(a, b),
-            _ => false,
+        match self.payload {
+            Payload::Int(_) => DType::Int,
+            Payload::Float(_) => DType::Float,
+            Payload::Str(_) => DType::Str,
+            Payload::Bool(_) => DType::Bool,
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            Column::Int(v) => v.len(),
-            Column::Float(v) => v.len(),
-            Column::Str(v) => v.len(),
-            Column::Bool(v) => v.len(),
+        match &self.view {
+            Some(view) => view.map.len(),
+            None => each!(&self.payload, v => v.len()),
         }
     }
 
@@ -134,14 +191,43 @@ impl Column {
         self.len() == 0
     }
 
-    /// Number of null entries.
-    pub fn null_count(&self) -> usize {
-        match self {
-            Column::Int(v) => v.iter().filter(|x| x.is_none()).count(),
-            Column::Float(v) => v.iter().filter(|x| x.is_none()).count(),
-            Column::Str(v) => v.iter().filter(|x| x.is_none()).count(),
-            Column::Bool(v) => v.iter().filter(|x| x.is_none()).count(),
+    /// The one read-through loop: hand `f` every cell of `rows` in order —
+    /// straight off the payload when dense, through the row map when a
+    /// view. The representation is matched once, outside the loop.
+    #[inline]
+    fn cells<'a, T>(
+        &self,
+        v: &'a [Option<T>],
+        rows: Range<usize>,
+        mut f: impl FnMut(Option<&'a T>),
+    ) {
+        match &self.view {
+            None => v[rows].iter().for_each(|c| f(c.as_ref())),
+            Some(view) => view.map[rows]
+                .iter()
+                .for_each(|&r| f(if r == NO_ROW { None } else { v[r as usize].as_ref() })),
         }
+    }
+
+    /// The payload row behind `row`, or `None` where a view reads null.
+    #[inline]
+    fn source_row(&self, row: usize) -> Option<usize> {
+        match &self.view {
+            None => Some(row),
+            Some(view) => Some(view.map[row] as usize).filter(|&r| r != NO_ROW as usize),
+        }
+    }
+
+    /// Number of null entries. O(1) for a view whose join knew the answer;
+    /// otherwise one counting pass, which for a view walks `(map, source)`
+    /// and copies nothing.
+    pub fn null_count(&self) -> usize {
+        if let Some(nulls) = self.view.as_ref().and_then(|v| v.nulls) {
+            return nulls;
+        }
+        let (mut nulls, all) = (0usize, 0..self.len());
+        each!(&self.payload, v => self.cells(v, all, |c| nulls += usize::from(c.is_none())));
+        nulls
     }
 
     /// Fraction of null entries in `[0, 1]`; zero for an empty column.
@@ -156,13 +242,12 @@ impl Column {
     /// Get the value at `row` (panics if out of bounds — use
     /// [`Column::try_get`] for a checked variant).
     pub fn get(&self, row: usize) -> Value {
-        match self {
-            Column::Int(v) => v[row].map_or(Value::Null, Value::Int),
-            Column::Float(v) => v[row].map_or(Value::Null, Value::Float),
-            Column::Str(v) => v[row]
-                .as_ref()
-                .map_or(Value::Null, |s| Value::Str(Arc::clone(s))),
-            Column::Bool(v) => v[row].map_or(Value::Null, Value::Bool),
+        let Some(r) = self.source_row(row) else { return Value::Null };
+        match &self.payload {
+            Payload::Int(v) => v[r].map_or(Value::Null, Value::Int),
+            Payload::Float(v) => v[r].map_or(Value::Null, Value::Float),
+            Payload::Str(v) => v[r].as_ref().map_or(Value::Null, |s| Value::Str(Arc::clone(s))),
+            Payload::Bool(v) => v[r].map_or(Value::Null, Value::Bool),
         }
     }
 
@@ -177,17 +262,31 @@ impl Column {
     /// Numeric view of a row: ints/floats/bools coerce to f64, strings and
     /// nulls are `None`.
     pub fn get_f64(&self, row: usize) -> Option<f64> {
-        match self {
-            Column::Int(v) => v[row].map(|i| i as f64),
-            Column::Float(v) => v[row],
-            Column::Bool(v) => v[row].map(|b| if b { 1.0 } else { 0.0 }),
-            Column::Str(_) => None,
+        let r = self.source_row(row)?;
+        match &self.payload {
+            Payload::Int(v) => v[r].map(|i| i as f64),
+            Payload::Float(v) => v[r],
+            Payload::Bool(v) => v[r].map(|b| if b { 1.0 } else { 0.0 }),
+            Payload::Str(_) => None,
         }
     }
 
     /// Join key of a row (`None` when null).
     pub fn key(&self, row: usize) -> Option<Key> {
         self.get(row).key()
+    }
+
+    /// The join keys of `rows`, in order, handed to `f` (`None` for nulls):
+    /// [`Column::key`] for a whole block, built straight from the typed
+    /// payload — no [`Value`] per row — and read through the map when the
+    /// column is a view. The probe side of a join.
+    pub(crate) fn keys_in(&self, rows: Range<usize>, mut f: impl FnMut(Option<Key>)) {
+        match &self.payload {
+            Payload::Int(v) => self.cells(v, rows, |c| f(c.map(|&i| Key::Num(i)))),
+            Payload::Float(v) => self.cells(v, rows, |c| f(c.and_then(|&x| float_key(x)))),
+            Payload::Str(v) => self.cells(v, rows, |c| f(c.map(|s| Key::Str(Arc::clone(s))))),
+            Payload::Bool(v) => self.cells(v, rows, |c| f(c.map(|&b| Key::Bool(b)))),
+        }
     }
 
     /// Feed one cell's stable fingerprint into `h` without materializing a
@@ -197,15 +296,16 @@ impl Column {
     /// value: nulls and float `NaN`s write tag 0, `-0.0` hashes as `0.0`.
     pub fn hash_cell_into(&self, row: usize, h: &mut crate::stable_hash::StableHasher) {
         use std::hash::Hasher as _;
-        match self {
-            Column::Int(v) => match v[row] {
+        let Some(r) = self.source_row(row) else { return h.write_u8(0) };
+        match &self.payload {
+            Payload::Int(v) => match v[r] {
                 None => h.write_u8(0),
                 Some(i) => {
                     h.write_u8(1);
                     h.write_i64(i);
                 }
             },
-            Column::Float(v) => match v[row] {
+            Payload::Float(v) => match v[r] {
                 None => h.write_u8(0),
                 Some(f) if f.is_nan() => h.write_u8(0),
                 Some(f) => {
@@ -214,7 +314,7 @@ impl Column {
                     h.write_u64(f.to_bits());
                 }
             },
-            Column::Str(v) => match v[row].as_ref() {
+            Payload::Str(v) => match v[r].as_ref() {
                 None => h.write_u8(0),
                 Some(s) => {
                     h.write_u8(3);
@@ -222,7 +322,7 @@ impl Column {
                     h.write_u8(0xff);
                 }
             },
-            Column::Bool(v) => match v[row] {
+            Payload::Bool(v) => match v[r] {
                 None => h.write_u8(0),
                 Some(b) => {
                     h.write_u8(4);
@@ -236,96 +336,65 @@ impl Column {
     /// other type mismatch. Nulls (and float NaNs) append as null.
     ///
     /// Copy-on-write: a column still sharing its payload with a clone
-    /// detaches (deep-copies) before the append.
+    /// detaches (deep-copies) before the append, and a view is gathered
+    /// into a dense column first.
     pub fn push(&mut self, value: Value) -> Result<()> {
-        match (self, value) {
-            (col, Value::Null) => {
-                col.push_null();
-                Ok(())
+        self.make_dense();
+        match (&mut self.payload, value) {
+            (_, Value::Null) => self.push_null(),
+            (Payload::Int(v), Value::Int(i)) => Arc::make_mut(v).push(Some(i)),
+            (Payload::Float(v), Value::Float(f)) => {
+                Arc::make_mut(v).push(if f.is_nan() { None } else { Some(f) })
             }
-            (Column::Int(v), Value::Int(i)) => {
-                Arc::make_mut(v).push(Some(i));
-                Ok(())
+            (Payload::Float(v), Value::Int(i)) => Arc::make_mut(v).push(Some(i as f64)),
+            (Payload::Str(v), Value::Str(s)) => Arc::make_mut(v).push(Some(s)),
+            (Payload::Bool(v), Value::Bool(b)) => Arc::make_mut(v).push(Some(b)),
+            (_, value) => {
+                return Err(DataError::TypeMismatch {
+                    expected: self.dtype().name(),
+                    got: value.dtype().map_or("null", DType::name),
+                })
             }
-            (Column::Float(v), Value::Float(f)) => {
-                Arc::make_mut(v).push(if f.is_nan() { None } else { Some(f) });
-                Ok(())
-            }
-            (Column::Float(v), Value::Int(i)) => {
-                Arc::make_mut(v).push(Some(i as f64));
-                Ok(())
-            }
-            (Column::Str(v), Value::Str(s)) => {
-                Arc::make_mut(v).push(Some(s));
-                Ok(())
-            }
-            (Column::Bool(v), Value::Bool(b)) => {
-                Arc::make_mut(v).push(Some(b));
-                Ok(())
-            }
-            (col, value) => Err(DataError::TypeMismatch {
-                expected: col.dtype().name(),
-                got: value.dtype().map_or("null", DType::name),
-            }),
         }
+        Ok(())
     }
 
     /// Append a null (copy-on-write, as [`Column::push`]).
     pub fn push_null(&mut self) {
-        match self {
-            Column::Int(v) => Arc::make_mut(v).push(None),
-            Column::Float(v) => Arc::make_mut(v).push(None),
-            Column::Str(v) => Arc::make_mut(v).push(None),
-            Column::Bool(v) => Arc::make_mut(v).push(None),
+        self.make_dense();
+        each!(&mut self.payload, v => Arc::make_mut(v).push(None));
+    }
+
+    fn make_dense(&mut self) {
+        if self.view.is_some() {
+            *self = self.gather((0..self.len()).map(|row| self.source_row(row)));
         }
     }
 
-    /// Gather rows by index; `None` indices produce null rows (used for the
-    /// unmatched side of a left join).
-    pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(Arc::new(
-                indices.iter().map(|ix| ix.and_then(|i| v[i])).collect(),
-            )),
-            Column::Float(v) => Column::Float(Arc::new(
-                indices.iter().map(|ix| ix.and_then(|i| v[i])).collect(),
-            )),
-            Column::Str(v) => Column::Str(Arc::new(
-                indices
-                    .iter()
-                    .map(|ix| ix.and_then(|i| v[i].clone()))
-                    .collect(),
-            )),
-            Column::Bool(v) => Column::Bool(Arc::new(
-                indices.iter().map(|ix| ix.and_then(|i| v[i])).collect(),
-            )),
+    /// The one gather: a dense column holding payload row `r` for every
+    /// `Some(r)` of `rows` and null for every `None`. Every copy out of a
+    /// view comes through here and is counted.
+    fn gather(&self, rows: impl ExactSizeIterator<Item = Option<usize>>) -> Column {
+        fn pick<T: Clone>(
+            v: &[Option<T>],
+            rows: impl Iterator<Item = Option<usize>>,
+        ) -> Arc<Vec<Option<T>>> {
+            Arc::new(rows.map(|r| r.and_then(|r| v[r].clone())).collect())
         }
+        if self.view.is_some() {
+            obs::add("join.cells_materialized", rows.len() as u64);
+        }
+        Column::dense(match &self.payload {
+            Payload::Int(v) => Payload::Int(pick(v, rows)),
+            Payload::Float(v) => Payload::Float(pick(v, rows)),
+            Payload::Str(v) => Payload::Str(pick(v, rows)),
+            Payload::Bool(v) => Payload::Bool(pick(v, rows)),
+        })
     }
 
-    /// Gather rows by index (all present).
+    /// Gather rows by index (all present) into a dense column.
     pub fn take(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int(v) => Column::from_ints(indices.iter().map(|&i| v[i])),
-            Column::Float(v) => {
-                Column::Float(Arc::new(indices.iter().map(|&i| v[i]).collect()))
-            }
-            Column::Str(v) => {
-                Column::Str(Arc::new(indices.iter().map(|&i| v[i].clone()).collect()))
-            }
-            Column::Bool(v) => Column::from_bools(indices.iter().map(|&i| v[i])),
-        }
-    }
-
-    /// Approximate heap footprint of the dense payload in bytes (used for
-    /// cache observability; string payloads count the `Arc<str>` headers,
-    /// not the shared string bytes).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            Column::Int(v) => v.len() * std::mem::size_of::<Option<i64>>(),
-            Column::Float(v) => v.len() * std::mem::size_of::<Option<f64>>(),
-            Column::Str(v) => v.len() * std::mem::size_of::<Option<Arc<str>>>(),
-            Column::Bool(v) => v.len() * std::mem::size_of::<Option<bool>>(),
-        }
+        self.gather(indices.iter().map(|&i| self.source_row(i)))
     }
 
     /// Iterate values as [`Value`]s.
@@ -363,7 +432,7 @@ impl Column {
     /// Mean of the numeric view over non-null rows; `None` for string
     /// columns or all-null columns.
     pub fn mean(&self) -> Option<f64> {
-        if matches!(self, Column::Str(_)) {
+        if self.dtype() == DType::Str {
             return None;
         }
         let mut sum = 0.0;
@@ -391,11 +460,19 @@ impl Column {
 
     /// [`Column::to_f64_lossy`] into a caller-owned buffer (cleared first),
     /// so hot loops extracting one column after another reuse a single
-    /// warm allocation instead of growing a fresh vec per column.
+    /// warm allocation instead of growing a fresh vec per column. A view is
+    /// read through its map here — this is where a joined column's cells
+    /// are first touched.
     pub fn write_f64_lossy(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.len());
-        out.extend((0..self.len()).map(|i| self.get_f64(i).unwrap_or(f64::NAN)));
+        let all = 0..self.len();
+        match &self.payload {
+            Payload::Int(v) => self.cells(v, all, |c| out.push(c.map_or(f64::NAN, |&i| i as f64))),
+            Payload::Float(v) => self.cells(v, all, |c| out.push(c.copied().unwrap_or(f64::NAN))),
+            Payload::Bool(v) => self.cells(v, all, |c| out.push(c.map_or(f64::NAN, |&b| b.into()))),
+            Payload::Str(_) => out.resize(self.len(), f64::NAN),
+        }
     }
 }
 
@@ -441,12 +518,30 @@ mod tests {
     }
 
     #[test]
-    fn take_opt_inserts_nulls() {
-        let c = int_col();
-        let t = c.take_opt(&[Some(0), None, Some(2)]);
-        assert_eq!(t.get(0), Value::Int(1));
-        assert_eq!(t.get(1), Value::Null);
-        assert_eq!(t.get(2), Value::Int(3));
+    fn view_reads_through_its_map_and_equals_the_dense_gather() {
+        let c = int_col(); // 1, null, 3, 3
+        let map: Arc<[u32]> = vec![0, NO_ROW, 2, 1].into();
+        let v = c.view(&map, None);
+        let dense = Column::from_ints([Some(1), None, Some(3), None]);
+        assert_eq!(v.len(), 4);
+        assert_eq!(v.get(0), Value::Int(1));
+        assert_eq!(v.get(1), Value::Null);
+        assert_eq!(v.null_count(), 2, "one unmatched row, one null source cell");
+        assert_eq!(v.to_f64_lossy()[2], 3.0);
+        assert_eq!(v, dense, "value equality across representations");
+        assert_eq!(dense, v);
+        assert!(v != c && !v.shares_payload(&c) && v.shares_payload(&v.clone()));
+        // Taking and pushing turn the view dense; the source is untouched.
+        assert_eq!(v.take(&[3, 2, 0]), Column::from_ints([None, Some(3), Some(1)]));
+        let mut pushed = v.clone();
+        pushed.push(Value::Int(9)).unwrap();
+        assert_eq!(pushed.len(), 5);
+        assert_eq!((c.len(), v.len()), (4, 4));
+        // A view of a view composes the maps.
+        let outer: Arc<[u32]> = vec![3, 0, NO_ROW].into();
+        assert_eq!(v.view(&outer, None), Column::from_ints([None, Some(1), None]));
+        // A known null count is trusted, not recounted.
+        assert_eq!(c.view(&map, Some(7)).null_count(), 7);
     }
 
     #[test]
@@ -526,12 +621,5 @@ mod tests {
         e.push_null();
         assert_eq!(c.len(), 4);
         assert_eq!(e.null_count(), c.null_count() + 1);
-    }
-
-    #[test]
-    fn payload_bytes_scales_with_len() {
-        let c = int_col();
-        assert_eq!(c.payload_bytes(), 4 * std::mem::size_of::<Option<i64>>());
-        assert_eq!(Column::empty(DType::Str).payload_bytes(), 0);
     }
 }

@@ -12,7 +12,7 @@ use crate::column::Column;
 use crate::error::{DataError, Result};
 use crate::keydict::{KeyDict, NULL_CODE};
 use crate::table::Table;
-use crate::value::Key;
+use crate::value::{DType, Key};
 
 /// Label-encode one column: non-numeric values become integer codes in order
 /// of first appearance; numeric columns are returned unchanged.
@@ -28,10 +28,14 @@ pub fn label_encode_column(col: &Column) -> Column {
 /// cell. Callers obtain the dictionary via `Table::key_dict_for`, which
 /// already guarantees freshness.
 pub fn label_encode_column_with_dict(col: &Column, dict: Option<&KeyDict>) -> Column {
-    match col {
-        Column::Int(_) | Column::Float(_) => col.clone(),
-        Column::Bool(v) => Column::from_ints(v.iter().map(|b| b.map(i64::from))),
-        Column::Str(_) => {
+    match col.dtype() {
+        // Unchanged, and for a join's view still unread: the cells are
+        // first touched by whoever extracts the numbers.
+        DType::Int | DType::Float => col.clone(),
+        DType::Bool => {
+            Column::from_ints((0..col.len()).map(|i| col.get_f64(i).map(|b| b as i64)))
+        }
+        DType::Str => {
             if let Some(d) = dict.filter(|d| d.n_rows() == col.len()) {
                 let mut remap: Vec<i64> = vec![-1; d.len()];
                 let mut next = 0i64;

@@ -32,6 +32,8 @@ pub enum DataError {
     /// The label column has more distinct classes than the scoring kernels
     /// can code (a regression-like target handed to a classification run).
     TooManyClasses { column: String, classes: usize, max: usize },
+    /// A table has more rows than a join index's `u32` row ids can address.
+    TooManyRows { table: String, rows: usize },
     /// The operation was stopped cooperatively (cancel or deadline) before
     /// completing. Not a failure: callers wind down and keep partials.
     Interrupted(Interrupt),
@@ -80,6 +82,11 @@ impl fmt::Display for DataError {
             DataError::TooManyClasses { column, classes, max } => write!(
                 f,
                 "label column `{column}` has {classes} distinct classes, more than the {max} supported"
+            ),
+            DataError::TooManyRows { table, rows } => write!(
+                f,
+                "table `{table}` has {rows} rows, more than the {} a join index can address",
+                u32::MAX
             ),
             DataError::Interrupted(reason) => write!(f, "interrupted: {reason}"),
             DataError::BuildPanicked { table, message } => {

@@ -8,7 +8,7 @@
 use crate::column::Column;
 use crate::error::Result;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{DType, Value};
 
 /// Imputation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,17 +26,13 @@ pub enum Strategy {
 pub fn impute_column(col: &Column, strategy: Strategy) -> Column {
     let fill: Option<Value> = match strategy {
         Strategy::MostFrequent => col.mode(),
-        Strategy::Mean => match col {
-            Column::Float(_) | Column::Int(_) | Column::Bool(_) => {
-                // Keep ints integral under mean imputation.
-                match (col, col.mean()) {
-                    (_, None) => None,
-                    (Column::Int(_), Some(m)) => Some(Value::Int(m.round() as i64)),
-                    (Column::Bool(_), Some(m)) => Some(Value::Bool(m >= 0.5)),
-                    (_, Some(m)) => Some(Value::Float(m)),
-                }
-            }
-            Column::Str(_) => col.mode(),
+        // Keep ints integral under mean imputation.
+        Strategy::Mean => match (col.dtype(), col.mean()) {
+            (DType::Str, _) => col.mode(),
+            (_, None) => None,
+            (DType::Int, Some(m)) => Some(Value::Int(m.round() as i64)),
+            (DType::Bool, Some(m)) => Some(Value::Bool(m >= 0.5)),
+            (DType::Float, Some(m)) => Some(Value::Float(m)),
         },
     };
     let Some(fill) = fill else {

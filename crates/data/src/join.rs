@@ -7,6 +7,17 @@
 //! is kept per key (the strategy ARDA uses, which the AutoFeat paper
 //! adopts).
 //!
+//! ## A join is a row map
+//!
+//! A hop does not gather the right table. It resolves, per base row, **one
+//! right row** (`u32`, [`NO_ROW`] = no match) in two passes over dense
+//! arrays — key → key group, then group → representative — and returns the
+//! right-hand columns as *views* `(source payload, row map)` that are read
+//! through the map (see [`Column`]). Left joins keep the base rows, so the
+//! map of every hop of a path is indexed by base row and maps never need
+//! composing; nothing is copied until something asks for the cells in place
+//! (`Table::take`, `Column::push`).
+//!
 //! ## Determinism model
 //!
 //! Representative picks are a pure function of `(seed, key, row content)`:
@@ -31,14 +42,14 @@
 //!   bit-identical by construction — [`left_join_normalized`] is literally
 //!   [`left_join_with_index`] over a transient index.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
 
 use autofeat_obs as obs;
 
-use crate::column::Column;
-use crate::error::Result;
+use crate::column::{Column, NO_ROW};
+use crate::error::{DataError, Result};
 use crate::keydict::{KeyDict, NULL_CODE};
 use crate::stable_hash::{mix_u64, StableHasher};
 use crate::table::Table;
@@ -160,16 +171,24 @@ pub struct JoinIndex {
     n_rows: usize,
 }
 
-/// The dictionary-coded group table: `groups[code]` is the key group of the
-/// dictionary's code `code`. Probes resolve `Key → code` through the shared
-/// lake-owned dictionary (one FNV probe, same cost as the hashed map), but
-/// the **build** degrades to a counting sort over the precomputed row codes
-/// — no per-row key materialization, hashing, or map insertion — which is
-/// where the hashed path spent its time.
+/// The dictionary-coded group table. The **build** is a counting sort over
+/// the precomputed row codes — no per-row key materialization, hashing, or
+/// map insertion — which is where the hashed path spent its time. Probes
+/// resolve `Key → code` through the shared lake-owned dictionary (one FNV
+/// probe, same cost as the hashed map) and read `groups[code]`, unless the
+/// key domain lets them skip the dictionary (`int_base`).
 #[derive(Debug, Clone)]
 struct CodedGroups {
     dict: Arc<KeyDict>,
+    /// The key groups — addressed by dictionary code, or, when `int_base`
+    /// is set, by `key − int_base`.
     groups: Vec<KeyGroup>,
+    /// Set when every key is an integer and the keys are dense in their
+    /// range (surrogate ids usually are): the group table is then laid out
+    /// by key value, and a probe is one subtraction and one array read
+    /// instead of a hash of the key, a dictionary probe and a table read —
+    /// three dependent cache misses on a lake larger than the cache.
+    int_base: Option<i64>,
     /// Row-only duplicate candidates (each `KeyGroup::Dups` range indexes
     /// here, in-key row order). Fingerprints are *not* copied per dup: the
     /// representative pick reads them through `row_fps`, so a retained
@@ -185,11 +204,62 @@ struct CodedGroups {
     row_fps: Option<Arc<Vec<u64>>>,
 }
 
-/// Placeholder row index for a code with no surviving rows. Cannot occur
-/// when the dictionary is fresh (every code has ≥ 1 row by construction);
-/// guarded in [`JoinIndex::representative`] anyway so a logic error shows
-/// up as a non-match instead of an out-of-bounds row.
-const ABSENT_ROW: u32 = u32::MAX;
+impl CodedGroups {
+    /// Take the by-code group table the counting sort produced and, for a
+    /// dense all-integer key domain, re-address it by key value (at most
+    /// twice the by-code table's size).
+    fn new(
+        dict: Arc<KeyDict>,
+        by_code: Vec<KeyGroup>,
+        dup_rows: Vec<u32>,
+        row_fps: Option<Arc<Vec<u64>>>,
+    ) -> CodedGroups {
+        let ints = || (0..dict.len() as u32).map(|c| match dict.key_at(c) {
+            Key::Num(i) => Some(*i),
+            _ => None,
+        });
+        let range = ints().try_fold((i64::MAX, i64::MIN), |(lo, hi), i| {
+            i.map(|i| (lo.min(i), hi.max(i)))
+        });
+        let (groups, int_base) = match range {
+            Some((lo, hi)) if hi.abs_diff(lo) < 2 * by_code.len() as u64 => {
+                let mut by_key = vec![NO_GROUP; hi.abs_diff(lo) as usize + 1];
+                for (i, group) in ints().flatten().zip(&by_code) {
+                    by_key[i.abs_diff(lo) as usize] = *group;
+                }
+                (by_key, Some(lo))
+            }
+            _ => (by_code, None),
+        };
+        CodedGroups { dict, groups, int_base, dup_rows, row_fps }
+    }
+
+    #[inline]
+    fn group(&self, key: &Key) -> Option<KeyGroup> {
+        let slot = match (self.int_base, key) {
+            (None, key) => self.dict.code(key)? as usize,
+            // Below the base wraps to a huge offset, past the table.
+            (Some(base), Key::Num(i)) => i.wrapping_sub(base) as u64 as usize,
+            (Some(_), _) => return None,
+        };
+        self.groups.get(slot).copied()
+    }
+}
+
+/// The group of a key no row carries: probing it finds [`NO_ROW`]. Cannot
+/// occur in a coded index whose dictionary is fresh (every code has ≥ 1 row
+/// by construction); the probe's first pass writes it for keys it did not
+/// find.
+const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
+
+/// Rows are stored as `u32` and [`NO_ROW`] is `u32::MAX`, so an index can
+/// address at most `u32::MAX` rows; larger tables are refused, not wrapped.
+pub(crate) fn check_row_count(table: &str, rows: usize) -> Result<()> {
+    if rows > NO_ROW as usize {
+        return Err(DataError::TooManyRows { table: table.to_string(), rows });
+    }
+    Ok(())
+}
 
 impl JoinIndex {
     /// Build the index for `right` grouped by its `right_key` column.
@@ -213,14 +283,20 @@ impl JoinIndex {
     /// odd-sized blocks could not be recycled by subsequent builds, so every
     /// build paid fresh-page faults and allocator free-list churn that the
     /// build-then-drop path never saw.
-    pub fn build(right: &Table, right_key: &Column) -> JoinIndex {
+    ///
+    /// Errors only for a table with more rows than a `u32` row id can
+    /// address ([`DataError::TooManyRows`]).
+    pub fn build(right: &Table, right_key: &Column) -> Result<JoinIndex> {
+        check_row_count(right.name(), right_key.len())?;
         // Resilience-test hook: an armed `panic_on_row` fault simulates a
         // poisoned table mid-build. One relaxed atomic load when disarmed.
         let panic_row = crate::faults::lookup(right.name()).and_then(|f| f.panic_on_row);
-        if let Some(dict) = right.key_dict_for(right_key) {
-            return Self::build_coded(right, Arc::clone(dict), panic_row);
-        }
-        Self::build_hashed(right, right_key, panic_row)
+        let index = match right.key_dict_for(right_key) {
+            Some(dict) => Self::build_coded(right, Arc::clone(dict), panic_row),
+            None => Self::build_hashed(right, right_key, panic_row),
+        };
+        debug_assert_eq!(index.validate(right_key), Ok(()));
+        Ok(index)
     }
 
     /// Counting-sort build over a dictionary-carrying column: one histogram
@@ -249,7 +325,7 @@ impl JoinIndex {
         }
         // Lay out groups: unique codes resolve in place, duplicated codes
         // reserve disjoint ranges of the shared dup array.
-        let mut groups = vec![KeyGroup::Unique(ABSENT_ROW); n_keys];
+        let mut groups = vec![NO_GROUP; n_keys];
         let mut cursor = vec![0u32; n_keys];
         let mut n_dup_rows = 0usize;
         for (code, &cnt) in counts.iter().enumerate() {
@@ -281,12 +357,7 @@ impl JoinIndex {
             }
             return JoinIndex {
                 groups: GroupMap::default(),
-                coded: Some(CodedGroups {
-                    dict,
-                    groups,
-                    dup_rows,
-                    row_fps: Some(Arc::clone(fps_arc)),
-                }),
+                coded: Some(CodedGroups::new(dict, groups, dup_rows, Some(Arc::clone(fps_arc)))),
                 dups: Vec::new(),
                 n_rows,
             };
@@ -306,7 +377,7 @@ impl JoinIndex {
         }
         JoinIndex {
             groups: GroupMap::default(),
-            coded: Some(CodedGroups { dict, groups, dup_rows: Vec::new(), row_fps: None }),
+            coded: Some(CodedGroups::new(dict, groups, Vec::new(), None)),
             dups,
             n_rows,
         }
@@ -376,40 +447,91 @@ impl JoinIndex {
     /// row content, where any pick is value-equivalent; the lower row index
     /// breaks them for full in-table determinism).
     pub fn representative(&self, key: &Key, seed: u64) -> Option<usize> {
-        let group = match &self.coded {
-            Some(c) => c.groups.get(c.dict.code(key)? as usize)?,
-            None => self.groups.get(key)?,
+        let row = self.pick(self.group(key)?, seed, self.shared_dups());
+        (row != NO_ROW).then_some(row as usize)
+    }
+
+    /// Probe pass 1 for one key: its group. The two index layouts differ
+    /// only here.
+    #[inline]
+    fn group(&self, key: &Key) -> Option<KeyGroup> {
+        match &self.coded {
+            Some(c) => c.group(key),
+            None => self.groups.get(key).copied(),
+        }
+    }
+
+    /// The shared-fingerprint layout's `(candidate rows, lake-owned row
+    /// fingerprints)`, resolved once per join and handed to every
+    /// [`JoinIndex::pick`]; `None` when candidates carry their own
+    /// fingerprints in `dups`.
+    fn shared_dups(&self) -> Option<(&[u32], &[u64])> {
+        let c = self.coded.as_ref()?;
+        Some((c.dup_rows.as_slice(), c.row_fps.as_ref()?.as_slice()))
+    }
+
+    /// Probe pass 2 for one group: its representative row under `seed`
+    /// ([`NO_ROW`] for [`NO_GROUP`]). Both layouts minimize the same
+    /// `(mix, row)`, hence pick the same row to the bit.
+    #[inline]
+    fn pick(&self, group: KeyGroup, seed: u64, shared: Option<(&[u32], &[u64])>) -> u32 {
+        let (start, len) = match group {
+            KeyGroup::Unique(row) => return row,
+            KeyGroup::Dups { start, len } => (start as usize, len as usize),
         };
-        match group {
-            KeyGroup::Unique(ABSENT_ROW) => None,
-            KeyGroup::Unique(row) => Some(*row as usize),
-            KeyGroup::Dups { start, len } => {
-                let range = *start as usize..(*start + *len) as usize;
-                // Shared-fingerprint layout: row-only candidates, the mix
-                // reads the lake-owned fingerprint vector. Same `(mix, row)`
-                // minimization, hence the same pick to the bit.
-                if let Some((fps, dup_rows)) = self
-                    .coded
-                    .as_ref()
-                    .and_then(|c| c.row_fps.as_ref().map(|f| (f, &c.dup_rows)))
-                {
-                    return dup_rows[range]
-                        .iter()
-                        .min_by_key(|&&row| (mix_u64(seed, fps[row as usize]), row))
-                        .map(|&row| row as usize);
+        let best = match shared {
+            Some((rows, fps)) => rows[start..start + len]
+                .iter()
+                .map(|&row| (mix_u64(seed, fps[row as usize]), row))
+                .min(),
+            None => self.dups[start..start + len]
+                .iter()
+                .map(|&(fp, row)| (mix_u64(seed, fp), row))
+                .min(),
+        };
+        best.map_or(NO_ROW, |(_, row)| row)
+    }
+
+    /// Check the invariants a probe trusts, against the column the index
+    /// was built over: every row with a non-null key sits in exactly one
+    /// group and no other row in any, and every duplicated key's candidates
+    /// are in bounds and in ascending row order. Returns the first
+    /// violation.
+    pub fn validate(&self, right_key: &Column) -> std::result::Result<(), String> {
+        if right_key.len() != self.n_rows {
+            return Err(format!("built over {} rows, column has {}", self.n_rows, right_key.len()));
+        }
+        let shared = self.shared_dups();
+        let mut claims = vec![0u32; self.n_rows];
+        let coded = self.coded.iter().flat_map(|c| c.groups.iter());
+        for group in self.groups.values().chain(coded) {
+            let rows = match *group {
+                KeyGroup::Unique(NO_ROW) => continue,
+                KeyGroup::Unique(row) => vec![row],
+                KeyGroup::Dups { start, len } => {
+                    let range = start as usize..start as usize + len as usize;
+                    let rows: Option<Vec<u32>> = match shared {
+                        Some((rows, _)) => rows.get(range).map(<[u32]>::to_vec),
+                        None => self.dups.get(range).map(|d| d.iter().map(|d| d.1).collect()),
+                    };
+                    rows.filter(|r| r.len() >= 2 && r.windows(2).all(|w| w[0] < w[1]))
+                        .ok_or(format!("dups {start}+{len}: not ≥ 2 ascending rows in bounds"))?
                 }
-                self.dups[range]
-                    .iter()
-                    .min_by_key(|&&(fp, row)| (mix_u64(seed, fp), row))
-                    .map(|&(_, row)| row as usize)
+            };
+            for row in rows {
+                *claims.get_mut(row as usize).ok_or(format!("row {row} out of bounds"))? += 1;
             }
+        }
+        match (0..self.n_rows).find(|&r| claims[r] != u32::from(right_key.key(r).is_some())) {
+            Some(r) => Err(format!("row {r} sits in {} group(s), its key disagrees", claims[r])),
+            None => Ok(()),
         }
     }
 
     /// Number of distinct non-null join keys.
     pub fn n_keys(&self) -> usize {
         match &self.coded {
-            Some(c) => c.groups.len(),
+            Some(c) => c.dict.len(),
             None => self.groups.len(),
         }
     }
@@ -447,23 +569,6 @@ impl JoinIndex {
     }
 }
 
-/// Choose a fresh name for a right-hand column in the join result; `taken`
-/// holds every name already present (left schema plus previously renamed
-/// right columns).
-fn disambiguate(base: &str, taken: &HashSet<String>) -> String {
-    if !taken.contains(base) {
-        return base.to_string();
-    }
-    let mut k = 2usize;
-    loop {
-        let cand = format!("{base}#{k}");
-        if !taken.contains(cand.as_str()) {
-            return cand;
-        }
-        k += 1;
-    }
-}
-
 /// Left join `left` with `right` on `left.left_key = right.right_key`,
 /// normalizing join cardinality so the result has exactly `left.n_rows()`
 /// rows.
@@ -490,7 +595,7 @@ pub fn left_join_normalized(
     let rk = right.column(right_key)?;
     let index = {
         let _span = obs::span("index_build");
-        JoinIndex::build(right, rk)
+        JoinIndex::build(right, rk)?
     };
     left_join_with_index(left, right, &index, left_key, prefix, seed)
 }
@@ -499,10 +604,11 @@ pub fn left_join_normalized(
 /// table's join column.
 ///
 /// The index must have been built over `right`'s join column (the caller —
-/// typically a lake-wide cache — owns that association). Output is
-/// **bit-identical** to [`left_join_normalized`] with the same arguments:
-/// the uncached entry point is a thin wrapper that builds a transient index
-/// and calls this function.
+/// typically a lake-wide cache — owns that association); one built over a
+/// table of another row count is refused. Output is **bit-identical** to
+/// [`left_join_normalized`] with the same arguments: the uncached entry
+/// point is a thin wrapper that builds a transient index and calls this
+/// function.
 pub fn left_join_with_index(
     left: &Table,
     right: &Table,
@@ -513,6 +619,14 @@ pub fn left_join_with_index(
 ) -> Result<JoinOutput> {
     let _span = obs::span("join");
     let lk = left.column(left_key)?;
+    if index.n_rows() != right.n_rows() {
+        return Err(DataError::Invalid(format!(
+            "join index covers {} rows, table `{}` has {}",
+            index.n_rows(),
+            right.name(),
+            right.n_rows()
+        )));
+    }
 
     // Resilience-test hook: an armed `slow_join_ms` fault simulates a
     // pathological join. The sleep is chunked so a cancel or deadline cuts
@@ -521,7 +635,7 @@ pub fn left_join_with_index(
         let until = std::time::Instant::now() + std::time::Duration::from_millis(ms);
         while std::time::Instant::now() < until {
             if let Some(reason) = crate::control::ambient_interrupted() {
-                return Err(crate::error::DataError::Interrupted(reason));
+                return Err(DataError::Interrupted(reason));
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
@@ -530,66 +644,53 @@ pub fn left_join_with_index(
     let n = left.n_rows();
     obs::incr("join.calls");
     obs::add("join.left_rows", n as u64);
-    // The row-match buffer is thread-local scratch reused across every join
-    // this thread performs (all the hops of one path evaluation, and every
-    // path a discovery worker evaluates): one warm allocation instead of a
-    // fresh `n`-slot vec per join. The borrow spans probe + assembly; no
-    // code below re-enters a join on the same thread.
-    PROBE_SCRATCH.with(|cell| {
-        let mut indices = cell.borrow_mut();
-        indices.clear();
-        indices.reserve(n);
-        let mut matched = 0usize;
-        for row in 0..n {
-            // Cooperative poll every 4096 rows: one thread-local read when no
-            // ambient control is installed, and never result-affecting — an
-            // interrupt abandons the join entirely rather than truncating it.
-            if row % 4096 == 0 {
-                if let Some(reason) = crate::control::ambient_interrupted() {
-                    return Err(crate::error::DataError::Interrupted(reason));
-                }
-            }
-            let ix = lk.key(row).and_then(|k| index.representative(&k, seed));
-            if ix.is_some() {
-                matched += 1;
-            }
-            indices.push(ix);
+    // The probe, a block of rows at a time, as two tight passes over dense
+    // arrays rather than one chain per row. Between blocks: a cooperative
+    // poll — one thread-local read when no ambient control is installed,
+    // and never result-affecting (an interrupt abandons the join entirely
+    // rather than truncating it).
+    const BLOCK: usize = 4096;
+    let shared = index.shared_dups();
+    let mut groups: Vec<KeyGroup> = Vec::with_capacity(n.min(BLOCK));
+    let mut map: Vec<u32> = Vec::with_capacity(n);
+    for start in (0..n).step_by(BLOCK) {
+        if let Some(reason) = crate::control::ambient_interrupted() {
+            return Err(DataError::Interrupted(reason));
         }
+        // Pass 1: left key → key group, typed per column and read through
+        // the map when the left key is itself a view (every second hop).
+        groups.clear();
+        lk.keys_in(start..(start + BLOCK).min(n), |key| {
+            groups.push(key.and_then(|k| index.group(&k)).unwrap_or(NO_GROUP));
+        });
+        // Pass 2: key group → representative right row.
+        map.extend(groups.iter().map(|&g| index.pick(g, seed, shared)));
+    }
+    let matched = map.iter().filter(|&&r| r != NO_ROW).count();
+    debug_assert!(map.iter().all(|&r| r == NO_ROW || (r as usize) < right.n_rows()));
+    let map: Arc<[u32]> = map.into();
 
-        // Assemble: all left columns, then all right columns (renamed). Left
-        // columns are Arc-backed, so the clones here are O(1) pointer bumps —
-        // the accumulated frontier is shared across hops, not deep-copied.
-        let mut cols: Vec<(String, Column)> = Vec::with_capacity(left.n_cols() + right.n_cols());
-        let mut taken: HashSet<String> = HashSet::with_capacity(left.n_cols() + right.n_cols());
-        for i in 0..left.n_cols() {
-            let name = left.field_at(i).name.clone();
-            taken.insert(name.clone());
-            cols.push((name, left.column_at(i).clone()));
-        }
-        let prefix_dot = format!("{prefix}.");
-        let mut right_columns = Vec::with_capacity(right.n_cols());
-        for i in 0..right.n_cols() {
-            let rname = &right.field_at(i).name;
-            let base = if rname.starts_with(&prefix_dot) {
-                rname.clone()
-            } else {
-                format!("{prefix_dot}{rname}")
-            };
-            let name = disambiguate(&base, &taken);
-            taken.insert(name.clone());
-            right_columns.push(name.clone());
-            cols.push((name, right.column_at(i).take_opt(&indices)));
-        }
-
-        let table = Table::new(left.name().to_string(), cols)?;
-        Ok(JoinOutput { table, matched, right_columns })
-    })
-}
-
-thread_local! {
-    /// Per-thread probe/output scratch for [`left_join_with_index`].
-    static PROBE_SCRATCH: std::cell::RefCell<Vec<Option<usize>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    // Assemble: all left columns, then all right columns (renamed) as views
+    // through the one row map. Columns are Arc-backed, so the clones here
+    // are O(1) pointer bumps — the accumulated frontier is shared across
+    // hops, not deep-copied — and no right-hand cell is read.
+    let mut table = left.clone().strip_key_meta();
+    let prefix_dot = format!("{prefix}.");
+    let mut right_columns = Vec::with_capacity(right.n_cols());
+    for i in 0..right.n_cols() {
+        let rname = &right.field_at(i).name;
+        let base = if rname.starts_with(&prefix_dot) {
+            rname.clone()
+        } else {
+            format!("{prefix_dot}{rname}")
+        };
+        // τ from the map alone: a null-free source (its dictionary counted
+        // the nulls at ingest) has exactly one null per unmatched row.
+        let null_free = right.key_dict_at(i).is_some_and(|d| d.null_rows() == 0);
+        let column = right.column_at(i).view(&map, null_free.then_some(n - matched));
+        right_columns.push(table.push_disambiguated(base, column)?);
+    }
+    Ok(JoinOutput { table, matched, right_columns })
 }
 
 #[cfg(test)]
@@ -793,7 +894,7 @@ mod tests {
     fn indexed_join_is_bit_identical_to_uncached() {
         let l = left();
         let r = right();
-        let index = JoinIndex::build(&r, r.column("key").unwrap());
+        let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
         for seed in [1u64, 7, 42, 0xdead_beef] {
             let plain = left_join_normalized(&l, &r, "id", "key", "ext", seed).unwrap();
             let indexed = left_join_with_index(&l, &r, &index, "id", "ext", seed).unwrap();
@@ -817,7 +918,7 @@ mod tests {
         .unwrap();
         let lkeys: Vec<Option<i64>> = (0..n / 8).map(Some).collect();
         let l = Table::new("base", vec![("id", Column::from_ints(lkeys))]).unwrap();
-        let index = JoinIndex::build(&r, r.column("key").unwrap());
+        let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
         let a = left_join_with_index(&l, &r, &index, "id", "ext", 1).unwrap();
         let b = left_join_with_index(&l, &r, &index, "id", "ext", 2).unwrap();
         assert_ne!(a.table, b.table, "seed must influence picks through the index");
@@ -831,7 +932,7 @@ mod tests {
     #[test]
     fn index_counts_keys_and_dups() {
         let r = right(); // keys 1,1,3,9 → 3 distinct, one dup group of 2
-        let index = JoinIndex::build(&r, r.column("key").unwrap());
+        let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
         assert_eq!(index.n_keys(), 3);
         assert_eq!(index.n_rows(), 4);
         assert_eq!(index.n_dup_rows(), 2);
@@ -852,8 +953,8 @@ mod tests {
         )
         .unwrap();
         let keyed = plain.clone().with_key_dicts();
-        let hashed = JoinIndex::build(&plain, plain.column("key").unwrap());
-        let coded = JoinIndex::build(&keyed, keyed.column("key").unwrap());
+        let hashed = JoinIndex::build(&plain, plain.column("key").unwrap()).unwrap();
+        let coded = JoinIndex::build(&keyed, keyed.column("key").unwrap()).unwrap();
         assert_eq!(hashed.n_keys(), coded.n_keys());
         assert_eq!(hashed.n_rows(), coded.n_rows());
         assert_eq!(hashed.n_dup_rows(), coded.n_dup_rows());
@@ -929,10 +1030,58 @@ mod tests {
             ],
         )
         .unwrap();
-        let index = JoinIndex::build(&r, r.column("key").unwrap());
+        let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
         assert_eq!(index.n_keys(), 2);
         assert_eq!(index.representative(&Key::Num(1), 42), Some(0));
         assert_eq!(index.representative(&Key::Num(2), 42), Some(2));
         assert_eq!(index.representative(&Key::Num(77), 42), None);
+    }
+
+    #[test]
+    fn mismatched_index_and_oversized_tables_are_refused() {
+        let r = right();
+        let other = Table::new("ext", vec![("key", Column::from_ints([Some(1)]))]).unwrap();
+        let index = JoinIndex::build(&other, other.column("key").unwrap()).unwrap();
+        let err = left_join_with_index(&left(), &r, &index, "id", "ext", 1).unwrap_err();
+        assert!(matches!(err, DataError::Invalid(_)), "{err}");
+        assert!(check_row_count("t", u32::MAX as usize).is_ok());
+        let err = check_row_count("t", u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, DataError::TooManyRows { .. }), "{err}");
+    }
+
+    #[test]
+    fn validate_catches_a_broken_index() {
+        let r = right(); // keys 1,1,3,9
+        let key = r.column("key").unwrap();
+        for table in [r.clone(), r.clone().with_key_dicts()] {
+            let key = table.column("key").unwrap();
+            let good = JoinIndex::build(&table, key).unwrap();
+            assert_eq!(good.validate(key), Ok(()));
+            // Built over other data of the same length: row 1 is claimed
+            // as unique here but duplicated there.
+            let keys = Column::from_ints([Some(1), Some(2), Some(3), None]);
+            assert!(good.validate(&keys).is_err());
+        }
+        let mut bad = JoinIndex::build(&r, key).unwrap();
+        bad.dups.swap(0, 1); // candidates out of row order
+        assert!(bad.validate(key).unwrap_err().contains("ascending"));
+        bad.dups.truncate(1);
+        assert!(bad.validate(key).unwrap_err().contains("in bounds"));
+    }
+
+    #[test]
+    fn right_columns_are_views_and_tau_needs_no_read() {
+        let r = right().with_key_dicts();
+        let out = left_join_normalized(&left(), &r, "id", "key", "ext", 42).unwrap();
+        let feat = out.table.column("ext.feat").unwrap();
+        // Same cells as a dense gather, none of them copied.
+        assert!(!feat.shares_payload(r.column("feat").unwrap()));
+        assert_eq!(feat.null_count(), 2);
+        assert_eq!(crate::stats::completeness(&out.table, &["ext.key", "ext.feat"]).unwrap(), 0.5);
+        // Second hop keyed on a view: reads through the first hop's map.
+        let out2 = left_join_normalized(&out.table, &r, "ext.key", "key", "ext", 43).unwrap();
+        assert_eq!(out2.matched, 2);
+        assert_eq!(out2.table.value("ext.key#2", 2).unwrap(), Value::Int(3));
+        assert_eq!(out2.table.value("ext.key#2", 1).unwrap(), Value::Null);
     }
 }

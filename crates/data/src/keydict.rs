@@ -62,6 +62,9 @@ pub struct KeyDict {
     map: DictMap,
     /// row → code (`NULL_CODE` for null keys). Same length as the column.
     codes: Vec<u32>,
+    /// Rows whose key is null — which, cells holding no `NaN`, is the
+    /// column's null count: a join reads τ off it without touching a cell.
+    null_rows: usize,
 }
 
 impl KeyDict {
@@ -74,9 +77,13 @@ impl KeyDict {
         let mut map = DictMap::default();
         let mut slot_keys: Vec<Key> = Vec::new();
         let mut slots: Vec<u32> = Vec::with_capacity(n);
+        let mut null_rows = 0usize;
         for row in 0..n {
             match col.key(row) {
-                None => slots.push(NULL_CODE),
+                None => {
+                    slots.push(NULL_CODE);
+                    null_rows += 1;
+                }
                 Some(k) => {
                     let next = slot_keys.len() as u32;
                     let slot = match map.entry(k) {
@@ -113,7 +120,7 @@ impl KeyDict {
             .into_iter()
             .map(|s| if s == NULL_CODE { NULL_CODE } else { code_of_slot[s as usize] })
             .collect();
-        KeyDict { keys, map, codes }
+        KeyDict { keys, map, codes, null_rows }
     }
 
     /// Number of distinct non-null keys (= number of valid codes).
@@ -130,6 +137,11 @@ impl KeyDict {
     /// check by `Table::key_dict_for`.
     pub fn n_rows(&self) -> usize {
         self.codes.len()
+    }
+
+    /// Number of rows with a null key (= null cells of the column).
+    pub fn null_rows(&self) -> usize {
+        self.null_rows
     }
 
     /// The code of `key`, or `None` when the key never occurs.

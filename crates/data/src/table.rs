@@ -287,6 +287,34 @@ impl Table {
         Ok(t)
     }
 
+    /// Append `col` under the name `base`, or the first free `base#k`
+    /// (k = 2, 3, …) when that name is taken, and return the name used —
+    /// how a join adds its right-hand columns, resolving names against the
+    /// one name index the result keeps.
+    pub(crate) fn push_disambiguated(&mut self, base: String, col: Column) -> Result<String> {
+        if !self.columns.is_empty() && col.len() != self.n_rows() {
+            return Err(DataError::LengthMismatch {
+                expected: self.n_rows(),
+                got: col.len(),
+                column: base,
+            });
+        }
+        let name = if self.has_column(&base) {
+            (2usize..)
+                .map(|k| format!("{base}#{k}"))
+                .find(|cand| !self.has_column(cand))
+                .expect("an unbounded range of suffixes holds a free one")
+        } else {
+            base
+        };
+        self.index.insert(name.clone(), self.columns.len());
+        self.fields.push(Field::new(name.clone(), col.dtype()));
+        self.columns.push(col);
+        self.keyed.push(None);
+        self.row_fps = None;
+        Ok(name)
+    }
+
     /// Rename a column.
     pub fn rename_column(&self, from: &str, to: impl Into<String>) -> Result<Table> {
         let to = to.into();

@@ -100,21 +100,25 @@ impl Value {
         match self {
             Value::Null => None,
             Value::Int(i) => Some(Key::Num(*i)),
-            Value::Float(f) => {
-                if f.is_nan() {
-                    None
-                } else if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
-                    // Integral floats join with ints: 5.0 == 5.
-                    Some(Key::Num(*f as i64))
-                } else {
-                    // Normalize -0.0 to 0.0 so the bit patterns agree.
-                    let f = if *f == 0.0 { 0.0 } else { *f };
-                    Some(Key::FloatBits(f.to_bits()))
-                }
-            }
+            Value::Float(f) => float_key(*f),
             Value::Str(s) => Some(Key::Str(Arc::clone(s))),
             Value::Bool(b) => Some(Key::Bool(*b)),
         }
+    }
+}
+
+/// The join key of a float cell — the one normalisation [`Value::key`] and
+/// the typed probe (`Column::keys_in`) share. `NaN` has no key.
+pub(crate) fn float_key(f: f64) -> Option<Key> {
+    if f.is_nan() {
+        None
+    } else if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
+        // Integral floats join with ints: 5.0 == 5.
+        Some(Key::Num(f as i64))
+    } else {
+        // Normalize -0.0 to 0.0 so the bit patterns agree.
+        let f = if f == 0.0 { 0.0 } else { f };
+        Some(Key::FloatBits(f.to_bits()))
     }
 }
 

@@ -307,3 +307,107 @@ pub fn assert_bit_identical(a: &DiscoveryResult, b: &DiscoveryResult, what: &str
     assert_eq!(a.failures.len(), b.failures.len(), "{what}");
     assert_eq!(a.selected_features, b.selected_features, "{what}");
 }
+
+/// An independent reference for the normalized left join: row at a time,
+/// nested loop, no index, no dictionary, no views. It shares with the
+/// program only the public pieces the representative rule is defined by —
+/// `Column::hash_cell_into` + `StableHasher` for a row's content
+/// fingerprint and `mix_u64` for the seeded order — and restates
+/// everything else (key equality, null handling, naming) from the
+/// documented semantics.
+pub mod join_oracle {
+    use std::hash::Hasher;
+
+    use autofeat::data::stable_hash::{mix_u64, StableHasher};
+    use autofeat::prelude::*;
+
+    /// Whether two cells are equal join keys: nulls (and `NaN`) never are;
+    /// an int equals the integral float of the same value; `-0.0` equals
+    /// `0.0`; values of different kinds otherwise never match.
+    pub fn keys_match(a: &Value, b: &Value) -> bool {
+        let as_int = |f: f64| (f.fract() == 0.0 && f.abs() < 9.0e18).then_some(f as i64);
+        match (a, b) {
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Int(x), Value::Float(f)) | (Value::Float(f), Value::Int(x)) => {
+                as_int(*f) == Some(*x)
+            }
+            (Value::Float(x), Value::Float(y)) => x == y,
+            (Value::Str(x), Value::Str(y)) => x == y,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    fn fingerprint(table: &Table, row: usize) -> u64 {
+        let mut h = StableHasher::new();
+        for c in 0..table.n_cols() {
+            table.column_at(c).hash_cell_into(row, &mut h);
+        }
+        h.finish()
+    }
+
+    /// The right row each left row joins to: among the right rows whose key
+    /// matches, the one minimizing `(mix_u64(seed, fingerprint), row)`.
+    pub fn row_map(
+        left: &Table,
+        right: &Table,
+        left_key: &str,
+        right_key: &str,
+        seed: u64,
+    ) -> Vec<Option<usize>> {
+        let (lk, rk) = (left.column(left_key).unwrap(), right.column(right_key).unwrap());
+        (0..left.n_rows())
+            .map(|i| {
+                (0..right.n_rows())
+                    .filter(|&j| keys_match(&lk.get(i), &rk.get(j)))
+                    .min_by_key(|&j| (mix_u64(seed, fingerprint(right, j)), j))
+            })
+            .collect()
+    }
+
+    /// The joined table, every column dense and built cell by cell, and the
+    /// names the right-hand columns got.
+    pub fn left_join(
+        left: &Table,
+        right: &Table,
+        left_key: &str,
+        right_key: &str,
+        prefix: &str,
+        seed: u64,
+    ) -> (Table, Vec<String>, usize) {
+        let rows = row_map(left, right, left_key, right_key, seed);
+        let mut cols: Vec<(String, Column)> = (0..left.n_cols())
+            .map(|c| {
+                let mut dense = Column::empty(left.column_at(c).dtype());
+                for i in 0..left.n_rows() {
+                    dense.push(left.column_at(c).get(i)).unwrap();
+                }
+                (left.field_at(c).name.clone(), dense)
+            })
+            .collect();
+        let mut right_names = Vec::new();
+        for c in 0..right.n_cols() {
+            let original = &right.field_at(c).name;
+            let base = if original.starts_with(&format!("{prefix}.")) {
+                original.clone()
+            } else {
+                format!("{prefix}.{original}")
+            };
+            let taken = |name: &str| cols.iter().any(|(n, _)| n == name);
+            let mut name = base.clone();
+            let mut k = 2;
+            while taken(&name) {
+                name = format!("{base}#{k}");
+                k += 1;
+            }
+            let mut dense = Column::empty(right.column_at(c).dtype());
+            for r in &rows {
+                dense.push(r.map_or(Value::Null, |j| right.column_at(c).get(j))).unwrap();
+            }
+            right_names.push(name.clone());
+            cols.push((name, dense));
+        }
+        let matched = rows.iter().flatten().count();
+        (Table::new(left.name(), cols).unwrap(), right_names, matched)
+    }
+}

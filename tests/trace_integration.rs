@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use autofeat::prelude::*;
-use common::{assert_bit_identical, lake_ctx};
+use common::{assert_bit_identical, lake_ctx, wide_uniform_ctx};
 
 /// Tracing resolution reads process-global environment variables
 /// (`AUTOFEAT_TRACE`, `AUTOFEAT_THREADS`), so every test in this binary
@@ -282,4 +282,45 @@ fn env_var_enables_tracing_across_thread_counts() {
         r4.trace.unwrap().counters,
         "env-configured runs keep counter invariance"
     );
+}
+
+/// Joins return views; `join.cells_materialized` counts every cell copied
+/// out of one. Discovery reads joined columns through their row maps and
+/// copies none (a zero count is dropped, so the counter is absent), at any
+/// thread count and with or without the cache. Replaying a ranked path
+/// copies none either; training then copies exactly the cells it reads —
+/// each selected joined feature once, through the train/test split.
+#[test]
+fn discovery_materializes_no_cell_and_training_only_what_it_reads() {
+    let _g = lock();
+    const COPIED: &str = "join.cells_materialized";
+    for ctx in [lake_ctx(60), wide_uniform_ctx(6, 40, 3)] {
+        let mut result = None;
+        for (threads, cache) in [(1, true), (4, true), (2, false)] {
+            let cfg = AutoFeatConfig::paper().with_seed(42).with_threads(threads);
+            let r = AutoFeat::new(cfg.with_cache(cache).with_trace(true)).discover(&ctx).unwrap();
+            assert!(r.n_joins_evaluated > 0 && !r.ranked.is_empty());
+            assert_eq!(r.trace.as_ref().unwrap().counter(COPIED), None, "{threads} threads");
+            result = Some(r);
+        }
+        let best = &result.unwrap().ranked[0];
+        let tracer = Tracer::enabled();
+        let table = autofeat::obs::with_tracer(&tracer, || {
+            autofeat::core::materialize_path(&ctx, ctx.base_table(), &best.path, 42).unwrap()
+        });
+        assert_eq!(tracer.snapshot().counter(COPIED), None, "replaying a path copies nothing");
+        assert!(table.n_cols() > ctx.base_table().n_cols() + best.features.len());
+        let mut features: Vec<&str> = best.features.iter().map(String::as_str).collect();
+        features.push("b0"); // a dense base column: read, never counted
+        autofeat::obs::with_tracer(&tracer, || {
+            let models = [ModelKind::Knn];
+            autofeat::core::train::evaluate_feature_set(&table, &features, ctx.label(), &models, 42)
+                .unwrap()
+        });
+        assert_eq!(
+            tracer.snapshot().counter(COPIED),
+            Some((best.features.len() * table.n_rows()) as u64),
+            "training copies the joined features it reads, once each"
+        );
+    }
 }
