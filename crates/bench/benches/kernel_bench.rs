@@ -1,6 +1,7 @@
 //! Criterion: the hot-path kernels behind path evaluation — join-index
-//! construction (hashed vs. dictionary-coded), index probing, and the
-//! scoring primitives (discretization, ranking, MI histograms).
+//! construction (over a lake table's key metadata vs. a transient
+//! dictionary), index probing, and the scoring primitives (discretization,
+//! ranking, MI histograms).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -12,8 +13,9 @@ use autofeat_metrics::mi::{mutual_information, mutual_information_corrected};
 use autofeat_metrics::ranks::{average_ranks, average_ranks_into};
 
 /// A right table with `n` distinct keys × `dup` rows per key, and the
-/// matching left table. `keyed` controls whether ingest key metadata
-/// (dictionaries + fingerprints) is attached.
+/// matching left table. `keyed` attaches key metadata (dictionaries +
+/// fingerprints) as ingest does; without it an index build makes its own
+/// for the join column.
 fn join_tables(n: usize, dup: usize, keyed: bool) -> (Table, Table) {
     let left = Table::new(
         "l",
@@ -41,16 +43,13 @@ fn bench_index_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_build");
     group.sample_size(20);
     for &n in &[5_000usize, 20_000] {
-        let (_, hashed) = join_tables(n, 3, false);
-        let hcol = hashed.column("k").unwrap().clone();
-        group.bench_with_input(BenchmarkId::new("hashed", n), &n, |b, _| {
-            b.iter(|| black_box(JoinIndex::build(&hashed, &hcol).unwrap()))
-        });
-        let (_, coded) = join_tables(n, 3, true);
-        let ccol = coded.column("k").unwrap().clone();
-        group.bench_with_input(BenchmarkId::new("dict_coded", n), &n, |b, _| {
-            b.iter(|| black_box(JoinIndex::build(&coded, &ccol).unwrap()))
-        });
+        for (name, keyed) in [("transient", false), ("keyed", true)] {
+            let (_, right) = join_tables(n, 3, keyed);
+            let col = right.column("k").unwrap().clone();
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| black_box(JoinIndex::build(&right, &col).unwrap()))
+            });
+        }
     }
     group.finish();
 }
@@ -62,7 +61,7 @@ fn bench_probe(c: &mut Criterion) {
         let (l, r) = join_tables(10_000, 3, keyed);
         let rcol = r.column("k").unwrap().clone();
         let idx = JoinIndex::build(&r, &rcol).unwrap();
-        let name = if keyed { "dict_coded" } else { "hashed" };
+        let name = if keyed { "keyed" } else { "transient" };
         group.bench_with_input(BenchmarkId::new(name, 10_000), &keyed, |b, _| {
             b.iter(|| {
                 black_box(left_join_with_index(&l, &r, &idx, "k", "r", 1).unwrap())

@@ -26,19 +26,11 @@
 //! workers on a 1-core box reports overhead, not speedup, and earlier
 //! versions of this benchmark did exactly that.
 //!
-//! The uncached mode is additionally measured **with and without** the
-//! dictionary-encoded key domain: the normal path (ingest attaches a
-//! [`KeyDict`](autofeat_data::KeyDict) per column, index builds
-//! counting-sort dense `u32` codes) against a legacy context whose key
-//! metadata is stripped (every index build hashes full keys). Both must be
-//! bit-identical; the speedup is CI-gated.
-//!
 //! Emits `BENCH_path_eval.json` (hand-rolled JSON — no serde in this
 //! workspace) plus a human-readable table. Exit codes gate the cache
 //! contract: 2 = results not bit-identical, 3 = warm run with zero hits,
 //! 4 = cold cached run slower than 1.25× uncached, 5 = budgeted run's
-//! peak/final residency exceeded its budget, 6 = dictionary-coded uncached
-//! speedup below its bound.
+//! peak/final residency exceeded its budget.
 //!
 //! Usage: `path_eval_throughput [--full] [--threads N] [--out PATH]`
 
@@ -48,18 +40,12 @@ use std::time::Instant;
 use autofeat_core::{AutoFeat, AutoFeatConfig, DiscoveryResult, SearchContext};
 use autofeat_data::parallel::n_workers;
 use autofeat_data::{CacheStats, Column, Table};
-use autofeat_graph::DrgBuilder;
 
 /// A base table plus `n_sat` sibling satellites, each `n_rows * dup` rows
 /// with `dup` duplicate rows per key (so representative picks are real
-/// work), each carrying one feature column.
-///
-/// `dicts` selects the key domain: `true` is the normal ingest path
-/// (`from_kfk` attaches per-column dictionaries + row fingerprints outside
-/// any timed region); `false` strips the metadata and assembles the context
-/// by hand, forcing every join-index build onto the hashed legacy path —
-/// the baseline for the `uncached_speedup` gate.
-fn wide_lake(n_rows: usize, n_sat: usize, dup: usize, dicts: bool) -> SearchContext {
+/// work), each carrying one feature column. `from_kfk` attaches the key
+/// metadata outside any timed region.
+fn wide_lake(n_rows: usize, n_sat: usize, dup: usize) -> SearchContext {
     let labels: Vec<i64> = (0..n_rows as i64).map(|i| (i * 7) % 2).collect();
     let base = Table::new(
         "base",
@@ -96,19 +82,7 @@ fn wide_lake(n_rows: usize, n_sat: usize, dup: usize, dicts: bool) -> SearchCont
         );
         kfk.push(("base".into(), "k".into(), name, "k".into()));
     }
-    if dicts {
-        SearchContext::from_kfk(tables, &kfk, "base", "target").expect("context builds")
-    } else {
-        let tables: Vec<Table> = tables.into_iter().map(Table::strip_key_meta).collect();
-        let mut b = DrgBuilder::new();
-        for t in &tables {
-            b.add_table(t.name());
-        }
-        for (pt, pc, ct, cc) in &kfk {
-            b.add_kfk(pt, pc, ct, cc);
-        }
-        SearchContext::new(tables, b.build(), "base", "target").expect("context builds")
-    }
+    SearchContext::from_kfk(tables, &kfk, "base", "target").expect("context builds")
 }
 
 fn discover(
@@ -169,17 +143,13 @@ fn main() {
 
     let (n_rows, n_sat, dup) = if full { (8_000, 96, 6) } else { (4_000, 48, 6) };
     eprintln!("building wide lake: {n_sat} satellites x {} rows (dup {dup})...", n_rows * dup);
-    let ctx = wide_lake(n_rows, n_sat, dup, true);
-    // The same lake without key metadata: every index build hashes full
-    // keys instead of counting-sorting dictionary codes.
-    let legacy = wide_lake(n_rows, n_sat, dup, false);
+    let ctx = wide_lake(n_rows, n_sat, dup);
 
     // Warm-up pass so allocator and page-cache state do not favour either
     // side (on fresh VMs the first run pays first-touch page faults that
     // would otherwise be misattributed to whichever mode ran first). Runs
-    // with `cache: false`, which leaves the contexts' caches untouched.
+    // with `cache: false`, which leaves the context's cache untouched.
     let _ = discover(&ctx, 1, false, None);
-    let _ = discover(&legacy, 1, false, None);
 
     // ---- Thread scaling (1 worker vs `threads`, both uncached). ----
     let t = Instant::now();
@@ -188,8 +158,8 @@ fn main() {
 
     const REPS: usize = 5;
 
-    // ---- Cold cache vs uncached vs legacy-uncached: the CI-gated ratios.
-    // One sample of each per loop iteration, interleaved, so load drift on
+    // ---- Cold cache vs uncached: the CI-gated ratio. One sample of each
+    // per loop iteration, interleaved, so load drift on
     // a shared box lands on both sides of each ratio instead of biasing
     // whichever mode's measurement phase ran during the slow patch. Cold
     // samples use fresh contexts (a cache is only cold once per context;
@@ -197,21 +167,16 @@ fn main() {
     let mut r_cold = discover(&ctx, threads, true, None);
     let cold_stats = r_cold.cache.unwrap_or_default();
     let mut r_uncached = discover(&ctx, threads, false, None);
-    let mut r_legacy = discover(&legacy, threads, false, None);
     let mut secs_cold = f64::MAX;
     let mut secs_uncached = f64::MAX;
-    let mut secs_uncached_legacy = f64::MAX;
     for _ in 0..REPS {
-        let fresh = wide_lake(n_rows, n_sat, dup, true);
+        let fresh = wide_lake(n_rows, n_sat, dup);
         let t = Instant::now();
         r_cold = discover(&fresh, threads, true, None);
         secs_cold = secs_cold.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         r_uncached = discover(&ctx, threads, false, None);
         secs_uncached = secs_uncached.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        r_legacy = discover(&legacy, threads, false, None);
-        secs_uncached_legacy = secs_uncached_legacy.min(t.elapsed().as_secs_f64());
     }
 
     // ---- Warm cache: repeatable on the main context (its cache was
@@ -248,7 +213,6 @@ fn main() {
         && budgeted_stats.resident_bytes <= budget;
 
     let identical = results_identical(&r1, &r_uncached)
-        && results_identical(&r_uncached, &r_legacy)
         && results_identical(&r_uncached, &r_cold)
         && results_identical(&r_cold, &r_warm)
         && results_identical(&r_warm, &r_budgeted);
@@ -274,12 +238,6 @@ fn main() {
     const COLD_RATIO_BOUND: f64 = 1.25;
     let cold_ratio = secs_cold / secs_uncached.max(1e-9);
     let cold_within_bound = cold_ratio <= COLD_RATIO_BOUND;
-    // The dictionary-coded key domain must keep paying for itself on the
-    // uncached hot path (same run, same machine — both sides measured in
-    // the interleaved loop above, so the ratio is load-drift-resistant).
-    const UNCACHED_SPEEDUP_BOUND: f64 = 1.3;
-    let uncached_speedup = secs_uncached_legacy / secs_uncached.max(1e-9);
-    let uncached_speedup_ok = uncached_speedup >= UNCACHED_SPEEDUP_BOUND;
 
     println!(
         "{:<10} {:>8} {:>9} {:>11} {:>9} {:>9} {:>9} {:>11} {:>11} {:>10}",
@@ -310,11 +268,6 @@ fn main() {
         warm_stats.resident_bytes,
         cold_stats.build_time,
         cold_ratio,
-    );
-    println!(
-        "key domain: dict-coded uncached {:.4}s vs hashed legacy {:.4}s — {:.2}x speedup \
-         (bound {UNCACHED_SPEEDUP_BOUND}x)",
-        secs_uncached, secs_uncached_legacy, uncached_speedup,
     );
     println!(
         "governance: budget {} bytes, first application evicted {} index(es) ({} bytes), \
@@ -362,11 +315,6 @@ fn main() {
     let _ = writeln!(json, "  \"n_joins\": {n_joins},");
     let _ = writeln!(json, "  \"secs_1_thread\": {secs_1t:.6},");
     let _ = writeln!(json, "  \"secs_uncached\": {secs_uncached:.6},");
-    // `secs_uncached` IS the dict-coded path; the explicit alias plus the
-    // legacy (stripped-metadata, hashed-key) time make the comparison
-    // greppable without cross-referencing bench versions.
-    let _ = writeln!(json, "  \"secs_uncached_dict\": {secs_uncached:.6},");
-    let _ = writeln!(json, "  \"secs_uncached_legacy\": {secs_uncached_legacy:.6},");
     let _ = writeln!(json, "  \"secs_cold_cache\": {secs_cold:.6},");
     let _ = writeln!(json, "  \"secs_warm_cache\": {secs_warm:.6},");
     let _ = writeln!(json, "  \"secs_budgeted_cache\": {secs_budgeted:.6},");
@@ -387,9 +335,6 @@ fn main() {
     }
     let _ = writeln!(json, "  \"cache_speedup\": {cache_speedup:.4},");
     let _ = writeln!(json, "  \"budgeted_speedup\": {budgeted_speedup:.4},");
-    let _ = writeln!(json, "  \"uncached_speedup\": {uncached_speedup:.4},");
-    let _ = writeln!(json, "  \"uncached_speedup_bound\": {UNCACHED_SPEEDUP_BOUND},");
-    let _ = writeln!(json, "  \"uncached_speedup_ok\": {uncached_speedup_ok},");
     let _ = writeln!(json, "  \"cold_vs_uncached_ratio\": {cold_ratio:.4},");
     let _ = writeln!(json, "  \"cold_ratio_bound\": {COLD_RATIO_BOUND},");
     let _ = writeln!(json, "  \"cold_within_bound\": {cold_within_bound},");
@@ -434,12 +379,5 @@ fn main() {
             budgeted_stats.resident_bytes,
         );
         std::process::exit(5);
-    }
-    if !uncached_speedup_ok {
-        eprintln!(
-            "KEY-DOMAIN REGRESSION: dict-coded uncached run is only {uncached_speedup:.2}x \
-             the hashed legacy path (bound {UNCACHED_SPEEDUP_BOUND}x)"
-        );
-        std::process::exit(6);
     }
 }

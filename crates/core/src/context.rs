@@ -151,20 +151,25 @@ pub struct SearchContext {
     lake: Option<Arc<RwLock<LakeState>>>,
 }
 
-/// Attach ingest-built key metadata (dictionaries + row fingerprints) to
-/// any table that lacks it. CSV ingest and datagen already attach theirs;
-/// this covers hand-built tables entering through the convenience
-/// constructors.
-fn ensure_key_meta(tables: Vec<Table>) -> Vec<Table> {
-    tables
-        .into_iter()
-        .map(|t| if t.has_key_meta() { t } else { t.with_key_dicts() })
-        .collect()
+/// Every table a context holds carries key metadata (a dictionary per
+/// column + row fingerprints): attach it to a table that arrives without.
+/// CSV ingest and datagen attach theirs, which makes this an O(1) check;
+/// hand-built tables and ones changed since ingest pay one pass here, outside
+/// any discovery run.
+fn ensure_key_meta(table: Table) -> Table {
+    if table.has_key_meta() {
+        table
+    } else {
+        table.with_key_dicts()
+    }
 }
 
 impl SearchContext {
     /// Build from tables, an explicit DRG, the base-table name, and the
-    /// label column.
+    /// label column. The one place key metadata is ensured at construction
+    /// ([`from_kfk`](SearchContext::from_kfk) and
+    /// [`from_discovery`](SearchContext::from_discovery) end here), so index
+    /// builds over the lake never build a dictionary of their own.
     pub fn new(
         tables: Vec<Table>,
         drg: Drg,
@@ -173,8 +178,11 @@ impl SearchContext {
     ) -> Result<Self> {
         let base = base.into();
         let label = label.into();
-        let map: HashMap<String, Table> =
-            tables.into_iter().map(|t| (t.name().to_string(), t)).collect();
+        let map: HashMap<String, Table> = tables
+            .into_iter()
+            .map(|t| (t.name().to_string(), ensure_key_meta(t)))
+            .collect();
+        debug_assert!(map.values().all(Table::has_key_meta));
         let base_table = map.get(&base).ok_or_else(|| DataError::Invalid(format!(
             "base table `{base}` not in the collection"
         )))?;
@@ -251,19 +259,12 @@ impl SearchContext {
 
     /// Build the *benchmark setting* context from tables plus known KFK
     /// edges `(parent_table, parent_column, child_table, child_column)`.
-    ///
-    /// Tables without ingest-built key metadata get it here (one-time cost,
-    /// outside any discovery run), so index builds over the lake always take
-    /// the dictionary-coded fast path. Pass tables through
-    /// `Table::strip_key_meta` via [`SearchContext::new`] to opt out (the
-    /// throughput bench does, to measure the hashed path).
     pub fn from_kfk(
         tables: Vec<Table>,
         kfk: &[(String, String, String, String)],
         base: impl Into<String>,
         label: impl Into<String>,
     ) -> Result<Self> {
-        let tables = ensure_key_meta(tables);
         let mut b = DrgBuilder::new();
         for t in &tables {
             b.add_table(t.name());
@@ -308,7 +309,7 @@ impl SearchContext {
         let refs: Vec<&Table> = stripped.iter().collect();
         let maintainer = DrgMaintainer::build(&refs, matcher);
         let drg = maintainer.assemble();
-        let mut ctx = SearchContext::new(ensure_key_meta(tables), drg, base, label)?;
+        let mut ctx = SearchContext::new(tables, drg, base, label)?;
         ctx.lake = Some(Arc::new(RwLock::new(LakeState {
             tables: Arc::clone(&ctx.tables),
             drg: Arc::clone(&ctx.drg),
@@ -357,7 +358,7 @@ impl SearchContext {
     pub fn add_table(&self, table: Table) -> Result<()> {
         let cell = self.lake_cell()?;
         let _span = obs::span("lake_add_table");
-        let table = if table.has_key_meta() { table } else { table.with_key_dicts() };
+        let table = ensure_key_meta(table);
         let name = table.name().to_string();
         // The expensive part — profiling the new columns — happens before
         // the write lock, so concurrent request preparation never stalls
@@ -373,6 +374,7 @@ impl SearchContext {
             state.maintainer.add_profiles(&name, profiles);
             let mut tables = (*state.tables).clone();
             tables.insert(name.clone(), table);
+            debug_assert!(tables.values().all(Table::has_key_meta));
             state.tables = Arc::new(tables);
             state.drg = Arc::new(state.maintainer.assemble());
         }

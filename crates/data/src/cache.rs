@@ -41,12 +41,12 @@
 //! deducted on eviction. Transient builds — admission denials, and the
 //! degraded path that hands out unowned entries when the governor lock is
 //! poisoned — never touch residency, so stats cannot report phantom memory.
-//! Dictionary-coded indexes (built when the keyed table carries a
-//! [`KeyDict`](crate::keydict::KeyDict)) follow the same rule: the dict is
-//! owned by the lake table — charged to
+//! The dictionary and fingerprint vector an index reads through follow the
+//! same rule. A lake table owns its own — charged to
 //! [`Table::key_meta_bytes`](crate::table::Table::key_meta_bytes), shared by
-//! every index over that column — so `JoinIndex::resident_bytes` counts only
-//! the per-index group and duplicate arrays the cache actually retains.
+//! every index over the table — so `JoinIndex::resident_bytes` counts only
+//! the group and duplicate arrays the cache retains; an index over a table
+//! without key metadata built the two for itself and is charged for them.
 //!
 //! ## Resilience
 //!
@@ -178,38 +178,12 @@ pub struct CacheStats {
     pub invalidated_bytes: u64,
 }
 
-impl CacheStats {
-    /// Counter delta `self − earlier` for the monotonic counters (hits,
-    /// misses, build time, evictions, evicted bytes, rejections, lock
-    /// recoveries, build panics); resident bytes, entries, peak, and budget
-    /// stay absolute, since they describe current occupancy rather than
-    /// cumulative work.
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            build_time: self.build_time.saturating_sub(earlier.build_time),
-            resident_bytes: self.resident_bytes,
-            entries: self.entries,
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            evicted_bytes: self.evicted_bytes.saturating_sub(earlier.evicted_bytes),
-            rejections: self.rejections.saturating_sub(earlier.rejections),
-            peak_resident_bytes: self.peak_resident_bytes,
-            budget_bytes: self.budget_bytes,
-            lock_recoveries: self.lock_recoveries.saturating_sub(earlier.lock_recoveries),
-            build_panics: self.build_panics.saturating_sub(earlier.build_panics),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-            invalidated_bytes: self.invalidated_bytes.saturating_sub(earlier.invalidated_bytes),
-        }
-    }
-}
-
 /// Per-request cache activity counters, for attribution when several
 /// requests share one [`LakeIndexCache`].
 ///
-/// A before/after [`CacheStats::since`] delta misattributes work the moment
-/// two runs overlap: request A's hits land in request B's delta. Instead,
-/// each run creates a recorder, installs it ambiently
+/// A before/after delta of the cache's own counters misattributes work the
+/// moment two runs overlap: request A's hits land in request B's delta.
+/// Instead, each run creates a recorder, installs it ambiently
 /// ([`install_recorder`]; fan-out workers re-install their spawner's, like
 /// the ambient [`crate::control`]), and the cache mirrors every counter
 /// bump into the recorder of the thread doing the work — so a hit is
@@ -969,57 +943,6 @@ mod tests {
         assert_eq!(s.misses, 1, "exactly one build");
         assert_eq!(s.hits, (n as u64) - 1);
         assert_eq!(s.entries, 1);
-    }
-
-    #[test]
-    fn stats_since_deltas_counters_keeps_occupancy() {
-        let earlier = CacheStats {
-            hits: 2,
-            misses: 1,
-            build_time: Duration::from_millis(5),
-            resident_bytes: 100,
-            entries: 1,
-            evictions: 1,
-            evicted_bytes: 50,
-            rejections: 0,
-            peak_resident_bytes: 150,
-            budget_bytes: Some(200),
-            lock_recoveries: 1,
-            build_panics: 0,
-            invalidations: 1,
-            invalidated_bytes: 30,
-        };
-        let later = CacheStats {
-            hits: 10,
-            misses: 3,
-            build_time: Duration::from_millis(12),
-            resident_bytes: 300,
-            entries: 3,
-            evictions: 3,
-            evicted_bytes: 170,
-            rejections: 2,
-            peak_resident_bytes: 350,
-            budget_bytes: Some(400),
-            lock_recoveries: 4,
-            build_panics: 2,
-            invalidations: 5,
-            invalidated_bytes: 130,
-        };
-        let d = later.since(&earlier);
-        assert_eq!(d.hits, 8);
-        assert_eq!(d.misses, 2);
-        assert_eq!(d.build_time, Duration::from_millis(7));
-        assert_eq!(d.resident_bytes, 300);
-        assert_eq!(d.entries, 3);
-        assert_eq!(d.evictions, 2);
-        assert_eq!(d.evicted_bytes, 120);
-        assert_eq!(d.rejections, 2);
-        assert_eq!(d.peak_resident_bytes, 350);
-        assert_eq!(d.budget_bytes, Some(400));
-        assert_eq!(d.lock_recoveries, 3);
-        assert_eq!(d.build_panics, 2);
-        assert_eq!(d.invalidations, 4);
-        assert_eq!(d.invalidated_bytes, 100);
     }
 
     #[test]

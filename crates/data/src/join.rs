@@ -42,8 +42,6 @@
 //!   bit-identical by construction — [`left_join_normalized`] is literally
 //!   [`left_join_with_index`] over a transient index.
 
-use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 use autofeat_obs as obs;
@@ -51,7 +49,7 @@ use autofeat_obs as obs;
 use crate::column::{Column, NO_ROW};
 use crate::error::{DataError, Result};
 use crate::keydict::{KeyDict, NULL_CODE};
-use crate::stable_hash::{mix_u64, StableHasher};
+use crate::stable_hash::mix_u64;
 use crate::table::Table;
 use crate::value::Key;
 
@@ -86,42 +84,10 @@ impl JoinOutput {
     }
 }
 
-/// Seed-independent content fingerprint of one right-table row: hashes
-/// every cell of the row (per-cell semantics live in
-/// [`Column::hash_cell_into`]: NaN floats hash like nulls, `-0.0` like
-/// `0.0`). Two rows with identical content always fingerprint identically,
-/// so the representative pick cannot depend on where in the table a row
-/// happens to sit — and because the seed is *not* part of the fingerprint,
-/// one fingerprint pass serves every seed (the per-seed pick folds the
-/// seed in with [`mix_u64`]).
-///
-/// The join key is deliberately **not** hashed separately: fingerprints
-/// are only ever compared within one key's group, where the key — being
-/// one of the row's cells — is already part of every fingerprint and a
-/// second hash of it would only cost build time (this function is the hot
-/// loop of index construction; see `cache.index_build_secs` in run
-/// traces).
-fn content_fingerprint(right: &Table, row: usize) -> u64 {
-    let mut h = StableHasher::new();
-    for c in 0..right.n_cols() {
-        right.column_at(c).hash_cell_into(row, &mut h);
-    }
-    h.finish()
-}
-
-/// Key → group map of a [`JoinIndex`]. Hashed with the process-stable FNV
-/// hasher: index builds hash every right-table row once and probes hash
-/// every left row once, so hashing cost is on the critical path, and the
-/// DoS resistance of the default SipHash buys nothing against trusted lake
-/// data. (Map *iteration* order never influences results — lookups and
-/// per-group minimization are order-free — so the hasher choice is purely
-/// a performance decision.)
-type GroupMap = HashMap<Key, KeyGroup, std::hash::BuildHasherDefault<StableHasher>>;
-
 /// The candidate rows of one join key inside a [`JoinIndex`].
 ///
 /// Duplicated keys do not own their candidate list: they hold a range into
-/// the index's single shared dup array. Keeping the per-key variant at two
+/// the index's single `dup_rows` array. Keeping the per-key variant at two
 /// words (instead of an owned `Vec` per key) is what lets a *retained* index
 /// consist of exactly two heap blocks — see [`JoinIndex::build`].
 #[derive(Debug, Clone, Copy)]
@@ -129,56 +95,38 @@ enum KeyGroup {
     /// Exactly one row carries this key: no fingerprint needed, the pick is
     /// forced for every seed.
     Unique(u32),
-    /// Duplicated key: `dups[start..start + len]` holds the
-    /// `(content fingerprint, row)` candidates. The per-seed representative
-    /// minimizes `(mix(seed, fingerprint), row)`.
+    /// Duplicated key: `dup_rows[start..start + len]` holds the candidate
+    /// rows. The per-seed representative minimizes
+    /// `(mix(seed, fingerprint), row)`.
     Dups { start: u32, len: u32 },
 }
 
-/// Scratch per-key state used only while building, before compaction. The
-/// shape (and the per-key `Vec` churn it implies) matches the pre-compaction
-/// index layout; every allocation it makes is freed before `build` returns,
-/// so consecutive builds recycle the same allocator blocks.
-enum ScratchGroup {
-    Unique(u32),
-    Dups(Vec<(u64, u32)>),
-}
-
-type ScratchMap = HashMap<Key, ScratchGroup, std::hash::BuildHasherDefault<StableHasher>>;
+/// The group of a key no row carries: probing it finds [`NO_ROW`]. Every
+/// dictionary code has ≥ 1 row by construction; a by-value table holds it in
+/// the gaps of the key range, and the probe's first pass writes it for keys
+/// it did not find.
+const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
 
 /// A reusable join index for one `(right table, join column)` pair: join key
-/// → candidate row group with precomputed seed-independent content
-/// fingerprints.
+/// → candidate row group, over the column's dictionary codes.
 ///
 /// Building the index does all the per-row work a normalized left join needs
-/// from the right table — grouping rows by key and fingerprinting duplicate
-/// rows — **once**. Resolving a seed's representative for a key is then one
-/// hash probe plus one cheap [`mix_u64`] per duplicate candidate, instead of
-/// a full re-hash of every duplicate row's content. Indexes are immutable
-/// and shareable across threads ([`Send`]`+`[`Sync`]), which is what lets a
-/// lake-wide cache serve the parallel discovery fan-out.
+/// from the right table — grouping rows by key — **once**, as a counting
+/// sort over the `u32` row codes. Resolving a seed's representative for a key
+/// is then one group lookup plus one cheap [`mix_u64`] per duplicate
+/// candidate. Indexes are immutable and shareable across threads
+/// ([`Send`]`+`[`Sync`]), which is what lets a lake-wide cache serve the
+/// parallel discovery fan-out.
+///
+/// There is one layout. What varies is who owns the two inputs it reads
+/// through: a lake table's dictionary and fingerprint vector are the table's
+/// own key metadata, shared by `Arc`; a table without metadata (a join
+/// output used as a right side, an ad-hoc table) gets a dictionary for this
+/// one column and fingerprints for its duplicate rows built here, owned —
+/// and charged — by the index.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
-    /// Hashed representation: key → group. Empty when `coded` is set.
-    groups: GroupMap,
-    /// Dictionary-coded representation, used when the right table carries
-    /// ingest-built key metadata. Mutually exclusive with a populated
-    /// `groups` map.
-    coded: Option<CodedGroups>,
-    /// All duplicate-key candidates, contiguous, grouped per key (each
-    /// `KeyGroup::Dups` owns one disjoint range, in-key row order).
-    dups: Vec<(u64, u32)>,
-    n_rows: usize,
-}
-
-/// The dictionary-coded group table. The **build** is a counting sort over
-/// the precomputed row codes — no per-row key materialization, hashing, or
-/// map insertion — which is where the hashed path spent its time. Probes
-/// resolve `Key → code` through the shared lake-owned dictionary (one FNV
-/// probe, same cost as the hashed map) and read `groups[code]`, unless the
-/// key domain lets them skip the dictionary (`int_base`).
-#[derive(Debug, Clone)]
-struct CodedGroups {
+    /// Join key → code, for probes the by-value table cannot answer.
     dict: Arc<KeyDict>,
     /// The key groups — addressed by dictionary code, or, when `int_base`
     /// is set, by `key − int_base`.
@@ -189,68 +137,19 @@ struct CodedGroups {
     /// instead of a hash of the key, a dictionary probe and a table read —
     /// three dependent cache misses on a lake larger than the cache.
     int_base: Option<i64>,
-    /// Row-only duplicate candidates (each `KeyGroup::Dups` range indexes
-    /// here, in-key row order). Fingerprints are *not* copied per dup: the
-    /// representative pick reads them through `row_fps`, so a retained
-    /// coded index pins 4 bytes per duplicate row instead of 16 — the
-    /// lake-wide cache holds dozens of these, and the smaller resident set
-    /// is what keeps cold cached runs within their uncached ratio bound.
+    /// Duplicate candidates, row ids only (each `KeyGroup::Dups` range
+    /// indexes here, in-key row order): a retained index pins 4 bytes per
+    /// duplicate row — the lake-wide cache holds dozens of these.
     dup_rows: Vec<u32>,
-    /// The right table's ingest-built fingerprint vector, shared by `Arc`
-    /// (lake-owned, charged to `Table::key_meta_bytes`). `None` only when
-    /// the table had a fresh dictionary but invalidated fingerprints (e.g.
-    /// after `with_column`); that build falls back to the shared
-    /// `JoinIndex::dups` fingerprint array.
-    row_fps: Option<Arc<Vec<u64>>>,
+    /// Content fingerprints by row, read at duplicate rows only. The
+    /// table's vector when it carries one; otherwise the index's own, filled
+    /// at the duplicate rows and empty when no key repeats.
+    row_fps: Arc<Vec<u64>>,
+    n_rows: usize,
+    /// Bytes of `dict` and `row_fps` this index built for itself (zero over
+    /// a table with key metadata, where the lake owns both).
+    own_meta_bytes: usize,
 }
-
-impl CodedGroups {
-    /// Take the by-code group table the counting sort produced and, for a
-    /// dense all-integer key domain, re-address it by key value (at most
-    /// twice the by-code table's size).
-    fn new(
-        dict: Arc<KeyDict>,
-        by_code: Vec<KeyGroup>,
-        dup_rows: Vec<u32>,
-        row_fps: Option<Arc<Vec<u64>>>,
-    ) -> CodedGroups {
-        let ints = || (0..dict.len() as u32).map(|c| match dict.key_at(c) {
-            Key::Num(i) => Some(*i),
-            _ => None,
-        });
-        let range = ints().try_fold((i64::MAX, i64::MIN), |(lo, hi), i| {
-            i.map(|i| (lo.min(i), hi.max(i)))
-        });
-        let (groups, int_base) = match range {
-            Some((lo, hi)) if hi.abs_diff(lo) < 2 * by_code.len() as u64 => {
-                let mut by_key = vec![NO_GROUP; hi.abs_diff(lo) as usize + 1];
-                for (i, group) in ints().flatten().zip(&by_code) {
-                    by_key[i.abs_diff(lo) as usize] = *group;
-                }
-                (by_key, Some(lo))
-            }
-            _ => (by_code, None),
-        };
-        CodedGroups { dict, groups, int_base, dup_rows, row_fps }
-    }
-
-    #[inline]
-    fn group(&self, key: &Key) -> Option<KeyGroup> {
-        let slot = match (self.int_base, key) {
-            (None, key) => self.dict.code(key)? as usize,
-            // Below the base wraps to a huge offset, past the table.
-            (Some(base), Key::Num(i)) => i.wrapping_sub(base) as u64 as usize,
-            (Some(_), _) => return None,
-        };
-        self.groups.get(slot).copied()
-    }
-}
-
-/// The group of a key no row carries: probing it finds [`NO_ROW`]. Cannot
-/// occur in a coded index whose dictionary is fresh (every code has ≥ 1 row
-/// by construction); the probe's first pass writes it for keys it did not
-/// find.
-const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
 
 /// Rows are stored as `u32` and [`NO_ROW`] is `u32::MAX`, so an index can
 /// address at most `u32::MAX` rows; larger tables are refused, not wrapped.
@@ -261,53 +160,84 @@ pub(crate) fn check_row_count(table: &str, rows: usize) -> Result<()> {
     Ok(())
 }
 
+/// For a dense all-integer key domain, re-address the by-code group table
+/// the counting sort produced by key value (at most twice its size).
+fn address_by_value(dict: &KeyDict, by_code: Vec<KeyGroup>) -> (Vec<KeyGroup>, Option<i64>) {
+    let ints = || (0..dict.len() as u32).map(|c| match dict.key_at(c) {
+        Key::Num(i) => Some(*i),
+        _ => None,
+    });
+    let range = ints().try_fold((i64::MAX, i64::MIN), |(lo, hi), i| {
+        i.map(|i| (lo.min(i), hi.max(i)))
+    });
+    match range {
+        Some((lo, hi)) if hi.abs_diff(lo) < 2 * by_code.len() as u64 => {
+            let mut by_key = vec![NO_GROUP; hi.abs_diff(lo) as usize + 1];
+            for (i, group) in ints().flatten().zip(&by_code) {
+                by_key[i.abs_diff(lo) as usize] = *group;
+            }
+            (by_key, Some(lo))
+        }
+        _ => (by_code, None),
+    }
+}
+
+/// Probe pass 2 for one group: its representative row under `seed`
+/// ([`NO_ROW`] for [`NO_GROUP`]), given the index's `dup_rows` and `row_fps`
+/// (resolved to slices once per join, not per row).
+#[inline]
+fn pick(group: KeyGroup, seed: u64, dup_rows: &[u32], row_fps: &[u64]) -> u32 {
+    let (start, len) = match group {
+        KeyGroup::Unique(row) => return row,
+        KeyGroup::Dups { start, len } => (start as usize, len as usize),
+    };
+    dup_rows[start..start + len]
+        .iter()
+        .map(|&row| (mix_u64(seed, row_fps[row as usize]), row))
+        .min()
+        .map_or(NO_ROW, |(_, row)| row)
+}
+
 impl JoinIndex {
-    /// Build the index for `right` grouped by its `right_key` column.
-    /// Fingerprints are only computed for keys with ≥ 2 rows, so unique-key
-    /// tables pay nothing beyond the grouping.
+    /// Build the index for `right` grouped by its `right_key` column: a
+    /// counting sort over the column's dictionary codes. One histogram pass
+    /// sizes every group, a second scatters rows into exactly-sized storage
+    /// — no per-row key materialization, hashing or map insertion — and
+    /// per-key duplicate lists come out in row order. A *retained* index
+    /// therefore pins two uniform heap blocks (group table, `dup_rows`).
     ///
-    /// When the right table carries ingest-built key metadata
-    /// ([`Table::with_key_dicts`]), the build dispatches to the
-    /// dictionary-coded counting sort (see [`CodedGroups`]); otherwise it
-    /// falls back to the hashed build. Both produce indexes whose joins are
-    /// bit-identical.
+    /// A table with key metadata ([`Table::with_key_dicts`] — every table a
+    /// `SearchContext` holds) lends its dictionary and fingerprint vector
+    /// (`Arc` clones). One without gets a transient dictionary for this
+    /// column ([`KeyDict::build`]: one hash per row) and fingerprints for
+    /// its duplicate rows only, so unique-key tables pay nothing beyond the
+    /// grouping; then the same sort runs.
     ///
-    /// The hashed build runs in two phases: a scratch grouping pass (per-key
-    /// `Vec`s, growth-chained map — all transient, freed before returning),
-    /// then a compaction into exactly-sized storage: one group map allocated
-    /// at final capacity and one contiguous dup array. A *retained* index —
-    /// the lake-wide cache holds hundreds — therefore pins two uniform heap
-    /// blocks instead of thousands of growth-sized ones. The earlier layout
-    /// (an owned `Vec` per duplicated key, map kept at its grown capacity)
-    /// made cold cached builds ~1.6–1.8× slower than transient ones: retained
-    /// odd-sized blocks could not be recycled by subsequent builds, so every
-    /// build paid fresh-page faults and allocator free-list churn that the
-    /// build-then-drop path never saw.
-    ///
-    /// Errors only for a table with more rows than a `u32` row id can
-    /// address ([`DataError::TooManyRows`]).
+    /// Errors for a `right_key` that is not as long as `right`
+    /// ([`DataError::Invalid`]) and for a table with more rows than a `u32`
+    /// row id can address ([`DataError::TooManyRows`]).
     pub fn build(right: &Table, right_key: &Column) -> Result<JoinIndex> {
         check_row_count(right.name(), right_key.len())?;
+        if right_key.len() != right.n_rows() {
+            return Err(DataError::Invalid(format!(
+                "join key column has {} rows, table `{}` has {}",
+                right_key.len(),
+                right.name(),
+                right.n_rows()
+            )));
+        }
         // Resilience-test hook: an armed `panic_on_row` fault simulates a
         // poisoned table mid-build. One relaxed atomic load when disarmed.
         let panic_row = crate::faults::lookup(right.name()).and_then(|f| f.panic_on_row);
-        let index = match right.key_dict_for(right_key) {
-            Some(dict) => Self::build_coded(right, Arc::clone(dict), panic_row),
-            None => Self::build_hashed(right, right_key, panic_row),
+        let mut own_meta_bytes = 0;
+        let dict = match right.key_dict_for(right_key) {
+            Some(dict) => Arc::clone(dict),
+            None => {
+                let dict = KeyDict::build(right_key);
+                own_meta_bytes += dict.resident_bytes();
+                Arc::new(dict)
+            }
         };
-        debug_assert_eq!(index.validate(right_key), Ok(()));
-        Ok(index)
-    }
-
-    /// Counting-sort build over a dictionary-carrying column: one histogram
-    /// pass over the precomputed `u32` row codes sizes every group, a second
-    /// pass scatters rows (and, for duplicated keys, their fingerprints)
-    /// into exactly-sized storage. Per-key duplicate lists come out in row
-    /// order — the same order the hashed build's insertion produces — and
-    /// fingerprints reuse the ingest-built row fingerprints when fresh, so
-    /// the resulting index is **bit-identical** to a hashed build of the
-    /// same data (asserted by the `coded_*` tests below).
-    fn build_coded(right: &Table, dict: Arc<KeyDict>, panic_row: Option<usize>) -> JoinIndex {
         let codes = dict.row_codes();
         let n_keys = dict.len();
         // Pass 1: rows per code (the counting-sort histogram).
@@ -324,7 +254,7 @@ impl JoinIndex {
             }
         }
         // Lay out groups: unique codes resolve in place, duplicated codes
-        // reserve disjoint ranges of the shared dup array.
+        // reserve disjoint ranges of `dup_rows`.
         let mut groups = vec![NO_GROUP; n_keys];
         let mut cursor = vec![0u32; n_keys];
         let mut n_dup_rows = 0usize;
@@ -335,34 +265,8 @@ impl JoinIndex {
                 n_dup_rows += cnt as usize;
             }
         }
-        // Pass 2: scatter rows. Fingerprints are only needed for duplicated
-        // keys; with fresh ingest-built per-row fingerprints the index just
-        // shares the table's vector (`Arc` clone, zero copies) and stores
-        // row ids alone. The cell-hashing fallback (stale fingerprints,
-        // fresh dictionary) copies per-dup fingerprints as before.
-        let n_rows = codes.len();
-        if let Some(fps_arc) = right.row_fps_arc() {
-            let mut dup_rows = vec![0u32; n_dup_rows];
-            for (row, &c) in codes.iter().enumerate() {
-                if c == NULL_CODE {
-                    continue;
-                }
-                let code = c as usize;
-                if counts[code] == 1 {
-                    groups[code] = KeyGroup::Unique(row as u32);
-                } else {
-                    dup_rows[cursor[code] as usize] = row as u32;
-                    cursor[code] += 1;
-                }
-            }
-            return JoinIndex {
-                groups: GroupMap::default(),
-                coded: Some(CodedGroups::new(dict, groups, dup_rows, Some(Arc::clone(fps_arc)))),
-                dups: Vec::new(),
-                n_rows,
-            };
-        }
-        let mut dups = vec![(0u64, 0u32); n_dup_rows];
+        // Pass 2: scatter rows.
+        let mut dup_rows = vec![0u32; n_dup_rows];
         for (row, &c) in codes.iter().enumerate() {
             if c == NULL_CODE {
                 continue;
@@ -371,73 +275,27 @@ impl JoinIndex {
             if counts[code] == 1 {
                 groups[code] = KeyGroup::Unique(row as u32);
             } else {
-                dups[cursor[code] as usize] = (content_fingerprint(right, row), row as u32);
+                dup_rows[cursor[code] as usize] = row as u32;
                 cursor[code] += 1;
             }
         }
-        JoinIndex {
-            groups: GroupMap::default(),
-            coded: Some(CodedGroups::new(dict, groups, Vec::new(), None)),
-            dups,
-            n_rows,
-        }
-    }
-
-    /// The original hashed build, used for tables without key metadata
-    /// (join outputs, ad-hoc tables).
-    fn build_hashed(right: &Table, right_key: &Column, panic_row: Option<usize>) -> JoinIndex {
-        let mut scratch: ScratchMap = ScratchMap::default();
-        let mut n_dup_rows = 0usize;
-        for row in 0..right_key.len() {
-            if panic_row == Some(row) {
-                panic!(
-                    "injected fault: panic_on_row {row} building index for table `{}`",
-                    right.name()
-                );
+        // Fingerprints are only read at duplicate rows.
+        let row_fps = match right.row_fps_arc() {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let mut fps = vec![0u64; if dup_rows.is_empty() { 0 } else { codes.len() }];
+                for &row in &dup_rows {
+                    fps[row as usize] = right.row_fingerprint(row as usize);
+                }
+                own_meta_bytes += fps.capacity() * std::mem::size_of::<u64>();
+                Arc::new(fps)
             }
-            let Some(k) = right_key.key(row) else { continue };
-            match scratch.entry(k) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(ScratchGroup::Unique(row as u32));
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    n_dup_rows += 1;
-                    match e.get_mut() {
-                        ScratchGroup::Unique(first) => {
-                            let first = *first;
-                            n_dup_rows += 1; // the first row becomes a dup too
-                            let dups = vec![
-                                (content_fingerprint(right, first as usize), first),
-                                (content_fingerprint(right, row), row as u32),
-                            ];
-                            e.insert(ScratchGroup::Dups(dups));
-                        }
-                        ScratchGroup::Dups(dups) => {
-                            dups.push((content_fingerprint(right, row), row as u32));
-                        }
-                    }
-                }
-            }
-        }
-        // Compact: exact-capacity map + one shared dup array. Per-key dup
-        // order is preserved, and the cross-key order (scratch iteration
-        // order) is irrelevant — each group only ever reads its own range.
-        let mut groups: GroupMap =
-            GroupMap::with_capacity_and_hasher(scratch.len(), Default::default());
-        let mut dups: Vec<(u64, u32)> = Vec::with_capacity(n_dup_rows);
-        for (key, group) in scratch.drain() {
-            let packed = match group {
-                ScratchGroup::Unique(row) => KeyGroup::Unique(row),
-                ScratchGroup::Dups(list) => {
-                    let start = dups.len() as u32;
-                    let len = list.len() as u32;
-                    dups.extend(list);
-                    KeyGroup::Dups { start, len }
-                }
-            };
-            groups.insert(key, packed);
-        }
-        JoinIndex { groups, coded: None, dups, n_rows: right_key.len() }
+        };
+        let n_rows = codes.len();
+        let (groups, int_base) = address_by_value(&dict, groups);
+        let index = JoinIndex { dict, groups, int_base, dup_rows, row_fps, n_rows, own_meta_bytes };
+        debug_assert_eq!(index.validate(right_key), Ok(()));
+        Ok(index)
     }
 
     /// The representative row for `key` under `seed`, or `None` when the key
@@ -447,49 +305,20 @@ impl JoinIndex {
     /// row content, where any pick is value-equivalent; the lower row index
     /// breaks them for full in-table determinism).
     pub fn representative(&self, key: &Key, seed: u64) -> Option<usize> {
-        let row = self.pick(self.group(key)?, seed, self.shared_dups());
+        let row = pick(self.group(key)?, seed, &self.dup_rows, &self.row_fps);
         (row != NO_ROW).then_some(row as usize)
     }
 
-    /// Probe pass 1 for one key: its group. The two index layouts differ
-    /// only here.
+    /// Probe pass 1 for one key: its group.
     #[inline]
     fn group(&self, key: &Key) -> Option<KeyGroup> {
-        match &self.coded {
-            Some(c) => c.group(key),
-            None => self.groups.get(key).copied(),
-        }
-    }
-
-    /// The shared-fingerprint layout's `(candidate rows, lake-owned row
-    /// fingerprints)`, resolved once per join and handed to every
-    /// [`JoinIndex::pick`]; `None` when candidates carry their own
-    /// fingerprints in `dups`.
-    fn shared_dups(&self) -> Option<(&[u32], &[u64])> {
-        let c = self.coded.as_ref()?;
-        Some((c.dup_rows.as_slice(), c.row_fps.as_ref()?.as_slice()))
-    }
-
-    /// Probe pass 2 for one group: its representative row under `seed`
-    /// ([`NO_ROW`] for [`NO_GROUP`]). Both layouts minimize the same
-    /// `(mix, row)`, hence pick the same row to the bit.
-    #[inline]
-    fn pick(&self, group: KeyGroup, seed: u64, shared: Option<(&[u32], &[u64])>) -> u32 {
-        let (start, len) = match group {
-            KeyGroup::Unique(row) => return row,
-            KeyGroup::Dups { start, len } => (start as usize, len as usize),
+        let slot = match (self.int_base, key) {
+            (None, key) => self.dict.code(key)? as usize,
+            // Below the base wraps to a huge offset, past the table.
+            (Some(base), Key::Num(i)) => i.wrapping_sub(base) as u64 as usize,
+            (Some(_), _) => return None,
         };
-        let best = match shared {
-            Some((rows, fps)) => rows[start..start + len]
-                .iter()
-                .map(|&row| (mix_u64(seed, fps[row as usize]), row))
-                .min(),
-            None => self.dups[start..start + len]
-                .iter()
-                .map(|&(fp, row)| (mix_u64(seed, fp), row))
-                .min(),
-        };
-        best.map_or(NO_ROW, |(_, row)| row)
+        self.groups.get(slot).copied()
     }
 
     /// Check the invariants a probe trusts, against the column the index
@@ -501,24 +330,18 @@ impl JoinIndex {
         if right_key.len() != self.n_rows {
             return Err(format!("built over {} rows, column has {}", self.n_rows, right_key.len()));
         }
-        let shared = self.shared_dups();
         let mut claims = vec![0u32; self.n_rows];
-        let coded = self.coded.iter().flat_map(|c| c.groups.iter());
-        for group in self.groups.values().chain(coded) {
+        for group in &self.groups {
             let rows = match *group {
                 KeyGroup::Unique(NO_ROW) => continue,
-                KeyGroup::Unique(row) => vec![row],
-                KeyGroup::Dups { start, len } => {
-                    let range = start as usize..start as usize + len as usize;
-                    let rows: Option<Vec<u32>> = match shared {
-                        Some((rows, _)) => rows.get(range).map(<[u32]>::to_vec),
-                        None => self.dups.get(range).map(|d| d.iter().map(|d| d.1).collect()),
-                    };
-                    rows.filter(|r| r.len() >= 2 && r.windows(2).all(|w| w[0] < w[1]))
-                        .ok_or(format!("dups {start}+{len}: not ≥ 2 ascending rows in bounds"))?
-                }
+                KeyGroup::Unique(ref row) => std::slice::from_ref(row),
+                KeyGroup::Dups { start, len } => self
+                    .dup_rows
+                    .get(start as usize..start as usize + len as usize)
+                    .filter(|r| r.len() >= 2 && r.windows(2).all(|w| w[0] < w[1]))
+                    .ok_or(format!("dups {start}+{len}: not ≥ 2 ascending rows in bounds"))?,
             };
-            for row in rows {
+            for &row in rows {
                 *claims.get_mut(row as usize).ok_or(format!("row {row} out of bounds"))? += 1;
             }
         }
@@ -530,10 +353,7 @@ impl JoinIndex {
 
     /// Number of distinct non-null join keys.
     pub fn n_keys(&self) -> usize {
-        match &self.coded {
-            Some(c) => c.dict.len(),
-            None => self.groups.len(),
-        }
+        self.dict.len()
     }
 
     /// Number of right-table rows indexed (including null-key rows, which
@@ -542,30 +362,22 @@ impl JoinIndex {
         self.n_rows
     }
 
-    /// Number of rows belonging to duplicated keys (each resolvable to a
-    /// precomputed fingerprint — owned or shared, depending on layout).
+    /// Number of rows belonging to duplicated keys.
     pub fn n_dup_rows(&self) -> usize {
-        self.dups.len() + self.coded.as_ref().map_or(0, |c| c.dup_rows.len())
+        self.dup_rows.len()
     }
 
-    /// Approximate heap footprint in bytes (keys + group table + dup array),
-    /// for cache accounting and observability. Capacity-based, so it covers
-    /// what the allocations actually pin — with the compact build both
-    /// capacities equal their lengths (modulo the map's load factor).
+    /// Approximate heap footprint in bytes, for cache accounting and
+    /// observability: the group table and `dup_rows` (capacity-based; both
+    /// are built at their final size). A lake table's dictionary and
+    /// fingerprint vector are shared by every index and encode over the
+    /// table, so they are charged to the lake
+    /// ([`Table::key_meta_bytes`]), not to this index or the cache budget;
+    /// the ones an index built for itself are charged here.
     pub fn resident_bytes(&self) -> usize {
-        // The coded group table is a plain vec; the dictionary it probes
-        // through — and the shared fingerprint vector its duplicates read —
-        // are lake-owned, shared by every index/encode over the column, so
-        // they are charged to the lake (`Table::key_meta_bytes`), not to
-        // this index or the cache budget.
-        let own = match &self.coded {
-            Some(c) => {
-                c.groups.capacity() * std::mem::size_of::<KeyGroup>()
-                    + c.dup_rows.capacity() * std::mem::size_of::<u32>()
-            }
-            None => self.groups.capacity() * std::mem::size_of::<(Key, KeyGroup)>(),
-        };
-        own + self.dups.capacity() * std::mem::size_of::<(u64, u32)>()
+        self.groups.capacity() * std::mem::size_of::<KeyGroup>()
+            + self.dup_rows.capacity() * std::mem::size_of::<u32>()
+            + self.own_meta_bytes
     }
 }
 
@@ -650,7 +462,7 @@ pub fn left_join_with_index(
     // and never result-affecting (an interrupt abandons the join entirely
     // rather than truncating it).
     const BLOCK: usize = 4096;
-    let shared = index.shared_dups();
+    let (dup_rows, row_fps) = (index.dup_rows.as_slice(), index.row_fps.as_slice());
     let mut groups: Vec<KeyGroup> = Vec::with_capacity(n.min(BLOCK));
     let mut map: Vec<u32> = Vec::with_capacity(n);
     for start in (0..n).step_by(BLOCK) {
@@ -664,7 +476,7 @@ pub fn left_join_with_index(
             groups.push(key.and_then(|k| index.group(&k)).unwrap_or(NO_GROUP));
         });
         // Pass 2: key group → representative right row.
-        map.extend(groups.iter().map(|&g| index.pick(g, seed, shared)));
+        map.extend(groups.iter().map(|&g| pick(g, seed, dup_rows, row_fps)));
     }
     let matched = map.iter().filter(|&&r| r != NO_ROW).count();
     debug_assert!(map.iter().all(|&r| r == NO_ROW || (r as usize) < right.n_rows()));
@@ -674,7 +486,7 @@ pub fn left_join_with_index(
     // through the one row map. Columns are Arc-backed, so the clones here
     // are O(1) pointer bumps — the accumulated frontier is shared across
     // hops, not deep-copied — and no right-hand cell is read.
-    let mut table = left.clone().strip_key_meta();
+    let mut table = left.clone();
     let prefix_dot = format!("{prefix}.");
     let mut right_columns = Vec::with_capacity(right.n_cols());
     for i in 0..right.n_cols() {
@@ -940,44 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn coded_index_is_bit_identical_to_hashed() {
-        // Many duplicates per key so representative picks actually exercise
-        // the fingerprint path, plus a null key row.
-        let n = 96i64;
-        let rkeys: Vec<Option<i64>> =
-            (0..n).map(|i| if i % 13 == 0 { None } else { Some(i / 6) }).collect();
-        let rvals: Vec<Option<i64>> = (0..n).map(Some).collect();
-        let plain = Table::new(
-            "ext",
-            vec![("key", Column::from_ints(rkeys)), ("v", Column::from_ints(rvals))],
-        )
-        .unwrap();
-        let keyed = plain.clone().with_key_dicts();
-        let hashed = JoinIndex::build(&plain, plain.column("key").unwrap()).unwrap();
-        let coded = JoinIndex::build(&keyed, keyed.column("key").unwrap()).unwrap();
-        assert_eq!(hashed.n_keys(), coded.n_keys());
-        assert_eq!(hashed.n_rows(), coded.n_rows());
-        assert_eq!(hashed.n_dup_rows(), coded.n_dup_rows());
-        for seed in [0u64, 1, 7, 42, 0xdead_beef] {
-            for k in 0..(n / 6 + 1) {
-                assert_eq!(
-                    hashed.representative(&Key::Num(k), seed),
-                    coded.representative(&Key::Num(k), seed),
-                    "key {k} seed {seed}"
-                );
-            }
-        }
-        let lkeys: Vec<Option<i64>> = (0..n / 6).map(Some).collect();
-        let l = Table::new("base", vec![("id", Column::from_ints(lkeys))]).unwrap();
-        for seed in [1u64, 2, 99] {
-            let a = left_join_with_index(&l, &plain, &hashed, "id", "ext", seed).unwrap();
-            let b = left_join_with_index(&l, &keyed, &coded, "id", "ext", seed).unwrap();
-            assert_eq!(a.table, b.table, "seed {seed}");
-            assert_eq!(a.matched, b.matched);
-        }
-    }
-
-    #[test]
     fn coded_index_survives_row_permutation() {
         let rkeys = [3i64, 1, 1, 9, 3, 1, 3, 9];
         let rvals = [30i64, 10, 11, 90, 31, 12, 32, 91];
@@ -1047,13 +821,19 @@ mod tests {
         assert!(check_row_count("t", u32::MAX as usize).is_ok());
         let err = check_row_count("t", u32::MAX as usize + 1).unwrap_err();
         assert!(matches!(err, DataError::TooManyRows { .. }), "{err}");
+        // A key column that is not the table's own: refused before any row
+        // of `other` is fingerprinted at an index taken from it.
+        let foreign = Column::from_ints([1, 2, 3, 3, 3].map(Some));
+        for table in [other.clone(), other.with_key_dicts()] {
+            let err = JoinIndex::build(&table, &foreign).unwrap_err();
+            assert!(matches!(err, DataError::Invalid(_)), "{err}");
+        }
     }
 
     #[test]
     fn validate_catches_a_broken_index() {
         let r = right(); // keys 1,1,3,9
-        let key = r.column("key").unwrap();
-        for table in [r.clone(), r.clone().with_key_dicts()] {
+        for table in [r.clone(), r.with_key_dicts()] {
             let key = table.column("key").unwrap();
             let good = JoinIndex::build(&table, key).unwrap();
             assert_eq!(good.validate(key), Ok(()));
@@ -1061,12 +841,15 @@ mod tests {
             // as unique here but duplicated there.
             let keys = Column::from_ints([Some(1), Some(2), Some(3), None]);
             assert!(good.validate(&keys).is_err());
+            let mut bad = good.clone();
+            bad.dup_rows.swap(0, 1); // candidates out of row order
+            assert!(bad.validate(key).unwrap_err().contains("ascending"));
+            bad.dup_rows.truncate(1);
+            assert!(bad.validate(key).unwrap_err().contains("in bounds"));
+            let mut bad = good.clone();
+            bad.dup_rows[1] = 2; // row 2 claimed twice, row 1 by nobody
+            assert!(bad.validate(key).unwrap_err().contains("row 1 sits in 0"));
         }
-        let mut bad = JoinIndex::build(&r, key).unwrap();
-        bad.dups.swap(0, 1); // candidates out of row order
-        assert!(bad.validate(key).unwrap_err().contains("ascending"));
-        bad.dups.truncate(1);
-        assert!(bad.validate(key).unwrap_err().contains("in bounds"));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A [`KeyDict`] maps every distinct non-null join key of one column to a
 //! dense `u32` code and materializes the per-row code sequence. Built once
 //! at ingest, it moves the expensive part of index construction — key
-//! materialization and hashing — out of the join hot path: `JoinIndex`
-//! builds over a dictionary-carrying column degrade to a counting sort over
-//! `u32` codes (see `join::JoinIndex`), and label encoding reuses the codes
-//! through a dense remap table instead of re-hashing every cell
+//! materialization and hashing — out of the join hot path: every
+//! `JoinIndex` build is a counting sort over the `u32` codes (see
+//! `join::JoinIndex`), and label encoding reuses the codes through a dense
+//! remap table instead of re-hashing every cell
 //! (`encode::label_encode_column_with_dict`).
 //!
 //! ## Code assignment is permutation-stable
@@ -57,8 +57,10 @@ fn stable_key_hash(key: &Key) -> u64 {
 pub struct KeyDict {
     /// code → key, in code order.
     keys: Vec<Key>,
-    /// key → code. Same FNV hasher as the join layer's group maps: hashing
-    /// sits on the probe path and the data is trusted lake content.
+    /// key → code, FNV-hashed: hashing sits on the probe path (index
+    /// builds, and probes of key domains that are not dense integers) and
+    /// the data is trusted lake content, so SipHash's DoS resistance would
+    /// buy nothing.
     map: DictMap,
     /// row → code (`NULL_CODE` for null keys). Same length as the column.
     codes: Vec<u32>,
@@ -69,8 +71,7 @@ pub struct KeyDict {
 
 impl KeyDict {
     /// Build the dictionary for one column. Two passes: assign provisional
-    /// slots by first appearance (one hash per row — the same work a single
-    /// index build used to do), then re-rank the distinct keys by
+    /// slots by first appearance (one hash per row), then re-rank the distinct keys by
     /// `(stable hash, key order)` so the final codes are permutation-stable.
     pub fn build(col: &Column) -> KeyDict {
         let n = col.len();
@@ -133,8 +134,7 @@ impl KeyDict {
         self.keys.is_empty()
     }
 
-    /// Number of rows the dictionary was built over. Used as a freshness
-    /// check by `Table::key_dict_for`.
+    /// Number of rows the dictionary was built over.
     pub fn n_rows(&self) -> usize {
         self.codes.len()
     }

@@ -455,19 +455,15 @@ fn worker_loop(shared: &PoolShared) {
 }
 
 /// The process-wide shared pool used by [`run_indexed_ctl`], sized to
-/// [`n_workers`]. `None` when a single worker is configured (fan-outs run
-/// inline) or when the pool is disabled via `AUTOFEAT_POOL=0` (fan-outs
-/// fall back to per-call scoped threads). Created lazily on first use and
-/// lives for the rest of the process.
+/// [`n_workers`]. `None` when the process resolves a single worker: a
+/// fan-out that asks for more anyway (`with_threads(4)` under
+/// `AUTOFEAT_THREADS=1`) runs on per-call scoped threads. Created lazily on
+/// first use and lives for the rest of the process.
 pub fn shared_pool() -> Option<&'static WorkerPool> {
     static POOL: OnceLock<Option<WorkerPool>> = OnceLock::new();
     POOL.get_or_init(|| {
-        let enabled = match std::env::var("AUTOFEAT_POOL") {
-            Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-            Err(_) => true,
-        };
         let size = n_workers();
-        (enabled && size > 1).then(|| WorkerPool::new(size))
+        (size > 1).then(|| WorkerPool::new(size))
     })
     .as_ref()
 }

@@ -19,27 +19,30 @@ use crate::value::Value;
 ///
 /// ## Key metadata
 ///
-/// Lake-resident tables optionally carry **key metadata** built at ingest by
-/// [`Table::with_key_dicts`]: a per-column [`KeyDict`] (dense `u32` join-key
-/// codes) and precomputed per-row content fingerprints. Both are derived
-/// caches — equality ([`PartialEq`]) deliberately ignores them, so a table
-/// that carries metadata compares equal to one with identical data that does
-/// not. Operations that produce new columns or rows (`select`, `take`,
-/// `with_column`, `replace_column`, …) conservatively drop or invalidate the
-/// affected metadata; consumers re-validate freshness positionally via
-/// [`Table::key_dict_for`] before trusting a dictionary.
+/// Lake-resident tables carry **key metadata** built at ingest by
+/// [`Table::with_key_dicts`]: a [`KeyDict`] (dense `u32` join-key codes) for
+/// every column and the per-row content fingerprints. It is a derived cache —
+/// equality ([`PartialEq`]) ignores it — and it is **all or nothing**: a
+/// table holds a dictionary for every column and a fingerprint for every
+/// row, or none of either. Every operation that changes a cell, a row or the
+/// column set (`select`, `drop_columns`, `take`, `with_column`,
+/// `replace_column`, …) returns a table without it; renames keep it. What a
+/// table hands out is therefore always fresh.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     fields: Vec<Field>,
     columns: Vec<Column>,
     index: HashMap<String, usize>,
-    /// Per-column join-key dictionaries (ingest-built; `None` = absent).
-    keyed: Vec<Option<Arc<KeyDict>>>,
-    /// Per-row content fingerprints over all columns, matching
-    /// `join::content_fingerprint` byte for byte. Invalidated (set to
-    /// `None`) whenever the column set or any column's data changes.
-    row_fps: Option<Arc<Vec<u64>>>,
+    key_meta: Option<Arc<KeyMeta>>,
+}
+
+/// A table's key metadata: one dictionary per column, in column order, and
+/// one content fingerprint per row.
+#[derive(Debug)]
+struct KeyMeta {
+    dicts: Vec<Arc<KeyDict>>,
+    row_fps: Arc<Vec<u64>>,
 }
 
 impl PartialEq for Table {
@@ -83,8 +86,7 @@ impl Table {
             fields.push(Field::new(cname, col.dtype()));
             cols.push(col);
         }
-        let keyed = vec![None; cols.len()];
-        Ok(Table { name, fields, columns: cols, index, keyed, row_fps: None })
+        Ok(Table { name, fields, columns: cols, index, key_meta: None })
     }
 
     /// An empty table (zero columns, zero rows).
@@ -94,89 +96,79 @@ impl Table {
             fields: Vec::new(),
             columns: Vec::new(),
             index: HashMap::new(),
-            keyed: Vec::new(),
-            row_fps: None,
+            key_meta: None,
         }
     }
 
     /// Build key metadata for every column: a per-column [`KeyDict`] and the
     /// per-row content fingerprints the join layer's representative picks
-    /// use. Called once at ingest (CSV load, datagen) — the cost is one
-    /// hash pass over the table plus one dictionary build per column, paid
-    /// outside any join or scoring hot path.
+    /// use. Called once at ingest (CSV load, datagen, `SearchContext::new`)
+    /// — the cost is one hash pass over the table plus one dictionary build
+    /// per column, paid outside any join or scoring hot path.
     pub fn with_key_dicts(mut self) -> Table {
-        let n = self.n_rows();
-        let mut fps = Vec::with_capacity(n);
-        for row in 0..n {
-            let mut h = StableHasher::new();
-            for c in &self.columns {
-                c.hash_cell_into(row, &mut h);
-            }
-            fps.push(h.finish());
+        let row_fps = Arc::new((0..self.n_rows()).map(|row| self.row_fingerprint(row)).collect());
+        let dicts = self.columns.iter().map(|c| Arc::new(KeyDict::build(c))).collect();
+        self.key_meta = Some(Arc::new(KeyMeta { dicts, row_fps }));
+        self
+    }
+
+    /// Seed-independent content fingerprint of one row: a hash of every
+    /// cell in column order (per-cell semantics live in
+    /// [`Column::hash_cell_into`]: NaN floats hash like nulls, `-0.0` like
+    /// `0.0`). Rows of identical content fingerprint identically wherever
+    /// they sit, and the seed is not part of it, so one pass serves every
+    /// seed. The join key is not hashed separately: fingerprints are only
+    /// compared within one key's group, and the key is one of the cells.
+    pub(crate) fn row_fingerprint(&self, row: usize) -> u64 {
+        let mut h = StableHasher::new();
+        for c in &self.columns {
+            c.hash_cell_into(row, &mut h);
         }
-        self.row_fps = Some(Arc::new(fps));
-        self.keyed = self.columns.iter().map(|c| Some(Arc::new(KeyDict::build(c)))).collect();
-        self
+        h.finish()
     }
 
-    /// Drop all key metadata (dictionaries and row fingerprints). The data
-    /// is untouched; subsequent joins fall back to the hashed key path.
-    pub fn strip_key_meta(mut self) -> Table {
-        self.keyed = vec![None; self.columns.len()];
-        self.row_fps = None;
-        self
-    }
-
-    /// Whether this table carries ingest-built key metadata (row
-    /// fingerprints; individual dictionaries may still be absent).
+    /// Whether this table carries key metadata — which is all of it: a
+    /// dictionary per column and a fingerprint per row.
     pub fn has_key_meta(&self) -> bool {
-        self.row_fps.is_some()
+        self.key_meta.is_some()
     }
 
     /// The key dictionary for `col`, resolved **positionally**: `col` must
     /// be one of this table's columns (payload-pointer identity, not name
-    /// lookup, so a borrowed `&Column` from any accessor resolves). Returns
-    /// `None` when the column carries no dictionary or the dictionary is
-    /// stale (row count mismatch after a data-changing operation).
+    /// lookup, so a borrowed `&Column` from any accessor resolves). `None`
+    /// when the table carries no metadata or the column is not its own.
     pub fn key_dict_for(&self, col: &Column) -> Option<&Arc<KeyDict>> {
+        let meta = self.key_meta.as_ref()?;
         let i = self.columns.iter().position(|c| c.shares_payload(col))?;
-        self.keyed.get(i)?.as_ref().filter(|d| d.n_rows() == col.len())
+        Some(&meta.dicts[i])
     }
 
-    /// The key dictionary of the column at position `i`, if fresh.
+    /// The key dictionary of the column at position `i`.
     pub fn key_dict_at(&self, i: usize) -> Option<&Arc<KeyDict>> {
-        self.keyed.get(i)?.as_ref().filter(|d| d.n_rows() == self.columns[i].len())
+        self.key_meta.as_ref()?.dicts.get(i)
     }
 
-    /// Ingest-built per-row content fingerprints (hash of every cell in
-    /// column order), or `None` when absent or invalidated.
+    /// Per-row content fingerprints (hash of every cell in column order).
     pub fn row_fingerprints(&self) -> Option<&[u64]> {
-        self.row_fps.as_ref().map(|v| v.as_slice())
+        self.row_fps_arc().map(|v| v.as_slice())
     }
 
-    /// The shared fingerprint vector itself — coded join indexes hold an
-    /// `Arc` clone instead of copying fingerprints per duplicate row, so a
-    /// retained index stays small (the vector is charged to
+    /// The shared fingerprint vector itself — a join index over this table
+    /// holds an `Arc` clone instead of copying fingerprints per duplicate
+    /// row (the vector is charged to
     /// [`key_meta_bytes`](Table::key_meta_bytes), not the cache budget).
     pub(crate) fn row_fps_arc(&self) -> Option<&Arc<Vec<u64>>> {
-        self.row_fps.as_ref()
+        self.key_meta.as_ref().map(|m| &m.row_fps)
     }
 
     /// Approximate heap footprint of the key metadata in bytes, for
     /// lake-level observability (dictionaries are lake-owned and shared, so
     /// they are accounted here, not against the join-index cache budget).
     pub fn key_meta_bytes(&self) -> usize {
-        let dicts: usize = self
-            .keyed
-            .iter()
-            .flatten()
-            .map(|d| d.resident_bytes())
-            .sum();
-        let fps = self
-            .row_fps
-            .as_ref()
-            .map_or(0, |v| v.capacity() * std::mem::size_of::<u64>());
-        dicts + fps
+        self.key_meta.as_ref().map_or(0, |m| {
+            let dicts: usize = m.dicts.iter().map(|d| d.resident_bytes()).sum();
+            dicts + m.row_fps.capacity() * std::mem::size_of::<u64>()
+        })
     }
 
     /// Table name.
@@ -268,22 +260,8 @@ impl Table {
         if self.has_column(&name) {
             return Err(DataError::DuplicateColumn { table: self.name.clone(), column: name });
         }
-        if !self.columns.is_empty() && col.len() != self.n_rows() {
-            return Err(DataError::LengthMismatch {
-                expected: self.n_rows(),
-                got: col.len(),
-                column: name,
-            });
-        }
         let mut t = self.clone();
-        t.index.insert(name.clone(), t.columns.len());
-        t.fields.push(Field::new(name, col.dtype()));
-        t.columns.push(col);
-        // Existing dictionaries stay valid (their payloads are unchanged),
-        // but row fingerprints cover every cell of a row — a new column
-        // changes them, so they must be recomputed, not reused.
-        t.keyed.push(None);
-        t.row_fps = None;
+        t.push_disambiguated(name, col)?;
         Ok(t)
     }
 
@@ -310,8 +288,7 @@ impl Table {
         self.index.insert(name.clone(), self.columns.len());
         self.fields.push(Field::new(name.clone(), col.dtype()));
         self.columns.push(col);
-        self.keyed.push(None);
-        self.row_fps = None;
+        self.key_meta = None;
         Ok(name)
     }
 
@@ -405,8 +382,7 @@ impl Table {
         let mut t = self.clone();
         t.fields[i].dtype = col.dtype();
         t.columns[i] = col;
-        t.keyed[i] = None;
-        t.row_fps = None;
+        t.key_meta = None;
         Ok(t)
     }
 }
@@ -632,28 +608,39 @@ mod tests {
         assert_eq!(dict.len(), 3);
         // A column from a different table never resolves.
         assert!(keyed.key_dict_for(plain.column("id").unwrap()).is_none());
-        assert!(!keyed.clone().strip_key_meta().has_key_meta());
+        assert!(plain.key_dict_at(0).is_none() && plain.row_fingerprints().is_none());
     }
 
     #[test]
-    fn data_changes_invalidate_key_meta() {
+    fn key_meta_is_all_or_nothing() {
         let keyed = sample().with_key_dicts();
-        let widened = keyed
-            .with_column("y", Column::from_ints([Some(1), Some(2), Some(3)]))
-            .unwrap();
-        // Fingerprints cover every cell of a row: gone after adding a column.
-        assert!(widened.row_fingerprints().is_none());
-        // Untouched columns keep their (payload-identical) dictionaries.
-        assert!(widened.key_dict_for(widened.column("id").unwrap()).is_some());
-        assert!(widened.key_dict_for(widened.column("y").unwrap()).is_none());
-        let replaced = keyed
-            .replace_column("id", Column::from_ints([Some(7), Some(8), Some(9)]))
-            .unwrap();
-        assert!(replaced.key_dict_for(replaced.column("id").unwrap()).is_none());
-        // Renames touch no data: metadata survives.
-        let renamed = keyed.rename_column("id", "key").unwrap();
-        assert!(renamed.has_key_meta());
-        assert!(renamed.key_dict_for(renamed.column("key").unwrap()).is_some());
+        let ints = || Column::from_ints([Some(7), Some(8), Some(9)]);
+        // Whatever changes a cell, a row or the column set drops all of it.
+        let changed = [
+            ("with_column", keyed.with_column("y", ints()).unwrap()),
+            ("replace_column", keyed.replace_column("id", ints()).unwrap()),
+            ("select", keyed.select(&["id", "x", "s"]).unwrap()),
+            ("drop_columns", keyed.drop_columns(&["x"])),
+            ("take", keyed.take(&[0, 1, 2])),
+            ("head", keyed.head(3)),
+            ("prefix_columns", keyed.prefix_columns("t")),
+        ];
+        for (op, t) in &changed {
+            assert!(!t.has_key_meta(), "{op}");
+            assert_eq!(t.key_meta_bytes(), 0, "{op}");
+            assert!(t.row_fingerprints().is_none(), "{op}");
+            assert!((0..t.n_cols()).all(|i| t.key_dict_at(i).is_none()), "{op}");
+        }
+        let mut pushed = keyed.clone();
+        pushed.push_disambiguated("id".into(), ints()).unwrap();
+        assert!(!pushed.has_key_meta() && pushed.key_meta_bytes() == 0);
+        // Renames touch no data: all of it survives and still resolves.
+        let renamed = keyed.rename_column("id", "key").unwrap().with_name("u");
+        assert_eq!(renamed.key_meta_bytes(), keyed.key_meta_bytes());
+        assert_eq!(renamed.row_fingerprints(), keyed.row_fingerprints());
+        let dict = renamed.key_dict_for(renamed.column("key").unwrap()).unwrap();
+        assert!(Arc::ptr_eq(dict, keyed.key_dict_at(0).unwrap()));
+        assert_eq!(dict.n_rows(), 3);
     }
 
     #[test]

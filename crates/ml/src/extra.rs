@@ -46,7 +46,7 @@ impl Classifier for ExtraTrees {
         }
         // Whole dataset per tree (no bootstrap) — randomness comes from the
         // random thresholds and feature subsampling; trees fit in parallel.
-        let fitted = crate::parallel::build_indexed(self.n_trees, |t| {
+        let fitted = autofeat_data::parallel::build_indexed(self.n_trees, |t| {
             let mut tree = DecisionTree::new(
                 self.tree_config.clone(),
                 self.seed ^ (t as u64).wrapping_mul(0x51_7c_c1),

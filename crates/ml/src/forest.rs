@@ -69,7 +69,7 @@ impl Classifier for RandomForest {
         // Trees are independent given per-tree seeds, so they fit in
         // parallel; results are identical to a sequential run because every
         // tree's RNG derives only from (ensemble seed, tree index).
-        let fitted = crate::parallel::build_indexed(self.n_trees, |t| {
+        let fitted = autofeat_data::parallel::build_indexed(self.n_trees, |t| {
             let mut rng = StdRng::seed_from_u64(
                 self.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );

@@ -30,7 +30,6 @@ pub mod gbdt;
 pub mod knn;
 pub mod linear;
 pub mod metrics;
-pub mod parallel;
 pub mod tree;
 
 pub use dataset::{standardize_fit, Standardizer};

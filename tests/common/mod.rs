@@ -270,19 +270,6 @@ pub fn sparse_ctx(n: usize) -> SearchContext {
     .unwrap()
 }
 
-/// The same lake with all ingest key metadata (dictionaries + row
-/// fingerprints) stripped, forcing every join index onto the hashed
-/// fallback path. Dict-determinism tests compare discovery over a context
-/// against its dictless twin bit-for-bit.
-pub fn dictless_twin(ctx: &SearchContext) -> SearchContext {
-    let tables: Vec<Table> = ctx
-        .table_names()
-        .iter()
-        .map(|n| ctx.table(n).unwrap().clone().strip_key_meta())
-        .collect();
-    SearchContext::new(tables, ctx.drg().clone(), ctx.base_name(), ctx.label()).unwrap()
-}
-
 /// Everything except the informational `threads_used`/`elapsed`/`cache`
 /// fields must match to the bit.
 pub fn assert_bit_identical(a: &DiscoveryResult, b: &DiscoveryResult, what: &str) {

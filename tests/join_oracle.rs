@@ -85,9 +85,10 @@ fn check(
 }
 
 proptest! {
-    /// One hop through every entry point and index layout: transient index,
-    /// prebuilt hashed index, prebuilt coded index (by code and by integer
-    /// value), and the lake cache.
+    /// One hop through every entry point — transient index, prebuilt index,
+    /// the lake cache — over a bare right table (the index builds its own
+    /// dictionary) and a keyed copy (it borrows the table's), group tables
+    /// addressed by code and by integer value.
     #[test]
     fn one_hop_matches_the_oracle(
         lcodes in prop::collection::vec(0i64..9, 0..24),
@@ -98,10 +99,10 @@ proptest! {
     ) {
         let left = table("base", kinds.0, &lcodes, nulls == 0);
         let right = table("ext", kinds.1, &rcodes, nulls == 1);
-        let coded = right.clone().with_key_dicts();
+        let keyed = right.clone().with_key_dicts();
         let plain = left_join_normalized(&left, &right, "k", "k", "ext", seed).unwrap();
         check(&plain, &left, &right, "k", "ext", seed)?;
-        for r in [&right, &coded] {
+        for r in [&right, &keyed] {
             let index = JoinIndex::build(r, r.column("k").unwrap()).unwrap();
             prop_assert_eq!(index.validate(r.column("k").unwrap()), Ok(()));
             let out = left_join_with_index(&left, r, &index, "k", "ext", seed).unwrap();
