@@ -296,18 +296,21 @@ impl SearchContext {
     ) -> Result<Self> {
         let base = base.into();
         let label = label.into();
-        let stripped: Vec<Table> = tables
-            .iter()
-            .map(|t| {
+        // Key metadata first: a keyed table is profiled from its
+        // dictionaries. The label is hidden by dropping its profile, not
+        // its column — dropping a column sheds the table's key metadata.
+        let tables: Vec<Table> = tables.into_iter().map(ensure_key_meta).collect();
+        let mut maintainer = DrgMaintainer::new(matcher.clone());
+        {
+            let _span = obs::span("drg_build");
+            for t in &tables {
+                let mut profiles = ColumnProfile::build_all(t);
                 if t.name() == base {
-                    t.drop_columns(&[label.as_str()])
-                } else {
-                    t.clone()
+                    profiles.retain(|p| p.column != label);
                 }
-            })
-            .collect();
-        let refs: Vec<&Table> = stripped.iter().collect();
-        let maintainer = DrgMaintainer::build(&refs, matcher);
+                maintainer.add_profiles(t.name(), profiles);
+            }
+        }
         let drg = maintainer.assemble();
         let mut ctx = SearchContext::new(tables, drg, base, label)?;
         ctx.lake = Some(Arc::new(RwLock::new(LakeState {

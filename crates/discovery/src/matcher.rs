@@ -8,7 +8,6 @@ use autofeat_data::Table;
 
 use crate::name_sim::name_similarity;
 use crate::profile::ColumnProfile;
-use crate::value_sim::{containment, jaccard};
 
 /// Matcher configuration.
 #[derive(Debug, Clone)]
@@ -65,39 +64,12 @@ impl SchemaMatcher {
     }
 
     /// Instance similarity of two profiles: exact Jaccard blended with the
-    /// larger containment direction when exact sets are available, MinHash
-    /// estimate otherwise.
+    /// larger containment direction when exact sets are available (one
+    /// merge of the two runs feeds all three terms), MinHash estimate
+    /// otherwise.
     pub fn instance_similarity(&self, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
         match (&a.value_hashes, &b.value_hashes) {
-            (Some(ha), Some(hb)) => {
-                let j = jaccard(ha, hb);
-                let c = containment(ha, hb).max(containment(hb, ha));
-                // Containment catches FK⊂PK even when sizes differ a lot.
-                (j + c) / 2.0
-            }
-            _ => a.sketch.jaccard(&b.sketch),
-        }
-    }
-
-    /// Single-pass instance similarity: one hash-set intersection feeding
-    /// both the Jaccard and containment terms. Bit-identical to
-    /// [`instance_similarity`](Self::instance_similarity) (same arithmetic,
-    /// evaluated once) but ~3× cheaper on exact sets — the variant hot
-    /// candidate-generation paths use.
-    pub fn instance_similarity_fused(&self, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
-        match (&a.value_hashes, &b.value_hashes) {
-            (Some(ha), Some(hb)) => {
-                let (small, large) = if ha.len() <= hb.len() { (ha, hb) } else { (hb, ha) };
-                let inter = small.iter().filter(|h| large.contains(h)).count() as f64;
-                let j = if ha.is_empty() && hb.is_empty() {
-                    0.0
-                } else {
-                    inter / (ha.len() as f64 + hb.len() as f64 - inter)
-                };
-                let ca = if ha.is_empty() { 0.0 } else { inter / ha.len() as f64 };
-                let cb = if hb.is_empty() { 0.0 } else { inter / hb.len() as f64 };
-                (j + ca.max(cb)) / 2.0
-            }
+            (Some(ra), Some(rb)) => exact_similarity(ra.len(), rb.len(), ra.intersection_len(rb)),
             _ => a.sketch.jaccard(&b.sketch),
         }
     }
@@ -112,16 +84,37 @@ impl SchemaMatcher {
         self.blend(name, inst)
     }
 
-    /// Composite score with a precomputed name similarity (callers that
-    /// cache name sims across many pairs — e.g. the incremental DRG
-    /// maintainer — skip recomputing Jaro-Winkler per pair). Uses the fused
-    /// instance pass; scores are bit-identical to [`score_pair`](Self::score_pair).
-    pub fn score_pair_with_name(&self, name: f64, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
+    /// The match decision for one pair, given its name similarity (callers
+    /// that cache name sims across many pairs — the incremental DRG
+    /// maintainer — skip recomputing Jaro-Winkler per pair): `Some(score)`
+    /// iff [`score_pair`](Self::score_pair)'s score reaches the threshold.
+    ///
+    /// Before merging two exact sets it asks whether the pair could reach
+    /// the threshold at all: the same blend, evaluated at
+    /// [`ValueRun::intersection_bound`] in place of the intersection. That
+    /// rejects exactly, not heuristically — the bound is never below the
+    /// intersection, and every step from intersection to blended score is a
+    /// correctly rounded operation that does not decrease as the
+    /// intersection grows, *provided* the value weight is positive and the
+    /// name weight non-negative. The weights are the caller's, so both signs
+    /// are checked and the bound is skipped when either fails.
+    ///
+    /// [`ValueRun::intersection_bound`]: crate::value_sim::ValueRun::intersection_bound
+    pub fn match_score(&self, name: f64, a: &ColumnProfile, b: &ColumnProfile) -> Option<f64> {
+        let MatcherConfig { threshold, name_weight, value_weight } = self.config;
         if !a.is_joinable_candidate() || !b.is_joinable_candidate() {
-            return 0.0;
+            return (0.0 >= threshold).then_some(0.0);
         }
-        let inst = self.instance_similarity_fused(a, b);
-        self.blend(name, inst)
+        let monotone = value_weight > 0.0 && name_weight >= 0.0;
+        if let (true, Some(ra), Some(rb)) = (monotone, &a.value_hashes, &b.value_hashes) {
+            let at_most = exact_similarity(ra.len(), rb.len(), ra.intersection_bound(rb));
+            if self.blend(name, at_most) < threshold {
+                autofeat_obs::incr("match.pairs_bound_rejected");
+                return None;
+            }
+        }
+        let score = self.blend(name, self.instance_similarity(a, b));
+        (score >= threshold).then_some(score)
     }
 
     fn blend(&self, name: f64, inst: f64) -> f64 {
@@ -179,6 +172,17 @@ impl SchemaMatcher {
         let rp = ColumnProfile::build_all(right);
         self.match_profiles(&lp, &rp)
     }
+}
+
+/// `(Jaccard + larger containment) / 2` of two sets of `na` and `nb` values
+/// sharing `shared` of them. Containment catches FK⊂PK even when sizes
+/// differ a lot.
+fn exact_similarity(na: usize, nb: usize, shared: usize) -> f64 {
+    let shared = shared as f64;
+    let j = if na == 0 && nb == 0 { 0.0 } else { shared / ((na + nb) as f64 - shared) };
+    let ca = if na == 0 { 0.0 } else { shared / na as f64 };
+    let cb = if nb == 0 { 0.0 } else { shared / nb as f64 };
+    (j + ca.max(cb)) / 2.0
 }
 
 #[cfg(test)]
@@ -295,38 +299,45 @@ mod tests {
     }
 
     #[test]
-    fn fused_instance_similarity_is_bit_identical() {
-        let lp = ColumnProfile::build_all(&applicants());
-        let rp = ColumnProfile::build_all(&credit());
+    fn instance_similarity_is_jaccard_plus_larger_containment() {
+        let profile = |values: std::ops::Range<i64>| {
+            ColumnProfile::build("t", "c", &Column::from_ints(values.map(Some)))
+        };
         let m = SchemaMatcher::paper_default();
-        for a in lp.iter().chain(rp.iter()) {
-            for b in lp.iter().chain(rp.iter()) {
-                assert_eq!(
-                    m.instance_similarity(a, b).to_bits(),
-                    m.instance_similarity_fused(a, b).to_bits(),
-                    "fused pass diverged on {}.{} × {}.{}",
-                    a.table,
-                    a.column,
-                    b.table,
-                    b.column
-                );
-            }
-        }
+        // 100 and 50 values sharing 20: Jaccard 20/130, containments 0.2 and 0.4.
+        let (a, b) = (profile(0..100), profile(80..130));
+        let want: f64 = (20.0 / 130.0 + 20.0 / 50.0) / 2.0;
+        assert_eq!(m.instance_similarity(&a, &b).to_bits(), want.to_bits());
+        assert_eq!(m.instance_similarity(&b, &a).to_bits(), want.to_bits());
+        assert_eq!(m.instance_similarity(&a, &a), 1.0);
+        assert_eq!(m.instance_similarity(&a, &profile(500..600)), 0.0);
+        // A foreign key inside its primary key scores on containment.
+        assert_eq!(m.instance_similarity(&profile(10..20), &a), (10.0 / 100.0 + 1.0) / 2.0);
+        assert_eq!(m.instance_similarity(&profile(0..0), &a), 0.0);
+        assert_eq!(m.instance_similarity(&profile(0..0), &profile(0..0)), 0.0);
     }
 
     #[test]
-    fn score_pair_with_name_matches_score_pair() {
-        use crate::name_sim::name_similarity;
+    fn match_score_is_score_pair_cut_at_the_threshold() {
         let lp = ColumnProfile::build_all(&applicants());
         let rp = ColumnProfile::build_all(&credit());
-        let m = SchemaMatcher::paper_default();
-        for a in &lp {
-            for b in &rp {
-                let name = name_similarity(&a.column, &b.column);
-                assert_eq!(
-                    m.score_pair(a, b).to_bits(),
-                    m.score_pair_with_name(name, a, b).to_bits()
-                );
+        let weights = [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.5, 1.0), (1.0, -0.5)];
+        for threshold in [-1.0, 0.0, 0.3, 0.55, 0.99] {
+            for (name_weight, value_weight) in weights {
+                let m = SchemaMatcher::new(MatcherConfig { threshold, name_weight, value_weight });
+                for a in &lp {
+                    for b in &rp {
+                        let name = name_similarity(&a.column, &b.column);
+                        let score = m.score_pair(a, b);
+                        assert_eq!(
+                            m.match_score(name, a, b).map(f64::to_bits),
+                            (score >= threshold).then_some(score.to_bits()),
+                            "{}×{} at {threshold}, weights {name_weight}/{value_weight}",
+                            a.column,
+                            b.column
+                        );
+                    }
+                }
             }
         }
     }

@@ -272,7 +272,7 @@ impl DrgMaintainer {
             .values()
             .flat_map(|s| s.profiles.iter())
             .map(|p| {
-                let exact = p.value_hashes.as_ref().map_or(0, |h| h.capacity() * 12);
+                let exact = p.value_hashes.as_ref().map_or(0, |run| run.resident_bytes());
                 exact + p.sketch.slots().len() * 8 + p.table.len() + p.column.len() + 96
             })
             .sum();
@@ -299,10 +299,12 @@ fn cached_name_sim(cache: &mut HashMap<String, HashMap<String, f64>>, a: &str, b
 /// The candidate-gated match list of one table pair, in
 /// [`SchemaMatcher::match_order`]. Scores are bit-identical to
 /// `SchemaMatcher::match_profiles` (same blend arithmetic via
-/// `score_pair_with_name`); the gate only skips pairs whose score could
-/// not reach the threshold (see module docs). A non-positive threshold
-/// disables the gate entirely — every pair scores, preserving exact
-/// all-pairs semantics for degenerate configs.
+/// `match_score`); the gate only skips pairs whose score could not reach
+/// the threshold (see module docs). A non-positive threshold disables the
+/// gate entirely — every pair scores, preserving exact all-pairs semantics
+/// for degenerate configs. `match.pairs_scored` counts the pairs that got
+/// past the gate; how many of those `match_score` settled from the
+/// occupancy maps without a merge is its `match.pairs_bound_rejected`.
 fn pair_list(
     matcher: &SchemaMatcher,
     tau_name: f64,
@@ -331,8 +333,7 @@ fn pair_list(
                 continue;
             }
             scored += 1;
-            let score = matcher.score_pair_with_name(name, pa, pb);
-            if score >= matcher.config().threshold {
+            if let Some(score) = matcher.match_score(name, pa, pb) {
                 out.push(ColumnMatch {
                     left_column: pa.column.clone(),
                     right_column: pb.column.clone(),

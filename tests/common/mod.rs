@@ -398,3 +398,121 @@ pub mod join_oracle {
         (Table::new(left.name(), cols).unwrap(), right_names, matched)
     }
 }
+
+/// An independent reference for column matching: a profile is the
+/// `HashSet` of a column's key hashes, collected row by row; a score is the
+/// arithmetic `SchemaMatcher::score_pair` had before profiles kept sorted
+/// runs — `value_sim::jaccard` and `containment` over those sets, blended
+/// with `name_similarity`; a DRG is every column pair of every table pair,
+/// scored. No dictionary, no sorted run, no occupancy bound, no LSH. It
+/// shares with the program the hash of a key, the name similarity and the
+/// two set functions, none of which the program's matcher path rewrote.
+pub mod match_oracle {
+    use std::collections::HashSet;
+
+    use autofeat::discovery::name_sim::name_similarity;
+    use autofeat::discovery::value_sim::{containment, hash_value, jaccard};
+    use autofeat::discovery::MatcherConfig;
+    use autofeat::prelude::*;
+
+    /// What the reference knows of a column.
+    pub struct Profile {
+        pub column: String,
+        pub null_ratio: f64,
+        pub values: HashSet<u64>,
+    }
+
+    pub fn profile(name: &str, col: &Column) -> Profile {
+        let values: HashSet<u64> =
+            (0..col.len()).filter_map(|row| col.key(row)).map(|k| hash_value(&k)).collect();
+        assert!(
+            values.len() <= autofeat::discovery::profile::EXACT_SET_CAP,
+            "the reference scores exact sets only"
+        );
+        Profile { column: name.to_string(), null_ratio: col.null_ratio(), values }
+    }
+
+    pub fn profiles(table: &Table) -> Vec<Profile> {
+        (0..table.n_cols()).map(|i| profile(&table.field_at(i).name, table.column_at(i))).collect()
+    }
+
+    fn joinable(p: &Profile) -> bool {
+        !p.values.is_empty() && p.null_ratio < 0.9
+    }
+
+    /// Jaccard averaged with the larger containment.
+    pub fn instance_similarity(a: &Profile, b: &Profile) -> f64 {
+        let j = jaccard(&a.values, &b.values);
+        let c = containment(&a.values, &b.values).max(containment(&b.values, &a.values));
+        (j + c) / 2.0
+    }
+
+    /// The composite score of a pair whose instance similarity is `inst`.
+    pub fn blended(config: &MatcherConfig, inst: f64, a: &Profile, b: &Profile) -> f64 {
+        if !joinable(a) || !joinable(b) {
+            return 0.0;
+        }
+        let name = name_similarity(&a.column, &b.column);
+        let w = config.name_weight + config.value_weight;
+        if w <= 0.0 {
+            return 0.0;
+        }
+        ((config.name_weight * name + config.value_weight * inst) / w).clamp(0.0, 1.0)
+    }
+
+    pub fn score(config: &MatcherConfig, a: &Profile, b: &Profile) -> f64 {
+        blended(config, instance_similarity(a, b), a, b)
+    }
+
+    /// One DRG edge: tables, columns, weight bits.
+    pub type Edge = (String, String, String, String, u64);
+
+    /// The DRG's edge list over `tables`: table pairs in name order, each
+    /// pair's matches by descending score, then column names.
+    pub fn drg_edges(tables: &[&Table], config: &MatcherConfig) -> Vec<Edge> {
+        let mut sorted: Vec<&Table> = tables.to_vec();
+        sorted.sort_by_key(|t| t.name().to_string());
+        let profiled: Vec<Vec<Profile>> = sorted.iter().map(|t| profiles(t)).collect();
+        let mut edges = Vec::new();
+        for i in 0..sorted.len() {
+            for j in i + 1..sorted.len() {
+                let mut matches: Vec<(f64, &str, &str)> = Vec::new();
+                for a in &profiled[i] {
+                    for b in &profiled[j] {
+                        let s = score(config, a, b);
+                        if s >= config.threshold {
+                            matches.push((s, &a.column, &b.column));
+                        }
+                    }
+                }
+                matches.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(y.1)).then(x.2.cmp(y.2)));
+                for (s, ca, cb) in matches {
+                    edges.push((
+                        sorted[i].name().to_string(),
+                        ca.to_string(),
+                        sorted[j].name().to_string(),
+                        cb.to_string(),
+                        s.to_bits(),
+                    ));
+                }
+            }
+        }
+        edges
+    }
+
+    /// A DRG's edge list in the same form, in the graph's own edge order.
+    pub fn edges_of(drg: &autofeat::graph::Drg) -> Vec<Edge> {
+        drg.edges()
+            .iter()
+            .map(|e| {
+                (
+                    drg.table_name(e.a).to_string(),
+                    e.a_column.clone(),
+                    drg.table_name(e.b).to_string(),
+                    e.b_column.clone(),
+                    e.weight.to_bits(),
+                )
+            })
+            .collect()
+    }
+}
