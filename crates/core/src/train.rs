@@ -54,8 +54,15 @@ pub fn evaluate_feature_set(
     for &kind in models {
         let mut model = kind.build(seed);
         autofeat_obs::incr("ml.models_evaluated");
-        let acc = match model.fit(&train_m) {
-            Ok(()) => accuracy(&model.predict(&test_m), &test_m.labels),
+        let fitted = {
+            let _span = autofeat_obs::span("model_fit");
+            model.fit(&train_m)
+        };
+        let acc = match fitted {
+            Ok(()) => {
+                let _span = autofeat_obs::span("model_predict");
+                accuracy(&model.predict(&test_m), &test_m.labels)
+            }
             // A learner that cannot handle the task (e.g. >2 classes for the
             // binary-only ones) scores 0 rather than aborting the sweep.
             Err(_) => 0.0,

@@ -41,6 +41,15 @@ impl FeatureMeans {
         &self.means
     }
 
+    /// `value`, or the feature's mean where it is missing.
+    pub fn imputed(&self, feature: usize, value: f64) -> f64 {
+        if value.is_finite() {
+            value
+        } else {
+            self.means[feature]
+        }
+    }
+
     /// Fill NaNs in a matrix (column count must match).
     pub fn transform(&self, data: &Matrix) -> Matrix {
         assert_eq!(data.cols.len(), self.means.len(), "feature count mismatch");

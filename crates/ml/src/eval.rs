@@ -13,6 +13,9 @@ pub enum MlError {
     EmptyDataset,
     /// The learner supports only binary labels but saw more classes.
     NotBinary { n_classes: usize },
+    /// A tree classifier keeps a counter per bin and class; more classes
+    /// than [`MAX_CLASSES`](crate::tree::MAX_CLASSES) is a regression target.
+    TooManyClasses { n_classes: usize },
     /// Predict was called before fit.
     NotFitted,
     /// Train/test schema mismatch.
@@ -25,6 +28,9 @@ impl fmt::Display for MlError {
             MlError::EmptyDataset => write!(f, "empty dataset"),
             MlError::NotBinary { n_classes } => {
                 write!(f, "binary classifier got {n_classes} classes")
+            }
+            MlError::TooManyClasses { n_classes } => {
+                write!(f, "tree classifier got {n_classes} classes, more than it bins")
             }
             MlError::NotFitted => write!(f, "classifier is not fitted"),
             MlError::FeatureMismatch { expected, got } => {
@@ -82,8 +88,12 @@ pub fn evaluate_split(
             got: test.n_features(),
         });
     }
-    model.fit(train)?;
+    {
+        let _span = autofeat_obs::span("model_fit");
+        model.fit(train)?;
+    }
     autofeat_obs::incr("ml.models_evaluated");
+    let _span = autofeat_obs::span("model_predict");
     Ok(accuracy(&model.predict(test), &test.labels))
 }
 

@@ -4,8 +4,7 @@
 use autofeat_data::encode::Matrix;
 
 use crate::eval::{Classifier, MlError};
-use crate::forest::majority_vote;
-use crate::tree::{DecisionTree, MaxFeatures, TreeConfig};
+use crate::tree::{ClassTrees, MaxFeatures, TreeConfig};
 
 /// An Extra-Trees classifier.
 #[derive(Debug, Clone)]
@@ -15,14 +14,14 @@ pub struct ExtraTrees {
     /// Per-tree configuration (random thresholds forced on).
     pub tree_config: TreeConfig,
     seed: u64,
-    trees: Vec<DecisionTree>,
+    fitted: ClassTrees,
 }
 
 impl ExtraTrees {
     /// Explicit configuration (random thresholds are forced on).
     pub fn new(n_trees: usize, mut tree_config: TreeConfig, seed: u64) -> Self {
         tree_config.random_thresholds = true;
-        ExtraTrees { n_trees, tree_config, seed, trees: Vec::new() }
+        ExtraTrees { n_trees, tree_config, seed, fitted: ClassTrees::default() }
     }
 
     /// Default: 30 trees, depth 12, √d features, random cuts.
@@ -41,28 +40,24 @@ impl ExtraTrees {
 
 impl Classifier for ExtraTrees {
     fn fit(&mut self, data: &Matrix) -> Result<(), MlError> {
-        if data.n_rows == 0 || data.cols.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
         // Whole dataset per tree (no bootstrap) — randomness comes from the
-        // random thresholds and feature subsampling; trees fit in parallel.
-        let fitted = autofeat_data::parallel::build_indexed(self.n_trees, |t| {
-            let mut tree = DecisionTree::new(
-                self.tree_config.clone(),
-                self.seed ^ (t as u64).wrapping_mul(0x51_7c_c1),
-            );
-            tree.fit(data).map(|()| tree)
-        });
-        self.trees = fitted.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // random thresholds and feature subsampling.
+        self.fitted = ClassTrees::fit(data, &self.tree_config, self.n_trees, |t| {
+            ((0..data.n_rows as u32).collect(), self.seed ^ (t as u64).wrapping_mul(0x51_7c_c1))
+        })?;
         Ok(())
     }
 
     fn predict_row(&self, row: &[f64]) -> i64 {
-        majority_vote(self.trees.iter().map(|t| t.predict_row(row)))
+        self.fitted.predict_row(row)
     }
 
     fn is_fitted(&self) -> bool {
-        !self.trees.is_empty()
+        self.fitted.is_fitted()
+    }
+
+    fn predict(&self, data: &Matrix) -> Vec<i64> {
+        self.fitted.predict(data)
     }
 }
 

@@ -6,7 +6,8 @@ use rand::{RngExt, SeedableRng};
 use autofeat_data::encode::Matrix;
 
 use crate::eval::{Classifier, MlError};
-use crate::tree::{DecisionTree, MaxFeatures, TreeConfig};
+pub use crate::tree::majority_vote;
+use crate::tree::{ClassTrees, MaxFeatures, TreeConfig};
 
 /// A Random Forest classifier (majority vote over bootstrapped trees).
 #[derive(Debug, Clone)]
@@ -16,25 +17,20 @@ pub struct RandomForest {
     /// Per-tree configuration.
     pub tree_config: TreeConfig,
     seed: u64,
-    trees: Vec<DecisionTree>,
+    fitted: ClassTrees,
 }
 
 impl RandomForest {
     /// Forest with explicit parameters.
     pub fn new(n_trees: usize, tree_config: TreeConfig, seed: u64) -> Self {
-        RandomForest { n_trees, tree_config, seed, trees: Vec::new() }
+        RandomForest { n_trees, tree_config, seed, fitted: ClassTrees::default() }
     }
 
     /// The paper-adequate default: 30 trees, depth 10, √d features.
     pub fn default_seeded(seed: u64) -> Self {
         RandomForest::new(
             30,
-            TreeConfig {
-                max_depth: 10,
-                max_features: MaxFeatures::Sqrt,
-                n_thresholds: 16,
-                ..Default::default()
-            },
+            TreeConfig { max_depth: 10, max_features: MaxFeatures::Sqrt, ..Default::default() },
             seed,
         )
     }
@@ -42,69 +38,38 @@ impl RandomForest {
     /// Mean impurity-based feature importance across trees (used by the
     /// ARDA baseline's random-injection selection).
     pub fn feature_importances(&self, n_features: usize) -> Vec<f64> {
-        let mut imp = vec![0.0; n_features];
-        for t in &self.trees {
-            for (i, v) in t.feature_importances(n_features).into_iter().enumerate() {
-                imp[i] += v;
-            }
-        }
-        if !self.trees.is_empty() {
-            for v in &mut imp {
-                *v /= self.trees.len() as f64;
-            }
-        }
-        imp
+        self.fitted.feature_importances(n_features)
     }
 }
 
-fn bootstrap_rows(n: usize, rng: &mut StdRng) -> Vec<usize> {
-    (0..n).map(|_| rng.random_range(0..n)).collect()
+fn bootstrap_rows(n: usize, rng: &mut StdRng) -> Vec<u32> {
+    (0..n).map(|_| rng.random_range(0..n) as u32).collect()
 }
 
 impl Classifier for RandomForest {
     fn fit(&mut self, data: &Matrix) -> Result<(), MlError> {
-        if data.n_rows == 0 || data.cols.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
-        // Trees are independent given per-tree seeds, so they fit in
-        // parallel; results are identical to a sequential run because every
-        // tree's RNG derives only from (ensemble seed, tree index).
-        let fitted = autofeat_data::parallel::build_indexed(self.n_trees, |t| {
+        // Every tree's bootstrap sample and RNG derive only from (ensemble
+        // seed, tree index), so the parallel fit equals a sequential one.
+        self.fitted = ClassTrees::fit(data, &self.tree_config, self.n_trees, |t| {
             let mut rng = StdRng::seed_from_u64(
                 self.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );
-            let rows = bootstrap_rows(data.n_rows, &mut rng);
-            let sample = data.select_rows(&rows);
-            let mut tree = DecisionTree::new(
-                self.tree_config.clone(),
-                self.seed ^ (t as u64).wrapping_mul(0x9e37),
-            );
-            tree.fit(&sample).map(|()| tree)
-        });
-        self.trees = fitted.into_iter().collect::<Result<Vec<_>, _>>()?;
+            (bootstrap_rows(data.n_rows, &mut rng), self.seed ^ (t as u64).wrapping_mul(0x9e37))
+        })?;
         Ok(())
     }
 
     fn predict_row(&self, row: &[f64]) -> i64 {
-        majority_vote(self.trees.iter().map(|t| t.predict_row(row)))
+        self.fitted.predict_row(row)
     }
 
     fn is_fitted(&self) -> bool {
-        !self.trees.is_empty()
+        self.fitted.is_fitted()
     }
-}
 
-/// Majority vote with deterministic (smallest-label) tie-break.
-pub fn majority_vote(votes: impl Iterator<Item = i64>) -> i64 {
-    let mut counts: std::collections::BTreeMap<i64, usize> = std::collections::BTreeMap::new();
-    for v in votes {
-        *counts.entry(v).or_insert(0) += 1;
+    fn predict(&self, data: &Matrix) -> Vec<i64> {
+        self.fitted.predict(data)
     }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(label, _)| label)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -159,6 +124,32 @@ mod tests {
         assert_eq!(majority_vote([1, 2].into_iter()), 1);
         assert_eq!(majority_vote([3, 3, 2].into_iter()), 3);
         assert_eq!(majority_vote(std::iter::empty()), 0);
+    }
+
+    /// One imputation per ensemble: a missing cell is filled with the mean
+    /// of the training matrix, not with each tree's own bootstrap mean (or 0
+    /// where a sample held no present value).
+    #[test]
+    fn a_missing_cell_predicts_as_the_training_mean_written_in() {
+        // The only feature is present in 3 of 200 rows, and those are the
+        // positives. Their mean, 0, is itself a present value.
+        let n = 200;
+        let mut x = vec![f64::NAN; n];
+        (x[17], x[90], x[151]) = (-100.0, 0.0, 100.0);
+        let labels: Vec<i64> = x.iter().map(|v| i64::from(v.is_finite())).collect();
+        let m = Matrix { feature_names: vec!["x".into()], cols: vec![x], labels, n_rows: n };
+        // A forest of one tree has no vote to hide a private mean behind.
+        let mut models: Vec<Box<dyn Classifier>> = (0..12)
+            .map(|seed| Box::new(RandomForest::new(1, TreeConfig::default(), seed)) as _)
+            .collect();
+        models.push(Box::new(RandomForest::default_seeded(0)));
+        models.push(Box::new(crate::extra::ExtraTrees::default_seeded(0)));
+        for model in &mut models {
+            model.fit(&m).unwrap();
+            assert_eq!(model.predict_row(&[f64::NAN]), model.predict_row(&[0.0]));
+            // 197 of the 198 training rows at the mean are negatives.
+            assert_eq!(model.predict_row(&[f64::NAN]), 0);
+        }
     }
 
     #[test]

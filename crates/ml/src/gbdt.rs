@@ -6,15 +6,20 @@
 //!   shallow trees, higher learning rate;
 //! * [`GbdtConfig::xgboost_like`] — second-order (Newton) leaf weights with
 //!   an L2 regulariser λ on the leaves.
+//!
+//! A fit bins the training matrix once; every round grows a histogram tree
+//! on the same codes and adds each leaf's value to its rows' margins as the
+//! leaf is made.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use autofeat_data::encode::Matrix;
 
+use crate::bins::BinnedMatrix;
 use crate::dataset::FeatureMeans;
 use crate::eval::{Classifier, MlError};
-use crate::tree::{MaxFeatures, RegressionTree, TreeConfig};
+use crate::tree::{Gradients, MaxFeatures, RegressionTree, TreeConfig};
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone)]
@@ -41,7 +46,6 @@ impl GbdtConfig {
                 max_depth: 4,
                 min_samples_leaf: 5,
                 max_features: MaxFeatures::All,
-                n_thresholds: 32,
                 ..Default::default()
             },
             lambda: 0.0,
@@ -58,7 +62,6 @@ impl GbdtConfig {
                 max_depth: 4,
                 min_samples_leaf: 2,
                 max_features: MaxFeatures::All,
-                n_thresholds: 32,
                 ..Default::default()
             },
             lambda: 1.0,
@@ -98,21 +101,26 @@ impl Gbdt {
         }
     }
 
-    /// Raw margin (log-odds) for a NaN-free row.
-    fn margin(&self, row: &[f64]) -> f64 {
-        self.base_score
+    /// Positive-class probability of a row read feature by feature through
+    /// `at`, missing cells filled with the training means.
+    fn proba(&self, at: impl Fn(usize) -> f64) -> f64 {
+        let at = &|j| self.means.imputed(j, at(j));
+        let margin = self.base_score
             + self
                 .trees
                 .iter()
-                .map(|t| self.config.learning_rate * t.predict_row(row))
-                .sum::<f64>()
+                .map(|t| self.config.learning_rate * t.value_at(at))
+                .sum::<f64>();
+        sigmoid(margin)
+    }
+
+    fn class_of(&self, proba: f64) -> i64 {
+        self.classes[usize::from(proba >= 0.5)]
     }
 
     /// Predicted probability of the positive class.
     pub fn predict_proba_row(&self, row: &[f64]) -> f64 {
-        let mut row = row.to_vec();
-        self.means.transform_row(&mut row);
-        sigmoid(self.margin(&row))
+        self.proba(|j| row[j])
     }
 }
 
@@ -127,18 +135,17 @@ impl Classifier for Gbdt {
         if classes.len() > 2 {
             return Err(MlError::NotBinary { n_classes: classes.len() });
         }
+        self.trees.clear();
         if classes.len() == 1 {
             // Degenerate but legal: constant predictor.
             self.classes = [classes[0], classes[0]];
             self.base_score = 1e6; // always predicts the single class
-            self.trees.clear();
             self.means = FeatureMeans::fit(data);
             self.fitted = true;
             return Ok(());
         }
         self.classes = [classes[0], classes[1]];
-        self.means = FeatureMeans::fit(data);
-        let data = self.means.transform(data);
+        let binned = BinnedMatrix::new(data);
         let y: Vec<f64> = data
             .labels
             .iter()
@@ -149,51 +156,60 @@ impl Classifier for Gbdt {
         self.base_score = (pos.clamp(1e-6, 1.0 - 1e-6) / (1.0 - pos.clamp(1e-6, 1.0 - 1e-6))).ln();
 
         let n = data.n_rows;
+        let lr = self.config.learning_rate;
         let mut margins = vec![self.base_score; n];
-        let rows: Vec<usize> = (0..n).collect();
+        let mut grad = vec![0.0; n];
+        let mut hess = vec![0.0; if self.config.second_order { n } else { 0 }];
+        let mut rows: Vec<u32> = Vec::with_capacity(n);
         let mut rng = StdRng::seed_from_u64(self.seed);
-        self.trees.clear();
         for _ in 0..self.config.n_rounds {
-            let mut grad = Vec::with_capacity(n);
-            let mut hess = Vec::with_capacity(n);
             for i in 0..n {
                 let p = sigmoid(margins[i]);
-                grad.push(p - y[i]);
-                hess.push(if self.config.second_order {
-                    (p * (1.0 - p)).max(1e-6)
-                } else {
-                    1.0
-                });
+                grad[i] = p - y[i];
+                if self.config.second_order {
+                    hess[i] = (p * (1.0 - p)).max(1e-6);
+                }
             }
+            // Growing a tree reorders the list; every round starts in row
+            // order.
+            rows.clear();
+            rows.extend(0..n as u32);
+            let gradients = Gradients {
+                grad: &grad,
+                hess: self.config.second_order.then_some(&hess[..]),
+                lambda: self.config.lambda,
+            };
+            // A leaf's rows are exactly the rows the tree would predict its
+            // value for, so the margins move without predicting.
             let tree = RegressionTree::fit(
-                &data,
-                &grad,
-                &hess,
-                self.config.tree_config.clone(),
-                self.config.lambda,
-                &rows,
+                &binned,
+                &gradients,
+                &self.config.tree_config,
+                &mut rows,
                 &mut rng,
+                |leaf_rows, value| {
+                    for &r in leaf_rows {
+                        margins[r as usize] += lr * value;
+                    }
+                },
             );
-            for i in 0..n {
-                let row: Vec<f64> = data.cols.iter().map(|c| c[i]).collect();
-                margins[i] += self.config.learning_rate * tree.predict_row(&row);
-            }
             self.trees.push(tree);
         }
+        self.means = binned.means().clone();
         self.fitted = true;
         Ok(())
     }
 
     fn predict_row(&self, row: &[f64]) -> i64 {
-        if self.predict_proba_row(row) >= 0.5 {
-            self.classes[1]
-        } else {
-            self.classes[0]
-        }
+        self.class_of(self.predict_proba_row(row))
     }
 
     fn is_fitted(&self) -> bool {
         self.fitted
+    }
+
+    fn predict(&self, data: &Matrix) -> Vec<i64> {
+        (0..data.n_rows).map(|i| self.class_of(self.proba(|j| data.cols[j][i]))).collect()
     }
 }
 

@@ -1,11 +1,20 @@
-//! CART decision trees: gini-based classification trees and
-//! variance-reduction regression trees (the boosting building block).
+//! Histogram decision trees: gini classification trees and the gradient
+//! regression trees inside boosting, grown by one grower over a
+//! [`BinnedMatrix`].
+//!
+//! A node's histogram holds, per feature and bin, the statistic of the
+//! node's rows — class counts, or `Σg, Σh, n`. It is filled in one pass over
+//! the node's row list; after a split only the smaller child is passed over
+//! again, and the larger child's histogram is the parent's minus the
+//! smaller's. The split search adds up each candidate feature's occupied
+//! bins in ascending order and scores every prefix.
 
 use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{RngExt, SeedableRng};
 
 use autofeat_data::encode::Matrix;
 
+use crate::bins::BinnedMatrix;
 use crate::dataset::FeatureMeans;
 use crate::eval::{Classifier, MlError};
 
@@ -31,8 +40,6 @@ pub struct TreeConfig {
     pub min_samples_leaf: usize,
     /// Feature subsampling per split.
     pub max_features: MaxFeatures,
-    /// Cap on candidate thresholds per feature (quantile-spaced).
-    pub n_thresholds: usize,
     /// Extremely-randomized mode: one uniform-random threshold per feature.
     pub random_thresholds: bool,
 }
@@ -44,34 +51,42 @@ impl Default for TreeConfig {
             min_samples_split: 2,
             min_samples_leaf: 1,
             max_features: MaxFeatures::All,
-            n_thresholds: 32,
             random_thresholds: false,
         }
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
+/// The most classes a tree classifier takes: a node's histogram holds
+/// bins × classes counters per feature.
+pub const MAX_CLASSES: usize = 255;
+
+/// One node of a fitted tree. Nodes sit in an arena in pre-order, the root
+/// at index 0.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Node {
+    /// Predicts `value`: a class label in a classification tree, a
+    /// regression value in a regression tree.
     Leaf { value: f64 },
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
+    /// Sends a row with `feature ≤ threshold` to the node at arena index
+    /// `left`, any other to `right`. `gain` is the split's gain times the
+    /// rows it divided — what feature importances add up.
+    Split { feature: usize, threshold: f64, left: usize, right: usize, gain: f64 },
 }
 
-/// A fitted tree: arena of nodes, root at index 0. `value` at leaves is a
-/// class code for classification trees and a regression value for
-/// regression trees.
 #[derive(Debug, Clone, Default)]
 struct TreeNodes {
     nodes: Vec<Node>,
 }
 
 impl TreeNodes {
-    fn predict_value(&self, row: &[f64]) -> f64 {
+    /// Walk from the root; `at(j)` is the row's (NaN-free) feature `j`.
+    fn predict_value(&self, at: impl Fn(usize) -> f64) -> f64 {
         let mut i = 0usize;
         loop {
             match &self.nodes[i] {
                 Node::Leaf { value } => return *value,
-                Node::Split { feature, threshold, left, right } => {
-                    i = if row[*feature] <= *threshold { *left } else { *right };
+                Node::Split { feature, threshold, left, right, .. } => {
+                    i = if at(*feature) <= *threshold { *left } else { *right };
                 }
             }
         }
@@ -84,6 +99,24 @@ impl TreeNodes {
                 1 + self.depth_of(*left).max(self.depth_of(*right))
             }
         }
+    }
+
+    /// Total gain per feature, normalized to sum to 1 (zeros for a single
+    /// leaf).
+    fn feature_importances(&self, n_features: usize) -> Vec<f64> {
+        let mut imp = vec![0.0; n_features];
+        for node in &self.nodes {
+            if let Node::Split { feature, gain, .. } = node {
+                imp[*feature] += gain;
+            }
+        }
+        let s: f64 = imp.iter().sum();
+        if s > 0.0 {
+            for v in &mut imp {
+                *v /= s;
+            }
+        }
+        imp
     }
 }
 
@@ -111,58 +144,586 @@ fn candidate_features(
     idx
 }
 
-/// Candidate thresholds for a feature over the given rows: quantile-spaced
-/// midpoints, or a single uniform-random cut in extra-trees mode.
-fn thresholds(
-    values: &[f64],
-    cfg: &TreeConfig,
-    rng: &mut StdRng,
-) -> Vec<f64> {
-    let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("imputed, finite"));
-    v.dedup();
-    if v.len() < 2 {
-        return Vec::new();
+/// The statistic a node keeps per histogram bin — class counts or gradient
+/// sums — and what the grower asks of it.
+trait NodeStat {
+    /// One accumulator; a bin holds [`NodeStat::width`] of them.
+    type Cell: Copy + Default;
+
+    /// Accumulators per bin.
+    fn width(&self) -> usize;
+
+    /// Add one training row to a bin.
+    fn add_row(&self, bin: &mut [Self::Cell], row: u32);
+
+    /// `acc += bin`.
+    fn add(acc: &mut [Self::Cell], bin: &[Self::Cell]);
+
+    /// `acc -= bin`.
+    fn sub(acc: &mut [Self::Cell], bin: &[Self::Cell]);
+
+    /// Rows a bin holds.
+    fn rows(bin: &[Self::Cell]) -> usize;
+
+    /// Whether no split can improve on a node with this statistic.
+    fn is_pure(&self, _node: &[Self::Cell]) -> bool {
+        false
     }
-    if cfg.random_thresholds {
-        let lo = v[0];
-        let hi = v[v.len() - 1];
-        return vec![rng.random_range(lo..hi)];
-    }
-    if v.len() - 1 <= cfg.n_thresholds {
-        return v.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
-    }
-    (1..=cfg.n_thresholds)
-        .map(|i| {
-            let pos = i * (v.len() - 1) / (cfg.n_thresholds + 1);
-            (v[pos] + v[pos + 1]) / 2.0
-        })
-        .collect()
+
+    /// What the two sides of a split are measured against.
+    fn score(&self, node: &[Self::Cell]) -> f64;
+
+    /// Gain of taking `left` out of a node that holds `total` and scores
+    /// `parent`.
+    fn gain(&self, parent: f64, total: &[Self::Cell], left: &[Self::Cell]) -> f64;
+
+    /// What a leaf with this statistic predicts.
+    fn leaf_value(&self, node: &[Self::Cell]) -> f64;
 }
 
-/// Gini impurity from class counts.
-fn gini(counts: &[usize], total: usize) -> f64 {
+/// Gini impurity from class counts that sum to `total`.
+fn gini(counts: impl Iterator<Item = u32>, total: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
     let t = total as f64;
     1.0 - counts
-        .iter()
-        .map(|&c| {
-            let p = c as f64 / t;
+        .map(|c| {
+            let p = f64::from(c) / t;
             p * p
         })
         .sum::<f64>()
 }
 
-struct ClassificationTarget<'a> {
-    labels: &'a [i64],
+/// Class counts per bin, scored by gini gain; a leaf predicts its majority
+/// class.
+struct ClassCounts<'a> {
+    /// Index into `classes` of every training row's label.
+    class_of: &'a [u8],
+    /// The distinct labels, ascending.
     classes: &'a [i64],
 }
 
-impl ClassificationTarget<'_> {
-    fn class_index(&self, label: i64) -> usize {
-        self.classes.binary_search(&label).expect("label seen at fit")
+impl NodeStat for ClassCounts<'_> {
+    type Cell = u32;
+
+    fn width(&self) -> usize {
+        self.classes.len()
+    }
+
+    fn add_row(&self, bin: &mut [u32], row: u32) {
+        bin[usize::from(self.class_of[row as usize])] += 1;
+    }
+
+    fn add(acc: &mut [u32], bin: &[u32]) {
+        for (a, b) in acc.iter_mut().zip(bin) {
+            *a += b;
+        }
+    }
+
+    fn sub(acc: &mut [u32], bin: &[u32]) {
+        for (a, b) in acc.iter_mut().zip(bin) {
+            *a -= b;
+        }
+    }
+
+    fn rows(bin: &[u32]) -> usize {
+        bin.iter().map(|&c| c as usize).sum()
+    }
+
+    fn is_pure(&self, node: &[u32]) -> bool {
+        self.score(node) == 0.0
+    }
+
+    fn score(&self, node: &[u32]) -> f64 {
+        gini(node.iter().copied(), Self::rows(node))
+    }
+
+    fn gain(&self, parent: f64, total: &[u32], left: &[u32]) -> f64 {
+        let (n, nl) = (Self::rows(total), Self::rows(left));
+        let right = total.iter().zip(left).map(|(t, l)| t - l);
+        parent
+            - (nl as f64 / n as f64) * gini(left.iter().copied(), nl)
+            - ((n - nl) as f64 / n as f64) * gini(right, n - nl)
+    }
+
+    fn leaf_value(&self, node: &[u32]) -> f64 {
+        node.iter()
+            .enumerate()
+            .max_by_key(|(_, &c)| c)
+            .map_or(0, |(i, _)| self.classes[i]) as f64
+    }
+}
+
+/// Per-row gradients and hessians of the boosting loss: a bin holds
+/// `Σg, Σh, n`, a split gains `G²/(H+λ)` summed over its sides minus the
+/// node's, and a leaf predicts the Newton step `−G/(H+λ)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Gradients<'a> {
+    /// First derivative of the loss per training row.
+    pub grad: &'a [f64],
+    /// Second derivative per training row; `None` means 1 everywhere
+    /// (first-order boosting), and `Σh` is then the row count.
+    pub hess: Option<&'a [f64]>,
+    /// Leaf L2 regulariser λ.
+    pub lambda: f64,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct GradientSums {
+    g: f64,
+    h: f64,
+    n: u32,
+}
+
+impl Gradients<'_> {
+    fn hess_sum(&self, node: &GradientSums) -> f64 {
+        if self.hess.is_some() {
+            node.h
+        } else {
+            f64::from(node.n)
+        }
+    }
+}
+
+impl NodeStat for Gradients<'_> {
+    type Cell = GradientSums;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn add_row(&self, bin: &mut [GradientSums], row: u32) {
+        bin[0].g += self.grad[row as usize];
+        if let Some(hess) = self.hess {
+            bin[0].h += hess[row as usize];
+        }
+        bin[0].n += 1;
+    }
+
+    fn add(acc: &mut [GradientSums], bin: &[GradientSums]) {
+        acc[0].g += bin[0].g;
+        acc[0].h += bin[0].h;
+        acc[0].n += bin[0].n;
+    }
+
+    fn sub(acc: &mut [GradientSums], bin: &[GradientSums]) {
+        acc[0].g -= bin[0].g;
+        acc[0].h -= bin[0].h;
+        acc[0].n -= bin[0].n;
+    }
+
+    fn rows(bin: &[GradientSums]) -> usize {
+        bin[0].n as usize
+    }
+
+    fn score(&self, node: &[GradientSums]) -> f64 {
+        node[0].g * node[0].g / (self.hess_sum(&node[0]) + self.lambda)
+    }
+
+    fn gain(&self, parent: f64, total: &[GradientSums], left: &[GradientSums]) -> f64 {
+        let mut right = [total[0]];
+        Self::sub(&mut right, left);
+        self.score(left) + self.score(&right) - parent
+    }
+
+    fn leaf_value(&self, node: &[GradientSums]) -> f64 {
+        -node[0].g / (self.hess_sum(&node[0]) + self.lambda)
+    }
+}
+
+/// One node's statistics per feature and bin.
+struct Hist<C> {
+    /// `width` accumulators per bin, features back to back.
+    cells: Vec<C>,
+    /// One bit per bin of each feature, set where the bin holds a row; every
+    /// cell of a bin whose bit is clear is zero.
+    occupied: Vec<[u64; 4]>,
+}
+
+/// The set bits of an occupancy map, ascending.
+fn occupied_bins(words: [u64; 4]) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bin = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                bin
+            })
+        })
+    })
+}
+
+/// A chosen split: rows whose `feature` code is at most `bin` go left.
+struct Split<C> {
+    feature: usize,
+    bin: usize,
+    gain: f64,
+    /// Statistic of the left side.
+    left: Vec<C>,
+}
+
+/// Stable in-place partition of a node's rows by `code ≤ bin`; returns the
+/// size of the left side.
+fn partition(rows: &mut [u32], codes: &[u8], bin: u8, moved: &mut Vec<u32>) -> usize {
+    moved.clear();
+    let mut n_left = 0;
+    for i in 0..rows.len() {
+        let r = rows[i];
+        if codes[r as usize] <= bin {
+            rows[n_left] = r;
+            n_left += 1;
+        } else {
+            moved.push(r);
+        }
+    }
+    rows[n_left..].copy_from_slice(moved);
+    n_left
+}
+
+struct Grower<'a, S: NodeStat, L> {
+    binned: &'a BinnedMatrix,
+    stat: &'a S,
+    cfg: &'a TreeConfig,
+    rng: &'a mut StdRng,
+    /// Told every leaf's rows and value as the leaf is made.
+    on_leaf: L,
+    /// First bin of each feature in a histogram, and the total past the end.
+    offsets: Vec<usize>,
+    nodes: Vec<Node>,
+    /// Zeroed histograms awaiting reuse.
+    spare: Vec<Hist<S::Cell>>,
+    /// The right side of the row partition in flight.
+    moved: Vec<u32>,
+    /// Rows × features over every histogram pass.
+    row_updates: u64,
+}
+
+/// Grow one tree on the training rows listed in `rows` (repeats allowed;
+/// the list is reordered). Returns the tree and its histogram row updates.
+fn grow_tree<S: NodeStat>(
+    binned: &BinnedMatrix,
+    stat: &S,
+    cfg: &TreeConfig,
+    rows: &mut [u32],
+    rng: &mut StdRng,
+    on_leaf: impl FnMut(&[u32], f64),
+) -> (TreeNodes, u64) {
+    let mut offsets = vec![0];
+    for f in 0..binned.n_features() {
+        offsets.push(offsets[f] + binned.n_bins(f));
+    }
+    let mut grower = Grower {
+        binned,
+        stat,
+        cfg,
+        rng,
+        on_leaf,
+        offsets,
+        nodes: Vec::new(),
+        spare: Vec::new(),
+        moved: Vec::new(),
+        row_updates: 0,
+    };
+    let mut total = vec![S::Cell::default(); stat.width()];
+    for &r in rows.iter() {
+        stat.add_row(&mut total, r);
+    }
+    grower.grow(rows, &total, 0, None);
+    (TreeNodes { nodes: grower.nodes }, grower.row_updates)
+}
+
+impl<S: NodeStat, L: FnMut(&[u32], f64)> Grower<'_, S, L> {
+    fn may_split(&self, n_rows: usize, total: &[S::Cell], depth: usize) -> bool {
+        depth < self.cfg.max_depth
+            && n_rows >= self.cfg.min_samples_split
+            && !self.stat.is_pure(total)
+    }
+
+    /// The cells of one feature in a histogram's cell array.
+    fn cells_of(&self, feature: usize) -> std::ops::Range<usize> {
+        let w = self.stat.width();
+        self.offsets[feature] * w..self.offsets[feature + 1] * w
+    }
+
+    /// The histogram of a row list over `features`: one pass per feature.
+    fn fill(&mut self, rows: &[u32], features: &[usize]) -> Hist<S::Cell> {
+        let (w, d) = (self.stat.width(), self.binned.n_features());
+        let mut hist = self.spare.pop().unwrap_or_else(|| Hist {
+            cells: vec![S::Cell::default(); self.offsets[d] * w],
+            occupied: vec![[0; 4]; d],
+        });
+        for &feature in features {
+            let codes = self.binned.codes(feature);
+            let cells = &mut hist.cells[self.cells_of(feature)];
+            let mut occupied = [0u64; 4];
+            for &r in rows {
+                let bin = usize::from(codes[r as usize]);
+                self.stat.add_row(&mut cells[bin * w..(bin + 1) * w], r);
+                occupied[bin >> 6] |= 1 << (bin & 63);
+            }
+            hist.occupied[feature] = occupied;
+        }
+        self.row_updates += (rows.len() * features.len()) as u64;
+        hist
+    }
+
+    /// Turn a node's histogram into its larger child's by subtracting the
+    /// smaller child's, bin by occupied bin.
+    fn subtract(&self, node: &mut Hist<S::Cell>, child: &Hist<S::Cell>) {
+        let w = self.stat.width();
+        for feature in 0..self.binned.n_features() {
+            let range = self.cells_of(feature);
+            let (cells, small) = (&mut node.cells[range.clone()], &child.cells[range]);
+            for bin in occupied_bins(node.occupied[feature]) {
+                let cell = &mut cells[bin * w..(bin + 1) * w];
+                S::sub(cell, &small[bin * w..(bin + 1) * w]);
+                if S::rows(cell) == 0 {
+                    // Float sums leave a residue where the last row left.
+                    cell.fill(S::Cell::default());
+                    node.occupied[feature][bin >> 6] &= !(1 << (bin & 63));
+                }
+            }
+        }
+    }
+
+    /// Zero a histogram's occupied bins and keep it for the next node.
+    fn release(&mut self, mut hist: Hist<S::Cell>) {
+        let w = self.stat.width();
+        for feature in 0..self.binned.n_features() {
+            let cells = &mut hist.cells[self.cells_of(feature)];
+            for bin in occupied_bins(std::mem::take(&mut hist.occupied[feature])) {
+                cells[bin * w..(bin + 1) * w].fill(S::Cell::default());
+            }
+        }
+        self.spare.push(hist);
+    }
+
+    /// The best split of a node over its candidate features: features in
+    /// drawn order, cuts ascending, the first of equal gains wins and a zero
+    /// gain is accepted (XOR-like plateaus need it).
+    fn best_split(
+        &mut self,
+        hist: &Hist<S::Cell>,
+        features: &[usize],
+        total: &[S::Cell],
+        n_rows: usize,
+    ) -> Option<Split<S::Cell>> {
+        let w = self.stat.width();
+        let parent = self.stat.score(total);
+        let mut best: Option<Split<S::Cell>> = None;
+        let mut left = vec![S::Cell::default(); w];
+        for &feature in features {
+            let cells = &hist.cells[self.cells_of(feature)];
+            let occupied = hist.occupied[feature];
+            let mut consider = |bin: usize, left: &[S::Cell]| {
+                let gain = self.stat.gain(parent, total, left);
+                if gain >= 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
+                    best = Some(Split { feature, bin, gain, left: left.to_vec() });
+                }
+            };
+            left.fill(S::Cell::default());
+            if self.cfg.random_thresholds {
+                // One uniform draw in the node's value range, snapped down
+                // to a bin edge that leaves rows on both sides.
+                let mut bins = occupied_bins(occupied);
+                let Some(first) = bins.next() else { continue };
+                let Some(last) = bins.last() else { continue };
+                let lo = self.binned.bin_range(feature, first).0;
+                let hi = self.binned.bin_range(feature, last).1;
+                let t = self.rng.random_range(lo..hi);
+                let bin = self.binned.bins_at_or_below(feature, t).clamp(first + 1, last) - 1;
+                for b in occupied_bins(occupied).take_while(|&b| b <= bin) {
+                    S::add(&mut left, &cells[b * w..(b + 1) * w]);
+                }
+                consider(bin, &left);
+            } else {
+                let mut n_left = 0;
+                for bin in occupied_bins(occupied) {
+                    let cell = &cells[bin * w..(bin + 1) * w];
+                    S::add(&mut left, cell);
+                    n_left += S::rows(cell);
+                    if n_left == n_rows {
+                        break; // the node's last bin: nothing to its right
+                    }
+                    consider(bin, &left);
+                }
+            }
+        }
+        best
+    }
+
+    fn leaf(&mut self, rows: &[u32], total: &[S::Cell]) -> usize {
+        let value = self.stat.leaf_value(total);
+        (self.on_leaf)(rows, value);
+        self.nodes.push(Node::Leaf { value });
+        self.nodes.len() - 1
+    }
+
+    /// Grow the subtree of a node in pre-order and return its arena index.
+    /// `inherited` is the node's histogram where its parent made one.
+    fn grow(
+        &mut self,
+        rows: &mut [u32],
+        total: &[S::Cell],
+        depth: usize,
+        inherited: Option<Hist<S::Cell>>,
+    ) -> usize {
+        if !self.may_split(rows.len(), total, depth) {
+            if let Some(hist) = inherited {
+                self.release(hist);
+            }
+            return self.leaf(rows, total);
+        }
+        let d = self.binned.n_features();
+        let features = candidate_features(d, self.cfg.max_features, self.rng);
+        let mut hist = match inherited {
+            Some(hist) => hist,
+            None => self.fill(rows, &features),
+        };
+        // The leaf minimum is held against the chosen split, not searched
+        // around: a best split that breaks it makes the node a leaf.
+        let min_leaf = self.cfg.min_samples_leaf;
+        let split = self.best_split(&hist, &features, total, rows.len()).filter(|s| {
+            let n_left = S::rows(&s.left);
+            n_left >= min_leaf && rows.len() - n_left >= min_leaf
+        });
+        let Some(split) = split else {
+            self.release(hist);
+            return self.leaf(rows, total);
+        };
+        let id = self.nodes.len();
+        self.nodes.push(Node::Leaf { value: 0.0 }); // holds the place in pre-order
+        let gain = split.gain * rows.len() as f64;
+        let codes = self.binned.codes(split.feature);
+        let n_left = partition(rows, codes, split.bin as u8, &mut self.moved);
+        let (lrows, rrows) = rows.split_at_mut(n_left);
+        let mut right_total = total.to_vec();
+        S::sub(&mut right_total, &split.left);
+
+        // A node that looked at every feature hands histograms down, unless
+        // both children are leaves anyway: the smaller child gets a row pass,
+        // the larger one what is left of the parent's. Children of a node
+        // that sampled features sample their own and fill only those.
+        let hands_down = features.len() == d
+            && (self.may_split(lrows.len(), &split.left, depth + 1)
+                || self.may_split(rrows.len(), &right_total, depth + 1));
+        let (left_hist, right_hist) = if !hands_down {
+            self.release(hist);
+            (None, None)
+        } else if lrows.len() <= rrows.len() {
+            let small = self.fill(lrows, &features);
+            self.subtract(&mut hist, &small);
+            (Some(small), Some(hist))
+        } else {
+            let small = self.fill(rrows, &features);
+            self.subtract(&mut hist, &small);
+            (Some(hist), Some(small))
+        };
+        let left = self.grow(lrows, &split.left, depth + 1, left_hist);
+        let right = self.grow(rrows, &right_total, depth + 1, right_hist);
+        self.nodes[id] = Node::Split {
+            feature: split.feature,
+            threshold: self.binned.cut(split.feature, split.bin),
+            left,
+            right,
+            gain,
+        };
+        id
+    }
+}
+
+/// Majority vote with deterministic (smallest-label) tie-break.
+pub fn majority_vote(votes: impl Iterator<Item = i64>) -> i64 {
+    let mut counts: std::collections::BTreeMap<i64, usize> = std::collections::BTreeMap::new();
+    for v in votes {
+        *counts.entry(v).or_insert(0) += 1;
+    }
+    counts
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        .map(|(label, _)| label)
+        .unwrap_or(0)
+}
+
+/// Classification trees grown over one binned, once-imputed copy of the
+/// training matrix and voted by majority: what a [`DecisionTree`] (one
+/// tree), a random forest and extra-trees are once fitted.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ClassTrees {
+    trees: Vec<TreeNodes>,
+    means: FeatureMeans,
+}
+
+impl ClassTrees {
+    /// Grow `n_trees` trees in parallel; `plan(t)` gives tree `t` its row
+    /// list (ids into `data`, repeats allowed) and its seed, so the result
+    /// does not depend on the worker count.
+    pub(crate) fn fit(
+        data: &Matrix,
+        cfg: &TreeConfig,
+        n_trees: usize,
+        plan: impl Fn(usize) -> (Vec<u32>, u64) + Sync,
+    ) -> Result<Self, MlError> {
+        if data.n_rows == 0 || data.cols.is_empty() {
+            return Err(MlError::EmptyDataset);
+        }
+        let mut classes: Vec<i64> = data.labels.clone();
+        classes.sort_unstable();
+        classes.dedup();
+        if classes.len() > MAX_CLASSES {
+            return Err(MlError::TooManyClasses { n_classes: classes.len() });
+        }
+        let class_of: Vec<u8> = data
+            .labels
+            .iter()
+            .map(|l| classes.binary_search(l).expect("every label is a class") as u8)
+            .collect();
+        let binned = BinnedMatrix::new(data);
+        let stat = ClassCounts { class_of: &class_of, classes: &classes };
+        let grown = autofeat_data::parallel::build_indexed(n_trees, |t| {
+            let (mut rows, seed) = plan(t);
+            let mut rng = StdRng::seed_from_u64(seed);
+            grow_tree(&binned, &stat, cfg, &mut rows, &mut rng, |_, _| {})
+        });
+        autofeat_obs::add("ml.trees_grown", n_trees as u64);
+        autofeat_obs::add("ml.hist_row_updates", grown.iter().map(|(_, n)| n).sum());
+        Ok(ClassTrees {
+            trees: grown.into_iter().map(|(tree, _)| tree).collect(),
+            means: binned.means().clone(),
+        })
+    }
+
+    pub(crate) fn is_fitted(&self) -> bool {
+        !self.trees.is_empty()
+    }
+
+    fn vote(&self, at: impl Fn(usize) -> f64 + Copy) -> i64 {
+        majority_vote(self.trees.iter().map(|t| t.predict_value(at) as i64))
+    }
+
+    pub(crate) fn predict_row(&self, row: &[f64]) -> i64 {
+        self.vote(|j| self.means.imputed(j, row[j]))
+    }
+
+    pub(crate) fn predict(&self, data: &Matrix) -> Vec<i64> {
+        (0..data.n_rows).map(|i| self.vote(|j| self.means.imputed(j, data.cols[j][i]))).collect()
+    }
+
+    /// Mean over trees of each tree's normalized gain per feature.
+    pub(crate) fn feature_importances(&self, n_features: usize) -> Vec<f64> {
+        let mut imp = vec![0.0; n_features];
+        for t in &self.trees {
+            for (i, v) in t.feature_importances(n_features).into_iter().enumerate() {
+                imp[i] += v;
+            }
+        }
+        if !self.trees.is_empty() {
+            for v in &mut imp {
+                *v /= self.trees.len() as f64;
+            }
+        }
+        imp
     }
 }
 
@@ -172,293 +733,99 @@ pub struct DecisionTree {
     /// Hyper-parameters.
     pub config: TreeConfig,
     seed: u64,
-    tree: TreeNodes,
-    classes: Vec<i64>,
-    means: FeatureMeans,
-    fitted: bool,
+    fitted: ClassTrees,
 }
 
 impl DecisionTree {
     /// Unfitted tree.
     pub fn new(config: TreeConfig, seed: u64) -> Self {
-        DecisionTree {
-            config,
-            seed,
-            tree: TreeNodes::default(),
-            classes: Vec::new(),
-            means: FeatureMeans::default(),
-            fitted: false,
-        }
+        DecisionTree { config, seed, fitted: ClassTrees::default() }
+    }
+
+    /// Fit on the rows of `data` listed in `rows` (repeats allowed, as in a
+    /// bootstrap sample). Bins, imputation means and the class list come
+    /// from the whole matrix.
+    pub fn fit_rows(&mut self, data: &Matrix, rows: &[u32]) -> Result<(), MlError> {
+        self.fitted = ClassTrees::fit(data, &self.config, 1, |_| (rows.to_vec(), self.seed))?;
+        Ok(())
+    }
+
+    /// The fitted tree's nodes in pre-order (empty before fit).
+    pub fn nodes(&self) -> &[Node] {
+        self.fitted.trees.first().map_or(&[], |t| &t.nodes)
     }
 
     /// Depth of the fitted tree.
     pub fn depth(&self) -> usize {
-        if self.tree.nodes.is_empty() {
-            0
-        } else {
-            self.tree.depth_of(0)
-        }
+        self.fitted.trees.first().map_or(0, |t| t.depth_of(0))
     }
 
-    fn build(
-        &self,
-        data: &Matrix,
-        target: &ClassificationTarget<'_>,
-        rows: &[usize],
-        depth: usize,
-        nodes: &mut Vec<Node>,
-        rng: &mut StdRng,
-    ) -> usize {
-        let n_classes = target.classes.len();
-        let mut counts = vec![0usize; n_classes];
-        for &r in rows {
-            counts[target.class_index(target.labels[r])] += 1;
-        }
-        let majority = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| target.classes[i])
-            .unwrap_or(0);
-        let node_gini = gini(&counts, rows.len());
-        let stop = depth >= self.config.max_depth
-            || rows.len() < self.config.min_samples_split
-            || node_gini == 0.0;
-        if !stop {
-            if let Some((feature, threshold)) = self.best_split(data, target, rows, rng) {
-                let (lrows, rrows): (Vec<usize>, Vec<usize>) = rows
-                    .iter()
-                    .partition(|&&r| data.cols[feature][r] <= threshold);
-                if lrows.len() >= self.config.min_samples_leaf
-                    && rrows.len() >= self.config.min_samples_leaf
-                {
-                    let id = nodes.len();
-                    nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-                    let left = self.build(data, target, &lrows, depth + 1, nodes, rng);
-                    let right = self.build(data, target, &rrows, depth + 1, nodes, rng);
-                    nodes[id] = Node::Split { feature, threshold, left, right };
-                    return id;
-                }
-            }
-        }
-        let id = nodes.len();
-        nodes.push(Node::Leaf { value: majority as f64 });
-        id
-    }
-
-    fn best_split(
-        &self,
-        data: &Matrix,
-        target: &ClassificationTarget<'_>,
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> Option<(usize, f64)> {
-        let n_classes = target.classes.len();
-        let mut total = vec![0usize; n_classes];
-        for &r in rows {
-            total[target.class_index(target.labels[r])] += 1;
-        }
-        let parent = gini(&total, rows.len());
-        let mut best: Option<(usize, f64, f64)> = None; // feature, threshold, gain
-        for feature in candidate_features(data.cols.len(), self.config.max_features, rng) {
-            let values: Vec<f64> = rows.iter().map(|&r| data.cols[feature][r]).collect();
-            for threshold in thresholds(&values, &self.config, rng) {
-                let mut left = vec![0usize; n_classes];
-                let mut nl = 0usize;
-                for &r in rows {
-                    if data.cols[feature][r] <= threshold {
-                        left[target.class_index(target.labels[r])] += 1;
-                        nl += 1;
-                    }
-                }
-                let nr = rows.len() - nl;
-                if nl == 0 || nr == 0 {
-                    continue;
-                }
-                let right: Vec<usize> =
-                    total.iter().zip(&left).map(|(&t, &l)| t - l).collect();
-                let w = rows.len() as f64;
-                let gain = parent
-                    - (nl as f64 / w) * gini(&left, nl)
-                    - (nr as f64 / w) * gini(&right, nr);
-                // Gini gain is never negative; accept even a zero-gain split
-                // (required to escape XOR-like plateaus) but prefer strictly
-                // better ones.
-                if gain >= 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((feature, threshold, gain));
-                }
-            }
-        }
-        best.map(|(f, t, _)| (f, t))
-    }
-
-    /// Impurity-based feature importance (total gini gain per feature,
-    /// normalized to sum to 1). Requires a fitted tree; returns zeros if the
-    /// tree is a single leaf.
+    /// Impurity-based feature importance: each split's gini gain times the
+    /// rows it divided, summed per feature and normalized to sum to 1.
+    /// Zeros when the tree is a single leaf or not fitted.
     pub fn feature_importances(&self, n_features: usize) -> Vec<f64> {
-        // Count split usage as a proxy (gains are not stored per node).
-        let mut imp = vec![0.0; n_features];
-        for node in &self.tree.nodes {
-            if let Node::Split { feature, .. } = node {
-                imp[*feature] += 1.0;
-            }
-        }
-        let s: f64 = imp.iter().sum();
-        if s > 0.0 {
-            for v in &mut imp {
-                *v /= s;
-            }
-        }
-        imp
+        self.fitted.feature_importances(n_features)
     }
 }
 
 impl Classifier for DecisionTree {
     fn fit(&mut self, data: &Matrix) -> Result<(), MlError> {
-        if data.n_rows == 0 || data.cols.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
-        self.means = FeatureMeans::fit(data);
-        let data = self.means.transform(data);
-        let mut classes: Vec<i64> = data.labels.clone();
-        classes.sort_unstable();
-        classes.dedup();
-        self.classes = classes;
-        let target = ClassificationTarget { labels: &data.labels, classes: &self.classes };
-        let rows: Vec<usize> = (0..data.n_rows).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut nodes = Vec::new();
-        self.build(&data, &target, &rows, 0, &mut nodes, &mut rng);
-        self.tree = TreeNodes { nodes };
-        self.fitted = true;
-        Ok(())
+        self.fit_rows(data, &(0..data.n_rows as u32).collect::<Vec<_>>())
     }
 
     fn predict_row(&self, row: &[f64]) -> i64 {
-        let mut row = row.to_vec();
-        self.means.transform_row(&mut row);
-        self.tree.predict_value(&row) as i64
+        self.fitted.predict_row(row)
     }
 
     fn is_fitted(&self) -> bool {
-        self.fitted
+        self.fitted.is_fitted()
+    }
+
+    fn predict(&self, data: &Matrix) -> Vec<i64> {
+        self.fitted.predict(data)
     }
 }
 
-use rand::SeedableRng;
-
-/// A regression tree minimizing squared error, with Newton-style leaf
-/// values `Σg / (Σh + λ)` — the boosting building block. First-order
-/// boosting passes `h = 1` everywhere.
+/// A regression tree on per-row gradients with Newton-style leaf values
+/// `−Σg / (Σh + λ)` — the boosting building block.
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
-    config: TreeConfig,
-    lambda: f64,
     tree: TreeNodes,
 }
 
 impl RegressionTree {
-    /// Fit a regression tree to per-row gradients/hessians. `data` must be
-    /// NaN-free (the boosting driver imputes once up front).
-    #[allow(clippy::too_many_arguments)]
+    /// Grow a tree on the training rows listed in `rows` (the list is
+    /// reordered). `on_leaf` is told every leaf's rows and value as the
+    /// leaf is made, which is how boosting updates its margins without
+    /// predicting.
     pub fn fit(
-        data: &Matrix,
-        grad: &[f64],
-        hess: &[f64],
-        config: TreeConfig,
-        lambda: f64,
-        rows: &[usize],
+        binned: &BinnedMatrix,
+        gradients: &Gradients<'_>,
+        config: &TreeConfig,
+        rows: &mut [u32],
         rng: &mut StdRng,
+        on_leaf: impl FnMut(&[u32], f64),
     ) -> Self {
-        let mut nodes = Vec::new();
-        let mut t = RegressionTree { config, lambda, tree: TreeNodes::default() };
-        t.build(data, grad, hess, rows, 0, &mut nodes, rng);
-        t.tree = TreeNodes { nodes };
-        t
+        let (tree, row_updates) = grow_tree(binned, gradients, config, rows, rng, on_leaf);
+        autofeat_obs::incr("ml.trees_grown");
+        autofeat_obs::add("ml.hist_row_updates", row_updates);
+        RegressionTree { tree }
     }
 
-    fn leaf_value(&self, grad_sum: f64, hess_sum: f64) -> f64 {
-        -grad_sum / (hess_sum + self.lambda)
+    /// The tree's nodes in pre-order.
+    pub fn nodes(&self) -> &[Node] {
+        &self.tree.nodes
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &self,
-        data: &Matrix,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        depth: usize,
-        nodes: &mut Vec<Node>,
-        rng: &mut StdRng,
-    ) -> usize {
-        let gs: f64 = rows.iter().map(|&r| grad[r]).sum();
-        let hs: f64 = rows.iter().map(|&r| hess[r]).sum();
-        let stop = depth >= self.config.max_depth || rows.len() < self.config.min_samples_split;
-        if !stop {
-            if let Some((feature, threshold)) = self.best_split(data, grad, hess, rows, rng) {
-                let (lrows, rrows): (Vec<usize>, Vec<usize>) =
-                    rows.iter().partition(|&&r| data.cols[feature][r] <= threshold);
-                if lrows.len() >= self.config.min_samples_leaf
-                    && rrows.len() >= self.config.min_samples_leaf
-                {
-                    let id = nodes.len();
-                    nodes.push(Node::Leaf { value: 0.0 });
-                    let left = self.build(data, grad, hess, &lrows, depth + 1, nodes, rng);
-                    let right = self.build(data, grad, hess, &rrows, depth + 1, nodes, rng);
-                    nodes[id] = Node::Split { feature, threshold, left, right };
-                    return id;
-                }
-            }
-        }
-        let id = nodes.len();
-        nodes.push(Node::Leaf { value: self.leaf_value(gs, hs) });
-        id
-    }
-
-    fn best_split(
-        &self,
-        data: &Matrix,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> Option<(usize, f64)> {
-        let gs: f64 = rows.iter().map(|&r| grad[r]).sum();
-        let hs: f64 = rows.iter().map(|&r| hess[r]).sum();
-        let score = |g: f64, h: f64| g * g / (h + self.lambda);
-        let parent = score(gs, hs);
-        let mut best: Option<(usize, f64, f64)> = None;
-        for feature in candidate_features(data.cols.len(), self.config.max_features, rng) {
-            let values: Vec<f64> = rows.iter().map(|&r| data.cols[feature][r]).collect();
-            for threshold in thresholds(&values, &self.config, rng) {
-                let mut gl = 0.0;
-                let mut hl = 0.0;
-                let mut nl = 0usize;
-                for &r in rows {
-                    if data.cols[feature][r] <= threshold {
-                        gl += grad[r];
-                        hl += hess[r];
-                        nl += 1;
-                    }
-                }
-                if nl == 0 || nl == rows.len() {
-                    continue;
-                }
-                let gain = score(gl, hl) + score(gs - gl, hs - hl) - parent;
-                // Accept zero-gain splits too (XOR-style plateaus), prefer
-                // strictly better ones.
-                if gain >= 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((feature, threshold, gain));
-                }
-            }
-        }
-        best.map(|(f, t, _)| (f, t))
+    /// Predicted value of a row read feature by feature through `at`
+    /// (NaN-free).
+    pub(crate) fn value_at(&self, at: impl Fn(usize) -> f64) -> f64 {
+        self.tree.predict_value(at)
     }
 
     /// Predicted value for a (NaN-free) row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        self.tree.predict_value(row)
+        self.value_at(|j| row[j])
     }
 }
 
@@ -560,7 +927,41 @@ mod tests {
         t.fit(&m).unwrap();
         let imp = t.feature_importances(2);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(imp.iter().all(|&v| v > 0.0));
+        // The root's split on x0 is the zero-gain step off the XOR plateau;
+        // every bit of impurity is removed by the two splits on x1.
+        assert_eq!(imp, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn one_decisive_split_outranks_several_marginal_ones() {
+        // `a` separates the classes but for one value of `b` on each side,
+        // which takes two cuts on `b` per side to isolate.
+        let n = 200;
+        let a: Vec<f64> = (0..n).map(|i| (i % 2) as f64).collect();
+        let b: Vec<f64> = (0..n).map(|i| ((i / 2) % 10) as f64).collect();
+        let labels: Vec<i64> = (0..n)
+            .map(|i| i64::from((a[i] == 1.0) != (b[i] == if a[i] == 1.0 { 7.0 } else { 3.0 })))
+            .collect();
+        let m = Matrix {
+            feature_names: vec!["a".into(), "b".into()],
+            cols: vec![a, b],
+            labels,
+            n_rows: n,
+        };
+        let mut t = DecisionTree::new(TreeConfig::default(), 0);
+        t.fit(&m).unwrap();
+        assert_eq!(accuracy(&t.predict(&m), &m.labels), 1.0);
+        let splits_on = |f: usize| {
+            t.nodes()
+                .iter()
+                .filter(|n| matches!(n, Node::Split { feature, .. } if *feature == f))
+                .count()
+        };
+        assert!(matches!(t.nodes()[0], Node::Split { feature: 0, .. }));
+        assert_eq!((splits_on(0), splits_on(1)), (1, 4));
+        let imp = t.feature_importances(2);
+        assert!(imp[0] > imp[1], "the root's gain should outweigh four leaf-side cuts: {imp:?}");
+        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -573,13 +974,12 @@ mod tests {
         let m = Matrix { feature_names: vec!["x".into()], cols: vec![x], labels: vec![0; n], n_rows: n };
         let mut rng = StdRng::seed_from_u64(0);
         let t = RegressionTree::fit(
-            &m,
-            &grad,
-            &hess,
-            TreeConfig { max_depth: 2, ..Default::default() },
-            1.0,
-            &(0..n).collect::<Vec<_>>(),
+            &BinnedMatrix::new(&m),
+            &Gradients { grad: &grad, hess: Some(&hess), lambda: 1.0 },
+            &TreeConfig { max_depth: 2, ..Default::default() },
+            &mut (0..n as u32).collect::<Vec<_>>(),
             &mut rng,
+            |_, _| {},
         );
         // Newton leaf: -Σg/(Σh+λ) = -30/(30+1) ≈ -0.97 on the left.
         assert!(t.predict_row(&[5.0]) < -0.9);

@@ -295,6 +295,8 @@ pub fn assert_bit_identical(a: &DiscoveryResult, b: &DiscoveryResult, what: &str
     assert_eq!(a.selected_features, b.selected_features, "{what}");
 }
 
+pub mod tree_oracle;
+
 /// An independent reference for the normalized left join: row at a time,
 /// nested loop, no index, no dictionary, no views. It shares with the
 /// program only the public pieces the representative rule is defined by —

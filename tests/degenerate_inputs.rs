@@ -184,3 +184,42 @@ fn regression_like_label_is_a_typed_error() {
         }
     );
 }
+
+#[test]
+fn a_thousand_classes_are_refused_by_the_tree_learners() {
+    // `run_base` (like `run_arda`, `run_join_all` and `evaluate_feature_set`)
+    // reaches the learners without passing `discover`'s class check. A tree
+    // classifier keeps bins × classes counters per feature and node, so a
+    // regression-like label is a typed refusal — scored 0 like any learner
+    // that cannot take the task — not a table of a thousand counters per bin.
+    use autofeat::ml::eval::{Classifier, MlError};
+    let n = 3_000i64;
+    let labels: Vec<Option<i64>> = (0..n).map(|i| Some(i % 1_000)).collect();
+    let x: Vec<Option<f64>> = (0..n).map(|i| Some(((i * 7) % 13) as f64)).collect();
+    let base = Table::new(
+        "base",
+        vec![
+            ("k", int_col((0..n).map(Some).collect())),
+            ("x", Column::from_floats(x.clone())),
+            ("target", int_col(labels.clone())),
+        ],
+    )
+    .unwrap();
+    let ext = Table::new("ext", vec![("k", int_col((0..n).map(Some).collect()))]).unwrap();
+    let ctx = kfk_ctx(vec![base, ext]);
+    let r = run_base(&ctx, &ModelKind::tree_models(), 1).unwrap();
+    assert_eq!(r.accuracy_per_model.len(), 4);
+    assert!(r.accuracy_per_model.iter().all(|(_, acc)| *acc == 0.0), "{r:?}");
+
+    let m = autofeat::data::encode::Matrix {
+        feature_names: vec!["x".into()],
+        cols: vec![x.into_iter().flatten().collect()],
+        labels: labels.into_iter().flatten().collect(),
+        n_rows: n as usize,
+    };
+    for kind in [ModelKind::RandomForest, ModelKind::ExtraTrees] {
+        assert_eq!(kind.build(0).fit(&m), Err(MlError::TooManyClasses { n_classes: 1_000 }));
+    }
+    let mut tree = autofeat::ml::DecisionTree::new(Default::default(), 0);
+    assert_eq!(tree.fit(&m), Err(MlError::TooManyClasses { n_classes: 1_000 }));
+}

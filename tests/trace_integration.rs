@@ -324,3 +324,29 @@ fn discovery_materializes_no_cell_and_training_only_what_it_reads() {
         );
     }
 }
+
+#[test]
+fn training_spans_and_counters_sit_under_train_and_repeat_exactly() {
+    let _g = lock();
+    let ctx = lake_ctx(60);
+    let cfg = AutoFeatConfig::paper().with_seed(42).with_threads(1);
+    let found = AutoFeat::new(cfg.clone()).discover(&ctx).unwrap();
+    let models = [ModelKind::LightGbm, ModelKind::RandomForest];
+    let traced = || {
+        let tracer = Tracer::enabled();
+        autofeat::obs::with_tracer(&tracer, || train_top_k(&ctx, &found, &models, &cfg).unwrap());
+        tracer.snapshot()
+    };
+    let trace = traced();
+    let fits = trace.phase("train.model_eval.model_fit").expect("a fit span under model_eval");
+    assert_eq!(Some(fits.count), trace.counter("ml.models_evaluated"));
+    assert_eq!(trace.phase("train.model_eval.model_fit.model_bin").map(|p| p.count), Some(fits.count));
+    assert_eq!(trace.phase("train.model_eval.model_predict").map(|p| p.count), Some(fits.count));
+    // 50 boosting rounds and 30 forest trees per evaluated feature set.
+    assert_eq!(trace.counter("ml.trees_grown"), Some(fits.count / 2 * 80));
+    let row_updates = trace.counter("ml.hist_row_updates").expect("histogram passes are counted");
+    assert!(row_updates > 0);
+    let again = traced();
+    assert_eq!(again.counter("ml.trees_grown"), trace.counter("ml.trees_grown"));
+    assert_eq!(again.counter("ml.hist_row_updates"), Some(row_updates));
+}
