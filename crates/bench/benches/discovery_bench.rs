@@ -31,15 +31,12 @@ fn bench_profiles(c: &mut Criterion) {
             b.iter(|| black_box(ColumnProfile::build_all(&t)))
         });
     }
-    // The same 8 × 4 000 table profiled from its key dictionaries, as a
-    // resident lake table is, and from its rows, as a bare one is.
-    let bare = table("a", 4_000, 8, 0);
-    let keyed = bare.clone().with_key_dicts();
-    for (name, t) in [("keyed", &keyed), ("bare", &bare)] {
-        group.bench_function(BenchmarkId::new("profile_build", name), |b| {
-            b.iter(|| black_box(ColumnProfile::build_all(t)))
-        });
-    }
+    // 8 × 4 000, the lake workloads' table shape; one typed row pass
+    // whether or not the table is keyed.
+    let lake_shaped = table("a", 4_000, 8, 0);
+    group.bench_function("profile_build", |b| {
+        b.iter(|| black_box(ColumnProfile::build_all(&lake_shaped)))
+    });
     let a = ColumnProfile::build_all(&table("a", 5_000, 10, 0));
     let bp = ColumnProfile::build_all(&table("b", 5_000, 10, 2_500));
     let m = SchemaMatcher::paper_default();

@@ -89,6 +89,8 @@ fn bench_kernel(c: &mut Criterion) {
         let lake: Vec<(Table, JoinIndex)> = (0..n_tables)
             .map(|j| {
                 let t = satellite(&format!("s{j}"), j as u64, n_keys, dup, n_feat);
+                // Also the table's first use: its key dictionary and
+                // fingerprints are built here, outside every timer below.
                 let index = JoinIndex::build(&t, t.column("k").unwrap()).unwrap();
                 (t, index)
             })

@@ -6,6 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 use autofeat_data::csv::{read_csv_opts, CsvReadOptions, IngestDiagnostics};
+use autofeat_data::parallel::build_indexed;
 use autofeat_data::{DataError, FaultDomain, LakeIndexCache, Result, RunControl, Table};
 use autofeat_obs as obs;
 use autofeat_discovery::{ColumnProfile, SchemaMatcher};
@@ -151,11 +152,12 @@ pub struct SearchContext {
     lake: Option<Arc<RwLock<LakeState>>>,
 }
 
-/// Every table a context holds carries key metadata (a dictionary per
-/// column + row fingerprints): attach it to a table that arrives without.
-/// CSV ingest and datagen attach theirs, which makes this an O(1) check;
-/// hand-built tables and ones changed since ingest pay one pass here, outside
-/// any discovery run.
+/// Every table a context holds carries key metadata (a dictionary cell per
+/// column, one for the row fingerprints, the null-key counts): attach it to
+/// a table that arrives without. CSV ingest and datagen attach theirs, which
+/// makes this an O(1) check; hand-built tables and ones changed since ingest
+/// pay one null-counting pass here. Either way nothing is built until a join
+/// or an encode first reads it.
 fn ensure_key_meta(table: Table) -> Table {
     if table.has_key_meta() {
         table
@@ -168,8 +170,9 @@ impl SearchContext {
     /// Build from tables, an explicit DRG, the base-table name, and the
     /// label column. The one place key metadata is ensured at construction
     /// ([`from_kfk`](SearchContext::from_kfk) and
-    /// [`from_discovery`](SearchContext::from_discovery) end here), so index
-    /// builds over the lake never build a dictionary of their own.
+    /// [`from_discovery`](SearchContext::from_discovery) end here), so an
+    /// index build over the lake shares the table's dictionary — building it
+    /// if it is the first to ask — and never owns one.
     pub fn new(
         tables: Vec<Table>,
         drg: Drg,
@@ -296,15 +299,17 @@ impl SearchContext {
     ) -> Result<Self> {
         let base = base.into();
         let label = label.into();
-        // Key metadata first: a keyed table is profiled from its
-        // dictionaries. The label is hidden by dropping its profile, not
-        // its column — dropping a column sheds the table's key metadata.
+        // The label is hidden by dropping its profile, not its column —
+        // dropping a column sheds the table's key metadata.
         let tables: Vec<Table> = tables.into_iter().map(ensure_key_meta).collect();
         let mut maintainer = DrgMaintainer::new(matcher.clone());
         {
             let _span = obs::span("drg_build");
-            for t in &tables {
-                let mut profiles = ColumnProfile::build_all(t);
+            // A table's profiles are a pure function of its cells: fan the
+            // tables out. The LSH inserts depend on arrival order and stay
+            // sequential.
+            let profiled = build_indexed(tables.len(), |i| ColumnProfile::build_all(&tables[i]));
+            for (t, mut profiles) in tables.iter().zip(profiled) {
                 if t.name() == base {
                     profiles.retain(|p| p.column != label);
                 }
@@ -319,6 +324,17 @@ impl SearchContext {
             maintainer,
         })));
         Ok(ctx)
+    }
+
+    /// Bytes of key metadata built so far over the current lake and the
+    /// number of key dictionaries among it — owned lake state outside the
+    /// join-index cache budget, which grows while requests are served: a
+    /// dictionary appears when a join is first keyed on its column. O(total
+    /// columns), no key is visited.
+    pub fn lake_key_meta(&self) -> (usize, usize) {
+        self.latest().tables.values().fold((0, 0), |(bytes, dicts), t| {
+            (bytes + t.key_meta_bytes(), dicts + t.built_dicts().count())
+        })
     }
 
     /// Whether this context owns mutable lake state (built via
@@ -468,13 +484,6 @@ impl SearchContext {
     /// [`AutoFeatConfig::resolve_cache_budget`](crate::AutoFeatConfig::resolve_cache_budget)).
     pub fn lake_cache(&self) -> &LakeIndexCache {
         &self.cache
-    }
-
-    /// An owning handle to the lake cache, for consumers that outlive any
-    /// one borrow of the context — e.g. the service's background stats
-    /// listener, which refreshes cache gauges at scrape time.
-    pub fn lake_cache_arc(&self) -> Arc<LakeIndexCache> {
-        Arc::clone(&self.cache)
     }
 
     /// The context-wide run-lifecycle control, shared (via `Arc`) by every

@@ -35,8 +35,10 @@
 //! separate from the per-run `Tracer` (DESIGN.md §3k). Every completed
 //! request records its wall time, outcome (`ok` / `truncated` /
 //! `cancelled` / `error`), degradation rungs, and caught worker panics;
-//! scrape-time refreshes re-export the shared cache's governance counters
-//! and the worker pool's queue/utilization gauges. Read it three ways:
+//! scrape-time refreshes re-export the shared cache's governance counters,
+//! the lake's key-metadata footprint (bytes and dictionaries built so far —
+//! it grows while requests are served) and the worker pool's
+//! queue/utilization gauges. Read it three ways:
 //!
 //! * [`stats`](DiscoveryService::stats) — the cheap in-process struct,
 //!   now split by outcome with a `peak_in_flight` high-water mark;
@@ -68,7 +70,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use autofeat_data::cache::LakeIndexCache;
 use autofeat_data::parallel::shared_pool;
 use autofeat_data::{CacheStats, Result, RunControl, Table};
 use autofeat_obs::{
@@ -416,10 +417,11 @@ impl Telemetry {
     }
 
     /// Re-export externally owned state (service gauges, cache governance
-    /// counters, pool pressure) into the registry. Called just before
-    /// every snapshot, so scrapes are point-in-time without any push-side
-    /// coupling between those subsystems and the registry.
-    fn refresh_gauges(&self, counters: &ServiceCounters, cache: &LakeIndexCache) {
+    /// counters, the lake's key metadata, pool pressure) into the registry.
+    /// Called just before every snapshot, so scrapes are point-in-time
+    /// without any push-side coupling between those subsystems and the
+    /// registry.
+    fn refresh_gauges(&self, counters: &ServiceCounters, ctx: &SearchContext) {
         let reg = &self.registry;
         reg.gauge("autofeat_uptime_seconds", "Seconds since the service was created.")
             .set(self.started.elapsed().as_secs_f64());
@@ -435,7 +437,7 @@ impl Telemetry {
             .record_total(log.dropped);
         }
 
-        let c = cache.stats();
+        let c = ctx.lake_cache().stats();
         reg.counter("autofeat_cache_hits_total", "Joins served from an already-built index.")
             .record_total(c.hits);
         reg.counter("autofeat_cache_misses_total", "Joins that had to build the index first.")
@@ -468,6 +470,18 @@ impl Telemetry {
         reg.gauge("autofeat_cache_build_seconds_total", "Total wall time spent building indexes.")
             .set(c.build_time.as_secs_f64());
 
+        // Lake-owned, outside the cache budget, and growing while the
+        // process serves: a dictionary is built by the first join keyed on
+        // its column.
+        let (key_meta_bytes, dictionaries) = ctx.lake_key_meta();
+        reg.gauge(
+            "autofeat_lake_key_meta_bytes",
+            "Heap footprint of the key dictionaries and row fingerprints built so far.",
+        )
+        .set(key_meta_bytes as f64);
+        reg.gauge("autofeat_lake_dictionaries", "Key dictionaries built so far, one per joined-on column.")
+            .set(dictionaries as f64);
+
         if let Some(pool) = shared_pool() {
             reg.gauge("autofeat_pool_size", "Worker threads in the shared fan-out pool.")
                 .set(pool.size() as f64);
@@ -478,8 +492,8 @@ impl Telemetry {
         }
     }
 
-    fn snapshot(&self, counters: &ServiceCounters, cache: &LakeIndexCache) -> MetricsSnapshot {
-        self.refresh_gauges(counters, cache);
+    fn snapshot(&self, counters: &ServiceCounters, ctx: &SearchContext) -> MetricsSnapshot {
+        self.refresh_gauges(counters, ctx);
         self.registry.snapshot()
     }
 
@@ -515,17 +529,19 @@ impl Telemetry {
 struct ServiceMetricsSource {
     telemetry: Arc<Telemetry>,
     counters: Arc<ServiceCounters>,
-    cache: Arc<LakeIndexCache>,
+    /// A handle on the lake (`Arc`s of its shared state), read through
+    /// `latest()` at scrape time.
+    ctx: SearchContext,
     control: Arc<RunControl>,
 }
 
 impl StatsSource for ServiceMetricsSource {
     fn metrics_text(&self) -> String {
-        render_prometheus(&self.telemetry.snapshot(&self.counters, &self.cache))
+        render_prometheus(&self.telemetry.snapshot(&self.counters, &self.ctx))
     }
 
     fn metrics_json(&self) -> String {
-        render_json(&self.telemetry.snapshot(&self.counters, &self.cache))
+        render_json(&self.telemetry.snapshot(&self.counters, &self.ctx))
     }
 
     fn healthy(&self) -> bool {
@@ -634,7 +650,7 @@ impl DiscoveryService {
     /// [unmetered](DiscoveryService::new_unmetered) service.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         match &self.telemetry {
-            Some(tel) => tel.snapshot(&self.counters, self.ctx.lake_cache()),
+            Some(tel) => tel.snapshot(&self.counters, &self.ctx),
             None => MetricsSnapshot::default(),
         }
     }
@@ -689,7 +705,7 @@ impl DiscoveryService {
         let source = ServiceMetricsSource {
             telemetry: Arc::clone(tel),
             counters: Arc::clone(&self.counters),
-            cache: self.ctx.lake_cache_arc(),
+            ctx: self.ctx.clone(),
             control: Arc::clone(&self.control),
         };
         StatsListener::serve(addr, Arc::new(source))

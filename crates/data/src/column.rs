@@ -279,8 +279,9 @@ impl Column {
     /// The join keys of `rows`, in order, handed to `f` (`None` for nulls):
     /// [`Column::key`] for a whole block, built straight from the typed
     /// payload — no [`Value`] per row — and read through the map when the
-    /// column is a view. The probe side of a join.
-    pub(crate) fn keys_in(&self, rows: Range<usize>, mut f: impl FnMut(Option<Key>)) {
+    /// column is a view. The one typed row pass: the probe side of a join,
+    /// a dictionary build and a column profile all walk it.
+    pub fn keys_in(&self, rows: Range<usize>, mut f: impl FnMut(Option<Key>)) {
         match &self.payload {
             Payload::Int(v) => self.cells(v, rows, |c| f(c.map(|&i| Key::Num(i)))),
             Payload::Float(v) => self.cells(v, rows, |c| f(c.and_then(|&x| float_key(x)))),
@@ -542,6 +543,23 @@ mod tests {
         assert_eq!(v.view(&outer, None), Column::from_ints([None, Some(1), None]));
         // A known null count is trusted, not recounted.
         assert_eq!(c.view(&map, Some(7)).null_count(), 7);
+    }
+
+    #[test]
+    fn keys_in_is_key_row_by_row() {
+        let map: Arc<[u32]> = vec![2, NO_ROW, 0, 1].into();
+        for c in [
+            int_col(),
+            Column::from_floats([Some(2.0), Some(-0.0), None, Some(0.5)]),
+            Column::from_strs([Some("a"), None, Some("b"), Some("a")]),
+            Column::from_bools([Some(true), None, Some(false), Some(true)]),
+        ] {
+            for c in [c.view(&map, None), c] {
+                let mut keys = Vec::new();
+                c.keys_in(1..4, |k| keys.push(k));
+                assert_eq!(keys, (1..4).map(|row| c.key(row)).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -515,9 +515,9 @@ pub fn read_csv_str_opts(name: &str, text: &str, opts: &CsvReadOptions) -> Resul
         cols.push((h, col));
     }
     // Ingest is the one place every lake table passes through exactly once:
-    // build the per-column key dictionaries and row fingerprints here, where
-    // their cost amortizes over every subsequent join, index build, and
-    // encode instead of sitting on the discovery hot path.
+    // attach the key metadata here (null-key counts now, dictionaries and
+    // fingerprints when a join first asks), so every table that reaches a
+    // lake is keyed.
     let table = Table::new(name, cols)?.with_key_dicts();
     diags.n_rows = table.n_rows();
     obs::add("ingest.rows_loaded", diags.n_rows as u64);

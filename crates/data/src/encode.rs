@@ -20,8 +20,8 @@ pub fn label_encode_column(col: &Column) -> Column {
     label_encode_column_with_dict(col, None)
 }
 
-/// [`label_encode_column`] with an optional ingest-built [`KeyDict`] for the
-/// column. With a dictionary the per-row work collapses to an array lookup:
+/// [`label_encode_column`] with an optional [`KeyDict`] for the column.
+/// With a dictionary the per-row work collapses to an array lookup:
 /// a dense `dict code → label code` remap table is filled in order of first
 /// appearance, so the **output is byte-identical** to the dictionary-less
 /// path (same first-appearance code assignment) without hashing a single
@@ -73,16 +73,23 @@ pub fn label_encode_column_with_dict(col: &Column, dict: Option<&KeyDict>) -> Co
     }
 }
 
-/// Label-encode every non-numeric column of a table, reusing ingest-built
-/// key dictionaries where the table carries them.
+/// Label-encode `col` of `table` through the table's key dictionary when
+/// the encoding reads one: string columns only, so no other column's
+/// dictionary is built on the way.
+fn label_encode_in(table: &Table, col: &Column) -> Column {
+    let dict = (col.dtype() == DType::Str).then(|| table.key_dict_for(col)).flatten();
+    label_encode_column_with_dict(col, dict.map(|d| d.as_ref()))
+}
+
+/// Label-encode every non-numeric column of a table, through the key
+/// dictionaries of its string columns where the table carries them.
 pub fn label_encode(table: &Table) -> Result<Table> {
     let mut t = table.clone();
     let names: Vec<String> = table.column_names().iter().map(|s| s.to_string()).collect();
     for name in names {
         let col = table.column(&name)?;
         if !col.dtype().is_numeric() {
-            let dict = table.key_dict_for(col).map(|d| d.as_ref());
-            t = t.replace_column(&name, label_encode_column_with_dict(col, dict))?;
+            t = t.replace_column(&name, label_encode_in(table, col))?;
         }
     }
     Ok(t)
@@ -153,8 +160,7 @@ pub fn to_matrix(table: &Table, features: &[&str], label: &str) -> Result<Matrix
         )));
     }
     let raw_label = table.column(label)?;
-    let label_col =
-        label_encode_column_with_dict(raw_label, table.key_dict_for(raw_label).map(|d| d.as_ref()));
+    let label_col = label_encode_in(table, raw_label);
     // Keep rows with a non-null label.
     let keep: Vec<usize> = (0..label_col.len())
         .filter(|&i| label_col.get_f64(i).is_some())
@@ -167,8 +173,7 @@ pub fn to_matrix(table: &Table, features: &[&str], label: &str) -> Result<Matrix
     let mut cols = Vec::with_capacity(features.len());
     let mut names = Vec::with_capacity(features.len());
     for &f in features {
-        let raw = table.column(f)?;
-        let col = label_encode_column_with_dict(raw, table.key_dict_for(raw).map(|d| d.as_ref()));
+        let col = label_encode_in(table, table.column(f)?);
         cols.push(
             keep.iter()
                 .map(|&i| col.get_f64(i).unwrap_or(f64::NAN))
@@ -207,14 +212,14 @@ mod tests {
 
     #[test]
     fn dict_reuse_matches_hashed_encoding_exactly() {
-        // Same column, with and without an ingest-built dictionary: the
+        // Same column, with and without a key dictionary: the
         // dictionary path must reproduce the first-appearance codes
         // byte for byte, whatever order the dictionary assigned its own.
         let vals = [Some("b"), Some("a"), None, Some("b"), Some("c"), Some("a")];
         let col = Column::from_strs(vals);
         let keyed = Table::new("t", vec![("cat", col.clone())]).unwrap().with_key_dicts();
         let kcol = keyed.column("cat").unwrap();
-        let dict = keyed.key_dict_for(kcol).expect("dictionary built at ingest");
+        let dict = keyed.key_dict_for(kcol).expect("a keyed table's own column");
         let plain = label_encode_column(&col);
         let via_dict = label_encode_column_with_dict(kcol, Some(dict));
         assert_eq!(plain, via_dict);
@@ -230,8 +235,11 @@ mod tests {
     #[test]
     fn table_encoding_reuses_dicts() {
         let plain = label_encode(&table()).unwrap();
-        let keyed = label_encode(&table().with_key_dicts()).unwrap();
+        let source = table().with_key_dicts();
+        let keyed = label_encode(&source).unwrap();
         assert_eq!(plain, keyed);
+        // Only the string columns' dictionaries were read, so only they exist.
+        assert_eq!(source.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [1, 3]);
     }
 
     #[test]

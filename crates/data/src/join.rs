@@ -141,9 +141,9 @@ pub struct JoinIndex {
     /// indexes here, in-key row order): a retained index pins 4 bytes per
     /// duplicate row — the lake-wide cache holds dozens of these.
     dup_rows: Vec<u32>,
-    /// Content fingerprints by row, read at duplicate rows only. The
-    /// table's vector when it carries one; otherwise the index's own, filled
-    /// at the duplicate rows and empty when no key repeats.
+    /// Content fingerprints by row, read at duplicate rows only: empty when
+    /// no key repeats; else the table's vector when it carries key metadata,
+    /// otherwise the index's own, filled at the duplicate rows.
     row_fps: Arc<Vec<u64>>,
     n_rows: usize,
     /// Bytes of `dict` and `row_fps` this index built for itself (zero over
@@ -207,11 +207,12 @@ impl JoinIndex {
     /// therefore pins two uniform heap blocks (group table, `dup_rows`).
     ///
     /// A table with key metadata ([`Table::with_key_dicts`] — every table a
-    /// `SearchContext` holds) lends its dictionary and fingerprint vector
-    /// (`Arc` clones). One without gets a transient dictionary for this
-    /// column ([`KeyDict::build`]: one hash per row) and fingerprints for
-    /// its duplicate rows only, so unique-key tables pay nothing beyond the
-    /// grouping; then the same sort runs.
+    /// `SearchContext` holds) lends its dictionary and, when a key repeats,
+    /// its fingerprint vector (`Arc` clones) — built here, once, if this is
+    /// the first join keyed on the column. One without gets a transient
+    /// dictionary for this column ([`KeyDict::build`]: one hash per row) and
+    /// fingerprints for its duplicate rows only. Either way a unique-key
+    /// table fingerprints nothing; then the same sort runs.
     ///
     /// Errors for a `right_key` that is not as long as `right`
     /// ([`DataError::Invalid`]) and for a table with more rows than a `u32`
@@ -280,16 +281,17 @@ impl JoinIndex {
             }
         }
         // Fingerprints are only read at duplicate rows.
-        let row_fps = match right.row_fps_arc() {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let mut fps = vec![0u64; if dup_rows.is_empty() { 0 } else { codes.len() }];
-                for &row in &dup_rows {
-                    fps[row as usize] = right.row_fingerprint(row as usize);
-                }
-                own_meta_bytes += fps.capacity() * std::mem::size_of::<u64>();
-                Arc::new(fps)
+        let row_fps = if dup_rows.is_empty() {
+            Arc::default()
+        } else if let Some(shared) = right.row_fps_arc() {
+            Arc::clone(shared)
+        } else {
+            let mut fps = vec![0u64; codes.len()];
+            for &row in &dup_rows {
+                fps[row as usize] = right.row_fingerprint(row as usize);
             }
+            own_meta_bytes += fps.capacity() * std::mem::size_of::<u64>();
+            Arc::new(fps)
         };
         let n_rows = codes.len();
         let (groups, int_base) = address_by_value(&dict, groups);
@@ -496,9 +498,10 @@ pub fn left_join_with_index(
         } else {
             format!("{prefix_dot}{rname}")
         };
-        // τ from the map alone: a null-free source (its dictionary counted
-        // the nulls at ingest) has exactly one null per unmatched row.
-        let null_free = right.key_dict_at(i).is_some_and(|d| d.null_rows() == 0);
+        // τ from the map alone: a null-free source (its null keys were
+        // counted when the key metadata was attached) has exactly one null
+        // per unmatched row.
+        let null_free = right.key_null_rows_at(i) == Some(0);
         let column = right.column_at(i).view(&map, null_free.then_some(n - matched));
         right_columns.push(table.push_disambiguated(base, column)?);
     }

@@ -9,10 +9,10 @@
 //!
 //! * typed, null-aware columns ([`Column`]) and tables ([`Table`]);
 //! * CSV ingestion with type inference ([`csv`]);
-//! * dictionary-encoded join-key domains built at ingest ([`keydict`]):
-//!   per-column dense `u32` codes with permutation-stable assignment, so
-//!   index builds and encodes run over code arithmetic instead of per-row
-//!   key hashing;
+//! * dictionary-encoded join-key domains ([`keydict`]), attached at ingest
+//!   and built for a column when a join is first keyed on it: dense `u32`
+//!   codes with permutation-stable assignment, so index builds and encodes
+//!   run over code arithmetic instead of per-row key hashing;
 //! * **left joins with join-cardinality normalization** (§IV-B of the paper:
 //!   group by the join column and pick a random representative row so the
 //!   base-table row count and label distribution are preserved) — [`join`];

@@ -2,7 +2,9 @@
 
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use autofeat_obs as obs;
 
 use crate::column::Column;
 use crate::error::{DataError, Result};
@@ -19,13 +21,16 @@ use crate::value::Value;
 ///
 /// ## Key metadata
 ///
-/// Lake-resident tables carry **key metadata** built at ingest by
-/// [`Table::with_key_dicts`]: a [`KeyDict`] (dense `u32` join-key codes) for
-/// every column and the per-row content fingerprints. It is a derived cache —
-/// equality ([`PartialEq`]) ignores it — and it is **all or nothing**: a
-/// table holds a dictionary for every column and a fingerprint for every
-/// row, or none of either. Every operation that changes a cell, a row or the
-/// column set (`select`, `drop_columns`, `take`, `with_column`,
+/// Lake-resident tables carry **key metadata** attached at ingest by
+/// [`Table::with_key_dicts`]: a cell per column for its [`KeyDict`] (dense
+/// `u32` join-key codes), a cell for the per-row content fingerprints, and
+/// each column's null-key count. The cells start empty and are **filled by
+/// their first reader** ([`Table::key_dict_at`], [`Table::key_dict_for`],
+/// [`Table::row_fingerprints`]), which hands out the same `Arc` ever after —
+/// through every clone and rename of the table, which share the cells. It is
+/// a derived cache — equality ([`PartialEq`]) ignores it — and it is
+/// attached to every column or to none: every operation that changes a cell,
+/// a row or the column set (`select`, `drop_columns`, `take`, `with_column`,
 /// `replace_column`, …) returns a table without it; renames keep it. What a
 /// table hands out is therefore always fresh.
 #[derive(Debug, Clone)]
@@ -37,12 +42,19 @@ pub struct Table {
     key_meta: Option<Arc<KeyMeta>>,
 }
 
-/// A table's key metadata: one dictionary per column, in column order, and
-/// one content fingerprint per row.
+/// A table's key metadata. The cells are filled on first use; a builder
+/// that panics leaves its cell empty (`OnceLock` does not poison), so the
+/// next reader retries.
 #[derive(Debug)]
 struct KeyMeta {
-    dicts: Vec<Arc<KeyDict>>,
-    row_fps: Arc<Vec<u64>>,
+    /// One cell per column, in column order.
+    dicts: Vec<OnceLock<Arc<KeyDict>>>,
+    /// One content fingerprint per row.
+    row_fps: OnceLock<Arc<Vec<u64>>>,
+    /// Rows whose key is null, per column — [`KeyDict::null_rows`] without
+    /// the dictionary. The one eager piece: a join asks it of *every*
+    /// right-hand column, and must not fill their cells to learn it.
+    null_rows: Vec<usize>,
 }
 
 impl PartialEq for Table {
@@ -100,15 +112,19 @@ impl Table {
         }
     }
 
-    /// Build key metadata for every column: a per-column [`KeyDict`] and the
-    /// per-row content fingerprints the join layer's representative picks
-    /// use. Called once at ingest (CSV load, datagen, `SearchContext::new`)
-    /// — the cost is one hash pass over the table plus one dictionary build
-    /// per column, paid outside any join or scoring hot path.
+    /// Attach key metadata: an empty dictionary cell per column, an empty
+    /// cell for the row fingerprints, and the per-column null-key counts
+    /// (one typed counting pass — cells store no `NaN`, so a null cell is
+    /// exactly a null key). Called once at ingest (CSV load, datagen,
+    /// `SearchContext::new`); a dictionary is built when a join is first
+    /// keyed on its column or an encode first reads it, the fingerprints
+    /// when an index first meets a repeated key.
     pub fn with_key_dicts(mut self) -> Table {
-        let row_fps = Arc::new((0..self.n_rows()).map(|row| self.row_fingerprint(row)).collect());
-        let dicts = self.columns.iter().map(|c| Arc::new(KeyDict::build(c))).collect();
-        self.key_meta = Some(Arc::new(KeyMeta { dicts, row_fps }));
+        self.key_meta = Some(Arc::new(KeyMeta {
+            dicts: self.columns.iter().map(|_| OnceLock::new()).collect(),
+            row_fps: OnceLock::new(),
+            null_rows: self.columns.iter().map(Column::null_count).collect(),
+        }));
         self
     }
 
@@ -127,8 +143,8 @@ impl Table {
         h.finish()
     }
 
-    /// Whether this table carries key metadata — which is all of it: a
-    /// dictionary per column and a fingerprint per row.
+    /// Whether this table carries key metadata: a dictionary cell per
+    /// column and one for the row fingerprints, filled or not.
     pub fn has_key_meta(&self) -> bool {
         self.key_meta.is_some()
     }
@@ -137,18 +153,36 @@ impl Table {
     /// be one of this table's columns (payload-pointer identity, not name
     /// lookup, so a borrowed `&Column` from any accessor resolves). `None`
     /// when the table carries no metadata or the column is not its own.
+    /// Builds the dictionary if nobody has yet.
     pub fn key_dict_for(&self, col: &Column) -> Option<&Arc<KeyDict>> {
-        let meta = self.key_meta.as_ref()?;
-        let i = self.columns.iter().position(|c| c.shares_payload(col))?;
-        Some(&meta.dicts[i])
+        self.key_meta.as_ref()?;
+        self.key_dict_at(self.columns.iter().position(|c| c.shares_payload(col))?)
     }
 
-    /// The key dictionary of the column at position `i`.
+    /// The key dictionary of the column at position `i`, built by the first
+    /// call (concurrent first callers wait for the one build) and shared by
+    /// every later one. The build polls no run control: ≈ 100 ns per row.
     pub fn key_dict_at(&self, i: usize) -> Option<&Arc<KeyDict>> {
-        self.key_meta.as_ref()?.dicts.get(i)
+        let meta = self.key_meta.as_ref()?;
+        Some(meta.dicts.get(i)?.get_or_init(|| {
+            let _span = obs::span("key_dict_build");
+            let dict = KeyDict::build(&self.columns[i]);
+            debug_assert_eq!(dict.null_rows(), meta.null_rows[i]);
+            obs::incr("keymeta.dicts_built");
+            obs::add("keymeta.rows_coded", dict.n_rows() as u64);
+            Arc::new(dict)
+        }))
     }
 
-    /// Per-row content fingerprints (hash of every cell in column order).
+    /// Rows of the column at position `i` whose key is null — what
+    /// [`KeyDict::null_rows`] of its dictionary says, known since the
+    /// metadata was attached and read without building anything.
+    pub fn key_null_rows_at(&self, i: usize) -> Option<usize> {
+        self.key_meta.as_ref()?.null_rows.get(i).copied()
+    }
+
+    /// Per-row content fingerprints (hash of every cell in column order),
+    /// computed by the first call.
     pub fn row_fingerprints(&self) -> Option<&[u64]> {
         self.row_fps_arc().map(|v| v.as_slice())
     }
@@ -158,17 +192,34 @@ impl Table {
     /// row (the vector is charged to
     /// [`key_meta_bytes`](Table::key_meta_bytes), not the cache budget).
     pub(crate) fn row_fps_arc(&self) -> Option<&Arc<Vec<u64>>> {
-        self.key_meta.as_ref().map(|m| &m.row_fps)
+        let meta = self.key_meta.as_ref()?;
+        Some(meta.row_fps.get_or_init(|| {
+            obs::add("keymeta.fingerprint_rows", self.n_rows() as u64);
+            Arc::new((0..self.n_rows()).map(|row| self.row_fingerprint(row)).collect())
+        }))
     }
 
-    /// Approximate heap footprint of the key metadata in bytes, for
+    /// Heap footprint in bytes of the key metadata built so far, for
     /// lake-level observability (dictionaries are lake-owned and shared, so
     /// they are accounted here, not against the join-index cache budget).
+    /// O(columns): a dictionary recorded its size when it was built.
     pub fn key_meta_bytes(&self) -> usize {
         self.key_meta.as_ref().map_or(0, |m| {
-            let dicts: usize = m.dicts.iter().map(|d| d.resident_bytes()).sum();
-            dicts + m.row_fps.capacity() * std::mem::size_of::<u64>()
+            let fps = m.row_fps.get().map_or(0, |v| v.capacity() * std::mem::size_of::<u64>());
+            self.built_dicts().map(|(_, d)| d.resident_bytes()).sum::<usize>() + fps
         })
+    }
+
+    /// The dictionaries built so far, with their column positions — what
+    /// joins and encodes have actually read. Builds nothing.
+    pub fn built_dicts(&self) -> impl Iterator<Item = (usize, &Arc<KeyDict>)> {
+        let cells = self.key_meta.as_ref().map_or(&[][..], |m| m.dicts.as_slice());
+        cells.iter().enumerate().filter_map(|(i, cell)| Some((i, cell.get()?)))
+    }
+
+    /// Whether the row fingerprints have been computed.
+    pub fn has_row_fingerprints(&self) -> bool {
+        self.key_meta.as_ref().is_some_and(|m| m.row_fps.get().is_some())
     }
 
     /// Table name.
@@ -595,25 +646,35 @@ mod tests {
     }
 
     #[test]
-    fn key_meta_builds_and_is_ignored_by_equality() {
+    fn key_meta_fills_on_first_use_and_is_ignored_by_equality() {
         let plain = sample();
         let keyed = sample().with_key_dicts();
         assert!(keyed.has_key_meta());
         assert!(!plain.has_key_meta());
         assert_eq!(plain, keyed, "key metadata must not affect data equality");
-        assert_eq!(keyed.row_fingerprints().unwrap().len(), 3);
-        assert!(keyed.key_meta_bytes() > 0);
+        // Attached, nothing built; the null-key counts are already there.
+        assert_eq!((keyed.key_meta_bytes(), keyed.built_dicts().count()), (0, 0));
+        assert!(!keyed.has_row_fingerprints());
+        assert_eq!((0..3).map(|i| keyed.key_null_rows_at(i)).collect::<Vec<_>>(), [Some(0), Some(1), Some(1)]);
+        assert_eq!(keyed.key_null_rows_at(3), None);
         let id = keyed.column("id").unwrap();
         let dict = keyed.key_dict_for(id).expect("id column has a dictionary");
         assert_eq!(dict.len(), 3);
+        assert_eq!(keyed.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [0]);
+        assert_eq!(keyed.key_meta_bytes(), dict.resident_bytes());
+        assert_eq!(keyed.row_fingerprints().unwrap().len(), 3);
+        assert!(keyed.has_row_fingerprints());
+        assert_eq!(keyed.key_meta_bytes(), dict.resident_bytes() + 3 * 8);
         // A column from a different table never resolves.
         assert!(keyed.key_dict_for(plain.column("id").unwrap()).is_none());
         assert!(plain.key_dict_at(0).is_none() && plain.row_fingerprints().is_none());
+        assert!(plain.key_null_rows_at(0).is_none() && keyed.key_dict_at(3).is_none());
     }
 
     #[test]
-    fn key_meta_is_all_or_nothing() {
+    fn key_meta_is_shed_whole_and_shared_whole() {
         let keyed = sample().with_key_dicts();
+        keyed.key_dict_at(0).unwrap();
         let ints = || Column::from_ints([Some(7), Some(8), Some(9)]);
         // Whatever changes a cell, a row or the column set drops all of it.
         let changed = [
@@ -630,17 +691,20 @@ mod tests {
             assert_eq!(t.key_meta_bytes(), 0, "{op}");
             assert!(t.row_fingerprints().is_none(), "{op}");
             assert!((0..t.n_cols()).all(|i| t.key_dict_at(i).is_none()), "{op}");
+            assert!((0..t.n_cols()).all(|i| t.key_null_rows_at(i).is_none()), "{op}");
         }
         let mut pushed = keyed.clone();
         pushed.push_disambiguated("id".into(), ints()).unwrap();
         assert!(!pushed.has_key_meta() && pushed.key_meta_bytes() == 0);
-        // Renames touch no data: all of it survives and still resolves.
+        // Renames touch no data: the cells are shared, whoever fills them.
         let renamed = keyed.rename_column("id", "key").unwrap().with_name("u");
-        assert_eq!(renamed.key_meta_bytes(), keyed.key_meta_bytes());
-        assert_eq!(renamed.row_fingerprints(), keyed.row_fingerprints());
         let dict = renamed.key_dict_for(renamed.column("key").unwrap()).unwrap();
         assert!(Arc::ptr_eq(dict, keyed.key_dict_at(0).unwrap()));
         assert_eq!(dict.n_rows(), 3);
+        let late = renamed.key_dict_at(2).unwrap();
+        assert!(Arc::ptr_eq(late, keyed.key_dict_at(2).unwrap()));
+        assert_eq!(renamed.row_fingerprints(), keyed.row_fingerprints());
+        assert_eq!(renamed.key_meta_bytes(), keyed.key_meta_bytes());
     }
 
     #[test]

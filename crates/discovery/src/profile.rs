@@ -4,7 +4,7 @@
 //! the lake, and every later stage — LSH banding, candidate gating, exact
 //! scoring — reads the profile, never the column.
 
-use autofeat_data::{Column, KeyDict, Table};
+use autofeat_data::{Column, Table};
 
 use crate::value_sim::{hash_value, MinHash, ValueRun};
 
@@ -35,32 +35,19 @@ pub struct ColumnProfile {
 }
 
 impl ColumnProfile {
-    /// Profile one column from its rows — what a column of a table without
-    /// key metadata gets.
+    /// Profile one column: one typed pass over its rows hashing every
+    /// non-null key, then sort, deduplicate, map, sketch. It reads the
+    /// cells, never a key dictionary — a profile is wanted for every column
+    /// of the lake, a dictionary only for the few a join is keyed on.
     pub fn build(table_name: &str, column_name: &str, col: &Column) -> Self {
-        let hashes = (0..col.len()).filter_map(|row| col.key(row)).map(|k| hash_value(&k));
-        Self::from_hashes(table_name, column_name, col, hashes.collect())
-    }
-
-    /// Profile one column from its key dictionary, which already holds the
-    /// column's distinct keys: no cell is read and no key is built.
-    fn build_keyed(table_name: &str, column_name: &str, col: &Column, dict: &KeyDict) -> Self {
-        let hashes = (0..dict.len() as u32).map(|code| hash_value(dict.key_at(code)));
-        Self::from_hashes(table_name, column_name, col, hashes.collect())
-    }
-
-    /// The profile of a column whose non-null keys hash to `hashes`, in any
-    /// order and with repeats: sort, deduplicate, map, sketch. The hashes
-    /// must be sorted here — a dictionary's code order follows another hash
-    /// (`StableHasher`'s FNV prime, not [`hash_value`]'s multiplier).
-    fn from_hashes(table_name: &str, column_name: &str, col: &Column, hashes: Vec<u64>) -> Self {
+        let mut hashes = Vec::with_capacity(col.len());
+        col.keys_in(0..col.len(), |key| hashes.extend(key.map(|k| hash_value(&k))));
         let run = ValueRun::from_unsorted(hashes);
         let distinct = run.len();
         ColumnProfile {
             table: table_name.to_string(),
             column: column_name.to_string(),
             dtype: col.dtype(),
-            // The column's null cells, whichever way its keys arrived.
             null_ratio: col.null_ratio(),
             distinct,
             sketch: MinHash::from_hashes(DEFAULT_SKETCH_K, run.hashes().iter().copied()),
@@ -68,19 +55,12 @@ impl ColumnProfile {
         }
     }
 
-    /// Profile every column of a table: from its key dictionaries when it
-    /// carries them (every resident lake table does), from its rows
-    /// otherwise.
+    /// Profile every column of a table. A pure function of the table's
+    /// cells, so tables can be profiled in any order or side by side.
     pub fn build_all(table: &Table) -> Vec<ColumnProfile> {
         autofeat_obs::add("match.profiles_built", table.n_cols() as u64);
         (0..table.n_cols())
-            .map(|i| {
-                let (name, col) = (&table.field_at(i).name, table.column_at(i));
-                match table.key_dict_at(i) {
-                    Some(dict) => ColumnProfile::build_keyed(table.name(), name, col, dict),
-                    None => ColumnProfile::build(table.name(), name, col),
-                }
-            })
+            .map(|i| ColumnProfile::build(table.name(), &table.field_at(i).name, table.column_at(i)))
             .collect()
     }
 
@@ -121,50 +101,24 @@ mod tests {
         assert_eq!(p.value_hashes.as_ref().unwrap().len(), 2);
     }
 
-    /// Field-for-field equality; `ColumnProfile` has no `PartialEq` because
-    /// nothing outside tests compares whole profiles.
-    fn assert_same(a: &ColumnProfile, b: &ColumnProfile) {
-        assert_eq!((&a.table, &a.column, a.dtype), (&b.table, &b.column, b.dtype));
-        assert_eq!(a.null_ratio.to_bits(), b.null_ratio.to_bits(), "{}", a.column);
-        assert_eq!(a.distinct, b.distinct, "{}", a.column);
-        assert_eq!(a.value_hashes, b.value_hashes, "{}", a.column);
-        assert_eq!(a.sketch, b.sketch, "{}", a.column);
+    #[test]
+    fn profiling_a_keyed_table_builds_no_dictionary() {
+        let keyed = table().with_key_dicts();
+        let (a, b) = (ColumnProfile::build_all(&keyed), ColumnProfile::build_all(&table()));
+        assert_eq!(keyed.built_dicts().count(), 0);
+        assert!(!keyed.has_row_fingerprints());
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!((a.distinct, &a.value_hashes, &a.sketch), (b.distinct, &b.value_hashes, &b.sketch));
+        }
     }
 
     #[test]
-    fn dictionary_and_row_walk_build_the_same_profile() {
-        let n = 500;
-        let bare = Table::new(
-            "t",
-            vec![
-                ("id", Column::from_ints((0..n).map(|i| (i % 7 != 0).then_some(i / 3)))),
-                // Non-integral, integral (keyed like the ints they equal),
-                // null and NaN cells.
-                (
-                    "x",
-                    Column::from_floats((0..n).map(|i| match i % 5 {
-                        0 => None,
-                        1 => Some(f64::NAN),
-                        2 => Some(i as f64),
-                        _ => Some(i as f64 + 0.5),
-                    })),
-                ),
-                ("s", Column::from_strs((0..n).map(|i| Some(format!("v{}", i % 40))))),
-                ("b", Column::from_bools((0..n).map(|i| (i % 3 != 0).then_some(i % 2 == 0)))),
-                ("void", Column::from_ints((0..n).map(|_| None))),
-            ],
-        )
-        .unwrap();
-        let keyed = bare.clone().with_key_dicts();
-        assert!(keyed.key_dict_at(0).is_some() && bare.key_dict_at(0).is_none());
-        let (from_dict, from_rows) =
-            (ColumnProfile::build_all(&keyed), ColumnProfile::build_all(&bare));
-        assert_eq!(from_dict.len(), from_rows.len());
-        for (a, b) in from_dict.iter().zip(&from_rows) {
-            assert_same(a, b);
-        }
-        assert_eq!(from_dict[1].null_ratio, 0.4, "a NaN is stored as a null");
-        assert_eq!(from_dict[4].distinct, 0);
+    fn nan_and_integral_floats_profile_like_their_keys() {
+        let x = Column::from_floats([None, Some(f64::NAN), Some(2.0), Some(3.5), Some(3.5)]);
+        let p = ColumnProfile::build("t", "x", &x);
+        assert_eq!((p.distinct, p.null_ratio), (2, 0.4), "a NaN is stored as a null");
+        let two = ColumnProfile::build("t", "i", &Column::from_ints([Some(2)]));
+        assert!(p.value_hashes.unwrap().hashes().contains(&two.value_hashes.unwrap().hashes()[0]));
     }
 
     #[test]

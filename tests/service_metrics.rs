@@ -83,6 +83,16 @@ fn concurrent_mixed_outcomes_reconcile_exactly() {
     let miss_sum: u64 = log.iter().map(|r| r.cache_misses).sum();
     assert_eq!(hit_sum, stats.cache.hits, "log cache hits sum to the global counter");
     assert_eq!(miss_sum, stats.cache.misses, "log cache misses sum to the global counter");
+
+    // The lake's key metadata is exported beside the cache's: a dictionary
+    // per index the requests built, nothing before the first request.
+    let (bytes, dictionaries) = service.context().lake_key_meta();
+    assert_eq!((dictionaries as u64, bytes > 0), (stats.cache.entries, true));
+    assert_eq!(snap.gauge("autofeat_lake_dictionaries"), Some(dictionaries as f64));
+    assert_eq!(snap.gauge("autofeat_lake_key_meta_bytes"), Some(bytes as f64));
+    let idle = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default()).metrics_snapshot();
+    assert_eq!(idle.gauge("autofeat_lake_dictionaries"), Some(0.0));
+    assert_eq!(idle.gauge("autofeat_lake_key_meta_bytes"), Some(0.0));
 }
 
 #[test]

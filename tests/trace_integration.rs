@@ -119,6 +119,36 @@ fn trace_counters_match_result_and_health_report() {
 }
 
 #[test]
+fn first_use_builds_are_counted_under_the_request_that_made_them() {
+    let _g = lock();
+    let ctx = lake_ctx(60);
+    let run = || {
+        AutoFeat::new(AutoFeatConfig::paper().with_seed(42).with_threads(2).with_trace(true))
+            .discover(&ctx)
+            .expect("discovery runs")
+    };
+    const SPAN: &str = "discover.level.eval.index_build.key_dict_build";
+    let first = run();
+    let trace = first.trace.as_ref().expect("traced run");
+    // One dictionary per index (every index is keyed on a column of its
+    // own); fingerprints for `s1` and `sib`, whose keys repeat.
+    let builds = first.cache.expect("cache enabled by default").misses;
+    assert_eq!(builds, 4);
+    assert_eq!(trace.counter("keymeta.dicts_built"), Some(builds));
+    assert_eq!(trace.counter("keymeta.rows_coded"), Some(180 + 60 + 180 + 60));
+    assert_eq!(trace.counter("keymeta.fingerprint_rows"), Some(180 + 180));
+    assert_eq!(trace.phase(SPAN).expect("dictionary builds are a span").count, builds);
+    // The second request over the same lake builds nothing.
+    let second = run();
+    let trace = second.trace.as_ref().expect("traced run");
+    for counter in ["keymeta.dicts_built", "keymeta.rows_coded", "keymeta.fingerprint_rows"] {
+        assert_eq!(trace.counter(counter), None, "{counter}");
+    }
+    assert!(trace.phase(SPAN).is_none());
+    assert_bit_identical(&first, &second, "first vs second request");
+}
+
+#[test]
 fn governance_trace_counters_match_cache_stats() {
     let _g = lock();
     let ctx = lake_ctx(60);
