@@ -8,9 +8,14 @@ use std::hint::black_box;
 
 use autofeat_data::join::{left_join_with_index, JoinIndex};
 use autofeat_data::{Column, Table};
-use autofeat_metrics::discretize::discretize_equal_frequency;
+use autofeat_metrics::discretize::{discretize_equal_frequency, Discretized};
 use autofeat_metrics::mi::{mutual_information, mutual_information_corrected};
 use autofeat_metrics::ranks::{average_ranks, average_ranks_into};
+use autofeat_metrics::redundancy::{RedundancyMethod, RedundancyScorer};
+use autofeat_metrics::relevance::RelevanceMethod;
+use autofeat_metrics::selection::{
+    select_k_best, select_k_best_binned, select_non_redundant, SelectedSet,
+};
 
 /// A right table with `n` distinct keys × `dup` rows per key, and the
 /// matching left table. `keyed` attaches key metadata as ingest does — the
@@ -110,6 +115,55 @@ fn bench_scoring_kernels(c: &mut Criterion) {
     group.bench_function("mi_corrected_20k", |b| {
         b.iter(|| black_box(mutual_information_corrected(black_box(&dx), black_box(&dy))))
     });
+
+    // One Spearman column with and without its bins: the difference is the
+    // walk that reads equal-frequency codes off the rank sort, to be set
+    // against `discretize_continuous_20k`'s sort of its own.
+    let column = vec![continuous[..16_000].to_vec()];
+    let labels: Vec<i64> = (0..16_000).map(|i| (i % 2) as i64).collect();
+    group.bench_function("spearman_16k", |b| {
+        b.iter(|| black_box(select_k_best(&column, &labels, RelevanceMethod::Spearman, 1, -1.0)))
+    });
+    group.bench_function("spearman_and_bins_from_order_16k", |b| {
+        b.iter(|| {
+            black_box(select_k_best_binned(&column, &labels, RelevanceMethod::Spearman, 1, -1.0, 10))
+        })
+    });
+
+    // One MRMR candidate against 96 selected features: as a plain slice
+    // (one counter increment per row and feature) and as a `SelectedSet`
+    // (one per row and pair). The candidate tells the label apart and the
+    // selected columns are independent of it, so it is never rejected early
+    // and every term is computed.
+    for (name, n) in [("1k", 1_000usize), ("16k", 16_000)] {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut column = |bins: u64| {
+            Discretized::from_codes((0..n).map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                Some(((s >> 11) % bins) as i64)
+            }))
+        };
+        let labels = column(2);
+        let noise = column(5);
+        let candidate = Discretized::from_codes((0..n).map(|i| {
+            Some(i64::from(labels.code(i).unwrap() * 5 + noise.code(i).unwrap()))
+        }));
+        let members: Vec<Discretized> = (0..96).map(|_| column(10)).collect();
+        let mut set = SelectedSet::default();
+        for (k, m) in members.iter().enumerate() {
+            set.insert(&format!("f{k}"), m.clone());
+        }
+        let scorer = RedundancyScorer::new(RedundancyMethod::Mrmr);
+        let cands = [(0usize, &candidate)];
+        group.bench_function(format!("redundancy_set_{name}/plain_slice"), |b| {
+            b.iter(|| black_box(select_non_redundant(&cands, &members, &labels, &scorer)))
+        });
+        group.bench_function(format!("redundancy_set_{name}/selected_set"), |b| {
+            b.iter(|| black_box(set.select_non_redundant(&cands, &labels, &scorer)))
+        });
+    }
     group.finish();
 }
 

@@ -46,7 +46,7 @@ use autofeat_graph::{JoinHop, JoinPath, NodeId};
 use autofeat_metrics::discretize::{discretize_equal_frequency, Discretized, MAX_BINS};
 use autofeat_metrics::redundancy::RedundancyScorer;
 use autofeat_metrics::relevance::DEFAULT_BINS;
-use autofeat_metrics::selection::{select_k_best, select_non_redundant};
+use autofeat_metrics::selection::{select_k_best_binned, SelectedSet};
 
 use crate::config::AutoFeatConfig;
 use crate::context::SearchContext;
@@ -445,17 +445,15 @@ impl AutoFeat {
         // redundancy sums must accumulate in the same order every run, so a
         // hash map (whose value order is randomized per process) is not an
         // option here.
-        // Names and codes are kept in step in two vectors, so the codes go
-        // to the redundancy analysis as they are.
-        let mut r_sel_names: Vec<String> = Vec::new();
-        let mut r_sel_codes: Vec<Discretized> = Vec::new();
+        // The set keeps the codes the way the redundancy analysis counts
+        // against them.
+        let mut r_sel = SelectedSet::default();
         for f in ctx.base_features() {
             if join_cols.contains(&(ctx.base_name().to_string(), f.clone())) {
                 continue;
             }
             let col = label_encode_column(sampled.column(&f)?);
-            r_sel_codes.push(discretize_equal_frequency(&col.to_f64_lossy(), DEFAULT_BINS));
-            r_sel_names.push(f);
+            r_sel.insert(&f, discretize_equal_frequency(&col.to_f64_lossy(), DEFAULT_BINS));
         }
 
         // `mut`: degradation rung 2 drops the scorer mid-run to skip the
@@ -702,26 +700,39 @@ impl AutoFeat {
                             Err(e) => return HopEval::Failed(e.to_string()),
                         }
                     }
-                    let (relevant_idx, rel_scores): (Vec<usize>, Vec<f64>) = match cfg.relevance
-                    {
-                        Some(method) => {
-                            let picked =
-                                select_k_best(&candidate_data, labels, method, cfg.kappa, 0.0);
-                            (
-                                picked.iter().map(|s| s.index).collect(),
-                                picked.iter().map(|s| s.score).collect(),
-                            )
-                        }
-                        // Ablation: relevance off ⇒ every candidate passes
-                        // through, no relevance score.
-                        None => ((0..candidate_names.len()).collect(), Vec::new()),
-                    };
-                    let discretize_span = obs::span("discretize");
-                    let codes: Vec<Discretized> = relevant_idx
-                        .iter()
-                        .map(|&i| discretize_equal_frequency(&candidate_data[i], DEFAULT_BINS))
-                        .collect();
-                    drop(discretize_span);
+                    // The picks come back with their bin codes: Spearman
+                    // reads them off the sort its ranks came from.
+                    let (relevant_idx, rel_scores, codes): (Vec<usize>, Vec<f64>, Vec<Discretized>) =
+                        match cfg.relevance {
+                            Some(method) => {
+                                let (picked, codes) = select_k_best_binned(
+                                    &candidate_data,
+                                    labels,
+                                    method,
+                                    cfg.kappa,
+                                    0.0,
+                                    DEFAULT_BINS,
+                                );
+                                (
+                                    picked.iter().map(|s| s.index).collect(),
+                                    picked.iter().map(|s| s.score).collect(),
+                                    codes,
+                                )
+                            }
+                            // Ablation: relevance off ⇒ every candidate passes
+                            // through, no relevance score.
+                            None => {
+                                let _span = obs::span("discretize");
+                                (
+                                    (0..candidate_names.len()).collect(),
+                                    Vec::new(),
+                                    candidate_data
+                                        .iter()
+                                        .map(|x| discretize_equal_frequency(x, DEFAULT_BINS))
+                                        .collect(),
+                                )
+                            }
+                        };
                     let relevant_names: Vec<String> = relevant_idx
                         .iter()
                         .map(|&i| candidate_names[i].clone())
@@ -822,12 +833,8 @@ impl AutoFeat {
                             Some(scorer) => {
                                 let cands2: Vec<(usize, &Discretized)> =
                                     sh.codes.iter().enumerate().collect();
-                                let picked = select_non_redundant(
-                                    &cands2,
-                                    &r_sel_codes,
-                                    &label_codes,
-                                    scorer,
-                                );
+                                let picked =
+                                    r_sel.select_non_redundant(&cands2, &label_codes, scorer);
                                 let mut kept = vec![false; sh.codes.len()];
                                 for s in &picked {
                                     kept[s.index] = true;
@@ -839,18 +846,13 @@ impl AutoFeat {
                         };
 
                         // Update R_sel (Algorithm 1, line 18): the kept codes
-                        // move in, the rest are dropped.
+                        // move in — a name already there keeps its place —
+                        // and the rest are dropped.
                         let mut new_features = Vec::new();
                         for ((name, codes), _) in
                             sh.relevant_names.into_iter().zip(sh.codes).zip(kept).filter(|(_, k)| *k)
                         {
-                            match r_sel_names.iter().position(|n| *n == name) {
-                                Some(at) => r_sel_codes[at] = codes,
-                                None => {
-                                    r_sel_names.push(name.clone());
-                                    r_sel_codes.push(codes);
-                                }
-                            }
+                            r_sel.insert(&name, codes);
                             if !selected_union.contains(&name) {
                                 selected_union.push(name.clone());
                             }

@@ -393,6 +393,9 @@ impl Telemetry {
         };
         self.degradations.add(degradations as u64);
         self.worker_panics.add(worker_panics as u64);
+        // The id is drawn under the log's lock: drawn before it, two
+        // completions could enter the log in the other order than their ids.
+        let Ok(mut log) = self.log.lock() else { return };
         let record = RequestLogRecord {
             id: self.next_id.fetch_add(1, Ordering::Relaxed) + 1,
             base: base.to_string(),
@@ -407,13 +410,11 @@ impl Telemetry {
             degradations,
             worker_panics,
         };
-        if let Ok(mut log) = self.log.lock() {
-            if log.records.len() >= REQUEST_LOG_CAP {
-                log.records.pop_front();
-                log.dropped += 1;
-            }
-            log.records.push_back(record);
+        if log.records.len() >= REQUEST_LOG_CAP {
+            log.records.pop_front();
+            log.dropped += 1;
         }
+        log.records.push_back(record);
     }
 
     /// Re-export externally owned state (service gauges, cache governance

@@ -1,6 +1,6 @@
 //! Contingency tables over dense bin codes — the one place rows are counted.
 //!
-//! A table over `(x, cell)` has `x.n_bins() + 1` slabs of `slab` counters;
+//! A table over `(x, cell)` has one slab of `slab` counters per code of `x`;
 //! `cell` is `y` for a 2-way table (`slab = ny + 1`) and `z·(ny + 1) + y` for
 //! a 3-way one (`slab = (nz + 1)(ny + 1)`). Missing rows carry the extra code
 //! `n_bins`, so filling is one unconditional increment per row and table; the
@@ -8,12 +8,47 @@
 //! pairwise deletion. Marginals and totals are sums of the integer cells, so
 //! they equal what a row-at-a-time count over the jointly-present rows gives,
 //! and every float computed from them is the same to the bit.
+//!
+//! `x` need not be one feature: a [`Unit::Pair`] is two features in one code
+//! column, counted with one increment per row, and [`Tables::collapse_pair`]
+//! sums its table back into the two tables a pass over each feature alone
+//! would have counted.
 
 use crate::discretize::{Code, Discretized};
 
-/// Selected columns counted per row pass by [`Tables::fill`]. Independent
-/// tables keep consecutive increments off one another's counters.
+/// Code columns counted per row pass by [`Tables::fill`]. Independent tables
+/// keep consecutive increments off one another's counters.
 pub(crate) const BATCH: usize = 4;
+
+/// A code column and the width of its axis: every code is below the width.
+pub(crate) type Axis<'a> = (&'a [Code], usize);
+
+/// What a redundancy pass counts a candidate against in one increment: a
+/// selected feature on its own, or two of them packed into one column.
+#[derive(Clone, Copy)]
+pub(crate) enum Unit<'a> {
+    Single(&'a Discretized),
+    /// `packed[row] = a.code · (b.n_bins + 1) + b.code`.
+    Pair { packed: &'a [Code], a: &'a Discretized, b: &'a Discretized },
+}
+
+impl<'a> Unit<'a> {
+    pub(crate) fn axis(&self) -> Axis<'a> {
+        match *self {
+            Unit::Single(x) => x.axis(),
+            Unit::Pair { packed, a, b } => (packed, a.axis().1 * b.axis().1),
+        }
+    }
+
+    /// The features of the unit, in selection order.
+    pub(crate) fn members(&self) -> impl Iterator<Item = &'a Discretized> {
+        let (first, second) = match *self {
+            Unit::Single(x) => (x, None),
+            Unit::Pair { a, b, .. } => (a, Some(b)),
+        };
+        std::iter::once(first).chain(second)
+    }
+}
 
 /// Reusable counters and marginals: one allocation serves every pair a
 /// scorer evaluates.
@@ -21,7 +56,7 @@ pub(crate) const BATCH: usize = 4;
 pub(crate) struct Tables {
     /// What [`Tables::fill`] counted.
     pub(crate) counts: Vec<u32>,
-    /// A 2-way table a reader collapses out of `counts`.
+    /// 2-way tables a reader collapses out of `counts`.
     pub(crate) joint: Vec<u32>,
     pub(crate) m: Marginals,
 }
@@ -57,7 +92,7 @@ impl Tables {
     /// `counts`. A full batch takes one pass over the rows.
     pub(crate) fn fill(
         &mut self,
-        xs: &[&Discretized],
+        xs: &[Axis],
         n_rows: usize,
         slab: usize,
         cell: impl Fn(usize) -> usize,
@@ -65,28 +100,71 @@ impl Tables {
         debug_assert!(xs.len() <= BATCH);
         let mut offs = [0usize; BATCH];
         let mut end = 0;
-        for (off, x) in offs.iter_mut().zip(xs) {
-            assert_eq!(x.len(), n_rows, "feature length mismatch");
+        for (off, (codes, width)) in offs.iter_mut().zip(xs) {
+            assert_eq!(codes.len(), n_rows, "feature length mismatch");
             *off = end;
-            end += (x.n_bins() as usize + 1) * slab;
+            end += width * slab;
         }
         self.counts.clear();
         self.counts.resize(end, 0);
-        if let Ok(full) = <[&Discretized; BATCH]>::try_from(xs) {
-            fill_rows(&mut self.counts, offs, full.map(Discretized::codes), n_rows, slab, cell);
+        if let Ok(full) = <[Axis; BATCH]>::try_from(xs) {
+            fill_rows(&mut self.counts, offs, full.map(|(codes, _)| codes), n_rows, slab, cell);
         } else {
-            for (&off, x) in offs.iter().zip(xs) {
-                fill_rows(&mut self.counts, [off], [x.codes()], n_rows, slab, &cell);
+            for (&off, (codes, _)) in offs.iter().zip(xs) {
+                fill_rows(&mut self.counts, [off], [codes], n_rows, slab, &cell);
             }
         }
         offs
     }
 
-    /// 2-way tables `counts[off + a·(ny+1) + b]` of every `xs` column against
+    /// 2-way tables `counts[off + x·(ny+1) + b]` of every `xs` column against
     /// `y`.
-    pub(crate) fn fill_pairs(&mut self, xs: &[&Discretized], y: &Discretized) -> [usize; BATCH] {
-        let yc = y.codes();
-        self.fill(xs, yc.len(), y.n_bins() as usize + 1, |i| yc[i] as usize)
+    pub(crate) fn fill_pairs(&mut self, xs: &[Axis], y: &Discretized) -> [usize; BATCH] {
+        let (yc, sy) = y.axis();
+        self.fill(xs, yc.len(), sy, |i| yc[i] as usize)
+    }
+
+    /// Sum the table of a [`Unit::Pair`] at `counts[off..]` — slab `a·wb + b`
+    /// of `wa · wb` — over the other feature's axis, missing code included,
+    /// into `joint`: `wa` slabs for the first feature, then `wb` for the
+    /// second. Every row was counted once under its `(a, b)`, so these are
+    /// the integers a fill over each feature alone leaves.
+    pub(crate) fn collapse_pair(&mut self, off: usize, wa: usize, wb: usize, slab: usize) {
+        self.joint.clear();
+        self.joint.resize((wa + wb) * slab, 0);
+        let (of_a, of_b) = self.joint.split_at_mut(wa * slab);
+        let blocks = self.counts[off..][..wa * wb * slab].chunks_exact(wb * slab);
+        for (row_a, block) in of_a.chunks_exact_mut(slab).zip(blocks) {
+            // The block is `wb` slabs `(a, b, ·)`: all of it goes to the
+            // second feature's table as it lies, each slab to row `a`.
+            for (sum, &c) in of_b.iter_mut().zip(block) {
+                *sum += c;
+            }
+            for cells in block.chunks_exact(slab) {
+                for (sum, &c) in row_a.iter_mut().zip(cells) {
+                    *sum += c;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Tables {
+    /// Debug builds hold [`Tables::collapse_pair`] to its contract on live
+    /// data: the two tables it sums out of `pair`'s table against `y` are,
+    /// cell for cell, what a fill over each feature alone counts.
+    pub(crate) fn assert_collapse(&mut self, pair: &Unit, y: &Discretized) {
+        let Unit::Pair { a, b, .. } = *pair else { return };
+        let (wa, wb, sy) = (a.axis().1, b.axis().1, y.axis().1);
+        let off = self.fill_pairs(&[pair.axis()], y)[0];
+        self.collapse_pair(off, wa, wb, sy);
+        let collapsed = std::mem::take(&mut self.joint);
+        self.fill_pairs(&[a.axis()], y);
+        assert_eq!(collapsed[..wa * sy], self.counts[..], "first feature of a pair");
+        self.fill_pairs(&[b.axis()], y);
+        assert_eq!(collapsed[wa * sy..], self.counts[..], "second feature of a pair");
+        self.joint = collapsed;
     }
 }
 

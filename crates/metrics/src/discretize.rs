@@ -6,7 +6,7 @@
 //! (`NaN`) get the column's own extra bin `n_bins`, which the estimators fill
 //! like any other and leave out when they read the table (pairwise deletion).
 
-use crate::ranks::{from_sort_key, sort_key};
+use crate::ranks::{sort_key, sorted_order};
 
 /// Stored width of one bin code.
 pub(crate) type Code = u8;
@@ -99,6 +99,11 @@ impl Discretized {
     pub(crate) fn codes(&self) -> &[Code] {
         &self.codes
     }
+
+    /// The dense codes and the width of the contingency axis they index.
+    pub(crate) fn axis(&self) -> (&[Code], usize) {
+        (&self.codes, self.n_bins as usize + 1)
+    }
 }
 
 /// The distinct finite values, sorted ascending — or `None` as soon as more
@@ -136,30 +141,81 @@ pub fn discretize_equal_frequency(values: &[f64], n_bins: u32) -> Discretized {
     assert!(n_bins >= 1, "n_bins must be >= 1");
     let n_bins = n_bins.min(MAX_BINS);
     if let Some(distinct) = distinct_capped(values, n_bins as usize) {
-        // Already discrete (or nothing present): direct value → bin mapping.
+        // Already discrete (or nothing present): direct value → bin mapping,
+        // and the column is never sorted.
         return Discretized::from_values(values, distinct.len() as u32, |x| {
             distinct.partition_point(|&d| d < x)
         });
     }
+    let mut order = Vec::new();
+    sorted_order(values, &mut order);
+    codes_from_order(values, &order, |row| row as usize, n_bins)
+}
 
-    // Quantile boundaries over the sorted present values. Equal values are
-    // interchangeable here, so the sort need not be stable, and it runs on
-    // integer keys.
-    let mut sorted: Vec<u64> =
-        values.iter().filter(|x| x.is_finite()).map(|&x| sort_key(x)).collect();
-    sorted.sort_unstable();
-    let n = sorted.len();
-    let mut boundaries: Vec<f64> = Vec::with_capacity(n_bins as usize - 1);
-    for b in 1..n_bins {
-        let q = (b as f64 / n_bins as f64 * n as f64) as usize;
-        let q = q.clamp(1, n - 1);
-        boundaries.push(from_sort_key(sorted[q]));
+/// [`discretize_equal_frequency`] for a caller that has already sorted the
+/// column: `order` is the `(sort key, row)` of every finite value, ascending
+/// by key ([`sorted_order`]), and `row_of` turns an `order` row into an index
+/// of `values`. One walk, no search: a row's code is the number of `bounds`
+/// at or below its key, and the keys only go up.
+pub(crate) fn codes_from_order(
+    values: &[f64],
+    order: &[(u64, u32)],
+    row_of: impl Fn(u32) -> usize,
+    n_bins: u32,
+) -> Discretized {
+    assert!(n_bins >= 1, "n_bins must be >= 1");
+    let n_bins = n_bins.min(MAX_BINS) as usize;
+    debug_assert!(order.windows(2).all(|w| w[0].0 <= w[1].0), "the order must ascend");
+    debug_assert!(covers_present_rows(values, order, &row_of), "the order must cover the present rows");
+    let n = order.len();
+    // ≤ `n_bins` distinct values: each is its own bin, so every distinct key
+    // after the first is a bound.
+    let mut bounds: Vec<u64> = Vec::with_capacity(n_bins);
+    for w in order.windows(2) {
+        if w[0].0 != w[1].0 {
+            bounds.push(w[1].0);
+            if bounds.len() == n_bins {
+                break;
+            }
+        }
     }
-    boundaries.dedup_by(|a, b| a == b);
-    let bin = |x: f64| boundaries.partition_point(|&bnd| bnd <= x);
-    // The largest value lands in the highest bin used.
-    let n_used = bin(from_sort_key(sorted[n - 1])) as u32 + 1;
-    Discretized::from_values(values, n_used, bin)
+    if bounds.len() == n_bins {
+        // More than that: quantile boundaries are the keys at the quantile
+        // positions, cut on data values; equal ones merge, so ties never
+        // straddle a bound.
+        bounds.clear();
+        for b in 1..n_bins {
+            let q = ((b as f64 / n_bins as f64 * n as f64) as usize).clamp(1, n - 1);
+            if bounds.last() != Some(&order[q].0) {
+                bounds.push(order[q].0);
+            }
+        }
+    }
+    // Every bound is a key of the column, so the largest value lands in bin
+    // `bounds.len()`, the highest one used.
+    let n_used = if n == 0 { 0 } else { bounds.len() + 1 };
+    let mut codes = vec![n_used as Code; values.len()];
+    let mut bin = 0;
+    for &(key, row) in order {
+        while bounds.get(bin).is_some_and(|&bound| bound <= key) {
+            bin += 1;
+        }
+        codes[row_of(row)] = bin as Code;
+    }
+    Discretized { codes, n_bins: n_used as u32 }
+}
+
+/// Whether `order` names every finite row of `values` once, under its key.
+fn covers_present_rows(
+    values: &[f64],
+    order: &[(u64, u32)],
+    row_of: impl Fn(u32) -> usize,
+) -> bool {
+    let mut seen = vec![false; values.len()];
+    order.iter().all(|&(key, row)| {
+        let x = values[row_of(row)];
+        x.is_finite() && sort_key(x) == key && !std::mem::replace(&mut seen[row_of(row)], true)
+    }) && order.len() == values.iter().filter(|x| x.is_finite()).count()
 }
 
 /// Equal-width binning into `n_bins` bins (at most [`MAX_BINS`]) over

@@ -38,7 +38,7 @@ pub fn entropy(x: &Discretized) -> f64 {
 /// where both are present.
 fn pair_table(x: &Discretized, y: &Discretized) -> (Tables, usize) {
     let mut t = Tables::default();
-    t.fill_pairs(&[x], y);
+    t.fill_pairs(&[x.axis()], y);
     let (nx, ny) = (x.n_bins() as usize, y.n_bins() as usize);
     let total = t.m.of(&t.counts, ny + 1, nx, ny);
     (t, total)

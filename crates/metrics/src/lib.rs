@@ -43,4 +43,6 @@ pub use relevance::{
     SymmetricalUncertainty,
 };
 pub use streaming::{BatchOutcome, StreamingSelector};
-pub use selection::{select_k_best, select_non_redundant, SelectedFeature};
+pub use selection::{
+    select_k_best, select_k_best_binned, select_non_redundant, SelectedFeature, SelectedSet,
+};

@@ -5,8 +5,8 @@
 //! framework (Eq. 1). Both are estimated from contingency counts over the
 //! rows where every involved feature is present, and reported in bits.
 
-use crate::contingency::{Marginals, Tables, BATCH};
-use crate::discretize::Discretized;
+use crate::contingency::{Marginals, Tables, Unit, BATCH};
+use crate::discretize::{Discretized, MAX_BINS};
 
 const LN_2: f64 = std::f64::consts::LN_2;
 
@@ -17,18 +17,23 @@ const LN_2: f64 = std::f64::consts::LN_2;
 /// pass filled them, the same counts give the same float.
 fn mi_from_counts(joint: &[u32], stride: usize, mx: &[usize], my: &[usize], total: usize) -> f64 {
     let n = total as f64;
+    // One division per column, not per cell: the same quotient either way.
+    let mut py = [0.0; MAX_BINS as usize];
+    for (p, &mb) in py.iter_mut().zip(my) {
+        *p = mb as f64 / n;
+    }
+    let py = &py[..my.len()];
     let mut mi = 0.0;
     for (a, &ma) in mx.iter().enumerate() {
         if ma == 0 {
             continue;
         }
         let px = ma as f64 / n;
-        for (&c, &mb) in joint[a * stride..][..my.len()].iter().zip(my) {
+        for (&c, &py) in joint[a * stride..][..my.len()].iter().zip(py) {
             if c == 0 {
                 continue;
             }
             let pxy = c as f64 / n;
-            let py = mb as f64 / n;
             mi += pxy * (pxy / (px * py)).ln();
         }
     }
@@ -62,29 +67,44 @@ fn mi_of_table(
     (total, mi)
 }
 
-/// `I(X_k;Y)` for up to [`BATCH`] columns `xs` against one `y`, in `xs`
-/// order; a full batch shares a single pass over the rows. Entries past
-/// `xs.len()` are 0.
-pub(crate) fn mi_batch(
-    t: &mut Tables,
-    xs: &[&Discretized],
-    y: &Discretized,
-    corrected: bool,
-) -> [f64; BATCH] {
-    let offs = t.fill_pairs(xs, y);
-    let ny = y.n_bins() as usize;
-    let mut out = [0.0; BATCH];
-    for ((mi, x), off) in out.iter_mut().zip(xs).zip(offs) {
-        let dims = (x.n_bins() as usize, ny);
-        *mi = mi_of_table(&t.counts[off..], ny + 1, dims, corrected, &mut t.m).1;
+/// `I(X;Y)` on caller-owned tables.
+pub(crate) fn mi_with(t: &mut Tables, x: &Discretized, y: &Discretized, corrected: bool) -> f64 {
+    let off = t.fill_pairs(&[x.axis()], y)[0];
+    let (nx, ny) = (x.n_bins() as usize, y.n_bins() as usize);
+    mi_of_table(&t.counts[off..], ny + 1, (nx, ny), corrected, &mut t.m).1
+}
+
+/// Miller-Madow `I(X_j;Y)` of every feature of up to [`BATCH`] `units`
+/// against one `y`, handed to `term` in selection order. A full batch shares
+/// a single pass over the rows, and a pair costs that pass one increment for
+/// its two features.
+pub(crate) fn mi_units(t: &mut Tables, units: &[Unit], y: &Discretized, mut term: impl FnMut(f64)) {
+    let sy = y.axis().1;
+    let mut axes = [(&[][..], 0); BATCH];
+    for (axis, unit) in axes.iter_mut().zip(units) {
+        *axis = unit.axis();
     }
-    out
+    let offs = t.fill_pairs(&axes[..units.len()], y);
+    for (unit, off) in units.iter().zip(offs) {
+        match *unit {
+            Unit::Single(x) => {
+                let dims = (x.n_bins() as usize, sy - 1);
+                term(mi_of_table(&t.counts[off..], sy, dims, true, &mut t.m).1);
+            }
+            Unit::Pair { a, b, .. } => {
+                let (wa, wb) = (a.axis().1, b.axis().1);
+                t.collapse_pair(off, wa, wb, sy);
+                term(mi_of_table(&t.joint, sy, (wa - 1, sy - 1), true, &mut t.m).1);
+                term(mi_of_table(&t.joint[wa * sy..], sy, (wb - 1, sy - 1), true, &mut t.m).1);
+            }
+        }
+    }
 }
 
 /// Mutual information `I(X;Y)` in bits. Symmetric; zero for independent
 /// features; never negative (up to floating-point noise, which is clamped).
 pub fn mutual_information(x: &Discretized, y: &Discretized) -> f64 {
-    mi_batch(&mut Tables::default(), &[x], y, false)[0]
+    mi_with(&mut Tables::default(), x, y, false)
 }
 
 /// Miller-Madow bias-corrected mutual information.
@@ -96,7 +116,7 @@ pub fn mutual_information(x: &Discretized, y: &Discretized) -> f64 {
 /// (clamped at zero). The redundancy criteria use it for every term so weak
 /// fresh features are not spuriously rejected.
 pub fn mutual_information_corrected(x: &Discretized, y: &Discretized) -> f64 {
-    mi_batch(&mut Tables::default(), &[x], y, true)[0]
+    mi_with(&mut Tables::default(), x, y, true)
 }
 
 /// Cell budget for the flat conditional contingency array (16 MiB of
@@ -139,7 +159,7 @@ fn fill_conditional(t: &mut Tables, x: &Discretized, y: &Discretized, z: &Discre
     let sy = y.n_bins() as usize + 1;
     let (yc, zc) = (y.codes(), z.codes());
     let slab = (z.n_bins() as usize + 1) * sy;
-    t.fill(&[x], yc.len(), slab, |i| zc[i] as usize * sy + yc[i] as usize);
+    t.fill(&[x.axis()], yc.len(), slab, |i| zc[i] as usize * sy + yc[i] as usize);
 }
 
 /// `Σ_z p(z)·I(X;Y|Z=z)` from the table [`fill_conditional`] left in `t`,

@@ -16,10 +16,9 @@
 //! A candidate with `J(X_k) > 0` adds more label information than it
 //! duplicates and is considered non-redundant.
 
-use crate::contingency::{Tables, BATCH};
-use crate::discretize::{discretize_equal_frequency, Discretized};
-use crate::mi::{mi_and_cmi_with, mi_batch};
-use crate::relevance::DEFAULT_BINS;
+use crate::contingency::{Tables, Unit, BATCH};
+use crate::discretize::Discretized;
+use crate::mi::{mi_and_cmi_with, mi_units, mi_with};
 
 /// The redundancy criteria compared in §V-D.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,33 +72,22 @@ impl RedundancyMethod {
 }
 
 /// Scores candidates against an already-selected feature set using a
-/// [`RedundancyMethod`]. Holds the method and the bin count only; callers
-/// discretize once ([`RedundancyScorer::codes`]) and keep the codes.
+/// [`RedundancyMethod`]. Every feature arrives discretized; the scorer holds
+/// the method only.
 #[derive(Debug, Clone)]
 pub struct RedundancyScorer {
     method: RedundancyMethod,
-    bins: u32,
 }
 
 impl RedundancyScorer {
-    /// Scorer with the default bin count.
+    /// Scorer for `method`.
     pub fn new(method: RedundancyMethod) -> Self {
-        RedundancyScorer { method, bins: DEFAULT_BINS }
-    }
-
-    /// Scorer with an explicit bin count.
-    pub fn with_bins(method: RedundancyMethod, bins: u32) -> Self {
-        RedundancyScorer { method, bins }
+        RedundancyScorer { method }
     }
 
     /// The configured method.
     pub fn method(&self) -> RedundancyMethod {
         self.method
-    }
-
-    /// Discretize a continuous feature with this scorer's bin count.
-    pub fn codes(&self, x: &[f64]) -> Discretized {
-        discretize_equal_frequency(x, self.bins)
     }
 
     /// Compute `J(X_k)` for a candidate given the selected set `S` and the
@@ -119,12 +107,17 @@ impl RedundancyScorer {
         selected: &[&Discretized],
         labels: &Discretized,
     ) -> f64 {
-        self.score_with(&mut Tables::default(), candidate, selected, labels, false)
+        let singles: Vec<Unit> = selected.iter().map(|s| Unit::Single(s)).collect();
+        self.score_with(&mut Tables::default(), candidate, &singles, labels, false)
     }
 
-    /// [`RedundancyScorer::score_codes`] on caller-owned tables. The penalty
-    /// terms are gathered [`BATCH`] selected columns per row pass and added
-    /// in `selected` order, so `J` does not depend on the batch width.
+    /// [`RedundancyScorer::score_codes`] on caller-owned tables, against a
+    /// selected set given as [`Unit`]s. MIFS and MRMR count [`BATCH`] units
+    /// per row pass — a pair puts two features behind one increment — and
+    /// add one penalty term per feature in selection order, so `J` depends
+    /// neither on the batch width nor on how the set is packed. The
+    /// conditional criteria take the features of the units one 3-way pass at
+    /// a time.
     ///
     /// With `reject_early`, MIFS (β ≥ 0), MRMR and CMIM stop as soon as the
     /// running score is ≤ 0 and return that value: every penalty term is
@@ -136,20 +129,22 @@ impl RedundancyScorer {
         &self,
         t: &mut Tables,
         candidate: &Discretized,
-        selected: &[&Discretized],
+        selected: &[Unit],
         labels: &Discretized,
         reject_early: bool,
     ) -> f64 {
         let corrected = !self.method.needs_conditional();
-        let rel = mi_batch(t, &[candidate], labels, corrected)[0];
+        let rel = mi_with(t, candidate, labels, corrected);
         if selected.is_empty() {
             return rel;
         }
+        let members = || selected.iter().flat_map(Unit::members);
+        let n_selected = members().count() as f64;
         match self.method {
             RedundancyMethod::Mifs { .. } | RedundancyMethod::Mrmr => {
                 let j = |red: f64| match self.method {
                     RedundancyMethod::Mifs { beta } => rel - beta * red,
-                    _ => rel - red / selected.len() as f64,
+                    _ => rel - red / n_selected,
                 };
                 // A negative β would turn the penalty into a reward.
                 let reject_early = reject_early
@@ -160,9 +155,7 @@ impl RedundancyScorer {
                     if reject_early && j(red) <= 0.0 {
                         break;
                     }
-                    for mi in &mi_batch(t, batch, candidate, true)[..batch.len()] {
-                        red += mi;
-                    }
+                    mi_units(t, batch, candidate, |mi| red += mi);
                 }
                 j(red)
             }
@@ -171,7 +164,7 @@ impl RedundancyScorer {
             // pass (bit-identical to the two separate estimator calls).
             RedundancyMethod::Cife => {
                 let mut j = rel;
-                for s in selected {
+                for s in members() {
                     let (mi, cmi) = mi_and_cmi_with(t, s, candidate, labels);
                     j -= mi;
                     j += cmi;
@@ -179,9 +172,9 @@ impl RedundancyScorer {
                 j
             }
             RedundancyMethod::Jmi => {
-                let inv = 1.0 / selected.len() as f64;
+                let inv = 1.0 / n_selected;
                 let mut j = rel;
-                for s in selected {
+                for s in members() {
                     let (mi, cmi) = mi_and_cmi_with(t, s, candidate, labels);
                     j -= inv * mi;
                     j += inv * cmi;
@@ -190,7 +183,7 @@ impl RedundancyScorer {
             }
             RedundancyMethod::Cmim => {
                 let mut worst = f64::NEG_INFINITY;
-                for s in selected {
+                for s in members() {
                     if reject_early && rel - worst.max(0.0) <= 0.0 {
                         break;
                     }
@@ -201,20 +194,24 @@ impl RedundancyScorer {
             }
         }
     }
-
-    /// Convenience: score raw (continuous) slices.
-    pub fn score(&self, candidate: &[f64], selected: &[&[f64]], labels: &[i64]) -> f64 {
-        let cand = self.codes(candidate);
-        let sel: Vec<Discretized> = selected.iter().map(|s| self.codes(s)).collect();
-        let sel_refs: Vec<&Discretized> = sel.iter().collect();
-        let y = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
-        self.score_codes(&cand, &sel_refs, &y)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discretize::discretize_equal_frequency;
+    use crate::relevance::DEFAULT_BINS;
+
+    impl RedundancyScorer {
+        /// Score raw (continuous) slices, binned the way the pipeline bins.
+        fn score(&self, candidate: &[f64], selected: &[&[f64]], labels: &[i64]) -> f64 {
+            let codes = |x: &[f64]| discretize_equal_frequency(x, DEFAULT_BINS);
+            let sel: Vec<Discretized> = selected.iter().map(|s| codes(s)).collect();
+            let sel_refs: Vec<&Discretized> = sel.iter().collect();
+            let y = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
+            self.score_codes(&codes(candidate), &sel_refs, &y)
+        }
+    }
 
     /// y depends on x1; x2 = copy of x1 (redundant); x3 independent noise.
     fn fixture() -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<i64>) {

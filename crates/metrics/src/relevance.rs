@@ -6,7 +6,9 @@
 //! strongly negative predictors rank as relevant (the paper sorts by
 //! correlation score for the *select-κ-best* heuristic).
 
-use crate::discretize::{discretize_equal_frequency, Discretized};
+use autofeat_obs as obs;
+
+use crate::discretize::{codes_from_order, discretize_equal_frequency, Discretized};
 use crate::entropy::entropy;
 use crate::mi::mutual_information;
 use crate::ranks::{average_ranks, average_ranks_into};
@@ -62,15 +64,34 @@ impl RelevanceMethod {
     /// [`Relevance::score`] implementations do. Scores are bit-identical to
     /// calling `score` per feature.
     pub fn scores(self, features: &[Vec<f64>], labels: &[i64]) -> Vec<f64> {
+        self.scores_and_codes(features, labels, None).0
+    }
+
+    /// [`RelevanceMethod::scores`] and, when `bins` asks for them, the
+    /// [`discretize_equal_frequency`] codes of every feature whose scoring
+    /// made them on the way: Spearman reads them off the sort its ranks come
+    /// from, IG and SU score the codes themselves. `None` where it did not —
+    /// the caller bins those it goes on to need.
+    pub(crate) fn scores_and_codes(
+        self,
+        features: &[Vec<f64>],
+        labels: &[i64],
+        bins: Option<u32>,
+    ) -> (Vec<f64>, Vec<Option<Discretized>>) {
+        let uncoded = |scores: Vec<f64>| {
+            let codes = vec![None; scores.len()];
+            (scores, codes)
+        };
         match self {
             RelevanceMethod::InformationGain => {
                 let dy = label_codes(labels);
                 features
                     .iter()
                     .map(|x| {
-                        mutual_information(&discretize_equal_frequency(x, DEFAULT_BINS), &dy)
+                        let dx = discretize_equal_frequency(x, DEFAULT_BINS);
+                        (mutual_information(&dx, &dy), (bins == Some(DEFAULT_BINS)).then_some(dx))
                     })
-                    .collect()
+                    .unzip()
             }
             RelevanceMethod::SymmetricalUncertainty => {
                 let dy = label_codes(labels);
@@ -80,23 +101,31 @@ impl RelevanceMethod {
                     .map(|x| {
                         let dx = discretize_equal_frequency(x, DEFAULT_BINS);
                         let hx = entropy(&dx);
-                        if hx + hy == 0.0 {
-                            return 0.0;
-                        }
-                        (2.0 * mutual_information(&dx, &dy) / (hx + hy)).clamp(0.0, 1.0)
+                        let su = if hx + hy == 0.0 {
+                            0.0
+                        } else {
+                            (2.0 * mutual_information(&dx, &dy) / (hx + hy)).clamp(0.0, 1.0)
+                        };
+                        (su, (bins == Some(DEFAULT_BINS)).then_some(dx))
                     })
-                    .collect()
+                    .unzip()
             }
             RelevanceMethod::Pearson => {
                 let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-                features.iter().map(|x| pearson_correlation(x, &y).abs()).collect()
+                uncoded(features.iter().map(|x| pearson_correlation(x, &y).abs()).collect())
             }
             RelevanceMethod::Spearman => {
                 let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
                 let y_ranks = average_ranks(&y);
-                features.iter().map(|x| spearman_with(x, &y, Some(&y_ranks)).abs()).collect()
+                features
+                    .iter()
+                    .map(|x| {
+                        let (rho, codes) = spearman_with(x, &y, Some(&y_ranks), bins);
+                        (rho.abs(), codes)
+                    })
+                    .unzip()
             }
-            RelevanceMethod::Relief => Relief::default().scores(features, labels),
+            RelevanceMethod::Relief => uncoded(Relief::default().scores(features, labels)),
         }
     }
 }
@@ -207,46 +236,77 @@ pub struct Spearman;
 /// ranking every candidate feature against the label reuses five warm
 /// allocations instead of paying five fresh ones per call.
 pub fn spearman_correlation(x: &[f64], y: &[f64]) -> f64 {
-    spearman_with(x, y, None)
+    spearman_with(x, y, None, None).0
 }
 
 /// [`spearman_correlation`], given the ranks of the whole of an all-finite
 /// `y` when the caller has them: a feature without missing rows deletes no
 /// pair, so those are the ranks over the common rows and `y` is not sorted
-/// again for it.
-fn spearman_with(x: &[f64], y: &[f64], y_ranks: Option<&[f64]>) -> f64 {
+/// again for it. With `bins`, the `(key, row)` order the ranks of `x` were
+/// read from also yields its [`discretize_equal_frequency`] codes — unless
+/// that order does not cover the present rows of `x` (fewer than two common
+/// rows, so nothing was sorted, or a non-finite `y` deleted one).
+fn spearman_with(
+    x: &[f64],
+    y: &[f64],
+    y_ranks: Option<&[f64]>,
+    bins: Option<u32>,
+) -> (f64, Option<Discretized>) {
     assert_eq!(x.len(), y.len(), "length mismatch");
     SPEARMAN_SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
         if let Some(ry) = y_ranks.filter(|_| x.iter().all(|a| a.is_finite())) {
             if x.len() < 2 {
-                return 0.0;
+                return (0.0, None);
             }
             average_ranks_into(x, &mut scratch.order, &mut scratch.rx);
-            return pearson_correlation(&scratch.rx, ry);
+            let codes = bins.map(|bins| bins_off_the_sort(x, &scratch.order, |row| row as usize, bins));
+            return (pearson_correlation(&scratch.rx, ry), codes);
         }
-        // Pairwise deletion first so the ranks are computed on the common rows.
+        // Pairwise deletion first so the ranks are computed on the common
+        // rows; `rows` keeps where each of them sits in `x`.
         scratch.xs.clear();
         scratch.ys.clear();
-        for (a, b) in x.iter().zip(y) {
-            if a.is_finite() && b.is_finite() {
-                scratch.xs.push(*a);
-                scratch.ys.push(*b);
+        scratch.rows.clear();
+        let mut present = 0;
+        for (row, (a, b)) in x.iter().zip(y).enumerate() {
+            if a.is_finite() {
+                present += 1;
+                if b.is_finite() {
+                    scratch.xs.push(*a);
+                    scratch.ys.push(*b);
+                    scratch.rows.push(row as u32);
+                }
             }
         }
         if scratch.xs.len() < 2 {
-            return 0.0;
+            return (0.0, None);
         }
         average_ranks_into(&scratch.xs, &mut scratch.order, &mut scratch.rx);
+        let rows = &scratch.rows;
+        let codes = bins.filter(|_| rows.len() == present).map(|bins| {
+            bins_off_the_sort(x, &scratch.order, |row| rows[row as usize] as usize, bins)
+        });
         average_ranks_into(&scratch.ys, &mut scratch.order, &mut scratch.ry);
-        pearson_correlation(&scratch.rx, &scratch.ry)
+        (pearson_correlation(&scratch.rx, &scratch.ry), codes)
     })
+}
+
+fn bins_off_the_sort(
+    x: &[f64],
+    order: &[(u64, u32)],
+    row_of: impl Fn(u32) -> usize,
+    bins: u32,
+) -> Discretized {
+    let _span = obs::span("discretize");
+    codes_from_order(x, order, row_of, bins)
 }
 
 #[derive(Default)]
 struct SpearmanScratch {
     xs: Vec<f64>,
     ys: Vec<f64>,
+    rows: Vec<u32>,
     order: Vec<(u64, u32)>,
     rx: Vec<f64>,
     ry: Vec<f64>,
@@ -413,6 +473,22 @@ mod tests {
         let x = [1.0, 2.0, 2.0, 3.0];
         let y = [1.0, 2.0, 2.0, 3.0];
         assert!((spearman_correlation(&x, &y) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bins_come_off_the_sort_only_when_it_covers_the_column() {
+        let x = [3.0, f64::NAN, 1.0, 2.0, 2.0, 9.0];
+        let y = [0.0, 1.0, 0.0, 1.0, 1.0, 0.0];
+        let plain = discretize_equal_frequency(&x, 3);
+        // Labels are finite: the rows the rank sort covers are `x`'s own.
+        let (rho, codes) = spearman_with(&x, &y, None, Some(3));
+        assert_eq!(rho.to_bits(), spearman_correlation(&x, &y).to_bits());
+        assert_eq!(codes, Some(plain));
+        // A non-finite `y` deletes a row `x` has: no codes from that order.
+        let holed = [0.0, 1.0, f64::NAN, 1.0, 1.0, 0.0];
+        assert_eq!(spearman_with(&x, &holed, None, Some(3)).1, None);
+        // Nothing was sorted.
+        assert_eq!(spearman_with(&[1.0, f64::NAN], &[0.0, 1.0], None, Some(3)), (0.0, None));
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Feature-subset selection building blocks used by Algorithm 1.
 //!
 //! * [`select_k_best`] — the *select-κ-best* heuristic (§VI): sort features
-//!   by a relevance score and keep the top κ with a strictly positive score.
+//!   by a relevance score and keep the top κ with a strictly positive score;
+//!   [`select_k_best_binned`] also hands back the picks' bin codes.
 //! * [`select_non_redundant`] — greedy forward pass applying a
 //!   [`RedundancyScorer`]: candidates are visited in descending relevance;
 //!   a candidate is kept iff its `J` score against the selected-so-far set
 //!   is positive, and once kept it joins the conditioning set.
+//! * [`SelectedSet`] — `R_sel`, the selected-so-far set that outlives a
+//!   step, stored the way the redundancy pass counts against it.
 
 use std::borrow::Borrow;
 
 use autofeat_obs as obs;
 
-use crate::contingency::Tables;
-use crate::discretize::Discretized;
+use crate::contingency::{Tables, Unit};
+use crate::discretize::{discretize_equal_frequency, Code, Discretized};
 use crate::redundancy::RedundancyScorer;
 use crate::relevance::RelevanceMethod;
 
@@ -35,9 +38,36 @@ pub fn select_k_best(
     kappa: usize,
     min_score: f64,
 ) -> Vec<SelectedFeature> {
+    k_best(features, labels, method, kappa, min_score, None).0
+}
+
+/// [`select_k_best`], and beside each pick its
+/// [`discretize_equal_frequency`] codes over `bins` bins — read off the work
+/// the relevance score already did on the column where there was any
+/// (Spearman's sort, IG's and SU's own binning), so a picked feature is not
+/// sorted a second time on its way to the redundancy analysis.
+pub fn select_k_best_binned(
+    features: &[Vec<f64>],
+    labels: &[i64],
+    method: RelevanceMethod,
+    kappa: usize,
+    min_score: f64,
+    bins: u32,
+) -> (Vec<SelectedFeature>, Vec<Discretized>) {
+    k_best(features, labels, method, kappa, min_score, Some(bins))
+}
+
+fn k_best(
+    features: &[Vec<f64>],
+    labels: &[i64],
+    method: RelevanceMethod,
+    kappa: usize,
+    min_score: f64,
+    bins: Option<u32>,
+) -> (Vec<SelectedFeature>, Vec<Discretized>) {
     let _span = obs::span("relevance");
     obs::add("metrics.features_scored", features.len() as u64);
-    let scores = method.scores(features, labels);
+    let (scores, mut codes) = method.scores_and_codes(features, labels, bins);
     let mut ranked: Vec<SelectedFeature> = scores
         .into_iter()
         .enumerate()
@@ -51,7 +81,112 @@ pub fn select_k_best(
             .then(a.index.cmp(&b.index))
     });
     ranked.truncate(kappa);
-    ranked
+    let Some(bins) = bins else { return (ranked, Vec::new()) };
+    let codes = ranked
+        .iter()
+        .map(|s| {
+            codes[s.index].take().unwrap_or_else(|| {
+                let _span = obs::span("discretize");
+                discretize_equal_frequency(&features[s.index], bins)
+            })
+        })
+        .collect();
+    (ranked, codes)
+}
+
+/// `R_sel`, the running selected set of Algorithm 1: names and codes in
+/// selection order — the order every redundancy sum runs in — and, for every
+/// two neighbours `(2p, 2p + 1)` whose codes fit one [`Code`] together, the
+/// column `a·(n_b + 1) + b` that lets one counter increment serve both (at
+/// the pipeline's 10 bins they always fit: 11 · 11 = 121). A pair that does
+/// not fit, or whose lengths differ, is counted as two columns.
+#[derive(Debug, Clone, Default)]
+pub struct SelectedSet {
+    names: Vec<String>,
+    codes: Vec<Discretized>,
+    /// `packed[p]` for members `2p` and `2p + 1`, made when the second arrives.
+    packed: Vec<Option<Vec<Code>>>,
+}
+
+fn pack(a: &Discretized, b: &Discretized) -> Option<Vec<Code>> {
+    let ((a, wa), (b, wb)) = (a.axis(), b.axis());
+    if wa * wb > Code::MAX as usize + 1 || a.len() != b.len() {
+        return None;
+    }
+    let packed: Vec<Code> =
+        a.iter().zip(b).map(|(&a, &b)| (a as usize * wb + b as usize) as Code).collect();
+    debug_assert!(packed.iter().all(|&c| (c as usize) < wa * wb));
+    Some(packed)
+}
+
+impl SelectedSet {
+    /// Number of selected features.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether nothing has been selected.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The selected names, in selection order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The selected features' codes, in step with [`SelectedSet::names`].
+    pub fn codes(&self) -> &[Discretized] {
+        &self.codes
+    }
+
+    /// Select `name` (Algorithm 1, line 18). A name selected before keeps
+    /// its place in the order and takes the new codes; any other is
+    /// appended.
+    pub fn insert(&mut self, name: &str, codes: Discretized) {
+        let at = match self.names.iter().position(|n| n == name) {
+            Some(at) => {
+                self.codes[at] = codes;
+                at
+            }
+            None => {
+                self.names.push(name.to_string());
+                self.codes.push(codes);
+                self.codes.len() - 1
+            }
+        };
+        // (Re)pack the pair `at` sits in, if its second member is there.
+        let p = at / 2;
+        if let Some([a, b]) = self.codes.chunks(2).nth(p) {
+            let packed = pack(a, b);
+            match self.packed.get_mut(p) {
+                Some(slot) => *slot = packed,
+                None => self.packed.push(packed),
+            }
+        }
+        debug_assert_eq!(self.packed.len(), self.codes.len() / 2);
+    }
+
+    fn units(&self) -> Vec<Unit<'_>> {
+        let mut units = Vec::with_capacity(self.codes.len());
+        for (p, members) in self.codes.chunks(2).enumerate() {
+            match (members, self.packed.get(p).and_then(Option::as_deref)) {
+                ([a, b], Some(packed)) => units.push(Unit::Pair { packed, a, b }),
+                _ => units.extend(members.iter().map(Unit::Single)),
+            }
+        }
+        units
+    }
+
+    /// [`select_non_redundant`] with this set as `already_selected`.
+    pub fn select_non_redundant(
+        &self,
+        candidates: &[(usize, &Discretized)],
+        labels: &Discretized,
+        scorer: &RedundancyScorer,
+    ) -> Vec<SelectedFeature> {
+        non_redundant(candidates, self.units(), labels, scorer)
+    }
 }
 
 /// Redundancy analysis (Algorithm 1, line 17): greedily keep candidates
@@ -71,17 +206,33 @@ pub fn select_non_redundant<S: Borrow<Discretized>>(
     labels: &Discretized,
     scorer: &RedundancyScorer,
 ) -> Vec<SelectedFeature> {
+    let singles = already_selected.iter().map(|s| Unit::Single(s.borrow())).collect();
+    non_redundant(candidates, singles, labels, scorer)
+}
+
+/// The greedy pass over a conditioning set given as [`Unit`]s; this step's
+/// kept candidates join it as singles.
+fn non_redundant<'a>(
+    candidates: &[(usize, &'a Discretized)],
+    mut conditioning: Vec<Unit<'a>>,
+    labels: &Discretized,
+    scorer: &RedundancyScorer,
+) -> Vec<SelectedFeature> {
     let _span = obs::span("redundancy");
     obs::add("metrics.redundancy_candidates", candidates.len() as u64);
     let mut kept: Vec<SelectedFeature> = Vec::new();
-    let mut conditioning: Vec<&Discretized> =
-        already_selected.iter().map(Borrow::borrow).collect();
     let mut tables = Tables::default();
+    #[cfg(debug_assertions)]
+    if let (Some(pair), Some((_, first))) =
+        (conditioning.iter().find(|u| matches!(u, Unit::Pair { .. })), candidates.first())
+    {
+        tables.assert_collapse(pair, first);
+    }
     for &(index, codes) in candidates {
         let j = scorer.score_with(&mut tables, codes, &conditioning, labels, true);
         if j > 0.0 {
             kept.push(SelectedFeature { index, score: j });
-            conditioning.push(codes);
+            conditioning.push(Unit::Single(codes));
         }
     }
     obs::add("metrics.redundancy_kept", kept.len() as u64);
@@ -185,6 +336,50 @@ mod tests {
         let kept = select_non_redundant::<&Discretized>(&cands, &[], &ycodes, &scorer);
         assert_eq!(kept.len(), 1);
         assert!(kept[0].score > 0.0);
+    }
+
+    #[test]
+    fn binned_picks_carry_the_codes_of_the_plain_routine() {
+        let (mut feats, y) = fixture();
+        feats[2][7] = f64::NAN; // the pairwise-deletion path of the rank sort
+        feats.push(vec![f64::NAN; y.len()]); // nothing to sort
+        for method in RelevanceMethod::all() {
+            let (picked, codes) = select_k_best_binned(&feats, &y, method, 9, f64::NEG_INFINITY, 4);
+            assert_eq!(picked, select_k_best(&feats, &y, method, 9, f64::NEG_INFINITY));
+            assert_eq!(picked.len(), feats.len());
+            for (s, d) in picked.iter().zip(&codes) {
+                assert_eq!(*d, discretize_equal_frequency(&feats[s.index], 4), "{}", method.name());
+            }
+        }
+    }
+
+    #[test]
+    fn set_packs_neighbours_that_fit_one_code() {
+        let ten = |shift: usize| {
+            Discretized::from_codes((0..40).map(|i| (i % 7 != 0).then_some(((i + shift) % 10) as i64)))
+        };
+        let wide = Discretized::from_codes((0..40).map(|i| Some(i as i64)));
+        let short = Discretized::from_codes((0..5).map(Some));
+        let mut set = SelectedSet::default();
+        for (name, codes) in [("a", ten(0)), ("b", ten(3)), ("c", ten(1)), ("d", wide), ("e", ten(2))] {
+            set.insert(name, codes);
+        }
+        assert_eq!(set.names(), ["a", "b", "c", "d", "e"]);
+        // (a, b) share a column, (c, d) would need 11 · 41 codes, e waits.
+        let packed = |set: &SelectedSet| set.packed.iter().map(Option::is_some).collect::<Vec<_>>();
+        assert_eq!(packed(&set), [true, false]);
+        let ab = set.packed[0].as_deref().unwrap();
+        for (row, &code) in ab.iter().enumerate() {
+            let (a, b) = (set.codes[0].code(row).unwrap_or(10), set.codes[1].code(row).unwrap_or(10));
+            assert_eq!(u32::from(code), a * 11 + b);
+        }
+        // New codes for `d` keep its place and repack its pair; a length
+        // that differs from its neighbour's leaves the two apart.
+        set.insert("d", ten(5));
+        set.insert("f", short);
+        assert_eq!(set.names(), ["a", "b", "c", "d", "e", "f"]);
+        assert_eq!(packed(&set), [true, true, false]);
+        assert_eq!(set.units().len(), 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::discretize::{discretize_equal_frequency, Discretized};
 use crate::redundancy::{RedundancyMethod, RedundancyScorer};
 use crate::relevance::{RelevanceMethod, DEFAULT_BINS};
-use crate::selection::{select_k_best, select_non_redundant};
+use crate::selection::{select_k_best_binned, SelectedSet};
 
 /// Outcome of offering one feature batch to the selector.
 #[derive(Debug, Clone, Default)]
@@ -32,7 +32,9 @@ impl BatchOutcome {
     }
 }
 
-/// Streaming feature selector with a persistent selected set.
+/// Streaming feature selector with a persistent selected set: the two
+/// analyses and the `R_sel` update exactly as `AutoFeat::discover` runs them
+/// per join, behind a batch-at-a-time interface.
 #[derive(Debug, Clone)]
 pub struct StreamingSelector {
     relevance: Option<RelevanceMethod>,
@@ -40,9 +42,7 @@ pub struct StreamingSelector {
     kappa: usize,
     labels: Vec<i64>,
     label_codes: Discretized,
-    /// Names of the selected features so far, and their codes in step.
-    selected_names: Vec<String>,
-    selected_codes: Vec<Discretized>,
+    selected: SelectedSet,
 }
 
 impl StreamingSelector {
@@ -64,71 +64,69 @@ impl StreamingSelector {
             kappa,
             labels,
             label_codes,
-            selected_names: Vec::new(),
-            selected_codes: Vec::new(),
+            selected: SelectedSet::default(),
         }
     }
 
     /// Number of features selected so far.
     pub fn n_selected(&self) -> usize {
-        self.selected_names.len()
+        self.selected.len()
     }
 
     /// Names of the selected features, in selection order.
     pub fn selected_names(&self) -> Vec<&str> {
-        self.selected_names.iter().map(String::as_str).collect()
+        self.selected.names().iter().map(String::as_str).collect()
     }
 
     /// Seed the selected set without selection (the base table's features
     /// enter `R_sel` unconditionally, Algorithm 1's input).
     pub fn seed(&mut self, name: impl Into<String>, values: &[f64]) {
         assert_eq!(values.len(), self.labels.len(), "row count mismatch");
-        self.selected_names.push(name.into());
-        self.selected_codes.push(discretize_equal_frequency(values, DEFAULT_BINS));
+        self.selected.insert(&name.into(), discretize_equal_frequency(values, DEFAULT_BINS));
     }
 
     /// Offer a batch of `(name, values)` features (one join's new columns).
-    /// Accepted features enter `R_sel` immediately (streaming semantics).
+    /// Accepted features enter `R_sel` when the batch is done; a name that
+    /// is already there keeps its place and takes the new codes.
     pub fn offer(&mut self, batch: &[(String, Vec<f64>)]) -> BatchOutcome {
         for (_, v) in batch {
             assert_eq!(v.len(), self.labels.len(), "row count mismatch");
         }
-        // Relevance analysis.
         let data: Vec<Vec<f64>> = batch.iter().map(|(_, v)| v.clone()).collect();
-        let relevant: Vec<(usize, f64)> = match self.relevance {
-            Some(method) => select_k_best(&data, &self.labels, method, self.kappa, 0.0)
-                .into_iter()
-                .map(|s| (s.index, s.score))
-                .collect(),
-            None => (0..batch.len()).map(|i| (i, 0.0)).collect(),
+        let (relevant, codes): (Vec<(usize, f64)>, Vec<Discretized>) = match self.relevance {
+            Some(method) => {
+                let (picked, codes) = select_k_best_binned(
+                    &data,
+                    &self.labels,
+                    method,
+                    self.kappa,
+                    0.0,
+                    DEFAULT_BINS,
+                );
+                (picked.into_iter().map(|s| (s.index, s.score)).collect(), codes)
+            }
+            None => (
+                (0..batch.len()).map(|i| (i, 0.0)).collect(),
+                data.iter().map(|x| discretize_equal_frequency(x, DEFAULT_BINS)).collect(),
+            ),
         };
-        // Redundancy analysis against R_sel.
-        let codes: Vec<Discretized> = relevant
-            .iter()
-            .map(|&(i, _)| discretize_equal_frequency(&data[i], DEFAULT_BINS))
-            .collect();
         // `kept[local]`: did `codes[local]` survive, and with which `J`.
         let kept: Vec<Option<f64>> = match &self.redundancy {
             Some(scorer) => {
-                let cands: Vec<(usize, &Discretized)> =
-                    codes.iter().enumerate().collect();
+                let cands: Vec<(usize, &Discretized)> = codes.iter().enumerate().collect();
                 let mut kept = vec![None; codes.len()];
-                for s in
-                    select_non_redundant(&cands, &self.selected_codes, &self.label_codes, scorer)
-                {
+                for s in self.selected.select_non_redundant(&cands, &self.label_codes, scorer) {
                     kept[s.index] = Some(s.score);
                 }
                 kept
             }
             None => relevant.iter().map(|&(_, score)| Some(score)).collect(),
         };
-        // Update R_sel: the accepted codes move in.
         let mut selected = Vec::new();
         for ((&(batch_idx, _), code), j) in relevant.iter().zip(codes).zip(kept) {
             if let Some(j) = j {
                 selected.push((batch_idx, j));
-                self.selected_names.push(batch[batch_idx].0.clone());
-                self.selected_codes.push(code);
+                self.selected.insert(&batch[batch_idx].0, code);
             }
         }
         BatchOutcome { relevant, selected }
@@ -247,6 +245,24 @@ mod tests {
         assert!(out.relevance_scores()[0] > 0.9);
         assert_eq!(out.redundancy_scores().len(), 1);
         assert!(out.redundancy_scores()[0] > 0.0);
+    }
+
+    #[test]
+    fn a_reoffered_name_takes_the_new_codes_in_place() {
+        // What `AutoFeat::discover` does when a table is reached again over
+        // another path: the name keeps its place in `R_sel`, the codes are
+        // the latest. (This selector used to append a second member.)
+        let n = 200;
+        let mut s = StreamingSelector::new(labels(n), Some(RelevanceMethod::Spearman), None, 5);
+        s.seed("base", &noise(n, 3));
+        let first: Vec<f64> = signal(n);
+        let second: Vec<f64> = signal(n).iter().enumerate().map(|(i, v)| v + (i % 3) as f64).collect();
+        s.offer(&[("t1.f".into(), first)]);
+        s.offer(&[("t2.g".into(), noise(n, 1).iter().zip(signal(n)).map(|(a, b)| a + 20.0 * b).collect())]);
+        let out = s.offer(&[("t1.f".into(), second.clone())]);
+        assert_eq!(out.selected.len(), 1);
+        assert_eq!(s.selected_names(), vec!["base", "t1.f", "t2.g"]);
+        assert_eq!(s.selected.codes()[1], discretize_equal_frequency(&second, DEFAULT_BINS));
     }
 
     #[test]

@@ -295,6 +295,7 @@ pub fn assert_bit_identical(a: &DiscoveryResult, b: &DiscoveryResult, what: &str
     assert_eq!(a.selected_features, b.selected_features, "{what}");
 }
 
+pub mod binning_oracle;
 pub mod tree_oracle;
 
 /// An independent reference for the normalized left join: row at a time,

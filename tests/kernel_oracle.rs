@@ -6,7 +6,12 @@
 //! public estimator must reproduce it exactly on inputs the discovery
 //! fixtures never produce: all-missing columns, missing on one side only, a
 //! single bin, 0/1/2 rows, `MAX_BINS` bins, and selected sets around every
-//! multiple of the batch width.
+//! multiple of the batch width — as a plain slice and as a `SelectedSet`,
+//! which counts two neighbours per increment and must not move a bit.
+//!
+//! `common::binning_oracle` is the same for equal-frequency binning: the
+//! value sort and per-row search the bins were made with before they were
+//! read off the Spearman sort.
 
 use autofeat::metrics::discretize::{discretize_equal_frequency, Discretized, MAX_BINS};
 use autofeat::metrics::entropy::{conditional_entropy, entropy, joint_entropy};
@@ -15,8 +20,14 @@ use autofeat::metrics::mi::{
     mutual_information, mutual_information_corrected,
 };
 use autofeat::metrics::redundancy::{RedundancyMethod, RedundancyScorer};
-use autofeat::metrics::selection::select_non_redundant;
+use autofeat::metrics::relevance::RelevanceMethod;
+use autofeat::metrics::selection::{
+    select_k_best, select_k_best_binned, select_non_redundant, SelectedFeature, SelectedSet,
+};
 use proptest::prelude::*;
+
+mod common;
+use common::binning_oracle::{binning_oracle, Binned};
 
 mod oracle {
     use super::{Discretized, RedundancyMethod};
@@ -277,6 +288,73 @@ fn exhaustive_selection(
     kept
 }
 
+/// `members` selected in order under the names `m0, m1, …`.
+fn set_of(members: &[Discretized]) -> SelectedSet {
+    let mut set = SelectedSet::default();
+    for (k, m) in members.iter().enumerate() {
+        set.insert(&format!("m{k}"), m.clone());
+    }
+    set
+}
+
+/// `set` must select as the plain slice of its members does and as the
+/// oracle's exhaustive loop does, kept index for kept index and bit for bit,
+/// under MIFS (a rewarding β too) and MRMR, which count against the packed
+/// columns, and — when `conditional` — under the three criteria that walk
+/// the members one at a time.
+fn check_set(set: &SelectedSet, candidates: &[Discretized], labels: &Discretized, conditional: bool) {
+    let cands: Vec<(usize, &Discretized)> = candidates.iter().enumerate().collect();
+    let mut methods = RedundancyMethod::all().to_vec();
+    methods.push(RedundancyMethod::Mifs { beta: -0.5 });
+    methods.retain(|m| conditional || !m.needs_conditional());
+    for method in methods {
+        let scorer = RedundancyScorer::new(method);
+        let bits = |kept: Vec<SelectedFeature>| -> Vec<(usize, u64)> {
+            kept.iter().map(|s| (s.index, s.score.to_bits())).collect()
+        };
+        let packed = bits(set.select_non_redundant(&cands, labels, &scorer));
+        let plain = bits(select_non_redundant(&cands, set.codes(), labels, &scorer));
+        let want: Vec<(usize, u64)> = exhaustive_selection(method, candidates, set.codes(), labels)
+            .into_iter()
+            .map(|(i, j)| (i, j.to_bits()))
+            .collect();
+        let what = format!("{} against {} member(s)", method.name(), set.len());
+        assert_eq!(packed, plain, "{what}: set vs plain slice");
+        assert_eq!(packed, want, "{what}: set vs oracle");
+    }
+}
+
+fn binned(d: &Discretized) -> Binned {
+    Binned { codes: (0..d.len()).map(|i| d.code(i)).collect(), n_bins: d.n_bins() }
+}
+
+/// `n` values of one of the shapes binning has a rule for, with `junk_pct` %
+/// of the rows made `NaN` or `±inf`.
+fn binning_column(rng: &mut Rng, n: usize, shape: usize, junk_pct: u64) -> Vec<f64> {
+    (0..n)
+        .map(|i| {
+            let r = rng.next();
+            if r % 100 < junk_pct {
+                return [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(r >> 8) as usize % 3];
+            }
+            let r = r >> 16;
+            match shape {
+                // Continuous, both signs.
+                0 => (r % 1_000_003) as f64 / 7.0 - 70_000.0,
+                // Two decimals: ties sit on every quantile position.
+                1 => (r % 37) as f64 / 100.0,
+                // Exactly 10 and exactly 11 distinct values (once `n` allows).
+                2 => ((i as u64 + r % 2 * 5) % 10) as f64 * 1.5,
+                3 => ((i as u64 + r % 2 * 5) % 11) as f64 - 5.0,
+                // Both zeros among a few small values: one key, one bin.
+                4 => [-0.0, 0.0, -1.0, 1.0, 0.5][r as usize % 5] * ((r >> 8) % 4) as f64,
+                // Mostly one value with a continuous tail.
+                _ => if r.is_multiple_of(4) { (r % 9_973) as f64 } else { 42.0 },
+            }
+        })
+        .collect()
+}
+
 const ROWS: [usize; 6] = [0, 1, 2, 7, 64, 301];
 const MISSING_PCT: [u64; 4] = [0, 15, 60, 100];
 
@@ -359,6 +437,10 @@ proptest! {
         for method in methods {
             let kept = select_non_redundant(&cands, &prior, &labels, &RedundancyScorer::new(method));
             let got: Vec<(usize, u64)> = kept.iter().map(|s| (s.index, s.score.to_bits())).collect();
+            // The same prior as a `SelectedSet` rejects at unit-batch
+            // boundaries — later, never differently.
+            let in_set = set_of(&prior).select_non_redundant(&cands, &labels, &RedundancyScorer::new(method));
+            prop_assert!(in_set == kept, "{} as a set: {:?} vs {:?}", method.name(), in_set, kept);
             let want: Vec<(usize, u64)> = exhaustive_selection(method, &candidates, &prior, &labels)
                 .into_iter()
                 .map(|(i, j)| (i, j.to_bits()))
@@ -367,6 +449,107 @@ proptest! {
                 got == want,
                 "{} against {} prior feature(s): got {:?}, oracle {:?}", method.name(), n_prior, got, want
             );
+        }
+    }
+
+    /// A `SelectedSet` of 0..=17 members (every boundary of 2, 4 and 8, odd
+    /// and even) of every shape it packs or leaves alone — missing on one
+    /// side only, all-missing, a single bin, a 30-bin column that fits one
+    /// code with a 6-bin neighbour and not with a 10-bin one — selects as the
+    /// plain slice and the oracle do; so it does after its first, a middle or
+    /// its last member has taken new codes in place, and after more members
+    /// have arrived behind that. Several candidates are kept per call, so
+    /// this step's tail of singles is scored against as well.
+    #[test]
+    fn selected_set_matches_the_plain_slice_and_the_oracle(
+        seed in 1u64..u64::MAX,
+        size in 0usize..18,
+        replaced in 0usize..3,
+        more in 0usize..4,
+    ) {
+        let mut rng = Rng(seed);
+        let n = 90;
+        let labels = rng.column(n, 2, 0);
+        let member = |rng: &mut Rng, k: u64| match seed.wrapping_add(k) % 7 {
+            0 => rng.echo(&labels, 35),
+            1 => rng.column(n, 10, 0),
+            2 => rng.column(n, 6, 40),
+            3 => rng.column(n, 3, 100),
+            4 => rng.column(n, 30, 5),
+            5 => rng.column(n, 10, 15),
+            _ => rng.column(n, 1, 5),
+        };
+        let members: Vec<Discretized> = (0..size as u64).map(|k| member(&mut rng, k)).collect();
+        let candidates: Vec<Discretized> = (0..5)
+            .map(|k| match k % 3 {
+                0 => rng.echo(&labels, 25 + 5 * k as u64),
+                1 => rng.echo(members.first().unwrap_or(&labels), 10),
+                _ => rng.column(n, 4, 5),
+            })
+            .collect();
+        let mut set = set_of(&members);
+        prop_assert!(set.len() == size && set.codes() == &members[..]);
+        check_set(&set, &candidates, &labels, false);
+        if size > 0 {
+            let at = [0, size / 2, size - 1][replaced];
+            let fresh = member(&mut rng, at as u64 + 3);
+            set.insert(&format!("m{at}"), fresh.clone());
+            prop_assert!(set.len() == size && set.codes()[at] == fresh, "replaced in place");
+            check_set(&set, &candidates, &labels, false);
+        }
+        for k in 0..more {
+            let fresh = member(&mut rng, 40 + k as u64);
+            set.insert(&format!("later{k}"), fresh);
+        }
+        prop_assert!(set.len() == size + more);
+        check_set(&set, &candidates, &labels, true);
+    }
+
+    /// `discretize_equal_frequency`, and the codes the fused relevance entry
+    /// hands back beside its picks, against the value-sort binning they
+    /// replaced: code for code and `n_bins` for `n_bins`, on every shape the
+    /// rule distinguishes, with and without non-finite rows, at 0/1/2 rows,
+    /// and for a bin count beyond `MAX_BINS`. The fused entry picks and
+    /// scores what `select_k_best` and `RelevanceMethod::scores` do.
+    #[test]
+    fn binning_matches_the_value_sort_oracle(
+        seed in 1u64..u64::MAX,
+        rows in 0usize..6,
+        bins in 0usize..7,
+        junk in 0usize..3,
+    ) {
+        let mut rng = Rng(seed);
+        let n = ROWS[rows];
+        let bins = [1u32, 2, 4, 10, 11, 200, 4000][bins];
+        let junk_pct = [0, 12, 100][junk];
+        let mut features: Vec<Vec<f64>> =
+            (0..6).map(|shape| binning_column(&mut rng, n, shape, junk_pct)).collect();
+        // A clean column beside the sprinkled ones, and a wide one for the
+        // bin counts only > 255 distinct values can use.
+        features.push(binning_column(&mut rng, n, 0, 0));
+        for x in &features {
+            let want = binning_oracle(x, bins);
+            prop_assert!(
+                binned(&discretize_equal_frequency(x, bins)) == want,
+                "{} bins over {:?}", bins, x
+            );
+        }
+        let labels: Vec<i64> = (0..n).map(|_| (rng.next() % 2) as i64).collect();
+        for method in RelevanceMethod::all() {
+            let (picked, codes) = select_k_best_binned(
+                &features, &labels, method, features.len(), f64::NEG_INFINITY, bins,
+            );
+            let plain = select_k_best(&features, &labels, method, features.len(), f64::NEG_INFINITY);
+            prop_assert!(picked == plain, "{}: picks {:?} vs {:?}", method.name(), picked, plain);
+            let scores = method.scores(&features, &labels);
+            prop_assert!(picked.len() == codes.len());
+            for (s, d) in picked.iter().zip(&codes) {
+                prop_assert!(s.score.to_bits() == scores[s.index].to_bits(), "{}", method.name());
+                prop_assert!(
+                    binned(d) == binning_oracle(&features[s.index], bins),
+                    "{}: {} bins over feature {}: {:?}", method.name(), bins, s.index, features[s.index]
+                );
+            }
         }
     }
 }
@@ -395,6 +578,37 @@ fn max_bins_columns_match_the_oracle() {
     check_estimators(&x, &y, &widest(&mut rng, n));
 }
 
+/// A `MAX_BINS`-wide member between 10-bin ones fits no code with either
+/// (256 · 11 > 256) and is counted on its own; next to an all-missing column
+/// (256 · 1) it does fit, with the largest code there is. The candidates are
+/// binary, so that against 255 bins over 300 rows the Miller-Madow term does
+/// not swallow the dependence and the wide member's share of `J` is not 0.
+#[test]
+fn a_max_bins_member_in_a_set_matches_the_oracle() {
+    let mut rng = Rng(91);
+    let n = 300;
+    let labels = rng.column(n, 2, 0);
+    let wide = Discretized::from_codes((0..n).map(|i| Some((i % MAX_BINS as usize) as i64)));
+    assert_eq!(wide.n_bins(), MAX_BINS);
+    let candidates: Vec<Discretized> = [15, 30]
+        .iter()
+        .map(|&flip_pct| {
+            Discretized::from_codes((0..n).map(|i| {
+                let r = rng.next();
+                Some(if r % 100 < flip_pct { (r >> 8) % 2 } else { u64::from(labels.code(i).unwrap()) } as i64)
+            }))
+        })
+        .collect();
+    assert!(mutual_information_corrected(&wide, &candidates[0]) > 0.0);
+    for at in 0..6 {
+        let mut members: Vec<Discretized> = (0..6).map(|_| rng.column(n, 10, 10)).collect();
+        members[at] = wide.clone();
+        check_set(&set_of(&members), &candidates, &labels, true);
+        members[at ^ 1] = rng.column(n, 3, 100);
+        check_set(&set_of(&members), &candidates, &labels, false);
+    }
+}
+
 #[test]
 #[should_panic(expected = "exceed MAX_BINS")]
 fn from_codes_beyond_max_bins_fails_loudly() {
@@ -408,3 +622,4 @@ fn binning_clamps_the_requested_bin_count() {
     assert_eq!(d.n_bins(), MAX_BINS);
     assert_eq!(d.n_present(), 2000);
 }
+
