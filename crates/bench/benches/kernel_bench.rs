@@ -1,7 +1,7 @@
 //! Criterion: the hot-path kernels behind path evaluation — join-index
 //! construction (over a lake table's key metadata vs. a transient
-//! dictionary), index probing, and the scoring primitives (discretization,
-//! ranking, MI histograms).
+//! dictionary), index probing, the scoring primitives (discretization,
+//! ranking, MI histograms), and reading a column's numbers out.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -167,5 +167,50 @@ fn bench_scoring_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_index_build, bench_probe, bench_scoring_kernels);
+/// What extracting a column's numbers costs: `write_f64_lossy` of a
+/// 32 000-row dense column and of a 16 000-row join view over it, at the
+/// shape of `wide_fullscan`'s mid level (keys on 2 rows each, in scattered
+/// order), for a float, an int and an int column with a null every 7th
+/// row. Twelve tables are cycled so the cells come from memory, not cache;
+/// times are per round of twelve columns.
+fn bench_column_read(c: &mut Criterion) {
+    let (n_left, n_right, n_tables) = (16_000usize, 32_000usize, 12usize);
+    let mut group = c.benchmark_group("column_read");
+    let left = Table::new("l", vec![("k", Column::from_ints((0..n_left as i64).map(Some)))]).unwrap();
+    let scattered = |j: usize| (0..n_right).map(move |i| (i * (7 + 2 * j) + 3) % n_right);
+    let lake: Vec<Table> = (0..n_tables)
+        .map(|j| {
+            let cols = vec![
+                ("k", Column::from_ints(scattered(j).map(|r| Some((r / 2) as i64)))),
+                ("float", Column::from_floats(scattered(j).map(|r| Some(r as f64 * 0.5)))),
+                ("int", Column::from_ints(scattered(j).map(|r| Some(r as i64)))),
+                ("int_with_nulls", Column::from_ints(scattered(j).map(|r| (r % 7 != 0).then_some(r as i64)))),
+            ];
+            Table::new(format!("s{j}"), cols).unwrap().with_key_dicts()
+        })
+        .collect();
+    let joined: Vec<Table> = lake
+        .iter()
+        .map(|r| {
+            let index = JoinIndex::build(r, r.column("k").unwrap()).unwrap();
+            left_join_with_index(&left, r, &index, "k", "r", 3).unwrap().table
+        })
+        .collect();
+    let mut buf = Vec::new();
+    for kind in ["float", "int", "int_with_nulls"] {
+        for (shape, tables, name) in [("dense", &lake, kind.to_string()), ("view", &joined, format!("r.{kind}"))] {
+            group.bench_function(format!("{shape}/{kind}"), |b| {
+                b.iter(|| {
+                    for t in tables {
+                        t.column(&name).unwrap().write_f64_lossy(&mut buf);
+                        black_box(&buf);
+                    }
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_index_build, bench_probe, bench_scoring_kernels, bench_column_read);
 criterion_main!(benches);

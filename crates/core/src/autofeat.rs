@@ -187,6 +187,9 @@ pub struct DiscoveryResult {
     /// configured with `cache: false`. Informational only — results are
     /// bit-identical with the cache on or off, budgeted or not.
     pub cache: Option<CacheStats>,
+    /// Bytes of cells the lake's tables held resident when the run finished
+    /// ([`SearchContext::lake_payload_bytes`]). Informational only.
+    pub lake_payload_bytes: usize,
     /// Structured run trace (per-phase wall times, pipeline counters,
     /// bounded event log), present when the run was configured with
     /// tracing (`trace`, `trace_path`, or `AUTOFEAT_TRACE`). Informational
@@ -477,6 +480,7 @@ impl AutoFeat {
                 selected_features: Vec::new(),
                 threads_used: workers,
                 cache: cache_report(&cache_recorder),
+                lake_payload_bytes: ctx.lake_payload_bytes(),
                 trace: None,
                 resilience: ResilienceStats {
                     degradations,
@@ -957,6 +961,7 @@ impl AutoFeat {
             selected_features: selected_union,
             threads_used: workers,
             cache: cache_report(&cache_recorder),
+            lake_payload_bytes: ctx.lake_payload_bytes(),
             trace: None,
             resilience: ResilienceStats { degradations, worker_panics, cancel_latency },
         })

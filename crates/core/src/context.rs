@@ -337,6 +337,13 @@ impl SearchContext {
         })
     }
 
+    /// Bytes of cells the current lake's tables hold resident
+    /// ([`Table::payload_bytes`] summed) — what keeping the lake up costs
+    /// before any key metadata or index is built. O(total columns).
+    pub fn lake_payload_bytes(&self) -> usize {
+        self.latest().tables.values().map(|t| t.payload_bytes()).sum()
+    }
+
     /// Whether this context owns mutable lake state (built via
     /// [`from_discovery`](SearchContext::from_discovery)).
     pub fn is_mutable(&self) -> bool {

@@ -92,6 +92,7 @@ pub fn discovery_health_report(result: &DiscoveryResult) -> String {
             let _ = writeln!(out, "join-index cache: disabled");
         }
     }
+    let _ = writeln!(out, "lake payload: {} bytes of cells resident", result.lake_payload_bytes);
     if result.n_pruned_similarity > 0 || result.n_pruned_budget > 0 {
         let _ = writeln!(
             out,
@@ -209,6 +210,7 @@ mod tests {
                 invalidations: 0,
                 invalidated_bytes: 0,
             }),
+            lake_payload_bytes: 65536,
             trace: None,
             resilience: Default::default(),
         }
@@ -266,6 +268,7 @@ mod tests {
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+lake payload: 65536 bytes of cells resident
 healthy: no hop failures
 ";
         assert_eq!(r, expected);
@@ -277,6 +280,7 @@ healthy: no hop failures
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+lake payload: 65536 bytes of cells resident
 truncated: max_joins cap reached
 ";
         assert_eq!(r, expected);
@@ -299,6 +303,7 @@ truncated: max_joins cap reached
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+lake payload: 65536 bytes of cells resident
 1 hop failure(s) isolated:
   - base -> bad (on k=k2) after [(empty path)]: column not found
 ";
@@ -329,6 +334,7 @@ join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (40
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
 cache governance: budget 10240 bytes, peak resident 8192 bytes, 3 eviction(s) (6144 bytes), 1 admission rejection(s)
+lake payload: 65536 bytes of cells resident
 healthy: no hop failures
 ";
         assert_eq!(r, expected);
@@ -364,6 +370,7 @@ healthy: no hop failures
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+lake payload: 65536 bytes of cells resident
 resilience: degraded (shrunk sample, skipped redundancy refinement), 1 worker panic(s) isolated, cancel latency 12ms
 healthy: no hop failures
 ";

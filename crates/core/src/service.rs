@@ -480,6 +480,11 @@ impl Telemetry {
             "Heap footprint of the key dictionaries and row fingerprints built so far.",
         )
         .set(key_meta_bytes as f64);
+        reg.gauge(
+            "autofeat_lake_payload_bytes",
+            "Heap footprint of the cells the lake's tables hold resident.",
+        )
+        .set(ctx.lake_payload_bytes() as f64);
         reg.gauge("autofeat_lake_dictionaries", "Key dictionaries built so far, one per joined-on column.")
             .set(dictionaries as f64);
 

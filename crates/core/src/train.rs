@@ -326,6 +326,7 @@ mod tests {
             selected_features: vec![],
             threads_used: 1,
             cache: None,
+            lake_payload_bytes: 0,
             trace: None,
             resilience: Default::default(),
         };

@@ -1,6 +1,6 @@
 //! Typed, null-aware columns.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -12,18 +12,142 @@ use crate::value::{float_key, DType, Key, Value};
 /// Row-map entry of a base row with no right-hand row: it reads as null.
 pub const NO_ROW: u32 = u32::MAX;
 
-/// The dense storage of a column: `Option<T>` per row, `None` is the SQL
-/// NULL. Float `NaN`s are normalized to `None` on insertion so that nulls
-/// have exactly one representation.
-#[derive(Debug, Clone, PartialEq)]
-enum Payload {
-    Int(Arc<Vec<Option<i64>>>),
-    Float(Arc<Vec<Option<f64>>>),
-    Str(Arc<Vec<Option<Arc<str>>>>),
-    Bool(Arc<Vec<Option<bool>>>),
+/// A cell type, and what its null slots hold.
+trait Cell: Clone + PartialEq {
+    const NULL: Self;
 }
 
-/// Run one expression over whichever typed vector a payload holds.
+impl Cell for i64 {
+    const NULL: Self = 0;
+}
+
+/// `NaN` is no present float — `from_floats` and `push` turn it into a null
+/// before it is stored — so the numeric read of a float column is its
+/// values as they lie, with no validity test.
+impl Cell for f64 {
+    const NULL: Self = f64::NAN;
+}
+
+impl Cell for bool {
+    const NULL: Self = false;
+}
+
+/// A string cell stays an `Option`: the pointer's niche makes it no wider
+/// than the `Arc<str>` alone, and `None` is a placeholder that needs no
+/// allocation and no shared reference count.
+impl Cell for Option<Arc<str>> {
+    const NULL: Self = None;
+}
+
+/// The dense storage of a column: one `T` per row — eight bytes for an int
+/// or a float — and the SQL NULLs kept beside them as a validity bitmap
+/// (bit `r` set: row `r` is present) and a count. The bitmap exists only
+/// once a row is null, so a null-free column costs its values and nothing
+/// else, and its reads test nothing.
+#[derive(Debug, Clone)]
+struct Cells<T> {
+    values: Vec<T>,
+    valid: Option<Vec<u64>>,
+    nulls: usize,
+}
+
+#[inline]
+fn bit(bits: &[u64], row: usize) -> bool {
+    bits[row / 64] >> (row % 64) & 1 == 1
+}
+
+impl<T: Cell> Cells<T> {
+    fn with_capacity(cap: usize) -> Self {
+        Cells { values: Vec::with_capacity(cap), valid: None, nulls: 0 }
+    }
+
+    fn push(&mut self, cell: Option<T>) {
+        let row = self.values.len();
+        if cell.is_none() && self.valid.is_none() {
+            // Every row so far is present.
+            let mut bits = Vec::with_capacity(self.values.capacity().div_ceil(64).max(row / 64 + 1));
+            bits.resize(row / 64 + 1, !0);
+            self.valid = Some(bits);
+        }
+        if let Some(bits) = &mut self.valid {
+            if row / 64 == bits.len() {
+                bits.push(0);
+            }
+            let mask = 1 << (row % 64);
+            if cell.is_some() {
+                bits[row / 64] |= mask;
+            } else {
+                bits[row / 64] &= !mask;
+                self.nulls += 1;
+            }
+        }
+        self.values.push(cell.unwrap_or(T::NULL));
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> Option<&T> {
+        let value = &self.values[row];
+        self.valid.as_ref().is_none_or(|bits| bit(bits, row)).then_some(value)
+    }
+
+    /// The one read-through loop: hand `f` every cell of `rows` in order —
+    /// straight off the values when `map` is `None`, through the row map
+    /// when the column is a view. The representation (dense or view, with a
+    /// bitmap or without) is matched once, outside the loop.
+    #[inline]
+    fn each<'a>(
+        &'a self,
+        rows: Range<usize>,
+        map: Option<&[u32]>,
+        mut f: impl FnMut(Option<&'a T>),
+    ) {
+        let v = &self.values;
+        match (map, &self.valid) {
+            (None, None) => v[rows].iter().for_each(|c| f(Some(c))),
+            (None, Some(bits)) => {
+                let first = rows.start;
+                v[rows].iter().enumerate().for_each(|(i, c)| f(bit(bits, first + i).then_some(c)))
+            }
+            (Some(map), None) => map[rows]
+                .iter()
+                .for_each(|&r| f(if r == NO_ROW { None } else { Some(&v[r as usize]) })),
+            (Some(map), Some(bits)) => map[rows].iter().for_each(|&r| {
+                f(if r == NO_ROW || !bit(bits, r as usize) { None } else { Some(&v[r as usize]) })
+            }),
+        }
+    }
+
+    /// Heap bytes held, by capacity.
+    fn heap_bytes(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<T>()
+            + self.valid.as_ref().map_or(0, |bits| bits.capacity() * 8)
+    }
+}
+
+impl<T: Cell> FromIterator<Option<T>> for Cells<T> {
+    /// Sized by the iterator's upper bound where that can be had, so that
+    /// one which may stop early (a parse that gives up at its first miss)
+    /// still fills in place; what it leaves unused is handed back.
+    fn from_iter<I: IntoIterator<Item = Option<T>>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let (lower, upper) = iter.size_hint();
+        let mut cells = Cells::with_capacity(lower);
+        let _ = cells.values.try_reserve_exact(upper.unwrap_or(lower));
+        iter.for_each(|cell| cells.push(cell));
+        cells.values.shrink_to_fit();
+        cells
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Payload {
+    Int(Arc<Cells<i64>>),
+    Float(Arc<Cells<f64>>),
+    Str(Arc<Cells<Option<Arc<str>>>>),
+    Bool(Arc<Cells<bool>>),
+}
+
+/// Run one expression over whichever typed cells a payload holds.
 macro_rules! each {
     ($payload:expr, $v:ident => $e:expr) => {
         match $payload {
@@ -68,15 +192,20 @@ pub struct Column {
 }
 
 impl PartialEq for Column {
-    /// Value equality: a view equals the dense column holding the same
-    /// cells, in either order.
+    /// Value equality, cell by cell: null equals null, present cells
+    /// compare by their type's `==` (so `-0.0 == 0.0`), and a view equals
+    /// the dense column holding the same cells, in either order.
     fn eq(&self, other: &Self) -> bool {
-        if self.view.is_none() && other.view.is_none() {
-            return self.payload == other.payload;
+        fn same<T: Cell>(a: &Column, x: &Cells<T>, b: &Column, y: &Cells<T>) -> bool {
+            a.len() == b.len() && (0..a.len()).all(|row| a.cell(x, row) == b.cell(y, row))
         }
-        self.dtype() == other.dtype()
-            && self.len() == other.len()
-            && (0..self.len()).all(|i| self.get(i) == other.get(i))
+        match (&self.payload, &other.payload) {
+            (Payload::Int(x), Payload::Int(y)) => same(self, x, other, y),
+            (Payload::Float(x), Payload::Float(y)) => same(self, x, other, y),
+            (Payload::Str(x), Payload::Str(y)) => same(self, x, other, y),
+            (Payload::Bool(x), Payload::Bool(y)) => same(self, x, other, y),
+            _ => false,
+        }
     }
 }
 
@@ -93,10 +222,10 @@ impl Column {
     /// An empty column of the given type with pre-reserved capacity.
     pub fn with_capacity(dtype: DType, cap: usize) -> Self {
         Column::dense(match dtype {
-            DType::Int => Payload::Int(Arc::new(Vec::with_capacity(cap))),
-            DType::Float => Payload::Float(Arc::new(Vec::with_capacity(cap))),
-            DType::Str => Payload::Str(Arc::new(Vec::with_capacity(cap))),
-            DType::Bool => Payload::Bool(Arc::new(Vec::with_capacity(cap))),
+            DType::Int => Payload::Int(Arc::new(Cells::with_capacity(cap))),
+            DType::Float => Payload::Float(Arc::new(Cells::with_capacity(cap))),
+            DType::Str => Payload::Str(Arc::new(Cells::with_capacity(cap))),
+            DType::Bool => Payload::Bool(Arc::new(Cells::with_capacity(cap))),
         })
     }
 
@@ -115,7 +244,7 @@ impl Column {
     /// Build a string column from anything string-like.
     pub fn from_strs<S: AsRef<str>, I: IntoIterator<Item = Option<S>>>(iter: I) -> Self {
         Column::dense(Payload::Str(Arc::new(
-            iter.into_iter().map(|v| v.map(|s| Arc::from(s.as_ref()))).collect(),
+            iter.into_iter().map(|v| v.map(|s| Some(Arc::from(s.as_ref())))).collect(),
         )))
     }
 
@@ -168,6 +297,18 @@ impl Column {
         self.shares_payload(other)
     }
 
+    /// Heap bytes of the cells this column owns, by capacity, and the
+    /// address they sit at (columns cloned from one another report the same
+    /// address, so a caller can count a shared payload once). A view owns
+    /// none: its cells are its source's. String bodies live behind their
+    /// own `Arc`s and are not counted.
+    pub(crate) fn owned_payload(&self) -> Option<(usize, usize)> {
+        if self.view.is_some() {
+            return None;
+        }
+        Some(each!(&self.payload, v => (Arc::as_ptr(v) as usize, v.heap_bytes())))
+    }
+
     /// The column's data type.
     pub fn dtype(&self) -> DType {
         match self.payload {
@@ -182,7 +323,7 @@ impl Column {
     pub fn len(&self) -> usize {
         match &self.view {
             Some(view) => view.map.len(),
-            None => each!(&self.payload, v => v.len()),
+            None => each!(&self.payload, v => v.values.len()),
         }
     }
 
@@ -191,22 +332,10 @@ impl Column {
         self.len() == 0
     }
 
-    /// The one read-through loop: hand `f` every cell of `rows` in order —
-    /// straight off the payload when dense, through the row map when a
-    /// view. The representation is matched once, outside the loop.
+    /// The row map, when the column is a view.
     #[inline]
-    fn cells<'a, T>(
-        &self,
-        v: &'a [Option<T>],
-        rows: Range<usize>,
-        mut f: impl FnMut(Option<&'a T>),
-    ) {
-        match &self.view {
-            None => v[rows].iter().for_each(|c| f(c.as_ref())),
-            Some(view) => view.map[rows]
-                .iter()
-                .for_each(|&r| f(if r == NO_ROW { None } else { v[r as usize].as_ref() })),
-        }
+    fn map(&self) -> Option<&[u32]> {
+        self.view.as_ref().map(|view| &*view.map)
     }
 
     /// The payload row behind `row`, or `None` where a view reads null.
@@ -218,16 +347,25 @@ impl Column {
         }
     }
 
-    /// Number of null entries. O(1) for a view whose join knew the answer;
-    /// otherwise one counting pass, which for a view walks `(map, source)`
-    /// and copies nothing.
+    /// The cell of `v`, this column's payload, at `row`.
+    #[inline]
+    fn cell<'a, T: Cell>(&self, v: &'a Cells<T>, row: usize) -> Option<&'a T> {
+        self.source_row(row).and_then(|r| v.get(r))
+    }
+
+    /// Number of null entries. O(1) for a dense column, which keeps the
+    /// count, and for a view whose join knew the answer; otherwise one
+    /// counting pass over `(map, source)` that copies nothing.
     pub fn null_count(&self) -> usize {
-        if let Some(nulls) = self.view.as_ref().and_then(|v| v.nulls) {
-            return nulls;
+        match &self.view {
+            None => each!(&self.payload, v => v.nulls),
+            Some(View { nulls: Some(nulls), .. }) => *nulls,
+            Some(view) => {
+                let (mut nulls, all) = (0usize, 0..view.map.len());
+                each!(&self.payload, v => v.each(all, Some(&view.map), |c| nulls += usize::from(c.is_none())));
+                nulls
+            }
         }
-        let (mut nulls, all) = (0usize, 0..self.len());
-        each!(&self.payload, v => self.cells(v, all, |c| nulls += usize::from(c.is_none())));
-        nulls
     }
 
     /// Fraction of null entries in `[0, 1]`; zero for an empty column.
@@ -242,13 +380,13 @@ impl Column {
     /// Get the value at `row` (panics if out of bounds — use
     /// [`Column::try_get`] for a checked variant).
     pub fn get(&self, row: usize) -> Value {
-        let Some(r) = self.source_row(row) else { return Value::Null };
         match &self.payload {
-            Payload::Int(v) => v[r].map_or(Value::Null, Value::Int),
-            Payload::Float(v) => v[r].map_or(Value::Null, Value::Float),
-            Payload::Str(v) => v[r].as_ref().map_or(Value::Null, |s| Value::Str(Arc::clone(s))),
-            Payload::Bool(v) => v[r].map_or(Value::Null, Value::Bool),
+            Payload::Int(v) => self.cell(v, row).map(|&i| Value::Int(i)),
+            Payload::Float(v) => self.cell(v, row).map(|&f| Value::Float(f)),
+            Payload::Str(v) => self.cell(v, row).and_then(|s| s.clone()).map(Value::Str),
+            Payload::Bool(v) => self.cell(v, row).map(|&b| Value::Bool(b)),
         }
+        .unwrap_or(Value::Null)
     }
 
     /// Checked access.
@@ -262,18 +400,19 @@ impl Column {
     /// Numeric view of a row: ints/floats/bools coerce to f64, strings and
     /// nulls are `None`.
     pub fn get_f64(&self, row: usize) -> Option<f64> {
-        let r = self.source_row(row)?;
         match &self.payload {
-            Payload::Int(v) => v[r].map(|i| i as f64),
-            Payload::Float(v) => v[r],
-            Payload::Bool(v) => v[r].map(|b| if b { 1.0 } else { 0.0 }),
+            Payload::Int(v) => self.cell(v, row).map(|&i| i as f64),
+            Payload::Float(v) => self.cell(v, row).copied(),
+            Payload::Bool(v) => self.cell(v, row).map(|&b| b.into()),
             Payload::Str(_) => None,
         }
     }
 
     /// Join key of a row (`None` when null).
     pub fn key(&self, row: usize) -> Option<Key> {
-        self.get(row).key()
+        let mut key = None;
+        self.keys_in(row..row + 1, |k| key = k);
+        key
     }
 
     /// The join keys of `rows`, in order, handed to `f` (`None` for nulls):
@@ -282,11 +421,12 @@ impl Column {
     /// column is a view. The one typed row pass: the probe side of a join,
     /// a dictionary build and a column profile all walk it.
     pub fn keys_in(&self, rows: Range<usize>, mut f: impl FnMut(Option<Key>)) {
+        let map = self.map();
         match &self.payload {
-            Payload::Int(v) => self.cells(v, rows, |c| f(c.map(|&i| Key::Num(i)))),
-            Payload::Float(v) => self.cells(v, rows, |c| f(c.and_then(|&x| float_key(x)))),
-            Payload::Str(v) => self.cells(v, rows, |c| f(c.map(|s| Key::Str(Arc::clone(s))))),
-            Payload::Bool(v) => self.cells(v, rows, |c| f(c.map(|&b| Key::Bool(b)))),
+            Payload::Int(v) => v.each(rows, map, |c| f(c.map(|&i| Key::Num(i)))),
+            Payload::Float(v) => v.each(rows, map, |c| f(c.and_then(|&x| float_key(x)))),
+            Payload::Str(v) => v.each(rows, map, |c| f(c.and_then(|s| s.clone()).map(Key::Str))),
+            Payload::Bool(v) => v.each(rows, map, |c| f(c.map(|&b| Key::Bool(b)))),
         }
     }
 
@@ -294,28 +434,26 @@ impl Column {
     /// [`Value`] (no `Arc` bump for strings, no enum construction) — the
     /// hot path of join-index builds, where every duplicate-key row hashes
     /// every cell. Byte-for-byte identical to hashing [`Column::get`]'s
-    /// value: nulls and float `NaN`s write tag 0, `-0.0` hashes as `0.0`.
+    /// value: nulls write tag 0, `-0.0` hashes as `0.0`.
     pub fn hash_cell_into(&self, row: usize, h: &mut crate::stable_hash::StableHasher) {
         use std::hash::Hasher as _;
-        let Some(r) = self.source_row(row) else { return h.write_u8(0) };
         match &self.payload {
-            Payload::Int(v) => match v[r] {
+            Payload::Int(v) => match self.cell(v, row) {
                 None => h.write_u8(0),
-                Some(i) => {
+                Some(&i) => {
                     h.write_u8(1);
                     h.write_i64(i);
                 }
             },
-            Payload::Float(v) => match v[r] {
+            Payload::Float(v) => match self.cell(v, row) {
                 None => h.write_u8(0),
-                Some(f) if f.is_nan() => h.write_u8(0),
-                Some(f) => {
+                Some(&f) => {
                     h.write_u8(2);
                     let f = if f == 0.0 { 0.0 } else { f };
                     h.write_u64(f.to_bits());
                 }
             },
-            Payload::Str(v) => match v[r].as_ref() {
+            Payload::Str(v) => match self.cell(v, row).and_then(Option::as_ref) {
                 None => h.write_u8(0),
                 Some(s) => {
                     h.write_u8(3);
@@ -323,9 +461,9 @@ impl Column {
                     h.write_u8(0xff);
                 }
             },
-            Payload::Bool(v) => match v[r] {
+            Payload::Bool(v) => match self.cell(v, row) {
                 None => h.write_u8(0),
-                Some(b) => {
+                Some(&b) => {
                     h.write_u8(4);
                     h.write_u8(u8::from(b));
                 }
@@ -345,10 +483,10 @@ impl Column {
             (_, Value::Null) => self.push_null(),
             (Payload::Int(v), Value::Int(i)) => Arc::make_mut(v).push(Some(i)),
             (Payload::Float(v), Value::Float(f)) => {
-                Arc::make_mut(v).push(if f.is_nan() { None } else { Some(f) })
+                Arc::make_mut(v).push(Some(f).filter(|f| !f.is_nan()))
             }
             (Payload::Float(v), Value::Int(i)) => Arc::make_mut(v).push(Some(i as f64)),
-            (Payload::Str(v), Value::Str(s)) => Arc::make_mut(v).push(Some(s)),
+            (Payload::Str(v), Value::Str(s)) => Arc::make_mut(v).push(Some(Some(s))),
             (Payload::Bool(v), Value::Bool(b)) => Arc::make_mut(v).push(Some(b)),
             (_, value) => {
                 return Err(DataError::TypeMismatch {
@@ -376,11 +514,11 @@ impl Column {
     /// `Some(r)` of `rows` and null for every `None`. Every copy out of a
     /// view comes through here and is counted.
     fn gather(&self, rows: impl ExactSizeIterator<Item = Option<usize>>) -> Column {
-        fn pick<T: Clone>(
-            v: &[Option<T>],
+        fn pick<T: Cell>(
+            v: &Cells<T>,
             rows: impl Iterator<Item = Option<usize>>,
-        ) -> Arc<Vec<Option<T>>> {
-            Arc::new(rows.map(|r| r.and_then(|r| v[r].clone())).collect())
+        ) -> Arc<Cells<T>> {
+            Arc::new(rows.map(|r| r.and_then(|r| v.get(r).cloned())).collect())
         }
         if self.view.is_some() {
             obs::add("join.cells_materialized", rows.len() as u64);
@@ -405,12 +543,8 @@ impl Column {
 
     /// Number of distinct non-null keys.
     pub fn distinct_count(&self) -> usize {
-        let mut seen: std::collections::HashSet<Key> = std::collections::HashSet::new();
-        for i in 0..self.len() {
-            if let Some(k) = self.key(i) {
-                seen.insert(k);
-            }
-        }
+        let mut seen: HashSet<Key> = HashSet::new();
+        self.keys_in(0..self.len(), |k| seen.extend(k));
         seen.len()
     }
 
@@ -418,12 +552,13 @@ impl Column {
     /// first encountered, making the result deterministic.
     pub fn mode(&self) -> Option<Value> {
         let mut counts: HashMap<Key, (usize, usize)> = HashMap::new(); // key -> (count, first row)
-        for i in 0..self.len() {
-            if let Some(k) = self.key(i) {
-                let e = counts.entry(k).or_insert((0, i));
-                e.0 += 1;
+        let mut row = 0;
+        self.keys_in(0..self.len(), |k| {
+            if let Some(k) = k {
+                counts.entry(k).or_insert((0, row)).0 += 1;
             }
-        }
+            row += 1;
+        });
         counts
             .into_iter()
             .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
@@ -433,21 +568,31 @@ impl Column {
     /// Mean of the numeric view over non-null rows; `None` for string
     /// columns or all-null columns.
     pub fn mean(&self) -> Option<f64> {
-        if self.dtype() == DType::Str {
-            return None;
-        }
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for i in 0..self.len() {
-            if let Some(x) = self.get_f64(i) {
+        let (mut sum, mut n) = (0.0, 0usize);
+        self.each_f64(|x| {
+            if !x.is_nan() {
                 sum += x;
                 n += 1;
             }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
+        });
+        (n > 0).then(|| sum / n as f64)
+    }
+
+    /// The numeric view of every row in order, `NaN` at nulls and for
+    /// string cells. A float column is read as it lies: its null slots
+    /// already hold `NaN`.
+    fn each_f64(&self, mut f: impl FnMut(f64)) {
+        let (all, map) = (0..self.len(), self.map());
+        match &self.payload {
+            Payload::Int(v) => v.each(all, map, |c| f(c.map_or(f64::NAN, |&i| i as f64))),
+            Payload::Float(v) => match map {
+                None => v.values.iter().for_each(|&x| f(x)),
+                Some(map) => map
+                    .iter()
+                    .for_each(|&r| f(if r == NO_ROW { f64::NAN } else { v.values[r as usize] })),
+            },
+            Payload::Bool(v) => v.each(all, map, |c| f(c.map_or(f64::NAN, |&b| b.into()))),
+            Payload::Str(_) => all.for_each(|_| f(f64::NAN)),
         }
     }
 
@@ -463,16 +608,15 @@ impl Column {
     /// so hot loops extracting one column after another reuse a single
     /// warm allocation instead of growing a fresh vec per column. A view is
     /// read through its map here — this is where a joined column's cells
-    /// are first touched.
+    /// are first touched — and a dense float column is one slice copy.
     pub fn write_f64_lossy(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(self.len());
-        let all = 0..self.len();
-        match &self.payload {
-            Payload::Int(v) => self.cells(v, all, |c| out.push(c.map_or(f64::NAN, |&i| i as f64))),
-            Payload::Float(v) => self.cells(v, all, |c| out.push(c.copied().unwrap_or(f64::NAN))),
-            Payload::Bool(v) => self.cells(v, all, |c| out.push(c.map_or(f64::NAN, |&b| b.into()))),
-            Payload::Str(_) => out.resize(self.len(), f64::NAN),
+        match (&self.payload, &self.view) {
+            (Payload::Float(v), None) => out.extend_from_slice(&v.values),
+            _ => {
+                out.reserve(self.len());
+                self.each_f64(|x| out.push(x));
+            }
         }
     }
 }
@@ -502,6 +646,34 @@ mod tests {
     fn nan_is_normalized_to_null() {
         let c = Column::from_floats([Some(1.0), Some(f64::NAN), None]);
         assert_eq!(c.null_count(), 2);
+    }
+
+    #[test]
+    fn a_float_column_with_a_null_equals_itself() {
+        // Its null slots hold `NaN`, which no `==` over the values survives.
+        let c = Column::from_floats([Some(1.0), None, Some(-0.0)]);
+        assert_eq!(c, c.clone());
+        assert_eq!(c, Column::from_floats([Some(1.0), Some(f64::NAN), Some(0.0)]));
+        assert_ne!(c, Column::from_floats([Some(1.0), Some(0.0), Some(0.0)]));
+        assert_ne!(c, Column::from_ints([Some(1), None, Some(0)]));
+    }
+
+    #[test]
+    fn the_bitmap_appears_with_the_first_null_and_spans_words() {
+        let n = 200usize;
+        let mut c = Column::from_ints((0..n as i64).map(Some));
+        assert_eq!(c.owned_payload().map(|(_, bytes)| bytes), Some(8 * n), "values only");
+        c.push_null();
+        for i in n + 1..2 * n {
+            c.push(if i % 64 < 2 { Value::Null } else { Value::Int(i as i64) }).unwrap();
+        }
+        let nulls: Vec<usize> = (0..2 * n).filter(|&i| c.get(i).is_null()).collect();
+        assert_eq!(nulls, [200, 256, 257, 320, 321, 384, 385]);
+        assert_eq!(c.null_count(), nulls.len());
+        assert_eq!(c.take(&[199, 200, 201, 256]), Column::from_ints([Some(199), None, Some(201), None]));
+        let holed = Column::from_ints((0..n as i64).map(|i| (i != 70).then_some(i)));
+        let bytes = holed.owned_payload().unwrap().1;
+        assert!(bytes > 8 * n && bytes <= 8 * n + n.div_ceil(64) * 8, "{bytes}");
     }
 
     #[test]

@@ -280,14 +280,24 @@ fn parse_bool(cell: &str) -> Option<bool> {
     }
 }
 
-/// Every cell parsed by `parse` (empty cells are nulls), or `None` at the
-/// first cell it rejects.
-fn parse_all<T>(cells: &[Cell], parse: impl Fn(&str) -> Option<T>) -> Option<Vec<Option<T>>> {
-    let mut parsed = Vec::with_capacity(cells.len());
-    for c in cells {
-        parsed.push(if c.is_empty() { None } else { Some(parse(c)?) });
-    }
-    Some(parsed)
+/// The column `build` makes of every cell parsed by `parse` (empty cells are
+/// nulls), or `None` at the first cell it rejects: `build` is fed cells
+/// until then and its partial column dropped.
+fn parse_all<T>(
+    cells: &[Cell],
+    parse: impl Fn(&str) -> Option<T>,
+    build: impl FnOnce(&mut dyn Iterator<Item = Option<T>>) -> Column,
+) -> Option<Column> {
+    let mut rejected = false;
+    let column = build(&mut cells.iter().map_while(|c| {
+        if c.is_empty() {
+            return Some(None);
+        }
+        let v = parse(c);
+        rejected = v.is_none();
+        v.map(Some)
+    }));
+    (!rejected).then_some(column)
 }
 
 fn str_column(cells: &[Cell]) -> Column {
@@ -303,15 +313,10 @@ fn typed_column(cells: &[Cell]) -> Column {
     if cells.iter().all(|c| c.is_empty()) {
         return str_column(cells);
     }
-    if let Some(ints) = parse_all(cells, |c| c.parse::<i64>().ok()) {
-        Column::from_ints(ints)
-    } else if let Some(floats) = parse_all(cells, |c| c.parse::<f64>().ok()) {
-        Column::from_floats(floats)
-    } else if let Some(bools) = parse_all(cells, parse_bool) {
-        Column::from_bools(bools)
-    } else {
-        str_column(cells)
-    }
+    parse_all(cells, |c| c.parse::<i64>().ok(), |ints| Column::from_ints(ints))
+        .or_else(|| parse_all(cells, |c| c.parse::<f64>().ok(), |floats| Column::from_floats(floats)))
+        .or_else(|| parse_all(cells, parse_bool, |bools| Column::from_bools(bools)))
+        .unwrap_or_else(|| str_column(cells))
 }
 
 /// Lenient majority-dtype inference: the dtype most cells parse as, with the
@@ -349,12 +354,12 @@ fn majority_dtype(cells: &[Cell], budget: f64) -> DType {
 /// Lenient typing: the column as its majority dtype; a non-empty cell that
 /// misses it becomes a null and is reported to `coerced` as `(row, cell)`.
 fn coerced_column(dtype: DType, cells: &[Cell], mut coerced: impl FnMut(usize, &str)) -> Column {
-    fn parse_or_null<T>(
-        cells: &[Cell],
-        parse: impl Fn(&str) -> Option<T>,
-        coerced: &mut impl FnMut(usize, &str),
-    ) -> Vec<Option<T>> {
-        let cell = |(row, c): (usize, &Cell)| {
+    fn parse_or_null<'a, T>(
+        cells: &'a [Cell],
+        parse: impl Fn(&str) -> Option<T> + 'a,
+        coerced: &'a mut impl FnMut(usize, &str),
+    ) -> impl Iterator<Item = Option<T>> + 'a {
+        cells.iter().enumerate().map(move |(row, c)| {
             if c.is_empty() {
                 return None;
             }
@@ -363,8 +368,7 @@ fn coerced_column(dtype: DType, cells: &[Cell], mut coerced: impl FnMut(usize, &
                 coerced(row, c);
             }
             v
-        };
-        cells.iter().enumerate().map(cell).collect()
+        })
     }
     match dtype {
         DType::Int => Column::from_ints(parse_or_null(cells, |c| c.parse().ok(), &mut coerced)),

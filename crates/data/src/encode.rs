@@ -39,36 +39,25 @@ pub fn label_encode_column_with_dict(col: &Column, dict: Option<&KeyDict>) -> Co
             if let Some(d) = dict.filter(|d| d.n_rows() == col.len()) {
                 let mut remap: Vec<i64> = vec![-1; d.len()];
                 let mut next = 0i64;
-                let out: Vec<Option<i64>> = d
-                    .row_codes()
-                    .iter()
-                    .map(|&c| {
-                        if c == NULL_CODE {
-                            return None;
-                        }
-                        let slot = &mut remap[c as usize];
-                        if *slot < 0 {
-                            *slot = next;
-                            next += 1;
-                        }
-                        Some(*slot)
-                    })
-                    .collect();
-                return Column::from_ints(out);
+                return Column::from_ints(d.row_codes().iter().map(|&c| {
+                    if c == NULL_CODE {
+                        return None;
+                    }
+                    let slot = &mut remap[c as usize];
+                    if *slot < 0 {
+                        *slot = next;
+                        next += 1;
+                    }
+                    Some(*slot)
+                }));
             }
             let mut codes: HashMap<Key, i64> = HashMap::new();
-            let mut out: Vec<Option<i64>> = Vec::with_capacity(col.len());
-            for i in 0..col.len() {
-                match col.key(i) {
-                    None => out.push(None),
-                    Some(k) => {
-                        let next = codes.len() as i64;
-                        let code = *codes.entry(k).or_insert(next);
-                        out.push(Some(code));
-                    }
-                }
-            }
-            Column::from_ints(out)
+            Column::from_ints((0..col.len()).map(|i| {
+                col.key(i).map(|k| {
+                    let next = codes.len() as i64;
+                    *codes.entry(k).or_insert(next)
+                })
+            }))
         }
     }
 }

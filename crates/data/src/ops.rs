@@ -116,39 +116,26 @@ pub fn group_by(
 
     for &(cname, agg) in aggregates {
         let col = table.column(cname)?;
-        let mut out: Vec<Option<f64>> = Vec::with_capacity(order.len());
-        let mut first_out: Vec<Value> = Vec::with_capacity(order.len());
-        for k in &order {
-            let rows = &groups[k];
-            let values: Vec<f64> = rows.iter().filter_map(|&i| col.get_f64(i)).collect();
-            match agg {
-                Aggregate::Count => out.push(Some(values.len() as f64)),
-                Aggregate::Sum => out.push(Some(values.iter().sum())),
-                Aggregate::Mean => out.push(if values.is_empty() {
-                    None
-                } else {
-                    Some(values.iter().sum::<f64>() / values.len() as f64)
-                }),
-                Aggregate::Min => {
-                    out.push(values.iter().copied().fold(None, |acc: Option<f64>, v| {
-                        Some(acc.map_or(v, |a| a.min(v)))
-                    }))
+        let numbers = |k: &Option<Key>| groups[k].iter().filter_map(|&i| col.get_f64(i));
+        let out_col = match agg {
+            Aggregate::Count => Column::from_floats(order.iter().map(|k| Some(numbers(k).count() as f64))),
+            Aggregate::Sum => Column::from_floats(order.iter().map(|k| Some(numbers(k).sum()))),
+            Aggregate::Mean => Column::from_floats(order.iter().map(|k| {
+                // Seeded as `Sum` seeds it, so the mean is `sum / count` to the bit.
+                let (n, sum) = numbers(k).fold((0usize, -0.0), |(n, sum), x| (n + 1, sum + x));
+                (n > 0).then(|| sum / n as f64)
+            })),
+            Aggregate::Min => Column::from_floats(order.iter().map(|k| numbers(k).reduce(f64::min))),
+            Aggregate::Max => Column::from_floats(order.iter().map(|k| numbers(k).reduce(f64::max))),
+            Aggregate::First => {
+                let mut firsts = Column::with_capacity(col.dtype(), order.len());
+                for k in &order {
+                    let first = groups[k].iter().map(|&i| col.get(i)).find(|v| !v.is_null());
+                    firsts.push(first.unwrap_or(Value::Null))?;
                 }
-                Aggregate::Max => {
-                    out.push(values.iter().copied().fold(None, |acc: Option<f64>, v| {
-                        Some(acc.map_or(v, |a| a.max(v)))
-                    }))
-                }
-                Aggregate::First => {
-                    let v = rows
-                        .iter()
-                        .map(|&i| col.get(i))
-                        .find(|v| !v.is_null())
-                        .unwrap_or(Value::Null);
-                    first_out.push(v);
-                }
+                firsts
             }
-        }
+        };
         let suffix = match agg {
             Aggregate::Count => "count",
             Aggregate::Sum => "sum",
@@ -158,15 +145,6 @@ pub fn group_by(
             Aggregate::First => "first",
         };
         let out_name = format!("{cname}_{suffix}");
-        let out_col = if agg == Aggregate::First {
-            let mut c = Column::empty(col.dtype());
-            for v in first_out {
-                c.push(v)?;
-            }
-            c
-        } else {
-            Column::from_floats(out)
-        };
         cols.push((out_name, out_col));
     }
     Table::new(format!("{}_by_{key_column}", table.name()), cols)

@@ -1,6 +1,6 @@
 //! Tables: named collections of equal-length columns.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
@@ -208,6 +208,20 @@ impl Table {
             let fps = m.row_fps.get().map_or(0, |v| v.capacity() * std::mem::size_of::<u64>());
             self.built_dicts().map(|(_, d)| d.resident_bytes()).sum::<usize>() + fps
         })
+    }
+
+    /// Heap bytes of the cells this table's columns own, by capacity: what
+    /// keeping the table resident costs. A payload several columns share is
+    /// counted once, a view counts nothing for the cells it borrows, and
+    /// string bodies (behind their own `Arc`s) are not counted. O(columns).
+    pub fn payload_bytes(&self) -> usize {
+        let mut seen = HashSet::new();
+        self.columns
+            .iter()
+            .filter_map(Column::owned_payload)
+            .filter(|&(at, _)| seen.insert(at))
+            .map(|(_, bytes)| bytes)
+            .sum()
     }
 
     /// The dictionaries built so far, with their column positions — what

@@ -296,6 +296,7 @@ pub fn assert_bit_identical(a: &DiscoveryResult, b: &DiscoveryResult, what: &str
 }
 
 pub mod binning_oracle;
+pub mod column_model;
 pub mod tree_oracle;
 
 /// An independent reference for the normalized left join: row at a time,

@@ -93,6 +93,12 @@ fn concurrent_mixed_outcomes_reconcile_exactly() {
     let idle = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default()).metrics_snapshot();
     assert_eq!(idle.gauge("autofeat_lake_dictionaries"), Some(0.0));
     assert_eq!(idle.gauge("autofeat_lake_key_meta_bytes"), Some(0.0));
+    // The cells themselves are there from the start and do not grow with
+    // requests: every column of `lake_ctx` is a null-free int or float.
+    let payload = service.context().lake_payload_bytes();
+    assert!(payload > 0 && payload.is_multiple_of(8), "{payload}");
+    assert_eq!(snap.gauge("autofeat_lake_payload_bytes"), Some(payload as f64));
+    assert_eq!(idle.gauge("autofeat_lake_payload_bytes"), Some(payload as f64));
 }
 
 #[test]
