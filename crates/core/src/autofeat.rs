@@ -1,5 +1,17 @@
-//! Algorithm 1: BFS feature discovery over the Dataset Relation Graph —
-//! evaluated level-by-level with deterministic parallel join evaluation.
+//! Algorithm 1: BFS feature discovery over the Dataset Relation Graph, as a
+//! pipeline of typed phases run level by level.
+//!
+//! ## Phases
+//!
+//! `AutoFeat::setup` (the sample, the join-column set, a
+//! [`StreamingSelector`] whose `R_sel` holds the base features) →
+//! per level: `AutoFeat::plan_level` (pure: the candidate hops in canonical
+//! order) → `AutoFeat::evaluate_hop` (pure: join, τ quality,
+//! [`StreamingSelector::relevance`]) → `Search::merge` (the only writer:
+//! [`StreamingSelector::admit`] into `R_sel`, Algorithm 2, the ranking, the
+//! counters, the next frontier) → `Search::finish` (rank). `discover` itself
+//! keeps only what decides *whether* a phase runs: the degradation ladder
+//! and the truncation gates. DESIGN.md §3d has the table.
 //!
 //! ## Determinism model
 //!
@@ -10,19 +22,17 @@
 //! * each hop's join seed is derived from `(config seed, path prefix, hop)`
 //!   via [`crate::seeding::hop_seed`] — never from a shared RNG stream, so
 //!   evaluation order (or parallelism) cannot perturb representative picks;
-//! * the running selected-feature set `R_sel` is an insertion-ordered
-//!   vector, not a `HashMap`, so redundancy scores accumulate in the same
-//!   floating-point order every run;
-//! * per-level candidate hops are enumerated in a deterministic order
-//!   (frontier index, then ascending neighbour node, then edge id), fanned
-//!   out across scoped worker threads by candidate index, and merged back
-//!   in candidate-index order.
+//! * `R_sel` is insertion-ordered, not a `HashMap`, so redundancy scores
+//!   accumulate in the same floating-point order every run;
+//! * `plan_level` enumerates in a fixed order (frontier index, then
+//!   ascending neighbour node, then edge id); `evaluate_hop` is a pure
+//!   function of its candidate, so the level fans out across the worker
+//!   pool by candidate index and it does not matter which hop finishes
+//!   first; `merge` consumes the outcomes in candidate order, one at a
+//!   time, exactly as a sequential walk would.
 //!
-//! The parallel fan-out evaluates the expensive, *pure* part of each
-//! candidate (join + τ quality + relevance + discretization); the cheap
-//! stateful part (streaming redundancy against `R_sel`, ranking, counters)
-//! is replayed sequentially in candidate order, preserving the exact
-//! semantics of the sequential walk.
+//! Trace events are emitted only from `merge` and the loop around it, never
+//! from a worker, so the event log is the same at any worker count.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -32,21 +42,19 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use autofeat_data::control;
+use autofeat_data::cache::CacheRecorder;
 use autofeat_data::encode::label_encode_column;
-use autofeat_data::{cache, faults};
-use autofeat_obs as obs;
-use autofeat_obs::RunTrace;
 use autofeat_data::join::left_join_normalized;
 use autofeat_data::parallel::{run_indexed_ctl, ItemOutcome};
 use autofeat_data::sample::stratified_sample;
 use autofeat_data::stats::completeness;
-use autofeat_data::{CacheStats, DataError, Interrupt, Result, RunControl, Table};
+use autofeat_data::{CacheStats, DataError, Interrupt, RequestScope, Result, RunControl, Table};
 use autofeat_graph::{JoinHop, JoinPath, NodeId};
-use autofeat_metrics::discretize::{discretize_equal_frequency, Discretized, MAX_BINS};
-use autofeat_metrics::redundancy::RedundancyScorer;
-use autofeat_metrics::relevance::DEFAULT_BINS;
-use autofeat_metrics::selection::{select_k_best_binned, SelectedSet};
+use autofeat_metrics::discretize::{Discretized, MAX_BINS};
+use autofeat_metrics::selection::SelectedFeature;
+use autofeat_metrics::streaming::StreamingSelector;
+use autofeat_obs as obs;
+use autofeat_obs::RunTrace;
 
 use crate::config::AutoFeatConfig;
 use crate::context::SearchContext;
@@ -140,8 +148,9 @@ pub struct PathFailure {
     pub error: String,
 }
 
-/// The outcome of a discovery run.
-#[derive(Debug, Clone)]
+/// The outcome of a discovery run. The default is that of a run that
+/// explored nothing.
+#[derive(Debug, Clone, Default)]
 pub struct DiscoveryResult {
     /// All scored paths, best first.
     pub ranked: Vec<RankedPath>,
@@ -208,6 +217,7 @@ impl DiscoveryResult {
     }
 }
 
+/// One entry of a BFS level: a path explored so far and the table it built.
 struct Frontier {
     node: NodeId,
     path: JoinPath,
@@ -216,8 +226,15 @@ struct Frontier {
     features: Vec<String>,
 }
 
-/// One `(frontier entry × best edge)` pair of the current BFS level,
-/// enumerated in deterministic order before the parallel fan-out.
+impl Frontier {
+    /// The empty path: the base table, where every level-1 hop starts.
+    fn root(node: NodeId, table: Table) -> Frontier {
+        Frontier { node, path: JoinPath::empty(), table, score: 0.0, features: Vec::new() }
+    }
+}
+
+/// One `(frontier entry × best edge)` pair of the current BFS level, as
+/// [`AutoFeat::plan_level`] enumerates them.
 struct HopCandidate<'a> {
     /// Index into the current frontier.
     entry: usize,
@@ -225,16 +242,14 @@ struct HopCandidate<'a> {
     next: NodeId,
     /// The neighbour's table.
     right: &'a Table,
-    /// The neighbour's table name (join prefix).
-    next_name: String,
     /// The hop's left key, qualified for the intermediate table.
     left_key: String,
-    /// The hop itself.
+    /// The hop itself (`hop.to_table` is the join prefix).
     hop: JoinHop,
 }
 
-/// Stage-A outcome of evaluating one candidate hop: the pure part (join, τ
-/// quality, relevance, discretization), safe to compute on any thread.
+/// What [`AutoFeat::evaluate_hop`] found out about one candidate: the pure
+/// part of its evaluation, safe to compute on any thread.
 enum HopEval {
     /// The hop errored (error text; path/hop context lives in the
     /// candidate).
@@ -250,18 +265,26 @@ enum HopEval {
     Scored(ScoredHop),
 }
 
-/// The data a surviving hop carries into the sequential merge.
+/// The data a surviving hop carries into the merge.
 struct ScoredHop {
     /// The joined (augmented) table.
     table: Table,
-    /// Names of the relevance-approved candidate features, in selection
-    /// order (descending relevance).
-    relevant_names: Vec<String>,
-    /// Relevance scores aligned with `relevant_names` (empty when the
-    /// relevance ablation is off).
-    rel_scores: Vec<f64>,
-    /// Discretized codes aligned with `relevant_names`.
+    /// Names of the hop's candidate features (join columns excluded).
+    names: Vec<String>,
+    /// The relevance picks, indexing `names`, in descending relevance.
+    picks: Vec<SelectedFeature>,
+    /// Discretized codes aligned with `picks`.
     codes: Vec<Discretized>,
+}
+
+/// What [`AutoFeat::setup`] prepares once per request.
+struct Setup {
+    /// The (stratified sample of the) base table every path starts from.
+    sampled: Table,
+    /// `(table, column)` pairs some DRG edge joins on.
+    join_cols: HashSet<(String, String)>,
+    /// The streaming selector, `R_sel` seeded with the base features.
+    selector: StreamingSelector,
 }
 
 /// Total-order sort key for path scores: degenerate inputs (constant
@@ -286,6 +309,12 @@ fn remaining_fraction(ctl: &RunControl, total: Option<Duration>) -> Option<f64> 
         return Some(0.0);
     }
     Some(ctl.remaining()?.as_secs_f64() / total.as_secs_f64())
+}
+
+/// Record one rung of the degradation ladder.
+fn degrade(degradations: &mut Vec<&'static str>, rung: &'static str, detail: impl FnOnce() -> String) {
+    degradations.push(rung);
+    obs::event("degraded", detail);
 }
 
 /// The AutoFeat feature-discovery engine.
@@ -334,60 +363,50 @@ impl AutoFeat {
     }
 
     /// Algorithm 1 proper, running under whatever ambient tracer (possibly
-    /// the inert one) the caller installed.
+    /// the inert one) the caller installed: the request scope, then the
+    /// phases, level by level, behind the degradation ladder and the
+    /// truncation gates.
     fn discover_inner(&self, ctx: &SearchContext) -> Result<DiscoveryResult> {
         let _discover_span = obs::span("discover");
         let t0 = Instant::now();
         let cfg = &self.config;
         let workers = cfg.resolve_threads();
-        // Run-scoped lifecycle control: the config's time budget becomes a
+        // The request's scope, entered once here and by every fan-out
+        // worker around its items. The config's time budget becomes a
         // deadline on a *child* of the context-wide control, so the
         // effective deadline is the tighter of the two, a cancel on either
         // side interrupts the run, and an expired per-run deadline never
-        // leaks into the shared context handle. Installed ambiently so the
-        // join kernel and the index cache can poll it without plumbed
-        // parameters (fan-out workers re-install it themselves).
+        // leaks into the shared context handle. The recorder credits cache
+        // activity to exactly this run; the fault domain keeps injected
+        // faults to this context's lake.
         let ctl = ctx
             .control()
             .scoped(cfg.time_budget.and_then(|b| Instant::now().checked_add(b)));
-        let _ctl_guard = control::install_ambient(Some(Arc::clone(&ctl)));
-        // Scope runtime fault injection to this context's lake: deep layers
-        // resolve faults against the context's domain first, so same-named
-        // tables in other concurrently-served contexts stay unaffected.
-        let _faults_guard =
-            faults::install_ambient_domain(Some(Arc::clone(ctx.fault_domain())));
-        let total_budget = ctl.deadline().map(|d| d.saturating_duration_since(t0));
-        let degrade_armed = cfg.degrade.enabled && total_budget.is_some();
-        let mut degradations: Vec<&'static str> = Vec::new();
-        let mut worker_panics = 0usize;
-        // Per-request cache attribution: an ambient recorder (re-installed
-        // by fan-out workers) credits every hit/miss/build/eviction to
-        // exactly this run. A before/after stats delta would misattribute
-        // the moment two runs share the cache concurrently.
-        let cache_recorder = cfg.cache.then(cache::CacheRecorder::new);
-        let _rec_guard = cache::install_recorder(cache_recorder.clone());
+        let recorder = cfg.cache.then(CacheRecorder::new);
+        let _scope = RequestScope {
+            ctl: Some(Arc::clone(&ctl)),
+            recorder: recorder.clone(),
+            faults: Some(Arc::clone(ctx.fault_domain())),
+            trace: obs::ambient_scope(),
+        }
+        .enter();
         // Apply the configured byte budget (config field, else the
         // AUTOFEAT_CACHE_BUDGET environment) before any join: a budget below
         // current residency evicts coldest-first, and the peak-resident
         // epoch restarts so this run reports its own high-water mark. A
         // budget-less run leaves the cache's standing budget untouched.
-        // Applied with the recorder already installed, so the eviction burst
-        // of bringing an over-budget cache down to this run's budget is
-        // attributed to this run.
+        // Applied inside the scope, so the eviction burst of bringing an
+        // over-budget cache down to this run's budget is attributed to
+        // this run.
         if cfg.cache {
             if let Some(budget) = cfg.resolve_cache_budget() {
                 ctx.lake_cache().set_budget(Some(budget));
             }
         }
-        let cache_report = |rec: &Option<Arc<cache::CacheRecorder>>| {
-            rec.as_ref().map(|r| r.attributed(ctx.lake_cache()))
-        };
+        let total_budget = ctl.deadline().map(|d| d.saturating_duration_since(t0));
+        let degrade_armed = cfg.degrade.enabled && total_budget.is_some();
+        let mut degradations: Vec<&'static str> = Vec::new();
 
-        // Stratified sample of the base table (only affects feature
-        // selection, not final training — §VI). The RNG is used for the
-        // sample only; joins derive their seeds per hop.
-        let sample_span = obs::span("sample");
-        let base = ctx.base_table();
         // Degradation rung 1: a total budget below the configured threshold
         // is too tight for the full sample — trade selection fidelity for
         // headroom up front. Depends only on configuration (not the clock),
@@ -395,14 +414,111 @@ impl AutoFeat {
         let mut sample_cap = cfg.sample_rows;
         if degrade_armed && total_budget.is_some_and(|b| b < cfg.degrade.shrink_sample_below) {
             let shrunk = cfg.degrade.min_sample_rows;
-            if sample_cap.is_none_or(|c| c > shrunk) && base.n_rows() > shrunk {
+            if sample_cap.is_none_or(|c| c > shrunk) && ctx.base_table().n_rows() > shrunk {
                 sample_cap = Some(shrunk);
-                degradations.push("shrunk sample");
-                obs::event("degraded", || {
+                degrade(&mut degradations, "shrunk sample", || {
                     format!("sample capped at {shrunk} row(s): budget below threshold")
                 });
             }
         }
+        let Setup { sampled, join_cols, selector } = self.setup(ctx, sample_cap)?;
+        let mut search = Search::new(selector, degradations, workers);
+
+        // BFS over levels (§IV-A: level-by-level exploration contains join
+        // errors). A base that is disconnected from the graph has no first
+        // level: nothing to discover.
+        let mut frontier: Vec<Frontier> = ctx
+            .drg()
+            .node(ctx.base_name())
+            .map(|node| Frontier::root(node, sampled))
+            .into_iter()
+            .collect();
+        while !frontier.is_empty() {
+            // ---- Degradation rungs 2/3, checked at level boundaries and
+            // only under an armed deadline (unbounded runs never degrade, so
+            // their results stay bit-identical — see `DegradeConfig`).
+            if degrade_armed && search.n_levels > 0 {
+                let frac = remaining_fraction(&ctl, total_budget);
+                if frac.is_some_and(|f| f < cfg.degrade.stop_levels_below) {
+                    search.out.truncation.get_or_insert(TruncationReason::DeadlineExceeded {
+                        phase: Phase::Enumerate,
+                    });
+                    let rungs = &mut search.out.resilience.degradations;
+                    degrade(rungs, "stopped deeper levels", || {
+                        "stopped enumerating deeper levels: budget nearly spent".to_string()
+                    });
+                    break;
+                }
+                let pressure = recorder
+                    .as_ref()
+                    .is_some_and(|r| r.rejections() >= cfg.degrade.rejection_pressure);
+                if (pressure || frac.is_some_and(|f| f < cfg.degrade.skip_redundancy_below))
+                    && search.selector.skip_redundancy()
+                {
+                    let rungs = &mut search.out.resilience.degradations;
+                    degrade(rungs, "skipped redundancy refinement", || {
+                        "redundancy refinement off for remaining levels".to_string()
+                    });
+                }
+            }
+            let _level_span = obs::span("level");
+            search.n_levels += 1;
+            let mut cands = {
+                let _span = obs::span("enumerate");
+                let (cands, pruned) = self.plan_level(ctx, &frontier);
+                search.out.n_pruned_similarity += pruned;
+                obs::add("discover.candidates_enumerated", cands.len() as u64);
+                cands
+            };
+
+            // ---- Truncation gates, applied level-wise so the evaluated
+            // candidate set is a deterministic prefix of the enumeration
+            // order regardless of thread count.
+            if !cands.is_empty() {
+                if let Some(reason) = ctl.interrupted() {
+                    search.out.truncation = Some(truncation_reason(reason, Phase::Enumerate));
+                    search.out.n_pruned_budget += cands.len();
+                    break;
+                }
+                let quota = cfg.max_joins.saturating_sub(search.out.n_joins_evaluated);
+                if cands.len() > quota {
+                    search.out.n_pruned_budget += cands.len() - quota;
+                    cands.truncate(quota);
+                    search.out.truncation = Some(TruncationReason::MaxJoins);
+                }
+            }
+
+            // Panic-isolating, interrupt-aware fan-out: a panicking
+            // candidate becomes a structured `ItemOutcome::Panicked` (the
+            // run completes), and once the control interrupts, the
+            // remaining candidates come back `Skipped` without running.
+            let evals = {
+                let _span = obs::span("eval");
+                run_indexed_ctl(workers, cands.len(), Some(&ctl), |i| {
+                    let c = &cands[i];
+                    self.evaluate_hop(ctx, &join_cols, &search.selector, &frontier[c.entry], c)
+                })
+            };
+            let next_level = {
+                let _span = obs::span("merge");
+                search.merge(&frontier, &cands, evals)
+            };
+            if search.out.truncation.is_some() {
+                break;
+            }
+            frontier = self.next_frontier(next_level);
+        }
+        Ok(search.finish(ctx, &ctl, recorder.as_deref(), t0))
+    }
+
+    /// **Setup.** The stratified sample of the base table (only affects
+    /// feature selection, not final training — §VI; the RNG is used for the
+    /// sample only, joins derive their seeds per hop), the label codes, the
+    /// DRG's join columns, and the selector with `R_sel` seeded.
+    fn setup(&self, ctx: &SearchContext, sample_cap: Option<usize>) -> Result<Setup> {
+        let _span = obs::span("sample");
+        let cfg = &self.config;
+        let base = ctx.base_table();
         let sampled = match sample_cap {
             Some(cap) if base.n_rows() > cap => {
                 let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -428,7 +544,6 @@ impl AutoFeat {
                 max: MAX_BINS as usize,
             });
         }
-        let label_codes = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
 
         let drg = ctx.drg();
         // Join columns are infrastructure, not features: they are random
@@ -443,528 +558,320 @@ impl AutoFeat {
             join_cols.insert((drg.table_name(e.b).to_string(), e.b_column.clone()));
         }
 
-        // R_sel: the running selected-feature set, seeded with the base
-        // table's non-key features (Algorithm 1 input). Insertion-ordered:
-        // redundancy sums must accumulate in the same order every run, so a
-        // hash map (whose value order is randomized per process) is not an
-        // option here.
-        // The set keeps the codes the way the redundancy analysis counts
-        // against them.
-        let mut r_sel = SelectedSet::default();
+        // R_sel starts as the base table's non-key features (Algorithm 1
+        // input).
+        let mut selector = StreamingSelector::new(labels, cfg.relevance, cfg.redundancy, cfg.kappa);
         for f in ctx.base_features() {
             if join_cols.contains(&(ctx.base_name().to_string(), f.clone())) {
                 continue;
             }
-            let col = label_encode_column(sampled.column(&f)?);
-            r_sel.insert(&f, discretize_equal_frequency(&col.to_f64_lossy(), DEFAULT_BINS));
+            selector.seed(&f, &label_encode_column(sampled.column(&f)?).to_f64_lossy());
         }
+        Ok(Setup { sampled, join_cols, selector })
+    }
 
-        // `mut`: degradation rung 2 drops the scorer mid-run to skip the
-        // redundancy refinement for the remaining levels.
-        let mut redundancy_scorer = cfg.redundancy.map(RedundancyScorer::new);
-        drop(sample_span);
-
-        let Some(base_node) = drg.node(ctx.base_name()) else {
-            // Base is disconnected from the graph: nothing to discover.
-            return Ok(DiscoveryResult {
-                ranked: Vec::new(),
-                n_joins_evaluated: 0,
-                n_pruned_unjoinable: 0,
-                n_pruned_quality: 0,
-                n_pruned_similarity: 0,
-                n_pruned_budget: 0,
-                truncated: false,
-                truncation: None,
-                failures: Vec::new(),
-                elapsed: t0.elapsed(),
-                selected_features: Vec::new(),
-                threads_used: workers,
-                cache: cache_report(&cache_recorder),
-                lake_payload_bytes: ctx.lake_payload_bytes(),
-                trace: None,
-                resilience: ResilienceStats {
-                    degradations,
-                    worker_panics: 0,
-                    cancel_latency: ctl.cancel_latency(),
-                },
-            });
-        };
-
-        let mut ranked: Vec<RankedPath> = Vec::new();
-        let mut n_joins = 0usize;
-        let mut n_unjoinable = 0usize;
-        let mut n_quality = 0usize;
-        let mut n_similarity = 0usize;
-        let mut n_budget = 0usize;
-        let mut n_levels = 0usize;
-        let mut truncation: Option<TruncationReason> = None;
-        let mut failures: Vec<PathFailure> = Vec::new();
-        let mut selected_union: Vec<String> = Vec::new();
-
-        // BFS over levels (§IV-A: level-by-level exploration contains join
-        // errors); an optional beam keeps only the best-scored frontier
-        // entries per level — the "more aggressive pruning" the paper's
-        // future-work section calls for on dense lakes.
-        let mut current: Vec<Frontier> = vec![Frontier {
-            node: base_node,
-            path: JoinPath::empty(),
-            table: sampled,
-            score: 0.0,
-            features: Vec::new(),
-        }];
-
-        while !current.is_empty() {
-            // ---- Degradation rungs 2/3, checked at level boundaries and
-            // only under an armed deadline (unbounded runs never degrade, so
-            // their results stay bit-identical — see `DegradeConfig`).
-            if degrade_armed && n_levels > 0 {
-                let frac = remaining_fraction(&ctl, total_budget);
-                if frac.is_some_and(|f| f < cfg.degrade.stop_levels_below) {
-                    truncation.get_or_insert(TruncationReason::DeadlineExceeded {
-                        phase: Phase::Enumerate,
-                    });
-                    degradations.push("stopped deeper levels");
-                    obs::event("degraded", || {
-                        "stopped enumerating deeper levels: budget nearly spent".to_string()
-                    });
-                    break;
-                }
-                let pressure = cache_recorder
-                    .as_ref()
-                    .is_some_and(|r| r.rejections() >= cfg.degrade.rejection_pressure);
-                if redundancy_scorer.is_some()
-                    && (pressure
-                        || frac.is_some_and(|f| f < cfg.degrade.skip_redundancy_below))
-                {
-                    redundancy_scorer = None;
-                    degradations.push("skipped redundancy refinement");
-                    obs::event("degraded", || {
-                        "redundancy refinement off for remaining levels".to_string()
-                    });
-                }
+    /// **Plan.** This level's candidates, in deterministic order: frontier
+    /// index, then ascending neighbour, then edge. Also returns how many
+    /// multi-edges the similarity-score rule pruned: per neighbour only the
+    /// top-scored join column(s) are expanded.
+    fn plan_level<'a>(
+        &self,
+        ctx: &'a SearchContext,
+        frontier: &[Frontier],
+    ) -> (Vec<HopCandidate<'a>>, usize) {
+        let drg = ctx.drg();
+        let mut cands: Vec<HopCandidate> = Vec::new();
+        let mut pruned = 0usize;
+        for (ei, entry) in frontier.iter().enumerate() {
+            if entry.path.len() >= self.config.max_path_length {
+                continue;
             }
-            let _level_span = obs::span("level");
-            n_levels += 1;
-            // ---- Enumerate this level's candidates, in deterministic
-            // order: frontier index, then ascending neighbour, then edge.
-            let enumerate_span = obs::span("enumerate");
-            let mut cands: Vec<HopCandidate> = Vec::new();
-            for (ei, entry) in current.iter().enumerate() {
-                if entry.path.len() >= cfg.max_path_length {
+            let from_table = drg.table_name(entry.node);
+            for (next, edge_ids) in drg.neighbours(entry.node) {
+                let next_name = drg.table_name(next);
+                if next_name == ctx.base_name() || entry.path.visits(next_name) {
                     continue;
                 }
-                for (next, edge_ids) in drg.neighbours(entry.node) {
-                    let next_name = drg.table_name(next).to_string();
-                    if next_name == ctx.base_name() || entry.path.visits(&next_name) {
-                        continue;
-                    }
-                    let Some(right) = ctx.table(&next_name) else {
-                        continue;
-                    };
-                    // Similarity-score pruning: expand only the top-scored
-                    // join column(s) toward this neighbour.
-                    let n_edges = edge_ids.len();
-                    let best = drg.best_edges(&edge_ids);
-                    n_similarity += n_edges - best.len();
-                    for eid in best {
-                        let edge = drg.edge(eid);
-                        let Some((_, from_col, to_col)) = edge.oriented_from(entry.node)
-                        else {
-                            continue;
-                        };
-                        let left_key = qualified_column(
-                            ctx.base_name(),
-                            drg.table_name(entry.node),
-                            from_col,
-                        );
-                        if !entry.table.has_column(&left_key) {
-                            continue;
-                        }
-                        cands.push(HopCandidate {
-                            entry: ei,
-                            next,
-                            right,
-                            next_name: next_name.clone(),
-                            left_key,
-                            hop: JoinHop {
-                                from_table: drg.table_name(entry.node).to_string(),
-                                from_column: from_col.to_string(),
-                                to_table: next_name.clone(),
-                                to_column: to_col.to_string(),
-                                weight: edge.weight,
-                            },
-                        });
-                    }
-                }
-            }
-
-            obs::add("discover.candidates_enumerated", cands.len() as u64);
-            drop(enumerate_span);
-
-            // ---- Truncation gates, applied level-wise so the evaluated
-            // candidate set is a deterministic prefix of the enumeration
-            // order regardless of thread count.
-            if !cands.is_empty() {
-                if let Some(reason) = ctl.interrupted() {
-                    truncation = Some(truncation_reason(reason, Phase::Enumerate));
-                    n_budget += cands.len();
-                    break;
-                }
-                let quota = cfg.max_joins.saturating_sub(n_joins);
-                if cands.len() > quota {
-                    n_budget += cands.len() - quota;
-                    cands.truncate(quota);
-                    truncation = Some(TruncationReason::MaxJoins);
-                }
-            }
-
-            // ---- Stage A (parallel, pure): join + τ quality + relevance +
-            // discretization per candidate, fanned out by candidate index.
-            let eval_span = obs::span("eval");
-            let evals: Vec<ItemOutcome<HopEval>> = {
-                let current = &current;
-                let labels = &labels;
-                let join_cols = &join_cols;
-                let eval_one = |i: usize| -> HopEval {
-                    let c = &cands[i];
-                    let entry = &current[c.entry];
-                    let seed = hop_seed(cfg.seed, entry.path.hops(), &c.hop);
-                    // Cached and uncached joins are bit-identical by
-                    // construction (the uncached path builds a transient
-                    // index and runs the same indexed kernel).
-                    let joined = if cfg.cache {
-                        ctx.lake_cache().left_join_normalized(
-                            &entry.table,
-                            c.right,
-                            &c.left_key,
-                            &c.hop.to_column,
-                            &c.next_name,
-                            seed,
-                        )
-                    } else {
-                        left_join_normalized(
-                            &entry.table,
-                            c.right,
-                            &c.left_key,
-                            &c.hop.to_column,
-                            &c.next_name,
-                            seed,
-                        )
-                    };
-                    let out = match joined {
-                        Ok(out) => out,
-                        // A cooperative stop inside the join (or a cache
-                        // build denied by an interrupt) is not a hop
-                        // failure: the candidate was simply never evaluated.
-                        Err(e) => {
-                            return match e.interrupt() {
-                                Some(reason) => HopEval::Interrupted(reason),
-                                None => HopEval::Failed(e.to_string()),
-                            }
-                        }
-                    };
-                    // Prune: join produced no matches at all. An empty base
-                    // yields `match_ratio() == None` (vacuous) and is *not*
-                    // misreported as unjoinable.
-                    if out.matched == 0 && out.match_ratio().is_some() {
-                        return HopEval::Unjoinable;
-                    }
-                    // Prune: data quality below τ.
-                    let new_cols: Vec<&str> =
-                        out.right_columns.iter().map(String::as_str).collect();
-                    let quality = match completeness(&out.table, &new_cols) {
-                        Ok(q) => q,
-                        Err(e) => return HopEval::Failed(e.to_string()),
-                    };
-                    if quality < cfg.tau {
-                        return HopEval::LowQuality;
-                    }
-
-                    // ---- Relevance analysis (select-κ-best). ----
-                    // Join columns of the DRG never become feature
-                    // candidates (see join_cols above).
-                    let next_prefix = format!("{}.", c.next_name);
-                    let candidate_names: Vec<String> = out
-                        .right_columns
-                        .iter()
-                        .filter(|qualified| {
-                            let original =
-                                qualified.strip_prefix(&next_prefix).unwrap_or(qualified);
-                            !join_cols.contains(&(c.next_name.clone(), original.to_string()))
-                        })
-                        .cloned()
-                        .collect();
-                    let mut candidate_data: Vec<Vec<f64>> =
-                        Vec::with_capacity(candidate_names.len());
-                    for name in &candidate_names {
-                        match out.table.column(name) {
-                            Ok(col) => {
-                                candidate_data.push(label_encode_column(col).to_f64_lossy())
-                            }
-                            Err(e) => return HopEval::Failed(e.to_string()),
-                        }
-                    }
-                    // The picks come back with their bin codes: Spearman
-                    // reads them off the sort its ranks came from.
-                    let (relevant_idx, rel_scores, codes): (Vec<usize>, Vec<f64>, Vec<Discretized>) =
-                        match cfg.relevance {
-                            Some(method) => {
-                                let (picked, codes) = select_k_best_binned(
-                                    &candidate_data,
-                                    labels,
-                                    method,
-                                    cfg.kappa,
-                                    0.0,
-                                    DEFAULT_BINS,
-                                );
-                                (
-                                    picked.iter().map(|s| s.index).collect(),
-                                    picked.iter().map(|s| s.score).collect(),
-                                    codes,
-                                )
-                            }
-                            // Ablation: relevance off ⇒ every candidate passes
-                            // through, no relevance score.
-                            None => {
-                                let _span = obs::span("discretize");
-                                (
-                                    (0..candidate_names.len()).collect(),
-                                    Vec::new(),
-                                    candidate_data
-                                        .iter()
-                                        .map(|x| discretize_equal_frequency(x, DEFAULT_BINS))
-                                        .collect(),
-                                )
-                            }
-                        };
-                    let relevant_names: Vec<String> = relevant_idx
-                        .iter()
-                        .map(|&i| candidate_names[i].clone())
-                        .collect();
-                    HopEval::Scored(ScoredHop {
-                        table: out.table,
-                        relevant_names,
-                        rel_scores,
-                        codes,
-                    })
+                let Some(right) = ctx.table(next_name) else {
+                    continue;
                 };
-                // Panic-isolating, interrupt-aware fan-out: a panicking
-                // candidate becomes a structured `ItemOutcome::Panicked`
-                // (the run completes), and once the control interrupts, the
-                // remaining candidates come back `Skipped` without running.
-                run_indexed_ctl(workers, cands.len(), Some(&ctl), eval_one)
+                let best = drg.best_edges(&edge_ids);
+                pruned += edge_ids.len() - best.len();
+                for eid in best {
+                    let edge = drg.edge(eid);
+                    let Some((_, from_col, to_col)) = edge.oriented_from(entry.node) else {
+                        continue;
+                    };
+                    let left_key = qualified_column(ctx.base_name(), from_table, from_col);
+                    if !entry.table.has_column(&left_key) {
+                        continue;
+                    }
+                    cands.push(HopCandidate {
+                        entry: ei,
+                        next,
+                        right,
+                        left_key,
+                        hop: JoinHop {
+                            from_table: from_table.to_string(),
+                            from_column: from_col.to_string(),
+                            to_table: next_name.to_string(),
+                            to_column: to_col.to_string(),
+                            weight: edge.weight,
+                        },
+                    });
+                }
+            }
+        }
+        (cands, pruned)
+    }
+
+    /// **Evaluate.** Join `c` onto its frontier entry, prune on match count
+    /// and τ quality, and run the relevance analysis over the new columns.
+    /// A pure function of its arguments — `selector` is read for its labels
+    /// and settings only — so a level's hops can be evaluated in any order,
+    /// on any thread.
+    fn evaluate_hop(
+        &self,
+        ctx: &SearchContext,
+        join_cols: &HashSet<(String, String)>,
+        selector: &StreamingSelector,
+        entry: &Frontier,
+        c: &HopCandidate,
+    ) -> HopEval {
+        let cfg = &self.config;
+        let eval = || -> Result<HopEval> {
+            let next_name = &c.hop.to_table;
+            let seed = hop_seed(cfg.seed, entry.path.hops(), &c.hop);
+            let (left, left_key, right_key) = (&entry.table, &c.left_key, &c.hop.to_column);
+            // Cached and uncached joins are bit-identical by construction
+            // (the uncached path builds a transient index and runs the same
+            // indexed kernel).
+            let out = if cfg.cache {
+                let cache = ctx.lake_cache();
+                cache.left_join_normalized(left, c.right, left_key, right_key, next_name, seed)?
+            } else {
+                left_join_normalized(left, c.right, left_key, right_key, next_name, seed)?
             };
-            drop(eval_span);
+            // Prune: join produced no matches at all. An empty base yields
+            // `match_ratio() == None` (vacuous) and is *not* misreported as
+            // unjoinable.
+            if out.matched == 0 && out.match_ratio().is_some() {
+                return Ok(HopEval::Unjoinable);
+            }
+            // Prune: data quality below τ.
+            let new_cols: Vec<&str> = out.right_columns.iter().map(String::as_str).collect();
+            if completeness(&out.table, &new_cols)? < cfg.tau {
+                return Ok(HopEval::LowQuality);
+            }
+            // Join columns of the DRG never become feature candidates (see
+            // `setup`).
+            let next_prefix = format!("{next_name}.");
+            let names: Vec<String> = out
+                .right_columns
+                .into_iter()
+                .filter(|qualified| {
+                    let original = qualified.strip_prefix(&next_prefix).unwrap_or(qualified);
+                    !join_cols.contains(&(next_name.clone(), original.to_string()))
+                })
+                .collect();
+            let data = names
+                .iter()
+                .map(|name| Ok(label_encode_column(out.table.column(name)?).to_f64_lossy()))
+                .collect::<Result<Vec<Vec<f64>>>>()?;
+            let (picks, codes) = selector.relevance(&data);
+            Ok(HopEval::Scored(ScoredHop { table: out.table, names, picks, codes }))
+        };
+        // A cooperative stop inside the join (or a cache build denied by an
+        // interrupt) is not a hop failure: the candidate was simply never
+        // evaluated.
+        eval().unwrap_or_else(|e| match e.interrupt() {
+            Some(reason) => HopEval::Interrupted(reason),
+            None => HopEval::Failed(e.to_string()),
+        })
+    }
 
-            // ---- Stage B (sequential, stateful): streaming redundancy
-            // against R_sel, ranking, and counter merging — replayed in
-            // candidate-index order, exactly as the sequential walk would.
-            // Trace events are emitted only here, so the event log is
-            // identical at any worker-thread count.
-            let merge_span = obs::span("merge");
-            let mut next_level: Vec<Frontier> = Vec::new();
-            for (c, outcome) in cands.iter().zip(evals) {
-                let eval = match outcome {
-                    ItemOutcome::Done(eval) => eval,
-                    // Never ran: the control interrupted before its turn.
-                    // Counted with the budget-dropped candidates, exactly
-                    // like candidates dropped at the level gate.
-                    ItemOutcome::Skipped(reason) => {
-                        n_budget += 1;
-                        truncation
-                            .get_or_insert(truncation_reason(reason, Phase::Evaluate));
-                        continue;
-                    }
-                    // Ran and panicked: the panic was caught on the worker
-                    // and lands here as a structured failure (item index +
-                    // phase in the message, path identity from the
-                    // candidate), via the same path as any other hop error.
-                    ItemOutcome::Panicked(panic) => {
-                        worker_panics += 1;
-                        obs::event("worker_panic", || panic.to_string());
-                        HopEval::Failed(panic.to_string())
-                    }
-                };
-                match eval {
-                    HopEval::Interrupted(reason) => {
-                        n_budget += 1;
-                        truncation
-                            .get_or_insert(truncation_reason(reason, Phase::Evaluate));
-                    }
-                    HopEval::Failed(error) => {
-                        n_joins += 1;
-                        obs::event("hop_failed", || {
-                            format!(
-                                "{} -> {} after [{}]: {error}",
-                                c.hop.from_table,
-                                c.hop.to_table,
-                                current[c.entry].path
-                            )
-                        });
-                        failures.push(PathFailure {
-                            path: current[c.entry].path.clone(),
-                            hop: c.hop.clone(),
-                            error,
-                        });
-                    }
-                    HopEval::Unjoinable => {
-                        n_joins += 1;
-                        obs::event("path_pruned", || {
-                            format!(
-                                "unjoinable: [{}] + {} -> {}",
-                                current[c.entry].path, c.hop.from_table, c.hop.to_table
-                            )
-                        });
-                        n_unjoinable += 1;
-                    }
-                    HopEval::LowQuality => {
-                        n_joins += 1;
-                        obs::event("path_pruned", || {
-                            format!(
-                                "below τ quality: [{}] + {} -> {}",
-                                current[c.entry].path, c.hop.from_table, c.hop.to_table
-                            )
-                        });
-                        n_quality += 1;
-                    }
-                    HopEval::Scored(sh) => {
-                        n_joins += 1;
-                        let entry = &current[c.entry];
+    /// The next level's frontier: everything the merge produced, or — with
+    /// a beam — only the best-scored entries, the "more aggressive pruning"
+    /// the paper's future-work section calls for on dense lakes.
+    fn next_frontier(&self, mut next_level: Vec<Frontier>) -> Vec<Frontier> {
+        if let Some(beam) = self.config.beam_width {
+            next_level.sort_by(|a, b| {
+                rank_key(b.score)
+                    .total_cmp(&rank_key(a.score))
+                    .then_with(|| a.path.to_string().cmp(&b.path.to_string()))
+            });
+            next_level.truncate(beam);
+        }
+        next_level
+    }
+}
 
-                        // ---- Redundancy analysis (streaming, vs R_sel). ----
-                        // `kept[li]`: whether relevant feature `li` survives.
-                        let (kept, red_scores): (Vec<bool>, Vec<f64>) = match &redundancy_scorer {
-                            Some(scorer) => {
-                                let cands2: Vec<(usize, &Discretized)> =
-                                    sh.codes.iter().enumerate().collect();
-                                let picked =
-                                    r_sel.select_non_redundant(&cands2, &label_codes, scorer);
-                                let mut kept = vec![false; sh.codes.len()];
-                                for s in &picked {
-                                    kept[s.index] = true;
-                                }
-                                (kept, picked.iter().map(|s| s.score).collect())
-                            }
-                            // Ablation: redundancy off ⇒ keep all relevant.
-                            None => (vec![true; sh.codes.len()], Vec::new()),
-                        };
+/// Everything a run accumulates: `R_sel` (inside the selector) and the result
+/// under construction — the ranking so far, the counters, the failures.
+/// [`Search::merge`] is the only place an evaluated hop changes any of it;
+/// the level loop's gates write `truncation`, the budget and similarity
+/// counters, `n_levels` and the degradations.
+struct Search {
+    selector: StreamingSelector,
+    n_levels: usize,
+    out: DiscoveryResult,
+}
 
-                        // Update R_sel (Algorithm 1, line 18): the kept codes
-                        // move in — a name already there keeps its place —
-                        // and the rest are dropped.
-                        let mut new_features = Vec::new();
-                        for ((name, codes), _) in
-                            sh.relevant_names.into_iter().zip(sh.codes).zip(kept).filter(|(_, k)| *k)
-                        {
-                            r_sel.insert(&name, codes);
-                            if !selected_union.contains(&name) {
-                                selected_union.push(name.clone());
-                            }
-                            new_features.push(name);
-                        }
+impl Search {
+    /// The one place a [`DiscoveryResult`] is made: empty, to be filled in.
+    fn new(selector: StreamingSelector, degradations: Vec<&'static str>, workers: usize) -> Search {
+        let resilience = ResilienceStats { degradations, ..Default::default() };
+        let out = DiscoveryResult { threads_used: workers, resilience, ..Default::default() };
+        Search { selector, n_levels: 0, out }
+    }
 
-                        // ---- Ranking (Algorithm 2). ----
-                        let hop_score = compute_score(&sh.rel_scores, &red_scores);
-                        let path_score = accumulate(entry.score, hop_score);
-                        let new_path = entry.path.extended(c.hop.clone());
-                        let mut path_features = entry.features.clone();
-                        path_features.extend(new_features);
-                        ranked.push(RankedPath {
-                            path: new_path.clone(),
-                            score: path_score,
-                            features: path_features.clone(),
-                        });
-                        // Even a join contributing nothing stays in the
-                        // queue: it may be the gateway to a deeper, relevant
-                        // table (streaming-FS requirement, §V-A).
-                        next_level.push(Frontier {
-                            node: c.next,
-                            path: new_path,
-                            table: sh.table,
-                            score: path_score,
-                            features: path_features,
-                        });
-                    }
+    /// **Merge.** Take one level's outcomes in candidate order, exactly as
+    /// the sequential walk would meet them: the streaming redundancy
+    /// analysis against `R_sel` and its update, Algorithm 2's score, the
+    /// ranking, the counters. Returns the next level's frontier. Trace
+    /// events are emitted only here, so the event log is identical at any
+    /// worker-thread count.
+    fn merge(
+        &mut self,
+        frontier: &[Frontier],
+        cands: &[HopCandidate],
+        evals: Vec<ItemOutcome<HopEval>>,
+    ) -> Vec<Frontier> {
+        let mut next_level: Vec<Frontier> = Vec::new();
+        for (c, outcome) in cands.iter().zip(evals) {
+            let entry = &frontier[c.entry];
+            let eval = match outcome {
+                ItemOutcome::Done(eval) => eval,
+                // Never ran: the control interrupted before its turn.
+                ItemOutcome::Skipped(reason) => HopEval::Interrupted(reason),
+                // Ran and panicked: the panic was caught on the worker and
+                // lands here as a structured failure (item index + phase in
+                // the message, path identity from the candidate), via the
+                // same path as any other hop error.
+                ItemOutcome::Panicked(panic) => {
+                    self.out.resilience.worker_panics += 1;
+                    obs::event("worker_panic", || panic.to_string());
+                    HopEval::Failed(panic.to_string())
                 }
+            };
+            // Every outcome but an interrupt is an evaluated join.
+            if !matches!(eval, HopEval::Interrupted(_)) {
+                self.out.n_joins_evaluated += 1;
             }
-            drop(merge_span);
-            if truncation.is_some() {
-                break;
+            let pruned = |why: &str| {
+                obs::event("path_pruned", || {
+                    format!("{why}: [{}] + {} -> {}", entry.path, c.hop.from_table, c.hop.to_table)
+                })
+            };
+            match eval {
+                // Never evaluated: counted with the budget-dropped
+                // candidates, exactly like those dropped at the level gate.
+                HopEval::Interrupted(reason) => {
+                    self.out.n_pruned_budget += 1;
+                    self.out.truncation.get_or_insert(truncation_reason(reason, Phase::Evaluate));
+                }
+                HopEval::Failed(error) => {
+                    obs::event("hop_failed", || {
+                        format!(
+                            "{} -> {} after [{}]: {error}",
+                            c.hop.from_table, c.hop.to_table, entry.path
+                        )
+                    });
+                    self.out.failures.push(PathFailure {
+                        path: entry.path.clone(),
+                        hop: c.hop.clone(),
+                        error,
+                    });
+                }
+                HopEval::Unjoinable => {
+                    pruned("unjoinable");
+                    self.out.n_pruned_unjoinable += 1;
+                }
+                HopEval::LowQuality => {
+                    pruned("below τ quality");
+                    self.out.n_pruned_quality += 1;
+                }
+                HopEval::Scored(sh) => next_level.push(self.admit(entry, c, sh)),
             }
-            if let Some(beam) = cfg.beam_width {
-                next_level.sort_by(|a, b| {
-                    rank_key(b.score)
-                        .total_cmp(&rank_key(a.score))
-                        .then_with(|| a.path.to_string().cmp(&b.path.to_string()))
-                });
-                next_level.truncate(beam);
-            }
-            current = next_level;
         }
+        next_level
+    }
 
-        let rank_span = obs::span("rank");
-        ranked.sort_by(|a, b| {
-            rank_key(b.score)
-                .total_cmp(&rank_key(a.score))
-                .then_with(|| a.path.len().cmp(&b.path.len()))
-                .then_with(|| a.path.to_string().cmp(&b.path.to_string()))
-        });
-        drop(rank_span);
-
-        match truncation {
-            Some(TruncationReason::MaxJoins) => {
-                obs::event("truncated", || "max_joins cap reached".to_string());
+    /// One surviving hop: redundancy analysis and `R_sel` update (Algorithm
+    /// 1, lines 17–18), then ranking (Algorithm 2).
+    fn admit(&mut self, entry: &Frontier, c: &HopCandidate, sh: ScoredHop) -> Frontier {
+        let outcome = self.selector.admit(&sh.names, sh.picks, sh.codes);
+        let mut features = entry.features.clone();
+        for &i in &outcome.selected {
+            let name = &sh.names[i];
+            if !self.out.selected_features.contains(name) {
+                self.out.selected_features.push(name.clone());
             }
-            Some(TruncationReason::DeadlineExceeded { phase }) => {
-                obs::event("truncated", || {
+            features.push(name.clone());
+        }
+        let hop_score = compute_score(outcome.relevance_scores(), outcome.redundancy_scores());
+        let score = accumulate(entry.score, hop_score);
+        let path = entry.path.extended(c.hop.clone());
+        self.out.ranked.push(RankedPath { path: path.clone(), score, features: features.clone() });
+        // Even a join contributing nothing stays in the queue: it may be
+        // the gateway to a deeper, relevant table (streaming-FS
+        // requirement, §V-A).
+        Frontier { node: c.next, path, table: sh.table, score, features }
+    }
+
+    /// **Rank**, and what only the end of a run knows. The run totals are
+    /// emitted to the trace from the same values the result (and hence the
+    /// health report) carries, so trace counters and report numbers agree
+    /// by construction.
+    fn finish(
+        self,
+        ctx: &SearchContext,
+        ctl: &RunControl,
+        recorder: Option<&CacheRecorder>,
+        t0: Instant,
+    ) -> DiscoveryResult {
+        let mut out = self.out;
+        {
+            let _span = obs::span("rank");
+            out.ranked.sort_by(|a, b| {
+                rank_key(b.score)
+                    .total_cmp(&rank_key(a.score))
+                    .then_with(|| a.path.len().cmp(&b.path.len()))
+                    .then_with(|| a.path.to_string().cmp(&b.path.to_string()))
+            });
+        }
+        out.truncated = out.truncation.is_some();
+        if let Some(reason) = out.truncation {
+            obs::event("truncated", || match reason {
+                TruncationReason::MaxJoins => "max_joins cap reached".to_string(),
+                TruncationReason::DeadlineExceeded { phase } => {
                     format!("time budget exhausted during {phase}")
-                });
-            }
-            Some(TruncationReason::Cancelled) => {
-                obs::event("truncated", || "run cancelled".to_string());
-            }
-            None => {}
+                }
+                TruncationReason::Cancelled => "run cancelled".to_string(),
+            });
         }
-        // Emit the run totals once, from the same values the result (and
-        // hence the health report) carries — so trace counters and report
-        // numbers agree by construction.
-        obs::add("discover.joins_evaluated", n_joins as u64);
-        obs::add("discover.pruned_unjoinable", n_unjoinable as u64);
-        obs::add("discover.pruned_quality", n_quality as u64);
-        obs::add("discover.pruned_similarity", n_similarity as u64);
-        obs::add("discover.pruned_budget", n_budget as u64);
-        obs::add("discover.paths_ranked", ranked.len() as u64);
-        obs::add("discover.features_selected", selected_union.len() as u64);
-        obs::add("discover.hop_failures", failures.len() as u64);
-        obs::add("discover.levels", n_levels as u64);
+        obs::add("discover.joins_evaluated", out.n_joins_evaluated as u64);
+        obs::add("discover.pruned_unjoinable", out.n_pruned_unjoinable as u64);
+        obs::add("discover.pruned_quality", out.n_pruned_quality as u64);
+        obs::add("discover.pruned_similarity", out.n_pruned_similarity as u64);
+        obs::add("discover.pruned_budget", out.n_pruned_budget as u64);
+        obs::add("discover.paths_ranked", out.ranked.len() as u64);
+        obs::add("discover.features_selected", out.selected_features.len() as u64);
+        obs::add("discover.hop_failures", out.failures.len() as u64);
+        obs::add("discover.levels", self.n_levels as u64);
         // Resilience counters stay absent from healthy runs (`obs::add`
         // drops zero counts), so counter-set invariance across thread
         // counts and cache modes is untouched when nothing fires.
-        obs::add("resilience.worker_panics", worker_panics as u64);
-        obs::add("resilience.degradations", degradations.len() as u64);
-        let cancel_latency = ctl.cancel_latency();
-        if let Some(latency) = cancel_latency {
+        obs::add("resilience.worker_panics", out.resilience.worker_panics as u64);
+        obs::add("resilience.degradations", out.resilience.degradations.len() as u64);
+        out.resilience.cancel_latency = ctl.cancel_latency();
+        if let Some(latency) = out.resilience.cancel_latency {
             obs::record_secs("resilience.cancel_latency_secs", latency.as_secs_f64());
         }
-
-        Ok(DiscoveryResult {
-            ranked,
-            n_joins_evaluated: n_joins,
-            n_pruned_unjoinable: n_unjoinable,
-            n_pruned_quality: n_quality,
-            n_pruned_similarity: n_similarity,
-            n_pruned_budget: n_budget,
-            truncated: truncation.is_some(),
-            truncation,
-            failures,
-            elapsed: t0.elapsed(),
-            selected_features: selected_union,
-            threads_used: workers,
-            cache: cache_report(&cache_recorder),
-            lake_payload_bytes: ctx.lake_payload_bytes(),
-            trace: None,
-            resilience: ResilienceStats { degradations, worker_panics, cancel_latency },
-        })
+        out.cache = recorder.map(|r| r.attributed(ctx.lake_cache()));
+        out.lake_payload_bytes = ctx.lake_payload_bytes();
+        out.elapsed = t0.elapsed();
+        out
     }
 }
 
@@ -1669,5 +1576,233 @@ mod tests {
             "exact duplicate of an already-selected feature must be dropped: {:?}",
             r.selected_features
         );
+    }
+
+    // ---- Phase tests: each phase on its own, over `chain_ctx` and a
+    // diamond whose far corner is reached over two paths. ----
+
+    /// base(k, k2, weak, target) — a(k, alt, ck, fa) — c(ck, fc), and
+    /// base — b(k, ck, fb) — c. `base`–`a` is a multi-edge: `k`–`k` at 0.9
+    /// and `k2`–`alt` at 0.6. Edges are inserted in the order `edge_order`
+    /// lists them.
+    fn diamond_ctx(n: usize, edge_order: [usize; 5]) -> SearchContext {
+        let ints = |f: &dyn Fn(i64) -> i64| {
+            Column::from_ints((0..n as i64).map(|i| Some(f(i))).collect::<Vec<_>>())
+        };
+        let floats = |f: &dyn Fn(usize) -> f64| {
+            Column::from_floats((0..n).map(|i| Some(f(i))).collect::<Vec<_>>())
+        };
+        let label = |i: usize| (i % 2) as f64;
+        let tables = vec![
+            Table::new(
+                "base",
+                vec![
+                    ("k", ints(&|i| i)),
+                    ("k2", ints(&|i| 7000 + i)),
+                    ("weak", floats(&|i| ((i * 37) % 11) as f64)),
+                    ("target", ints(&|i| i % 2)),
+                ],
+            )
+            .unwrap(),
+            Table::new(
+                "a",
+                vec![
+                    ("k", ints(&|i| i)),
+                    ("alt", ints(&|i| 7000 + i)),
+                    ("ck", ints(&|i| 500 + i)),
+                    ("fa", floats(&|i| label(i) + ((i * 13) % 7) as f64 * 0.3)),
+                ],
+            )
+            .unwrap(),
+            Table::new(
+                "b",
+                vec![
+                    ("k", ints(&|i| i)),
+                    ("ck", ints(&|i| 500 + i)),
+                    ("fb", floats(&|i| label(i) * 2.0 + ((i * 5) % 9) as f64 * 0.2)),
+                ],
+            )
+            .unwrap(),
+            Table::new("c", vec![("ck", ints(&|i| 500 + i)), ("fc", floats(&label))]).unwrap(),
+        ];
+        let edges = [
+            ("base", "k", "a", "k", 0.9),
+            ("base", "k2", "a", "alt", 0.6),
+            ("base", "k", "b", "k", 0.8),
+            ("a", "ck", "c", "ck", 0.85),
+            ("b", "ck", "c", "ck", 0.75),
+        ];
+        let mut drg = autofeat_graph::DrgBuilder::new();
+        for t in &tables {
+            drg.add_table(t.name());
+        }
+        for i in edge_order {
+            let (ta, ca, tb, cb, w) = edges[i];
+            drg.add_discovered(ta, ca, tb, cb, w);
+        }
+        SearchContext::new(tables, drg.build(), "base", "target").unwrap()
+    }
+
+    /// Run the phases by hand, without ladder or gates, evaluating each
+    /// level's hops front to back or back to front.
+    fn drive(engine: &AutoFeat, ctx: &SearchContext, reverse: bool) -> Search {
+        let Setup { sampled, join_cols, selector } =
+            engine.setup(ctx, engine.config.sample_rows).unwrap();
+        let mut search = Search::new(selector, Vec::new(), 1);
+        let mut frontier = vec![Frontier::root(ctx.drg().node(ctx.base_name()).unwrap(), sampled)];
+        while !frontier.is_empty() {
+            search.n_levels += 1;
+            let (cands, pruned) = engine.plan_level(ctx, &frontier);
+            search.out.n_pruned_similarity += pruned;
+            let mut order: Vec<usize> = (0..cands.len()).collect();
+            if reverse {
+                order.reverse();
+            }
+            let mut evals: Vec<Option<ItemOutcome<HopEval>>> = cands.iter().map(|_| None).collect();
+            for i in order {
+                let c = &cands[i];
+                let eval =
+                    engine.evaluate_hop(ctx, &join_cols, &search.selector, &frontier[c.entry], c);
+                evals[i] = Some(ItemOutcome::Done(eval));
+            }
+            let evals = evals.into_iter().map(|e| e.expect("every hop evaluated")).collect();
+            frontier = engine.next_frontier(search.merge(&frontier, &cands, evals));
+        }
+        search
+    }
+
+    fn finished(search: Search, ctx: &SearchContext) -> DiscoveryResult {
+        search.finish(ctx, &RunControl::new(), None, Instant::now())
+    }
+
+    #[test]
+    fn plan_level_ignores_edge_insertion_order_and_counts_pruned_multi_edges() {
+        let engine = AutoFeat::paper();
+        let plan = |ctx: &SearchContext| {
+            // Level 1 from the base, then level 2 from everything level 1
+            // reached (hand-made entries: planning reads no scores).
+            let base = ctx.drg().node("base").unwrap();
+            let level1 = vec![Frontier::root(base, ctx.base_table().clone())];
+            let (cands1, pruned1) = engine.plan_level(ctx, &level1);
+            let level2: Vec<Frontier> = cands1
+                .iter()
+                .map(|c| Frontier {
+                    node: c.next,
+                    path: JoinPath::empty().extended(c.hop.clone()),
+                    table: autofeat_data::join::left_join_normalized(
+                        ctx.base_table(),
+                        c.right,
+                        &c.left_key,
+                        &c.hop.to_column,
+                        &c.hop.to_table,
+                        0,
+                    )
+                    .unwrap()
+                    .table,
+                    score: 0.0,
+                    features: Vec::new(),
+                })
+                .collect();
+            let (cands2, pruned2) = engine.plan_level(ctx, &level2);
+            let describe = |cands: &[HopCandidate]| -> Vec<(usize, String, String)> {
+                cands
+                    .iter()
+                    .map(|c| (c.entry, c.left_key.clone(), format!("{:?}", c.hop)))
+                    .collect()
+            };
+            (describe(&cands1), pruned1, describe(&cands2), pruned2)
+        };
+        let (l1, pruned1, l2, pruned2) = plan(&diamond_ctx(60, [0, 1, 2, 3, 4]));
+        // base → a over the 0.9 edge only (the 0.6 one is pruned, never
+        // joined), base → b; then a → c and b → c.
+        assert_eq!(l1.iter().map(|c| c.1.as_str()).collect::<Vec<_>>(), ["k", "k"]);
+        assert_eq!(pruned1, 1);
+        assert_eq!(l2.iter().map(|c| (c.0, c.1.as_str())).collect::<Vec<_>>(), [(0, "a.ck"), (1, "b.ck")]);
+        assert_eq!(pruned2, 0);
+        for order in [[4, 3, 2, 1, 0], [1, 0, 4, 2, 3], [2, 4, 0, 3, 1]] {
+            assert_eq!(plan(&diamond_ctx(60, order)), (l1.clone(), pruned1, l2.clone(), pruned2));
+        }
+    }
+
+    #[test]
+    fn evaluate_hop_prunes_below_tau_and_not_at_it() {
+        // `matching` of the base's 100 keys find a row in s1, so the new
+        // columns' completeness is matching / 100.
+        let first_hop = |matching: i64| -> HopEval {
+            let n = 100i64;
+            let base = Table::new(
+                "base",
+                vec![
+                    ("k", Column::from_ints((0..n).map(Some).collect::<Vec<_>>())),
+                    ("target", Column::from_ints((0..n).map(|i| Some(i % 2)).collect::<Vec<_>>())),
+                ],
+            )
+            .unwrap();
+            let s1 = Table::new(
+                "s1",
+                vec![
+                    ("k", Column::from_ints((0..matching).map(Some).collect::<Vec<_>>())),
+                    ("f", Column::from_floats((0..matching).map(|i| Some((i % 2) as f64)).collect::<Vec<_>>())),
+                ],
+            )
+            .unwrap();
+            let ctx = SearchContext::from_kfk(
+                vec![base, s1],
+                &[("base".into(), "k".into(), "s1".into(), "k".into())],
+                "base",
+                "target",
+            )
+            .unwrap();
+            let engine = AutoFeat::new(AutoFeatConfig::default().with_tau(0.5));
+            let Setup { sampled, join_cols, selector } = engine.setup(&ctx, None).unwrap();
+            let frontier = [Frontier::root(ctx.drg().node("base").unwrap(), sampled)];
+            let (cands, _) = engine.plan_level(&ctx, &frontier);
+            assert_eq!(cands.len(), 1);
+            engine.evaluate_hop(&ctx, &join_cols, &selector, &frontier[0], &cands[0])
+        };
+        match first_hop(50) {
+            HopEval::Scored(sh) => {
+                assert_eq!(sh.names, ["s1.f"], "the join column is no candidate");
+                assert_eq!(sh.picks.len(), 1);
+                assert_eq!(sh.codes.len(), 1);
+            }
+            _ => panic!("a match ratio of exactly τ passes"),
+        }
+        assert!(matches!(first_hop(49), HopEval::LowQuality), "one row below τ is pruned");
+        assert!(matches!(first_hop(0), HopEval::Unjoinable));
+    }
+
+    #[test]
+    fn evaluation_order_within_a_level_does_not_change_the_result() {
+        // What makes the evaluate phase safe to fan out: whichever hop of a
+        // level is evaluated first, merging in candidate order gives the
+        // result of the sequential walk — and of `discover`.
+        for ctx in [chain_ctx(160), diamond_ctx(120, [0, 1, 2, 3, 4])] {
+            for (label, cfg) in AutoFeatConfig::ablation_variants() {
+                let engine = AutoFeat::new(cfg);
+                let forward = finished(drive(&engine, &ctx, false), &ctx);
+                let backward = finished(drive(&engine, &ctx, true), &ctx);
+                assert!(!forward.ranked.is_empty(), "{label}");
+                assert_results_identical(&forward, &backward);
+                assert_results_identical(&forward, &engine.discover(&ctx).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_kept_name_that_re_enters_through_admit_keeps_its_place() {
+        // With redundancy off, `c.fc` is kept both times `c` is reached
+        // (over `a`, then over `b`): one member of R_sel, where it first
+        // went in, and a feature of both paths.
+        let ctx = diamond_ctx(120, [0, 1, 2, 3, 4]);
+        let engine = AutoFeat::new(AutoFeatConfig { redundancy: None, ..Default::default() });
+        let search = drive(&engine, &ctx, false);
+        assert_eq!(search.selector.selected_names(), ["weak", "a.fa", "b.fb", "c.fc"]);
+        let result = finished(search, &ctx);
+        assert_eq!(result.selected_features, ["a.fa", "b.fb", "c.fc"]);
+        let to_c: Vec<&RankedPath> =
+            result.ranked.iter().filter(|p| p.path.last_table() == Some("c")).collect();
+        assert_eq!(to_c.len(), 2);
+        assert!(to_c.iter().all(|p| p.features.last().map(String::as_str) == Some("c.fc")));
     }
 }

@@ -121,8 +121,7 @@ pub fn run_arda(
     config: &ArdaConfig,
 ) -> Result<MethodResult> {
     let _span = autofeat_obs::span("baseline_arda");
-    let _ctl_guard =
-        autofeat_data::control::install_ambient(Some(std::sync::Arc::clone(ctx.control())));
+    let _scope = autofeat_data::RequestScope::with_ctl(ctx.control()).enter();
     let t0 = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
 

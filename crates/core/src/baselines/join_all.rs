@@ -50,8 +50,7 @@ pub fn run_join_all(
     config: &JoinAllConfig,
 ) -> Result<Option<MethodResult>> {
     let _span = autofeat_obs::span("baseline_join_all");
-    let _ctl_guard =
-        autofeat_data::control::install_ambient(Some(std::sync::Arc::clone(ctx.control())));
+    let _scope = autofeat_data::RequestScope::with_ctl(ctx.control()).enter();
     let t0 = Instant::now();
     let drg = ctx.drg();
     let Some(base_node) = drg.node(ctx.base_name()) else {

@@ -105,8 +105,7 @@ pub fn run_mab(
     config: &MabConfig,
 ) -> Result<MethodResult> {
     let _span = autofeat_obs::span("baseline_mab");
-    let _ctl_guard =
-        autofeat_data::control::install_ambient(Some(std::sync::Arc::clone(ctx.control())));
+    let _scope = autofeat_data::RequestScope::with_ctl(ctx.control()).enter();
     let t0 = Instant::now();
     let label = ctx.label().to_string();
 

@@ -39,7 +39,7 @@ pub fn materialize_path(
     let mut current = start.clone();
     for (i, hop) in path.hops().iter().enumerate() {
         // Cooperative checkpoint per hop: a cancel or deadline on the
-        // ambient control winds the replay down between joins.
+        // request scope's control winds the replay down between joins.
         if let Some(reason) = ambient_interrupted() {
             return Err(DataError::Interrupted(reason));
         }
@@ -368,7 +368,7 @@ mod tests {
         let path = JoinPath::from_hops(vec![hop("base", "a_id", "a", "a_id")]);
         let ctl = std::sync::Arc::new(autofeat_data::RunControl::new());
         ctl.cancel();
-        let _g = autofeat_data::control::install_ambient(Some(std::sync::Arc::clone(&ctl)));
+        let _g = autofeat_data::RequestScope::with_ctl(&ctl).enter();
         let err = materialize_path(&c, c.base_table(), &path, 0).unwrap_err();
         assert!(err.interrupt().is_some(), "{err}");
         let err = materialize_tree(&c, c.base_table(), &[&path], 0).unwrap_err();

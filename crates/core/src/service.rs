@@ -488,14 +488,13 @@ impl Telemetry {
         reg.gauge("autofeat_lake_dictionaries", "Key dictionaries built so far, one per joined-on column.")
             .set(dictionaries as f64);
 
-        if let Some(pool) = shared_pool() {
-            reg.gauge("autofeat_pool_size", "Worker threads in the shared fan-out pool.")
-                .set(pool.size() as f64);
-            reg.gauge("autofeat_pool_queue_depth", "Jobs queued but not yet picked up.")
-                .set(pool.queue_depth() as f64);
-            reg.gauge("autofeat_pool_busy_workers", "Workers currently executing a job.")
-                .set(pool.busy_workers() as f64);
-        }
+        let pool = shared_pool();
+        reg.gauge("autofeat_pool_size", "Worker threads in the shared fan-out pool.")
+            .set(pool.size() as f64);
+        reg.gauge("autofeat_pool_queue_depth", "Jobs queued but not yet picked up.")
+            .set(pool.queue_depth() as f64);
+        reg.gauge("autofeat_pool_busy_workers", "Workers currently executing a job.")
+            .set(pool.busy_workers() as f64);
     }
 
     fn snapshot(&self, counters: &ServiceCounters, ctx: &SearchContext) -> MetricsSnapshot {

@@ -103,9 +103,7 @@ pub fn train_top_k(
     // materialization joins poll it ambiently between hops, and the
     // candidate loop checks it per path. Interruption is graceful — the
     // best fully evaluated candidate so far still wins.
-    let _ctl_guard = autofeat_data::control::install_ambient(Some(std::sync::Arc::clone(
-        ctx.control(),
-    )));
+    let _scope = autofeat_data::RequestScope::with_ctl(ctx.control()).enter();
     let mut stopped_early = false;
     let base_features = ctx.base_features();
     let label = ctx.label();

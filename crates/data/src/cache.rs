@@ -183,10 +183,10 @@ pub struct CacheStats {
 ///
 /// A before/after delta of the cache's own counters misattributes work the
 /// moment two runs overlap: request A's hits land in request B's delta.
-/// Instead, each run creates a recorder, installs it ambiently
-/// ([`install_recorder`]; fan-out workers re-install their spawner's, like
-/// the ambient [`crate::control`]), and the cache mirrors every counter
-/// bump into the recorder of the thread doing the work — so a hit is
+/// Instead, each run creates a recorder and carries it in its
+/// [`RequestScope`](crate::scope::RequestScope) (which fan-out workers
+/// enter), and the cache mirrors every counter bump into the recorder of
+/// the thread doing the work — so a hit is
 /// credited to exactly the request that probed, a build to the request
 /// whose worker won the build race, an eviction to the request whose
 /// budget application triggered it. Summing all concurrent recorders
@@ -242,39 +242,11 @@ impl CacheRecorder {
     }
 }
 
-thread_local! {
-    static AMBIENT_RECORDER: std::cell::RefCell<Option<Arc<CacheRecorder>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Install `rec` as this thread's ambient cache recorder for the guard's
-/// lifetime (the previous recorder is restored on drop, also on panic).
-pub fn install_recorder(rec: Option<Arc<CacheRecorder>>) -> RecorderGuard {
-    let prev = AMBIENT_RECORDER.with(|r| std::mem::replace(&mut *r.borrow_mut(), rec));
-    RecorderGuard(Some(prev))
-}
-
-/// RAII guard from [`install_recorder`].
-pub struct RecorderGuard(Option<Option<Arc<CacheRecorder>>>);
-
-impl Drop for RecorderGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            AMBIENT_RECORDER.with(|r| *r.borrow_mut() = prev);
-        }
-    }
-}
-
-/// The cache recorder currently installed on this thread, if any.
-pub fn ambient_recorder() -> Option<Arc<CacheRecorder>> {
-    AMBIENT_RECORDER.with(|r| r.borrow().clone())
-}
-
-/// Mirror one counter bump into the ambient recorder, if installed. One
+/// Mirror one counter bump into the current scope's recorder, if any. One
 /// thread-local read when no request is recording.
 fn record(f: impl FnOnce(&CacheRecorder)) {
-    AMBIENT_RECORDER.with(|r| {
-        if let Some(rec) = r.borrow().as_deref() {
+    crate::scope::with_current(|s| {
+        if let Some(rec) = s.recorder.as_deref() {
             f(rec);
         }
     });
@@ -791,6 +763,12 @@ mod tests {
     use super::*;
     use crate::column::Column;
     use crate::join::left_join_normalized;
+    use crate::scope::RequestScope;
+
+    /// The calling thread's scope, recording into `rec`.
+    fn recording(rec: &Arc<CacheRecorder>) -> RequestScope {
+        RequestScope { recorder: Some(Arc::clone(rec)), ..RequestScope::capture() }
+    }
 
     fn lake_table(name: &str, dup: i64) -> Table {
         let n = 48i64;
@@ -823,12 +801,12 @@ mod tests {
         let a = CacheRecorder::new();
         let b = CacheRecorder::new();
         {
-            let _g = install_recorder(Some(Arc::clone(&a)));
+            let _g = recording(&a).enter();
             cache.left_join_normalized(&l, &r, "id", "key", "s", 1).unwrap(); // miss
             cache.left_join_normalized(&l, &r, "id", "key", "s", 2).unwrap(); // hit
         }
         {
-            let _g = install_recorder(Some(Arc::clone(&b)));
+            let _g = recording(&b).enter();
             cache.left_join_normalized(&l, &r, "id", "key", "s", 3).unwrap(); // hit
         }
         let sa = a.attributed(&cache);
@@ -841,7 +819,7 @@ mod tests {
         assert_eq!(global.hits, sa.hits + sb.hits, "recorders sum to the global delta");
         assert_eq!(global.misses, sa.misses + sb.misses);
         assert_eq!(sa.resident_bytes, global.resident_bytes, "occupancy is shared state");
-        assert!(ambient_recorder().is_none(), "guards restored");
+        assert!(RequestScope::capture().recorder.is_none(), "guards restored");
     }
 
     #[test]
@@ -854,7 +832,7 @@ mod tests {
         }
         let rec = CacheRecorder::new();
         {
-            let _g = install_recorder(Some(Arc::clone(&rec)));
+            let _g = recording(&rec).enter();
             cache.set_budget(Some(one_index_bytes())); // evicts one of the two
         }
         let s = rec.attributed(&cache);
@@ -1257,12 +1235,12 @@ mod tests {
         let ctl = Arc::new(crate::control::RunControl::new());
         ctl.cancel();
         {
-            let _g = crate::control::install_ambient(Some(Arc::clone(&ctl)));
+            let _g = RequestScope::with_ctl(&ctl).enter();
             let err = cache.get_or_build(&r, "key").expect_err("cancelled run builds nothing");
             assert_eq!(err.interrupt(), Some(crate::control::Interrupt::Cancelled));
         }
         assert_eq!(cache.stats().misses, 0);
-        // Without the ambient control the same build proceeds.
+        // Outside the scope the same build proceeds.
         cache.get_or_build(&r, "key").unwrap();
         assert_eq!(cache.stats().misses, 1);
     }

@@ -23,14 +23,11 @@
 //! ## Ambient propagation
 //!
 //! Deep layers (the join kernel, the index cache) have no `RunControl`
-//! parameter — threading one through every signature would churn the whole
-//! crate for a check that is usually disabled. Instead, mirroring the
-//! ambient tracer in `autofeat-obs`, a control can be installed
-//! thread-locally ([`install_ambient`]) and polled from anywhere
-//! ([`ambient_interrupted`]); fan-out workers re-install their parent's
-//! control. When none is installed the poll is one thread-local read.
+//! parameter. The run's control travels in its
+//! [`RequestScope`](crate::scope::RequestScope) and is polled from anywhere
+//! with [`ambient_interrupted`]; with no scope entered the poll is one
+//! thread-local read.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -204,40 +201,11 @@ impl RunControl {
     }
 }
 
-thread_local! {
-    static AMBIENT_CTL: RefCell<Option<Arc<RunControl>>> = const { RefCell::new(None) };
-}
-
-/// Install `ctl` as this thread's ambient control for the guard's lifetime
-/// (the previous ambient control is restored on drop, also on panic).
-/// Fan-out workers call this with their spawner's control so deep layers
-/// ([`crate::join`], [`crate::cache`]) can poll without plumbed handles.
-pub fn install_ambient(ctl: Option<Arc<RunControl>>) -> AmbientGuard {
-    let prev = AMBIENT_CTL.with(|c| std::mem::replace(&mut *c.borrow_mut(), ctl));
-    AmbientGuard(Some(prev))
-}
-
-/// RAII guard from [`install_ambient`].
-pub struct AmbientGuard(Option<Option<Arc<RunControl>>>);
-
-impl Drop for AmbientGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            AMBIENT_CTL.with(|c| *c.borrow_mut() = prev);
-        }
-    }
-}
-
-/// The control currently installed on this thread, if any.
-pub fn ambient() -> Option<Arc<RunControl>> {
-    AMBIENT_CTL.with(|c| c.borrow().clone())
-}
-
-/// Poll the ambient control: `None` when no control is installed or the
-/// run may continue. One thread-local read when uninstalled — cheap enough
-/// for per-row-block checks in the join kernel.
+/// Poll the current [`RequestScope`](crate::scope::RequestScope)'s control:
+/// `None` when there is none or the run may continue. One thread-local read
+/// — cheap enough for per-row-block checks in the join kernel.
 pub fn ambient_interrupted() -> Option<Interrupt> {
-    AMBIENT_CTL.with(|c| c.borrow().as_ref().and_then(|ctl| ctl.interrupted()))
+    crate::scope::with_current(|s| s.ctl.as_ref().and_then(|ctl| ctl.interrupted()))
 }
 
 #[cfg(test)]
@@ -336,25 +304,6 @@ mod tests {
             parent.reset();
             assert!(child.is_cancelled(), "own generation's cancel is sticky");
         }
-    }
-
-    #[test]
-    fn ambient_install_restore_and_poll() {
-        assert_eq!(ambient_interrupted(), None, "uninstalled = never interrupted");
-        let ctl = Arc::new(RunControl::new());
-        {
-            let _g = install_ambient(Some(Arc::clone(&ctl)));
-            assert!(ambient().is_some());
-            assert_eq!(ambient_interrupted(), None);
-            ctl.cancel();
-            assert_eq!(ambient_interrupted(), Some(Interrupt::Cancelled));
-            {
-                let _inner = install_ambient(None);
-                assert_eq!(ambient_interrupted(), None, "inner scope masks");
-            }
-            assert_eq!(ambient_interrupted(), Some(Interrupt::Cancelled), "restored");
-        }
-        assert!(ambient().is_none(), "outer guard restored");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!
 //! Faults are keyed by **(domain, table name)**. A [`FaultDomain`] is a
 //! handle identifying one lake/registry instance: each `SearchContext`
-//! owns one, installs it ambiently for the duration of a run (fan-out
-//! workers re-install it, mirroring [`crate::control`]), and every fault
-//! armed through the handle is disarmed when the handle drops. Two
+//! owns one and carries it in each run's
+//! [`RequestScope`](crate::scope::RequestScope) (which fan-out workers
+//! enter), and every fault armed through the handle is disarmed when the
+//! handle drops. Two
 //! concurrent requests over lakes that happen to contain a same-named
 //! table therefore cannot arm each other's faults.
 //!
@@ -25,7 +26,6 @@
 //! Production cost is a single relaxed atomic load per join/build when
 //! nothing is armed anywhere ([`lookup`] bails before touching the map).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -79,8 +79,8 @@ fn arm_in(domain: u64, table: &str, faults: TableFaults) {
 
 /// A fault-registration scope tied to one lake/registry instance.
 ///
-/// Faults armed through a domain are visible only to lookups running with
-/// that domain installed ambiently (plus the global fallback), and are
+/// Faults armed through a domain are visible only to lookups running under
+/// a scope that carries it (plus the global fallback), and are
 /// disarmed wholesale when the last `Arc<FaultDomain>` clone drops.
 #[derive(Debug)]
 pub struct FaultDomain {
@@ -131,50 +131,14 @@ pub fn disarm(table: &str) {
     arm(table, TableFaults::default());
 }
 
-/// Disarm every fault in the process, across all domains.
-pub fn disarm_all() {
-    let Ok(mut map) = registry().write() else { return };
-    map.clear();
-    ANY_ARMED.store(false, Ordering::SeqCst);
-}
-
-thread_local! {
-    static AMBIENT_DOMAIN: RefCell<Option<Arc<FaultDomain>>> = const { RefCell::new(None) };
-}
-
-/// Install `domain` as this thread's ambient fault domain for the guard's
-/// lifetime (the previous domain is restored on drop, also on panic).
-/// Fan-out workers call this with their spawner's domain so deep layers
-/// resolve scoped faults without plumbed handles.
-pub fn install_ambient_domain(domain: Option<Arc<FaultDomain>>) -> DomainGuard {
-    let prev = AMBIENT_DOMAIN.with(|d| std::mem::replace(&mut *d.borrow_mut(), domain));
-    DomainGuard(Some(prev))
-}
-
-/// RAII guard from [`install_ambient_domain`].
-pub struct DomainGuard(Option<Option<Arc<FaultDomain>>>);
-
-impl Drop for DomainGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            AMBIENT_DOMAIN.with(|d| *d.borrow_mut() = prev);
-        }
-    }
-}
-
-/// The fault domain currently installed on this thread, if any.
-pub fn ambient_domain() -> Option<Arc<FaultDomain>> {
-    AMBIENT_DOMAIN.with(|d| d.borrow().clone())
-}
-
-/// The faults armed for `table`: the ambient domain's entry when one is
-/// installed and has it, falling back to the global domain. One atomic
+/// The faults armed for `table`: the current scope's domain's entry when
+/// there is one and it has it, falling back to the global domain. One atomic
 /// load when the registry is empty — the production fast path.
 pub fn lookup(table: &str) -> Option<TableFaults> {
     if !ANY_ARMED.load(Ordering::Relaxed) {
         return None;
     }
-    let scoped = AMBIENT_DOMAIN.with(|d| d.borrow().as_ref().map(|dom| dom.id));
+    let scoped = crate::scope::with_current(|s| s.faults.as_ref().map(|dom| dom.id));
     let map = registry().read().ok()?;
     if let Some(id) = scoped {
         if let Some(f) = map.get(&id).and_then(|inner| inner.get(table)) {
@@ -187,6 +151,12 @@ pub fn lookup(table: &str) -> Option<TableFaults> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scope::RequestScope;
+
+    /// The calling thread's scope, inside `domain`.
+    fn within(domain: &Arc<FaultDomain>) -> RequestScope {
+        RequestScope { faults: Some(Arc::clone(domain)), ..RequestScope::capture() }
+    }
 
     #[test]
     fn arm_lookup_disarm_roundtrip() {
@@ -222,14 +192,14 @@ mod tests {
         let b = FaultDomain::new();
         a.arm(t, TableFaults { panic_on_row: Some(7), slow_join_ms: None });
         {
-            let _g = install_ambient_domain(Some(Arc::clone(&a)));
+            let _g = within(&a).enter();
             assert_eq!(lookup(t).unwrap().panic_on_row, Some(7));
         }
         {
-            let _g = install_ambient_domain(Some(Arc::clone(&b)));
+            let _g = within(&b).enter();
             assert_eq!(lookup(t), None, "b must not see a's fault for the same table name");
         }
-        assert_eq!(lookup(t), None, "no ambient domain: scoped faults invisible");
+        assert_eq!(lookup(t), None, "no scope: scoped faults invisible");
     }
 
     #[test]
@@ -238,7 +208,7 @@ mod tests {
         let dom = FaultDomain::new();
         arm(t, TableFaults { slow_join_ms: Some(9), panic_on_row: None });
         {
-            let _g = install_ambient_domain(Some(Arc::clone(&dom)));
+            let _g = within(&dom).enter();
             assert_eq!(lookup(t).unwrap().slow_join_ms, Some(9), "global fault visible in scope");
             dom.arm(t, TableFaults { slow_join_ms: Some(1), panic_on_row: None });
             assert_eq!(lookup(t).unwrap().slow_join_ms, Some(1), "scoped entry wins");

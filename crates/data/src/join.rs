@@ -444,7 +444,7 @@ pub fn left_join_with_index(
 
     // Resilience-test hook: an armed `slow_join_ms` fault simulates a
     // pathological join. The sleep is chunked so a cancel or deadline cuts
-    // it short through the ambient control.
+    // it short through the request scope's control.
     if let Some(ms) = crate::faults::lookup(right.name()).and_then(|f| f.slow_join_ms) {
         let until = std::time::Instant::now() + std::time::Duration::from_millis(ms);
         while std::time::Instant::now() < until {
@@ -460,7 +460,7 @@ pub fn left_join_with_index(
     obs::add("join.left_rows", n as u64);
     // The probe, a block of rows at a time, as two tight passes over dense
     // arrays rather than one chain per row. Between blocks: a cooperative
-    // poll — one thread-local read when no ambient control is installed,
+    // poll — one thread-local read when no request scope is entered,
     // and never result-affecting (an interrupt abandons the join entirely
     // rather than truncating it).
     const BLOCK: usize = 4096;

@@ -23,11 +23,13 @@
 //! * data-quality statistics such as the null-value ratio used by the τ
 //!   pruning rule ([`stats`]);
 //! * a process-stable hasher for determinism-critical derivations
-//!   ([`stable_hash`]) and deterministic scoped-thread fan-out
-//!   ([`parallel`]);
+//!   ([`stable_hash`]) and deterministic fan-out over one shared worker
+//!   pool ([`parallel`]);
 //! * cooperative run-lifecycle control — shared cancel flag + deadline,
-//!   polled per item/row block ([`control`]) — and a process-level runtime
-//!   fault registry for resilience tests ([`faults`]).
+//!   polled per item/row block ([`control`]) — a process-level runtime
+//!   fault registry for resilience tests ([`faults`]), and the request
+//!   scope that carries both, with the cache recorder and the tracer, to
+//!   whichever thread works for a request ([`scope`]).
 //!
 //! Randomized operations either take an explicit [`rand::rngs::StdRng`]
 //! (sampling, splitting) or an explicit `u64` seed (join normalization,
@@ -53,6 +55,7 @@ pub mod ops;
 pub mod parallel;
 pub mod sample;
 pub mod schema;
+pub mod scope;
 pub mod stable_hash;
 pub mod stats;
 pub mod table;
@@ -69,5 +72,6 @@ pub use faults::FaultDomain;
 pub use keydict::{KeyDict, NULL_CODE};
 pub use parallel::WorkerPool;
 pub use schema::{Field, Schema};
+pub use scope::RequestScope;
 pub use table::Table;
 pub use value::{DType, Key, Value};

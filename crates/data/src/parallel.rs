@@ -1,9 +1,19 @@
-//! Deterministic fan-out over scoped worker threads.
+//! Deterministic fan-out over the process's shared worker pool.
 //!
-//! Shared by the ML ensembles (tree fitting) and the discovery BFS
-//! (per-level join evaluation). Work is split by item index and every item
-//! must be a pure function of its index, so the output is bit-identical at
-//! any worker count — parallelism changes wall-clock time, never results.
+//! Shared by the ML ensembles (tree fitting), lake profiling and the
+//! discovery BFS (per-level hop evaluation). Work is split by item index and
+//! every item must be a pure function of its index, so the output is
+//! bit-identical at any worker count — parallelism changes wall-clock time,
+//! never results.
+//!
+//! There is one primitive, [`run_indexed_ctl`]: items run on the
+//! [`shared_pool`] under the caller's [`RequestScope`], each wrapped in
+//! `catch_unwind` (a panicking item becomes a structured [`WorkerPanic`]
+//! carrying the item index and the pipeline phase, not a process abort), and
+//! a given [`RunControl`] is polled before every item (interrupted items come
+//! back as [`ItemOutcome::Skipped`]). [`build_indexed`] is its infallible
+//! wrapper for callers without failure handling: a worker panic there is
+//! resumed on the calling thread with the enriched context attached.
 //!
 //! Worker-count resolution honours the `AUTOFEAT_THREADS` environment
 //! variable (`0`, unset, or unparsable = auto-detect via
@@ -11,71 +21,16 @@
 //! is read and parsed on the first [`n_workers`] call and cached in a
 //! `OnceLock`, so steady-state resolution is a single atomic load. Callers
 //! with their own configuration knob (e.g. `AutoFeatConfig::threads`)
-//! should resolve that knob first and pass an explicit count to
-//! [`build_indexed_with`]: config-first, environment as the fallback.
-//!
-//! ## Resilience
-//!
-//! [`run_indexed_ctl`] is the fault-aware variant: each item is wrapped in
-//! `catch_unwind` (a panicking item becomes a structured [`WorkerPanic`]
-//! carrying the item index and the pipeline phase, not a process abort)
-//! and the run's [`RunControl`] is polled before every item (interrupted
-//! items come back as [`ItemOutcome::Skipped`]). [`build_indexed_with`]
-//! keeps its infallible signature for callers without failure handling; a
-//! worker panic there is resumed on the calling thread with the enriched
-//! context attached.
+//! resolve that knob first and pass an explicit count: config-first,
+//! environment as the fallback.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use crossbeam::thread;
-
-use crate::control::{self, Interrupt, RunControl};
-
-/// Everything a fan-out worker must re-install to behave as if it were the
-/// spawning thread: the run control, the request's cache recorder, the
-/// request's fault domain, and the tracing scope. Captured once on the
-/// caller, entered per job — so a **shared** worker thread serving many
-/// requests never leaks one request's ambient state into another's items.
-struct AmbientBundle {
-    ctl: Option<Arc<RunControl>>,
-    recorder: Option<Arc<crate::cache::CacheRecorder>>,
-    faults: Option<Arc<crate::faults::FaultDomain>>,
-    obs: autofeat_obs::TraceScope,
-}
-
-impl AmbientBundle {
-    /// Snapshot the calling thread's ambient state (`ctl` overrides the
-    /// ambient control: the explicit parameter is the source of truth).
-    fn capture(ctl: Option<&Arc<RunControl>>) -> AmbientBundle {
-        AmbientBundle {
-            ctl: ctl.cloned(),
-            recorder: crate::cache::ambient_recorder(),
-            faults: crate::faults::ambient_domain(),
-            obs: autofeat_obs::ambient_scope(),
-        }
-    }
-
-    /// Install the bundle on the current thread; everything is restored
-    /// when the returned guards drop (also on panic).
-    fn enter(
-        &self,
-    ) -> (
-        autofeat_obs::ScopeGuard,
-        control::AmbientGuard,
-        crate::cache::RecorderGuard,
-        crate::faults::DomainGuard,
-    ) {
-        (
-            self.obs.enter(),
-            control::install_ambient(self.ctl.clone()),
-            crate::cache::install_recorder(self.recorder.clone()),
-            crate::faults::install_ambient_domain(self.faults.clone()),
-        )
-    }
-}
+use crate::control::{Interrupt, RunControl};
+use crate::scope::RequestScope;
 
 /// Parse an `AUTOFEAT_THREADS`-style value: a positive integer is an
 /// explicit count; `0`, `None`, or unparsable input means auto-detect via
@@ -134,22 +89,13 @@ pub struct WorkerPanic {
     pub message: String,
 }
 
-impl WorkerPanic {
-    fn render(&self) -> String {
-        if self.phase.is_empty() {
-            format!("worker panic on item {}: {}", self.item, self.message)
-        } else {
-            format!(
-                "worker panic on item {} in phase `{}`: {}",
-                self.item, self.phase, self.message
-            )
-        }
-    }
-}
-
 impl std::fmt::Display for WorkerPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.render())
+        write!(f, "worker panic on item {}", self.item)?;
+        if !self.phase.is_empty() {
+            write!(f, " in phase `{}`", self.phase)?;
+        }
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -163,19 +109,23 @@ pub(crate) fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String 
     }
 }
 
-/// Run `make(i)` for `i in 0..n_items` across `workers` scoped threads,
+/// Run `make(i)` for `i in 0..n_items` across `workers` pool threads,
 /// preserving index order, isolating panics, and honouring `ctl`.
 ///
-/// * Before each item the control (when given) is polled; once it reports
-///   an interrupt, that worker's remaining items are [`ItemOutcome::
-///   Skipped`] — already-finished items are unaffected, so the caller gets
-///   a partial-but-valid prefix per chunk.
+/// * Every item runs under the caller's [`RequestScope`] — control, cache
+///   recorder, fault domain, tracer and span path — so joins and index
+///   builds inside `make` poll, record and trace as they would on the
+///   calling thread. A given `ctl` replaces the scope's control; an absent
+///   one inherits it.
+/// * Before each item a given `ctl` is polled; once it reports an
+///   interrupt, that worker's remaining items are [`ItemOutcome::Skipped`] —
+///   already-finished items are unaffected, so the caller gets a
+///   partial-but-valid prefix per chunk. An inherited control skips
+///   nothing here (the layers that poll it return their own errors).
 /// * Each item runs under `catch_unwind`: a panic is caught and returned
 ///   as [`ItemOutcome::Panicked`] with the item index and current phase
 ///   span path attached. One poisoned item never takes down its siblings
 ///   or the process.
-/// * `ctl` is installed as the ambient control in every worker, so joins
-///   and index builds inside `make` can poll it too.
 ///
 /// `make` must be pure given `i` for the `Done` outcomes to be
 /// bit-identical at any worker count (panics and skips are, by nature,
@@ -191,13 +141,16 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = workers.max(1).min(n_items.max(1));
-    let make_ref = &make;
     let phase = autofeat_obs::current_span_path();
+    let mut scope = RequestScope::capture();
+    if let Some(ctl) = ctl {
+        scope.ctl = Some(Arc::clone(ctl));
+    }
     let run_item = |i: usize| -> ItemOutcome<T> {
         if let Some(reason) = ctl.and_then(|c| c.interrupted()) {
             return ItemOutcome::Skipped(reason);
         }
-        match catch_unwind(AssertUnwindSafe(|| make_ref(i))) {
+        match catch_unwind(AssertUnwindSafe(|| make(i))) {
             Ok(v) => ItemOutcome::Done(v),
             Err(payload) => ItemOutcome::Panicked(WorkerPanic {
                 item: i,
@@ -209,62 +162,33 @@ where
     // `in_pool_worker`: a nested fan-out from inside a pool job runs
     // inline — submitting to the pool from a pool thread could deadlock
     // (every thread waiting on jobs only they could run).
-    if workers <= 1 || n_items <= 1 || in_pool_worker() {
-        let _ctl_guard = control::install_ambient(ctl.cloned());
+    if workers <= 1 || in_pool_worker() {
+        let _scope = scope.enter();
         return (0..n_items).map(run_item).collect();
     }
-    let mut slots: Vec<Option<ItemOutcome<T>>> = (0..n_items).map(|_| None).collect();
-    let run_ref = &run_item;
+    // One slot per item, filled by whichever pool job owns the item's chunk;
+    // the scatter call blocks until every job has run.
+    let slots: Vec<Mutex<Option<ItemOutcome<T>>>> = (0..n_items).map(|_| Mutex::new(None)).collect();
     let chunk_len = n_items.div_ceil(workers);
-    // Carry the caller's ambient state into the workers: the tracing scope
-    // (so spans recorded inside `make` nest under the phase that spawned
-    // the fan-out), the run control, and the request's cache recorder and
-    // fault domain. All inert (a thread-local read each, no allocation per
-    // worker) when the respective facility is unused.
-    let bundle = AmbientBundle::capture(ctl);
-    if let Some(pool) = shared_pool() {
-        // Reusable pool path: no OS thread spawned per fan-out. Chunks are
-        // handed to jobs through take-once cells; the scatter call blocks
-        // until every job has run, so the borrows stay alive throughout.
-        type TakeOnceChunk<'a, T> = Mutex<Option<&'a mut [Option<ItemOutcome<T>>]>>;
-        let chunks: Vec<TakeOnceChunk<'_, T>> =
-            slots.chunks_mut(chunk_len).map(|c| Mutex::new(Some(c))).collect();
-        let task = |w: usize| {
-            let Some(chunk) = chunks[w].lock().ok().and_then(|mut c| c.take()) else {
-                return;
-            };
-            let _guards = bundle.enter();
-            let start = w * chunk_len;
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = Some(run_ref(start + off));
-            }
-        };
-        pool.scatter(chunks.len(), &task);
-    } else {
-        let scope_result = thread::scope(|s| {
-            for (w, chunk) in slots.chunks_mut(chunk_len).enumerate() {
-                let start = w * chunk_len;
-                let bundle = &bundle;
-                s.spawn(move |_| {
-                    let _guards = bundle.enter();
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(run_ref(start + off));
-                    }
-                });
-            }
-        });
-        // Worker closures cannot unwind (every panic is caught per item),
-        // so a scope error would mean a panic in the harness itself.
-        scope_result.expect("fan-out scope failed outside item closures");
-    }
+    let chunks: Vec<_> = slots.chunks(chunk_len).collect();
+    let task = |w: usize| {
+        let _scope = scope.enter();
+        for (off, slot) in chunks[w].iter().enumerate() {
+            let outcome = run_item(w * chunk_len + off);
+            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+        }
+    };
+    let pool = shared_pool();
+    pool.grow_to(workers);
+    pool.scatter(chunks.len(), &task);
     slots
         .into_iter()
         .enumerate()
-        .map(|(i, s)| {
+        .map(|(i, slot)| {
             // An unfilled slot means the fan-out harness itself panicked
             // around the item (the item closure is unwind-caught); surface
             // it as a structured outcome instead of aborting the request.
-            s.unwrap_or_else(|| {
+            slot.into_inner().unwrap_or_else(|e| e.into_inner()).unwrap_or_else(|| {
                 ItemOutcome::Panicked(WorkerPanic {
                     item: i,
                     phase: phase.clone(),
@@ -277,27 +201,27 @@ where
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size pool of long-lived worker threads fed from one shared
-/// queue.
+/// A pool of long-lived worker threads fed from one shared queue. It only
+/// grows ([`WorkerPool::grow_to`]): the process-wide [`shared_pool`] ends up
+/// as large as the largest worker count any caller has asked for.
 ///
 /// Built for the serving path: every discovery request fans its per-level
 /// evaluation out through [`run_indexed_ctl`], and under a resident
-/// [`DiscoveryService`] that used to mean spawning (and joining) fresh OS
-/// threads per level per request. The pool amortizes thread creation
-/// across the process lifetime; requests interleave at chunk granularity.
+/// [`DiscoveryService`] spawning (and joining) fresh OS threads per level
+/// per request is the cost the pool amortizes across the process lifetime;
+/// requests interleave at chunk granularity.
 ///
-/// Jobs re-install their spawner's ambient state (control, recorder, fault
-/// domain, trace scope) themselves — the pool schedules closures and
-/// nothing else, so a thread serving request A immediately after request B
-/// carries zero residue between them.
+/// The pool schedules closures and nothing else: a job enters its
+/// spawner's [`RequestScope`] itself, so a thread serving request A
+/// immediately after request B carries zero residue between them.
 pub struct WorkerPool {
     inner: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool").field("size", &self.handles.len()).finish()
+        f.debug_struct("WorkerPool").field("size", &self.size()).finish()
     }
 }
 
@@ -322,27 +246,35 @@ fn in_pool_worker() -> bool {
 impl WorkerPool {
     /// Spawn a pool of `size` worker threads (at least one).
     pub fn new(size: usize) -> WorkerPool {
-        let inner = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            busy: AtomicUsize::new(0),
-        });
-        let handles = (0..size.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("autofeat-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool { inner, handles }
+        let pool = WorkerPool {
+            inner: Arc::new(PoolShared {
+                queue: Mutex::new(VecDeque::new()),
+                available: Condvar::new(),
+                shutdown: AtomicBool::new(false),
+                busy: AtomicUsize::new(0),
+            }),
+            handles: Mutex::new(Vec::new()),
+        };
+        pool.grow_to(size.max(1));
+        pool
+    }
+
+    /// Spawn workers until there are at least `size` of them.
+    pub fn grow_to(&self, size: usize) {
+        let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
+        for i in handles.len()..size {
+            let shared = Arc::clone(&self.inner);
+            let handle = std::thread::Builder::new()
+                .name(format!("autofeat-worker-{i}"))
+                .spawn(move || worker_loop(&shared))
+                .expect("spawn pool worker");
+            handles.push(handle);
+        }
     }
 
     /// Number of worker threads.
     pub fn size(&self) -> usize {
-        self.handles.len()
+        self.handles.lock().map(|h| h.len()).unwrap_or(0)
     }
 
     /// Jobs queued but not yet picked up by a worker. Point-in-time; only
@@ -427,7 +359,8 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.available.notify_all();
-        for h in self.handles.drain(..) {
+        let handles = self.handles.get_mut().unwrap_or_else(|e| e.into_inner());
+        for h in handles.drain(..) {
             let _ = h.join();
         }
     }
@@ -454,50 +387,36 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// The process-wide shared pool used by [`run_indexed_ctl`], sized to
-/// [`n_workers`]. `None` when the process resolves a single worker: a
-/// fan-out that asks for more anyway (`with_threads(4)` under
-/// `AUTOFEAT_THREADS=1`) runs on per-call scoped threads. Created lazily on
-/// first use and lives for the rest of the process.
-pub fn shared_pool() -> Option<&'static WorkerPool> {
-    static POOL: OnceLock<Option<WorkerPool>> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let size = n_workers();
-        (size > 1).then(|| WorkerPool::new(size))
-    })
-    .as_ref()
+/// The process-wide pool [`run_indexed_ctl`] runs on: created with
+/// [`n_workers`] threads on first use, grown to the worker count of any
+/// fan-out that asks for more (`with_threads(4)` under `AUTOFEAT_THREADS=1`
+/// gets four real threads), alive for the rest of the process.
+pub fn shared_pool() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkerPool::new(n_workers()))
 }
 
-/// Build `n_items` values with `make(i)` across `workers` scoped threads,
+/// Build `n_items` values with `make(i)` across [`n_workers`] pool threads,
 /// preserving index order. `make` must be pure given `i` (all randomness
-/// derived from `i`), so the result is identical for every `workers` value.
+/// derived from `i`), so the result is identical at every worker count.
 ///
 /// A panicking item does not abort the process from a worker thread:
 /// the panic is caught, enriched with the item index and phase span path,
 /// and resumed on the calling thread.
-pub fn build_indexed_with<T, F>(workers: usize, n_items: usize, make: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n_items);
-    for outcome in run_indexed_ctl(workers, n_items, None, make) {
-        match outcome {
-            ItemOutcome::Done(v) => out.push(v),
-            ItemOutcome::Panicked(p) => std::panic::resume_unwind(Box::new(p.render())),
-            ItemOutcome::Skipped(_) => unreachable!("no control given, nothing can skip"),
-        }
-    }
-    out
-}
-
-/// [`build_indexed_with`] at the default worker count ([`n_workers`]).
 pub fn build_indexed<T, F>(n_items: usize, make: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    build_indexed_with(n_workers(), n_items, make)
+    let mut out = Vec::with_capacity(n_items);
+    for outcome in run_indexed_ctl(n_workers(), n_items, None, make) {
+        match outcome {
+            ItemOutcome::Done(v) => out.push(v),
+            ItemOutcome::Panicked(p) => std::panic::resume_unwind(Box::new(p.to_string())),
+            ItemOutcome::Skipped(_) => unreachable!("no control given, nothing can skip"),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -525,8 +444,11 @@ mod tests {
     fn matches_sequential_for_any_size_and_worker_count() {
         for workers in [1usize, 2, 3, 8, 64] {
             for n in [2usize, 3, 7, 8, 9, 33] {
-                let par = build_indexed_with(workers, n, |i| i * i);
-                let seq: Vec<usize> = (0..n).map(|i| i * i).collect();
+                let par: Vec<Option<usize>> = run_indexed_ctl(workers, n, None, |i| i * i)
+                    .into_iter()
+                    .map(ItemOutcome::done)
+                    .collect();
+                let seq: Vec<Option<usize>> = (0..n).map(|i| Some(i * i)).collect();
                 assert_eq!(par, seq, "workers = {workers}, n = {n}");
             }
         }
@@ -597,7 +519,7 @@ mod tests {
     #[test]
     fn build_indexed_resumes_panic_with_context() {
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            build_indexed_with(2, 6, |i| {
+            build_indexed(6, |i| {
                 if i == 3 {
                     panic!("kaboom");
                 }
@@ -632,29 +554,64 @@ mod tests {
     }
 
     #[test]
-    fn workers_see_ambient_control() {
+    fn a_given_control_is_the_items_control() {
         let ctl = Arc::new(RunControl::new());
-        let outcomes = run_indexed_ctl(3, 6, Some(&ctl), |_| control::ambient().is_some());
-        assert!(outcomes.into_iter().all(|o| o.done() == Some(true)));
-        assert!(control::ambient().is_none(), "caller thread restored");
+        for workers in [1usize, 3] {
+            let outcomes = run_indexed_ctl(workers, 6, Some(&ctl), |_| {
+                RequestScope::capture().ctl.is_some_and(|c| Arc::ptr_eq(&c, &ctl))
+            });
+            assert!(outcomes.into_iter().all(|o| o.done() == Some(true)));
+        }
+        assert!(RequestScope::capture().ctl.is_none(), "caller thread restored");
     }
 
     #[test]
-    fn workers_inherit_ambient_bundle() {
+    fn an_absent_control_inherits_the_callers() {
+        // `build_indexed` passes no control. That used to *install* none,
+        // hiding the caller's from its items: a forest fitted under
+        // `train_top_k`'s control could not be interrupted tree by tree.
+        let ctl = Arc::new(RunControl::new());
+        let _g = RequestScope::with_ctl(&ctl).enter();
+        let sees_it = || RequestScope::capture().ctl.is_some_and(|c| Arc::ptr_eq(&c, &ctl));
+        assert!(build_indexed(4, |_| sees_it()).into_iter().all(|seen| seen));
+        for workers in [1usize, 4] {
+            let outcomes = run_indexed_ctl(workers, 4, None, |_| sees_it());
+            assert!(outcomes.into_iter().all(|o| o.done() == Some(true)), "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn workers_run_under_the_callers_scope() {
         let rec = crate::cache::CacheRecorder::new();
         let dom = crate::faults::FaultDomain::new();
-        let _rg = crate::cache::install_recorder(Some(Arc::clone(&rec)));
-        let _dg = crate::faults::install_ambient_domain(Some(Arc::clone(&dom)));
+        let _g = RequestScope {
+            recorder: Some(Arc::clone(&rec)),
+            faults: Some(Arc::clone(&dom)),
+            ..RequestScope::capture()
+        }
+        .enter();
         let outcomes = run_indexed_ctl(4, 8, None, |_| {
-            (
-                crate::cache::ambient_recorder().is_some(),
-                crate::faults::ambient_domain().map(|d| d.id()),
-            )
+            let scope = RequestScope::capture();
+            (scope.recorder.is_some(), scope.faults.map(|d| d.id()))
         });
         for o in outcomes {
             let (has_recorder, domain) = o.done().expect("no faults injected");
             assert!(has_recorder, "worker sees the spawner's cache recorder");
             assert_eq!(domain, Some(dom.id()), "worker sees the spawner's fault domain");
+        }
+    }
+
+    #[test]
+    fn the_shared_pool_grows_to_the_largest_request() {
+        let before = shared_pool().size();
+        assert!(before >= n_workers());
+        let names = run_indexed_ctl(before + 2, before + 2, None, |_| {
+            std::thread::current().name().map(str::to_string)
+        });
+        assert!(shared_pool().size() >= before + 2);
+        for name in names {
+            let name = name.done().flatten().expect("pool threads are named");
+            assert!(name.starts_with("autofeat-worker-"), "{name}");
         }
     }
 

@@ -82,7 +82,7 @@ pub struct RuntimeFault {
 
 impl RuntimeFault {
     /// Arm this fault in the process-wide registry. Call
-    /// [`autofeat_data::faults::disarm`] (or `disarm_all`) to heal.
+    /// [`autofeat_data::faults::disarm`] to heal.
     pub fn arm(&self) {
         let faults = match self.kind {
             RuntimeFaultKind::PanicOnRow => autofeat_data::faults::TableFaults {

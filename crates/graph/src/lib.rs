@@ -13,13 +13,11 @@
 //!   ([`traversal`]), including the `JoinAll` path-count formula (Eq. 3)
 //!   that explains why exhaustive joining is infeasible on dense graphs.
 
-pub mod analysis;
 pub mod drg;
 pub mod incremental;
 pub mod path;
 pub mod traversal;
 
-pub use analysis::{connected_components, strongest_path, to_dot};
 pub use drg::{Drg, DrgBuilder, EdgeId, EdgeProvenance, JoinEdge, NodeId};
 pub use incremental::{DrgMaintainer, NAME_CANDIDATE_TAU};
 pub use path::{JoinHop, JoinPath};

@@ -25,7 +25,6 @@
 mod contingency;
 pub mod discretize;
 pub mod entropy;
-pub mod fcbf;
 pub mod mi;
 pub mod ranks;
 pub mod redundancy;
@@ -34,7 +33,6 @@ pub mod selection;
 pub mod streaming;
 
 pub use discretize::{discretize_equal_frequency, discretize_equal_width, Discretized, MAX_BINS};
-pub use fcbf::fcbf;
 pub use entropy::{conditional_entropy, entropy, joint_entropy};
 pub use mi::{conditional_mutual_information, mutual_information};
 pub use redundancy::{RedundancyMethod, RedundancyScorer};

@@ -1,40 +1,52 @@
-//! The streaming feature-selection pipeline (§V-A, §VI): features arrive in
-//! batches (one batch per join); each batch passes a relevance analysis
-//! (*select-κ-best*) and then a redundancy analysis against the running
-//! selected set `R_sel`. The selector owns `R_sel` and hands back, per
-//! batch, which features were accepted and the scores Algorithm 2 needs.
+//! The streaming feature-selection pipeline (§V-A, §VI; Algorithm 1 lines
+//! 12–18): features arrive in batches (one batch per join); each batch
+//! passes a relevance analysis (*select-κ-best*) and then a redundancy
+//! analysis against the running selected set `R_sel`, which the selector
+//! owns. The two analyses are two calls, because only the second is
+//! stateful: [`StreamingSelector::relevance`] reads nothing but the labels
+//! and runs wherever the batch was produced (`AutoFeat::discover`'s
+//! `evaluate_hop`, on the fan-out workers), and [`StreamingSelector::admit`]
+//! runs the redundancy analysis and updates `R_sel`, one batch at a time in
+//! a fixed order (`discover`'s `merge`). [`StreamingSelector::offer`] is the
+//! two in sequence.
 
 use crate::discretize::{discretize_equal_frequency, Discretized};
 use crate::redundancy::{RedundancyMethod, RedundancyScorer};
 use crate::relevance::{RelevanceMethod, DEFAULT_BINS};
-use crate::selection::{select_k_best_binned, SelectedSet};
+use crate::selection::{select_k_best_binned, SelectedFeature, SelectedSet};
 
-/// Outcome of offering one feature batch to the selector.
+/// Outcome of admitting one feature batch. An analysis that is switched off
+/// passes everything through and contributes **no scores**: Algorithm 2
+/// averages what it is given, and an empty list is a term of zero.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// Indices (into the offered batch) that survived the relevance
-    /// analysis, with their relevance scores, in descending score order.
-    pub relevant: Vec<(usize, f64)>,
-    /// Indices that additionally survived the redundancy analysis (subset
-    /// of `relevant`), with their `J` scores.
-    pub selected: Vec<(usize, f64)>,
+    /// analysis, in descending score order (batch order when it is off).
+    pub relevant: Vec<usize>,
+    /// Indices that additionally survived the redundancy analysis (a
+    /// subsequence of `relevant`).
+    pub selected: Vec<usize>,
+    relevance: Vec<f64>,
+    redundancy: Vec<f64>,
 }
 
 impl BatchOutcome {
-    /// The relevance scores of the relevant subset (Algorithm 2 input).
-    pub fn relevance_scores(&self) -> Vec<f64> {
-        self.relevant.iter().map(|(_, s)| *s).collect()
+    /// The relevance scores of the relevant subset (Algorithm 2 input);
+    /// empty when the relevance analysis is off.
+    pub fn relevance_scores(&self) -> &[f64] {
+        &self.relevance
     }
 
-    /// The `J` scores of the selected subset (Algorithm 2 input).
-    pub fn redundancy_scores(&self) -> Vec<f64> {
-        self.selected.iter().map(|(_, s)| *s).collect()
+    /// The `J` scores of the selected subset (Algorithm 2 input); empty
+    /// when the redundancy analysis is off.
+    pub fn redundancy_scores(&self) -> &[f64] {
+        &self.redundancy
     }
 }
 
 /// Streaming feature selector with a persistent selected set: the two
-/// analyses and the `R_sel` update exactly as `AutoFeat::discover` runs them
-/// per join, behind a batch-at-a-time interface.
+/// analyses and the `R_sel` update of Algorithm 1, behind a
+/// batch-at-a-time interface. `AutoFeat::discover` runs one per request.
 #[derive(Debug, Clone)]
 pub struct StreamingSelector {
     relevance: Option<RelevanceMethod>,
@@ -68,11 +80,6 @@ impl StreamingSelector {
         }
     }
 
-    /// Number of features selected so far.
-    pub fn n_selected(&self) -> usize {
-        self.selected.len()
-    }
-
     /// Names of the selected features, in selection order.
     pub fn selected_names(&self) -> Vec<&str> {
         self.selected.names().iter().map(String::as_str).collect()
@@ -80,56 +87,89 @@ impl StreamingSelector {
 
     /// Seed the selected set without selection (the base table's features
     /// enter `R_sel` unconditionally, Algorithm 1's input).
-    pub fn seed(&mut self, name: impl Into<String>, values: &[f64]) {
+    pub fn seed(&mut self, name: &str, values: &[f64]) {
         assert_eq!(values.len(), self.labels.len(), "row count mismatch");
-        self.selected.insert(&name.into(), discretize_equal_frequency(values, DEFAULT_BINS));
+        self.selected.insert(name, discretize_equal_frequency(values, DEFAULT_BINS));
     }
 
-    /// Offer a batch of `(name, values)` features (one join's new columns).
-    /// Accepted features enter `R_sel` when the batch is done; a name that
-    /// is already there keeps its place and takes the new codes.
-    pub fn offer(&mut self, batch: &[(String, Vec<f64>)]) -> BatchOutcome {
-        for (_, v) in batch {
+    /// Switch the redundancy analysis off for every batch still to come
+    /// (every relevant feature is then selected, and a hop scores on
+    /// relevance alone). Returns whether it was on.
+    pub fn skip_redundancy(&mut self) -> bool {
+        self.redundancy.take().is_some()
+    }
+
+    /// Relevance analysis of one batch (one join's new columns): the
+    /// select-κ-best picks, in descending score order, and beside each its
+    /// bin codes. With the analysis off, every feature in batch order with a
+    /// score of zero. Reads the labels and nothing else of the selector.
+    pub fn relevance(&self, batch: &[Vec<f64>]) -> (Vec<SelectedFeature>, Vec<Discretized>) {
+        for v in batch {
             assert_eq!(v.len(), self.labels.len(), "row count mismatch");
         }
-        let data: Vec<Vec<f64>> = batch.iter().map(|(_, v)| v.clone()).collect();
-        let (relevant, codes): (Vec<(usize, f64)>, Vec<Discretized>) = match self.relevance {
+        match self.relevance {
+            // The picks come back with their bin codes: Spearman reads them
+            // off the sort its ranks came from.
             Some(method) => {
-                let (picked, codes) = select_k_best_binned(
-                    &data,
-                    &self.labels,
-                    method,
-                    self.kappa,
-                    0.0,
-                    DEFAULT_BINS,
-                );
-                (picked.into_iter().map(|s| (s.index, s.score)).collect(), codes)
+                select_k_best_binned(batch, &self.labels, method, self.kappa, 0.0, DEFAULT_BINS)
             }
-            None => (
-                (0..batch.len()).map(|i| (i, 0.0)).collect(),
-                data.iter().map(|x| discretize_equal_frequency(x, DEFAULT_BINS)).collect(),
-            ),
-        };
-        // `kept[local]`: did `codes[local]` survive, and with which `J`.
-        let kept: Vec<Option<f64>> = match &self.redundancy {
-            Some(scorer) => {
-                let cands: Vec<(usize, &Discretized)> = codes.iter().enumerate().collect();
-                let mut kept = vec![None; codes.len()];
-                for s in self.selected.select_non_redundant(&cands, &self.label_codes, scorer) {
-                    kept[s.index] = Some(s.score);
-                }
-                kept
-            }
-            None => relevant.iter().map(|&(_, score)| Some(score)).collect(),
-        };
-        let mut selected = Vec::new();
-        for ((&(batch_idx, _), code), j) in relevant.iter().zip(codes).zip(kept) {
-            if let Some(j) = j {
-                selected.push((batch_idx, j));
-                self.selected.insert(&batch[batch_idx].0, code);
+            None => {
+                let _span = autofeat_obs::span("discretize");
+                (
+                    (0..batch.len()).map(|index| SelectedFeature { index, score: 0.0 }).collect(),
+                    batch.iter().map(|x| discretize_equal_frequency(x, DEFAULT_BINS)).collect(),
+                )
             }
         }
-        BatchOutcome { relevant, selected }
+    }
+
+    /// Redundancy analysis of what [`StreamingSelector::relevance`] picked
+    /// from a batch whose features are called `names`, and the `R_sel`
+    /// update (Algorithm 1, line 18): the kept codes move in when the batch
+    /// is done — a name that is already there keeps its place and takes the
+    /// new codes — and the rest are dropped.
+    pub fn admit(
+        &mut self,
+        names: &[String],
+        picks: Vec<SelectedFeature>,
+        codes: Vec<Discretized>,
+    ) -> BatchOutcome {
+        // `kept[local]`: did `codes[local]` survive.
+        let (kept, redundancy): (Vec<bool>, Vec<f64>) = match &self.redundancy {
+            Some(scorer) => {
+                let cands: Vec<(usize, &Discretized)> = codes.iter().enumerate().collect();
+                let picked = self.selected.select_non_redundant(&cands, &self.label_codes, scorer);
+                let mut kept = vec![false; codes.len()];
+                for s in &picked {
+                    kept[s.index] = true;
+                }
+                (kept, picked.into_iter().map(|s| s.score).collect())
+            }
+            None => (vec![true; codes.len()], Vec::new()),
+        };
+        let mut selected = Vec::new();
+        for ((pick, code), _) in picks.iter().zip(codes).zip(kept).filter(|(_, kept)| *kept) {
+            selected.push(pick.index);
+            self.selected.insert(&names[pick.index], code);
+        }
+        BatchOutcome {
+            relevant: picks.iter().map(|s| s.index).collect(),
+            selected,
+            relevance: match self.relevance {
+                Some(_) => picks.iter().map(|s| s.score).collect(),
+                None => Vec::new(),
+            },
+            redundancy,
+        }
+    }
+
+    /// Offer a batch — `data[i]` is the feature called `names[i]` — to both
+    /// analyses: [`StreamingSelector::relevance`], then
+    /// [`StreamingSelector::admit`].
+    pub fn offer(&mut self, names: &[String], data: &[Vec<f64>]) -> BatchOutcome {
+        assert_eq!(names.len(), data.len(), "one name per feature");
+        let (picks, codes) = self.relevance(data);
+        self.admit(names, picks, codes)
     }
 }
 
@@ -158,16 +198,18 @@ mod tests {
         )
     }
 
+    fn offer(s: &mut StreamingSelector, batch: Vec<(&str, Vec<f64>)>) -> BatchOutcome {
+        let (names, data): (Vec<String>, Vec<Vec<f64>>) =
+            batch.into_iter().map(|(name, v)| (name.to_string(), v)).unzip();
+        s.offer(&names, &data)
+    }
+
     #[test]
     fn accepts_signal_rejects_noise() {
         let n = 200;
         let mut s = selector(n);
-        let out = s.offer(&[
-            ("sig".into(), signal(n)),
-            ("noi".into(), noise(n, 1)),
-        ]);
-        assert_eq!(out.selected.len(), 1);
-        assert_eq!(out.selected[0].0, 0);
+        let out = offer(&mut s, vec![("sig", signal(n)), ("noi", noise(n, 1))]);
+        assert_eq!(out.selected, vec![0]);
         assert_eq!(s.selected_names(), vec!["sig"]);
     }
 
@@ -175,11 +217,11 @@ mod tests {
     fn second_batch_sees_first_selection() {
         let n = 200;
         let mut s = selector(n);
-        s.offer(&[("sig".into(), signal(n))]);
+        offer(&mut s, vec![("sig", signal(n))]);
         // Offering the same signal again: redundant, rejected.
-        let out = s.offer(&[("sig_copy".into(), signal(n))]);
+        let out = offer(&mut s, vec![("sig_copy", signal(n))]);
         assert!(out.selected.is_empty(), "duplicate must be redundant: {out:?}");
-        assert_eq!(s.n_selected(), 1);
+        assert_eq!(s.selected_names().len(), 1);
     }
 
     #[test]
@@ -187,7 +229,7 @@ mod tests {
         let n = 150;
         let mut s = selector(n);
         s.seed("base_sig", &signal(n));
-        let out = s.offer(&[("copy".into(), signal(n))]);
+        let out = offer(&mut s, vec![("copy", signal(n))]);
         assert!(out.selected.is_empty());
     }
 
@@ -200,51 +242,85 @@ mod tests {
             Some(RedundancyMethod::Mrmr),
             2,
         );
-        let batch: Vec<(String, Vec<f64>)> = (0..6)
+        let batch: Vec<Vec<f64>> = (0..6)
             .map(|j| {
-                (
-                    format!("f{j}"),
-                    signal(n)
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| v + ((i * (j + 3)) % 5) as f64 * 0.1)
-                        .collect(),
-                )
+                signal(n)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| v + ((i * (j + 3)) % 5) as f64 * 0.1)
+                    .collect()
             })
             .collect();
-        let out = s.offer(&batch);
+        let names: Vec<String> = (0..6).map(|j| format!("f{j}")).collect();
+        let out = s.offer(&names, &batch);
         assert!(out.relevant.len() <= 2);
     }
 
     #[test]
-    fn relevance_off_passes_everything_through() {
+    fn relevance_off_passes_everything_through_unscored() {
         let n = 100;
         let mut s = StreamingSelector::new(labels(n), None, Some(RedundancyMethod::Mrmr), 3);
-        let out = s.offer(&[("noi".into(), noise(n, 2)), ("sig".into(), signal(n))]);
+        let out = offer(&mut s, vec![("noi", noise(n, 2)), ("sig", signal(n))]);
         // Both reach redundancy; the signal is selected, noise has J ≈ 0.
-        assert_eq!(out.relevant.len(), 2);
-        assert!(out.selected.iter().any(|&(i, _)| i == 1));
+        assert_eq!(out.relevant, vec![0, 1]);
+        assert!(out.relevance_scores().is_empty(), "no analysis, no scores");
+        assert!(out.selected.contains(&1));
+        assert_eq!(out.redundancy_scores().len(), out.selected.len());
     }
 
     #[test]
-    fn redundancy_off_keeps_all_relevant() {
+    fn redundancy_off_keeps_all_relevant_unscored() {
         let n = 100;
         let mut s = StreamingSelector::new(labels(n), Some(RelevanceMethod::Spearman), None, 5);
-        s.offer(&[("sig".into(), signal(n))]);
-        let out = s.offer(&[("copy".into(), signal(n))]);
-        assert_eq!(out.selected.len(), 1, "copy kept when redundancy is off");
-        assert_eq!(s.n_selected(), 2);
+        offer(&mut s, vec![("sig", signal(n))]);
+        let out = offer(&mut s, vec![("copy", signal(n))]);
+        assert_eq!(out.selected, vec![0], "copy kept when redundancy is off");
+        assert_eq!(s.selected_names().len(), 2);
+        // This used to report the relevance score a second time, as `J`, so
+        // Algorithm 2 counted it twice where `AutoFeat::discover` — and the
+        // Fig. 9 "Spearman-only" ablation built on it — counts it once.
+        assert_eq!(out.relevance_scores().len(), 1);
+        assert!(out.redundancy_scores().is_empty(), "no analysis, no scores");
+    }
+
+    #[test]
+    fn skipping_redundancy_mid_stream_is_the_ablation_from_there_on() {
+        let n = 100;
+        let mut s = selector(n);
+        offer(&mut s, vec![("sig", signal(n))]);
+        assert!(s.skip_redundancy());
+        assert!(!s.skip_redundancy(), "already off");
+        let out = offer(&mut s, vec![("copy", signal(n))]);
+        assert_eq!(out.selected, vec![0]);
+        assert!(out.redundancy_scores().is_empty());
     }
 
     #[test]
     fn outcome_score_accessors() {
         let n = 100;
         let mut s = selector(n);
-        let out = s.offer(&[("sig".into(), signal(n))]);
+        let out = offer(&mut s, vec![("sig", signal(n))]);
         assert_eq!(out.relevance_scores().len(), 1);
         assert!(out.relevance_scores()[0] > 0.9);
         assert_eq!(out.redundancy_scores().len(), 1);
         assert!(out.redundancy_scores()[0] > 0.0);
+    }
+
+    #[test]
+    fn relevance_then_admit_is_offer() {
+        let n = 120;
+        let names: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let data = vec![noise(n, 4), signal(n), noise(n, 9)];
+        let mut whole = selector(n);
+        let mut halves = whole.clone();
+        let out = whole.offer(&names, &data);
+        let (picks, codes) = halves.relevance(&data);
+        let split = halves.admit(&names, picks, codes);
+        assert_eq!(out.relevant, split.relevant);
+        assert_eq!(out.selected, split.selected);
+        assert_eq!(out.relevance_scores(), split.relevance_scores());
+        assert_eq!(out.redundancy_scores(), split.redundancy_scores());
+        assert_eq!(whole.selected_names(), halves.selected_names());
     }
 
     #[test]
@@ -257,9 +333,9 @@ mod tests {
         s.seed("base", &noise(n, 3));
         let first: Vec<f64> = signal(n);
         let second: Vec<f64> = signal(n).iter().enumerate().map(|(i, v)| v + (i % 3) as f64).collect();
-        s.offer(&[("t1.f".into(), first)]);
-        s.offer(&[("t2.g".into(), noise(n, 1).iter().zip(signal(n)).map(|(a, b)| a + 20.0 * b).collect())]);
-        let out = s.offer(&[("t1.f".into(), second.clone())]);
+        offer(&mut s, vec![("t1.f", first)]);
+        offer(&mut s, vec![("t2.g", noise(n, 1).iter().zip(signal(n)).map(|(a, b)| a + 20.0 * b).collect())]);
+        let out = offer(&mut s, vec![("t1.f", second.clone())]);
         assert_eq!(out.selected.len(), 1);
         assert_eq!(s.selected_names(), vec!["base", "t1.f", "t2.g"]);
         assert_eq!(s.selected.codes()[1], discretize_equal_frequency(&second, DEFAULT_BINS));
@@ -269,6 +345,6 @@ mod tests {
     #[should_panic(expected = "row count mismatch")]
     fn wrong_row_count_panics() {
         let mut s = selector(10);
-        s.offer(&[("x".into(), vec![1.0; 5])]);
+        offer(&mut s, vec![("x", vec![1.0; 5])]);
     }
 }

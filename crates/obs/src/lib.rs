@@ -190,7 +190,7 @@ pub fn record_secs(name: &'static str, secs: f64) {
 /// pay no formatting cost when tracing is disabled or the log is full.
 ///
 /// Events should only be emitted from sequential pipeline sections (e.g.
-/// the Stage B merge), so the log order is deterministic.
+/// `discover`'s merge phase), so the log order is deterministic.
 pub fn event(kind: &'static str, detail: impl FnOnce() -> String) {
     AMBIENT.with(|a| {
         if let Some(inner) = a.borrow().tracer.inner.as_ref() {

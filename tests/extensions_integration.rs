@@ -2,7 +2,9 @@
 //! tuning, LSH-accelerated discovery, the streaming selector, the join-tree
 //! trainer, and the relational ops working together.
 
+use autofeat::core::compute_score;
 use autofeat::core::tuning::{tune, TuningGrid};
+use autofeat::data::encode::label_encode_column;
 use autofeat::data::ops::{filter, group_by, sort_by, Aggregate, Order};
 use autofeat::graph::Drg;
 use autofeat::metrics::streaming::StreamingSelector;
@@ -77,8 +79,8 @@ fn lsh_discovery_agrees_with_full_matching_on_key_edges() {
 
 #[test]
 fn streaming_selector_matches_pipeline_semantics_end_to_end() {
-    // Feed a base feature, then two batches; verify R_sel growth mirrors
-    // what AutoFeat's inline pipeline would do.
+    // Feed a base feature, then two batches; verify R_sel grows as it does
+    // inside `AutoFeat::discover`, which runs this selector.
     let n = 300;
     let labels: Vec<i64> = (0..n as i64).map(|i| i % 2).collect();
     let sig: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
@@ -92,9 +94,9 @@ fn streaming_selector_matches_pipeline_semantics_end_to_end() {
         15,
     );
     sel.seed("base_noise", &noise);
-    let first = sel.offer(&[("t1.sig".into(), sig.clone())]);
+    let first = sel.offer(&["t1.sig".to_string()], std::slice::from_ref(&sig));
     assert_eq!(first.selected.len(), 1);
-    let second = sel.offer(&[("t2.sig_copy".into(), sig)]);
+    let second = sel.offer(&["t2.sig_copy".to_string()], &[sig]);
     assert!(second.selected.is_empty(), "copy of selected feature rejected");
     assert_eq!(sel.selected_names(), vec!["base_noise", "t1.sig"]);
 }
@@ -118,13 +120,64 @@ fn relational_ops_compose_with_the_lake() {
 }
 
 #[test]
-fn dot_export_of_a_discovered_lake_renders() {
-    let ctx = context_from_lake(&credit_lake(), &SchemaMatcher::paper_default()).unwrap();
-    let dot = autofeat::graph::to_dot(ctx.drg());
-    assert!(dot.contains("graph drg {"));
-    assert!(dot.contains("base"));
-    // Discovered edges are dashed.
-    assert!(dot.contains("style=dashed"));
+fn a_seeded_selector_scores_a_hop_as_discover_does() {
+    // One hop, so the path's score is the hop's: Algorithm 2 over what the
+    // selector reports must be `discover`'s score to the bit — for the full
+    // pipeline and with either analysis off (the Fig. 9 ablations). With
+    // redundancy off the selector used to hand the relevance scores back a
+    // second time, as `J`, and the hop scored 2 · mean(rel).
+    let n = 240usize;
+    let target: Vec<i64> = (0..n as i64).map(|i| i % 2).collect();
+    let float_col = |f: &dyn Fn(usize) -> f64| -> Vec<Option<f64>> { (0..n).map(|i| Some(f(i))).collect() };
+    let keys: Vec<Option<i64>> = (0..n as i64).map(Some).collect();
+    let base = Table::new(
+        "base",
+        vec![
+            ("k", Column::from_ints(keys.clone())),
+            ("w", Column::from_floats(float_col(&|i| ((i * 37) % 11) as f64))),
+            ("target", Column::from_ints(target.iter().copied().map(Some).collect::<Vec<_>>())),
+        ],
+    )
+    .unwrap();
+    let sat = Table::new(
+        "sat",
+        vec![
+            ("k", Column::from_ints(keys)),
+            ("strong", Column::from_floats(float_col(&|i| (i % 2) as f64 + ((i * 13) % 7) as f64 * 0.1))),
+            ("echo", Column::from_floats(float_col(&|i| (i % 2) as f64 * 3.0 + ((i * 5) % 3) as f64 * 0.2))),
+            ("noise", Column::from_floats(float_col(&|i| ((i * 17) % 7) as f64))),
+        ],
+    )
+    .unwrap();
+    let encoded = |t: &Table, c: &str| label_encode_column(t.column(c).unwrap()).to_f64_lossy();
+    let labels: Vec<i64> = encoded(&base, "target").iter().map(|&v| v as i64).collect();
+    let names: Vec<String> = ["strong", "echo", "noise"].iter().map(|c| format!("sat.{c}")).collect();
+    let data: Vec<Vec<f64>> = ["strong", "echo", "noise"].iter().map(|c| encoded(&sat, c)).collect();
+    let ctx = SearchContext::from_kfk(
+        vec![base.clone(), sat],
+        &[("base".into(), "k".into(), "sat".into(), "k".into())],
+        "base",
+        "target",
+    )
+    .unwrap();
+    let full = AutoFeatConfig::default();
+    let variants = [
+        ("full", full.clone()),
+        ("redundancy off", AutoFeatConfig { redundancy: None, ..full.clone() }),
+        ("relevance off", AutoFeatConfig { relevance: None, ..full }),
+    ];
+    for (label, cfg) in variants {
+        let result = AutoFeat::new(cfg.clone()).discover(&ctx).unwrap();
+        assert_eq!(result.ranked.len(), 1, "{label}");
+        let mut sel = StreamingSelector::new(labels.clone(), cfg.relevance, cfg.redundancy, cfg.kappa);
+        sel.seed("w", &encoded(&base, "w"));
+        let out = sel.offer(&names, &data);
+        let score = compute_score(out.relevance_scores(), out.redundancy_scores());
+        assert!(score > 0.0, "{label}");
+        assert_eq!(score.to_bits(), result.ranked[0].score.to_bits(), "{label}");
+        let picked: Vec<&str> = out.selected.iter().map(|&i| names[i].as_str()).collect();
+        assert_eq!(picked, result.ranked[0].features, "{label}");
+    }
 }
 
 #[test]
