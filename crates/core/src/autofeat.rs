@@ -7,11 +7,14 @@
 //! [`StreamingSelector`] whose `R_sel` holds the base features) →
 //! per level: `AutoFeat::plan_level` (pure: the candidate hops in canonical
 //! order) → `AutoFeat::evaluate_hop` (pure: join, τ quality,
-//! [`StreamingSelector::relevance`]) → `Search::merge` (the only writer:
+//! [`RelevanceStage::relevance`]) → `Search::merge` (the only writer:
 //! [`StreamingSelector::admit`] into `R_sel`, Algorithm 2, the ranking, the
-//! counters, the next frontier) → `Search::finish` (rank). `discover` itself
-//! keeps only what decides *whether* a phase runs: the degradation ladder
-//! and the truncation gates. DESIGN.md §3d has the table.
+//! counters, the next frontier) → `Search::finish` (rank). Within a level
+//! the last two overlap: one ordered fan-out evaluates the hops on every
+//! worker and merges hop `i` on the calling thread as soon as it is there,
+//! while later hops are still being evaluated. `discover` itself keeps only
+//! what decides *whether* a phase runs: the degradation ladder and the
+//! truncation gates. DESIGN.md §3d has the table.
 //!
 //! ## Determinism model
 //!
@@ -26,13 +29,14 @@
 //!   accumulate in the same floating-point order every run;
 //! * `plan_level` enumerates in a fixed order (frontier index, then
 //!   ascending neighbour node, then edge id); `evaluate_hop` is a pure
-//!   function of its candidate, so the level fans out across the worker
-//!   pool by candidate index and it does not matter which hop finishes
-//!   first; `merge` consumes the outcomes in candidate order, one at a
-//!   time, exactly as a sequential walk would.
+//!   function of its candidate — of the selector it reads the immutable
+//!   [`RelevanceStage`] only — so the level's hops are claimed one at a
+//!   time by whichever worker is free and it does not matter which
+//!   finishes first; `merge` meets the outcomes in candidate order, one
+//!   hop at a time, exactly as a sequential walk would.
 //!
 //! Trace events are emitted only from `merge` and the loop around it, never
-//! from a worker, so the event log is the same at any worker count.
+//! from `evaluate_hop`, so the event log is the same at any worker count.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -52,7 +56,7 @@ use autofeat_data::{CacheStats, DataError, Interrupt, RequestScope, Result, RunC
 use autofeat_graph::{JoinHop, JoinPath, NodeId};
 use autofeat_metrics::discretize::{Discretized, MAX_BINS};
 use autofeat_metrics::selection::SelectedFeature;
-use autofeat_metrics::streaming::StreamingSelector;
+use autofeat_metrics::streaming::{RelevanceStage, StreamingSelector};
 use autofeat_obs as obs;
 use autofeat_obs::RunTrace;
 
@@ -422,6 +426,7 @@ impl AutoFeat {
             }
         }
         let Setup { sampled, join_cols, selector } = self.setup(ctx, sample_cap)?;
+        let relevance = selector.relevance_stage();
         let mut search = Search::new(selector, degradations, workers);
 
         // BFS over levels (§IV-A: level-by-level exploration contains join
@@ -488,21 +493,33 @@ impl AutoFeat {
                 }
             }
 
-            // Panic-isolating, interrupt-aware fan-out: a panicking
-            // candidate becomes a structured `ItemOutcome::Panicked` (the
-            // run completes), and once the control interrupts, the
-            // remaining candidates come back `Skipped` without running.
-            let evals = {
-                let _span = obs::span("eval");
-                run_indexed_ctl(workers, cands.len(), Some(&ctl), |i| {
+            // One ordered fan-out per level: every worker, this thread
+            // among them, evaluates hops, and this thread merges hop `i` as
+            // soon as it is there. Panic-isolating and interrupt-aware: a
+            // panicking candidate becomes a structured
+            // `ItemOutcome::Panicked` (the run completes), and once the
+            // control interrupts, the remaining candidates come back
+            // `Skipped` without running.
+            let mut next_level: Vec<Frontier> = Vec::new();
+            let merge_wait = run_indexed_ctl(
+                workers,
+                cands.len(),
+                Some(&ctl),
+                |i| {
+                    let _span = obs::span("eval");
                     let c = &cands[i];
-                    self.evaluate_hop(ctx, &join_cols, &search.selector, &frontier[c.entry], c)
-                })
-            };
-            let next_level = {
-                let _span = obs::span("merge");
-                search.merge(&frontier, &cands, evals)
-            };
+                    self.evaluate_hop(ctx, &join_cols, &relevance, &frontier[c.entry], c)
+                },
+                |i, outcome| {
+                    let _span = obs::span("merge");
+                    let c = &cands[i];
+                    next_level.extend(search.merge(&frontier[c.entry], c, outcome));
+                },
+            );
+            // What this thread spent waiting on an evaluation with none
+            // left to claim: with the `eval` and `merge` spans it says
+            // whether the level was eval-bound or merge-bound.
+            obs::record_secs("discover.merge_wait_secs", merge_wait.as_secs_f64());
             if search.out.truncation.is_some() {
                 break;
             }
@@ -627,14 +644,14 @@ impl AutoFeat {
 
     /// **Evaluate.** Join `c` onto its frontier entry, prune on match count
     /// and τ quality, and run the relevance analysis over the new columns.
-    /// A pure function of its arguments — `selector` is read for its labels
-    /// and settings only — so a level's hops can be evaluated in any order,
-    /// on any thread.
+    /// A pure function of its arguments — of the selector it takes the
+    /// immutable half — so a level's hops can be evaluated in any order, on
+    /// any thread, while `merge` updates `R_sel`.
     fn evaluate_hop(
         &self,
         ctx: &SearchContext,
         join_cols: &HashSet<(String, String)>,
-        selector: &StreamingSelector,
+        relevance: &RelevanceStage,
         entry: &Frontier,
         c: &HopCandidate,
     ) -> HopEval {
@@ -678,7 +695,7 @@ impl AutoFeat {
                 .iter()
                 .map(|name| Ok(label_encode_column(out.table.column(name)?).to_f64_lossy()))
                 .collect::<Result<Vec<Vec<f64>>>>()?;
-            let (picks, codes) = selector.relevance(&data);
+            let (picks, codes) = relevance.relevance(&data);
             Ok(HopEval::Scored(ScoredHop { table: out.table, names, picks, codes }))
         };
         // A cooperative stop inside the join (or a cache build denied by an
@@ -725,76 +742,70 @@ impl Search {
         Search { selector, n_levels: 0, out }
     }
 
-    /// **Merge.** Take one level's outcomes in candidate order, exactly as
-    /// the sequential walk would meet them: the streaming redundancy
-    /// analysis against `R_sel` and its update, Algorithm 2's score, the
-    /// ranking, the counters. Returns the next level's frontier. Trace
-    /// events are emitted only here, so the event log is identical at any
+    /// **Merge.** Take one hop's outcome — the caller hands them over in
+    /// candidate order, exactly as the sequential walk would meet them: the
+    /// streaming redundancy analysis against `R_sel` and its update,
+    /// Algorithm 2's score, the ranking, the counters. Returns the hop's
+    /// entry in the next level's frontier, if it survived. Trace events are
+    /// emitted only here, so the event log is identical at any
     /// worker-thread count.
     fn merge(
         &mut self,
-        frontier: &[Frontier],
-        cands: &[HopCandidate],
-        evals: Vec<ItemOutcome<HopEval>>,
-    ) -> Vec<Frontier> {
-        let mut next_level: Vec<Frontier> = Vec::new();
-        for (c, outcome) in cands.iter().zip(evals) {
-            let entry = &frontier[c.entry];
-            let eval = match outcome {
-                ItemOutcome::Done(eval) => eval,
-                // Never ran: the control interrupted before its turn.
-                ItemOutcome::Skipped(reason) => HopEval::Interrupted(reason),
-                // Ran and panicked: the panic was caught on the worker and
-                // lands here as a structured failure (item index + phase in
-                // the message, path identity from the candidate), via the
-                // same path as any other hop error.
-                ItemOutcome::Panicked(panic) => {
-                    self.out.resilience.worker_panics += 1;
-                    obs::event("worker_panic", || panic.to_string());
-                    HopEval::Failed(panic.to_string())
-                }
-            };
-            // Every outcome but an interrupt is an evaluated join.
-            if !matches!(eval, HopEval::Interrupted(_)) {
-                self.out.n_joins_evaluated += 1;
+        entry: &Frontier,
+        c: &HopCandidate,
+        outcome: ItemOutcome<HopEval>,
+    ) -> Option<Frontier> {
+        let eval = match outcome {
+            ItemOutcome::Done(eval) => eval,
+            // Never ran: the control interrupted before its turn.
+            ItemOutcome::Skipped(reason) => HopEval::Interrupted(reason),
+            // Ran and panicked: the panic was caught on the worker and
+            // lands here as a structured failure (item index + phase in
+            // the message, path identity from the candidate), via the
+            // same path as any other hop error.
+            ItemOutcome::Panicked(panic) => {
+                self.out.resilience.worker_panics += 1;
+                obs::event("worker_panic", || panic.to_string());
+                HopEval::Failed(panic.to_string())
             }
-            let pruned = |why: &str| {
-                obs::event("path_pruned", || {
-                    format!("{why}: [{}] + {} -> {}", entry.path, c.hop.from_table, c.hop.to_table)
-                })
-            };
-            match eval {
-                // Never evaluated: counted with the budget-dropped
-                // candidates, exactly like those dropped at the level gate.
-                HopEval::Interrupted(reason) => {
-                    self.out.n_pruned_budget += 1;
-                    self.out.truncation.get_or_insert(truncation_reason(reason, Phase::Evaluate));
-                }
-                HopEval::Failed(error) => {
-                    obs::event("hop_failed", || {
-                        format!(
-                            "{} -> {} after [{}]: {error}",
-                            c.hop.from_table, c.hop.to_table, entry.path
-                        )
-                    });
-                    self.out.failures.push(PathFailure {
-                        path: entry.path.clone(),
-                        hop: c.hop.clone(),
-                        error,
-                    });
-                }
-                HopEval::Unjoinable => {
-                    pruned("unjoinable");
-                    self.out.n_pruned_unjoinable += 1;
-                }
-                HopEval::LowQuality => {
-                    pruned("below τ quality");
-                    self.out.n_pruned_quality += 1;
-                }
-                HopEval::Scored(sh) => next_level.push(self.admit(entry, c, sh)),
-            }
+        };
+        // Every outcome but an interrupt is an evaluated join.
+        if !matches!(eval, HopEval::Interrupted(_)) {
+            self.out.n_joins_evaluated += 1;
         }
-        next_level
+        let pruned = |why: &str| {
+            obs::event("path_pruned", || {
+                format!("{why}: [{}] + {} -> {}", entry.path, c.hop.from_table, c.hop.to_table)
+            })
+        };
+        match eval {
+            // Never evaluated: counted with the budget-dropped
+            // candidates, exactly like those dropped at the level gate.
+            HopEval::Interrupted(reason) => {
+                self.out.n_pruned_budget += 1;
+                self.out.truncation.get_or_insert(truncation_reason(reason, Phase::Evaluate));
+            }
+            HopEval::Failed(error) => {
+                obs::event("hop_failed", || {
+                    format!("{} -> {} after [{}]: {error}", c.hop.from_table, c.hop.to_table, entry.path)
+                });
+                self.out.failures.push(PathFailure {
+                    path: entry.path.clone(),
+                    hop: c.hop.clone(),
+                    error,
+                });
+            }
+            HopEval::Unjoinable => {
+                pruned("unjoinable");
+                self.out.n_pruned_unjoinable += 1;
+            }
+            HopEval::LowQuality => {
+                pruned("below τ quality");
+                self.out.n_pruned_quality += 1;
+            }
+            HopEval::Scored(sh) => return Some(self.admit(entry, c, sh)),
+        }
+        None
     }
 
     /// One surviving hop: redundancy analysis and `R_sel` update (Algorithm
@@ -1193,6 +1204,12 @@ mod tests {
         );
         assert_eq!(uncached.ranked.len(), 1);
         assert_eq!(uncached.ranked[0].path.last_table(), Some("af_panic_good"));
+        // Traced, the failure names the stage the hop was in.
+        let traced = AutoFeat::new(AutoFeatConfig::default().with_cache(false).with_trace(true))
+            .discover(&ctx)
+            .unwrap();
+        let error = &traced.failures[0].error;
+        assert!(error.contains("in phase `discover.level.eval`:"), "{error}");
 
         // Cached: the panic fires inside the cache's index build, is caught
         // there, and surfaces as a structured hop failure instead.
@@ -1644,10 +1661,12 @@ mod tests {
     }
 
     /// Run the phases by hand, without ladder or gates, evaluating each
-    /// level's hops front to back or back to front.
+    /// level's hops front to back or back to front and then merging them
+    /// hop by hop in candidate order.
     fn drive(engine: &AutoFeat, ctx: &SearchContext, reverse: bool) -> Search {
         let Setup { sampled, join_cols, selector } =
             engine.setup(ctx, engine.config.sample_rows).unwrap();
+        let relevance = selector.relevance_stage();
         let mut search = Search::new(selector, Vec::new(), 1);
         let mut frontier = vec![Frontier::root(ctx.drg().node(ctx.base_name()).unwrap(), sampled)];
         while !frontier.is_empty() {
@@ -1658,15 +1677,21 @@ mod tests {
             if reverse {
                 order.reverse();
             }
-            let mut evals: Vec<Option<ItemOutcome<HopEval>>> = cands.iter().map(|_| None).collect();
+            let mut evals: Vec<Option<HopEval>> = cands.iter().map(|_| None).collect();
             for i in order {
                 let c = &cands[i];
-                let eval =
-                    engine.evaluate_hop(ctx, &join_cols, &search.selector, &frontier[c.entry], c);
-                evals[i] = Some(ItemOutcome::Done(eval));
+                evals[i] =
+                    Some(engine.evaluate_hop(ctx, &join_cols, &relevance, &frontier[c.entry], c));
             }
-            let evals = evals.into_iter().map(|e| e.expect("every hop evaluated")).collect();
-            frontier = engine.next_frontier(search.merge(&frontier, &cands, evals));
+            let next_level = cands
+                .iter()
+                .zip(evals)
+                .filter_map(|(c, eval)| {
+                    let eval = ItemOutcome::Done(eval.expect("every hop evaluated"));
+                    search.merge(&frontier[c.entry], c, eval)
+                })
+                .collect();
+            frontier = engine.next_frontier(next_level);
         }
         search
     }
@@ -1758,7 +1783,7 @@ mod tests {
             let frontier = [Frontier::root(ctx.drg().node("base").unwrap(), sampled)];
             let (cands, _) = engine.plan_level(&ctx, &frontier);
             assert_eq!(cands.len(), 1);
-            engine.evaluate_hop(&ctx, &join_cols, &selector, &frontier[0], &cands[0])
+            engine.evaluate_hop(&ctx, &join_cols, &selector.relevance_stage(), &frontier[0], &cands[0])
         };
         match first_hop(50) {
             HopEval::Scored(sh) => {

@@ -489,12 +489,21 @@ impl Telemetry {
             .set(dictionaries as f64);
 
         let pool = shared_pool();
-        reg.gauge("autofeat_pool_size", "Worker threads in the shared fan-out pool.")
-            .set(pool.size() as f64);
-        reg.gauge("autofeat_pool_queue_depth", "Jobs queued but not yet picked up.")
-            .set(pool.queue_depth() as f64);
-        reg.gauge("autofeat_pool_busy_workers", "Workers currently executing a job.")
-            .set(pool.busy_workers() as f64);
+        reg.gauge(
+            "autofeat_pool_size",
+            "Helper threads in the shared fan-out pool; a request's own thread works beside them.",
+        )
+        .set(pool.size() as f64);
+        reg.gauge(
+            "autofeat_pool_queue_depth",
+            "Helper jobs queued but not yet picked up, including those whose fan-out has ended.",
+        )
+        .set(pool.queue_depth() as f64);
+        reg.gauge(
+            "autofeat_pool_busy_workers",
+            "Helper threads currently executing a job; request threads are not counted.",
+        )
+        .set(pool.busy_workers() as f64);
     }
 
     fn snapshot(&self, counters: &ServiceCounters, ctx: &SearchContext) -> MetricsSnapshot {

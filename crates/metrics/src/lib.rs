@@ -40,7 +40,7 @@ pub use relevance::{
     InformationGain, Pearson, Relevance, RelevanceMethod, Relief, Spearman,
     SymmetricalUncertainty,
 };
-pub use streaming::{BatchOutcome, StreamingSelector};
+pub use streaming::{BatchOutcome, RelevanceStage, StreamingSelector};
 pub use selection::{
     select_k_best, select_k_best_binned, select_non_redundant, SelectedFeature, SelectedSet,
 };

@@ -2,13 +2,15 @@
 //! 12–18): features arrive in batches (one batch per join); each batch
 //! passes a relevance analysis (*select-κ-best*) and then a redundancy
 //! analysis against the running selected set `R_sel`, which the selector
-//! owns. The two analyses are two calls, because only the second is
-//! stateful: [`StreamingSelector::relevance`] reads nothing but the labels
-//! and runs wherever the batch was produced (`AutoFeat::discover`'s
-//! `evaluate_hop`, on the fan-out workers), and [`StreamingSelector::admit`]
-//! runs the redundancy analysis and updates `R_sel`, one batch at a time in
-//! a fixed order (`discover`'s `merge`). [`StreamingSelector::offer`] is the
-//! two in sequence.
+//! owns. The two analyses are two calls on two halves, because only the
+//! second is stateful. [`RelevanceStage`] is what the first reads — the
+//! labels, the method, κ — immutable and shared: `AutoFeat::discover`'s
+//! `evaluate_hop` borrows it on the fan-out workers while, on the caller,
+//! [`StreamingSelector::admit`] runs the redundancy analysis and updates
+//! `R_sel`, one batch at a time in a fixed order (`discover`'s `merge`).
+//! [`StreamingSelector::offer`] is the two in sequence.
+
+use std::sync::Arc;
 
 use crate::discretize::{discretize_equal_frequency, Discretized};
 use crate::redundancy::{RedundancyMethod, RedundancyScorer};
@@ -44,16 +46,53 @@ impl BatchOutcome {
     }
 }
 
-/// Streaming feature selector with a persistent selected set: the two
-/// analyses and the `R_sel` update of Algorithm 1, behind a
-/// batch-at-a-time interface. `AutoFeat::discover` runs one per request.
-#[derive(Debug, Clone)]
-pub struct StreamingSelector {
-    relevance: Option<RelevanceMethod>,
-    redundancy: Option<RedundancyScorer>,
+/// The stateless half of a [`StreamingSelector`]: everything the relevance
+/// analysis of a batch reads, none of which changes once the selector is
+/// built. Whoever produces a batch holds it (an `Arc`) and scores the batch
+/// there, while the selector's `R_sel` is being updated elsewhere.
+#[derive(Debug)]
+pub struct RelevanceStage {
+    method: Option<RelevanceMethod>,
     kappa: usize,
     labels: Vec<i64>,
     label_codes: Discretized,
+}
+
+impl RelevanceStage {
+    /// Relevance analysis of one batch (one join's new columns): the
+    /// select-κ-best picks, in descending score order, and beside each its
+    /// bin codes. With the analysis off, every feature in batch order with a
+    /// score of zero.
+    pub fn relevance(&self, batch: &[Vec<f64>]) -> (Vec<SelectedFeature>, Vec<Discretized>) {
+        for v in batch {
+            assert_eq!(v.len(), self.labels.len(), "row count mismatch");
+        }
+        match self.method {
+            // The picks come back with their bin codes: Spearman reads them
+            // off the sort its ranks came from.
+            Some(method) => {
+                select_k_best_binned(batch, &self.labels, method, self.kappa, 0.0, DEFAULT_BINS)
+            }
+            None => {
+                let _span = autofeat_obs::span("discretize");
+                (
+                    (0..batch.len()).map(|index| SelectedFeature { index, score: 0.0 }).collect(),
+                    batch.iter().map(|x| discretize_equal_frequency(x, DEFAULT_BINS)).collect(),
+                )
+            }
+        }
+    }
+}
+
+/// Streaming feature selector with a persistent selected set: the two
+/// analyses and the `R_sel` update of Algorithm 1, behind a
+/// batch-at-a-time interface. `AutoFeat::discover` runs one per request.
+/// What [`StreamingSelector::admit`] mutates — `R_sel` and the redundancy
+/// switch — is held apart from the shared [`RelevanceStage`].
+#[derive(Debug, Clone)]
+pub struct StreamingSelector {
+    stage: Arc<RelevanceStage>,
+    redundancy: Option<RedundancyScorer>,
     selected: SelectedSet,
 }
 
@@ -71,13 +110,16 @@ impl StreamingSelector {
     ) -> Self {
         let label_codes = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
         StreamingSelector {
-            relevance,
+            stage: Arc::new(RelevanceStage { method: relevance, kappa, labels, label_codes }),
             redundancy: redundancy.map(RedundancyScorer::new),
-            kappa,
-            labels,
-            label_codes,
             selected: SelectedSet::default(),
         }
+    }
+
+    /// The relevance half, to score batches with while this selector is
+    /// borrowed mutably by [`StreamingSelector::admit`].
+    pub fn relevance_stage(&self) -> Arc<RelevanceStage> {
+        Arc::clone(&self.stage)
     }
 
     /// Names of the selected features, in selection order.
@@ -88,7 +130,7 @@ impl StreamingSelector {
     /// Seed the selected set without selection (the base table's features
     /// enter `R_sel` unconditionally, Algorithm 1's input).
     pub fn seed(&mut self, name: &str, values: &[f64]) {
-        assert_eq!(values.len(), self.labels.len(), "row count mismatch");
+        assert_eq!(values.len(), self.stage.labels.len(), "row count mismatch");
         self.selected.insert(name, discretize_equal_frequency(values, DEFAULT_BINS));
     }
 
@@ -99,28 +141,9 @@ impl StreamingSelector {
         self.redundancy.take().is_some()
     }
 
-    /// Relevance analysis of one batch (one join's new columns): the
-    /// select-κ-best picks, in descending score order, and beside each its
-    /// bin codes. With the analysis off, every feature in batch order with a
-    /// score of zero. Reads the labels and nothing else of the selector.
+    /// [`RelevanceStage::relevance`] of this selector's stage.
     pub fn relevance(&self, batch: &[Vec<f64>]) -> (Vec<SelectedFeature>, Vec<Discretized>) {
-        for v in batch {
-            assert_eq!(v.len(), self.labels.len(), "row count mismatch");
-        }
-        match self.relevance {
-            // The picks come back with their bin codes: Spearman reads them
-            // off the sort its ranks came from.
-            Some(method) => {
-                select_k_best_binned(batch, &self.labels, method, self.kappa, 0.0, DEFAULT_BINS)
-            }
-            None => {
-                let _span = autofeat_obs::span("discretize");
-                (
-                    (0..batch.len()).map(|index| SelectedFeature { index, score: 0.0 }).collect(),
-                    batch.iter().map(|x| discretize_equal_frequency(x, DEFAULT_BINS)).collect(),
-                )
-            }
-        }
+        self.stage.relevance(batch)
     }
 
     /// Redundancy analysis of what [`StreamingSelector::relevance`] picked
@@ -138,7 +161,8 @@ impl StreamingSelector {
         let (kept, redundancy): (Vec<bool>, Vec<f64>) = match &self.redundancy {
             Some(scorer) => {
                 let cands: Vec<(usize, &Discretized)> = codes.iter().enumerate().collect();
-                let picked = self.selected.select_non_redundant(&cands, &self.label_codes, scorer);
+                let picked =
+                    self.selected.select_non_redundant(&cands, &self.stage.label_codes, scorer);
                 let mut kept = vec![false; codes.len()];
                 for s in &picked {
                     kept[s.index] = true;
@@ -155,7 +179,7 @@ impl StreamingSelector {
         BatchOutcome {
             relevant: picks.iter().map(|s| s.index).collect(),
             selected,
-            relevance: match self.relevance {
+            relevance: match self.stage.method {
                 Some(_) => picks.iter().map(|s| s.score).collect(),
                 None => Vec::new(),
             },
@@ -321,6 +345,35 @@ mod tests {
         assert_eq!(out.relevance_scores(), split.relevance_scores());
         assert_eq!(out.redundancy_scores(), split.redundancy_scores());
         assert_eq!(whole.selected_names(), halves.selected_names());
+    }
+
+    #[test]
+    fn the_stage_scores_the_next_batch_while_the_selector_admits_this_one() {
+        // What `discover` does: relevance of batch 2 is computed — here
+        // first, there on another thread — with `admit(batch 1)` still to
+        // come, and the outcome is that of offering them one after another.
+        let n = 120;
+        let batches = [
+            (vec!["a".to_string(), "b".to_string()], vec![signal(n), noise(n, 4)]),
+            (vec!["c".to_string()], vec![signal(n)]),
+        ];
+        let mut in_sequence = selector(n);
+        let expected: Vec<BatchOutcome> =
+            batches.iter().map(|(names, data)| in_sequence.offer(names, data)).collect();
+
+        let mut overlapped = selector(n);
+        let stage = overlapped.relevance_stage();
+        let scored: Vec<_> = batches.iter().rev().map(|(_, data)| stage.relevance(data)).collect();
+        for (((names, _), (picks, codes)), want) in
+            batches.iter().zip(scored.into_iter().rev()).zip(&expected)
+        {
+            let got = overlapped.admit(names, picks, codes);
+            assert_eq!(got.selected, want.selected);
+            assert_eq!(got.relevance_scores(), want.relevance_scores());
+            assert_eq!(got.redundancy_scores(), want.redundancy_scores());
+        }
+        assert_eq!(overlapped.selected_names(), in_sequence.selected_names());
+        assert!(overlapped.skip_redundancy(), "the switch is the selector's, not the stage's");
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! * **Max-across-threads phase timing.** Spans are accumulated per
 //!   `(path, thread)`. A phase's `wall` is the **maximum** per-thread sum —
 //!   the critical-path estimate for a fan-out phase — while `cpu` is the
-//!   sum across threads. `self` subtracts child wall from parent wall, so
-//!   self times telescope: they sum to (approximately) the root phase's
-//!   wall clock.
+//!   sum across threads. `self` subtracts from a parent's wall what its
+//!   children took on the thread they kept busiest, so self times
+//!   telescope: they sum to (approximately) the root phase's wall clock,
+//!   plus what sibling phases overlapped on different threads.
 //!
 //! Tracing must never perturb results: nothing in this crate feeds back
 //! into discovery decisions, and the instrumented pipeline is asserted
@@ -72,6 +73,9 @@ thread_local! {
     static AMBIENT: RefCell<Ambient> = const {
         RefCell::new(Ambient { tracer: Tracer { inner: None }, prefix: String::new() })
     };
+    /// Path of the last span a panic closed on this thread; see
+    /// [`take_unwound_span_path`].
+    static UNWOUND: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 pub(crate) fn thread_key() -> u64 {
@@ -129,6 +133,15 @@ pub fn ambient_scope() -> TraceScope {
 /// worker-panic report — with the pipeline phase they occurred in.
 pub fn current_span_path() -> String {
     AMBIENT.with(|a| a.borrow().prefix.clone())
+}
+
+/// The path of the outermost span a panic has unwound through on this
+/// thread since the last call (`""` if none has): by the time a
+/// `catch_unwind` returns, [`current_span_path`] is back at the catcher's
+/// own phase, and this is the phase the panic came from. Call it before
+/// the guarded code too, so what it returns afterwards is that code's.
+pub fn take_unwound_span_path() -> String {
+    UNWOUND.with(|u| std::mem::take(&mut *u.borrow_mut()))
 }
 
 /// Open a span named `name` under the current span path on the ambient

@@ -27,9 +27,18 @@ pub struct PhaseNode {
     pub wall: Duration,
     /// Total time across all threads (≥ `wall` for fan-out phases).
     pub cpu: Duration,
-    /// `wall` minus the wall of direct children (saturating): time spent
-    /// in this phase itself. Self times telescope — summed over the whole
-    /// tree they approximate the root's wall clock.
+    /// `wall` minus what the direct children took on the thread they kept
+    /// busiest (saturating): time spent in this phase itself. Children
+    /// that ran one after another on one thread take the sum of their
+    /// walls; children that ran side by side on different threads overlap
+    /// inside `wall` and take the longer side. The tracer keeps a total per
+    /// thread and no clock, so children that ran one after another on
+    /// *different* threads read as side by side too, and the parent keeps
+    /// the shorter side; a span of the parent's own thread around a
+    /// fan-out that follows other work avoids that. Self times telescope —
+    /// summed over the whole tree they give the root's wall clock, plus
+    /// what sibling walls add up to beyond their parent's charge (at most
+    /// the shorter sibling's wall).
     pub self_time: Duration,
     /// Child phases, lexicographically ordered by name.
     pub children: Vec<PhaseNode>,
@@ -115,7 +124,10 @@ impl RunTrace {
     }
 
     /// Sum of `self_time` over every phase in the tree. By the telescoping
-    /// property this approximates the root phases' combined wall clock.
+    /// property this approximates the root phases' combined wall clock. It
+    /// does not fall short of it, and exceeds it by the time sibling phases
+    /// overlapped on different threads, since each is reported at its own
+    /// wall: by less than the shorter of two such siblings took.
     pub fn self_time_total(&self) -> Duration {
         fn walk(nodes: &[PhaseNode], acc: &mut Duration) {
             for n in nodes {

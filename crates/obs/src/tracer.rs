@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::trace::{DistSummary, PhaseNode, RunTrace, TraceEvent};
-use crate::{thread_key, AMBIENT, Ambient};
+use crate::{thread_key, AMBIENT, Ambient, UNWOUND};
 
 /// Maximum number of events retained per trace; later events are counted
 /// in [`RunTrace::events_dropped`] instead of stored.
@@ -114,19 +114,32 @@ impl Inner {
 
         // Aggregate spans per path: count and cpu sum across threads, wall
         // as the max per-thread sum (critical-path estimate for fan-outs).
+        // `in_children` is what a path's direct children took on the
+        // thread they kept busiest: siblings that ran side by side on
+        // different threads overlap inside the parent's wall, siblings on
+        // one thread do not.
         #[derive(Default)]
         struct Agg {
             count: u64,
             cpu: u64,
             wall: u64,
+            in_children: u64,
         }
         let mut by_path: BTreeMap<String, Agg> = BTreeMap::new();
         if let Ok(spans) = self.spans.lock() {
-            for ((path, _thread), acc) in spans.iter() {
+            let mut children_on: HashMap<(&str, u64), u64> = HashMap::new();
+            for ((path, thread), acc) in spans.iter() {
                 let agg = by_path.entry(path.clone()).or_default();
                 agg.count += acc.count;
                 agg.cpu += acc.nanos;
                 agg.wall = agg.wall.max(acc.nanos);
+                if let Some(dot) = path.rfind('.') {
+                    *children_on.entry((&path[..dot], *thread)).or_default() += acc.nanos;
+                }
+            }
+            for ((parent, _thread), nanos) in children_on {
+                let agg = by_path.entry(parent.to_string()).or_default();
+                agg.in_children = agg.in_children.max(nanos);
             }
         }
         // A worker-recorded path can exist without its parent having been
@@ -148,10 +161,7 @@ impl Inner {
         let attach = |stack: &mut Vec<PhaseNode>, roots: &mut Vec<PhaseNode>| {
             if let Some(done) = stack.pop() {
                 match stack.last_mut() {
-                    Some(parent) => {
-                        parent.self_time = parent.self_time.saturating_sub(done.wall);
-                        parent.children.push(done);
-                    }
+                    Some(parent) => parent.children.push(done),
                     None => roots.push(done),
                 }
             }
@@ -174,7 +184,7 @@ impl Inner {
                 count: agg.count,
                 wall,
                 cpu: Duration::from_nanos(agg.cpu),
-                self_time: wall,
+                self_time: wall.saturating_sub(Duration::from_nanos(agg.in_children)),
                 children: Vec::new(),
             });
         }
@@ -346,7 +356,91 @@ impl Drop for Span {
         if let Some(live) = self.live.take() {
             let elapsed = live.start.elapsed();
             AMBIENT.with(|a| a.borrow_mut().prefix.truncate(live.prev_len));
+            if std::thread::panicking() {
+                UNWOUND.with(|u| u.borrow_mut().clone_from(&live.path));
+            }
             live.inner.record_span(live.path, thread_key(), elapsed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A trace built from `(path, thread, milliseconds)` records.
+    fn trace_of(records: &[(&str, u64, u64)]) -> RunTrace {
+        let tracer = Tracer::enabled();
+        let inner = tracer.inner.as_ref().expect("enabled");
+        for &(path, thread, ms) in records {
+            inner.record_span(path.to_string(), thread, Duration::from_millis(ms));
+        }
+        tracer.snapshot()
+    }
+
+    fn self_ms(trace: &RunTrace, path: &str) -> u128 {
+        trace.phase(path).expect(path).self_time.as_millis()
+    }
+
+    #[test]
+    fn self_time_subtracts_the_busiest_threads_share_of_overlapping_children() {
+        // The caller (thread 1) evaluates for 25 ms and merges for 30 ms
+        // inside a 60 ms level while a pool thread (2) evaluates for 45 ms
+        // beside it. The level spent 60 − (25 + 30) = 5 ms in itself;
+        // subtracting each child's wall (45 + 30) would leave it nothing.
+        let t = trace_of(&[
+            ("level", 1, 60),
+            ("level.eval", 1, 25),
+            ("level.merge", 1, 30),
+            ("level.eval", 2, 45),
+        ]);
+        assert_eq!(self_ms(&t, "level"), 5);
+        let eval = t.phase("level.eval").unwrap();
+        assert_eq!((eval.wall.as_millis(), eval.cpu.as_millis()), (45, 70));
+        assert_eq!(self_ms(&t, "level.merge"), 30);
+    }
+
+    #[test]
+    fn self_time_of_siblings_that_do_not_overlap_is_wall_minus_their_walls() {
+        // Fan-out inside `eval` only, the parent parked meanwhile: the
+        // busiest thread's share is the child's wall, as it always was.
+        let t = trace_of(&[
+            ("level", 1, 100),
+            ("level.enumerate", 1, 10),
+            ("level.eval", 1, 50),
+            ("level.eval.join", 2, 48),
+            ("level.eval.join", 3, 40),
+            ("level.merge", 1, 38),
+        ]);
+        assert_eq!(self_ms(&t, "level"), 100 - (10 + 50 + 38));
+        assert_eq!(self_ms(&t, "level.eval"), 50 - 48);
+        assert_eq!(t.self_time_total().as_millis(), 100, "and the self times telescope");
+    }
+
+    #[test]
+    fn children_one_after_another_on_different_threads_read_as_if_side_by_side() {
+        // The limit of a rule that sees per-thread totals and no clock:
+        // `a` runs for 50 ms on the caller, *then* `b` fans out, 20 ms on
+        // the caller and 45 ms on a pool thread. The children kept the
+        // parent for 50 + 45 = 95 of its 100 ms, but thread for thread
+        // these are the records of `b`'s pool share running beside `a`, so
+        // the parent is charged max(50 + 20, 45) = 70 and keeps the 25 ms
+        // the caller waited on `b`. The sum of self times is then what it
+        // is for overlapping siblings: over the parent's wall by the
+        // siblings' walls minus that charge, never short of it.
+        let t = trace_of(&[("p", 1, 100), ("p.a", 1, 50), ("p.b", 1, 20), ("p.b", 2, 45)]);
+        assert_eq!(self_ms(&t, "p"), 100 - 70);
+        assert_eq!(t.self_time_total().as_millis(), 100 + (50 + 45 - 70));
+        // A span of the caller's around the fan-out settles it: the wait
+        // is that span's, and the sum telescopes.
+        let t = trace_of(&[
+            ("p", 1, 100),
+            ("p.a", 1, 50),
+            ("p.b", 1, 46),
+            ("p.b.item", 1, 20),
+            ("p.b.item", 2, 45),
+        ]);
+        assert_eq!(self_ms(&t, "p"), 100 - (50 + 46));
+        assert_eq!(t.self_time_total().as_millis(), 100);
     }
 }
