@@ -1143,8 +1143,6 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_is_isolated_not_fatal() {
-        // Unique table names: the runtime fault registry is process-global
-        // and tests in this binary run concurrently.
         let n = 100usize;
         let labels: Vec<i64> = (0..n as i64).map(|i| i % 2).collect();
         let base = Table::new(
@@ -1184,7 +1182,7 @@ mod tests {
             "target",
         )
         .unwrap();
-        autofeat_data::faults::arm(
+        ctx.fault_domain().arm(
             "af_panic_bad",
             autofeat_data::faults::TableFaults { panic_on_row: Some(0), slow_join_ms: None },
         );
@@ -1225,7 +1223,7 @@ mod tests {
         );
         assert_eq!(cached.ranked.len(), 1);
 
-        autofeat_data::faults::disarm("af_panic_bad");
+        ctx.fault_domain().disarm("af_panic_bad");
         // With the fault gone the same context discovers both paths.
         let healed = AutoFeat::new(AutoFeatConfig::default().with_cache(true))
             .discover(&ctx)

@@ -283,7 +283,7 @@ impl SearchContext {
     ///
     /// Candidate generation goes through the hybrid LSH + name-similarity
     /// index ([`DrgMaintainer`]) rather than the all-pairs matcher — same
-    /// edges (gated by the `drg_scale` bench), sub-quadratic scoring — and
+    /// edges (`tests/match_oracle.rs`), sub-quadratic scoring — and
     /// the maintainer stays resident as the context's mutable-lake state,
     /// so [`add_table`](SearchContext::add_table)/
     /// [`remove_table`](SearchContext::remove_table) splice incrementally.
@@ -505,10 +505,9 @@ impl SearchContext {
         &self.control
     }
 
-    /// The fault-injection domain scoped to this lake instance. Arm
-    /// runtime faults through this handle (instead of the process-global
-    /// `autofeat_data::faults::arm`) when the fault should fire only for
-    /// runs over this context's tables.
+    /// The fault-injection domain scoped to this lake instance: a runtime
+    /// fault armed through this handle fires only for runs over this
+    /// context's tables.
     pub fn fault_domain(&self) -> &Arc<FaultDomain> {
         &self.faults
     }

@@ -50,7 +50,6 @@ pub mod report;
 pub mod seeding;
 pub mod service;
 pub mod train;
-pub mod tuning;
 
 pub use autofeat::{
     AutoFeat, DiscoveryResult, PathFailure, Phase, RankedPath, ResilienceStats, TruncationReason,
@@ -71,4 +70,3 @@ pub use service::{
     ServiceStats, REQUEST_LOG_CAP,
 };
 pub use train::{train_top_k, TrainOutcome};
-pub use tuning::{tune, TuningGrid, TuningOutcome};

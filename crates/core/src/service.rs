@@ -40,8 +40,9 @@
 //! it grows while requests are served) and the worker pool's
 //! queue/utilization gauges. Read it three ways:
 //!
-//! * [`stats`](DiscoveryService::stats) — the cheap in-process struct,
-//!   now split by outcome with a `peak_in_flight` high-water mark;
+//! * [`stats`](DiscoveryService::stats) — the cheap in-process struct:
+//!   the registry's outcome counters plus a `peak_in_flight` high-water
+//!   mark;
 //! * [`metrics_snapshot`](DiscoveryService::metrics_snapshot) /
 //!   [`metrics_text`](DiscoveryService::metrics_text) /
 //!   [`metrics_json`](DiscoveryService::metrics_json) — the full registry
@@ -58,12 +59,9 @@
 //! [`shutdown`](DiscoveryService::shutdown) when `AUTOFEAT_REQUEST_LOG`
 //! names a file path (or `-`/`stderr` for standard error).
 //!
-//! Telemetry must never perturb results: instrumented serving is asserted
-//! bit-identical to unmetered serving, and its throughput overhead is
-//! gated below 3% (`serve_throughput`'s `metrics_overhead` gate). The
-//! [`new_unmetered`](DiscoveryService::new_unmetered) constructor exists
-//! for that baseline measurement — production callers should always use
-//! [`new`](DiscoveryService::new).
+//! Telemetry never perturbs results — a served request is bit-identical to
+//! the same one-shot [`AutoFeat::discover`] (`tests/serving.rs`) — and what
+//! it costs a request is `lakebench`'s `core.service.overhead_ms`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -253,51 +251,22 @@ impl RequestLogRecord {
     }
 }
 
-/// The always-on atomics behind [`ServiceStats`]. Separate from the
-/// optional registry layer so even an unmetered service keeps exact
-/// outcome accounting.
-#[derive(Debug, Default)]
-struct ServiceCounters {
-    ok: AtomicU64,
-    truncated: AtomicU64,
-    cancelled: AtomicU64,
-    error: AtomicU64,
-    rejected: AtomicU64,
-    in_flight: AtomicU64,
-    peak_in_flight: AtomicU64,
-}
-
-impl ServiceCounters {
-    fn outcome(&self, o: RequestOutcome) -> &AtomicU64 {
-        match o {
-            RequestOutcome::Ok => &self.ok,
-            RequestOutcome::Truncated => &self.truncated,
-            RequestOutcome::Cancelled => &self.cancelled,
-            RequestOutcome::Error => &self.error,
-        }
-    }
-
-    fn served(&self) -> u64 {
-        self.ok.load(Ordering::Relaxed)
-            + self.truncated.load(Ordering::Relaxed)
-            + self.cancelled.load(Ordering::Relaxed)
-            + self.error.load(Ordering::Relaxed)
-    }
-}
-
 #[derive(Debug, Default)]
 struct RequestLog {
     records: VecDeque<RequestLogRecord>,
     dropped: u64,
 }
 
-/// The registry layer: hot-path handles plus the request-log ring. Lives
-/// in an `Arc` so the background stats listener can outlive any one
-/// borrow of the service.
+/// The registry layer: hot-path handles, the occupancy atomics and the
+/// request-log ring. An outcome is counted here and nowhere else —
+/// [`ServiceStats`] reads these counters. Lives in an `Arc` so the
+/// background stats listener can outlive any one borrow of the service.
 #[derive(Debug)]
 struct Telemetry {
     registry: Arc<MetricsRegistry>,
     started: Instant,
+    in_flight: AtomicU64,
+    peak_in_flight: AtomicU64,
     latency: Histogram,
     requests_ok: Counter,
     requests_truncated: Counter,
@@ -359,6 +328,8 @@ impl Telemetry {
             ),
             registry,
             started: Instant::now(),
+            in_flight: AtomicU64::new(0),
+            peak_in_flight: AtomicU64::new(0),
             log: Mutex::new(RequestLog::default()),
             next_id: AtomicU64::new(0),
             log_dumped: AtomicBool::new(false),
@@ -422,14 +393,14 @@ impl Telemetry {
     /// Called just before every snapshot, so scrapes are point-in-time
     /// without any push-side coupling between those subsystems and the
     /// registry.
-    fn refresh_gauges(&self, counters: &ServiceCounters, ctx: &SearchContext) {
+    fn refresh_gauges(&self, ctx: &SearchContext) {
         let reg = &self.registry;
         reg.gauge("autofeat_uptime_seconds", "Seconds since the service was created.")
             .set(self.started.elapsed().as_secs_f64());
         reg.gauge("autofeat_in_flight", "Requests currently executing.")
-            .set(counters.in_flight.load(Ordering::Relaxed) as f64);
+            .set(self.in_flight.load(Ordering::Relaxed) as f64);
         reg.gauge("autofeat_peak_in_flight", "High-water mark of in-flight requests.")
-            .set(counters.peak_in_flight.load(Ordering::Relaxed) as f64);
+            .set(self.peak_in_flight.load(Ordering::Relaxed) as f64);
         if let Ok(log) = self.log.lock() {
             reg.counter(
                 "autofeat_request_log_dropped_total",
@@ -506,8 +477,8 @@ impl Telemetry {
         .set(pool.busy_workers() as f64);
     }
 
-    fn snapshot(&self, counters: &ServiceCounters, ctx: &SearchContext) -> MetricsSnapshot {
-        self.refresh_gauges(counters, ctx);
+    fn snapshot(&self, ctx: &SearchContext) -> MetricsSnapshot {
+        self.refresh_gauges(ctx);
         self.registry.snapshot()
     }
 
@@ -542,7 +513,6 @@ impl Telemetry {
 /// scrape without borrowing the `DiscoveryService` itself.
 struct ServiceMetricsSource {
     telemetry: Arc<Telemetry>,
-    counters: Arc<ServiceCounters>,
     /// A handle on the lake (`Arc`s of its shared state), read through
     /// `latest()` at scrape time.
     ctx: SearchContext,
@@ -551,11 +521,11 @@ struct ServiceMetricsSource {
 
 impl StatsSource for ServiceMetricsSource {
     fn metrics_text(&self) -> String {
-        render_prometheus(&self.telemetry.snapshot(&self.counters, &self.ctx))
+        render_prometheus(&self.telemetry.snapshot(&self.ctx))
     }
 
     fn metrics_json(&self) -> String {
-        render_json(&self.telemetry.snapshot(&self.counters, &self.ctx))
+        render_json(&self.telemetry.snapshot(&self.ctx))
     }
 
     fn healthy(&self) -> bool {
@@ -575,39 +545,16 @@ pub struct DiscoveryService {
     /// This is the context's own handle, so `ctx.cancel()` and
     /// [`shutdown`](DiscoveryService::shutdown) are the same lever.
     control: Arc<RunControl>,
-    counters: Arc<ServiceCounters>,
-    /// The always-on registry layer; `None` only for the unmetered
-    /// overhead-baseline constructor.
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
 }
 
 impl DiscoveryService {
     /// Wrap a loaded lake context into a resident service. `base_config`
     /// is the default configuration for requests that do not carry their
-    /// own. Telemetry is always on; see
-    /// [`new_unmetered`](DiscoveryService::new_unmetered) for the
-    /// benchmark baseline.
+    /// own.
     pub fn new(ctx: SearchContext, base_config: AutoFeatConfig) -> DiscoveryService {
-        DiscoveryService::build(ctx, base_config, true)
-    }
-
-    /// A service without the registry/histogram/request-log layer. Exists
-    /// so `serve_throughput` can measure the overhead of telemetry against
-    /// a true baseline; outcome counting ([`stats`](DiscoveryService::stats))
-    /// stays exact either way. Not for production use.
-    pub fn new_unmetered(ctx: SearchContext, base_config: AutoFeatConfig) -> DiscoveryService {
-        DiscoveryService::build(ctx, base_config, false)
-    }
-
-    fn build(ctx: SearchContext, base_config: AutoFeatConfig, metered: bool) -> DiscoveryService {
         let control = Arc::clone(ctx.control());
-        DiscoveryService {
-            ctx,
-            base_config,
-            control,
-            counters: Arc::new(ServiceCounters::default()),
-            telemetry: metered.then(|| Arc::new(Telemetry::new())),
-        }
+        DiscoveryService { ctx, base_config, control, telemetry: Arc::new(Telemetry::new()) }
     }
 
     /// The underlying lake context (shared state: tables, DRG, cache).
@@ -633,9 +580,7 @@ impl DiscoveryService {
     /// Dumps the request log when `AUTOFEAT_REQUEST_LOG` is set.
     pub fn shutdown(&self) {
         self.control.cancel();
-        if let Some(tel) = &self.telemetry {
-            tel.dump_request_log();
-        }
+        self.telemetry.dump_request_log();
     }
 
     /// Has [`shutdown`](DiscoveryService::shutdown) been requested?
@@ -645,28 +590,30 @@ impl DiscoveryService {
 
     /// Point-in-time service counters, split by outcome.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.counters;
+        let tel = &self.telemetry;
+        let (ok, truncated, cancelled, error) = (
+            tel.requests_ok.get(),
+            tel.requests_truncated.get(),
+            tel.requests_cancelled.get(),
+            tel.requests_error.get(),
+        );
         ServiceStats {
-            requests_served: c.served(),
-            requests_ok: c.ok.load(Ordering::Relaxed),
-            requests_truncated: c.truncated.load(Ordering::Relaxed),
-            requests_cancelled: c.cancelled.load(Ordering::Relaxed),
-            requests_error: c.error.load(Ordering::Relaxed),
-            requests_rejected: c.rejected.load(Ordering::Relaxed),
-            in_flight: c.in_flight.load(Ordering::Relaxed),
-            peak_in_flight: c.peak_in_flight.load(Ordering::Relaxed),
+            requests_served: ok + truncated + cancelled + error,
+            requests_ok: ok,
+            requests_truncated: truncated,
+            requests_cancelled: cancelled,
+            requests_error: error,
+            requests_rejected: tel.requests_rejected.get(),
+            in_flight: tel.in_flight.load(Ordering::Relaxed),
+            peak_in_flight: tel.peak_in_flight.load(Ordering::Relaxed),
             cache: self.ctx.lake_cache().stats(),
         }
     }
 
     /// A fresh snapshot of the full metrics registry (service counters and
-    /// latency histogram, cache governance, pool pressure). Empty for an
-    /// [unmetered](DiscoveryService::new_unmetered) service.
+    /// latency histogram, cache governance, pool pressure).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.telemetry {
-            Some(tel) => tel.snapshot(&self.counters, &self.ctx),
-            None => MetricsSnapshot::default(),
-        }
+        self.telemetry.snapshot(&self.ctx)
     }
 
     /// [`metrics_snapshot`](DiscoveryService::metrics_snapshot) rendered as
@@ -682,24 +629,18 @@ impl DiscoveryService {
     }
 
     /// The bounded structured request log, oldest first (up to
-    /// [`REQUEST_LOG_CAP`] records). Empty for an unmetered service.
+    /// [`REQUEST_LOG_CAP`] records).
     pub fn request_log(&self) -> Vec<RequestLogRecord> {
-        match &self.telemetry {
-            Some(tel) => tel
-                .log
-                .lock()
-                .map(|l| l.records.iter().cloned().collect())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        }
+        self.telemetry
+            .log
+            .lock()
+            .map(|l| l.records.iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Request-log records evicted after the ring filled.
     pub fn request_log_dropped(&self) -> u64 {
-        self.telemetry
-            .as_ref()
-            .and_then(|tel| tel.log.lock().ok().map(|l| l.dropped))
-            .unwrap_or(0)
+        self.telemetry.log.lock().map_or(0, |l| l.dropped)
     }
 
     /// Start the std-only TCP stats listener on `addr` (use
@@ -708,17 +649,9 @@ impl DiscoveryService {
     /// service is shut down) from a background thread. Stop it with
     /// [`StatsListener::stop`] or by dropping the listener; it holds
     /// `Arc`s, not borrows, so it may outlive any one borrow of `self`.
-    /// Errors with `Unsupported` on an unmetered service.
     pub fn serve_metrics(&self, addr: impl std::net::ToSocketAddrs) -> std::io::Result<StatsListener> {
-        let Some(tel) = &self.telemetry else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "metrics listener requires a metered service (DiscoveryService::new)",
-            ));
-        };
         let source = ServiceMetricsSource {
-            telemetry: Arc::clone(tel),
-            counters: Arc::clone(&self.counters),
+            telemetry: Arc::clone(&self.telemetry),
             ctx: self.ctx.clone(),
             control: Arc::clone(&self.control),
         };
@@ -740,10 +673,7 @@ impl DiscoveryService {
         let view = match self.ctx.with_base_label(base, target) {
             Ok(view) => view,
             Err(e) => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(tel) = &self.telemetry {
-                    tel.requests_rejected.incr();
-                }
+                self.telemetry.requests_rejected.incr();
                 return Err(e);
             }
         };
@@ -775,9 +705,7 @@ impl DiscoveryService {
     /// explicit-DRG) context or the name is already present.
     pub fn add_table(&self, table: Table) -> Result<()> {
         self.ctx.add_table(table)?;
-        if let Some(tel) = &self.telemetry {
-            tel.tables_added.incr();
-        }
+        self.telemetry.tables_added.incr();
         Ok(())
     }
 
@@ -789,9 +717,7 @@ impl DiscoveryService {
     /// immutable context.
     pub fn remove_table(&self, name: &str) -> Result<()> {
         self.ctx.remove_table(name)?;
-        if let Some(tel) = &self.telemetry {
-            tel.tables_removed.incr();
-        }
+        self.telemetry.tables_removed.incr();
         Ok(())
     }
 }
@@ -823,27 +749,24 @@ impl PreparedRequest<'_> {
 
     /// Run the request on the calling thread.
     pub fn run(self) -> Result<DiscoveryResult> {
-        let counters = &self.service.counters;
-        let was = counters.in_flight.fetch_add(1, Ordering::Relaxed);
-        counters.peak_in_flight.fetch_max(was + 1, Ordering::Relaxed);
+        let tel = &*self.service.telemetry;
+        let was = tel.in_flight.fetch_add(1, Ordering::Relaxed);
+        tel.peak_in_flight.fetch_max(was + 1, Ordering::Relaxed);
         // The guard only tracks occupancy; outcome accounting happens on
         // the normal return path below (a panic escapes uncounted — the
         // caller is losing the thread anyway).
-        struct InFlight<'s>(&'s ServiceCounters);
+        struct InFlight<'s>(&'s AtomicU64);
         impl Drop for InFlight<'_> {
             fn drop(&mut self) {
-                self.0.in_flight.fetch_sub(1, Ordering::Relaxed);
+                self.0.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        let _guard = InFlight(counters);
+        let _guard = InFlight(&tel.in_flight);
         let started = Instant::now();
         let result = AutoFeat::new(self.config).discover(&self.ctx);
         let duration = started.elapsed();
         let outcome = RequestOutcome::classify(&result);
-        counters.outcome(outcome).fetch_add(1, Ordering::Relaxed);
-        if let Some(tel) = &self.service.telemetry {
-            tel.record_request(&self.base, &self.target, duration, outcome, &result);
-        }
+        tel.record_request(&self.base, &self.target, duration, outcome, &result);
         result
     }
 }
@@ -1089,16 +1012,5 @@ mod tests {
         assert!(text.contains("autofeat_requests_ok_total 3"));
         let json = service.metrics_json();
         assert!(json.contains("\"schema_version\""));
-    }
-
-    #[test]
-    fn unmetered_service_counts_but_exports_nothing() {
-        let service = DiscoveryService::new_unmetered(service_ctx(30), AutoFeatConfig::default());
-        service.submit(&DiscoveryRequest::new()).unwrap();
-        assert_eq!(service.stats().requests_ok, 1, "outcome accounting stays exact");
-        assert!(service.metrics_snapshot().metrics.is_empty());
-        assert!(service.request_log().is_empty());
-        let err = service.serve_metrics("127.0.0.1:0").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
     }
 }

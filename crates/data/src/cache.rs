@@ -1205,7 +1205,10 @@ mod tests {
     fn build_panic_is_isolated_counted_and_retryable() {
         let cache = LakeIndexCache::with_budget(None);
         let r = lake_table("cache_panic_sat", 6);
-        crate::faults::arm(
+        let faults = crate::FaultDomain::new();
+        let scope = crate::RequestScope { faults: Some(faults.clone()), ..crate::RequestScope::capture() };
+        let _in_domain = scope.enter();
+        faults.arm(
             "cache_panic_sat",
             crate::faults::TableFaults { panic_on_row: Some(2), slow_join_ms: None },
         );
@@ -1222,7 +1225,7 @@ mod tests {
         assert_eq!(st.entries, 0, "poisoned slot dropped");
         assert_eq!(st.misses, 0, "a panicked build is not a served miss");
         // Disarm and retry: the entry rebuilds cleanly.
-        crate::faults::disarm("cache_panic_sat");
+        faults.disarm("cache_panic_sat");
         cache.get_or_build(&r, "key").unwrap();
         let st = cache.stats();
         assert_eq!((st.misses, st.entries), (1, 1), "retry succeeds after disarm");

@@ -16,12 +16,8 @@
 //! enter), and every fault armed through the handle is disarmed when the
 //! handle drops. Two
 //! concurrent requests over lakes that happen to contain a same-named
-//! table therefore cannot arm each other's faults.
-//!
-//! The free functions [`arm`]/[`disarm`] target the **global domain**
-//! (id 0), which every lookup falls back to when its scoped domain has no
-//! entry — existing single-lake tests and the corruptor keep working
-//! unchanged, as long as they use unique table names.
+//! table therefore cannot arm each other's faults, and a join outside any
+//! scope sees none.
 //!
 //! Production cost is a single relaxed atomic load per join/build when
 //! nothing is armed anywhere ([`lookup`] bails before touching the map).
@@ -48,10 +44,6 @@ impl TableFaults {
     }
 }
 
-/// Domain id of the process-global registry targeted by the free
-/// [`arm`]/[`disarm`] functions; every scoped lookup falls back to it.
-const GLOBAL_DOMAIN: u64 = 0;
-
 static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -62,26 +54,11 @@ fn registry() -> &'static RwLock<Registry> {
     REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn arm_in(domain: u64, table: &str, faults: TableFaults) {
-    let Ok(mut map) = registry().write() else { return };
-    if faults.is_empty() {
-        if let Some(inner) = map.get_mut(&domain) {
-            inner.remove(table);
-            if inner.is_empty() {
-                map.remove(&domain);
-            }
-        }
-    } else {
-        map.entry(domain).or_default().insert(table.to_string(), faults);
-    }
-    ANY_ARMED.store(!map.is_empty(), Ordering::SeqCst);
-}
-
 /// A fault-registration scope tied to one lake/registry instance.
 ///
 /// Faults armed through a domain are visible only to lookups running under
-/// a scope that carries it (plus the global fallback), and are
-/// disarmed wholesale when the last `Arc<FaultDomain>` clone drops.
+/// a scope that carries it, and are disarmed wholesale when the last
+/// `Arc<FaultDomain>` clone drops.
 #[derive(Debug)]
 pub struct FaultDomain {
     id: u64,
@@ -93,7 +70,7 @@ impl FaultDomain {
         Arc::new(FaultDomain { id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::SeqCst) })
     }
 
-    /// This domain's unique id (0 is reserved for the global domain).
+    /// This domain's process-unique id.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -101,7 +78,18 @@ impl FaultDomain {
     /// Arm `faults` for `table` within this domain, replacing anything
     /// previously armed for it. An empty fault set disarms.
     pub fn arm(&self, table: &str, faults: TableFaults) {
-        arm_in(self.id, table, faults);
+        let Ok(mut map) = registry().write() else { return };
+        if faults.is_empty() {
+            if let Some(inner) = map.get_mut(&self.id) {
+                inner.remove(table);
+                if inner.is_empty() {
+                    map.remove(&self.id);
+                }
+            }
+        } else {
+            map.entry(self.id).or_default().insert(table.to_string(), faults);
+        }
+        ANY_ARMED.store(!map.is_empty(), Ordering::SeqCst);
     }
 
     /// Disarm all faults for `table` within this domain.
@@ -118,34 +106,16 @@ impl Drop for FaultDomain {
     }
 }
 
-/// Arm `faults` for `table` in the **global domain**, replacing anything
-/// previously armed for it. Arming an empty fault set is equivalent to
-/// [`disarm`]. Prefer [`FaultDomain::arm`] when the faults belong to one
-/// lake instance.
-pub fn arm(table: &str, faults: TableFaults) {
-    arm_in(GLOBAL_DOMAIN, table, faults);
-}
-
-/// Disarm all global-domain faults for `table`.
-pub fn disarm(table: &str) {
-    arm(table, TableFaults::default());
-}
-
-/// The faults armed for `table`: the current scope's domain's entry when
-/// there is one and it has it, falling back to the global domain. One atomic
-/// load when the registry is empty — the production fast path.
+/// The faults armed for `table` in the current scope's domain; none outside
+/// a scope that carries one. One atomic load when the registry is empty —
+/// the production fast path.
 pub fn lookup(table: &str) -> Option<TableFaults> {
     if !ANY_ARMED.load(Ordering::Relaxed) {
         return None;
     }
-    let scoped = crate::scope::with_current(|s| s.faults.as_ref().map(|dom| dom.id));
+    let id = crate::scope::with_current(|s| s.faults.as_ref().map(|dom| dom.id))?;
     let map = registry().read().ok()?;
-    if let Some(id) = scoped {
-        if let Some(f) = map.get(&id).and_then(|inner| inner.get(table)) {
-            return Some(*f);
-        }
-    }
-    map.get(&GLOBAL_DOMAIN).and_then(|inner| inner.get(table)).copied()
+    map.get(&id)?.get(table).copied()
 }
 
 #[cfg(test)]
@@ -160,34 +130,31 @@ mod tests {
 
     #[test]
     fn arm_lookup_disarm_roundtrip() {
-        let t = "faults_rt_roundtrip"; // unique name: tests run in parallel
+        let t = "t";
+        let dom = FaultDomain::new();
+        let _g = within(&dom).enter();
         assert_eq!(lookup(t), None);
-        arm(t, TableFaults { panic_on_row: Some(3), slow_join_ms: None });
+        dom.arm(t, TableFaults { panic_on_row: Some(3), slow_join_ms: None });
         assert_eq!(lookup(t).unwrap().panic_on_row, Some(3));
-        arm(t, TableFaults { panic_on_row: None, slow_join_ms: Some(25) });
+        dom.arm(t, TableFaults { panic_on_row: None, slow_join_ms: Some(25) });
         assert_eq!(lookup(t).unwrap().slow_join_ms, Some(25), "re-arm replaces");
-        disarm(t);
+        assert_eq!(lookup("other"), None, "other tables stay clean");
+        dom.disarm(t);
         assert_eq!(lookup(t), None);
     }
 
     #[test]
     fn arming_empty_set_disarms() {
-        let t = "faults_rt_empty";
-        arm(t, TableFaults { panic_on_row: Some(1), slow_join_ms: None });
-        arm(t, TableFaults::default());
-        assert_eq!(lookup(t), None);
-    }
-
-    #[test]
-    fn lookup_misses_other_tables() {
-        arm("faults_rt_a", TableFaults { panic_on_row: Some(0), slow_join_ms: None });
-        assert_eq!(lookup("faults_rt_b"), None);
-        disarm("faults_rt_a");
+        let dom = FaultDomain::new();
+        let _g = within(&dom).enter();
+        dom.arm("t", TableFaults { panic_on_row: Some(1), slow_join_ms: None });
+        dom.arm("t", TableFaults::default());
+        assert_eq!(lookup("t"), None);
     }
 
     #[test]
     fn domains_isolate_same_named_tables() {
-        let t = "faults_rt_shared_name";
+        let t = "shared_name";
         let a = FaultDomain::new();
         let b = FaultDomain::new();
         a.arm(t, TableFaults { panic_on_row: Some(7), slow_join_ms: None });
@@ -203,22 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn scoped_lookup_falls_back_to_global() {
-        let t = "faults_rt_global_fallback";
-        let dom = FaultDomain::new();
-        arm(t, TableFaults { slow_join_ms: Some(9), panic_on_row: None });
-        {
-            let _g = within(&dom).enter();
-            assert_eq!(lookup(t).unwrap().slow_join_ms, Some(9), "global fault visible in scope");
-            dom.arm(t, TableFaults { slow_join_ms: Some(1), panic_on_row: None });
-            assert_eq!(lookup(t).unwrap().slow_join_ms, Some(1), "scoped entry wins");
-        }
-        disarm(t);
-    }
-
-    #[test]
     fn dropping_domain_disarms_its_faults() {
-        let t = "faults_rt_drop_disarms";
+        let t = "t";
         let dom = FaultDomain::new();
         dom.arm(t, TableFaults { panic_on_row: Some(1), slow_join_ms: None });
         let id = dom.id();

@@ -5,8 +5,8 @@
 //! parameter; they read the calling thread's scope: `ctl` is polled by
 //! [`control::ambient_interrupted`](crate::control::ambient_interrupted),
 //! `recorder` is credited with the cache activity this thread causes,
-//! `faults` is resolved by [`faults::lookup`](crate::faults::lookup) before
-//! the global domain, and `trace` is `autofeat-obs`'s tracer and span path,
+//! `faults` is the one domain [`faults::lookup`](crate::faults::lookup)
+//! consults, and `trace` is `autofeat-obs`'s tracer and span path,
 //! whose cell stays in that crate (the scoring kernels trace without
 //! depending on this one) and is entered together with the rest.
 //!

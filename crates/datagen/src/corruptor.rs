@@ -81,9 +81,10 @@ pub struct RuntimeFault {
 }
 
 impl RuntimeFault {
-    /// Arm this fault in the process-wide registry. Call
-    /// [`autofeat_data::faults::disarm`] to heal.
-    pub fn arm(&self) {
+    /// Arm this fault in `domain` — the lake's own
+    /// (`SearchContext::fault_domain`). Call
+    /// [`FaultDomain::disarm`](autofeat_data::FaultDomain::disarm) to heal.
+    pub fn arm(&self, domain: &autofeat_data::FaultDomain) {
         let faults = match self.kind {
             RuntimeFaultKind::PanicOnRow => autofeat_data::faults::TableFaults {
                 panic_on_row: Some(self.value as usize),
@@ -94,7 +95,7 @@ impl RuntimeFault {
                 ..Default::default()
             },
         };
-        autofeat_data::faults::arm(&self.table, faults);
+        domain.arm(&self.table, faults);
     }
 }
 
@@ -364,18 +365,15 @@ mod tests {
 
     #[test]
     fn armed_runtime_fault_reaches_the_registry() {
-        // Unique table name: the registry is process-global and tests run
-        // in parallel.
-        let f = RuntimeFault {
-            table: "corruptor_rt_probe".into(),
-            kind: RuntimeFaultKind::PanicOnRow,
-            value: 3,
-        };
-        f.arm();
-        let got = autofeat_data::faults::lookup("corruptor_rt_probe").expect("armed");
-        assert_eq!(got.panic_on_row, Some(3));
-        autofeat_data::faults::disarm("corruptor_rt_probe");
-        assert!(autofeat_data::faults::lookup("corruptor_rt_probe").is_none());
+        use autofeat_data::{faults::lookup, FaultDomain, RequestScope};
+        let f = RuntimeFault { table: "t".into(), kind: RuntimeFaultKind::PanicOnRow, value: 3 };
+        let domain = FaultDomain::new();
+        let scope = RequestScope { faults: Some(domain.clone()), ..RequestScope::capture() };
+        let _in_domain = scope.enter();
+        f.arm(&domain);
+        assert_eq!(lookup("t").expect("armed").panic_on_row, Some(3));
+        domain.disarm("t");
+        assert!(lookup("t").is_none());
     }
 
     #[test]

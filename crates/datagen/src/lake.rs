@@ -7,7 +7,7 @@ use rand::{RngExt, SeedableRng};
 
 use autofeat_data::{Column, Table, Value};
 use autofeat_discovery::SchemaMatcher;
-use autofeat_graph::Drg;
+use autofeat_graph::{Drg, DrgMaintainer};
 
 use crate::splitter::Snowflake;
 
@@ -70,7 +70,7 @@ impl Lake {
                 refs.push(t);
             }
         }
-        Drg::from_discovery(&refs, matcher)
+        DrgMaintainer::build(&refs, matcher).assemble()
     }
 }
 

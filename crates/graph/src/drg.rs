@@ -2,10 +2,6 @@
 
 use std::collections::HashMap;
 
-use autofeat_data::Table;
-use autofeat_discovery::{ColumnProfile, SchemaMatcher};
-use autofeat_obs as obs;
-
 /// Node identifier (index into the DRG's table list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -223,53 +219,6 @@ impl DrgBuilder {
     }
 }
 
-impl Drg {
-    /// Build a DRG from a dataset collection by running the schema matcher
-    /// over every table pair — the *data-lake setting* offline phase.
-    pub fn from_discovery(tables: &[&Table], matcher: &SchemaMatcher) -> Drg {
-        let _span = obs::span("drg_build");
-        let mut b = DrgBuilder::new();
-        for t in tables {
-            b.add_table(t.name());
-        }
-        let profiles: Vec<Vec<ColumnProfile>> = {
-            let _span = obs::span("profile");
-            tables.iter().map(|t| ColumnProfile::build_all(t)).collect()
-        };
-        {
-            let _span = obs::span("match");
-            for i in 0..tables.len() {
-                for j in (i + 1)..tables.len() {
-                    for m in matcher.match_profiles(&profiles[i], &profiles[j]) {
-                        b.add_discovered(
-                            tables[i].name(),
-                            &m.left_column,
-                            tables[j].name(),
-                            &m.right_column,
-                            m.score,
-                        );
-                    }
-                }
-            }
-        }
-        let drg = b.build();
-        obs::add("graph.nodes", drg.n_nodes() as u64);
-        obs::add("graph.edges_added", drg.n_edges() as u64);
-        drg
-    }
-
-    /// LSH-accelerated discovery: only column pairs that collide in the
-    /// recall-heavy MinHash LSH index **or** clear the name-candidacy
-    /// threshold get full similarity scoring — sub-quadratic in practice
-    /// with edge parity against [`from_discovery`](Self::from_discovery)
-    /// (the pure-LSH variant used to drop name-only matches; see
-    /// `crate::incremental` for the hybrid candidate model). Nodes are laid
-    /// out in sorted table-name order.
-    pub fn from_discovery_lsh(tables: &[&Table], matcher: &SchemaMatcher) -> Drg {
-        crate::incremental::DrgMaintainer::build(tables, matcher).assemble()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,78 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn from_discovery_builds_multigraph() {
-        use autofeat_data::{Column, Table};
-        let t1 = Table::new(
-            "t1",
-            vec![("id", Column::from_ints((0..30).map(Some).collect::<Vec<_>>()))],
-        )
-        .unwrap();
-        let t2 = Table::new(
-            "t2",
-            vec![
-                ("id", Column::from_ints((0..30).map(Some).collect::<Vec<_>>())),
-                ("id_copy", Column::from_ints((0..30).map(Some).collect::<Vec<_>>())),
-            ],
-        )
-        .unwrap();
-        let g = Drg::from_discovery(&[&t1, &t2], &SchemaMatcher::paper_default());
-        assert_eq!(g.n_nodes(), 2);
-        assert!(g.n_edges() >= 2, "expected multi-edges, got {}", g.n_edges());
-        assert!(g.edges().iter().all(|e| e.provenance == EdgeProvenance::Discovered));
-    }
-
-    #[test]
     fn unknown_table_lookup() {
         assert_eq!(diamond().node("ghost"), None);
-    }
-
-    #[test]
-    fn lsh_discovery_finds_value_overlapping_edges() {
-        use autofeat_data::{Column, Table};
-        let t1 = Table::new(
-            "t1",
-            vec![("key", Column::from_ints((0..200).map(Some).collect::<Vec<_>>()))],
-        )
-        .unwrap();
-        let t2 = Table::new(
-            "t2",
-            vec![
-                ("key", Column::from_ints((0..200).map(Some).collect::<Vec<_>>())),
-                (
-                    "unrelated",
-                    Column::from_ints((90_000..90_200).map(Some).collect::<Vec<_>>()),
-                ),
-            ],
-        )
-        .unwrap();
-        let matcher = SchemaMatcher::paper_default();
-        let full = Drg::from_discovery(&[&t1, &t2], &matcher);
-        let lsh = Drg::from_discovery_lsh(&[&t1, &t2], &matcher);
-        // The shared-key edge must be present in both constructions.
-        let has_key_edge = |g: &Drg| {
-            g.edges()
-                .iter()
-                .any(|e| e.a_column == "key" && e.b_column == "key")
-        };
-        assert!(has_key_edge(&full));
-        assert!(has_key_edge(&lsh));
-        // LSH never invents edges the full matcher would reject.
-        assert!(lsh.n_edges() <= full.n_edges());
-    }
-
-    #[test]
-    fn lsh_discovery_skips_same_table_pairs() {
-        use autofeat_data::{Column, Table};
-        let t = Table::new(
-            "t",
-            vec![
-                ("a", Column::from_ints((0..100).map(Some).collect::<Vec<_>>())),
-                ("b", Column::from_ints((0..100).map(Some).collect::<Vec<_>>())),
-            ],
-        )
-        .unwrap();
-        let g = Drg::from_discovery_lsh(&[&t], &SchemaMatcher::paper_default());
-        assert_eq!(g.n_edges(), 0, "no self-table edges");
     }
 }

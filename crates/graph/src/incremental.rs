@@ -18,9 +18,9 @@
 //! its cached name similarity reaches [`NAME_CANDIDATE_TAU`]. With the
 //! default 0.5/0.5 blend, a sub-τ name contributes < 0.375, so surviving
 //! the 0.55 threshold needs instance similarity ≥ 0.35 — overlap the
-//! recall-heavy banding catches with probability ≥ 0.99. Candidate parity
-//! with the all-pairs matcher is additionally gated empirically by the
-//! `drg_scale` bench on generated lakes.
+//! recall-heavy banding catches with probability ≥ 0.99. Edge parity with
+//! an all-pairs reference is asserted on generated lakes by
+//! `tests/match_oracle.rs` and `tests/lake_mutation.rs`.
 //!
 //! ## Purity under mutation
 //!
@@ -244,8 +244,8 @@ impl DrgMaintainer {
     }
 
     /// Assemble the current DRG: nodes in sorted table-name order, edges
-    /// per ordered table pair in matcher order — the exact layout the
-    /// all-pairs `Drg::from_discovery` produces over sorted input.
+    /// per ordered table pair in matcher order — the exact layout an
+    /// all-pairs match over name-sorted tables produces.
     pub fn assemble(&self) -> Drg {
         let _span = obs::span("drg_assemble");
         let mut b = DrgBuilder::new();
@@ -352,6 +352,7 @@ fn pair_list(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drg::EdgeProvenance;
     use autofeat_data::Column;
 
     fn table(name: &str, cols: Vec<(&str, Vec<Option<i64>>)>) -> Table {
@@ -389,6 +390,31 @@ mod tests {
         })
     }
 
+    /// The reference the hybrid candidate model is held to: the schema
+    /// matcher over every table pair, no LSH and no name gate.
+    fn all_pairs_drg(tables: &[&Table], matcher: &SchemaMatcher) -> Drg {
+        let mut b = DrgBuilder::new();
+        for t in tables {
+            b.add_table(t.name());
+        }
+        let profiles: Vec<Vec<ColumnProfile>> =
+            tables.iter().map(|t| ColumnProfile::build_all(t)).collect();
+        for i in 0..tables.len() {
+            for j in (i + 1)..tables.len() {
+                for m in matcher.match_profiles(&profiles[i], &profiles[j]) {
+                    b.add_discovered(
+                        tables[i].name(),
+                        &m.left_column,
+                        tables[j].name(),
+                        &m.right_column,
+                        m.score,
+                    );
+                }
+            }
+        }
+        b.build()
+    }
+
     #[test]
     fn build_matches_all_pairs_discovery() {
         let tables = lake();
@@ -397,10 +423,27 @@ mod tests {
         // Sorted input so the all-pairs node order matches assemble()'s.
         let mut sorted = refs.clone();
         sorted.sort_by_key(|t| t.name().to_string());
-        let full = Drg::from_discovery(&sorted, &matcher);
+        let full = all_pairs_drg(&sorted, &matcher);
         let inc = DrgMaintainer::build(&refs, &matcher).assemble();
         assert!(drg_identical(&full, &inc), "hybrid build must reproduce all-pairs edges");
         assert!(inc.n_edges() >= 3, "expected the user_id clique: {:?}", inc.edges());
+    }
+
+    #[test]
+    fn build_yields_discovered_multi_edges() {
+        let t1 = table("t1", vec![("id", ints(0..30))]);
+        let t2 = table("t2", vec![("id", ints(0..30)), ("id_copy", ints(0..30))]);
+        let g = DrgMaintainer::build(&[&t1, &t2], &SchemaMatcher::paper_default()).assemble();
+        assert_eq!(g.n_nodes(), 2);
+        assert!(g.n_edges() >= 2, "expected multi-edges, got {}", g.n_edges());
+        assert!(g.edges().iter().all(|e| e.provenance == EdgeProvenance::Discovered));
+    }
+
+    #[test]
+    fn a_table_never_matches_itself() {
+        let t = table("t", vec![("a", ints(0..100)), ("b", ints(0..100))]);
+        let g = DrgMaintainer::build(&[&t], &SchemaMatcher::paper_default()).assemble();
+        assert_eq!(g.n_edges(), 0, "no self-table edges");
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! lock on any hot path. The registry's only lock guards the name → handle
 //! map, taken at registration and snapshot time.
 //!
-//! Nothing here feeds back into discovery decisions — instrumented code
-//! paths stay bit-identical with telemetry enabled or disabled (gated by
-//! the `serve_throughput` bench).
+//! Nothing here feeds back into discovery decisions: a served request is
+//! bit-identical to the same one-shot run (`tests/serving.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

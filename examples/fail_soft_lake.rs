@@ -107,7 +107,7 @@ fn main() {
         kind: datagen::RuntimeFaultKind::SlowJoinMs,
         value: 10_000,
     }
-    .arm();
+    .arm(ctx.fault_domain());
     let ctrl = std::sync::Arc::clone(ctx.control());
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -116,7 +116,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let partial = AutoFeat::new(config).discover(&ctx).expect("cancellation is not an error");
     canceller.join().expect("canceller thread");
-    autofeat::data::faults::disarm("s0");
+    ctx.fault_domain().disarm("s0");
     println!(
         "\nCancelled mid-run after {:?}: {} path(s) still ranked, cancel latency {:?}",
         t0.elapsed(),

@@ -1,15 +1,17 @@
-//! Integration tests for the extension features: beam pruning, dynamic
-//! tuning, LSH-accelerated discovery, the streaming selector, the join-tree
+//! Integration tests for the extension features: beam pruning,
+//! LSH-accelerated discovery, the streaming selector, the join-tree
 //! trainer, and the relational ops working together.
 
 use autofeat::core::compute_score;
-use autofeat::core::tuning::{tune, TuningGrid};
 use autofeat::data::encode::label_encode_column;
 use autofeat::data::ops::{filter, group_by, sort_by, Aggregate, Order};
-use autofeat::graph::Drg;
+use autofeat::graph::DrgMaintainer;
 use autofeat::metrics::streaming::StreamingSelector;
 use autofeat::prelude::*;
 use autofeat::{context_from_lake, context_from_snowflake, datagen};
+
+mod common;
+use common::match_oracle;
 
 fn credit_lake() -> datagen::lake::Lake {
     datagen::registry::dataset("credit").unwrap().build_lake()
@@ -29,51 +31,23 @@ fn beam_pruning_reduces_joins_without_losing_the_lake() {
 }
 
 #[test]
-fn tuning_picks_a_configuration_from_the_grid() {
-    let spec = datagen::registry::dataset("credit").unwrap();
-    let ctx = context_from_snowflake(&spec.build_snowflake()).unwrap();
-    let grid = TuningGrid {
-        taus: vec![0.5, 0.65],
-        kappas: vec![5, 15],
-        ..Default::default()
-    };
-    let out = tune(&ctx, &AutoFeatConfig::paper(), &grid).unwrap();
-    assert_eq!(out.trials.len(), 4);
-    assert!(grid.taus.contains(&out.config.tau));
-    // The tuned config must still discover paths.
-    let d = AutoFeat::new(out.config).discover(&ctx).unwrap();
-    assert!(!d.ranked.is_empty());
-}
-
-#[test]
 fn lsh_discovery_agrees_with_full_matching_on_key_edges() {
     let lake = credit_lake();
     let refs: Vec<&Table> = lake.tables.iter().collect();
     let matcher = SchemaMatcher::paper_default();
-    let full = Drg::from_discovery(&refs, &matcher);
-    let lsh = Drg::from_discovery_lsh(&refs, &matcher);
-    // Every KFK-style (same-name, full-overlap) edge found by the full
-    // matcher must also be found via LSH.
-    let key_edges = |g: &Drg| -> Vec<(String, String)> {
-        g.edges()
-            .iter()
-            .filter(|e| e.a_column == e.b_column && e.weight > 0.9)
-            .map(|e| {
-                let mut pair = (
-                    format!("{}.{}", g.table_name(e.a), e.a_column),
-                    format!("{}.{}", g.table_name(e.b), e.b_column),
-                );
-                if pair.0 > pair.1 {
-                    std::mem::swap(&mut pair.0, &mut pair.1);
-                }
-                pair
-            })
-            .collect()
-    };
-    let full_keys = key_edges(&full);
-    let lsh_keys = key_edges(&lsh);
-    for k in &full_keys {
-        assert!(lsh_keys.contains(k), "LSH missed key edge {k:?}");
+    let full = match_oracle::drg_edges(&refs, matcher.config());
+    let lsh = match_oracle::edges_of(&DrgMaintainer::build(&refs, &matcher).assemble());
+    // Every KFK-style (same-name, full-overlap) edge the all-pairs reference
+    // finds must also be found via LSH.
+    let key_edges: Vec<&match_oracle::Edge> = full
+        .iter()
+        .filter(|(_, a_column, _, b_column, weight)| {
+            a_column == b_column && f64::from_bits(*weight) > 0.9
+        })
+        .collect();
+    assert!(!key_edges.is_empty(), "the credit lake has key edges");
+    for k in key_edges {
+        assert!(lsh.contains(k), "LSH missed key edge {k:?}");
     }
 }
 

@@ -210,9 +210,8 @@ fn discovery_over_corrupted_lake_completes_and_ranks_healthy_paths() {
     std::fs::remove_dir_all(&lake.dir).ok();
 }
 
-/// A minimal base + single-satellite lake whose tables carry `prefix`-unique
-/// names, so armed runtime faults (keyed by table name, process-global)
-/// cannot leak into concurrently running tests.
+/// A minimal base + single-satellite lake, written to and read back from a
+/// `prefix`-named temp directory of its own (tests run concurrently).
 fn renamed_single_satellite_ctx(prefix: &str) -> (SearchContext, usize) {
     let gt = datagen::generator::generate(&datagen::GroundTruthConfig {
         n_rows: 120,
@@ -262,7 +261,7 @@ fn planned_runtime_panic_is_isolated_and_heals_on_disarm() {
     let mut inj = FaultInjector::new(11);
     let fault = inj.plan_runtime("rtpanic_s0", RuntimeFaultKind::PanicOnRow, n_rows);
     assert!((fault.value as usize) < n_rows);
-    fault.arm();
+    fault.arm(ctx.fault_domain());
 
     // The armed panic fires inside a worker; the run must complete with the
     // failure isolated and accounted, never abort the process.
@@ -274,7 +273,7 @@ fn planned_runtime_panic_is_isolated_and_heals_on_disarm() {
     );
     assert!(result.ranked.is_empty(), "the only path is poisoned");
 
-    autofeat::data::faults::disarm("rtpanic_s0");
+    ctx.fault_domain().disarm("rtpanic_s0");
     let healed = AutoFeat::paper().discover(&ctx).unwrap();
     assert!(healed.failures.is_empty(), "{:?}", healed.failures);
     assert_eq!(healed.resilience.worker_panics, 0);
@@ -288,12 +287,12 @@ fn planned_slow_join_trips_the_deadline_not_an_error() {
     // (anytime semantics), not error it, and the slow join's sleep must be
     // interruptible rather than running to completion.
     RuntimeFault { table: "rtslow_s0".into(), kind: RuntimeFaultKind::SlowJoinMs, value: 2_000 }
-        .arm();
+        .arm(ctx.fault_domain());
     let cfg = AutoFeatConfig::paper().with_time_budget(std::time::Duration::from_millis(40));
     let t0 = std::time::Instant::now();
     let result = AutoFeat::new(cfg).discover(&ctx).unwrap();
     let elapsed = t0.elapsed();
-    autofeat::data::faults::disarm("rtslow_s0");
+    ctx.fault_domain().disarm("rtslow_s0");
     assert!(
         matches!(result.truncation, Some(TruncationReason::DeadlineExceeded { .. })),
         "expected deadline truncation, got {:?}",

@@ -5,15 +5,14 @@
 //! isolated per path at every thread count.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use autofeat::core::discovery_health_report;
-use autofeat::data::faults;
 use autofeat::datagen::{RuntimeFault, RuntimeFaultKind};
 use autofeat::prelude::*;
 
 mod common;
-use common::{assert_bit_identical, lake_ctx};
+use common::{assert_bit_identical, lake_ctx, wide_uniform_ctx};
 
 /// Whatever survived truncation must still be a well-formed ranking:
 /// NaN-safe non-increasing scores and non-empty join paths. (Empty feature
@@ -36,13 +35,12 @@ fn assert_valid_ranking(r: &DiscoveryResult, what: &str) {
     }
 }
 
-/// base(k, target) — {prefix}_sat(k, signal): tiny lake whose satellite
-/// carries a unique name, so process-global runtime faults armed against it
-/// cannot leak into concurrently running tests.
-fn prefixed_ctx(prefix: &str, n: usize) -> SearchContext {
+/// base(k, target) — sat(k, signal): a tiny lake with one satellite to arm
+/// runtime faults against.
+fn single_sat_ctx(n: usize) -> SearchContext {
     let labels: Vec<i64> = (0..n as i64).map(|i| i % 2).collect();
     let base = Table::new(
-        format!("{prefix}_base"),
+        "base",
         vec![
             ("k", Column::from_ints((0..n as i64).map(Some).collect::<Vec<_>>())),
             ("target", Column::from_ints(labels.iter().copied().map(Some).collect::<Vec<_>>())),
@@ -50,7 +48,7 @@ fn prefixed_ctx(prefix: &str, n: usize) -> SearchContext {
     )
     .unwrap();
     let sat = Table::new(
-        format!("{prefix}_sat"),
+        "sat",
         vec![
             ("k", Column::from_ints((0..n as i64).map(Some).collect::<Vec<_>>())),
             (
@@ -62,8 +60,8 @@ fn prefixed_ctx(prefix: &str, n: usize) -> SearchContext {
     .unwrap();
     SearchContext::from_kfk(
         vec![base, sat],
-        &[(format!("{prefix}_base"), "k".into(), format!("{prefix}_sat"), "k".into())],
-        format!("{prefix}_base"),
+        &[("base".into(), "k".into(), "sat".into(), "k".into())],
+        "base",
         "target",
     )
     .unwrap()
@@ -85,7 +83,10 @@ fn every_deadline_yields_a_valid_possibly_truncated_ranking() {
         let cfg = AutoFeatConfig::default()
             .with_seed(7)
             .with_time_budget(Duration::from_millis(ms));
+        let started = Instant::now();
         let r = AutoFeat::new(cfg).discover(&ctx).unwrap();
+        let overrun = started.elapsed().saturating_sub(Duration::from_millis(ms));
+        assert!(overrun <= Duration::from_millis(250), "budget {ms}ms overran by {overrun:?}");
         assert_valid_ranking(&r, &format!("budget {ms}ms"));
         if ms == 0 {
             assert!(
@@ -105,31 +106,43 @@ fn every_deadline_yields_a_valid_possibly_truncated_ranking() {
     }
 }
 
+/// A cancelled run reports its cancel latency on the result and, traced, as
+/// the `resilience.cancel_latency_secs` distribution — both under the bound.
+fn assert_cancel_latency_bounded(r: &DiscoveryResult, what: &str) {
+    const BOUND: Duration = Duration::from_millis(250);
+    assert_eq!(r.truncation, Some(TruncationReason::Cancelled), "{what}");
+    let latency = r.resilience.cancel_latency.expect("cancel was observed mid-run");
+    assert!(latency < BOUND, "{what}: cancel latency {latency:?}");
+    let trace = r.trace.as_ref().expect("traced run");
+    let (_, dist) = trace
+        .dists
+        .iter()
+        .find(|(name, _)| name == "resilience.cancel_latency_secs")
+        .unwrap_or_else(|| panic!("{what}: trace carries no cancel latency"));
+    assert!(dist.count >= 1, "{what}");
+    assert!(dist.max_secs <= BOUND.as_secs_f64(), "{what}: traced max {}s", dist.max_secs);
+}
+
 #[test]
 fn cancel_from_another_thread_is_bounded_and_reported() {
-    let ctx = prefixed_ctx("rsl_cancel", 200);
+    let ctx = single_sat_ctx(200);
     // A join that would take ~10s: the run can only finish via the cancel.
     RuntimeFault {
-        table: "rsl_cancel_sat".into(),
+        table: "sat".into(),
         kind: RuntimeFaultKind::SlowJoinMs,
         value: 10_000,
     }
-    .arm();
+    .arm(ctx.fault_domain());
     let ctrl = Arc::clone(ctx.control());
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
         ctrl.cancel();
     });
-    let r = AutoFeat::new(AutoFeatConfig::default()).discover(&ctx).unwrap();
+    let r = AutoFeat::new(AutoFeatConfig::default().with_trace(true)).discover(&ctx).unwrap();
     canceller.join().unwrap();
-    faults::disarm("rsl_cancel_sat");
+    ctx.fault_domain().disarm("sat");
 
-    assert_eq!(r.truncation, Some(TruncationReason::Cancelled));
-    let latency = r.resilience.cancel_latency.expect("cancel was observed mid-run");
-    assert!(
-        latency < Duration::from_millis(250),
-        "cancel must cut the slow join short, latency {latency:?}"
-    );
+    assert_cancel_latency_bounded(&r, "cancel inside a slow join");
     let health = discovery_health_report(&r);
     assert!(health.contains("truncated: cancelled"), "{health}");
     assert!(health.contains("cancel latency"), "{health}");
@@ -140,22 +153,53 @@ fn cancel_from_another_thread_is_bounded_and_reported() {
     let healed = AutoFeat::new(AutoFeatConfig::default()).discover(&ctx).unwrap();
     assert_eq!(healed.truncation, None);
     assert!(!healed.ranked.is_empty());
+
+    // The same bound when the cancel lands in real work — joins and scoring,
+    // no sleep to interrupt. The canceller fires 40% into a run as long as
+    // the quickest of three; a run that finishes first is drawn again.
+    let ctx = wide_uniform_ctx(24, 2_000, 3);
+    for threads in [1usize, 4] {
+        let cfg = || AutoFeatConfig::default().with_seed(42).with_threads(threads).with_trace(true);
+        let reference = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                let r = AutoFeat::new(cfg()).discover(&ctx).unwrap();
+                assert_eq!(r.truncation, None);
+                t.elapsed()
+            })
+            .min()
+            .expect("three runs");
+        let landed = (0..20).find_map(|_| {
+            let ctrl = Arc::clone(ctx.control());
+            let canceller = std::thread::spawn(move || {
+                std::thread::sleep(reference.mul_f64(0.4));
+                ctrl.cancel();
+            });
+            let r = AutoFeat::new(cfg()).discover(&ctx).unwrap();
+            canceller.join().unwrap();
+            ctx.control().reset();
+            r.truncation.is_some().then_some(r)
+        });
+        let r = landed.unwrap_or_else(|| {
+            panic!("{threads} worker(s): no cancel landed 40% into a {reference:?} run in 20 tries")
+        });
+        let what = format!("cancel in real work, {threads} worker(s)");
+        assert_cancel_latency_bounded(&r, &what);
+        assert_valid_ranking(&r, &what);
+    }
 }
 
 #[test]
 fn injected_panic_never_aborts_at_any_thread_count() {
     for threads in [1usize, 4] {
-        let ctx = prefixed_ctx(&format!("rsl_panic{threads}"), 150);
-        RuntimeFault {
-            table: format!("rsl_panic{threads}_sat"),
-            kind: RuntimeFaultKind::PanicOnRow,
-            value: 0,
-        }
-        .arm();
-        let r = AutoFeat::new(AutoFeatConfig::default().with_threads(threads))
-            .discover(&ctx)
-            .unwrap();
-        faults::disarm(&format!("rsl_panic{threads}_sat"));
+        let discover = |ctx: &SearchContext| {
+            AutoFeat::new(AutoFeatConfig::default().with_threads(threads)).discover(ctx).unwrap()
+        };
+        let ctx = single_sat_ctx(150);
+        RuntimeFault { table: "sat".into(), kind: RuntimeFaultKind::PanicOnRow, value: 0 }
+            .arm(ctx.fault_domain());
+        let r = discover(&ctx);
+        ctx.fault_domain().disarm("sat");
         assert!(
             r.failures.iter().any(|f| f.error.contains("panic"))
                 || r.resilience.worker_panics >= 1,
@@ -164,6 +208,10 @@ fn injected_panic_never_aborts_at_any_thread_count() {
         assert_eq!(r.truncation, None, "a panic is a path failure, not a truncation");
         let health = discovery_health_report(&r);
         assert!(health.contains("hop failure(s) isolated"), "{health}");
+        // Healed, the lake answers as one that was never faulted.
+        let healed = discover(&ctx);
+        assert!(!healed.ranked.is_empty());
+        assert_bit_identical(&discover(&single_sat_ctx(150)), &healed, "healed run");
     }
 }
 
