@@ -880,6 +880,22 @@ impl Search {
             obs::record_secs("resilience.cancel_latency_secs", latency.as_secs_f64());
         }
         out.cache = recorder.map(|r| r.attributed(ctx.lake_cache()));
+        // The trace's `cache.*` counters are a view of this request's share.
+        for (name, n) in out.cache.iter().flat_map(|c| {
+            [
+                ("cache.hits", c.hits),
+                ("cache.misses", c.misses),
+                ("cache.admission_rejected", c.rejections),
+                ("cache.evictions", c.evictions),
+                ("cache.evicted_bytes", c.evicted_bytes),
+                ("cache.invalidations", c.invalidations),
+                ("cache.invalidated_bytes", c.invalidated_bytes),
+                ("cache.build_panics", c.build_panics),
+                ("cache.lock_recoveries", c.lock_recoveries),
+            ]
+        }) {
+            obs::add(name, n);
+        }
         out.lake_payload_bytes = ctx.lake_payload_bytes();
         out.elapsed = t0.elapsed();
         out
@@ -1097,13 +1113,14 @@ mod tests {
             result.resilience.cancel_latency.is_some(),
             "cancelled runs report their cancel latency"
         );
-        // The context control is reusable after a reset: the next run is
-        // healthy and bit-identical to an never-cancelled one.
-        ctx.control().reset();
-        let again = AutoFeat::paper().discover(&ctx).unwrap();
+        // A cancel is final; a view of the same lake with a fresh control
+        // runs healthy and bit-identical to a never-cancelled context.
+        let fresh = ctx.clone().with_request_control(Arc::new(RunControl::new()));
+        let again = AutoFeat::paper().discover(&fresh).unwrap();
         assert_eq!(again.truncation, None);
         assert!(!again.ranked.is_empty());
         assert_eq!(again.resilience, ResilienceStats::default());
+        assert_results_identical(&again, &AutoFeat::paper().discover(&chain_ctx(100)).unwrap());
     }
 
     #[test]
@@ -1114,13 +1131,15 @@ mod tests {
         let ctx = chain_ctx(100);
         ctx.control().arm_budget(Duration::ZERO);
         let cfg = AutoFeatConfig::default().with_time_budget(Duration::from_secs(600));
-        let result = AutoFeat::new(cfg).discover(&ctx).unwrap();
+        let result = AutoFeat::new(cfg.clone()).discover(&ctx).unwrap();
         assert!(
             matches!(result.truncation, Some(TruncationReason::DeadlineExceeded { .. })),
             "{:?}",
             result.truncation
         );
-        ctx.control().reset();
+        let fresh = ctx.clone().with_request_control(Arc::new(RunControl::new()));
+        let healthy = AutoFeat::new(cfg).discover(&fresh).unwrap();
+        assert_eq!(healthy.truncation, None, "a fresh control carries no deadline");
     }
 
     #[test]

@@ -589,8 +589,11 @@ mod tests {
         let clone = ctx.clone();
         clone.cancel();
         assert!(ctx.control().is_cancelled(), "clones share one control");
-        ctx.control().reset();
-        assert!(!clone.control().is_cancelled());
+        // A view with a fresh control runs again; the lake's control stays
+        // cancelled.
+        let fresh = ctx.clone().with_request_control(Arc::new(RunControl::new()));
+        assert!(!fresh.control().is_cancelled());
+        assert!(clone.control().is_cancelled());
     }
 
     #[test]
@@ -606,7 +609,7 @@ mod tests {
         assert_eq!(view.base_name(), "ext");
         assert_eq!(view.label(), "f");
         assert!(std::ptr::eq(ctx.lake_cache(), view.lake_cache()), "one cache per lake");
-        assert_eq!(ctx.fault_domain().id(), view.fault_domain().id(), "one fault domain");
+        assert!(Arc::ptr_eq(ctx.fault_domain(), view.fault_domain()), "one fault domain");
         assert!(ctx.with_base_label("ghost", "f").is_err(), "unknown base rejected");
         assert!(ctx.with_base_label("ext", "ghost").is_err(), "missing label rejected");
         // A request-scoped control detaches the view from the shared one.

@@ -257,7 +257,8 @@ pub fn secs(d: Duration) -> f64 {
 mod tests {
     use super::*;
     use crate::autofeat::AutoFeat;
-    use autofeat_data::Column;
+    use autofeat_data::{Column, RunControl};
+    use std::sync::Arc;
 
     fn ctx(n: usize) -> SearchContext {
         let labels: Vec<i64> = (0..n as i64).map(|i| i % 2).collect();
@@ -351,9 +352,9 @@ mod tests {
         assert!(out.interrupted, "cancel before training = graceful partial outcome");
         assert!(out.best_path.is_none());
         assert_eq!(out.result.n_tables_joined, 0, "falls back to the bare base table");
-        c.control().reset();
+        let fresh = c.clone().with_request_control(Arc::new(RunControl::new()));
         let healthy = train_top_k(
-            &c,
+            &fresh,
             &discovery,
             &[ModelKind::RandomForest],
             &AutoFeatConfig::default(),

@@ -178,19 +178,19 @@ pub struct CacheStats {
     pub invalidated_bytes: u64,
 }
 
-/// Per-request cache activity counters, for attribution when several
-/// requests share one [`LakeIndexCache`].
-///
-/// A before/after delta of the cache's own counters misattributes work the
-/// moment two runs overlap: request A's hits land in request B's delta.
-/// Instead, each run creates a recorder and carries it in its
+/// The cache's one counter set: a [`LakeIndexCache`] holds one for its
+/// lifetime totals, and each request carries its own in its
 /// [`RequestScope`](crate::scope::RequestScope) (which fan-out workers
-/// enter), and the cache mirrors every counter bump into the recorder of
-/// the thread doing the work — so a hit is
-/// credited to exactly the request that probed, a build to the request
-/// whose worker won the build race, an eviction to the request whose
-/// budget application triggered it. Summing all concurrent recorders
-/// reproduces the cache's global counter delta exactly.
+/// enter).
+///
+/// Every cache event is counted by one call that bumps the cache's set and
+/// the set of the thread doing the work — so a hit is credited to exactly
+/// the request that probed, a build to the request whose worker won the
+/// build race, an eviction to the request whose budget application
+/// triggered it, and the sets of all requests sum to the cache's totals. (A
+/// before/after delta of the totals would misattribute the moment two
+/// requests overlap.) [`LakeIndexCache::stats`] and
+/// [`attributed`](CacheRecorder::attributed) read through one loader.
 #[derive(Debug, Default)]
 pub struct CacheRecorder {
     hits: AtomicU64,
@@ -222,34 +222,43 @@ impl CacheRecorder {
     /// (resident/entries/peak/budget) are read from `cache`, since
     /// occupancy describes the shared structure, not any one request.
     pub fn attributed(&self, cache: &LakeIndexCache) -> CacheStats {
-        let occupancy = cache.stats();
+        self.load(cache.occupancy())
+    }
+
+    /// The one loader: these counters beside `occ`.
+    fn load(&self, occ: Occupancy) -> CacheStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            build_time: Duration::from_nanos(self.build_nanos.load(Ordering::Relaxed)),
-            resident_bytes: occupancy.resident_bytes,
-            entries: occupancy.entries,
-            evictions: self.evictions.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-            rejections: self.rejections.load(Ordering::Relaxed),
-            peak_resident_bytes: occupancy.peak_resident_bytes,
-            budget_bytes: occupancy.budget_bytes,
-            lock_recoveries: self.lock_recoveries.load(Ordering::Relaxed),
-            build_panics: self.build_panics.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            invalidated_bytes: self.invalidated_bytes.load(Ordering::Relaxed),
+            hits: get(&self.hits),
+            misses: get(&self.misses),
+            build_time: Duration::from_nanos(get(&self.build_nanos)),
+            resident_bytes: occ.resident,
+            entries: occ.entries,
+            evictions: get(&self.evictions),
+            evicted_bytes: get(&self.evicted_bytes),
+            rejections: get(&self.rejections),
+            peak_resident_bytes: occ.peak,
+            budget_bytes: occ.budget,
+            lock_recoveries: get(&self.lock_recoveries),
+            build_panics: get(&self.build_panics),
+            invalidations: get(&self.invalidations),
+            invalidated_bytes: get(&self.invalidated_bytes),
         }
     }
 }
 
-/// Mirror one counter bump into the current scope's recorder, if any. One
-/// thread-local read when no request is recording.
-fn record(f: impl FnOnce(&CacheRecorder)) {
-    crate::scope::with_current(|s| {
-        if let Some(rec) = s.recorder.as_deref() {
-            f(rec);
-        }
-    });
+fn add(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+/// What the governor holds beside the counters (all zero when its lock is
+/// poisoned).
+#[derive(Default)]
+struct Occupancy {
+    resident: u64,
+    peak: u64,
+    entries: u64,
+    budget: Option<u64>,
 }
 
 type Entry = Arc<OnceLock<Arc<JoinIndex>>>;
@@ -289,26 +298,20 @@ fn slot_hash(table: &str, column: &str) -> u64 {
     h.finish()
 }
 
-/// Mutable cache state: the slot map plus every accounting register that
-/// must move atomically with it (residency, peak, eviction/rejection
-/// tallies, the budget itself).
+/// Mutable cache state: the slot map plus the occupancy that must move
+/// atomically with it (residency, peak, the budget itself).
 #[derive(Debug, Default)]
 struct Governor {
     buckets: SlotMap,
     resident: u64,
     peak_resident: u64,
-    evictions: u64,
-    evicted_bytes: u64,
-    rejections: u64,
-    invalidations: u64,
-    invalidated_bytes: u64,
     budget: Option<u64>,
 }
 
 impl Governor {
-    /// Evict the coldest admitted slot. Returns `false` when nothing is
-    /// admitted (residency 0).
-    fn evict_coldest(&mut self) -> bool {
+    /// Evict the coldest admitted slot, returning its bytes; `None` when
+    /// nothing is admitted (residency 0).
+    fn evict_coldest(&mut self) -> Option<u64> {
         let mut victim: Option<(u64, usize, u64)> = None; // (bucket, idx, touch)
         for (&h, bucket) in &self.buckets {
             for (i, s) in bucket.iter().enumerate() {
@@ -321,37 +324,16 @@ impl Governor {
                 }
             }
         }
-        let Some((h, i, _)) = victim else { return false };
+        let (h, i, _) = victim?;
         let bucket = self.buckets.get_mut(&h).expect("victim bucket exists");
         let slot = bucket.swap_remove(i);
         if bucket.is_empty() {
             self.buckets.remove(&h);
         }
         self.resident -= slot.bytes;
-        self.evictions += 1;
-        self.evicted_bytes += slot.bytes;
-        obs::incr("cache.evictions");
-        obs::add("cache.evicted_bytes", slot.bytes);
-        // Evictions run on the thread applying the budget, so the ambient
-        // recorder attributes them to the request that caused them.
-        record(|r| {
-            r.evictions.fetch_add(1, Ordering::Relaxed);
-            r.evicted_bytes.fetch_add(slot.bytes, Ordering::Relaxed);
-        });
         // The slot's `cell` (and the Arc'd index inside) drops here; any
         // in-flight join still holding a clone keeps the index alive.
-        true
-    }
-
-    /// Raise the resident high-water mark, mirroring growth into the
-    /// `cache.peak_resident_bytes` trace counter (its per-run total is the
-    /// peak's growth over the run; with the budget applied at run start the
-    /// epoch base is the post-eviction residency).
-    fn note_peak(&mut self) {
-        if self.resident > self.peak_resident {
-            obs::add("cache.peak_resident_bytes", self.resident - self.peak_resident);
-            self.peak_resident = self.resident;
-        }
+        Some(slot.bytes)
     }
 }
 
@@ -368,13 +350,8 @@ pub struct LakeIndexCache {
     gov: RwLock<Governor>,
     /// Global probe clock feeding the slots' last-touch stamps.
     clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    build_nanos: AtomicU64,
-    /// Poisoned-governor fallbacks taken (see [`CacheStats::lock_recoveries`]).
-    lock_recoveries: AtomicU64,
-    /// Isolated index-build panics (see [`CacheStats::build_panics`]).
-    build_panics: AtomicU64,
+    /// Lifetime totals of every counted event.
+    totals: CacheRecorder,
 }
 
 impl Default for LakeIndexCache {
@@ -401,22 +378,21 @@ impl LakeIndexCache {
         LakeIndexCache {
             gov: RwLock::new(Governor { budget, ..Governor::default() }),
             clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            build_nanos: AtomicU64::new(0),
-            lock_recoveries: AtomicU64::new(0),
-            build_panics: AtomicU64::new(0),
+            totals: CacheRecorder::default(),
         }
     }
 
-    /// Record one poisoned-lock fallback: degraded mode is tolerated, but
+    /// Count one event: into the cache's totals and into the recorder of
+    /// the calling thread's scope, if it has one.
+    fn count(&self, f: impl Fn(&CacheRecorder)) {
+        f(&self.totals);
+        crate::scope::with_current(|s| s.recorder.as_deref().map(&f));
+    }
+
+    /// Count one poisoned-lock fallback: degraded mode is tolerated, but
     /// never silent.
     fn note_lock_recovery(&self) {
-        self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-        obs::incr("cache.lock_recoveries");
-        record(|r| {
-            r.lock_recoveries.fetch_add(1, Ordering::Relaxed);
-        });
+        self.count(|r| add(&r.lock_recoveries, 1));
     }
 
     /// (Re)apply a byte budget. When the new budget is below current
@@ -431,25 +407,21 @@ impl LakeIndexCache {
             return;
         };
         gov.budget = budget;
-        if let Some(b) = budget {
-            while gov.resident > b {
-                if !gov.evict_coldest() {
-                    break;
-                }
-            }
+        // Evictions run on the thread applying the budget, so they are
+        // credited to the request that caused them.
+        while budget.is_some_and(|b| gov.resident > b) {
+            let Some(bytes) = gov.evict_coldest() else { break };
+            self.count(|r| {
+                add(&r.evictions, 1);
+                add(&r.evicted_bytes, bytes);
+            });
         }
         gov.peak_resident = gov.resident;
     }
 
     /// The byte budget in force (`None` = unbounded).
     pub fn budget(&self) -> Option<u64> {
-        match self.gov.read() {
-            Ok(g) => g.budget,
-            Err(_) => {
-                self.note_lock_recovery();
-                None
-            }
-        }
+        self.occupancy().budget
     }
 
     /// The join index for `(table, column)`, building it on first use.
@@ -487,11 +459,7 @@ impl LakeIndexCache {
                 );
                 let elapsed = t0.elapsed();
                 obs::record_secs("cache.index_build_secs", elapsed.as_secs_f64());
-                self.build_nanos
-                    .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-                record(|r| {
-                    r.build_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-                });
+                self.count(|r| add(&r.build_nanos, elapsed.as_nanos() as u64));
                 index
             }))
         }));
@@ -499,11 +467,7 @@ impl LakeIndexCache {
             Ok(index) => index,
             Err(payload) => {
                 self.forget_unbuilt(table.name(), column, &entry);
-                self.build_panics.fetch_add(1, Ordering::Relaxed);
-                obs::incr("cache.build_panics");
-                record(|r| {
-                    r.build_panics.fetch_add(1, Ordering::Relaxed);
-                });
+                self.count(|r| add(&r.build_panics, 1));
                 return Err(DataError::BuildPanicked {
                     table: table.name().to_string(),
                     message: crate::parallel::payload_message(payload),
@@ -514,18 +478,10 @@ impl LakeIndexCache {
         // OnceLock winner counts the miss, waiters count hits — so the
         // hit/miss totals are invariant across worker thread counts.
         if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            obs::incr("cache.misses");
-            record(|r| {
-                r.misses.fetch_add(1, Ordering::Relaxed);
-            });
+            self.count(|r| add(&r.misses, 1));
             self.admit(table.name(), column, &entry, &index);
         } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::incr("cache.hits");
-            record(|r| {
-                r.hits.fetch_add(1, Ordering::Relaxed);
-            });
+            self.count(|r| add(&r.hits, 1));
         }
         Ok(index)
     }
@@ -599,71 +555,30 @@ impl LakeIndexCache {
         });
         if removed > 0 {
             gov.resident -= bytes;
-            gov.invalidations += removed;
-            gov.invalidated_bytes += bytes;
-            obs::add("cache.invalidations", removed);
-            obs::add("cache.invalidated_bytes", bytes);
-            record(|r| {
-                r.invalidations.fetch_add(removed, Ordering::Relaxed);
-                r.invalidated_bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.count(|r| {
+                add(&r.invalidations, removed);
+                add(&r.invalidated_bytes, bytes);
             });
         }
         removed
     }
 
-    /// Point-in-time counter snapshot.
+    /// Point-in-time snapshot: the lifetime totals beside the occupancy.
     pub fn stats(&self) -> CacheStats {
-        let gov_snapshot = self.gov.read().map(|g| {
-            let built = g
-                .buckets
-                .values()
-                .flatten()
-                .filter(|s| s.cell.get().is_some())
-                .count() as u64;
-            (
-                built,
-                g.resident,
-                g.evictions,
-                g.evicted_bytes,
-                g.rejections,
-                g.peak_resident,
-                g.budget,
-                g.invalidations,
-                g.invalidated_bytes,
-            )
-        });
-        let (
-            entries,
-            resident,
-            evictions,
-            evicted_bytes,
-            rejections,
-            peak,
-            budget,
-            invalidations,
-            invalidated_bytes,
-        ) = match gov_snapshot {
-            Ok(snap) => snap,
-            Err(_) => {
-                self.note_lock_recovery();
-                (0, 0, 0, 0, 0, 0, None, 0, 0)
-            }
+        self.totals.load(self.occupancy())
+    }
+
+    fn occupancy(&self) -> Occupancy {
+        let Ok(g) = self.gov.read() else {
+            self.note_lock_recovery();
+            return Occupancy::default();
         };
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            build_time: Duration::from_nanos(self.build_nanos.load(Ordering::Relaxed)),
-            resident_bytes: resident,
-            entries,
-            evictions,
-            evicted_bytes,
-            rejections,
-            peak_resident_bytes: peak,
-            budget_bytes: budget,
-            lock_recoveries: self.lock_recoveries.load(Ordering::Relaxed),
-            build_panics: self.build_panics.load(Ordering::Relaxed),
-            invalidations,
-            invalidated_bytes,
+        let entries = g.buckets.values().flatten().filter(|s| s.cell.get().is_some()).count();
+        Occupancy {
+            resident: g.resident,
+            peak: g.peak_resident,
+            entries: entries as u64,
+            budget: g.budget,
         }
     }
 
@@ -745,15 +660,11 @@ impl LakeIndexCache {
             if bucket.is_empty() {
                 gov.buckets.remove(&h);
             }
-            gov.rejections += 1;
-            obs::incr("cache.admission_rejected");
-            record(|r| {
-                r.rejections.fetch_add(1, Ordering::Relaxed);
-            });
+            self.count(|r| add(&r.rejections, 1));
         } else {
             bucket[i].bytes = bytes;
             gov.resident += bytes;
-            gov.note_peak();
+            gov.peak_resident = gov.peak_resident.max(gov.resident);
         }
     }
 }
@@ -820,6 +731,71 @@ mod tests {
         assert_eq!(global.misses, sa.misses + sb.misses);
         assert_eq!(sa.resident_bytes, global.resident_bytes, "occupancy is shared state");
         assert!(RequestScope::capture().recorder.is_none(), "guards restored");
+
+        // Every other kind of event, split between the two: B's budget
+        // evicts A's index, A's next build is denied, B invalidates.
+        let r2 = lake_table("rec_attr_sat2", 6);
+        {
+            let _g = recording(&b).enter();
+            cache.left_join_normalized(&l, &r2, "id", "key", "s", 4).unwrap(); // miss
+            cache.set_budget(Some(one_index_bytes())); // evicts rec_attr_sat
+        }
+        {
+            let _g = recording(&a).enter();
+            cache.left_join_normalized(&l, &r, "id", "key", "s", 5).unwrap(); // denied
+        }
+        {
+            let _g = recording(&b).enter();
+            cache.invalidate_table("rec_attr_sat2");
+        }
+        let monotone = |s: CacheStats| {
+            [
+                s.hits,
+                s.misses,
+                s.build_time.as_nanos() as u64,
+                s.evictions,
+                s.evicted_bytes,
+                s.rejections,
+                s.lock_recoveries,
+                s.build_panics,
+                s.invalidations,
+                s.invalidated_bytes,
+            ]
+        };
+        let (sa, sb) = (monotone(a.attributed(&cache)), monotone(b.attributed(&cache)));
+        let summed: Vec<u64> = sa.iter().zip(&sb).map(|(x, y)| x + y).collect();
+        assert_eq!(summed, monotone(cache.stats()), "recorders sum to the totals, field by field");
+        assert_eq!([sa[5], sb[3], sb[8]], [1, 1, 1], "rejection on A; eviction, invalidation on B");
+    }
+
+    /// One recorder, the only user of a fresh cache, drives every kind of
+    /// event: what it holds and what the cache reports are one loader over
+    /// the same counts.
+    #[test]
+    fn sole_recorder_equals_cache_stats() {
+        let cache = LakeIndexCache::with_budget(None);
+        let (l, one) = (base(), one_index_bytes());
+        let rec = CacheRecorder::new();
+        let faults = crate::FaultDomain::new();
+        let _g = RequestScope { faults: Some(faults.clone()), ..recording(&rec) }.enter();
+        let [a, b, c, d] = ["sole_a", "sole_b", "sole_c", "sole_d"].map(|name| lake_table(name, 6));
+        let join = |r: &Table| cache.left_join_normalized(&l, r, "id", "key", "p", 1);
+        join(&a).unwrap(); // miss
+        join(&a).unwrap(); // hit
+        cache.set_budget(Some(one));
+        join(&b).unwrap(); // miss, admission rejected
+        cache.set_budget(Some(0)); // evicts sole_a
+        cache.set_budget(None);
+        let panic_on_row = Some(2);
+        faults.arm("sole_c", crate::faults::TableFaults { panic_on_row, slow_join_ms: None });
+        assert!(matches!(join(&c), Err(DataError::BuildPanicked { .. })));
+        join(&d).unwrap(); // miss
+        assert_eq!(cache.invalidate_table("sole_d"), 1);
+        let st = cache.stats();
+        assert_eq!(rec.attributed(&cache), st);
+        let counts = [st.hits, st.misses, st.rejections, st.evictions];
+        assert_eq!(counts, [1, 3, 1, 1], "{st:?}");
+        assert_eq!([st.build_panics, st.invalidations], [1, 1], "{st:?}");
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! Two interrupt sources, in priority order:
 //!
 //! 1. **Cancellation** — [`cancel`](RunControl::cancel) from any thread
-//!    flips a shared flag and stamps the request time, so the pipeline can
-//!    report its cancel latency (request → return).
+//!    stamps the request time, so the pipeline can report its cancel latency
+//!    (request → return). A cancel is final: it reaches every
+//!    [`scoped`](RunControl::scoped) child, born before it or after, and is
+//!    never cleared; a caller that runs again over the same context gives
+//!    the run a fresh control (`SearchContext::with_request_control`), as
+//!    the service does per request.
 //! 2. **Deadline** — an absolute wall-clock instant
 //!    ([`set_deadline`](RunControl::set_deadline) /
 //!    [`arm_budget`](RunControl::arm_budget)). Run-scoped deadlines
@@ -29,8 +33,7 @@
 //! thread-local read.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Why a stage stopped early. Ordered: cancellation wins over deadline
@@ -54,28 +57,18 @@ impl fmt::Display for Interrupt {
 
 /// Shared cancel flag + wall-clock deadline for one discovery request.
 ///
-/// Cheap to poll: a relaxed atomic load, plus an uncontended `RwLock` read
-/// when a deadline is armed. Clone the `Arc` into any thread that should be
-/// able to cancel the run.
+/// Cheap to poll: an atomic load, plus an uncontended `RwLock` read when a
+/// deadline is armed. Clone the `Arc` into any thread that should be able to
+/// cancel the run.
 #[derive(Debug, Default)]
 pub struct RunControl {
-    cancelled: AtomicBool,
-    /// When `cancel()` was first called — the start of the cancel-latency
-    /// clock.
-    cancelled_at: RwLock<Option<Instant>>,
+    /// When `cancel()` was first called — the flag, and the start of the
+    /// cancel-latency clock.
+    cancelled_at: OnceLock<Instant>,
     deadline: RwLock<Option<Instant>>,
-    /// Monotonic count of effective `cancel()` calls. Unlike the flag it is
-    /// **never cleared by [`reset`](RunControl::reset)**: scoped children
-    /// compare it against the value they saw at birth, so a cancel aimed at
-    /// a still-draining run survives a reset issued for the next one.
-    cancel_epoch: AtomicU64,
     /// Run-scoped controls chain to the context-wide control so either can
     /// interrupt (and the tighter deadline wins).
     parent: Option<Arc<RunControl>>,
-    /// The parent's `cancel_epoch` when this child was created. A parent
-    /// cancel counts for this child iff it happened at or before the
-    /// child's lifetime (live flag) or strictly after this snapshot.
-    parent_epoch: u64,
 }
 
 impl RunControl {
@@ -90,48 +83,26 @@ impl RunControl {
     /// into — the context-wide control.
     pub fn scoped(self: &Arc<Self>, deadline: Option<Instant>) -> Arc<RunControl> {
         Arc::new(RunControl {
-            cancelled: AtomicBool::new(false),
-            cancelled_at: RwLock::new(None),
             deadline: RwLock::new(deadline),
-            cancel_epoch: AtomicU64::new(0),
             parent: Some(Arc::clone(self)),
-            parent_epoch: self.cancel_epoch.load(Ordering::SeqCst),
+            ..RunControl::default()
         })
     }
 
     /// Request cancellation. Idempotent; the first call stamps the
     /// cancel-latency clock. Takes effect at the next cooperative poll.
     pub fn cancel(&self) {
-        if !self.cancelled.swap(true, Ordering::SeqCst) {
-            self.cancel_epoch.fetch_add(1, Ordering::SeqCst);
-            if let Ok(mut at) = self.cancelled_at.write() {
-                at.get_or_insert_with(Instant::now);
-            }
-        }
-    }
-
-    /// Has a cancel targeted this control during the lifetime of a child
-    /// born when this control's epoch was `birth_epoch`? True when the flag
-    /// is currently up, when a cancel has landed since the snapshot (even
-    /// if a later [`reset`](RunControl::reset) cleared the flag), or when
-    /// the same holds transitively for a parent.
-    fn cancelled_since(&self, birth_epoch: u64) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-            || self.cancel_epoch.load(Ordering::Relaxed) > birth_epoch
-            || self.parent.as_ref().is_some_and(|p| p.cancelled_since(self.parent_epoch))
+        self.cancelled_at.get_or_init(Instant::now);
     }
 
     /// Has [`cancel`](RunControl::cancel) been called (here or on a parent)?
-    /// A parent cancel is sticky for this child even if the parent is
-    /// `reset()` while the child is still draining.
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-            || self.parent.as_ref().is_some_and(|p| p.cancelled_since(self.parent_epoch))
+        self.cancelled_at.get().is_some() || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 
     /// When cancellation was first requested (here or on a parent).
     pub fn cancelled_at(&self) -> Option<Instant> {
-        let own = self.cancelled_at.read().ok().and_then(|at| *at);
+        let own = self.cancelled_at.get().copied();
         let parent = self.parent.as_ref().and_then(|p| p.cancelled_at());
         match (own, parent) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -183,21 +154,6 @@ impl RunControl {
             return Some(Interrupt::DeadlineExceeded);
         }
         None
-    }
-
-    /// Clear this control's own cancel flag and deadline (parents are
-    /// untouched), so a context-owned control can be reused run to run.
-    ///
-    /// Reset is **generation-safe**: the cancel epoch is deliberately not
-    /// cleared, so scoped children created before a cancel keep reporting
-    /// [`Interrupt::Cancelled`] even when the reset races with their drain,
-    /// while children created after the reset start clean.
-    pub fn reset(&self) {
-        self.cancelled.store(false, Ordering::SeqCst);
-        if let Ok(mut at) = self.cancelled_at.write() {
-            *at = None;
-        }
-        self.set_deadline(None);
     }
 }
 
@@ -257,52 +213,20 @@ mod tests {
         assert_eq!(child.interrupted(), Some(Interrupt::Cancelled));
         assert!(child.cancelled_at().is_some(), "latency clock visible through the chain");
         // Child cancellation does not leak upward.
-        let sibling = parent.scoped(None);
-        parent.reset();
-        sibling.cancel();
-        assert!(!parent.is_cancelled());
+        let other = Arc::new(RunControl::new());
+        other.scoped(None).cancel();
+        assert!(!other.is_cancelled());
     }
 
     #[test]
-    fn reset_clears_own_state_only() {
-        let ctl = RunControl::new();
-        ctl.cancel();
-        ctl.arm_budget(Duration::ZERO);
-        ctl.reset();
-        assert_eq!(ctl.interrupted(), None);
-        assert_eq!(ctl.cancelled_at(), None);
-    }
-
-    #[test]
-    fn reset_during_drain_does_not_swallow_child_cancel() {
+    fn parent_cancel_reaches_children_born_before_and_after() {
         let parent = Arc::new(RunControl::new());
-        let draining = parent.scoped(None);
+        let before = parent.scoped(None);
         parent.cancel();
-        // The next request resets the shared control while the cancelled
-        // run is still winding down — the cancel must stay visible to it.
-        parent.reset();
-        assert_eq!(
-            draining.interrupted(),
-            Some(Interrupt::Cancelled),
-            "reset during drain must not swallow the cancel"
-        );
-        assert!(draining.is_cancelled());
-        // But the reset does take: the parent itself and children born
-        // after it start clean.
-        assert!(!parent.is_cancelled());
-        let fresh = parent.scoped(None);
-        assert_eq!(fresh.interrupted(), None, "post-reset children start clean");
-    }
-
-    #[test]
-    fn repeated_cancel_reset_cycles_track_generations() {
-        let parent = Arc::new(RunControl::new());
-        for _ in 0..3 {
-            let child = parent.scoped(None);
-            assert!(!child.is_cancelled(), "new generation starts clean");
-            parent.cancel();
-            parent.reset();
-            assert!(child.is_cancelled(), "own generation's cancel is sticky");
+        let after = parent.scoped(None);
+        for child in [&before, &after] {
+            assert_eq!(child.interrupted(), Some(Interrupt::Cancelled));
+            assert_eq!(child.cancelled_at(), parent.cancelled_at());
         }
     }
 

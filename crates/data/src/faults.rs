@@ -1,30 +1,28 @@
-//! Process-level runtime fault injection for resilience testing.
+//! Runtime fault injection for resilience testing.
 //!
-//! The CSV corruptor (`autofeat-datagen`) breaks lakes *at rest*; this
-//! registry breaks them *in flight*: a worker panic while a join index is
-//! being built, or a pathologically slow join, armed per table name. The
-//! resilience tests use it to prove panic isolation (one poisoned path
-//! must not abort the run) and deadline enforcement (a slow join must not
-//! overrun the budget unchecked).
+//! The CSV corruptor (`autofeat-datagen`) breaks lakes *at rest*; a
+//! [`FaultDomain`] breaks them *in flight*: a worker panic while a join index
+//! is being built, or a pathologically slow join, armed per table name. The
+//! resilience tests use it to prove panic isolation (one poisoned path must
+//! not abort the run) and deadline enforcement (a slow join must not overrun
+//! the budget unchecked).
 //!
 //! ## Scoping
 //!
-//! Faults are keyed by **(domain, table name)**. A [`FaultDomain`] is a
-//! handle identifying one lake/registry instance: each `SearchContext`
-//! owns one and carries it in each run's
+//! A domain holds the faults armed through it and nothing else holds any.
+//! Each `SearchContext` owns one and carries it in each run's
 //! [`RequestScope`](crate::scope::RequestScope) (which fan-out workers
-//! enter), and every fault armed through the handle is disarmed when the
-//! handle drops. Two
-//! concurrent requests over lakes that happen to contain a same-named
-//! table therefore cannot arm each other's faults, and a join outside any
-//! scope sees none.
+//! enter); [`lookup`] reads the calling thread's domain. Two concurrent
+//! requests over lakes that happen to contain a same-named table therefore
+//! cannot arm each other's faults, a join outside any scope sees none, and a
+//! dropped domain takes its faults with it.
 //!
-//! Production cost is a single relaxed atomic load per join/build when
-//! nothing is armed anywhere ([`lookup`] bails before touching the map).
+//! With nothing armed, a hook costs one thread-local read and one relaxed
+//! atomic load per join or build.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// Runtime faults armed for one table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,78 +42,50 @@ impl TableFaults {
     }
 }
 
-static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
-
-type Registry = HashMap<u64, HashMap<String, TableFaults>>;
-
-fn registry() -> &'static RwLock<Registry> {
-    static REGISTRY: OnceLock<RwLock<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// A fault-registration scope tied to one lake/registry instance.
-///
-/// Faults armed through a domain are visible only to lookups running under
-/// a scope that carries it, and are disarmed wholesale when the last
-/// `Arc<FaultDomain>` clone drops.
+/// The faults armed for one lake, by table name. Visible only to lookups
+/// running under a scope that carries this domain.
 #[derive(Debug)]
 pub struct FaultDomain {
-    id: u64,
+    /// Whether `tables` is non-empty: the disarmed fast path reads only this.
+    armed: AtomicBool,
+    tables: RwLock<HashMap<String, TableFaults>>,
 }
 
 impl FaultDomain {
-    /// A fresh domain with a process-unique id.
+    /// A fresh domain with nothing armed.
     pub fn new() -> Arc<FaultDomain> {
-        Arc::new(FaultDomain { id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::SeqCst) })
-    }
-
-    /// This domain's process-unique id.
-    pub fn id(&self) -> u64 {
-        self.id
+        Arc::new(FaultDomain { armed: AtomicBool::new(false), tables: RwLock::default() })
     }
 
     /// Arm `faults` for `table` within this domain, replacing anything
     /// previously armed for it. An empty fault set disarms.
     pub fn arm(&self, table: &str, faults: TableFaults) {
-        let Ok(mut map) = registry().write() else { return };
+        let Ok(mut tables) = self.tables.write() else { return };
         if faults.is_empty() {
-            if let Some(inner) = map.get_mut(&self.id) {
-                inner.remove(table);
-                if inner.is_empty() {
-                    map.remove(&self.id);
-                }
-            }
+            tables.remove(table);
         } else {
-            map.entry(self.id).or_default().insert(table.to_string(), faults);
+            tables.insert(table.to_string(), faults);
         }
-        ANY_ARMED.store(!map.is_empty(), Ordering::SeqCst);
+        self.armed.store(!tables.is_empty(), Ordering::SeqCst);
     }
 
     /// Disarm all faults for `table` within this domain.
     pub fn disarm(&self, table: &str) {
         self.arm(table, TableFaults::default());
     }
-}
 
-impl Drop for FaultDomain {
-    fn drop(&mut self) {
-        let Ok(mut map) = registry().write() else { return };
-        map.remove(&self.id);
-        ANY_ARMED.store(!map.is_empty(), Ordering::SeqCst);
+    fn get(&self, table: &str) -> Option<TableFaults> {
+        if !self.armed.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.tables.read().ok()?.get(table).copied()
     }
 }
 
 /// The faults armed for `table` in the current scope's domain; none outside
-/// a scope that carries one. One atomic load when the registry is empty —
-/// the production fast path.
+/// a scope that carries one.
 pub fn lookup(table: &str) -> Option<TableFaults> {
-    if !ANY_ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let id = crate::scope::with_current(|s| s.faults.as_ref().map(|dom| dom.id))?;
-    let map = registry().read().ok()?;
-    map.get(&id)?.get(table).copied()
+    crate::scope::with_current(|s| s.faults.as_deref()?.get(table))
 }
 
 #[cfg(test)]
@@ -167,16 +137,5 @@ mod tests {
             assert_eq!(lookup(t), None, "b must not see a's fault for the same table name");
         }
         assert_eq!(lookup(t), None, "no scope: scoped faults invisible");
-    }
-
-    #[test]
-    fn dropping_domain_disarms_its_faults() {
-        let t = "t";
-        let dom = FaultDomain::new();
-        dom.arm(t, TableFaults { panic_on_row: Some(1), slow_join_ms: None });
-        let id = dom.id();
-        drop(dom);
-        let map = registry().read().unwrap();
-        assert!(!map.contains_key(&id), "dropped domain leaves no entries behind");
     }
 }

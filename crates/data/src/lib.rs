@@ -25,11 +25,11 @@
 //! * a process-stable hasher for determinism-critical derivations
 //!   ([`stable_hash`]) and deterministic fan-out over one shared worker
 //!   pool ([`parallel`]);
-//! * cooperative run-lifecycle control — shared cancel flag + deadline,
-//!   polled per item/row block ([`control`]) — a process-level runtime
-//!   fault registry for resilience tests ([`faults`]), and the request
-//!   scope that carries both, with the cache recorder and the tracer, to
-//!   whichever thread works for a request ([`scope`]).
+//! * cooperative run-lifecycle control — a final cancel + deadline, polled
+//!   per item/row block ([`control`]) — per-lake runtime fault domains for
+//!   resilience tests ([`faults`]), and the request scope that carries both,
+//!   with the cache recorder and the tracer, to whichever thread works for a
+//!   request ([`scope`]).
 //!
 //! Randomized operations either take an explicit [`rand::rngs::StdRng`]
 //! (sampling, splitting) or an explicit `u64` seed (join normalization,

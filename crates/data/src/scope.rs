@@ -138,7 +138,7 @@ mod tests {
         let seen = RequestScope::capture();
         assert!(seen.ctl.is_some());
         assert!(seen.recorder.is_some_and(|r| Arc::ptr_eq(&r, &rec)));
-        assert_eq!(seen.faults.map(|d| d.id()), Some(dom.id()));
+        assert!(seen.faults.is_some_and(|d| Arc::ptr_eq(&d, &dom)));
     }
 
     #[test]

@@ -100,8 +100,10 @@ fn main() {
     //         Arm a pathological 10-second join and cancel from another
     //         thread 50ms in. Cancellation is anytime semantics, not an
     //         error: whatever was ranked before the cancel is returned, the
-    //         truncation reason and cancel latency are accounted, and the
-    //         same context runs again cleanly after a reset.
+    //         truncation reason and cancel latency are accounted. A cancel
+    //         is final: a later request gets its own control
+    //         (`ctx.clone().with_request_control(..)`), as the service gives
+    //         every request.
     datagen::RuntimeFault {
         table: "s0".into(),
         kind: datagen::RuntimeFaultKind::SlowJoinMs,
@@ -124,7 +126,6 @@ fn main() {
         partial.resilience.cancel_latency,
     );
     println!("\n{}", discovery_health_report(&partial));
-    ctx.control().reset();
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -147,12 +147,14 @@ fn cancel_from_another_thread_is_bounded_and_reported() {
     assert!(health.contains("truncated: cancelled"), "{health}");
     assert!(health.contains("cancel latency"), "{health}");
 
-    // Anytime, not terminal: reset the control and the same context runs to
-    // a healthy completion.
-    ctx.control().reset();
-    let healed = AutoFeat::new(AutoFeatConfig::default()).discover(&ctx).unwrap();
+    // Anytime, not terminal: a view of the same lake with a fresh control
+    // runs to a healthy completion, bit-identical to a never-cancelled lake.
+    let fresh = ctx.clone().with_request_control(Arc::new(RunControl::new()));
+    let healed = AutoFeat::new(AutoFeatConfig::default()).discover(&fresh).unwrap();
     assert_eq!(healed.truncation, None);
     assert!(!healed.ranked.is_empty());
+    let never_cancelled = AutoFeat::new(AutoFeatConfig::default()).discover(&single_sat_ctx(200));
+    assert_bit_identical(&healed, &never_cancelled.unwrap(), "healed vs never cancelled");
 
     // The same bound when the cancel lands in real work — joins and scoring,
     // no sleep to interrupt. The canceller fires 40% into a run as long as
@@ -170,14 +172,14 @@ fn cancel_from_another_thread_is_bounded_and_reported() {
             .min()
             .expect("three runs");
         let landed = (0..20).find_map(|_| {
-            let ctrl = Arc::clone(ctx.control());
+            let attempt = ctx.clone().with_request_control(Arc::new(RunControl::new()));
+            let ctrl = Arc::clone(attempt.control());
             let canceller = std::thread::spawn(move || {
                 std::thread::sleep(reference.mul_f64(0.4));
                 ctrl.cancel();
             });
-            let r = AutoFeat::new(cfg()).discover(&ctx).unwrap();
+            let r = AutoFeat::new(cfg()).discover(&attempt).unwrap();
             canceller.join().unwrap();
-            ctx.control().reset();
             r.truncation.is_some().then_some(r)
         });
         let r = landed.unwrap_or_else(|| {
