@@ -13,8 +13,8 @@
 //! the last two overlap: one ordered fan-out evaluates the hops on every
 //! worker and merges hop `i` on the calling thread as soon as it is there,
 //! while later hops are still being evaluated. `discover` itself keeps only
-//! what decides *whether* a phase runs: the degradation ladder and the
-//! truncation gates. DESIGN.md §3d has the table.
+//! what decides *whether* a phase runs: the degradation ladder (`Ladder`)
+//! and the truncation gates. DESIGN.md §3d has the table.
 //!
 //! ## Determinism model
 //!
@@ -48,7 +48,6 @@ use rand::SeedableRng;
 
 use autofeat_data::cache::CacheRecorder;
 use autofeat_data::encode::label_encode_column;
-use autofeat_data::join::left_join_normalized;
 use autofeat_data::parallel::{run_indexed_ctl, ItemOutcome};
 use autofeat_data::sample::stratified_sample;
 use autofeat_data::stats::completeness;
@@ -60,7 +59,7 @@ use autofeat_metrics::streaming::{RelevanceStage, StreamingSelector};
 use autofeat_obs as obs;
 use autofeat_obs::RunTrace;
 
-use crate::config::AutoFeatConfig;
+use crate::config::{AutoFeatConfig, DegradeConfig};
 use crate::context::SearchContext;
 use crate::executor::qualified_column;
 use crate::ranking::{accumulate, compute_score};
@@ -191,15 +190,13 @@ pub struct DiscoveryResult {
     /// Worker threads used for path evaluation. Informational only —
     /// results are bit-identical at any thread count.
     pub threads_used: usize,
-    /// Lake-index-cache activity attributable to this run
-    /// (hit/miss/build/eviction/rejection counters are deltas over the run;
-    /// resident bytes, entry count, peak-resident, and the budget are the
-    /// cache's state when the run finished, since the cache is owned by the
-    /// context and persists across runs — when this run applied a budget,
-    /// the peak is this run's own high-water mark). `None` when the run was
-    /// configured with `cache: false`. Informational only — results are
-    /// bit-identical with the cache on or off, budgeted or not.
-    pub cache: Option<CacheStats>,
+    /// Join-index-cache activity of this run: the counters are its own work;
+    /// resident bytes, entries, peak and budget are the end-of-run state of
+    /// the cache it joined through — the context's shared one (the peak is
+    /// this run's if it applied a budget), or with `cache: false` a private
+    /// budget-0 one that keeps nothing. Informational only — results are
+    /// bit-identical through either cache, budgeted or not.
+    pub cache: CacheStats,
     /// Bytes of cells the lake's tables held resident when the run finished
     /// ([`SearchContext::lake_payload_bytes`]). Informational only.
     pub lake_payload_bytes: usize,
@@ -303,22 +300,66 @@ fn rank_key(score: f64) -> f64 {
     }
 }
 
-/// Fraction of the armed budget still remaining (`None` when no deadline is
-/// armed). Drives degradation rungs 2/3; reads the wall clock, so it only
-/// ever runs under an armed deadline where anytime semantics are the
-/// contract.
-fn remaining_fraction(ctl: &RunControl, total: Option<Duration>) -> Option<f64> {
-    let total = total?;
-    if total.is_zero() {
-        return Some(0.0);
-    }
-    Some(ctl.remaining()?.as_secs_f64() / total.as_secs_f64())
+/// One run's degradation ladder ([`DegradeConfig`] has the rungs), armed
+/// only under a deadline: unbounded runs never degrade, so they stay
+/// bit-identical. `taken` records each rung, in order.
+struct Ladder<'a> {
+    cfg: &'a DegradeConfig,
+    ctl: &'a RunControl,
+    /// The budget the deadline left at run start; `None` = disarmed.
+    total: Option<Duration>,
+    taken: Vec<&'static str>,
 }
 
-/// Record one rung of the degradation ladder.
-fn degrade(degradations: &mut Vec<&'static str>, rung: &'static str, detail: impl FnOnce() -> String) {
-    degradations.push(rung);
-    obs::event("degraded", detail);
+impl<'a> Ladder<'a> {
+    fn new(cfg: &'a DegradeConfig, ctl: &'a RunControl, t0: Instant) -> Ladder<'a> {
+        let total = ctl.deadline().filter(|_| cfg.enabled).map(|d| d.saturating_duration_since(t0));
+        Ladder { cfg, ctl, total, taken: Vec::new() }
+    }
+
+    /// Rung 1: the sample cap, shrunk when the total budget is too tight for
+    /// the full sample. Reads configuration, not the clock, so equal budgets
+    /// degrade identically.
+    fn before_run(&mut self, sample_rows: Option<usize>, base_rows: usize) -> Option<usize> {
+        let shrunk = self.cfg.min_sample_rows;
+        let tight = self.total.is_some_and(|b| b < self.cfg.shrink_sample_below);
+        if !tight || sample_rows.is_some_and(|c| c <= shrunk) || base_rows <= shrunk {
+            return sample_rows;
+        }
+        let detail = format!("sample capped at {shrunk} row(s): budget below threshold");
+        self.degrade("shrunk sample", detail);
+        Some(shrunk)
+    }
+
+    /// Rungs 3 and 2, before every level but the first: whether to stop
+    /// here; if not, time or cache pressure (the run's admission rejections)
+    /// turns redundancy refinement off for the levels left.
+    fn before_level(&mut self, recorder: &CacheRecorder, selector: &mut StreamingSelector) -> bool {
+        let Some(frac) = self.remaining_fraction() else { return false };
+        if frac < self.cfg.stop_levels_below {
+            let detail = "stopped enumerating deeper levels: budget nearly spent";
+            self.degrade("stopped deeper levels", detail.into());
+            return true;
+        }
+        let pressure = recorder.rejections() >= self.cfg.rejection_pressure;
+        if (pressure || frac < self.cfg.skip_redundancy_below) && selector.skip_redundancy() {
+            let detail = "redundancy refinement off for remaining levels";
+            self.degrade("skipped redundancy refinement", detail.into());
+        }
+        false
+    }
+
+    /// Fraction of the armed budget still remaining. Reads the wall clock,
+    /// so only armed, where anytime semantics are the contract.
+    fn remaining_fraction(&self) -> Option<f64> {
+        let total = self.total?.as_secs_f64();
+        Some(if total == 0.0 { 0.0 } else { self.ctl.remaining()?.as_secs_f64() / total })
+    }
+
+    fn degrade(&mut self, rung: &'static str, detail: String) {
+        self.taken.push(rung);
+        obs::event("degraded", || detail);
+    }
 }
 
 /// The AutoFeat feature-discovery engine.
@@ -367,104 +408,58 @@ impl AutoFeat {
     }
 
     /// Algorithm 1 proper, running under whatever ambient tracer (possibly
-    /// the inert one) the caller installed: the request scope, then the
-    /// phases, level by level, behind the degradation ladder and the
-    /// truncation gates.
+    /// the inert one) the caller installed: the request scope, the setup,
+    /// then the phases, level by level, behind the degradation ladder and
+    /// the truncation gates.
     fn discover_inner(&self, ctx: &SearchContext) -> Result<DiscoveryResult> {
         let _discover_span = obs::span("discover");
         let t0 = Instant::now();
         let cfg = &self.config;
         let workers = cfg.resolve_threads();
-        // The request's scope, entered once here and by every fan-out
-        // worker around its items. The config's time budget becomes a
-        // deadline on a *child* of the context-wide control, so the
-        // effective deadline is the tighter of the two, a cancel on either
-        // side interrupts the run, and an expired per-run deadline never
-        // leaks into the shared context handle. The recorder credits cache
-        // activity to exactly this run; the fault domain keeps injected
-        // faults to this context's lake.
-        let ctl = ctx
-            .control()
-            .scoped(cfg.time_budget.and_then(|b| Instant::now().checked_add(b)));
-        let recorder = cfg.cache.then(CacheRecorder::new);
+        // The request's scope, entered here and by every fan-out worker. The
+        // time budget is a deadline on a *child* of the context's control:
+        // the tighter one wins, a cancel on either side interrupts, and the
+        // per-run deadline never leaks into the shared handle. The recorder
+        // credits cache activity to this run; the fault domain keeps
+        // injected faults to this lake.
+        let deadline = cfg.time_budget.and_then(|b| Instant::now().checked_add(b));
+        let ctl = ctx.control().scoped(deadline);
+        let recorder = CacheRecorder::new();
         let _scope = RequestScope {
             ctl: Some(Arc::clone(&ctl)),
-            recorder: recorder.clone(),
+            recorder: Some(Arc::clone(&recorder)),
             faults: Some(Arc::clone(ctx.fault_domain())),
             trace: obs::ambient_scope(),
         }
         .enter();
-        // Apply the configured byte budget (config field, else the
-        // AUTOFEAT_CACHE_BUDGET environment) before any join: a budget below
-        // current residency evicts coldest-first, and the peak-resident
-        // epoch restarts so this run reports its own high-water mark. A
-        // budget-less run leaves the cache's standing budget untouched.
-        // Applied inside the scope, so the eviction burst of bringing an
-        // over-budget cache down to this run's budget is attributed to
-        // this run.
-        if cfg.cache {
+        // Every join goes through a `LakeIndexCache`: the shared one, under
+        // this run's budget if any (applied in the scope, so its evictions and
+        // peak are this run's), or with `cache: false` a private budget-0 one.
+        let private;
+        let ctx = if cfg.cache {
             if let Some(budget) = cfg.resolve_cache_budget() {
                 ctx.lake_cache().set_budget(Some(budget));
             }
-        }
-        let total_budget = ctl.deadline().map(|d| d.saturating_duration_since(t0));
-        let degrade_armed = cfg.degrade.enabled && total_budget.is_some();
-        let mut degradations: Vec<&'static str> = Vec::new();
-
-        // Degradation rung 1: a total budget below the configured threshold
-        // is too tight for the full sample — trade selection fidelity for
-        // headroom up front. Depends only on configuration (not the clock),
-        // so equal budgets degrade identically.
-        let mut sample_cap = cfg.sample_rows;
-        if degrade_armed && total_budget.is_some_and(|b| b < cfg.degrade.shrink_sample_below) {
-            let shrunk = cfg.degrade.min_sample_rows;
-            if sample_cap.is_none_or(|c| c > shrunk) && ctx.base_table().n_rows() > shrunk {
-                sample_cap = Some(shrunk);
-                degrade(&mut degradations, "shrunk sample", || {
-                    format!("sample capped at {shrunk} row(s): budget below threshold")
-                });
-            }
-        }
+            ctx
+        } else {
+            private = ctx.clone().with_private_cache();
+            &private
+        };
+        let mut ladder = Ladder::new(&cfg.degrade, &ctl, t0);
+        let sample_cap = ladder.before_run(cfg.sample_rows, ctx.base_table().n_rows());
         let Setup { sampled, join_cols, selector } = self.setup(ctx, sample_cap)?;
         let relevance = selector.relevance_stage();
-        let mut search = Search::new(selector, degradations, workers);
+        let mut search = Search::new(selector, workers);
 
         // BFS over levels (§IV-A: level-by-level exploration contains join
-        // errors). A base that is disconnected from the graph has no first
-        // level: nothing to discover.
-        let mut frontier: Vec<Frontier> = ctx
-            .drg()
-            .node(ctx.base_name())
-            .map(|node| Frontier::root(node, sampled))
-            .into_iter()
-            .collect();
+        // errors). A base the graph does not know has no first level.
+        let root = ctx.drg().node(ctx.base_name());
+        let mut frontier: Vec<_> = root.map(|n| Frontier::root(n, sampled)).into_iter().collect();
         while !frontier.is_empty() {
-            // ---- Degradation rungs 2/3, checked at level boundaries and
-            // only under an armed deadline (unbounded runs never degrade, so
-            // their results stay bit-identical — see `DegradeConfig`).
-            if degrade_armed && search.n_levels > 0 {
-                let frac = remaining_fraction(&ctl, total_budget);
-                if frac.is_some_and(|f| f < cfg.degrade.stop_levels_below) {
-                    search.out.truncation.get_or_insert(TruncationReason::DeadlineExceeded {
-                        phase: Phase::Enumerate,
-                    });
-                    let rungs = &mut search.out.resilience.degradations;
-                    degrade(rungs, "stopped deeper levels", || {
-                        "stopped enumerating deeper levels: budget nearly spent".to_string()
-                    });
-                    break;
-                }
-                let pressure = recorder
-                    .as_ref()
-                    .is_some_and(|r| r.rejections() >= cfg.degrade.rejection_pressure);
-                if (pressure || frac.is_some_and(|f| f < cfg.degrade.skip_redundancy_below))
-                    && search.selector.skip_redundancy()
-                {
-                    let rungs = &mut search.out.resilience.degradations;
-                    degrade(rungs, "skipped redundancy refinement", || {
-                        "redundancy refinement off for remaining levels".to_string()
-                    });
-                }
+            if search.n_levels > 0 && ladder.before_level(&recorder, &mut search.selector) {
+                let stop = TruncationReason::DeadlineExceeded { phase: Phase::Enumerate };
+                search.out.truncation.get_or_insert(stop);
+                break;
             }
             let _level_span = obs::span("level");
             search.n_levels += 1;
@@ -476,9 +471,8 @@ impl AutoFeat {
                 cands
             };
 
-            // ---- Truncation gates, applied level-wise so the evaluated
-            // candidate set is a deterministic prefix of the enumeration
-            // order regardless of thread count.
+            // Truncation gates, level-wise: the evaluated candidates are a
+            // deterministic prefix of the enumeration at any thread count.
             if !cands.is_empty() {
                 if let Some(reason) = ctl.interrupted() {
                     search.out.truncation = Some(truncation_reason(reason, Phase::Enumerate));
@@ -493,39 +487,28 @@ impl AutoFeat {
                 }
             }
 
-            // One ordered fan-out per level: every worker, this thread
-            // among them, evaluates hops, and this thread merges hop `i` as
-            // soon as it is there. Panic-isolating and interrupt-aware: a
-            // panicking candidate becomes a structured
-            // `ItemOutcome::Panicked` (the run completes), and once the
-            // control interrupts, the remaining candidates come back
-            // `Skipped` without running.
+            // One ordered fan-out per level: every worker, this thread among
+            // them, evaluates hops (a panic comes back `Panicked`, a hop
+            // never run after an interrupt `Skipped`), and this thread merges
+            // hop `i` as soon as it is there. Its wait for an evaluation,
+            // beside the `eval` and `merge` spans, says which bound the level.
             let mut next_level: Vec<Frontier> = Vec::new();
-            let merge_wait = run_indexed_ctl(
-                workers,
-                cands.len(),
-                Some(&ctl),
-                |i| {
-                    let _span = obs::span("eval");
-                    let c = &cands[i];
-                    self.evaluate_hop(ctx, &join_cols, &relevance, &frontier[c.entry], c)
-                },
-                |i, outcome| {
-                    let _span = obs::span("merge");
-                    let c = &cands[i];
-                    next_level.extend(search.merge(&frontier[c.entry], c, outcome));
-                },
-            );
-            // What this thread spent waiting on an evaluation with none
-            // left to claim: with the `eval` and `merge` spans it says
-            // whether the level was eval-bound or merge-bound.
+            let eval = |i: usize| {
+                let (_span, c) = (obs::span("eval"), &cands[i]);
+                self.evaluate_hop(ctx, &join_cols, &relevance, &frontier[c.entry], c)
+            };
+            let merge_wait = run_indexed_ctl(workers, cands.len(), Some(&ctl), eval, |i, outcome| {
+                let (_span, c) = (obs::span("merge"), &cands[i]);
+                next_level.extend(search.merge(&frontier[c.entry], c, outcome));
+            });
             obs::record_secs("discover.merge_wait_secs", merge_wait.as_secs_f64());
             if search.out.truncation.is_some() {
                 break;
             }
             frontier = self.next_frontier(next_level);
         }
-        Ok(search.finish(ctx, &ctl, recorder.as_deref(), t0))
+        search.out.resilience.degradations = ladder.taken;
+        Ok(search.finish(ctx, &ctl, &recorder, t0))
     }
 
     /// **Setup.** The stratified sample of the base table (only affects
@@ -660,15 +643,9 @@ impl AutoFeat {
             let next_name = &c.hop.to_table;
             let seed = hop_seed(cfg.seed, entry.path.hops(), &c.hop);
             let (left, left_key, right_key) = (&entry.table, &c.left_key, &c.hop.to_column);
-            // Cached and uncached joins are bit-identical by construction
-            // (the uncached path builds a transient index and runs the same
-            // indexed kernel).
-            let out = if cfg.cache {
-                let cache = ctx.lake_cache();
-                cache.left_join_normalized(left, c.right, left_key, right_key, next_name, seed)?
-            } else {
-                left_join_normalized(left, c.right, left_key, right_key, next_name, seed)?
-            };
+            let out = ctx
+                .lake_cache()
+                .left_join_normalized(left, c.right, left_key, right_key, next_name, seed)?;
             // Prune: join produced no matches at all. An empty base yields
             // `match_ratio() == None` (vacuous) and is *not* misreported as
             // unjoinable.
@@ -736,9 +713,8 @@ struct Search {
 
 impl Search {
     /// The one place a [`DiscoveryResult`] is made: empty, to be filled in.
-    fn new(selector: StreamingSelector, degradations: Vec<&'static str>, workers: usize) -> Search {
-        let resilience = ResilienceStats { degradations, ..Default::default() };
-        let out = DiscoveryResult { threads_used: workers, resilience, ..Default::default() };
+    fn new(selector: StreamingSelector, workers: usize) -> Search {
+        let out = DiscoveryResult { threads_used: workers, ..Default::default() };
         Search { selector, n_levels: 0, out }
     }
 
@@ -838,7 +814,7 @@ impl Search {
         self,
         ctx: &SearchContext,
         ctl: &RunControl,
-        recorder: Option<&CacheRecorder>,
+        recorder: &CacheRecorder,
         t0: Instant,
     ) -> DiscoveryResult {
         let mut out = self.out;
@@ -879,21 +855,20 @@ impl Search {
         if let Some(latency) = out.resilience.cancel_latency {
             obs::record_secs("resilience.cancel_latency_secs", latency.as_secs_f64());
         }
-        out.cache = recorder.map(|r| r.attributed(ctx.lake_cache()));
+        out.cache = recorder.attributed(ctx.lake_cache());
         // The trace's `cache.*` counters are a view of this request's share.
-        for (name, n) in out.cache.iter().flat_map(|c| {
-            [
-                ("cache.hits", c.hits),
-                ("cache.misses", c.misses),
-                ("cache.admission_rejected", c.rejections),
-                ("cache.evictions", c.evictions),
-                ("cache.evicted_bytes", c.evicted_bytes),
-                ("cache.invalidations", c.invalidations),
-                ("cache.invalidated_bytes", c.invalidated_bytes),
-                ("cache.build_panics", c.build_panics),
-                ("cache.lock_recoveries", c.lock_recoveries),
-            ]
-        }) {
+        let c = out.cache;
+        for (name, n) in [
+            ("cache.hits", c.hits),
+            ("cache.misses", c.misses),
+            ("cache.admission_rejected", c.rejections),
+            ("cache.evictions", c.evictions),
+            ("cache.evicted_bytes", c.evicted_bytes),
+            ("cache.invalidations", c.invalidations),
+            ("cache.invalidated_bytes", c.invalidated_bytes),
+            ("cache.build_panics", c.build_panics),
+            ("cache.lock_recoveries", c.lock_recoveries),
+        ] {
             obs::add(name, n);
         }
         out.lake_payload_bytes = ctx.lake_payload_bytes();
@@ -1206,49 +1181,59 @@ mod tests {
             autofeat_data::faults::TableFaults { panic_on_row: Some(0), slow_join_ms: None },
         );
 
-        // Uncached: the panic fires on the fan-out worker and is isolated
-        // there — counted, structured, and the healthy path still ranks.
-        let uncached = AutoFeat::new(AutoFeatConfig::default().with_cache(false))
-            .discover(&ctx)
-            .unwrap();
-        assert_eq!(uncached.resilience.worker_panics, 1);
-        assert_eq!(uncached.failures.len(), 1);
-        assert_eq!(uncached.failures[0].hop.to_table, "af_panic_bad");
-        assert!(
-            uncached.failures[0].error.contains("injected fault"),
-            "{}",
-            uncached.failures[0].error
-        );
-        assert_eq!(uncached.ranked.len(), 1);
-        assert_eq!(uncached.ranked[0].path.last_table(), Some("af_panic_good"));
-        // Traced, the failure names the stage the hop was in.
-        let traced = AutoFeat::new(AutoFeatConfig::default().with_cache(false).with_trace(true))
-            .discover(&ctx)
-            .unwrap();
-        let error = &traced.failures[0].error;
-        assert!(error.contains("in phase `discover.level.eval`:"), "{error}");
-
-        // Cached: the panic fires inside the cache's index build, is caught
-        // there, and surfaces as a structured hop failure instead.
-        let cached = AutoFeat::new(AutoFeatConfig::default().with_cache(true))
-            .discover(&ctx)
-            .unwrap();
-        assert_eq!(cached.resilience.worker_panics, 0);
-        assert_eq!(cached.failures.len(), 1);
-        assert!(
-            cached.failures[0].error.contains("panicked"),
-            "{}",
-            cached.failures[0].error
-        );
-        assert_eq!(cached.ranked.len(), 1);
+        // Through the shared cache or a private one, the panic fires inside
+        // the cache's index build, is caught there, and surfaces as a
+        // structured hop failure; the healthy path still ranks. (A panic
+        // that reaches the fan-out is `merge_counts_a_worker_panic_as_a_failure`.)
+        for cache in [false, true] {
+            let r = AutoFeat::new(AutoFeatConfig::default().with_cache(cache))
+                .discover(&ctx)
+                .unwrap();
+            assert_eq!(r.resilience.worker_panics, 0);
+            assert_eq!(r.cache.build_panics, 1, "cache {cache}");
+            assert_eq!(r.failures.len(), 1);
+            assert_eq!(r.failures[0].hop.to_table, "af_panic_bad");
+            assert!(r.failures[0].error.contains("panicked"), "{}", r.failures[0].error);
+            assert!(r.failures[0].error.contains("injected fault"), "{}", r.failures[0].error);
+            assert_eq!(r.ranked.len(), 1);
+            assert_eq!(r.ranked[0].path.last_table(), Some("af_panic_good"));
+        }
 
         ctx.fault_domain().disarm("af_panic_bad");
         // With the fault gone the same context discovers both paths.
-        let healed = AutoFeat::new(AutoFeatConfig::default().with_cache(true))
+        let healed = AutoFeat::new(AutoFeatConfig::default())
             .discover(&ctx)
             .unwrap();
         assert!(healed.failures.is_empty());
         assert_eq!(healed.ranked.len(), 2);
+    }
+
+    #[test]
+    fn merge_counts_a_worker_panic_as_a_failure() {
+        let ctx = chain_ctx(60);
+        let engine = AutoFeat::paper();
+        let Setup { sampled, selector, .. } = engine.setup(&ctx, None).unwrap();
+        let frontier = [Frontier::root(ctx.drg().node("base").unwrap(), sampled)];
+        let (cands, _) = engine.plan_level(&ctx, &frontier);
+        let mut search = Search::new(selector, 1);
+        let panic = autofeat_data::parallel::WorkerPanic {
+            item: 0,
+            phase: "discover.level.eval".into(),
+            message: "boom".into(),
+        };
+        let tracer = obs::Tracer::enabled();
+        let next = obs::with_tracer(&tracer, || {
+            search.merge(&frontier[0], &cands[0], ItemOutcome::Panicked(panic))
+        });
+        assert!(next.is_none(), "a failed hop extends no path");
+        assert_eq!(search.out.resilience.worker_panics, 1);
+        assert_eq!(search.out.n_joins_evaluated, 1);
+        let failure = &search.out.failures[..];
+        assert_eq!(failure.len(), 1);
+        assert_eq!(failure[0].hop, cands[0].hop);
+        assert_eq!(failure[0].error, "worker panic on item 0 in phase `discover.level.eval`: boom");
+        let kinds: Vec<String> = tracer.snapshot().events.into_iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, ["worker_panic", "hop_failed"]);
     }
 
     #[test]
@@ -1434,8 +1419,6 @@ mod tests {
             .discover(&ctx)
             .unwrap();
         assert_results_identical(&cached, &uncached);
-        assert!(cached.cache.is_some());
-        assert!(uncached.cache.is_none());
     }
 
     #[test]
@@ -1443,11 +1426,11 @@ mod tests {
         let ctx = chain_ctx(120);
         let engine = AutoFeat::paper();
         let first = engine.discover(&ctx).unwrap();
-        let s1 = first.cache.expect("cache enabled by default");
+        let s1 = first.cache;
         assert!(s1.misses > 0, "first run must build indexes");
         assert_eq!(s1.hits, 0, "nothing to hit on a cold cache");
         let second = engine.discover(&ctx).unwrap();
-        let s2 = second.cache.expect("cache enabled by default");
+        let s2 = second.cache;
         assert_eq!(s2.misses, 0, "second run must reuse every index");
         assert!(s2.hits > 0);
         assert_eq!(s2.entries, s1.entries, "occupancy unchanged");
@@ -1684,7 +1667,7 @@ mod tests {
         let Setup { sampled, join_cols, selector } =
             engine.setup(ctx, engine.config.sample_rows).unwrap();
         let relevance = selector.relevance_stage();
-        let mut search = Search::new(selector, Vec::new(), 1);
+        let mut search = Search::new(selector, 1);
         let mut frontier = vec![Frontier::root(ctx.drg().node(ctx.base_name()).unwrap(), sampled)];
         while !frontier.is_empty() {
             search.n_levels += 1;
@@ -1714,7 +1697,7 @@ mod tests {
     }
 
     fn finished(search: Search, ctx: &SearchContext) -> DiscoveryResult {
-        search.finish(ctx, &RunControl::new(), None, Instant::now())
+        search.finish(ctx, &RunControl::new(), &CacheRecorder::default(), Instant::now())
     }
 
     #[test]

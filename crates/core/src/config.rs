@@ -64,10 +64,10 @@ pub struct AutoFeatConfig {
     /// a positive integer, else use the machine's available parallelism.
     /// Results are bit-identical at any thread count.
     pub threads: usize,
-    /// Use the context's lake-wide [`LakeIndexCache`](autofeat_data::LakeIndexCache)
-    /// for normalized joins. `false` rebuilds every join index from scratch
-    /// (the pre-cache kernel) — results are bit-identical either way; the
-    /// switch exists for benchmarking and determinism audits.
+    /// Which [`LakeIndexCache`](autofeat_data::LakeIndexCache) joins go
+    /// through: the context's shared one, or with `false` a private one at
+    /// budget 0 that builds, uses and drops every index and leaves the shared
+    /// one untouched. Results are bit-identical either way.
     pub cache: bool,
     /// Byte budget for the lake-wide join-index cache (memory governance:
     /// fit-or-deny admission, LRU eviction on budget shrink — see the
@@ -75,8 +75,8 @@ pub struct AutoFeatConfig {
     /// context's cache at the start of each run; `None` defers to the
     /// `AUTOFEAT_CACHE_BUDGET` environment variable (honoured both here and
     /// at cache construction), and when that is unset too the cache is
-    /// unbounded. Budgeted, unbounded, and uncached runs are bit-identical —
-    /// the budget bounds memory, never results.
+    /// unbounded. Ignored with `cache: false`. Budgeted and unbounded runs
+    /// are bit-identical — the budget bounds memory, never results.
     pub cache_budget_bytes: Option<u64>,
     /// Collect a structured [`RunTrace`](autofeat_obs::RunTrace) for every
     /// discovery run: per-phase wall times, pipeline counters, and a bounded
@@ -159,7 +159,7 @@ impl AutoFeatConfig {
         self
     }
 
-    /// Builder-style join-index-cache toggle.
+    /// Builder-style choice of join-index cache (see [`cache`](Self::cache)).
     pub fn with_cache(mut self, cache: bool) -> Self {
         self.cache = cache;
         self

@@ -260,6 +260,15 @@ impl SearchContext {
         self
     }
 
+    /// This view over a cache of its own with a budget of 0, ignoring
+    /// `AUTOFEAT_CACHE_BUDGET`: it refuses every admission, so each index is
+    /// built, used and dropped, and the lake's shared cache is never touched.
+    /// What a `cache: false` discovery run joins through.
+    pub(crate) fn with_private_cache(mut self) -> SearchContext {
+        self.cache = Arc::new(LakeIndexCache::with_budget(Some(0)));
+        self
+    }
+
     /// Build the *benchmark setting* context from tables plus known KFK
     /// edges `(parent_table, parent_column, child_table, child_column)`.
     pub fn from_kfk(
@@ -517,13 +526,6 @@ impl SearchContext {
     /// return its partial result.
     pub fn cancel(&self) {
         self.control.cancel();
-    }
-
-    /// Convenience for [`LakeIndexCache::set_budget`] on the shared cache:
-    /// (re)apply a byte budget, evicting coldest-first if current residency
-    /// exceeds it. Affects every clone of this context.
-    pub fn set_cache_budget(&self, budget: Option<u64>) {
-        self.cache.set_budget(budget);
     }
 
     /// Feature columns of the base table: everything except the label.

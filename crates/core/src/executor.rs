@@ -47,13 +47,12 @@ pub fn materialize_path(
             DataError::Invalid(format!("table `{}` not in context", hop.to_table))
         })?;
         let left_key = qualified_column(ctx.base_name(), &hop.from_table, &hop.from_column);
-        // Joins go through the context's lake-wide index cache: replaying a
-        // path discovery already explored reuses the indexes discovery
-        // built, and the cached kernel is bit-identical to the uncached one.
-        // Under a byte budget the cache may deny or evict an index, but the
-        // join holds its own `Arc` for the duration of the hop — governance
-        // changes rebuild frequency, never results (denied builds are simply
-        // handed to this call transiently).
+        // Joins go through the context's lake-wide index cache, as
+        // discovery's do: replaying a path discovery already explored reuses
+        // the indexes discovery built. Under a byte budget the cache may
+        // deny or evict an index, but the join holds its own `Arc` for the
+        // duration of the hop — governance changes rebuild frequency, never
+        // results (denied builds are simply handed to this call transiently).
         let out = ctx.lake_cache().left_join_normalized(
             &current,
             right,

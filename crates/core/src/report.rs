@@ -50,9 +50,10 @@ impl MethodResult {
 }
 
 /// Multi-line human-readable health report of a discovery run: path counts,
-/// truncation (and why), and every isolated hop failure with its path
-/// context. Empty sections are omitted; a fully healthy run yields a single
-/// "healthy" line.
+/// the join-index cache, truncation (and why), and every isolated hop
+/// failure with its path context. The counts, cache and lake lines are
+/// always there; any other section appears when it has content, and a run
+/// with no failure and no truncation ends in a "healthy" line.
 pub fn discovery_health_report(result: &DiscoveryResult) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -65,33 +66,20 @@ pub fn discovery_health_report(result: &DiscoveryResult) -> String {
         result.n_pruned_quality,
         result.threads_used
     );
-    match &result.cache {
-        Some(c) => {
-            let _ = writeln!(
-                out,
-                "join-index cache: {} hit(s), {} miss(es), {:?} build time, \
-                 {} index(es) resident ({} bytes)",
-                c.hits, c.misses, c.build_time, c.entries, c.resident_bytes
-            );
-            // Governance line, present only when memory governance was
-            // actually in play (a budget was set, or pressure events
-            // occurred) — unbudgeted healthy runs keep the legacy format.
-            if c.budget_bytes.is_some() || c.evictions > 0 || c.rejections > 0 {
-                let budget = c
-                    .budget_bytes
-                    .map_or("unbounded".to_string(), |b| format!("{b} bytes"));
-                let _ = writeln!(
-                    out,
-                    "cache governance: budget {budget}, peak resident {} bytes, \
-                     {} eviction(s) ({} bytes), {} admission rejection(s)",
-                    c.peak_resident_bytes, c.evictions, c.evicted_bytes, c.rejections
-                );
-            }
-        }
-        None => {
-            let _ = writeln!(out, "join-index cache: disabled");
-        }
-    }
+    let c = &result.cache;
+    let _ = writeln!(
+        out,
+        "join-index cache: {} hit(s), {} miss(es), {:?} build time, \
+         {} index(es) resident ({} bytes)",
+        c.hits, c.misses, c.build_time, c.entries, c.resident_bytes
+    );
+    let budget = c.budget_bytes.map_or("unbounded".to_string(), |b| format!("{b} bytes"));
+    let _ = writeln!(
+        out,
+        "cache governance: budget {budget}, peak resident {} bytes, \
+         {} eviction(s) ({} bytes), {} admission rejection(s)",
+        c.peak_resident_bytes, c.evictions, c.evicted_bytes, c.rejections
+    );
     let _ = writeln!(out, "lake payload: {} bytes of cells resident", result.lake_payload_bytes);
     if result.n_pruned_similarity > 0 || result.n_pruned_budget > 0 {
         let _ = writeln!(
@@ -120,13 +108,11 @@ pub fn discovery_health_report(result: &DiscoveryResult) -> String {
     // did something: degradation rungs, isolated panics (in the fan-out or
     // the cache), poisoned-lock recoveries, a cancel.
     let res = &result.resilience;
-    let cache_lock_recoveries = result.cache.as_ref().map_or(0, |c| c.lock_recoveries);
-    let cache_build_panics = result.cache.as_ref().map_or(0, |c| c.build_panics);
     if !res.degradations.is_empty()
         || res.worker_panics > 0
         || res.cancel_latency.is_some()
-        || cache_lock_recoveries > 0
-        || cache_build_panics > 0
+        || c.lock_recoveries > 0
+        || c.build_panics > 0
     {
         let mut parts: Vec<String> = Vec::new();
         if !res.degradations.is_empty() {
@@ -135,11 +121,11 @@ pub fn discovery_health_report(result: &DiscoveryResult) -> String {
         if res.worker_panics > 0 {
             parts.push(format!("{} worker panic(s) isolated", res.worker_panics));
         }
-        if cache_build_panics > 0 {
-            parts.push(format!("{cache_build_panics} cache build panic(s) isolated"));
+        if c.build_panics > 0 {
+            parts.push(format!("{} cache build panic(s) isolated", c.build_panics));
         }
-        if cache_lock_recoveries > 0 {
-            parts.push(format!("{cache_lock_recoveries} poisoned-lock recovery(ies)"));
+        if c.lock_recoveries > 0 {
+            parts.push(format!("{} poisoned-lock recovery(ies)", c.lock_recoveries));
         }
         if let Some(latency) = res.cancel_latency {
             parts.push(format!("cancel latency {latency:?}"));
@@ -194,7 +180,7 @@ mod tests {
             elapsed: Duration::from_millis(10),
             selected_features: vec![],
             threads_used: 4,
-            cache: Some(autofeat_data::CacheStats {
+            cache: autofeat_data::CacheStats {
                 hits: 8,
                 misses: 2,
                 build_time: Duration::from_millis(3),
@@ -209,7 +195,7 @@ mod tests {
                 build_panics: 0,
                 invalidations: 0,
                 invalidated_bytes: 0,
-            }),
+            },
             lake_payload_bytes: 65536,
             trace: None,
             resilience: Default::default(),
@@ -224,14 +210,6 @@ mod tests {
         assert!(r.contains("4 worker thread(s)"), "{r}");
         assert!(r.contains("join-index cache: 8 hit(s), 2 miss(es)"), "{r}");
         assert!(r.contains("2 index(es) resident (4096 bytes)"), "{r}");
-    }
-
-    #[test]
-    fn health_report_cache_disabled() {
-        let mut d = discovery(vec![], None);
-        d.cache = None;
-        let r = discovery_health_report(&d);
-        assert!(r.contains("join-index cache: disabled"), "{r}");
     }
 
     #[test]
@@ -268,6 +246,7 @@ mod tests {
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+cache governance: budget unbounded, peak resident 4096 bytes, 0 eviction(s) (0 bytes), 0 admission rejection(s)
 lake payload: 65536 bytes of cells resident
 healthy: no hop failures
 ";
@@ -280,6 +259,7 @@ healthy: no hop failures
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+cache governance: budget unbounded, peak resident 4096 bytes, 0 eviction(s) (0 bytes), 0 admission rejection(s)
 lake payload: 65536 bytes of cells resident
 truncated: max_joins cap reached
 ";
@@ -303,6 +283,7 @@ truncated: max_joins cap reached
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+cache governance: budget unbounded, peak resident 4096 bytes, 0 eviction(s) (0 bytes), 0 admission rejection(s)
 lake payload: 65536 bytes of cells resident
 1 hop failure(s) isolated:
   - base -> bad (on k=k2) after [(empty path)]: column not found
@@ -313,7 +294,7 @@ lake payload: 65536 bytes of cells resident
     #[test]
     fn golden_governance_section_is_exact() {
         let mut d = discovery(vec![], None);
-        d.cache = Some(autofeat_data::CacheStats {
+        d.cache = autofeat_data::CacheStats {
             hits: 8,
             misses: 2,
             build_time: Duration::from_millis(3),
@@ -328,7 +309,7 @@ lake payload: 65536 bytes of cells resident
             build_panics: 0,
             invalidations: 0,
             invalidated_bytes: 0,
-        });
+        };
         let r = discovery_health_report(&d);
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
@@ -341,21 +322,16 @@ healthy: no hop failures
     }
 
     #[test]
-    fn governance_line_absent_without_budget_or_pressure() {
-        let r = discovery_health_report(&discovery(vec![], None));
-        assert!(!r.contains("cache governance"), "{r}");
-        // Pressure without a budget (e.g. budget later removed) still
-        // surfaces the line.
+    fn uncached_run_reports_its_private_cache() {
+        // A `cache: false` run joins through a budget-0 cache of its own:
+        // every build is a miss the cache refuses to keep.
         let mut d = discovery(vec![], None);
-        if let Some(c) = d.cache.as_mut() {
-            c.evictions = 2;
-            c.evicted_bytes = 100;
-        }
+        d.cache.hits = 0;
+        (d.cache.resident_bytes, d.cache.entries, d.cache.peak_resident_bytes) = (0, 0, 0);
+        (d.cache.budget_bytes, d.cache.rejections) = (Some(0), 2);
         let r = discovery_health_report(&d);
-        assert!(
-            r.contains("cache governance: budget unbounded, peak resident 4096 bytes, 2 eviction(s) (100 bytes), 0 admission rejection(s)"),
-            "{r}"
-        );
+        assert!(r.contains("join-index cache: 0 hit(s), 2 miss(es), 3ms build time, 0 index(es) resident (0 bytes)\n"), "{r}");
+        assert!(r.contains("cache governance: budget 0 bytes, peak resident 0 bytes, 0 eviction(s) (0 bytes), 2 admission rejection(s)\n"), "{r}");
     }
 
     #[test]
@@ -370,6 +346,7 @@ healthy: no hop failures
         let expected = "\
 discovery: 0 path(s) ranked, 5 join(s) evaluated, 1 unjoinable, 2 below-quality, 4 worker thread(s)
 join-index cache: 8 hit(s), 2 miss(es), 3ms build time, 2 index(es) resident (4096 bytes)
+cache governance: budget unbounded, peak resident 4096 bytes, 0 eviction(s) (0 bytes), 0 admission rejection(s)
 lake payload: 65536 bytes of cells resident
 resilience: degraded (shrunk sample, skipped redundancy refinement), 1 worker panic(s) isolated, cancel latency 12ms
 healthy: no hop failures
@@ -386,10 +363,8 @@ healthy: no hop failures
     #[test]
     fn cancelled_truncation_and_cache_recoveries_reported() {
         let mut d = discovery(vec![], Some(TruncationReason::Cancelled));
-        if let Some(c) = d.cache.as_mut() {
-            c.lock_recoveries = 2;
-            c.build_panics = 1;
-        }
+        d.cache.lock_recoveries = 2;
+        d.cache.build_panics = 1;
         let r = discovery_health_report(&d);
         assert!(r.contains("truncated: cancelled after"), "{r}");
         assert!(r.contains("1 cache build panic(s) isolated"), "{r}");
@@ -430,7 +405,7 @@ healthy: no hop failures
         assert!(r.contains("phase timings:"), "{r}");
         assert!(r.contains("discover"), "{r}");
         assert!(r.contains("level"), "{r}");
-        // Untraced runs keep the legacy format, without the section.
+        // Untraced, the section has no content and is left out.
         d.trace = None;
         assert!(!discovery_health_report(&d).contains("phase timings:"));
     }

@@ -360,7 +360,7 @@ impl Telemetry {
                 r.resilience.worker_panics,
                 None,
             ),
-            Err(e) => (None, 0, 0, Some(e.to_string())),
+            Err(e) => (CacheStats::default(), 0, 0, Some(e.to_string())),
         };
         self.degradations.add(degradations as u64);
         self.worker_panics.add(worker_panics as u64);
@@ -375,9 +375,9 @@ impl Telemetry {
             duration,
             outcome,
             error,
-            cache_hits: cache.as_ref().map_or(0, |c| c.hits),
-            cache_misses: cache.as_ref().map_or(0, |c| c.misses),
-            cache_build_time: cache.as_ref().map_or(Duration::ZERO, |c| c.build_time),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_build_time: cache.build_time,
             degradations,
             worker_panics,
         };

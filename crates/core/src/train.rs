@@ -311,24 +311,7 @@ mod tests {
     fn base_only_fallback_when_no_paths() {
         let c = ctx(100);
         // Empty discovery result.
-        let empty = DiscoveryResult {
-            ranked: vec![],
-            n_joins_evaluated: 0,
-            n_pruned_unjoinable: 0,
-            n_pruned_quality: 0,
-            n_pruned_similarity: 0,
-            n_pruned_budget: 0,
-            truncated: false,
-            truncation: None,
-            failures: vec![],
-            elapsed: Duration::ZERO,
-            selected_features: vec![],
-            threads_used: 1,
-            cache: None,
-            lake_payload_bytes: 0,
-            trace: None,
-            resilience: Default::default(),
-        };
+        let empty = DiscoveryResult { threads_used: 1, ..Default::default() };
         let out =
             train_top_k(&c, &empty, &[ModelKind::RandomForest], &AutoFeatConfig::default())
                 .unwrap();

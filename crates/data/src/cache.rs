@@ -2,12 +2,11 @@
 //!
 //! Discovery evaluates many join paths that funnel through the same few
 //! satellite tables: every hop that joins against table `T` on column `c`
-//! needs the same key → row-group index, yet the uncached kernel rebuilds it
-//! (grouping + fingerprinting every duplicate row) per call. The
-//! [`LakeIndexCache`] builds each `(table, join column)` index **once**,
-//! thread-safely, and serves it to every subsequent join — the per-seed work
-//! then degrades to one hash probe plus a [`mix_u64`](crate::stable_hash::mix_u64)
-//! per duplicate candidate.
+//! needs the same key → row-group index, and building it groups and
+//! fingerprints every duplicate row. The [`LakeIndexCache`] builds each
+//! `(table, join column)` index **once**, thread-safely, and serves it to
+//! every subsequent join — the per-seed work then degrades to one hash probe
+//! plus a [`mix_u64`](crate::stable_hash::mix_u64) per duplicate candidate.
 //!
 //! ## Memory governance
 //!
@@ -30,11 +29,11 @@
 //!
 //! Eviction can never invalidate an in-flight join: entries hand out
 //! `Arc<JoinIndex>` clones, so an evicted index stays alive until its last
-//! borrower drops it — the cache merely stops *retaining* it. And because
-//! cached and uncached execution share one kernel (see *Determinism* below),
-//! denial/eviction can change only *when indexes are rebuilt*, never what
-//! any join produces: budgeted, unbounded, and uncached runs are
-//! bit-identical by construction.
+//! borrower drops it — the cache merely stops *retaining* it. And because a
+//! retained and a transient index are the same build (see *Determinism*
+//! below), denial/eviction can change only *when indexes are rebuilt*, never
+//! what any join produces: a cache at any budget, 0 included, is
+//! bit-identical to an unbounded one by construction.
 //!
 //! Accounting is **ownership-accurate**: resident bytes are registered only
 //! for indexes the slot map actually retains (admitted entries), and
@@ -73,12 +72,12 @@
 //!
 //! ## Determinism
 //!
-//! Cached and uncached execution are bit-identical by construction:
-//! [`join::left_join_normalized`](crate::join::left_join_normalized) is a
-//! wrapper that builds a transient index and calls
-//! [`join::left_join_with_index`](crate::join::left_join_with_index), the
-//! same function the cache path calls with a memoized index. Fingerprints
-//! are seed-independent, so one index serves every seed.
+//! Every join through the cache is [`JoinIndex::build`] then
+//! [`join::left_join_with_index`](crate::join::left_join_with_index),
+//! whether the index is retained, transient or served from a slot — the
+//! composition [`join::left_join_normalized`](crate::join::left_join_normalized)
+//! spells out without a cache, and which the tests compare against.
+//! Fingerprints are seed-independent, so one index serves every seed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -309,6 +308,15 @@ struct Governor {
 }
 
 impl Governor {
+    /// The invariant, asserted (debug builds) wherever residency changes:
+    /// `resident` is the admitted slots' bytes, within the budget if one is set.
+    fn check(&self) {
+        let admitted = || self.buckets.values().flatten().map(|s| s.bytes).sum::<u64>();
+        debug_assert_eq!(self.resident, admitted(), "resident bytes drift from the admitted slots");
+        let within = self.budget.is_none_or(|b| self.resident <= b);
+        debug_assert!(within, "resident {} bytes over the budget {:?}", self.resident, self.budget);
+    }
+
     /// Evict the coldest admitted slot, returning its bytes; `None` when
     /// nothing is admitted (residency 0).
     fn evict_coldest(&mut self) -> Option<u64> {
@@ -417,11 +425,7 @@ impl LakeIndexCache {
             });
         }
         gov.peak_resident = gov.resident;
-    }
-
-    /// The byte budget in force (`None` = unbounded).
-    pub fn budget(&self) -> Option<u64> {
-        self.occupancy().budget
+        gov.check();
     }
 
     /// The join index for `(table, column)`, building it on first use.
@@ -512,7 +516,7 @@ impl LakeIndexCache {
     /// Cached equivalent of
     /// [`join::left_join_normalized`](crate::join::left_join_normalized):
     /// resolves (or builds) the index for `(right, right_key)` and performs
-    /// the indexed join. Bit-identical to the uncached call.
+    /// the indexed join. Bit-identical to the free function.
     pub fn left_join_normalized(
         &self,
         left: &Table,
@@ -560,6 +564,7 @@ impl LakeIndexCache {
                 add(&r.invalidated_bytes, bytes);
             });
         }
+        gov.check();
         removed
     }
 
@@ -666,6 +671,7 @@ impl LakeIndexCache {
             gov.resident += bytes;
             gov.peak_resident = gov.peak_resident.max(gov.resident);
         }
+        gov.check();
     }
 }
 
@@ -1012,6 +1018,32 @@ mod tests {
         assert_eq!(st.rejections, 3);
     }
 
+    /// `Governor::check` runs after every admission, budget change and
+    /// invalidation in debug builds; this interleaves all three under a
+    /// budget and also checks the invariant itself, for release builds.
+    #[test]
+    fn residency_is_the_admitted_slots_through_admit_shrink_invalidate() {
+        let one = one_index_bytes();
+        let cache = LakeIndexCache::with_budget(Some(3 * one));
+        let l = base();
+        let sats: Vec<Table> = (0..4).map(|i| lake_table(&format!("gov_{i}"), 6)).collect();
+        let join = |i: usize| cache.left_join_normalized(&l, &sats[i], "id", "key", "p", 1).unwrap();
+        for i in 0..4 {
+            join(i); // gov_0..2 admitted, gov_3 rejected
+        }
+        cache.set_budget(Some(2 * one)); // evicts gov_0, the coldest
+        assert_eq!(cache.invalidate_table("gov_1"), 1);
+        join(3); // re-admitted into the room the invalidation left
+        join(0); // rebuilt, and rejected: the budget is full
+        let st = cache.stats();
+        assert_eq!((st.misses, st.rejections, st.evictions, st.invalidations), (6, 2, 1, 1));
+        assert_eq!((st.entries, st.resident_bytes), (2, 2 * one));
+        let gov = cache.gov.read().unwrap();
+        let admitted: u64 = gov.buckets.values().flatten().map(|s| s.bytes).sum();
+        assert_eq!(admitted, gov.resident);
+        gov.check();
+    }
+
     #[test]
     fn budget_shrink_evicts_lru_first() {
         let one = one_index_bytes();
@@ -1231,10 +1263,10 @@ mod tests {
         std::env::set_var(CACHE_BUDGET_ENV, "3M");
         let c = LakeIndexCache::new();
         std::env::remove_var(CACHE_BUDGET_ENV);
-        assert_eq!(c.budget(), Some(3 << 20));
-        assert_eq!(LakeIndexCache::new().budget(), None);
+        assert_eq!(c.stats().budget_bytes, Some(3 << 20));
+        assert_eq!(LakeIndexCache::new().stats().budget_bytes, None);
         assert_eq!(
-            LakeIndexCache::with_budget(Some(7)).budget(),
+            LakeIndexCache::with_budget(Some(7)).stats().budget_bytes,
             Some(7),
             "explicit budget ignores the environment"
         );

@@ -70,8 +70,7 @@ fn main() {
     std::env::set_var("AUTOFEAT_REQUEST_LOG", "-");
 
     // ---- 1. A resident service with its stats listener. ----
-    let service =
-        DiscoveryService::new(synthetic_lake(300, 6), AutoFeatConfig::default().with_cache(true));
+    let service = DiscoveryService::new(synthetic_lake(300, 6), AutoFeatConfig::default());
     let mut listener = service.serve_metrics("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr();
     println!("stats listener on http://{addr}  (GET /metrics, /metrics.json, /healthz)");

@@ -31,7 +31,6 @@ fn discover_budgeted(
         AutoFeatConfig::default()
             .with_seed(seed)
             .with_threads(threads)
-            .with_cache(true)
             .with_cache_budget_bytes(budget),
     )
     .discover(ctx)
@@ -53,7 +52,6 @@ fn cached_discovery_is_bit_identical_across_seeds_threads_and_permutations() {
             );
             for threads in [1usize, 2, 4] {
                 let cached = discover(&ctx, seed, threads, true);
-                assert!(cached.cache.is_some(), "cache stats must be reported");
                 assert_bit_identical(
                     &reference,
                     &cached,
@@ -81,14 +79,14 @@ fn second_run_hits_cache_without_rebuilding() {
     let ctx = lake_ctx(100);
     let engine = AutoFeat::new(AutoFeatConfig::default());
     let first = engine.discover(&ctx).unwrap();
-    let s1 = first.cache.expect("cache on by default");
+    let s1 = first.cache;
     assert!(s1.misses > 0, "cold run must build indexes");
     assert_eq!(s1.hits, 0, "nothing resident on the first run");
     assert!(s1.entries > 0);
     assert!(s1.resident_bytes > 0);
 
     let second = engine.discover(&ctx).unwrap();
-    let s2 = second.cache.expect("cache on by default");
+    let s2 = second.cache;
     assert_eq!(s2.misses, 0, "warm run must not rebuild anything");
     assert!(s2.hits > 0, "warm run must hit the cache");
     assert_eq!(s2.entries, s1.entries, "occupancy unchanged");
@@ -100,7 +98,7 @@ fn second_run_hits_cache_without_rebuilding() {
 /// cached run on a fresh clone of the context.
 fn working_set_bytes(ctx: &SearchContext, seed: u64) -> u64 {
     let r = discover(ctx, seed, 1, true);
-    let stats = r.cache.expect("cache stats present");
+    let stats = r.cache;
     assert!(stats.resident_bytes > 0, "unbounded run must retain indexes");
     stats.resident_bytes
 }
@@ -155,7 +153,7 @@ fn budgeted_peak_resident_never_exceeds_budget() {
             // the budget to a populated one — the peak must hold in both.
             for run in 0..2 {
                 let r = discover_budgeted(&ctx, 42, threads, budget);
-                let stats = r.cache.expect("cache stats present");
+                let stats = r.cache;
                 assert_eq!(stats.budget_bytes, Some(budget));
                 assert!(
                     stats.peak_resident_bytes <= budget,
@@ -180,12 +178,12 @@ fn budget_application_evicts_deterministically_across_thread_counts() {
         let ctx = wide_uniform_ctx(10, 60, 3);
         // Unbounded run fills the cache with every satellite's index.
         let full = discover(&ctx, 42, threads, true);
-        let full_stats = full.cache.expect("stats");
+        let full_stats = full.cache;
         // Budgeted run on the now-populated cache: applying the budget
         // evicts coldest-first down to it, then the run serves survivors.
         let budget = full_stats.resident_bytes / 2;
         let budgeted = discover_budgeted(&ctx, 42, threads, budget);
-        let stats = budgeted.cache.expect("stats");
+        let stats = budgeted.cache;
         assert!(stats.evictions > 0, "{threads} thread(s): shrink must evict");
         assert!(stats.peak_resident_bytes <= budget);
         assert_bit_identical(&full, &budgeted, &format!("{threads} thread(s)"));
@@ -202,6 +200,31 @@ fn budget_application_evicts_deterministically_across_thread_counts() {
         per_threads[0], per_threads[1],
         "governance counters must be invariant across thread counts"
     );
+}
+
+/// `cache: false` joins through a private budget-0 cache: against a warm,
+/// budgeted shared cache it changes nothing there — not a counter, not the
+/// budget, not a resident byte, whatever budget the run itself names —
+/// reports a cache that kept nothing and refused every build, and finds
+/// what the cached run found.
+#[test]
+fn uncached_run_leaves_the_shared_cache_untouched() {
+    let ctx = lake_ctx(120);
+    let budget = working_set_bytes(&lake_ctx(120), 42) / 2;
+    let cached = discover_budgeted(&ctx, 42, 2, budget);
+    let before = ctx.lake_cache().stats();
+    assert_eq!(before.budget_bytes, Some(budget));
+    assert!(before.resident_bytes > 0, "the shared cache is warm");
+    let uncached = AutoFeatConfig::default().with_seed(42).with_threads(2).with_cache(false);
+    for cfg in [uncached.clone(), uncached.with_cache_budget_bytes(budget / 2)] {
+        let r = AutoFeat::new(cfg).discover(&ctx).unwrap();
+        assert_eq!(ctx.lake_cache().stats(), before, "shared cache untouched");
+        assert_eq!(r.cache.budget_bytes, Some(0));
+        assert_eq!((r.cache.resident_bytes, r.cache.peak_resident_bytes), (0, 0));
+        assert!(r.cache.misses > 0);
+        assert_eq!(r.cache.misses, r.cache.rejections, "every build refused");
+        assert_bit_identical(&cached, &r, "uncached vs cached");
+    }
 }
 
 #[test]

@@ -156,7 +156,7 @@ fn every_resident_table_is_keyed_however_it_arrived() {
     let result = AutoFeat::new(AutoFeatConfig::default().with_seed(3))
         .discover(&from_kfk)
         .unwrap();
-    let stats = result.cache.unwrap();
+    let stats = result.cache;
     let expected: usize = ["keyed", "widened"]
         .iter()
         .map(|n| {

@@ -33,7 +33,7 @@ fn play_mixed_hand(service: &DiscoveryService) {
 #[test]
 fn concurrent_mixed_outcomes_reconcile_exactly() {
     let n_clients = 4u64;
-    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default().with_cache(true));
+    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default());
     thread::scope(|s| {
         for _ in 0..n_clients {
             s.spawn(|| play_mixed_hand(&service));
@@ -104,7 +104,7 @@ fn concurrent_mixed_outcomes_reconcile_exactly() {
 #[test]
 fn snapshot_during_load_never_tears() {
     let n_clients = 3;
-    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default().with_cache(true));
+    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default());
     let outcome_sum = |snap: &autofeat::obs::MetricsSnapshot| -> u64 {
         ["ok", "truncated", "cancelled", "error"]
             .iter()
@@ -160,7 +160,7 @@ fn snapshot_during_load_never_tears() {
 fn stats_listener_serves_parseable_metrics_under_load() {
     use std::io::{Read, Write};
 
-    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default().with_cache(true));
+    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default());
     let mut listener = service.serve_metrics("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr();
     let http_get = |path: &str| -> (String, String) {

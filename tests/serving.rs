@@ -21,13 +21,12 @@ use common::{assert_bit_identical, lake_ctx};
 /// result's determinism. Deadlines are deliberately absent — they are wall
 /// clock dependent and belong to the lifecycle tests, not identity tests.
 fn mixed_specs() -> Vec<(&'static str, AutoFeatConfig)> {
-    let mut narrow = AutoFeatConfig::default().with_cache(true);
-    narrow.top_k = 1;
+    let narrow = AutoFeatConfig { top_k: 1, ..Default::default() };
     vec![
-        ("default", AutoFeatConfig::default().with_cache(true)),
-        ("paper-serial", AutoFeatConfig::paper().with_cache(true).with_threads(1).with_seed(7)),
-        ("kappa1", AutoFeatConfig::default().with_cache(true).with_kappa(1).with_seed(99)),
-        ("wide-fanout", AutoFeatConfig::paper().with_cache(true).with_threads(4)),
+        ("default", AutoFeatConfig::default()),
+        ("paper-serial", AutoFeatConfig::paper().with_threads(1).with_seed(7)),
+        ("kappa1", AutoFeatConfig::default().with_kappa(1).with_seed(99)),
+        ("wide-fanout", AutoFeatConfig::paper().with_threads(4)),
         ("top1", narrow),
     ]
 }
@@ -75,7 +74,7 @@ fn concurrent_mixed_requests_are_bit_identical_to_solo() {
 /// nothing dropped, nothing leaked from a sibling.
 #[test]
 fn per_request_cache_counters_sum_to_shared_cache_totals() {
-    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default().with_cache(true));
+    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default());
     let before = service.context().lake_cache().stats();
     assert_eq!((before.hits, before.misses), (0, 0), "fresh cache");
 
@@ -88,9 +87,7 @@ fn per_request_cache_counters_sum_to_shared_cache_totals() {
                 s.spawn(move || {
                     (0..ROUNDS)
                         .map(|r| {
-                            let cfg = AutoFeatConfig::default()
-                                .with_cache(true)
-                                .with_seed((t * ROUNDS + r) as u64);
+                            let cfg = AutoFeatConfig::default().with_seed((t * ROUNDS + r) as u64);
                             service.submit(&request(&cfg)).unwrap()
                         })
                         .collect::<Vec<_>>()
@@ -101,7 +98,7 @@ fn per_request_cache_counters_sum_to_shared_cache_totals() {
     });
 
     let per_request: Vec<&CacheStats> =
-        results.iter().map(|r| r.cache.as_ref().expect("cache enabled")).collect();
+        results.iter().map(|r| &r.cache).collect();
     let global = service.context().lake_cache().stats();
     let sum = |f: fn(&CacheStats) -> u64| per_request.iter().map(|c| f(c)).sum::<u64>();
     assert_eq!(sum(|c| c.hits), global.hits, "hits attribute exactly");
@@ -152,7 +149,7 @@ fn concurrent_traces_attribute_only_their_own_request() {
     for (i, r) in &results {
         let what = specs[*i].0;
         let trace = r.trace.as_ref().expect("traced request");
-        let cache = r.cache.as_ref().expect("cache enabled in every spec");
+        let cache = &r.cache;
         assert_eq!(
             trace.counter("discover.joins_evaluated").unwrap_or(0),
             r.n_joins_evaluated as u64,

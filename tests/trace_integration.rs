@@ -90,7 +90,7 @@ fn trace_counters_match_result_and_health_report() {
 
     // Cache counters equal the result's CacheStats (fresh context: the
     // delta the result carries is the cache's lifetime totals).
-    let cache = r.cache.as_ref().expect("cache enabled by default");
+    let cache = &r.cache;
     assert_eq!(trace.counter("cache.hits").unwrap_or(0), cache.hits);
     assert_eq!(trace.counter("cache.misses").unwrap_or(0), cache.misses);
     // Per-entry build-time histogram: one observation per cache miss.
@@ -132,7 +132,7 @@ fn first_use_builds_are_counted_under_the_request_that_made_them() {
     let trace = first.trace.as_ref().expect("traced run");
     // One dictionary per index (every index is keyed on a column of its
     // own); fingerprints for `s1` and `sib`, whose keys repeat.
-    let builds = first.cache.expect("cache enabled by default").misses;
+    let builds = first.cache.misses;
     assert_eq!(builds, 4);
     assert_eq!(trace.counter("keymeta.dicts_built"), Some(builds));
     assert_eq!(trace.counter("keymeta.rows_coded"), Some(180 + 60 + 180 + 60));
@@ -166,7 +166,7 @@ fn governance_trace_counters_match_cache_stats() {
     // Determine the working set, then re-run budgeted below it. The first
     // run is unbounded (budget far above any residency this lake needs).
     let full = budgeted(u64::MAX);
-    let full_stats = full.cache.as_ref().expect("cache stats");
+    let full_stats = &full.cache;
     let trace = full.trace.as_ref().expect("traced");
     assert_eq!(trace.counter("cache.evictions").unwrap_or(0), 0);
     assert_eq!(trace.counter("cache.admission_rejected").unwrap_or(0), 0);
@@ -175,7 +175,7 @@ fn governance_trace_counters_match_cache_stats() {
     // every admission denial must appear in both the trace counters and
     // the run's CacheStats delta, with identical totals.
     let r = budgeted(full_stats.resident_bytes / 2);
-    let stats = r.cache.as_ref().expect("cache stats");
+    let stats = &r.cache;
     let trace = r.trace.as_ref().expect("traced");
     assert!(stats.evictions > 0, "budget shrink must evict");
     assert!(stats.rejections > 0, "sub-working-set budget must deny");
