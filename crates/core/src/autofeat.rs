@@ -59,7 +59,7 @@ use autofeat_metrics::streaming::{RelevanceStage, StreamingSelector};
 use autofeat_obs as obs;
 use autofeat_obs::RunTrace;
 
-use crate::config::{AutoFeatConfig, DegradeConfig};
+use crate::config::{self, AutoFeatConfig};
 use crate::context::SearchContext;
 use crate::executor::qualified_column;
 use crate::ranking::{accumulate, compute_score};
@@ -128,8 +128,7 @@ fn truncation_reason(reason: Interrupt, phase: Phase) -> TruncationReason {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Degradation-ladder rungs taken, in the order they engaged (see
-    /// [`DegradeConfig`](crate::config::DegradeConfig); empty unless a
-    /// deadline was armed).
+    /// [`AutoFeat::discover`]; empty unless a deadline was armed).
     pub degradations: Vec<&'static str>,
     /// Worker panics caught in the evaluation fan-out and isolated into
     /// [`PathFailure`]s instead of aborting the process.
@@ -202,7 +201,7 @@ pub struct DiscoveryResult {
     pub lake_payload_bytes: usize,
     /// Structured run trace (per-phase wall times, pipeline counters,
     /// bounded event log), present when the run was configured with
-    /// tracing (`trace`, `trace_path`, or `AUTOFEAT_TRACE`). Informational
+    /// tracing (`trace`, or `AUTOFEAT_TRACE`). Informational
     /// only — results are bit-identical with tracing on or off.
     pub trace: Option<RunTrace>,
     /// What the request-lifecycle layer did during this run: degradation
@@ -300,11 +299,40 @@ fn rank_key(score: f64) -> f64 {
     }
 }
 
-/// One run's degradation ladder ([`DegradeConfig`] has the rungs), armed
-/// only under a deadline: unbounded runs never degrade, so they stay
-/// bit-identical. `taken` records each rung, in order.
+/// Rung 1 engages when the whole armed budget is below this.
+const SHRINK_SAMPLE_BELOW: Duration = Duration::from_secs(1);
+/// The sample cap rung 1 applies.
+const MIN_SAMPLE_ROWS: usize = 250;
+/// Rung 2 engages when the remaining fraction of the budget is below this.
+const SKIP_REDUNDANCY_BELOW: f64 = 0.25;
+/// Cache admission rejections in one run that also engage rung 2: sustained
+/// rejection means indexes are rebuilt over and over, so the cheaper merge
+/// buys the most time back.
+const REJECTION_PRESSURE: u64 = 64;
+/// Rung 3 engages when the remaining fraction of the budget is below this.
+const STOP_LEVELS_BELOW: f64 = 0.10;
+// The rungs engage in order as the budget runs out.
+const _: () = assert!(SKIP_REDUNDANCY_BELOW > STOP_LEVELS_BELOW);
+
+/// One run's graceful-degradation ladder: deterministic trade-downs a run
+/// takes to stay useful as its deadline nears. It is armed by any deadline
+/// (the run's `time_budget`, or one on the context's [`RunControl`]);
+/// unbounded runs never degrade, so they stay bit-identical. `taken`
+/// records each rung, in order; the result carries them as
+/// `ResilienceStats::degradations`, each also a `degraded` trace event.
+///
+/// 1. **Shrink the stratified sample** to [`MIN_SAMPLE_ROWS`] when the
+///    whole budget is below [`SHRINK_SAMPLE_BELOW`]. This reads the
+///    budget, not the clock, so equal budgets take it identically.
+/// 2. **Skip redundancy refinement** for the levels left when the remaining
+///    fraction is below [`SKIP_REDUNDANCY_BELOW`] at a level boundary, or
+///    the run has had [`REJECTION_PRESSURE`] admissions rejected.
+/// 3. **Stop before the next level** when the remaining fraction is below
+///    [`STOP_LEVELS_BELOW`]; the result is marked truncated.
+///
+/// Rungs 2 and 3 read the wall clock, so they are best-effort: under a
+/// deadline, anytime semantics — not bit-identity — are the contract.
 struct Ladder<'a> {
-    cfg: &'a DegradeConfig,
     ctl: &'a RunControl,
     /// The budget the deadline left at run start; `None` = disarmed.
     total: Option<Duration>,
@@ -312,17 +340,16 @@ struct Ladder<'a> {
 }
 
 impl<'a> Ladder<'a> {
-    fn new(cfg: &'a DegradeConfig, ctl: &'a RunControl, t0: Instant) -> Ladder<'a> {
-        let total = ctl.deadline().filter(|_| cfg.enabled).map(|d| d.saturating_duration_since(t0));
-        Ladder { cfg, ctl, total, taken: Vec::new() }
+    fn new(ctl: &'a RunControl, t0: Instant) -> Ladder<'a> {
+        let total = ctl.deadline().map(|d| d.saturating_duration_since(t0));
+        Ladder { ctl, total, taken: Vec::new() }
     }
 
     /// Rung 1: the sample cap, shrunk when the total budget is too tight for
-    /// the full sample. Reads configuration, not the clock, so equal budgets
-    /// degrade identically.
+    /// the full sample.
     fn before_run(&mut self, sample_rows: Option<usize>, base_rows: usize) -> Option<usize> {
-        let shrunk = self.cfg.min_sample_rows;
-        let tight = self.total.is_some_and(|b| b < self.cfg.shrink_sample_below);
+        let shrunk = MIN_SAMPLE_ROWS;
+        let tight = self.total.is_some_and(|b| b < SHRINK_SAMPLE_BELOW);
         if !tight || sample_rows.is_some_and(|c| c <= shrunk) || base_rows <= shrunk {
             return sample_rows;
         }
@@ -336,13 +363,13 @@ impl<'a> Ladder<'a> {
     /// turns redundancy refinement off for the levels left.
     fn before_level(&mut self, recorder: &CacheRecorder, selector: &mut StreamingSelector) -> bool {
         let Some(frac) = self.remaining_fraction() else { return false };
-        if frac < self.cfg.stop_levels_below {
+        if frac < STOP_LEVELS_BELOW {
             let detail = "stopped enumerating deeper levels: budget nearly spent";
             self.degrade("stopped deeper levels", detail.into());
             return true;
         }
-        let pressure = recorder.rejections() >= self.cfg.rejection_pressure;
-        if (pressure || frac < self.cfg.skip_redundancy_below) && selector.skip_redundancy() {
+        let pressure = recorder.rejections() >= REJECTION_PRESSURE;
+        if (pressure || frac < SKIP_REDUNDANCY_BELOW) && selector.skip_redundancy() {
             let detail = "redundancy refinement off for remaining levels";
             self.degrade("skipped redundancy refinement", detail.into());
         }
@@ -382,11 +409,11 @@ impl AutoFeat {
 
     /// Run Algorithm 1 over the context, producing the ranked path list.
     ///
-    /// When tracing is enabled (config `trace`/`trace_path` or the
-    /// `AUTOFEAT_TRACE` environment variable), the whole run executes under
-    /// an ambient [`Tracer`](autofeat_obs::Tracer); the aggregated
-    /// [`RunTrace`] is attached to the result and, when a path is
-    /// configured, written as JSON. Trace collection never changes the
+    /// When tracing is enabled (config `trace` or the `AUTOFEAT_TRACE`
+    /// environment variable), the whole run executes under an ambient
+    /// [`Tracer`](autofeat_obs::Tracer); the aggregated [`RunTrace`] is
+    /// attached to the result and, when `AUTOFEAT_TRACE` names a file,
+    /// written there as JSON. Trace collection never changes the
     /// result: traced and untraced runs are bit-identical, and counter
     /// totals are invariant across worker-thread counts.
     pub fn discover(&self, ctx: &SearchContext) -> Result<DiscoveryResult> {
@@ -396,7 +423,7 @@ impl AutoFeat {
         let tracer = obs::Tracer::enabled();
         let mut result = obs::with_tracer(&tracer, || self.discover_inner(ctx))?;
         let trace = tracer.snapshot();
-        if let Some(path) = self.config.resolve_trace_path() {
+        if let Some(path) = config::trace_file() {
             // Fail-soft: a bad trace destination must not fail a discovery
             // run that already succeeded.
             if let Err(e) = std::fs::write(&path, trace.to_json()) {
@@ -445,7 +472,7 @@ impl AutoFeat {
             private = ctx.clone().with_private_cache();
             &private
         };
-        let mut ladder = Ladder::new(&cfg.degrade, &ctl, t0);
+        let mut ladder = Ladder::new(&ctl, t0);
         let sample_cap = ladder.before_run(cfg.sample_rows, ctx.base_table().n_rows());
         let Setup { sampled, join_cols, selector } = self.setup(ctx, sample_cap)?;
         let relevance = selector.relevance_stage();

@@ -40,12 +40,6 @@ pub struct AutoFeatConfig {
     /// [`RunControl`](autofeat_data::RunControl): the tighter of the two
     /// wins, and a cancel on either interrupts the run.
     pub time_budget: Option<Duration>,
-    /// Deterministic graceful-degradation ladder, active only when a
-    /// deadline is armed (this run's `time_budget`, or a deadline on the
-    /// context's [`RunControl`](autofeat_data::RunControl)). Runs without a
-    /// deadline never degrade, so their results stay bit-identical whatever
-    /// these knobs say.
-    pub degrade: DegradeConfig,
     /// Optional beam width: keep only the best-scored `b` frontier entries
     /// per BFS level. `None` = exhaustive level expansion (the paper's
     /// published algorithm); `Some(b)` is the "more aggressive pruning" its
@@ -72,25 +66,23 @@ pub struct AutoFeatConfig {
     /// Byte budget for the lake-wide join-index cache (memory governance:
     /// fit-or-deny admission, LRU eviction on budget shrink — see the
     /// `autofeat_data::cache` module docs). `Some(b)` is applied to the
-    /// context's cache at the start of each run; `None` defers to the
-    /// `AUTOFEAT_CACHE_BUDGET` environment variable (honoured both here and
-    /// at cache construction), and when that is unset too the cache is
-    /// unbounded. Ignored with `cache: false`. Budgeted and unbounded runs
-    /// are bit-identical — the budget bounds memory, never results.
+    /// context's cache at the start of each run; `None` leaves the cache's
+    /// budget as it is — the `AUTOFEAT_CACHE_BUDGET` environment variable
+    /// read when the cache was built, or whatever
+    /// [`LakeIndexCache::set_budget`](autofeat_data::LakeIndexCache::set_budget)
+    /// applied since. Ignored with `cache: false`. Budgeted and unbounded
+    /// runs are bit-identical — the budget bounds memory, never results.
     pub cache_budget_bytes: Option<u64>,
     /// Collect a structured [`RunTrace`](autofeat_obs::RunTrace) for every
     /// discovery run: per-phase wall times, pipeline counters, and a bounded
     /// event log, attached to the result as `DiscoveryResult::trace`.
     /// Tracing never perturbs results — traced and untraced runs are
-    /// bit-identical. Also enabled implicitly by `trace_path` or the
-    /// `AUTOFEAT_TRACE` environment variable.
+    /// bit-identical. Also enabled implicitly by the `AUTOFEAT_TRACE`
+    /// environment variable, which names a file the trace is written to as
+    /// JSON (schema [`autofeat_obs::TRACE_SCHEMA_VERSION`]). Write failures
+    /// are fail-soft: the run still succeeds and the trace stays on the
+    /// result.
     pub trace: bool,
-    /// Where to write the run trace as JSON (schema
-    /// [`autofeat_obs::TRACE_SCHEMA_VERSION`]). Setting a path implies
-    /// `trace`. When unset, the `AUTOFEAT_TRACE` environment variable (a
-    /// file path) is honoured instead. Write failures are fail-soft: the
-    /// run still succeeds and the trace stays on the result.
-    pub trace_path: Option<PathBuf>,
 }
 
 impl Default for AutoFeatConfig {
@@ -104,7 +96,6 @@ impl Default for AutoFeatConfig {
             max_path_length: 4,
             max_joins: 2000,
             time_budget: None,
-            degrade: DegradeConfig::default(),
             beam_width: None,
             sample_rows: Some(1000),
             seed: 42,
@@ -112,7 +103,6 @@ impl Default for AutoFeatConfig {
             cache: true,
             cache_budget_bytes: None,
             trace: false,
-            trace_path: None,
         }
     }
 }
@@ -147,12 +137,6 @@ impl AutoFeatConfig {
         self
     }
 
-    /// Builder-style degradation-ladder override (see [`DegradeConfig`]).
-    pub fn with_degrade(mut self, degrade: DegradeConfig) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
     /// Builder-style worker-thread override (`0` = auto).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -178,35 +162,20 @@ impl AutoFeatConfig {
         self
     }
 
-    /// Builder-style trace output path (implies tracing).
-    pub fn with_trace_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.trace_path = Some(path.into());
-        self
-    }
-
-    /// Whether this run should collect a trace: the explicit `trace` flag, a
-    /// configured `trace_path`, or a non-empty `AUTOFEAT_TRACE` environment
-    /// variable.
+    /// Whether this run should collect a trace: the explicit `trace` flag,
+    /// or a trace file named by `AUTOFEAT_TRACE`.
     pub fn trace_enabled(&self) -> bool {
-        self.trace || self.trace_path.is_some() || env_trace_path().is_some()
+        self.trace || trace_file().is_some()
     }
 
-    /// The JSON output path for the trace, if any: the explicit `trace_path`
-    /// wins over the `AUTOFEAT_TRACE` environment variable. `None` means the
-    /// trace stays in-memory only.
-    pub fn resolve_trace_path(&self) -> Option<PathBuf> {
-        self.trace_path.clone().or_else(env_trace_path)
-    }
-
-    /// The effective cache byte budget for a run: the explicit
-    /// `cache_budget_bytes` when set, else the `AUTOFEAT_CACHE_BUDGET`
-    /// environment variable. `None` means this run imposes no budget (the
+    /// The byte budget this run applies to the shared cache:
+    /// `cache_budget_bytes`. `None` means this run imposes no budget (the
     /// context's cache keeps whatever budget it already has — so a cache
     /// configured programmatically via
     /// [`LakeIndexCache::set_budget`](autofeat_data::LakeIndexCache::set_budget)
     /// is not clobbered by budget-less runs).
     pub fn resolve_cache_budget(&self) -> Option<u64> {
-        self.cache_budget_bytes.or_else(autofeat_data::cache::env_cache_budget)
+        self.cache_budget_bytes
     }
 
     /// The effective worker count: the explicit `threads` field when
@@ -253,68 +222,9 @@ impl AutoFeatConfig {
     }
 }
 
-/// The graceful-degradation ladder: deterministic trade-downs a deadline-
-/// armed discovery run takes to stay useful as its budget runs out, each
-/// recorded on `DiscoveryResult::resilience` and as a
-/// `resilience.degradations` trace counter.
-///
-/// The three rungs, in the order they engage:
-///
-/// 1. **Shrink the stratified sample** — when the *total* armed budget is
-///    below [`shrink_sample_below`](Self::shrink_sample_below), the base-
-///    table sample is capped at [`min_sample_rows`](Self::min_sample_rows)
-///    instead of `sample_rows`. This rung depends only on configuration, so
-///    two runs with the same budget take it identically.
-/// 2. **Skip redundancy refinement** — when the *remaining* fraction of the
-///    budget falls below
-///    [`skip_redundancy_below`](Self::skip_redundancy_below) at a level
-///    boundary (or the cache governor has rejected at least
-///    [`rejection_pressure`](Self::rejection_pressure) admissions this
-///    run), later levels keep every relevance-approved feature without the
-///    streaming redundancy pass.
-/// 3. **Stop enumerating deeper levels** — when the remaining fraction
-///    falls below [`stop_levels_below`](Self::stop_levels_below), the BFS
-///    stops before the next level and the result is marked truncated.
-///
-/// Rungs 2 and 3 read the wall clock, so they are inherently best-effort:
-/// they only exist under an armed deadline, where anytime semantics — not
-/// bit-identity — are the contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradeConfig {
-    /// Master switch. `false` = never degrade (a tight deadline then simply
-    /// truncates harder).
-    pub enabled: bool,
-    /// Total-budget threshold below which rung 1 (sample shrink) engages.
-    pub shrink_sample_below: Duration,
-    /// The shrunken sample cap rung 1 applies.
-    pub min_sample_rows: usize,
-    /// Remaining-budget fraction below which rung 2 (skip redundancy)
-    /// engages.
-    pub skip_redundancy_below: f64,
-    /// Cache-governor admission rejections (this run) that also trigger
-    /// rung 2 — sustained rejection means indexes are being rebuilt over
-    /// and over, so the cheaper merge buys the most time back.
-    pub rejection_pressure: u64,
-    /// Remaining-budget fraction below which rung 3 (stop deeper levels)
-    /// engages.
-    pub stop_levels_below: f64,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig {
-            enabled: true,
-            shrink_sample_below: Duration::from_secs(1),
-            min_sample_rows: 250,
-            skip_redundancy_below: 0.25,
-            rejection_pressure: 64,
-            stop_levels_below: 0.10,
-        }
-    }
-}
-
-/// The `AUTOFEAT_TRACE` environment variable as a path, when set non-empty.
-fn env_trace_path() -> Option<PathBuf> {
+/// The trace file named by the `AUTOFEAT_TRACE` environment variable, when
+/// set non-empty: the one way to have a run's trace written to disk.
+pub(crate) fn trace_file() -> Option<PathBuf> {
     match std::env::var("AUTOFEAT_TRACE") {
         Ok(v) if !v.trim().is_empty() => Some(PathBuf::from(v)),
         _ => None,
@@ -343,18 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn degrade_defaults_are_armed_but_conservative() {
-        let d = DegradeConfig::default();
-        assert!(d.enabled);
-        assert_eq!(d.shrink_sample_below, Duration::from_secs(1));
-        assert_eq!(d.min_sample_rows, 250);
-        assert!(d.skip_redundancy_below > d.stop_levels_below);
-        let c = AutoFeatConfig::default()
-            .with_degrade(DegradeConfig { enabled: false, ..Default::default() });
-        assert!(!c.degrade.enabled);
-    }
-
-    #[test]
     fn threads_resolution() {
         // Explicit config value wins over everything.
         let c = AutoFeatConfig::default().with_threads(3);
@@ -367,11 +265,9 @@ mod tests {
 
     #[test]
     fn cache_budget_resolution() {
-        // Default: no budget configured, environment decides (unset here).
+        // Default: no budget configured, so the run leaves the cache's own.
         let c = AutoFeatConfig::default();
-        assert_eq!(c.cache_budget_bytes, None);
-        // (cannot assert the env-free branch strictly — another test binary
-        // may export the variable — but the builder must always win.)
+        assert_eq!(c.resolve_cache_budget(), None);
         let c = AutoFeatConfig::default().with_cache_budget_bytes(24 << 20);
         assert_eq!(c.resolve_cache_budget(), Some(24 << 20));
         let c = AutoFeatConfig::default().with_cache_budget_bytes(0);
@@ -379,13 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_builders_enable_tracing() {
-        let c = AutoFeatConfig::default().with_trace(true);
-        assert!(c.trace_enabled());
-        // A path implies tracing and wins over the environment.
-        let c2 = AutoFeatConfig::default().with_trace_path("/tmp/trace.json");
-        assert!(c2.trace_enabled());
-        assert_eq!(c2.resolve_trace_path(), Some(PathBuf::from("/tmp/trace.json")));
+    fn trace_builder_enables_tracing() {
+        assert!(AutoFeatConfig::default().with_trace(true).trace_enabled());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use autofeat_obs::{
     MetricsRegistry, MetricsSnapshot, RunTrace, StatsListener, Tracer, METRICS_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
 };
-pub use config::{AutoFeatConfig, DegradeConfig};
+pub use config::AutoFeatConfig;
 pub use context::{load_lake_dir, LakeLoadReport, QuarantinedTable, SearchContext};
 pub use executor::materialize_path;
 pub use ranking::compute_score;

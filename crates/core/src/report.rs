@@ -33,11 +33,7 @@ impl MethodResult {
     /// Mean accuracy across models (the paper averages "over all tested
     /// tree-based ML algorithms").
     pub fn mean_accuracy(&self) -> f64 {
-        if self.accuracy_per_model.is_empty() {
-            return 0.0;
-        }
-        self.accuracy_per_model.iter().map(|(_, a)| a).sum::<f64>()
-            / self.accuracy_per_model.len() as f64
+        mean_accuracy(&self.accuracy_per_model)
     }
 
     /// Accuracy for one model, if evaluated.
@@ -47,6 +43,14 @@ impl MethodResult {
             .find(|(k, _)| *k == kind)
             .map(|(_, a)| *a)
     }
+}
+
+/// Mean of per-model accuracies; zero when no model was evaluated.
+pub(crate) fn mean_accuracy(accs: &[(ModelKind, f64)]) -> f64 {
+    if accs.is_empty() {
+        return 0.0;
+    }
+    accs.iter().map(|(_, a)| a).sum::<f64>() / accs.len() as f64
 }
 
 /// Multi-line human-readable health report of a discovery run: path counts,

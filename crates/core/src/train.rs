@@ -16,16 +16,10 @@ use crate::autofeat::{DiscoveryResult, RankedPath};
 use crate::config::AutoFeatConfig;
 use crate::context::SearchContext;
 use crate::executor::materialize_path;
-use crate::report::MethodResult;
+use crate::report::{mean_accuracy, MethodResult};
 
 /// Fraction of rows held out for testing (the paper's 80/20 split).
 pub const TEST_FRAC: f64 = 0.2;
-
-/// A candidate evaluation: (rank index, mean accuracy, per-model
-/// accuracies, feature count).
-type Candidate = (usize, f64, Vec<(ModelKind, f64)>, usize);
-/// A join-tree evaluation: (per-model accuracies, mean, tables, features).
-type TreeEval = (Vec<(ModelKind, f64)>, f64, usize, usize);
 
 /// Train every model on one table restricted to `features`, returning
 /// per-model test accuracies. Shared by AutoFeat and all baselines so the
@@ -89,6 +83,16 @@ pub struct TrainOutcome {
     pub interrupted: bool,
 }
 
+/// The features trained on a table that joins `tables` onto the base: the
+/// base features, then every globally selected feature living on one of
+/// `tables` (not just the ones first selected *via* a given path — the
+/// streaming R_sel makes per-path lists order-dependent).
+fn features_on<'a>(base: &'a [String], selected: &'a [String], tables: &[&str]) -> Vec<&'a str> {
+    let prefixes: Vec<String> = tables.iter().map(|t| format!("{t}.")).collect();
+    let on_tables = |f: &&String| prefixes.iter().any(|p| f.starts_with(p.as_str()));
+    base.iter().chain(selected.iter().filter(on_tables)).map(String::as_str).collect()
+}
+
 /// Materialize and evaluate the top-k ranked paths; pick the best by mean
 /// accuracy across the given models.
 pub fn train_top_k(
@@ -107,11 +111,16 @@ pub fn train_top_k(
     let mut stopped_early = false;
     let base_features = ctx.base_features();
     let label = ctx.label();
+    let selected = &discovery.selected_features;
+    let train_features = |tables: &[&str]| features_on(&base_features, selected, tables);
 
     let candidates = discovery.top_k(config.top_k);
-    let mut best: Option<Candidate> = None;
+    // The best evaluation so far: (path, per-model accuracies, tables
+    // joined, feature count), and its mean accuracy.
+    let mut winner = None;
+    let mut best_mean = f64::NEG_INFINITY;
     let mut per_path = Vec::with_capacity(candidates.len());
-    for (i, rp) in candidates.iter().enumerate() {
+    for rp in candidates {
         if ctx.control().interrupted().is_some() {
             stopped_early = true;
             break;
@@ -124,61 +133,33 @@ pub fn train_top_k(
             }
             Err(e) => return Err(e),
         };
-        // Train on every globally selected feature living on this path's
-        // tables (not just the ones first selected *via* this path — the
-        // streaming R_sel makes per-path lists order-dependent), plus the
-        // base features.
-        let path_tables: Vec<String> = rp
-            .path
-            .tables()
-            .into_iter()
-            .filter(|t| *t != ctx.base_name())
-            .map(|t| format!("{t}."))
-            .collect();
-        let mut features: Vec<&str> = base_features.iter().map(String::as_str).collect();
-        for f in &discovery.selected_features {
-            if path_tables.iter().any(|p| f.starts_with(p.as_str())) {
-                features.push(f);
-            }
-        }
-        let n_feats = features.len();
+        let mut tables = rp.path.tables();
+        tables.retain(|t| *t != ctx.base_name());
+        let features = train_features(&tables);
         let accs = evaluate_feature_set(&table, &features, label, models, config.seed)?;
-        let mean = if accs.is_empty() {
-            0.0
-        } else {
-            accs.iter().map(|(_, a)| a).sum::<f64>() / accs.len() as f64
-        };
+        let mean = mean_accuracy(&accs);
         per_path.push(mean);
-        if best.as_ref().is_none_or(|(_, b, _, _)| mean > *b) {
-            best = Some((i, mean, accs, n_feats));
+        if winner.is_none() || mean > best_mean {
+            winner = Some((rp, accs, tables.len(), features.len()));
+            best_mean = mean;
         }
     }
 
     // Also evaluate the **join tree** spanned by the top-k paths together
     // (the paper's output artifact, Fig. 2): on star schemata a single
     // chain can join only one table, while the tree augments with all k.
-    let mut tree_result: Option<TreeEval> = None;
+    // It wins over the best chain only when strictly better.
     if candidates.len() > 1 && !stopped_early {
         let paths: Vec<&autofeat_graph::JoinPath> =
             candidates.iter().map(|rp| &rp.path).collect();
         match crate::executor::materialize_tree(ctx, ctx.base_table(), &paths, config.seed) {
             Ok((table, joined)) if joined.len() > 1 => {
-                let prefixes: Vec<String> = joined.iter().map(|t| format!("{t}.")).collect();
-                let mut features: Vec<&str> =
-                    base_features.iter().map(String::as_str).collect();
-                for f in &discovery.selected_features {
-                    if prefixes.iter().any(|p| f.starts_with(p.as_str())) {
-                        features.push(f);
-                    }
-                }
-                let n_feats = features.len();
+                let tables: Vec<&str> = joined.iter().map(String::as_str).collect();
+                let features = train_features(&tables);
                 let accs = evaluate_feature_set(&table, &features, label, models, config.seed)?;
-                let mean = if accs.is_empty() {
-                    0.0
-                } else {
-                    accs.iter().map(|(_, a)| a).sum::<f64>() / accs.len() as f64
-                };
-                tree_result = Some((accs, mean, joined.len(), n_feats));
+                if mean_accuracy(&accs) > best_mean {
+                    winner = Some((&candidates[0], accs, joined.len(), features.len()));
+                }
             }
             Ok(_) => {}
             // A cooperative stop skips the tree; the best chain evaluated so
@@ -188,64 +169,29 @@ pub fn train_top_k(
         }
     }
 
-    let chain_best_mean = best.as_ref().map(|(_, m, _, _)| *m).unwrap_or(f64::NEG_INFINITY);
-    if let Some((accs, mean, n_tables, n_features)) = tree_result {
-        if mean > chain_best_mean {
-            return Ok(TrainOutcome {
-                result: MethodResult {
-                    method: "AutoFeat".into(),
-                    accuracy_per_model: accs,
-                    feature_selection_time: discovery.elapsed,
-                    total_time: discovery.elapsed + t0.elapsed(),
-                    n_tables_joined: n_tables,
-                    n_features,
-                },
-                best_path: Some(candidates[0].clone()),
-                per_path_accuracy: per_path,
-                interrupted: stopped_early,
-            });
-        }
-    }
-
-    let outcome = match best {
-        Some((i, _, accs, n_features)) => {
-            let rp = candidates[i].clone();
-            let n_tables = rp.path.tables().len().saturating_sub(1);
-            TrainOutcome {
-                result: MethodResult {
-                    method: "AutoFeat".into(),
-                    accuracy_per_model: accs,
-                    feature_selection_time: discovery.elapsed,
-                    total_time: discovery.elapsed + t0.elapsed(),
-                    n_tables_joined: n_tables,
-                    n_features,
-                },
-                best_path: Some(rp),
-                per_path_accuracy: per_path,
-                interrupted: stopped_early,
-            }
-        }
+    let (best_path, accuracy_per_model, n_tables_joined, n_features) = match winner {
+        Some((rp, accs, n_tables, n_features)) => (Some(rp.clone()), accs, n_tables, n_features),
         None => {
             // No surviving path: fall back to the bare base table.
-            let features: Vec<&str> = base_features.iter().map(String::as_str).collect();
+            let features = train_features(&[]);
             let accs =
                 evaluate_feature_set(ctx.base_table(), &features, label, models, config.seed)?;
-            TrainOutcome {
-                result: MethodResult {
-                    method: "AutoFeat".into(),
-                    accuracy_per_model: accs,
-                    feature_selection_time: discovery.elapsed,
-                    total_time: discovery.elapsed + t0.elapsed(),
-                    n_tables_joined: 0,
-                    n_features: base_features.len(),
-                },
-                best_path: None,
-                per_path_accuracy: per_path,
-                interrupted: stopped_early,
-            }
+            (None, accs, 0, features.len())
         }
     };
-    Ok(outcome)
+    Ok(TrainOutcome {
+        best_path,
+        result: MethodResult {
+            method: "AutoFeat".into(),
+            accuracy_per_model,
+            feature_selection_time: discovery.elapsed,
+            total_time: discovery.elapsed + t0.elapsed(),
+            n_tables_joined,
+            n_features,
+        },
+        per_path_accuracy: per_path,
+        interrupted: stopped_early,
+    })
 }
 
 /// Convenience: total wall time of a duration pair, used by reporting code.

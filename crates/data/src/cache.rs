@@ -122,14 +122,6 @@ pub fn parse_budget_bytes(s: &str) -> Option<u64> {
     base.checked_mul(mult)
 }
 
-/// The byte budget requested via [`CACHE_BUDGET_ENV`], if any.
-pub fn env_cache_budget() -> Option<u64> {
-    std::env::var(CACHE_BUDGET_ENV)
-        .ok()
-        .as_deref()
-        .and_then(parse_budget_bytes)
-}
-
 /// A point-in-time snapshot of [`LakeIndexCache`] counters, for
 /// observability (discovery results, health reports, benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -375,9 +367,11 @@ impl LakeIndexCache {
     /// [`CACHE_BUDGET_ENV`] (unbounded when unset). The env default means
     /// every consumer of a fresh context — discovery, materialization, the
     /// baselines — honors an operator-imposed budget without any config
-    /// plumbing.
+    /// plumbing. This is the one place the variable is read: after
+    /// construction only [`set_budget`](Self::set_budget) changes the budget.
     pub fn new() -> LakeIndexCache {
-        LakeIndexCache::with_budget(env_cache_budget())
+        let env = std::env::var(CACHE_BUDGET_ENV).ok();
+        LakeIndexCache::with_budget(env.as_deref().and_then(parse_budget_bytes))
     }
 
     /// Create an empty cache with an explicit byte budget (`None` =

@@ -1,6 +1,5 @@
 //! Typed, null-aware columns.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -541,43 +540,6 @@ impl Column {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Number of distinct non-null keys.
-    pub fn distinct_count(&self) -> usize {
-        let mut seen: HashSet<Key> = HashSet::new();
-        self.keys_in(0..self.len(), |k| seen.extend(k));
-        seen.len()
-    }
-
-    /// The most frequent non-null value (mode). Ties break toward the value
-    /// first encountered, making the result deterministic.
-    pub fn mode(&self) -> Option<Value> {
-        let mut counts: HashMap<Key, (usize, usize)> = HashMap::new(); // key -> (count, first row)
-        let mut row = 0;
-        self.keys_in(0..self.len(), |k| {
-            if let Some(k) = k {
-                counts.entry(k).or_insert((0, row)).0 += 1;
-            }
-            row += 1;
-        });
-        counts
-            .into_iter()
-            .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
-            .map(|(_, (_, row))| self.get(row))
-    }
-
-    /// Mean of the numeric view over non-null rows; `None` for string
-    /// columns or all-null columns.
-    pub fn mean(&self) -> Option<f64> {
-        let (mut sum, mut n) = (0.0, 0usize);
-        self.each_f64(|x| {
-            if !x.is_nan() {
-                sum += x;
-                n += 1;
-            }
-        });
-        (n > 0).then(|| sum / n as f64)
-    }
-
     /// The numeric view of every row in order, `NaN` at nulls and for
     /// string cells. A float column is read as it lies: its null slots
     /// already hold `NaN`.
@@ -740,30 +702,6 @@ mod tests {
         let t = c.take(&[3, 0]);
         assert_eq!(t.get(0), Value::Int(3));
         assert_eq!(t.get(1), Value::Int(1));
-    }
-
-    #[test]
-    fn distinct_count_ignores_nulls() {
-        assert_eq!(int_col().distinct_count(), 2);
-    }
-
-    #[test]
-    fn mode_returns_most_frequent() {
-        assert_eq!(int_col().mode(), Some(Value::Int(3)));
-        assert_eq!(Column::empty(DType::Int).mode(), None);
-    }
-
-    #[test]
-    fn mode_all_null_is_none() {
-        let c = Column::from_ints([None, None]);
-        assert_eq!(c.mode(), None);
-    }
-
-    #[test]
-    fn mean_skips_nulls() {
-        let c = Column::from_floats([Some(1.0), None, Some(3.0)]);
-        assert_eq!(c.mean(), Some(2.0));
-        assert_eq!(Column::from_strs([Some("a")]).mean(), None);
     }
 
     #[test]

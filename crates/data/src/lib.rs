@@ -16,7 +16,6 @@
 //! * **left joins with join-cardinality normalization** (§IV-B of the paper:
 //!   group by the join column and pick a random representative row so the
 //!   base-table row count and label distribution are preserved) — [`join`];
-//! * missing-value imputation with the most frequent value ([`impute`]);
 //! * stratified sampling and train/test splitting ([`sample`]);
 //! * label encoding / numeric-matrix extraction for the ML substrate
 //!   ([`encode`]);
@@ -48,10 +47,8 @@ pub mod csv;
 pub mod encode;
 pub mod error;
 pub mod faults;
-pub mod impute;
 pub mod join;
 pub mod keydict;
-pub mod ops;
 pub mod parallel;
 pub mod sample;
 pub mod schema;
@@ -61,10 +58,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use cache::{
-    env_cache_budget, parse_budget_bytes, CacheRecorder, CacheStats, LakeIndexCache,
-    CACHE_BUDGET_ENV,
-};
+pub use cache::{parse_budget_bytes, CacheRecorder, CacheStats, LakeIndexCache, CACHE_BUDGET_ENV};
 pub use column::Column;
 pub use control::{Interrupt, RunControl};
 pub use error::{DataError, Result};

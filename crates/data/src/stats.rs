@@ -4,37 +4,8 @@
 //! *completeness* of a join result: the fraction of non-null values. A join
 //! whose completeness falls below τ is pruned.
 
-use crate::column::Column;
 use crate::error::Result;
 use crate::table::Table;
-
-/// Per-column quality profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStats {
-    /// Column name.
-    pub name: String,
-    /// Fraction of null cells.
-    pub null_ratio: f64,
-    /// Number of distinct non-null values.
-    pub distinct: usize,
-    /// Mean of the numeric view (None for string columns).
-    pub mean: Option<f64>,
-}
-
-/// Compute stats for every column of a table.
-pub fn column_stats(table: &Table) -> Vec<ColumnStats> {
-    (0..table.n_cols())
-        .map(|i| {
-            let col = table.column_at(i);
-            ColumnStats {
-                name: table.field_at(i).name.clone(),
-                null_ratio: col.null_ratio(),
-                distinct: col.distinct_count(),
-                mean: col.mean(),
-            }
-        })
-        .collect()
-}
 
 /// Completeness of a set of columns: fraction of **non-null** cells, in
 /// `[0, 1]`. An empty column set (or empty table) is defined as complete.
@@ -52,29 +23,10 @@ pub fn completeness(table: &Table, columns: &[&str]) -> Result<f64> {
     Ok(1.0 - nulls as f64 / cells as f64)
 }
 
-/// The data-quality score used by Algorithm 1's pruning step: the
-/// completeness of the columns newly contributed by a join. A path is pruned
-/// when `data_quality < tau`.
-pub fn passes_quality_threshold(table: &Table, new_columns: &[&str], tau: f64) -> Result<bool> {
-    Ok(completeness(table, new_columns)? >= tau)
-}
-
-/// Coefficient of determination helpers: sample variance of the numeric
-/// view of a column, ignoring nulls. `None` when fewer than two numeric
-/// values exist.
-pub fn variance(col: &Column) -> Option<f64> {
-    let vals: Vec<f64> = (0..col.len()).filter_map(|i| col.get_f64(i)).collect();
-    if vals.len() < 2 {
-        return None;
-    }
-    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-    let ss: f64 = vals.iter().map(|v| (v - mean) * (v - mean)).sum();
-    Some(ss / (vals.len() - 1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
 
     fn table() -> Table {
         Table::new(
@@ -88,18 +40,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_cover_columns() {
-        let s = column_stats(&table());
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].name, "a");
-        assert!((s[0].null_ratio - 0.25).abs() < 1e-12);
-        assert_eq!(s[0].distinct, 2);
-        assert!(s[0].mean.is_some());
-        assert_eq!(s[1].mean, None);
-        assert!((s[1].null_ratio - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn completeness_over_selected_columns() {
         let t = table();
         assert!((completeness(&t, &["a"]).unwrap() - 0.75).abs() < 1e-12);
@@ -108,26 +48,7 @@ mod tests {
     }
 
     #[test]
-    fn quality_threshold_gate() {
-        let t = table();
-        assert!(passes_quality_threshold(&t, &["a"], 0.7).unwrap());
-        assert!(!passes_quality_threshold(&t, &["b"], 0.5).unwrap());
-        // tau = 0 always passes
-        assert!(passes_quality_threshold(&t, &["b"], 0.0).unwrap());
-    }
-
-    #[test]
     fn completeness_missing_column_errors() {
         assert!(completeness(&table(), &["ghost"]).is_err());
-    }
-
-    #[test]
-    fn variance_basics() {
-        let c = Column::from_floats([Some(1.0), Some(2.0), Some(3.0)]);
-        assert!((variance(&c).unwrap() - 1.0).abs() < 1e-12);
-        assert_eq!(variance(&Column::from_floats([Some(1.0)])), None);
-        // nulls are skipped
-        let c2 = Column::from_floats([Some(1.0), None, Some(3.0)]);
-        assert!((variance(&c2).unwrap() - 2.0).abs() < 1e-12);
     }
 }

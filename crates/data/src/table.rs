@@ -374,26 +374,6 @@ impl Table {
         Ok(t)
     }
 
-    /// Prefix every column name with `prefix` + `.` (used when joining so
-    /// right-hand columns stay distinguishable). Columns already containing
-    /// the prefix keep it once.
-    pub fn prefix_columns(&self, prefix: &str) -> Table {
-        let cols: Vec<(String, Column)> = self
-            .fields
-            .iter()
-            .zip(&self.columns)
-            .map(|(f, c)| {
-                let name = if f.name.starts_with(&format!("{prefix}.")) {
-                    f.name.clone()
-                } else {
-                    format!("{prefix}.{}", f.name)
-                };
-                (name, c.clone())
-            })
-            .collect();
-        Table::new(self.name.clone(), cols).expect("prefixing preserves invariants")
-    }
-
     /// Gather rows by index into a new table.
     pub fn take(&self, indices: &[usize]) -> Table {
         let cols: Vec<(String, Column)> = self
@@ -403,21 +383,6 @@ impl Table {
             .map(|(f, c)| (f.name.clone(), c.take(indices)))
             .collect();
         Table::new(self.name.clone(), cols).expect("take preserves invariants")
-    }
-
-    /// First `n` rows.
-    pub fn head(&self, n: usize) -> Table {
-        let n = n.min(self.n_rows());
-        let idx: Vec<usize> = (0..n).collect();
-        self.take(&idx)
-    }
-
-    /// A full row as values.
-    pub fn row(&self, i: usize) -> Result<Vec<Value>> {
-        if i >= self.n_rows() {
-            return Err(DataError::RowOutOfBounds { index: i, len: self.n_rows() });
-        }
-        Ok(self.columns.iter().map(|c| c.get(i)).collect())
     }
 
     /// Overall fraction of null cells across the whole table (zero when the
@@ -600,21 +565,10 @@ mod tests {
     }
 
     #[test]
-    fn prefix_columns_is_idempotent() {
-        let t = sample().prefix_columns("t");
-        assert_eq!(t.column_names(), vec!["t.id", "t.x", "t.s"]);
-        let t2 = t.prefix_columns("t");
-        assert_eq!(t2.column_names(), vec!["t.id", "t.x", "t.s"]);
-    }
-
-    #[test]
-    fn take_and_head() {
+    fn take_gathers_in_order() {
         let t = sample().take(&[2, 0]);
         assert_eq!(t.value("id", 0).unwrap(), Value::Int(3));
-        let h = sample().head(2);
-        assert_eq!(h.n_rows(), 2);
-        // head larger than table is the whole table
-        assert_eq!(sample().head(10).n_rows(), 3);
+        assert_eq!(t.n_rows(), 2);
     }
 
     #[test]
@@ -623,15 +577,6 @@ mod tests {
         // 2 nulls out of 9 cells
         assert!((t.null_ratio() - 2.0 / 9.0).abs() < 1e-12);
         assert_eq!(Table::empty("e").null_ratio(), 0.0);
-    }
-
-    #[test]
-    fn row_access() {
-        let t = sample();
-        let r = t.row(1).unwrap();
-        assert_eq!(r[0], Value::Int(2));
-        assert_eq!(r[1], Value::Null);
-        assert!(t.row(5).is_err());
     }
 
     #[test]
@@ -697,8 +642,6 @@ mod tests {
             ("select", keyed.select(&["id", "x", "s"]).unwrap()),
             ("drop_columns", keyed.drop_columns(&["x"])),
             ("take", keyed.take(&[0, 1, 2])),
-            ("head", keyed.head(3)),
-            ("prefix_columns", keyed.prefix_columns("t")),
         ];
         for (op, t) in &changed {
             assert!(!t.has_key_meta(), "{op}");

@@ -6,8 +6,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use autofeat_data::{Column, Table, Value};
-use autofeat_discovery::SchemaMatcher;
-use autofeat_graph::{Drg, DrgMaintainer};
 
 use crate::splitter::Snowflake;
 
@@ -43,34 +41,12 @@ pub struct Lake {
 }
 
 impl Lake {
-    /// Borrow all tables.
-    pub fn table_refs(&self) -> Vec<&Table> {
-        self.tables.iter().collect()
-    }
-
     /// The base table.
     pub fn base(&self) -> &Table {
         self.tables
             .iter()
             .find(|t| t.name() == self.base_name)
             .expect("base table present")
-    }
-
-    /// Run dataset discovery over the lake to build the dense multigraph
-    /// DRG (the label column is excluded from matching so no edge ever
-    /// leaks the target).
-    pub fn discover_drg(&self, matcher: &SchemaMatcher) -> Drg {
-        // Hide the label column from the matcher.
-        let base_wo_label = self.base().drop_columns(&[self.label.as_str()]);
-        let mut refs: Vec<&Table> = Vec::with_capacity(self.tables.len());
-        for t in &self.tables {
-            if t.name() == self.base_name {
-                refs.push(&base_wo_label);
-            } else {
-                refs.push(t);
-            }
-        }
-        DrgMaintainer::build(&refs, matcher).assemble()
     }
 }
 
@@ -160,45 +136,6 @@ mod tests {
             .filter(|c| c.contains("_ref"))
             .count();
         assert!(n_decoys >= 1, "expected at least one decoy column");
-    }
-
-    #[test]
-    fn discovery_finds_true_edges() {
-        let l = lake();
-        let drg = l.discover_drg(&SchemaMatcher::paper_default());
-        assert_eq!(drg.n_nodes(), 6);
-        // Every true KFK pair shares name + full value overlap ⇒ an edge
-        // between base and each of its direct children must exist.
-        let base = drg.node("base").unwrap();
-        assert!(
-            !drg.neighbours(base).is_empty(),
-            "discovery must reconnect the base table"
-        );
-    }
-
-    #[test]
-    fn discovery_finds_spurious_edges_too() {
-        let gt = generate(&GroundTruthConfig { n_rows: 200, ..Default::default() });
-        let sf = split(&gt, &SnowflakeConfig::default());
-        let kfk_edge_count = sf.kfk.len();
-        let l = corrupt_to_lake(&sf, &LakeConfig { n_decoys: 6, ..Default::default() });
-        let drg = l.discover_drg(&SchemaMatcher::paper_default());
-        assert!(
-            drg.n_edges() > kfk_edge_count,
-            "lake DRG should be denser than the snowflake: {} vs {}",
-            drg.n_edges(),
-            kfk_edge_count
-        );
-    }
-
-    #[test]
-    fn label_never_appears_in_matches() {
-        let l = lake();
-        let drg = l.discover_drg(&SchemaMatcher::paper_default());
-        for e in drg.edges() {
-            assert_ne!(e.a_column, "target");
-            assert_ne!(e.b_column, "target");
-        }
     }
 
     #[test]

@@ -193,27 +193,6 @@ impl LshIndex {
         self.buckets.get(&(band, hash)).map_or(&[], Vec::as_slice)
     }
 
-    /// Ids sharing at least one non-degenerate bucket with `id`
-    /// (deduplicated, ascending, `id` excluded).
-    pub fn partners(&self, id: usize) -> Vec<usize> {
-        let Some(hashes) = self.members.get(&id) else {
-            return Vec::new();
-        };
-        let mut out: Vec<usize> = Vec::new();
-        for (band, &h) in hashes.iter().enumerate() {
-            if let Some(bucket) = self.buckets.get(&(band, h)) {
-                if bucket.len() > self.bucket_cap {
-                    autofeat_obs::incr("match.lsh_bucket_overflow");
-                    continue;
-                }
-                out.extend(bucket.iter().copied().filter(|&m| m != id));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Candidate ids colliding with `profile` in at least one band
     /// (deduplicated, ascending). Over-cap buckets are skipped and counted
     /// under `match.lsh_bucket_overflow`.
@@ -231,28 +210,6 @@ impl LshIndex {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// All colliding id pairs in the index (i < j), deduplicated. Over-cap
-    /// buckets contribute no pairs (counted under
-    /// `match.lsh_bucket_overflow`) — the expansion would be `O(|bucket|²)`
-    /// on degenerate buckets and the scorer rejects those pairs anyway.
-    pub fn candidate_pairs(&self) -> Vec<(usize, usize)> {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for ids in self.buckets.values() {
-            if ids.len() > self.bucket_cap {
-                autofeat_obs::incr("match.lsh_bucket_overflow");
-                continue;
-            }
-            for (i, &a) in ids.iter().enumerate() {
-                for &b in &ids[i + 1..] {
-                    pairs.push(if a < b { (a, b) } else { (b, a) });
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
     }
 
     /// Number of columns currently indexed.
@@ -320,15 +277,15 @@ mod tests {
     }
 
     #[test]
-    fn candidate_pairs_enumerate_collisions() {
+    fn collides_pairs_only_overlapping_members() {
         let mut idx = LshIndex::paper_default();
         idx.insert(0, &profile("a", 0..300));
         idx.insert(1, &profile("b", 0..300));
         idx.insert(2, &profile("c", 50_000..50_300));
-        let pairs = idx.candidate_pairs();
-        assert!(pairs.contains(&(0, 1)));
-        assert!(!pairs.contains(&(0, 2)));
-        assert!(!pairs.contains(&(1, 2)));
+        assert!(idx.collides(0, 1) && idx.collides(1, 0));
+        assert!(!idx.collides(0, 2));
+        assert!(!idx.collides(1, 2));
+        assert!(!idx.collides(0, 99), "unknown ids never collide");
         assert_eq!(idx.len(), 3);
     }
 
@@ -381,19 +338,18 @@ mod tests {
     #[test]
     fn bucket_cap_suppresses_degenerate_buckets() {
         // Three identical columns with a cap of 2: every shared bucket is
-        // over cap, so no pairs survive and collides() reports false.
+        // over cap, so no pair collides and a query finds nothing.
         let mut idx = LshIndex::paper_default().with_bucket_cap(2);
         for id in 0..3 {
             idx.insert(id, &profile("x", 0..300));
         }
-        assert!(idx.candidate_pairs().is_empty());
-        assert!(!idx.collides(0, 1));
+        assert!((0..3).all(|a| (0..3).all(|b| !idx.collides(a, b))));
         assert!(idx.query(&profile("y", 0..300)).is_empty());
         // Dropping back under the cap restores candidacy.
         let uncrossed = idx.remove(2);
         assert!(!uncrossed.is_empty(), "removal must report cap re-crossings");
         assert!(idx.collides(0, 1));
-        assert_eq!(idx.candidate_pairs(), vec![(0, 1)]);
+        assert_eq!(idx.query(&profile("y", 0..300)), vec![0, 1]);
     }
 
     #[test]
@@ -406,16 +362,5 @@ mod tests {
         for &(band, h) in &crossed {
             assert_eq!(idx.bucket_members(band, h).len(), 3);
         }
-    }
-
-    #[test]
-    fn partners_respects_cap() {
-        let mut idx = LshIndex::paper_default();
-        idx.insert(0, &profile("a", 0..300));
-        idx.insert(1, &profile("b", 0..300));
-        idx.insert(2, &profile("c", 9_000..9_300));
-        assert_eq!(idx.partners(0), vec![1]);
-        assert!(idx.partners(2).is_empty());
-        assert!(idx.partners(99).is_empty());
     }
 }

@@ -4,8 +4,6 @@
 //! instance (value-overlap) similarity into one score in `[0, 1]`; pairs
 //! above the configured threshold become candidate join edges for the DRG.
 
-use autofeat_data::Table;
-
 use crate::name_sim::name_similarity;
 use crate::profile::ColumnProfile;
 
@@ -165,13 +163,6 @@ impl SchemaMatcher {
             .then_with(|| x.left_column.cmp(&y.left_column))
             .then_with(|| x.right_column.cmp(&y.right_column))
     }
-
-    /// Match two tables directly (profiles them first).
-    pub fn match_tables(&self, left: &Table, right: &Table) -> Vec<ColumnMatch> {
-        let lp = ColumnProfile::build_all(left);
-        let rp = ColumnProfile::build_all(right);
-        self.match_profiles(&lp, &rp)
-    }
 }
 
 /// `(Jaccard + larger containment) / 2` of two sets of `na` and `nb` values
@@ -189,6 +180,11 @@ fn exact_similarity(na: usize, nb: usize, shared: usize) -> f64 {
 mod tests {
     use super::*;
     use autofeat_data::{Column, Table};
+
+    /// Profile both tables and match them.
+    fn profile_and_match(m: &SchemaMatcher, left: &Table, right: &Table) -> Vec<ColumnMatch> {
+        m.match_profiles(&ColumnProfile::build_all(left), &ColumnProfile::build_all(right))
+    }
 
     fn applicants() -> Table {
         Table::new(
@@ -218,7 +214,7 @@ mod tests {
     #[test]
     fn finds_the_true_key_pair_with_top_score() {
         let m = SchemaMatcher::paper_default();
-        let matches = m.match_tables(&applicants(), &credit());
+        let matches = profile_and_match(&m, &applicants(), &credit());
         assert!(!matches.is_empty());
         assert_eq!(matches[0].left_column, "applicant_id");
         assert_eq!(matches[0].right_column, "applicantId");
@@ -229,7 +225,7 @@ mod tests {
     fn spurious_value_overlap_also_surfaces() {
         // The paper *wants* spurious-but-not-irrelevant edges at 0.55.
         let m = SchemaMatcher::paper_default();
-        let matches = m.match_tables(&applicants(), &credit());
+        let matches = profile_and_match(&m, &applicants(), &credit());
         assert!(
             matches
                 .iter()
@@ -241,7 +237,7 @@ mod tests {
     #[test]
     fn unrelated_string_column_does_not_match_keys() {
         let m = SchemaMatcher::paper_default();
-        let matches = m.match_tables(&applicants(), &credit());
+        let matches = profile_and_match(&m, &applicants(), &credit());
         assert!(!matches
             .iter()
             .any(|c| c.right_column == "notes" && c.left_column == "applicant_id"));
@@ -250,14 +246,14 @@ mod tests {
     #[test]
     fn threshold_is_respected() {
         let strict = SchemaMatcher::new(MatcherConfig { threshold: 0.99, ..Default::default() });
-        let matches = strict.match_tables(&applicants(), &credit());
+        let matches = profile_and_match(&strict, &applicants(), &credit());
         assert!(matches.iter().all(|c| c.score >= 0.99));
     }
 
     #[test]
     fn results_sorted_by_score() {
         let m = SchemaMatcher::paper_default();
-        let matches = m.match_tables(&applicants(), &credit());
+        let matches = profile_and_match(&m, &applicants(), &credit());
         for w in matches.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
@@ -268,7 +264,7 @@ mod tests {
         let l = Table::new("l", vec![("k", Column::from_ints([None, None]))]).unwrap();
         let r = Table::new("r", vec![("k", Column::from_ints([None, None]))]).unwrap();
         let m = SchemaMatcher::paper_default();
-        assert!(m.match_tables(&l, &r).is_empty());
+        assert!(profile_and_match(&m, &l, &r).is_empty());
     }
 
     #[test]
@@ -291,7 +287,7 @@ mod tests {
             name_weight: 0.0,
             value_weight: 0.0,
         });
-        let matches = m.match_tables(&applicants(), &credit());
+        let matches = profile_and_match(&m, &applicants(), &credit());
         assert!(
             matches.iter().all(|c| c.score == 0.0),
             "zero-weight blend must score 0.0, not NaN: {matches:?}"

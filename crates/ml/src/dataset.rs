@@ -65,15 +65,6 @@ impl FeatureMeans {
             .collect();
         Matrix { feature_names: data.feature_names.clone(), cols, labels: data.labels.clone(), n_rows: data.n_rows }
     }
-
-    /// Fill NaNs in a single row.
-    pub fn transform_row(&self, row: &mut [f64]) {
-        for (v, &m) in row.iter_mut().zip(&self.means) {
-            if !v.is_finite() {
-                *v = m;
-            }
-        }
-    }
 }
 
 /// Z-score standardizer (mean 0, unit variance; constant features map to 0).
@@ -152,12 +143,11 @@ mod tests {
     }
 
     #[test]
-    fn transform_row_in_place() {
+    fn imputed_fills_only_missing_cells() {
         let m = matrix(vec![vec![2.0, 4.0]], vec![0, 1]);
         let fm = FeatureMeans::fit(&m);
-        let mut row = vec![f64::NAN];
-        fm.transform_row(&mut row);
-        assert_eq!(row, vec![3.0]);
+        assert_eq!(fm.imputed(0, f64::NAN), 3.0);
+        assert_eq!(fm.imputed(0, 7.0), 7.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The classifier interface, accuracy scoring, and the evaluation harness.
+//! The classifier interface, accuracy scoring, and the model zoo.
 
 use std::fmt;
 
@@ -18,8 +18,6 @@ pub enum MlError {
     TooManyClasses { n_classes: usize },
     /// Predict was called before fit.
     NotFitted,
-    /// Train/test schema mismatch.
-    FeatureMismatch { expected: usize, got: usize },
 }
 
 impl fmt::Display for MlError {
@@ -33,9 +31,6 @@ impl fmt::Display for MlError {
                 write!(f, "tree classifier got {n_classes} classes, more than it bins")
             }
             MlError::NotFitted => write!(f, "classifier is not fitted"),
-            MlError::FeatureMismatch { expected, got } => {
-                write!(f, "expected {expected} features, got {got}")
-            }
         }
     }
 }
@@ -73,28 +68,6 @@ pub fn accuracy(predictions: &[i64], labels: &[i64]) -> f64 {
         .filter(|(p, l)| p == l)
         .count();
     hits as f64 / labels.len() as f64
-}
-
-/// Fit on `train`, report accuracy on `test`.
-pub fn evaluate_split(
-    model: &mut dyn Classifier,
-    train: &Matrix,
-    test: &Matrix,
-) -> Result<f64, MlError> {
-    let _span = autofeat_obs::span("model_eval");
-    if train.n_features() != test.n_features() {
-        return Err(MlError::FeatureMismatch {
-            expected: train.n_features(),
-            got: test.n_features(),
-        });
-    }
-    {
-        let _span = autofeat_obs::span("model_fit");
-        model.fit(train)?;
-    }
-    autofeat_obs::incr("ml.models_evaluated");
-    let _span = autofeat_obs::span("model_predict");
-    Ok(accuracy(&model.predict(test), &test.labels))
 }
 
 /// The model zoo of the paper's evaluation (§VII-A): four tree learners for
@@ -195,26 +168,5 @@ mod tests {
             let m = kind.build(1);
             assert!(!m.is_fitted());
         }
-    }
-
-    #[test]
-    fn evaluate_split_rejects_schema_mismatch() {
-        let train = Matrix {
-            feature_names: vec!["a".into()],
-            cols: vec![vec![1.0, 2.0]],
-            labels: vec![0, 1],
-            n_rows: 2,
-        };
-        let test = Matrix {
-            feature_names: vec!["a".into(), "b".into()],
-            cols: vec![vec![1.0], vec![2.0]],
-            labels: vec![0],
-            n_rows: 1,
-        };
-        let mut m = ModelKind::RandomForest.build(0);
-        assert!(matches!(
-            evaluate_split(m.as_mut(), &train, &test),
-            Err(MlError::FeatureMismatch { .. })
-        ));
     }
 }

@@ -18,8 +18,8 @@
 //!   preset;
 //! * [`knn`] — K-nearest neighbours on standardized features;
 //! * [`linear`] — logistic regression with L1 (proximal gradient);
-//! * [`eval`] — the `Classifier` trait, accuracy
-//!   scoring, and the train/test evaluation harness the experiments use.
+//! * [`eval`] — the `Classifier` trait, accuracy scoring, and the
+//!   [`ModelKind`] zoo the experiments build learners from.
 //!
 //! Learners consume the column-major [`Matrix`](autofeat_data::encode::Matrix)
 //! produced by `autofeat-data`; `NaN` cells are imputed internally with the
@@ -56,7 +56,6 @@ pub mod forest;
 pub mod gbdt;
 pub mod knn;
 pub mod linear;
-pub mod metrics;
 pub mod tree;
 
 pub use dataset::{standardize_fit, Standardizer};
@@ -65,6 +64,5 @@ pub use extra::ExtraTrees;
 pub use forest::RandomForest;
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use knn::Knn;
-pub use metrics::{cross_validate, roc_auc, Confusion};
 pub use linear::LogisticL1;
 pub use tree::{DecisionTree, TreeConfig};

@@ -1,5 +1,5 @@
-//! The aggregated, immutable output of a tracer: [`RunTrace`] and its
-//! pretty-text / JSON serializations.
+//! The aggregated, immutable output of a tracer: [`RunTrace`], the phase
+//! tree the health report embeds, and its JSON serialization.
 //!
 //! The JSON schema is **stable** — downstream tooling (CI artifacts, perf
 //! dashboards) parses it. The authoritative schema lives in
@@ -159,50 +159,6 @@ impl RunTrace {
             }
         }
         walk(&self.phases, 0, out);
-    }
-
-    /// Full pretty-text rendering: phases, counters, distributions, events.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("run trace ({} wall):\n", fmt_dur(self.wall)));
-        if self.phases.is_empty() {
-            out.push_str("  (no phases recorded)\n");
-        } else {
-            self.render_phases_into(&mut out);
-        }
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                out.push_str(&format!("  {name:<40} {v}\n"));
-            }
-        }
-        if !self.dists.is_empty() {
-            out.push_str("distributions:\n");
-            for (name, d) in &self.dists {
-                out.push_str(&format!(
-                    "  {name}: n={} mean={} min={} max={} total={}\n",
-                    d.count,
-                    fmt_secs(d.mean_secs()),
-                    fmt_secs(d.min_secs),
-                    fmt_secs(d.max_secs),
-                    fmt_secs(d.sum_secs),
-                ));
-                for &(le, c) in &d.buckets {
-                    out.push_str(&format!("    <= {:<10} {c}\n", fmt_secs(le)));
-                }
-            }
-        }
-        if !self.events.is_empty() {
-            out.push_str(&format!(
-                "events ({} recorded, {} dropped):\n",
-                self.events.len(),
-                self.events_dropped
-            ));
-            for e in &self.events {
-                out.push_str(&format!("  [{}] {}\n", e.kind, e.detail));
-            }
-        }
-        out
     }
 
     /// Serialize to the stable JSON layout (`trace.schema.json`).
@@ -435,15 +391,5 @@ mod tests {
     fn escape_json_handles_specials() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn render_text_mentions_every_section() {
-        let text = sample_trace().render_text();
-        assert!(text.contains("run trace"));
-        assert!(text.contains("discover"));
-        assert!(text.contains("counters:"));
-        assert!(text.contains("distributions:"));
-        assert!(text.contains("[truncated] max_joins"));
     }
 }

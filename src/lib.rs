@@ -16,7 +16,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`data`] | columnar table engine: typed null-aware columns, CSV, normalized left joins, sampling, imputation, encoding |
+//! | [`data`] | columnar table engine: typed null-aware columns, CSV, normalized left joins, sampling, encoding |
 //! | [`discovery`] | schema/instance matcher (COMA stand-in) for the data-lake setting |
 //! | [`graph`] | the Dataset Relation Graph multigraph, BFS, path enumeration, Eq. 3 |
 //! | [`metrics`] | entropy/MI, the 5 relevance measures, the 5 redundancy criteria |
@@ -67,10 +67,10 @@ pub mod prelude {
     pub use autofeat_core::{
         baselines::{run_arda, run_base, run_join_all, run_mab, ArdaConfig, JoinAllConfig, MabConfig},
         discovery_health_report, load_lake_dir, train_top_k, AutoFeat, AutoFeatConfig,
-        DegradeConfig, DiscoveryRequest, DiscoveryResult, DiscoveryService, LakeLoadReport,
-        MethodResult, PathFailure, Phase, PreparedRequest, QuarantinedTable, RankedPath,
-        RequestLogRecord, RequestOutcome, ResilienceStats, SearchContext, ServiceStats,
-        TrainOutcome, TruncationReason, REQUEST_LOG_CAP,
+        DiscoveryRequest, DiscoveryResult, DiscoveryService, LakeLoadReport, MethodResult,
+        PathFailure, Phase, PreparedRequest, QuarantinedTable, RankedPath, RequestLogRecord,
+        RequestOutcome, ResilienceStats, SearchContext, ServiceStats, TrainOutcome,
+        TruncationReason, REQUEST_LOG_CAP,
     };
     pub use autofeat_data::{
         CacheRecorder, CacheStats, Column, DType, FaultDomain, Interrupt, KeyDict,

@@ -13,7 +13,7 @@ use std::hash::Hasher;
 
 use autofeat::data::join::left_join_normalized;
 use autofeat::data::stable_hash::StableHasher;
-use autofeat::data::{DataError, Key};
+use autofeat::data::DataError;
 use autofeat::prelude::*;
 use common::column_model::Model;
 use proptest::prelude::*;
@@ -152,23 +152,6 @@ fn check_reads(col: &Column, model: &Model, what: &str) -> Result<(), String> {
         "{what}: write_f64_lossy {out:?}, model {lossy:?}"
     );
     prop_assert!(col.to_f64_lossy().iter().zip(&lossy).all(|(&x, &y)| same_f64(x, y)));
-
-    // The aggregates that walk the same loops.
-    let present: Vec<f64> = (0..n).filter_map(|row| model.get_f64(row)).collect();
-    let mean = (!present.is_empty()).then(|| present.iter().sum::<f64>() / present.len() as f64);
-    same!(col.mean(), mean, "{what}: mean");
-    // Keys and their counts, in order of first appearance.
-    let mut counts: Vec<(Key, usize)> = Vec::new();
-    for key in (0..n).filter_map(|row| model.key(row)) {
-        match counts.iter_mut().find(|(k, _)| *k == key) {
-            Some(seen) => seen.1 += 1,
-            None => counts.push((key, 1)),
-        }
-    }
-    same!(col.distinct_count(), counts.len(), "{what}: distinct_count");
-    // `max_by_key` keeps the last maximum: reversed, the first to appear.
-    let mode = counts.iter().rev().max_by_key(|(_, count)| *count).map(|(k, _)| k.clone());
-    same!(col.mode().and_then(|v| v.key()), mode, "{what}: mode");
     Ok(())
 }
 

@@ -1,10 +1,10 @@
 //! Integration tests for the extension features: beam pruning,
 //! LSH-accelerated discovery, the streaming selector, the join-tree
-//! trainer, and the relational ops working together.
+//! trainer, and the table ops working together.
 
 use autofeat::core::compute_score;
+use autofeat::core::train::evaluate_feature_set;
 use autofeat::data::encode::label_encode_column;
-use autofeat::data::ops::{filter, group_by, sort_by, Aggregate, Order};
 use autofeat::graph::DrgMaintainer;
 use autofeat::metrics::streaming::StreamingSelector;
 use autofeat::prelude::*;
@@ -77,20 +77,23 @@ fn streaming_selector_matches_pipeline_semantics_end_to_end() {
 
 #[test]
 fn relational_ops_compose_with_the_lake() {
+    // The table ops the pipeline composes — take, select, rename, label
+    // encoding — over a lake's base: one class's rows, then the label's
+    // codes, which must partition the rows the same way.
     let lake = credit_lake();
     let base = lake.base();
-    // Sort by the label, filter one class, group by it.
-    let sorted = sort_by(base, "target", Order::Descending).unwrap();
-    assert_eq!(sorted.n_rows(), base.n_rows());
-    let positives = filter(base, "target", |v| v.as_f64() == Some(1.0)).unwrap();
-    assert!(positives.n_rows() > 0);
-    assert!(positives.n_rows() < base.n_rows());
-    let grouped = group_by(base, "target", &[("target", Aggregate::Count)]).unwrap();
-    assert_eq!(grouped.n_rows(), 2);
-    let total: f64 = (0..2)
-        .map(|i| grouped.value("target_count", i).unwrap().as_f64().unwrap())
-        .sum();
-    assert_eq!(total as usize, base.n_rows());
+    let target = base.column("target").unwrap();
+    let positives: Vec<usize> =
+        (0..base.n_rows()).filter(|&i| target.get_f64(i) == Some(1.0)).collect();
+    assert!(!positives.is_empty() && positives.len() < base.n_rows());
+    let taken = base.take(&positives);
+    assert!((0..taken.n_rows()).all(|i| taken.value("target", i).unwrap().as_f64() == Some(1.0)));
+    let renamed = base.select(&["target"]).unwrap().rename_column("target", "y").unwrap();
+    assert_eq!(renamed.n_rows(), base.n_rows());
+    let codes = label_encode_column(renamed.column("y").unwrap()).to_f64_lossy();
+    let positive_code = codes[positives[0]];
+    let coded: Vec<usize> = (0..codes.len()).filter(|&i| codes[i] == positive_code).collect();
+    assert_eq!(coded, positives);
 }
 
 #[test]
@@ -163,10 +166,13 @@ fn cross_validation_on_an_augmented_table() {
     let table =
         autofeat::core::materialize_path(&ctx, ctx.base_table(), &best.path, 0).unwrap();
     let features: Vec<&str> = best.features.iter().map(String::as_str).collect();
-    let m = autofeat::data::encode::to_matrix(&table, &features, "target").unwrap();
-    let accs =
-        autofeat::ml::cross_validate(&m, 4, || ModelKind::RandomForest.build(0)).unwrap();
-    assert_eq!(accs.len(), 4);
+    // Four seeded 80/20 splits, each trained and scored as training does.
+    let accs: Vec<f64> = (0..4)
+        .map(|seed| {
+            let models = [ModelKind::RandomForest];
+            evaluate_feature_set(&table, &features, "target", &models, seed).unwrap()[0].1
+        })
+        .collect();
     let mean = accs.iter().sum::<f64>() / accs.len() as f64;
-    assert!(mean > 0.6, "CV mean on augmented features = {mean}");
+    assert!(mean > 0.6, "mean over four splits on augmented features = {mean}");
 }

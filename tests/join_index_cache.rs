@@ -227,6 +227,22 @@ fn uncached_run_leaves_the_shared_cache_untouched() {
     }
 }
 
+/// A budget applied on the shared cache stays until something applies
+/// another: a run whose config names no budget leaves it as it is, also
+/// under `AUTOFEAT_CACHE_BUDGET`, which is read once, when the cache is
+/// built.
+#[test]
+fn a_budget_set_on_the_cache_survives_runs_without_one() {
+    let ctx = lake_ctx(120);
+    let budget = 1_234_567;
+    ctx.lake_cache().set_budget(Some(budget));
+    for threads in [1usize, 2] {
+        let r = discover(&ctx, 42, threads, true);
+        assert_eq!(r.cache.budget_bytes, Some(budget), "{threads} thread(s)");
+        assert_eq!(ctx.lake_cache().stats().budget_bytes, Some(budget));
+    }
+}
+
 #[test]
 fn second_join_through_same_table_column_hits() {
     // Unit-level check straight on the cache: two joins through the same

@@ -202,28 +202,27 @@ proptest! {
         prop_assert!((est - exact).abs() < 0.2, "est {est} vs exact {exact}");
     }
 
-    /// group_by count aggregates partition the table: counts over a
-    /// non-null column sum to its non-null cells.
+    /// Grouping rows by their key-dictionary code partitions the table:
+    /// one group per distinct key, the group sizes sum to the rows, and
+    /// every row of a group holds that group's key.
     #[test]
     fn group_by_counts_partition(
         keys in prop::collection::vec(0i64..6, 1..80),
     ) {
-        use autofeat::data::ops::{group_by, Aggregate};
-        let vals: Vec<Option<f64>> = keys.iter().map(|&k| Some(k as f64)).collect();
-        let t = Table::new("t", vec![
-            ("g", int_column(&keys)),
-            ("x", Column::from_floats(vals)),
-        ]).unwrap();
-        let g = group_by(&t, "g", &[("x", Aggregate::Count)]).unwrap();
-        let total: f64 = (0..g.n_rows())
-            .map(|i| g.value("x_count", i).unwrap().as_f64().unwrap())
-            .sum();
-        prop_assert_eq!(total as usize, keys.len());
-        // One group per distinct key.
+        use autofeat::data::KeyDict;
+        let col = int_column(&keys);
+        let dict = KeyDict::build(&col);
+        let mut counts = vec![0usize; dict.len()];
+        for (row, &code) in dict.row_codes().iter().enumerate() {
+            counts[code as usize] += 1;
+            prop_assert_eq!(Some(dict.key_at(code).clone()), col.key(row));
+        }
+        prop_assert_eq!(counts.iter().sum::<usize>(), keys.len());
+        prop_assert!(counts.iter().all(|&c| c > 0));
         let mut distinct = keys.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        prop_assert_eq!(g.n_rows(), distinct.len());
+        prop_assert_eq!(dict.len(), distinct.len());
     }
 
     /// Tree classifiers only ever predict labels they saw at fit time.
