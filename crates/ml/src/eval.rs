@@ -16,8 +16,6 @@ pub enum MlError {
     /// A tree classifier keeps a counter per bin and class; more classes
     /// than [`MAX_CLASSES`](crate::tree::MAX_CLASSES) is a regression target.
     TooManyClasses { n_classes: usize },
-    /// Predict was called before fit.
-    NotFitted,
 }
 
 impl fmt::Display for MlError {
@@ -30,7 +28,6 @@ impl fmt::Display for MlError {
             MlError::TooManyClasses { n_classes } => {
                 write!(f, "tree classifier got {n_classes} classes, more than it bins")
             }
-            MlError::NotFitted => write!(f, "classifier is not fitted"),
         }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! A fit bins the training matrix once; every round grows a histogram tree
 //! on the same codes and adds each leaf's value to its rows' margins as the
-//! leaf is made.
+//! leaf is made. Predicting a matrix walks it tree by tree.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -208,15 +208,32 @@ impl Classifier for Gbdt {
         self.fitted
     }
 
+    /// Tree by tree over imputed columns: each row's terms are added in tree
+    /// order from `-0.0`, as `Iterator::sum` adds them in
+    /// [`Gbdt::predict_proba_row`], so both give the same margin bits.
     fn predict(&self, data: &Matrix) -> Vec<i64> {
-        (0..data.n_rows).map(|i| self.class_of(self.proba(|j| data.cols[j][i]))).collect()
+        let cols: Vec<Vec<f64>> = data
+            .cols
+            .iter()
+            .enumerate()
+            .map(|(j, col)| col.iter().map(|&x| self.means.imputed(j, x)).collect())
+            .collect();
+        let mut sums = vec![-0.0; data.n_rows];
+        for tree in &self.trees {
+            for (i, sum) in sums.iter_mut().enumerate() {
+                *sum += self.config.learning_rate * tree.value_at(|j| cols[j][i]);
+            }
+        }
+        sums.into_iter().map(|sum| self.class_of(sigmoid(self.base_score + sum))).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::row_of;
     use crate::eval::accuracy;
+    use rand::RngExt;
 
     fn xor_matrix(n: usize) -> Matrix {
         let x0: Vec<f64> = (0..n).map(|i| ((i / 2) % 2) as f64).collect();
@@ -307,6 +324,29 @@ mod tests {
         g.fit(&m).unwrap();
         let acc = accuracy(&g.predict(&m), &m.labels);
         assert!(acc > 0.95, "acc = {acc}");
+    }
+
+    #[test]
+    fn predict_is_predict_proba_row_thresholded() {
+        let n = 300;
+        let mut rng = StdRng::seed_from_u64(5);
+        let cols: Vec<Vec<f64>> = (0..3)
+            .map(|_| {
+                (0..n)
+                    .map(|_| if rng.random_bool(0.1) { f64::NAN } else { rng.random_range(-1.0..1.0) })
+                    .collect()
+            })
+            .collect();
+        let labels = (0..n).map(|i| i64::from(cols[0][i] - cols[1][i] > 0.0) * 5 - 2).collect();
+        let m = Matrix { feature_names: vec!["a".into(), "b".into(), "c".into()], cols, labels, n_rows: n };
+        for config in [GbdtConfig::lightgbm_like(), GbdtConfig::xgboost_like()] {
+            let mut g = Gbdt::new(config, 3);
+            g.fit(&m).unwrap();
+            let by_row: Vec<i64> = (0..n)
+                .map(|i| if g.predict_proba_row(&row_of(&m, i)) >= 0.5 { 3 } else { -2 })
+                .collect();
+            assert_eq!(g.predict(&m), by_row);
+        }
     }
 
     #[test]

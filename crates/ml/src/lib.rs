@@ -31,14 +31,18 @@
 //! A fit bins its matrix **once** ([`bins::BinnedMatrix`]); trees never see
 //! a float again until a chosen bin becomes a node's `threshold`. Since
 //! `x ≤ cut(k) ⇔ code ≤ k` on every training cell, a fitted tree predicts
-//! raw rows with plain `x ≤ threshold` tests. A node's histogram is filled
-//! in one pass over its row list; the smaller child of a split is passed
-//! over again and the larger child's histogram is the parent's minus it;
-//! the split search adds up occupied bins in ascending order. Forests and
-//! extra-trees hand each tree a `u32` row list over the shared codes
-//! (bootstrap repeats are repeated ids); boosting adds each leaf's value to
-//! its rows' margins as the leaf is made. A fit is a pure function of the
-//! matrix and the seed at any worker count.
+//! raw rows with plain `x ≤ threshold` tests. The node statistic (class
+//! counts, or `Σg, Σh, n`) owns both inner loops: `fill_feature`, one pass
+//! over a node's rows per feature, and `scan`, which adds up a feature's
+//! occupied bins in ascending order and offers each prefix to the search.
+//! The smaller child of a split is passed over again and the larger child's
+//! histogram is the parent's minus it. The search keeps its best as
+//! `(feature, bin, gain)`, rows are partitioned without a branch on the
+//! data, and nothing is allocated per node. Forests and extra-trees hand
+//! each tree a `u32` row list over the shared codes (bootstrap repeats are
+//! repeated ids); boosting adds each leaf's value to its rows' margins as
+//! the leaf is made, and predicts tree by tree over imputed columns. A fit
+//! is a pure function of the matrix and the seed at any worker count.
 //!
 //! Where every feature has at most 255 distinct values this is, on the
 //! fitted rows, exactly the tree an exact split finder over per-node value

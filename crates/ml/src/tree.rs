@@ -7,7 +7,9 @@
 //! the node's row list; after a split only the smaller child is passed over
 //! again, and the larger child's histogram is the parent's minus the
 //! smaller's. The split search adds up each candidate feature's occupied
-//! bins in ascending order and scores every prefix.
+//! bins in ascending order and scores every prefix. Both inner loops — the
+//! row pass and the prefix scan — belong to the statistic, so each runs
+//! over its own cell type with nothing decided per row or per bin.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -120,28 +122,30 @@ impl TreeNodes {
     }
 }
 
+/// The features a node considers, written into `idx`: every feature in
+/// order, or `k` drawn ones.
 fn candidate_features(
+    idx: &mut Vec<usize>,
     n_features: usize,
     max_features: MaxFeatures,
     rng: &mut StdRng,
-) -> Vec<usize> {
+) {
     let k = match max_features {
         MaxFeatures::All => n_features,
         MaxFeatures::Sqrt => (n_features as f64).sqrt().ceil() as usize,
         MaxFeatures::Fraction(f) => ((n_features as f64 * f).ceil() as usize).max(1),
     }
     .clamp(1, n_features);
-    if k == n_features {
-        return (0..n_features).collect();
-    }
+    idx.clear();
+    idx.extend(0..n_features);
     // Partial Fisher-Yates for k distinct indices.
-    let mut idx: Vec<usize> = (0..n_features).collect();
-    for i in 0..k {
-        let j = rng.random_range(i..n_features);
-        idx.swap(i, j);
+    if k < n_features {
+        for i in 0..k {
+            let j = rng.random_range(i..n_features);
+            idx.swap(i, j);
+        }
+        idx.truncate(k);
     }
-    idx.truncate(k);
-    idx
 }
 
 /// The statistic a node keeps per histogram bin — class counts or gradient
@@ -179,6 +183,89 @@ trait NodeStat {
 
     /// What a leaf with this statistic predicts.
     fn leaf_value(&self, node: &[Self::Cell]) -> f64;
+
+    /// Add every listed row to its bin of one feature's `cells`, the bin
+    /// read from `codes`; returns the bins that hold a row.
+    fn fill_feature(&self, cells: &mut [Self::Cell], codes: &[u8], rows: &[u32]) -> [u64; 4] {
+        let w = self.width();
+        let mut occupied = [0u64; 4];
+        for &r in rows {
+            let bin = usize::from(codes[r as usize]);
+            self.add_row(&mut cells[bin * w..(bin + 1) * w], r);
+            occupied[bin >> 6] |= 1 << (bin & 63);
+        }
+        occupied
+    }
+
+    /// Offer `search` every prefix of one feature's occupied bins but the
+    /// last, ascending: the left side of a cut above each bin.
+    fn scan(
+        &self,
+        feature: usize,
+        cells: &[Self::Cell],
+        occupied: [u64; 4],
+        total: &[Self::Cell],
+        search: &mut Search<Self::Cell>,
+    ) {
+        let w = self.width();
+        search.left.fill(Self::Cell::default());
+        let mut n_left = 0;
+        for bin in occupied_bins(occupied) {
+            let cell = &cells[bin * w..(bin + 1) * w];
+            Self::add(&mut search.left, cell);
+            n_left += Self::rows(cell);
+            if n_left == search.n_rows {
+                break; // the node's last bin: nothing to its right
+            }
+            let gain = self.gain(search.parent, total, &search.left);
+            if search.offer(feature, bin, gain) {
+                search.best_left.copy_from_slice(&search.left);
+            }
+        }
+    }
+}
+
+/// One node's split search: what each prefix is scored against and the best
+/// split so far — `(feature, bin, gain)`, rows whose `feature` code is at
+/// most `bin` going left. One per tree; its buffers are a bin wide.
+struct Search<C> {
+    /// The node's own score.
+    parent: f64,
+    /// Rows in the node.
+    n_rows: usize,
+    best: Option<(usize, usize, f64)>,
+    /// Statistic of the best split's left side.
+    best_left: Vec<C>,
+    /// A running left side.
+    left: Vec<C>,
+    /// Prefixes offered over the tree.
+    scanned: u64,
+}
+
+impl<C: Copy + Default> Search<C> {
+    fn new(width: usize) -> Self {
+        Search {
+            parent: 0.0,
+            n_rows: 0,
+            best: None,
+            best_left: vec![C::default(); width],
+            left: vec![C::default(); width],
+            scanned: 0,
+        }
+    }
+
+    /// Weigh one cut by its gain: the first of equal gains wins and a zero
+    /// gain is accepted (XOR-like plateaus need it). True when the cut is
+    /// the new best, and the caller then copies its left side into
+    /// `best_left`.
+    fn offer(&mut self, feature: usize, bin: usize, gain: f64) -> bool {
+        self.scanned += 1;
+        let better = gain >= 0.0 && self.best.is_none_or(|(_, _, b)| gain > b);
+        if better {
+            self.best = Some((feature, bin, gain));
+        }
+        better
+    }
 }
 
 /// Gini impurity from class counts that sum to `total`.
@@ -284,6 +371,47 @@ impl Gradients<'_> {
             f64::from(node.n)
         }
     }
+
+    /// [`NodeStat::score`] with the hessian question answered at compile
+    /// time.
+    fn score_of<const SECOND_ORDER: bool>(&self, node: GradientSums) -> f64 {
+        let h = if SECOND_ORDER { node.h } else { f64::from(node.n) };
+        node.g * node.g / (h + self.lambda)
+    }
+
+    /// [`NodeStat::scan`] over width-1 cells held in registers; first-order
+    /// boosting never adds up `Σh`.
+    fn scan_with<const SECOND_ORDER: bool>(
+        &self,
+        feature: usize,
+        cells: &[GradientSums],
+        occupied: [u64; 4],
+        total: GradientSums,
+        search: &mut Search<GradientSums>,
+    ) {
+        let mut left = GradientSums::default();
+        for bin in occupied_bins(occupied) {
+            let cell = cells[bin];
+            left.g += cell.g;
+            if SECOND_ORDER {
+                left.h += cell.h;
+            }
+            left.n += cell.n;
+            if left.n as usize == search.n_rows {
+                break; // the node's last bin: nothing to its right
+            }
+            let right = GradientSums {
+                g: total.g - left.g,
+                h: total.h - left.h,
+                n: total.n - left.n,
+            };
+            let gain = self.score_of::<SECOND_ORDER>(left) + self.score_of::<SECOND_ORDER>(right)
+                - search.parent;
+            if search.offer(feature, bin, gain) {
+                search.best_left[0] = left;
+            }
+        }
+    }
 }
 
 impl NodeStat for Gradients<'_> {
@@ -330,6 +458,48 @@ impl NodeStat for Gradients<'_> {
     fn leaf_value(&self, node: &[GradientSums]) -> f64 {
         -node[0].g / (self.hess_sum(&node[0]) + self.lambda)
     }
+
+    fn fill_feature(&self, cells: &mut [GradientSums], codes: &[u8], rows: &[u32]) -> [u64; 4] {
+        let mut occupied = [0u64; 4];
+        let mut mark = |bin: usize| occupied[bin >> 6] |= 1 << (bin & 63);
+        match self.hess {
+            Some(hess) => {
+                for &r in rows {
+                    let (bin, r) = (usize::from(codes[r as usize]), r as usize);
+                    let cell = &mut cells[bin];
+                    cell.g += self.grad[r];
+                    cell.h += hess[r];
+                    cell.n += 1;
+                    mark(bin);
+                }
+            }
+            None => {
+                for &r in rows {
+                    let (bin, r) = (usize::from(codes[r as usize]), r as usize);
+                    let cell = &mut cells[bin];
+                    cell.g += self.grad[r];
+                    cell.n += 1;
+                    mark(bin);
+                }
+            }
+        }
+        occupied
+    }
+
+    fn scan(
+        &self,
+        feature: usize,
+        cells: &[GradientSums],
+        occupied: [u64; 4],
+        total: &[GradientSums],
+        search: &mut Search<GradientSums>,
+    ) {
+        if self.hess.is_some() {
+            self.scan_with::<true>(feature, cells, occupied, total[0], search);
+        } else {
+            self.scan_with::<false>(feature, cells, occupied, total[0], search);
+        }
+    }
 }
 
 /// One node's statistics per feature and bin.
@@ -354,31 +524,39 @@ fn occupied_bins(words: [u64; 4]) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A chosen split: rows whose `feature` code is at most `bin` go left.
-struct Split<C> {
-    feature: usize,
-    bin: usize,
-    gain: f64,
-    /// Statistic of the left side.
-    left: Vec<C>,
-}
-
 /// Stable in-place partition of a node's rows by `code ≤ bin`; returns the
-/// size of the left side.
-fn partition(rows: &mut [u32], codes: &[u8], bin: u8, moved: &mut Vec<u32>) -> usize {
-    moved.clear();
-    let mut n_left = 0;
+/// size of the left side. Every row is written to both sides and each
+/// side's cursor moves on by the test, so nothing branches on the data;
+/// `scratch` holds at least `rows.len()` ids.
+fn partition(rows: &mut [u32], codes: &[u8], bin: u8, scratch: &mut [u32]) -> usize {
+    let (mut n_left, mut n_right) = (0, 0);
     for i in 0..rows.len() {
         let r = rows[i];
-        if codes[r as usize] <= bin {
-            rows[n_left] = r;
-            n_left += 1;
-        } else {
-            moved.push(r);
-        }
+        let left = codes[r as usize] <= bin;
+        // `n_left ≤ i`: the write never overtakes the read.
+        rows[n_left] = r;
+        scratch[n_right] = r;
+        n_left += usize::from(left);
+        n_right += usize::from(!left);
     }
-    rows[n_left..].copy_from_slice(moved);
+    rows[n_left..].copy_from_slice(&scratch[..n_right]);
     n_left
+}
+
+/// What growing trees cost: rows × features over every histogram pass, and
+/// prefixes scored by the split search.
+#[derive(Debug, Clone, Copy)]
+struct GrowCounts {
+    row_updates: u64,
+    bins_scanned: u64,
+}
+
+impl GrowCounts {
+    /// Add the trees' counts to the run trace.
+    fn record(counts: &[GrowCounts]) {
+        autofeat_obs::add("ml.hist_row_updates", counts.iter().map(|c| c.row_updates).sum());
+        autofeat_obs::add("ml.split_bins_scanned", counts.iter().map(|c| c.bins_scanned).sum());
+    }
 }
 
 struct Grower<'a, S: NodeStat, L> {
@@ -391,6 +569,13 @@ struct Grower<'a, S: NodeStat, L> {
     /// First bin of each feature in a histogram, and the total past the end.
     offsets: Vec<usize>,
     nodes: Vec<Node>,
+    /// The features of the node being split; its children overwrite them
+    /// only after it is done with them.
+    features: Vec<usize>,
+    /// Node statistics, a bin wide each: the root's, then both children's
+    /// of every split on the way down to the node being grown.
+    totals: Vec<S::Cell>,
+    search: Search<S::Cell>,
     /// Zeroed histograms awaiting reuse.
     spare: Vec<Hist<S::Cell>>,
     /// The right side of the row partition in flight.
@@ -400,7 +585,7 @@ struct Grower<'a, S: NodeStat, L> {
 }
 
 /// Grow one tree on the training rows listed in `rows` (repeats allowed;
-/// the list is reordered). Returns the tree and its histogram row updates.
+/// the list is reordered). Returns the tree and what growing it cost.
 fn grow_tree<S: NodeStat>(
     binned: &BinnedMatrix,
     stat: &S,
@@ -408,10 +593,14 @@ fn grow_tree<S: NodeStat>(
     rows: &mut [u32],
     rng: &mut StdRng,
     on_leaf: impl FnMut(&[u32], f64),
-) -> (TreeNodes, u64) {
+) -> (TreeNodes, GrowCounts) {
     let mut offsets = vec![0];
     for f in 0..binned.n_features() {
         offsets.push(offsets[f] + binned.n_bins(f));
+    }
+    let mut totals = vec![S::Cell::default(); stat.width()];
+    for &r in rows.iter() {
+        stat.add_row(&mut totals, r);
     }
     let mut grower = Grower {
         binned,
@@ -421,23 +610,28 @@ fn grow_tree<S: NodeStat>(
         on_leaf,
         offsets,
         nodes: Vec::new(),
+        features: Vec::new(),
+        totals,
+        search: Search::new(stat.width()),
         spare: Vec::new(),
-        moved: Vec::new(),
+        moved: vec![0; rows.len()],
         row_updates: 0,
     };
-    let mut total = vec![S::Cell::default(); stat.width()];
-    for &r in rows.iter() {
-        stat.add_row(&mut total, r);
-    }
-    grower.grow(rows, &total, 0, None);
-    (TreeNodes { nodes: grower.nodes }, grower.row_updates)
+    grower.grow(rows, 0, 0, None);
+    let counts = GrowCounts { row_updates: grower.row_updates, bins_scanned: grower.search.scanned };
+    (TreeNodes { nodes: grower.nodes }, counts)
 }
 
 impl<S: NodeStat, L: FnMut(&[u32], f64)> Grower<'_, S, L> {
-    fn may_split(&self, n_rows: usize, total: &[S::Cell], depth: usize) -> bool {
+    /// The statistic at `at` in `totals`.
+    fn total(&self, at: usize) -> &[S::Cell] {
+        &self.totals[at..at + self.stat.width()]
+    }
+
+    fn may_split(&self, n_rows: usize, total: usize, depth: usize) -> bool {
         depth < self.cfg.max_depth
             && n_rows >= self.cfg.min_samples_split
-            && !self.stat.is_pure(total)
+            && !self.stat.is_pure(self.total(total))
     }
 
     /// The cells of one feature in a histogram's cell array.
@@ -446,25 +640,19 @@ impl<S: NodeStat, L: FnMut(&[u32], f64)> Grower<'_, S, L> {
         self.offsets[feature] * w..self.offsets[feature + 1] * w
     }
 
-    /// The histogram of a row list over `features`: one pass per feature.
-    fn fill(&mut self, rows: &[u32], features: &[usize]) -> Hist<S::Cell> {
+    /// The histogram of a row list over the node's features: one pass per
+    /// feature.
+    fn fill(&mut self, rows: &[u32]) -> Hist<S::Cell> {
         let (w, d) = (self.stat.width(), self.binned.n_features());
         let mut hist = self.spare.pop().unwrap_or_else(|| Hist {
             cells: vec![S::Cell::default(); self.offsets[d] * w],
             occupied: vec![[0; 4]; d],
         });
-        for &feature in features {
-            let codes = self.binned.codes(feature);
+        for &feature in &self.features {
             let cells = &mut hist.cells[self.cells_of(feature)];
-            let mut occupied = [0u64; 4];
-            for &r in rows {
-                let bin = usize::from(codes[r as usize]);
-                self.stat.add_row(&mut cells[bin * w..(bin + 1) * w], r);
-                occupied[bin >> 6] |= 1 << (bin & 63);
-            }
-            hist.occupied[feature] = occupied;
+            hist.occupied[feature] = self.stat.fill_feature(cells, self.binned.codes(feature), rows);
         }
-        self.row_updates += (rows.len() * features.len()) as u64;
+        self.row_updates += (rows.len() * self.features.len()) as u64;
         hist
     }
 
@@ -499,73 +687,56 @@ impl<S: NodeStat, L: FnMut(&[u32], f64)> Grower<'_, S, L> {
         self.spare.push(hist);
     }
 
-    /// The best split of a node over its candidate features: features in
-    /// drawn order, cuts ascending, the first of equal gains wins and a zero
-    /// gain is accepted (XOR-like plateaus need it).
-    fn best_split(
-        &mut self,
-        hist: &Hist<S::Cell>,
-        features: &[usize],
-        total: &[S::Cell],
-        n_rows: usize,
-    ) -> Option<Split<S::Cell>> {
+    /// Search a node for its best split over the node's features, in drawn
+    /// order and cuts ascending; the result is left in `self.search`.
+    fn best_split(&mut self, hist: &Hist<S::Cell>, total: usize, n_rows: usize) {
         let w = self.stat.width();
-        let parent = self.stat.score(total);
-        let mut best: Option<Split<S::Cell>> = None;
-        let mut left = vec![S::Cell::default(); w];
-        for &feature in features {
-            let cells = &hist.cells[self.cells_of(feature)];
+        let total = &self.totals[total..total + w];
+        let search = &mut self.search;
+        search.parent = self.stat.score(total);
+        search.n_rows = n_rows;
+        search.best = None;
+        for &feature in &self.features {
+            let cells = &hist.cells[self.offsets[feature] * w..self.offsets[feature + 1] * w];
             let occupied = hist.occupied[feature];
-            let mut consider = |bin: usize, left: &[S::Cell]| {
-                let gain = self.stat.gain(parent, total, left);
-                if gain >= 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(Split { feature, bin, gain, left: left.to_vec() });
-                }
-            };
-            left.fill(S::Cell::default());
-            if self.cfg.random_thresholds {
-                // One uniform draw in the node's value range, snapped down
-                // to a bin edge that leaves rows on both sides.
-                let mut bins = occupied_bins(occupied);
-                let Some(first) = bins.next() else { continue };
-                let Some(last) = bins.last() else { continue };
-                let lo = self.binned.bin_range(feature, first).0;
-                let hi = self.binned.bin_range(feature, last).1;
-                let t = self.rng.random_range(lo..hi);
-                let bin = self.binned.bins_at_or_below(feature, t).clamp(first + 1, last) - 1;
-                for b in occupied_bins(occupied).take_while(|&b| b <= bin) {
-                    S::add(&mut left, &cells[b * w..(b + 1) * w]);
-                }
-                consider(bin, &left);
-            } else {
-                let mut n_left = 0;
-                for bin in occupied_bins(occupied) {
-                    let cell = &cells[bin * w..(bin + 1) * w];
-                    S::add(&mut left, cell);
-                    n_left += S::rows(cell);
-                    if n_left == n_rows {
-                        break; // the node's last bin: nothing to its right
-                    }
-                    consider(bin, &left);
-                }
+            if !self.cfg.random_thresholds {
+                self.stat.scan(feature, cells, occupied, total, search);
+                continue;
+            }
+            // One uniform draw in the node's value range, snapped down to a
+            // bin edge that leaves rows on both sides.
+            let mut bins = occupied_bins(occupied);
+            let Some(first) = bins.next() else { continue };
+            let Some(last) = bins.last() else { continue };
+            let lo = self.binned.bin_range(feature, first).0;
+            let hi = self.binned.bin_range(feature, last).1;
+            let t = self.rng.random_range(lo..hi);
+            let bin = self.binned.bins_at_or_below(feature, t).clamp(first + 1, last) - 1;
+            search.left.fill(S::Cell::default());
+            for b in occupied_bins(occupied).take_while(|&b| b <= bin) {
+                S::add(&mut search.left, &cells[b * w..(b + 1) * w]);
+            }
+            let gain = self.stat.gain(search.parent, total, &search.left);
+            if search.offer(feature, bin, gain) {
+                search.best_left.copy_from_slice(&search.left);
             }
         }
-        best
     }
 
-    fn leaf(&mut self, rows: &[u32], total: &[S::Cell]) -> usize {
-        let value = self.stat.leaf_value(total);
+    fn leaf(&mut self, rows: &[u32], total: usize) -> usize {
+        let value = self.stat.leaf_value(self.total(total));
         (self.on_leaf)(rows, value);
         self.nodes.push(Node::Leaf { value });
         self.nodes.len() - 1
     }
 
     /// Grow the subtree of a node in pre-order and return its arena index.
-    /// `inherited` is the node's histogram where its parent made one.
+    /// The node's statistic sits at `total` in `totals`; `inherited` is its
+    /// histogram where its parent made one.
     fn grow(
         &mut self,
         rows: &mut [u32],
-        total: &[S::Cell],
+        total: usize,
         depth: usize,
         inherited: Option<Hist<S::Cell>>,
     ) -> usize {
@@ -576,55 +747,63 @@ impl<S: NodeStat, L: FnMut(&[u32], f64)> Grower<'_, S, L> {
             return self.leaf(rows, total);
         }
         let d = self.binned.n_features();
-        let features = candidate_features(d, self.cfg.max_features, self.rng);
+        candidate_features(&mut self.features, d, self.cfg.max_features, self.rng);
         let mut hist = match inherited {
             Some(hist) => hist,
-            None => self.fill(rows, &features),
+            None => self.fill(rows),
         };
+        self.best_split(&hist, total, rows.len());
         // The leaf minimum is held against the chosen split, not searched
         // around: a best split that breaks it makes the node a leaf.
         let min_leaf = self.cfg.min_samples_leaf;
-        let split = self.best_split(&hist, &features, total, rows.len()).filter(|s| {
-            let n_left = S::rows(&s.left);
+        let split = self.search.best.filter(|_| {
+            let n_left = S::rows(&self.search.best_left);
             n_left >= min_leaf && rows.len() - n_left >= min_leaf
         });
-        let Some(split) = split else {
+        let Some((feature, bin, gain)) = split else {
             self.release(hist);
             return self.leaf(rows, total);
         };
         let id = self.nodes.len();
         self.nodes.push(Node::Leaf { value: 0.0 }); // holds the place in pre-order
-        let gain = split.gain * rows.len() as f64;
-        let codes = self.binned.codes(split.feature);
-        let n_left = partition(rows, codes, split.bin as u8, &mut self.moved);
+        let gain = gain * rows.len() as f64;
+        let codes = self.binned.codes(feature);
+        let n_left = partition(rows, codes, bin as u8, &mut self.moved);
         let (lrows, rrows) = rows.split_at_mut(n_left);
-        let mut right_total = total.to_vec();
-        S::sub(&mut right_total, &split.left);
+        // The children's statistics: the left side the search kept, and the
+        // node's minus it.
+        let w = self.stat.width();
+        let (left_total, right_total) = (self.totals.len(), self.totals.len() + w);
+        self.totals.extend_from_slice(&self.search.best_left);
+        self.totals.extend_from_within(total..total + w);
+        let (below, right) = self.totals.split_at_mut(right_total);
+        S::sub(right, &below[left_total..]);
 
         // A node that looked at every feature hands histograms down, unless
         // both children are leaves anyway: the smaller child gets a row pass,
         // the larger one what is left of the parent's. Children of a node
         // that sampled features sample their own and fill only those.
-        let hands_down = features.len() == d
-            && (self.may_split(lrows.len(), &split.left, depth + 1)
-                || self.may_split(rrows.len(), &right_total, depth + 1));
+        let hands_down = self.features.len() == d
+            && (self.may_split(lrows.len(), left_total, depth + 1)
+                || self.may_split(rrows.len(), right_total, depth + 1));
         let (left_hist, right_hist) = if !hands_down {
             self.release(hist);
             (None, None)
         } else if lrows.len() <= rrows.len() {
-            let small = self.fill(lrows, &features);
+            let small = self.fill(lrows);
             self.subtract(&mut hist, &small);
             (Some(small), Some(hist))
         } else {
-            let small = self.fill(rrows, &features);
+            let small = self.fill(rrows);
             self.subtract(&mut hist, &small);
             (Some(hist), Some(small))
         };
-        let left = self.grow(lrows, &split.left, depth + 1, left_hist);
-        let right = self.grow(rrows, &right_total, depth + 1, right_hist);
+        let left = self.grow(lrows, left_total, depth + 1, left_hist);
+        let right = self.grow(rrows, right_total, depth + 1, right_hist);
+        self.totals.truncate(left_total);
         self.nodes[id] = Node::Split {
-            feature: split.feature,
-            threshold: self.binned.cut(split.feature, split.bin),
+            feature,
+            threshold: self.binned.cut(feature, bin),
             left,
             right,
             gain,
@@ -686,12 +865,10 @@ impl ClassTrees {
             let mut rng = StdRng::seed_from_u64(seed);
             grow_tree(&binned, &stat, cfg, &mut rows, &mut rng, |_, _| {})
         });
+        let (trees, counts): (Vec<TreeNodes>, Vec<GrowCounts>) = grown.into_iter().unzip();
         autofeat_obs::add("ml.trees_grown", n_trees as u64);
-        autofeat_obs::add("ml.hist_row_updates", grown.iter().map(|(_, n)| n).sum());
-        Ok(ClassTrees {
-            trees: grown.into_iter().map(|(tree, _)| tree).collect(),
-            means: binned.means().clone(),
-        })
+        GrowCounts::record(&counts);
+        Ok(ClassTrees { trees, means: binned.means().clone() })
     }
 
     pub(crate) fn is_fitted(&self) -> bool {
@@ -806,9 +983,9 @@ impl RegressionTree {
         rng: &mut StdRng,
         on_leaf: impl FnMut(&[u32], f64),
     ) -> Self {
-        let (tree, row_updates) = grow_tree(binned, gradients, config, rows, rng, on_leaf);
+        let (tree, counts) = grow_tree(binned, gradients, config, rows, rng, on_leaf);
         autofeat_obs::incr("ml.trees_grown");
-        autofeat_obs::add("ml.hist_row_updates", row_updates);
+        GrowCounts::record(&[counts]);
         RegressionTree { tree }
     }
 
@@ -984,6 +1161,29 @@ mod tests {
         // Newton leaf: -Σg/(Σh+λ) = -30/(30+1) ≈ -0.97 on the left.
         assert!(t.predict_row(&[5.0]) < -0.9);
         assert!(t.predict_row(&[55.0]) > 0.9);
+    }
+
+    #[test]
+    fn partition_is_stable_on_both_sides() {
+        let codes: Vec<u8> = vec![3, 0, 7, 1, 5, 2, 9, 4];
+        // Row ids repeat, as in a bootstrap sample.
+        let rows = vec![6u32, 1, 1, 4, 0, 7, 3, 1, 6, 2, 5];
+        let mut scratch = vec![u32::MAX; rows.len()];
+        for bin in [0u8, 2, 3, 4, 8, 9, 255] {
+            let mut got = rows.clone();
+            let n_left = partition(&mut got, &codes, bin, &mut scratch);
+            let (left, right): (Vec<u32>, Vec<u32>) =
+                rows.iter().partition(|&&r| codes[r as usize] <= bin);
+            assert_eq!(n_left, left.len(), "bin {bin}");
+            assert_eq!(got, [left, right].concat(), "bin {bin}");
+        }
+        // All left, all right, and nothing to split.
+        let mut all = rows.clone();
+        assert_eq!(partition(&mut all, &codes, 9, &mut scratch), rows.len());
+        assert_eq!(all, rows);
+        assert_eq!(partition(&mut all, &[10; 8], 9, &mut scratch), 0);
+        assert_eq!(all, rows);
+        assert_eq!(partition(&mut [], &codes, 0, &mut []), 0);
     }
 
     #[test]

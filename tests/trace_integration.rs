@@ -391,7 +391,10 @@ fn training_spans_and_counters_sit_under_train_and_repeat_exactly() {
     assert_eq!(trace.counter("ml.trees_grown"), Some(fits.count / 2 * 80));
     let row_updates = trace.counter("ml.hist_row_updates").expect("histogram passes are counted");
     assert!(row_updates > 0);
+    let scanned = trace.counter("ml.split_bins_scanned").expect("split-search prefixes are counted");
+    assert!(scanned > 0);
     let again = traced();
     assert_eq!(again.counter("ml.trees_grown"), trace.counter("ml.trees_grown"));
     assert_eq!(again.counter("ml.hist_row_updates"), Some(row_updates));
+    assert_eq!(again.counter("ml.split_bins_scanned"), Some(scanned));
 }

@@ -18,6 +18,7 @@ use autofeat::data::encode::Matrix;
 use autofeat::ml::bins::{BinnedMatrix, MAX_BINS};
 use autofeat::ml::dataset::row_of;
 use autofeat::ml::eval::{Classifier, ModelKind};
+use autofeat::ml::gbdt::{Gbdt, GbdtConfig};
 use autofeat::ml::tree::{
     DecisionTree, Gradients, MaxFeatures, Node, RegressionTree, TreeConfig,
 };
@@ -286,16 +287,21 @@ fn pinned_fixture() -> Matrix {
     Matrix { feature_names: (0..d).map(|j| format!("f{j}")).collect(), cols, labels, n_rows: n }
 }
 
-/// FNV-1a over the predictions' bytes.
-fn digest(predictions: &[i64]) -> u64 {
+/// FNV-1a over the words' little-endian bytes.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in predictions {
-        for b in p.to_le_bytes() {
+    for w in words {
+        for b in w.to_le_bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
     h
+}
+
+/// FNV-1a over the predictions' bytes.
+fn digest(predictions: &[i64]) -> u64 {
+    fnv(predictions.iter().map(|&p| p as u64))
 }
 
 /// Training-row predictions of `ModelKind::build(7)` on the pinned fixture,
@@ -324,6 +330,85 @@ fn learners_predict_the_fixture_as_the_parent_commit_did() {
         let mut again = kind.build(7);
         again.fit(&data).unwrap();
         assert_eq!(again.predict(&data), predicted, "{}: a second fit differs", kind.name());
+    }
+}
+
+/// 2 400 rows × 8 continuous features, as a materialized join path hands
+/// them to training: four base columns with a few missing cells, then four
+/// joined columns that are missing together on the rows whose key found no
+/// match. Every feature has far more than `MAX_BINS` distinct values, so
+/// the bins are equal-frequency edges and boosting sums float gradients.
+fn many_valued_fixture() -> Matrix {
+    let mut rng = StdRng::seed_from_u64(0x5A0F_1A4E);
+    let (n, d) = (2_400usize, 8usize);
+    let unmatched: Vec<bool> = (0..n).map(|_| rng.random_bool(0.15)).collect();
+    let raw: Vec<Vec<f64>> = (0..d)
+        .map(|j| (0..n).map(|_| rng.random_range(-1.0..1.0f64) * (j + 1) as f64).collect())
+        .collect();
+    let labels = (0..n)
+        .map(|i| {
+            let joined = if unmatched[i] { 0.0 } else { raw[5][i] / 6.0 - raw[6][i] / 7.0 };
+            let signal = raw[0][i] + raw[1][i] / 2.0 - raw[2][i] / 3.0 + joined;
+            i64::from(signal + rng.random_range(-0.8..0.8) > 0.0)
+        })
+        .collect();
+    let cols = raw
+        .into_iter()
+        .enumerate()
+        .map(|(j, col)| {
+            col.into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    let missing = if j < 4 { rng.random_bool(0.02) } else { unmatched[i] };
+                    if missing {
+                        f64::NAN
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Matrix { feature_names: (0..d).map(|j| format!("f{j}")).collect(), cols, labels, n_rows: n }
+}
+
+/// On the many-valued fixture, fitted with seed 7 and predicted on its
+/// training rows: the class digest of every learner, and for the boosted
+/// presets the digest of every row's `predict_proba_row` bits. Printed by
+/// the learners of commit a0b8a90 before their inner loops were rewritten.
+const MANY_VALUED_AT_PARENT: [(ModelKind, u64, Option<u64>); 4] = [
+    (ModelKind::LightGbm, 0x7217_a029_e460_2bc5, Some(0xc643_09df_e883_219d)),
+    (ModelKind::XgBoost, 0xd86d_cbc1_c4dd_27a5, Some(0xee7b_ebce_a9dd_1bbc)),
+    (ModelKind::RandomForest, 0x1612_d9c8_814d_3c84, None),
+    (ModelKind::ExtraTrees, 0x630e_bfc9_0ad2_b8c4, None),
+];
+
+/// Past `MAX_BINS` distinct values no tree equals the exact finder's, so
+/// the literals are what holds the learners still there: float-gradient
+/// boosting to the bit of every probability, the ensembles to every class.
+#[test]
+fn learners_predict_the_many_valued_fixture_as_the_parent_commit_did() {
+    let data = many_valued_fixture();
+    for (kind, want, want_proba) in MANY_VALUED_AT_PARENT {
+        let mut model = kind.build(7);
+        model.fit(&data).unwrap();
+        let predicted = model.predict(&data);
+        let proba = match kind {
+            ModelKind::LightGbm | ModelKind::XgBoost => {
+                let config = if kind == ModelKind::LightGbm {
+                    GbdtConfig::lightgbm_like()
+                } else {
+                    GbdtConfig::xgboost_like()
+                };
+                let mut gbdt = Gbdt::new(config, 7);
+                gbdt.fit(&data).unwrap();
+                assert_eq!(gbdt.predict(&data), predicted, "{}: the preset is not ModelKind's", kind.name());
+                Some(fnv((0..data.n_rows).map(|i| gbdt.predict_proba_row(&row_of(&data, i)).to_bits())))
+            }
+            _ => None,
+        };
+        assert_eq!(digest(&predicted), want, "{} left the parent's predictions", kind.name());
+        assert_eq!(proba, want_proba, "{} left the parent's probabilities", kind.name());
     }
 }
 
