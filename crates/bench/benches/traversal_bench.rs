@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use autofeat_graph::traversal::{bfs_levels, enumerate_paths, join_all_path_count};
+use autofeat_graph::traversal::{enumerate_paths, join_all_path_count};
 use autofeat_graph::{Drg, DrgBuilder};
 
 /// A snowflake with `n` satellites and branching `b`, plus `extra`
@@ -32,13 +32,6 @@ fn graph(n: usize, b: usize, extra: usize) -> Drg {
 fn bench_traversal(c: &mut Criterion) {
     let mut group = c.benchmark_group("drg_traversal");
     group.sample_size(50);
-    for &n in &[8usize, 16, 40] {
-        let g = graph(n, 3, 0);
-        let base = g.node("base").unwrap();
-        group.bench_with_input(BenchmarkId::new("bfs_levels", n), &n, |b, _| {
-            b.iter(|| black_box(bfs_levels(&g, base)))
-        });
-    }
     for &extra in &[0usize, 2, 4] {
         let g = graph(12, 3, extra);
         let base = g.node("base").unwrap();

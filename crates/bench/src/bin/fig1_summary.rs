@@ -8,9 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use autofeat_bench::{
-    context_from_lake, context_from_snowflake, run_all_methods, specs, wants_full, MethodSet,
-};
+use autofeat_bench::{run_all_methods, specs, wants_full, Setting};
 use autofeat_ml::eval::ModelKind;
 
 fn main() {
@@ -21,19 +19,8 @@ fn main() {
     // method -> (sum accuracy, sum fs time, count)
     let mut agg: BTreeMap<String, (f64, f64, usize)> = BTreeMap::new();
     for spec in specs(full) {
-        for lake_setting in [false, true] {
-            let ctx = if lake_setting {
-                context_from_lake(&spec.build_lake())
-            } else {
-                context_from_snowflake(&spec.build_snowflake())
-            };
-            let results = run_all_methods(
-                &ctx,
-                &models,
-                spec.seed,
-                MethodSet { join_all: !lake_setting },
-            );
-            for r in results {
+        for setting in [Setting::Benchmark, Setting::Lake] {
+            for r in run_all_methods(&setting.context(&spec), &models, spec.seed, setting) {
                 let e = agg.entry(r.method.clone()).or_insert((0.0, 0.0, 0));
                 e.0 += r.mean_accuracy();
                 e.1 += r.feature_selection_time.as_secs_f64();

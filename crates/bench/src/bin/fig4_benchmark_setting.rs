@@ -8,30 +8,14 @@
 //! cargo run --release -p autofeat-bench --bin fig4_benchmark_setting [-- --full]
 //! ```
 
-use autofeat_bench::{
-    context_from_snowflake, print_header, print_result, run_all_methods, specs, wants_full,
-    MethodSet,
-};
+use autofeat_bench::{print_header, print_result, sweep, wants_full, Setting};
 use autofeat_ml::eval::ModelKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = wants_full(&args);
+    let full = wants_full(&std::env::args().collect::<Vec<_>>());
     println!("Figure 4 — benchmark setting (tree models: LightGBM, XGBoost, RF, ExtraTrees)\n");
     print_header();
-    for spec in specs(full) {
-        let ctx = context_from_snowflake(&spec.build_snowflake());
-        let results = run_all_methods(
-            &ctx,
-            &ModelKind::tree_models(),
-            spec.seed,
-            MethodSet { join_all: true },
-        );
-        for r in &results {
-            print_result(spec.name, r);
-        }
-        println!();
-    }
+    sweep(Setting::Benchmark, &ModelKind::tree_models(), full, print_result);
     println!("Expected shape (paper): AutoFeat's fs_time ≪ ARDA ≪ MAB; AutoFeat accuracy ≥");
     println!("ARDA/MAB and ≈ JoinAll+F; JoinAll rows absent where Eq. 3 explodes (school).");
 }

@@ -5,37 +5,14 @@
 //! cargo run --release -p autofeat-bench --bin fig5_benchmark_nontree [-- --full]
 //! ```
 
-use autofeat_bench::{context_from_snowflake, run_all_methods, specs, wants_full, MethodSet};
+use autofeat_bench::{print_nontree_header, print_nontree_result, sweep, wants_full, Setting};
 use autofeat_ml::eval::ModelKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = wants_full(&args);
+    let full = wants_full(&std::env::args().collect::<Vec<_>>());
     println!("Figure 5 — benchmark setting, non-tree models (KNN, LR)\n");
-    println!(
-        "{:<12} {:<10} {:>9} {:>9} {:>8}",
-        "dataset", "method", "KNN", "LR", "#tables"
-    );
-    for spec in specs(full) {
-        let ctx = context_from_snowflake(&spec.build_snowflake());
-        let results = run_all_methods(
-            &ctx,
-            &ModelKind::non_tree_models(),
-            spec.seed,
-            MethodSet { join_all: true },
-        );
-        for r in &results {
-            println!(
-                "{:<12} {:<10} {:>9.3} {:>9.3} {:>8}",
-                spec.name,
-                r.method,
-                r.accuracy_for(ModelKind::Knn).unwrap_or(0.0),
-                r.accuracy_for(ModelKind::LogisticL1).unwrap_or(0.0),
-                r.n_tables_joined,
-            );
-        }
-        println!();
-    }
+    print_nontree_header();
+    sweep(Setting::Benchmark, &ModelKind::non_tree_models(), full, print_nontree_result);
     println!("Expected shape (paper): LR — AutoFeat at or near the top; KNN weaker on small");
     println!("datasets (insufficient neighbours) and hurt by irrelevant joined features.");
 }

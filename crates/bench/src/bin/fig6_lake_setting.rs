@@ -8,35 +8,14 @@
 //! cargo run --release -p autofeat-bench --bin fig6_lake_setting [-- --full]
 //! ```
 
-use autofeat_bench::{
-    context_from_lake, print_header, print_result, run_all_methods, specs, wants_full, MethodSet,
-};
+use autofeat_bench::{print_header, print_result, sweep, wants_full, Setting};
 use autofeat_ml::eval::ModelKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = wants_full(&args);
+    let full = wants_full(&std::env::args().collect::<Vec<_>>());
     println!("Figure 6 — data-lake setting (tree models; JoinAll omitted per Eq. 3)\n");
     print_header();
-    for spec in specs(full) {
-        let ctx = context_from_lake(&spec.build_lake());
-        println!(
-            "# {}: discovered DRG has {} edges over {} tables",
-            spec.name,
-            ctx.drg().n_edges(),
-            ctx.drg().n_nodes()
-        );
-        let results = run_all_methods(
-            &ctx,
-            &ModelKind::tree_models(),
-            spec.seed,
-            MethodSet { join_all: false },
-        );
-        for r in &results {
-            print_result(spec.name, r);
-        }
-        println!();
-    }
+    sweep(Setting::Lake, &ModelKind::tree_models(), full, print_result);
     println!("Expected shape (paper): AutoFeat ≈ 3x faster than ARDA and ≈ 10x faster than");
     println!("MAB at equal or better accuracy; AutoFeat prunes spurious joins via τ.");
 }

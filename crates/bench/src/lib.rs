@@ -19,8 +19,6 @@
 //! four-dataset quick subset so a full sweep stays laptop-friendly) and
 //! prints machine-grepable rows.
 
-use std::time::Duration;
-
 use autofeat_core::baselines::{
     run_arda, run_base, run_join_all, run_mab, ArdaConfig, JoinAllConfig, MabConfig,
 };
@@ -44,6 +42,26 @@ pub fn specs(full: bool) -> Vec<DatasetSpec> {
         .into_iter()
         .filter(|d| full || QUICK_SET.contains(&d.name))
         .collect()
+}
+
+/// The paper's two schema settings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Setting {
+    /// The known KFK snowflake (Figs. 4–5).
+    Benchmark,
+    /// KFK metadata discarded and relationships rediscovered by the schema
+    /// matcher (Figs. 6–7).
+    Lake,
+}
+
+impl Setting {
+    /// The context of one dataset in this setting.
+    pub fn context(self, spec: &DatasetSpec) -> SearchContext {
+        match self {
+            Setting::Benchmark => context_from_snowflake(&spec.build_snowflake()),
+            Setting::Lake => context_from_lake(&spec.build_lake()),
+        }
+    }
 }
 
 /// Build the benchmark-setting context from a snowflake.
@@ -95,20 +113,15 @@ pub fn run_autofeat(
         .result
 }
 
-/// Which baselines to include in a sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct MethodSet {
-    /// Include JoinAll / JoinAll+F (omitted in the data-lake setting).
-    pub join_all: bool,
-}
-
-/// Run every method on one context. JoinAll entries are omitted when
-/// infeasible (Eq. 3 over budget), mirroring the paper's missing bars.
+/// Run every method on one context. JoinAll and JoinAll+F run only in the
+/// benchmark setting (the Eq. 3 ordering count explodes on the lake's dense
+/// multigraph), and are omitted when infeasible (Eq. 3 over budget) there,
+/// mirroring the paper's missing bars.
 pub fn run_all_methods(
     ctx: &SearchContext,
     models: &[ModelKind],
     seed: u64,
-    set: MethodSet,
+    setting: Setting,
 ) -> Vec<MethodResult> {
     let mut out = vec![
         run_base(ctx, models, seed).expect("BASE runs"),
@@ -116,7 +129,7 @@ pub fn run_all_methods(
         run_arda(ctx, models, &ArdaConfig { seed, ..Default::default() }).expect("ARDA runs"),
         run_mab(ctx, models, &MabConfig { seed, ..Default::default() }).expect("MAB runs"),
     ];
-    if set.join_all {
+    if setting == Setting::Benchmark {
         if let Some(r) = run_join_all(ctx, models, &JoinAllConfig { seed, ..Default::default() })
             .expect("JoinAll runs")
         {
@@ -133,6 +146,33 @@ pub fn run_all_methods(
         }
     }
     out
+}
+
+/// Figures 4–7: one context per dataset of the run in `setting`, every
+/// method trained on `models`, and each result handed to `row` with its
+/// dataset's name; a blank line after each dataset. The lake setting first
+/// prints the size of the DRG the matcher discovered.
+pub fn sweep(
+    setting: Setting,
+    models: &[ModelKind],
+    full: bool,
+    row: impl Fn(&str, &MethodResult),
+) {
+    for spec in specs(full) {
+        let ctx = setting.context(&spec);
+        if setting == Setting::Lake {
+            println!(
+                "# {}: discovered DRG has {} edges over {} tables",
+                spec.name,
+                ctx.drg().n_edges(),
+                ctx.drg().n_nodes()
+            );
+        }
+        for r in &run_all_methods(&ctx, models, spec.seed, setting) {
+            row(spec.name, r);
+        }
+        println!();
+    }
 }
 
 /// Header for the standard result table.
@@ -157,9 +197,21 @@ pub fn print_result(dataset: &str, r: &MethodResult) {
     );
 }
 
-/// Seconds as f64, for aggregation.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
+/// Header for the non-tree accuracy table (Figs. 5 and 7).
+pub fn print_nontree_header() {
+    println!("{:<12} {:<10} {:>9} {:>9} {:>8}", "dataset", "method", "KNN", "LR", "#tables");
+}
+
+/// One non-tree accuracy row: KNN, L1 logistic regression, joined tables.
+pub fn print_nontree_result(dataset: &str, r: &MethodResult) {
+    println!(
+        "{:<12} {:<10} {:>9.3} {:>9.3} {:>8}",
+        dataset,
+        r.method,
+        r.accuracy_for(ModelKind::Knn).unwrap_or(0.0),
+        r.accuracy_for(ModelKind::LogisticL1).unwrap_or(0.0),
+        r.n_tables_joined,
+    );
 }
 
 #[cfg(test)]
@@ -187,12 +239,7 @@ mod tests {
     fn credit_all_methods_smoke() {
         let spec = autofeat_datagen::registry::dataset("credit").unwrap();
         let ctx = context_from_snowflake(&spec.build_snowflake());
-        let results = run_all_methods(
-            &ctx,
-            &[ModelKind::RandomForest],
-            1,
-            MethodSet { join_all: true },
-        );
+        let results = run_all_methods(&ctx, &[ModelKind::RandomForest], 1, Setting::Benchmark);
         // BASE, AutoFeat, ARDA, MAB, JoinAll, JoinAll+F all present.
         assert_eq!(results.len(), 6);
         let methods: Vec<&str> = results.iter().map(|r| r.method.as_str()).collect();

@@ -84,7 +84,7 @@ pub enum TruncationReason {
     /// The `max_joins` cap on evaluated joins was reached.
     MaxJoins,
     /// The effective wall-clock deadline — the config's `time_budget`, or
-    /// one armed on the context's [`RunControl`] — expired.
+    /// one the context's [`RunControl`] was made with — expired.
     DeadlineExceeded {
         /// The pipeline phase whose boundary check noticed the expiry.
         phase: Phase,
@@ -1127,11 +1127,11 @@ mod tests {
 
     #[test]
     fn context_deadline_composes_with_run_budget() {
-        // An expired deadline armed on the *context* control truncates a run
-        // whose own time budget is generous — the tighter deadline wins —
-        // without mutating the run-scoped budget logic.
-        let ctx = chain_ctx(100);
-        ctx.control().arm_budget(Duration::ZERO);
+        // An expired deadline on the *context* control truncates a run whose
+        // own time budget is generous — the tighter deadline wins — without
+        // mutating the run-scoped budget logic.
+        let ctx = chain_ctx(100)
+            .with_request_control(Arc::new(RunControl::new()).scoped(Some(Instant::now())));
         let cfg = AutoFeatConfig::default().with_time_budget(Duration::from_secs(600));
         let result = AutoFeat::new(cfg.clone()).discover(&ctx).unwrap();
         assert!(

@@ -153,11 +153,9 @@ pub struct SearchContext {
 }
 
 /// Every table a context holds carries key metadata (a dictionary cell per
-/// column, one for the row fingerprints, the null-key counts): attach it to
-/// a table that arrives without. CSV ingest and datagen attach theirs, which
-/// makes this an O(1) check; hand-built tables and ones changed since ingest
-/// pay one null-counting pass here. Either way nothing is built until a join
-/// or an encode first reads it.
+/// column and one for the row fingerprints): attach it to a table that
+/// arrives without. CSV ingest and datagen attach theirs; either way nothing
+/// is built until a join or an encode first reads it.
 fn ensure_key_meta(table: Table) -> Table {
     if table.has_key_meta() {
         table
@@ -506,10 +504,10 @@ impl SearchContext {
     /// clone of this context. Cancelling it — from any thread — winds down
     /// whatever pipeline stage is currently running against this context
     /// (discovery, materialization, training, baselines) at its next
-    /// cooperative checkpoint; an armed deadline does the same on expiry.
-    /// Discovery runs layer their own `time_budget` on top via
-    /// [`RunControl::scoped`], so per-run deadlines never leak into this
-    /// shared handle.
+    /// cooperative checkpoint; a deadline it was made with does the same on
+    /// expiry. Each discovery run makes its own child with
+    /// [`RunControl::scoped`] at the config's `time_budget`, so a per-run
+    /// deadline never leaks into this shared handle.
     pub fn control(&self) -> &Arc<RunControl> {
         &self.control
     }

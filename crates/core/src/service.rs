@@ -11,10 +11,11 @@
 //!   label, and config — the lake state is `Arc`-shared, never copied or
 //!   mutably borrowed);
 //! * a **fresh scoped control**: a [`RunControl::scoped`] child of the
-//!   service-wide control, carrying the request's own deadline. Cancelling
-//!   one request never touches its siblings; [`shutdown`]
-//!   (`DiscoveryService::shutdown`) cancels the service-wide parent and
-//!   winds every in-flight request down to a valid partial result;
+//!   service-wide control. Cancelling one request never touches its
+//!   siblings; [`shutdown`] (`DiscoveryService::shutdown`) cancels the
+//!   service-wide parent and winds every in-flight request down to a valid
+//!   partial result. A request's time budget is its config's `time_budget`,
+//!   and its clock starts when the request runs, not when it is prepared;
 //! * **request-attributed governance counters**: the `cache` stats on its
 //!   [`DiscoveryResult`] count this request's own hits/misses/builds, not
 //!   a racy delta of the shared cache (per-request recorders sum exactly
@@ -80,8 +81,9 @@ use crate::config::AutoFeatConfig;
 use crate::context::SearchContext;
 
 /// One discovery request against a [`DiscoveryService`]: which base table
-/// and target label to discover for, under which configuration, with how
-/// much time. Every field defaults to the service's own (`None` = inherit).
+/// and target label to discover for, under which configuration (its
+/// `time_budget` included). Every field defaults to the service's own
+/// (`None` = inherit).
 #[derive(Debug, Clone, Default)]
 pub struct DiscoveryRequest {
     /// Base table name; `None` = the service context's base.
@@ -91,10 +93,6 @@ pub struct DiscoveryRequest {
     pub target: Option<String>,
     /// Full per-request configuration; `None` = the service's base config.
     pub config: Option<AutoFeatConfig>,
-    /// Per-request wall-clock budget, armed on the request's scoped
-    /// control. Composes with any `time_budget` inside the config (and the
-    /// service-wide control): the tightest deadline wins.
-    pub time_budget: Option<Duration>,
 }
 
 impl DiscoveryRequest {
@@ -118,12 +116,6 @@ impl DiscoveryRequest {
     /// Use this configuration instead of the service's base config.
     pub fn with_config(mut self, config: AutoFeatConfig) -> DiscoveryRequest {
         self.config = Some(config);
-        self
-    }
-
-    /// Bound this request's wall-clock time.
-    pub fn with_time_budget(mut self, budget: Duration) -> DiscoveryRequest {
-        self.time_budget = Some(budget);
         self
     }
 }
@@ -679,12 +671,12 @@ impl DiscoveryService {
         };
         let base = base.to_string();
         let target = target.to_string();
-        // Fresh scoped control per request: a cancel or deadline here is
-        // invisible to sibling requests, a service-wide cancel reaches
-        // every child, and no reset-reuse hazard exists because nothing is
-        // ever reset (each request's control is born clean).
-        let deadline = req.time_budget.and_then(|b| Instant::now().checked_add(b));
-        let control = self.control.scoped(deadline);
+        // Fresh scoped control per request: a cancel here is invisible to
+        // sibling requests, a service-wide cancel reaches every child, and
+        // no reset-reuse hazard exists because nothing is ever reset (each
+        // request's control is born clean). The config's `time_budget`
+        // becomes a deadline when `discover` starts.
+        let control = self.control.scoped(None);
         let ctx = view.with_request_control(Arc::clone(&control));
         Ok(PreparedRequest { service: self, ctx, config, control, base, target })
     }
@@ -935,7 +927,9 @@ mod tests {
     fn request_deadline_does_not_leak_to_siblings() {
         let service = DiscoveryService::new(service_ctx(40), AutoFeatConfig::default());
         let starved = service
-            .submit(&DiscoveryRequest::new().with_time_budget(Duration::ZERO))
+            .submit(&DiscoveryRequest::new().with_config(
+                AutoFeatConfig::default().with_time_budget(Duration::ZERO),
+            ))
             .unwrap();
         assert!(
             matches!(starved.truncation, Some(TruncationReason::DeadlineExceeded { .. })),
@@ -978,7 +972,9 @@ mod tests {
         let service = DiscoveryService::new(service_ctx(40), AutoFeatConfig::default());
         service.submit(&DiscoveryRequest::new()).unwrap();
         service
-            .submit(&DiscoveryRequest::new().with_time_budget(Duration::ZERO))
+            .submit(&DiscoveryRequest::new().with_config(
+                AutoFeatConfig::default().with_time_budget(Duration::ZERO),
+            ))
             .unwrap();
         let log = service.request_log();
         assert_eq!(log.len(), 2);

@@ -2,7 +2,7 @@
 //! ML Models"): materialize the top-k paths at full scale, train the
 //! requested models on each, and keep the best path by accuracy.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -192,11 +192,6 @@ pub fn train_top_k(
         per_path_accuracy: per_path,
         interrupted: stopped_early,
     })
-}
-
-/// Convenience: total wall time of a duration pair, used by reporting code.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 #[cfg(test)]

@@ -262,7 +262,7 @@ struct Slot {
     column: String,
     /// The key column this slot's index was (or will be) built from — a
     /// cheap `Arc` clone held for *data-version identity*: probes verify
-    /// [`Column::same_data`] so a re-added table with the same name but
+    /// [`Column::shares_payload`] so a re-added table with the same name but
     /// different contents gets a distinct slot instead of being served a
     /// stale index (and in-flight requests over the old snapshot keep
     /// hitting the old version's slot until it is invalidated).
@@ -589,7 +589,7 @@ impl LakeIndexCache {
         let h = slot_hash(table, column);
         let touch = || self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let verifies = |s: &Slot| {
-            s.table == table && s.column == column && s.key_col.same_data(key_col)
+            s.table == table && s.column == column && s.key_col.shares_payload(key_col)
         };
         // Fast path: shared read lock, atomic LRU touch.
         if let Ok(gov) = self.gov.read() {

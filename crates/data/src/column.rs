@@ -288,14 +288,6 @@ impl Column {
             }
     }
 
-    /// [`Column::shares_payload`] under the name version-sensitive
-    /// consumers use (the join-index cache's slot verification): a cheap
-    /// *data-version identity*. Two logically equal but separately built
-    /// columns answer `false`; a `true` answer implies equal contents.
-    pub fn same_data(&self, other: &Column) -> bool {
-        self.shares_payload(other)
-    }
-
     /// Heap bytes of the cells this column owns, by capacity, and the
     /// address they sit at (columns cloned from one another report the same
     /// address, so a caller can count a shared payload once). A view owns

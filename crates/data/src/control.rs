@@ -18,11 +18,10 @@
 //!    never cleared; a caller that runs again over the same context gives
 //!    the run a fresh control (`SearchContext::with_request_control`), as
 //!    the service does per request.
-//! 2. **Deadline** — an absolute wall-clock instant
-//!    ([`set_deadline`](RunControl::set_deadline) /
-//!    [`arm_budget`](RunControl::arm_budget)). Run-scoped deadlines
-//!    compose with a context-wide one via [`scoped`](RunControl::scoped):
-//!    the effective deadline is the minimum across the chain.
+//! 2. **Deadline** — an absolute wall-clock instant, fixed when the
+//!    control is made: only [`scoped`](RunControl::scoped) sets one, and
+//!    the child keeps the minimum of its own and its parent's, so the
+//!    effective deadline is the minimum across the chain.
 //!
 //! ## Ambient propagation
 //!
@@ -33,7 +32,7 @@
 //! thread-local read.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Why a stage stopped early. Ordered: cancellation wins over deadline
@@ -57,17 +56,19 @@ impl fmt::Display for Interrupt {
 
 /// Shared cancel flag + wall-clock deadline for one discovery request.
 ///
-/// Cheap to poll: an atomic load, plus an uncontended `RwLock` read when a
-/// deadline is armed. Clone the `Arc` into any thread that should be able to
-/// cancel the run.
+/// Cheap to poll: an atomic load per link of the chain, plus a clock read
+/// when a deadline is set. Clone the `Arc` into any thread that should be
+/// able to cancel the run.
 #[derive(Debug, Default)]
 pub struct RunControl {
     /// When `cancel()` was first called — the flag, and the start of the
     /// cancel-latency clock.
     cancelled_at: OnceLock<Instant>,
-    deadline: RwLock<Option<Instant>>,
+    /// The effective deadline: the minimum over this control's own and its
+    /// parent's, fixed at construction.
+    deadline: Option<Instant>,
     /// Run-scoped controls chain to the context-wide control so either can
-    /// interrupt (and the tighter deadline wins).
+    /// cancel.
     parent: Option<Arc<RunControl>>,
 }
 
@@ -77,16 +78,17 @@ impl RunControl {
         RunControl::default()
     }
 
-    /// A child control that also honours `self`'s cancel flag and deadline.
-    /// Used to arm a per-run deadline (e.g. from `AutoFeatConfig::
-    /// time_budget`) without mutating — or leaking an expired deadline
-    /// into — the context-wide control.
+    /// A child control that also honours `self`'s cancel flag and deadline:
+    /// its deadline is the earlier of `deadline` and `self`'s. The one way a
+    /// run gets a deadline (e.g. from `AutoFeatConfig::time_budget`),
+    /// without mutating — or leaking an expired deadline into — the
+    /// context-wide control.
     pub fn scoped(self: &Arc<Self>, deadline: Option<Instant>) -> Arc<RunControl> {
-        Arc::new(RunControl {
-            deadline: RwLock::new(deadline),
-            parent: Some(Arc::clone(self)),
-            ..RunControl::default()
-        })
+        let deadline = match (deadline, self.deadline) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        Arc::new(RunControl { deadline, parent: Some(Arc::clone(self)), ..RunControl::default() })
     }
 
     /// Request cancellation. Idempotent; the first call stamps the
@@ -115,27 +117,10 @@ impl RunControl {
         self.cancelled_at().map(|at| at.elapsed())
     }
 
-    /// Set (or clear) the absolute deadline on this control.
-    pub fn set_deadline(&self, deadline: Option<Instant>) {
-        if let Ok(mut d) = self.deadline.write() {
-            *d = deadline;
-        }
-    }
-
-    /// Arm a deadline `budget` from now.
-    pub fn arm_budget(&self, budget: Duration) {
-        self.set_deadline(Instant::now().checked_add(budget));
-    }
-
     /// The effective deadline: the minimum over this control and its
     /// parents. `None` = unbounded.
     pub fn deadline(&self) -> Option<Instant> {
-        let own = self.deadline.read().ok().and_then(|d| *d);
-        let parent = self.parent.as_ref().and_then(|p| p.deadline());
-        match (own, parent) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.deadline
     }
 
     /// Time left before the effective deadline (`None` = unbounded,
@@ -190,8 +175,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_interrupts_and_cancel_wins() {
-        let ctl = RunControl::new();
-        ctl.arm_budget(Duration::ZERO);
+        let ctl = Arc::new(RunControl::new()).scoped(Some(Instant::now()));
         assert_eq!(ctl.interrupted(), Some(Interrupt::DeadlineExceeded));
         assert_eq!(ctl.remaining(), Some(Duration::ZERO));
         ctl.cancel();
@@ -200,14 +184,13 @@ mod tests {
 
     #[test]
     fn scoped_child_sees_parent_cancel_and_tightest_deadline() {
-        let parent = Arc::new(RunControl::new());
         let near = Instant::now() + Duration::from_secs(1);
         let far = Instant::now() + Duration::from_secs(3600);
-        parent.set_deadline(Some(far));
+        let parent = Arc::new(RunControl::new()).scoped(Some(far));
         let child = parent.scoped(Some(near));
         assert_eq!(child.deadline(), Some(near), "min of chain");
-        parent.set_deadline(Some(near - Duration::from_millis(1)));
-        assert!(child.deadline().unwrap() < near, "parent tightening applies mid-run");
+        assert_eq!(parent.scoped(None).deadline(), Some(far), "no own deadline: the parent's");
+        assert_eq!(parent.scoped(Some(far + Duration::from_secs(1))).deadline(), Some(far));
         assert_eq!(child.interrupted(), None);
         parent.cancel();
         assert_eq!(child.interrupted(), Some(Interrupt::Cancelled));

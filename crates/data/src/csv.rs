@@ -2,11 +2,13 @@
 //!
 //! Supports RFC-4180-style quoting (`"..."` with `""` escapes, and line
 //! breaks inside quotes), CRLF line endings, a header row, and per-column
-//! type inference over the full file: a column is `Int` if every non-empty
-//! cell parses as an integer, else `Float` if every cell parses as a float,
-//! else `Bool` if every cell is `true`/`false`, else `Str`. Empty cells are
-//! nulls. The text is scanned once into cells that borrow from it, and a
-//! cell's text is parsed at most once per type tried.
+//! type inference over the full file: a column is `Int` if its non-empty
+//! cells parse as integers, else `Float` if they parse as floats, else
+//! `Bool` if they are `true`/`false`, else `Str` — where "they parse" allows
+//! as many misses as [`CsvReadOptions::cell_coercion_budget`] does (none in
+//! strict mode), and a miss becomes a null. Empty cells are nulls. The text
+//! is scanned once into cells that borrow from it, and a cell's text is
+//! parsed at most once per type tried, as the column is built.
 //!
 //! Two ingestion modes ([`CsvReadOptions`]):
 //!
@@ -15,10 +17,10 @@
 //!   historical behaviour of [`read_csv_str`].
 //! * **lenient** — the reader repairs what it can (pads/truncates ragged
 //!   rows, skips unparseable lines, renames duplicate headers, nulls cells
-//!   that miss a column's majority dtype) up to a configurable bad-row
-//!   budget, and reports everything it did in [`IngestDiagnostics`]. Data
-//!   lakes are full of files that are 99% fine; lenient mode keeps the 99%
-//!   instead of aborting on the 1% (§IV of the paper's lake setting).
+//!   that miss their column's dtype) up to a configurable bad-row budget,
+//!   and reports everything it did in [`IngestDiagnostics`]. Data lakes are
+//!   full of files that are 99% fine; lenient mode keeps the 99% instead of
+//!   aborting on the 1% (§IV of the paper's lake setting).
 
 use std::borrow::Cow;
 use std::fs;
@@ -29,7 +31,6 @@ use autofeat_obs as obs;
 use crate::column::Column;
 use crate::error::{DataError, Result};
 use crate::table::Table;
-use crate::value::DType;
 
 /// How tolerant CSV ingestion is of malformed input.
 #[derive(Debug, Clone)]
@@ -41,8 +42,8 @@ pub struct CsvReadOptions {
     /// file with more than 20% bad rows is rejected as unreadable.
     pub bad_row_budget: f64,
     /// Lenient mode: maximum fraction of a column's non-empty cells allowed
-    /// to miss the majority dtype and be nulled; above it the column falls
-    /// back to `Str` and keeps every cell verbatim.
+    /// to miss a dtype and be nulled; a column that no dtype fits within it
+    /// is `Str` and keeps every cell verbatim. Strict mode allows none.
     pub cell_coercion_budget: f64,
     /// Cap on per-issue samples retained in [`IngestDiagnostics::issues`]
     /// (counts are always exact; samples keep memory bounded).
@@ -76,12 +77,6 @@ impl CsvReadOptions {
             max_issue_samples: 20,
         }
     }
-
-    /// Builder-style bad-row budget override.
-    pub fn with_bad_row_budget(mut self, budget: f64) -> Self {
-        self.bad_row_budget = budget;
-        self
-    }
 }
 
 /// What kind of defect an [`IngestIssue`] records.
@@ -91,7 +86,7 @@ pub enum IngestIssueKind {
     RaggedRow,
     /// A line that could not be parsed at all (e.g. unterminated quote).
     UnparseableRow,
-    /// A cell nulled because it missed its column's majority dtype.
+    /// A cell nulled because it missed its column's dtype.
     CoercedCell,
     /// A header repeated verbatim; the duplicate was renamed.
     DuplicateHeader,
@@ -118,7 +113,7 @@ pub struct IngestDiagnostics {
     pub n_repaired_rows: usize,
     /// Rows dropped because they could not be parsed at all.
     pub n_skipped_rows: usize,
-    /// Cells nulled because they missed their column's majority dtype.
+    /// Cells nulled because they missed their column's dtype.
     pub n_coerced_cells: usize,
     /// Duplicate headers renamed with `#k` suffixes.
     pub n_renamed_headers: usize,
@@ -280,102 +275,63 @@ fn parse_bool(cell: &str) -> Option<bool> {
     }
 }
 
-/// The column `build` makes of every cell parsed by `parse` (empty cells are
-/// nulls), or `None` at the first cell it rejects: `build` is fed cells
-/// until then and its partial column dropped.
-fn parse_all<T>(
+/// The column `build` makes of the cells as `parse` reads them, each miss (a
+/// non-empty cell `parse` rejects) read as a null, and the rows of the
+/// misses; or `None` at the miss that makes more than `allowed`, where
+/// `build` stops being fed cells and its partial column is dropped.
+fn parse_column<T>(
     cells: &[Cell],
+    allowed: usize,
     parse: impl Fn(&str) -> Option<T>,
     build: impl FnOnce(&mut dyn Iterator<Item = Option<T>>) -> Column,
-) -> Option<Column> {
-    let mut rejected = false;
-    let column = build(&mut cells.iter().map_while(|c| {
+) -> Option<(Column, Vec<usize>)> {
+    let mut misses = Vec::new();
+    let column = build(&mut cells.iter().enumerate().map_while(|(row, c)| {
         if c.is_empty() {
             return Some(None);
         }
         let v = parse(c);
-        rejected = v.is_none();
-        v.map(Some)
-    }));
-    (!rejected).then_some(column)
-}
-
-fn str_column(cells: &[Cell]) -> Column {
-    Column::from_strs(cells.iter().map(|c| (!c.is_empty()).then_some(c.as_ref())))
-}
-
-/// Strict typing: `Int` if every non-empty cell parses as an integer, else
-/// `Float` if every one parses as a float, else `Bool`, else `Str` (also
-/// when all cells are empty). Each attempt keeps what it parsed and stops at
-/// its first miss: an integer column costs one `i64` parse per cell, a float
-/// column one failed `i64` parse and one `f64` parse per cell.
-fn typed_column(cells: &[Cell]) -> Column {
-    if cells.iter().all(|c| c.is_empty()) {
-        return str_column(cells);
-    }
-    parse_all(cells, |c| c.parse::<i64>().ok(), |ints| Column::from_ints(ints))
-        .or_else(|| parse_all(cells, |c| c.parse::<f64>().ok(), |floats| Column::from_floats(floats)))
-        .or_else(|| parse_all(cells, parse_bool, |bools| Column::from_bools(bools)))
-        .unwrap_or_else(|| str_column(cells))
-}
-
-/// Lenient majority-dtype inference: the dtype most cells parse as, with the
-/// losing minority (≤ `budget` of non-empty cells) destined to become nulls.
-/// Falls back to `Str` (which accepts everything) when no dtype reaches the
-/// threshold.
-fn majority_dtype(cells: &[Cell], budget: f64) -> DType {
-    let mut n = 0usize;
-    let mut int_ok = 0usize;
-    let mut float_ok = 0usize;
-    let mut bool_ok = 0usize;
-    for c in cells.iter().filter(|c| !c.is_empty()) {
-        n += 1;
-        // Whatever parses as an integer parses as a float.
-        let is_int = c.parse::<i64>().is_ok();
-        int_ok += usize::from(is_int);
-        float_ok += usize::from(is_int || c.parse::<f64>().is_ok());
-        bool_ok += usize::from(parse_bool(c).is_some());
-    }
-    if n == 0 {
-        return DType::Str;
-    }
-    let needed = ((1.0 - budget) * n as f64).ceil() as usize;
-    if int_ok >= needed {
-        DType::Int
-    } else if float_ok >= needed {
-        DType::Float
-    } else if bool_ok >= needed {
-        DType::Bool
-    } else {
-        DType::Str
-    }
-}
-
-/// Lenient typing: the column as its majority dtype; a non-empty cell that
-/// misses it becomes a null and is reported to `coerced` as `(row, cell)`.
-fn coerced_column(dtype: DType, cells: &[Cell], mut coerced: impl FnMut(usize, &str)) -> Column {
-    fn parse_or_null<'a, T>(
-        cells: &'a [Cell],
-        parse: impl Fn(&str) -> Option<T> + 'a,
-        coerced: &'a mut impl FnMut(usize, &str),
-    ) -> impl Iterator<Item = Option<T>> + 'a {
-        cells.iter().enumerate().map(move |(row, c)| {
-            if c.is_empty() {
+        if v.is_none() {
+            misses.push(row);
+            if misses.len() > allowed {
                 return None;
             }
-            let v = parse(c);
-            if v.is_none() {
-                coerced(row, c);
-            }
-            v
-        })
-    }
-    match dtype {
-        DType::Int => Column::from_ints(parse_or_null(cells, |c| c.parse().ok(), &mut coerced)),
-        DType::Float => Column::from_floats(parse_or_null(cells, |c| c.parse().ok(), &mut coerced)),
-        DType::Bool => Column::from_bools(parse_or_null(cells, parse_bool, &mut coerced)),
-        DType::Str => str_column(cells),
-    }
+        }
+        Some(v)
+    }));
+    (misses.len() <= allowed).then_some((column, misses))
+}
+
+/// A column typed from its cells: `Int` if all but `budget` of its non-empty
+/// cells parse as integers, else `Float` by the same test, else `Bool`, else
+/// `Str` (also when every cell is empty). A cell that misses the chosen
+/// dtype is a null, and its row is returned, in row order.
+///
+/// Each try is one pass that builds the column as it parses, and gives up at
+/// the first miss over the allowance; at a budget of 0 that is the first
+/// miss, so an integer column costs one `i64` parse a cell and a float
+/// column one failed `i64` parse and one `f64` parse.
+fn typed_cells(cells: &[Cell], budget: f64) -> (Column, Vec<usize>) {
+    let strs = || {
+        let strs = cells.iter().map(|c| (!c.is_empty()).then_some(c.as_ref()));
+        (Column::from_strs(strs), Vec::new())
+    };
+    // Of the `n` non-empty cells at least `needed` must parse, so `n - needed`
+    // may miss. At a budget of 0 that is none, and nothing needs counting.
+    let allowed = if budget == 0.0 {
+        cells.iter().any(|c| !c.is_empty()).then_some(0)
+    } else {
+        let n = cells.iter().filter(|c| !c.is_empty()).count();
+        let needed = ((1.0 - budget) * n as f64).ceil() as usize;
+        n.checked_sub(needed).filter(|_| n > 0)
+    };
+    let Some(allowed) = allowed else {
+        return strs();
+    };
+    parse_column(cells, allowed, |c| c.parse().ok(), |v| Column::from_ints(v))
+        .or_else(|| parse_column(cells, allowed, |c| c.parse().ok(), |v| Column::from_floats(v)))
+        .or_else(|| parse_column(cells, allowed, parse_bool, |v| Column::from_bools(v)))
+        .unwrap_or_else(strs)
 }
 
 /// Rename duplicate headers with `#k` suffixes (`x`, `x#2`, `x#3`, …).
@@ -500,28 +456,26 @@ pub fn read_csv_str_opts(name: &str, text: &str, opts: &CsvReadOptions) -> Resul
         }
     }
 
+    let budget = if opts.lenient { opts.cell_coercion_budget } else { 0.0 };
     let mut cols = Vec::with_capacity(n_cols);
     for (h, col_cells) in headers.into_iter().zip(cells) {
-        let col = if opts.lenient {
-            let dtype = majority_dtype(&col_cells, opts.cell_coercion_budget);
-            coerced_column(dtype, &col_cells, |row, cell| {
-                diags.n_coerced_cells += 1;
-                diags.record(
-                    max_samples,
-                    row_lines[row],
-                    IngestIssueKind::CoercedCell,
-                    format!("cell `{cell}` in column `{h}` nulled (column is {dtype:?})"),
-                );
-            })
-        } else {
-            typed_column(&col_cells)
-        };
+        let (col, misses) = typed_cells(&col_cells, budget);
+        for row in misses {
+            diags.n_coerced_cells += 1;
+            let (cell, dtype) = (&col_cells[row], col.dtype());
+            diags.record(
+                max_samples,
+                row_lines[row],
+                IngestIssueKind::CoercedCell,
+                format!("cell `{cell}` in column `{h}` nulled (column is {dtype:?})"),
+            );
+        }
         cols.push((h, col));
     }
     // Ingest is the one place every lake table passes through exactly once:
-    // attach the key metadata here (null-key counts now, dictionaries and
-    // fingerprints when a join first asks), so every table that reaches a
-    // lake is keyed.
+    // attach the key metadata here (empty cells, which a join fills with
+    // dictionaries and fingerprints when it first asks), so every table that
+    // reaches a lake is keyed.
     let table = Table::new(name, cols)?.with_key_dicts();
     diags.n_rows = table.n_rows();
     obs::add("ingest.rows_loaded", diags.n_rows as u64);
@@ -589,6 +543,10 @@ pub fn write_csv(table: &Table, path: impl AsRef<Path>) -> Result<()> {
     fs::write(path, write_csv_str(table))?;
     Ok(())
 }
+
+// The reference reader names the dtypes; the reader above never has to.
+#[cfg(test)]
+use crate::value::DType;
 
 #[cfg(test)]
 #[path = "csv_reference.rs"]
@@ -676,7 +634,7 @@ mod tests {
 
     #[test]
     fn lenient_pads_and_truncates_ragged_rows() {
-        let opts = CsvReadOptions::lenient().with_bad_row_budget(1.0);
+        let opts = CsvReadOptions { bad_row_budget: 1.0, ..CsvReadOptions::lenient() };
         let ingest =
             read_csv_str_opts("t", "a,b\n1,x\n2\n3,y,EXTRA\n", &opts).unwrap();
         assert_eq!(ingest.table.n_rows(), 3);
@@ -694,7 +652,7 @@ mod tests {
 
     #[test]
     fn lenient_skips_unparseable_rows() {
-        let opts = CsvReadOptions::lenient().with_bad_row_budget(1.0);
+        let opts = CsvReadOptions { bad_row_budget: 1.0, ..CsvReadOptions::lenient() };
         let ingest = read_csv_str_opts("t", "a\nok\n\"oops\nfine\n", &opts).unwrap();
         // The unterminated quote swallows the rest of its line only.
         assert_eq!(ingest.diagnostics.n_skipped_rows, 1);
@@ -732,6 +690,66 @@ mod tests {
         // Strict mode falls back to Str for the same input instead.
         let strict = read_csv_str("t", csv).unwrap();
         assert_eq!(strict.column("a").unwrap().dtype(), DType::Str);
+    }
+
+    /// `(dtype, nulls)` per column, and `(line, detail)` per issue.
+    type Typing = (Vec<(DType, usize)>, Vec<(usize, String)>);
+
+    /// How `text` is typed, with every issue a coerced cell.
+    fn typing_of(text: &str, opts: &CsvReadOptions) -> Typing {
+        let ingest = read_csv_str_opts("t", text, opts).unwrap();
+        let t = &ingest.table;
+        let cols = (0..t.n_cols()).map(|c| (t.column_at(c).dtype(), t.column_at(c).null_count()));
+        let issues = ingest.diagnostics.issues.iter().map(|i| (i.line, i.detail.clone()));
+        assert_eq!(ingest.diagnostics.n_issues_total, ingest.diagnostics.n_coerced_cells);
+        (cols.collect(), issues.collect())
+    }
+
+    /// The literals are what the reader printed when strict and lenient
+    /// typing were separate routines.
+    #[test]
+    fn coercion_budget_boundary_decides_as_before() {
+        // 20 non-empty cells at a 10% budget: 2 may miss. `a` misses `Int`
+        // twice; `b` misses it three times, and `Float` twice.
+        let mut text = String::from("a,b\n");
+        for (a, b) in [
+            "1", "2", "3", "4", "x", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
+            "16", "17", "18", "y",
+        ]
+        .into_iter()
+        .zip([
+            "1", "2", "3", "2.5", "4", "5", "6", "x", "7", "8", "9", "10", "11", "12", "13", "14",
+            "15", "16", "17", "y",
+        ]) {
+            text.push_str(&format!("{a},{b}\n"));
+        }
+        let cell = |line, c: &str, col: &str, dtype: &str| {
+            (line, format!("cell `{c}` in column `{col}` nulled (column is {dtype})"))
+        };
+        assert_eq!(
+            typing_of(&text, &CsvReadOptions::lenient()),
+            (
+                vec![(DType::Int, 2), (DType::Float, 2)],
+                vec![
+                    cell(6, "x", "a", "Int"),
+                    cell(21, "y", "a", "Int"),
+                    cell(9, "x", "b", "Float"),
+                    cell(21, "y", "b", "Float"),
+                ]
+            )
+        );
+        // At a 70% budget, 10 cells need ⌈(1 − 0.7) · 10⌉ = 4 in floating
+        // point, not 3: `c` has 4 integers and is `Int`, `d` has 3 and is `Str`.
+        let text = "c,d\n1,1\nx,x\n2,2\ny,y\n3,3\nz,z\n4,w\nw,v\nv,u\nu,t\n";
+        let opts = CsvReadOptions { cell_coercion_budget: 0.7, ..CsvReadOptions::lenient() };
+        let c_misses = [(3, "x"), (5, "y"), (7, "z"), (9, "w"), (10, "v"), (11, "u")];
+        assert_eq!(
+            typing_of(text, &opts),
+            (
+                vec![(DType::Int, 6), (DType::Str, 0)],
+                c_misses.iter().map(|&(line, c)| cell(line, c, "c", "Int")).collect()
+            )
+        );
     }
 
     #[test]
@@ -822,7 +840,7 @@ mod tests {
             read_csv_str("t", text).unwrap_err(),
             DataError::Csv { line: 3, message: "unterminated quote".into() }
         );
-        let opts = CsvReadOptions::lenient().with_bad_row_budget(1.0);
+        let opts = CsvReadOptions { bad_row_budget: 1.0, ..CsvReadOptions::lenient() };
         let ingest = read_csv_str_opts("t", text, &opts).unwrap();
         assert_eq!(ingest.table.n_rows(), 3);
         assert_eq!(ingest.diagnostics.n_skipped_rows, 1);
@@ -966,7 +984,7 @@ mod tests {
         let all_options = [
             CsvReadOptions::strict(),
             CsvReadOptions::lenient(),
-            CsvReadOptions::lenient().with_bad_row_budget(1.0),
+            CsvReadOptions { bad_row_budget: 1.0, ..CsvReadOptions::lenient() },
             CsvReadOptions { cell_coercion_budget: 0.5, bad_row_budget: 1.0, ..few_samples },
         ];
         for opts in &all_options {
@@ -1015,7 +1033,7 @@ mod tests {
         // scan to the end per line would be 4·10⁹ byte steps here.
         let n = 40_000;
         let text = format!("a,b\n{}", "x\",\"\n".repeat(n));
-        let opts = CsvReadOptions::lenient().with_bad_row_budget(1.0);
+        let opts = CsvReadOptions { bad_row_budget: 1.0, ..CsvReadOptions::lenient() };
         let ingest = read_csv_str_opts("t", &text, &opts).unwrap();
         assert_eq!((ingest.table.n_rows(), ingest.diagnostics.n_skipped_rows), (0, n));
         assert_readers_agree(&text);

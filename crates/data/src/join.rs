@@ -498,10 +498,9 @@ pub fn left_join_with_index(
         } else {
             format!("{prefix_dot}{rname}")
         };
-        // τ from the map alone: a null-free source (its null keys were
-        // counted when the key metadata was attached) has exactly one null
-        // per unmatched row.
-        let null_free = right.key_null_rows_at(i) == Some(0);
+        // τ from the map alone: a null-free source (a dense column keeps its
+        // null count) has exactly one null per unmatched row.
+        let null_free = right.column_at(i).null_count() == 0;
         let column = right.column_at(i).view(&map, null_free.then_some(n - matched));
         right_columns.push(table.push_disambiguated(base, column)?);
     }

@@ -854,8 +854,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_skips_items() {
-        let ctl = Arc::new(RunControl::new());
-        ctl.arm_budget(std::time::Duration::ZERO);
+        let ctl = Arc::new(RunControl::new()).scoped(Some(std::time::Instant::now()));
         let outcomes = collect(2, 6, Some(&ctl), |i| i);
         assert!(outcomes
             .iter()

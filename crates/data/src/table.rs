@@ -23,9 +23,10 @@ use crate::value::Value;
 ///
 /// Lake-resident tables carry **key metadata** attached at ingest by
 /// [`Table::with_key_dicts`]: a cell per column for its [`KeyDict`] (dense
-/// `u32` join-key codes), a cell for the per-row content fingerprints, and
-/// each column's null-key count. The cells start empty and are **filled by
-/// their first reader** ([`Table::key_dict_at`], [`Table::key_dict_for`],
+/// `u32` join-key codes) and a cell for the per-row content fingerprints.
+/// (A column's null-key count is its [`Column::null_count`], which a dense
+/// column keeps.) The cells start empty and are **filled by their first
+/// reader** ([`Table::key_dict_at`], [`Table::key_dict_for`],
 /// [`Table::row_fingerprints`]), which hands out the same `Arc` ever after —
 /// through every clone and rename of the table, which share the cells. It is
 /// a derived cache — equality ([`PartialEq`]) ignores it — and it is
@@ -51,10 +52,6 @@ struct KeyMeta {
     dicts: Vec<OnceLock<Arc<KeyDict>>>,
     /// One content fingerprint per row.
     row_fps: OnceLock<Arc<Vec<u64>>>,
-    /// Rows whose key is null, per column — [`KeyDict::null_rows`] without
-    /// the dictionary. The one eager piece: a join asks it of *every*
-    /// right-hand column, and must not fill their cells to learn it.
-    null_rows: Vec<usize>,
 }
 
 impl PartialEq for Table {
@@ -112,18 +109,15 @@ impl Table {
         }
     }
 
-    /// Attach key metadata: an empty dictionary cell per column, an empty
-    /// cell for the row fingerprints, and the per-column null-key counts
-    /// (one typed counting pass — cells store no `NaN`, so a null cell is
-    /// exactly a null key). Called once at ingest (CSV load, datagen,
-    /// `SearchContext::new`); a dictionary is built when a join is first
-    /// keyed on its column or an encode first reads it, the fingerprints
-    /// when an index first meets a repeated key.
+    /// Attach key metadata: an empty dictionary cell per column and an
+    /// empty cell for the row fingerprints. Called once at ingest (CSV load,
+    /// datagen, `SearchContext::new`); a dictionary is built when a join is
+    /// first keyed on its column or an encode first reads it, the
+    /// fingerprints when an index first meets a repeated key.
     pub fn with_key_dicts(mut self) -> Table {
         self.key_meta = Some(Arc::new(KeyMeta {
             dicts: self.columns.iter().map(|_| OnceLock::new()).collect(),
             row_fps: OnceLock::new(),
-            null_rows: self.columns.iter().map(Column::null_count).collect(),
         }));
         self
     }
@@ -167,18 +161,10 @@ impl Table {
         Some(meta.dicts.get(i)?.get_or_init(|| {
             let _span = obs::span("key_dict_build");
             let dict = KeyDict::build(&self.columns[i]);
-            debug_assert_eq!(dict.null_rows(), meta.null_rows[i]);
             obs::incr("keymeta.dicts_built");
             obs::add("keymeta.rows_coded", dict.n_rows() as u64);
             Arc::new(dict)
         }))
-    }
-
-    /// Rows of the column at position `i` whose key is null — what
-    /// [`KeyDict::null_rows`] of its dictionary says, known since the
-    /// metadata was attached and read without building anything.
-    pub fn key_null_rows_at(&self, i: usize) -> Option<usize> {
-        self.key_meta.as_ref()?.null_rows.get(i).copied()
     }
 
     /// Per-row content fingerprints (hash of every cell in column order),
@@ -611,11 +597,9 @@ mod tests {
         assert!(keyed.has_key_meta());
         assert!(!plain.has_key_meta());
         assert_eq!(plain, keyed, "key metadata must not affect data equality");
-        // Attached, nothing built; the null-key counts are already there.
+        // Attached, nothing built.
         assert_eq!((keyed.key_meta_bytes(), keyed.built_dicts().count()), (0, 0));
         assert!(!keyed.has_row_fingerprints());
-        assert_eq!((0..3).map(|i| keyed.key_null_rows_at(i)).collect::<Vec<_>>(), [Some(0), Some(1), Some(1)]);
-        assert_eq!(keyed.key_null_rows_at(3), None);
         let id = keyed.column("id").unwrap();
         let dict = keyed.key_dict_for(id).expect("id column has a dictionary");
         assert_eq!(dict.len(), 3);
@@ -627,7 +611,7 @@ mod tests {
         // A column from a different table never resolves.
         assert!(keyed.key_dict_for(plain.column("id").unwrap()).is_none());
         assert!(plain.key_dict_at(0).is_none() && plain.row_fingerprints().is_none());
-        assert!(plain.key_null_rows_at(0).is_none() && keyed.key_dict_at(3).is_none());
+        assert!(keyed.key_dict_at(3).is_none());
     }
 
     #[test]
@@ -648,7 +632,6 @@ mod tests {
             assert_eq!(t.key_meta_bytes(), 0, "{op}");
             assert!(t.row_fingerprints().is_none(), "{op}");
             assert!((0..t.n_cols()).all(|i| t.key_dict_at(i).is_none()), "{op}");
-            assert!((0..t.n_cols()).all(|i| t.key_null_rows_at(i).is_none()), "{op}");
         }
         let mut pushed = keyed.clone();
         pushed.push_disambiguated("id".into(), ints()).unwrap();

@@ -21,4 +21,4 @@ pub mod traversal;
 pub use drg::{Drg, DrgBuilder, EdgeId, EdgeProvenance, JoinEdge, NodeId};
 pub use incremental::{DrgMaintainer, NAME_CANDIDATE_TAU};
 pub use path::{JoinHop, JoinPath};
-pub use traversal::{bfs_levels, enumerate_paths, join_all_path_count};
+pub use traversal::{enumerate_paths, join_all_path_count};

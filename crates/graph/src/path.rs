@@ -88,12 +88,6 @@ impl JoinPath {
             .iter()
             .any(|h| h.from_table == table || h.to_table == table)
     }
-
-    /// Product of hop weights — a crude joinability confidence for the
-    /// whole path.
-    pub fn weight_product(&self) -> f64 {
-        self.hops.iter().map(|h| h.weight).product()
-    }
 }
 
 impl fmt::Display for JoinPath {
@@ -167,11 +161,5 @@ mod tests {
             "applicants.applicant_id -> credit.credit_score -> loans.credit_id"
         );
         assert_eq!(JoinPath::empty().to_string(), "(empty path)");
-    }
-
-    #[test]
-    fn weight_product() {
-        assert!((two_hop().weight_product() - 0.8).abs() < 1e-12);
-        assert_eq!(JoinPath::empty().weight_product(), 1.0);
     }
 }

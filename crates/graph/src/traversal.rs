@@ -1,5 +1,5 @@
-//! DRG traversal: BFS levels, acyclic path enumeration, and the `JoinAll`
-//! path-count formula (Eq. 3).
+//! DRG traversal: acyclic path enumeration and the `JoinAll` path-count
+//! formula (Eq. 3).
 
 use std::collections::VecDeque;
 
@@ -7,32 +7,6 @@ use autofeat_obs as obs;
 
 use crate::drg::{Drg, NodeId};
 use crate::path::{JoinHop, JoinPath};
-
-/// Nodes reachable from `start`, grouped by BFS level (level 0 = `start`).
-/// This is the level-by-level exploration order Algorithm 1 follows (§IV-A
-/// argues BFS contains join-error propagation better than DFS).
-pub fn bfs_levels(drg: &Drg, start: NodeId) -> Vec<Vec<NodeId>> {
-    let _span = obs::span("bfs_levels");
-    let mut seen = vec![false; drg.n_nodes()];
-    let mut levels: Vec<Vec<NodeId>> = Vec::new();
-    let mut frontier: Vec<NodeId> = vec![start];
-    seen[start.0] = true;
-    while !frontier.is_empty() {
-        levels.push(frontier.clone());
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for (v, _) in drg.neighbours(u) {
-                if !seen[v.0] {
-                    seen[v.0] = true;
-                    next.push(v);
-                }
-            }
-        }
-        next.sort();
-        frontier = next;
-    }
-    levels
-}
 
 fn hop_from_edge(drg: &Drg, from: NodeId, eid: crate::drg::EdgeId) -> Option<JoinHop> {
     let e = drg.edge(eid);
@@ -134,27 +108,6 @@ mod tests {
         b.add_kfk("base", "b_id", "b", "id");
         b.add_kfk("a", "c_id", "c", "id");
         b.build()
-    }
-
-    #[test]
-    fn bfs_levels_are_correct() {
-        let g = graph();
-        let base = g.node("base").unwrap();
-        let levels = bfs_levels(&g, base);
-        assert_eq!(levels.len(), 3);
-        assert_eq!(levels[0], vec![base]);
-        assert_eq!(levels[1].len(), 2); // a, b
-        assert_eq!(levels[2], vec![g.node("c").unwrap()]);
-    }
-
-    #[test]
-    fn bfs_handles_disconnected_nodes() {
-        let mut b = DrgBuilder::new();
-        b.add_table("solo");
-        b.add_kfk("x", "k", "y", "k");
-        let g = b.build();
-        let levels = bfs_levels(&g, g.node("solo").unwrap());
-        assert_eq!(levels.len(), 1);
     }
 
     #[test]

@@ -48,16 +48,16 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricData, MetricKind, MetricValue,
     MetricsRegistry, MetricsSnapshot, N_HIST_BUCKETS,
 };
-pub use trace::{DistSummary, PhaseNode, RunTrace, TraceEvent, TRACE_SCHEMA_VERSION};
+pub use trace::{PhaseNode, RunTrace, TraceEvent, TRACE_SCHEMA_VERSION};
 pub use tracer::{ScopeGuard, Span, TraceScope, Tracer};
 
-/// Upper bounds (seconds) of the shared log₂ histogram grid used by both
-/// tracer distributions and metrics-registry histograms: bucket `i` covers
+/// Upper bounds (seconds) of the log₂ [`Histogram`] grid, which tracer
+/// distributions and registry histograms alike use: bucket `i` covers
 /// observations ≤ `1µs × 2^i`, spanning 1µs … ~134s over
 /// [`N_HIST_BUCKETS`] buckets. The last bucket additionally absorbs
 /// anything larger (it renders as `+Inf` in Prometheus exposition).
 pub fn dist_bucket_bounds_secs() -> Vec<f64> {
-    (0..tracer::N_DIST_BUCKETS).map(tracer::bucket_le_secs).collect()
+    (0..N_HIST_BUCKETS).map(metrics::bucket_le_secs).collect()
 }
 
 use std::cell::RefCell;
@@ -182,15 +182,11 @@ pub fn add(name: &'static str, n: u64) {
 
 /// [`add`]`(name, 1)`.
 pub fn incr(name: &'static str) {
-    AMBIENT.with(|a| {
-        if let Some(inner) = a.borrow().tracer.inner.as_ref() {
-            inner.add_counter(name, 1);
-        }
-    });
+    add(name, 1);
 }
 
-/// Record one observation (in seconds) into the named distribution —
-/// powering e.g. the per-entry index build-time histogram.
+/// Record one observation (in seconds) into the named distribution, a
+/// [`Histogram`] — e.g. the per-entry index build-time histogram.
 pub fn record_secs(name: &'static str, secs: f64) {
     AMBIENT.with(|a| {
         if let Some(inner) = a.borrow().tracer.inner.as_ref() {
@@ -322,7 +318,7 @@ mod tests {
         assert!((d.sum_secs - 0.0050005).abs() < 1e-9);
         assert!(d.min_secs <= 0.000_001);
         assert!((d.max_secs - 0.004).abs() < 1e-12);
-        let total: u64 = d.buckets.iter().map(|&(_, c)| c).sum();
+        let total: u64 = d.buckets.iter().sum();
         assert_eq!(total, 3, "every observation lands in a bucket");
     }
 }

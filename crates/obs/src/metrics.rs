@@ -14,10 +14,12 @@
 //! A `RunTrace` answers "what did *that request* do"; the registry answers
 //! "what is *this deployment* doing right now" — latency quantiles,
 //! outcome rates, cache pressure — the numbers an operator watches on a
-//! resident service. Handles ([`Counter`], [`Gauge`], [`Histogram`]) are
-//! cloned `Arc`s around atomics: updates are single `fetch_add`s, with no
-//! lock on any hot path. The registry's only lock guards the name → handle
-//! map, taken at registration and snapshot time.
+//! resident service. Both keep durations in one type: a trace's
+//! distributions are [`Histogram`]s too. Handles ([`Counter`], [`Gauge`],
+//! [`Histogram`]) are cloned `Arc`s around atomics: updates are single
+//! atomic read-modify-writes, with no lock on any hot path. The registry's
+//! only lock guards the name → handle map, taken at registration and
+//! snapshot time.
 //!
 //! Nothing here feeds back into discovery decisions: a served request is
 //! bit-identical to the same one-shot run (`tests/serving.rs`).
@@ -25,11 +27,24 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of log₂-spaced histogram buckets, sharing the
-/// [`RunTrace`](crate::RunTrace) distribution grid: bucket `i` has upper
-/// bound `1µs × 2^i`, spanning 1µs … ~134s. See
-/// [`bucket_bounds_secs`](crate::dist_bucket_bounds_secs).
-pub const N_HIST_BUCKETS: usize = crate::tracer::N_DIST_BUCKETS;
+/// Number of log₂-spaced histogram buckets: bucket `i` has upper bound
+/// `1µs × 2^i`, spanning 1µs … ~134s. See
+/// [`dist_bucket_bounds_secs`](crate::dist_bucket_bounds_secs).
+pub const N_HIST_BUCKETS: usize = 28;
+
+/// The bucket an observation of `secs` lands in.
+fn bucket_index(secs: f64) -> usize {
+    if secs.is_nan() || secs <= 1e-6 {
+        return 0; // ≤ 1µs, NaN, and negative all land in bucket 0
+    }
+    let idx = (secs / 1e-6).log2().ceil() as usize;
+    idx.min(N_HIST_BUCKETS - 1)
+}
+
+/// Upper bound (seconds) of histogram bucket `i`.
+pub(crate) fn bucket_le_secs(i: usize) -> f64 {
+    1e-6 * (1u64 << i.min(63)) as f64
+}
 
 /// A monotonically increasing counter. Cloning shares the underlying
 /// atomic; a detached (unregistered) counter still counts, it just never
@@ -84,6 +99,9 @@ impl Gauge {
 struct HistogramCore {
     buckets: [AtomicU64; N_HIST_BUCKETS],
     sum_nanos: AtomicU64,
+    /// `u64::MAX` until the first observation.
+    min_nanos: AtomicU64,
+    max_nanos: AtomicU64,
 }
 
 impl Default for HistogramCore {
@@ -91,12 +109,16 @@ impl Default for HistogramCore {
         HistogramCore {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_nanos: AtomicU64::new(0),
+            min_nanos: AtomicU64::new(u64::MAX),
+            max_nanos: AtomicU64::new(0),
         }
     }
 }
 
 /// A fixed-bucket log₂ histogram of durations in seconds, supporting
-/// lock-free concurrent observation and streaming quantile reads.
+/// lock-free concurrent observation and streaming quantile reads. Sum, min
+/// and max are kept in whole nanoseconds; a NaN or negative observation
+/// counts as 0.
 ///
 /// The observation count is *derived* (the sum over buckets), never stored
 /// separately — so a concurrent snapshot can never see a count that
@@ -107,9 +129,11 @@ pub struct Histogram(Arc<HistogramCore>);
 impl Histogram {
     /// Record one observation, in seconds.
     pub fn observe_secs(&self, secs: f64) {
-        self.0.buckets[crate::tracer::bucket_index(secs)].fetch_add(1, Ordering::Relaxed);
+        self.0.buckets[bucket_index(secs)].fetch_add(1, Ordering::Relaxed);
         let nanos = if secs.is_finite() && secs > 0.0 { (secs * 1e9) as u64 } else { 0 };
         self.0.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.0.min_nanos.fetch_min(nanos, Ordering::Relaxed);
+        self.0.max_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// Record a [`std::time::Duration`] observation.
@@ -119,15 +143,21 @@ impl Histogram {
 
     /// A tear-free point-in-time copy. Buckets are read in one pass and the
     /// count is their sum, so `count == Σ buckets` holds in every snapshot
-    /// taken during concurrent load. `sum_secs` is read separately and may
-    /// trail the buckets by in-flight observations.
+    /// taken during concurrent load. Sum, min and max are read separately
+    /// and may trail the buckets by in-flight observations.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> =
             self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let count = buckets.iter().sum();
+        let secs = |nanos: &AtomicU64| match nanos.load(Ordering::Relaxed) {
+            u64::MAX => 0.0, // the minimum before any observation
+            n => n as f64 / 1e9,
+        };
         HistogramSnapshot {
             count,
-            sum_secs: self.0.sum_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+            sum_secs: secs(&self.0.sum_nanos),
+            min_secs: secs(&self.0.min_nanos),
+            max_secs: secs(&self.0.max_nanos),
             buckets,
         }
     }
@@ -140,6 +170,10 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all observations, in seconds.
     pub sum_secs: f64,
+    /// Smallest observation, in seconds (0 when empty).
+    pub min_secs: f64,
+    /// Largest observation, in seconds (0 when empty).
+    pub max_secs: f64,
     /// Per-bucket (non-cumulative) observation counts; bucket `i`'s upper
     /// bound is [`crate::dist_bucket_bounds_secs`]`()[i]`.
     pub buckets: Vec<u64>,
@@ -433,6 +467,23 @@ mod tests {
         assert_eq!(s.count, s.buckets.iter().sum::<u64>());
         assert!(s.sum_secs > 0.0);
         assert!(s.mean_secs() > 0.0);
+    }
+
+    #[test]
+    fn histogram_min_and_max_over_zero_one_and_many_observations() {
+        let h = Histogram::default();
+        let s = h.snapshot();
+        assert_eq!((s.count, s.min_secs, s.max_secs), (0, 0.0, 0.0), "empty");
+        h.observe_secs(0.25);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.min_secs, s.max_secs), (1, 0.25, 0.25), "one");
+        for secs in [0.5, 0.000_002, 3.0, 0.1] {
+            h.observe_secs(secs);
+        }
+        let s = h.snapshot();
+        assert_eq!((s.count, s.min_secs, s.max_secs), (5, 0.000_002, 3.0), "many");
+        h.observe_secs(-1.0);
+        assert_eq!(h.snapshot().min_secs, 0.0, "a negative observation counts as 0");
     }
 
     #[test]

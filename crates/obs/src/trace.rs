@@ -8,6 +8,8 @@
 
 use std::time::Duration;
 
+use crate::metrics::HistogramSnapshot;
+
 /// Version of the JSON trace layout emitted by [`RunTrace::to_json`].
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 
@@ -44,29 +46,6 @@ pub struct PhaseNode {
     pub children: Vec<PhaseNode>,
 }
 
-/// Summary of one value distribution (e.g. per-entry index build times).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observations, in seconds.
-    pub sum_secs: f64,
-    /// Smallest observation (0 when empty).
-    pub min_secs: f64,
-    /// Largest observation (0 when empty).
-    pub max_secs: f64,
-    /// Non-empty log₂ histogram buckets as `(upper bound in seconds,
-    /// count)`, ascending.
-    pub buckets: Vec<(f64, u64)>,
-}
-
-impl DistSummary {
-    /// Mean observation in seconds (0 when empty).
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 { 0.0 } else { self.sum_secs / self.count as f64 }
-    }
-}
-
 /// One entry of the bounded event log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -87,8 +66,9 @@ pub struct RunTrace {
     pub phases: Vec<PhaseNode>,
     /// `(name, total)` pipeline counters, lexicographic by name.
     pub counters: Vec<(String, u64)>,
-    /// `(name, summary)` distributions, lexicographic by name.
-    pub dists: Vec<(String, DistSummary)>,
+    /// `(name, histogram)` distributions (e.g. per-entry index build
+    /// times), lexicographic by name.
+    pub dists: Vec<(String, HistogramSnapshot)>,
     /// Recorded events, in recording order (deterministic: events are only
     /// emitted from sequential pipeline sections).
     pub events: Vec<TraceEvent>,
@@ -186,10 +166,11 @@ impl RunTrace {
         }
         s.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
         // The full histogram grid, so distributions are plottable without
-        // reading tracer.rs: per-distribution buckets only list non-empty
+        // reading metrics.rs: per-distribution buckets only list non-empty
         // bins, but every `le_secs` they mention appears in this array.
+        let bounds = crate::dist_bucket_bounds_secs();
         s.push_str("  \"dist_bucket_bounds_secs\": [");
-        for (i, le) in crate::dist_bucket_bounds_secs().iter().enumerate() {
+        for (i, le) in bounds.iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
@@ -211,7 +192,8 @@ impl RunTrace {
                 d.max_secs,
                 d.mean_secs(),
             ));
-            for (j, &(le, c)) in d.buckets.iter().enumerate() {
+            let non_empty = d.buckets.iter().zip(&bounds).filter(|&(&c, _)| c > 0);
+            for (j, (c, le)) in non_empty.enumerate() {
                 if j > 0 {
                     s.push_str(", ");
                 }
@@ -342,16 +324,19 @@ mod tests {
         let bounds = crate::dist_bucket_bounds_secs();
         assert_eq!(bounds.len(), crate::N_HIST_BUCKETS);
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
-        let t = sample_trace();
-        for (name, d) in &t.dists {
-            for &(le, _) in &d.buckets {
-                assert!(
-                    bounds.iter().any(|&b| (b - le).abs() < 1e-15),
-                    "{name}: bucket bound {le} missing from grid"
-                );
-            }
+        let json = sample_trace().to_json();
+        let emitted: Vec<&str> = json
+            .split("\"le_secs\": ")
+            .skip(1)
+            .map(|rest| &rest[..rest.find(',').unwrap()])
+            .collect();
+        assert!(!emitted.is_empty(), "the sample records a distribution");
+        for le in emitted {
+            assert!(
+                bounds.iter().any(|b| format!("{b:.9}") == le),
+                "bucket bound {le} missing from grid"
+            );
         }
-        let json = t.to_json();
         assert!(json.contains("\"dist_bucket_bounds_secs\": [0.000001000, "));
     }
 

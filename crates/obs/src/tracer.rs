@@ -5,61 +5,18 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::trace::{DistSummary, PhaseNode, RunTrace, TraceEvent};
+use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::trace::{PhaseNode, RunTrace, TraceEvent};
 use crate::{thread_key, AMBIENT, Ambient, UNWOUND};
 
 /// Maximum number of events retained per trace; later events are counted
 /// in [`RunTrace::events_dropped`] instead of stored.
 pub(crate) const EVENT_CAP: usize = 256;
 
-/// Number of log₂-spaced histogram buckets per distribution. Bucket `i`
-/// has upper bound `1µs × 2^i`, so the range spans 1µs … ~134s.
-pub(crate) const N_DIST_BUCKETS: usize = 28;
-
 #[derive(Default)]
 struct SpanAcc {
     count: u64,
     nanos: u64,
-}
-
-pub(crate) struct DistAcc {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: [u64; N_DIST_BUCKETS],
-}
-
-impl Default for DistAcc {
-    fn default() -> DistAcc {
-        DistAcc { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY, buckets: [0; N_DIST_BUCKETS] }
-    }
-}
-
-impl DistAcc {
-    fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.buckets[bucket_index(v)] += 1;
-    }
-}
-
-/// The histogram bucket for an observation of `secs`. Shared with the
-/// always-on metrics registry so tracer distributions and service
-/// histograms land on the same grid.
-pub(crate) fn bucket_index(secs: f64) -> usize {
-    if secs.is_nan() || secs <= 1e-6 {
-        return 0; // ≤ 1µs, NaN, and negative all land in bucket 0
-    }
-    let idx = (secs / 1e-6).log2().ceil() as usize;
-    idx.min(N_DIST_BUCKETS - 1)
-}
-
-/// Upper bound (seconds) of histogram bucket `i`.
-pub(crate) fn bucket_le_secs(i: usize) -> f64 {
-    1e-6 * (1u64 << i.min(63)) as f64
 }
 
 #[derive(Default)]
@@ -74,7 +31,7 @@ pub(crate) struct Inner {
     // max-across-threads wall-time aggregation in `snapshot`.
     spans: Mutex<HashMap<(String, u64), SpanAcc>>,
     counters: Mutex<BTreeMap<&'static str, u64>>,
-    dists: Mutex<BTreeMap<&'static str, DistAcc>>,
+    dists: Mutex<BTreeMap<&'static str, Histogram>>,
     events: Mutex<EventBuf>,
 }
 
@@ -87,7 +44,7 @@ impl Inner {
 
     pub(crate) fn record_dist(&self, name: &'static str, secs: f64) {
         if let Ok(mut d) = self.dists.lock() {
-            d.entry(name).or_default().record(secs);
+            d.entry(name).or_default().observe_secs(secs);
         }
     }
 
@@ -197,32 +154,10 @@ impl Inner {
             .lock()
             .map(|c| c.iter().map(|(&k, &v)| (k.to_string(), v)).collect())
             .unwrap_or_default();
-        let dists: Vec<(String, DistSummary)> = self
+        let dists: Vec<(String, HistogramSnapshot)> = self
             .dists
             .lock()
-            .map(|d| {
-                d.iter()
-                    .map(|(&k, acc)| {
-                        let buckets: Vec<(f64, u64)> = acc
-                            .buckets
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &c)| c > 0)
-                            .map(|(i, &c)| (bucket_le_secs(i), c))
-                            .collect();
-                        (
-                            k.to_string(),
-                            DistSummary {
-                                count: acc.count,
-                                sum_secs: acc.sum,
-                                min_secs: if acc.count == 0 { 0.0 } else { acc.min },
-                                max_secs: if acc.count == 0 { 0.0 } else { acc.max },
-                                buckets,
-                            },
-                        )
-                    })
-                    .collect()
-            })
+            .map(|d| d.iter().map(|(&k, h)| (k.to_string(), h.snapshot())).collect())
             .unwrap_or_default();
         let (events, events_dropped) = self
             .events

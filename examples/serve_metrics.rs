@@ -84,7 +84,9 @@ fn main() {
                     let req = if (c + i) % 4 == 3 {
                         // Every fourth request is deadline-starved, so the
                         // truncated outcome counter moves too.
-                        DiscoveryRequest::new().with_time_budget(Duration::ZERO)
+                        DiscoveryRequest::new().with_config(
+                            AutoFeatConfig::default().with_time_budget(Duration::ZERO),
+                        )
                     } else {
                         DiscoveryRequest::new()
                     };

@@ -382,7 +382,7 @@ fn cells_are_shared_by_renames_and_shed_by_changes() {
     for c in &changed {
         assert!(!c.has_key_meta() && !c.has_row_fingerprints());
         assert_eq!((c.key_meta_bytes(), c.built_dicts().count()), (0, 0));
-        assert!(c.key_dict_at(0).is_none() && c.key_null_rows_at(0).is_none());
+        assert!(c.key_dict_at(0).is_none());
     }
 }
 
@@ -408,13 +408,13 @@ fn null_key_counts_are_the_dictionaries_own() {
     )
     .unwrap()
     .with_key_dicts();
-    let counted: Vec<usize> = (0..t.n_cols()).map(|i| t.key_null_rows_at(i).unwrap()).collect();
+    let counted: Vec<usize> = (0..t.n_cols()).map(|i| t.column_at(i).null_count()).collect();
     assert_eq!(t.built_dicts().count(), 0, "counting nulls builds nothing");
     assert_eq!(counted, [8, 12, 5, 10, 30, 0]);
     for (i, &n) in counted.iter().enumerate() {
         assert_eq!(t.key_dict_at(i).unwrap().null_rows(), n, "column {i}");
     }
-    assert_eq!(t.key_null_rows_at(6), None);
+    assert!(t.key_dict_at(6).is_none());
 }
 
 #[test]

@@ -21,7 +21,9 @@ const PER_CLIENT: (u64, u64, u64, u64) = (1, 1, 1, 1); // (ok, truncated, cancel
 fn play_mixed_hand(service: &DiscoveryService) {
     service.submit(&DiscoveryRequest::new()).expect("ok request");
     let starved = service
-        .submit(&DiscoveryRequest::new().with_time_budget(Duration::ZERO))
+        .submit(&DiscoveryRequest::new().with_config(
+            AutoFeatConfig::default().with_time_budget(Duration::ZERO),
+        ))
         .expect("starved request still returns a partial");
     assert!(starved.truncation.is_some());
     let prepared = service.prepare(&DiscoveryRequest::new()).expect("prepare");
@@ -219,7 +221,9 @@ fn request_log_ring_caps_and_counts_drops() {
     // the ring stays cheap.
     for _ in 0..(REQUEST_LOG_CAP as u64 + extra) {
         service
-            .submit(&DiscoveryRequest::new().with_time_budget(Duration::ZERO))
+            .submit(&DiscoveryRequest::new().with_config(
+                AutoFeatConfig::default().with_time_budget(Duration::ZERO),
+            ))
             .expect("starved request returns a partial");
     }
     let log = service.request_log();
