@@ -163,6 +163,35 @@ fn bench_scoring_kernels(c: &mut Criterion) {
         group.bench_function(format!("redundancy_set_{name}/selected_set"), |b| {
             b.iter(|| black_box(set.select_non_redundant(&cands, &labels, &scorer)))
         });
+
+        // The same, binned as `evaluate_hop` bins a joined column: ten
+        // equal-frequency bins over distinct values. Every table then has at
+        // most two marginal sizes per axis, and MRMR reads its terms from the
+        // rows the call keeps instead of taking an `ln` per cell.
+        let mut binned = |lift: &dyn Fn(usize) -> bool| {
+            let values: Vec<f64> = (0..n)
+                .map(|i| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    (s >> 13) as f64 + if lift(i) { 2f64.powi(52) } else { 0.0 }
+                })
+                .collect();
+            discretize_equal_frequency(&values, 10)
+        };
+        let candidate = binned(&|i| labels.code(i) == Some(1));
+        let members: Vec<Discretized> = (0..96).map(|_| binned(&|_| false)).collect();
+        let mut set = SelectedSet::default();
+        for (k, m) in members.iter().enumerate() {
+            set.insert(&format!("f{k}"), m.clone());
+        }
+        let cands = [(0usize, &candidate)];
+        group.bench_function(format!("redundancy_set_{name}_equal_frequency/plain_slice"), |b| {
+            b.iter(|| black_box(select_non_redundant(&cands, &members, &labels, &scorer)))
+        });
+        group.bench_function(format!("redundancy_set_{name}_equal_frequency/selected_set"), |b| {
+            b.iter(|| black_box(set.select_non_redundant(&cands, &labels, &scorer)))
+        });
     }
     group.finish();
 }

@@ -31,16 +31,23 @@ impl JoinPath {
         JoinPath::default()
     }
 
-    /// Build from hops (assumed consistent).
+    /// Build from hops: each must start at the table the one before it
+    /// reached, and no table may be visited twice (asserted in debug builds).
     pub fn from_hops(hops: Vec<JoinHop>) -> Self {
+        debug_assert!(
+            hops.windows(2).all(|w| w[0].to_table == w[1].from_table),
+            "a join path's hops must be continuous: {hops:?}"
+        );
+        debug_assert!(visits_each_table_once(&hops), "a join path visits each table once: {hops:?}");
         JoinPath { hops }
     }
 
-    /// Extend with one more hop (returns a new path).
+    /// Extend with one more hop (returns a new path), under the rules of
+    /// [`JoinPath::from_hops`].
     pub fn extended(&self, hop: JoinHop) -> JoinPath {
         let mut hops = self.hops.clone();
         hops.push(hop);
-        JoinPath { hops }
+        JoinPath::from_hops(hops)
     }
 
     /// The hops in order.
@@ -88,6 +95,13 @@ impl JoinPath {
             .iter()
             .any(|h| h.from_table == table || h.to_table == table)
     }
+}
+
+/// Whether the base table and every hop's destination are all different.
+fn visits_each_table_once(hops: &[JoinHop]) -> bool {
+    let base = hops.first().map(|h| &h.from_table);
+    let tables: Vec<&String> = base.into_iter().chain(hops.iter().map(|h| &h.to_table)).collect();
+    (1..tables.len()).all(|i| !tables[..i].contains(&tables[i]))
 }
 
 impl fmt::Display for JoinPath {
@@ -151,6 +165,34 @@ mod tests {
         let q = p.extended(hop("a", "x", "b", "y", 1.0));
         assert!(p.is_empty());
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "continuous")]
+    fn from_hops_rejects_a_gap() {
+        JoinPath::from_hops(vec![hop("a", "x", "b", "y", 1.0), hop("c", "x", "d", "y", 1.0)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "continuous")]
+    fn extended_rejects_a_gap() {
+        two_hop().extended(hop("credit", "credit_id", "other", "credit_id", 1.0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "visits each table once")]
+    fn from_hops_rejects_a_cycle() {
+        JoinPath::from_hops(vec![hop("a", "x", "b", "y", 1.0), hop("b", "y", "a", "x", 1.0)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "visits each table once")]
+    fn extended_rejects_a_self_join() {
+        JoinPath::empty().extended(hop("a", "x", "a", "y", 1.0));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! would have counted.
 
 use crate::discretize::{Code, Discretized};
+use crate::mi::Terms;
 
 /// Code columns counted per row pass by [`Tables::fill`]. Independent tables
 /// keep consecutive increments off one another's counters.
@@ -59,6 +60,8 @@ pub(crate) struct Tables {
     /// 2-way tables a reader collapses out of `counts`.
     pub(crate) joint: Vec<u32>,
     pub(crate) m: Marginals,
+    /// The MI terms of the tables read so far, and a count of that work.
+    pub(crate) terms: Terms,
 }
 
 /// Row and column sums of the present cells of one 2-way table.

@@ -10,34 +10,171 @@ use crate::discretize::{Discretized, MAX_BINS};
 
 const LN_2: f64 = std::f64::consts::LN_2;
 
-/// Plug-in MI in bits from the present cells `joint[a·stride + b]`. The
-/// accumulation order (x-major, skipping empty rows/cells) is the contract
-/// every caller — direct MI, per-stratum CMI, the fused estimator — relies
-/// on for bit-identical results. All counts are exact integers, so whichever
-/// pass filled them, the same counts give the same float.
-fn mi_from_counts(joint: &[u32], stride: usize, mx: &[usize], my: &[usize], total: usize) -> f64 {
-    let n = total as f64;
-    // One division per column, not per cell: the same quotient either way.
-    let mut py = [0.0; MAX_BINS as usize];
-    for (p, &mb) in py.iter_mut().zip(my) {
-        *p = mb as f64 / n;
-    }
-    let py = &py[..my.len()];
-    let mut mi = 0.0;
-    for (a, &ma) in mx.iter().enumerate() {
-        if ma == 0 {
+/// Term rows past this many cells are dropped before a table lays its own.
+const TERM_CELLS: usize = 1 << 16;
+
+/// One term of a plug-in MI, `pxy·ln(pxy/(px·py))`.
+fn cell_term(pxy: f64, px: f64, py: f64) -> f64 {
+    pxy * (pxy / (px * py)).ln()
+}
+
+/// The float side of the 2-way tables one scratch scores, and a count of it.
+///
+/// With `pxy = c/n`, `px = ma/n` and `py = mb/n`, a [`cell_term`] is a pure
+/// function of four integers: the cell count `c`, its row and column
+/// marginals `ma` and `mb`, and the total `n`. So a table may read its terms
+/// from rows keyed by `(ma, mb)` under one `n` and indexed by `c`, each term
+/// filled by the same expression the first time a table asks for it, and its
+/// MI is the same to the bit. That pays where few rows serve many tables:
+/// equal-frequency bins over a null-free column of distinct values all hold
+/// ⌊n/B⌋ or ⌈n/B⌉ rows, so a table between two such columns has at most two
+/// distinct present marginals per axis — at most four rows — and a whole
+/// redundancy pass takes one `ln` per row and distinct count. A table with
+/// more marginals on either axis (nulls, discrete values) takes one `ln` per
+/// occupied cell and never touches the rows: it would not repeat.
+#[derive(Default)]
+pub(crate) struct Terms {
+    /// The total every row was filled under.
+    total: usize,
+    /// `(ma, mb, start)`: the row's marginals, and where it starts in `cells`.
+    rows: Vec<(usize, usize, usize)>,
+    /// The rows back to back, `NaN` where no table has asked for the term.
+    cells: Vec<f64>,
+    /// Per row class of the table in hand, where each column's row starts.
+    starts: Vec<usize>,
+    /// 2-way tables scored.
+    pub(crate) tables: u64,
+    /// `ln`s evaluated.
+    pub(crate) logs: u64,
+}
+
+/// The distinct non-zero values of `m` when there are at most two (`0` for
+/// a value that is not there).
+fn two_values(m: &[usize]) -> Option<[usize; 2]> {
+    let mut v = [0; 2];
+    for &x in m {
+        if x == 0 || x == v[0] || x == v[1] {
             continue;
         }
-        let px = ma as f64 / n;
-        for (&c, &py) in joint[a * stride..][..my.len()].iter().zip(py) {
-            if c == 0 {
-                continue;
-            }
-            let pxy = c as f64 / n;
-            mi += pxy * (pxy / (px * py)).ln();
+        if v[0] == 0 {
+            v[0] = x;
+        } else if v[1] == 0 {
+            v[1] = x;
+        } else {
+            return None;
         }
     }
-    (mi / LN_2).max(0.0)
+    Some(v)
+}
+
+impl Terms {
+    /// Plug-in MI in bits from the present cells `joint[a·stride + b]`. The
+    /// accumulation order (x-major, skipping empty rows/cells) is the
+    /// contract every caller — direct MI, per-stratum CMI, the fused
+    /// estimator — relies on for bit-identical results. All counts are exact
+    /// integers, so whichever pass filled them, the same counts give the same
+    /// float, and a term read from a row is the float it was when filled.
+    /// Only `tabulate` callers read rows: a table scored once would pay for
+    /// them and gain nothing.
+    fn mi(&mut self, joint: &[u32], stride: usize, m: &Marginals, total: usize, tabulate: bool) -> f64 {
+        self.tables += 1;
+        let classes = || Some((two_values(&m.x)?, two_values(&m.y)?));
+        let mi = match tabulate.then(classes).flatten() {
+            Some((vx, vy)) => self.tabulated(joint, stride, m, (vx, vy), total),
+            None => self.each_cell(joint, stride, m, total),
+        };
+        (mi / LN_2).max(0.0)
+    }
+
+    /// One `ln` per occupied cell.
+    fn each_cell(&mut self, joint: &[u32], stride: usize, m: &Marginals, total: usize) -> f64 {
+        let n = total as f64;
+        // One division per column, not per cell: the same quotient either way.
+        let mut py = [0.0; MAX_BINS as usize];
+        for (p, &mb) in py.iter_mut().zip(&m.y) {
+            *p = mb as f64 / n;
+        }
+        let py = &py[..m.y.len()];
+        let (mut mi, mut logs) = (0.0, 0);
+        for (a, &ma) in m.x.iter().enumerate() {
+            if ma == 0 {
+                continue;
+            }
+            let px = ma as f64 / n;
+            for (&c, &py) in joint[a * stride..][..m.y.len()].iter().zip(py) {
+                if c == 0 {
+                    continue;
+                }
+                mi += cell_term(c as f64 / n, px, py);
+                logs += 1;
+            }
+        }
+        self.logs += logs;
+        mi
+    }
+
+    /// Every term read from the row of its `(ma, mb)`: `vx` and `vy` are the
+    /// distinct present marginals of each axis.
+    fn tabulated(
+        &mut self,
+        joint: &[u32],
+        stride: usize,
+        m: &Marginals,
+        (vx, vy): ([usize; 2], [usize; 2]),
+        total: usize,
+    ) -> f64 {
+        // The same counts under another total are other terms.
+        if total != self.total || self.cells.len() > TERM_CELLS {
+            self.total = total;
+            self.rows.clear();
+            self.cells.clear();
+        }
+        let mut start = [[0; 2]; 2];
+        for (i, &ma) in vx.iter().enumerate().filter(|(_, &ma)| ma > 0) {
+            for (j, &mb) in vy.iter().enumerate().filter(|(_, &mb)| mb > 0) {
+                start[i][j] = self.row(ma, mb);
+            }
+        }
+        let ny = m.y.len();
+        self.starts.clear();
+        for start in start {
+            self.starts.extend(m.y.iter().map(|&mb| start[usize::from(mb == vy[1])]));
+        }
+        let n = total as f64;
+        let (mut mi, mut logs) = (0.0, 0);
+        for (a, &ma) in m.x.iter().enumerate() {
+            if ma == 0 {
+                continue;
+            }
+            let starts = &self.starts[usize::from(ma == vx[1]) * ny..][..ny];
+            for ((&c, &start), &mb) in joint[a * stride..][..ny].iter().zip(starts).zip(&m.y) {
+                if c == 0 {
+                    continue;
+                }
+                let t = &mut self.cells[start + c as usize];
+                if t.is_nan() {
+                    *t = cell_term(c as f64 / n, ma as f64 / n, mb as f64 / n);
+                    logs += 1;
+                }
+                mi += *t;
+            }
+        }
+        self.logs += logs;
+        mi
+    }
+
+    /// Where the row of `(ma, mb)` under `self.total` starts, laid out the
+    /// first time it is asked for.
+    fn row(&mut self, ma: usize, mb: usize) -> usize {
+        if let Some(&(.., start)) = self.rows.iter().find(|r| (r.0, r.1) == (ma, mb)) {
+            return start;
+        }
+        let start = self.cells.len();
+        // A count never exceeds either of its marginals.
+        self.cells.resize(start + ma.min(mb) + 1, f64::NAN);
+        self.rows.push((ma, mb, start));
+        start
+    }
 }
 
 /// Miller-Madow first-order bias for a contingency slice: occupied-bin
@@ -51,18 +188,21 @@ fn miller_madow_bias(mx: &[usize], my: &[usize], total: usize) -> f64 {
 
 /// `(rows, I)` of one `nx × ny` table: the jointly-present row count and the
 /// plug-in or Miller-Madow-corrected MI over them (0 when there are none).
+/// `tabulate` as in [`Terms::mi`].
 fn mi_of_table(
     joint: &[u32],
     stride: usize,
     (nx, ny): (usize, usize),
     corrected: bool,
     m: &mut Marginals,
+    terms: &mut Terms,
+    tabulate: bool,
 ) -> (usize, f64) {
     let total = m.of(joint, stride, nx, ny);
     if total == 0 {
         return (0, 0.0);
     }
-    let raw = mi_from_counts(joint, stride, &m.x, &m.y, total);
+    let raw = terms.mi(joint, stride, m, total, tabulate);
     let mi = if corrected { (raw - miller_madow_bias(&m.x, &m.y, total)).max(0.0) } else { raw };
     (total, mi)
 }
@@ -71,15 +211,19 @@ fn mi_of_table(
 pub(crate) fn mi_with(t: &mut Tables, x: &Discretized, y: &Discretized, corrected: bool) -> f64 {
     let off = t.fill_pairs(&[x.axis()], y)[0];
     let (nx, ny) = (x.n_bins() as usize, y.n_bins() as usize);
-    mi_of_table(&t.counts[off..], ny + 1, (nx, ny), corrected, &mut t.m).1
+    mi_of_table(&t.counts[off..], ny + 1, (nx, ny), corrected, &mut t.m, &mut t.terms, false).1
 }
 
 /// Miller-Madow `I(X_j;Y)` of every feature of up to [`BATCH`] `units`
 /// against one `y`, handed to `term` in selection order. A full batch shares
 /// a single pass over the rows, and a pair costs that pass one increment for
-/// its two features.
+/// its two features. These are the tables a redundancy pass repeats, so they
+/// read their terms from `t`'s rows where the marginals allow ([`Terms`]).
 pub(crate) fn mi_units(t: &mut Tables, units: &[Unit], y: &Discretized, mut term: impl FnMut(f64)) {
     let sy = y.axis().1;
+    let mi = |joint: &[u32], nx: usize, m: &mut Marginals, terms: &mut Terms| {
+        mi_of_table(joint, sy, (nx, sy - 1), true, m, terms, true).1
+    };
     let mut axes = [(&[][..], 0); BATCH];
     for (axis, unit) in axes.iter_mut().zip(units) {
         *axis = unit.axis();
@@ -87,15 +231,12 @@ pub(crate) fn mi_units(t: &mut Tables, units: &[Unit], y: &Discretized, mut term
     let offs = t.fill_pairs(&axes[..units.len()], y);
     for (unit, off) in units.iter().zip(offs) {
         match *unit {
-            Unit::Single(x) => {
-                let dims = (x.n_bins() as usize, sy - 1);
-                term(mi_of_table(&t.counts[off..], sy, dims, true, &mut t.m).1);
-            }
+            Unit::Single(x) => term(mi(&t.counts[off..], x.n_bins() as usize, &mut t.m, &mut t.terms)),
             Unit::Pair { a, b, .. } => {
                 let (wa, wb) = (a.axis().1, b.axis().1);
                 t.collapse_pair(off, wa, wb, sy);
-                term(mi_of_table(&t.joint, sy, (wa - 1, sy - 1), true, &mut t.m).1);
-                term(mi_of_table(&t.joint[wa * sy..], sy, (wb - 1, sy - 1), true, &mut t.m).1);
+                term(mi(&t.joint, wa - 1, &mut t.m, &mut t.terms));
+                term(mi(&t.joint[wa * sy..], wb - 1, &mut t.m, &mut t.terms));
             }
         }
     }
@@ -173,7 +314,8 @@ fn cmi_from_table(t: &mut Tables, (nx, ny, nz): (usize, usize, usize), corrected
     }
     let mut cmi = 0.0;
     for c in 0..nz {
-        let (n_z, mi_z) = mi_of_table(&t.counts[c * sy..], slab, (nx, ny), corrected, &mut t.m);
+        let (n_z, mi_z) =
+            mi_of_table(&t.counts[c * sy..], slab, (nx, ny), corrected, &mut t.m, &mut t.terms, false);
         if n_z > 0 {
             cmi += (n_z as f64 / total as f64) * mi_z;
         }
@@ -260,7 +402,7 @@ pub(crate) fn mi_and_cmi_with(
             }
         }
     }
-    let (xy_rows, mi) = mi_of_table(&t.joint, sy, (nx, ny), false, &mut t.m);
+    let (xy_rows, mi) = mi_of_table(&t.joint, sy, (nx, ny), false, &mut t.m, &mut t.terms, false);
     if xy_rows == 0 {
         return (0.0, 0.0);
     }

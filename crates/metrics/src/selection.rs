@@ -236,6 +236,8 @@ fn non_redundant<'a>(
         }
     }
     obs::add("metrics.redundancy_kept", kept.len() as u64);
+    obs::add("metrics.mi_tables", tables.terms.tables);
+    obs::add("metrics.mi_log_terms", tables.terms.logs);
     kept
 }
 
@@ -380,6 +382,54 @@ mod tests {
         assert_eq!(set.names(), ["a", "b", "c", "d", "e", "f"]);
         assert_eq!(packed(&set), [true, true, false]);
         assert_eq!(set.units().len(), 4);
+    }
+
+    /// `metrics.mi_tables` and `metrics.mi_log_terms` of one call: a label
+    /// split off a ten-bin candidate, and the candidate's own codes as
+    /// members — once with every 7th row missing, then three times whole.
+    /// The candidate is rejected after that first batch of four members.
+    /// Five tables: its relevance and the four members. Twenty-one `ln`s:
+    /// ten for the ten occupied cells of the relevance table and ten for
+    /// those of the holed member (its marginals are not two-valued), then one
+    /// for the three whole members together, whose every cell is 100 rows
+    /// under the marginals 100 and 100 of 1 000.
+    #[test]
+    fn mi_work_is_counted_once_per_call() {
+        let values: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 1000) as f64).collect();
+        let cand = discretize_equal_frequency(&values, 10);
+        let labels = Discretized::from_codes((0..1000).map(|i| Some(i64::from(cand.code(i).unwrap() < 5))));
+        let holed =
+            Discretized::from_codes((0..1000).map(|i| cand.code(i).filter(|_| i % 7 != 0).map(i64::from)));
+        let members = [holed, cand.clone(), cand.clone(), cand.clone()];
+        let tracer = obs::Tracer::enabled();
+        let kept = obs::with_tracer(&tracer, || {
+            let scorer = RedundancyScorer::new(RedundancyMethod::Mrmr);
+            select_non_redundant(&[(0, &cand)], &members, &labels, &scorer)
+        });
+        assert!(kept.is_empty());
+        let trace = tracer.snapshot();
+        assert_eq!(trace.counter("metrics.mi_tables"), Some(5));
+        assert_eq!(trace.counter("metrics.mi_log_terms"), Some(21));
+    }
+
+    /// A table met twice in one call takes its `ln`s once, whichever way its
+    /// two marginal sizes (100 and 101 of 1 003 rows) fall on its axes.
+    #[test]
+    fn a_repeated_table_takes_no_ln() {
+        let n = 1003;
+        let binned = |step: usize| {
+            let values: Vec<f64> = (0..n).map(|i| ((i * step) % n) as f64).collect();
+            discretize_equal_frequency(&values, 10)
+        };
+        let (cand, member) = (binned(7919), binned(389));
+        let labels = Discretized::from_codes((0..n).map(|i| Some(i64::from(cand.code(i).unwrap() < 5))));
+        let logs = |members: &[Discretized]| {
+            let tracer = obs::Tracer::enabled();
+            let scorer = RedundancyScorer::new(RedundancyMethod::Mrmr);
+            obs::with_tracer(&tracer, || select_non_redundant(&[(0, &cand)], members, &labels, &scorer));
+            tracer.snapshot().counter("metrics.mi_log_terms").unwrap()
+        };
+        assert_eq!(logs(&[member.clone(), member.clone()]), logs(&[member]));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! fixtures never produce: all-missing columns, missing on one side only, a
 //! single bin, 0/1/2 rows, `MAX_BINS` bins, and selected sets around every
 //! multiple of the batch width — as a plain slice and as a `SelectedSet`,
-//! which counts two neighbours per increment and must not move a bit.
+//! which counts two neighbours per increment and must not move a bit — and
+//! sets binned as the pipeline bins them, whose tables read their MI terms
+//! from rows kept across the call.
 //!
 //! `common::binning_oracle` is the same for equal-frequency binning: the
 //! value sort and per-row search the bins were made with before they were
@@ -224,6 +226,11 @@ impl Rng {
             let r = self.next();
             (r % 100 >= missing_pct).then(|| ((r >> 8) % bins) as i64)
         }))
+    }
+
+    /// `n` distinct floats in random order (the row index breaks every tie).
+    fn distinct(&mut self, n: usize) -> Vec<f64> {
+        (0..n).map(|i| ((self.next() >> 22) as usize * n + i) as f64).collect()
     }
 
     /// A column that follows `of` except on `noise_pct` % of the rows.
@@ -503,6 +510,75 @@ proptest! {
         }
         prop_assert!(set.len() == size + more);
         check_set(&set, &candidates, &labels, true);
+    }
+
+    /// Members and candidates binned as `evaluate_hop` bins them —
+    /// `discretize_equal_frequency` over distinct floats — so that each axis
+    /// of most of their tables has one or two distinct present marginals and
+    /// MIFS and MRMR read its terms from rows kept across the call: at fewer
+    /// rows than bins (7), at one bin size (90, 1 000) and at two (1 003).
+    /// Beside them sit members with missing rows — one whose holes no
+    /// candidate shares (its tables take the per-cell loop), one whose holes
+    /// a candidate shares (their table has two bin sizes under a third
+    /// total) — and `A'`, the member `A` with its top bin missing. The first
+    /// candidate's top bin is exactly `A`'s, so its table with `A'` has the
+    /// marginals of its tables with `A` and the next member, under a smaller
+    /// total, right after them in the same scratch. That candidate follows
+    /// the label and is kept, so its `J` carries the terms of all three.
+    #[test]
+    fn equal_frequency_sets_match_the_oracle(seed in 1u64..u64::MAX, rows in 0usize..4, extra in 0usize..5) {
+        let mut rng = Rng(seed);
+        let n = [7, 90, 1_000, 1_003][rows];
+        let bin = |x: &[f64]| discretize_equal_frequency(x, 10);
+        let holes =
+            |rng: &mut Rng, pct: u64| -> Vec<bool> { (0..n).map(|_| rng.next() % 100 < pct).collect() };
+        let punched = |x: Vec<f64>, holes: &[bool]| -> Vec<f64> {
+            x.into_iter().zip(holes).map(|(v, &hole)| if hole { f64::NAN } else { v }).collect()
+        };
+        let signal = rng.distinct(n);
+        let labels = discretize_equal_frequency(&signal, 2);
+        let a = bin(&rng.distinct(n));
+        let top = a.n_bins() - 1;
+        let a_without_top =
+            Discretized::from_codes((0..n).map(|i| a.code(i).filter(|&c| c != top).map(i64::from)));
+        let (lone, shared) = (holes(&mut rng, 15), holes(&mut rng, 20));
+        let mut members = vec![
+            a.clone(),
+            bin(&rng.distinct(n)),
+            a_without_top,
+            bin(&punched(rng.distinct(n), &lone)),
+            bin(&punched(rng.distinct(n), &shared)),
+        ];
+        members.extend((0..extra).map(|_| bin(&rng.distinct(n))));
+        // `signal`, but with `A`'s top bin lifted above every other value
+        // (exactly: each is below 2^52).
+        let lifted: Vec<f64> = signal
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| if a.code(i) == Some(top) { s + 4_503_599_627_370_496.0 } else { s })
+            .collect();
+        let other = rng.distinct(n);
+        let echo: Vec<f64> =
+            signal.iter().zip(&other).map(|(&s, &o)| if rng.next() % 100 < 30 { o } else { s }).collect();
+        let candidates = vec![
+            bin(&lifted),
+            bin(&punched(rng.distinct(n), &shared)),
+            bin(&echo),
+            bin(&rng.distinct(n)),
+        ];
+        let cand_top = candidates[0].n_bins() - 1;
+        prop_assert!(
+            (0..n).all(|i| (candidates[0].code(i) == Some(cand_top)) == (a.code(i) == Some(top))),
+            "the first candidate's top bin is A's"
+        );
+        let set = set_of(&members);
+        check_set(&set, &candidates, &labels, true);
+        if n >= 90 {
+            let cands: Vec<(usize, &Discretized)> = candidates.iter().enumerate().collect();
+            let mrmr = RedundancyScorer::new(RedundancyMethod::Mrmr);
+            let kept = set.select_non_redundant(&cands, &labels, &mrmr);
+            prop_assert!(kept.first().is_some_and(|s| s.index == 0), "the first candidate is kept: {kept:?}");
+        }
     }
 
     /// `discretize_equal_frequency`, and the codes the fused relevance entry

@@ -4,8 +4,11 @@
 //! of ARDA's time, and joins something. A model or kernel change that
 //! quietly breaks a result of `EXPERIMENTS.md` fails here first.
 
+use autofeat::metrics::discretize::{discretize_equal_frequency, Discretized};
+use autofeat::metrics::redundancy::RedundancyScorer;
+use autofeat::metrics::selection::select_non_redundant;
 use autofeat::prelude::*;
-use autofeat::{context_from_snowflake, datagen};
+use autofeat::{context_from_snowflake, datagen, obs};
 
 /// Mean test accuracy of AutoFeat on `credit` over the four tree learners,
 /// captured at commit a99bae0 (the exact-split trees). Parity is held to
@@ -69,4 +72,47 @@ fn credit_with_the_four_tree_learners() {
 #[test]
 fn steel_with_lightgbm() {
     assert_shapes("steel", &shapes("steel", &[ModelKind::LightGbm]));
+}
+
+/// §V-D: MIFS and MRMR are the cheap criteria, having no conditional term.
+/// Counted, not timed: with four noise features selected before and three
+/// candidates that each carry one bit of a majority label — all kept, so no
+/// criterion stops early — each of MIFS and MRMR takes fewer `ln`s
+/// (`metrics.mi_log_terms`) than each of CIFE, JMI and CMIM.
+#[test]
+fn mifs_and_mrmr_take_fewer_logs_than_the_conditional_criteria() {
+    let n = 1000;
+    let mut s = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let bits: Vec<Vec<bool>> = (0..3).map(|_| (0..n).map(|_| next() % 2 == 1).collect()).collect();
+    // Ten equal-frequency bins over distinct values, lifted above the rest
+    // where `high` holds.
+    let mut binned = |high: &dyn Fn(usize) -> bool| {
+        let values: Vec<f64> =
+            (0..n).map(|i| (next() >> 13) as f64 + if high(i) { 2f64.powi(52) } else { 0.0 }).collect();
+        discretize_equal_frequency(&values, 10)
+    };
+    let noise: Vec<Discretized> = (0..4).map(|_| binned(&|_| false)).collect();
+    let candidates: Vec<Discretized> = bits.iter().map(|b| binned(&|i| b[i])).collect();
+    let majority = |i: usize| bits.iter().filter(|b| b[i]).count() >= 2;
+    let labels = Discretized::from_codes((0..n).map(|i| Some(i64::from(majority(i)))));
+    let cands: Vec<(usize, &Discretized)> = candidates.iter().enumerate().collect();
+    let logs = |method: RedundancyMethod| {
+        let tracer = obs::Tracer::enabled();
+        let scorer = RedundancyScorer::new(method);
+        let kept = obs::with_tracer(&tracer, || select_non_redundant(&cands, &noise, &labels, &scorer));
+        assert_eq!(kept.len(), cands.len(), "{}: every candidate is kept", method.name());
+        tracer.snapshot().counter("metrics.mi_log_terms").expect("counted")
+    };
+    let [mifs, mrmr, cife, jmi, cmim] = RedundancyMethod::all().map(logs);
+    for (name, cheap) in [("MIFS", mifs), ("MRMR", mrmr)] {
+        for (other, costly) in [("CIFE", cife), ("JMI", jmi), ("CMIM", cmim)] {
+            assert!(cheap < costly, "{name} took {cheap} `ln`s, {other} {costly}");
+        }
+    }
 }
