@@ -56,10 +56,9 @@ fn bench_profiles(c: &mut Criterion) {
 
 /// One pair of single-column profiles per traffic shape the matcher sees,
 /// scored by the merge alone (`instance_similarity`) and through
-/// `match_score`, which asks the occupancy bound first. A name similarity
-/// of 0.8 is what sends a pair of a lake's columns to scoring (`noise_3`
-/// against `noise_12`); under the paper blend the pair then matches from an
-/// instance similarity of 0.3.
+/// `match_score`, which asks the occupancy bound first. The name similarity
+/// is 0.8 (`noise_3` against `noise_12`); under the paper blend the pair
+/// then matches from an instance similarity of 0.3.
 fn bench_pair_score(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_score");
     group.sample_size(20);
@@ -81,7 +80,7 @@ fn bench_pair_score(c: &mut Criterion) {
             bench.iter(|| black_box(m.instance_similarity(a, b)))
         });
         group.bench_function(BenchmarkId::new(*shape, "match_score"), |bench| {
-            bench.iter(|| black_box(m.match_score(0.8, a, b)))
+            bench.iter(|| black_box(m.match_score(|| 0.8, a, b)))
         });
     }
     group.finish();

@@ -103,7 +103,7 @@ fn fs_read_dir(dir: &Path) -> Result<Vec<std::path::PathBuf>> {
 
 /// The mutable-lake authority shared by every clone of a discovery-built
 /// context: the current table set, the DRG assembled from it, and the
-/// incremental maintainer (profiles + LSH index + match lists) that splices
+/// incremental maintainer (profiles + name-sim cache + match lists) that splices
 /// the DRG on mutation. Readers take O(1) `Arc` snapshots under the read
 /// lock; [`SearchContext::add_table`]/[`SearchContext::remove_table`] swap
 /// in new snapshots under the write lock, so in-flight requests keep the
@@ -288,10 +288,11 @@ impl SearchContext {
     /// Build the *data-lake setting* context: run dataset discovery over
     /// the table collection (the label column is hidden from the matcher).
     ///
-    /// Candidate generation goes through the hybrid LSH + name-similarity
-    /// index ([`DrgMaintainer`]) rather than the all-pairs matcher — same
-    /// edges (`tests/match_oracle.rs`), sub-quadratic scoring — and
-    /// the maintainer stays resident as the context's mutable-lake state,
+    /// Matching goes through a [`DrgMaintainer`], which decides every
+    /// cross-table column pair exactly: the matcher's occupancy bound
+    /// rejects most pairs without merging their value sets, so the edges
+    /// are the all-pairs matcher's (`tests/match_oracle.rs`). The
+    /// maintainer stays resident as the context's mutable-lake state,
     /// so [`add_table`](SearchContext::add_table)/
     /// [`remove_table`](SearchContext::remove_table) splice incrementally.
     /// Its footprint is owned lake metadata (charged like
@@ -313,8 +314,7 @@ impl SearchContext {
         {
             let _span = obs::span("drg_build");
             // A table's profiles are a pure function of its cells: fan the
-            // tables out. The LSH inserts depend on arrival order and stay
-            // sequential.
+            // tables out, then score the pairs as each table joins.
             let profiled = build_indexed(tables.len(), |i| ColumnProfile::build_all(&tables[i]));
             for (t, mut profiles) in tables.iter().zip(profiled) {
                 if t.name() == base {
@@ -358,7 +358,7 @@ impl SearchContext {
     }
 
     /// Resident footprint of the lake's discovery metadata (column
-    /// profiles, LSH index, name-sim cache), in bytes. Zero for immutable
+    /// profiles and the name-sim cache), in bytes. Zero for immutable
     /// contexts. Like [`Table::key_meta_bytes`], this is owned lake state —
     /// it is *not* governed by (or counted against) the join-index cache
     /// budget.

@@ -9,23 +9,24 @@
 //!
 //! * **name similarity** — token-set Jaccard + Jaro-Winkler over normalized
 //!   identifiers ([`name_sim`]);
-//! * **instance similarity** — Jaccard / containment overlap of the value
-//!   sets, computable exactly or via MinHash sketches for large columns
-//!   ([`value_sim`]).
+//! * **instance similarity** — Jaccard / containment overlap of the exact
+//!   value sets, or a MinHash estimate when one side has too many distinct
+//!   values to keep its set ([`value_sim`]).
 //!
 //! The composite score is a weighted blend in `[0, 1]`; pairs scoring above
 //! a threshold (the paper uses **0.55**, chosen to "encourage spurious, but
-//! not irrelevant, connections") become candidate join edges. The DRG
-//! construction is explicitly independent of the concrete matcher — any
-//! scorer emitting a similarity in `[0,1]` plugs in.
+//! not irrelevant, connections") become candidate join edges. Every pair is
+//! decided exactly: [`SchemaMatcher::match_score`] rejects from per-column
+//! summaries when the pair cannot reach the threshold and merges the value
+//! sets only when it can. The DRG construction is explicitly independent
+//! of the concrete matcher — any scorer emitting a similarity in `[0,1]`
+//! plugs in.
 
-pub mod lsh;
 pub mod matcher;
 pub mod name_sim;
 pub mod profile;
 pub mod value_sim;
 
-pub use lsh::LshIndex;
 pub use matcher::{ColumnMatch, MatcherConfig, SchemaMatcher};
 pub use profile::ColumnProfile;
 pub use value_sim::MinHash;

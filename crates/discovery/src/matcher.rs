@@ -64,11 +64,11 @@ impl SchemaMatcher {
     /// Instance similarity of two profiles: exact Jaccard blended with the
     /// larger containment direction when exact sets are available (one
     /// merge of the two runs feeds all three terms), MinHash estimate
-    /// otherwise.
+    /// otherwise — the one place a sketch is read.
     pub fn instance_similarity(&self, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
         match (&a.value_hashes, &b.value_hashes) {
             (Some(ra), Some(rb)) => exact_similarity(ra.len(), rb.len(), ra.intersection_len(rb)),
-            _ => a.sketch.jaccard(&b.sketch),
+            _ => a.sketch().jaccard(b.sketch()),
         }
     }
 
@@ -82,35 +82,49 @@ impl SchemaMatcher {
         self.blend(name, inst)
     }
 
-    /// The match decision for one pair, given its name similarity (callers
-    /// that cache name sims across many pairs — the incremental DRG
-    /// maintainer — skip recomputing Jaro-Winkler per pair): `Some(score)`
-    /// iff [`score_pair`](Self::score_pair)'s score reaches the threshold.
+    /// The match decision for one pair: `Some(score)` iff
+    /// [`score_pair`](Self::score_pair)'s score reaches the threshold. The
+    /// name similarity comes from `name`, called only for a pair its values
+    /// cannot rule out (callers that cache name sims across many pairs — the
+    /// incremental DRG maintainer — then neither compute nor cache one for
+    /// most of a lake's pairs).
     ///
     /// Before merging two exact sets it asks whether the pair could reach
     /// the threshold at all: the same blend, evaluated at
-    /// [`ValueRun::intersection_bound`] in place of the intersection. That
-    /// rejects exactly, not heuristically — the bound is never below the
-    /// intersection, and every step from intersection to blended score is a
-    /// correctly rounded operation that does not decrease as the
-    /// intersection grows, *provided* the value weight is positive and the
-    /// name weight non-negative. The weights are the caller's, so both signs
-    /// are checked and the bound is skipped when either fails.
+    /// [`ValueRun::intersection_bound`] in place of the intersection — first
+    /// at name similarity 1, the most a name scores, then at the pair's own.
+    /// That rejects exactly, not heuristically — the bound is never below
+    /// the intersection, and every step from intersection and name
+    /// similarity to blended score is a correctly rounded operation that
+    /// does not decrease as either grows, *provided* the value weight is
+    /// positive and the name weight non-negative. The weights are the
+    /// caller's, so both signs are checked and the bound is skipped when
+    /// either fails.
     ///
     /// [`ValueRun::intersection_bound`]: crate::value_sim::ValueRun::intersection_bound
-    pub fn match_score(&self, name: f64, a: &ColumnProfile, b: &ColumnProfile) -> Option<f64> {
+    pub fn match_score(
+        &self,
+        name: impl FnOnce() -> f64,
+        a: &ColumnProfile,
+        b: &ColumnProfile,
+    ) -> Option<f64> {
         let MatcherConfig { threshold, name_weight, value_weight } = self.config;
         if !a.is_joinable_candidate() || !b.is_joinable_candidate() {
             return (0.0 >= threshold).then_some(0.0);
         }
         let monotone = value_weight > 0.0 && name_weight >= 0.0;
-        if let (true, Some(ra), Some(rb)) = (monotone, &a.value_hashes, &b.value_hashes) {
-            let at_most = exact_similarity(ra.len(), rb.len(), ra.intersection_bound(rb));
-            if self.blend(name, at_most) < threshold {
-                autofeat_obs::incr("match.pairs_bound_rejected");
-                return None;
+        let at_most = match (monotone, &a.value_hashes, &b.value_hashes) {
+            (true, Some(ra), Some(rb)) => {
+                Some(exact_similarity(ra.len(), rb.len(), ra.intersection_bound(rb)))
             }
-        }
+            _ => None,
+        };
+        let short = |name: f64| at_most.is_some_and(|x| self.blend(name, x) < threshold);
+        let name = if short(1.0) { None } else { Some(name()) };
+        let Some(name) = name.filter(|&name| !short(name)) else {
+            autofeat_obs::incr("match.pairs_bound_rejected");
+            return None;
+        };
         let score = self.blend(name, self.instance_similarity(a, b));
         (score >= threshold).then_some(score)
     }
@@ -326,7 +340,7 @@ mod tests {
                         let name = name_similarity(&a.column, &b.column);
                         let score = m.score_pair(a, b);
                         assert_eq!(
-                            m.match_score(name, a, b).map(f64::to_bits),
+                            m.match_score(|| name, a, b).map(f64::to_bits),
                             (score >= threshold).then_some(score.to_bits()),
                             "{}×{} at {threshold}, weights {name_weight}/{value_weight}",
                             a.column,

@@ -1,15 +1,17 @@
 //! Column profiles: the per-column summaries the matcher scores against.
 //!
 //! A profile is computed once per column, at ingest or when a table joins
-//! the lake, and every later stage — LSH banding, candidate gating, exact
-//! scoring — reads the profile, never the column.
+//! the lake, and every later stage — the occupancy bound, exact scoring —
+//! reads the profile, never the column.
+
+use std::sync::OnceLock;
 
 use autofeat_data::{Column, Table};
 
 use crate::value_sim::{hash_value, MinHash, ValueRun};
 
-/// Default MinHash sketch size.
-pub const DEFAULT_SKETCH_K: usize = 128;
+/// MinHash sketch size.
+const SKETCH_K: usize = 128;
 
 /// Cap on the exact value set retained per column; columns with more
 /// distinct values rely on the MinHash estimate instead.
@@ -30,28 +32,35 @@ pub struct ColumnProfile {
     pub distinct: usize,
     /// Exact hashes of distinct values (present iff `distinct <= EXACT_SET_CAP`).
     pub value_hashes: Option<ValueRun>,
-    /// MinHash sketch of the value set.
-    pub sketch: MinHash,
+    /// MinHash sketch of the value set: made by `build` when the run is
+    /// dropped, otherwise by the first [`sketch`](Self::sketch) call.
+    sketch: OnceLock<MinHash>,
 }
 
 impl ColumnProfile {
     /// Profile one column: one typed pass over its rows hashing every
-    /// non-null key, then sort, deduplicate, map, sketch. It reads the
-    /// cells, never a key dictionary — a profile is wanted for every column
-    /// of the lake, a dictionary only for the few a join is keyed on.
+    /// non-null key, then sort, deduplicate, map. It reads the cells, never
+    /// a key dictionary — a profile is wanted for every column of the lake,
+    /// a dictionary only for the few a join is keyed on. A column past
+    /// [`EXACT_SET_CAP`] keeps a sketch in place of its run.
     pub fn build(table_name: &str, column_name: &str, col: &Column) -> Self {
         let mut hashes = Vec::with_capacity(col.len());
         col.keys_in(0..col.len(), |key| hashes.extend(key.map(|k| hash_value(&k))));
         let run = ValueRun::from_unsorted(hashes);
         let distinct = run.len();
+        let (value_hashes, sketch) = if distinct <= EXACT_SET_CAP {
+            (Some(run), OnceLock::new())
+        } else {
+            (None, OnceLock::from(sketch_of(&run)))
+        };
         ColumnProfile {
             table: table_name.to_string(),
             column: column_name.to_string(),
             dtype: col.dtype(),
             null_ratio: col.null_ratio(),
             distinct,
-            sketch: MinHash::from_hashes(DEFAULT_SKETCH_K, run.hashes().iter().copied()),
-            value_hashes: (distinct <= EXACT_SET_CAP).then_some(run),
+            value_hashes,
+            sketch,
         }
     }
 
@@ -64,9 +73,14 @@ impl ColumnProfile {
             .collect()
     }
 
-    /// The MinHash sketch's raw slots (for LSH banding).
-    pub fn sketch_slots(&self) -> &[u64] {
-        self.sketch.slots()
+    /// The MinHash sketch of the value set. Only a pair with a column past
+    /// [`EXACT_SET_CAP`] reads one, so a column that keeps its run builds
+    /// its sketch from the run here, the first time such a pair asks, and
+    /// keeps it for the next.
+    pub fn sketch(&self) -> &MinHash {
+        self.sketch.get_or_init(|| {
+            sketch_of(self.value_hashes.as_ref().expect("a profile without a sketch keeps its run"))
+        })
     }
 
     /// Whether this column looks like a feasible join key: it has at least
@@ -74,11 +88,24 @@ impl ColumnProfile {
     pub fn is_joinable_candidate(&self) -> bool {
         self.distinct > 0 && self.null_ratio < 0.9
     }
+
+    /// Rough heap footprint in bytes: the run, the sketch once built, and
+    /// the names.
+    pub fn resident_bytes(&self) -> usize {
+        let exact = self.value_hashes.as_ref().map_or(0, ValueRun::resident_bytes);
+        let sketch = self.sketch.get().map_or(0, |s| s.k() * 8);
+        exact + sketch + self.table.len() + self.column.len() + 96
+    }
+}
+
+fn sketch_of(run: &ValueRun) -> MinHash {
+    MinHash::from_hashes(SKETCH_K, run.hashes().iter().copied())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchemaMatcher;
     use autofeat_data::{Column, Table};
 
     fn table() -> Table {
@@ -108,8 +135,41 @@ mod tests {
         assert_eq!(keyed.built_dicts().count(), 0);
         assert!(!keyed.has_row_fingerprints());
         for (a, b) in a.iter().zip(&b) {
-            assert_eq!((a.distinct, &a.value_hashes, &a.sketch), (b.distinct, &b.value_hashes, &b.sketch));
+            assert_eq!((a.distinct, &a.value_hashes), (b.distinct, &b.value_hashes));
         }
+    }
+
+    #[test]
+    fn profiling_columns_under_the_cap_builds_no_sketch() {
+        for p in ColumnProfile::build_all(&table()) {
+            assert!(p.value_hashes.is_some() && p.sketch.get().is_none(), "{}", p.column);
+        }
+    }
+
+    /// A column's distinct key hashes, walked row by row.
+    fn hashes_of(col: &Column) -> Vec<u64> {
+        (0..col.len()).filter_map(|row| col.key(row)).map(|k| hash_value(&k)).collect()
+    }
+
+    #[test]
+    fn a_past_cap_pair_scores_with_a_sketch_built_once_on_first_use() {
+        let wide = |from: i64| Column::from_ints((from..=from + EXACT_SET_CAP as i64).map(Some));
+        let (wide_a, wide_b) = (wide(0), wide(50_000));
+        let small_col = Column::from_ints((99_000..101_000).map(Some));
+        let (a, b) = (ColumnProfile::build("t", "a", &wide_a), ColumnProfile::build("u", "b", &wide_b));
+        let small = ColumnProfile::build("v", "s", &small_col);
+        assert!(small.sketch.get().is_none());
+        let m = SchemaMatcher::paper_default();
+        let mut kept = Vec::new();
+        for (wide_col, wide) in [(&wide_a, &a), (&wide_b, &b)] {
+            let want = MinHash::from_hashes(SKETCH_K, hashes_of(wide_col))
+                .jaccard(&MinHash::from_hashes(SKETCH_K, hashes_of(&small_col)));
+            assert_eq!(m.instance_similarity(wide, &small).to_bits(), want.to_bits());
+            assert_eq!(m.instance_similarity(&small, wide).to_bits(), want.to_bits());
+            kept.push(small.sketch.get().expect("a past-cap pair builds the sketch") as *const MinHash);
+        }
+        assert_eq!(kept[0], kept[1], "the second pair reads the sketch the first one built");
+        assert_eq!(*small.sketch(), MinHash::from_hashes(SKETCH_K, hashes_of(&small_col)));
     }
 
     #[test]
@@ -127,7 +187,7 @@ mod tests {
         let p = ColumnProfile::build("t", "wide", &wide);
         assert_eq!(p.distinct, EXACT_SET_CAP + 1);
         assert!(p.value_hashes.is_none());
-        assert_eq!(p.sketch.n_values(), EXACT_SET_CAP + 1);
+        assert_eq!(p.sketch.get().expect("sketched at build").n_values(), EXACT_SET_CAP + 1);
     }
 
     #[test]
@@ -152,6 +212,6 @@ mod tests {
         let c = Column::from_ints((0..100).map(Some).collect::<Vec<_>>());
         let p1 = ColumnProfile::build("a", "x", &c);
         let p2 = ColumnProfile::build("b", "y", &c);
-        assert_eq!(p1.sketch.jaccard(&p2.sketch), 1.0);
+        assert_eq!(p1.sketch().jaccard(p2.sketch()), 1.0);
     }
 }

@@ -177,11 +177,6 @@ impl MinHash {
         self.n_values
     }
 
-    /// The raw per-permutation minima (used by LSH banding).
-    pub fn slots(&self) -> &[u64] {
-        &self.mins
-    }
-
     /// The `slot`-th permutation of a value hash: a multiply by an odd
     /// constant and a rotation, both derived from the slot number.
     fn permuted(slot: usize) -> impl Fn(u64) -> u64 {

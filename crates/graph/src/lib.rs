@@ -19,6 +19,6 @@ pub mod path;
 pub mod traversal;
 
 pub use drg::{Drg, DrgBuilder, EdgeId, EdgeProvenance, JoinEdge, NodeId};
-pub use incremental::{DrgMaintainer, NAME_CANDIDATE_TAU};
+pub use incremental::DrgMaintainer;
 pub use path::{JoinHop, JoinPath};
 pub use traversal::{enumerate_paths, join_all_path_count};

@@ -408,7 +408,7 @@ pub mod join_oracle {
 /// arithmetic `SchemaMatcher::score_pair` had before profiles kept sorted
 /// runs — `value_sim::jaccard` and `containment` over those sets, blended
 /// with `name_similarity`; a DRG is every column pair of every table pair,
-/// scored. No dictionary, no sorted run, no occupancy bound, no LSH. It
+/// scored. No dictionary, no sorted run, no occupancy bound, no sketch. It
 /// shares with the program the hash of a key, the name similarity and the
 /// two set functions, none of which the program's matcher path rewrote.
 pub mod match_oracle {

@@ -18,8 +18,7 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------------
 // Fixtures: a base table plus a pool of candidate satellites covering every
 // edge-provenance flavour — value+name joinable, value-only (different
-// name, overlapping domain), name-only (same name, disjoint domain — the
-// recall case the all-pairs fallback used to lose under LSH), and
+// name, overlapping domain), name-driven (same name, thin overlap), and
 // unjoinable noise.
 // ---------------------------------------------------------------------------
 
@@ -52,8 +51,7 @@ fn pool_table(i: usize) -> Table {
         // Different name, overlapping value domain: instance-driven edge.
         2 => Table::new("p2", vec![("key_id", ints(0, N)), ("c", feats(7))]).unwrap(),
         // Same name, tiny value overlap (5/30, jaccard ≈ 0.09): a
-        // name-driven edge the LSH bands alone catch only by luck — the
-        // hybrid name pass must produce it deterministically.
+        // name-driven edge its values alone could not carry.
         3 => Table::new("p3", vec![("k", ints(25, 25 + N)), ("d", feats(11))]).unwrap(),
         // Unjoinable noise: different name AND disjoint domain.
         4 => Table::new("p4", vec![("z", ints(5000, 5000 + N)), ("e", feats(13))]).unwrap(),
@@ -178,9 +176,8 @@ fn mutated_discovery_results_match_fresh_build() {
     }
 }
 
-/// The name-pass recall case end-to-end: p3 shares base's key *name* but
-/// only 5/30 values, so an LSH collision is a coin flip — the hybrid name
-/// pass must produce the edge deterministically, fresh and incrementally.
+/// A name-driven edge end-to-end: p3 shares base's key *name* but only
+/// 5/30 values, and the edge must appear both fresh and incrementally.
 #[test]
 fn name_only_edges_survive_both_paths() {
     let fresh = fresh_ctx(&[3]);

@@ -188,7 +188,7 @@ fn check_pair(a: &Profiled, b: &Profiled) -> Result<(), String> {
         let matcher = SchemaMatcher::new(config.clone());
         let got = matcher.score_pair(pa, pb);
         prop_assert!(got.to_bits() == want.to_bits(), "{what} {config:?}: {got} for {want}");
-        let decided = matcher.match_score(name, pa, pb);
+        let decided = matcher.match_score(|| name, pa, pb);
         prop_assert!(
             decided.map(f64::to_bits) == (want >= config.threshold).then_some(want.to_bits()),
             "{what} {config:?}: {decided:?} where the reference scores {want}"
@@ -225,6 +225,27 @@ fn saturated_maps_leave_the_decision_to_the_merge() {
         let right = column_table(&mut d, "s14_id", (n - x) as i64, n, false);
         check_pair(&left, &profiled(&right)).unwrap();
     }
+}
+
+/// More than 256 columns over one value domain — 0/1 flags — under names
+/// that are not alike. Every pair's value sets are equal
+/// (instance similarity 1), so each pair reaches the threshold on its
+/// values; a candidate filter that gives up on a crowded value domain
+/// would drop every one of them.
+#[test]
+fn a_crowded_value_domain_keeps_its_value_driven_edges() {
+    let flags = |i: usize| Column::from_ints((0..20).map(|r| Some(((r + i) % 2) as i64)));
+    let accounts = Table::new("accounts", vec![("is_flag", flags(0))]).unwrap();
+    let names: Vec<String> = (0..300).map(|i| format!("flag_{i}")).collect();
+    let columns = names.iter().enumerate().map(|(i, n)| (n.as_str(), flags(i))).collect();
+    let signals = Table::new("signals", columns).unwrap();
+    let matcher = SchemaMatcher::paper_default();
+    let refs = [&accounts, &signals];
+    let want = match_oracle::drg_edges(&refs, matcher.config());
+    assert_eq!(want.len(), 300, "every flag pair is an edge");
+    assert!(want.iter().all(|e| name_similarity(&e.1, &e.3) < 0.75), "no pair's names are alike");
+    let built = match_oracle::edges_of(&DrgMaintainer::build(&refs, &matcher).assemble());
+    assert_eq!(built, want);
 }
 
 // ---------------------------------------------------------------------------
