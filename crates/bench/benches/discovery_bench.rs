@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use autofeat_data::csv::{read_csv_str, write_csv_str};
 use autofeat_data::{Column, Table};
-use autofeat_discovery::{ColumnProfile, MinHash, SchemaMatcher};
+use autofeat_graph::discovery::{ColumnProfile, MinHash, SchemaMatcher};
 
 fn table(name: &str, n_rows: usize, n_cols: usize, offset: i64) -> Table {
     let cols: Vec<(String, Column)> = (0..n_cols)

@@ -25,7 +25,7 @@ use autofeat_core::baselines::{
 use autofeat_core::{train_top_k, AutoFeat, AutoFeatConfig, MethodResult, SearchContext};
 use autofeat_datagen::registry::{table2_datasets, DatasetSpec};
 use autofeat_datagen::{Snowflake, lake::Lake};
-use autofeat_discovery::SchemaMatcher;
+use autofeat_graph::discovery::SchemaMatcher;
 use autofeat_ml::eval::ModelKind;
 
 /// Datasets used when `--full` is not given: the four cheapest of Table II.

@@ -1106,7 +1106,7 @@ mod tests {
     #[test]
     fn pre_cancelled_context_returns_ranked_partial_with_reason() {
         let ctx = chain_ctx(100);
-        ctx.cancel();
+        ctx.control().cancel();
         let result = AutoFeat::paper().discover(&ctx).unwrap();
         assert!(result.truncated);
         assert_eq!(result.truncation, Some(TruncationReason::Cancelled));

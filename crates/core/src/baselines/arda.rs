@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn cancelled_context_yields_base_only_result() {
         let c = ctx(120);
-        c.cancel();
+        c.control().cancel();
         let r = run_arda(&c, &[ModelKind::RandomForest], &ArdaConfig::default()).unwrap();
         assert_eq!(r.n_tables_joined, 0, "star join must wind down before joining");
     }

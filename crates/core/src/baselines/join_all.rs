@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn cancelled_context_stops_bfs_before_joining() {
         let c = ctx(120);
-        c.cancel();
+        c.control().cancel();
         let r = run_join_all(&c, &[ModelKind::RandomForest], &JoinAllConfig::default())
             .unwrap()
             .expect("feasible");

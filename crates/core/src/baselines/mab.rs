@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn cancelled_context_skips_all_pulls() {
         let c = ctx(120);
-        c.cancel();
+        c.control().cancel();
         let r = run_mab(&c, &[ModelKind::RandomForest], &MabConfig::default()).unwrap();
         assert_eq!(r.n_tables_joined, 0, "no pulls after cancellation");
     }

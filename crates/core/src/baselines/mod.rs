@@ -7,10 +7,10 @@
 //! context construction) bounds baseline memory exactly as it bounds
 //! discovery, with bit-identical results either way.
 
-pub mod arda;
-pub mod base;
-pub mod join_all;
-pub mod mab;
+mod arda;
+mod base;
+mod join_all;
+mod mab;
 
 pub use arda::{run_arda, ArdaConfig};
 pub use base::run_base;

@@ -164,7 +164,7 @@ impl AutoFeatConfig {
 
     /// Whether this run should collect a trace: the explicit `trace` flag,
     /// or a trace file named by `AUTOFEAT_TRACE`.
-    pub fn trace_enabled(&self) -> bool {
+    pub(crate) fn trace_enabled(&self) -> bool {
         self.trace || trace_file().is_some()
     }
 
@@ -181,7 +181,7 @@ impl AutoFeatConfig {
     /// The effective worker count: the explicit `threads` field when
     /// positive, else the `AUTOFEAT_THREADS` / auto-detect resolution of
     /// [`autofeat_data::parallel::n_workers`].
-    pub fn resolve_threads(&self) -> usize {
+    pub(crate) fn resolve_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {

@@ -9,7 +9,7 @@ use autofeat_data::csv::{read_csv_opts, CsvReadOptions, IngestDiagnostics};
 use autofeat_data::parallel::build_indexed;
 use autofeat_data::{DataError, FaultDomain, LakeIndexCache, Result, RunControl, Table};
 use autofeat_obs as obs;
-use autofeat_discovery::{ColumnProfile, SchemaMatcher};
+use autofeat_graph::discovery::{ColumnProfile, SchemaMatcher};
 use autofeat_graph::{Drg, DrgBuilder, DrgMaintainer};
 
 /// A lake file that could not be turned into a table, with the reason it was
@@ -295,10 +295,8 @@ impl SearchContext {
     /// maintainer stays resident as the context's mutable-lake state,
     /// so [`add_table`](SearchContext::add_table)/
     /// [`remove_table`](SearchContext::remove_table) splice incrementally.
-    /// Its footprint is owned lake metadata (charged like
-    /// [`Table::key_meta_bytes`], see
-    /// [`lake_index_bytes`](SearchContext::lake_index_bytes)), not cache
-    /// occupancy.
+    /// Its footprint is owned lake metadata (like
+    /// [`Table::key_meta_bytes`]), not cache occupancy.
     pub fn from_discovery(
         tables: Vec<Table>,
         matcher: &SchemaMatcher,
@@ -349,23 +347,6 @@ impl SearchContext {
     /// before any key metadata or index is built. O(total columns).
     pub fn lake_payload_bytes(&self) -> usize {
         self.latest().tables.values().map(|t| t.payload_bytes()).sum()
-    }
-
-    /// Whether this context owns mutable lake state (built via
-    /// [`from_discovery`](SearchContext::from_discovery)).
-    pub fn is_mutable(&self) -> bool {
-        self.lake.is_some()
-    }
-
-    /// Resident footprint of the lake's discovery metadata (column
-    /// profiles and the name-sim cache), in bytes. Zero for immutable
-    /// contexts. Like [`Table::key_meta_bytes`], this is owned lake state —
-    /// it is *not* governed by (or counted against) the join-index cache
-    /// budget.
-    pub fn lake_index_bytes(&self) -> usize {
-        self.lake.as_ref().map_or(0, |cell| {
-            cell.read().unwrap_or_else(|e| e.into_inner()).maintainer.resident_bytes()
-        })
     }
 
     fn lake_cell(&self) -> Result<&Arc<RwLock<LakeState>>> {
@@ -519,13 +500,6 @@ impl SearchContext {
         &self.faults
     }
 
-    /// Convenience for [`RunControl::cancel`] on the shared control: request
-    /// that every in-flight pipeline stage on this context wind down and
-    /// return its partial result.
-    pub fn cancel(&self) {
-        self.control.cancel();
-    }
-
     /// Feature columns of the base table: everything except the label.
     pub fn base_features(&self) -> Vec<String> {
         self.base_table()
@@ -587,7 +561,7 @@ mod tests {
         )
         .unwrap();
         let clone = ctx.clone();
-        clone.cancel();
+        clone.control().cancel();
         assert!(ctx.control().is_cancelled(), "clones share one control");
         // A view with a fresh control runs again; the lake's control stays
         // cancelled.
@@ -615,7 +589,7 @@ mod tests {
         // A request-scoped control detaches the view from the shared one.
         let scoped = ctx.control().scoped(None);
         let req = view.with_request_control(scoped);
-        req.cancel();
+        req.control().cancel();
         assert!(!ctx.control().is_cancelled(), "request cancel stays scoped");
     }
 
@@ -670,7 +644,6 @@ mod tests {
             "target",
         )
         .unwrap();
-        assert!(ctx.is_mutable());
         let snapshot = ctx.clone();
         ctx.add_table(extra_table("extra", 0)).unwrap();
         assert_eq!(snapshot.n_tables(), 2, "pre-mutation snapshot unchanged");
@@ -724,8 +697,6 @@ mod tests {
             "target",
         )
         .unwrap();
-        assert!(!ctx.is_mutable());
-        assert_eq!(ctx.lake_index_bytes(), 0);
         assert!(ctx.add_table(extra_table("extra", 0)).is_err());
         assert!(ctx.remove_table("ext").is_err());
     }
@@ -743,7 +714,6 @@ mod tests {
         assert!(ctx.remove_table("ghost").is_err(), "missing table");
         let dup = Table::new("ext", vec![("z", Column::from_ints([Some(1)]))]).unwrap();
         assert!(ctx.add_table(dup).is_err(), "duplicate name must be explicit");
-        assert!(ctx.lake_index_bytes() > 0, "discovery metadata is charged");
     }
 
     fn temp_lake(tag: &str) -> std::path::PathBuf {

@@ -75,7 +75,7 @@ pub fn materialize_path(
 /// under the same `table.` prefix, so later hops can still use it as a
 /// stepping stone. Returns the joined table and the distinct non-base
 /// tables joined.
-pub fn materialize_tree(
+pub(crate) fn materialize_tree(
     ctx: &SearchContext,
     start: &Table,
     paths: &[&JoinPath],

@@ -28,27 +28,27 @@
 //!
 //! ## Baselines (§VII-B)
 //!
-//! * [`baselines::base`] — the unaugmented base table;
-//! * [`baselines::arda`] — ARDA's random-injection feature selection over a
-//!   single-hop star join;
-//! * [`baselines::mab`] — the multi-armed-bandit augmenter (UCB1 over
+//! * [`baselines::run_base`] — the unaugmented base table;
+//! * [`baselines::run_arda`] — ARDA's random-injection feature selection
+//!   over a single-hop star join;
+//! * [`baselines::run_mab`] — the multi-armed-bandit augmenter (UCB1 over
 //!   same-name join candidates, model-accuracy reward);
-//! * [`baselines::join_all`] — JoinAll / JoinAll+F with the Eq. 3
+//! * [`baselines::run_join_all`] — JoinAll / JoinAll+F with the Eq. 3
 //!   feasibility guard.
 
 // Fail-soft discipline: non-test code must propagate errors, not unwrap.
 // CI runs clippy with `-D warnings`, so this is effectively a deny there.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod autofeat;
+mod autofeat;
 pub mod baselines;
-pub mod config;
-pub mod context;
+mod config;
+mod context;
 pub mod executor;
 pub mod ranking;
-pub mod report;
-pub mod seeding;
-pub mod service;
+mod report;
+mod seeding;
+mod service;
 pub mod train;
 
 pub use autofeat::{
@@ -64,7 +64,7 @@ pub use context::{load_lake_dir, LakeLoadReport, QuarantinedTable, SearchContext
 pub use executor::materialize_path;
 pub use ranking::compute_score;
 pub use report::{discovery_health_report, MethodResult};
-pub use seeding::{hop_seed, join_seed};
+pub use seeding::hop_seed;
 pub use service::{
     DiscoveryRequest, DiscoveryService, PreparedRequest, RequestLogRecord, RequestOutcome,
     ServiceStats, REQUEST_LOG_CAP,

@@ -57,7 +57,7 @@ pub fn hop_seed(seed: u64, prefix: &[JoinHop], hop: &JoinHop) -> u64 {
 /// Seed for a single direct join identified by its endpoints (the
 /// single-hop convenience used by baselines that join star- or BFS-wise
 /// rather than along enumerated paths).
-pub fn join_seed(
+pub(crate) fn join_seed(
     seed: u64,
     from_table: &str,
     from_column: &str,

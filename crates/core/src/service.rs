@@ -45,10 +45,9 @@
 //!   the registry's outcome counters plus a `peak_in_flight` high-water
 //!   mark;
 //! * [`metrics_snapshot`](DiscoveryService::metrics_snapshot) /
-//!   [`metrics_text`](DiscoveryService::metrics_text) /
-//!   [`metrics_json`](DiscoveryService::metrics_json) — the full registry
-//!   as a struct, Prometheus-style text, or stable-schema JSON
-//!   (`metrics.schema.json`);
+//!   [`metrics_text`](DiscoveryService::metrics_text) — the full registry
+//!   as a struct or as Prometheus-style text (`/metrics.json` below serves
+//!   the stable-schema JSON, `metrics.schema.json`);
 //! * [`serve_metrics`](DiscoveryService::serve_metrics) — an optional
 //!   std-only TCP listener serving `GET /metrics`, `/metrics.json`, and
 //!   `/healthz` from a background thread (the first brick of the
@@ -107,12 +106,6 @@ impl DiscoveryRequest {
         self
     }
 
-    /// Discover for this target column instead of the service default.
-    pub fn with_target(mut self, target: impl Into<String>) -> DiscoveryRequest {
-        self.target = Some(target.into());
-        self
-    }
-
     /// Use this configuration instead of the service's base config.
     pub fn with_config(mut self, config: AutoFeatConfig) -> DiscoveryRequest {
         self.config = Some(config);
@@ -138,7 +131,7 @@ pub enum RequestOutcome {
 impl RequestOutcome {
     /// Stable lower-case label (`"ok"`, `"truncated"`, …), used in the
     /// request log and metric names.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RequestOutcome::Ok => "ok",
             RequestOutcome::Truncated => "truncated",
@@ -534,7 +527,7 @@ pub struct DiscoveryService {
     ctx: SearchContext,
     base_config: AutoFeatConfig,
     /// Service-wide control: the parent of every request's scoped control.
-    /// This is the context's own handle, so `ctx.cancel()` and
+    /// This is the context's own handle, so `ctx.control().cancel()` and
     /// [`shutdown`](DiscoveryService::shutdown) are the same lever.
     control: Arc<RunControl>,
     telemetry: Arc<Telemetry>,
@@ -554,18 +547,6 @@ impl DiscoveryService {
         &self.ctx
     }
 
-    /// The default configuration applied to requests without their own.
-    pub fn base_config(&self) -> &AutoFeatConfig {
-        &self.base_config
-    }
-
-    /// The service-wide control. Cancelling it (equivalently:
-    /// [`shutdown`](DiscoveryService::shutdown)) interrupts every in-flight
-    /// and future request at its next cooperative checkpoint.
-    pub fn control(&self) -> &Arc<RunControl> {
-        &self.control
-    }
-
     /// Cancel the service-wide control: every in-flight request winds down
     /// to a valid ranked partial (anytime semantics, DESIGN.md §3h), and
     /// every later submit returns immediately with a cancelled truncation.
@@ -573,11 +554,6 @@ impl DiscoveryService {
     pub fn shutdown(&self) {
         self.control.cancel();
         self.telemetry.dump_request_log();
-    }
-
-    /// Has [`shutdown`](DiscoveryService::shutdown) been requested?
-    pub fn is_shut_down(&self) -> bool {
-        self.control.is_cancelled()
     }
 
     /// Point-in-time service counters, split by outcome.
@@ -612,12 +588,6 @@ impl DiscoveryService {
     /// Prometheus-style text exposition.
     pub fn metrics_text(&self) -> String {
         render_prometheus(&self.metrics_snapshot())
-    }
-
-    /// [`metrics_snapshot`](DiscoveryService::metrics_snapshot) rendered as
-    /// the stable JSON layout (`metrics.schema.json`).
-    pub fn metrics_json(&self) -> String {
-        render_json(&self.metrics_snapshot())
     }
 
     /// The bounded structured request log, oldest first (up to
@@ -734,11 +704,6 @@ impl PreparedRequest<'_> {
         &self.control
     }
 
-    /// The request-scoped context view this request will run against.
-    pub fn context(&self) -> &SearchContext {
-        &self.ctx
-    }
-
     /// Run the request on the calling thread.
     pub fn run(self) -> Result<DiscoveryResult> {
         let tel = &*self.service.telemetry;
@@ -833,7 +798,7 @@ mod tests {
         .unwrap();
         SearchContext::from_discovery(
             vec![base, sat],
-            &autofeat_discovery::SchemaMatcher::paper_default(),
+            &autofeat_graph::discovery::SchemaMatcher::paper_default(),
             "base",
             "target",
         )
@@ -901,7 +866,8 @@ mod tests {
     fn unknown_base_or_target_is_rejected() {
         let service = DiscoveryService::new(service_ctx(20), AutoFeatConfig::default());
         assert!(service.submit(&DiscoveryRequest::new().with_base("ghost")).is_err());
-        assert!(service.submit(&DiscoveryRequest::new().with_target("ghost")).is_err());
+        let ghost_target = DiscoveryRequest { target: Some("ghost".into()), ..DiscoveryRequest::new() };
+        assert!(service.submit(&ghost_target).is_err());
         let stats = service.stats();
         assert_eq!(stats.requests_served, 0, "rejected before running");
         assert_eq!(stats.requests_rejected, 2);
@@ -917,7 +883,6 @@ mod tests {
     fn shutdown_truncates_new_requests_but_stays_ok() {
         let service = DiscoveryService::new(service_ctx(30), AutoFeatConfig::default());
         service.shutdown();
-        assert!(service.is_shut_down());
         let r = service.submit(&DiscoveryRequest::new()).unwrap();
         assert_eq!(r.truncation, Some(TruncationReason::Cancelled), "anytime semantics");
         assert_eq!(service.stats().requests_cancelled, 1);
@@ -954,7 +919,7 @@ mod tests {
         assert_eq!(cancelled.truncation, Some(TruncationReason::Cancelled));
         let healthy = service.submit(&DiscoveryRequest::new()).unwrap();
         assert_eq!(healthy.truncation, None);
-        assert!(!service.is_shut_down());
+        assert!(!service.context().control().is_cancelled());
     }
 
     #[test]
@@ -1006,7 +971,7 @@ mod tests {
         let text = service.metrics_text();
         assert!(text.contains("autofeat_request_latency_seconds_p50"));
         assert!(text.contains("autofeat_requests_ok_total 3"));
-        let json = service.metrics_json();
+        let json = render_json(&snap);
         assert!(json.contains("\"schema_version\""));
     }
 }

@@ -19,7 +19,7 @@ use crate::executor::materialize_path;
 use crate::report::{mean_accuracy, MethodResult};
 
 /// Fraction of rows held out for testing (the paper's 80/20 split).
-pub const TEST_FRAC: f64 = 0.2;
+pub(crate) const TEST_FRAC: f64 = 0.2;
 
 /// Train every model on one table restricted to `features`, returning
 /// per-model test accuracies. Shared by AutoFeat and all baselines so the
@@ -265,7 +265,7 @@ mod tests {
         let c = ctx(300);
         let discovery = AutoFeat::paper().discover(&c).unwrap();
         assert!(!discovery.ranked.is_empty());
-        c.cancel();
+        c.control().cancel();
         let out = train_top_k(
             &c,
             &discovery,

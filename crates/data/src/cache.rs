@@ -99,12 +99,12 @@ use crate::table::Table;
 /// byte budget. Accepts plain bytes or a binary-suffixed size (`K`/`M`/`G`),
 /// e.g. `AUTOFEAT_CACHE_BUDGET=24M`. Unset, empty, or unparsable values
 /// leave the cache unbounded.
-pub const CACHE_BUDGET_ENV: &str = "AUTOFEAT_CACHE_BUDGET";
+pub(crate) const CACHE_BUDGET_ENV: &str = "AUTOFEAT_CACHE_BUDGET";
 
 /// Parse a byte-budget string: plain bytes (`"1048576"`) or a number with a
 /// case-insensitive binary suffix (`"512K"`, `"24M"`, `"2G"`, optionally
 /// `"24MiB"`/`"24MB"`). Returns `None` for empty or malformed input.
-pub fn parse_budget_bytes(s: &str) -> Option<u64> {
+pub(crate) fn parse_budget_bytes(s: &str) -> Option<u64> {
     let s = s.trim();
     if s.is_empty() {
         return None;
@@ -356,7 +356,7 @@ pub struct LakeIndexCache {
 
 impl Default for LakeIndexCache {
     /// Same as [`LakeIndexCache::new`]: the budget defaults from
-    /// [`CACHE_BUDGET_ENV`].
+    /// `AUTOFEAT_CACHE_BUDGET`.
     fn default() -> LakeIndexCache {
         LakeIndexCache::new()
     }
@@ -364,7 +364,7 @@ impl Default for LakeIndexCache {
 
 impl LakeIndexCache {
     /// Create an empty cache whose budget defaults from
-    /// [`CACHE_BUDGET_ENV`] (unbounded when unset). The env default means
+    /// `AUTOFEAT_CACHE_BUDGET` (unbounded when unset). The env default means
     /// every consumer of a fresh context — discovery, materialization, the
     /// baselines — honors an operator-imposed budget without any config
     /// plumbing. This is the one place the variable is read: after

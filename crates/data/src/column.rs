@@ -9,7 +9,7 @@ use crate::error::{DataError, Result};
 use crate::value::{float_key, DType, Key, Value};
 
 /// Row-map entry of a base row with no right-hand row: it reads as null.
-pub const NO_ROW: u32 = u32::MAX;
+pub(crate) const NO_ROW: u32 = u32::MAX;
 
 /// A cell type, and what its null slots hold.
 trait Cell: Clone + PartialEq {

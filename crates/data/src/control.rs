@@ -103,7 +103,7 @@ impl RunControl {
     }
 
     /// When cancellation was first requested (here or on a parent).
-    pub fn cancelled_at(&self) -> Option<Instant> {
+    pub(crate) fn cancelled_at(&self) -> Option<Instant> {
         let own = self.cancelled_at.get().copied();
         let parent = self.parent.as_ref().and_then(|p| p.cancelled_at());
         match (own, parent) {

@@ -372,7 +372,7 @@ fn dedupe_headers(
 ///
 /// One scan turns the text into borrowed cells, column-major; each column
 /// is then typed from its cells.
-pub fn read_csv_str_opts(name: &str, text: &str, opts: &CsvReadOptions) -> Result<CsvIngest> {
+pub(crate) fn read_csv_str_opts(name: &str, text: &str, opts: &CsvReadOptions) -> Result<CsvIngest> {
     let _span = obs::span("csv_parse");
     let mut diags = IngestDiagnostics::default();
     let max_samples = opts.max_issue_samples;

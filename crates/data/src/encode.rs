@@ -27,7 +27,7 @@ pub fn label_encode_column(col: &Column) -> Column {
 /// path (same first-appearance code assignment) without hashing a single
 /// cell. Callers obtain the dictionary via `Table::key_dict_for`, which
 /// already guarantees freshness.
-pub fn label_encode_column_with_dict(col: &Column, dict: Option<&KeyDict>) -> Column {
+pub(crate) fn label_encode_column_with_dict(col: &Column, dict: Option<&KeyDict>) -> Column {
     match col.dtype() {
         // Unchanged, and for a join's view still unread: the cells are
         // first touched by whoever extracts the numbers.
@@ -104,14 +104,6 @@ impl Matrix {
         self.cols.len()
     }
 
-    /// Number of distinct label values.
-    pub fn n_classes(&self) -> usize {
-        let mut v: Vec<i64> = self.labels.clone();
-        v.sort_unstable();
-        v.dedup();
-        v.len()
-    }
-
     /// Restrict to a subset of features by index.
     pub fn select_features(&self, idx: &[usize]) -> Matrix {
         Matrix {
@@ -119,20 +111,6 @@ impl Matrix {
             cols: idx.iter().map(|&j| self.cols[j].clone()).collect(),
             labels: self.labels.clone(),
             n_rows: self.n_rows,
-        }
-    }
-
-    /// Restrict to a subset of rows by index.
-    pub fn select_rows(&self, idx: &[usize]) -> Matrix {
-        Matrix {
-            feature_names: self.feature_names.clone(),
-            cols: self
-                .cols
-                .iter()
-                .map(|c| idx.iter().map(|&i| c[i]).collect())
-                .collect(),
-            labels: idx.iter().map(|&i| self.labels[i]).collect(),
-            n_rows: idx.len(),
         }
     }
 }
@@ -271,7 +249,6 @@ mod tests {
         let m = to_matrix(&table(), &["num", "cat", "flag"], "y").unwrap();
         assert_eq!(m.n_rows, 3); // last row has null label
         assert_eq!(m.labels, vec![0, 1, 0]);
-        assert_eq!(m.n_classes(), 2);
         assert_eq!(m.n_features(), 3);
     }
 
@@ -287,13 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn select_features_and_rows() {
+    fn select_features() {
         let m = to_matrix(&table(), &["num", "cat"], "y").unwrap();
         let mf = m.select_features(&[1]);
         assert_eq!(mf.feature_names, vec!["cat"]);
-        let mr = m.select_rows(&[0, 2]);
-        assert_eq!(mr.n_rows, 2);
-        assert_eq!(mr.labels, vec![0, 0]);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct TableFaults {
 
 impl TableFaults {
     /// No faults armed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.panic_on_row.is_none() && self.slow_join_ms.is_none()
     }
 }

@@ -10,7 +10,7 @@
 //! ## A join is a row map
 //!
 //! A hop does not gather the right table. It resolves, per base row, **one
-//! right row** (`u32`, [`NO_ROW`] = no match) in two passes over dense
+//! right row** (`u32`, `NO_ROW` = no match) in two passes over dense
 //! arrays — key → key group, then group → representative — and returns the
 //! right-hand columns as *views* `(source payload, row map)` that are read
 //! through the map (see [`Column`]). Left joins keep the base rows, so the
@@ -360,7 +360,7 @@ impl JoinIndex {
 
     /// Number of right-table rows indexed (including null-key rows, which
     /// are never indexed but were scanned).
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.n_rows
     }
 

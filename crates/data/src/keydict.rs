@@ -32,7 +32,7 @@ use crate::value::Key;
 /// Row-code sentinel for rows whose key is null (never a valid code: a
 /// column would need 2³² − 1 distinct keys to collide, beyond the row
 /// counts this engine targets).
-pub const NULL_CODE: u32 = u32::MAX;
+pub(crate) const NULL_CODE: u32 = u32::MAX;
 
 /// An empty slot of a probe table.
 const EMPTY: u32 = u32::MAX;
@@ -195,7 +195,7 @@ impl KeyDict {
     }
 
     /// Number of rows the dictionary was built over.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.codes.len()
     }
 
@@ -205,7 +205,7 @@ impl KeyDict {
     }
 
     /// The code of `key`, or `None` when the key never occurs.
-    pub fn code(&self, key: &Key) -> Option<u32> {
+    pub(crate) fn code(&self, key: &Key) -> Option<u32> {
         probe(&self.slots, stable_key_hash(key), |code| self.keys[code as usize] == *key).ok()
     }
 

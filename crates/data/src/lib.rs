@@ -9,7 +9,7 @@
 //!
 //! * typed, null-aware columns ([`Column`]) and tables ([`Table`]);
 //! * CSV ingestion with type inference ([`csv`]);
-//! * dictionary-encoded join-key domains ([`keydict`]), attached at ingest
+//! * dictionary-encoded join-key domains ([`KeyDict`]), attached at ingest
 //!   and built for a column when a join is first keyed on it: dense `u32`
 //!   codes with permutation-stable assignment, so index builds and encodes
 //!   run over code arithmetic instead of per-row key hashing;
@@ -28,7 +28,7 @@
 //!   per item/row block ([`control`]) — per-lake runtime fault domains for
 //!   resilience tests ([`faults`]), and the request scope that carries both,
 //!   with the cache recorder and the tracer, to whichever thread works for a
-//!   request ([`scope`]).
+//!   request ([`RequestScope`]).
 //!
 //! Randomized operations either take an explicit [`rand::rngs::StdRng`]
 //! (sampling, splitting) or an explicit `u64` seed (join normalization,
@@ -41,31 +41,29 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod cache;
-pub mod column;
+mod column;
 pub mod control;
 pub mod csv;
 pub mod encode;
-pub mod error;
+mod error;
 pub mod faults;
 pub mod join;
-pub mod keydict;
+mod keydict;
 pub mod parallel;
 pub mod sample;
-pub mod schema;
-pub mod scope;
+mod schema;
+mod scope;
 pub mod stable_hash;
 pub mod stats;
-pub mod table;
-pub mod value;
+mod table;
+mod value;
 
-pub use cache::{parse_budget_bytes, CacheRecorder, CacheStats, LakeIndexCache, CACHE_BUDGET_ENV};
+pub use cache::{CacheRecorder, CacheStats, LakeIndexCache};
 pub use column::Column;
 pub use control::{Interrupt, RunControl};
 pub use error::{DataError, Result};
 pub use faults::FaultDomain;
-pub use keydict::{KeyDict, NULL_CODE};
-pub use parallel::WorkerPool;
-pub use schema::{Field, Schema};
+pub use keydict::KeyDict;
 pub use scope::RequestScope;
 pub use table::Table;
 pub use value::{DType, Key, Value};

@@ -40,7 +40,7 @@ use crate::scope::RequestScope;
 /// Parse an `AUTOFEAT_THREADS`-style value: a positive integer is an
 /// explicit count; `0`, `None`, or unparsable input means auto-detect via
 /// `available_parallelism`.
-pub fn parse_worker_count(raw: Option<&str>) -> usize {
+pub(crate) fn parse_worker_count(raw: Option<&str>) -> usize {
     match raw.and_then(|v| v.trim().parse::<usize>().ok()) {
         Some(n) if n > 0 => n,
         // 0 or absent/invalid = auto.
@@ -68,16 +68,6 @@ pub enum ItemOutcome<T> {
     /// The item was never run: the [`RunControl`] was interrupted before
     /// its turn.
     Skipped(Interrupt),
-}
-
-impl<T> ItemOutcome<T> {
-    /// The value, if the item completed.
-    pub fn done(self) -> Option<T> {
-        match self {
-            ItemOutcome::Done(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// A caught worker panic, with enough context to act on: which item, in
@@ -319,7 +309,7 @@ where
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A pool of long-lived worker threads fed from one shared queue. It only
-/// grows ([`WorkerPool::grow_to`]): the process-wide [`shared_pool`] ends up
+/// grows (`WorkerPool::grow_to`): the process-wide [`shared_pool`] ends up
 /// as large as the largest number of helpers any caller has asked for.
 ///
 /// Built for the serving path: every discovery request fans its per-level
@@ -380,7 +370,7 @@ impl Drop for CloseOnDrop {
 impl WorkerPool {
     /// Spawn a pool of `size` worker threads; [`WorkerPool::grow_to`] adds
     /// more.
-    pub fn new(size: usize) -> WorkerPool {
+    pub(crate) fn new(size: usize) -> WorkerPool {
         let pool = WorkerPool {
             inner: Arc::new(PoolShared {
                 queue: Mutex::new(VecDeque::new()),
@@ -395,7 +385,7 @@ impl WorkerPool {
     }
 
     /// Spawn workers until there are at least `size` of them.
-    pub fn grow_to(&self, size: usize) {
+    pub(crate) fn grow_to(&self, size: usize) {
         let mut handles = relock(&self.handles);
         for i in handles.len()..size {
             let shared = Arc::clone(&self.inner);
@@ -581,6 +571,16 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use std::thread::ThreadId;
+
+    impl<T> ItemOutcome<T> {
+        /// The value, if the item completed.
+        fn done(self) -> Option<T> {
+            match self {
+                ItemOutcome::Done(v) => Some(v),
+                _ => None,
+            }
+        }
+    }
 
     /// The fan-out's outcomes as a vector, checking on the way what every
     /// caller relies on: `consume` sees each index once, ascending, on the

@@ -1,4 +1,4 @@
-//! Schemas: ordered collections of named, typed fields.
+//! Field descriptors: a table column's name and type.
 
 use crate::value::DType;
 
@@ -13,75 +13,7 @@ pub struct Field {
 
 impl Field {
     /// Construct a field.
-    pub fn new(name: impl Into<String>, dtype: DType) -> Self {
+    pub(crate) fn new(name: impl Into<String>, dtype: DType) -> Self {
         Field { name: name.into(), dtype }
-    }
-}
-
-/// An ordered list of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Schema {
-    fields: Vec<Field>,
-}
-
-impl Schema {
-    /// Build a schema from fields.
-    pub fn new(fields: Vec<Field>) -> Self {
-        Schema { fields }
-    }
-
-    /// The fields in order.
-    pub fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
-    /// Number of fields.
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Whether the schema has no fields.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-
-    /// Index of a field by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
-    /// Field by name.
-    pub fn field(&self, name: &str) -> Option<&Field> {
-        self.fields.iter().find(|f| f.name == name)
-    }
-
-    /// All field names in order.
-    pub fn names(&self) -> Vec<&str> {
-        self.fields.iter().map(|f| f.name.as_str()).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn index_and_lookup() {
-        let s = Schema::new(vec![
-            Field::new("a", DType::Int),
-            Field::new("b", DType::Str),
-        ]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.index_of("b"), Some(1));
-        assert_eq!(s.index_of("z"), None);
-        assert_eq!(s.field("a").unwrap().dtype, DType::Int);
-        assert_eq!(s.names(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn empty_schema() {
-        let s = Schema::default();
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
     }
 }

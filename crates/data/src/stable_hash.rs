@@ -43,16 +43,6 @@ impl Hasher for StableHasher {
     }
 }
 
-/// Hash one string with a seed — convenience for call sites that would
-/// otherwise build a hasher for a single field.
-pub fn stable_hash_str(seed: u64, s: &str) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(seed);
-    h.write(s.as_bytes());
-    h.write_u8(0xff); // length terminator, as std's str hashing does
-    h.finish()
-}
-
 /// Bit-mix a pair of `u64`s into one (SplitMix64 finalizer over the XOR of
 /// the rotated halves). Used to fold derived seeds together cheaply.
 pub fn mix_u64(a: u64, b: u64) -> u64 {
@@ -86,13 +76,6 @@ mod tests {
         };
         assert_eq!(digest("join-path"), digest("join-path"));
         assert_ne!(digest("join-path"), digest("join-patH"));
-    }
-
-    #[test]
-    fn seeded_str_hash_varies_with_seed_and_content() {
-        assert_ne!(stable_hash_str(1, "x"), stable_hash_str(2, "x"));
-        assert_ne!(stable_hash_str(1, "x"), stable_hash_str(1, "y"));
-        assert_eq!(stable_hash_str(7, "x"), stable_hash_str(7, "x"));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use autofeat_obs as obs;
 use crate::column::Column;
 use crate::error::{DataError, Result};
 use crate::keydict::KeyDict;
-use crate::schema::{Field, Schema};
+use crate::schema::Field;
 use crate::stable_hash::StableHasher;
 use crate::value::Value;
 
@@ -96,17 +96,6 @@ impl Table {
             cols.push(col);
         }
         Ok(Table { name, fields, columns: cols, index, key_meta: None })
-    }
-
-    /// An empty table (zero columns, zero rows).
-    pub fn empty(name: impl Into<String>) -> Self {
-        Table {
-            name: name.into(),
-            fields: Vec::new(),
-            columns: Vec::new(),
-            index: HashMap::new(),
-            key_meta: None,
-        }
     }
 
     /// Attach key metadata: an empty dictionary cell per column and an
@@ -243,11 +232,6 @@ impl Table {
         self.columns.len()
     }
 
-    /// The schema (field list) of the table.
-    pub fn schema(&self) -> Schema {
-        Schema::new(self.fields.clone())
-    }
-
     /// Column names in order.
     pub fn column_names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
@@ -369,17 +353,6 @@ impl Table {
             .map(|(f, c)| (f.name.clone(), c.take(indices)))
             .collect();
         Table::new(self.name.clone(), cols).expect("take preserves invariants")
-    }
-
-    /// Overall fraction of null cells across the whole table (zero when the
-    /// table has no cells).
-    pub fn null_ratio(&self) -> f64 {
-        let cells = self.n_rows() * self.n_cols();
-        if cells == 0 {
-            return 0.0;
-        }
-        let nulls: usize = self.columns.iter().map(Column::null_count).sum();
-        nulls as f64 / cells as f64
     }
 
     /// Replace a column's data in place (same length required).
@@ -555,14 +528,6 @@ mod tests {
         let t = sample().take(&[2, 0]);
         assert_eq!(t.value("id", 0).unwrap(), Value::Int(3));
         assert_eq!(t.n_rows(), 2);
-    }
-
-    #[test]
-    fn null_ratio_counts_all_cells() {
-        let t = sample();
-        // 2 nulls out of 9 cells
-        assert!((t.null_ratio() - 2.0 / 9.0).abs() < 1e-12);
-        assert_eq!(Table::empty("e").null_ratio(), 0.0);
     }
 
     #[test]

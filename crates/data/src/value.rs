@@ -19,7 +19,7 @@ pub enum DType {
 
 impl DType {
     /// Human-readable name of the type.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DType::Int => "int",
             DType::Float => "float",
@@ -29,7 +29,7 @@ impl DType {
     }
 
     /// Whether the type is numeric (int or float).
-    pub fn is_numeric(self) -> bool {
+    pub(crate) fn is_numeric(self) -> bool {
         matches!(self, DType::Int | DType::Float)
     }
 }
@@ -73,7 +73,7 @@ impl Value {
     }
 
     /// The data type of the value, if non-null.
-    pub fn dtype(&self) -> Option<DType> {
+    pub(crate) fn dtype(&self) -> Option<DType> {
         match self {
             Value::Null => None,
             Value::Int(_) => Some(DType::Int),

@@ -24,12 +24,12 @@
 //! 4. [`registry`] reproduces the *shape* of the paper's evaluation corpus:
 //!    the 8 datasets of Table II and the 6 feature-selection-study datasets
 //!    of §V, scaled to laptop-friendly sizes (documented per entry).
-//! 5. [`corruptor`] deterministically injects *file-level* faults (truncated
+//! 5. [`FaultInjector`] deterministically injects *file-level* faults (truncated
 //!    or ragged CSV rows, empty tables, all-null columns, NaN floats,
 //!    dangling join keys, duplicate headers) into a serialized lake — the
 //!    harness behind the fail-soft ingestion and discovery tests.
 
-pub mod corruptor;
+mod corruptor;
 pub mod generator;
 pub mod lake;
 pub mod registry;

@@ -62,7 +62,7 @@ impl DatasetSpec {
     }
 
     /// Generate the wide ground truth.
-    pub fn build_ground_truth(&self) -> GroundTruth {
+    pub(crate) fn build_ground_truth(&self) -> GroundTruth {
         generate(&self.ground_truth_config())
     }
 

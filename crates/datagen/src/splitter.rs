@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use autofeat_data::{Column, Table, Value};
+use autofeat_data::{Column, Table};
 use autofeat_graph::{Drg, DrgBuilder};
 
 use crate::generator::GroundTruth;
@@ -309,34 +309,11 @@ pub fn split(gt: &GroundTruth, config: &SnowflakeConfig) -> Snowflake {
     Snowflake { base, satellites, kfk, label: gt.label.clone(), depth, placement }
 }
 
-/// Quick validity check used in tests and examples: joining every KFK edge
-/// back together must reconstruct each ground-truth row's feature values
-/// for the rows whose keys survived.
-pub fn verify_keys(sf: &Snowflake) -> bool {
-    // Each satellite PK must be unique per ground row before duplication;
-    // duplicates share values. Here we just sanity-check disjoint key ranges.
-    let mut ranges: Vec<(i64, i64)> = Vec::new();
-    for t in &sf.satellites {
-        let pk = t.column_names()[0].to_string();
-        let col = t.column(&pk).expect("pk exists");
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
-        for i in 0..col.len() {
-            if let Value::Int(v) = col.get(i) {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        ranges.push((lo, hi));
-    }
-    ranges.sort_unstable();
-    ranges.windows(2).all(|w| w[0].1 < w[1].0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate, GroundTruthConfig};
+    use autofeat_data::Value;
 
     fn snowflake() -> Snowflake {
         let gt = generate(&GroundTruthConfig { n_rows: 300, ..Default::default() });
@@ -381,7 +358,24 @@ mod tests {
 
     #[test]
     fn key_ranges_are_disjoint() {
-        assert!(verify_keys(&snowflake()));
+        // Each satellite's primary keys occupy a range no other satellite's
+        // keys overlap.
+        let sf = snowflake();
+        let mut ranges: Vec<(i64, i64)> = Vec::new();
+        for t in &sf.satellites {
+            let col = t.column(t.column_names()[0]).expect("pk exists");
+            let mut lo = i64::MAX;
+            let mut hi = i64::MIN;
+            for i in 0..col.len() {
+                if let Value::Int(v) = col.get(i) {
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                }
+            }
+            ranges.push((lo, hi));
+        }
+        ranges.sort_unstable();
+        assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "{ranges:?}");
     }
 
     #[test]

@@ -98,8 +98,22 @@ impl Drg {
     }
 
     /// Edge ids incident to a node.
-    pub fn incident(&self, node: NodeId) -> &[EdgeId] {
+    pub(crate) fn incident(&self, node: NodeId) -> &[EdgeId] {
         &self.adjacency[node.0]
+    }
+
+    /// Whether every adjacency list holds exactly its node's incident edge
+    /// ids, ascending: an edge once under each endpoint, and once in all
+    /// for a self-join.
+    fn adjacency_is_exact(&self) -> bool {
+        let mut incident = vec![Vec::new(); self.tables.len()];
+        for (i, e) in self.edges.iter().enumerate() {
+            incident[e.a.0].push(EdgeId(i));
+            if e.b != e.a {
+                incident[e.b.0].push(EdgeId(i));
+            }
+        }
+        incident == self.adjacency
     }
 
     /// Neighbours of a node, grouped per neighbouring table: returns
@@ -215,6 +229,7 @@ impl DrgBuilder {
 
     /// Finish building.
     pub fn build(self) -> Drg {
+        debug_assert!(self.drg.adjacency_is_exact(), "a DRG adjacency list is not its node's incident edges");
         self.drg
     }
 }
@@ -307,6 +322,20 @@ mod tests {
         let x = g.node("x").unwrap();
         let nbrs = g.neighbours(x);
         assert_eq!(g.best_edges(&nbrs[0].1).len(), 2);
+    }
+
+    #[test]
+    fn a_self_join_is_incident_once() {
+        let mut b = DrgBuilder::new();
+        b.add_kfk("emp", "manager_id", "emp", "id");
+        b.add_kfk("emp", "dept_id", "dept", "id");
+        let g = b.build();
+        let emp = g.node("emp").unwrap();
+        let dept = g.node("dept").unwrap();
+        assert_eq!(g.incident(emp), &[EdgeId(0), EdgeId(1)], "the self-loop is listed once");
+        assert_eq!(g.incident(dept), &[EdgeId(1)]);
+        assert_eq!(g.neighbours(emp), vec![(emp, vec![EdgeId(0)]), (dept, vec![EdgeId(1)])]);
+        assert_eq!(g.edge(EdgeId(0)).oriented_from(emp), Some((emp, "manager_id", "id")));
     }
 
     #[test]

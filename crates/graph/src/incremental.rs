@@ -32,11 +32,11 @@
 use std::collections::{BTreeMap, HashMap};
 
 use autofeat_data::Table;
-use autofeat_discovery::name_sim::name_similarity;
-use autofeat_discovery::{ColumnMatch, ColumnProfile, SchemaMatcher};
 use autofeat_obs as obs;
 
-use crate::drg::{Drg, DrgBuilder};
+use crate::discovery::name_sim::name_similarity;
+use crate::discovery::{ColumnMatch, ColumnProfile, SchemaMatcher};
+use crate::drg::{Drg, DrgBuilder, JoinEdge};
 
 /// `(lo, hi)` name pair (ordered, nested) → similarity.
 type NameSims = HashMap<String, HashMap<String, f64>>;
@@ -76,26 +76,6 @@ impl DrgMaintainer {
             m.add_table(t);
         }
         m
-    }
-
-    /// The matcher this maintainer scores with.
-    pub fn matcher(&self) -> &SchemaMatcher {
-        &self.matcher
-    }
-
-    /// Number of resident tables.
-    pub fn n_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether `name` is resident.
-    pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
-    /// Resident table names in sorted order.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
     }
 
     /// Profile a table and add it (replacing any previous table of the
@@ -155,6 +135,7 @@ impl DrgMaintainer {
             }
         }
         let drg = b.build();
+        debug_assert!(self.is_canonical(&drg), "the assembled DRG is not in canonical order");
         obs::add("graph.nodes", drg.n_nodes() as u64);
         obs::add("graph.edges_added", drg.n_edges() as u64);
         drg
@@ -182,18 +163,26 @@ impl DrgMaintainer {
         })
     }
 
-    /// Rough resident footprint in bytes: profiles and the name-sim cache.
-    /// Charged by `SearchContext` like key metadata (lake state, not
-    /// cache-budget occupancy).
-    pub fn resident_bytes(&self) -> usize {
-        let profile_bytes: usize =
-            self.tables.values().flatten().map(ColumnProfile::resident_bytes).sum();
-        let name_bytes: usize = self
-            .name_sims
-            .iter()
-            .map(|(k, m)| k.len() + 48 + m.keys().map(|n| n.len() + 40).sum::<usize>())
-            .sum();
-        profile_bytes + name_bytes
+    /// Whether `drg` is in canonical order: nodes by ascending table name,
+    /// then edges grouped by ascending `(a, b)` table-name pair, each group
+    /// its pair's stored match list in matcher order.
+    fn is_canonical(&self, drg: &Drg) -> bool {
+        let names: Vec<&str> = drg.nodes().map(|n| drg.table_name(n)).collect();
+        let pair = |e: &JoinEdge| (drg.table_name(e.a), drg.table_name(e.b));
+        let group_is_list = |group: &[JoinEdge]| {
+            let (a, b) = pair(&group[0]);
+            self.pair_matches.get(&(a.to_string(), b.to_string())).is_some_and(|list| {
+                list.len() == group.len()
+                    && list.iter().zip(group).all(|(m, e)| {
+                        (&m.left_column, &m.right_column, m.score.to_bits())
+                            == (&e.a_column, &e.b_column, e.weight.to_bits())
+                    })
+            })
+        };
+        names.windows(2).all(|w| w[0] < w[1])
+            && drg.edges().windows(2).all(|w| pair(&w[0]) <= pair(&w[1]))
+            && drg.edges().chunk_by(|x, y| pair(x) == pair(y)).all(group_is_list)
+            && drg.n_edges() == self.pair_matches.values().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -368,7 +357,7 @@ mod tests {
         let matcher = SchemaMatcher::paper_default();
         let mut m = DrgMaintainer::new(matcher);
         assert!(!m.remove_table("nope"));
-        assert_eq!(m.n_tables(), 0);
+        assert!(m.tables.is_empty());
     }
 
     #[test]
@@ -382,15 +371,6 @@ mod tests {
         // Replace `other` with a disjoint-valued version: the edge must go.
         m.add_table(&table("other", vec![("zq", ints(50_000..50_100))]));
         assert_eq!(m.assemble().n_edges(), 0);
-        assert_eq!(m.n_tables(), 2);
-    }
-
-    #[test]
-    fn resident_bytes_is_nonzero_and_grows() {
-        let matcher = SchemaMatcher::paper_default();
-        let mut m = DrgMaintainer::new(matcher);
-        let empty = m.resident_bytes();
-        m.add_table(&table("t", vec![("k", ints(0..500))]));
-        assert!(m.resident_bytes() > empty);
+        assert_eq!(m.tables.len(), 2);
     }
 }

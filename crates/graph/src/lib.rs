@@ -7,15 +7,20 @@
 //!
 //! Provides:
 //!
-//! * the graph structure and builder ([`drg`]);
-//! * join paths and hops ([`path`]);
+//! * the dataset-discovery matcher that proposes the data-lake setting's
+//!   edges ([`discovery`]);
+//! * the graph structure and its builder ([`Drg`], [`DrgBuilder`]), and
+//!   the maintainer that keeps a discovered DRG current as tables come and
+//!   go ([`DrgMaintainer`]);
+//! * join paths and hops ([`JoinPath`], [`JoinHop`]);
 //! * BFS level-order traversal and acyclic path enumeration
 //!   ([`traversal`]), including the `JoinAll` path-count formula (Eq. 3)
 //!   that explains why exhaustive joining is infeasible on dense graphs.
 
-pub mod drg;
-pub mod incremental;
-pub mod path;
+pub mod discovery;
+mod drg;
+mod incremental;
+mod path;
 pub mod traversal;
 
 pub use drg::{Drg, DrgBuilder, EdgeId, EdgeProvenance, JoinEdge, NodeId};

@@ -65,11 +65,6 @@ impl JoinPath {
         self.hops.is_empty()
     }
 
-    /// The base table, if the path has any hop.
-    pub fn base_table(&self) -> Option<&str> {
-        self.hops.first().map(|h| h.from_table.as_str())
-    }
-
     /// The table reached by the final hop.
     pub fn last_table(&self) -> Option<&str> {
         self.hops.last().map(|h| h.to_table.as_str())
@@ -146,7 +141,6 @@ mod tests {
     fn length_and_tables() {
         let p = two_hop();
         assert_eq!(p.len(), 2);
-        assert_eq!(p.base_table(), Some("applicants"));
         assert_eq!(p.last_table(), Some("loans"));
         assert_eq!(p.tables(), vec!["applicants", "credit", "loans"]);
     }

@@ -1,8 +1,8 @@
 //! Discretization of continuous features for entropy estimation.
 //!
 //! Mutual-information estimators operate on discrete codes. Continuous
-//! features are binned with equal-frequency binning by default (robust to
-//! skew); equal-width binning is available as an alternative. Missing values
+//! features are binned with equal-frequency binning (robust to skew).
+//! Missing values
 //! (`NaN`) get the column's own extra bin `n_bins`, which the estimators fill
 //! like any other and leave out when they read the table (pairwise deletion).
 
@@ -218,26 +218,6 @@ fn covers_present_rows(
     }) && order.len() == values.iter().filter(|x| x.is_finite()).count()
 }
 
-/// Equal-width binning into `n_bins` bins (at most [`MAX_BINS`]) over
-/// `[min, max]`.
-pub fn discretize_equal_width(values: &[f64], n_bins: u32) -> Discretized {
-    assert!(n_bins >= 1, "n_bins must be >= 1");
-    let n_bins = n_bins.min(MAX_BINS);
-    let present = || values.iter().copied().filter(|x| x.is_finite());
-    if present().next().is_none() {
-        return Discretized::from_values(values, 0, |_| 0);
-    }
-    let min = present().fold(f64::INFINITY, f64::min);
-    let max = present().fold(f64::NEG_INFINITY, f64::max);
-    if min == max {
-        return Discretized::from_values(values, 1, |_| 0);
-    }
-    let width = (max - min) / n_bins as f64;
-    Discretized::from_values(values, n_bins, |x| {
-        (((x - min) / width) as u32).min(n_bins - 1) as usize
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,29 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn equal_width_boundaries() {
-        let d = discretize_equal_width(&[0.0, 2.5, 5.0, 7.5, 10.0], 2);
-        assert_eq!(codes(&d), vec![Some(0), Some(0), Some(1), Some(1), Some(1)]);
-    }
-
-    #[test]
-    fn equal_width_constant_column() {
-        let d = discretize_equal_width(&[3.0, 3.0, f64::NAN], 4);
-        assert_eq!(d.n_bins(), 1);
-        assert_eq!(codes(&d), vec![Some(0), Some(0), None]);
-    }
-
-    #[test]
     fn from_codes_compacts() {
         let d = Discretized::from_codes([Some(10), Some(-5), None, Some(10)]);
         assert_eq!(d.n_bins(), 2);
         assert_eq!(codes(&d), vec![Some(1), Some(0), None, Some(1)]);
-    }
-
-    #[test]
-    fn max_value_in_last_bin() {
-        let values: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let d = discretize_equal_width(&values, 3);
-        assert_eq!(d.code(9), Some(2));
     }
 }

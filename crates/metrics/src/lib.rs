@@ -32,15 +32,9 @@ pub mod relevance;
 pub mod selection;
 pub mod streaming;
 
-pub use discretize::{discretize_equal_frequency, discretize_equal_width, Discretized, MAX_BINS};
-pub use entropy::{conditional_entropy, entropy, joint_entropy};
-pub use mi::{conditional_mutual_information, mutual_information};
+pub use discretize::{discretize_equal_frequency, Discretized, MAX_BINS};
 pub use redundancy::{RedundancyMethod, RedundancyScorer};
 pub use relevance::{
     InformationGain, Pearson, Relevance, RelevanceMethod, Relief, Spearman,
     SymmetricalUncertainty,
-};
-pub use streaming::{BatchOutcome, RelevanceStage, StreamingSelector};
-pub use selection::{
-    select_k_best, select_k_best_binned, select_non_redundant, SelectedFeature, SelectedSet,
 };

@@ -85,11 +85,6 @@ impl RedundancyScorer {
         RedundancyScorer { method }
     }
 
-    /// The configured method.
-    pub fn method(&self) -> RedundancyMethod {
-        self.method
-    }
-
     /// Compute `J(X_k)` for a candidate given the selected set `S` and the
     /// labels, all pre-discretized.
     ///

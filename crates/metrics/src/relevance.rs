@@ -342,7 +342,7 @@ impl Default for Relief {
 
 impl Relief {
     /// Weight every feature; higher = more relevant, can be negative.
-    pub fn scores(&self, features: &[Vec<f64>], labels: &[i64]) -> Vec<f64> {
+    pub(crate) fn scores(&self, features: &[Vec<f64>], labels: &[i64]) -> Vec<f64> {
         let n_feat = features.len();
         if n_feat == 0 {
             return Vec::new();

@@ -131,11 +131,11 @@ impl SelectedSet {
     }
 
     /// The selected names, in selection order.
-    pub fn names(&self) -> &[String] {
+    pub(crate) fn names(&self) -> &[String] {
         &self.names
     }
 
-    /// The selected features' codes, in step with [`SelectedSet::names`].
+    /// The selected features' codes, in step with `names`.
     pub fn codes(&self) -> &[Discretized] {
         &self.codes
     }

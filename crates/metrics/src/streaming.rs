@@ -142,11 +142,11 @@ impl StreamingSelector {
     }
 
     /// [`RelevanceStage::relevance`] of this selector's stage.
-    pub fn relevance(&self, batch: &[Vec<f64>]) -> (Vec<SelectedFeature>, Vec<Discretized>) {
+    pub(crate) fn relevance(&self, batch: &[Vec<f64>]) -> (Vec<SelectedFeature>, Vec<Discretized>) {
         self.stage.relevance(batch)
     }
 
-    /// Redundancy analysis of what [`StreamingSelector::relevance`] picked
+    /// Redundancy analysis of what `relevance` picked
     /// from a batch whose features are called `names`, and the `R_sel`
     /// update (Algorithm 1, line 18): the kept codes move in when the batch
     /// is done — a name that is already there keeps its place and takes the
@@ -188,7 +188,7 @@ impl StreamingSelector {
     }
 
     /// Offer a batch — `data[i]` is the feature called `names[i]` — to both
-    /// analyses: [`StreamingSelector::relevance`], then
+    /// analyses: `relevance`, then
     /// [`StreamingSelector::admit`].
     pub fn offer(&mut self, names: &[String], data: &[Vec<f64>]) -> BatchOutcome {
         assert_eq!(names.len(), data.len(), "one name per feature");

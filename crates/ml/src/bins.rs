@@ -33,7 +33,6 @@ struct BinnedFeature {
 pub struct BinnedMatrix {
     features: Vec<BinnedFeature>,
     means: FeatureMeans,
-    n_rows: usize,
 }
 
 impl BinnedMatrix {
@@ -47,21 +46,16 @@ impl BinnedMatrix {
             .enumerate()
             .map(|(j, col)| bin_feature(col, |x| means.imputed(j, x)))
             .collect();
-        BinnedMatrix { features, means, n_rows: data.n_rows }
-    }
-
-    /// Rows binned.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
+        BinnedMatrix { features, means }
     }
 
     /// Features binned.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.features.len()
     }
 
     /// The means the matrix was imputed with.
-    pub fn means(&self) -> &FeatureMeans {
+    pub(crate) fn means(&self) -> &FeatureMeans {
         &self.means
     }
 

@@ -6,14 +6,14 @@ use autofeat_data::encode::Matrix;
 /// Per-feature means learned at fit time, used to fill `NaN`s at predict
 /// time so train and test see a consistent imputation.
 #[derive(Debug, Clone, Default)]
-pub struct FeatureMeans {
+pub(crate) struct FeatureMeans {
     means: Vec<f64>,
 }
 
 impl FeatureMeans {
     /// Learn means from the training matrix (NaNs excluded; all-NaN
     /// features get 0).
-    pub fn fit(data: &Matrix) -> Self {
+    pub(crate) fn fit(data: &Matrix) -> Self {
         let means = data
             .cols
             .iter()
@@ -36,13 +36,8 @@ impl FeatureMeans {
         FeatureMeans { means }
     }
 
-    /// The learned means.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
     /// `value`, or the feature's mean where it is missing.
-    pub fn imputed(&self, feature: usize, value: f64) -> f64 {
+    pub(crate) fn imputed(&self, feature: usize, value: f64) -> f64 {
         if value.is_finite() {
             value
         } else {
@@ -50,32 +45,17 @@ impl FeatureMeans {
         }
     }
 
-    /// Fill NaNs in a matrix (column count must match).
-    pub fn transform(&self, data: &Matrix) -> Matrix {
-        assert_eq!(data.cols.len(), self.means.len(), "feature count mismatch");
-        let cols = data
-            .cols
-            .iter()
-            .zip(&self.means)
-            .map(|(col, &m)| {
-                col.iter()
-                    .map(|&v| if v.is_finite() { v } else { m })
-                    .collect()
-            })
-            .collect();
-        Matrix { feature_names: data.feature_names.clone(), cols, labels: data.labels.clone(), n_rows: data.n_rows }
-    }
 }
 
 /// Z-score standardizer (mean 0, unit variance; constant features map to 0).
 #[derive(Debug, Clone, Default)]
-pub struct Standardizer {
+pub(crate) struct Standardizer {
     means: Vec<f64>,
     stds: Vec<f64>,
 }
 
 /// Fit a standardizer on a matrix (NaNs ignored during fitting).
-pub fn standardize_fit(data: &Matrix) -> Standardizer {
+pub(crate) fn standardize_fit(data: &Matrix) -> Standardizer {
     let mut means = Vec::with_capacity(data.cols.len());
     let mut stds = Vec::with_capacity(data.cols.len());
     for col in &data.cols {
@@ -91,7 +71,7 @@ pub fn standardize_fit(data: &Matrix) -> Standardizer {
 
 impl Standardizer {
     /// Standardize a matrix; NaNs become 0 (the mean) after scaling.
-    pub fn transform(&self, data: &Matrix) -> Matrix {
+    pub(crate) fn transform(&self, data: &Matrix) -> Matrix {
         assert_eq!(data.cols.len(), self.means.len(), "feature count mismatch");
         let cols = data
             .cols
@@ -130,16 +110,16 @@ mod tests {
     fn means_skip_nan() {
         let m = matrix(vec![vec![1.0, f64::NAN, 3.0]], vec![0, 1, 0]);
         let fm = FeatureMeans::fit(&m);
-        assert_eq!(fm.means(), &[2.0]);
-        let t = fm.transform(&m);
-        assert_eq!(t.cols[0], vec![1.0, 2.0, 3.0]);
+        assert_eq!(fm.means, [2.0]);
+        let filled: Vec<f64> = m.cols[0].iter().map(|&x| fm.imputed(0, x)).collect();
+        assert_eq!(filled, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn all_nan_feature_gets_zero() {
         let m = matrix(vec![vec![f64::NAN, f64::NAN]], vec![0, 1]);
         let fm = FeatureMeans::fit(&m);
-        assert_eq!(fm.means(), &[0.0]);
+        assert_eq!(fm.means, [0.0]);
     }
 
     #[test]

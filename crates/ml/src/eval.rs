@@ -14,7 +14,7 @@ pub enum MlError {
     /// The learner supports only binary labels but saw more classes.
     NotBinary { n_classes: usize },
     /// A tree classifier keeps a counter per bin and class; more classes
-    /// than [`MAX_CLASSES`](crate::tree::MAX_CLASSES) is a regression target.
+    /// than `MAX_CLASSES` (255) is a regression target.
     TooManyClasses { n_classes: usize },
 }
 

@@ -8,7 +8,7 @@ use crate::tree::{ClassTrees, MaxFeatures, TreeConfig};
 
 /// An Extra-Trees classifier.
 #[derive(Debug, Clone)]
-pub struct ExtraTrees {
+pub(crate) struct ExtraTrees {
     /// Number of trees.
     pub n_trees: usize,
     /// Per-tree configuration (random thresholds forced on).
@@ -19,13 +19,13 @@ pub struct ExtraTrees {
 
 impl ExtraTrees {
     /// Explicit configuration (random thresholds are forced on).
-    pub fn new(n_trees: usize, mut tree_config: TreeConfig, seed: u64) -> Self {
+    pub(crate) fn new(n_trees: usize, mut tree_config: TreeConfig, seed: u64) -> Self {
         tree_config.random_thresholds = true;
         ExtraTrees { n_trees, tree_config, seed, fitted: ClassTrees::default() }
     }
 
     /// Default: 30 trees, depth 12, √d features, random cuts.
-    pub fn default_seeded(seed: u64) -> Self {
+    pub(crate) fn default_seeded(seed: u64) -> Self {
         ExtraTrees::new(
             30,
             TreeConfig {

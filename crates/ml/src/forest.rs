@@ -6,7 +6,7 @@ use rand::{RngExt, SeedableRng};
 use autofeat_data::encode::Matrix;
 
 use crate::eval::{Classifier, MlError};
-pub use crate::tree::majority_vote;
+pub(crate) use crate::tree::majority_vote;
 use crate::tree::{ClassTrees, MaxFeatures, TreeConfig};
 
 /// A Random Forest classifier (majority vote over bootstrapped trees).
@@ -22,7 +22,7 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Forest with explicit parameters.
-    pub fn new(n_trees: usize, tree_config: TreeConfig, seed: u64) -> Self {
+    pub(crate) fn new(n_trees: usize, tree_config: TreeConfig, seed: u64) -> Self {
         RandomForest { n_trees, tree_config, seed, fitted: ClassTrees::default() }
     }
 

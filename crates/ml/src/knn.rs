@@ -8,7 +8,7 @@ use crate::forest::majority_vote;
 
 /// KNN with Euclidean distance over z-scored features.
 #[derive(Debug, Clone)]
-pub struct Knn {
+pub(crate) struct Knn {
     /// Number of neighbours.
     pub k: usize,
     scaler: Standardizer,
@@ -17,7 +17,7 @@ pub struct Knn {
 
 impl Knn {
     /// KNN with `k` neighbours.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k >= 1, "k must be >= 1");
         Knn { k, scaler: Standardizer::default(), train: None }
     }

@@ -11,13 +11,13 @@
 //!   generic over the node statistic (class counts for gini classification
 //!   trees, gradient sums for the regression trees inside boosting);
 //! * [`forest`] — Random Forest (bootstrap + √d feature subsampling);
-//! * [`extra`] — Extremely Randomised Trees (random thresholds, no
+//! * `extra` — Extremely Randomised Trees (random thresholds, no
 //!   bootstrap);
 //! * [`gbdt`] — gradient-boosted decision trees with logistic loss, in a
 //!   LightGBM-like first-order preset and an XGBoost-like second-order
 //!   preset;
-//! * [`knn`] — K-nearest neighbours on standardized features;
-//! * [`linear`] — logistic regression with L1 (proximal gradient);
+//! * `knn` — K-nearest neighbours on standardized features;
+//! * `linear` — logistic regression with L1 (proximal gradient);
 //! * [`eval`] — the `Classifier` trait, accuracy scoring, and the
 //!   [`ModelKind`] zoo the experiments build learners from.
 //!
@@ -55,18 +55,12 @@
 pub mod bins;
 pub mod dataset;
 pub mod eval;
-pub mod extra;
+mod extra;
 pub mod forest;
 pub mod gbdt;
-pub mod knn;
-pub mod linear;
+mod knn;
+mod linear;
 pub mod tree;
 
-pub use dataset::{standardize_fit, Standardizer};
 pub use eval::{accuracy, Classifier, MlError, ModelKind};
-pub use extra::ExtraTrees;
-pub use forest::RandomForest;
-pub use gbdt::{Gbdt, GbdtConfig};
-pub use knn::Knn;
-pub use linear::LogisticL1;
 pub use tree::{DecisionTree, TreeConfig};

@@ -22,7 +22,7 @@ fn soft_threshold(w: f64, t: f64) -> f64 {
 
 /// Binary logistic regression with L1 penalty.
 #[derive(Debug, Clone)]
-pub struct LogisticL1 {
+pub(crate) struct LogisticL1 {
     /// L1 strength.
     pub alpha: f64,
     /// Gradient-descent step size.
@@ -38,7 +38,7 @@ pub struct LogisticL1 {
 
 impl LogisticL1 {
     /// Custom configuration.
-    pub fn new(alpha: f64, learning_rate: f64, n_iters: usize) -> Self {
+    pub(crate) fn new(alpha: f64, learning_rate: f64, n_iters: usize) -> Self {
         LogisticL1 {
             alpha,
             learning_rate,
@@ -52,22 +52,12 @@ impl LogisticL1 {
     }
 
     /// Sensible defaults (α=0.01, lr=0.5, 200 iters).
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         LogisticL1::new(0.01, 0.5, 200)
     }
 
-    /// The learned weights (post-standardization space).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Number of exactly-zero weights (L1 sparsity effect).
-    pub fn n_zero_weights(&self) -> usize {
-        self.weights.iter().filter(|w| **w == 0.0).count()
-    }
-
     /// Positive-class probability for a raw (unscaled) row.
-    pub fn predict_proba_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_proba_row(&self, row: &[f64]) -> f64 {
         let m = Matrix {
             feature_names: (0..row.len()).map(|i| format!("f{i}")).collect(),
             cols: row.iter().map(|&v| vec![v]).collect(),
@@ -189,9 +179,9 @@ mod tests {
         let m = linear_data(300);
         let mut lr = LogisticL1::new(0.05, 0.5, 400);
         lr.fit(&m).unwrap();
-        assert_eq!(lr.weights()[1], 0.0, "noise weight should be exactly zero");
-        assert!(lr.weights()[0].abs() > 0.1);
-        assert_eq!(lr.n_zero_weights(), 1);
+        assert_eq!(lr.weights[1], 0.0, "noise weight should be exactly zero");
+        assert!(lr.weights[0].abs() > 0.1);
+        assert_eq!(lr.weights.iter().filter(|w| **w == 0.0).count(), 1);
     }
 
     #[test]
@@ -199,7 +189,7 @@ mod tests {
         let m = linear_data(100);
         let mut lr = LogisticL1::new(100.0, 0.5, 100);
         lr.fit(&m).unwrap();
-        assert_eq!(lr.n_zero_weights(), 2);
+        assert!(lr.weights.iter().all(|w| *w == 0.0));
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl Default for TreeConfig {
 
 /// The most classes a tree classifier takes: a node's histogram holds
 /// bins × classes counters per feature.
-pub const MAX_CLASSES: usize = 255;
+pub(crate) const MAX_CLASSES: usize = 255;
 
 /// One node of a fitted tree. Nodes sit in an arena in pre-order, the root
 /// at index 0.
@@ -90,15 +90,6 @@ impl TreeNodes {
                 Node::Split { feature, threshold, left, right, .. } => {
                     i = if at(*feature) <= *threshold { *left } else { *right };
                 }
-            }
-        }
-    }
-
-    fn depth_of(&self, i: usize) -> usize {
-        match &self.nodes[i] {
-            Node::Leaf { .. } => 0,
-            Node::Split { left, right, .. } => {
-                1 + self.depth_of(*left).max(self.depth_of(*right))
             }
         }
     }
@@ -813,7 +804,7 @@ impl<S: NodeStat, L: FnMut(&[u32], f64)> Grower<'_, S, L> {
 }
 
 /// Majority vote with deterministic (smallest-label) tie-break.
-pub fn majority_vote(votes: impl Iterator<Item = i64>) -> i64 {
+pub(crate) fn majority_vote(votes: impl Iterator<Item = i64>) -> i64 {
     let mut counts: std::collections::BTreeMap<i64, usize> = std::collections::BTreeMap::new();
     for v in votes {
         *counts.entry(v).or_insert(0) += 1;
@@ -931,18 +922,6 @@ impl DecisionTree {
     pub fn nodes(&self) -> &[Node] {
         self.fitted.trees.first().map_or(&[], |t| &t.nodes)
     }
-
-    /// Depth of the fitted tree.
-    pub fn depth(&self) -> usize {
-        self.fitted.trees.first().map_or(0, |t| t.depth_of(0))
-    }
-
-    /// Impurity-based feature importance: each split's gini gain times the
-    /// rows it divided, summed per feature and normalized to sum to 1.
-    /// Zeros when the tree is a single leaf or not fitted.
-    pub fn feature_importances(&self, n_features: usize) -> Vec<f64> {
-        self.fitted.feature_importances(n_features)
-    }
 }
 
 impl Classifier for DecisionTree {
@@ -1011,6 +990,17 @@ mod tests {
     use super::*;
     use crate::eval::accuracy;
 
+    /// Depth of a fitted tree: splits on its longest root-to-leaf walk.
+    fn depth(t: &DecisionTree) -> usize {
+        fn below(nodes: &[Node], i: usize) -> usize {
+            match &nodes[i] {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => 1 + below(nodes, *left).max(below(nodes, *right)),
+            }
+        }
+        below(t.nodes(), 0)
+    }
+
     fn xor_matrix(n: usize) -> Matrix {
         // Two features; label = x0 XOR x1 — requires depth ≥ 2.
         let x0: Vec<f64> = (0..n).map(|i| ((i / 2) % 2) as f64).collect();
@@ -1046,7 +1036,7 @@ mod tests {
         let mut t = DecisionTree::new(TreeConfig::default(), 0);
         t.fit(&m).unwrap();
         assert_eq!(accuracy(&t.predict(&m), &m.labels), 1.0);
-        assert!(t.depth() >= 2);
+        assert!(depth(&t) >= 2);
     }
 
     #[test]
@@ -1056,7 +1046,7 @@ mod tests {
         let mut t = DecisionTree::new(TreeConfig { max_depth: 0, ..Default::default() }, 0);
         t.fit(&m).unwrap();
         assert!(t.predict(&m).iter().all(|&p| p == 1));
-        assert_eq!(t.depth(), 0);
+        assert_eq!(depth(&t), 0);
     }
 
     #[test]
@@ -1102,7 +1092,7 @@ mod tests {
         let m = xor_matrix(80);
         let mut t = DecisionTree::new(TreeConfig::default(), 0);
         t.fit(&m).unwrap();
-        let imp = t.feature_importances(2);
+        let imp = t.fitted.feature_importances(2);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         // The root's split on x0 is the zero-gain step off the XOR plateau;
         // every bit of impurity is removed by the two splits on x1.
@@ -1136,7 +1126,7 @@ mod tests {
         };
         assert!(matches!(t.nodes()[0], Node::Split { feature: 0, .. }));
         assert_eq!((splits_on(0), splits_on(1)), (1, 4));
-        let imp = t.feature_importances(2);
+        let imp = t.fitted.feature_importances(2);
         assert!(imp[0] > imp[1], "the root's gain should outweigh four leaf-side cuts: {imp:?}");
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }

@@ -30,7 +30,7 @@ use crate::trace::escape_json;
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
 
 /// Quantiles pre-computed for every histogram in both renderings.
-pub const EXPOSED_QUANTILES: [(f64, &str); 3] = [(0.50, "p50"), (0.90, "p90"), (0.99, "p99")];
+pub(crate) const EXPOSED_QUANTILES: [(f64, &str); 3] = [(0.50, "p50"), (0.90, "p90"), (0.99, "p99")];
 
 /// Format a sample value the way Prometheus text exposition expects:
 /// integers bare, floats with enough digits to round-trip.

@@ -41,8 +41,7 @@ mod tracer;
 mod trace;
 
 pub use expose::{
-    render_json, render_prometheus, StatsListener, StatsSource, EXPOSED_QUANTILES,
-    METRICS_SCHEMA_VERSION,
+    render_json, render_prometheus, StatsListener, StatsSource, METRICS_SCHEMA_VERSION,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricData, MetricKind, MetricValue,
@@ -56,7 +55,7 @@ pub use tracer::{ScopeGuard, Span, TraceScope, Tracer};
 /// observations ≤ `1µs × 2^i`, spanning 1µs … ~134s over
 /// [`N_HIST_BUCKETS`] buckets. The last bucket additionally absorbs
 /// anything larger (it renders as `+Inf` in Prometheus exposition).
-pub fn dist_bucket_bounds_secs() -> Vec<f64> {
+pub(crate) fn dist_bucket_bounds_secs() -> Vec<f64> {
     (0..N_HIST_BUCKETS).map(metrics::bucket_le_secs).collect()
 }
 
@@ -87,11 +86,6 @@ pub(crate) fn thread_key() -> u64 {
 pub(crate) struct Ambient {
     pub(crate) tracer: Tracer,
     pub(crate) prefix: String,
-}
-
-/// The tracer currently installed on this thread (disabled when none).
-pub fn current() -> Tracer {
-    AMBIENT.with(|a| a.borrow().tracer.clone())
 }
 
 /// Install `tracer` as this thread's ambient tracer for the duration of
@@ -211,6 +205,11 @@ pub fn event(kind: &'static str, detail: impl FnOnce() -> String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tracer currently installed on this thread (disabled when none).
+    fn current() -> Tracer {
+        AMBIENT.with(|a| a.borrow().tracer.clone())
+    }
 
     #[test]
     fn disabled_ambient_is_inert() {

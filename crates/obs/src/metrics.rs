@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 /// Number of log₂-spaced histogram buckets: bucket `i` has upper bound
 /// `1µs × 2^i`, spanning 1µs … ~134s. See
-/// [`dist_bucket_bounds_secs`](crate::dist_bucket_bounds_secs).
+/// `dist_bucket_bounds_secs`.
 pub const N_HIST_BUCKETS: usize = 28;
 
 /// The bucket an observation of `secs` lands in.
@@ -90,7 +90,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -128,7 +128,7 @@ pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
     /// Record one observation, in seconds.
-    pub fn observe_secs(&self, secs: f64) {
+    pub(crate) fn observe_secs(&self, secs: f64) {
         self.0.buckets[bucket_index(secs)].fetch_add(1, Ordering::Relaxed);
         let nanos = if secs.is_finite() && secs > 0.0 { (secs * 1e9) as u64 } else { 0 };
         self.0.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -145,7 +145,7 @@ impl Histogram {
     /// count is their sum, so `count == Σ buckets` holds in every snapshot
     /// taken during concurrent load. Sum, min and max are read separately
     /// and may trail the buckets by in-flight observations.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> =
             self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let count = buckets.iter().sum();
@@ -175,13 +175,13 @@ pub struct HistogramSnapshot {
     /// Largest observation, in seconds (0 when empty).
     pub max_secs: f64,
     /// Per-bucket (non-cumulative) observation counts; bucket `i`'s upper
-    /// bound is [`crate::dist_bucket_bounds_secs`]`()[i]`.
+    /// bound is `dist_bucket_bounds_secs()[i]`.
     pub buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
     /// Mean observation in seconds (0 when empty).
-    pub fn mean_secs(&self) -> f64 {
+    pub(crate) fn mean_secs(&self) -> f64 {
         if self.count == 0 { 0.0 } else { self.sum_secs / self.count as f64 }
     }
 
@@ -374,7 +374,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The named metric, if registered.
-    pub fn get(&self, name: &str) -> Option<&MetricData> {
+    pub(crate) fn get(&self, name: &str) -> Option<&MetricData> {
         self.metrics
             .binary_search_by(|m| m.name.as_str().cmp(name))
             .ok()

@@ -247,7 +247,7 @@ fn phase_json(p: &PhaseNode, indent: usize, s: &mut String) {
 }
 
 /// JSON string escaping (quotes, backslashes, control characters).
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -264,7 +264,7 @@ pub fn escape_json(s: &str) -> String {
 }
 
 /// Compact human duration: `1.23s`, `45.6ms`, `789µs`.
-pub fn fmt_dur(d: Duration) -> String {
+pub(crate) fn fmt_dur(d: Duration) -> String {
     fmt_secs(d.as_secs_f64())
 }
 

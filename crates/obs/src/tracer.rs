@@ -207,7 +207,7 @@ impl Tracer {
     }
 
     /// Whether this handle records.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 

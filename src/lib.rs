@@ -17,8 +17,8 @@
 //! | module | contents |
 //! |---|---|
 //! | [`data`] | columnar table engine: typed null-aware columns, CSV, normalized left joins, sampling, encoding |
-//! | [`discovery`] | schema/instance matcher (COMA stand-in) for the data-lake setting |
 //! | [`graph`] | the Dataset Relation Graph multigraph, BFS, path enumeration, Eq. 3 |
+//! | [`discovery`] | `graph`'s schema/instance matcher (COMA stand-in) that builds the data-lake setting's DRG |
 //! | [`metrics`] | entropy/MI, the 5 relevance measures, the 5 redundancy criteria |
 //! | [`ml`] | decision trees, Random Forest, Extra-Trees, GBDT (×2 presets), KNN, logistic-L1 |
 //! | [`core`] | Algorithm 1 & 2, the streaming selection pipeline, baselines (BASE/ARDA/MAB/JoinAll) |
@@ -56,7 +56,7 @@
 pub use autofeat_core as core;
 pub use autofeat_data as data;
 pub use autofeat_datagen as datagen;
-pub use autofeat_discovery as discovery;
+pub use autofeat_graph::discovery;
 pub use autofeat_graph as graph;
 pub use autofeat_metrics as metrics;
 pub use autofeat_ml as ml;
@@ -76,7 +76,7 @@ pub mod prelude {
         CacheRecorder, CacheStats, Column, DType, FaultDomain, Interrupt, KeyDict,
         LakeIndexCache, RunControl, Table, Value,
     };
-    pub use autofeat_discovery::{MatcherConfig, SchemaMatcher};
+    pub use autofeat_graph::discovery::{MatcherConfig, SchemaMatcher};
     pub use autofeat_graph::{Drg, DrgBuilder, JoinPath};
     pub use autofeat_metrics::{RedundancyMethod, RelevanceMethod};
     pub use autofeat_ml::eval::ModelKind;
