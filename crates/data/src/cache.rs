@@ -14,15 +14,22 @@
 //! ([`LakeIndexCache::set_budget`], defaulted from `AUTOFEAT_CACHE_BUDGET`
 //! at construction, unbounded when unset). Two mechanisms enforce it:
 //!
-//! * **Fit-or-deny admission** — a freshly built index is retained only if
-//!   it fits the remaining budget; otherwise the build is handed to the
-//!   caller as a transient index (counted in
-//!   [`CacheStats::rejections`]) and the cache keeps nothing. Admission
-//!   never evicts: under the uniform cyclic access pattern of a discovery
-//!   sweep, evict-to-admit degenerates to cache thrash (every entry evicted
-//!   just before its reuse — zero hits at *any* budget below the working
-//!   set), while pinning the first fitting subset serves that subset on
-//!   every revisit.
+//! * **Fit-or-deny admission, decided before the build** — a lake table's
+//!   index footprint is a pure function of its join column's dictionary
+//!   (the number of keys, the group-table layout, the rows whose key
+//!   repeats: `join::index_bytes`, the rule `JoinIndex::build` asserts it
+//!   keeps), so the first touch of a cold pair decides: an index that fits
+//!   the remaining budget gets a slot with its bytes admitted up front; one
+//!   that does not gets no slot at all, and its join is **transient** — it
+//!   groups only the right rows its left keys need (`join::KeyRuns`) and
+//!   builds no index (counted in [`CacheStats::rejections`]). A table
+//!   without key metadata has no dictionary to decide from: its index is
+//!   built first and admitted or denied after. Admission never evicts:
+//!   under the uniform cyclic access pattern of a discovery sweep,
+//!   evict-to-admit degenerates to cache thrash (every entry evicted just
+//!   before its reuse — zero hits at *any* budget below the working set),
+//!   while pinning the first fitting subset serves that subset on every
+//!   revisit.
 //! * **LRU eviction on budget shrink** — [`set_budget`](LakeIndexCache::set_budget)
 //!   with a budget below current residency evicts coldest-first (per-slot
 //!   last-touch clocks, bumped on every probe) until residency fits.
@@ -30,16 +37,18 @@
 //! Eviction can never invalidate an in-flight join: entries hand out
 //! `Arc<JoinIndex>` clones, so an evicted index stays alive until its last
 //! borrower drops it — the cache merely stops *retaining* it. And because a
-//! retained and a transient index are the same build (see *Determinism*
-//! below), denial/eviction can change only *when indexes are rebuilt*, never
-//! what any join produces: a cache at any budget, 0 included, is
-//! bit-identical to an unbounded one by construction.
+//! retained index, a transient one and a transient join pick by the same
+//! rule over the same rows (see *Determinism* below), denial/eviction can
+//! change only *what is rebuilt*, never what any join produces: a cache at
+//! any budget, 0 included, is bit-identical to an unbounded one.
 //!
 //! Accounting is **ownership-accurate**: resident bytes are registered only
-//! for indexes the slot map actually retains (admitted entries), and
-//! deducted on eviction. Transient builds — admission denials, and the
-//! degraded path that hands out unowned entries when the governor lock is
-//! poisoned — never touch residency, so stats cannot report phantom memory.
+//! for slots the map actually holds (admitted entries, counted from the
+//! moment the slot is made, while its build is still running), and deducted
+//! on eviction, invalidation or a build panic. Transient joins and builds —
+//! admission denials, and the degraded path that hands out unowned entries
+//! when the governor lock is poisoned — never touch residency, so stats
+//! cannot report phantom memory.
 //! The dictionary and fingerprint vector an index reads through follow the
 //! same rule. A lake table owns its own — charged to
 //! [`Table::key_meta_bytes`](crate::table::Table::key_meta_bytes), shared by
@@ -52,11 +61,13 @@
 //! Two fault classes degrade gracefully, and both are *counted*, never
 //! silently swallowed: a poisoned governor lock falls back to transient
 //! entries ([`CacheStats::lock_recoveries`]), and a panic inside an index
-//! build is isolated with `catch_unwind` — the caller gets a structured
-//! [`DataError::BuildPanicked`], the empty slot is dropped so later touches
-//! retry, and the event lands in [`CacheStats::build_panics`]. Cold builds
-//! also poll the ambient [`control`](crate::control) before starting, so a
-//! cancelled or deadline-expired run never pays for an index it cannot use.
+//! build or a transient join's grouping is isolated with `catch_unwind` —
+//! the caller gets a structured [`DataError::BuildPanicked`], an empty slot
+//! is dropped so later touches retry, and the event lands in
+//! [`CacheStats::build_panics`]. Cold builds also poll the ambient
+//! [`control`](crate::control) before starting (a transient grouping also
+//! between the blocks of its scan), so a cancelled or deadline-expired run
+//! never pays for an index it cannot use.
 //!
 //! ## Concurrency
 //!
@@ -65,19 +76,24 @@
 //! outside the map lock** — two threads racing on the same cold entry
 //! serialize only on that entry's `OnceLock` (one builds and counts a miss,
 //! the other waits and counts a hit), while joins against other tables
-//! proceed untouched. The hit path is allocation-free: probes hash the
+//! proceed untouched. A slot exists only for an index the cache keeps, so a
+//! waiter never counts a hit on a build that is then thrown away: each
+//! denied join counts its own miss, rejection and build time, at any worker
+//! count. The hit path is allocation-free: probes hash the
 //! `(table, column)` pair with the repo's FNV [`StableHasher`] and verify
 //! within the bucket by `&str` comparison — no key `String`s are built
 //! after a slot's first insertion.
 //!
 //! ## Determinism
 //!
-//! Every join through the cache is [`JoinIndex::build`] then
+//! A join through the cache is [`JoinIndex::build`] then
 //! [`join::left_join_with_index`](crate::join::left_join_with_index),
 //! whether the index is retained, transient or served from a slot — the
 //! composition [`join::left_join_normalized`](crate::join::left_join_normalized)
-//! spells out without a cache, and which the tests compare against.
-//! Fingerprints are seed-independent, so one index serves every seed.
+//! spells out without a cache, and which the tests compare against — or, for
+//! a lake table the budget denies, the same pick over only the rows the left
+//! keys need. Fingerprints are seed-independent, so one index serves every
+//! seed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -91,7 +107,10 @@ use autofeat_obs as obs;
 use crate::column::Column;
 use crate::control;
 use crate::error::{DataError, Result};
-use crate::join::{left_join_with_index, JoinIndex, JoinOutput};
+use crate::join::{
+    index_bytes, left_join_with_index, left_join_with_runs, JoinIndex, JoinOutput, KeyRuns,
+};
+use crate::keydict::KeyDict;
 use crate::stable_hash::StableHasher;
 use crate::table::Table;
 
@@ -126,17 +145,21 @@ pub(crate) fn parse_budget_bytes(s: &str) -> Option<u64> {
 /// observability (discovery results, health reports, benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Joins served from an already-built index.
+    /// Joins served from an index the cache keeps, built or being built by
+    /// another join.
     pub hits: u64,
-    /// Joins that had to build the index first (equals distinct cold
-    /// entries touched, absent racing builders; denied entries rebuild —
-    /// and re-count — on every touch).
+    /// Joins that had to build first: the build of a kept index (one per
+    /// cold entry, however many joins race on it), or a join the budget
+    /// denied, which builds for itself on every touch — an index for
+    /// `get_or_build`, the grouping of only the rows its left keys need for
+    /// `left_join_normalized`.
     pub misses: u64,
-    /// Total wall time spent building indexes.
+    /// Total wall time spent in those builds.
     pub build_time: Duration,
-    /// Approximate heap footprint of all *retained* indexes, in bytes.
-    /// Transient builds (admission denials, degraded-mode entries) are
-    /// never counted.
+    /// Approximate heap footprint of all *retained* indexes, in bytes — a
+    /// lake table's counted from when its slot is made, before its build
+    /// finishes. Transient joins and builds (admission denials,
+    /// degraded-mode entries) are never counted.
     pub resident_bytes: u64,
     /// Number of `(table, join column)` indexes resident.
     pub entries: u64,
@@ -144,7 +167,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Total bytes released by those evictions.
     pub evicted_bytes: u64,
-    /// Builds denied retention because they did not fit the budget.
+    /// Joins whose index did not fit the budget: decided before anything
+    /// is built for a lake table, after the build for a table without key
+    /// metadata. Each is also a miss.
     pub rejections: u64,
     /// High-water mark of `resident_bytes` since the budget was last
     /// (re)applied — [`set_budget`](LakeIndexCache::set_budget) starts a new
@@ -157,9 +182,9 @@ pub struct CacheStats {
     /// zero in a healthy process; nonzero means a thread panicked while
     /// holding the governor.
     pub lock_recoveries: u64,
-    /// Index builds that panicked. Each was isolated (`catch_unwind`) and
-    /// surfaced to its caller as a structured error; the empty slot was
-    /// dropped so later touches retry.
+    /// Index builds, and groupings of denied joins, that panicked. Each was
+    /// isolated (`catch_unwind`) and surfaced to its caller as a structured
+    /// error; an empty slot was dropped so later touches retry.
     pub build_panics: u64,
     /// Slots dropped by targeted invalidation
     /// ([`LakeIndexCache::invalidate_table`]) — the lake-mutation path
@@ -272,9 +297,20 @@ struct Slot {
     /// read by LRU eviction. Atomic so hits can touch it under the governor
     /// *read* lock.
     last_touch: AtomicU64,
-    /// Admitted footprint in bytes (0 = built-but-unadmitted or unbuilt).
-    /// Mutated only under the governor write lock.
-    bytes: u64,
+    /// Admitted footprint in bytes. Set when the slot is made for a table
+    /// with key metadata, whose dictionary fixes it; `None` for one without
+    /// until its index is built and admitted. Mutated only under the
+    /// governor write lock.
+    bytes: Option<u64>,
+}
+
+/// What [`LakeIndexCache::probe`] found for a `(table, column)` pair.
+enum Probed {
+    /// The pair's slot cell, built or not.
+    Slot(Entry),
+    /// A cold pair whose index the budget would deny, decided from its
+    /// table's dictionary: no slot was made, and the join goes without one.
+    Denied(Arc<KeyDict>),
 }
 
 /// FNV bucket map: slot key hash → slots verifying to distinct pairs. The
@@ -287,6 +323,18 @@ fn slot_hash(table: &str, column: &str) -> u64 {
     h.write_u8(0xff); // field terminator: ("ab","c") ≠ ("a","bc")
     h.write(column.as_bytes());
     h.finish()
+}
+
+/// `table`'s join column `column`, once the checks every cache join makes
+/// first have passed: the column exists, the table is small enough to
+/// index, and the run has not been interrupted — a cold build is the
+/// costliest single step a join takes, so this is a natural interrupt
+/// point. All of them run before any locking, so none poisons an entry.
+fn checked_key<'t>(table: &'t Table, column: &str) -> Result<&'t Column> {
+    let key_col = table.column(column)?;
+    crate::join::check_row_count(table.name(), key_col.len())?;
+    control::poll_ambient()?;
+    Ok(key_col)
 }
 
 /// Mutable cache state: the slot map plus the occupancy that must move
@@ -303,7 +351,7 @@ impl Governor {
     /// The invariant, asserted (debug builds) wherever residency changes:
     /// `resident` is the admitted slots' bytes, within the budget if one is set.
     fn check(&self) {
-        let admitted = || self.buckets.values().flatten().map(|s| s.bytes).sum::<u64>();
+        let admitted = || self.buckets.values().flatten().filter_map(|s| s.bytes).sum::<u64>();
         debug_assert_eq!(self.resident, admitted(), "resident bytes drift from the admitted slots");
         let within = self.budget.is_none_or(|b| self.resident <= b);
         debug_assert!(within, "resident {} bytes over the budget {:?}", self.resident, self.budget);
@@ -315,7 +363,7 @@ impl Governor {
         let mut victim: Option<(u64, usize, u64)> = None; // (bucket, idx, touch)
         for (&h, bucket) in &self.buckets {
             for (i, s) in bucket.iter().enumerate() {
-                if s.bytes == 0 {
+                if s.bytes.unwrap_or(0) == 0 {
                     continue;
                 }
                 let touch = s.last_touch.load(Ordering::Relaxed);
@@ -330,10 +378,11 @@ impl Governor {
         if bucket.is_empty() {
             self.buckets.remove(&h);
         }
-        self.resident -= slot.bytes;
+        let bytes = slot.bytes.unwrap_or(0);
+        self.resident -= bytes;
         // The slot's `cell` (and the Arc'd index inside) drops here; any
         // in-flight join still holding a clone keeps the index alive.
-        Some(slot.bytes)
+        Some(bytes)
     }
 }
 
@@ -429,19 +478,30 @@ impl LakeIndexCache {
     /// poisons an entry). The first
     /// caller per entry builds and counts a **miss**; every other caller —
     /// including threads that waited on a racing build — counts a **hit**.
-    /// Every miss corresponds to exactly one index build (denied entries
-    /// are re-created, rebuilt, and re-counted on later touches).
+    /// Every miss corresponds to exactly one index build. An index the
+    /// budget denies is built for this caller alone, without a slot, and
+    /// counts a miss and a rejection on every touch.
     pub fn get_or_build(&self, table: &Table, column: &str) -> Result<Arc<JoinIndex>> {
-        let key_col = table.column(column)?;
-        crate::join::check_row_count(table.name(), key_col.len())?;
-        // Cooperative deadline/cancel poll before potentially expensive
-        // build work; a cold build is the costliest single step a join
-        // takes, so this is a natural interrupt point.
-        if let Some(reason) = control::ambient_interrupted() {
-            return Err(DataError::Interrupted(reason));
+        let key_col = checked_key(table, column)?;
+        match self.probe(table, column, key_col) {
+            Probed::Slot(entry) => self.serve(table, column, key_col, &entry),
+            Probed::Denied(_) => {
+                self.denied(table, || Ok(Arc::new(JoinIndex::build(table, key_col)?)))
+            }
         }
+    }
 
-        let entry = self.probe(table.name(), column, key_col);
+    /// The index in `entry`, built here if nobody has: the builder counts
+    /// the miss, everyone else — threads that waited on its build included
+    /// — a hit. A slot is made admitted or not at all, except for a table
+    /// without key metadata, whose builder decides admission afterwards.
+    fn serve(
+        &self,
+        table: &Table,
+        column: &str,
+        key_col: &Column,
+        entry: &Entry,
+    ) -> Result<Arc<JoinIndex>> {
         let mut built = false;
         // Panic isolation: a poisoned table must fail *this* entry, not
         // abort the run. `OnceLock::get_or_init` leaves the cell
@@ -455,21 +515,15 @@ impl LakeIndexCache {
                 let index = Arc::new(
                     JoinIndex::build(table, key_col).expect("row count checked before the probe"),
                 );
-                let elapsed = t0.elapsed();
-                obs::record_secs("cache.index_build_secs", elapsed.as_secs_f64());
-                self.count(|r| add(&r.build_nanos, elapsed.as_nanos() as u64));
+                self.note_build(t0.elapsed());
                 index
             }))
         }));
         let index = match build_result {
             Ok(index) => index,
             Err(payload) => {
-                self.forget_unbuilt(table.name(), column, &entry);
-                self.count(|r| add(&r.build_panics, 1));
-                return Err(DataError::BuildPanicked {
-                    table: table.name().to_string(),
-                    message: crate::parallel::payload_message(payload),
-                });
+                self.forget_unbuilt(table.name(), column, entry);
+                return Err(self.build_panicked(table, payload));
             }
         };
         // Exactly one miss per cold entry even when builders race: the
@@ -477,11 +531,43 @@ impl LakeIndexCache {
         // hit/miss totals are invariant across worker thread counts.
         if built {
             self.count(|r| add(&r.misses, 1));
-            self.admit(table.name(), column, &entry, &index);
+            self.admit(table.name(), column, entry, &index);
         } else {
             self.count(|r| add(&r.hits, 1));
         }
         Ok(index)
+    }
+
+    /// The build of a join whose index the budget denies: `build` runs
+    /// without a slot, under the `index_build` span and the panic isolation
+    /// of a retained build, and once it succeeds counts one miss, one
+    /// rejection and one build-time observation.
+    fn denied<T>(&self, table: &Table, build: impl FnOnce() -> Result<T>) -> Result<T> {
+        let _span = obs::span("index_build");
+        let t0 = Instant::now();
+        let built = catch_unwind(AssertUnwindSafe(build))
+            .unwrap_or_else(|payload| Err(self.build_panicked(table, payload)))?;
+        self.note_build(t0.elapsed());
+        self.count(|r| {
+            add(&r.misses, 1);
+            add(&r.rejections, 1);
+        });
+        Ok(built)
+    }
+
+    /// Count one build: its `cache.index_build_secs` observation and time.
+    fn note_build(&self, elapsed: Duration) {
+        obs::record_secs("cache.index_build_secs", elapsed.as_secs_f64());
+        self.count(|r| add(&r.build_nanos, elapsed.as_nanos() as u64));
+    }
+
+    /// Count an isolated build panic and turn it into the caller's error.
+    fn build_panicked(&self, table: &Table, payload: Box<dyn std::any::Any + Send>) -> DataError {
+        self.count(|r| add(&r.build_panics, 1));
+        DataError::BuildPanicked {
+            table: table.name().to_string(),
+            message: crate::parallel::payload_message(payload),
+        }
     }
 
     /// Drop the slot owning `entry` if its cell is still unbuilt — the
@@ -500,17 +586,22 @@ impl LakeIndexCache {
                 && Arc::ptr_eq(&s.cell, entry)
                 && s.cell.get().is_none()
         }) {
-            bucket.swap_remove(i);
+            let slot = bucket.swap_remove(i);
             if bucket.is_empty() {
                 gov.buckets.remove(&h);
             }
+            gov.resident -= slot.bytes.unwrap_or(0);
+            gov.check();
         }
     }
 
     /// Cached equivalent of
     /// [`join::left_join_normalized`](crate::join::left_join_normalized):
     /// resolves (or builds) the index for `(right, right_key)` and performs
-    /// the indexed join. Bit-identical to the free function.
+    /// the indexed join. A join whose index the budget denies builds none:
+    /// it groups only the right rows its left keys need
+    /// (`join::KeyRuns`) and joins through them. Bit-identical to the free
+    /// function either way.
     pub fn left_join_normalized(
         &self,
         left: &Table,
@@ -520,7 +611,15 @@ impl LakeIndexCache {
         prefix: &str,
         seed: u64,
     ) -> Result<JoinOutput> {
-        let index = self.get_or_build(right, right_key)?;
+        let key_col = checked_key(right, right_key)?;
+        let index = match self.probe(right, right_key, key_col) {
+            Probed::Slot(entry) => self.serve(right, right_key, key_col, &entry)?,
+            Probed::Denied(dict) => {
+                let lk = left.column(left_key)?;
+                let runs = self.denied(right, || KeyRuns::build(lk, right, &dict))?;
+                return left_join_with_runs(left, right, &runs, prefix, seed);
+            }
+        };
         left_join_with_index(left, right, &index, left_key, prefix, seed)
     }
 
@@ -543,7 +642,7 @@ impl LakeIndexCache {
             bucket.retain(|s| {
                 if s.table == table {
                     removed += 1;
-                    bytes += s.bytes;
+                    bytes += s.bytes.unwrap_or(0);
                     false
                 } else {
                     true
@@ -581,43 +680,67 @@ impl LakeIndexCache {
         }
     }
 
-    /// The entry cell for `(table, column)`, creating an empty slot on first
-    /// touch. Allocation-free on the hit path: the pair is FNV-hashed and
-    /// verified by `&str` comparison inside the bucket; key `String`s are
-    /// cloned only when a new slot is inserted.
-    fn probe(&self, table: &str, column: &str, key_col: &Column) -> Entry {
-        let h = slot_hash(table, column);
+    /// The slot cell for `(table, column)`, making an empty slot on first
+    /// touch — or, for a cold pair whose index the budget would deny, no
+    /// slot at all. Allocation-free on the hit path: the pair is FNV-hashed
+    /// and verified by `&str` comparison inside the bucket; key `String`s
+    /// are cloned only when a new slot is inserted.
+    ///
+    /// **Admission is decided here, before anything is built**, for a table
+    /// with key metadata: its index's footprint follows from the column's
+    /// dictionary ([`index_bytes`], the rule [`JoinIndex::build`] asserts
+    /// it keeps), which the first join keyed on the column builds here. A
+    /// slot that fits is made with its bytes already admitted, so a thread
+    /// waiting on its build waits on an index the cache keeps.
+    fn probe(&self, table: &Table, column: &str, key_col: &Column) -> Probed {
+        let h = slot_hash(table.name(), column);
         let touch = || self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let verifies = |s: &Slot| {
-            s.table == table && s.column == column && s.key_col.shares_payload(key_col)
+            s.table == table.name() && s.column == column && s.key_col.shares_payload(key_col)
         };
         // Fast path: shared read lock, atomic LRU touch.
         if let Ok(gov) = self.gov.read() {
             if let Some(slot) = gov.buckets.get(&h).and_then(|b| b.iter().find(|s| verifies(s))) {
                 slot.last_touch.store(touch(), Ordering::Relaxed);
-                return Arc::clone(&slot.cell);
+                return Probed::Slot(Arc::clone(&slot.cell));
             }
         }
+        // The first join keyed on the column builds the dictionary here: a
+        // cold index's first step, so it is traced as part of `index_build`.
+        let dict = {
+            let _span = obs::span("index_build");
+            table.key_dict_for(key_col).cloned()
+        };
+        let bytes = dict.as_deref().map(|d| index_bytes(d) as u64);
         // Slow path: insert a fresh (empty) slot. Index construction
         // happens later, outside this lock, via the entry's OnceLock.
         match self.gov.write() {
-            Ok(mut gov) => {
-                let bucket = gov.buckets.entry(h).or_default();
-                if let Some(slot) = bucket.iter().find(|s| verifies(s)) {
+            Ok(mut guard) => {
+                let gov = &mut *guard;
+                let found = gov.buckets.get(&h).and_then(|b| b.iter().find(|s| verifies(s)));
+                if let Some(slot) = found {
                     slot.last_touch.store(touch(), Ordering::Relaxed);
-                    return Arc::clone(&slot.cell);
+                    return Probed::Slot(Arc::clone(&slot.cell));
+                }
+                if let (Some(dict), Some(bytes)) = (dict, bytes) {
+                    if gov.budget.is_some_and(|b| gov.resident + bytes > b) {
+                        return Probed::Denied(dict);
+                    }
+                    gov.resident += bytes;
+                    gov.peak_resident = gov.peak_resident.max(gov.resident);
                 }
                 let slot = Slot {
-                    table: table.to_string(),
+                    table: table.name().to_string(),
                     column: column.to_string(),
                     key_col: key_col.clone(),
                     cell: Entry::default(),
                     last_touch: AtomicU64::new(touch()),
-                    bytes: 0,
+                    bytes,
                 };
                 let cell = Arc::clone(&slot.cell);
-                bucket.push(slot);
-                cell
+                gov.buckets.entry(h).or_default().push(slot);
+                gov.check();
+                Probed::Slot(cell)
             }
             // A poisoned lock means a thread panicked while holding the
             // governor; fall back to an uncached transient entry so callers
@@ -627,13 +750,15 @@ impl LakeIndexCache {
             // residency into the stats. Counted: degraded, never silent.
             Err(_) => {
                 self.note_lock_recovery();
-                Entry::default()
+                Probed::Slot(Entry::default())
             }
         }
     }
 
-    /// Fit-or-deny admission of a freshly built index (the build winner
-    /// calls this exactly once per build). Bytes are registered only when
+    /// Fit-or-deny admission of a freshly built index whose slot was made
+    /// without its footprint — over a table without key metadata (the
+    /// build winner calls this exactly once per build; a slot admitted when
+    /// it was made is left as it is). Bytes are registered only when
     /// the map still owns the very cell that was filled — transient entries
     /// from the degraded path fail the `Arc::ptr_eq` ownership check and
     /// stay unaccounted. A build that does not fit the budget is denied:
@@ -648,10 +773,11 @@ impl LakeIndexCache {
         };
         let gov = &mut *guard;
         let Some(bucket) = gov.buckets.get_mut(&h) else { return };
-        let Some(i) = bucket
-            .iter()
-            .position(|s| s.table == table && s.column == column && Arc::ptr_eq(&s.cell, entry))
-        else {
+        let unadmitted = |s: &Slot| {
+            s.table == table && s.column == column && Arc::ptr_eq(&s.cell, entry)
+                && s.bytes.is_none()
+        };
+        let Some(i) = bucket.iter().position(unadmitted) else {
             return;
         };
         if gov.budget.is_some_and(|b| gov.resident + bytes > b) {
@@ -661,7 +787,7 @@ impl LakeIndexCache {
             }
             self.count(|r| add(&r.rejections, 1));
         } else {
-            bucket[i].bytes = bytes;
+            bucket[i].bytes = Some(bytes);
             gov.resident += bytes;
             gov.peak_resident = gov.peak_resident.max(gov.resident);
         }
@@ -1012,6 +1138,71 @@ mod tests {
         assert_eq!(st.rejections, 3);
     }
 
+    /// A keyed table's index is admitted or denied before anything is
+    /// built: a denied join makes no slot, joins exactly like the free
+    /// function, and counts one miss, one rejection and one build; an
+    /// admitted one holds the bytes its slot was made with.
+    #[test]
+    fn keyed_tables_are_admitted_before_the_build() {
+        let l = base();
+        let [a, b] = ["pre_a", "pre_b"].map(|name| lake_table(name, 6).with_key_dicts());
+        let one = JoinIndex::build(&a, a.column("key").unwrap()).unwrap().resident_bytes() as u64;
+        let cache = LakeIndexCache::with_budget(Some(one + one / 2));
+        let rec = CacheRecorder::new();
+        let tracer = obs::Tracer::enabled();
+        obs::with_tracer(&tracer, || {
+            let _g = recording(&rec).enter();
+            for seed in [1u64, 2] {
+                for r in [&a, &b] {
+                    let got = cache.left_join_normalized(&l, r, "id", "key", "p", seed).unwrap();
+                    let want = left_join_normalized(&l, r, "id", "key", "p", seed).unwrap();
+                    assert_eq!((got.table, got.matched), (want.table, want.matched));
+                }
+            }
+        });
+        // `pre_a` is admitted on its first join and hit on its second;
+        // `pre_b` is denied both times, and no slot is left for it.
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses, st.rejections, st.entries), (1, 3, 2, 1), "{st:?}");
+        assert_eq!((st.resident_bytes, st.peak_resident_bytes), (one, one));
+        assert_eq!(rec.attributed(&cache), st);
+        let trace = tracer.snapshot();
+        let builds = trace.dists.iter().find(|(n, _)| n == "cache.index_build_secs").unwrap();
+        assert_eq!(builds.1.count, 3, "one build-time observation per miss");
+        assert_eq!(cache.gov.read().unwrap().buckets.values().flatten().count(), 1);
+        // `get_or_build` of a denied pair builds an index for its caller alone.
+        let index = cache.get_or_build(&b, "key").unwrap();
+        assert_eq!(index.resident_bytes() as u64, one);
+        let st = cache.stats();
+        assert_eq!((st.misses, st.rejections, st.entries, st.resident_bytes), (4, 3, 1, one));
+    }
+
+    /// A panic while a denied join groups its rows is isolated and counted
+    /// like a build panic, and serves nothing; disarmed, the join runs.
+    #[test]
+    fn denied_joins_isolate_build_panics() {
+        let cache = LakeIndexCache::with_budget(Some(0));
+        let (l, r) = (base(), lake_table("denied_panic_sat", 6).with_key_dicts());
+        let faults = crate::FaultDomain::new();
+        let _g = RequestScope { faults: Some(faults.clone()), ..RequestScope::capture() }.enter();
+        let panic_on_row = Some(40);
+        let armed = crate::faults::TableFaults { panic_on_row, slow_join_ms: None };
+        faults.arm("denied_panic_sat", armed);
+        match cache.left_join_normalized(&l, &r, "id", "key", "p", 1) {
+            Err(DataError::BuildPanicked { table, message }) => {
+                assert_eq!(table, "denied_panic_sat");
+                assert!(message.contains("panic_on_row 40"), "{message}");
+            }
+            other => panic!("expected BuildPanicked, got {other:?}"),
+        }
+        let st = cache.stats();
+        assert_eq!((st.build_panics, st.misses, st.rejections, st.entries), (1, 0, 0, 0));
+        faults.disarm("denied_panic_sat");
+        cache.left_join_normalized(&l, &r, "id", "key", "p", 1).unwrap();
+        let st = cache.stats();
+        assert_eq!((st.build_panics, st.misses, st.rejections, st.entries), (1, 1, 1, 0));
+    }
+
     /// `Governor::check` runs after every admission, budget change and
     /// invalidation in debug builds; this interleaves all three under a
     /// budget and also checks the invariant itself, for release builds.
@@ -1033,7 +1224,7 @@ mod tests {
         assert_eq!((st.misses, st.rejections, st.evictions, st.invalidations), (6, 2, 1, 1));
         assert_eq!((st.entries, st.resident_bytes), (2, 2 * one));
         let gov = cache.gov.read().unwrap();
-        let admitted: u64 = gov.buckets.values().flatten().map(|s| s.bytes).sum();
+        let admitted: u64 = gov.buckets.values().flatten().filter_map(|s| s.bytes).sum();
         assert_eq!(admitted, gov.resident);
         gov.check();
     }

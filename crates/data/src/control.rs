@@ -149,6 +149,11 @@ pub fn ambient_interrupted() -> Option<Interrupt> {
     crate::scope::with_current(|s| s.ctl.as_ref().and_then(|ctl| ctl.interrupted()))
 }
 
+/// [`ambient_interrupted`] as an error, for the data layer's `?` polls.
+pub(crate) fn poll_ambient() -> crate::error::Result<()> {
+    ambient_interrupted().map_or(Ok(()), |reason| Err(crate::error::DataError::Interrupted(reason)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,7 +40,9 @@
 //!   the per-seed work degrades from re-hashing every duplicate row's full
 //!   content to one [`mix_u64`] per candidate. Cached and uncached joins are
 //!   bit-identical by construction — [`left_join_normalized`] is literally
-//!   [`left_join_with_index`] over a transient index.
+//!   [`left_join_with_index`] over a transient index — and so is the join a
+//!   cache budget denies an index, which collects only the rows its left
+//!   keys need (`KeyRuns`) and picks among them in the same order.
 
 use std::sync::Arc;
 
@@ -160,26 +162,53 @@ pub(crate) fn check_row_count(table: &str, rows: usize) -> Result<()> {
     Ok(())
 }
 
-/// For a dense all-integer key domain, re-address the by-code group table
-/// the counting sort produced by key value (at most twice its size).
-fn address_by_value(dict: &KeyDict, by_code: Vec<KeyGroup>) -> (Vec<KeyGroup>, Option<i64>) {
-    let ints = || (0..dict.len() as u32).map(|c| match dict.key_at(c) {
-        Key::Num(i) => Some(*i),
-        _ => None,
-    });
-    let range = ints().try_fold((i64::MAX, i64::MIN), |(lo, hi), i| {
-        i.map(|i| (lo.min(i), hi.max(i)))
-    });
-    match range {
-        Some((lo, hi)) if hi.abs_diff(lo) < 2 * by_code.len() as u64 => {
-            let mut by_key = vec![NO_GROUP; hi.abs_diff(lo) as usize + 1];
-            for (i, group) in ints().flatten().zip(&by_code) {
-                by_key[i.abs_diff(lo) as usize] = *group;
-            }
-            (by_key, Some(lo))
+/// Left rows are probed, and right rows scanned, this many at a time, with
+/// a cooperative interrupt poll between blocks.
+const BLOCK: usize = 4096;
+
+/// The group table an index over `dict` lays out: its length, and the key
+/// it starts at when it is addressed by key value. Integer keys dense in
+/// their range (`max − min < 2 × distinct`, as surrogate ids are) are
+/// addressed by value, anything else by code.
+fn group_layout(dict: &KeyDict) -> (usize, Option<i64>) {
+    match dict.int_range() {
+        Some((lo, hi)) if hi.abs_diff(lo) < 2 * dict.len() as u64 => {
+            (hi.abs_diff(lo) as usize + 1, Some(lo))
         }
-        _ => (by_code, None),
+        _ => (dict.len(), None),
     }
+}
+
+/// What [`JoinIndex::resident_bytes`] reports for an index over a table with
+/// key metadata, which lends it `dict` and its fingerprints — worked out from
+/// the dictionary alone: the group table, and one row id per row whose key
+/// repeats. A cache decides admission from it before building anything.
+pub(crate) fn index_bytes(dict: &KeyDict) -> usize {
+    group_layout(dict).0 * std::mem::size_of::<KeyGroup>()
+        + dict.repeated_rows() * std::mem::size_of::<u32>()
+}
+
+/// Re-address the by-code group table the counting sort produced by key
+/// value, when [`group_layout`] says so.
+fn address_by_value(dict: &KeyDict, by_code: Vec<KeyGroup>) -> (Vec<KeyGroup>, Option<i64>) {
+    let (len, Some(lo)) = group_layout(dict) else {
+        return (by_code, None);
+    };
+    let mut by_key = vec![NO_GROUP; len];
+    for (code, group) in by_code.into_iter().enumerate() {
+        if let Key::Num(i) = dict.key_at(code as u32) {
+            by_key[i.abs_diff(lo) as usize] = group;
+        }
+    }
+    (by_key, Some(lo))
+}
+
+/// The order a key's representative is picked in: of its candidate rows,
+/// the one minimizing `(mix_u64(seed, fingerprint), row)` wins. The one pick
+/// rule; both join paths order by it.
+#[inline]
+fn pick_order(seed: u64, fp: u64, row: u32) -> (u64, u32) {
+    (mix_u64(seed, fp), row)
 }
 
 /// Probe pass 2 for one group: its representative row under `seed`
@@ -193,9 +222,29 @@ fn pick(group: KeyGroup, seed: u64, dup_rows: &[u32], row_fps: &[u64]) -> u32 {
     };
     dup_rows[start..start + len]
         .iter()
-        .map(|&row| (mix_u64(seed, row_fps[row as usize]), row))
+        .map(|&row| pick_order(seed, row_fps[row as usize], row))
         .min()
         .map_or(NO_ROW, |(_, row)| row)
+}
+
+/// Resilience-test hook: an armed `slow_join_ms` fault simulates a
+/// pathological join. The sleep is chunked so a cancel or deadline cuts it
+/// short through the request scope's control.
+fn slow_join_fault(right: &Table) -> Result<()> {
+    if let Some(ms) = crate::faults::lookup(right.name()).and_then(|f| f.slow_join_ms) {
+        let until = std::time::Instant::now() + std::time::Duration::from_millis(ms);
+        while std::time::Instant::now() < until {
+            crate::control::poll_ambient()?;
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    }
+    Ok(())
+}
+
+/// Resilience-test hook: an armed `panic_on_row` fault simulates a poisoned
+/// table mid-build — a panic once a scan of `right`'s rows reaches `row`.
+fn injected_panic(right: &Table, row: usize) -> ! {
+    panic!("injected fault: panic_on_row {row} building index for table `{}`", right.name())
 }
 
 impl JoinIndex {
@@ -230,8 +279,9 @@ impl JoinIndex {
         // Resilience-test hook: an armed `panic_on_row` fault simulates a
         // poisoned table mid-build. One relaxed atomic load when disarmed.
         let panic_row = crate::faults::lookup(right.name()).and_then(|f| f.panic_on_row);
+        let lent = right.key_dict_for(right_key);
         let mut own_meta_bytes = 0;
-        let dict = match right.key_dict_for(right_key) {
+        let dict = match lent {
             Some(dict) => Arc::clone(dict),
             None => {
                 let dict = KeyDict::build(right_key);
@@ -245,10 +295,7 @@ impl JoinIndex {
         let mut counts = vec![0u32; n_keys];
         for (row, &c) in codes.iter().enumerate() {
             if panic_row == Some(row) {
-                panic!(
-                    "injected fault: panic_on_row {row} building index for table `{}`",
-                    right.name()
-                );
+                injected_panic(right, row);
             }
             if c != NULL_CODE {
                 counts[c as usize] += 1;
@@ -297,6 +344,13 @@ impl JoinIndex {
         let (groups, int_base) = address_by_value(&dict, groups);
         let index = JoinIndex { dict, groups, int_base, dup_rows, row_fps, n_rows, own_meta_bytes };
         debug_assert_eq!(index.validate(right_key), Ok(()));
+        // A cache admits a lake table's index on this figure before building.
+        debug_assert!(
+            lent.is_none() || index.resident_bytes() == index_bytes(&index.dict),
+            "`index_bytes` drifted from the build: {} predicted, {} built",
+            index_bytes(&index.dict),
+            index.resident_bytes()
+        );
         Ok(index)
     }
 
@@ -442,35 +496,19 @@ pub fn left_join_with_index(
         )));
     }
 
-    // Resilience-test hook: an armed `slow_join_ms` fault simulates a
-    // pathological join. The sleep is chunked so a cancel or deadline cuts
-    // it short through the request scope's control.
-    if let Some(ms) = crate::faults::lookup(right.name()).and_then(|f| f.slow_join_ms) {
-        let until = std::time::Instant::now() + std::time::Duration::from_millis(ms);
-        while std::time::Instant::now() < until {
-            if let Some(reason) = crate::control::ambient_interrupted() {
-                return Err(DataError::Interrupted(reason));
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-    }
+    slow_join_fault(right)?;
 
     let n = left.n_rows();
-    obs::incr("join.calls");
-    obs::add("join.left_rows", n as u64);
     // The probe, a block of rows at a time, as two tight passes over dense
     // arrays rather than one chain per row. Between blocks: a cooperative
     // poll — one thread-local read when no request scope is entered,
     // and never result-affecting (an interrupt abandons the join entirely
     // rather than truncating it).
-    const BLOCK: usize = 4096;
     let (dup_rows, row_fps) = (index.dup_rows.as_slice(), index.row_fps.as_slice());
     let mut groups: Vec<KeyGroup> = Vec::with_capacity(n.min(BLOCK));
     let mut map: Vec<u32> = Vec::with_capacity(n);
     for start in (0..n).step_by(BLOCK) {
-        if let Some(reason) = crate::control::ambient_interrupted() {
-            return Err(DataError::Interrupted(reason));
-        }
+        crate::control::poll_ambient()?;
         // Pass 1: left key → key group, typed per column and read through
         // the map when the left key is itself a view (every second hop).
         groups.clear();
@@ -480,14 +518,130 @@ pub fn left_join_with_index(
         // Pass 2: key group → representative right row.
         map.extend(groups.iter().map(|&g| pick(g, seed, dup_rows, row_fps)));
     }
+    assemble(left, right, map, prefix)
+}
+
+/// Run id of a left row whose key is null or absent on the right.
+const NO_RUN: u32 = u32::MAX;
+
+/// The right rows one join needs: what a [`JoinIndex`] holds, for the keys
+/// the left side carries only. A cache builds it for a join whose index its
+/// budget will not keep
+/// ([`LakeIndexCache::left_join_normalized`](crate::cache::LakeIndexCache::left_join_normalized)),
+/// and it lives as long as that join. When the left side is a sample, it
+/// holds a fraction of the rows a full index would.
+pub(crate) struct KeyRuns {
+    /// Per left row, the run of its key (the distinct right keys the left
+    /// side carries, numbered in order of appearance), or [`NO_RUN`].
+    run_of_row: Vec<u32>,
+    /// Number of runs.
+    n_runs: usize,
+    /// Every right row of a run's key, in row order, as `(fingerprint, row,
+    /// run)`. When no key of the table repeats, each run has one row and no
+    /// fingerprint is read (0).
+    cands: Vec<(u64, u32, u32)>,
+}
+
+impl KeyRuns {
+    /// Collect `right`'s rows for the keys of `left_key`, given `dict`, the
+    /// dictionary `right`'s key metadata holds for its join column (a table
+    /// without key metadata takes the index path): each left key is mapped
+    /// to its right code, and one pass over the right row codes keeps the
+    /// rows of those codes, in row order, with their fingerprints read
+    /// once, from the table's shared vector.
+    ///
+    /// Polls the ambient control before the scan and between its blocks; an
+    /// armed `panic_on_row` fault fires when the scan reaches its row, as in
+    /// [`JoinIndex::build`].
+    pub(crate) fn build(left_key: &Column, right: &Table, dict: &KeyDict) -> Result<KeyRuns> {
+        let mut run_of_code = vec![NO_RUN; dict.len()];
+        let mut n_runs = 0u32;
+        let mut run_of_row = Vec::with_capacity(left_key.len());
+        left_key.keys_in(0..left_key.len(), |key| {
+            let run = key.and_then(|k| dict.code(&k)).map_or(NO_RUN, |code| {
+                let run = &mut run_of_code[code as usize];
+                if *run == NO_RUN {
+                    *run = n_runs;
+                    n_runs += 1;
+                }
+                *run
+            });
+            run_of_row.push(run);
+        });
+
+        // The scan is branch-free: each row is written at the end of the
+        // block's kept rows, which move past it only when its code is
+        // needed — a small share of the rows, in no order a branch could
+        // predict.
+        let panic_row = crate::faults::lookup(right.name()).and_then(|f| f.panic_on_row);
+        let codes = dict.row_codes();
+        let mut kept: Vec<u64> = Vec::new();
+        let mut block = vec![0u64; BLOCK];
+        for start in (0..codes.len()).step_by(BLOCK) {
+            crate::control::poll_ambient()?;
+            let end = (start + BLOCK).min(codes.len());
+            if let Some(row) = panic_row.filter(|row| (start..end).contains(row)) {
+                injected_panic(right, row);
+            }
+            let mut n = 0;
+            for (row, &code) in (start..end).zip(&codes[start..end]) {
+                // `NULL_CODE` lies past the end of `run_of_code`.
+                let run = run_of_code.get(code as usize).map_or(NO_RUN, |&run| run);
+                block[n] = u64::from(run) << 32 | row as u64;
+                n += usize::from(run != NO_RUN);
+            }
+            kept.extend_from_slice(&block[..n]);
+        }
+
+        // The table's shared fingerprint vector, built here if no join has
+        // needed it yet; read only when some key repeats; else each
+        // candidate is its key's only row.
+        let fps = if dict.repeated_rows() > 0 { right.row_fingerprints() } else { None };
+        debug_assert!(fps.is_some() || dict.repeated_rows() == 0, "`right` has key metadata");
+        let cands = kept
+            .iter()
+            .map(|&k| {
+                let (run, row) = ((k >> 32) as u32, k as u32);
+                (fps.map_or(0, |fps| fps[row as usize]), row, run)
+            })
+            .collect();
+        Ok(KeyRuns { run_of_row, n_runs: n_runs as usize, cands })
+    }
+}
+
+/// [`left_join_with_index`] over [`KeyRuns`] instead of an index: each run's
+/// representative by the same rule as a key group's, and the same output.
+pub(crate) fn left_join_with_runs(
+    left: &Table,
+    right: &Table,
+    runs: &KeyRuns,
+    prefix: &str,
+    seed: u64,
+) -> Result<JoinOutput> {
+    let _span = obs::span("join");
+    slow_join_fault(right)?;
+    let mut best = vec![(u64::MAX, NO_ROW); runs.n_runs];
+    for &(fp, row, run) in &runs.cands {
+        let best = &mut best[run as usize];
+        *best = (*best).min(pick_order(seed, fp, row));
+    }
+    // `NO_RUN` lies past the end of `best`.
+    let map = runs.run_of_row.iter().map(|&run| best.get(run as usize).map_or(NO_ROW, |b| b.1));
+    assemble(left, right, map.collect(), prefix)
+}
+
+/// A join's output from its row map (one right row per left row, [`NO_ROW`]
+/// for none): all left columns, then all right columns (renamed) as views
+/// through the map. Columns are Arc-backed, so the clones here are O(1)
+/// pointer bumps — the accumulated frontier is shared across hops, not
+/// deep-copied — and no right-hand cell is read.
+fn assemble(left: &Table, right: &Table, map: Vec<u32>, prefix: &str) -> Result<JoinOutput> {
+    let n = map.len();
+    obs::incr("join.calls");
+    obs::add("join.left_rows", n as u64);
     let matched = map.iter().filter(|&&r| r != NO_ROW).count();
     debug_assert!(map.iter().all(|&r| r == NO_ROW || (r as usize) < right.n_rows()));
     let map: Arc<[u32]> = map.into();
-
-    // Assemble: all left columns, then all right columns (renamed) as views
-    // through the one row map. Columns are Arc-backed, so the clones here
-    // are O(1) pointer bumps — the accumulated frontier is shared across
-    // hops, not deep-copied — and no right-hand cell is read.
     let mut table = left.clone();
     let prefix_dot = format!("{prefix}.");
     let mut right_columns = Vec::with_capacity(right.n_cols());
@@ -852,6 +1006,62 @@ mod tests {
             bad.dup_rows[1] = 2; // row 2 claimed twice, row 1 by nobody
             assert!(bad.validate(key).unwrap_err().contains("row 1 sits in 0"));
         }
+    }
+
+    /// The footprint a cache admits a lake table's index on, worked out from
+    /// the dictionary alone, is what the build then holds, for every layout
+    /// a group table takes.
+    #[test]
+    fn index_bytes_is_the_built_footprint() {
+        let n = 300i64;
+        let cases = [
+            ("dense ints", Column::from_ints((0..n).map(|i| (i % 11 != 0).then_some(i / 3))), true),
+            ("sparse ints", Column::from_ints((0..n).map(|i| Some(i / 3 * 1000))), false),
+            ("strings", Column::from_strs((0..n).map(|i| Some(format!("s{}", i % 40)))), false),
+            ("bools", Column::from_bools((0..n).map(|i| Some(i % 2 == 0))), false),
+            ("all null", Column::from_ints((0..n).map(|_| None)), false),
+            ("all unique", Column::from_ints((0..n).map(|i| Some(n - i))), true),
+        ];
+        for (what, key, by_value) in cases {
+            let t = Table::new("t", vec![("k", key), ("v", Column::from_ints((0..n).map(Some)))])
+                .unwrap()
+                .with_key_dicts();
+            let index = JoinIndex::build(&t, t.column("k").unwrap()).unwrap();
+            let dict = t.key_dict_at(0).unwrap();
+            assert_eq!(index_bytes(dict), index.resident_bytes(), "{what}");
+            assert_eq!(dict.repeated_rows(), index.n_dup_rows(), "{what}");
+            assert_eq!(index.int_base.is_some(), by_value, "{what}");
+        }
+    }
+
+    /// The transient grouping polls the ambient control before its scan,
+    /// and both fault hooks fire on the transient path.
+    #[test]
+    fn key_runs_poll_the_control_and_fire_the_fault_hooks() {
+        use crate::control::{Interrupt, RunControl};
+        use crate::faults::TableFaults;
+        use crate::scope::RequestScope;
+        let (l, r) = (left(), right().with_key_dicts());
+        let (lk, dict) = (l.column("id").unwrap(), Arc::clone(r.key_dict_at(0).unwrap()));
+        let cancelled = Arc::new(RunControl::new());
+        cancelled.cancel();
+        {
+            let _g = RequestScope::with_ctl(&cancelled).enter();
+            let err = KeyRuns::build(lk, &r, &dict).err().and_then(|e| e.interrupt());
+            assert_eq!(err, Some(Interrupt::Cancelled));
+        }
+        let faults = crate::FaultDomain::new();
+        let in_domain = RequestScope { faults: Some(faults.clone()), ..RequestScope::capture() };
+        let _g = in_domain.enter();
+        faults.arm("ext", TableFaults { panic_on_row: Some(3), slow_join_ms: None });
+        let panicked = std::panic::catch_unwind(|| KeyRuns::build(lk, &r, &dict).is_ok());
+        assert!(panicked.is_err(), "panic_on_row fires in the scan");
+        faults.arm("ext", TableFaults { panic_on_row: Some(4), slow_join_ms: Some(60_000) });
+        let runs = KeyRuns::build(lk, &r, &dict).expect("row 4 is past the table's end");
+        let expired = Arc::new(RunControl::new()).scoped(Some(std::time::Instant::now()));
+        let _g = RequestScope { ctl: Some(expired), ..RequestScope::capture() }.enter();
+        let err = left_join_with_runs(&l, &r, &runs, "ext", 42).unwrap_err();
+        assert_eq!(err.interrupt(), Some(Interrupt::DeadlineExceeded), "slow_join_ms yields");
     }
 
     #[test]

@@ -99,6 +99,11 @@ pub struct KeyDict {
     /// Rows whose key is null — which, cells holding no `NaN`, is the
     /// column's null count.
     null_rows: usize,
+    /// Rows whose key occurs on more than one row.
+    repeated_rows: usize,
+    /// The lowest and highest key when there are keys and every one is an
+    /// integer.
+    int_range: Option<(i64, i64)>,
     /// Heap footprint, summed once at build.
     resident_bytes: usize,
 }
@@ -165,11 +170,21 @@ impl KeyDict {
             keys.push(std::mem::replace(&mut seen_keys[number as usize], Key::Bool(false)));
             place(&mut slots, hash, code as u32);
         }
+        let mut rows_of = vec![0u32; keys.len()];
         for c in &mut codes {
             if *c != NULL_CODE {
                 *c = code_of[*c as usize];
+                rows_of[*c as usize] += 1;
             }
         }
+        let repeated_rows = rows_of.iter().filter(|&&n| n > 1).map(|&n| n as usize).sum();
+        let int_range = keys
+            .iter()
+            .try_fold(None, |range: Option<(i64, i64)>, key| match *key {
+                Key::Num(i) => Some(Some(range.map_or((i, i), |(lo, hi)| (lo.min(i), hi.max(i))))),
+                _ => None,
+            })
+            .flatten();
         // String key payloads are charged once per distinct key.
         let key_payload: usize = keys
             .iter()
@@ -181,7 +196,7 @@ impl KeyDict {
         let resident_bytes = keys.capacity() * std::mem::size_of::<Key>()
             + (slots.capacity() + codes.capacity()) * std::mem::size_of::<u32>()
             + key_payload;
-        KeyDict { keys, slots, codes, null_rows, resident_bytes }
+        KeyDict { keys, slots, codes, null_rows, repeated_rows, int_range, resident_bytes }
     }
 
     /// Number of distinct non-null keys (= number of valid codes).
@@ -202,6 +217,17 @@ impl KeyDict {
     /// Number of rows with a null key (= null cells of the column).
     pub fn null_rows(&self) -> usize {
         self.null_rows
+    }
+
+    /// Number of rows whose key occurs on more than one row.
+    pub(crate) fn repeated_rows(&self) -> usize {
+        self.repeated_rows
+    }
+
+    /// The lowest and highest key, when there are keys and all are
+    /// integers.
+    pub(crate) fn int_range(&self) -> Option<(i64, i64)> {
+        self.int_range
     }
 
     /// The code of `key`, or `None` when the key never occurs.
@@ -324,6 +350,12 @@ mod tests {
             let d = KeyDict::build(&col);
             let (keys, codes, null_rows) = reference(&col);
             assert_eq!((&d.keys, &d.codes, d.null_rows), (&keys, &codes, null_rows));
+            let rows_of = |c: u32| codes.iter().filter(|&&d| d == c).count();
+            let repeated = codes.iter().filter(|&&c| c != NULL_CODE && rows_of(c) > 1).count();
+            let ints: Option<Vec<i64>> =
+                keys.iter().map(|k| if let Key::Num(i) = k { Some(*i) } else { None }).collect();
+            let range = ints.and_then(|i| Some((*i.iter().min()?, *i.iter().max()?)));
+            assert_eq!((d.repeated_rows(), d.int_range()), (repeated, range));
             for (code, key) in keys.iter().enumerate() {
                 assert_eq!(d.code(key), Some(code as u32));
             }

@@ -306,6 +306,51 @@ fn planned_slow_join_trips_the_deadline_not_an_error() {
     assert!(health.contains("time budget exhausted"), "{health}");
 }
 
+/// Both runtime faults at a zero cache budget, where no join builds an
+/// index and each groups only the rows its sample needs: the panic fires in
+/// that grouping and is isolated and counted like a build panic, disarming
+/// heals, and the slow join still yields to the deadline.
+#[test]
+fn runtime_faults_fire_on_joins_the_budget_denies() {
+    let (ctx, n_rows) = renamed_single_satellite_ctx("rtdenied");
+    let zero = AutoFeatConfig::paper().with_cache_budget_bytes(0);
+    let mut inj = FaultInjector::new(11);
+    inj.plan_runtime("rtdenied_s0", RuntimeFaultKind::PanicOnRow, n_rows)
+        .arm(ctx.fault_domain());
+    let result = AutoFeat::new(zero.clone()).discover(&ctx).unwrap();
+    assert!(
+        result.failures.iter().any(|f| f.error.contains("panicked")),
+        "the injected panic must surface as an isolated failure: {result:?}"
+    );
+    assert!(result.cache.build_panics >= 1, "{:?}", result.cache);
+    assert_eq!(result.cache.entries, 0);
+    assert!(result.ranked.is_empty(), "the only path is poisoned");
+
+    ctx.fault_domain().disarm("rtdenied_s0");
+    let healed = AutoFeat::new(zero.clone()).discover(&ctx).unwrap();
+    assert!(healed.failures.is_empty(), "{:?}", healed.failures);
+    assert!(!healed.ranked.is_empty(), "disarming heals the lake");
+    let cache = healed.cache;
+    assert!(cache.misses > 0 && cache.misses == cache.rejections, "{cache:?}");
+
+    RuntimeFault { table: "rtdenied_s0".into(), kind: RuntimeFaultKind::SlowJoinMs, value: 2_000 }
+        .arm(ctx.fault_domain());
+    let cfg = zero.with_time_budget(std::time::Duration::from_millis(40));
+    let t0 = std::time::Instant::now();
+    let result = AutoFeat::new(cfg).discover(&ctx).unwrap();
+    let elapsed = t0.elapsed();
+    ctx.fault_domain().disarm("rtdenied_s0");
+    assert!(
+        matches!(result.truncation, Some(TruncationReason::DeadlineExceeded { .. })),
+        "expected deadline truncation, got {:?}",
+        result.truncation
+    );
+    assert!(
+        elapsed < std::time::Duration::from_millis(1_500),
+        "slow join must be interrupted, not slept through: {elapsed:?}"
+    );
+}
+
 #[test]
 fn every_fault_kind_alone_never_breaks_discovery() {
     // One fault at a time, applied to the single satellite of a minimal

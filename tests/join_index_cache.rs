@@ -202,6 +202,48 @@ fn budget_application_evicts_deterministically_across_thread_counts() {
     );
 }
 
+/// Workers released together onto one cold table that a zero budget
+/// denies: each of their joins counts a miss and a rejection — none waits on
+/// another worker's build, which the budget then throws away, and counts a
+/// hit — so the totals are the same at 1 and at 4 workers.
+#[test]
+fn racing_joins_of_a_denied_table_each_count_a_miss() {
+    use std::sync::{Arc, Barrier};
+    let n = 200_000i64;
+    let raced = Table::new(
+        "raced",
+        vec![
+            ("k", Column::from_ints((0..n).map(|i| Some(i / 4)))),
+            ("f", Column::from_ints((0..n).map(Some))),
+        ],
+    )
+    .unwrap()
+    .with_key_dicts();
+    // Metadata first, so the race is over the grouping alone.
+    raced.key_dict_at(0).unwrap();
+    raced.row_fingerprints().unwrap();
+    let base = Table::new("base", vec![("k", Column::from_ints((0..64).map(Some)))]).unwrap();
+    for workers in [1usize, 4] {
+        let cache = LakeIndexCache::with_budget(Some(0));
+        let barrier = Arc::new(Barrier::new(workers));
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                let (cache, barrier, raced, base) = (&cache, &barrier, &raced, &base);
+                s.spawn(move || {
+                    barrier.wait();
+                    for seed in 0..2 {
+                        cache.left_join_normalized(base, raced, "k", "k", "r", seed).unwrap();
+                    }
+                });
+            }
+        });
+        let st = cache.stats();
+        let joins = 2 * workers as u64;
+        let counts = (st.hits, st.misses, st.rejections, st.entries);
+        assert_eq!(counts, (0, joins, joins, 0), "{workers} worker(s)");
+    }
+}
+
 /// `cache: false` joins through a private budget-0 cache: against a warm,
 /// budgeted shared cache it changes nothing there — not a counter, not the
 /// budget, not a resident byte, whatever budget the run itself names —

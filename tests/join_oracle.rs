@@ -146,4 +146,58 @@ proptest! {
         let back = left_join_normalized(&base, &hop2.table, "k", "k", "r", seed).unwrap();
         check(&back, &base, &dense2, "k", "r", seed)?;
     }
+
+    /// A join whose index the budget denies collects only the right rows
+    /// its left keys need and picks among them; it must equal the free
+    /// `left_join_normalized`, which indexes every row — the map (read off a
+    /// row-id column), `matched` and every right column — and the oracle.
+    /// Keys repeat 1–40 times, left keys miss the right side, and the second
+    /// hop is keyed on a view.
+    #[test]
+    fn denied_joins_match_the_indexed_join(
+        dups in prop::collection::vec(0usize..41, 1..10),
+        lcodes in prop::collection::vec(0i64..13, 0..30),
+        kinds in (0usize..5, 0usize..5),
+        stride in 1usize..50,
+        seeds in prop::collection::vec(0u64..1000, 1..4),
+    ) {
+        // Key code `c` on `dups[c]` rows (code 0: null keys), laid out by a
+        // stride permutation when it is coprime to the row count.
+        let runs = dups.iter().enumerate();
+        let mut rcodes: Vec<i64> =
+            runs.flat_map(|(c, &d)| std::iter::repeat_n(c as i64, d)).collect();
+        let m = rcodes.len();
+        let gcd = |mut a: usize, mut b: usize| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        if gcd(stride, m) == 1 {
+            rcodes = (0..m).map(|i| rcodes[i * stride % m]).collect();
+        }
+        let rows = Column::from_ints((0..m as i64).map(Some));
+        let right = table("ext", kinds.1, &rcodes, false).with_column("row", rows).unwrap();
+        let keyed = right.clone().with_key_dicts();
+        let base = table("base", kinds.0, &lcodes, false);
+        let cache = LakeIndexCache::with_budget(Some(0));
+        for &seed in &seeds {
+            let denied = cache.left_join_normalized(&base, &keyed, "k", "k", "ext", seed).unwrap();
+            let indexed = left_join_normalized(&base, &right, "k", "k", "ext", seed).unwrap();
+            prop_assert_eq!(denied.matched, indexed.matched);
+            prop_assert_eq!(&denied.right_columns, &indexed.right_columns);
+            prop_assert!(denied.table == indexed.table, "seed {}", seed);
+            check(&denied, &base, &right, "k", "ext", seed)?;
+            // The second hop, keyed on the view `ext.k`, back into `ext`.
+            let (lk, left) = ("ext.k", &denied.table);
+            let denied2 = cache.left_join_normalized(left, &keyed, lk, "k", "ext", seed).unwrap();
+            let indexed2 = left_join_normalized(left, &right, lk, "k", "ext", seed).unwrap();
+            prop_assert_eq!(denied2.matched, indexed2.matched);
+            prop_assert!(denied2.table == indexed2.table, "second hop, seed {}", seed);
+        }
+        // Only an index of no bytes (a right side without keys) fits.
+        let st = cache.stats();
+        prop_assert_eq!((st.hits + st.misses, st.resident_bytes), (2 * seeds.len() as u64, 0));
+        prop_assert_eq!(st.misses, st.rejections + st.entries);
+    }
 }
