@@ -6,7 +6,10 @@
 //! fingerprints every duplicate row. The [`LakeIndexCache`] builds each
 //! `(table, join column)` index **once**, thread-safely, and serves it to
 //! every subsequent join — the per-seed work then degrades to one hash probe
-//! plus a [`mix_u64`](crate::stable_hash::mix_u64) per duplicate candidate.
+//! plus a [`mix_u64`](crate::stable_hash::mix_u64) per duplicate candidate,
+//! and, for the hop seed that keeps coming back to a kept index (the same
+//! request served again), to one probe and one read: the index's memo of
+//! that seed's representatives, filled by the second join with it.
 //!
 //! ## Memory governance
 //!
@@ -53,8 +56,11 @@
 //! same rule. A lake table owns its own — charged to
 //! [`Table::key_meta_bytes`](crate::table::Table::key_meta_bytes), shared by
 //! every index over the table — so `JoinIndex::resident_bytes` counts only
-//! the group and duplicate arrays the cache retains; an index over a table
-//! without key metadata built the two for itself and is charged for them.
+//! the group and duplicate arrays the cache retains, and the memo of an
+//! index whose keys repeat (one row id per group slot, charged from the
+//! build, so a fill never moves residency); an index over a table without
+//! key metadata built the dictionary and fingerprints for itself and is
+//! charged for them.
 //!
 //! ## Resilience
 //!
@@ -93,7 +99,8 @@
 //! spells out without a cache, and which the tests compare against — or, for
 //! a lake table the budget denies, the same pick over only the rows the left
 //! keys need. Fingerprints are seed-independent, so one index serves every
-//! seed.
+//! seed; its memo holds one seed's picks by the same rule, and a debug build
+//! asserts every read of it against the pick.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1175,6 +1182,47 @@ mod tests {
         assert_eq!(index.resident_bytes() as u64, one);
         let st = cache.stats();
         assert_eq!((st.misses, st.rejections, st.entries, st.resident_bytes), (4, 3, 1, one));
+    }
+
+    /// The memo is a retained index's own. A join the budget denies — over a
+    /// keyed table (no index at all) or a bare one (an index for that join
+    /// alone) — orders the same candidates however often it repeats, at a
+    /// budget of 0 and at one with room for another table's index: it
+    /// neither fills a memo nor reads one. The admitted index fills its memo
+    /// on its second join with a seed, inside the bytes its slot was made
+    /// with, so residency stays the admitted slots' bytes.
+    #[test]
+    fn only_a_retained_index_fills_a_memo() {
+        let l = base().take(&[0, 2, 4, 6]);
+        let picks = |cache: &LakeIndexCache, r: &Table| {
+            let tracer = obs::Tracer::enabled();
+            obs::with_tracer(&tracer, || cache.left_join_normalized(&l, r, "id", "key", "p", 9))
+                .unwrap();
+            tracer.snapshot().counter("join.picks").unwrap_or(0)
+        };
+        let thrice = |cache: &LakeIndexCache, r: &Table| [(); 3].map(|_| picks(cache, r));
+        let kept = lake_table("memo_kept", 6).with_key_dicts();
+        let one = JoinIndex::build(&kept, kept.column("key").unwrap()).unwrap().resident_bytes();
+        let one = one as u64;
+        let keyed = lake_table("memo_keyed", 6).with_key_dicts();
+        let bare = lake_table("memo_bare", 6);
+        let zero = LakeIndexCache::with_budget(Some(0));
+        let room_for_one = LakeIndexCache::with_budget(Some(one + one / 2));
+        assert_eq!(thrice(&room_for_one, &kept), [24, 48, 0], "4 keys × 6, then all 48 rows");
+        for cache in [&zero, &room_for_one] {
+            for r in [&keyed, &bare] {
+                assert_eq!(thrice(cache, r), [24; 3], "{}", r.name());
+            }
+        }
+        let index = room_for_one.get_or_build(&kept, "key").unwrap();
+        assert_eq!(index.resident_bytes() as u64, one, "the filled memo was charged up front");
+        let st = room_for_one.stats();
+        assert_eq!((st.entries, st.rejections, st.resident_bytes), (1, 6, one));
+        let gov = room_for_one.gov.read().unwrap();
+        let admitted: u64 = gov.buckets.values().flatten().filter_map(|s| s.bytes).sum();
+        assert_eq!(admitted, gov.resident);
+        gov.check();
+        assert_eq!(zero.stats().resident_bytes, 0);
     }
 
     /// A panic while a denied join groups its rows is isolated and counted

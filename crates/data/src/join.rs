@@ -38,13 +38,16 @@
 //! * **caching** — because fingerprints do not bake the seed in, a
 //!   [`JoinIndex`] built once per `(table, join column)` serves every seed:
 //!   the per-seed work degrades from re-hashing every duplicate row's full
-//!   content to one [`mix_u64`] per candidate. Cached and uncached joins are
-//!   bit-identical by construction — [`left_join_normalized`] is literally
-//!   [`left_join_with_index`] over a transient index — and so is the join a
-//!   cache budget denies an index, which collects only the rows its left
-//!   keys need (`KeyRuns`) and picks among them in the same order.
+//!   content to one [`mix_u64`] per candidate — and, for the one hop seed a
+//!   retained index keeps meeting, to nothing: the index remembers that
+//!   seed's representative per key (its memo, see [`JoinIndex`]). Cached
+//!   and uncached joins are bit-identical by construction —
+//!   [`left_join_normalized`] is literally [`left_join_with_index`] over a
+//!   transient index — and so is the join a cache budget denies an index,
+//!   which collects only the rows its left keys need (`KeyRuns`) and picks
+//!   among them in the same order.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use autofeat_obs as obs;
 
@@ -91,7 +94,8 @@ impl JoinOutput {
 /// Duplicated keys do not own their candidate list: they hold a range into
 /// the index's single `dup_rows` array. Keeping the per-key variant at two
 /// words (instead of an owned `Vec` per key) is what lets a *retained* index
-/// consist of exactly two heap blocks — see [`JoinIndex::build`].
+/// consist of two heap blocks — see [`JoinIndex::build`] — and a third, its
+/// memo, once a recurring seed fills it.
 #[derive(Debug, Clone, Copy)]
 enum KeyGroup {
     /// Exactly one row carries this key: no fingerprint needed, the pick is
@@ -116,9 +120,17 @@ const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
 /// from the right table — grouping rows by key — **once**, as a counting
 /// sort over the `u32` row codes. Resolving a seed's representative for a key
 /// is then one group lookup plus one cheap [`mix_u64`] per duplicate
-/// candidate. Indexes are immutable and shareable across threads
-/// ([`Send`]`+`[`Sync`]), which is what lets a lake-wide cache serve the
-/// parallel discovery fan-out.
+/// candidate. Indexes are shareable across threads ([`Send`]`+`[`Sync`]),
+/// which is what lets a lake-wide cache serve the parallel discovery
+/// fan-out; their groups never change.
+///
+/// For a fixed seed a key's pick never changes either, and a warm service
+/// joins each index it keeps with the same hop seed on every request. So an
+/// index whose keys repeat records the first seed joined through it, the
+/// second join with that seed fills a **memo** — the seed's representative
+/// per group slot — and every later join with it reads its rows from there:
+/// left key → slot → row. Any other seed picks as above. An index joined once
+/// (a transient one, a cold start's) records a seed and allocates nothing.
 ///
 /// There is one layout. What varies is who owns the two inputs it reads
 /// through: a lake table's dictionary and fingerprint vector are the table's
@@ -151,6 +163,18 @@ pub struct JoinIndex {
     /// Bytes of `dict` and `row_fps` this index built for itself (zero over
     /// a table with key metadata, where the lake owns both).
     own_meta_bytes: usize,
+    /// The recurring seed's representatives, unused while no key repeats.
+    memo: Memo,
+}
+
+/// One hop seed's representatives, remembered per group slot of a
+/// [`JoinIndex`]: the first seed joined through the index, and — once a
+/// second join with it has filled them — `pick(group, seed)` for every slot.
+/// Both are set once and never change, so a reader needs no lock.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    seed: OnceLock<u64>,
+    picks: OnceLock<Box<[u32]>>,
 }
 
 /// Rows are stored as `u32` and [`NO_ROW`] is `u32::MAX`, so an index can
@@ -181,20 +205,29 @@ fn group_layout(dict: &KeyDict) -> (usize, Option<i64>) {
 
 /// What [`JoinIndex::resident_bytes`] reports for an index over a table with
 /// key metadata, which lends it `dict` and its fingerprints — worked out from
-/// the dictionary alone: the group table, and one row id per row whose key
-/// repeats. A cache decides admission from it before building anything.
+/// the dictionary alone: the group table, its memo when some key repeats, and
+/// one row id per row whose key repeats. A cache decides admission from it
+/// before building anything.
 pub(crate) fn index_bytes(dict: &KeyDict) -> usize {
-    group_layout(dict).0 * std::mem::size_of::<KeyGroup>()
-        + dict.repeated_rows() * std::mem::size_of::<u32>()
+    let repeated = dict.repeated_rows();
+    slot_bytes(group_layout(dict).0, repeated > 0) + repeated * std::mem::size_of::<u32>()
 }
 
-/// Re-address the by-code group table the counting sort produced by key
-/// value, when [`group_layout`] says so.
-fn address_by_value(dict: &KeyDict, by_code: Vec<KeyGroup>) -> (Vec<KeyGroup>, Option<i64>) {
+/// Bytes of `slots` group-table slots, each with its memo entry — one row id,
+/// charged from the build on, filled or not — when some key repeats.
+fn slot_bytes(slots: usize, repeats: bool) -> usize {
+    let memo = if repeats { std::mem::size_of::<u32>() } else { 0 };
+    slots * (std::mem::size_of::<KeyGroup>() + memo)
+}
+
+/// Re-address a by-code table — the groups the counting sort produced, a
+/// memo — by key value when [`group_layout`] says so, with `gap` in the slots
+/// of the keys no row carries.
+fn address_by_value<T: Copy>(dict: &KeyDict, by_code: Vec<T>, gap: T) -> (Vec<T>, Option<i64>) {
     let (len, Some(lo)) = group_layout(dict) else {
         return (by_code, None);
     };
-    let mut by_key = vec![NO_GROUP; len];
+    let mut by_key = vec![gap; len];
     for (code, group) in by_code.into_iter().enumerate() {
         if let Key::Num(i) = dict.key_at(code as u32) {
             by_key[i.abs_diff(lo) as usize] = group;
@@ -205,7 +238,8 @@ fn address_by_value(dict: &KeyDict, by_code: Vec<KeyGroup>) -> (Vec<KeyGroup>, O
 
 /// The order a key's representative is picked in: of its candidate rows,
 /// the one minimizing `(mix_u64(seed, fingerprint), row)` wins. The one pick
-/// rule; both join paths order by it.
+/// rule; both join paths and the memo fill order by it, and count the rows
+/// they order in the `join.picks` trace counter.
 #[inline]
 fn pick_order(seed: u64, fp: u64, row: u32) -> (u64, u32) {
     (mix_u64(seed, fp), row)
@@ -341,8 +375,10 @@ impl JoinIndex {
             Arc::new(fps)
         };
         let n_rows = codes.len();
-        let (groups, int_base) = address_by_value(&dict, groups);
-        let index = JoinIndex { dict, groups, int_base, dup_rows, row_fps, n_rows, own_meta_bytes };
+        let (groups, int_base) = address_by_value(&dict, groups, NO_GROUP);
+        let memo = Memo::default();
+        let index =
+            JoinIndex { dict, groups, int_base, dup_rows, row_fps, n_rows, own_meta_bytes, memo };
         debug_assert_eq!(index.validate(right_key), Ok(()));
         // A cache admits a lake table's index on this figure before building.
         debug_assert!(
@@ -368,13 +404,67 @@ impl JoinIndex {
     /// Probe pass 1 for one key: its group.
     #[inline]
     fn group(&self, key: &Key) -> Option<KeyGroup> {
+        self.slot(key).map(|slot| self.groups[slot])
+    }
+
+    /// The group-table slot of `key`, if it is in the table.
+    #[inline]
+    fn slot(&self, key: &Key) -> Option<usize> {
         let slot = match (self.int_base, key) {
             (None, key) => self.dict.code(key)? as usize,
             // Below the base wraps to a huge offset, past the table.
             (Some(base), Key::Num(i)) => i.wrapping_sub(base) as u64 as usize,
             (Some(_), _) => return None,
         };
-        self.groups.get(slot).copied()
+        (slot < self.groups.len()).then_some(slot)
+    }
+
+    /// The memo a join with `seed` reads its rows from: filled here when this
+    /// is the second join with the seed the index recorded, `None` for the
+    /// first, for any other seed, and when no key repeats (each pick is the
+    /// key's only row). The fill polls the ambient control between the blocks
+    /// of its scan; an interrupted fill sets nothing, so a later join fills
+    /// again.
+    fn memo(&self, seed: u64) -> Result<Option<&[u32]>> {
+        if self.dup_rows.is_empty() {
+            return Ok(None);
+        }
+        let mut recorded = false;
+        let first = *self.memo.seed.get_or_init(|| {
+            recorded = true;
+            seed
+        });
+        if recorded || first != seed {
+            return Ok(None);
+        }
+        if let Some(picks) = self.memo.picks.get() {
+            return Ok(Some(picks));
+        }
+        // Every keyed row once, in row order: row codes and fingerprints are
+        // read in sequence and each row is folded into its key's least order
+        // so far — tables the size of the keys, where a fill group by group
+        // would load each candidate's fingerprint from wherever its row lies.
+        let (codes, row_fps) = (self.dict.row_codes(), self.row_fps.as_slice());
+        let mut least = vec![u64::MAX; self.dict.len()];
+        let mut by_code = vec![NO_ROW; self.dict.len()];
+        for start in (0..codes.len()).step_by(BLOCK) {
+            crate::control::poll_ambient()?;
+            let end = (start + BLOCK).min(codes.len());
+            for (row, &code) in (start..end).zip(&codes[start..end]) {
+                // `NULL_CODE` lies past the end of both tables.
+                let Some(least) = least.get_mut(code as usize) else { continue };
+                let best = &mut by_code[code as usize];
+                let order = pick_order(seed, row_fps[row], row as u32);
+                if order < (*least, *best) {
+                    (*least, *best) = order;
+                }
+            }
+        }
+        obs::add("join.picks", (codes.len() - self.dict.null_rows()) as u64);
+        drop(least); // before a by-value memo is allocated
+        let (picks, _) = address_by_value(&self.dict, by_code, NO_ROW);
+        // Two joins may fill at once; both fills are equal, the first is kept.
+        Ok(Some(self.memo.picks.get_or_init(|| picks.into_boxed_slice())))
     }
 
     /// Check the invariants a probe trusts, against the column the index
@@ -424,14 +514,15 @@ impl JoinIndex {
     }
 
     /// Approximate heap footprint in bytes, for cache accounting and
-    /// observability: the group table and `dup_rows` (capacity-based; both
-    /// are built at their final size). A lake table's dictionary and
-    /// fingerprint vector are shared by every index and encode over the
-    /// table, so they are charged to the lake
+    /// observability: the group table, its memo when some key repeats
+    /// (allocated by the memo's fill, charged from the build), and `dup_rows`
+    /// (capacity-based; all are built at their final size). A lake table's
+    /// dictionary and fingerprint vector are shared by every index and
+    /// encode over the table, so they are charged to the lake
     /// ([`Table::key_meta_bytes`]), not to this index or the cache budget;
     /// the ones an index built for itself are charged here.
     pub fn resident_bytes(&self) -> usize {
-        self.groups.capacity() * std::mem::size_of::<KeyGroup>()
+        slot_bytes(self.groups.capacity(), !self.dup_rows.is_empty())
             + self.dup_rows.capacity() * std::mem::size_of::<u32>()
             + self.own_meta_bytes
     }
@@ -499,7 +590,8 @@ pub fn left_join_with_index(
     slow_join_fault(right)?;
 
     let n = left.n_rows();
-    // The probe, a block of rows at a time, as two tight passes over dense
+    let memo = index.memo(seed)?;
+    // The probe, a block of rows at a time, as tight passes over dense
     // arrays rather than one chain per row. Between blocks: a cooperative
     // poll — one thread-local read when no request scope is entered,
     // and never result-affecting (an interrupt abandons the join entirely
@@ -507,17 +599,41 @@ pub fn left_join_with_index(
     let (dup_rows, row_fps) = (index.dup_rows.as_slice(), index.row_fps.as_slice());
     let mut groups: Vec<KeyGroup> = Vec::with_capacity(n.min(BLOCK));
     let mut map: Vec<u32> = Vec::with_capacity(n);
+    let mut picks = 0u64;
     for start in (0..n).step_by(BLOCK) {
         crate::control::poll_ambient()?;
-        // Pass 1: left key → key group, typed per column and read through
-        // the map when the left key is itself a view (every second hop).
+        // Left keys are typed per column and read through the map when the
+        // left key is itself a view (every second hop).
+        let rows = start..(start + BLOCK).min(n);
+        if let Some(memo) = memo {
+            // One pass: left key → slot → the memo's row.
+            lk.keys_in(rows, |key| {
+                map.push(key.and_then(|k| index.slot(&k)).map_or(NO_ROW, |slot| {
+                    let row = memo[slot];
+                    debug_assert_eq!(
+                        row,
+                        pick(index.groups[slot], seed, dup_rows, row_fps),
+                        "memo slot {slot} under seed {seed}"
+                    );
+                    row
+                }));
+            });
+            continue;
+        }
+        // Pass 1: left key → key group.
         groups.clear();
-        lk.keys_in(start..(start + BLOCK).min(n), |key| {
+        lk.keys_in(rows, |key| {
             groups.push(key.and_then(|k| index.group(&k)).unwrap_or(NO_GROUP));
         });
         // Pass 2: key group → representative right row.
-        map.extend(groups.iter().map(|&g| pick(g, seed, dup_rows, row_fps)));
+        for &group in &groups {
+            if let KeyGroup::Dups { len, .. } = group {
+                picks += u64::from(len);
+            }
+            map.push(pick(group, seed, dup_rows, row_fps));
+        }
     }
+    obs::add("join.picks", picks);
     assemble(left, right, map, prefix)
 }
 
@@ -620,6 +736,7 @@ pub(crate) fn left_join_with_runs(
 ) -> Result<JoinOutput> {
     let _span = obs::span("join");
     slow_join_fault(right)?;
+    obs::add("join.picks", runs.cands.len() as u64);
     let mut best = vec![(u64::MAX, NO_ROW); runs.n_runs];
     for &(fp, row, run) in &runs.cands {
         let best = &mut best[run as usize];
@@ -1062,6 +1179,69 @@ mod tests {
         let _g = RequestScope { ctl: Some(expired), ..RequestScope::capture() }.enter();
         let err = left_join_with_runs(&l, &r, &runs, "ext", 42).unwrap_err();
         assert_eq!(err.interrupt(), Some(Interrupt::DeadlineExceeded), "slow_join_ms yields");
+    }
+
+    /// The candidate rows one call orders by the pick rule, from its trace.
+    fn picks_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let tracer = obs::Tracer::enabled();
+        let out = obs::with_tracer(&tracer, f);
+        (out, tracer.snapshot().counter("join.picks").unwrap_or(0))
+    }
+
+    /// The memo's life: the first join with a seed records it, the second
+    /// fills the memo (an interrupted fill leaves it empty, and the next
+    /// join fills it), later joins with it order no candidate, and any other
+    /// seed orders every candidate its left keys meet, as before. An index
+    /// whose keys are all unique records nothing.
+    #[test]
+    fn the_second_join_with_the_recorded_seed_fills_the_memo() {
+        use crate::control::{Interrupt, RunControl};
+        use crate::scope::RequestScope;
+        let n = 64i64;
+        let r = Table::new(
+            "ext",
+            vec![
+                ("key", Column::from_ints((0..n).map(|i| Some(i / 8)))),
+                ("v", Column::from_ints((0..n).map(Some))),
+            ],
+        )
+        .unwrap();
+        // Keys 0..4 meet 8 candidates each; 20 is absent; one is null.
+        let keys = (0..4).map(Some).chain([Some(20), None]);
+        let l = Table::new("base", vec![("id", Column::from_ints(keys))]).unwrap();
+        let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
+        let bytes = index.resident_bytes();
+        let join = |seed| picks_of(|| left_join_with_index(&l, &r, &index, "id", "ext", seed));
+        let want = |seed| left_join_normalized(&l, &r, "id", "key", "ext", seed).unwrap().table;
+
+        let (out, picks) = join(5);
+        assert_eq!((out.unwrap().table, picks), (want(5), 32), "recorded");
+        assert!(index.memo.picks.get().is_none());
+        let cancelled = Arc::new(RunControl::new());
+        cancelled.cancel();
+        {
+            let _g = RequestScope::with_ctl(&cancelled).enter();
+            let err = join(5).0.unwrap_err();
+            assert_eq!(err.interrupt(), Some(Interrupt::Cancelled));
+        }
+        assert!(index.memo.picks.get().is_none(), "an interrupted fill sets nothing");
+        let (out, picks) = join(5);
+        assert_eq!((out.unwrap().table, picks), (want(5), 64), "filled: every keyed row");
+        assert_eq!(index.memo.picks.get().map(|m| m.len()), Some(index.groups.len()));
+        for seed in [5, 6, 5] {
+            let (out, picks) = join(seed);
+            let per_row = if seed == 5 { 0 } else { 32 };
+            assert_eq!((out.unwrap().table, picks), (want(seed), per_row), "seed {seed}");
+        }
+        assert_eq!(index.resident_bytes(), bytes, "the memo was charged from the build");
+
+        let unique = right().take(&[0, 2, 3]);
+        let index = JoinIndex::build(&unique, unique.column("key").unwrap()).unwrap();
+        for _ in 0..3 {
+            let (out, picks) = picks_of(|| left_join_with_index(&l, &unique, &index, "id", "e", 1));
+            assert_eq!((out.unwrap().matched, picks), (2, 0));
+        }
+        assert!(index.memo.seed.get().is_none(), "unique keys: the pick is the key's row");
     }
 
     #[test]

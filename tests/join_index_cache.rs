@@ -305,3 +305,40 @@ fn second_join_through_same_table_column_hits() {
     assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     assert_eq!(a.table, b.table, "hit must reproduce the miss bit-for-bit");
 }
+
+/// A retained index remembers the representatives of the first hop seed
+/// joined through it once a second join with that seed has filled its memo.
+/// On a star every satellite is joined with one hop seed per request, so the
+/// candidate rows a request orders by the pick rule (`join.picks`) go: every
+/// duplicate a sampled left key meets on the first request, every row of
+/// each satellite on the second (the fill scans them), none from the third
+/// on — and a request at another run seed, which no memo serves, orders what
+/// the first did. Results are bit-identical throughout.
+#[test]
+fn a_recurring_hop_seed_stops_picking_from_the_third_request() {
+    let (n_sat, n_rows, dup, sample) = (6, 80, 4, 40);
+    let ctx = wide_uniform_ctx(n_sat, n_rows, dup);
+    let service = DiscoveryService::new(ctx, AutoFeatConfig::default());
+    // The memo lives on the indexes a cache keeps: keep all of them, whatever
+    // budget the environment gives a new cache.
+    service.context().lake_cache().set_budget(None);
+    let submit = |seed: u64| {
+        let cfg = AutoFeatConfig { sample_rows: Some(sample), ..AutoFeatConfig::default() };
+        let cfg = cfg.with_seed(seed).with_trace(true);
+        let result = service.submit(&DiscoveryRequest::new().with_config(cfg)).unwrap();
+        let picks = result.trace.as_ref().expect("traced").counter("join.picks").unwrap_or(0);
+        (result, picks)
+    };
+    let (first, p1) = submit(7);
+    let (second, p2) = submit(7);
+    let (third, p3) = submit(7);
+    let (_, other) = submit(8);
+    assert_eq!(first.n_joins_evaluated, n_sat, "one join per satellite");
+    assert_eq!(p1, (n_sat * sample * dup) as u64, "each sampled key meets its duplicates");
+    assert_eq!(p2, (n_sat * n_rows * dup) as u64, "the fill orders every keyed row once");
+    assert_eq!((p3, other), (0, p1), "memo reads order nothing; another seed falls back");
+    assert_bit_identical(&first, &second, "recorded vs filled");
+    assert_bit_identical(&first, &third, "filled vs read");
+    let st = service.context().lake_cache().stats();
+    assert_eq!((st.entries, st.misses, st.rejections), (n_sat as u64, n_sat as u64, 0));
+}

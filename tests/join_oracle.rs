@@ -12,6 +12,7 @@ mod common;
 
 use autofeat::data::join::{left_join_normalized, left_join_with_index, JoinIndex, JoinOutput};
 use autofeat::data::LakeIndexCache;
+use autofeat::obs;
 use autofeat::prelude::*;
 use common::join_oracle;
 use proptest::prelude::*;
@@ -55,6 +56,39 @@ fn table(name: &str, kind: usize, codes: &[i64], all_null: bool) -> Table {
         ],
     )
     .unwrap()
+}
+
+/// A right side whose key code `c` sits on `dups[c]` rows (code 0: null
+/// keys), laid out by the permutation `i ↦ i × stride mod rows` when `stride`
+/// is coprime to the row count, with a `row` column that makes every row's
+/// content distinct and shows the row map in the output.
+fn dup_heavy(kind: usize, dups: &[usize], stride: usize) -> Table {
+    let runs = dups.iter().enumerate();
+    let mut codes: Vec<i64> = runs.flat_map(|(c, &d)| std::iter::repeat_n(c as i64, d)).collect();
+    let m = codes.len();
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    if gcd(stride, m) == 1 {
+        codes = (0..m).map(|i| codes[i * stride % m]).collect();
+    }
+    let rows = Column::from_ints((0..m as i64).map(Some));
+    table("ext", kind, &codes, false).with_column("row", rows).unwrap()
+}
+
+/// The candidate rows one call ordered by the pick rule (`join.picks`).
+fn picks_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let tracer = obs::Tracer::enabled();
+    let out = obs::with_tracer(&tracer, f);
+    (out, tracer.snapshot().counter("join.picks").unwrap_or(0))
+}
+
+/// How many right rows carry a key equal to `key`, by the oracle's rule.
+fn matches(key: &Value, right_key: &Column) -> usize {
+    (0..right_key.len()).filter(|&j| join_oracle::keys_match(key, &right_key.get(j))).count()
 }
 
 /// `out` must equal the oracle's join of the same inputs: names, match
@@ -161,23 +195,7 @@ proptest! {
         stride in 1usize..50,
         seeds in prop::collection::vec(0u64..1000, 1..4),
     ) {
-        // Key code `c` on `dups[c]` rows (code 0: null keys), laid out by a
-        // stride permutation when it is coprime to the row count.
-        let runs = dups.iter().enumerate();
-        let mut rcodes: Vec<i64> =
-            runs.flat_map(|(c, &d)| std::iter::repeat_n(c as i64, d)).collect();
-        let m = rcodes.len();
-        let gcd = |mut a: usize, mut b: usize| {
-            while b != 0 {
-                (a, b) = (b, a % b);
-            }
-            a
-        };
-        if gcd(stride, m) == 1 {
-            rcodes = (0..m).map(|i| rcodes[i * stride % m]).collect();
-        }
-        let rows = Column::from_ints((0..m as i64).map(Some));
-        let right = table("ext", kinds.1, &rcodes, false).with_column("row", rows).unwrap();
+        let right = dup_heavy(kinds.1, &dups, stride);
         let keyed = right.clone().with_key_dicts();
         let base = table("base", kinds.0, &lcodes, false);
         let cache = LakeIndexCache::with_budget(Some(0));
@@ -199,5 +217,101 @@ proptest! {
         let st = cache.stats();
         prop_assert_eq!((st.hits + st.misses, st.resident_bytes), (2 * seeds.len() as u64, 0));
         prop_assert_eq!(st.misses, st.rejections + st.entries);
+    }
+
+    /// A retained index remembers the representatives of the first hop seed
+    /// joined through it. Joined with seeds `[s, s, s, t, s]` it records `s`,
+    /// fills its memo, reads it, picks per left row for `t`, and reads again
+    /// — through the index itself and through an unbounded cache, over a
+    /// keyed right side and a bare one, with a sampled left side. Every join
+    /// equals the free `left_join_normalized` (held to the oracle), and the
+    /// candidates each ordered say which of the five it did: every duplicate
+    /// a left key meets, by the oracle's key rule, then every right row with
+    /// a key (the fill scans them all), then none.
+    #[test]
+    fn a_recurring_seed_reads_its_memo_and_matches_the_oracle(
+        dups in prop::collection::vec(0usize..41, 1..10),
+        lcodes in prop::collection::vec(0i64..13, 0..30),
+        kinds in (0usize..5, 0usize..5),
+        stride in 1usize..50,
+        sampled in prop::collection::vec(0usize..3, 30..31),
+        seeds in (0u64..1000, 1u64..1000),
+    ) {
+        let right = dup_heavy(kinds.1, &dups, stride);
+        let keyed = right.clone().with_key_dicts();
+        let base = table("base", kinds.0, &lcodes, false);
+        let rows: Vec<usize> = (0..base.n_rows()).filter(|&i| sampled[i] > 0).collect();
+        let left = base.take(&rows);
+        let (s, t) = (seeds.0, seeds.0 + seeds.1);
+        let mut want = std::collections::HashMap::new();
+        for seed in [s, t] {
+            let free = left_join_normalized(&left, &right, "k", "k", "ext", seed).unwrap();
+            check(&free, &left, &right, "k", "ext", seed)?;
+            want.insert(seed, free);
+        }
+        let (lk, rk) = (left.column("k").unwrap(), right.column("k").unwrap());
+        let repeated = |n: usize| if n >= 2 { n as u64 } else { 0 };
+        let per_row: u64 = (0..lk.len()).map(|i| repeated(matches(&lk.get(i), rk))).sum();
+        let fill = (0..rk.len()).filter(|&j| matches(&rk.get(j), rk) > 0).count() as u64;
+        for r in [&keyed, &right] {
+            let index = JoinIndex::build(r, r.column("k").unwrap()).unwrap();
+            let cache = LakeIndexCache::with_budget(None);
+            let through_index = |seed| left_join_with_index(&left, r, &index, "k", "ext", seed);
+            let through_cache = |seed| cache.left_join_normalized(&left, r, "k", "k", "ext", seed);
+            for join in [&through_index as &dyn Fn(u64) -> _, &through_cache] {
+                let mut counted = Vec::new();
+                for seed in [s, s, s, t, s] {
+                    let (out, picks) = picks_of(|| join(seed));
+                    let (out, want) = (out.unwrap(), &want[&seed]);
+                    prop_assert_eq!(out.matched, want.matched);
+                    prop_assert_eq!(&out.right_columns, &want.right_columns);
+                    prop_assert!(out.table == want.table, "seed {} of [s, s, s, t, s]", seed);
+                    counted.push(picks);
+                }
+                prop_assert_eq!(counted, vec![per_row, fill, 0, per_row, 0]);
+            }
+        }
+    }
+}
+
+/// Four workers, released together by a barrier, race the first joins of a
+/// fresh index — two with one seed and two with another, three joins each —
+/// so the seed recorded and the fill of its memo are both contested. Every
+/// output equals the free function's; afterwards the recorded seed orders
+/// no candidate and the other orders every duplicate its left keys meet.
+#[test]
+fn racing_seeds_record_one_memo_and_every_join_matches() {
+    let right = dup_heavy(0, &[0, 3, 7, 1, 12, 2, 40, 5], 3).with_key_dicts();
+    let codes: Vec<i64> = (0..64).map(|i| i % 10).collect();
+    let left = table("base", 0, &codes, false);
+    let (lk, rk) = (left.column("k").unwrap(), right.column("k").unwrap());
+    let repeats = (0..lk.len()).map(|i| matches(&lk.get(i), rk)).filter(|&n| n >= 2);
+    let per_row = repeats.sum::<usize>() as u64;
+    for round in 0..24u64 {
+        let (s, t) = (2 * round, 2 * round + 1);
+        let free = |seed| left_join_normalized(&left, &right, "k", "k", "e", seed).unwrap();
+        let want = [s, t].map(free);
+        let index = JoinIndex::build(&right, rk).unwrap();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for w in 0..4 {
+                let (index, barrier, want, left, right) = (&index, &barrier, &want, &left, &right);
+                scope.spawn(move || {
+                    let seed = [s, t][w % 2];
+                    barrier.wait();
+                    for _ in 0..3 {
+                        let out = left_join_with_index(left, right, index, "k", "e", seed).unwrap();
+                        assert!(out.table == want[w % 2].table, "round {round}, seed {seed}");
+                    }
+                });
+            }
+        });
+        let after = [s, t].map(|seed| {
+            let join = || left_join_with_index(&left, &right, &index, "k", "e", seed);
+            let (out, picks) = picks_of(join);
+            assert!(out.unwrap().table == want[(seed - s) as usize].table);
+            picks
+        });
+        assert!(after == [0, per_row] || after == [per_row, 0], "round {round}: {after:?}");
     }
 }

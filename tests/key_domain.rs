@@ -152,7 +152,7 @@ fn every_resident_table_is_keyed_however_it_arrived() {
     assert_keyed(&lake.latest(), "remove_table, latest");
 
     // And a discovery over it builds no dictionary: the cache is charged
-    // for group tables and duplicate rows only.
+    // for group tables, their memo slots and duplicate rows only.
     let result = AutoFeat::new(AutoFeatConfig::default().with_seed(3))
         .discover(&from_kfk)
         .unwrap();
@@ -169,8 +169,8 @@ fn every_resident_table_is_keyed_however_it_arrived() {
     assert_eq!((stats.entries, stats.resident_bytes), (2, expected as u64));
     assert_eq!(
         expected,
-        2 * (20 * 12 + 40 * 4),
-        "20 twelve-byte groups + 40 duplicate rows each"
+        2 * (20 * 16 + 40 * 4),
+        "20 sixteen-byte groups (twelve and a four-byte memo slot) + 40 duplicate rows each"
     );
 }
 
@@ -186,7 +186,7 @@ fn an_index_is_charged_for_the_metadata_it_built_itself() {
         transient.resident_bytes(),
         lent.resident_bytes() + own_dict + own_fps
     );
-    assert_eq!(lent.resident_bytes(), 20 * 12 + 40 * 4);
+    assert_eq!(lent.resident_bytes(), 20 * 16 + 40 * 4);
     assert_eq!(
         (transient.n_keys(), transient.n_dup_rows()),
         (lent.n_keys(), lent.n_dup_rows())
