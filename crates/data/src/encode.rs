@@ -37,7 +37,7 @@ pub(crate) fn label_encode_column_with_dict(col: &Column, dict: Option<&KeyDict>
         }
         DType::Str => {
             if let Some(d) = dict.filter(|d| d.n_rows() == col.len()) {
-                let mut remap: Vec<i64> = vec![-1; d.len()];
+                let mut remap: Vec<i64> = vec![-1; d.n_codes()];
                 let mut next = 0i64;
                 return Column::from_ints(d.row_codes().iter().map(|&c| {
                     if c == NULL_CODE {

@@ -11,9 +11,11 @@
 //!
 //! A hop does not gather the right table. It resolves, per base row, **one
 //! right row** (`u32`, `NO_ROW` = no match) in two passes over dense
-//! arrays — key → key group, then group → representative — and returns the
-//! right-hand columns as *views* `(source payload, row map)` that are read
-//! through the map (see [`Column`]). Left joins keep the base rows, so the
+//! arrays — key → key group, addressed by the key's code in the right
+//! column's dictionary (a column of dense integer keys is its own code, see
+//! [`KeyDict`]), then group → representative — and returns the right-hand
+//! columns as *views* `(source payload, row map)` that are read through the
+//! map (see [`Column`]). Left joins keep the base rows, so the
 //! map of every hop of a path is indexed by base row and maps never need
 //! composing; nothing is copied until something asks for the cells in place
 //! (`Table::take`, `Column::push`).
@@ -107,14 +109,14 @@ enum KeyGroup {
     Dups { start: u32, len: u32 },
 }
 
-/// The group of a key no row carries: probing it finds [`NO_ROW`]. Every
-/// dictionary code has ≥ 1 row by construction; a by-value table holds it in
-/// the gaps of the key range, and the probe's first pass writes it for keys
-/// it did not find.
+/// The group of a key no row carries: probing it finds [`NO_ROW`]. A group
+/// table holds it at the codes of a by-value dictionary no row carries (the
+/// gaps of its key range), and the probe's first pass writes it for keys
+/// without a code.
 const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
 
 /// A reusable join index for one `(right table, join column)` pair: join key
-/// → candidate row group, over the column's dictionary codes.
+/// → candidate row group, addressed by the column's dictionary codes.
 ///
 /// Building the index does all the per-row work a normalized left join needs
 /// from the right table — grouping rows by key — **once**, as a counting
@@ -129,10 +131,14 @@ const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
 /// index whose keys repeat records the first seed joined through it, the
 /// second join with that seed fills a **memo** — the seed's representative
 /// per group slot — and every later join with it reads its rows from there:
-/// left key → slot → row. Any other seed picks as above. An index joined once
+/// left key → code → row. Any other seed picks as above. An index joined once
 /// (a transient one, a cold start's) records a seed and allocates nothing.
 ///
-/// There is one layout. What varies is who owns the two inputs it reads
+/// There is one layout: the group table and the memo are addressed by
+/// dictionary code, and a probe reads codes through the dictionary
+/// ([`KeyDict::codes_in`]) — for a column of dense integer keys, whose codes
+/// are `key − min`, that is one subtraction and one array read a row, with
+/// no hash of the key. What varies is who owns the two inputs it reads
 /// through: a lake table's dictionary and fingerprint vector are the table's
 /// own key metadata, shared by `Arc`; a table without metadata (a join
 /// output used as a right side, an ad-hoc table) gets a dictionary for this
@@ -140,17 +146,11 @@ const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
 /// and charged — by the index.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
-    /// Join key → code, for probes the by-value table cannot answer.
+    /// Join key → code, for every probe.
     dict: Arc<KeyDict>,
-    /// The key groups — addressed by dictionary code, or, when `int_base`
-    /// is set, by `key − int_base`.
+    /// The key groups, by dictionary code: one per code of the domain
+    /// ([`KeyDict::n_codes`]).
     groups: Vec<KeyGroup>,
-    /// Set when every key is an integer and the keys are dense in their
-    /// range (surrogate ids usually are): the group table is then laid out
-    /// by key value, and a probe is one subtraction and one array read
-    /// instead of a hash of the key, a dictionary probe and a table read —
-    /// three dependent cache misses on a lake larger than the cache.
-    int_base: Option<i64>,
     /// Duplicate candidates, row ids only (each `KeyGroup::Dups` range
     /// indexes here, in-key row order): a retained index pins 4 bytes per
     /// duplicate row — the lake-wide cache holds dozens of these.
@@ -190,27 +190,14 @@ pub(crate) fn check_row_count(table: &str, rows: usize) -> Result<()> {
 /// a cooperative interrupt poll between blocks.
 const BLOCK: usize = 4096;
 
-/// The group table an index over `dict` lays out: its length, and the key
-/// it starts at when it is addressed by key value. Integer keys dense in
-/// their range (`max − min < 2 × distinct`, as surrogate ids are) are
-/// addressed by value, anything else by code.
-fn group_layout(dict: &KeyDict) -> (usize, Option<i64>) {
-    match dict.int_range() {
-        Some((lo, hi)) if hi.abs_diff(lo) < 2 * dict.len() as u64 => {
-            (hi.abs_diff(lo) as usize + 1, Some(lo))
-        }
-        _ => (dict.len(), None),
-    }
-}
-
 /// What [`JoinIndex::resident_bytes`] reports for an index over a table with
 /// key metadata, which lends it `dict` and its fingerprints — worked out from
-/// the dictionary alone: the group table, its memo when some key repeats, and
-/// one row id per row whose key repeats. A cache decides admission from it
-/// before building anything.
+/// the dictionary alone: a group-table slot per code of its domain, a memo
+/// slot beside each when some key repeats, and one row id per row whose key
+/// repeats. A cache decides admission from it before building anything.
 pub(crate) fn index_bytes(dict: &KeyDict) -> usize {
     let repeated = dict.repeated_rows();
-    slot_bytes(group_layout(dict).0, repeated > 0) + repeated * std::mem::size_of::<u32>()
+    slot_bytes(dict.n_codes(), repeated > 0) + repeated * std::mem::size_of::<u32>()
 }
 
 /// Bytes of `slots` group-table slots, each with its memo entry — one row id,
@@ -218,22 +205,6 @@ pub(crate) fn index_bytes(dict: &KeyDict) -> usize {
 fn slot_bytes(slots: usize, repeats: bool) -> usize {
     let memo = if repeats { std::mem::size_of::<u32>() } else { 0 };
     slots * (std::mem::size_of::<KeyGroup>() + memo)
-}
-
-/// Re-address a by-code table — the groups the counting sort produced, a
-/// memo — by key value when [`group_layout`] says so, with `gap` in the slots
-/// of the keys no row carries.
-fn address_by_value<T: Copy>(dict: &KeyDict, by_code: Vec<T>, gap: T) -> (Vec<T>, Option<i64>) {
-    let (len, Some(lo)) = group_layout(dict) else {
-        return (by_code, None);
-    };
-    let mut by_key = vec![gap; len];
-    for (code, group) in by_code.into_iter().enumerate() {
-        if let Key::Num(i) = dict.key_at(code as u32) {
-            by_key[i.abs_diff(lo) as usize] = group;
-        }
-    }
-    (by_key, Some(lo))
 }
 
 /// The order a key's representative is picked in: of its candidate rows,
@@ -288,6 +259,8 @@ impl JoinIndex {
     /// — no per-row key materialization, hashing or map insertion — and
     /// per-key duplicate lists come out in row order. A *retained* index
     /// therefore pins two uniform heap blocks (group table, `dup_rows`).
+    /// Codes no row carries (the gaps of a by-value dictionary's range) keep
+    /// [`NO_GROUP`].
     ///
     /// A table with key metadata ([`Table::with_key_dicts`] — every table a
     /// `SearchContext` holds) lends its dictionary and, when a key repeats,
@@ -324,9 +297,9 @@ impl JoinIndex {
             }
         };
         let codes = dict.row_codes();
-        let n_keys = dict.len();
+        let n_codes = dict.n_codes();
         // Pass 1: rows per code (the counting-sort histogram).
-        let mut counts = vec![0u32; n_keys];
+        let mut counts = vec![0u32; n_codes];
         for (row, &c) in codes.iter().enumerate() {
             if panic_row == Some(row) {
                 injected_panic(right, row);
@@ -337,8 +310,8 @@ impl JoinIndex {
         }
         // Lay out groups: unique codes resolve in place, duplicated codes
         // reserve disjoint ranges of `dup_rows`.
-        let mut groups = vec![NO_GROUP; n_keys];
-        let mut cursor = vec![0u32; n_keys];
+        let mut groups = vec![NO_GROUP; n_codes];
+        let mut cursor = vec![0u32; n_codes];
         let mut n_dup_rows = 0usize;
         for (code, &cnt) in counts.iter().enumerate() {
             if cnt >= 2 {
@@ -375,10 +348,8 @@ impl JoinIndex {
             Arc::new(fps)
         };
         let n_rows = codes.len();
-        let (groups, int_base) = address_by_value(&dict, groups, NO_GROUP);
         let memo = Memo::default();
-        let index =
-            JoinIndex { dict, groups, int_base, dup_rows, row_fps, n_rows, own_meta_bytes, memo };
+        let index = JoinIndex { dict, groups, dup_rows, row_fps, n_rows, own_meta_bytes, memo };
         debug_assert_eq!(index.validate(right_key), Ok(()));
         // A cache admits a lake table's index on this figure before building.
         debug_assert!(
@@ -401,25 +372,12 @@ impl JoinIndex {
         (row != NO_ROW).then_some(row as usize)
     }
 
-    /// Probe pass 1 for one key: its group.
-    #[inline]
+    /// The group of `key`, if it has a code.
     fn group(&self, key: &Key) -> Option<KeyGroup> {
-        self.slot(key).map(|slot| self.groups[slot])
+        self.dict.code(key).map(|code| self.groups[code as usize])
     }
 
-    /// The group-table slot of `key`, if it is in the table.
-    #[inline]
-    fn slot(&self, key: &Key) -> Option<usize> {
-        let slot = match (self.int_base, key) {
-            (None, key) => self.dict.code(key)? as usize,
-            // Below the base wraps to a huge offset, past the table.
-            (Some(base), Key::Num(i)) => i.wrapping_sub(base) as u64 as usize,
-            (Some(_), _) => return None,
-        };
-        (slot < self.groups.len()).then_some(slot)
-    }
-
-    /// The memo a join with `seed` reads its rows from: filled here when this
+    /// The memo a join with `seed` reads its rows from, by code: filled here when this
     /// is the second join with the seed the index recorded, `None` for the
     /// first, for any other seed, and when no key repeats (each pick is the
     /// key's only row). The fill polls the ambient control between the blocks
@@ -445,8 +403,8 @@ impl JoinIndex {
         // so far — tables the size of the keys, where a fill group by group
         // would load each candidate's fingerprint from wherever its row lies.
         let (codes, row_fps) = (self.dict.row_codes(), self.row_fps.as_slice());
-        let mut least = vec![u64::MAX; self.dict.len()];
-        let mut by_code = vec![NO_ROW; self.dict.len()];
+        let mut least = vec![u64::MAX; self.groups.len()];
+        let mut by_code = vec![NO_ROW; self.groups.len()];
         for start in (0..codes.len()).step_by(BLOCK) {
             crate::control::poll_ambient()?;
             let end = (start + BLOCK).min(codes.len());
@@ -461,10 +419,8 @@ impl JoinIndex {
             }
         }
         obs::add("join.picks", (codes.len() - self.dict.null_rows()) as u64);
-        drop(least); // before a by-value memo is allocated
-        let (picks, _) = address_by_value(&self.dict, by_code, NO_ROW);
         // Two joins may fill at once; both fills are equal, the first is kept.
-        Ok(Some(self.memo.picks.get_or_init(|| picks.into_boxed_slice())))
+        Ok(Some(self.memo.picks.get_or_init(|| by_code.into_boxed_slice())))
     }
 
     /// Check the invariants a probe trusts, against the column the index
@@ -602,28 +558,29 @@ pub fn left_join_with_index(
     let mut picks = 0u64;
     for start in (0..n).step_by(BLOCK) {
         crate::control::poll_ambient()?;
-        // Left keys are typed per column and read through the map when the
-        // left key is itself a view (every second hop).
+        // Left keys are coded by the right dictionary, typed per column and
+        // read through the map when the left key is itself a view (every
+        // second hop). `NULL_CODE` lies past the end of the group table and
+        // the memo.
         let rows = start..(start + BLOCK).min(n);
         if let Some(memo) = memo {
-            // One pass: left key → slot → the memo's row.
-            lk.keys_in(rows, |key| {
-                map.push(key.and_then(|k| index.slot(&k)).map_or(NO_ROW, |slot| {
-                    let row = memo[slot];
+            // One pass: left key → code → the memo's row.
+            index.dict.codes_in(lk, rows, |code| {
+                map.push(memo.get(code as usize).map_or(NO_ROW, |&row| {
                     debug_assert_eq!(
                         row,
-                        pick(index.groups[slot], seed, dup_rows, row_fps),
-                        "memo slot {slot} under seed {seed}"
+                        pick(index.groups[code as usize], seed, dup_rows, row_fps),
+                        "memo slot {code} under seed {seed}"
                     );
                     row
                 }));
             });
             continue;
         }
-        // Pass 1: left key → key group.
+        // Pass 1: left key → code → key group.
         groups.clear();
-        lk.keys_in(rows, |key| {
-            groups.push(key.and_then(|k| index.group(&k)).unwrap_or(NO_GROUP));
+        index.dict.codes_in(lk, rows, |code| {
+            groups.push(index.groups.get(code as usize).map_or(NO_GROUP, |&group| group));
         });
         // Pass 2: key group → representative right row.
         for &group in &groups {
@@ -661,8 +618,8 @@ pub(crate) struct KeyRuns {
 impl KeyRuns {
     /// Collect `right`'s rows for the keys of `left_key`, given `dict`, the
     /// dictionary `right`'s key metadata holds for its join column (a table
-    /// without key metadata takes the index path): each left key is mapped
-    /// to its right code, and one pass over the right row codes keeps the
+    /// without key metadata takes the index path): each left key is coded
+    /// through `dict` ([`KeyDict::codes_in`]), and one pass over the right row codes keeps the
     /// rows of those codes, in row order, with their fingerprints read
     /// once, from the table's shared vector.
     ///
@@ -670,12 +627,12 @@ impl KeyRuns {
     /// armed `panic_on_row` fault fires when the scan reaches its row, as in
     /// [`JoinIndex::build`].
     pub(crate) fn build(left_key: &Column, right: &Table, dict: &KeyDict) -> Result<KeyRuns> {
-        let mut run_of_code = vec![NO_RUN; dict.len()];
+        let mut run_of_code = vec![NO_RUN; dict.n_codes()];
         let mut n_runs = 0u32;
         let mut run_of_row = Vec::with_capacity(left_key.len());
-        left_key.keys_in(0..left_key.len(), |key| {
-            let run = key.and_then(|k| dict.code(&k)).map_or(NO_RUN, |code| {
-                let run = &mut run_of_code[code as usize];
+        dict.codes_in(left_key, 0..left_key.len(), |code| {
+            // `NULL_CODE` lies past the end of `run_of_code`.
+            let run = run_of_code.get_mut(code as usize).map_or(NO_RUN, |run| {
                 if *run == NO_RUN {
                     *run = n_runs;
                     n_runs += 1;
@@ -969,6 +926,29 @@ mod tests {
         assert_eq!(out.table.value("ext.feat", 1).unwrap(), Value::Int(200));
     }
 
+    /// The float 2⁶³ is no `i64`: it used to saturate into the key of
+    /// `i64::MAX` and join it.
+    #[test]
+    fn two_to_the_63_does_not_join_i64_max() {
+        let two_63 = i64::MAX as f64;
+        let ids = Column::from_ints([Some(i64::MAX), Some(i64::MIN)]);
+        let l = Table::new("base", vec![("id", ids)]).unwrap();
+        let r = Table::new(
+            "ext",
+            vec![
+                ("key", Column::from_floats([Some(two_63), Some(-two_63)])),
+                ("feat", Column::from_ints([Some(1), Some(2)])),
+            ],
+        )
+        .unwrap();
+        for r in [r.clone(), r.with_key_dicts()] {
+            let out = left_join_normalized(&l, &r, "id", "key", "ext", 42).unwrap();
+            assert_eq!(out.matched, 1, "only −2⁶³ = i64::MIN matches");
+            assert_eq!(out.table.value("ext.feat", 0).unwrap(), Value::Null);
+            assert_eq!(out.table.value("ext.feat", 1).unwrap(), Value::Int(2));
+        }
+    }
+
     #[test]
     fn missing_key_column_errors() {
         assert!(left_join_normalized(&left(), &right(), "nope", "key", "p", 1).is_err());
@@ -1147,7 +1127,7 @@ mod tests {
             let dict = t.key_dict_at(0).unwrap();
             assert_eq!(index_bytes(dict), index.resident_bytes(), "{what}");
             assert_eq!(dict.repeated_rows(), index.n_dup_rows(), "{what}");
-            assert_eq!(index.int_base.is_some(), by_value, "{what}");
+            assert_eq!(dict.value_base().is_some(), by_value, "{what}");
         }
     }
 

@@ -9,21 +9,36 @@
 //! label encoding reuses the codes through a dense remap table instead of
 //! re-hashing every cell (`encode::label_encode_column_with_dict`).
 //!
-//! ## Code assignment is permutation-stable
+//! ## Two layouts, both permutation-stable
 //!
-//! Codes are **not** assigned by first appearance. The distinct keys are
-//! ordered by their process-stable FNV hash ([`StableHasher`]), with the
-//! key's total order breaking hash ties, and codes are dense ranks in that
-//! order. Two row-permuted copies of the same column therefore build the
-//! *identical* key → code mapping, which keeps every downstream artifact
+//! Codes are **not** assigned by first appearance. A dictionary takes one
+//! of two layouts, and in both a key's code is a function of the column's
+//! key *set* alone, so two row-permuted copies of the same column build the
+//! *identical* key → code mapping. That keeps every downstream artifact
 //! that leaks code order (nothing does today, but dictionaries outlive any
 //! single call site) independent of physical row order — the same
 //! discipline the join layer's content fingerprints follow.
+//!
+//! * **By value.** Every key is an integer (ints, and floats holding
+//!   integers) and the keys are dense in their range — `hi − lo < 2 ×
+//!   distinct`, as surrogate ids are. A key's code is `key − lo`: two typed
+//!   passes over the rows (the range, then the codes) and no hash, sort or
+//!   probe table. The code domain is the whole range, so a key the range
+//!   skips has a code no row carries.
+//! * **Hashed.** Any other column. The distinct keys are ordered by their
+//!   process-stable FNV hash ([`StableHasher`]), with the key's total order
+//!   breaking hash ties, and codes are dense ranks in that order; a probe
+//!   table answers key → code.
+//!
+//! The dictionary owns the choice, and every reader of another column's
+//! keys as codes goes through it: [`KeyDict::codes_in`] matches the layout
+//! once per call and runs one typed loop over the rows.
 //!
 //! Null keys (null cells, NaN floats) never get a code; their rows carry
 //! the [`NULL_CODE`] sentinel in the row-code sequence.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use crate::column::Column;
 use crate::stable_hash::StableHasher;
@@ -74,6 +89,32 @@ fn place(slots: &mut [u32], hash: u64, value: u32) {
     }
 }
 
+/// The by-value code of integer key `i` in a domain of `n_codes` keys from
+/// `lo`, if it has one. Below `lo` wraps to an offset past any domain.
+#[inline(always)]
+fn value_code(i: i64, lo: i64, n_codes: u32) -> Option<u32> {
+    let code = (i as u64).wrapping_sub(lo as u64);
+    (code < u64::from(n_codes)).then_some(code as u32)
+}
+
+/// How a dictionary maps keys to codes (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+enum Layout {
+    /// Codes are `key − lo`, for the `n_codes` keys from `lo` on.
+    ByValue { lo: i64, n_codes: u32 },
+    /// Codes are ranks by `(stable hash, key)`.
+    Hashed {
+        /// code → key, in code order.
+        keys: Vec<Key>,
+        /// key → code: an open-addressing table of codes, probed linearly
+        /// from the key's FNV hash ([`probe`]) and verified against `keys`.
+        /// The data is trusted lake content, so SipHash's DoS resistance
+        /// would buy nothing. Filled in code order, so it — and `==` —
+        /// depends on the key set alone.
+        slots: Vec<u32>,
+    },
+}
+
 /// A per-column dictionary: distinct non-null keys ↔ dense `u32` codes,
 /// plus the column's row → code sequence.
 ///
@@ -85,36 +126,96 @@ fn place(slots: &mut [u32], hash: u64, value: u32) {
 /// [`Table`]: crate::table::Table
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyDict {
-    /// code → key, in code order.
-    keys: Vec<Key>,
-    /// key → code: an open-addressing table of codes, probed linearly from
-    /// the key's FNV hash ([`probe`]) and verified against `keys`. Hashing
-    /// sits on the probe path (probes of key domains that are not dense
-    /// integers) and the data is trusted lake content, so SipHash's DoS
-    /// resistance would buy nothing. Filled in code order, so it — and
-    /// `==` — depends on the key set alone.
-    slots: Vec<u32>,
+    layout: Layout,
     /// row → code (`NULL_CODE` for null keys). Same length as the column.
     codes: Vec<u32>,
+    /// Number of distinct non-null keys.
+    distinct: usize,
     /// Rows whose key is null — which, cells holding no `NaN`, is the
     /// column's null count.
     null_rows: usize,
     /// Rows whose key occurs on more than one row.
     repeated_rows: usize,
-    /// The lowest and highest key when there are keys and every one is an
-    /// integer.
-    int_range: Option<(i64, i64)>,
     /// Heap footprint, summed once at build.
     resident_bytes: usize,
 }
 
+/// Rows per code of `codes`, for the codes below `n_codes`.
+fn rows_per_code(codes: &[u32], n_codes: usize) -> Vec<u32> {
+    let mut rows_of = vec![0u32; n_codes];
+    for &c in codes {
+        // `NULL_CODE` lies past the end.
+        if let Some(rows) = rows_of.get_mut(c as usize) {
+            *rows += 1;
+        }
+    }
+    rows_of
+}
+
+/// The rows of the codes that sit on more than one row.
+fn repeated(rows_of: &[u32]) -> usize {
+    rows_of.iter().filter(|&&n| n > 1).map(|&n| n as usize).sum()
+}
+
 impl KeyDict {
-    /// Build the dictionary for one column, hashing each row's key once.
-    /// Pass 1 walks the typed rows and deduplicates through a probe table
-    /// over the kept hashes, numbering keys by first appearance; pass 2
-    /// re-ranks the distinct keys by `(stable hash, key order)` so the final
-    /// codes are permutation-stable, and moves them into that order.
+    /// Build the dictionary for one column: by value when its keys are
+    /// integers dense in their range, hashed otherwise (see the module docs).
     pub fn build(col: &Column) -> KeyDict {
+        Self::by_value(col).unwrap_or_else(|| Self::hashed(col))
+    }
+
+    /// The by-value dictionary of `col`, or `None` when its keys are not all
+    /// integers or not dense in their range. Pass 1 takes the range; pass
+    /// 2, when the range could still be dense, writes `key − lo` per row, and
+    /// the rows per code give the distinct keys.
+    fn by_value(col: &Column) -> Option<KeyDict> {
+        if !col.dtype().is_numeric() {
+            return None;
+        }
+        let n = col.len();
+        let (mut lo, mut hi, mut keyed, mut integral) = (i64::MAX, i64::MIN, 0usize, true);
+        col.keys_in(0..n, #[inline(always)] |key| match key {
+            Some(Key::Num(i)) => {
+                (lo, hi) = (lo.min(i), hi.max(i));
+                keyed += 1;
+            }
+            Some(_) => integral = false,
+            None => {}
+        });
+        // No more distinct keys than keyed rows, so a range this wide cannot
+        // be dense; and every code must stay below `NULL_CODE`.
+        let span = hi.abs_diff(lo);
+        if !integral || keyed == 0 || span >= 2 * keyed as u64 || span >= u64::from(NULL_CODE) {
+            return None;
+        }
+        let mut codes: Vec<u32> = Vec::with_capacity(n);
+        col.keys_in(0..n, #[inline(always)] |key| {
+            codes.push(match key {
+                Some(Key::Num(i)) => i.abs_diff(lo) as u32,
+                _ => NULL_CODE,
+            })
+        });
+        let rows_of = rows_per_code(&codes, span as usize + 1);
+        let distinct = rows_of.iter().filter(|&&n| n > 0).count();
+        if span >= 2 * distinct as u64 {
+            return None;
+        }
+        Some(KeyDict {
+            layout: Layout::ByValue { lo, n_codes: span as u32 + 1 },
+            distinct,
+            null_rows: n - keyed,
+            repeated_rows: repeated(&rows_of),
+            resident_bytes: codes.capacity() * std::mem::size_of::<u32>(),
+            codes,
+        })
+    }
+
+    /// The hashed dictionary of `col`, hashing each row's key once. Pass 1
+    /// walks the typed rows and deduplicates through a probe table over the
+    /// kept hashes, numbering keys by first appearance; pass 2 re-ranks the
+    /// distinct keys by `(stable hash, key order)` so the final codes are
+    /// permutation-stable, and moves them into that order.
+    fn hashed(col: &Column) -> KeyDict {
         let n = col.len();
         // First-appearance number → key and its hash.
         let mut seen_keys: Vec<Key> = Vec::new();
@@ -170,21 +271,12 @@ impl KeyDict {
             keys.push(std::mem::replace(&mut seen_keys[number as usize], Key::Bool(false)));
             place(&mut slots, hash, code as u32);
         }
-        let mut rows_of = vec![0u32; keys.len()];
         for c in &mut codes {
             if *c != NULL_CODE {
                 *c = code_of[*c as usize];
-                rows_of[*c as usize] += 1;
             }
         }
-        let repeated_rows = rows_of.iter().filter(|&&n| n > 1).map(|&n| n as usize).sum();
-        let int_range = keys
-            .iter()
-            .try_fold(None, |range: Option<(i64, i64)>, key| match *key {
-                Key::Num(i) => Some(Some(range.map_or((i, i), |(lo, hi)| (lo.min(i), hi.max(i))))),
-                _ => None,
-            })
-            .flatten();
+        let repeated_rows = repeated(&rows_per_code(&codes, keys.len()));
         // String key payloads are charged once per distinct key.
         let key_payload: usize = keys
             .iter()
@@ -196,17 +288,43 @@ impl KeyDict {
         let resident_bytes = keys.capacity() * std::mem::size_of::<Key>()
             + (slots.capacity() + codes.capacity()) * std::mem::size_of::<u32>()
             + key_payload;
-        KeyDict { keys, slots, codes, null_rows, repeated_rows, int_range, resident_bytes }
+        KeyDict {
+            distinct: keys.len(),
+            layout: Layout::Hashed { keys, slots },
+            codes,
+            null_rows,
+            repeated_rows,
+            resident_bytes,
+        }
     }
 
-    /// Number of distinct non-null keys (= number of valid codes).
+    /// Number of distinct non-null keys.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.distinct
     }
 
     /// True when the column held no non-null keys.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.distinct == 0
+    }
+
+    /// Size of the code domain: every code is below it. A hashed dictionary
+    /// has one code per distinct key, a by-value one a code per key of its
+    /// range, including keys no row carries.
+    pub fn n_codes(&self) -> usize {
+        match &self.layout {
+            Layout::ByValue { n_codes, .. } => *n_codes as usize,
+            Layout::Hashed { keys, .. } => keys.len(),
+        }
+    }
+
+    /// The lowest key when the dictionary is laid out by value (a key's code
+    /// is `key − value_base`), `None` when it is hashed.
+    pub fn value_base(&self) -> Option<i64> {
+        match self.layout {
+            Layout::ByValue { lo, .. } => Some(lo),
+            Layout::Hashed { .. } => None,
+        }
     }
 
     /// Number of rows the dictionary was built over.
@@ -224,15 +342,46 @@ impl KeyDict {
         self.repeated_rows
     }
 
-    /// The lowest and highest key, when there are keys and all are
-    /// integers.
-    pub(crate) fn int_range(&self) -> Option<(i64, i64)> {
-        self.int_range
+    /// The code of `key`, or `None` when it has none: a hashed dictionary
+    /// codes the keys some row carries, a by-value one every key of its
+    /// range.
+    pub(crate) fn code(&self, key: &Key) -> Option<u32> {
+        match (&self.layout, key) {
+            (&Layout::ByValue { lo, n_codes }, &Key::Num(i)) => value_code(i, lo, n_codes),
+            (Layout::ByValue { .. }, _) => None,
+            (Layout::Hashed { keys, slots }, key) => {
+                probe(slots, stable_key_hash(key), |code| keys[code as usize] == *key).ok()
+            }
+        }
     }
 
-    /// The code of `key`, or `None` when the key never occurs.
-    pub(crate) fn code(&self, key: &Key) -> Option<u32> {
-        probe(&self.slots, stable_key_hash(key), |code| self.keys[code as usize] == *key).ok()
+    /// The codes of `col`'s keys on `rows`, in order, handed to `f`:
+    /// [`KeyDict::code`] of each row's key, and [`NULL_CODE`] for a null key
+    /// or one without a code. The layout is matched once, outside the typed
+    /// row loop ([`Column::keys_in`]), so a by-value probe is a subtraction
+    /// and a compare a row; and it reads no key of a string or bool column,
+    /// none of which it could code.
+    pub(crate) fn codes_in(&self, col: &Column, rows: Range<usize>, mut f: impl FnMut(u32)) {
+        match &self.layout {
+            &Layout::ByValue { lo, n_codes } => {
+                if !col.dtype().is_numeric() {
+                    return rows.for_each(|_| f(NULL_CODE));
+                }
+                col.keys_in(rows, #[inline(always)] |key| {
+                    let code = match key {
+                        Some(Key::Num(i)) => value_code(i, lo, n_codes),
+                        _ => None,
+                    };
+                    f(code.unwrap_or(NULL_CODE))
+                });
+            }
+            Layout::Hashed { keys, slots } => col.keys_in(rows, #[inline(always)] |key| {
+                let code = key.and_then(|key| {
+                    probe(slots, stable_key_hash(&key), |code| keys[code as usize] == key).ok()
+                });
+                f(code.unwrap_or(NULL_CODE))
+            }),
+        }
     }
 
     /// The per-row code sequence (`NULL_CODE` for null keys), in row order.
@@ -240,14 +389,22 @@ impl KeyDict {
         &self.codes
     }
 
-    /// The key carrying `code`. Panics on an out-of-range code.
-    pub fn key_at(&self, code: u32) -> &Key {
-        &self.keys[code as usize]
+    /// The key `code` stands for — in a by-value dictionary, the key of the
+    /// range, whether or not a row carries it. Panics on a code outside the
+    /// domain ([`KeyDict::n_codes`]).
+    pub fn key_at(&self, code: u32) -> Key {
+        match &self.layout {
+            &Layout::ByValue { lo, n_codes } => {
+                assert!(code < n_codes, "code {code} outside a domain of {n_codes}");
+                Key::Num(lo.wrapping_add(i64::from(code)))
+            }
+            Layout::Hashed { keys, .. } => keys[code as usize].clone(),
+        }
     }
 
-    /// Heap footprint, for lake-level accounting: the key, probe and
-    /// row-code arrays plus the string key payloads, recorded at build so
-    /// reading it is O(1).
+    /// Heap footprint, for lake-level accounting: the row-code array, and
+    /// for a hashed dictionary its key and probe arrays plus the string key
+    /// payloads, recorded at build so reading it is O(1).
     pub fn resident_bytes(&self) -> usize {
         self.resident_bytes
     }
@@ -276,7 +433,7 @@ mod tests {
             let code = codes[row];
             assert!(code < 3);
             assert_eq!(d.code(&key), Some(code));
-            assert_eq!(d.key_at(code), &key);
+            assert_eq!(d.key_at(code), key);
         }
         assert_eq!(d.code(&skey("zzz")), None);
     }
@@ -315,16 +472,99 @@ mod tests {
         assert!(KeyDict::build(&Column::from_ints([])).is_empty());
     }
 
-    /// What a dictionary is, spelled out: the distinct keys ranked by
-    /// `(stable hash, key)`, each row's rank, the null-key rows.
-    fn reference(col: &Column) -> (Vec<Key>, Vec<u32>, usize) {
+    /// The layout follows the density rule `hi − lo < 2 × distinct` on both
+    /// sides of its boundary, a key in a gap of the range has a code no row
+    /// carries, and the extreme keys neither wrap nor alias.
+    #[test]
+    fn integer_keys_are_their_own_codes_when_dense() {
+        // 4 distinct keys: a range of 7 is dense, one of 8 is not.
+        let dense = Column::from_ints([Some(10), Some(17), Some(12), Some(10), Some(11), None]);
+        let d = KeyDict::build(&dense);
+        assert_eq!((d.value_base(), d.len(), d.n_codes()), (Some(10), 4, 8));
+        assert_eq!(d.row_codes(), &[0, 7, 2, 0, 1, NULL_CODE]);
+        assert_eq!((d.null_rows(), d.repeated_rows()), (1, 2));
+        assert_eq!((d.code(&Key::Num(13)), d.key_at(3)), (Some(3), Key::Num(13)), "a gap");
+        assert_eq!((d.code(&Key::Num(9)), d.code(&Key::Num(18))), (None, None));
+        assert_eq!(d.code(&Key::FloatBits(10f64.to_bits())), None);
+        let sparse = Column::from_ints([Some(10), Some(18), Some(12), Some(11)]);
+        assert_eq!(KeyDict::build(&sparse).value_base(), None);
+        let just = Column::from_floats([Some(10.0), Some(17.0), Some(12.0), Some(11.0)]);
+        assert_eq!(KeyDict::build(&just).value_base(), Some(10));
+        // A non-integral float, a string or a bool makes any column hashed.
+        let mixed = Column::from_floats([Some(1.0), Some(2.5)]);
+        assert_eq!(KeyDict::build(&mixed).value_base(), None);
+        assert_eq!(KeyDict::build(&Column::from_bools([Some(true)])).value_base(), None);
+
+        let (min, max) = (i64::MIN, i64::MAX);
+        for keys in [[min, min + 1, min + 2], [max - 2, max, max - 1]] {
+            let d = KeyDict::build(&Column::from_ints(keys.map(Some)));
+            assert_eq!(d.value_base(), keys.iter().min().copied());
+            for (row, key) in keys.iter().enumerate() {
+                assert_eq!(d.key_at(d.row_codes()[row]), Key::Num(*key));
+                assert_eq!(d.code(&Key::Num(*key)), Some(d.row_codes()[row]));
+            }
+            let outside = if keys[0] == min { max } else { min };
+            assert_eq!(d.code(&Key::Num(outside)), None, "no wrap to {outside}");
+        }
+        let both = Column::from_ints([Some(min), Some(max)]);
+        assert_eq!(KeyDict::build(&both).value_base(), None);
+    }
+
+    /// `codes_in` is `code` row by row — by value and hashed, over every key
+    /// kind of the probing column, dense or a view.
+    #[test]
+    fn codes_in_is_code_row_by_row() {
+        let dicts = [
+            KeyDict::build(&Column::from_ints((0..40).map(|i| Some(i / 2 - 5)))),
+            KeyDict::build(&Column::from_ints((0..40).map(|i| Some(i * 1000)))),
+            KeyDict::build(&Column::from_strs((0..40).map(|i| Some(format!("{}", i % 7))))),
+        ];
+        assert_eq!(dicts.each_ref().map(|d| d.value_base().is_some()), [true, false, false]);
+        let map: std::sync::Arc<[u32]> =
+            (0..30u32).map(|i| if i % 4 == 0 { crate::column::NO_ROW } else { i }).collect();
+        let probes = [
+            Column::from_ints((0..60).map(|i| (i % 9 != 0).then_some(i - 20))),
+            Column::from_ints((0..60).map(|i| Some([i64::MIN, i64::MAX, i * 9][i as usize % 3]))),
+            Column::from_floats((0..60).map(|i| Some(i as f64 / 2.0 - 6.0))),
+            Column::from_strs((0..60).map(|i| Some(format!("{}", i % 11)))),
+            Column::from_bools((0..60).map(|i| Some(i % 2 == 0))),
+        ];
+        for d in &dicts {
+            for col in probes.iter().flat_map(|c| [c.clone(), c.view(&map, None)]) {
+                let want: Vec<u32> = (0..col.len())
+                    .map(|row| col.key(row).and_then(|k| d.code(&k)).unwrap_or(NULL_CODE))
+                    .collect();
+                let mut got = Vec::new();
+                d.codes_in(&col, 3..col.len(), |c| got.push(c));
+                assert_eq!(got, want[3..]);
+            }
+        }
+    }
+
+    /// What a dictionary is, spelled out: when every key is an integer and
+    /// `hi − lo < 2 × distinct`, its range `lo..=hi` in order and each row's
+    /// `key − lo`; otherwise the distinct keys ranked by `(stable hash, key)`
+    /// and each row's rank; then the null-key rows.
+    fn reference(col: &Column) -> (Option<i64>, Vec<Key>, Vec<u32>, usize) {
         let rows: Vec<Option<Key>> = (0..col.len()).map(|row| col.key(row)).collect();
         let mut keys: Vec<Key> = rows.iter().flatten().cloned().collect();
-        keys.sort_by(|a, b| stable_key_hash(a).cmp(&stable_key_hash(b)).then_with(|| a.cmp(b)));
+        keys.sort();
         keys.dedup();
+        let ints: Option<Vec<i64>> =
+            keys.iter().map(|k| if let Key::Num(i) = k { Some(*i) } else { None }).collect();
+        let range = ints.and_then(|i| Some((*i.first()?, *i.last()?, i.len())));
+        let base = range.filter(|&(lo, hi, n)| hi.abs_diff(lo) < 2 * n as u64);
+        let keys = match base {
+            Some((lo, hi, _)) => (lo..=hi).map(Key::Num).collect(),
+            None => {
+                keys.sort_by_key(|k| (stable_key_hash(k), k.clone()));
+                keys
+            }
+        };
         let code = |k: &Key| keys.iter().position(|x| x == k).unwrap() as u32;
         let codes = rows.iter().map(|k| k.as_ref().map_or(NULL_CODE, code)).collect();
-        (keys, codes, rows.iter().filter(|k| k.is_none()).count())
+        let null_rows = rows.iter().filter(|k| k.is_none()).count();
+        (base.map(|b| b.0), keys, codes, null_rows)
     }
 
     #[test]
@@ -342,35 +582,42 @@ mod tests {
                 3 => Some(if i % 2 == 0 { 0.0 } else { -0.0 }),
                 _ => Some(i as f64 / 7.0),
             })),
+            Column::from_floats((0..n).map(|i| (i % 4 != 0).then_some((i / 2) as f64))),
+            Column::from_ints((0..n).map(|i| Some(i - i % 2 * (i % 3)))),
             Column::from_strs((0..n).map(|i| (i % 13 != 0).then(|| format!("v{}", i % 400)))),
             Column::from_bools((0..n).map(|i| (i % 3 != 0).then_some(i % 2 == 0))),
             Column::from_ints((0..n).map(|_| None)),
         ];
         for col in dense.iter().flat_map(|c| [c.clone(), c.view(&map, None)]) {
             let d = KeyDict::build(&col);
-            let (keys, codes, null_rows) = reference(&col);
-            assert_eq!((&d.keys, &d.codes, d.null_rows), (&keys, &codes, null_rows));
+            let (base, keys, codes, null_rows) = reference(&col);
+            let by_code: Vec<Key> = (0..d.n_codes() as u32).map(|c| d.key_at(c)).collect();
+            let got = (d.value_base(), &by_code, &d.codes, d.null_rows);
+            assert_eq!(got, (base, &keys, &codes, null_rows));
             let rows_of = |c: u32| codes.iter().filter(|&&d| d == c).count();
             let repeated = codes.iter().filter(|&&c| c != NULL_CODE && rows_of(c) > 1).count();
-            let ints: Option<Vec<i64>> =
-                keys.iter().map(|k| if let Key::Num(i) = k { Some(*i) } else { None }).collect();
-            let range = ints.and_then(|i| Some((*i.iter().min()?, *i.iter().max()?)));
-            assert_eq!((d.repeated_rows(), d.int_range()), (repeated, range));
+            let distinct = (0..keys.len() as u32).filter(|&c| rows_of(c) > 0).count();
+            assert_eq!((d.repeated_rows(), d.len()), (repeated, distinct));
             for (code, key) in keys.iter().enumerate() {
                 assert_eq!(d.code(key), Some(code as u32));
             }
             assert_eq!(d.code(&skey("absent")), None);
             assert_eq!(d.code(&Key::Num(i64::MIN)), None);
-            assert_eq!(
-                d.resident_bytes(),
-                keys.len() * std::mem::size_of::<Key>()
-                    + (d.slots.len() + codes.len()) * 4
-                    + keys.iter().map(|k| if let Key::Str(s) = k { s.len() } else { 0 }).sum::<usize>()
-            );
-            // The probe table follows from the key set, not the row order.
+            let payload = |k: &Key| if let Key::Str(s) = k { s.len() } else { 0 };
+            let hashed_bytes = match &d.layout {
+                Layout::ByValue { .. } => 0,
+                Layout::Hashed { slots, .. } => {
+                    keys.len() * std::mem::size_of::<Key>()
+                        + slots.len() * 4
+                        + keys.iter().map(payload).sum::<usize>()
+                }
+            };
+            assert_eq!(d.resident_bytes(), codes.len() * 4 + hashed_bytes);
+            // The layout, probe table included, follows from the key set, not
+            // the row order.
             let rev: Vec<usize> = (0..col.len()).rev().collect();
             let r = KeyDict::build(&col.take(&rev));
-            assert_eq!((&r.keys, &r.slots), (&d.keys, &d.slots));
+            assert_eq!(r.layout, d.layout);
         }
     }
 }

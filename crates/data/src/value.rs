@@ -112,8 +112,10 @@ impl Value {
 pub(crate) fn float_key(f: f64) -> Option<Key> {
     if f.is_nan() {
         None
-    } else if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
-        // Integral floats join with ints: 5.0 == 5.
+    } else if f.fract() == 0.0 && f >= i64::MIN as f64 && f < i64::MAX as f64 {
+        // Integral floats join with ints: 5.0 == 5. `i64::MAX as f64` rounds
+        // up to 2⁶³, which no `i64` holds, so that bound is strict; −2⁶³ is
+        // `i64::MIN` exactly.
         Some(Key::Num(f as i64))
     } else {
         // Normalize -0.0 to 0.0 so the bit patterns agree.
@@ -235,6 +237,19 @@ mod tests {
     fn int_and_integral_float_share_key() {
         assert_eq!(Value::Int(5).key(), Value::Float(5.0).key());
         assert_ne!(Value::Int(5).key(), Value::Float(5.5).key());
+    }
+
+    /// 2⁶³ is integral but past `i64::MAX`: it keeps its bits instead of
+    /// saturating into the key of `i64::MAX`, while −2⁶³ is `i64::MIN`.
+    #[test]
+    fn two_to_the_63_is_not_i64_max() {
+        let two_63 = 2f64.powi(63);
+        assert_eq!(two_63, i64::MAX as f64);
+        assert_eq!(Value::Float(two_63).key(), Some(Key::FloatBits(two_63.to_bits())));
+        assert_ne!(Value::Float(two_63).key(), Value::Int(i64::MAX).key());
+        assert_eq!(Value::Float(-two_63).key(), Value::Int(i64::MIN).key());
+        let below = f64::from_bits(two_63.to_bits() - 1);
+        assert_eq!(Value::Float(below).key(), Some(Key::Num(below as i64)));
     }
 
     #[test]

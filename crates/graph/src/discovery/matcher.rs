@@ -3,6 +3,12 @@
 //! For every cross-table column pair the matcher blends name similarity and
 //! instance (value-overlap) similarity into one score in `[0, 1]`; pairs
 //! above the configured threshold become candidate join edges for the DRG.
+//!
+//! [`SchemaMatcher::match_score`] decides a pair from its summaries first
+//! and its values last: two columns whose key spans cannot meet share no
+//! value, so their intersection is bounded by 0 without reading either
+//! occupancy map; any other pair is bounded by its maps; only a pair the
+//! bound cannot reject merges its two value runs.
 
 use crate::discovery::name_sim::name_similarity;
 use crate::discovery::profile::ColumnProfile;
@@ -90,9 +96,12 @@ impl SchemaMatcher {
     /// most of a lake's pairs).
     ///
     /// Before merging two exact sets it asks whether the pair could reach
-    /// the threshold at all: the same blend, evaluated at
-    /// [`ValueRun::intersection_bound`] in place of the intersection — first
-    /// at name similarity 1, the most a name scores, then at the pair's own.
+    /// the threshold at all: the same blend, evaluated at an upper bound in
+    /// place of the intersection — first at name similarity 1, the most a
+    /// name scores, then at the pair's own. The bound is 0 for a pair whose
+    /// key spans cannot meet ([`ColumnProfile::may_share_keys`]; counted in
+    /// `match.pairs_range_rejected` when that rejects it), and
+    /// [`ValueRun::intersection_bound`] from the occupancy maps otherwise.
     /// That rejects exactly, not heuristically — the bound is never below
     /// the intersection, and every step from intersection and name
     /// similarity to blended score is a correctly rounded operation that
@@ -113,9 +122,12 @@ impl SchemaMatcher {
             return (0.0 >= threshold).then_some(0.0);
         }
         let monotone = value_weight > 0.0 && name_weight >= 0.0;
+        let mut apart = false;
         let at_most = match (monotone, &a.value_hashes, &b.value_hashes) {
             (true, Some(ra), Some(rb)) => {
-                Some(exact_similarity(ra.len(), rb.len(), ra.intersection_bound(rb)))
+                apart = !a.may_share_keys(b);
+                let shared = if apart { 0 } else { ra.intersection_bound(rb) };
+                Some(exact_similarity(ra.len(), rb.len(), shared))
             }
             _ => None,
         };
@@ -123,6 +135,9 @@ impl SchemaMatcher {
         let name = if short(1.0) { None } else { Some(name()) };
         let Some(name) = name.filter(|&name| !short(name)) else {
             autofeat_obs::incr("match.pairs_bound_rejected");
+            if apart {
+                autofeat_obs::incr("match.pairs_range_rejected");
+            }
             return None;
         };
         let score = self.blend(name, self.instance_similarity(a, b));
@@ -325,6 +340,29 @@ mod tests {
         assert_eq!(m.instance_similarity(&profile(10..20), &a), (10.0 / 100.0 + 1.0) / 2.0);
         assert_eq!(m.instance_similarity(&profile(0..0), &a), 0.0);
         assert_eq!(m.instance_similarity(&profile(0..0), &profile(0..0)), 0.0);
+    }
+
+    /// A pair whose key spans cannot meet is rejected on its spans and
+    /// counted, whatever its maps would say; a pair whose spans meet but
+    /// whose values do not is left to the maps.
+    #[test]
+    fn pairs_apart_are_rejected_on_their_spans() {
+        let profile = |name: &str, col: Column| ColumnProfile::build("t", name, &col);
+        let ids = profile("id", Column::from_ints((0..50).map(Some)));
+        let later = profile("id", Column::from_ints((50..100).map(Some)));
+        let halves = profile("id", Column::from_floats((0..50).map(|i| Some(i as f64 + 0.5))));
+        let m = SchemaMatcher::paper_default();
+        let counted = |a: &ColumnProfile, b: &ColumnProfile| {
+            let tracer = autofeat_obs::Tracer::enabled();
+            let decided = autofeat_obs::with_tracer(&tracer, || m.match_score(|| 1.0, a, b));
+            let count = |name| tracer.snapshot().counter(name).unwrap_or(0);
+            (decided, count("match.pairs_range_rejected"), count("match.pairs_bound_rejected"))
+        };
+        assert!(!ids.may_share_keys(&later));
+        assert_eq!(counted(&ids, &later), (None, 1, 1));
+        assert!(ids.may_share_keys(&halves));
+        assert_eq!(counted(&ids, &halves), (None, 0, 1));
+        assert_eq!(counted(&ids, &ids).1, 0);
     }
 
     #[test]

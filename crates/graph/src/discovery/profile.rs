@@ -1,12 +1,17 @@
 //! Column profiles: the per-column summaries the matcher scores against.
 //!
 //! A profile is computed once per column, at ingest or when a table joins
-//! the lake, and every later stage — the occupancy bound, exact scoring —
-//! reads the profile, never the column.
+//! the lake, and every later stage — the range test, the occupancy bound,
+//! exact scoring — reads the profile, never the column.
+//!
+//! Besides its value set a profile records where its keys lie
+//! ([`KeySpan`]): the least and greatest numeric key, and whether any key is
+//! a string or a bool. Two columns whose spans cannot meet share no value,
+//! which the matcher reads before it reads either value set.
 
 use std::sync::OnceLock;
 
-use autofeat_data::{Column, Table};
+use autofeat_data::{Column, Key, Table};
 
 use crate::discovery::value_sim::{hash_value, MinHash, ValueRun};
 
@@ -35,17 +40,72 @@ pub struct ColumnProfile {
     /// MinHash sketch of the value set: made by `build` when the run is
     /// dropped, otherwise by the first [`sketch`](Self::sketch) call.
     sketch: OnceLock<MinHash>,
+    /// Where the keys lie.
+    span: KeySpan,
+}
+
+/// Where a column's keys lie, coarsely enough to be kept per column and
+/// exactly enough that two columns whose spans cannot meet share no key.
+///
+/// Numeric keys are placed on the `f64` line: a non-integral float as
+/// itself, an integer (an int, or a float holding one) rounded to the
+/// nearest `f64`. Rounding is monotone, so a key inside one range lands
+/// inside it, and equal keys land on one point — an integral float on the
+/// very point of its integer. Strings and bools are not placed at all: any
+/// one of them sets `other`, which meets any other `other`.
+#[derive(Debug, Clone, Copy)]
+struct KeySpan {
+    /// The least and greatest numeric key on the `f64` line; `lo > hi` (the
+    /// empty span's `+∞` and `−∞`) when there is none.
+    lo: f64,
+    hi: f64,
+    /// Whether some key is a string or a bool.
+    other: bool,
+}
+
+impl KeySpan {
+    const EMPTY: KeySpan = KeySpan { lo: f64::INFINITY, hi: f64::NEG_INFINITY, other: false };
+
+    /// Widen the span by one key: no branch on a numeric key, where the
+    /// profile's row loop spends its time.
+    #[inline(always)]
+    fn add(&mut self, key: &Key) {
+        let x = match *key {
+            Key::Num(i) => i as f64,
+            Key::FloatBits(bits) => f64::from_bits(bits),
+            Key::Str(_) | Key::Bool(_) => {
+                self.other = true;
+                return;
+            }
+        };
+        (self.lo, self.hi) = (self.lo.min(x), self.hi.max(x));
+    }
+
+    /// Whether a key could lie in both spans.
+    fn may_meet(&self, other: &KeySpan) -> bool {
+        let numeric = self.lo <= self.hi && other.lo <= other.hi;
+        (numeric && self.lo <= other.hi && other.lo <= self.hi) || (self.other && other.other)
+    }
 }
 
 impl ColumnProfile {
     /// Profile one column: one typed pass over its rows hashing every
-    /// non-null key, then sort, deduplicate, map. It reads the cells, never
+    /// non-null key and widening the [`KeySpan`] by it, then sort,
+    /// deduplicate, map. It reads the cells, never
     /// a key dictionary — a profile is wanted for every column of the lake,
     /// a dictionary only for the few a join is keyed on. A column past
     /// [`EXACT_SET_CAP`] keeps a sketch in place of its run.
     pub fn build(table_name: &str, column_name: &str, col: &Column) -> Self {
         let mut hashes = Vec::with_capacity(col.len());
-        col.keys_in(0..col.len(), |key| hashes.extend(key.map(|k| hash_value(&k))));
+        let mut span = KeySpan::EMPTY;
+        // Inlined into the typed row loop, as `KeyDict::build` is, so the key
+        // stays in registers.
+        col.keys_in(0..col.len(), #[inline(always)] |key| {
+            if let Some(key) = key {
+                span.add(&key);
+                hashes.push(hash_value(&key));
+            }
+        });
         let run = ValueRun::from_unsorted(hashes);
         let distinct = run.len();
         let (value_hashes, sketch) = if distinct <= EXACT_SET_CAP {
@@ -61,6 +121,7 @@ impl ColumnProfile {
             distinct,
             value_hashes,
             sketch,
+            span,
         }
     }
 
@@ -81,6 +142,12 @@ impl ColumnProfile {
         self.sketch.get_or_init(|| {
             sketch_of(self.value_hashes.as_ref().expect("a profile without a sketch keeps its run"))
         })
+    }
+
+    /// Whether the two columns could share a key: `false` decides that they
+    /// share none, without reading a value set.
+    pub(crate) fn may_share_keys(&self, other: &ColumnProfile) -> bool {
+        self.span.may_meet(&other.span)
     }
 
     /// Whether this column looks like a feasible join key: it has at least
@@ -180,6 +247,54 @@ mod tests {
         assert_eq!(p.distinct, EXACT_SET_CAP + 1);
         assert!(p.value_hashes.is_none());
         assert_eq!(p.sketch.get().expect("sketched at build").n_values(), EXACT_SET_CAP + 1);
+    }
+
+    /// The span of a column is where its keys lie, and two columns whose
+    /// spans cannot meet share no value, down to the rounding of integers
+    /// past 2⁵³ and at 2⁶³.
+    #[test]
+    fn spans_that_cannot_meet_share_no_value() {
+        let two_53 = 1i64 << 53;
+        let columns = [
+            Column::from_ints([Some(1), Some(5), None]),
+            Column::from_ints([Some(6), Some(9)]),
+            Column::from_floats([Some(5.0), Some(5.5)]),
+            Column::from_floats([Some(5.25), Some(5.75)]),
+            Column::from_floats([Some(-0.5), Some(0.75)]),
+            Column::from_ints([Some(two_53 + 1), Some(two_53 + 3)]),
+            Column::from_ints([Some(two_53 + 2)]),
+            Column::from_floats([Some(two_53 as f64)]),
+            Column::from_ints([Some(i64::MAX)]),
+            Column::from_floats([Some(i64::MAX as f64)]),
+            Column::from_ints([Some(i64::MIN), Some(-1)]),
+            Column::from_strs([Some("5"), Some("a")]),
+            Column::from_strs([Some("b")]),
+            Column::from_bools([Some(true)]),
+            Column::from_ints([None, None]),
+        ];
+        let profiles: Vec<ColumnProfile> =
+            columns.iter().map(|c| ColumnProfile::build("t", "c", c)).collect();
+        let mut disjoint = 0;
+        let shared = |a: &ColumnProfile, b: &ColumnProfile| {
+            a.value_hashes.as_ref().unwrap().intersection_len(b.value_hashes.as_ref().unwrap())
+        };
+        for (a, pa) in columns.iter().zip(&profiles) {
+            for (b, pb) in columns.iter().zip(&profiles) {
+                let shared = shared(pa, pb);
+                let meets = pa.may_share_keys(pb);
+                assert_eq!(meets, pb.may_share_keys(pa));
+                assert!(meets || shared == 0, "{a:?} and {b:?} share {shared} values apart");
+                disjoint += usize::from(!meets && pa.distinct > 0 && pb.distinct > 0);
+            }
+        }
+        assert!(disjoint > 100, "{disjoint} disjoint pairs");
+        // 2⁶³ is no integer key: it shares no value with `i64::MAX`, though
+        // both sit on one point of the `f64` line.
+        let (max, two_63) = (&profiles[8], &profiles[9]);
+        assert!(max.may_share_keys(two_63));
+        assert_eq!(shared(max, two_63), 0);
+        // An integral float meets its integer.
+        assert!(profiles[0].may_share_keys(&profiles[2]));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! strongly negative predictors rank as relevant (the paper sorts by
 //! correlation score for the *select-κ-best* heuristic).
 
+use std::borrow::Cow;
+
 use autofeat_obs as obs;
 
 use crate::discretize::{codes_from_order, discretize_equal_frequency, Discretized};
@@ -64,18 +66,21 @@ impl RelevanceMethod {
     /// [`Relevance::score`] implementations do. Scores are bit-identical to
     /// calling `score` per feature.
     pub fn scores(self, features: &[Vec<f64>], labels: &[i64]) -> Vec<f64> {
-        self.scores_and_codes(features, labels, None).0
+        self.scores_and_codes(features, labels, None, None).0
     }
 
     /// [`RelevanceMethod::scores`] and, when `bins` asks for them, the
     /// [`discretize_equal_frequency`] codes of every feature whose scoring
     /// made them on the way: Spearman reads them off the sort its ranks come
     /// from, IG and SU score the codes themselves. `None` where it did not —
-    /// the caller bins those it goes on to need.
+    /// the caller bins those it goes on to need. `label_ranks`, when the
+    /// caller has them, are [`label_ranks`] of `labels`, which Spearman then
+    /// does not rank again.
     pub(crate) fn scores_and_codes(
         self,
         features: &[Vec<f64>],
         labels: &[i64],
+        label_ranks: Option<&[f64]>,
         bins: Option<u32>,
     ) -> (Vec<f64>, Vec<Option<Discretized>>) {
         let uncoded = |scores: Vec<f64>| {
@@ -116,11 +121,13 @@ impl RelevanceMethod {
             }
             RelevanceMethod::Spearman => {
                 let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-                let y_ranks = average_ranks(&y);
+                let y_ranks: Cow<[f64]> =
+                    label_ranks.map_or_else(|| average_ranks(&y).into(), Cow::from);
+                debug_assert_eq!(y_ranks.len(), y.len(), "ranks of other labels");
                 features
                     .iter()
                     .map(|x| {
-                        let (rho, codes) = spearman_with(x, &y, Some(&y_ranks), bins);
+                        let (rho, codes) = spearman_with(x, &y, Some(&y_ranks[..]), bins);
                         (rho.abs(), codes)
                     })
                     .unzip()
@@ -128,6 +135,13 @@ impl RelevanceMethod {
             RelevanceMethod::Relief => uncoded(Relief::default().scores(features, labels)),
         }
     }
+}
+
+/// The average ranks of `labels` as numbers: what Spearman correlates every
+/// feature against. A caller scoring many batches against one label vector
+/// ranks it once and passes the ranks to each.
+pub(crate) fn label_ranks(labels: &[i64]) -> Vec<f64> {
+    average_ranks(&labels.iter().map(|&l| l as f64).collect::<Vec<f64>>())
 }
 
 /// Per-feature relevance scoring.
@@ -466,6 +480,24 @@ mod tests {
         assert!((s - 1.0).abs() < 1e-12, "spearman on monotone data should be 1, got {s}");
         // Pearson is noticeably below 1 for the same data.
         assert!(pearson_correlation(&x, &y) < 0.9);
+    }
+
+    /// Ranks of the labels made once and passed in score every batch as
+    /// ranking them per batch does, to the bit, codes included.
+    #[test]
+    fn passed_label_ranks_change_no_bit() {
+        let y: Vec<i64> = (0..300).map(|i| (i * 7 % 11) % 3).collect();
+        let feats: Vec<Vec<f64>> = vec![
+            (0..300).map(|i| (i % 17) as f64).collect(),
+            (0..300).map(|i| if i % 5 == 0 { f64::NAN } else { i as f64 * 0.3 }).collect(),
+            vec![1.0; 300],
+        ];
+        let ranks = label_ranks(&y);
+        let m = RelevanceMethod::Spearman;
+        let (want, want_codes) = m.scores_and_codes(&feats, &y, None, Some(DEFAULT_BINS));
+        let (got, got_codes) = m.scores_and_codes(&feats, &y, Some(&ranks), Some(DEFAULT_BINS));
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!((bits(&got), got_codes), (bits(&want), want_codes));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub fn select_k_best(
     kappa: usize,
     min_score: f64,
 ) -> Vec<SelectedFeature> {
-    k_best(features, labels, method, kappa, min_score, None).0
+    k_best(features, labels, None, method, kappa, min_score, None).0
 }
 
 /// [`select_k_best`], and beside each pick its
@@ -54,12 +54,16 @@ pub fn select_k_best_binned(
     min_score: f64,
     bins: u32,
 ) -> (Vec<SelectedFeature>, Vec<Discretized>) {
-    k_best(features, labels, method, kappa, min_score, Some(bins))
+    k_best(features, labels, None, method, kappa, min_score, Some(bins))
 }
 
-fn k_best(
+/// The one select-κ-best: [`select_k_best`] without `bins`, and
+/// [`select_k_best_binned`] with them. `label_ranks` are
+/// `relevance::label_ranks(labels)` when the caller keeps them.
+pub(crate) fn k_best(
     features: &[Vec<f64>],
     labels: &[i64],
+    label_ranks: Option<&[f64]>,
     method: RelevanceMethod,
     kappa: usize,
     min_score: f64,
@@ -67,7 +71,7 @@ fn k_best(
 ) -> (Vec<SelectedFeature>, Vec<Discretized>) {
     let _span = obs::span("relevance");
     obs::add("metrics.features_scored", features.len() as u64);
-    let (scores, mut codes) = method.scores_and_codes(features, labels, bins);
+    let (scores, mut codes) = method.scores_and_codes(features, labels, label_ranks, bins);
     let mut ranked: Vec<SelectedFeature> = scores
         .into_iter()
         .enumerate()

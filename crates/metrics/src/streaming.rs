@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use crate::discretize::{discretize_equal_frequency, Discretized};
 use crate::redundancy::{RedundancyMethod, RedundancyScorer};
-use crate::relevance::{RelevanceMethod, DEFAULT_BINS};
-use crate::selection::{select_k_best_binned, SelectedFeature, SelectedSet};
+use crate::relevance::{label_ranks, RelevanceMethod, DEFAULT_BINS};
+use crate::selection::{k_best, SelectedFeature, SelectedSet};
 
 /// Outcome of admitting one feature batch. An analysis that is switched off
 /// passes everything through and contributes **no scores**: Algorithm 2
@@ -56,6 +56,9 @@ pub struct RelevanceStage {
     kappa: usize,
     labels: Vec<i64>,
     label_codes: Discretized,
+    /// The labels' average ranks when the method is Spearman, which would
+    /// rank them again for every batch otherwise.
+    label_ranks: Option<Vec<f64>>,
 }
 
 impl RelevanceStage {
@@ -70,9 +73,15 @@ impl RelevanceStage {
         match self.method {
             // The picks come back with their bin codes: Spearman reads them
             // off the sort its ranks came from.
-            Some(method) => {
-                select_k_best_binned(batch, &self.labels, method, self.kappa, 0.0, DEFAULT_BINS)
-            }
+            Some(method) => k_best(
+                batch,
+                &self.labels,
+                self.label_ranks.as_deref(),
+                method,
+                self.kappa,
+                0.0,
+                Some(DEFAULT_BINS),
+            ),
             None => {
                 let _span = autofeat_obs::span("discretize");
                 (
@@ -109,8 +118,11 @@ impl StreamingSelector {
         kappa: usize,
     ) -> Self {
         let label_codes = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
+        let ranks = (relevance == Some(RelevanceMethod::Spearman)).then(|| label_ranks(&labels));
+        let stage =
+            RelevanceStage { method: relevance, kappa, labels, label_codes, label_ranks: ranks };
         StreamingSelector {
-            stage: Arc::new(RelevanceStage { method: relevance, kappa, labels, label_codes }),
+            stage: Arc::new(stage),
             redundancy: redundancy.map(RedundancyScorer::new),
             selected: SelectedSet::default(),
         }

@@ -313,10 +313,13 @@ pub mod join_oracle {
     use autofeat::prelude::*;
 
     /// Whether two cells are equal join keys: nulls (and `NaN`) never are;
-    /// an int equals the integral float of the same value; `-0.0` equals
-    /// `0.0`; values of different kinds otherwise never match.
+    /// an int equals the integral float of the same value (which lies in
+    /// `[−2⁶³, 2⁶³)`, the `i64` range); `-0.0` equals `0.0`; values of
+    /// different kinds otherwise never match.
     pub fn keys_match(a: &Value, b: &Value) -> bool {
-        let as_int = |f: f64| (f.fract() == 0.0 && f.abs() < 9.0e18).then_some(f as i64);
+        const TWO_63: f64 = -(i64::MIN as f64);
+        let as_int =
+            |f: f64| (f.fract() == 0.0 && (-TWO_63..TWO_63).contains(&f)).then_some(f as i64);
         match (a, b) {
             (Value::Int(x), Value::Int(y)) => x == y,
             (Value::Int(x), Value::Float(f)) | (Value::Float(f), Value::Int(x)) => {

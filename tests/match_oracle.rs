@@ -83,6 +83,24 @@ fn overlaps(d: &mut Draw, na: usize, nb: usize, name: f64) -> Vec<usize> {
 /// the floats equal to them (the same keys), every value `dup` times, the
 /// first few once more, `nulls` nulls among them; keyed or bare.
 fn column_table(d: &mut Draw, name: &str, from: i64, n: usize, keyed: bool) -> Table {
+    let rows = value_rows(d, from, n);
+    let col = if d.below(2) == 0 {
+        Column::from_ints(rows)
+    } else {
+        Column::from_floats(rows.into_iter().map(|v| v.map(|v| v as f64)))
+    };
+    let table = Table::new("t", vec![(name, col)]).unwrap();
+    if keyed {
+        table.with_key_dicts()
+    } else {
+        table
+    }
+}
+
+/// The rows of [`column_table`] before they are typed: the values
+/// `from..from + n`, every one `dup` times, the first few once more, and
+/// `nulls` nulls, spread through the rows.
+fn value_rows(d: &mut Draw, from: i64, n: usize) -> Vec<Option<i64>> {
     let dup = if n <= 2_000 { 1 + d.below(3) } else { 1 };
     let mut values: Vec<Option<i64>> = (0..dup).flat_map(|_| (from..from + n as i64).map(Some)).collect();
     values.extend((from..from + n.min(100) as i64).map(Some));
@@ -97,18 +115,7 @@ fn column_table(d: &mut Draw, name: &str, from: i64, n: usize, keyed: bool) -> T
     // A fixed odd stride spreads nulls and repeats through the rows.
     let len = values.len();
     let stride = (0..).map(|i| 7_919 + 2 * i).find(|s| gcd(*s, len) == 1).unwrap();
-    let shuffled: Vec<Option<i64>> = (0..len).map(|i| values[i * stride % len]).collect();
-    let col = if d.below(2) == 0 {
-        Column::from_ints(shuffled)
-    } else {
-        Column::from_floats(shuffled.into_iter().map(|v| v.map(|v| v as f64)))
-    };
-    let table = Table::new("t", vec![(name, col)]).unwrap();
-    if keyed {
-        table.with_key_dicts()
-    } else {
-        table
-    }
+    (0..len).map(|i| values[i * stride % len]).collect()
 }
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -209,6 +216,68 @@ proptest! {
         for x in overlaps(&mut d, na, nb, name) {
             let right = column_table(&mut d, right_name, (na - x) as i64, nb, !keyed_left);
             check_pair(&left, &profiled(&right))?;
+        }
+    }
+}
+
+/// How [`kind_table`] types a value `v`: as the int, the float equal to it,
+/// a non-integral float, a float integral for even `v` only, a string, or a
+/// bool.
+const KINDS: [&str; 6] = ["int", "integral float", "fraction", "mixed float", "string", "bool"];
+
+/// A one-column table of [`value_rows`] typed as `KINDS[kind]`, keyed or
+/// bare. Near `±2⁵³` and `2⁶³` the floats round, so distinct values share a
+/// key there.
+fn kind_table(d: &mut Draw, name: &str, kind: usize, from: i64, n: usize) -> Table {
+    let rows = value_rows(d, from, n);
+    let floats = |f: fn(i64) -> f64| Column::from_floats(rows.iter().map(|v| v.map(f)));
+    let col = match kind {
+        0 => Column::from_ints(rows.clone()),
+        1 => floats(|v| v as f64),
+        2 => floats(|v| v as f64 / 4.0 + 0.125),
+        3 => floats(|v| if v % 2 == 0 { v as f64 } else { v as f64 + 0.25 }),
+        4 => Column::from_strs(rows.iter().map(|v| v.map(|v| v.to_string()))),
+        _ => Column::from_bools(rows.iter().map(|v| v.map(|v| v % 2 == 0))),
+    };
+    let table = Table::new("t", vec![(name, col)]).unwrap();
+    if d.below(2) == 0 {
+        table.with_key_dicts()
+    } else {
+        table
+    }
+}
+
+proptest! {
+    /// Column families beyond integer ranges — non-integral floats, strings,
+    /// bools, floats mixing integral and non-integral values — placed near
+    /// 0, `±2⁵³`, `i64::MAX` (where every float is `2⁶³`, no integer key)
+    /// and `i64::MIN`: every ordered pair of a family through
+    /// [`check_pair`], so ranges that meet, that do not, and that only
+    /// seem to after rounding all reach the bound and the merge.
+    #[test]
+    fn key_kinds_beyond_integers_match_the_reference(seed in 0u64..u64::MAX) {
+        let mut d = Draw(seed);
+        let sizes: Vec<usize> = (0..5).map(|_| d.below(150)).collect();
+        let widest = *sizes.iter().max().unwrap() as i64 + 1;
+        let anchor = match d.below(5) {
+            0 => 0,
+            1 => (1 << 53) - widest,
+            2 => -(1 << 53) - widest,
+            3 => i64::MAX - 2 * widest,
+            _ => i64::MIN,
+        };
+        let family: Vec<Profiled> = sizes
+            .iter()
+            .map(|&n| {
+                let (name, kind) = (NAME_PAIRS[d.below(NAME_PAIRS.len())].0, d.below(KINDS.len()));
+                let from = anchor + d.below(widest as usize) as i64;
+                profiled(&kind_table(&mut d, name, kind, from, n))
+            })
+            .collect();
+        for a in &family {
+            for b in &family {
+                check_pair(a, b)?;
+            }
         }
     }
 }
