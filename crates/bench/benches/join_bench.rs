@@ -1,9 +1,11 @@
 //! Criterion: the join kernel.
 //!
 //! Two groups. `left_join_normalized` is the cold path — index build plus
-//! join on dictionary-less tables, scaling in rows and key multiplicity.
-//! `join_kernel` is what a resident request pays per hop: a warm, prebuilt
-//! coded index probed at the two shapes the repository's benchmark serves
+//! the join that fills its pick array, on dictionary-less tables, scaling in
+//! rows and key multiplicity. `join_kernel` is what a resident request pays
+//! per hop: a warm, prebuilt coded index, whose pick array each table's
+//! first join fills for its seed and every later one reads (left key → code
+//! → row), probed at the two shapes the repository's benchmark serves
 //! (`star_warm`: 1 000 sampled base rows against 64 satellites of 16 000
 //! rows, dup 4, 3 columns, cycled so no satellite stays in cache;
 //! `wide_fullscan`'s mid level: 16 000 base rows against 32 000 rows, dup 2,

@@ -32,8 +32,8 @@ fn join_tables(n: usize, dup: usize, keyed: bool) -> (Table, Table) {
     )
     .unwrap();
     let m = n * dup;
-    // Shuffle-ish key order so the coded build's scatter pass is not a
-    // straight sequential write.
+    // Shuffle-ish key order so the first join's fill does not fold each
+    // key's rows in one sequential run.
     let rkeys: Vec<Option<i64>> = (0..m).map(|i| Some(((i * 7 + 3) % m / dup) as i64)).collect();
     let rvals: Vec<Option<f64>> = rkeys.iter().map(|k| k.map(|v| v as f64)).collect();
     let right = Table::new(
@@ -52,8 +52,9 @@ fn bench_index_build(c: &mut Criterion) {
         for (name, keyed) in [("transient", false), ("keyed", true)] {
             let (_, right) = join_tables(n, 3, keyed);
             let col = right.column("k").unwrap().clone();
-            // First use, outside the timer: `keyed` times the counting sort
-            // over metadata that is there, `transient` the build of both.
+            // First use, outside the timer: `keyed` times a build over
+            // metadata that is there (keys repeat, so it reads no row; the
+            // first join fills the picks), `transient` the build of both.
             black_box(JoinIndex::build(&right, &col).unwrap());
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| black_box(JoinIndex::build(&right, &col).unwrap()))

@@ -464,7 +464,7 @@ impl AutoFeat {
         // peak are this run's), or with `cache: false` a private budget-0 one.
         let private;
         let ctx = if cfg.cache {
-            if let Some(budget) = cfg.resolve_cache_budget() {
+            if let Some(budget) = cfg.cache_budget_bytes {
                 ctx.lake_cache().set_budget(Some(budget));
             }
             ctx

@@ -168,12 +168,9 @@ impl AutoFeatConfig {
         self.trace || trace_file().is_some()
     }
 
-    /// The byte budget this run applies to the shared cache:
-    /// `cache_budget_bytes`. `None` means this run imposes no budget (the
-    /// context's cache keeps whatever budget it already has — so a cache
-    /// configured programmatically via
-    /// [`LakeIndexCache::set_budget`](autofeat_data::LakeIndexCache::set_budget)
-    /// is not clobbered by budget-less runs).
+    /// `cache_budget_bytes`, the field itself: discovery reads the field,
+    /// and this getter stays for callers outside the workspace (the
+    /// benchmark's layer replay).
     pub fn resolve_cache_budget(&self) -> Option<u64> {
         self.cache_budget_bytes
     }
@@ -267,11 +264,11 @@ mod tests {
     fn cache_budget_resolution() {
         // Default: no budget configured, so the run leaves the cache's own.
         let c = AutoFeatConfig::default();
-        assert_eq!(c.resolve_cache_budget(), None);
+        assert_eq!(c.cache_budget_bytes, None);
         let c = AutoFeatConfig::default().with_cache_budget_bytes(24 << 20);
-        assert_eq!(c.resolve_cache_budget(), Some(24 << 20));
+        assert_eq!(c.cache_budget_bytes, Some(24 << 20));
         let c = AutoFeatConfig::default().with_cache_budget_bytes(0);
-        assert_eq!(c.resolve_cache_budget(), Some(0), "zero budget is explicit");
+        assert_eq!(c.cache_budget_bytes, Some(0), "zero budget is explicit");
     }
 
     #[test]

@@ -476,7 +476,7 @@ impl SearchContext {
     /// Constructed with [`LakeIndexCache::new`], so it honours an
     /// `AUTOFEAT_CACHE_BUDGET` byte budget from the environment; discovery
     /// runs may re-apply a configured budget (see
-    /// [`AutoFeatConfig::resolve_cache_budget`](crate::AutoFeatConfig::resolve_cache_budget)).
+    /// [`AutoFeatConfig::cache_budget_bytes`](crate::AutoFeatConfig::cache_budget_bytes)).
     pub fn lake_cache(&self) -> &LakeIndexCache {
         &self.cache
     }

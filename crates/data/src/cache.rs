@@ -2,14 +2,12 @@
 //!
 //! Discovery evaluates many join paths that funnel through the same few
 //! satellite tables: every hop that joins against table `T` on column `c`
-//! needs the same key → row-group index, and building it groups and
-//! fingerprints every duplicate row. The [`LakeIndexCache`] builds each
-//! `(table, join column)` index **once**, thread-safely, and serves it to
-//! every subsequent join — the per-seed work then degrades to one hash probe
-//! plus a [`mix_u64`](crate::stable_hash::mix_u64) per duplicate candidate,
-//! and, for the hop seed that keeps coming back to a kept index (the same
-//! request served again), to one probe and one read: the index's memo of
-//! that seed's representatives, filled by the second join with it.
+//! needs the same index, whose pick array holds a representative row per
+//! key. The [`LakeIndexCache`] builds each `(table, join column)` index
+//! **once**, thread-safely, and serves it to every subsequent join: the
+//! hop seed that filled its pick array — the same request served again —
+//! then costs one probe and one read per left row, and any other seed a fold
+//! over the rows its left keys need.
 //!
 //! ## Memory governance
 //!
@@ -19,13 +17,12 @@
 //!
 //! * **Fit-or-deny admission, decided before the build** — a lake table's
 //!   index footprint is a pure function of its join column's dictionary
-//!   (the number of keys, the group-table layout, the rows whose key
-//!   repeats: `join::index_bytes`, the rule `JoinIndex::build` asserts it
-//!   keeps), so the first touch of a cold pair decides: an index that fits
+//!   (a pick-array row id per code: `join::index_bytes`), so the first
+//!   touch of a cold pair decides: an index that fits
 //!   the remaining budget gets a slot with its bytes admitted up front; one
 //!   that does not gets no slot at all, and its join is **transient** — it
-//!   groups only the right rows its left keys need (`join::KeyRuns`) and
-//!   builds no index (counted in [`CacheStats::rejections`]). A table
+//!   folds only the right rows its left keys need (`join::fold_unindexed`)
+//!   and builds no index (counted in [`CacheStats::rejections`]). A table
 //!   without key metadata has no dictionary to decide from: its index is
 //!   built first and admitted or denied after. Admission never evicts:
 //!   under the uniform cyclic access pattern of a discovery sweep,
@@ -39,11 +36,11 @@
 //!
 //! Eviction can never invalidate an in-flight join: entries hand out
 //! `Arc<JoinIndex>` clones, so an evicted index stays alive until its last
-//! borrower drops it — the cache merely stops *retaining* it. And because a
-//! retained index, a transient one and a transient join pick by the same
-//! rule over the same rows (see *Determinism* below), denial/eviction can
-//! change only *what is rebuilt*, never what any join produces: a cache at
-//! any budget, 0 included, is bit-identical to an unbounded one.
+//! borrower drops it — the cache merely stops *retaining* it. And because
+//! every join picks by the same rule (see *Determinism* below),
+//! denial/eviction can change only *what is rebuilt*, never what any join
+//! produces: a cache at any budget, 0 included, is bit-identical to an
+//! unbounded one.
 //!
 //! Accounting is **ownership-accurate**: resident bytes are registered only
 //! for slots the map actually holds (admitted entries, counted from the
@@ -56,22 +53,21 @@
 //! same rule. A lake table owns its own — charged to
 //! [`Table::key_meta_bytes`](crate::table::Table::key_meta_bytes), shared by
 //! every index over the table — so `JoinIndex::resident_bytes` counts only
-//! the group and duplicate arrays the cache retains, and the memo of an
-//! index whose keys repeat (one row id per group slot, charged from the
-//! build, so a fill never moves residency); an index over a table without
-//! key metadata built the dictionary and fingerprints for itself and is
-//! charged for them.
+//! the pick array the cache retains (charged from the build, so a fill
+//! never moves residency); an index over a table without key metadata
+//! built the dictionary and fingerprints for itself and is charged for
+//! them.
 //!
 //! ## Resilience
 //!
 //! Two fault classes degrade gracefully, and both are *counted*, never
 //! silently swallowed: a poisoned governor lock falls back to transient
 //! entries ([`CacheStats::lock_recoveries`]), and a panic inside an index
-//! build or a transient join's grouping is isolated with `catch_unwind` —
+//! build or a transient join's fold is isolated with `catch_unwind` —
 //! the caller gets a structured [`DataError::BuildPanicked`], an empty slot
 //! is dropped so later touches retry, and the event lands in
 //! [`CacheStats::build_panics`]. Cold builds also poll the ambient
-//! [`control`](crate::control) before starting (a transient grouping also
+//! [`control`](crate::control) before starting (a transient fold also
 //! between the blocks of its scan), so a cancelled or deadline-expired run
 //! never pays for an index it cannot use.
 //!
@@ -97,10 +93,8 @@
 //! whether the index is retained, transient or served from a slot — the
 //! composition [`join::left_join_normalized`](crate::join::left_join_normalized)
 //! spells out without a cache, and which the tests compare against — or, for
-//! a lake table the budget denies, the same pick over only the rows the left
-//! keys need. Fingerprints are seed-independent, so one index serves every
-//! seed; its memo holds one seed's picks by the same rule, and a debug build
-//! asserts every read of it against the pick.
+//! a lake table the budget denies, the fold over only the rows the left keys
+//! need. Fingerprints are seed-independent, so one index serves every seed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -115,7 +109,7 @@ use crate::column::Column;
 use crate::control;
 use crate::error::{DataError, Result};
 use crate::join::{
-    index_bytes, left_join_with_index, left_join_with_runs, JoinIndex, JoinOutput, KeyRuns,
+    fold_unindexed, index_bytes, join_through, left_join_with_index, JoinIndex, JoinOutput,
 };
 use crate::keydict::KeyDict;
 use crate::stable_hash::StableHasher;
@@ -158,7 +152,7 @@ pub struct CacheStats {
     /// Joins that had to build first: the build of a kept index (one per
     /// cold entry, however many joins race on it), or a join the budget
     /// denied, which builds for itself on every touch — an index for
-    /// `get_or_build`, the grouping of only the rows its left keys need for
+    /// `get_or_build`, the fold of only the rows its left keys need for
     /// `left_join_normalized`.
     pub misses: u64,
     /// Total wall time spent in those builds.
@@ -189,7 +183,7 @@ pub struct CacheStats {
     /// zero in a healthy process; nonzero means a thread panicked while
     /// holding the governor.
     pub lock_recoveries: u64,
-    /// Index builds, and groupings of denied joins, that panicked. Each was
+    /// Index builds, and folds of denied joins, that panicked. Each was
     /// isolated (`catch_unwind`) and surfaced to its caller as a structured
     /// error; an empty slot was dropped so later touches retry.
     pub build_panics: u64,
@@ -606,9 +600,9 @@ impl LakeIndexCache {
     /// [`join::left_join_normalized`](crate::join::left_join_normalized):
     /// resolves (or builds) the index for `(right, right_key)` and performs
     /// the indexed join. A join whose index the budget denies builds none:
-    /// it groups only the right rows its left keys need
-    /// (`join::KeyRuns`) and joins through them. Bit-identical to the free
-    /// function either way.
+    /// it folds only the right rows its left keys need
+    /// (`join::fold_unindexed`) and probes the result. Bit-identical to the
+    /// free function either way.
     pub fn left_join_normalized(
         &self,
         left: &Table,
@@ -623,8 +617,8 @@ impl LakeIndexCache {
             Probed::Slot(entry) => self.serve(right, right_key, key_col, &entry)?,
             Probed::Denied(dict) => {
                 let lk = left.column(left_key)?;
-                let runs = self.denied(right, || KeyRuns::build(lk, right, &dict))?;
-                return left_join_with_runs(left, right, &runs, prefix, seed);
+                let picks = self.denied(right, || fold_unindexed(lk, right, &dict, seed))?;
+                return join_through(left, right, lk, &dict, prefix, || Ok(picks.into()));
             }
         };
         left_join_with_index(left, right, &index, left_key, prefix, seed)
@@ -695,8 +689,8 @@ impl LakeIndexCache {
     ///
     /// **Admission is decided here, before anything is built**, for a table
     /// with key metadata: its index's footprint follows from the column's
-    /// dictionary ([`index_bytes`], the rule [`JoinIndex::build`] asserts
-    /// it keeps), which the first join keyed on the column builds here. A
+    /// dictionary ([`index_bytes`]), which the first join keyed on the
+    /// column builds here. A
     /// slot that fits is made with its bytes already admitted, so a thread
     /// waiting on its build waits on an index the cache keeps.
     fn probe(&self, table: &Table, column: &str, key_col: &Column) -> Probed {
@@ -1184,15 +1178,16 @@ mod tests {
         assert_eq!((st.misses, st.rejections, st.entries, st.resident_bytes), (4, 3, 1, one));
     }
 
-    /// The memo is a retained index's own. A join the budget denies — over a
-    /// keyed table (no index at all) or a bare one (an index for that join
-    /// alone) — orders the same candidates however often it repeats, at a
-    /// budget of 0 and at one with room for another table's index: it
-    /// neither fills a memo nor reads one. The admitted index fills its memo
-    /// on its second join with a seed, inside the bytes its slot was made
-    /// with, so residency stays the admitted slots' bytes.
+    /// Only a retained index keeps the picks it fills. The admitted index
+    /// fills its pick array on its first join, inside the bytes its slot was
+    /// made with, so residency stays the admitted slots' bytes, and reads it
+    /// from then on. A join the budget denies orders the same rows however
+    /// often it repeats, at a budget of 0 and at one with room for another
+    /// table's index: over a keyed table (no index at all) it folds the rows
+    /// its left keys need, and over a bare one it fills an index that lives
+    /// for that join alone.
     #[test]
-    fn only_a_retained_index_fills_a_memo() {
+    fn only_a_retained_index_keeps_its_picks() {
         let l = base().take(&[0, 2, 4, 6]);
         let picks = |cache: &LakeIndexCache, r: &Table| {
             let tracer = obs::Tracer::enabled();
@@ -1201,21 +1196,20 @@ mod tests {
             tracer.snapshot().counter("join.picks").unwrap_or(0)
         };
         let thrice = |cache: &LakeIndexCache, r: &Table| [(); 3].map(|_| picks(cache, r));
-        let kept = lake_table("memo_kept", 6).with_key_dicts();
+        let kept = lake_table("picks_kept", 6).with_key_dicts();
         let one = JoinIndex::build(&kept, kept.column("key").unwrap()).unwrap().resident_bytes();
         let one = one as u64;
-        let keyed = lake_table("memo_keyed", 6).with_key_dicts();
-        let bare = lake_table("memo_bare", 6);
+        let keyed = lake_table("picks_keyed", 6).with_key_dicts();
+        let bare = lake_table("picks_bare", 6);
         let zero = LakeIndexCache::with_budget(Some(0));
         let room_for_one = LakeIndexCache::with_budget(Some(one + one / 2));
-        assert_eq!(thrice(&room_for_one, &kept), [24, 48, 0], "4 keys × 6, then all 48 rows");
+        assert_eq!(thrice(&room_for_one, &kept), [48, 0, 0], "all 48 rows, then reads");
         for cache in [&zero, &room_for_one] {
-            for r in [&keyed, &bare] {
-                assert_eq!(thrice(cache, r), [24; 3], "{}", r.name());
-            }
+            assert_eq!(thrice(cache, &keyed), [24; 3], "4 keys × 6 rows");
+            assert_eq!(thrice(cache, &bare), [48; 3], "a fresh fill each time");
         }
         let index = room_for_one.get_or_build(&kept, "key").unwrap();
-        assert_eq!(index.resident_bytes() as u64, one, "the filled memo was charged up front");
+        assert_eq!(index.resident_bytes() as u64, one, "the filled picks were charged up front");
         let st = room_for_one.stats();
         assert_eq!((st.entries, st.rejections, st.resident_bytes), (1, 6, one));
         let gov = room_for_one.gov.read().unwrap();
@@ -1225,7 +1219,7 @@ mod tests {
         assert_eq!(zero.stats().resident_bytes, 0);
     }
 
-    /// A panic while a denied join groups its rows is isolated and counted
+    /// A panic while a denied join folds its rows is isolated and counted
     /// like a build panic, and serves nothing; disarmed, the join runs.
     #[test]
     fn denied_joins_isolate_build_panics() {

@@ -10,22 +10,29 @@
 //! ## A join is a row map
 //!
 //! A hop does not gather the right table. It resolves, per base row, **one
-//! right row** (`u32`, `NO_ROW` = no match) in two passes over dense
-//! arrays — key → key group, addressed by the key's code in the right
-//! column's dictionary (a column of dense integer keys is its own code, see
-//! [`KeyDict`]), then group → representative — and returns the right-hand
+//! right row** (`u32`, `NO_ROW` = no match) through a **pick array**: the
+//! representative row per code of the right column's dictionary (a column of
+//! dense integer keys is its own code, see [`KeyDict`]). Every join ends in
+//! the same probe — left key → code → row — and returns the right-hand
 //! columns as *views* `(source payload, row map)` that are read through the
-//! map (see [`Column`]). Left joins keep the base rows, so the
-//! map of every hop of a path is indexed by base row and maps never need
-//! composing; nothing is copied until something asks for the cells in place
+//! map (see [`Column`]). Left joins keep the base rows, so the map of every
+//! hop of a path is indexed by base row and maps never need composing;
+//! nothing is copied until something asks for the cells in place
 //! (`Table::take`, `Column::push`).
+//!
+//! A pick array comes from one of two places. A [`JoinIndex`] keeps one:
+//! over a column whose keys never repeat it is each key's only row, for
+//! every seed; otherwise the first join through the index fills it for its
+//! seed. A join with any other seed, and one whose index a cache budget
+//! denies, takes it from the **fold**: one branch-free scan of the right
+//! row codes that keeps only the rows of the codes the left side carries.
 //!
 //! ## Determinism model
 //!
 //! Representative picks are a pure function of `(seed, key, row content)`:
 //! each row carries a **seed-independent** stable content fingerprint, and
-//! for each duplicated key the row minimizing `mix(seed, fingerprint)` wins.
-//! This makes the pick independent of
+//! for each duplicated key the row minimizing `(mix(seed, fingerprint), row)`
+//! wins. This makes the pick independent of
 //!
 //! * **hash-map iteration order** — the old implementation drew from a
 //!   shared RNG while iterating a `HashMap`, so which key consumed which
@@ -37,18 +44,13 @@
 //! * **traversal order** — there is no shared RNG stream, so evaluating
 //!   joins in a different order (or in parallel) cannot perturb the picks
 //!   of unrelated joins;
-//! * **caching** — because fingerprints do not bake the seed in, a
-//!   [`JoinIndex`] built once per `(table, join column)` serves every seed:
-//!   the per-seed work degrades from re-hashing every duplicate row's full
-//!   content to one [`mix_u64`] per candidate — and, for the one hop seed a
-//!   retained index keeps meeting, to nothing: the index remembers that
-//!   seed's representative per key (its memo, see [`JoinIndex`]). Cached
-//!   and uncached joins are bit-identical by construction —
-//!   [`left_join_normalized`] is literally [`left_join_with_index`] over a
-//!   transient index — and so is the join a cache budget denies an index,
-//!   which collects only the rows its left keys need (`KeyRuns`) and picks
-//!   among them in the same order.
+//! * **caching** — fingerprints do not bake the seed in, so one
+//!   [`JoinIndex`] built per `(table, join column)` serves every seed, and
+//!   the fill and the fold order rows by the same rule: which one a join
+//!   takes changes what it costs, never its rows. [`left_join_normalized`]
+//!   is literally [`left_join_with_index`] over a transient index.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use autofeat_obs as obs;
@@ -58,7 +60,6 @@ use crate::error::{DataError, Result};
 use crate::keydict::{KeyDict, NULL_CODE};
 use crate::stable_hash::mix_u64;
 use crate::table::Table;
-use crate::value::Key;
 
 /// Output of a left join: the joined table plus match statistics used by
 /// the data-quality pruning rule.
@@ -91,90 +92,46 @@ impl JoinOutput {
     }
 }
 
-/// The candidate rows of one join key inside a [`JoinIndex`].
+/// A reusable join index for one `(right table, join column)` pair: the
+/// column's dictionary, the fingerprints a pick orders rows by, and a
+/// **pick array** — one right row per dictionary code ([`NO_ROW`] for a code
+/// no row carries).
 ///
-/// Duplicated keys do not own their candidate list: they hold a range into
-/// the index's single `dup_rows` array. Keeping the per-key variant at two
-/// words (instead of an owned `Vec` per key) is what lets a *retained* index
-/// consist of two heap blocks — see [`JoinIndex::build`] — and a third, its
-/// memo, once a recurring seed fills it.
-#[derive(Debug, Clone, Copy)]
-enum KeyGroup {
-    /// Exactly one row carries this key: no fingerprint needed, the pick is
-    /// forced for every seed.
-    Unique(u32),
-    /// Duplicated key: `dup_rows[start..start + len]` holds the candidate
-    /// rows. The per-seed representative minimizes
-    /// `(mix(seed, fingerprint), row)`.
-    Dups { start: u32, len: u32 },
-}
-
-/// The group of a key no row carries: probing it finds [`NO_ROW`]. A group
-/// table holds it at the codes of a by-value dictionary no row carries (the
-/// gaps of its key range), and the probe's first pass writes it for keys
-/// without a code.
-const NO_GROUP: KeyGroup = KeyGroup::Unique(NO_ROW);
-
-/// A reusable join index for one `(right table, join column)` pair: join key
-/// → candidate row group, addressed by the column's dictionary codes.
+/// Over a column whose keys never repeat the build sets the pick array, and
+/// it serves every seed. Otherwise the first join through the index fills it
+/// for that join's seed — on a warm service, the hop seed every request
+/// joins the index with — and later joins with that seed read their rows
+/// from it; a join with any other seed folds (see the module docs). The
+/// array is set once and never changes, so indexes are shareable across
+/// threads ([`Send`]`+`[`Sync`]) without a lock, which is what lets a
+/// lake-wide cache serve the parallel discovery fan-out.
 ///
-/// Building the index does all the per-row work a normalized left join needs
-/// from the right table — grouping rows by key — **once**, as a counting
-/// sort over the `u32` row codes. Resolving a seed's representative for a key
-/// is then one group lookup plus one cheap [`mix_u64`] per duplicate
-/// candidate. Indexes are shareable across threads ([`Send`]`+`[`Sync`]),
-/// which is what lets a lake-wide cache serve the parallel discovery
-/// fan-out; their groups never change.
-///
-/// For a fixed seed a key's pick never changes either, and a warm service
-/// joins each index it keeps with the same hop seed on every request. So an
-/// index whose keys repeat records the first seed joined through it, the
-/// second join with that seed fills a **memo** — the seed's representative
-/// per group slot — and every later join with it reads its rows from there:
-/// left key → code → row. Any other seed picks as above. An index joined once
-/// (a transient one, a cold start's) records a seed and allocates nothing.
-///
-/// There is one layout: the group table and the memo are addressed by
-/// dictionary code, and a probe reads codes through the dictionary
-/// ([`KeyDict::codes_in`]) — for a column of dense integer keys, whose codes
-/// are `key − min`, that is one subtraction and one array read a row, with
-/// no hash of the key. What varies is who owns the two inputs it reads
-/// through: a lake table's dictionary and fingerprint vector are the table's
-/// own key metadata, shared by `Arc`; a table without metadata (a join
-/// output used as a right side, an ad-hoc table) gets a dictionary for this
-/// one column and fingerprints for its duplicate rows built here, owned —
-/// and charged — by the index.
+/// A lake table's dictionary and fingerprint vector are the table's own key
+/// metadata, shared by `Arc`; a table without metadata (a join output used
+/// as a right side, an ad-hoc table) gets a dictionary for this one column
+/// and, when a key repeats, its rows' fingerprints built here, owned — and
+/// charged — by the index.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
     /// Join key → code, for every probe.
     dict: Arc<KeyDict>,
-    /// The key groups, by dictionary code: one per code of the domain
-    /// ([`KeyDict::n_codes`]).
-    groups: Vec<KeyGroup>,
-    /// Duplicate candidates, row ids only (each `KeyGroup::Dups` range
-    /// indexes here, in-key row order): a retained index pins 4 bytes per
-    /// duplicate row — the lake-wide cache holds dozens of these.
-    dup_rows: Vec<u32>,
-    /// Content fingerprints by row, read at duplicate rows only: empty when
-    /// no key repeats; else the table's vector when it carries key metadata,
-    /// otherwise the index's own, filled at the duplicate rows.
+    /// Content fingerprints by row: empty when no key repeats; else the
+    /// table's vector when it carries key metadata, otherwise the index's own.
     row_fps: Arc<Vec<u64>>,
     n_rows: usize,
     /// Bytes of `dict` and `row_fps` this index built for itself (zero over
     /// a table with key metadata, where the lake owns both).
     own_meta_bytes: usize,
-    /// The recurring seed's representatives, unused while no key repeats.
-    memo: Memo,
+    /// The pick array, once the build or the first join has set it.
+    picks: OnceLock<Picks>,
 }
 
-/// One hop seed's representatives, remembered per group slot of a
-/// [`JoinIndex`]: the first seed joined through the index, and — once a
-/// second join with it has filled them — `pick(group, seed)` for every slot.
-/// Both are set once and never change, so a reader needs no lock.
-#[derive(Debug, Clone, Default)]
-struct Memo {
-    seed: OnceLock<u64>,
-    picks: OnceLock<Box<[u32]>>,
+/// A [`JoinIndex`]'s pick array: a right row per dictionary code, under
+/// `seed`, or under every seed (`None`) when no key repeats.
+#[derive(Debug, Clone)]
+struct Picks {
+    seed: Option<u64>,
+    rows: Box<[u32]>,
 }
 
 /// Rows are stored as `u32` and [`NO_ROW`] is `u32::MAX`, so an index can
@@ -192,44 +149,99 @@ const BLOCK: usize = 4096;
 
 /// What [`JoinIndex::resident_bytes`] reports for an index over a table with
 /// key metadata, which lends it `dict` and its fingerprints — worked out from
-/// the dictionary alone: a group-table slot per code of its domain, a memo
-/// slot beside each when some key repeats, and one row id per row whose key
-/// repeats. A cache decides admission from it before building anything.
+/// the dictionary alone: its pick array, a row id per code of the domain,
+/// charged from the build whether or not a join has filled it yet. A cache
+/// decides admission from it before building anything.
 pub(crate) fn index_bytes(dict: &KeyDict) -> usize {
-    let repeated = dict.repeated_rows();
-    slot_bytes(dict.n_codes(), repeated > 0) + repeated * std::mem::size_of::<u32>()
-}
-
-/// Bytes of `slots` group-table slots, each with its memo entry — one row id,
-/// charged from the build on, filled or not — when some key repeats.
-fn slot_bytes(slots: usize, repeats: bool) -> usize {
-    let memo = if repeats { std::mem::size_of::<u32>() } else { 0 };
-    slots * (std::mem::size_of::<KeyGroup>() + memo)
+    dict.n_codes() * std::mem::size_of::<u32>()
 }
 
 /// The order a key's representative is picked in: of its candidate rows,
 /// the one minimizing `(mix_u64(seed, fingerprint), row)` wins. The one pick
-/// rule; both join paths and the memo fill order by it, and count the rows
-/// they order in the `join.picks` trace counter.
+/// rule, which [`fold`] applies.
 #[inline]
 fn pick_order(seed: u64, fp: u64, row: u32) -> (u64, u32) {
     (mix_u64(seed, fp), row)
 }
 
-/// Probe pass 2 for one group: its representative row under `seed`
-/// ([`NO_ROW`] for [`NO_GROUP`]), given the index's `dup_rows` and `row_fps`
-/// (resolved to slices once per join, not per row).
-#[inline]
-fn pick(group: KeyGroup, seed: u64, dup_rows: &[u32], row_fps: &[u64]) -> u32 {
-    let (start, len) = match group {
-        KeyGroup::Unique(row) => return row,
-        KeyGroup::Dups { start, len } => (start as usize, len as usize),
-    };
-    dup_rows[start..start + len]
-        .iter()
-        .map(|&row| pick_order(seed, row_fps[row as usize], row))
-        .min()
-        .map_or(NO_ROW, |(_, row)| row)
+/// The one fold: of the right rows (by their `dict` codes) whose code
+/// `slot_of` maps to one of `n_slots` slots — [`NO_ROW`] for none — each
+/// slot's least row by the pick order under `seed`, or [`NO_ROW`] for a slot
+/// no row reached. It counts the rows it folds in the `join.picks` trace
+/// counter. `row_fps` is empty when no key repeats: each slot then has one
+/// row, and its order needs no fingerprint.
+///
+/// The scan is branch-free: each row is written at the end of the block's
+/// kept rows, which move past it only when it has a slot — for a join's
+/// left keys, a small share of the rows, in no order a branch could predict.
+/// It polls the ambient control between blocks.
+fn fold(
+    dict: &KeyDict,
+    row_fps: &[u64],
+    seed: u64,
+    n_slots: usize,
+    slot_of: impl Fn(u32) -> u32,
+) -> Result<Vec<u32>> {
+    let codes = dict.row_codes();
+    let mut least = vec![(u64::MAX, NO_ROW); n_slots];
+    let mut kept = vec![0u64; BLOCK];
+    let mut folded = 0;
+    for start in (0..codes.len()).step_by(BLOCK) {
+        crate::control::poll_ambient()?;
+        let end = (start + BLOCK).min(codes.len());
+        let mut n = 0;
+        for (row, &code) in (start..end).zip(&codes[start..end]) {
+            let slot = slot_of(code);
+            kept[n] = u64::from(slot) << 32 | row as u64;
+            n += usize::from(slot != NO_ROW);
+        }
+        for &k in &kept[..n] {
+            let (slot, row) = ((k >> 32) as usize, k as u32);
+            let fp = row_fps.get(row as usize).map_or(0, |&fp| fp);
+            least[slot] = least[slot].min(pick_order(seed, fp, row));
+        }
+        folded += n;
+    }
+    obs::add("join.picks", folded as u64);
+    Ok(least.into_iter().map(|(_, row)| row).collect())
+}
+
+/// The pick array of the codes `left_key` carries, under `seed`: each left
+/// code ([`KeyDict::codes_in`]) gets a slot, [`fold`] finds the slot's row,
+/// and the row takes the slot's place. Every other code maps to [`NO_ROW`].
+fn fold_for(left_key: &Column, dict: &KeyDict, row_fps: &[u64], seed: u64) -> Result<Vec<u32>> {
+    let mut slot_of = vec![NO_ROW; dict.n_codes()];
+    let mut slot_code = Vec::new();
+    dict.codes_in(left_key, 0..left_key.len(), |code| {
+        // `NULL_CODE` lies past the end of `slot_of`.
+        if let Some(slot) = slot_of.get_mut(code as usize).filter(|slot| **slot == NO_ROW) {
+            *slot = slot_code.len() as u32;
+            slot_code.push(code);
+        }
+    });
+    let slot = |code: u32| slot_of.get(code as usize).map_or(NO_ROW, |&slot| slot);
+    let rows = fold(dict, row_fps, seed, slot_code.len(), slot)?;
+    for (&code, row) in slot_code.iter().zip(rows) {
+        slot_of[code as usize] = row;
+    }
+    Ok(slot_of)
+}
+
+/// The pick array of a join whose index a cache budget denies, over
+/// `right`'s key metadata: `dict`, the dictionary it holds for the join
+/// column, and its fingerprints when a key repeats (built here if no join
+/// has needed them yet). An armed `panic_on_row` fault fires first, as in
+/// [`JoinIndex::build`].
+pub(crate) fn fold_unindexed(
+    left_key: &Column,
+    right: &Table,
+    dict: &KeyDict,
+    seed: u64,
+) -> Result<Vec<u32>> {
+    panic_on_row_fault(right);
+    let fps = if dict.repeated_rows() > 0 { right.row_fingerprints() } else { None };
+    debug_assert!(fps.is_some() || dict.repeated_rows() == 0, "`right` has key metadata");
+    fold_for(left_key, dict, fps.unwrap_or_default(), seed)
 }
 
 /// Resilience-test hook: an armed `slow_join_ms` fault simulates a
@@ -247,28 +259,26 @@ fn slow_join_fault(right: &Table) -> Result<()> {
 }
 
 /// Resilience-test hook: an armed `panic_on_row` fault simulates a poisoned
-/// table mid-build — a panic once a scan of `right`'s rows reaches `row`.
-fn injected_panic(right: &Table, row: usize) -> ! {
-    panic!("injected fault: panic_on_row {row} building index for table `{}`", right.name())
+/// table mid-build — a panic when `right` has that row. One relaxed atomic
+/// load when disarmed.
+fn panic_on_row_fault(right: &Table) {
+    let armed = crate::faults::lookup(right.name()).and_then(|f| f.panic_on_row);
+    if let Some(row) = armed.filter(|&row| row < right.n_rows()) {
+        panic!("injected fault: panic_on_row {row} building index for table `{}`", right.name());
+    }
 }
 
 impl JoinIndex {
-    /// Build the index for `right` grouped by its `right_key` column: a
-    /// counting sort over the column's dictionary codes. One histogram pass
-    /// sizes every group, a second scatters rows into exactly-sized storage
-    /// — no per-row key materialization, hashing or map insertion — and
-    /// per-key duplicate lists come out in row order. A *retained* index
-    /// therefore pins two uniform heap blocks (group table, `dup_rows`).
-    /// Codes no row carries (the gaps of a by-value dictionary's range) keep
-    /// [`NO_GROUP`].
+    /// Build the index for `right` joined on its `right_key` column.
     ///
     /// A table with key metadata ([`Table::with_key_dicts`] — every table a
     /// `SearchContext` holds) lends its dictionary and, when a key repeats,
     /// its fingerprint vector (`Arc` clones) — built here, once, if this is
     /// the first join keyed on the column. One without gets a transient
-    /// dictionary for this column ([`KeyDict::build`]: one hash per row) and
-    /// fingerprints for its duplicate rows only. Either way a unique-key
-    /// table fingerprints nothing; then the same sort runs.
+    /// dictionary for this column ([`KeyDict::build`]: one hash per row)
+    /// and, when a key repeats, its rows' fingerprints. When no key repeats,
+    /// one pass over the row codes sets the pick array for every seed;
+    /// otherwise the build reads no row, and the first join fills it.
     ///
     /// Errors for a `right_key` that is not as long as `right`
     /// ([`DataError::Invalid`]) and for a table with more rows than a `u32`
@@ -283,12 +293,8 @@ impl JoinIndex {
                 right.n_rows()
             )));
         }
-        // Resilience-test hook: an armed `panic_on_row` fault simulates a
-        // poisoned table mid-build. One relaxed atomic load when disarmed.
-        let panic_row = crate::faults::lookup(right.name()).and_then(|f| f.panic_on_row);
-        let lent = right.key_dict_for(right_key);
         let mut own_meta_bytes = 0;
-        let dict = match lent {
+        let dict = match right.key_dict_for(right_key) {
             Some(dict) => Arc::clone(dict),
             None => {
                 let dict = KeyDict::build(right_key);
@@ -296,159 +302,82 @@ impl JoinIndex {
                 Arc::new(dict)
             }
         };
-        let codes = dict.row_codes();
-        let n_codes = dict.n_codes();
-        // Pass 1: rows per code (the counting-sort histogram).
-        let mut counts = vec![0u32; n_codes];
-        for (row, &c) in codes.iter().enumerate() {
-            if panic_row == Some(row) {
-                injected_panic(right, row);
+        panic_on_row_fault(right);
+        let picks = OnceLock::new();
+        let row_fps = if dict.repeated_rows() == 0 {
+            let mut rows = vec![NO_ROW; dict.n_codes()];
+            for (row, &code) in dict.row_codes().iter().enumerate() {
+                // `NULL_CODE` lies past the end of `rows`.
+                if let Some(pick) = rows.get_mut(code as usize) {
+                    *pick = row as u32;
+                }
             }
-            if c != NULL_CODE {
-                counts[c as usize] += 1;
-            }
-        }
-        // Lay out groups: unique codes resolve in place, duplicated codes
-        // reserve disjoint ranges of `dup_rows`.
-        let mut groups = vec![NO_GROUP; n_codes];
-        let mut cursor = vec![0u32; n_codes];
-        let mut n_dup_rows = 0usize;
-        for (code, &cnt) in counts.iter().enumerate() {
-            if cnt >= 2 {
-                cursor[code] = n_dup_rows as u32;
-                groups[code] = KeyGroup::Dups { start: n_dup_rows as u32, len: cnt };
-                n_dup_rows += cnt as usize;
-            }
-        }
-        // Pass 2: scatter rows.
-        let mut dup_rows = vec![0u32; n_dup_rows];
-        for (row, &c) in codes.iter().enumerate() {
-            if c == NULL_CODE {
-                continue;
-            }
-            let code = c as usize;
-            if counts[code] == 1 {
-                groups[code] = KeyGroup::Unique(row as u32);
-            } else {
-                dup_rows[cursor[code] as usize] = row as u32;
-                cursor[code] += 1;
-            }
-        }
-        // Fingerprints are only read at duplicate rows.
-        let row_fps = if dup_rows.is_empty() {
+            let _ = picks.set(Picks { seed: None, rows: rows.into() });
             Arc::default()
         } else if let Some(shared) = right.row_fps_arc() {
             Arc::clone(shared)
         } else {
-            let mut fps = vec![0u64; codes.len()];
-            for &row in &dup_rows {
-                fps[row as usize] = right.row_fingerprint(row as usize);
-            }
+            let fps: Vec<u64> = (0..right.n_rows()).map(|row| right.row_fingerprint(row)).collect();
             own_meta_bytes += fps.capacity() * std::mem::size_of::<u64>();
             Arc::new(fps)
         };
-        let n_rows = codes.len();
-        let memo = Memo::default();
-        let index = JoinIndex { dict, groups, dup_rows, row_fps, n_rows, own_meta_bytes, memo };
+        let index = JoinIndex { dict, row_fps, n_rows: right.n_rows(), own_meta_bytes, picks };
         debug_assert_eq!(index.validate(right_key), Ok(()));
-        // A cache admits a lake table's index on this figure before building.
-        debug_assert!(
-            lent.is_none() || index.resident_bytes() == index_bytes(&index.dict),
-            "`index_bytes` drifted from the build: {} predicted, {} built",
-            index_bytes(&index.dict),
-            index.resident_bytes()
-        );
         Ok(index)
     }
 
-    /// The representative row for `key` under `seed`, or `None` when the key
-    /// is absent. For duplicated keys the row minimizing
-    /// `(mix(seed, fingerprint), row)` wins: deterministic per seed,
-    /// independent of row insertion order (ties on the mix imply identical
-    /// row content, where any pick is value-equivalent; the lower row index
-    /// breaks them for full in-table determinism).
-    pub fn representative(&self, key: &Key, seed: u64) -> Option<usize> {
-        let row = pick(self.group(key)?, seed, &self.dup_rows, &self.row_fps);
-        (row != NO_ROW).then_some(row as usize)
-    }
-
-    /// The group of `key`, if it has a code.
-    fn group(&self, key: &Key) -> Option<KeyGroup> {
-        self.dict.code(key).map(|code| self.groups[code as usize])
-    }
-
-    /// The memo a join with `seed` reads its rows from, by code: filled here when this
-    /// is the second join with the seed the index recorded, `None` for the
-    /// first, for any other seed, and when no key repeats (each pick is the
-    /// key's only row). The fill polls the ambient control between the blocks
-    /// of its scan; an interrupted fill sets nothing, so a later join fills
-    /// again.
-    fn memo(&self, seed: u64) -> Result<Option<&[u32]>> {
-        if self.dup_rows.is_empty() {
-            return Ok(None);
+    /// The pick array a join with `seed` reads, or `None` when it must fold:
+    /// the index's own when it serves `seed` — every seed when no key
+    /// repeats, else the first join's, which fills it here over every keyed
+    /// row. An interrupted fill sets nothing, so a later join fills again;
+    /// two first joins may fill at once, and the first fill set is kept.
+    fn picks(&self, seed: u64) -> Result<Option<&[u32]>> {
+        if self.picks.get().is_none() {
+            // Every code is its own slot; `NULL_CODE` is `NO_ROW`, no slot.
+            let rows = fold(&self.dict, &self.row_fps, seed, self.dict.n_codes(), |code| code)?;
+            let _ = self.picks.set(Picks { seed: Some(seed), rows: rows.into() });
+            debug_assert_eq!(self.check_picks(), Ok(()));
         }
-        let mut recorded = false;
-        let first = *self.memo.seed.get_or_init(|| {
-            recorded = true;
-            seed
-        });
-        if recorded || first != seed {
-            return Ok(None);
-        }
-        if let Some(picks) = self.memo.picks.get() {
-            return Ok(Some(picks));
-        }
-        // Every keyed row once, in row order: row codes and fingerprints are
-        // read in sequence and each row is folded into its key's least order
-        // so far — tables the size of the keys, where a fill group by group
-        // would load each candidate's fingerprint from wherever its row lies.
-        let (codes, row_fps) = (self.dict.row_codes(), self.row_fps.as_slice());
-        let mut least = vec![u64::MAX; self.groups.len()];
-        let mut by_code = vec![NO_ROW; self.groups.len()];
-        for start in (0..codes.len()).step_by(BLOCK) {
-            crate::control::poll_ambient()?;
-            let end = (start + BLOCK).min(codes.len());
-            for (row, &code) in (start..end).zip(&codes[start..end]) {
-                // `NULL_CODE` lies past the end of both tables.
-                let Some(least) = least.get_mut(code as usize) else { continue };
-                let best = &mut by_code[code as usize];
-                let order = pick_order(seed, row_fps[row], row as u32);
-                if order < (*least, *best) {
-                    (*least, *best) = order;
-                }
-            }
-        }
-        obs::add("join.picks", (codes.len() - self.dict.null_rows()) as u64);
-        // Two joins may fill at once; both fills are equal, the first is kept.
-        Ok(Some(self.memo.picks.get_or_init(|| by_code.into_boxed_slice())))
+        let picks = self.picks.get().expect("set above");
+        Ok(picks.seed.is_none_or(|s| s == seed).then_some(&picks.rows[..]))
     }
 
     /// Check the invariants a probe trusts, against the column the index
-    /// was built over: every row with a non-null key sits in exactly one
-    /// group and no other row in any, and every duplicated key's candidates
-    /// are in bounds and in ascending row order. Returns the first
-    /// violation.
+    /// was built over: the dictionary codes the column's rows as it holds
+    /// them, and the pick array, once set, has a slot per code, every filled
+    /// slot's row carries that slot's code, and every code a row carries has
+    /// a pick. Returns the first violation.
     pub fn validate(&self, right_key: &Column) -> std::result::Result<(), String> {
         if right_key.len() != self.n_rows {
             return Err(format!("built over {} rows, column has {}", self.n_rows, right_key.len()));
         }
-        let mut claims = vec![0u32; self.n_rows];
-        for group in &self.groups {
-            let rows = match *group {
-                KeyGroup::Unique(NO_ROW) => continue,
-                KeyGroup::Unique(ref row) => std::slice::from_ref(row),
-                KeyGroup::Dups { start, len } => self
-                    .dup_rows
-                    .get(start as usize..start as usize + len as usize)
-                    .filter(|r| r.len() >= 2 && r.windows(2).all(|w| w[0] < w[1]))
-                    .ok_or(format!("dups {start}+{len}: not ≥ 2 ascending rows in bounds"))?,
-            };
-            for &row in rows {
-                *claims.get_mut(row as usize).ok_or(format!("row {row} out of bounds"))? += 1;
+        let mut row = 0;
+        let mut first_bad = None;
+        self.dict.codes_in(right_key, 0..self.n_rows, |code| {
+            let held = self.dict.row_codes()[row];
+            if code != held && first_bad.is_none() {
+                first_bad = Some(format!("row {row} codes as {code}, the dictionary holds {held}"));
+            }
+            row += 1;
+        });
+        first_bad.map_or_else(|| self.check_picks(), Err)
+    }
+
+    /// The pick array's half of [`JoinIndex::validate`], against the
+    /// dictionary's row codes.
+    fn check_picks(&self) -> std::result::Result<(), String> {
+        let Some(Picks { rows, .. }) = self.picks.get() else { return Ok(()) };
+        let codes = self.dict.row_codes();
+        if rows.len() != self.dict.n_codes() {
+            return Err(format!("{} picks for {} codes", rows.len(), self.dict.n_codes()));
+        }
+        for (code, &row) in rows.iter().enumerate() {
+            if row != NO_ROW && codes.get(row as usize) != Some(&(code as u32)) {
+                return Err(format!("code {code} picks row {row}, which does not carry it"));
             }
         }
-        match (0..self.n_rows).find(|&r| claims[r] != u32::from(right_key.key(r).is_some())) {
-            Some(r) => Err(format!("row {r} sits in {} group(s), its key disagrees", claims[r])),
+        match codes.iter().position(|&c| c != NULL_CODE && rows[c as usize] == NO_ROW) {
+            Some(row) => Err(format!("row {row} carries code {}, which has no pick", codes[row])),
             None => Ok(()),
         }
     }
@@ -464,23 +393,15 @@ impl JoinIndex {
         self.n_rows
     }
 
-    /// Number of rows belonging to duplicated keys.
-    pub fn n_dup_rows(&self) -> usize {
-        self.dup_rows.len()
-    }
-
     /// Approximate heap footprint in bytes, for cache accounting and
-    /// observability: the group table, its memo when some key repeats
-    /// (allocated by the memo's fill, charged from the build), and `dup_rows`
-    /// (capacity-based; all are built at their final size). A lake table's
-    /// dictionary and fingerprint vector are shared by every index and
-    /// encode over the table, so they are charged to the lake
-    /// ([`Table::key_meta_bytes`]), not to this index or the cache budget;
-    /// the ones an index built for itself are charged here.
+    /// observability: the pick array, charged from the build whether or not
+    /// a join has filled it (`index_bytes`). A lake table's dictionary and
+    /// fingerprint vector are shared by every index and encode over the
+    /// table, so they are charged to the lake ([`Table::key_meta_bytes`]),
+    /// not to this index or the cache budget; the ones an index built for
+    /// itself are charged here.
     pub fn resident_bytes(&self) -> usize {
-        slot_bytes(self.groups.capacity(), !self.dup_rows.is_empty())
-            + self.dup_rows.capacity() * std::mem::size_of::<u32>()
-            + self.own_meta_bytes
+        index_bytes(&self.dict) + self.own_meta_bytes
     }
 }
 
@@ -532,7 +453,6 @@ pub fn left_join_with_index(
     prefix: &str,
     seed: u64,
 ) -> Result<JoinOutput> {
-    let _span = obs::span("join");
     let lk = left.column(left_key)?;
     if index.n_rows() != right.n_rows() {
         return Err(DataError::Invalid(format!(
@@ -542,175 +462,43 @@ pub fn left_join_with_index(
             right.n_rows()
         )));
     }
+    join_through(left, right, lk, &index.dict, prefix, || match index.picks(seed)? {
+        Some(picks) => Ok(Cow::Borrowed(picks)),
+        None => fold_for(lk, &index.dict, &index.row_fps, seed).map(Cow::Owned),
+    })
+}
 
+/// Every join's last step: `picks` yields the pick array by `dict` code,
+/// and the probe maps each left row — its key's code in `dict`, that code's
+/// row — a block of rows at a time, with a cooperative poll between blocks
+/// (one thread-local read when no request scope is entered, and never
+/// result-affecting: an interrupt abandons the join rather than truncating
+/// it). Then the output: all left columns, and all right columns (renamed)
+/// as views through the row map. Columns are Arc-backed, so the clones here
+/// are O(1) pointer bumps — the accumulated frontier is shared across hops,
+/// not deep-copied — and no right-hand cell is read.
+pub(crate) fn join_through<'p>(
+    left: &Table,
+    right: &Table,
+    lk: &Column,
+    dict: &KeyDict,
+    prefix: &str,
+    picks: impl FnOnce() -> Result<Cow<'p, [u32]>>,
+) -> Result<JoinOutput> {
+    let _span = obs::span("join");
     slow_join_fault(right)?;
-
+    let picks = picks()?;
     let n = left.n_rows();
-    let memo = index.memo(seed)?;
-    // The probe, a block of rows at a time, as tight passes over dense
-    // arrays rather than one chain per row. Between blocks: a cooperative
-    // poll — one thread-local read when no request scope is entered,
-    // and never result-affecting (an interrupt abandons the join entirely
-    // rather than truncating it).
-    let (dup_rows, row_fps) = (index.dup_rows.as_slice(), index.row_fps.as_slice());
-    let mut groups: Vec<KeyGroup> = Vec::with_capacity(n.min(BLOCK));
     let mut map: Vec<u32> = Vec::with_capacity(n);
-    let mut picks = 0u64;
     for start in (0..n).step_by(BLOCK) {
         crate::control::poll_ambient()?;
         // Left keys are coded by the right dictionary, typed per column and
         // read through the map when the left key is itself a view (every
-        // second hop). `NULL_CODE` lies past the end of the group table and
-        // the memo.
-        let rows = start..(start + BLOCK).min(n);
-        if let Some(memo) = memo {
-            // One pass: left key → code → the memo's row.
-            index.dict.codes_in(lk, rows, |code| {
-                map.push(memo.get(code as usize).map_or(NO_ROW, |&row| {
-                    debug_assert_eq!(
-                        row,
-                        pick(index.groups[code as usize], seed, dup_rows, row_fps),
-                        "memo slot {code} under seed {seed}"
-                    );
-                    row
-                }));
-            });
-            continue;
-        }
-        // Pass 1: left key → code → key group.
-        groups.clear();
-        index.dict.codes_in(lk, rows, |code| {
-            groups.push(index.groups.get(code as usize).map_or(NO_GROUP, |&group| group));
+        // second hop). `NULL_CODE` lies past the end of `picks`.
+        dict.codes_in(lk, start..(start + BLOCK).min(n), |code| {
+            map.push(picks.get(code as usize).map_or(NO_ROW, |&row| row));
         });
-        // Pass 2: key group → representative right row.
-        for &group in &groups {
-            if let KeyGroup::Dups { len, .. } = group {
-                picks += u64::from(len);
-            }
-            map.push(pick(group, seed, dup_rows, row_fps));
-        }
     }
-    obs::add("join.picks", picks);
-    assemble(left, right, map, prefix)
-}
-
-/// Run id of a left row whose key is null or absent on the right.
-const NO_RUN: u32 = u32::MAX;
-
-/// The right rows one join needs: what a [`JoinIndex`] holds, for the keys
-/// the left side carries only. A cache builds it for a join whose index its
-/// budget will not keep
-/// ([`LakeIndexCache::left_join_normalized`](crate::cache::LakeIndexCache::left_join_normalized)),
-/// and it lives as long as that join. When the left side is a sample, it
-/// holds a fraction of the rows a full index would.
-pub(crate) struct KeyRuns {
-    /// Per left row, the run of its key (the distinct right keys the left
-    /// side carries, numbered in order of appearance), or [`NO_RUN`].
-    run_of_row: Vec<u32>,
-    /// Number of runs.
-    n_runs: usize,
-    /// Every right row of a run's key, in row order, as `(fingerprint, row,
-    /// run)`. When no key of the table repeats, each run has one row and no
-    /// fingerprint is read (0).
-    cands: Vec<(u64, u32, u32)>,
-}
-
-impl KeyRuns {
-    /// Collect `right`'s rows for the keys of `left_key`, given `dict`, the
-    /// dictionary `right`'s key metadata holds for its join column (a table
-    /// without key metadata takes the index path): each left key is coded
-    /// through `dict` ([`KeyDict::codes_in`]), and one pass over the right row codes keeps the
-    /// rows of those codes, in row order, with their fingerprints read
-    /// once, from the table's shared vector.
-    ///
-    /// Polls the ambient control before the scan and between its blocks; an
-    /// armed `panic_on_row` fault fires when the scan reaches its row, as in
-    /// [`JoinIndex::build`].
-    pub(crate) fn build(left_key: &Column, right: &Table, dict: &KeyDict) -> Result<KeyRuns> {
-        let mut run_of_code = vec![NO_RUN; dict.n_codes()];
-        let mut n_runs = 0u32;
-        let mut run_of_row = Vec::with_capacity(left_key.len());
-        dict.codes_in(left_key, 0..left_key.len(), |code| {
-            // `NULL_CODE` lies past the end of `run_of_code`.
-            let run = run_of_code.get_mut(code as usize).map_or(NO_RUN, |run| {
-                if *run == NO_RUN {
-                    *run = n_runs;
-                    n_runs += 1;
-                }
-                *run
-            });
-            run_of_row.push(run);
-        });
-
-        // The scan is branch-free: each row is written at the end of the
-        // block's kept rows, which move past it only when its code is
-        // needed — a small share of the rows, in no order a branch could
-        // predict.
-        let panic_row = crate::faults::lookup(right.name()).and_then(|f| f.panic_on_row);
-        let codes = dict.row_codes();
-        let mut kept: Vec<u64> = Vec::new();
-        let mut block = vec![0u64; BLOCK];
-        for start in (0..codes.len()).step_by(BLOCK) {
-            crate::control::poll_ambient()?;
-            let end = (start + BLOCK).min(codes.len());
-            if let Some(row) = panic_row.filter(|row| (start..end).contains(row)) {
-                injected_panic(right, row);
-            }
-            let mut n = 0;
-            for (row, &code) in (start..end).zip(&codes[start..end]) {
-                // `NULL_CODE` lies past the end of `run_of_code`.
-                let run = run_of_code.get(code as usize).map_or(NO_RUN, |&run| run);
-                block[n] = u64::from(run) << 32 | row as u64;
-                n += usize::from(run != NO_RUN);
-            }
-            kept.extend_from_slice(&block[..n]);
-        }
-
-        // The table's shared fingerprint vector, built here if no join has
-        // needed it yet; read only when some key repeats; else each
-        // candidate is its key's only row.
-        let fps = if dict.repeated_rows() > 0 { right.row_fingerprints() } else { None };
-        debug_assert!(fps.is_some() || dict.repeated_rows() == 0, "`right` has key metadata");
-        let cands = kept
-            .iter()
-            .map(|&k| {
-                let (run, row) = ((k >> 32) as u32, k as u32);
-                (fps.map_or(0, |fps| fps[row as usize]), row, run)
-            })
-            .collect();
-        Ok(KeyRuns { run_of_row, n_runs: n_runs as usize, cands })
-    }
-}
-
-/// [`left_join_with_index`] over [`KeyRuns`] instead of an index: each run's
-/// representative by the same rule as a key group's, and the same output.
-pub(crate) fn left_join_with_runs(
-    left: &Table,
-    right: &Table,
-    runs: &KeyRuns,
-    prefix: &str,
-    seed: u64,
-) -> Result<JoinOutput> {
-    let _span = obs::span("join");
-    slow_join_fault(right)?;
-    obs::add("join.picks", runs.cands.len() as u64);
-    let mut best = vec![(u64::MAX, NO_ROW); runs.n_runs];
-    for &(fp, row, run) in &runs.cands {
-        let best = &mut best[run as usize];
-        *best = (*best).min(pick_order(seed, fp, row));
-    }
-    // `NO_RUN` lies past the end of `best`.
-    let map = runs.run_of_row.iter().map(|&run| best.get(run as usize).map_or(NO_ROW, |b| b.1));
-    assemble(left, right, map.collect(), prefix)
-}
-
-/// A join's output from its row map (one right row per left row, [`NO_ROW`]
-/// for none): all left columns, then all right columns (renamed) as views
-/// through the map. Columns are Arc-backed, so the clones here are O(1)
-/// pointer bumps — the accumulated frontier is shared across hops, not
-/// deep-copied — and no right-hand cell is read.
-fn assemble(left: &Table, right: &Table, map: Vec<u32>, prefix: &str) -> Result<JoinOutput> {
-    let n = map.len();
     obs::incr("join.calls");
     obs::add("join.left_rows", n as u64);
     let matched = map.iter().filter(|&&r| r != NO_ROW).count();
@@ -995,12 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn index_counts_keys_and_dups() {
-        let r = right(); // keys 1,1,3,9 → 3 distinct, one dup group of 2
+    fn index_counts_keys_and_rows() {
+        let r = right(); // keys 1,1,3,9 → 3 distinct
         let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
         assert_eq!(index.n_keys(), 3);
         assert_eq!(index.n_rows(), 4);
-        assert_eq!(index.n_dup_rows(), 2);
         assert!(index.resident_bytes() > 0);
     }
 
@@ -1059,9 +846,11 @@ mod tests {
         .unwrap();
         let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
         assert_eq!(index.n_keys(), 2);
-        assert_eq!(index.representative(&Key::Num(1), 42), Some(0));
-        assert_eq!(index.representative(&Key::Num(2), 42), Some(2));
-        assert_eq!(index.representative(&Key::Num(77), 42), None);
+        let l = Table::new("base", vec![("id", Column::from_ints([Some(1), Some(2), Some(77), None]))])
+            .unwrap();
+        let out = left_join_with_index(&l, &r, &index, "id", "ext", 42).unwrap();
+        let v: Vec<Value> = (0..4).map(|i| out.table.value("ext.v", i).unwrap()).collect();
+        assert_eq!(v, [Value::Int(10), Value::Int(30), Value::Null, Value::Null]);
     }
 
     #[test]
@@ -1090,24 +879,32 @@ mod tests {
             let key = table.column("key").unwrap();
             let good = JoinIndex::build(&table, key).unwrap();
             assert_eq!(good.validate(key), Ok(()));
-            // Built over other data of the same length: row 1 is claimed
-            // as unique here but duplicated there.
+            left_join_with_index(&left(), &table, &good, "id", "ext", 42).unwrap();
+            assert!(good.picks.get().is_some(), "the first join filled the picks");
+            assert_eq!(good.validate(key), Ok(()));
+            // Built over other data of the same length: row 1 carries
+            // another key there.
             let keys = Column::from_ints([Some(1), Some(2), Some(3), None]);
-            assert!(good.validate(&keys).is_err());
-            let mut bad = good.clone();
-            bad.dup_rows.swap(0, 1); // candidates out of row order
-            assert!(bad.validate(key).unwrap_err().contains("ascending"));
-            bad.dup_rows.truncate(1);
-            assert!(bad.validate(key).unwrap_err().contains("in bounds"));
-            let mut bad = good.clone();
-            bad.dup_rows[1] = 2; // row 2 claimed twice, row 1 by nobody
-            assert!(bad.validate(key).unwrap_err().contains("row 1 sits in 0"));
+            assert!(good.validate(&keys).unwrap_err().contains("row 1 codes as"));
+            let rows = &good.picks.get().unwrap().rows;
+            let with = |f: &dyn Fn(&mut Vec<u32>)| {
+                let mut rows = rows.to_vec();
+                f(&mut rows);
+                let bad = good.clone();
+                let picks = OnceLock::from(Picks { seed: Some(42), rows: rows.into() });
+                JoinIndex { picks, ..bad }.validate(key).unwrap_err()
+            };
+            let code_of_row = |row: usize| good.dict.row_codes()[row] as usize;
+            let (one, three) = (code_of_row(0), code_of_row(2));
+            assert!(with(&|rows| rows[one] = 2).contains("does not carry it"));
+            assert!(with(&|rows| rows[three] = NO_ROW).contains("row 2 carries code"));
+            assert!(with(&|rows| rows.push(NO_ROW)).contains("picks for 3 codes"));
         }
     }
 
     /// The footprint a cache admits a lake table's index on, worked out from
-    /// the dictionary alone, is what the build then holds, for every layout
-    /// a group table takes.
+    /// the dictionary alone, is what the build then holds, for both
+    /// dictionary layouts, before and after a join fills the picks.
     #[test]
     fn index_bytes_is_the_built_footprint() {
         let n = 300i64;
@@ -1126,15 +923,17 @@ mod tests {
             let index = JoinIndex::build(&t, t.column("k").unwrap()).unwrap();
             let dict = t.key_dict_at(0).unwrap();
             assert_eq!(index_bytes(dict), index.resident_bytes(), "{what}");
-            assert_eq!(dict.repeated_rows(), index.n_dup_rows(), "{what}");
+            assert_eq!(index.resident_bytes(), 4 * dict.n_codes(), "{what}");
             assert_eq!(dict.value_base().is_some(), by_value, "{what}");
+            left_join_with_index(&t, &t, &index, "k", "t", 1).unwrap();
+            assert_eq!(index_bytes(dict), index.resident_bytes(), "{what}: filled");
         }
     }
 
-    /// The transient grouping polls the ambient control before its scan,
-    /// and both fault hooks fire on the transient path.
+    /// The fold of a denied join polls the ambient control in its scan,
+    /// and both fault hooks fire on the unindexed path.
     #[test]
-    fn key_runs_poll_the_control_and_fire_the_fault_hooks() {
+    fn unindexed_folds_poll_the_control_and_fire_the_fault_hooks() {
         use crate::control::{Interrupt, RunControl};
         use crate::faults::TableFaults;
         use crate::scope::RequestScope;
@@ -1144,20 +943,20 @@ mod tests {
         cancelled.cancel();
         {
             let _g = RequestScope::with_ctl(&cancelled).enter();
-            let err = KeyRuns::build(lk, &r, &dict).err().and_then(|e| e.interrupt());
+            let err = fold_unindexed(lk, &r, &dict, 42).err().and_then(|e| e.interrupt());
             assert_eq!(err, Some(Interrupt::Cancelled));
         }
         let faults = crate::FaultDomain::new();
         let in_domain = RequestScope { faults: Some(faults.clone()), ..RequestScope::capture() };
         let _g = in_domain.enter();
         faults.arm("ext", TableFaults { panic_on_row: Some(3), slow_join_ms: None });
-        let panicked = std::panic::catch_unwind(|| KeyRuns::build(lk, &r, &dict).is_ok());
-        assert!(panicked.is_err(), "panic_on_row fires in the scan");
+        let panicked = std::panic::catch_unwind(|| fold_unindexed(lk, &r, &dict, 42).is_ok());
+        assert!(panicked.is_err(), "panic_on_row fires");
         faults.arm("ext", TableFaults { panic_on_row: Some(4), slow_join_ms: Some(60_000) });
-        let runs = KeyRuns::build(lk, &r, &dict).expect("row 4 is past the table's end");
+        let picks = fold_unindexed(lk, &r, &dict, 42).expect("row 4 is past the table's end");
         let expired = Arc::new(RunControl::new()).scoped(Some(std::time::Instant::now()));
         let _g = RequestScope { ctl: Some(expired), ..RequestScope::capture() }.enter();
-        let err = left_join_with_runs(&l, &r, &runs, "ext", 42).unwrap_err();
+        let err = join_through(&l, &r, lk, &dict, "ext", || Ok(picks.into())).unwrap_err();
         assert_eq!(err.interrupt(), Some(Interrupt::DeadlineExceeded), "slow_join_ms yields");
     }
 
@@ -1168,13 +967,13 @@ mod tests {
         (out, tracer.snapshot().counter("join.picks").unwrap_or(0))
     }
 
-    /// The memo's life: the first join with a seed records it, the second
-    /// fills the memo (an interrupted fill leaves it empty, and the next
-    /// join fills it), later joins with it order no candidate, and any other
-    /// seed orders every candidate its left keys meet, as before. An index
-    /// whose keys are all unique records nothing.
+    /// The pick array's life: the first join fills it for its seed over
+    /// every keyed row (an interrupted fill sets nothing, and the next join
+    /// fills it), later joins with that seed read it and order no row, and
+    /// any other seed folds the rows of the keys its left side carries. Over
+    /// keys that never repeat the build sets it, for every seed.
     #[test]
-    fn the_second_join_with_the_recorded_seed_fills_the_memo() {
+    fn the_first_join_fills_the_picks_and_other_seeds_fold() {
         use crate::control::{Interrupt, RunControl};
         use crate::scope::RequestScope;
         let n = 64i64;
@@ -1186,17 +985,15 @@ mod tests {
             ],
         )
         .unwrap();
-        // Keys 0..4 meet 8 candidates each; 20 is absent; one is null.
-        let keys = (0..4).map(Some).chain([Some(20), None]);
+        // Keys 0..4 carry 8 rows each; 20 is absent; one is null; 3 repeats.
+        let keys = (0..4).map(Some).chain([Some(20), None, Some(3)]);
         let l = Table::new("base", vec![("id", Column::from_ints(keys))]).unwrap();
         let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
         let bytes = index.resident_bytes();
         let join = |seed| picks_of(|| left_join_with_index(&l, &r, &index, "id", "ext", seed));
         let want = |seed| left_join_normalized(&l, &r, "id", "key", "ext", seed).unwrap().table;
 
-        let (out, picks) = join(5);
-        assert_eq!((out.unwrap().table, picks), (want(5), 32), "recorded");
-        assert!(index.memo.picks.get().is_none());
+        assert!(index.picks.get().is_none(), "the build reads no row");
         let cancelled = Arc::new(RunControl::new());
         cancelled.cancel();
         {
@@ -1204,24 +1001,24 @@ mod tests {
             let err = join(5).0.unwrap_err();
             assert_eq!(err.interrupt(), Some(Interrupt::Cancelled));
         }
-        assert!(index.memo.picks.get().is_none(), "an interrupted fill sets nothing");
+        assert!(index.picks.get().is_none(), "an interrupted fill sets nothing");
         let (out, picks) = join(5);
         assert_eq!((out.unwrap().table, picks), (want(5), 64), "filled: every keyed row");
-        assert_eq!(index.memo.picks.get().map(|m| m.len()), Some(index.groups.len()));
+        assert_eq!(index.picks.get().map(|p| (p.seed, p.rows.len())), Some((Some(5), 8)));
         for seed in [5, 6, 5] {
             let (out, picks) = join(seed);
-            let per_row = if seed == 5 { 0 } else { 32 };
-            assert_eq!((out.unwrap().table, picks), (want(seed), per_row), "seed {seed}");
+            let folded = if seed == 5 { 0 } else { 32 };
+            assert_eq!((out.unwrap().table, picks), (want(seed), folded), "seed {seed}");
         }
-        assert_eq!(index.resident_bytes(), bytes, "the memo was charged from the build");
+        assert_eq!(index.resident_bytes(), bytes, "the picks were charged from the build");
 
         let unique = right().take(&[0, 2, 3]);
         let index = JoinIndex::build(&unique, unique.column("key").unwrap()).unwrap();
-        for _ in 0..3 {
-            let (out, picks) = picks_of(|| left_join_with_index(&l, &unique, &index, "id", "e", 1));
-            assert_eq!((out.unwrap().matched, picks), (2, 0));
+        assert_eq!(index.picks.get().map(|p| p.seed), Some(None), "set by the build");
+        for seed in [1, 2, 1] {
+            let (out, picks) = picks_of(|| left_join_with_index(&l, &unique, &index, "id", "e", seed));
+            assert_eq!((out.unwrap().matched, picks), (3, 0));
         }
-        assert!(index.memo.seed.get().is_none(), "unique keys: the pick is the key's row");
     }
 
     #[test]

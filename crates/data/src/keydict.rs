@@ -342,25 +342,13 @@ impl KeyDict {
         self.repeated_rows
     }
 
-    /// The code of `key`, or `None` when it has none: a hashed dictionary
-    /// codes the keys some row carries, a by-value one every key of its
-    /// range.
-    pub(crate) fn code(&self, key: &Key) -> Option<u32> {
-        match (&self.layout, key) {
-            (&Layout::ByValue { lo, n_codes }, &Key::Num(i)) => value_code(i, lo, n_codes),
-            (Layout::ByValue { .. }, _) => None,
-            (Layout::Hashed { keys, slots }, key) => {
-                probe(slots, stable_key_hash(key), |code| keys[code as usize] == *key).ok()
-            }
-        }
-    }
-
-    /// The codes of `col`'s keys on `rows`, in order, handed to `f`:
-    /// [`KeyDict::code`] of each row's key, and [`NULL_CODE`] for a null key
-    /// or one without a code. The layout is matched once, outside the typed
-    /// row loop ([`Column::keys_in`]), so a by-value probe is a subtraction
-    /// and a compare a row; and it reads no key of a string or bool column,
-    /// none of which it could code.
+    /// The codes of `col`'s keys on `rows`, in order, handed to `f`: each
+    /// row's key's code — a hashed dictionary codes the keys some row
+    /// carries, a by-value one every key of its range — and [`NULL_CODE`]
+    /// for a null key or one without a code. The layout is matched once,
+    /// outside the typed row loop ([`Column::keys_in`]), so a by-value probe
+    /// is a subtraction and a compare a row; and it reads no key of a string
+    /// or bool column, none of which it could code.
     pub(crate) fn codes_in(&self, col: &Column, rows: Range<usize>, mut f: impl FnMut(u32)) {
         match &self.layout {
             &Layout::ByValue { lo, n_codes } => {
@@ -413,6 +401,20 @@ impl KeyDict {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl KeyDict {
+        /// The code of one key, or `None` when it has none: the
+        /// single-key reference `codes_in` is checked against.
+        fn code(&self, key: &Key) -> Option<u32> {
+            match (&self.layout, key) {
+                (&Layout::ByValue { lo, n_codes }, &Key::Num(i)) => value_code(i, lo, n_codes),
+                (Layout::ByValue { .. }, _) => None,
+                (Layout::Hashed { keys, slots }, key) => {
+                    probe(slots, stable_key_hash(key), |code| keys[code as usize] == *key).ok()
+                }
+            }
+        }
+    }
 
     fn skey(s: &str) -> Key {
         Key::Str(std::sync::Arc::from(s))

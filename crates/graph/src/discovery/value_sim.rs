@@ -28,33 +28,39 @@ pub fn containment(a: &HashSet<u64>, b: &HashSet<u64>) -> f64 {
     a.intersection(b).count() as f64 / a.len() as f64
 }
 
-/// Stable 64-bit hash for sketching (FNV-1a — deterministic across runs,
-/// unlike `DefaultHasher` with random keys).
-pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+/// The sketch domain's hasher: FNV-1a's offset basis and byte loop, but the
+/// multiplier `0x1000_0000_01b3` where FNV's prime (the join layer's
+/// `autofeat_data::stable_hash::StableHasher`) is `0x100_0000_01b3`. Every
+/// profile, DRG edge and pinned digest was computed with it, so it stays.
+struct SketchHasher(u64);
+
+/// FNV-1a's offset basis, where a [`SketchHasher`] starts.
+const SKETCH_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+impl Hasher for SketchHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
 }
 
-/// Hash a displayable value into the sketch domain.
+/// Stable 64-bit hash for sketching ([`SketchHasher`] — deterministic across
+/// runs, unlike `DefaultHasher` with random keys).
+pub fn stable_hash(bytes: &[u8]) -> u64 {
+    let mut h = SketchHasher(SKETCH_BASIS);
+    h.write(bytes);
+    h.finish()
+}
+
+/// Hash a value into the sketch domain through the std `Hash` trait.
 pub fn hash_value<T: Hash>(v: &T) -> u64 {
-    // Hash through FNV via the std Hash trait with a deterministic state.
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-            }
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = SketchHasher(SKETCH_BASIS);
     v.hash(&mut h);
     h.finish()
 }

@@ -199,7 +199,7 @@ fn check_dictionary(case: &str, col: &Column, keys: &[i64]) -> bool {
 }
 
 /// Joins into a table keyed on `col` — through a retained `JoinIndex`, and
-/// through the `KeyRuns` of a join the cache denies an index — from every
+/// through the fold of a join the cache denies an index — from every
 /// probe column of `keys`, equal to the reference's nested loop.
 fn check_joins(case: &str, col: &Column, keys: &[i64]) {
     let rows = Column::from_ints((0..col.len() as i64).map(Some));
@@ -215,7 +215,7 @@ fn check_joins(case: &str, col: &Column, keys: &[i64]) {
             let denied = LakeIndexCache::with_budget(Some(0))
                 .left_join_normalized(&left, &right, "k", "k", "ext", seed)
                 .unwrap();
-            for (how, out) in [("index", &indexed), ("key runs", &denied)] {
+            for (how, out) in [("index", &indexed), ("fold", &denied)] {
                 let at = format!("{case}, probe {p}, seed {seed}, through {how}");
                 assert_eq!(out.matched, matched, "{at}");
                 assert_eq!(out.right_columns, names, "{at}");

@@ -306,20 +306,19 @@ fn second_join_through_same_table_column_hits() {
     assert_eq!(a.table, b.table, "hit must reproduce the miss bit-for-bit");
 }
 
-/// A retained index remembers the representatives of the first hop seed
-/// joined through it once a second join with that seed has filled its memo.
-/// On a star every satellite is joined with one hop seed per request, so the
-/// candidate rows a request orders by the pick rule (`join.picks`) go: every
-/// duplicate a sampled left key meets on the first request, every row of
-/// each satellite on the second (the fill scans them), none from the third
-/// on — and a request at another run seed, which no memo serves, orders what
-/// the first did. Results are bit-identical throughout.
+/// A retained index keeps the representatives of the first hop seed joined
+/// through it: that join fills its pick array. On a star every satellite is
+/// joined with one hop seed per request, so the rows a request orders by the
+/// pick rule (`join.picks`) go: every row of each satellite on the first
+/// request (the fill scans them), none from the second on — and a request at
+/// another run seed, which no pick array serves, folds the rows its sampled
+/// left keys meet. Results are bit-identical throughout.
 #[test]
-fn a_recurring_hop_seed_stops_picking_from_the_third_request() {
+fn a_recurring_hop_seed_stops_picking_from_the_second_request() {
     let (n_sat, n_rows, dup, sample) = (6, 80, 4, 40);
     let ctx = wide_uniform_ctx(n_sat, n_rows, dup);
     let service = DiscoveryService::new(ctx, AutoFeatConfig::default());
-    // The memo lives on the indexes a cache keeps: keep all of them, whatever
+    // The picks live on the indexes a cache keeps: keep all of them, whatever
     // budget the environment gives a new cache.
     service.context().lake_cache().set_budget(None);
     let submit = |seed: u64| {
@@ -334,11 +333,11 @@ fn a_recurring_hop_seed_stops_picking_from_the_third_request() {
     let (third, p3) = submit(7);
     let (_, other) = submit(8);
     assert_eq!(first.n_joins_evaluated, n_sat, "one join per satellite");
-    assert_eq!(p1, (n_sat * sample * dup) as u64, "each sampled key meets its duplicates");
-    assert_eq!(p2, (n_sat * n_rows * dup) as u64, "the fill orders every keyed row once");
-    assert_eq!((p3, other), (0, p1), "memo reads order nothing; another seed falls back");
-    assert_bit_identical(&first, &second, "recorded vs filled");
-    assert_bit_identical(&first, &third, "filled vs read");
+    assert_eq!(p1, (n_sat * n_rows * dup) as u64, "the fill orders every keyed row once");
+    assert_eq!((p2, p3), (0, 0), "reads order nothing");
+    assert_eq!(other, (n_sat * sample * dup) as u64, "each sampled key's rows are folded");
+    assert_bit_identical(&first, &second, "filled vs read");
+    assert_bit_identical(&first, &third, "read vs read");
     let st = service.context().lake_cache().stats();
     assert_eq!((st.entries, st.misses, st.rejections), (n_sat as u64, n_sat as u64, 0));
 }

@@ -79,7 +79,7 @@ fn dup_heavy(kind: usize, dups: &[usize], stride: usize) -> Table {
     table("ext", kind, &codes, false).with_column("row", rows).unwrap()
 }
 
-/// The candidate rows one call ordered by the pick rule (`join.picks`).
+/// The rows one call ordered by the pick rule (`join.picks`).
 fn picks_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let tracer = obs::Tracer::enabled();
     let out = obs::with_tracer(&tracer, f);
@@ -89,6 +89,15 @@ fn picks_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// How many right rows carry a key equal to `key`, by the oracle's rule.
 fn matches(key: &Value, right_key: &Column) -> usize {
     (0..right_key.len()).filter(|&j| join_oracle::keys_match(key, &right_key.get(j))).count()
+}
+
+/// How many right rows a key of `left_key` meets by the oracle's rule: the
+/// rows a fold for those keys orders.
+fn met(left_key: &Column, right_key: &Column) -> u64 {
+    let meets = |j: usize| {
+        (0..left_key.len()).any(|i| join_oracle::keys_match(&left_key.get(i), &right_key.get(j)))
+    };
+    (0..right_key.len()).filter(|&j| meets(j)).count() as u64
 }
 
 /// `out` must equal the oracle's join of the same inputs: names, match
@@ -121,8 +130,9 @@ fn check(
 proptest! {
     /// One hop through every entry point — transient index, prebuilt index,
     /// the lake cache — over a bare right table (the index builds its own
-    /// dictionary) and a keyed copy (it borrows the table's), group tables
-    /// addressed by code and by integer value.
+    /// dictionary) and a keyed copy (it borrows the table's), dictionaries
+    /// coded by value and hashed. Each index holds its invariants after the
+    /// build and after the join that may fill its picks.
     #[test]
     fn one_hop_matches_the_oracle(
         lcodes in prop::collection::vec(0i64..9, 0..24),
@@ -141,6 +151,7 @@ proptest! {
             prop_assert_eq!(index.validate(r.column("k").unwrap()), Ok(()));
             let out = left_join_with_index(&left, r, &index, "k", "ext", seed).unwrap();
             check(&out, &left, &right, "k", "ext", seed)?;
+            prop_assert_eq!(index.validate(r.column("k").unwrap()), Ok(()));
             let cached = LakeIndexCache::new()
                 .left_join_normalized(&left, r, "k", "k", "ext", seed)
                 .unwrap();
@@ -181,8 +192,8 @@ proptest! {
         check(&back, &base, &dense2, "k", "r", seed)?;
     }
 
-    /// A join whose index the budget denies collects only the right rows
-    /// its left keys need and picks among them; it must equal the free
+    /// A join whose index the budget denies folds only the right rows its
+    /// left keys need; it must equal the free
     /// `left_join_normalized`, which indexes every row — the map (read off a
     /// row-id column), `matched` and every right column — and the oracle.
     /// Keys repeat 1–40 times, left keys miss the right side, and the second
@@ -219,15 +230,17 @@ proptest! {
         prop_assert_eq!(st.misses, st.rejections + st.entries);
     }
 
-    /// A retained index remembers the representatives of the first hop seed
-    /// joined through it. Joined with seeds `[s, s, s, t, s]` it records `s`,
-    /// fills its memo, reads it, picks per left row for `t`, and reads again
-    /// — through the index itself and through an unbounded cache, over a
-    /// keyed right side and a bare one, with a sampled left side. Every join
-    /// equals the free `left_join_normalized` (held to the oracle), and the
-    /// candidates each ordered say which of the five it did: every duplicate
-    /// a left key meets, by the oracle's key rule, then every right row with
-    /// a key (the fill scans them all), then none.
+    /// A retained index keeps the representatives of the first hop seed
+    /// joined through it. Joined with seeds `[s, s, s, t, s]` it fills its
+    /// pick array for `s`, reads it twice, folds for `t`, and reads again —
+    /// through the index itself and through an unbounded cache, over a keyed
+    /// right side and a bare one, with a sampled left side. Every join equals
+    /// the free `left_join_normalized` (held to the oracle), and the rows each
+    /// ordered say which of the five it did: every right row with a key (the
+    /// fill scans them all), none, none, every right row whose key a left key
+    /// meets by the oracle's key rule (the fold), none. Over keys that never
+    /// repeat the build set the picks for every seed, and no join orders a
+    /// row.
     #[test]
     fn a_recurring_seed_reads_its_memo_and_matches_the_oracle(
         dups in prop::collection::vec(0usize..41, 1..10),
@@ -250,9 +263,10 @@ proptest! {
             want.insert(seed, free);
         }
         let (lk, rk) = (left.column("k").unwrap(), right.column("k").unwrap());
-        let repeated = |n: usize| if n >= 2 { n as u64 } else { 0 };
-        let per_row: u64 = (0..lk.len()).map(|i| repeated(matches(&lk.get(i), rk))).sum();
         let fill = (0..rk.len()).filter(|&j| matches(&rk.get(j), rk) > 0).count() as u64;
+        let fold = met(lk, rk);
+        let repeats = (0..rk.len()).any(|j| matches(&rk.get(j), rk) >= 2);
+        let want_picks = if repeats { vec![fill, 0, 0, fold, 0] } else { vec![0; 5] };
         for r in [&keyed, &right] {
             let index = JoinIndex::build(r, r.column("k").unwrap()).unwrap();
             let cache = LakeIndexCache::with_budget(None);
@@ -268,7 +282,8 @@ proptest! {
                     prop_assert!(out.table == want.table, "seed {} of [s, s, s, t, s]", seed);
                     counted.push(picks);
                 }
-                prop_assert_eq!(counted, vec![per_row, fill, 0, per_row, 0]);
+                prop_assert_eq!(&counted, &want_picks);
+                prop_assert_eq!(index.validate(r.column("k").unwrap()), Ok(()));
             }
         }
     }
@@ -276,17 +291,17 @@ proptest! {
 
 /// Four workers, released together by a barrier, race the first joins of a
 /// fresh index — two with one seed and two with another, three joins each —
-/// so the seed recorded and the fill of its memo are both contested. Every
-/// output equals the free function's; afterwards the recorded seed orders
-/// no candidate and the other orders every duplicate its left keys meet.
+/// so the fill of its pick array, and the seed it is for, are contested.
+/// Every output equals the free function's; afterwards the index holds its
+/// invariants, the seed whose fill was kept orders no row, and the other
+/// folds every right row its left keys meet.
 #[test]
 fn racing_seeds_record_one_memo_and_every_join_matches() {
     let right = dup_heavy(0, &[0, 3, 7, 1, 12, 2, 40, 5], 3).with_key_dicts();
     let codes: Vec<i64> = (0..64).map(|i| i % 10).collect();
     let left = table("base", 0, &codes, false);
     let (lk, rk) = (left.column("k").unwrap(), right.column("k").unwrap());
-    let repeats = (0..lk.len()).map(|i| matches(&lk.get(i), rk)).filter(|&n| n >= 2);
-    let per_row = repeats.sum::<usize>() as u64;
+    let fold = met(lk, rk);
     for round in 0..24u64 {
         let (s, t) = (2 * round, 2 * round + 1);
         let free = |seed| left_join_normalized(&left, &right, "k", "k", "e", seed).unwrap();
@@ -312,6 +327,7 @@ fn racing_seeds_record_one_memo_and_every_join_matches() {
             assert!(out.unwrap().table == want[(seed - s) as usize].table);
             picks
         });
-        assert!(after == [0, per_row] || after == [per_row, 0], "round {round}: {after:?}");
+        assert_eq!(index.validate(rk), Ok(()), "round {round}");
+        assert!(after == [0, fold] || after == [fold, 0], "round {round}: {after:?}");
     }
 }

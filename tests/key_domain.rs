@@ -6,7 +6,7 @@
 use std::sync::{Arc, Barrier};
 
 use autofeat::data::encode::label_encode;
-use autofeat::data::join::{left_join_normalized, JoinIndex};
+use autofeat::data::join::{left_join_normalized, left_join_with_index, JoinIndex};
 use autofeat::obs;
 use autofeat::prelude::*;
 
@@ -152,7 +152,7 @@ fn every_resident_table_is_keyed_however_it_arrived() {
     assert_keyed(&lake.latest(), "remove_table, latest");
 
     // And a discovery over it builds no dictionary: the cache is charged
-    // for group tables, their memo slots and duplicate rows only.
+    // for pick arrays only.
     let result = AutoFeat::new(AutoFeatConfig::default().with_seed(3))
         .discover(&from_kfk)
         .unwrap();
@@ -167,11 +167,7 @@ fn every_resident_table_is_keyed_however_it_arrived() {
         })
         .sum();
     assert_eq!((stats.entries, stats.resident_bytes), (2, expected as u64));
-    assert_eq!(
-        expected,
-        2 * (20 * 16 + 40 * 4),
-        "20 sixteen-byte groups (twelve and a four-byte memo slot) + 40 duplicate rows each"
-    );
+    assert_eq!(expected, 2 * 20 * 4, "a four-byte pick per key, 20 keys each");
 }
 
 #[test]
@@ -186,19 +182,15 @@ fn an_index_is_charged_for_the_metadata_it_built_itself() {
         transient.resident_bytes(),
         lent.resident_bytes() + own_dict + own_fps
     );
-    assert_eq!(lent.resident_bytes(), 20 * 16 + 40 * 4);
-    assert_eq!(
-        (transient.n_keys(), transient.n_dup_rows()),
-        (lent.n_keys(), lent.n_dup_rows())
-    );
-    for seed in [0u64, 1, 42] {
-        for k in -1..21 {
-            let key = Value::Int(k).key().unwrap();
-            assert_eq!(
-                transient.representative(&key, seed),
-                lent.representative(&key, seed)
-            );
-        }
+    assert_eq!(lent.resident_bytes(), 20 * 4);
+    assert_eq!(transient.n_keys(), lent.n_keys());
+    let left = Table::new("left", vec![("k", ints(-1..21))]).unwrap();
+    for seed in [0u64, 1, 42, 0, 1] {
+        let through = |t: &Table, index: &JoinIndex| {
+            left_join_with_index(&left, t, index, "k", "s", seed).unwrap()
+        };
+        let (a, b) = (through(&bare, &transient), through(&keyed, &lent));
+        assert_eq!((a.table, a.matched), (b.table, b.matched), "seed {seed}");
     }
     // No key repeats: nothing is fingerprinted, only the dictionary is owned.
     let unique = Table::new("unique", vec![("k", ints(0..40))]).unwrap();
