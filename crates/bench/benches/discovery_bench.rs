@@ -87,7 +87,7 @@ fn bench_pair_score(c: &mut Criterion) {
 }
 
 /// One lake-shaped table — 4 000 rows of an integer key and six float
-/// features — from CSV text to a keyed table.
+/// features — from CSV text to a table.
 fn bench_csv(c: &mut Criterion) {
     let n = 4_000;
     let mut cols = vec![("id".to_string(), Column::from_ints((0..n).map(Some)))];

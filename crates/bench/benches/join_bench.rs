@@ -60,7 +60,7 @@ fn bench_join(c: &mut Criterion) {
 
 /// A lake table as the benchmark's generator lays one out: keys `0..n_keys`
 /// on `dup` rows each in shuffled order, an onward key `n`, `n_feat` float
-/// features, and the key metadata ingest attaches.
+/// features.
 fn satellite(name: &str, seed: u64, n_keys: usize, dup: usize, n_feat: usize) -> Table {
     let mut rows: Vec<i64> = (0..n_keys * dup).map(|r| (r / dup) as i64).collect();
     rows.shuffle(&mut StdRng::seed_from_u64(seed));
@@ -71,7 +71,7 @@ fn satellite(name: &str, seed: u64, n_keys: usize, dup: usize, n_feat: usize) ->
             rows.iter().enumerate().map(|(i, &k)| Some((k * 31 + (i * f) as i64 % 97) as f64));
         cols.push((format!("f{f}"), Column::from_floats(vals)));
     }
-    Table::new(name, cols).unwrap().with_key_dicts()
+    Table::new(name, cols).unwrap()
 }
 
 /// `n` base rows whose keys are a shuffled sample of `0..n_keys`.

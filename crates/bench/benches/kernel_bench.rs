@@ -1,6 +1,5 @@
 //! Criterion: the hot-path kernels behind path evaluation — join-index
-//! construction (over a lake table's key metadata vs. a transient
-//! dictionary), index probing, the scoring primitives (discretization,
+//! construction over a table's key metadata, index probing, the scoring primitives (discretization,
 //! ranking, MI histograms), and reading a column's numbers out.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,11 +17,9 @@ use autofeat_metrics::selection::{
 };
 
 /// A right table with `n` distinct keys × `dup` rows per key, and the
-/// matching left table. `keyed` attaches key metadata as ingest does — the
-/// join column's dictionary and the fingerprints are then built by the
-/// first index over the table and shared by the rest; without it every
-/// index build makes its own.
-fn join_tables(n: usize, dup: usize, keyed: bool) -> (Table, Table) {
+/// matching left table. The join column's dictionary and the fingerprints
+/// are built by the first index over the table and shared by the rest.
+fn join_tables(n: usize, dup: usize) -> (Table, Table) {
     let left = Table::new(
         "l",
         vec![
@@ -41,7 +38,6 @@ fn join_tables(n: usize, dup: usize, keyed: bool) -> (Table, Table) {
         vec![("k", Column::from_ints(rkeys)), ("v", Column::from_floats(rvals))],
     )
     .unwrap();
-    let right = if keyed { right.with_key_dicts() } else { right };
     (left, right)
 }
 
@@ -49,17 +45,15 @@ fn bench_index_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_build");
     group.sample_size(20);
     for &n in &[5_000usize, 20_000] {
-        for (name, keyed) in [("transient", false), ("keyed", true)] {
-            let (_, right) = join_tables(n, 3, keyed);
-            let col = right.column("k").unwrap().clone();
-            // First use, outside the timer: `keyed` times a build over
-            // metadata that is there (keys repeat, so it reads no row; the
-            // first join fills the picks), `transient` the build of both.
-            black_box(JoinIndex::build(&right, &col).unwrap());
-            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| black_box(JoinIndex::build(&right, &col).unwrap()))
-            });
-        }
+        let (_, right) = join_tables(n, 3);
+        let col = right.column("k").unwrap().clone();
+        // First use, outside the timer: the timer sees a build over
+        // metadata that is there (keys repeat, so it reads no row; the
+        // first join fills the picks).
+        black_box(JoinIndex::build(&right, &col).unwrap());
+        group.bench_with_input(BenchmarkId::new("build", n), &n, |b, _| {
+            b.iter(|| black_box(JoinIndex::build(&right, &col).unwrap()))
+        });
     }
     group.finish();
 }
@@ -67,17 +61,12 @@ fn bench_index_build(c: &mut Criterion) {
 fn bench_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_probe");
     group.sample_size(20);
-    for &keyed in &[false, true] {
-        let (l, r) = join_tables(10_000, 3, keyed);
-        let rcol = r.column("k").unwrap().clone();
-        let idx = JoinIndex::build(&r, &rcol).unwrap();
-        let name = if keyed { "keyed" } else { "transient" };
-        group.bench_with_input(BenchmarkId::new(name, 10_000), &keyed, |b, _| {
-            b.iter(|| {
-                black_box(left_join_with_index(&l, &r, &idx, "k", "r", 1).unwrap())
-            })
-        });
-    }
+    let (l, r) = join_tables(10_000, 3);
+    let rcol = r.column("k").unwrap().clone();
+    let idx = JoinIndex::build(&r, &rcol).unwrap();
+    group.bench_function(BenchmarkId::new("probe", 10_000), |b| {
+        b.iter(|| black_box(left_join_with_index(&l, &r, &idx, "k", "r", 1).unwrap()))
+    });
     group.finish();
 }
 
@@ -216,7 +205,7 @@ fn bench_column_read(c: &mut Criterion) {
                 ("int", Column::from_ints(scattered(j).map(|r| Some(r as i64)))),
                 ("int_with_nulls", Column::from_ints(scattered(j).map(|r| (r % 7 != 0).then_some(r as i64)))),
             ];
-            Table::new(format!("s{j}"), cols).unwrap().with_key_dicts()
+            Table::new(format!("s{j}"), cols).unwrap()
         })
         .collect();
     let joined: Vec<Table> = lake

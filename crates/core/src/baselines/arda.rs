@@ -19,12 +19,13 @@ use rand::{RngExt, SeedableRng};
 use autofeat_data::encode::to_matrix;
 use autofeat_data::sample::train_test_split;
 use autofeat_data::{Result, Table};
+use autofeat_graph::JoinHop;
 use autofeat_ml::eval::{accuracy, Classifier, ModelKind};
 use autofeat_ml::forest::RandomForest;
 
 use crate::context::SearchContext;
 use crate::report::MethodResult;
-use crate::seeding::join_seed;
+use crate::seeding::hop_seed;
 use crate::train::evaluate_feature_set;
 
 /// RIFS configuration.
@@ -94,13 +95,20 @@ fn star_join(ctx: &SearchContext, seed: u64) -> Result<(Table, usize)> {
         if !table.has_column(from_col) {
             continue;
         }
+        let hop = JoinHop {
+            from_table: ctx.base_name().to_string(),
+            from_column: from_col.to_string(),
+            to_table: name.clone(),
+            to_column: to_col.to_string(),
+            weight: drg.edge(eid).weight,
+        };
         let out = match ctx.lake_cache().left_join_normalized(
             &table,
             right,
             from_col,
             to_col,
             &name,
-            join_seed(seed, ctx.base_name(), from_col, &name, to_col),
+            hop_seed(seed, &[], &hop),
         ) {
             Ok(out) => out,
             Err(e) if e.interrupt().is_some() => break,

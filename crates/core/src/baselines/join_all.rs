@@ -12,6 +12,7 @@ use std::time::Instant;
 use autofeat_data::encode::label_encode_column;
 use autofeat_data::Result;
 use autofeat_graph::traversal::join_all_path_count;
+use autofeat_graph::JoinHop;
 use autofeat_metrics::relevance::RelevanceMethod;
 use autofeat_metrics::selection::select_k_best;
 use autofeat_ml::eval::ModelKind;
@@ -19,7 +20,7 @@ use autofeat_ml::eval::ModelKind;
 use crate::context::SearchContext;
 use crate::executor::qualified_column;
 use crate::report::MethodResult;
-use crate::seeding::join_seed;
+use crate::seeding::hop_seed;
 use crate::train::evaluate_feature_set;
 
 /// JoinAll configuration.
@@ -95,13 +96,20 @@ pub fn run_join_all(
                 if !table.has_column(&left_key) {
                     continue;
                 }
+                let hop = JoinHop {
+                    from_table: drg.table_name(u).to_string(),
+                    from_column: from_col.to_string(),
+                    to_table: name.clone(),
+                    to_column: to_col.to_string(),
+                    weight: drg.edge(eid).weight,
+                };
                 let out = match ctx.lake_cache().left_join_normalized(
                     &table,
                     right,
                     &left_key,
                     to_col,
                     &name,
-                    join_seed(config.seed, drg.table_name(u), from_col, &name, to_col),
+                    hop_seed(config.seed, &[], &hop),
                 ) {
                     Ok(out) => out,
                     Err(e) if e.interrupt().is_some() => break 'bfs,

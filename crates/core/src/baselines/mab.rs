@@ -18,12 +18,13 @@ use autofeat_data::encode::to_matrix;
 use autofeat_data::sample::train_test_split;
 use autofeat_data::stable_hash::mix_u64;
 use autofeat_data::{Result, Table};
+use autofeat_graph::JoinHop;
 use autofeat_ml::eval::{accuracy, Classifier, ModelKind};
 use autofeat_ml::tree::{DecisionTree, TreeConfig};
 
 use crate::context::SearchContext;
 use crate::report::MethodResult;
-use crate::seeding::join_seed;
+use crate::seeding::hop_seed;
 use crate::train::evaluate_feature_set;
 
 /// MAB configuration.
@@ -149,10 +150,14 @@ pub fn run_mab(
         let cand = ctx.table(table_name).expect("arm table exists");
         // An arm can be pulled several times (against an evolving state), so
         // the pull counter is mixed into the arm's identity seed.
-        let seed = mix_u64(
-            join_seed(config.seed, ctx.base_name(), &left_col, table_name, &right_col),
-            total_pulls as u64,
-        );
+        let hop = JoinHop {
+            from_table: ctx.base_name().to_string(),
+            from_column: left_col.clone(),
+            to_table: table_name.to_string(),
+            to_column: right_col.clone(),
+            weight: 0.0,
+        };
+        let seed = mix_u64(hop_seed(config.seed, &[], &hop), total_pulls as u64);
         let out = match ctx
             .lake_cache()
             .left_join_normalized(&state, cand, &left_col, &right_col, table_name, seed)

@@ -152,25 +152,11 @@ pub struct SearchContext {
     lake: Option<Arc<RwLock<LakeState>>>,
 }
 
-/// Every table a context holds carries key metadata (a dictionary cell per
-/// column and one for the row fingerprints): attach it to a table that
-/// arrives without. CSV ingest and datagen attach theirs; either way nothing
-/// is built until a join or an encode first reads it.
-fn ensure_key_meta(table: Table) -> Table {
-    if table.has_key_meta() {
-        table
-    } else {
-        table.with_key_dicts()
-    }
-}
-
 impl SearchContext {
     /// Build from tables, an explicit DRG, the base-table name, and the
-    /// label column. The one place key metadata is ensured at construction
-    /// ([`from_kfk`](SearchContext::from_kfk) and
-    /// [`from_discovery`](SearchContext::from_discovery) end here), so an
-    /// index build over the lake shares the table's dictionary — building it
-    /// if it is the first to ask — and never owns one.
+    /// label column. An index build over the lake shares the table's
+    /// dictionary — building it if it is the first to ask — and never owns
+    /// one.
     pub fn new(
         tables: Vec<Table>,
         drg: Drg,
@@ -181,9 +167,8 @@ impl SearchContext {
         let label = label.into();
         let map: HashMap<String, Table> = tables
             .into_iter()
-            .map(|t| (t.name().to_string(), ensure_key_meta(t)))
+            .map(|t| (t.name().to_string(), t))
             .collect();
-        debug_assert!(map.values().all(Table::has_key_meta));
         let base_table = map.get(&base).ok_or_else(|| DataError::Invalid(format!(
             "base table `{base}` not in the collection"
         )))?;
@@ -307,7 +292,6 @@ impl SearchContext {
         let label = label.into();
         // The label is hidden by dropping its profile, not its column —
         // dropping a column sheds the table's key metadata.
-        let tables: Vec<Table> = tables.into_iter().map(ensure_key_meta).collect();
         let mut maintainer = DrgMaintainer::new(matcher.clone());
         {
             let _span = obs::span("drg_build");
@@ -372,7 +356,6 @@ impl SearchContext {
     pub fn add_table(&self, table: Table) -> Result<()> {
         let cell = self.lake_cell()?;
         let _span = obs::span("lake_add_table");
-        let table = ensure_key_meta(table);
         let name = table.name().to_string();
         // The expensive part — profiling the new columns — happens before
         // the write lock, so concurrent request preparation never stalls
@@ -388,7 +371,6 @@ impl SearchContext {
             state.maintainer.add_profiles(&name, profiles);
             let mut tables = (*state.tables).clone();
             tables.insert(name.clone(), table);
-            debug_assert!(tables.values().all(Table::has_key_meta));
             state.tables = Arc::new(tables);
             state.drg = Arc::new(state.maintainer.assemble());
         }

@@ -54,26 +54,6 @@ pub fn hop_seed(seed: u64, prefix: &[JoinHop], hop: &JoinHop) -> u64 {
     h.finish()
 }
 
-/// Seed for a single direct join identified by its endpoints (the
-/// single-hop convenience used by baselines that join star- or BFS-wise
-/// rather than along enumerated paths).
-pub(crate) fn join_seed(
-    seed: u64,
-    from_table: &str,
-    from_column: &str,
-    to_table: &str,
-    to_column: &str,
-) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(seed);
-    h.write_u8(0xfe);
-    hash_str(&mut h, from_table);
-    hash_str(&mut h, from_column);
-    hash_str(&mut h, to_table);
-    hash_str(&mut h, to_column);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +94,7 @@ mod tests {
     #[test]
     fn field_boundaries_are_unambiguous() {
         // ("ab", "c") must not collide with ("a", "bc").
-        assert_ne!(join_seed(1, "ab", "c", "t", "c"), join_seed(1, "a", "bc", "t", "c"));
-    }
-
-    #[test]
-    fn single_hop_matches_empty_prefix_identity() {
-        // hop_seed with an empty prefix and join_seed agree on the same
-        // endpoints: baselines and discovery share first-hop picks.
-        let h = hop("base", "k", "ext", "id");
-        assert_eq!(hop_seed(9, &[], &h), join_seed(9, "base", "k", "ext", "id"));
+        let (ab, a) = (hop("ab", "c", "t", "c"), hop("a", "bc", "t", "c"));
+        assert_ne!(hop_seed(1, &[], &ab), hop_seed(1, &[], &a));
     }
 }

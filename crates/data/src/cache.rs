@@ -15,16 +15,14 @@
 //! ([`LakeIndexCache::set_budget`], defaulted from `AUTOFEAT_CACHE_BUDGET`
 //! at construction, unbounded when unset). Two mechanisms enforce it:
 //!
-//! * **Fit-or-deny admission, decided before the build** — a lake table's
-//!   index footprint is a pure function of its join column's dictionary
-//!   (a pick-array row id per code: `join::index_bytes`), so the first
-//!   touch of a cold pair decides: an index that fits
-//!   the remaining budget gets a slot with its bytes admitted up front; one
-//!   that does not gets no slot at all, and its join is **transient** — it
-//!   folds only the right rows its left keys need (`join::fold_unindexed`)
-//!   and builds no index (counted in [`CacheStats::rejections`]). A table
-//!   without key metadata has no dictionary to decide from: its index is
-//!   built first and admitted or denied after. Admission never evicts:
+//! * **Fit-or-deny admission, decided before the build** — an index's
+//!   footprint is a pure function of its join column's dictionary (a
+//!   pick-array row id per code: `join::index_bytes`), so the first touch
+//!   of a cold pair decides: an index that fits the remaining budget gets a
+//!   slot with its bytes admitted up front; one that does not gets no slot
+//!   at all, and its join is **transient** — it folds only the right rows
+//!   its left keys need (`join::fold_unindexed`) and builds no index
+//!   (counted in [`CacheStats::rejections`]). Admission never evicts:
 //!   under the uniform cyclic access pattern of a discovery sweep,
 //!   evict-to-admit degenerates to cache thrash (every entry evicted just
 //!   before its reuse — zero hits at *any* budget below the working set),
@@ -50,13 +48,11 @@
 //! when the governor lock is poisoned — never touch residency, so stats
 //! cannot report phantom memory.
 //! The dictionary and fingerprint vector an index reads through follow the
-//! same rule. A lake table owns its own — charged to
+//! same rule. The table owns them — charged to
 //! [`Table::key_meta_bytes`](crate::table::Table::key_meta_bytes), shared by
 //! every index over the table — so `JoinIndex::resident_bytes` counts only
 //! the pick array the cache retains (charged from the build, so a fill
-//! never moves residency); an index over a table without key metadata
-//! built the dictionary and fingerprints for itself and is charged for
-//! them.
+//! never moves residency).
 //!
 //! ## Resilience
 //!
@@ -90,11 +86,11 @@
 //!
 //! A join through the cache is [`JoinIndex::build`] then
 //! [`join::left_join_with_index`](crate::join::left_join_with_index),
-//! whether the index is retained, transient or served from a slot — the
-//! composition [`join::left_join_normalized`](crate::join::left_join_normalized)
-//! spells out without a cache, and which the tests compare against — or, for
-//! a lake table the budget denies, the fold over only the rows the left keys
-//! need. Fingerprints are seed-independent, so one index serves every seed.
+//! whether the index is retained or served from a slot — the composition
+//! [`join::left_join_normalized`](crate::join::left_join_normalized) spells
+//! out without a cache, and which the tests compare against — or, for a
+//! join the budget denies, the fold over only the rows the left keys need.
+//! Fingerprints are seed-independent, so one index serves every seed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -157,10 +153,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Total wall time spent in those builds.
     pub build_time: Duration,
-    /// Approximate heap footprint of all *retained* indexes, in bytes — a
-    /// lake table's counted from when its slot is made, before its build
-    /// finishes. Transient joins and builds (admission denials,
-    /// degraded-mode entries) are never counted.
+    /// Approximate heap footprint of all *retained* indexes, in bytes,
+    /// each counted from when its slot is made, before its build finishes.
+    /// Transient joins and builds (admission denials, degraded-mode
+    /// entries) are never counted.
     pub resident_bytes: u64,
     /// Number of `(table, join column)` indexes resident.
     pub entries: u64,
@@ -168,9 +164,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Total bytes released by those evictions.
     pub evicted_bytes: u64,
-    /// Joins whose index did not fit the budget: decided before anything
-    /// is built for a lake table, after the build for a table without key
-    /// metadata. Each is also a miss.
+    /// Joins whose index did not fit the budget, decided before anything
+    /// is built. Each is also a miss.
     pub rejections: u64,
     /// High-water mark of `resident_bytes` since the budget was last
     /// (re)applied — [`set_budget`](LakeIndexCache::set_budget) starts a new
@@ -280,8 +275,7 @@ struct Occupancy {
 
 type Entry = Arc<OnceLock<Arc<JoinIndex>>>;
 
-/// One cached `(table, join column)` pair. `bytes` is zero until the built
-/// index is admitted; only admitted bytes are part of governor residency.
+/// One cached `(table, join column)` pair, admitted when it was made.
 #[derive(Debug)]
 struct Slot {
     table: String,
@@ -298,11 +292,9 @@ struct Slot {
     /// read by LRU eviction. Atomic so hits can touch it under the governor
     /// *read* lock.
     last_touch: AtomicU64,
-    /// Admitted footprint in bytes. Set when the slot is made for a table
-    /// with key metadata, whose dictionary fixes it; `None` for one without
-    /// until its index is built and admitted. Mutated only under the
-    /// governor write lock.
-    bytes: Option<u64>,
+    /// Admitted footprint in bytes, fixed by the column's dictionary when
+    /// the slot is made: part of governor residency until the slot goes.
+    bytes: u64,
 }
 
 /// What [`LakeIndexCache::probe`] found for a `(table, column)` pair.
@@ -352,7 +344,7 @@ impl Governor {
     /// The invariant, asserted (debug builds) wherever residency changes:
     /// `resident` is the admitted slots' bytes, within the budget if one is set.
     fn check(&self) {
-        let admitted = || self.buckets.values().flatten().filter_map(|s| s.bytes).sum::<u64>();
+        let admitted = || self.buckets.values().flatten().map(|s| s.bytes).sum::<u64>();
         debug_assert_eq!(self.resident, admitted(), "resident bytes drift from the admitted slots");
         let within = self.budget.is_none_or(|b| self.resident <= b);
         debug_assert!(within, "resident {} bytes over the budget {:?}", self.resident, self.budget);
@@ -364,7 +356,7 @@ impl Governor {
         let mut victim: Option<(u64, usize, u64)> = None; // (bucket, idx, touch)
         for (&h, bucket) in &self.buckets {
             for (i, s) in bucket.iter().enumerate() {
-                if s.bytes.unwrap_or(0) == 0 {
+                if s.bytes == 0 {
                     continue;
                 }
                 let touch = s.last_touch.load(Ordering::Relaxed);
@@ -379,11 +371,10 @@ impl Governor {
         if bucket.is_empty() {
             self.buckets.remove(&h);
         }
-        let bytes = slot.bytes.unwrap_or(0);
-        self.resident -= bytes;
+        self.resident -= slot.bytes;
         // The slot's `cell` (and the Arc'd index inside) drops here; any
         // in-flight join still holding a clone keeps the index alive.
-        Some(bytes)
+        Some(slot.bytes)
     }
 }
 
@@ -494,8 +485,7 @@ impl LakeIndexCache {
 
     /// The index in `entry`, built here if nobody has: the builder counts
     /// the miss, everyone else — threads that waited on its build included
-    /// — a hit. A slot is made admitted or not at all, except for a table
-    /// without key metadata, whose builder decides admission afterwards.
+    /// — a hit.
     fn serve(
         &self,
         table: &Table,
@@ -530,12 +520,7 @@ impl LakeIndexCache {
         // Exactly one miss per cold entry even when builders race: the
         // OnceLock winner counts the miss, waiters count hits — so the
         // hit/miss totals are invariant across worker thread counts.
-        if built {
-            self.count(|r| add(&r.misses, 1));
-            self.admit(table.name(), column, entry, &index);
-        } else {
-            self.count(|r| add(&r.hits, 1));
-        }
+        self.count(|r| add(if built { &r.misses } else { &r.hits }, 1));
         Ok(index)
     }
 
@@ -591,7 +576,7 @@ impl LakeIndexCache {
             if bucket.is_empty() {
                 gov.buckets.remove(&h);
             }
-            gov.resident -= slot.bytes.unwrap_or(0);
+            gov.resident -= slot.bytes;
             gov.check();
         }
     }
@@ -643,7 +628,7 @@ impl LakeIndexCache {
             bucket.retain(|s| {
                 if s.table == table {
                     removed += 1;
-                    bytes += s.bytes.unwrap_or(0);
+                    bytes += s.bytes;
                     false
                 } else {
                     true
@@ -687,12 +672,11 @@ impl LakeIndexCache {
     /// and verified by `&str` comparison inside the bucket; key `String`s
     /// are cloned only when a new slot is inserted.
     ///
-    /// **Admission is decided here, before anything is built**, for a table
-    /// with key metadata: its index's footprint follows from the column's
-    /// dictionary ([`index_bytes`]), which the first join keyed on the
-    /// column builds here. A
-    /// slot that fits is made with its bytes already admitted, so a thread
-    /// waiting on its build waits on an index the cache keeps.
+    /// **Admission is decided here, before anything is built**: an index's
+    /// footprint follows from the column's dictionary ([`index_bytes`]),
+    /// which the first join keyed on the column builds here. A slot that
+    /// fits is made with its bytes already admitted, so a thread waiting on
+    /// its build waits on an index the cache keeps.
     fn probe(&self, table: &Table, column: &str, key_col: &Column) -> Probed {
         let h = slot_hash(table.name(), column);
         let touch = || self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -710,9 +694,9 @@ impl LakeIndexCache {
         // cold index's first step, so it is traced as part of `index_build`.
         let dict = {
             let _span = obs::span("index_build");
-            table.key_dict_for(key_col).cloned()
+            Arc::clone(table.key_dict_for(key_col).expect("`checked_key` takes the table's own"))
         };
-        let bytes = dict.as_deref().map(|d| index_bytes(d) as u64);
+        let bytes = index_bytes(&dict) as u64;
         // Slow path: insert a fresh (empty) slot. Index construction
         // happens later, outside this lock, via the entry's OnceLock.
         match self.gov.write() {
@@ -723,13 +707,11 @@ impl LakeIndexCache {
                     slot.last_touch.store(touch(), Ordering::Relaxed);
                     return Probed::Slot(Arc::clone(&slot.cell));
                 }
-                if let (Some(dict), Some(bytes)) = (dict, bytes) {
-                    if gov.budget.is_some_and(|b| gov.resident + bytes > b) {
-                        return Probed::Denied(dict);
-                    }
-                    gov.resident += bytes;
-                    gov.peak_resident = gov.peak_resident.max(gov.resident);
+                if gov.budget.is_some_and(|b| gov.resident + bytes > b) {
+                    return Probed::Denied(dict);
                 }
+                gov.resident += bytes;
+                gov.peak_resident = gov.peak_resident.max(gov.resident);
                 let slot = Slot {
                     table: table.name().to_string(),
                     column: column.to_string(),
@@ -745,54 +727,14 @@ impl LakeIndexCache {
             }
             // A poisoned lock means a thread panicked while holding the
             // governor; fall back to an uncached transient entry so callers
-            // still make progress. The entry is unowned, so `admit` (which
-            // requires a map-owned slot holding this very cell) will not
-            // register its bytes — degraded mode cannot leak phantom
+            // still make progress. The entry is unowned and its bytes are
+            // never registered — degraded mode cannot leak phantom
             // residency into the stats. Counted: degraded, never silent.
             Err(_) => {
                 self.note_lock_recovery();
                 Probed::Slot(Entry::default())
             }
         }
-    }
-
-    /// Fit-or-deny admission of a freshly built index whose slot was made
-    /// without its footprint — over a table without key metadata (the
-    /// build winner calls this exactly once per build; a slot admitted when
-    /// it was made is left as it is). Bytes are registered only when
-    /// the map still owns the very cell that was filled — transient entries
-    /// from the degraded path fail the `Arc::ptr_eq` ownership check and
-    /// stay unaccounted. A build that does not fit the budget is denied:
-    /// its slot is removed (the caller keeps the only retained reference)
-    /// and the denial is tallied as a rejection.
-    fn admit(&self, table: &str, column: &str, entry: &Entry, index: &Arc<JoinIndex>) {
-        let bytes = index.resident_bytes() as u64;
-        let h = slot_hash(table, column);
-        let Ok(mut guard) = self.gov.write() else {
-            self.note_lock_recovery();
-            return;
-        };
-        let gov = &mut *guard;
-        let Some(bucket) = gov.buckets.get_mut(&h) else { return };
-        let unadmitted = |s: &Slot| {
-            s.table == table && s.column == column && Arc::ptr_eq(&s.cell, entry)
-                && s.bytes.is_none()
-        };
-        let Some(i) = bucket.iter().position(unadmitted) else {
-            return;
-        };
-        if gov.budget.is_some_and(|b| gov.resident + bytes > b) {
-            bucket.swap_remove(i);
-            if bucket.is_empty() {
-                gov.buckets.remove(&h);
-            }
-            self.count(|r| add(&r.rejections, 1));
-        } else {
-            bucket[i].bytes = Some(bytes);
-            gov.resident += bytes;
-            gov.peak_resident = gov.peak_resident.max(gov.resident);
-        }
-        gov.check();
     }
 }
 
@@ -1139,14 +1081,14 @@ mod tests {
         assert_eq!(st.rejections, 3);
     }
 
-    /// A keyed table's index is admitted or denied before anything is
-    /// built: a denied join makes no slot, joins exactly like the free
-    /// function, and counts one miss, one rejection and one build; an
-    /// admitted one holds the bytes its slot was made with.
+    /// An index is admitted or denied before anything is built: a denied
+    /// join makes no slot, joins exactly like the free function, and counts
+    /// one miss, one rejection and one build; an admitted one holds the
+    /// bytes its slot was made with.
     #[test]
-    fn keyed_tables_are_admitted_before_the_build() {
+    fn indexes_are_admitted_before_the_build() {
         let l = base();
-        let [a, b] = ["pre_a", "pre_b"].map(|name| lake_table(name, 6).with_key_dicts());
+        let [a, b] = ["pre_a", "pre_b"].map(|name| lake_table(name, 6));
         let one = JoinIndex::build(&a, a.column("key").unwrap()).unwrap().resident_bytes() as u64;
         let cache = LakeIndexCache::with_budget(Some(one + one / 2));
         let rec = CacheRecorder::new();
@@ -1181,11 +1123,9 @@ mod tests {
     /// Only a retained index keeps the picks it fills. The admitted index
     /// fills its pick array on its first join, inside the bytes its slot was
     /// made with, so residency stays the admitted slots' bytes, and reads it
-    /// from then on. A join the budget denies orders the same rows however
-    /// often it repeats, at a budget of 0 and at one with room for another
-    /// table's index: over a keyed table (no index at all) it folds the rows
-    /// its left keys need, and over a bare one it fills an index that lives
-    /// for that join alone.
+    /// from then on. A join the budget denies builds no index and folds the
+    /// rows its left keys need however often it repeats, at a budget of 0
+    /// and at one with room for another table's index.
     #[test]
     fn only_a_retained_index_keeps_its_picks() {
         let l = base().take(&[0, 2, 4, 6]);
@@ -1196,24 +1136,22 @@ mod tests {
             tracer.snapshot().counter("join.picks").unwrap_or(0)
         };
         let thrice = |cache: &LakeIndexCache, r: &Table| [(); 3].map(|_| picks(cache, r));
-        let kept = lake_table("picks_kept", 6).with_key_dicts();
+        let kept = lake_table("picks_kept", 6);
         let one = JoinIndex::build(&kept, kept.column("key").unwrap()).unwrap().resident_bytes();
         let one = one as u64;
-        let keyed = lake_table("picks_keyed", 6).with_key_dicts();
-        let bare = lake_table("picks_bare", 6);
+        let denied = lake_table("picks_denied", 6);
         let zero = LakeIndexCache::with_budget(Some(0));
         let room_for_one = LakeIndexCache::with_budget(Some(one + one / 2));
         assert_eq!(thrice(&room_for_one, &kept), [48, 0, 0], "all 48 rows, then reads");
         for cache in [&zero, &room_for_one] {
-            assert_eq!(thrice(cache, &keyed), [24; 3], "4 keys × 6 rows");
-            assert_eq!(thrice(cache, &bare), [48; 3], "a fresh fill each time");
+            assert_eq!(thrice(cache, &denied), [24; 3], "4 keys × 6 rows");
         }
         let index = room_for_one.get_or_build(&kept, "key").unwrap();
         assert_eq!(index.resident_bytes() as u64, one, "the filled picks were charged up front");
         let st = room_for_one.stats();
-        assert_eq!((st.entries, st.rejections, st.resident_bytes), (1, 6, one));
+        assert_eq!((st.entries, st.rejections, st.resident_bytes), (1, 3, one));
         let gov = room_for_one.gov.read().unwrap();
-        let admitted: u64 = gov.buckets.values().flatten().filter_map(|s| s.bytes).sum();
+        let admitted: u64 = gov.buckets.values().flatten().map(|s| s.bytes).sum();
         assert_eq!(admitted, gov.resident);
         gov.check();
         assert_eq!(zero.stats().resident_bytes, 0);
@@ -1224,7 +1162,7 @@ mod tests {
     #[test]
     fn denied_joins_isolate_build_panics() {
         let cache = LakeIndexCache::with_budget(Some(0));
-        let (l, r) = (base(), lake_table("denied_panic_sat", 6).with_key_dicts());
+        let (l, r) = (base(), lake_table("denied_panic_sat", 6));
         let faults = crate::FaultDomain::new();
         let _g = RequestScope { faults: Some(faults.clone()), ..RequestScope::capture() }.enter();
         let panic_on_row = Some(40);
@@ -1266,7 +1204,7 @@ mod tests {
         assert_eq!((st.misses, st.rejections, st.evictions, st.invalidations), (6, 2, 1, 1));
         assert_eq!((st.entries, st.resident_bytes), (2, 2 * one));
         let gov = cache.gov.read().unwrap();
-        let admitted: u64 = gov.buckets.values().flatten().filter_map(|s| s.bytes).sum();
+        let admitted: u64 = gov.buckets.values().flatten().map(|s| s.bytes).sum();
         assert_eq!(admitted, gov.resident);
         gov.check();
     }

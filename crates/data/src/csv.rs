@@ -472,11 +472,7 @@ pub(crate) fn read_csv_str_opts(name: &str, text: &str, opts: &CsvReadOptions) -
         }
         cols.push((h, col));
     }
-    // Ingest is the one place every lake table passes through exactly once:
-    // attach the key metadata here (empty cells, which a join fills with
-    // dictionaries and fingerprints when it first asks), so every table that
-    // reaches a lake is keyed.
-    let table = Table::new(name, cols)?.with_key_dicts();
+    let table = Table::new(name, cols)?;
     diags.n_rows = table.n_rows();
     obs::add("ingest.rows_loaded", diags.n_rows as u64);
     obs::add("ingest.rows_repaired", diags.n_repaired_rows as u64);

@@ -265,8 +265,7 @@ pub(super) fn read_csv_str_opts(name: &str, text: &str, opts: &CsvReadOptions) -
         };
         cols.push((h, col));
     }
-    // Keyed, as the production reader leaves its table.
-    let table = Table::new(name, cols)?.with_key_dicts();
+    let table = Table::new(name, cols)?;
     diags.n_rows = table.n_rows();
     obs::add("ingest.rows_loaded", diags.n_rows as u64);
     obs::add("ingest.rows_repaired", diags.n_repaired_rows as u64);

@@ -184,7 +184,7 @@ mod tests {
         // byte for byte, whatever order the dictionary assigned its own.
         let vals = [Some("b"), Some("a"), None, Some("b"), Some("c"), Some("a")];
         let col = Column::from_strs(vals);
-        let keyed = Table::new("t", vec![("cat", col.clone())]).unwrap().with_key_dicts();
+        let keyed = Table::new("t", vec![("cat", col.clone())]).unwrap();
         let kcol = keyed.column("cat").unwrap();
         let dict = keyed.key_dict_for(kcol).expect("a keyed table's own column");
         let plain = label_encode_column(&col);
@@ -201,26 +201,14 @@ mod tests {
 
     #[test]
     fn table_encoding_reuses_dicts() {
-        let plain = label_encode(&table()).unwrap();
-        let source = table().with_key_dicts();
-        let keyed = label_encode(&source).unwrap();
-        assert_eq!(plain, keyed);
+        let source = table();
+        let encoded = label_encode(&source).unwrap();
+        for name in source.column_names() {
+            let hashed = label_encode_column(source.column(name).unwrap());
+            assert_eq!(encoded.column(name).unwrap(), &hashed, "{name}");
+        }
         // Only the string columns' dictionaries were read, so only they exist.
         assert_eq!(source.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [1, 3]);
-    }
-
-    #[test]
-    fn matrix_is_identical_with_and_without_dicts() {
-        let a = to_matrix(&table(), &["num", "cat", "flag"], "y").unwrap();
-        let b = to_matrix(&table().with_key_dicts(), &["num", "cat", "flag"], "y").unwrap();
-        assert_eq!(a.labels, b.labels);
-        assert_eq!(a.cols.len(), b.cols.len());
-        for (ca, cb) in a.cols.iter().zip(&b.cols) {
-            assert_eq!(
-                ca.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                cb.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]

@@ -106,22 +106,15 @@ impl JoinOutput {
 /// threads ([`Send`]`+`[`Sync`]) without a lock, which is what lets a
 /// lake-wide cache serve the parallel discovery fan-out.
 ///
-/// A lake table's dictionary and fingerprint vector are the table's own key
-/// metadata, shared by `Arc`; a table without metadata (a join output used
-/// as a right side, an ad-hoc table) gets a dictionary for this one column
-/// and, when a key repeats, its rows' fingerprints built here, owned — and
-/// charged — by the index.
+/// The dictionary and fingerprint vector are the table's own key metadata,
+/// shared by `Arc`.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
     /// Join key → code, for every probe.
     dict: Arc<KeyDict>,
-    /// Content fingerprints by row: empty when no key repeats; else the
-    /// table's vector when it carries key metadata, otherwise the index's own.
+    /// The table's content fingerprints by row; empty when no key repeats.
     row_fps: Arc<Vec<u64>>,
     n_rows: usize,
-    /// Bytes of `dict` and `row_fps` this index built for itself (zero over
-    /// a table with key metadata, where the lake owns both).
-    own_meta_bytes: usize,
     /// The pick array, once the build or the first join has set it.
     picks: OnceLock<Picks>,
 }
@@ -147,9 +140,8 @@ pub(crate) fn check_row_count(table: &str, rows: usize) -> Result<()> {
 /// a cooperative interrupt poll between blocks.
 const BLOCK: usize = 4096;
 
-/// What [`JoinIndex::resident_bytes`] reports for an index over a table with
-/// key metadata, which lends it `dict` and its fingerprints — worked out from
-/// the dictionary alone: its pick array, a row id per code of the domain,
+/// What [`JoinIndex::resident_bytes`] reports, worked out from the
+/// dictionary alone: its pick array, a row id per code of the domain,
 /// charged from the build whether or not a join has filled it yet. A cache
 /// decides admission from it before building anything.
 pub(crate) fn index_bytes(dict: &KeyDict) -> usize {
@@ -239,9 +231,8 @@ pub(crate) fn fold_unindexed(
     seed: u64,
 ) -> Result<Vec<u32>> {
     panic_on_row_fault(right);
-    let fps = if dict.repeated_rows() > 0 { right.row_fingerprints() } else { None };
-    debug_assert!(fps.is_some() || dict.repeated_rows() == 0, "`right` has key metadata");
-    fold_for(left_key, dict, fps.unwrap_or_default(), seed)
+    let fps = if dict.repeated_rows() > 0 { right.row_fingerprints() } else { &[] };
+    fold_for(left_key, dict, fps, seed)
 }
 
 /// Resilience-test hook: an armed `slow_join_ms` fault simulates a
@@ -271,37 +262,20 @@ fn panic_on_row_fault(right: &Table) {
 impl JoinIndex {
     /// Build the index for `right` joined on its `right_key` column.
     ///
-    /// A table with key metadata ([`Table::with_key_dicts`] — every table a
-    /// `SearchContext` holds) lends its dictionary and, when a key repeats,
-    /// its fingerprint vector (`Arc` clones) — built here, once, if this is
-    /// the first join keyed on the column. One without gets a transient
-    /// dictionary for this column ([`KeyDict::build`]: one hash per row)
-    /// and, when a key repeats, its rows' fingerprints. When no key repeats,
-    /// one pass over the row codes sets the pick array for every seed;
-    /// otherwise the build reads no row, and the first join fills it.
+    /// The index shares the table's dictionary for the column and, when a
+    /// key repeats, its fingerprint vector (`Arc` clones) — built here,
+    /// once, if this is the first join keyed on the column. When no key
+    /// repeats, one pass over the row codes sets the pick array for every
+    /// seed; otherwise the build reads no row, and the first join fills it.
     ///
-    /// Errors for a `right_key` that is not as long as `right`
+    /// Errors for a `right_key` that is not one of `right`'s own columns
     /// ([`DataError::Invalid`]) and for a table with more rows than a `u32`
     /// row id can address ([`DataError::TooManyRows`]).
     pub fn build(right: &Table, right_key: &Column) -> Result<JoinIndex> {
         check_row_count(right.name(), right_key.len())?;
-        if right_key.len() != right.n_rows() {
-            return Err(DataError::Invalid(format!(
-                "join key column has {} rows, table `{}` has {}",
-                right_key.len(),
-                right.name(),
-                right.n_rows()
-            )));
-        }
-        let mut own_meta_bytes = 0;
-        let dict = match right.key_dict_for(right_key) {
-            Some(dict) => Arc::clone(dict),
-            None => {
-                let dict = KeyDict::build(right_key);
-                own_meta_bytes += dict.resident_bytes();
-                Arc::new(dict)
-            }
-        };
+        let dict = Arc::clone(right.key_dict_for(right_key).ok_or_else(|| {
+            DataError::Invalid(format!("join key column is not one of table `{}`'s", right.name()))
+        })?);
         panic_on_row_fault(right);
         let picks = OnceLock::new();
         let row_fps = if dict.repeated_rows() == 0 {
@@ -314,14 +288,10 @@ impl JoinIndex {
             }
             let _ = picks.set(Picks { seed: None, rows: rows.into() });
             Arc::default()
-        } else if let Some(shared) = right.row_fps_arc() {
-            Arc::clone(shared)
         } else {
-            let fps: Vec<u64> = (0..right.n_rows()).map(|row| right.row_fingerprint(row)).collect();
-            own_meta_bytes += fps.capacity() * std::mem::size_of::<u64>();
-            Arc::new(fps)
+            Arc::clone(right.row_fps_arc())
         };
-        let index = JoinIndex { dict, row_fps, n_rows: right.n_rows(), own_meta_bytes, picks };
+        let index = JoinIndex { dict, row_fps, n_rows: right.n_rows(), picks };
         debug_assert_eq!(index.validate(right_key), Ok(()));
         Ok(index)
     }
@@ -395,13 +365,12 @@ impl JoinIndex {
 
     /// Approximate heap footprint in bytes, for cache accounting and
     /// observability: the pick array, charged from the build whether or not
-    /// a join has filled it (`index_bytes`). A lake table's dictionary and
-    /// fingerprint vector are shared by every index and encode over the
-    /// table, so they are charged to the lake ([`Table::key_meta_bytes`]),
-    /// not to this index or the cache budget; the ones an index built for
-    /// itself are charged here.
+    /// a join has filled it (`index_bytes`). The dictionary and fingerprint
+    /// vector are the table's, shared by every index and encode over it, so
+    /// they are charged to the table ([`Table::key_meta_bytes`]), not to
+    /// this index or the cache budget.
     pub fn resident_bytes(&self) -> usize {
-        index_bytes(&self.dict) + self.own_meta_bytes
+        index_bytes(&self.dict)
     }
 }
 
@@ -729,12 +698,10 @@ mod tests {
             ],
         )
         .unwrap();
-        for r in [r.clone(), r.with_key_dicts()] {
-            let out = left_join_normalized(&l, &r, "id", "key", "ext", 42).unwrap();
-            assert_eq!(out.matched, 1, "only −2⁶³ = i64::MIN matches");
-            assert_eq!(out.table.value("ext.feat", 0).unwrap(), Value::Null);
-            assert_eq!(out.table.value("ext.feat", 1).unwrap(), Value::Int(2));
-        }
+        let out = left_join_normalized(&l, &r, "id", "key", "ext", 42).unwrap();
+        assert_eq!(out.matched, 1, "only −2⁶³ = i64::MIN matches");
+        assert_eq!(out.table.value("ext.feat", 0).unwrap(), Value::Null);
+        assert_eq!(out.table.value("ext.feat", 1).unwrap(), Value::Int(2));
     }
 
     #[test]
@@ -810,7 +777,6 @@ mod tests {
                 ],
             )
             .unwrap()
-            .with_key_dicts()
         };
         let l = Table::new(
             "base",
@@ -863,43 +829,41 @@ mod tests {
         assert!(check_row_count("t", u32::MAX as usize).is_ok());
         let err = check_row_count("t", u32::MAX as usize + 1).unwrap_err();
         assert!(matches!(err, DataError::TooManyRows { .. }), "{err}");
-        // A key column that is not the table's own: refused before any row
-        // of `other` is fingerprinted at an index taken from it.
-        let foreign = Column::from_ints([1, 2, 3, 3, 3].map(Some));
-        for table in [other.clone(), other.with_key_dicts()] {
-            let err = JoinIndex::build(&table, &foreign).unwrap_err();
+        // A key column that is not the table's own, of another length or
+        // of the same: refused, and nothing of the table is built for it.
+        for foreign in [[1, 2, 3, 3, 3].map(Some).to_vec(), vec![Some(1); 4]] {
+            let err = JoinIndex::build(&r, &Column::from_ints(foreign)).unwrap_err();
             assert!(matches!(err, DataError::Invalid(_)), "{err}");
         }
+        assert_eq!((r.built_dicts().count(), r.has_row_fingerprints()), (0, false));
     }
 
     #[test]
     fn validate_catches_a_broken_index() {
-        let r = right(); // keys 1,1,3,9
-        for table in [r.clone(), r.with_key_dicts()] {
-            let key = table.column("key").unwrap();
-            let good = JoinIndex::build(&table, key).unwrap();
-            assert_eq!(good.validate(key), Ok(()));
-            left_join_with_index(&left(), &table, &good, "id", "ext", 42).unwrap();
-            assert!(good.picks.get().is_some(), "the first join filled the picks");
-            assert_eq!(good.validate(key), Ok(()));
-            // Built over other data of the same length: row 1 carries
-            // another key there.
-            let keys = Column::from_ints([Some(1), Some(2), Some(3), None]);
-            assert!(good.validate(&keys).unwrap_err().contains("row 1 codes as"));
-            let rows = &good.picks.get().unwrap().rows;
-            let with = |f: &dyn Fn(&mut Vec<u32>)| {
-                let mut rows = rows.to_vec();
-                f(&mut rows);
-                let bad = good.clone();
-                let picks = OnceLock::from(Picks { seed: Some(42), rows: rows.into() });
-                JoinIndex { picks, ..bad }.validate(key).unwrap_err()
-            };
-            let code_of_row = |row: usize| good.dict.row_codes()[row] as usize;
-            let (one, three) = (code_of_row(0), code_of_row(2));
-            assert!(with(&|rows| rows[one] = 2).contains("does not carry it"));
-            assert!(with(&|rows| rows[three] = NO_ROW).contains("row 2 carries code"));
-            assert!(with(&|rows| rows.push(NO_ROW)).contains("picks for 3 codes"));
-        }
+        let table = right(); // keys 1,1,3,9
+        let key = table.column("key").unwrap();
+        let good = JoinIndex::build(&table, key).unwrap();
+        assert_eq!(good.validate(key), Ok(()));
+        left_join_with_index(&left(), &table, &good, "id", "ext", 42).unwrap();
+        assert!(good.picks.get().is_some(), "the first join filled the picks");
+        assert_eq!(good.validate(key), Ok(()));
+        // Built over other data of the same length: row 1 carries another
+        // key there.
+        let keys = Column::from_ints([Some(1), Some(2), Some(3), None]);
+        assert!(good.validate(&keys).unwrap_err().contains("row 1 codes as"));
+        let rows = &good.picks.get().unwrap().rows;
+        let with = |f: &dyn Fn(&mut Vec<u32>)| {
+            let mut rows = rows.to_vec();
+            f(&mut rows);
+            let bad = good.clone();
+            let picks = OnceLock::from(Picks { seed: Some(42), rows: rows.into() });
+            JoinIndex { picks, ..bad }.validate(key).unwrap_err()
+        };
+        let code_of_row = |row: usize| good.dict.row_codes()[row] as usize;
+        let (one, three) = (code_of_row(0), code_of_row(2));
+        assert!(with(&|rows| rows[one] = 2).contains("does not carry it"));
+        assert!(with(&|rows| rows[three] = NO_ROW).contains("row 2 carries code"));
+        assert!(with(&|rows| rows.push(NO_ROW)).contains("picks for 3 codes"));
     }
 
     /// The footprint a cache admits a lake table's index on, worked out from
@@ -918,8 +882,7 @@ mod tests {
         ];
         for (what, key, by_value) in cases {
             let t = Table::new("t", vec![("k", key), ("v", Column::from_ints((0..n).map(Some)))])
-                .unwrap()
-                .with_key_dicts();
+                .unwrap();
             let index = JoinIndex::build(&t, t.column("k").unwrap()).unwrap();
             let dict = t.key_dict_at(0).unwrap();
             assert_eq!(index_bytes(dict), index.resident_bytes(), "{what}");
@@ -937,7 +900,7 @@ mod tests {
         use crate::control::{Interrupt, RunControl};
         use crate::faults::TableFaults;
         use crate::scope::RequestScope;
-        let (l, r) = (left(), right().with_key_dicts());
+        let (l, r) = (left(), right());
         let (lk, dict) = (l.column("id").unwrap(), Arc::clone(r.key_dict_at(0).unwrap()));
         let cancelled = Arc::new(RunControl::new());
         cancelled.cancel();
@@ -1023,7 +986,7 @@ mod tests {
 
     #[test]
     fn right_columns_are_views_and_tau_needs_no_read() {
-        let r = right().with_key_dicts();
+        let r = right();
         let out = left_join_normalized(&left(), &r, "id", "key", "ext", 42).unwrap();
         let feat = out.table.column("ext.feat").unwrap();
         // Same cells as a dense gather, none of them copied.

@@ -2,7 +2,7 @@
 //!
 //! A [`KeyDict`] maps every distinct non-null join key of one column to a
 //! dense `u32` code and materializes the per-row code sequence. Built once
-//! per column of a lake table, by the first join keyed on it or the first
+//! per column of a table, by the first join keyed on it or the first
 //! encode that reads it (`Table::key_dict_at`), it keeps key
 //! materialization and hashing out of every later one: a `JoinIndex` build
 //! is a counting sort over the `u32` codes (see `join::JoinIndex`), and

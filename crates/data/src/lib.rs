@@ -9,8 +9,8 @@
 //!
 //! * typed, null-aware columns ([`Column`]) and tables ([`Table`]);
 //! * CSV ingestion with type inference ([`csv`]);
-//! * dictionary-encoded join-key domains ([`KeyDict`]), attached at ingest
-//!   and built for a column when a join is first keyed on it: dense `u32`
+//! * dictionary-encoded join-key domains ([`KeyDict`]), part of every
+//!   table and built for a column when a join is first keyed on it: dense `u32`
 //!   codes with permutation-stable assignment, so index builds and encodes
 //!   run over code arithmetic instead of per-row key hashing;
 //! * **left joins with join-cardinality normalization** (§IV-B of the paper:

@@ -21,35 +21,35 @@ use crate::value::Value;
 ///
 /// ## Key metadata
 ///
-/// Lake-resident tables carry **key metadata** attached at ingest by
-/// [`Table::with_key_dicts`]: a cell per column for its [`KeyDict`] (dense
-/// `u32` join-key codes) and a cell for the per-row content fingerprints.
-/// (A column's null-key count is its [`Column::null_count`], which a dense
-/// column keeps.) The cells start empty and are **filled by their first
-/// reader** ([`Table::key_dict_at`], [`Table::key_dict_for`],
-/// [`Table::row_fingerprints`]), which hands out the same `Arc` ever after —
-/// through every clone and rename of the table, which share the cells. It is
-/// a derived cache — equality ([`PartialEq`]) ignores it — and it is
-/// attached to every column or to none: every operation that changes a cell,
-/// a row or the column set (`select`, `drop_columns`, `take`, `with_column`,
-/// `replace_column`, …) returns a table without it; renames keep it. What a
-/// table hands out is therefore always fresh.
+/// Every table owns its **key metadata**: a cell per column for its
+/// [`KeyDict`] (dense `u32` join-key codes) and a cell for the per-row
+/// content fingerprints. (A column's null-key count is its
+/// [`Column::null_count`], which a dense column keeps.) The cells start
+/// empty and are **filled by their first reader** ([`Table::key_dict_at`],
+/// [`Table::key_dict_for`], [`Table::row_fingerprints`]), which hands out the
+/// same `Arc` ever after — through every clone and rename of the table,
+/// which share the cells. It is a derived cache — equality ([`PartialEq`])
+/// ignores it — and it is kept or shed whole: every operation that changes
+/// a cell, a row or the column set (`select`, `drop_columns`, `take`,
+/// `with_column`, `replace_column`, …) returns a table with empty cells of
+/// its own; renames keep them. What a table hands out is therefore always
+/// fresh.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     fields: Vec<Field>,
     columns: Vec<Column>,
     index: HashMap<String, usize>,
-    key_meta: Option<Arc<KeyMeta>>,
+    key_meta: Arc<KeyMeta>,
 }
 
 /// A table's key metadata. The cells are filled on first use; a builder
 /// that panics leaves its cell empty (`OnceLock` does not poison), so the
 /// next reader retries.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct KeyMeta {
-    /// One cell per column, in column order.
-    dicts: Vec<OnceLock<Arc<KeyDict>>>,
+    /// One cell per column, in column order, made by the first reader.
+    dicts: OnceLock<Box<[OnceLock<Arc<KeyDict>>]>>,
     /// One content fingerprint per row.
     row_fps: OnceLock<Arc<Vec<u64>>>,
 }
@@ -95,20 +95,23 @@ impl Table {
             fields.push(Field::new(cname, col.dtype()));
             cols.push(col);
         }
-        Ok(Table { name, fields, columns: cols, index, key_meta: None })
+        Ok(Table { name, fields, columns: cols, index, key_meta: Arc::default() })
     }
 
-    /// Attach key metadata: an empty dictionary cell per column and an
-    /// empty cell for the row fingerprints. Called once at ingest (CSV load,
-    /// datagen, `SearchContext::new`); a dictionary is built when a join is
-    /// first keyed on its column or an encode first reads it, the
-    /// fingerprints when an index first meets a repeated key.
-    pub fn with_key_dicts(mut self) -> Table {
-        self.key_meta = Some(Arc::new(KeyMeta {
-            dicts: self.columns.iter().map(|_| OnceLock::new()).collect(),
-            row_fps: OnceLock::new(),
-        }));
+    /// The table itself: every table owns its key metadata. Kept only
+    /// because the benchmark's generator and its ingest layer call it.
+    pub fn with_key_dicts(self) -> Table {
         self
+    }
+
+    /// Drop the key metadata — what every operation that changes a cell, a
+    /// row or the column set does. Cells no other table shares are emptied
+    /// in place, so appending columns one by one allocates nothing here.
+    fn shed_key_meta(&mut self) {
+        match Arc::get_mut(&mut self.key_meta) {
+            Some(meta) => *meta = KeyMeta::default(),
+            None => self.key_meta = Arc::default(),
+        }
     }
 
     /// Seed-independent content fingerprint of one row: a hash of every
@@ -118,7 +121,7 @@ impl Table {
     /// they sit, and the seed is not part of it, so one pass serves every
     /// seed. The join key is not hashed separately: fingerprints are only
     /// compared within one key's group, and the key is one of the cells.
-    pub(crate) fn row_fingerprint(&self, row: usize) -> u64 {
+    fn row_fingerprint(&self, row: usize) -> u64 {
         let mut h = StableHasher::new();
         for c in &self.columns {
             c.hash_cell_into(row, &mut h);
@@ -126,28 +129,23 @@ impl Table {
         h.finish()
     }
 
-    /// Whether this table carries key metadata: a dictionary cell per
-    /// column and one for the row fingerprints, filled or not.
-    pub fn has_key_meta(&self) -> bool {
-        self.key_meta.is_some()
-    }
-
     /// The key dictionary for `col`, resolved **positionally**: `col` must
     /// be one of this table's columns (payload-pointer identity, not name
     /// lookup, so a borrowed `&Column` from any accessor resolves). `None`
-    /// when the table carries no metadata or the column is not its own.
-    /// Builds the dictionary if nobody has yet.
+    /// when the column is not its own. Builds the dictionary if nobody has
+    /// yet.
     pub fn key_dict_for(&self, col: &Column) -> Option<&Arc<KeyDict>> {
-        self.key_meta.as_ref()?;
         self.key_dict_at(self.columns.iter().position(|c| c.shares_payload(col))?)
     }
 
-    /// The key dictionary of the column at position `i`, built by the first
-    /// call (concurrent first callers wait for the one build) and shared by
-    /// every later one. The build polls no run control: ≈ 100 ns per row.
+    /// The key dictionary of the column at position `i` (`None` past the
+    /// last column), built by the first call (concurrent first callers wait
+    /// for the one build) and shared by every later one. The build polls no
+    /// run control: ≈ 100 ns per row.
     pub fn key_dict_at(&self, i: usize) -> Option<&Arc<KeyDict>> {
-        let meta = self.key_meta.as_ref()?;
-        Some(meta.dicts.get(i)?.get_or_init(|| {
+        let new_cells = || self.columns.iter().map(|_| OnceLock::new()).collect();
+        let cells = self.key_meta.dicts.get_or_init(new_cells);
+        Some(cells.get(i)?.get_or_init(|| {
             let _span = obs::span("key_dict_build");
             let dict = KeyDict::build(&self.columns[i]);
             obs::incr("keymeta.dicts_built");
@@ -158,31 +156,28 @@ impl Table {
 
     /// Per-row content fingerprints (hash of every cell in column order),
     /// computed by the first call.
-    pub fn row_fingerprints(&self) -> Option<&[u64]> {
-        self.row_fps_arc().map(|v| v.as_slice())
+    pub fn row_fingerprints(&self) -> &[u64] {
+        self.row_fps_arc()
     }
 
     /// The shared fingerprint vector itself — a join index over this table
     /// holds an `Arc` clone instead of copying fingerprints per duplicate
     /// row (the vector is charged to
     /// [`key_meta_bytes`](Table::key_meta_bytes), not the cache budget).
-    pub(crate) fn row_fps_arc(&self) -> Option<&Arc<Vec<u64>>> {
-        let meta = self.key_meta.as_ref()?;
-        Some(meta.row_fps.get_or_init(|| {
+    pub(crate) fn row_fps_arc(&self) -> &Arc<Vec<u64>> {
+        self.key_meta.row_fps.get_or_init(|| {
             obs::add("keymeta.fingerprint_rows", self.n_rows() as u64);
             Arc::new((0..self.n_rows()).map(|row| self.row_fingerprint(row)).collect())
-        }))
+        })
     }
 
     /// Heap footprint in bytes of the key metadata built so far, for
-    /// lake-level observability (dictionaries are lake-owned and shared, so
+    /// lake-level observability (dictionaries are the table's and shared, so
     /// they are accounted here, not against the join-index cache budget).
     /// O(columns): a dictionary recorded its size when it was built.
     pub fn key_meta_bytes(&self) -> usize {
-        self.key_meta.as_ref().map_or(0, |m| {
-            let fps = m.row_fps.get().map_or(0, |v| v.capacity() * std::mem::size_of::<u64>());
-            self.built_dicts().map(|(_, d)| d.resident_bytes()).sum::<usize>() + fps
-        })
+        let fps = self.key_meta.row_fps.get().map_or(0, |v| v.capacity() * size_of::<u64>());
+        self.built_dicts().map(|(_, d)| d.resident_bytes()).sum::<usize>() + fps
     }
 
     /// Heap bytes of the cells this table's columns own, by capacity: what
@@ -202,13 +197,13 @@ impl Table {
     /// The dictionaries built so far, with their column positions — what
     /// joins and encodes have actually read. Builds nothing.
     pub fn built_dicts(&self) -> impl Iterator<Item = (usize, &Arc<KeyDict>)> {
-        let cells = self.key_meta.as_ref().map_or(&[][..], |m| m.dicts.as_slice());
+        let cells = self.key_meta.dicts.get().map_or(&[][..], |c| &c[..]);
         cells.iter().enumerate().filter_map(|(i, cell)| Some((i, cell.get()?)))
     }
 
     /// Whether the row fingerprints have been computed.
     pub fn has_row_fingerprints(&self) -> bool {
-        self.key_meta.as_ref().is_some_and(|m| m.row_fps.get().is_some())
+        self.key_meta.row_fps.get().is_some()
     }
 
     /// Table name.
@@ -323,7 +318,7 @@ impl Table {
         self.index.insert(name.clone(), self.columns.len());
         self.fields.push(Field::new(name.clone(), col.dtype()));
         self.columns.push(col);
-        self.key_meta = None;
+        self.shed_key_meta();
         Ok(name)
     }
 
@@ -371,7 +366,7 @@ impl Table {
         let mut t = self.clone();
         t.fields[i].dtype = col.dtype();
         t.columns[i] = col;
-        t.key_meta = None;
+        t.shed_key_meta();
         Ok(t)
     }
 }
@@ -557,59 +552,82 @@ mod tests {
 
     #[test]
     fn key_meta_fills_on_first_use_and_is_ignored_by_equality() {
-        let plain = sample();
-        let keyed = sample().with_key_dicts();
-        assert!(keyed.has_key_meta());
-        assert!(!plain.has_key_meta());
-        assert_eq!(plain, keyed, "key metadata must not affect data equality");
-        // Attached, nothing built.
-        assert_eq!((keyed.key_meta_bytes(), keyed.built_dicts().count()), (0, 0));
-        assert!(!keyed.has_row_fingerprints());
-        let id = keyed.column("id").unwrap();
-        let dict = keyed.key_dict_for(id).expect("id column has a dictionary");
+        let t = sample();
+        assert_eq!((t.key_meta_bytes(), t.built_dicts().count()), (0, 0), "nothing built");
+        assert!(!t.has_row_fingerprints());
+        let dict = t.key_dict_for(t.column("id").unwrap()).expect("id column has a dictionary");
         assert_eq!(dict.len(), 3);
-        assert_eq!(keyed.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [0]);
-        assert_eq!(keyed.key_meta_bytes(), dict.resident_bytes());
-        assert_eq!(keyed.row_fingerprints().unwrap().len(), 3);
-        assert!(keyed.has_row_fingerprints());
-        assert_eq!(keyed.key_meta_bytes(), dict.resident_bytes() + 3 * 8);
+        assert_eq!(t.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [0]);
+        assert_eq!(t.key_meta_bytes(), dict.resident_bytes());
+        assert_eq!(t.row_fingerprints().len(), 3);
+        assert!(t.has_row_fingerprints());
+        assert_eq!(t.key_meta_bytes(), dict.resident_bytes() + 3 * 8);
+        assert_eq!(t, sample(), "key metadata must not affect data equality");
         // A column from a different table never resolves.
-        assert!(keyed.key_dict_for(plain.column("id").unwrap()).is_none());
-        assert!(plain.key_dict_at(0).is_none() && plain.row_fingerprints().is_none());
-        assert!(keyed.key_dict_at(3).is_none());
+        assert!(t.key_dict_for(sample().column("id").unwrap()).is_none());
+        assert!(t.key_dict_at(3).is_none());
     }
 
+    /// A table from plain `Table::new` shares its cells with its clones and
+    /// renames, whoever fills them; whatever changes a cell, a row or the
+    /// column set gets empty cells of its own.
     #[test]
     fn key_meta_is_shed_whole_and_shared_whole() {
-        let keyed = sample().with_key_dicts();
-        keyed.key_dict_at(0).unwrap();
-        let ints = || Column::from_ints([Some(7), Some(8), Some(9)]);
-        // Whatever changes a cell, a row or the column set drops all of it.
-        let changed = [
-            ("with_column", keyed.with_column("y", ints()).unwrap()),
-            ("replace_column", keyed.replace_column("id", ints()).unwrap()),
-            ("select", keyed.select(&["id", "x", "s"]).unwrap()),
-            ("drop_columns", keyed.drop_columns(&["x"])),
-            ("take", keyed.take(&[0, 1, 2])),
-        ];
-        for (op, t) in &changed {
-            assert!(!t.has_key_meta(), "{op}");
-            assert_eq!(t.key_meta_bytes(), 0, "{op}");
-            assert!(t.row_fingerprints().is_none(), "{op}");
-            assert!((0..t.n_cols()).all(|i| t.key_dict_at(i).is_none()), "{op}");
-        }
-        let mut pushed = keyed.clone();
-        pushed.push_disambiguated("id".into(), ints()).unwrap();
-        assert!(!pushed.has_key_meta() && pushed.key_meta_bytes() == 0);
-        // Renames touch no data: the cells are shared, whoever fills them.
-        let renamed = keyed.rename_column("id", "key").unwrap().with_name("u");
+        let t = sample();
+        let renamed = t.rename_column("id", "key").unwrap().with_name("u");
+        let clone = t.clone();
         let dict = renamed.key_dict_for(renamed.column("key").unwrap()).unwrap();
-        assert!(Arc::ptr_eq(dict, keyed.key_dict_at(0).unwrap()));
-        assert_eq!(dict.n_rows(), 3);
-        let late = renamed.key_dict_at(2).unwrap();
-        assert!(Arc::ptr_eq(late, keyed.key_dict_at(2).unwrap()));
-        assert_eq!(renamed.row_fingerprints(), keyed.row_fingerprints());
-        assert_eq!(renamed.key_meta_bytes(), keyed.key_meta_bytes());
+        assert!(Arc::ptr_eq(dict, t.key_dict_at(0).unwrap()));
+        assert!(Arc::ptr_eq(clone.key_dict_at(2).unwrap(), renamed.key_dict_at(2).unwrap()));
+        assert_eq!(clone.row_fingerprints().as_ptr(), t.row_fingerprints().as_ptr());
+        assert_eq!(renamed.key_meta_bytes(), t.key_meta_bytes());
+        let ints = || Column::from_ints([Some(7), Some(8), Some(9)]);
+        let changed = [
+            ("with_column", t.with_column("y", ints()).unwrap()),
+            ("replace_column", t.replace_column("x", ints()).unwrap()),
+            ("select", t.select(&["id", "x", "s"]).unwrap()),
+            ("drop_columns", t.drop_columns(&["x"])),
+            ("take", t.take(&[0, 1, 2])),
+        ];
+        for (op, c) in &changed {
+            assert_eq!((c.key_meta_bytes(), c.built_dicts().count()), (0, 0), "{op}");
+            assert!(!c.has_row_fingerprints(), "{op}");
+            assert!(!Arc::ptr_eq(c.key_dict_at(0).unwrap(), t.key_dict_at(0).unwrap()), "{op}");
+        }
+        // Alone in its cells, a table sheds them in place.
+        let mut pushed = t.take(&[0, 1, 2]);
+        pushed.key_dict_at(0).unwrap();
+        let cells = Arc::as_ptr(&pushed.key_meta);
+        pushed.push_disambiguated("id".into(), ints()).unwrap();
+        assert_eq!((pushed.key_meta_bytes(), Arc::as_ptr(&pushed.key_meta)), (0, cells));
+        assert_eq!(pushed.key_dict_at(3).unwrap().len(), 3, "sized for the new column set");
+    }
+
+    /// A clone that gains or replaces a column never shares cells with its
+    /// source, whether or not anything in them was built first.
+    #[test]
+    fn a_changed_clone_never_shares_cells_with_its_source() {
+        let ints = || Column::from_ints([Some(7), Some(7), Some(9)]);
+        for built in [false, true] {
+            let source = sample();
+            if built {
+                source.key_dict_at(0).unwrap();
+            }
+            let mut pushed = source.clone();
+            pushed.push_disambiguated("id".into(), ints()).unwrap();
+            let changed = [
+                source.with_column("y", ints()).unwrap(),
+                source.replace_column("id", ints()).unwrap(),
+                pushed,
+            ];
+            for c in &changed {
+                assert!(!Arc::ptr_eq(&c.key_meta, &source.key_meta), "built {built}");
+                c.key_dict_at(0).unwrap();
+                c.row_fingerprints();
+            }
+            assert_eq!(source.built_dicts().count(), usize::from(built));
+            assert!(!source.has_row_fingerprints());
+        }
     }
 
     #[test]

@@ -259,9 +259,7 @@ pub fn split(gt: &GroundTruth, config: &SnowflakeConfig) -> Snowflake {
             cols.push((f.clone(), col));
             placement.insert(f.clone(), name.clone());
         }
-        satellites.push(
-            Table::new(name.clone(), cols).expect("unique column names").with_key_dicts(),
-        );
+        satellites.push(Table::new(name.clone(), cols).expect("unique column names"));
         // KFK edge to the parent.
         let parent_name = match parent[k] {
             None => "base".to_string(),
@@ -298,7 +296,7 @@ pub fn split(gt: &GroundTruth, config: &SnowflakeConfig) -> Snowflake {
         label_col.push(label_src.get(i)).expect("same dtype");
     }
     cols.push((gt.label.clone(), label_col));
-    let base = Table::new("base", cols).expect("unique column names").with_key_dicts();
+    let base = Table::new("base", cols).expect("unique column names");
 
     let mut depth = HashMap::new();
     depth.insert("base".to_string(), 0usize);

@@ -75,14 +75,12 @@ fn row_map(codes: &[usize], n: usize) -> Vec<Option<usize>> {
 }
 
 /// `col` read through `map`, made the way the program makes views: as the
-/// right-hand side of a join keyed on the row number. `keyed` attaches key
-/// metadata to the right table, which lets the join tell the view its null
-/// count when the source has no null. Joining onto a table whose columns
-/// are views composes the maps: a view of a view.
-fn view_through(col: &Column, map: &[Option<usize>], keyed: bool) -> Column {
+/// right-hand side of a join keyed on the row number, which tells the view
+/// its null count when the source has no null. Joining onto a table whose
+/// columns are views composes the maps: a view of a view.
+fn view_through(col: &Column, map: &[Option<usize>]) -> Column {
     let rows = Column::from_ints((0..col.len() as i64).map(Some));
     let right = Table::new("r", vec![("rk", rows), ("v", col.clone())]).unwrap();
-    let right = if keyed { right.with_key_dicts() } else { right };
     let ids = Column::from_ints(map.iter().map(|r| r.map(|r| r as i64)));
     let left = Table::new("l", vec![("lk", ids)]).unwrap();
     let out = left_join_normalized(&left, &right, "lk", "rk", "r", 7).unwrap();
@@ -218,8 +216,7 @@ proptest! {
         check_writes(&col, &m, &picks, "dense")?;
     }
 
-    /// A view, a view of it, and both again over a keyed source (whose
-    /// join hands the view a null count instead of letting it count).
+    /// A view and a view of it.
     #[test]
     fn views_match_the_model(
         codes in prop::collection::vec(0i64..14, 0..300),
@@ -229,20 +226,16 @@ proptest! {
     ) {
         let m = model(shape.0, shape.1, &codes);
         let col = m.column();
-        for keyed in [false, true] {
-            let map = row_map(&maps.0, m.len());
-            let (view, view_model) = (view_through(&col, &map, keyed), m.read_through(&map));
-            let what = format!("view (keyed: {keyed})");
-            check_reads(&view, &view_model, &what)?;
-            check_writes(&view, &view_model, &picks, &what)?;
-            prop_assert!(!view.shares_payload(&col));
+        let map = row_map(&maps.0, m.len());
+        let (view, view_model) = (view_through(&col, &map), m.read_through(&map));
+        check_reads(&view, &view_model, "view")?;
+        check_writes(&view, &view_model, &picks, "view")?;
+        prop_assert!(!view.shares_payload(&col));
 
-            let outer = row_map(&maps.1, view_model.len());
-            let (nested, nested_model) = (view_through(&view, &outer, keyed), view_model.read_through(&outer));
-            let what = format!("view of a view (keyed: {keyed})");
-            check_reads(&nested, &nested_model, &what)?;
-            check_writes(&nested, &nested_model, &picks, &what)?;
-        }
+        let outer = row_map(&maps.1, view_model.len());
+        let (nested, nested_model) = (view_through(&view, &outer), view_model.read_through(&outer));
+        check_reads(&nested, &nested_model, "view of a view")?;
+        check_writes(&nested, &nested_model, &picks, "view of a view")?;
         check_reads(&col, &m, "the source, after its views were read and pushed to")?;
     }
 }
@@ -255,7 +248,7 @@ fn a_float_column_with_a_null_equals_itself() {
     assert_eq!(col, col.clone());
     assert_eq!(col, Column::from_floats([Some(1.5), None, Some(0.0), None]), "-0.0 == 0.0, NaN is a null");
     assert_ne!(col, Column::from_floats([Some(1.5), Some(0.0), Some(0.0), None]));
-    let view = view_through(&col, &[Some(3), Some(2), None, Some(0)], false);
+    let view = view_through(&col, &[Some(3), Some(2), None, Some(0)]);
     assert_eq!(view, Column::from_floats([None, Some(0.0), None, Some(1.5)]));
     assert_eq!(view, view.clone());
     // Null and both zeros fingerprint as they always did.

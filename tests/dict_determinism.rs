@@ -36,9 +36,7 @@ fn dict_codes_are_permutation_stable() {
         .map(|&s| {
             let permuted: Vec<Option<i64>> =
                 (0..vals.len()).map(|i| vals[(i * s) % vals.len()]).collect();
-            let t = Table::new("t", vec![("k", Column::from_ints(permuted))])
-                .unwrap()
-                .with_key_dicts();
+            let t = Table::new("t", vec![("k", Column::from_ints(permuted))]).unwrap();
             t.key_dict_at(0).unwrap().as_ref().clone()
         })
         .collect();
@@ -161,7 +159,7 @@ fn check_dictionary(case: &str, col: &Column, keys: &[i64]) -> bool {
         .filter(|&s| s == 1 || !n.is_multiple_of(s))
         .map(|s| {
             let order: Vec<usize> = (0..n).map(|i| i * s % n).collect();
-            let t = Table::new("t", vec![("k", col.take(&order))]).unwrap().with_key_dicts();
+            let t = Table::new("t", vec![("k", col.take(&order))]).unwrap();
             let dict = t.key_dict_at(0).unwrap().as_ref().clone();
             (order, dict)
         })
@@ -204,7 +202,6 @@ fn check_dictionary(case: &str, col: &Column, keys: &[i64]) -> bool {
 fn check_joins(case: &str, col: &Column, keys: &[i64]) {
     let rows = Column::from_ints((0..col.len() as i64).map(Some));
     let right = Table::new("ext", vec![("k", col.clone()), ("row", rows)]).unwrap();
-    let right = right.with_key_dicts();
     let index = JoinIndex::build(&right, right.column("k").unwrap()).unwrap();
     for (p, probe) in probes(keys).into_iter().enumerate() {
         let left = Table::new("base", vec![("k", probe)]).unwrap();

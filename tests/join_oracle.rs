@@ -129,10 +129,9 @@ fn check(
 
 proptest! {
     /// One hop through every entry point — transient index, prebuilt index,
-    /// the lake cache — over a bare right table (the index builds its own
-    /// dictionary) and a keyed copy (it borrows the table's), dictionaries
-    /// coded by value and hashed. Each index holds its invariants after the
-    /// build and after the join that may fill its picks.
+    /// the lake cache — with dictionaries coded by value and hashed. The
+    /// index holds its invariants after the build and after the join that
+    /// may fill its picks.
     #[test]
     fn one_hop_matches_the_oracle(
         lcodes in prop::collection::vec(0i64..9, 0..24),
@@ -143,20 +142,18 @@ proptest! {
     ) {
         let left = table("base", kinds.0, &lcodes, nulls == 0);
         let right = table("ext", kinds.1, &rcodes, nulls == 1);
-        let keyed = right.clone().with_key_dicts();
         let plain = left_join_normalized(&left, &right, "k", "k", "ext", seed).unwrap();
         check(&plain, &left, &right, "k", "ext", seed)?;
-        for r in [&right, &keyed] {
-            let index = JoinIndex::build(r, r.column("k").unwrap()).unwrap();
-            prop_assert_eq!(index.validate(r.column("k").unwrap()), Ok(()));
-            let out = left_join_with_index(&left, r, &index, "k", "ext", seed).unwrap();
-            check(&out, &left, &right, "k", "ext", seed)?;
-            prop_assert_eq!(index.validate(r.column("k").unwrap()), Ok(()));
-            let cached = LakeIndexCache::new()
-                .left_join_normalized(&left, r, "k", "k", "ext", seed)
-                .unwrap();
-            prop_assert!(cached.table == plain.table && cached.matched == plain.matched);
-        }
+        let rk = right.column("k").unwrap();
+        let index = JoinIndex::build(&right, rk).unwrap();
+        prop_assert_eq!(index.validate(rk), Ok(()));
+        let out = left_join_with_index(&left, &right, &index, "k", "ext", seed).unwrap();
+        check(&out, &left, &right, "k", "ext", seed)?;
+        prop_assert_eq!(index.validate(rk), Ok(()));
+        let cached = LakeIndexCache::new()
+            .left_join_normalized(&left, &right, "k", "k", "ext", seed)
+            .unwrap();
+        prop_assert!(cached.table == plain.table && cached.matched == plain.matched);
     }
 
     /// Chains of two and three hops, the later ones keyed on a view the hop
@@ -174,7 +171,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let base = table("base", kinds.0, &bcodes, false);
-        let a = table("a", kinds.1, &acodes, false).with_key_dicts();
+        let a = table("a", kinds.1, &acodes, false);
         let c = table("c", kinds.2, &ccodes, false);
         let hop1 = left_join_normalized(&base, &a, "k", "k", "a", seed).unwrap();
         let dense1 = check(&hop1, &base, &a, "k", "a", seed)?;
@@ -207,11 +204,10 @@ proptest! {
         seeds in prop::collection::vec(0u64..1000, 1..4),
     ) {
         let right = dup_heavy(kinds.1, &dups, stride);
-        let keyed = right.clone().with_key_dicts();
         let base = table("base", kinds.0, &lcodes, false);
         let cache = LakeIndexCache::with_budget(Some(0));
         for &seed in &seeds {
-            let denied = cache.left_join_normalized(&base, &keyed, "k", "k", "ext", seed).unwrap();
+            let denied = cache.left_join_normalized(&base, &right, "k", "k", "ext", seed).unwrap();
             let indexed = left_join_normalized(&base, &right, "k", "k", "ext", seed).unwrap();
             prop_assert_eq!(denied.matched, indexed.matched);
             prop_assert_eq!(&denied.right_columns, &indexed.right_columns);
@@ -219,7 +215,7 @@ proptest! {
             check(&denied, &base, &right, "k", "ext", seed)?;
             // The second hop, keyed on the view `ext.k`, back into `ext`.
             let (lk, left) = ("ext.k", &denied.table);
-            let denied2 = cache.left_join_normalized(left, &keyed, lk, "k", "ext", seed).unwrap();
+            let denied2 = cache.left_join_normalized(left, &right, lk, "k", "ext", seed).unwrap();
             let indexed2 = left_join_normalized(left, &right, lk, "k", "ext", seed).unwrap();
             prop_assert_eq!(denied2.matched, indexed2.matched);
             prop_assert!(denied2.table == indexed2.table, "second hop, seed {}", seed);
@@ -233,8 +229,8 @@ proptest! {
     /// A retained index keeps the representatives of the first hop seed
     /// joined through it. Joined with seeds `[s, s, s, t, s]` it fills its
     /// pick array for `s`, reads it twice, folds for `t`, and reads again —
-    /// through the index itself and through an unbounded cache, over a keyed
-    /// right side and a bare one, with a sampled left side. Every join equals
+    /// through the index itself and through an unbounded cache, with a
+    /// sampled left side. Every join equals
     /// the free `left_join_normalized` (held to the oracle), and the rows each
     /// ordered say which of the five it did: every right row with a key (the
     /// fill scans them all), none, none, every right row whose key a left key
@@ -251,7 +247,6 @@ proptest! {
         seeds in (0u64..1000, 1u64..1000),
     ) {
         let right = dup_heavy(kinds.1, &dups, stride);
-        let keyed = right.clone().with_key_dicts();
         let base = table("base", kinds.0, &lcodes, false);
         let rows: Vec<usize> = (0..base.n_rows()).filter(|&i| sampled[i] > 0).collect();
         let left = base.take(&rows);
@@ -267,24 +262,22 @@ proptest! {
         let fold = met(lk, rk);
         let repeats = (0..rk.len()).any(|j| matches(&rk.get(j), rk) >= 2);
         let want_picks = if repeats { vec![fill, 0, 0, fold, 0] } else { vec![0; 5] };
-        for r in [&keyed, &right] {
-            let index = JoinIndex::build(r, r.column("k").unwrap()).unwrap();
-            let cache = LakeIndexCache::with_budget(None);
-            let through_index = |seed| left_join_with_index(&left, r, &index, "k", "ext", seed);
-            let through_cache = |seed| cache.left_join_normalized(&left, r, "k", "k", "ext", seed);
-            for join in [&through_index as &dyn Fn(u64) -> _, &through_cache] {
-                let mut counted = Vec::new();
-                for seed in [s, s, s, t, s] {
-                    let (out, picks) = picks_of(|| join(seed));
-                    let (out, want) = (out.unwrap(), &want[&seed]);
-                    prop_assert_eq!(out.matched, want.matched);
-                    prop_assert_eq!(&out.right_columns, &want.right_columns);
-                    prop_assert!(out.table == want.table, "seed {} of [s, s, s, t, s]", seed);
-                    counted.push(picks);
-                }
-                prop_assert_eq!(&counted, &want_picks);
-                prop_assert_eq!(index.validate(r.column("k").unwrap()), Ok(()));
+        let index = JoinIndex::build(&right, rk).unwrap();
+        let cache = LakeIndexCache::with_budget(None);
+        let through_index = |seed| left_join_with_index(&left, &right, &index, "k", "ext", seed);
+        let through_cache = |seed| cache.left_join_normalized(&left, &right, "k", "k", "ext", seed);
+        for join in [&through_index as &dyn Fn(u64) -> _, &through_cache] {
+            let mut counted = Vec::new();
+            for seed in [s, s, s, t, s] {
+                let (out, picks) = picks_of(|| join(seed));
+                let (out, want) = (out.unwrap(), &want[&seed]);
+                prop_assert_eq!(out.matched, want.matched);
+                prop_assert_eq!(&out.right_columns, &want.right_columns);
+                prop_assert!(out.table == want.table, "seed {} of [s, s, s, t, s]", seed);
+                counted.push(picks);
             }
+            prop_assert_eq!(&counted, &want_picks);
+            prop_assert_eq!(index.validate(rk), Ok(()));
         }
     }
 }
@@ -297,7 +290,7 @@ proptest! {
 /// folds every right row its left keys meet.
 #[test]
 fn racing_seeds_record_one_memo_and_every_join_matches() {
-    let right = dup_heavy(0, &[0, 3, 7, 1, 12, 2, 40, 5], 3).with_key_dicts();
+    let right = dup_heavy(0, &[0, 3, 7, 1, 12, 2, 40, 5], 3);
     let codes: Vec<i64> = (0..64).map(|i| i % 10).collect();
     let left = table("base", 0, &codes, false);
     let (lk, rk) = (left.column("k").unwrap(), right.column("k").unwrap());

@@ -1,12 +1,12 @@
-//! One key domain: every table a `SearchContext` holds carries fresh key
-//! metadata however it arrived, a join index is charged for exactly the
-//! metadata it had to build for itself, and the metadata is built once, by
-//! its first reader, for what is read and nothing else.
+//! One key domain: every table owns its key metadata, a `SearchContext`
+//! keeps the cells its tables arrive with, a join index is charged for its
+//! pick array alone, and the metadata is built once, by its first reader,
+//! for what is read and nothing else.
 
 use std::sync::{Arc, Barrier};
 
 use autofeat::data::encode::label_encode;
-use autofeat::data::join::{left_join_normalized, left_join_with_index, JoinIndex};
+use autofeat::data::join::{left_join_normalized, JoinIndex};
 use autofeat::obs;
 use autofeat::prelude::*;
 
@@ -26,20 +26,21 @@ fn satellite(name: &str, shift: i64) -> Table {
     .unwrap()
 }
 
-/// The three ways a table reaches a context: never keyed, keyed at ingest,
-/// keyed and then changed (which drops the metadata whole).
+/// The three ways a table reaches a context: with its cells empty, with a
+/// dictionary already built, and built and then changed (which sheds the
+/// cells whole).
 fn arrivals() -> (Table, Table, Table) {
     let base = Table::new(
         "base",
         vec![("k", ints(0..20)), ("target", ints((0..20).map(|i| i % 2)))],
     )
     .unwrap();
-    let keyed = satellite("keyed", 1).with_key_dicts();
-    let widened = satellite("widened", 2)
-        .with_key_dicts()
-        .with_column("g", ints((0..40).map(|i| i % 7)))
-        .unwrap();
-    assert!(!base.has_key_meta() && keyed.has_key_meta() && !widened.has_key_meta());
+    let keyed = satellite("keyed", 1);
+    keyed.key_dict_at(0).unwrap();
+    let widened = satellite("widened", 2);
+    widened.key_dict_at(0).unwrap();
+    let widened = widened.with_column("g", ints((0..40).map(|i| i % 7))).unwrap();
+    assert_eq!(widened.built_dicts().count(), 0);
     (base, keyed, widened)
 }
 
@@ -48,18 +49,13 @@ fn arrivals() -> (Table, Table, Table) {
 fn assert_keyed(ctx: &SearchContext, what: &str) {
     for name in ctx.table_names() {
         let t = ctx.table(name).unwrap();
-        let rebuilt = t.select(&t.column_names()).unwrap().with_key_dicts();
-        assert!(t.has_key_meta(), "{what}: {name}");
+        let rebuilt = t.select(&t.column_names()).unwrap();
         assert_eq!(
             t.row_fingerprints(),
             rebuilt.row_fingerprints(),
             "{what}: {name}"
         );
-        assert_eq!(
-            t.row_fingerprints().unwrap().len(),
-            t.n_rows(),
-            "{what}: {name}"
-        );
+        assert_eq!(t.row_fingerprints().len(), t.n_rows(), "{what}: {name}");
         for i in 0..t.n_cols() {
             let dict = t
                 .key_dict_at(i)
@@ -95,7 +91,7 @@ fn built(ctx: &SearchContext) -> (Vec<(String, usize)>, Vec<String>) {
 }
 
 #[test]
-fn every_resident_table_is_keyed_however_it_arrived() {
+fn resident_tables_keep_the_cells_they_arrived_with() {
     let (base, keyed, widened) = arrivals();
     let tables = vec![base, keyed.clone(), widened];
     let kfk: Vec<(String, String, String, String)> = ["keyed", "widened"]
@@ -168,57 +164,6 @@ fn every_resident_table_is_keyed_however_it_arrived() {
         .sum();
     assert_eq!((stats.entries, stats.resident_bytes), (2, expected as u64));
     assert_eq!(expected, 2 * 20 * 4, "a four-byte pick per key, 20 keys each");
-}
-
-#[test]
-fn an_index_is_charged_for_the_metadata_it_built_itself() {
-    let bare = satellite("bare", 0);
-    let keyed = bare.clone().with_key_dicts().with_name("keyed");
-    let over = |t: &Table| JoinIndex::build(t, t.column("k").unwrap()).unwrap();
-    let (transient, lent) = (over(&bare), over(&keyed));
-    let own_dict = keyed.key_dict_at(0).unwrap().resident_bytes();
-    let own_fps = bare.n_rows() * std::mem::size_of::<u64>();
-    assert_eq!(
-        transient.resident_bytes(),
-        lent.resident_bytes() + own_dict + own_fps
-    );
-    assert_eq!(lent.resident_bytes(), 20 * 4);
-    assert_eq!(transient.n_keys(), lent.n_keys());
-    let left = Table::new("left", vec![("k", ints(-1..21))]).unwrap();
-    for seed in [0u64, 1, 42, 0, 1] {
-        let through = |t: &Table, index: &JoinIndex| {
-            left_join_with_index(&left, t, index, "k", "s", seed).unwrap()
-        };
-        let (a, b) = (through(&bare, &transient), through(&keyed, &lent));
-        assert_eq!((a.table, a.matched), (b.table, b.matched), "seed {seed}");
-    }
-    // No key repeats: nothing is fingerprinted, only the dictionary is owned.
-    let unique = Table::new("unique", vec![("k", ints(0..40))]).unwrap();
-    let unique_keyed = unique.clone().with_key_dicts();
-    assert_eq!(
-        over(&unique).resident_bytes(),
-        over(&unique_keyed).resident_bytes()
-            + unique_keyed.key_dict_at(0).unwrap().resident_bytes()
-    );
-
-    // A cache holding both kinds: resident = Σ slot bytes ≤ budget.
-    let both = (transient.resident_bytes() + lent.resident_bytes()) as u64;
-    let cache = LakeIndexCache::with_budget(Some(both));
-    cache.get_or_build(&bare, "k").unwrap();
-    cache.get_or_build(&keyed, "k").unwrap();
-    let stats = cache.stats();
-    assert_eq!(
-        (stats.entries, stats.resident_bytes, stats.rejections),
-        (2, both, 0)
-    );
-    // One byte short: the second index is built, served and not retained.
-    let cache = LakeIndexCache::with_budget(Some(both - 1));
-    cache.get_or_build(&keyed, "k").unwrap();
-    cache.get_or_build(&bare, "k").unwrap();
-    let stats = cache.stats();
-    assert_eq!((stats.entries, stats.rejections), (1, 1));
-    assert_eq!(stats.resident_bytes, lent.resident_bytes() as u64);
-    assert!(stats.peak_resident_bytes < both);
 }
 
 /// base(k, target) — dup(k ×3, k2, tag, f) — leaf(k2, deep), with two siblings
@@ -322,7 +267,7 @@ fn discovery_builds_what_its_joins_are_keyed_on_and_nothing_else() {
 
 #[test]
 fn racing_first_readers_see_one_build() {
-    let t = satellite("raced", 0).with_key_dicts();
+    let t = satellite("raced", 0);
     let tracer = Tracer::enabled();
     let barrier = Barrier::new(8);
     let dicts: Vec<Arc<KeyDict>> = obs::with_tracer(&tracer, || {
@@ -349,7 +294,7 @@ fn racing_first_readers_see_one_build() {
 
 #[test]
 fn cells_are_shared_by_renames_and_shed_by_changes() {
-    let t = satellite("t", 0).with_key_dicts();
+    let t = satellite("t", 0);
     let shares = [
         t.clone(),
         t.clone().with_name("u"),
@@ -357,11 +302,11 @@ fn cells_are_shared_by_renames_and_shed_by_changes() {
     ];
     // Filled through one handle after the others were taken: seen by all.
     let dict = Arc::clone(shares[2].key_dict_at(0).unwrap());
-    let fps = shares[1].row_fingerprints().unwrap().as_ptr();
+    let fps = shares[1].row_fingerprints().as_ptr();
     for s in shares.iter().chain([&t]) {
         assert_eq!(s.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [0]);
         assert!(Arc::ptr_eq(s.key_dict_at(0).unwrap(), &dict));
-        assert_eq!(s.row_fingerprints().unwrap().as_ptr(), fps);
+        assert_eq!(s.row_fingerprints().as_ptr(), fps);
         assert_eq!(s.key_meta_bytes(), dict.resident_bytes() + 40 * 8);
     }
     let changed = [
@@ -372,9 +317,9 @@ fn cells_are_shared_by_renames_and_shed_by_changes() {
         t.drop_columns(&["f"]),
     ];
     for c in &changed {
-        assert!(!c.has_key_meta() && !c.has_row_fingerprints());
+        assert!(!c.has_row_fingerprints());
         assert_eq!((c.key_meta_bytes(), c.built_dicts().count()), (0, 0));
-        assert!(c.key_dict_at(0).is_none());
+        assert!(!Arc::ptr_eq(c.key_dict_at(0).unwrap(), &dict));
     }
 }
 
@@ -398,8 +343,7 @@ fn null_key_counts_are_the_dictionaries_own() {
             ("full", ints(0..30)),
         ],
     )
-    .unwrap()
-    .with_key_dicts();
+    .unwrap();
     let counted: Vec<usize> = (0..t.n_cols()).map(|i| t.column_at(i).null_count()).collect();
     assert_eq!(t.built_dicts().count(), 0, "counting nulls builds nothing");
     assert_eq!(counted, [8, 12, 5, 10, 30, 0]);
@@ -412,16 +356,14 @@ fn null_key_counts_are_the_dictionaries_own() {
 #[test]
 fn a_unique_key_join_fingerprints_nothing() {
     let left = Table::new("left", vec![("k", ints((0..80).map(|i| i % 50)))]).unwrap();
-    let unique = Table::new("unique", vec![("k", ints(0..40)), ("f", ints(100..140))])
-        .unwrap()
-        .with_key_dicts();
+    let unique = Table::new("unique", vec![("k", ints(0..40)), ("f", ints(100..140))]).unwrap();
     let out = left_join_normalized(&left, &unique, "k", "k", "unique", 7).unwrap();
     assert_eq!(out.matched, 70);
     assert_eq!(out.table.column("unique.f").unwrap().null_count(), 10);
     assert_eq!(unique.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [0]);
     assert!(!unique.has_row_fingerprints());
     // One repeated key is enough to need them.
-    let dup = satellite("dup", 0).with_key_dicts();
+    let dup = satellite("dup", 0);
     left_join_normalized(&left, &dup, "k", "k", "dup", 7).unwrap();
     assert!(dup.has_row_fingerprints());
     assert_eq!(dup.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [0]);

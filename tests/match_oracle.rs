@@ -81,20 +81,15 @@ fn overlaps(d: &mut Draw, na: usize, nb: usize, name: f64) -> Vec<usize> {
 
 /// A one-column table holding the values `from..from + n`: as ints or as
 /// the floats equal to them (the same keys), every value `dup` times, the
-/// first few once more, `nulls` nulls among them; keyed or bare.
-fn column_table(d: &mut Draw, name: &str, from: i64, n: usize, keyed: bool) -> Table {
+/// first few once more, `nulls` nulls among them.
+fn column_table(d: &mut Draw, name: &str, from: i64, n: usize) -> Table {
     let rows = value_rows(d, from, n);
     let col = if d.below(2) == 0 {
         Column::from_ints(rows)
     } else {
         Column::from_floats(rows.into_iter().map(|v| v.map(|v| v as f64)))
     };
-    let table = Table::new("t", vec![(name, col)]).unwrap();
-    if keyed {
-        table.with_key_dicts()
-    } else {
-        table
-    }
+    Table::new("t", vec![(name, col)]).unwrap()
 }
 
 /// The rows of [`column_table`] before they are typed: the values
@@ -211,10 +206,9 @@ proptest! {
         let (na, nb) = (d.size(), d.size());
         let (left_name, right_name) = NAME_PAIRS[d.below(NAME_PAIRS.len())];
         let name = name_similarity(left_name, right_name);
-        let keyed_left = d.below(2) == 0;
-        let left = profiled(&column_table(&mut d, left_name, 0, na, keyed_left));
+        let left = profiled(&column_table(&mut d, left_name, 0, na));
         for x in overlaps(&mut d, na, nb, name) {
-            let right = column_table(&mut d, right_name, (na - x) as i64, nb, !keyed_left);
+            let right = column_table(&mut d, right_name, (na - x) as i64, nb);
             check_pair(&left, &profiled(&right))?;
         }
     }
@@ -225,8 +219,7 @@ proptest! {
 /// bool.
 const KINDS: [&str; 6] = ["int", "integral float", "fraction", "mixed float", "string", "bool"];
 
-/// A one-column table of [`value_rows`] typed as `KINDS[kind]`, keyed or
-/// bare. Near `±2⁵³` and `2⁶³` the floats round, so distinct values share a
+/// A one-column table of [`value_rows`] typed as `KINDS[kind]`. Near `±2⁵³` and `2⁶³` the floats round, so distinct values share a
 /// key there.
 fn kind_table(d: &mut Draw, name: &str, kind: usize, from: i64, n: usize) -> Table {
     let rows = value_rows(d, from, n);
@@ -239,12 +232,7 @@ fn kind_table(d: &mut Draw, name: &str, kind: usize, from: i64, n: usize) -> Tab
         4 => Column::from_strs(rows.iter().map(|v| v.map(|v| v.to_string()))),
         _ => Column::from_bools(rows.iter().map(|v| v.map(|v| v % 2 == 0))),
     };
-    let table = Table::new("t", vec![(name, col)]).unwrap();
-    if d.below(2) == 0 {
-        table.with_key_dicts()
-    } else {
-        table
-    }
+    Table::new("t", vec![(name, col)]).unwrap()
 }
 
 proptest! {
@@ -288,10 +276,10 @@ fn saturated_maps_leave_the_decision_to_the_merge() {
     // bound passes nearly everything on and the answers must not change.
     let mut d = Draw(40_000);
     let n = 40_000;
-    let left = profiled(&column_table(&mut d, "s4_id", 0, n, true));
+    let left = profiled(&column_table(&mut d, "s4_id", 0, n));
     let name = name_similarity("s4_id", "s14_id");
     for x in overlaps(&mut d, n, n, name) {
-        let right = column_table(&mut d, "s14_id", (n - x) as i64, n, false);
+        let right = column_table(&mut d, "s14_id", (n - x) as i64, n);
         check_pair(&left, &profiled(&right)).unwrap();
     }
 }
@@ -319,7 +307,7 @@ fn a_crowded_value_domain_keeps_its_value_driven_edges() {
 
 // ---------------------------------------------------------------------------
 // (c) A generated lake's DRG: the program's, the reference's, and the
-// parent commit's, on tables that arrive keyed, bare, and through CSV.
+// parent commit's, on tables as generated and through CSV.
 // ---------------------------------------------------------------------------
 
 fn lake() -> autofeat::datagen::lake::Lake {
@@ -355,14 +343,10 @@ const LAKE_DIGEST: &str = "15 edges, 272c11aa8b067819";
 fn lake_drg_equals_the_reference_and_the_parent_commit() {
     let lake = lake();
     let matcher = SchemaMatcher::paper_default();
-    // The generator keys some tables and not others (a planted decoy column
-    // sheds its host's metadata); make both extremes.
-    let keyed: Vec<Table> = lake.tables.iter().map(|t| t.clone().with_key_dicts()).collect();
-    let bare: Vec<Table> = lake.tables.iter().map(|t| t.drop_columns(&[])).collect();
-    assert!(!bare.iter().any(Table::has_key_meta), "`drop_columns` sheds key metadata");
+    let generated = &lake.tables;
     let through_csv: Vec<Table> =
-        bare.iter().map(|t| read_csv_str(t.name(), &write_csv_str(t)).unwrap()).collect();
-    for (arrival, tables) in [("keyed", &keyed), ("bare", &bare), ("csv", &through_csv)] {
+        generated.iter().map(|t| read_csv_str(t.name(), &write_csv_str(t)).unwrap()).collect();
+    for (arrival, tables) in [("generated", generated), ("csv", &through_csv)] {
         let refs: Vec<&Table> = tables.iter().collect();
         let built = match_oracle::edges_of(&DrgMaintainer::build(&refs, &matcher).assemble());
         assert_eq!(built, match_oracle::drg_edges(&refs, matcher.config()), "{arrival} tables");
@@ -374,20 +358,18 @@ fn lake_drg_equals_the_reference_and_the_parent_commit() {
     // name would match it otherwise.
     let label_values = lake.base().column(&lake.label).unwrap().clone();
     let leak = Table::new("leak", vec![(lake.label.as_str(), label_values)]).unwrap();
-    for (arrival, tables) in [("keyed", &keyed), ("bare", &bare)] {
-        let with_leak: Vec<Table> = tables.iter().cloned().chain([leak.clone()]).collect();
-        let refs: Vec<&Table> = with_leak.iter().collect();
-        let visible = match_oracle::drg_edges(&refs, matcher.config());
-        assert!(visible.iter().any(|e| e.2 == "leak"), "the label would match if it showed");
-        let hidden: Vec<Table> = with_leak
-            .iter()
-            .map(|t| if t.name() == lake.base_name { t.drop_columns(&[&lake.label]) } else { t.clone() })
-            .collect();
-        let refs: Vec<&Table> = hidden.iter().collect();
-        let ctx = SearchContext::from_discovery(with_leak, &matcher, &lake.base_name, &lake.label)
-            .unwrap();
-        let built = match_oracle::edges_of(ctx.drg());
-        assert_eq!(built, match_oracle::drg_edges(&refs, matcher.config()), "{arrival} tables");
-        assert_eq!(digest(&built), LAKE_DIGEST, "{arrival} tables");
-    }
+    let with_leak: Vec<Table> = generated.iter().cloned().chain([leak]).collect();
+    let refs: Vec<&Table> = with_leak.iter().collect();
+    let visible = match_oracle::drg_edges(&refs, matcher.config());
+    assert!(visible.iter().any(|e| e.2 == "leak"), "the label would match if it showed");
+    let hidden: Vec<Table> = with_leak
+        .iter()
+        .map(|t| if t.name() == lake.base_name { t.drop_columns(&[&lake.label]) } else { t.clone() })
+        .collect();
+    let refs: Vec<&Table> = hidden.iter().collect();
+    let ctx = SearchContext::from_discovery(with_leak, &matcher, &lake.base_name, &lake.label)
+        .unwrap();
+    let built = match_oracle::edges_of(ctx.drg());
+    assert_eq!(built, match_oracle::drg_edges(&refs, matcher.config()));
+    assert_eq!(digest(&built), LAKE_DIGEST);
 }
