@@ -7,7 +7,7 @@ use std::hint::black_box;
 use autofeat_metrics::discretize::{discretize_equal_frequency, Discretized};
 use autofeat_metrics::mi::mutual_information;
 use autofeat_metrics::redundancy::{RedundancyMethod, RedundancyScorer};
-use autofeat_metrics::relevance::{Relevance, RelevanceMethod, Spearman};
+use autofeat_metrics::relevance::RelevanceMethod;
 
 fn feature(n: usize, seed: u64) -> Vec<f64> {
     (0..n)
@@ -26,7 +26,7 @@ fn bench_relevance(c: &mut Criterion) {
     let x = feature(n, 7);
     let y = labels(n);
     group.bench_function("spearman_10k", |b| {
-        b.iter(|| black_box(Spearman.score(&x, &y)))
+        b.iter(|| black_box(RelevanceMethod::Spearman.scores(std::slice::from_ref(&x), &y)[0]))
     });
     for method in RelevanceMethod::all() {
         let feats = vec![x.clone()];

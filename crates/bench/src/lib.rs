@@ -126,7 +126,7 @@ pub fn run_all_methods(
     let mut out = vec![
         run_base(ctx, models, seed).expect("BASE runs"),
         run_autofeat(ctx, models, seed),
-        run_arda(ctx, models, &ArdaConfig { seed, ..Default::default() }).expect("ARDA runs"),
+        run_arda(ctx, models, &ArdaConfig { seed }).expect("ARDA runs"),
         run_mab(ctx, models, &MabConfig { seed, ..Default::default() }).expect("MAB runs"),
     ];
     if setting == Setting::Benchmark {

@@ -63,7 +63,6 @@ use crate::config::{self, AutoFeatConfig};
 use crate::context::SearchContext;
 use crate::executor::qualified_column;
 use crate::ranking::{accumulate, compute_score};
-use crate::seeding::hop_seed;
 
 /// One ranked join path: the paper's output unit ("a ranked list of top-k
 /// join paths ... with their respective join keys and a list of selected
@@ -235,15 +234,11 @@ impl Frontier {
 
 /// One `(frontier entry × best edge)` pair of the current BFS level, as
 /// [`AutoFeat::plan_level`] enumerates them.
-struct HopCandidate<'a> {
+struct HopCandidate {
     /// Index into the current frontier.
     entry: usize,
     /// The neighbour node this hop reaches.
     next: NodeId,
-    /// The neighbour's table.
-    right: &'a Table,
-    /// The hop's left key, qualified for the intermediate table.
-    left_key: String,
     /// The hop itself (`hop.to_table` is the join prefix).
     hop: JoinHop,
 }
@@ -601,11 +596,7 @@ impl AutoFeat {
     /// index, then ascending neighbour, then edge. Also returns how many
     /// multi-edges the similarity-score rule pruned: per neighbour only the
     /// top-scored join column(s) are expanded.
-    fn plan_level<'a>(
-        &self,
-        ctx: &'a SearchContext,
-        frontier: &[Frontier],
-    ) -> (Vec<HopCandidate<'a>>, usize) {
+    fn plan_level(&self, ctx: &SearchContext, frontier: &[Frontier]) -> (Vec<HopCandidate>, usize) {
         let drg = ctx.drg();
         let mut cands: Vec<HopCandidate> = Vec::new();
         let mut pruned = 0usize;
@@ -613,39 +604,22 @@ impl AutoFeat {
             if entry.path.len() >= self.config.max_path_length {
                 continue;
             }
-            let from_table = drg.table_name(entry.node);
             for (next, edge_ids) in drg.neighbours(entry.node) {
                 let next_name = drg.table_name(next);
-                if next_name == ctx.base_name() || entry.path.visits(next_name) {
+                if next_name == ctx.base_name()
+                    || entry.path.visits(next_name)
+                    || ctx.table(next_name).is_none()
+                {
                     continue;
                 }
-                let Some(right) = ctx.table(next_name) else {
-                    continue;
-                };
                 let best = drg.best_edges(&edge_ids);
                 pruned += edge_ids.len() - best.len();
-                for eid in best {
-                    let edge = drg.edge(eid);
-                    let Some((_, from_col, to_col)) = edge.oriented_from(entry.node) else {
-                        continue;
-                    };
-                    let left_key = qualified_column(ctx.base_name(), from_table, from_col);
-                    if !entry.table.has_column(&left_key) {
-                        continue;
+                for hop in best.into_iter().filter_map(|eid| drg.hop(entry.node, eid)) {
+                    let left_key =
+                        qualified_column(ctx.base_name(), &hop.from_table, &hop.from_column);
+                    if entry.table.has_column(&left_key) {
+                        cands.push(HopCandidate { entry: ei, next, hop });
                     }
-                    cands.push(HopCandidate {
-                        entry: ei,
-                        next,
-                        right,
-                        left_key,
-                        hop: JoinHop {
-                            from_table: from_table.to_string(),
-                            from_column: from_col.to_string(),
-                            to_table: next_name.to_string(),
-                            to_column: to_col.to_string(),
-                            weight: edge.weight,
-                        },
-                    });
                 }
             }
         }
@@ -668,11 +642,7 @@ impl AutoFeat {
         let cfg = &self.config;
         let eval = || -> Result<HopEval> {
             let next_name = &c.hop.to_table;
-            let seed = hop_seed(cfg.seed, entry.path.hops(), &c.hop);
-            let (left, left_key, right_key) = (&entry.table, &c.left_key, &c.hop.to_column);
-            let out = ctx
-                .lake_cache()
-                .left_join_normalized(left, c.right, left_key, right_key, next_name, seed)?;
+            let out = ctx.join_hop(&entry.table, entry.path.hops(), &c.hop, cfg.seed)?;
             // Prune: join produced no matches at all. An empty base yields
             // `match_ratio() == None` (vacuous) and is *not* misreported as
             // unjoinable.
@@ -1741,16 +1711,7 @@ mod tests {
                 .map(|c| Frontier {
                     node: c.next,
                     path: JoinPath::empty().extended(c.hop.clone()),
-                    table: autofeat_data::join::left_join_normalized(
-                        ctx.base_table(),
-                        c.right,
-                        &c.left_key,
-                        &c.hop.to_column,
-                        &c.hop.to_table,
-                        0,
-                    )
-                    .unwrap()
-                    .table,
+                    table: ctx.join_hop(ctx.base_table(), &[], &c.hop, 0).unwrap().table,
                     score: 0.0,
                     features: Vec::new(),
                 })
@@ -1759,7 +1720,10 @@ mod tests {
             let describe = |cands: &[HopCandidate]| -> Vec<(usize, String, String)> {
                 cands
                     .iter()
-                    .map(|c| (c.entry, c.left_key.clone(), format!("{:?}", c.hop)))
+                    .map(|c| {
+                        let left_key = qualified_column(ctx.base_name(), &c.hop.from_table, &c.hop.from_column);
+                        (c.entry, left_key, format!("{:?}", c.hop))
+                    })
                     .collect()
             };
             (describe(&cands1), pruned1, describe(&cands2), pruned2)

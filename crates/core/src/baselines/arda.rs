@@ -19,42 +19,35 @@ use rand::{RngExt, SeedableRng};
 use autofeat_data::encode::to_matrix;
 use autofeat_data::sample::train_test_split;
 use autofeat_data::{Result, Table};
-use autofeat_graph::JoinHop;
 use autofeat_ml::eval::{accuracy, Classifier, ModelKind};
 use autofeat_ml::forest::RandomForest;
 
 use crate::context::SearchContext;
 use crate::report::MethodResult;
-use crate::seeding::hop_seed;
 use crate::train::evaluate_feature_set;
 
-/// RIFS configuration.
+/// Injection trials.
+const N_TRIALS: usize = 4;
+/// Injected random features per trial, as a fraction of the real feature
+/// count.
+const INJECTION_FRAC: f64 = 0.2;
+/// Candidate keep-thresholds (fraction of trials a feature must win); the
+/// wrapper picks the best by validation accuracy.
+const THRESHOLDS: [f64; 3] = [0.25, 0.5, 0.75];
+/// Quantile of the random-probe importances a real feature must exceed to
+/// win a trial.
+const PROBE_QUANTILE: f64 = 0.75;
+
+/// ARDA configuration: the seed. The RIFS settings are the constants above.
 #[derive(Debug, Clone)]
 pub struct ArdaConfig {
-    /// Number of injection trials.
-    pub n_trials: usize,
-    /// Injected random features per trial, as a fraction of the real
-    /// feature count.
-    pub injection_frac: f64,
-    /// Candidate keep-thresholds (fraction of trials a feature must win);
-    /// the wrapper picks the best by validation accuracy.
-    pub thresholds: Vec<f64>,
-    /// Quantile of the random-probe importances a real feature must exceed
-    /// to win a trial.
-    pub probe_quantile: f64,
     /// Seed.
     pub seed: u64,
 }
 
 impl Default for ArdaConfig {
     fn default() -> Self {
-        ArdaConfig {
-            n_trials: 4,
-            injection_frac: 0.2,
-            thresholds: vec![0.25, 0.5, 0.75],
-            probe_quantile: 0.75,
-            seed: 17,
-        }
+        ArdaConfig { seed: 17 }
     }
 }
 
@@ -82,34 +75,18 @@ fn star_join(ctx: &SearchContext, seed: u64) -> Result<(Table, usize)> {
         if ctx.control().interrupted().is_some() {
             break;
         }
-        let name = drg.table_name(nbr).to_string();
-        let Some(right) = ctx.table(&name) else {
-            continue;
-        };
-        let Some(&eid) = drg.best_edges(&edge_ids).first() else {
-            continue;
-        };
-        let Some((_, from_col, to_col)) = drg.edge(eid).oriented_from(base_node) else {
-            continue;
-        };
-        if !table.has_column(from_col) {
+        // A KFK edge can name a table the lake loader quarantined: skip it.
+        if ctx.table(drg.table_name(nbr)).is_none() {
             continue;
         }
-        let hop = JoinHop {
-            from_table: ctx.base_name().to_string(),
-            from_column: from_col.to_string(),
-            to_table: name.clone(),
-            to_column: to_col.to_string(),
-            weight: drg.edge(eid).weight,
+        let Some(hop) = drg.best_edges(&edge_ids).first().and_then(|&eid| drg.hop(base_node, eid))
+        else {
+            continue;
         };
-        let out = match ctx.lake_cache().left_join_normalized(
-            &table,
-            right,
-            from_col,
-            to_col,
-            &name,
-            hop_seed(seed, &[], &hop),
-        ) {
+        if !table.has_column(&hop.from_column) {
+            continue;
+        }
+        let out = match ctx.join_hop(&table, &[], &hop, seed) {
             Ok(out) => out,
             Err(e) if e.interrupt().is_some() => break,
             Err(e) => return Err(e),
@@ -149,10 +126,10 @@ pub fn run_arda(
     let train_m = to_matrix(&split.train, &refs, label)?;
     let valid_m = to_matrix(&split.test, &refs, label)?;
     let d = train_m.n_features();
-    let n_probes = ((d as f64 * config.injection_frac).ceil() as usize).max(1);
+    let n_probes = ((d as f64 * INJECTION_FRAC).ceil() as usize).max(1);
 
     let mut wins = vec![0usize; d];
-    for trial in 0..config.n_trials {
+    for trial in 0..N_TRIALS {
         if ctx.control().interrupted().is_some() {
             break;
         }
@@ -172,7 +149,7 @@ pub fn run_arda(
         let imp = rf.feature_importances(injected.n_features());
         let mut probe_imp: Vec<f64> = imp[d..].to_vec();
         probe_imp.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let bar = quantile(&probe_imp, config.probe_quantile);
+        let bar = quantile(&probe_imp, PROBE_QUANTILE);
         for (j, &v) in imp[..d].iter().enumerate() {
             if v > bar {
                 wins[j] += 1;
@@ -183,11 +160,11 @@ pub fn run_arda(
     // 3. Wrapper: pick the keep-threshold with the best validation
     //    accuracy (more model executions — the ARDA cost profile).
     let mut best: Option<(Vec<usize>, f64)> = None;
-    for &thr in &config.thresholds {
+    for &thr in &THRESHOLDS {
         if ctx.control().interrupted().is_some() {
             break;
         }
-        let need = (thr * config.n_trials as f64).ceil() as usize;
+        let need = (thr * N_TRIALS as f64).ceil() as usize;
         let kept: Vec<usize> = (0..d).filter(|&j| wins[j] >= need).collect();
         if kept.is_empty() {
             continue;

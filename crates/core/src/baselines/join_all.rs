@@ -12,7 +12,6 @@ use std::time::Instant;
 use autofeat_data::encode::label_encode_column;
 use autofeat_data::Result;
 use autofeat_graph::traversal::join_all_path_count;
-use autofeat_graph::JoinHop;
 use autofeat_metrics::relevance::RelevanceMethod;
 use autofeat_metrics::selection::select_k_best;
 use autofeat_ml::eval::ModelKind;
@@ -20,7 +19,6 @@ use autofeat_ml::eval::ModelKind;
 use crate::context::SearchContext;
 use crate::executor::qualified_column;
 use crate::report::MethodResult;
-use crate::seeding::hop_seed;
 use crate::train::evaluate_feature_set;
 
 /// JoinAll configuration.
@@ -82,35 +80,18 @@ pub fn run_join_all(
                     continue;
                 }
                 visited[v.0] = true;
-                let name = drg.table_name(v).to_string();
-                let Some(right) = ctx.table(&name) else {
+                if ctx.table(drg.table_name(v)).is_none() {
+                    continue;
+                }
+                let Some(hop) = drg.best_edges(&edge_ids).first().and_then(|&eid| drg.hop(u, eid))
+                else {
                     continue;
                 };
-                let Some(&eid) = drg.best_edges(&edge_ids).first() else {
-                    continue;
-                };
-                let Some((_, from_col, to_col)) = drg.edge(eid).oriented_from(u) else {
-                    continue;
-                };
-                let left_key = qualified_column(ctx.base_name(), drg.table_name(u), from_col);
+                let left_key = qualified_column(ctx.base_name(), &hop.from_table, &hop.from_column);
                 if !table.has_column(&left_key) {
                     continue;
                 }
-                let hop = JoinHop {
-                    from_table: drg.table_name(u).to_string(),
-                    from_column: from_col.to_string(),
-                    to_table: name.clone(),
-                    to_column: to_col.to_string(),
-                    weight: drg.edge(eid).weight,
-                };
-                let out = match ctx.lake_cache().left_join_normalized(
-                    &table,
-                    right,
-                    &left_key,
-                    to_col,
-                    &name,
-                    hop_seed(config.seed, &[], &hop),
-                ) {
+                let out = match ctx.join_hop(&table, &[], &hop, config.seed) {
                     Ok(out) => out,
                     Err(e) if e.interrupt().is_some() => break 'bfs,
                     Err(e) => return Err(e),

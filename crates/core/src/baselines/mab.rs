@@ -27,20 +27,21 @@ use crate::report::MethodResult;
 use crate::seeding::hop_seed;
 use crate::train::evaluate_feature_set;
 
+/// UCB1 exploration constant.
+const EXPLORATION: f64 = std::f64::consts::SQRT_2;
+
 /// MAB configuration.
 #[derive(Debug, Clone)]
 pub struct MabConfig {
     /// Total pull budget (each pull = one join + one model training).
     pub budget: usize,
-    /// UCB exploration constant.
-    pub exploration: f64,
     /// Seed.
     pub seed: u64,
 }
 
 impl Default for MabConfig {
     fn default() -> Self {
-        MabConfig { budget: 12, exploration: std::f64::consts::SQRT_2, seed: 19 }
+        MabConfig { budget: 12, seed: 19 }
     }
 }
 
@@ -138,7 +139,7 @@ pub fn run_mab(
                     None => f64::INFINITY,
                     Some(&(n, sum)) => {
                         sum / n as f64
-                            + config.exploration
+                            + EXPLORATION
                                 * ((total_pulls.max(1) as f64).ln() / n as f64).sqrt()
                     }
                 };
@@ -149,7 +150,8 @@ pub fn run_mab(
         let (left_col, table_name, right_col) = chosen;
         let cand = ctx.table(table_name).expect("arm table exists");
         // An arm can be pulled several times (against an evolving state), so
-        // the pull counter is mixed into the arm's identity seed.
+        // the pull counter is mixed into the arm's identity seed — the one
+        // join that does not go through `SearchContext::join_hop`.
         let hop = JoinHop {
             from_table: ctx.base_name().to_string(),
             from_column: left_col.clone(),

@@ -6,11 +6,15 @@ use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 use autofeat_data::csv::{read_csv_opts, CsvReadOptions, IngestDiagnostics};
+use autofeat_data::join::JoinOutput;
 use autofeat_data::parallel::build_indexed;
 use autofeat_data::{DataError, FaultDomain, LakeIndexCache, Result, RunControl, Table};
 use autofeat_obs as obs;
 use autofeat_graph::discovery::{ColumnProfile, SchemaMatcher};
-use autofeat_graph::{Drg, DrgBuilder, DrgMaintainer};
+use autofeat_graph::{Drg, DrgBuilder, DrgMaintainer, JoinHop};
+
+use crate::executor::qualified_column;
+use crate::seeding::hop_seed;
 
 /// A lake file that could not be turned into a table, with the reason it was
 /// set aside (kept so runs can report *why* coverage is partial).
@@ -482,6 +486,35 @@ impl SearchContext {
         &self.faults
     }
 
+    /// Join `hop` onto `left`, the table the hops of `prefix` made: the
+    /// right side is the lake's `hop.to_table`, keyed on the hop's left key
+    /// as `left` names it ([`qualified_column`]), through the lake cache,
+    /// with the picks of [`hop_seed`]`(seed, prefix, hop)`. Every path join
+    /// goes through here — discovery's evaluation, both materializers, the
+    /// ARDA and JoinAll baselines — so a hop joins to the same rows
+    /// wherever it is replayed. Errors with `Invalid` when `hop.to_table`
+    /// is not in the context.
+    pub(crate) fn join_hop(
+        &self,
+        left: &Table,
+        prefix: &[JoinHop],
+        hop: &JoinHop,
+        seed: u64,
+    ) -> Result<JoinOutput> {
+        let right = self.table(&hop.to_table).ok_or_else(|| {
+            DataError::Invalid(format!("table `{}` not in context", hop.to_table))
+        })?;
+        let left_key = qualified_column(&self.base, &hop.from_table, &hop.from_column);
+        self.cache.left_join_normalized(
+            left,
+            right,
+            &left_key,
+            &hop.to_column,
+            &hop.to_table,
+            hop_seed(seed, prefix, hop),
+        )
+    }
+
     /// Feature columns of the base table: everything except the label.
     pub fn base_features(&self) -> Vec<String> {
         self.base_table()
@@ -573,6 +606,27 @@ mod tests {
         let req = view.with_request_control(scoped);
         req.control().cancel();
         assert!(!ctx.control().is_cancelled(), "request cancel stays scoped");
+    }
+
+    #[test]
+    fn join_hop_rejects_an_absent_table_as_the_materializers_do() {
+        let ctx = SearchContext::from_kfk(tables(), &[], "base", "target").unwrap();
+        let hop = JoinHop {
+            from_table: "base".into(),
+            from_column: "k".into(),
+            to_table: "ghost".into(),
+            to_column: "k".into(),
+            weight: 1.0,
+        };
+        use crate::executor::{materialize_path, materialize_tree};
+        let base = ctx.base_table();
+        let err = ctx.join_hop(base, &[], &hop, 0).unwrap_err();
+        assert!(matches!(&err, DataError::Invalid(m) if m == "table `ghost` not in context"), "{err}");
+        let path = autofeat_graph::JoinPath::from_hops(vec![hop]);
+        let via_path = materialize_path(&ctx, base, &path, 0).unwrap_err();
+        let via_tree = materialize_tree(&ctx, base, &[&path], 0).unwrap_err();
+        assert_eq!(via_path.to_string(), err.to_string());
+        assert_eq!(via_tree.to_string(), err.to_string());
     }
 
     #[test]

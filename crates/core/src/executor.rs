@@ -1,18 +1,17 @@
 //! Join-path materialization: turn a [`JoinPath`] into an augmented table
 //! by replaying its hops as normalized left joins.
 //!
-//! Each hop's representative-pick seed is derived from the hop's identity
-//! within its path ([`crate::seeding::hop_seed`]), exactly as during
-//! discovery. This closes the train/serve skew of the earlier shared-RNG
-//! replay: the rows a feature was scored on during discovery are the rows
-//! it is trained on after materialization.
+//! Each hop is joined by `SearchContext::join_hop`, the join discovery
+//! scored it with: the same right table, the same qualified left key and
+//! the same seed, derived from the hop's identity within its path
+//! ([`crate::seeding::hop_seed`]). So the rows a feature was scored on
+//! during discovery are the rows it is trained on after materialization.
 
 use autofeat_data::control::ambient_interrupted;
 use autofeat_data::{DataError, Result, Table};
 use autofeat_graph::JoinPath;
 
 use crate::context::SearchContext;
-use crate::seeding::hop_seed;
 
 /// The column name a hop's left key has inside the intermediate table:
 /// base-table columns keep their names; columns joined in from table `t`
@@ -43,25 +42,12 @@ pub fn materialize_path(
         if let Some(reason) = ambient_interrupted() {
             return Err(DataError::Interrupted(reason));
         }
-        let right = ctx.table(&hop.to_table).ok_or_else(|| {
-            DataError::Invalid(format!("table `{}` not in context", hop.to_table))
-        })?;
-        let left_key = qualified_column(ctx.base_name(), &hop.from_table, &hop.from_column);
         // Joins go through the context's lake-wide index cache, as
         // discovery's do: replaying a path discovery already explored reuses
         // the indexes discovery built. Under a byte budget the cache may
-        // deny or evict an index, but the join holds its own `Arc` for the
-        // duration of the hop — governance changes rebuild frequency, never
-        // results (denied builds are simply handed to this call transiently).
-        let out = ctx.lake_cache().left_join_normalized(
-            &current,
-            right,
-            &left_key,
-            &hop.to_column,
-            &hop.to_table,
-            hop_seed(seed, &path.hops()[..i], hop),
-        )?;
-        current = out.table;
+        // deny an index, but that changes how often one is built, never the
+        // rows a join picks.
+        current = ctx.join_hop(&current, &path.hops()[..i], hop, seed)?.table;
     }
     Ok(current)
 }
@@ -96,28 +82,18 @@ pub(crate) fn materialize_tree(
             if joined_set.contains(&hop.to_table) {
                 continue;
             }
-            let right = ctx.table(&hop.to_table).ok_or_else(|| {
-                DataError::Invalid(format!("table `{}` not in context", hop.to_table))
-            })?;
+            // A branch whose stepping stone was never joined (its path
+            // prefix was pruned elsewhere) is skipped; a missing table is
+            // still `join_hop`'s error.
             let left_key = qualified_column(ctx.base_name(), &hop.from_table, &hop.from_column);
-            if !current.has_column(&left_key) {
-                // The stepping stone was never joined (its path prefix was
-                // pruned elsewhere); skip this branch.
+            if ctx.table(&hop.to_table).is_some() && !current.has_column(&left_key) {
                 break;
             }
             // The seed is the hop's identity *within its own path*, so a
             // table shared by several ranked paths gets the picks of the
             // first (best-ranked) path that joins it — the same picks its
             // discovery-time score was computed on.
-            let out = ctx.lake_cache().left_join_normalized(
-                &current,
-                right,
-                &left_key,
-                &hop.to_column,
-                &hop.to_table,
-                hop_seed(seed, &path.hops()[..i], hop),
-            )?;
-            current = out.table;
+            current = ctx.join_hop(&current, &path.hops()[..i], hop, seed)?.table;
             joined_set.insert(hop.to_table.clone());
             joined.push(hop.to_table.clone());
         }
@@ -128,6 +104,7 @@ pub(crate) fn materialize_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeding::hop_seed;
     use autofeat_data::{Column, Value};
     use autofeat_graph::JoinHop;
 
@@ -316,7 +293,6 @@ mod tests {
         // Pins the discovery/serve contract: materialize_path replays hops
         // with exactly `hop_seed(seed, prefix, hop)` — the seed discovery
         // used when it scored the path.
-        use crate::seeding::hop_seed;
         use autofeat_data::join::left_join_normalized;
         let c = dup_ctx();
         let hops =

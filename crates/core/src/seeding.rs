@@ -6,6 +6,11 @@
 //! RNG stream. The identity of a hop is `(run seed, the path prefix that
 //! led to it, the hop itself)`, hashed with the process-stable FNV hasher.
 //!
+//! The seed is derived in one place, `SearchContext::join_hop`, which every
+//! path join goes through. MAB is the exception: an arm can be pulled
+//! several times against an evolving state, so it mixes its pull count into
+//! [`hop_seed`] and joins through the cache itself.
+//!
 //! This fixes two historical bugs at once:
 //!
 //! 1. **Traversal-order coupling** — with one `StdRng` threaded through the

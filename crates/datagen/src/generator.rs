@@ -186,7 +186,7 @@ pub fn generate(config: &GroundTruthConfig) -> GroundTruth {
 mod tests {
     use super::*;
     use autofeat_data::encode::to_matrix;
-    use autofeat_metrics::relevance::{Relevance, Spearman};
+    use autofeat_metrics::relevance::RelevanceMethod;
 
     fn small() -> GroundTruth {
         generate(&GroundTruthConfig { n_rows: 500, ..Default::default() })
@@ -214,9 +214,8 @@ mod tests {
     fn informative_beats_noise_on_spearman() {
         let gt = small();
         let m = to_matrix(&gt.table, &["inf_0", "noise_0"], "target").unwrap();
-        let s = Spearman;
-        let inf = s.score(&m.cols[0], &m.labels);
-        let noi = s.score(&m.cols[1], &m.labels);
+        let s = RelevanceMethod::Spearman.scores(&m.cols, &m.labels);
+        let (inf, noi) = (s[0], s[1]);
         assert!(inf > 0.3, "informative Spearman {inf}");
         assert!(noi < 0.15, "noise Spearman {noi}");
     }

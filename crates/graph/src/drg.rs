@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use crate::path::JoinHop;
+
 /// Node identifier (index into the DRG's table list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -95,6 +97,21 @@ impl Drg {
     /// All edges.
     pub fn edges(&self) -> &[JoinEdge] {
         &self.edges
+    }
+
+    /// Edge `eid` as a hop out of `from`: from `from`'s table and join
+    /// column to the other endpoint's, with the edge's weight. `None` if
+    /// `from` is not an endpoint of the edge.
+    pub fn hop(&self, from: NodeId, eid: EdgeId) -> Option<JoinHop> {
+        let e = self.edge(eid);
+        let (to, from_col, to_col) = e.oriented_from(from)?;
+        Some(JoinHop {
+            from_table: self.table_name(from).to_string(),
+            from_column: from_col.to_string(),
+            to_table: self.table_name(to).to_string(),
+            to_column: to_col.to_string(),
+            weight: e.weight,
+        })
     }
 
     /// Edge ids incident to a node.
@@ -291,6 +308,22 @@ mod tests {
         assert_eq!(fc, "id");
         assert_eq!(tc, "a_id");
         assert_eq!(e.oriented_from(NodeId(99)), None);
+    }
+
+    #[test]
+    fn hop_orients_an_edge_both_ways() {
+        let g = diamond();
+        let hop = |from: &str, fc: &str, to: &str, tc: &str| JoinHop {
+            from_table: from.into(),
+            from_column: fc.into(),
+            to_table: to.into(),
+            to_column: tc.into(),
+            weight: 0.7,
+        };
+        let (base, a, c) = (g.node("base").unwrap(), g.node("a").unwrap(), g.node("c").unwrap());
+        assert_eq!(g.hop(base, EdgeId(1)), Some(hop("base", "a_alt", "a", "alt")));
+        assert_eq!(g.hop(a, EdgeId(1)), Some(hop("a", "alt", "base", "a_alt")));
+        assert_eq!(g.hop(c, EdgeId(1)), None);
     }
 
     #[test]

@@ -6,19 +6,7 @@ use std::collections::VecDeque;
 use autofeat_obs as obs;
 
 use crate::drg::{Drg, NodeId};
-use crate::path::{JoinHop, JoinPath};
-
-fn hop_from_edge(drg: &Drg, from: NodeId, eid: crate::drg::EdgeId) -> Option<JoinHop> {
-    let e = drg.edge(eid);
-    let (to, from_col, to_col) = e.oriented_from(from)?;
-    Some(JoinHop {
-        from_table: drg.table_name(from).to_string(),
-        from_column: from_col.to_string(),
-        to_table: drg.table_name(to).to_string(),
-        to_column: to_col.to_string(),
-        weight: e.weight,
-    })
-}
+use crate::path::JoinPath;
 
 /// Enumerate all acyclic join paths from `start` with `1 ≤ length ≤
 /// max_length`, breadth-first (shorter paths first). Every distinct
@@ -53,7 +41,7 @@ pub fn enumerate_paths(
                 edge_ids
             };
             for eid in candidates {
-                let hop = hop_from_edge(drg, node, eid).expect("edge incident to node");
+                let hop = drg.hop(node, eid).expect("edge incident to node");
                 let p = path.extended(hop);
                 out.push(p.clone());
                 queue.push_back((next, p));

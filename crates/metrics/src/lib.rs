@@ -10,8 +10,9 @@
 //! * entropy, mutual information, and conditional mutual information over
 //!   discrete codes ([`mod@entropy`], [`mi`]);
 //! * the five **relevance** measures evaluated in §V-C — Information Gain,
-//!   Symmetrical Uncertainty, Pearson, Spearman, and Relief
-//!   ([`relevance`]);
+//!   Symmetrical Uncertainty, Pearson, Spearman, and Relief — as the
+//!   variants of one [`RelevanceMethod`], scored by
+//!   [`RelevanceMethod::scores`] ([`relevance`]);
 //! * the five **redundancy** criteria of §V-D, all instances of the unified
 //!   conditional-likelihood-maximisation framework (Eq. 1/2) — MIFS, MRMR,
 //!   CIFE, JMI, and CMIM ([`redundancy`]);
@@ -34,7 +35,4 @@ pub mod streaming;
 
 pub use discretize::{discretize_equal_frequency, Discretized, MAX_BINS};
 pub use redundancy::{RedundancyMethod, RedundancyScorer};
-pub use relevance::{
-    InformationGain, Pearson, Relevance, RelevanceMethod, Relief, Spearman,
-    SymmetricalUncertainty,
-};
+pub use relevance::RelevanceMethod;

@@ -1,10 +1,11 @@
 //! Relevance measures (§V-C): Information Gain, Symmetrical Uncertainty,
 //! Pearson, Spearman, and Relief.
 //!
-//! Each measure scores features against the class label. Higher is more
-//! relevant. Pearson/Spearman report the **absolute** correlation so that
-//! strongly negative predictors rank as relevant (the paper sorts by
-//! correlation score for the *select-κ-best* heuristic).
+//! Each measure is a [`RelevanceMethod`], and [`RelevanceMethod::scores`]
+//! is the one way to score a batch of features against the class label.
+//! Higher is more relevant. Pearson/Spearman report the **absolute**
+//! correlation so that strongly negative predictors rank as relevant (the
+//! paper sorts by correlation score for the *select-κ-best* heuristic).
 
 use std::borrow::Cow;
 
@@ -59,12 +60,9 @@ impl RelevanceMethod {
 
     /// Score every feature against the labels. `features[j]` is the j-th
     /// feature's values with `NaN` for missing; `labels` are integer class
-    /// codes.
-    /// The label-side work (discretization, label entropy, the numeric cast)
-    /// is identical for every feature, so it is hoisted out of the loop here
-    /// rather than recomputed per column as the single-feature
-    /// [`Relevance::score`] implementations do. Scores are bit-identical to
-    /// calling `score` per feature.
+    /// codes. The label-side work (discretization, label entropy, the
+    /// numeric cast) is identical for every feature, so it is done once per
+    /// call, not per feature.
     pub fn scores(self, features: &[Vec<f64>], labels: &[i64]) -> Vec<f64> {
         self.scores_and_codes(features, labels, None, None).0
     }
@@ -132,7 +130,7 @@ impl RelevanceMethod {
                     })
                     .unzip()
             }
-            RelevanceMethod::Relief => uncoded(Relief::default().scores(features, labels)),
+            RelevanceMethod::Relief => uncoded(relief(features, labels)),
         }
     }
 }
@@ -144,48 +142,9 @@ pub(crate) fn label_ranks(labels: &[i64]) -> Vec<f64> {
     average_ranks(&labels.iter().map(|&l| l as f64).collect::<Vec<f64>>())
 }
 
-/// Per-feature relevance scoring.
-pub trait Relevance {
-    /// Score one feature against the labels; higher = more relevant.
-    fn score(&self, x: &[f64], labels: &[i64]) -> f64;
-}
-
-/// Information gain `I(X;Y)` in bits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InformationGain;
-
 fn label_codes(labels: &[i64]) -> Discretized {
     Discretized::from_codes(labels.iter().map(|&l| Some(l)))
 }
-
-impl Relevance for InformationGain {
-    fn score(&self, x: &[f64], labels: &[i64]) -> f64 {
-        let dx = discretize_equal_frequency(x, DEFAULT_BINS);
-        mutual_information(&dx, &label_codes(labels))
-    }
-}
-
-/// Symmetrical uncertainty: `2·I(X;Y) / (H(X)+H(Y))`, in `[0,1]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SymmetricalUncertainty;
-
-impl Relevance for SymmetricalUncertainty {
-    fn score(&self, x: &[f64], labels: &[i64]) -> f64 {
-        let dx = discretize_equal_frequency(x, DEFAULT_BINS);
-        let dy = label_codes(labels);
-        let hx = entropy(&dx);
-        let hy = entropy(&dy);
-        if hx + hy == 0.0 {
-            return 0.0;
-        }
-        (2.0 * mutual_information(&dx, &dy) / (hx + hy)).clamp(0.0, 1.0)
-    }
-}
-
-/// Absolute Pearson correlation between a feature and the (numeric) label
-/// codes, with pairwise deletion of missing values.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Pearson;
 
 /// Pearson correlation of two numeric slices, skipping rows where either is
 /// non-finite. Returns 0 when degenerate (constant input or < 2 rows).
@@ -231,18 +190,6 @@ pub fn pearson_correlation(x: &[f64], y: &[f64]) -> f64 {
     }
     (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
 }
-
-impl Relevance for Pearson {
-    fn score(&self, x: &[f64], labels: &[i64]) -> f64 {
-        let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-        pearson_correlation(x, &y).abs()
-    }
-}
-
-/// Absolute Spearman rank correlation — Pearson over average ranks. The
-/// paper's recommended relevance measure.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Spearman;
 
 /// Signed Spearman correlation of two numeric slices.
 ///
@@ -331,89 +278,71 @@ thread_local! {
         std::cell::RefCell::new(SpearmanScratch::default());
 }
 
-impl Relevance for Spearman {
-    fn score(&self, x: &[f64], labels: &[i64]) -> f64 {
-        let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-        spearman_correlation(x, &y).abs()
+/// Probe instances Relief weighs features on (deterministic even spacing).
+const RELIEF_PROBES: usize = 50;
+
+/// Relief feature weighting (Kira & Rendell style, simplified): for
+/// [`RELIEF_PROBES`] probe instances, reward features that differ on the
+/// nearest miss and penalize features that differ on the nearest hit.
+/// Operates on all features jointly (nearest neighbours use the full feature
+/// space). Higher = more relevant, can be negative.
+fn relief(features: &[Vec<f64>], labels: &[i64]) -> Vec<f64> {
+    let n_feat = features.len();
+    if n_feat == 0 {
+        return Vec::new();
     }
-}
-
-/// Relief feature weighting (Kira & Rendell style, simplified): for `m`
-/// probe instances, reward features that differ on the nearest miss and
-/// penalize features that differ on the nearest hit. Operates on all
-/// features jointly (nearest neighbours use the full feature space).
-#[derive(Debug, Clone, Copy)]
-pub struct Relief {
-    /// Number of probe instances (deterministic even spacing).
-    pub n_probes: usize,
-}
-
-impl Default for Relief {
-    fn default() -> Self {
-        Relief { n_probes: 50 }
+    let n = labels.len();
+    if n < 2 {
+        return vec![0.0; n_feat];
     }
-}
-
-impl Relief {
-    /// Weight every feature; higher = more relevant, can be negative.
-    pub(crate) fn scores(&self, features: &[Vec<f64>], labels: &[i64]) -> Vec<f64> {
-        let n_feat = features.len();
-        if n_feat == 0 {
-            return Vec::new();
-        }
-        let n = labels.len();
-        if n < 2 {
-            return vec![0.0; n_feat];
-        }
-        // Range-normalize, replacing NaN with the feature midpoint.
-        let mut norm: Vec<Vec<f64>> = Vec::with_capacity(n_feat);
-        for f in features {
-            let present: Vec<f64> = f.iter().copied().filter(|v| v.is_finite()).collect();
-            let (lo, hi) = present.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |acc, &v| {
-                (acc.0.min(v), acc.1.max(v))
-            });
-            let range = if hi > lo { hi - lo } else { 1.0 };
-            norm.push(
-                f.iter()
-                    .map(|&v| if v.is_finite() { (v - lo) / range } else { 0.5 })
-                    .collect(),
-            );
-        }
-        let dist = |a: usize, b: usize| -> f64 {
-            norm.iter().map(|f| (f[a] - f[b]).abs()).sum()
-        };
-        let m = self.n_probes.min(n);
-        let stride = n / m;
-        let mut w = vec![0.0f64; n_feat];
-        let mut probes = 0usize;
-        for p in (0..n).step_by(stride.max(1)).take(m) {
-            let mut best_hit: Option<(usize, f64)> = None;
-            let mut best_miss: Option<(usize, f64)> = None;
-            for other in 0..n {
-                if other == p {
-                    continue;
-                }
-                let d = dist(p, other);
-                let slot = if labels[other] == labels[p] { &mut best_hit } else { &mut best_miss };
-                if slot.is_none() || d < slot.expect("checked").1 {
-                    *slot = Some((other, d));
-                }
-            }
-            let (Some((hit, _)), Some((miss, _))) = (best_hit, best_miss) else {
+    // Range-normalize, replacing NaN with the feature midpoint.
+    let mut norm: Vec<Vec<f64>> = Vec::with_capacity(n_feat);
+    for f in features {
+        let present: Vec<f64> = f.iter().copied().filter(|v| v.is_finite()).collect();
+        let (lo, hi) = present.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |acc, &v| {
+            (acc.0.min(v), acc.1.max(v))
+        });
+        let range = if hi > lo { hi - lo } else { 1.0 };
+        norm.push(
+            f.iter()
+                .map(|&v| if v.is_finite() { (v - lo) / range } else { 0.5 })
+                .collect(),
+        );
+    }
+    let dist = |a: usize, b: usize| -> f64 {
+        norm.iter().map(|f| (f[a] - f[b]).abs()).sum()
+    };
+    let m = RELIEF_PROBES.min(n);
+    let stride = n / m;
+    let mut w = vec![0.0f64; n_feat];
+    let mut probes = 0usize;
+    for p in (0..n).step_by(stride.max(1)).take(m) {
+        let mut best_hit: Option<(usize, f64)> = None;
+        let mut best_miss: Option<(usize, f64)> = None;
+        for other in 0..n {
+            if other == p {
                 continue;
-            };
-            probes += 1;
-            for (j, f) in norm.iter().enumerate() {
-                w[j] += (f[p] - f[miss]).abs() - (f[p] - f[hit]).abs();
+            }
+            let d = dist(p, other);
+            let slot = if labels[other] == labels[p] { &mut best_hit } else { &mut best_miss };
+            if slot.is_none() || d < slot.expect("checked").1 {
+                *slot = Some((other, d));
             }
         }
-        if probes > 0 {
-            for wj in &mut w {
-                *wj /= probes as f64;
-            }
+        let (Some((hit, _)), Some((miss, _))) = (best_hit, best_miss) else {
+            continue;
+        };
+        probes += 1;
+        for (j, f) in norm.iter().enumerate() {
+            w[j] += (f[p] - f[miss]).abs() - (f[p] - f[hit]).abs();
         }
-        w
     }
+    if probes > 0 {
+        for wj in &mut w {
+            *wj /= probes as f64;
+        }
+    }
+    w
 }
 
 #[cfg(test)]
@@ -431,14 +360,14 @@ mod tests {
     fn ig_prefers_informative_feature() {
         let (x, y) = informative_feature(100);
         let noise: Vec<f64> = (0..100).map(|i| ((i * 37 + 11) % 100) as f64).collect();
-        let ig = InformationGain;
-        assert!(ig.score(&x, &y) > ig.score(&noise, &y));
+        let ig = RelevanceMethod::InformationGain.scores(&[x, noise], &y);
+        assert!(ig[0] > ig[1]);
     }
 
     #[test]
     fn su_bounded_and_high_for_perfect_predictor() {
         let (x, y) = informative_feature(100);
-        let s = SymmetricalUncertainty.score(&x, &y);
+        let s = RelevanceMethod::SymmetricalUncertainty.scores(&[x], &y)[0];
         assert!(s > 0.3, "got {s}");
         assert!(s <= 1.0);
     }
@@ -447,7 +376,7 @@ mod tests {
     fn su_zero_for_constant_feature() {
         let y: Vec<i64> = (0..10).map(|i| i % 2).collect();
         let x = vec![1.0; 10];
-        assert_eq!(SymmetricalUncertainty.score(&x, &y), 0.0);
+        assert_eq!(RelevanceMethod::SymmetricalUncertainty.scores(&[x], &y)[0], 0.0);
     }
 
     #[test]
@@ -528,7 +457,7 @@ mod tests {
         let n = 60;
         let (x, y) = informative_feature(n);
         let noise: Vec<f64> = (0..n).map(|i| ((i * 17 + 3) % 7) as f64).collect();
-        let w = Relief::default().scores(&[x, noise], &y);
+        let w = relief(&[x, noise], &y);
         assert!(w[0] > w[1], "relief weights: {w:?}");
         assert!(w[0] > 0.0);
     }
@@ -537,13 +466,13 @@ mod tests {
     fn relief_single_class_yields_zeros() {
         let x = vec![1.0, 2.0, 3.0];
         let y = vec![0, 0, 0];
-        let w = Relief::default().scores(&[x], &y);
+        let w = relief(&[x], &y);
         assert_eq!(w, vec![0.0]);
     }
 
     #[test]
     fn relief_empty_features() {
-        assert!(Relief::default().scores(&[], &[0, 1]).is_empty());
+        assert!(relief(&[], &[0, 1]).is_empty());
     }
 
     #[test]

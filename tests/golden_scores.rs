@@ -4,6 +4,8 @@
 //! captured at commit 6599ac1 — before the scoring kernels moved to dense bin
 //! codes — and pin ranked paths, score bits, per-path features, the selected
 //! set and the prune counters for three relevance/redundancy pairings.
+//! `credit_training_and_baselines_match_golden` was captured at commit
+//! 3f7e4b7 and pins what the baselines and `train_top_k` train on.
 //!
 //! A legitimate change of scores (a new estimator, a different bin rule) must
 //! re-capture them deliberately: on a mismatch the test prints the actual
@@ -151,4 +153,85 @@ fn sparse_ctx_matches_golden() {
             ],
         ],
     );
+}
+
+/// One line per method: per-model accuracy bits, tables joined and feature
+/// count; `train_top_k` adds its best path and per-path accuracy bits.
+fn method_line(r: &MethodResult) -> String {
+    let accs: Vec<String> =
+        r.accuracy_per_model.iter().map(|(m, a)| format!("{m:?}={:016x}", a.to_bits())).collect();
+    format!("{} | {} | tables {} features {}", r.method, accs.join(","), r.n_tables_joined, r.n_features)
+}
+
+fn training_digest(ctx: &SearchContext) -> Vec<String> {
+    let models = [ModelKind::RandomForest];
+    let seed = 5;
+    let mut lines = vec![
+        method_line(&run_arda(ctx, &models, &ArdaConfig { seed }).unwrap()),
+        method_line(&run_mab(ctx, &models, &MabConfig { seed, ..Default::default() }).unwrap()),
+    ];
+    for filter in [false, true] {
+        let cfg = JoinAllConfig { filter, seed, ..Default::default() };
+        lines.push(match run_join_all(ctx, &models, &cfg).unwrap() {
+            Some(r) => method_line(&r),
+            None => format!("JoinAll filter={filter} skipped"),
+        });
+    }
+    let cfg = AutoFeatConfig::paper().with_seed(seed).with_threads(1);
+    let discovery = AutoFeat::new(cfg.clone()).discover(ctx).unwrap();
+    let trained = train_top_k(ctx, &discovery, &models, &cfg).unwrap();
+    lines.push(method_line(&trained.result));
+    lines.push(format!("best | {}", trained.best_path.map_or("none".into(), |p| p.path.to_string())));
+    let per_path: Vec<String> =
+        trained.per_path_accuracy.iter().map(|a| format!("{:016x}", a.to_bits())).collect();
+    lines.push(format!("per path | {}", per_path.join(",")));
+    lines
+}
+
+/// ARDA, MAB, JoinAll, JoinAll+F and `train_top_k` on `credit`, in the KFK
+/// and the lake setting. The baselines and training re-join at full scale
+/// through the same cache as discovery, so these also pin that every
+/// consumer joins a hop the same way, at any cache budget.
+#[test]
+fn credit_training_and_baselines_match_golden() {
+    let spec = autofeat::datagen::registry::dataset("credit").unwrap();
+    let settings: [(&str, SearchContext, &[&str]); 2] = [
+        (
+            "kfk",
+            autofeat::context_from_snowflake(&spec.build_snowflake()).unwrap(),
+            &[
+                "ARDA | RandomForest=3fdf5c28f5c28f5c | tables 2 features 7",
+                "MAB | RandomForest=3feca3d70a3d70a4 | tables 3 features 21",
+                "JoinAll | RandomForest=3fed99999999999a | tables 5 features 31",
+                "JoinAll+F | RandomForest=3fed70a3d70a3d71 | tables 5 features 15",
+                "AutoFeat | RandomForest=3fed47ae147ae148 | tables 5 features 10",
+                "best | base.s0_id -> s0.s0_id -> s3.s3_id",
+                "per path | 3feb333333333333,3fdf0a3d70a3d70a,3fe8a3d70a3d70a4,3fdf0a3d70a3d70a",
+            ][..],
+        ),
+        (
+            "lake",
+            autofeat::context_from_lake(&spec.build_lake(), &SchemaMatcher::paper_default()).unwrap(),
+            &[
+                "ARDA | RandomForest=3fdccccccccccccd | tables 3 features 7",
+                "MAB | RandomForest=3fec51eb851eb852 | tables 3 features 23",
+                "JoinAll | RandomForest=3fec28f5c28f5c29 | tables 5 features 33",
+                "JoinAll+F | RandomForest=3fec28f5c28f5c29 | tables 5 features 15",
+                "AutoFeat | RandomForest=3feccccccccccccd | tables 5 features 13",
+                "best | base.s0_id -> s0.s0_id -> s3.s3_id",
+                "per path | 3feb333333333333,3fe999999999999a,3fe851eb851eb852,3fe2147ae147ae14",
+            ][..],
+        ),
+    ];
+    let mut report = String::new();
+    for (what, ctx, want) in &settings {
+        let actual = training_digest(ctx);
+        if actual.iter().map(String::as_str).ne(want.iter().copied()) {
+            report.push_str(&format!("credit {what}: actual digest:\n"));
+            for l in &actual {
+                report.push_str(&format!("            {l:?},\n"));
+            }
+        }
+    }
+    assert!(report.is_empty(), "digest differs from the golden literal\n{report}");
 }

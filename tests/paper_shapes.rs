@@ -32,7 +32,7 @@ fn shapes(dataset: &str, models: &[ModelKind]) -> Shapes {
     Shapes {
         base: run_base(&ctx, models, seed).expect("BASE runs"),
         autofeat: train_top_k(&ctx, &discovery, models, &cfg).expect("training runs").result,
-        arda: run_arda(&ctx, models, &ArdaConfig { seed, ..Default::default() })
+        arda: run_arda(&ctx, models, &ArdaConfig { seed })
             .expect("ARDA runs"),
         join_all_f: run_join_all(
             &ctx,
