@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use autofeat_bench::{context_from_lake, context_from_snowflake};
+use autofeat_bench::Setting;
 use autofeat_core::{AutoFeat, AutoFeatConfig};
 use autofeat_datagen::registry::dataset;
 
@@ -14,7 +14,7 @@ fn bench_e2e(c: &mut Criterion) {
 
     for name in ["credit", "steel"] {
         let spec = dataset(name).unwrap();
-        let ctx = context_from_snowflake(&spec.build_snowflake());
+        let ctx = Setting::Benchmark.context(&spec);
         group.bench_with_input(BenchmarkId::new("discover_kfk", name), &name, |b, _| {
             b.iter(|| {
                 black_box(
@@ -27,7 +27,7 @@ fn bench_e2e(c: &mut Criterion) {
     }
 
     let spec = dataset("credit").unwrap();
-    let lake_ctx = context_from_lake(&spec.build_lake());
+    let lake_ctx = Setting::Lake.context(&spec);
     group.bench_function("discover_lake_credit", |b| {
         b.iter(|| {
             black_box(

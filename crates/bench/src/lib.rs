@@ -1,40 +1,24 @@
 //! # autofeat-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§V and §VII), plus Criterion micro-benchmarks.
-//!
-//! | target | reproduces |
-//! |---|---|
-//! | `table2_datasets` | Table II (dataset overview) |
-//! | `fig3_selection_methods` | Fig. 3a/3b (relevance & redundancy methods) |
-//! | `fig4_benchmark_setting` | Fig. 4 (benchmark setting, tree models) |
-//! | `fig5_benchmark_nontree` | Fig. 5 (benchmark setting, KNN & LR) |
-//! | `fig6_lake_setting` | Fig. 6 (data-lake setting, tree models) |
-//! | `fig7_lake_nontree` | Fig. 7 (data-lake setting, KNN & LR) |
-//! | `fig8_sensitivity` | Fig. 8 (κ and τ sensitivity) |
-//! | `fig9_ablation` | Fig. 9 (metric ablation) |
-//! | `fig1_summary` | Fig. 1 (accuracy vs. augmentation-time summary) |
-//!
-//! Every binary accepts `--full` to run all eight datasets (default: a
-//! four-dataset quick subset so a full sweep stays laptop-friendly) and
-//! prints machine-grepable rows.
+//! The experiment harness: the `paper` binary regenerates the paper's
+//! evaluation (§V and §VII) — `paper table2` is Table II, `paper figN` is
+//! Fig. N (fig3 and fig8 take a part: `relevance|redundancy`, `kappa|tau`),
+//! and `paper beam` is the beam-pruning ablation beyond the paper. Every
+//! figure but fig3 takes `--full` to run all eight datasets (default: a
+//! four-dataset quick subset so a full sweep stays laptop-friendly), and
+//! each prints machine-grepable rows. This library holds what the figures
+//! share; `benches/` holds the Criterion micro-benchmarks.
 
 use autofeat_core::baselines::{
     run_arda, run_base, run_join_all, run_mab, ArdaConfig, JoinAllConfig, MabConfig,
 };
 use autofeat_core::{train_top_k, AutoFeat, AutoFeatConfig, MethodResult, SearchContext};
 use autofeat_datagen::registry::{table2_datasets, DatasetSpec};
-use autofeat_datagen::{Snowflake, lake::Lake};
 use autofeat_graph::discovery::SchemaMatcher;
 use autofeat_ml::eval::ModelKind;
 
 /// Datasets used when `--full` is not given: the four cheapest of Table II.
 pub const QUICK_SET: [&str; 4] = ["credit", "eyemove", "steel", "school"];
-
-/// Parse CLI args for the shared `--full` flag.
-pub fn wants_full(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--full")
-}
 
 /// The dataset specs for a run.
 pub fn specs(full: bool) -> Vec<DatasetSpec> {
@@ -58,46 +42,13 @@ impl Setting {
     /// The context of one dataset in this setting.
     pub fn context(self, spec: &DatasetSpec) -> SearchContext {
         match self {
-            Setting::Benchmark => context_from_snowflake(&spec.build_snowflake()),
-            Setting::Lake => context_from_lake(&spec.build_lake()),
+            Setting::Benchmark => autofeat::context_from_snowflake(&spec.build_snowflake()),
+            Setting::Lake => {
+                autofeat::context_from_lake(&spec.build_lake(), &SchemaMatcher::paper_default())
+            }
         }
+        .expect("context builds")
     }
-}
-
-/// Build the benchmark-setting context from a snowflake.
-pub fn context_from_snowflake(sf: &Snowflake) -> SearchContext {
-    let tables = sf.all_tables().into_iter().cloned().collect();
-    let kfk: Vec<(String, String, String, String)> = sf
-        .kfk
-        .iter()
-        .map(|e| {
-            (
-                e.parent_table.clone(),
-                e.parent_column.clone(),
-                e.child_table.clone(),
-                e.child_column.clone(),
-            )
-        })
-        .collect();
-    SearchContext::from_kfk(tables, &kfk, sf.base.name().to_string(), sf.label.clone())
-        .expect("snowflake context builds")
-}
-
-/// Build the data-lake-setting context from a corrupted lake.
-pub fn context_from_lake(lake: &Lake) -> SearchContext {
-    SearchContext::from_discovery(
-        lake.tables.clone(),
-        &SchemaMatcher::paper_default(),
-        lake.base_name.clone(),
-        lake.label.clone(),
-    )
-    .expect("lake context builds")
-}
-
-/// The AutoFeat configuration the experiments use (the paper's
-/// hyper-parameters: τ = 0.65, κ = 15, Spearman + MRMR, top-k = 4).
-pub fn bench_config(seed: u64) -> AutoFeatConfig {
-    AutoFeatConfig::paper().with_seed(seed)
 }
 
 /// Run AutoFeat end-to-end and produce its [`MethodResult`].
@@ -106,7 +57,7 @@ pub fn run_autofeat(
     models: &[ModelKind],
     seed: u64,
 ) -> MethodResult {
-    let cfg = bench_config(seed);
+    let cfg = AutoFeatConfig::paper().with_seed(seed);
     let discovery = AutoFeat::new(cfg.clone()).discover(ctx).expect("discovery runs");
     train_top_k(ctx, &discovery, models, &cfg)
         .expect("training runs")
@@ -230,15 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn full_flag_parsing() {
-        assert!(wants_full(&["--full".to_string()]));
-        assert!(!wants_full(&["--quick".to_string()]));
-    }
-
-    #[test]
     fn credit_all_methods_smoke() {
         let spec = autofeat_datagen::registry::dataset("credit").unwrap();
-        let ctx = context_from_snowflake(&spec.build_snowflake());
+        let ctx = Setting::Benchmark.context(&spec);
         let results = run_all_methods(&ctx, &[ModelKind::RandomForest], 1, Setting::Benchmark);
         // BASE, AutoFeat, ARDA, MAB, JoinAll, JoinAll+F all present.
         assert_eq!(results.len(), 6);

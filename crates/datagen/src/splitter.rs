@@ -9,7 +9,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use autofeat_data::{Column, Table};
-use autofeat_graph::{Drg, DrgBuilder};
 
 use crate::generator::GroundTruth;
 
@@ -90,19 +89,6 @@ impl Snowflake {
     /// All tables, base first.
     pub fn all_tables(&self) -> Vec<&Table> {
         std::iter::once(&self.base).chain(self.satellites.iter()).collect()
-    }
-
-    /// Build the benchmark-setting DRG: KFK edges only, weight 1.
-    pub fn build_drg(&self) -> Drg {
-        let mut b = DrgBuilder::new();
-        b.add_table(self.base.name());
-        for t in &self.satellites {
-            b.add_table(t.name());
-        }
-        for e in &self.kfk {
-            b.add_kfk(&e.parent_table, &e.parent_column, &e.child_table, &e.child_column);
-        }
-        b.build()
     }
 
     /// Maximum table depth (the number of hops needed to reach the deepest
@@ -382,15 +368,6 @@ mod tests {
         for e in &sf.kfk {
             assert_eq!(e.parent_column, e.child_column);
         }
-    }
-
-    #[test]
-    fn drg_matches_schema() {
-        let sf = snowflake();
-        let g = sf.build_drg();
-        assert_eq!(g.n_nodes(), 6);
-        assert_eq!(g.n_edges(), 5);
-        assert!(g.node("base").is_some());
     }
 
     #[test]

@@ -133,6 +133,7 @@ mod tests {
         let ctx = context_from_snowflake(&sf).unwrap();
         assert_eq!(ctx.n_tables(), 6);
         assert_eq!(ctx.drg().n_edges(), 5);
+        assert!(ctx.drg().node("base").is_some());
     }
 
     #[test]

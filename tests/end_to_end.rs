@@ -72,7 +72,7 @@ fn benchmark_setting_discovers_deep_features() {
 fn data_lake_setting_runs_and_is_denser() {
     let spec = credit_spec();
     let sf = spec.build_snowflake();
-    let kfk_edges = sf.build_drg().n_edges();
+    let kfk_edges = sf.kfk.len();
     let lake = spec.build_lake();
     let ctx = context_from_lake(&lake, &SchemaMatcher::paper_default()).unwrap();
     assert!(
