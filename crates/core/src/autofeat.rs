@@ -1358,18 +1358,6 @@ mod tests {
         assert!(result.ranked.iter().all(|r| r.path.len() == 1));
     }
 
-    #[test]
-    fn deterministic_per_seed() {
-        let ctx = chain_ctx(120);
-        let a = AutoFeat::paper().discover(&ctx).unwrap();
-        let b = AutoFeat::paper().discover(&ctx).unwrap();
-        assert_eq!(a.ranked.len(), b.ranked.len());
-        for (x, y) in a.ranked.iter().zip(&b.ranked) {
-            assert_eq!(x.path, y.path);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
-    }
-
     /// Assert two discovery results are bit-identical in everything except
     /// the informational `threads_used`/`elapsed` fields.
     fn assert_results_identical(a: &DiscoveryResult, b: &DiscoveryResult) {
@@ -1388,34 +1376,6 @@ mod tests {
         assert_eq!(a.failures.len(), b.failures.len());
         assert_eq!(a.selected_features, b.selected_features);
         assert_eq!(a.resilience, b.resilience);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let ctx = chain_ctx(160);
-        let baseline = AutoFeat::new(AutoFeatConfig::default().with_threads(1))
-            .discover(&ctx)
-            .unwrap();
-        assert_eq!(baseline.threads_used, 1);
-        for threads in [2usize, 4, 8] {
-            let r = AutoFeat::new(AutoFeatConfig::default().with_threads(threads))
-                .discover(&ctx)
-                .unwrap();
-            assert_eq!(r.threads_used, threads);
-            assert_results_identical(&baseline, &r);
-        }
-    }
-
-    #[test]
-    fn cached_and_uncached_discovery_identical() {
-        let ctx = chain_ctx(160);
-        let cached = AutoFeat::new(AutoFeatConfig::default().with_cache(true))
-            .discover(&ctx)
-            .unwrap();
-        let uncached = AutoFeat::new(AutoFeatConfig::default().with_cache(false))
-            .discover(&ctx)
-            .unwrap();
-        assert_results_identical(&cached, &uncached);
     }
 
     #[test]

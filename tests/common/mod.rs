@@ -6,90 +6,48 @@
 
 use autofeat::prelude::*;
 
+fn ints(vals: impl IntoIterator<Item = i64>) -> Column {
+    Column::from_ints(vals.into_iter().map(Some))
+}
+
+fn floats(vals: impl IntoIterator<Item = f64>) -> Column {
+    Column::from_floats(vals.into_iter().map(Some))
+}
+
+/// `base(k, b0, target)` over `n` rows, keys `0..n`, with the given labels.
+fn base_table(n: usize, labels: &[i64]) -> Table {
+    let b0 = floats((0..n).map(|i| ((i * 29) % 23) as f64));
+    Table::new("base", vec![("k", ints(0..n as i64)), ("b0", b0), ("target", ints(labels.iter().copied()))])
+        .unwrap()
+}
+
 /// A snowflake-ish lake with duplicate join keys (so representative picks
 /// matter), a transitive chain, a fan-out of siblings, and an unjoinable
 /// table — enough structure to exercise every pruning branch.
 pub fn lake_ctx(n: usize) -> SearchContext {
-    lake_ctx_permuted(n, 1)
-}
-
-/// [`lake_ctx`] with every satellite's rows reordered by the permutation
-/// `i ↦ (i * stride) mod m` (`stride` must be coprime to every satellite's
-/// row count; any odd stride is, since row counts here are `3n` and `n`
-/// with even `n`). `stride == 1` is the identity layout. Representative
-/// picks are content-addressed, so discovery results must be bit-identical
-/// across strides.
-pub fn lake_ctx_permuted(n: usize, stride: usize) -> SearchContext {
-    let permute = |m: usize| -> Vec<usize> {
-        let p: Vec<usize> = (0..m).map(|i| (i * stride) % m).collect();
-        let mut seen = vec![false; m];
-        for &i in &p {
-            assert!(!seen[i], "stride {stride} is not coprime to {m}");
-            seen[i] = true;
-        }
-        p
-    };
-    let ints = |vals: &[i64], order: &[usize]| {
-        Column::from_ints(order.iter().map(|&i| Some(vals[i])).collect::<Vec<_>>())
-    };
-    let floats = |vals: &[f64], order: &[usize]| {
-        Column::from_floats(order.iter().map(|&i| Some(vals[i])).collect::<Vec<_>>())
-    };
-
     let labels: Vec<i64> = (0..n as i64).map(|i| (i * 7) % 2).collect();
-    let base = Table::new(
-        "base",
-        vec![
-            ("k", Column::from_ints((0..n as i64).map(Some).collect::<Vec<_>>())),
-            (
-                "b0",
-                Column::from_floats((0..n).map(|i| Some(((i * 29) % 23) as f64)).collect::<Vec<_>>()),
-            ),
-            ("target", Column::from_ints(labels.iter().copied().map(Some).collect::<Vec<_>>())),
-        ],
-    )
-    .unwrap();
     // 3 rows per key, feature values differ per duplicate: picks observable.
-    let m3 = n * 3;
-    let p3 = permute(m3);
-    let p1 = permute(n);
-    let dup_keys: Vec<i64> = (0..m3 as i64).map(|i| i / 3).collect();
-    let s1 = Table::new(
+    let m3 = n as i64 * 3;
+    let dup_keys = || ints((0..m3).map(|i| i / 3));
+    let table = |name: &str, cols: Vec<(&str, Column)>| Table::new(name, cols).unwrap();
+    let s1 = table(
         "s1",
         vec![
-            ("k", ints(&dup_keys, &p3)),
-            ("k2", ints(&(0..m3 as i64).map(|i| 500 + i / 3).collect::<Vec<_>>(), &p3)),
-            ("f1", floats(&(0..m3 as i64).map(|i| ((i * 13) % 41) as f64).collect::<Vec<_>>(), &p3)),
+            ("k", dup_keys()),
+            ("k2", ints((0..m3).map(|i| 500 + i / 3))),
+            ("f1", floats((0..m3).map(|i| ((i * 13) % 41) as f64))),
         ],
-    )
-    .unwrap();
-    let s2 = Table::new(
+    );
+    let s2 = table(
         "s2",
-        vec![
-            ("k2", ints(&(0..n as i64).map(|i| 500 + i).collect::<Vec<_>>(), &p1)),
-            ("deep", floats(&labels.iter().map(|&l| l as f64).collect::<Vec<_>>(), &p1)),
-        ],
-    )
-    .unwrap();
-    let sib = Table::new(
-        "sib",
-        vec![
-            ("k", ints(&dup_keys, &p3)),
-            ("g", floats(&(0..m3 as i64).map(|i| ((i * 5) % 17) as f64).collect::<Vec<_>>(), &p3)),
-        ],
-    )
-    .unwrap();
+        vec![("k2", ints((0..n as i64).map(|i| 500 + i))), ("deep", floats(labels.iter().map(|&l| l as f64)))],
+    );
+    let sib = table("sib", vec![("k", dup_keys()), ("g", floats((0..m3).map(|i| ((i * 5) % 17) as f64)))]);
     // Keys never match the base: the unjoinable-pruning branch.
-    let orphan = Table::new(
-        "orphan",
-        vec![
-            ("k", ints(&(9000..9000 + n as i64).collect::<Vec<_>>(), &p1)),
-            ("h", floats(&(0..n).map(|i| i as f64).collect::<Vec<_>>(), &p1)),
-        ],
-    )
-    .unwrap();
+    let orphan =
+        table("orphan", vec![("k", ints(9000..9000 + n as i64)), ("h", floats((0..n).map(|i| i as f64)))]);
     SearchContext::from_kfk(
-        vec![base, s1, s2, sib, orphan],
+        vec![base_table(n, &labels), s1, s2, sib, orphan],
         &[
             ("base".into(), "k".into(), "s1".into(), "k".into()),
             ("s1".into(), "k2".into(), "s2".into(), "k2".into()),
@@ -111,35 +69,14 @@ pub fn lake_ctx_permuted(n: usize, stride: usize) -> SearchContext {
 /// entries the thread schedule admitted first.
 pub fn wide_uniform_ctx(n_sat: usize, n_rows: usize, dup: usize) -> SearchContext {
     let labels: Vec<i64> = (0..n_rows as i64).map(|i| (i * 7) % 2).collect();
-    let base = Table::new(
-        "base",
-        vec![
-            ("k", Column::from_ints((0..n_rows as i64).map(Some).collect::<Vec<_>>())),
-            (
-                "b0",
-                Column::from_floats(
-                    (0..n_rows).map(|i| Some(((i * 29) % 23) as f64)).collect::<Vec<_>>(),
-                ),
-            ),
-            ("target", Column::from_ints(labels.iter().copied().map(Some).collect::<Vec<_>>())),
-        ],
-    )
-    .unwrap();
-    let mut tables = vec![base];
+    let mut tables = vec![base_table(n_rows, &labels)];
     let mut kfk: Vec<(String, String, String, String)> = Vec::new();
     for j in 0..n_sat {
         let name = format!("sat{j:02}");
         let m = n_rows * dup;
-        let keys: Vec<Option<i64>> = (0..m as i64).map(|i| Some(i / dup as i64)).collect();
-        let vals: Vec<Option<f64>> =
-            (0..m).map(|i| Some(((i * (13 + j) + j * 7) % 101) as f64)).collect();
-        tables.push(
-            Table::new(
-                name.clone(),
-                vec![("k", Column::from_ints(keys)), ("f", Column::from_floats(vals))],
-            )
-            .unwrap(),
-        );
+        let keys = ints((0..m as i64).map(|i| i / dup as i64));
+        let vals = floats((0..m).map(|i| ((i * (13 + j) + j * 7) % 101) as f64));
+        tables.push(Table::new(name.clone(), vec![("k", keys), ("f", vals)]).unwrap());
         kfk.push(("base".into(), "k".into(), name, "k".into()));
     }
     SearchContext::from_kfk(tables, &kfk, "base", "target").unwrap()
@@ -155,108 +92,39 @@ pub fn wide_uniform_ctx(n_sat: usize, n_rows: usize, dup: usize) -> SearchContex
 pub fn sparse_ctx(n: usize) -> SearchContext {
     let ni = n as i64;
     let labels: Vec<i64> = (0..ni).map(|i| ((i * 7) % 5 < 2) as i64).collect();
-    let base = Table::new(
-        "base",
-        vec![
-            ("k", Column::from_ints((0..ni).map(Some).collect::<Vec<_>>())),
-            (
-                "b0",
-                Column::from_floats((0..n).map(|i| Some(((i * 29) % 23) as f64)).collect::<Vec<_>>()),
-            ),
-            ("target", Column::from_ints(labels.iter().copied().map(Some).collect::<Vec<_>>())),
-        ],
-    )
-    .unwrap();
+    let base = base_table(n, &labels);
+    let label = |i: i64| labels[i as usize];
+    let over = |keys: &[i64], f: &dyn Fn(i64) -> Option<f64>| Column::from_floats(keys.iter().map(|&i| f(i)));
     let covered: Vec<i64> = (0..ni).filter(|i| i % 5 != 4).collect();
-    let noisy = |i: i64| {
-        let l = labels[i as usize];
-        if i % 11 == 0 { 1 - l } else { l }
-    };
-    let part = Table::new(
+    let noisy = |i: i64| if i % 11 == 0 { 1 - label(i) } else { label(i) };
+    let signal = |i: i64| (i % 13 != 0).then(|| (noisy(i) * 3 + i % 3) as f64);
+    let wide = |i: i64| (i % 17 != 3).then(|| ((i * 37) % 101) as f64 + 40.0 * label(i) as f64);
+    let mut part = Table::new(
         "part",
         vec![
-            ("k", Column::from_ints(covered.iter().map(|&i| Some(i)).collect::<Vec<_>>())),
-            ("k2", Column::from_ints(covered.iter().map(|&i| Some(700 + i)).collect::<Vec<_>>())),
-            (
-                "sig",
-                Column::from_floats(
-                    covered
-                        .iter()
-                        .map(|&i| (i % 13 != 0).then(|| (noisy(i) * 3 + i % 3) as f64))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            (
-                "dup",
-                Column::from_floats(
-                    covered
-                        .iter()
-                        .map(|&i| (i % 13 != 0).then(|| (noisy(i) * 3 + i % 3) as f64 * 2.0))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            (
-                "wide",
-                Column::from_floats(
-                    covered
-                        .iter()
-                        .map(|&i| {
-                            (i % 17 != 3)
-                                .then(|| ((i * 37) % 101) as f64 + 40.0 * labels[i as usize] as f64)
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-            ),
+            ("k", ints(covered.iter().copied())),
+            ("k2", ints(covered.iter().map(|&i| 700 + i))),
+            ("sig", over(&covered, &signal)),
+            ("dup", over(&covered, &|i| signal(i).map(|s| s * 2.0))),
+            ("wide", over(&covered, &wide)),
         ],
     )
     .unwrap();
     // Six differently-noised views of the label: the running selected set
     // grows past any small batch width under every criterion.
-    let mut part = part;
     for (v, p) in [3i64, 4, 6, 7, 9, 10].into_iter().enumerate() {
-        let col = Column::from_floats(
-            covered
-                .iter()
-                .map(|&i| {
-                    let l = labels[i as usize];
-                    let seen = if (i + v as i64) % p == 0 { 1 - l } else { l };
-                    Some((seen * 4 + (i * (v as i64 + 2)) % 4) as f64)
-                })
-                .collect::<Vec<_>>(),
-        );
-        part = part.with_column(format!("v{v}"), col).unwrap();
+        let view = |i: i64| {
+            let seen = if (i + v as i64) % p == 0 { 1 - label(i) } else { label(i) };
+            Some((seen * 4 + (i * (v as i64 + 2)) % 4) as f64)
+        };
+        part = part.with_column(format!("v{v}"), over(&covered, &view)).unwrap();
     }
     let deep_keys: Vec<i64> = covered.iter().copied().filter(|i| i % 8 != 1).collect();
-    let deep = Table::new(
-        "deep",
-        vec![
-            ("k2", Column::from_ints(deep_keys.iter().map(|&i| Some(700 + i)).collect::<Vec<_>>())),
-            (
-                "d",
-                Column::from_floats(
-                    deep_keys
-                        .iter()
-                        .map(|&i| Some(((i * 3) % 7) as f64 - 2.0 * labels[i as usize] as f64))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-        ],
-    )
-    .unwrap();
+    let d = over(&deep_keys, &|i| Some(((i * 3) % 7) as f64 - 2.0 * label(i) as f64));
+    let deep = Table::new("deep", vec![("k2", ints(deep_keys.iter().map(|&i| 700 + i))), ("d", d)]).unwrap();
     let thin_keys: Vec<i64> = (0..ni).filter(|i| i % 5 < 2).collect();
-    let thin = Table::new(
-        "thin",
-        vec![
-            ("k", Column::from_ints(thin_keys.iter().map(|&i| Some(i)).collect::<Vec<_>>())),
-            (
-                "t",
-                Column::from_floats(
-                    thin_keys.iter().map(|&i| Some(labels[i as usize] as f64)).collect::<Vec<_>>(),
-                ),
-            ),
-        ],
-    )
-    .unwrap();
+    let t = over(&thin_keys, &|i| Some(label(i) as f64));
+    let thin = Table::new("thin", vec![("k", ints(thin_keys.iter().copied())), ("t", t)]).unwrap();
     SearchContext::from_kfk(
         vec![base, part, deep, thin],
         &[
@@ -270,8 +138,8 @@ pub fn sparse_ctx(n: usize) -> SearchContext {
     .unwrap()
 }
 
-/// Everything except the informational `threads_used`/`elapsed`/`cache`
-/// fields must match to the bit.
+/// Everything except the informational `threads_used`/`elapsed`/`cache`/
+/// `trace` fields must match to the bit.
 pub fn assert_bit_identical(a: &DiscoveryResult, b: &DiscoveryResult, what: &str) {
     assert_eq!(a.ranked.len(), b.ranked.len(), "{what}: ranked length");
     for (x, y) in a.ranked.iter().zip(&b.ranked) {
@@ -292,11 +160,90 @@ pub fn assert_bit_identical(a: &DiscoveryResult, b: &DiscoveryResult, what: &str
     assert_eq!(a.truncated, b.truncated, "{what}");
     assert_eq!(a.truncation, b.truncation, "{what}");
     assert_eq!(a.failures.len(), b.failures.len(), "{what}");
+    for (x, y) in a.failures.iter().zip(&b.failures) {
+        assert_eq!((&x.path, &x.hop, &x.error), (&y.path, &y.hop, &y.error), "{what}: failure");
+    }
     assert_eq!(a.selected_features, b.selected_features, "{what}");
+    assert_eq!(a.resilience, b.resilience, "{what}: resilience");
+}
+
+/// A row layout a fixture applies to its tables: a bijection on the rows
+/// at any row count. Representative picks are content-addressed, so
+/// discovery must not see which one a lake is stored in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    Identity,
+    Reversed,
+    /// Row `i` holds what row `(i + n / 3) mod n` held.
+    Rotated,
+}
+
+impl Layout {
+    /// The source row of each row, at `n` rows.
+    fn order(self, n: usize) -> Vec<usize> {
+        match self {
+            Layout::Identity => (0..n).collect(),
+            Layout::Reversed => (0..n).rev().collect(),
+            Layout::Rotated => (0..n).map(|i| (i + n / 3) % n).collect(),
+        }
+    }
+
+    /// A fresh context over `ctx`'s tables and DRG, every non-base table's
+    /// rows in this layout: new tables (no key metadata built yet) and a new
+    /// join-index cache.
+    pub fn apply(self, ctx: &SearchContext) -> SearchContext {
+        let tables = ctx.table_names().into_iter().map(|name| {
+            let t = ctx.table(name).unwrap();
+            let layout = if name == ctx.base_name() { Layout::Identity } else { self };
+            t.take(&layout.order(t.n_rows()))
+        });
+        SearchContext::new(tables.collect(), ctx.drg().clone(), ctx.base_name(), ctx.label())
+            .unwrap()
+    }
+}
+
+/// base — `a_wide` (twenty candidate columns, three rows a key) — `deep`,
+/// and base — six one-column satellites. `a_wide` is the first candidate of
+/// level 1 and by far the slowest to evaluate, so at several workers every
+/// other hop's outcome is there before the one the merge needs first.
+pub fn lopsided_ctx(n: usize) -> SearchContext {
+    let label = |i: usize| ((i * 7) % 2) as f64;
+    let labels: Vec<i64> = (0..n).map(|i| label(i) as i64).collect();
+    let m3 = n * 3;
+    let mut wide_cols = vec![
+        ("k".to_string(), ints((0..m3).map(|i| (i / 3) as i64))),
+        ("k2".to_string(), ints((0..m3).map(|i| 500 + (i / 3) as i64))),
+    ];
+    for j in 0..20usize {
+        let noisy = move |i: usize| label(i / 3) * (j % 4) as f64 + ((i * (11 + j)) % (17 + j)) as f64;
+        wide_cols.push((format!("w{j:02}"), floats((0..m3).map(noisy))));
+    }
+    let deep = vec![
+        ("k2", ints((0..n).map(|i| 500 + i as i64))),
+        ("d", floats((0..n).map(|i| label(i) + (i % 5) as f64 * 0.1))),
+    ];
+    let mut tables = vec![
+        base_table(n, &labels),
+        Table::new("a_wide", wide_cols).unwrap(),
+        Table::new("deep", deep).unwrap(),
+    ];
+    let mut kfk: Vec<(String, String, String, String)> = vec![
+        ("base".into(), "k".into(), "a_wide".into(), "k".into()),
+        ("a_wide".into(), "k2".into(), "deep".into(), "k2".into()),
+    ];
+    for j in 0..6usize {
+        let name = format!("sat{j}");
+        let feature = move |i: usize| label(i) * j as f64 + ((i * (5 + j)) % 13) as f64;
+        let cols = vec![("k", ints(0..n as i64)), ("s", floats((0..n).map(feature)))];
+        tables.push(Table::new(name.clone(), cols).unwrap());
+        kfk.push(("base".into(), "k".into(), name, "k".into()));
+    }
+    SearchContext::from_kfk(tables, &kfk, "base", "target").unwrap()
 }
 
 pub mod binning_oracle;
 pub mod column_model;
+pub mod sweep;
 pub mod tree_oracle;
 
 /// An independent reference for the normalized left join: row at a time,

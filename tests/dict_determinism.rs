@@ -1,28 +1,21 @@
 //! The dictionary-encoded key domain is layout-blind: code assignment is a
-//! pure function of column *content*, and what discovery produces over the
-//! coded indexes is bit-identical across physical row permutations,
-//! worker-thread counts, and cached vs. uncached execution. (That the joins
-//! themselves are right is `tests/join_oracle.rs`' business, against a
-//! reference that shares no code with them; the by-value dictionary's joins
-//! are held to the same reference here.)
+//! pure function of column *content*, and the by-value layout follows its
+//! density rule. (That the joins themselves are right is
+//! `tests/join_oracle.rs`' business, against a reference that shares no code
+//! with them; the by-value dictionary's joins are held to the same reference
+//! here. That discovery over the coded indexes does not move with the row
+//! layout, the workers or the cache is the equivalence sweep's business:
+//! two tests here run the lake at its solo points that vary them, and
+//! `tests/equivalence.rs` every fixture at every point.)
 
 use autofeat::data::join::{left_join_with_index, JoinIndex};
 use autofeat::data::Key;
 use autofeat::prelude::*;
 
 mod common;
-use common::{assert_bit_identical, join_oracle, lake_ctx_permuted};
-
-fn discover(ctx: &SearchContext, seed: u64, threads: usize, cache: bool) -> DiscoveryResult {
-    AutoFeat::new(
-        AutoFeatConfig::default()
-            .with_seed(seed)
-            .with_threads(threads)
-            .with_cache(cache),
-    )
-    .discover(ctx)
-    .unwrap()
-}
+use common::join_oracle;
+use common::sweep::{lake, sweep};
+use common::Layout;
 
 #[test]
 fn dict_codes_are_permutation_stable() {
@@ -52,41 +45,17 @@ fn dict_codes_are_permutation_stable() {
     }
 }
 
+/// The untraced solo points: every worker count with every cache setting.
 #[test]
 fn threads_and_cache_do_not_change_coded_results() {
-    // Strides are odd ⇒ coprime to the satellite row counts: distinct
-    // physical layouts of the same logical lake. The one-thread uncached
-    // run of each context is its reference.
-    for stride in [1usize, 7, 113] {
-        let ctx = lake_ctx_permuted(120, stride);
-        for seed in [7u64, 42] {
-            let reference = discover(&ctx, seed, 1, false);
-            assert!(
-                !reference.ranked.is_empty(),
-                "stride {stride}, seed {seed}: search must rank paths for the \
-                 comparison to mean anything"
-            );
-            for (threads, cache) in [(1usize, true), (4, false), (4, true)] {
-                let other = discover(&ctx, seed, threads, cache);
-                assert_bit_identical(
-                    &reference,
-                    &other,
-                    &format!("stride {stride}, seed {seed}, {threads} thread(s), cache={cache}"),
-                );
-            }
-        }
-    }
+    sweep(&lake(), |p| !p.traced && !p.served);
 }
 
+/// Same logical lake, other physical row orders: representative picks are
+/// content-addressed, so nothing may move.
 #[test]
 fn coded_results_are_layout_independent() {
-    // Same logical lake, different physical row orders: representative
-    // picks are content-addressed, so nothing may move.
-    let reference = discover(&lake_ctx_permuted(120, 1), 42, 2, true);
-    for stride in [7usize, 113] {
-        let permuted = discover(&lake_ctx_permuted(120, stride), 42, 2, true);
-        assert_bit_identical(&reference, &permuted, &format!("stride {stride}, coded"));
-    }
+    sweep(&lake(), |p| p.layout != Layout::Identity && !p.served);
 }
 
 /// A key column's keys by row: the `keys` cycled over `rows` rows, and a

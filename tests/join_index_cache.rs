@@ -1,77 +1,38 @@
-//! The tentpole guarantee of the lake-wide join-index cache: discovery with
-//! the cache on is **bit-identical** to discovery with it off — across
-//! seeds, worker-thread counts, right-table row permutations, and **byte
-//! budgets** (memory governance changes what the cache retains, never what
-//! any join produces) — and a repeat run through the same `(table, join
-//! column)` entries actually hits the cache instead of rebuilding.
+//! What the lake-wide join-index cache keeps and counts: a repeat run
+//! through the same `(table, join column)` entries hits instead of
+//! rebuilding, a byte budget bounds peak residency and evicts
+//! deterministically, and racing or uncached joins count what they did.
+//! That no cache setting moves a result is the equivalence sweep's business
+//! (`common::sweep`); the first three tests run the lake at its points that
+//! vary the cache, and `tests/equivalence.rs` every fixture at every point.
 
 use autofeat::prelude::*;
 
 mod common;
-use common::{assert_bit_identical, lake_ctx, lake_ctx_permuted, wide_uniform_ctx};
-
-fn discover(ctx: &SearchContext, seed: u64, threads: usize, cache: bool) -> DiscoveryResult {
-    AutoFeat::new(
-        AutoFeatConfig::default()
-            .with_seed(seed)
-            .with_threads(threads)
-            .with_cache(cache),
-    )
-    .discover(ctx)
-    .unwrap()
-}
-
-fn discover_budgeted(
-    ctx: &SearchContext,
-    seed: u64,
-    threads: usize,
-    budget: u64,
-) -> DiscoveryResult {
-    AutoFeat::new(
-        AutoFeatConfig::default()
-            .with_seed(seed)
-            .with_threads(threads)
-            .with_cache_budget_bytes(budget),
-    )
-    .discover(ctx)
-    .unwrap()
-}
+use common::sweep::{lake, sweep, Cache};
+use common::{assert_bit_identical, lake_ctx, wide_uniform_ctx, Layout};
 
 #[test]
 fn cached_discovery_is_bit_identical_across_seeds_threads_and_permutations() {
-    // Strides are odd ⇒ coprime to the satellite row counts (3n and n,
-    // n = 120): three distinct physical layouts of the same logical lake.
-    for stride in [1usize, 7, 113] {
-        let ctx = lake_ctx_permuted(120, stride);
-        for seed in [7u64, 42, 1234] {
-            let reference = discover(&ctx, seed, 1, false);
-            assert!(
-                !reference.ranked.is_empty(),
-                "stride {stride}, seed {seed}: search must rank paths for the \
-                 comparison to mean anything"
-            );
-            for threads in [1usize, 2, 4] {
-                let cached = discover(&ctx, seed, threads, true);
-                assert_bit_identical(
-                    &reference,
-                    &cached,
-                    &format!("stride {stride}, seed {seed}, {threads} thread(s), cached"),
-                );
-            }
-        }
-    }
+    sweep(&lake(), |p| p.cache == Cache::Unbounded);
 }
 
 #[test]
 fn row_permutations_do_not_change_cached_results() {
-    // Representative picks are content-addressed and the cache memoizes
-    // per-(table, column) indexes — neither may couple results to the
-    // physical row order of the satellites.
-    let reference = discover(&lake_ctx(120), 42, 2, true);
-    for stride in [7usize, 113] {
-        let permuted = discover(&lake_ctx_permuted(120, stride), 42, 2, true);
-        assert_bit_identical(&reference, &permuted, &format!("stride {stride}"));
-    }
+    sweep(&lake(), |p| p.layout != Layout::Identity && p.cache != Cache::Off);
+}
+
+/// A budget below the working set (half of it, or 0) denies and evicts in
+/// every run; results must still match the reference bit for bit.
+#[test]
+fn budgeted_discovery_is_bit_identical_across_seeds_threads_and_permutations() {
+    sweep(&lake(), |p| matches!(p.cache, Cache::Half | Cache::Zero));
+}
+
+/// A seed-42 cached run at `threads` workers, applying `budget` if given.
+fn discover(ctx: &SearchContext, threads: usize, budget: Option<u64>) -> DiscoveryResult {
+    let cfg = AutoFeatConfig { cache_budget_bytes: budget, ..AutoFeatConfig::default() };
+    AutoFeat::new(cfg.with_seed(42).with_threads(threads)).discover(ctx).unwrap()
 }
 
 #[test]
@@ -96,63 +57,23 @@ fn second_run_hits_cache_without_rebuilding() {
 
 /// The working-set footprint of a lake: resident bytes after one unbounded
 /// cached run on a fresh clone of the context.
-fn working_set_bytes(ctx: &SearchContext, seed: u64) -> u64 {
-    let r = discover(ctx, seed, 1, true);
+fn working_set_bytes(ctx: &SearchContext) -> u64 {
+    let r = discover(ctx, 1, None);
     let stats = r.cache;
     assert!(stats.resident_bytes > 0, "unbounded run must retain indexes");
     stats.resident_bytes
 }
 
 #[test]
-fn budgeted_discovery_is_bit_identical_across_seeds_threads_and_permutations() {
-    // A budget below the working set forces real governance decisions
-    // (denials, partial retention) in every run; results must still match
-    // the uncached reference bit-for-bit. Note each discover() call gets a
-    // fresh context: budgets govern retention *within* a shared cache, and
-    // a fresh cache makes every run face the same governance pressure.
-    let full = working_set_bytes(&lake_ctx(120), 42);
-    for budget in [full / 2, 0] {
-        for stride in [1usize, 7] {
-            for seed in [7u64, 42] {
-                let reference = discover(&lake_ctx_permuted(120, stride), seed, 1, false);
-                assert!(!reference.ranked.is_empty(), "discovery must rank paths");
-                for threads in [1usize, 4] {
-                    let budgeted = discover_budgeted(
-                        &lake_ctx_permuted(120, stride),
-                        seed,
-                        threads,
-                        budget,
-                    );
-                    assert_bit_identical(
-                        &reference,
-                        &budgeted,
-                        &format!(
-                            "budget {budget}, stride {stride}, seed {seed}, \
-                             {threads} thread(s)"
-                        ),
-                    );
-                    let unbounded = discover(&lake_ctx_permuted(120, stride), seed, threads, true);
-                    assert_bit_identical(
-                        &unbounded,
-                        &budgeted,
-                        &format!("unbounded vs budget {budget}, stride {stride}, seed {seed}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn budgeted_peak_resident_never_exceeds_budget() {
-    let full = working_set_bytes(&lake_ctx(120), 42);
+    let full = working_set_bytes(&lake_ctx(120));
     for budget in [full / 4, full / 2, 3 * full / 4] {
         for threads in [1usize, 4] {
             let ctx = lake_ctx(120);
             // Two runs: the first faces a cold cache, the second re-applies
             // the budget to a populated one — the peak must hold in both.
             for run in 0..2 {
-                let r = discover_budgeted(&ctx, 42, threads, budget);
+                let r = discover(&ctx, threads, Some(budget));
                 let stats = r.cache;
                 assert_eq!(stats.budget_bytes, Some(budget));
                 assert!(
@@ -177,12 +98,12 @@ fn budget_application_evicts_deterministically_across_thread_counts() {
     for threads in [1usize, 4] {
         let ctx = wide_uniform_ctx(10, 60, 3);
         // Unbounded run fills the cache with every satellite's index.
-        let full = discover(&ctx, 42, threads, true);
+        let full = discover(&ctx, threads, None);
         let full_stats = full.cache;
         // Budgeted run on the now-populated cache: applying the budget
         // evicts coldest-first down to it, then the run serves survivors.
         let budget = full_stats.resident_bytes / 2;
-        let budgeted = discover_budgeted(&ctx, 42, threads, budget);
+        let budgeted = discover(&ctx, threads, Some(budget));
         let stats = budgeted.cache;
         assert!(stats.evictions > 0, "{threads} thread(s): shrink must evict");
         assert!(stats.peak_resident_bytes <= budget);
@@ -251,8 +172,8 @@ fn racing_joins_of_a_denied_table_each_count_a_miss() {
 #[test]
 fn uncached_run_leaves_the_shared_cache_untouched() {
     let ctx = lake_ctx(120);
-    let budget = working_set_bytes(&lake_ctx(120), 42) / 2;
-    let cached = discover_budgeted(&ctx, 42, 2, budget);
+    let budget = working_set_bytes(&lake_ctx(120)) / 2;
+    let cached = discover(&ctx, 2, Some(budget));
     let before = ctx.lake_cache().stats();
     assert_eq!(before.budget_bytes, Some(budget));
     assert!(before.resident_bytes > 0, "the shared cache is warm");
@@ -278,7 +199,7 @@ fn a_budget_set_on_the_cache_survives_runs_without_one() {
     let budget = 1_234_567;
     ctx.lake_cache().set_budget(Some(budget));
     for threads in [1usize, 2] {
-        let r = discover(&ctx, 42, threads, true);
+        let r = discover(&ctx, threads, None);
         assert_eq!(r.cache.budget_bytes, Some(budget), "{threads} thread(s)");
         assert_eq!(ctx.lake_cache().stats().budget_bytes, Some(budget));
     }

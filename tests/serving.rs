@@ -1,10 +1,11 @@
 //! Concurrent serving: many client threads against one [`DiscoveryService`].
 //!
-//! The serving contract (DESIGN.md §3i): a request's result is bit-identical
-//! whether served solo or interleaved with any mix of other requests, the
-//! per-request governance counters sum exactly to the shared cache's global
-//! counters, request-scoped traces never absorb a sibling's increments, and
-//! fault domains isolate services that happen to share table names.
+//! The serving contract (DESIGN.md §3i): the per-request governance
+//! counters sum exactly to the shared cache's global counters,
+//! request-scoped traces never absorb a sibling's increments, fault domains
+//! isolate services that happen to share table names, and shutdown under
+//! load degrades gracefully, and a request served among others is
+//! bit-identical to the equivalence sweep's reference (`common::sweep`).
 
 mod common;
 
@@ -14,6 +15,7 @@ use std::time::Duration;
 use autofeat::data::faults::TableFaults;
 use autofeat::prelude::*;
 
+use common::sweep::{lake, sweep};
 use common::{assert_bit_identical, lake_ctx};
 
 /// The mixed request workload: configurations that change the search
@@ -35,37 +37,12 @@ fn request(cfg: &AutoFeatConfig) -> DiscoveryRequest {
     DiscoveryRequest::new().with_config(cfg.clone())
 }
 
-/// N client threads replaying the mixed workload concurrently must produce,
-/// request for request, results bit-identical to the same specs served solo
-/// — on the same service, so the solo runs also warm the shared cache and
-/// the concurrent runs hit it (identity must hold warm or cold).
+/// The sweep's served points: four client threads submit every (seed,
+/// config) to one service for three rounds, so the shared cache is cold in
+/// the first round and warm after; every result must equal the reference.
 #[test]
 fn concurrent_mixed_requests_are_bit_identical_to_solo() {
-    let service = DiscoveryService::new(lake_ctx(24), AutoFeatConfig::default());
-    let specs = mixed_specs();
-    let solo: Vec<DiscoveryResult> =
-        specs.iter().map(|(_, cfg)| service.submit(&request(cfg)).unwrap()).collect();
-
-    const CLIENTS: usize = 8;
-    const ROUNDS: usize = 3;
-    thread::scope(|s| {
-        for t in 0..CLIENTS {
-            let (service, specs, solo) = (&service, &specs, &solo);
-            s.spawn(move || {
-                for r in 0..ROUNDS {
-                    let i = (t + r) % specs.len();
-                    let got = service.submit(&request(&specs[i].1)).unwrap();
-                    assert_bit_identical(&solo[i], &got, specs[i].0);
-                }
-            });
-        }
-    });
-    assert_eq!(
-        service.stats().requests_served,
-        (specs.len() + CLIENTS * ROUNDS) as u64,
-        "every submit completed and was counted"
-    );
-    assert_eq!(service.stats().in_flight, 0);
+    sweep(&lake(), |p| p.served);
 }
 
 /// Per-request cache counters are attributed, not snapshotted: across any
@@ -112,6 +89,12 @@ fn per_request_cache_counters_sum_to_shared_cache_totals() {
     );
     assert!(global.hits > 0, "a warm shared cache must serve hits");
     assert!(global.misses > 0, "the cold start must register misses");
+    assert_eq!(
+        service.stats().requests_served,
+        (CLIENTS * ROUNDS) as u64,
+        "every submit completed and was counted"
+    );
+    assert_eq!(service.stats().in_flight, 0);
     // Occupancy is a property of the shared cache, reported as-is.
     for c in &per_request {
         assert_eq!(c.entries, global.entries, "occupancy is global, not attributed");

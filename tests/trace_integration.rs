@@ -1,8 +1,10 @@
-//! End-to-end acceptance tests for structured run tracing: tracing never
-//! perturbs results, counter totals are invariant across worker thread
-//! counts, trace counters agree with the health report, phase self-times
-//! telescope to the run's wall clock, and the JSON layout matches the
-//! checked-in `trace.schema.json`.
+//! End-to-end acceptance tests for structured run tracing: the level's
+//! stages are spans, trace counters agree with the result and the health
+//! report, phase self-times telescope to the run's wall clock, and the JSON
+//! layout matches the checked-in `trace.schema.json`, and, at the
+//! equivalence sweep's traced points (`common::sweep`), tracing never
+//! perturbs a result and a trace's shape does not move with the worker
+//! count.
 
 mod common;
 
@@ -11,7 +13,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use autofeat::prelude::*;
-use common::{assert_bit_identical, lake_ctx, wide_uniform_ctx};
+use common::sweep::{lake, sweep};
+use common::{assert_bit_identical, lake_ctx, lopsided_ctx, wide_uniform_ctx};
 
 /// Tracing resolution reads process-global environment variables
 /// (`AUTOFEAT_TRACE`, `AUTOFEAT_THREADS`), so every test in this binary
@@ -42,33 +45,39 @@ fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("autofeat_trace_{}_{tag}.json", std::process::id()))
 }
 
+/// Each traced point's result equals the untraced reference, and carries a
+/// trace only because it asked for one.
 #[test]
 fn traced_and_untraced_runs_are_bit_identical() {
     let _g = lock();
-    let untraced = discover(2, false);
-    let traced = discover(2, true);
-    assert!(untraced.trace.is_none(), "tracing must be opt-in");
-    assert!(traced.trace.is_some(), "with_trace(true) attaches a RunTrace");
-    assert_bit_identical(&untraced, &traced, "traced vs untraced");
+    sweep(&lake(), |p| p.traced);
 }
 
+/// At each traced solo point of several workers, span paths, counter
+/// totals, the event log and distribution counts equal one worker's.
 #[test]
 fn counter_totals_invariant_across_thread_counts() {
     let _g = lock();
-    let r1 = discover(1, true);
-    let r4 = discover(4, true);
-    assert_eq!(r1.threads_used, 1);
-    assert_eq!(r4.threads_used, 4);
-    assert_bit_identical(&r1, &r4, "1 vs 4 worker threads");
-    let (t1, t4) = (r1.trace.unwrap(), r4.trace.unwrap());
-    assert_eq!(
-        t1.counters, t4.counters,
-        "every counter total must be thread-count invariant"
-    );
-    assert_eq!(
-        t1.events, t4.events,
-        "events come from sequential sections only, so the log is identical"
-    );
+    sweep(&lake(), |p| p.traced && !p.served && p.workers != 1);
+}
+
+/// The level's fan-out merges hop `i` while later hops are still being
+/// evaluated; each stage is a span, and the merge's wait for the next hop is
+/// a distribution with one reading a level — zero at one worker, which
+/// never waits. (That the trace's shape does not move with the worker count
+/// is `tests/equivalence.rs`' business.)
+#[test]
+fn level_stages_are_spans_and_one_worker_never_waits_to_merge() {
+    let _g = lock();
+    let cfg = AutoFeatConfig::default().with_seed(11).with_threads(1).with_trace(true);
+    let r = AutoFeat::new(cfg).discover(&lopsided_ctx(240)).unwrap();
+    let trace = r.trace.as_ref().expect("traced");
+    for stage in ["eval.join", "eval.relevance", "merge.redundancy"] {
+        let path = format!("discover.level.{stage}");
+        assert!(trace.phase(&path).is_some(), "{path} missing");
+    }
+    let (_, waited) = trace.dists.iter().find(|(n, _)| n == "discover.merge_wait_secs").unwrap();
+    assert_eq!((waited.count, waited.sum_secs), (3, 0.0), "one reading a level, none waited");
 }
 
 #[test]
