@@ -9,9 +9,7 @@
 //! each prints machine-grepable rows. This library holds what the figures
 //! share; `benches/` holds the Criterion micro-benchmarks.
 
-use autofeat_core::baselines::{
-    run_arda, run_base, run_join_all, run_mab, ArdaConfig, JoinAllConfig, MabConfig,
-};
+use autofeat_core::baselines::{run_arda, run_base, run_join_all, run_mab};
 use autofeat_core::{train_top_k, AutoFeat, AutoFeatConfig, MethodResult, SearchContext};
 use autofeat_datagen::registry::{table2_datasets, DatasetSpec};
 use autofeat_graph::discovery::SchemaMatcher;
@@ -77,23 +75,14 @@ pub fn run_all_methods(
     let mut out = vec![
         run_base(ctx, models, seed).expect("BASE runs"),
         run_autofeat(ctx, models, seed),
-        run_arda(ctx, models, &ArdaConfig { seed }).expect("ARDA runs"),
-        run_mab(ctx, models, &MabConfig { seed, ..Default::default() }).expect("MAB runs"),
+        run_arda(ctx, models, seed).expect("ARDA runs"),
+        run_mab(ctx, models, seed).expect("MAB runs"),
     ];
     if setting == Setting::Benchmark {
-        if let Some(r) = run_join_all(ctx, models, &JoinAllConfig { seed, ..Default::default() })
-            .expect("JoinAll runs")
-        {
-            out.push(r);
-        }
-        if let Some(r) = run_join_all(
-            ctx,
-            models,
-            &JoinAllConfig { filter: true, seed, ..Default::default() },
-        )
-        .expect("JoinAll+F runs")
-        {
-            out.push(r);
+        for filter in [false, true] {
+            if let Some(r) = run_join_all(ctx, models, filter, seed).expect("JoinAll runs") {
+                out.push(r);
+            }
         }
     }
     out

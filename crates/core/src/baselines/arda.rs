@@ -18,10 +18,11 @@ use rand::{RngExt, SeedableRng};
 
 use autofeat_data::encode::to_matrix;
 use autofeat_data::sample::train_test_split;
-use autofeat_data::{Result, Table};
+use autofeat_data::Result;
 use autofeat_ml::eval::{accuracy, Classifier, ModelKind};
 use autofeat_ml::forest::RandomForest;
 
+use super::bfs_join;
 use crate::context::SearchContext;
 use crate::report::MethodResult;
 use crate::train::evaluate_feature_set;
@@ -38,19 +39,6 @@ const THRESHOLDS: [f64; 3] = [0.25, 0.5, 0.75];
 /// win a trial.
 const PROBE_QUANTILE: f64 = 0.75;
 
-/// ARDA configuration: the seed. The RIFS settings are the constants above.
-#[derive(Debug, Clone)]
-pub struct ArdaConfig {
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for ArdaConfig {
-    fn default() -> Self {
-        ArdaConfig { seed: 17 }
-    }
-}
-
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -59,59 +47,15 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[pos]
 }
 
-/// Join every direct neighbour of the base table (ARDA's star join),
-/// using the highest-similarity edge per neighbour. Returns the augmented
-/// table and the number of tables joined. Each join's representative picks
-/// derive from its endpoints' identity, so they are independent of the
-/// order neighbours are visited in.
-fn star_join(ctx: &SearchContext, seed: u64) -> Result<(Table, usize)> {
-    let drg = ctx.drg();
-    let mut table = ctx.base_table().clone();
-    let mut n_joined = 0usize;
-    let Some(base_node) = drg.node(ctx.base_name()) else {
-        return Ok((table, 0));
-    };
-    for (nbr, edge_ids) in drg.neighbours(base_node) {
-        if ctx.control().interrupted().is_some() {
-            break;
-        }
-        // A KFK edge can name a table the lake loader quarantined: skip it.
-        if ctx.table(drg.table_name(nbr)).is_none() {
-            continue;
-        }
-        let Some(hop) = drg.best_edges(&edge_ids).first().and_then(|&eid| drg.hop(base_node, eid))
-        else {
-            continue;
-        };
-        if !table.has_column(&hop.from_column) {
-            continue;
-        }
-        let out = match ctx.join_hop(&table, &[], &hop, seed) {
-            Ok(out) => out,
-            Err(e) if e.interrupt().is_some() => break,
-            Err(e) => return Err(e),
-        };
-        if out.matched > 0 {
-            table = out.table;
-            n_joined += 1;
-        }
-    }
-    Ok((table, n_joined))
-}
-
 /// Run the ARDA baseline.
-pub fn run_arda(
-    ctx: &SearchContext,
-    models: &[ModelKind],
-    config: &ArdaConfig,
-) -> Result<MethodResult> {
+pub fn run_arda(ctx: &SearchContext, models: &[ModelKind], seed: u64) -> Result<MethodResult> {
     let _span = autofeat_obs::span("baseline_arda");
     let _scope = autofeat_data::RequestScope::with_ctl(ctx.control()).enter();
     let t0 = Instant::now();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // 1. Single-hop star join.
-    let (table, n_joined) = star_join(ctx, config.seed)?;
+    let (table, joined) = bfs_join(ctx, seed, Some(1))?;
     let label = ctx.label();
     let feature_names: Vec<String> = table
         .column_names()
@@ -142,7 +86,7 @@ pub fn run_arda(
             injected.feature_names.push(format!("__probe_{p}"));
             injected.cols.push(col);
         }
-        let mut rf = RandomForest::default_seeded(config.seed ^ ((trial as u64) << 3));
+        let mut rf = RandomForest::default_seeded(seed ^ ((trial as u64) << 3));
         if rf.fit(&injected).is_err() {
             continue;
         }
@@ -171,7 +115,7 @@ pub fn run_arda(
         }
         let sub_train = train_m.select_features(&kept);
         let sub_valid = valid_m.select_features(&kept);
-        let mut rf = RandomForest::default_seeded(config.seed ^ 0xa11);
+        let mut rf = RandomForest::default_seeded(seed ^ 0xa11);
         if rf.fit(&sub_train).is_err() {
             continue;
         }
@@ -185,13 +129,13 @@ pub fn run_arda(
     let fs_time = t0.elapsed();
 
     // 4. Final evaluation with the requested models.
-    let accs = evaluate_feature_set(&table, &kept_names, label, models, config.seed)?;
+    let accs = evaluate_feature_set(&table, &kept_names, label, models, seed)?;
     Ok(MethodResult {
         method: "ARDA".into(),
         accuracy_per_model: accs,
         feature_selection_time: fs_time,
         total_time: t0.elapsed(),
-        n_tables_joined: n_joined,
+        n_tables_joined: joined.len(),
         n_features: kept_names.len(),
     })
 }
@@ -199,7 +143,7 @@ pub fn run_arda(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autofeat_data::Column;
+    use autofeat_data::{Column, Table};
 
     /// base(k, target) — s1(k, signal) — s2(k2 only reachable from s1).
     fn ctx(n: usize) -> SearchContext {
@@ -254,7 +198,7 @@ mod tests {
     #[test]
     fn arda_joins_only_direct_neighbours() {
         let c = ctx(200);
-        let r = run_arda(&c, &[ModelKind::RandomForest], &ArdaConfig::default()).unwrap();
+        let r = run_arda(&c, &[ModelKind::RandomForest], 17).unwrap();
         // s2 is two hops away: ARDA cannot reach it.
         assert_eq!(r.n_tables_joined, 1);
         assert_eq!(r.method, "ARDA");
@@ -263,7 +207,7 @@ mod tests {
     #[test]
     fn arda_finds_the_single_hop_signal() {
         let c = ctx(300);
-        let r = run_arda(&c, &[ModelKind::RandomForest], &ArdaConfig::default()).unwrap();
+        let r = run_arda(&c, &[ModelKind::RandomForest], 17).unwrap();
         let acc = r.mean_accuracy();
         assert!(acc > 0.9, "ARDA should exploit s1.signal, acc = {acc}");
     }
@@ -271,7 +215,7 @@ mod tests {
     #[test]
     fn rifs_keeps_fewer_than_all_features() {
         let c = ctx(300);
-        let r = run_arda(&c, &[ModelKind::RandomForest], &ArdaConfig::default()).unwrap();
+        let r = run_arda(&c, &[ModelKind::RandomForest], 17).unwrap();
         // base has k + noise; join adds s1.{k, k2, signal} ⇒ 5 candidates.
         assert!(r.n_features < 5, "RIFS should drop probes-losing features, kept {}", r.n_features);
         assert!(r.n_features >= 1);
@@ -287,8 +231,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let c = ctx(150);
-        let a = run_arda(&c, &[ModelKind::RandomForest], &ArdaConfig::default()).unwrap();
-        let b = run_arda(&c, &[ModelKind::RandomForest], &ArdaConfig::default()).unwrap();
+        let a = run_arda(&c, &[ModelKind::RandomForest], 17).unwrap();
+        let b = run_arda(&c, &[ModelKind::RandomForest], 17).unwrap();
         assert_eq!(a.n_features, b.n_features);
         assert_eq!(a.accuracy_per_model, b.accuracy_per_model);
     }
@@ -297,7 +241,7 @@ mod tests {
     fn cancelled_context_yields_base_only_result() {
         let c = ctx(120);
         c.control().cancel();
-        let r = run_arda(&c, &[ModelKind::RandomForest], &ArdaConfig::default()).unwrap();
+        let r = run_arda(&c, &[ModelKind::RandomForest], 17).unwrap();
         assert_eq!(r.n_tables_joined, 0, "star join must wind down before joining");
     }
 }

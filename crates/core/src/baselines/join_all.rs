@@ -16,37 +16,24 @@ use autofeat_metrics::relevance::RelevanceMethod;
 use autofeat_metrics::selection::select_k_best;
 use autofeat_ml::eval::ModelKind;
 
+use super::bfs_join;
 use crate::context::SearchContext;
-use crate::executor::qualified_column;
 use crate::report::MethodResult;
 use crate::train::evaluate_feature_set;
 
-/// JoinAll configuration.
-#[derive(Debug, Clone)]
-pub struct JoinAllConfig {
-    /// Apply the filter feature-selection step (the `+F` variant).
-    pub filter: bool,
-    /// Features kept by the filter.
-    pub filter_kappa: usize,
-    /// Feasibility budget on the Eq. 3 ordering count; above it the run is
-    /// skipped (the paper's "did not finish within the time constraint").
-    pub max_orderings: f64,
-    /// Seed.
-    pub seed: u64,
-}
+/// Feasibility budget on the Eq. 3 ordering count; above it the run is
+/// skipped (the paper's "did not finish within the time constraint").
+const MAX_ORDERINGS: f64 = 1e7;
+/// Features the filter keeps (the paper's κ).
+const FILTER_KAPPA: usize = 15;
 
-impl Default for JoinAllConfig {
-    fn default() -> Self {
-        JoinAllConfig { filter: false, filter_kappa: 15, max_orderings: 1e7, seed: 29 }
-    }
-}
-
-/// Run JoinAll (or JoinAll+F when `config.filter`). Returns `None` when the
-/// Eq. 3 ordering count exceeds the budget.
+/// Run JoinAll (or JoinAll+F when `filter`). Returns `None` when the Eq. 3 ordering count exceeds the
+/// budget.
 pub fn run_join_all(
     ctx: &SearchContext,
     models: &[ModelKind],
-    config: &JoinAllConfig,
+    filter: bool,
+    seed: u64,
 ) -> Result<Option<MethodResult>> {
     let _span = autofeat_obs::span("baseline_join_all");
     let _scope = autofeat_data::RequestScope::with_ctl(ctx.control()).enter();
@@ -56,55 +43,14 @@ pub fn run_join_all(
         return Ok(None);
     };
     let orderings = join_all_path_count(drg, base_node);
-    if orderings > config.max_orderings {
+    if orderings > MAX_ORDERINGS {
         return Ok(None);
     }
 
     let label = ctx.label().to_string();
 
-    // Canonical BFS ordering: join each table once, through the
-    // best-scoring edge from its BFS parent.
-    let mut table = ctx.base_table().clone();
-    let mut visited = vec![false; drg.n_nodes()];
-    visited[base_node.0] = true;
-    let mut frontier = vec![base_node];
-    let mut n_joined = 0usize;
-    'bfs: while !frontier.is_empty() {
-        if ctx.control().interrupted().is_some() {
-            break;
-        }
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for (v, edge_ids) in drg.neighbours(u) {
-                if visited[v.0] {
-                    continue;
-                }
-                visited[v.0] = true;
-                if ctx.table(drg.table_name(v)).is_none() {
-                    continue;
-                }
-                let Some(hop) = drg.best_edges(&edge_ids).first().and_then(|&eid| drg.hop(u, eid))
-                else {
-                    continue;
-                };
-                let left_key = qualified_column(ctx.base_name(), &hop.from_table, &hop.from_column);
-                if !table.has_column(&left_key) {
-                    continue;
-                }
-                let out = match ctx.join_hop(&table, &[], &hop, config.seed) {
-                    Ok(out) => out,
-                    Err(e) if e.interrupt().is_some() => break 'bfs,
-                    Err(e) => return Err(e),
-                };
-                if out.matched > 0 {
-                    table = out.table;
-                    n_joined += 1;
-                    next.push(v);
-                }
-            }
-        }
-        frontier = next;
-    }
+    // One canonical (BFS) ordering.
+    let (table, joined) = bfs_join(ctx, seed, None)?;
 
     // Optional filter selection (+F): select-κ-best Spearman on the wide
     // table — "less than one second, since it performs feature selection
@@ -116,7 +62,7 @@ pub fn run_join_all(
         .map(String::from)
         .collect();
     let fs_start = Instant::now();
-    let selected: Vec<String> = if config.filter {
+    let selected: Vec<String> = if filter {
         let labels: Vec<i64> = {
             let col = label_encode_column(table.column(&label)?);
             (0..col.len())
@@ -127,7 +73,7 @@ pub fn run_join_all(
             .iter()
             .map(|f| label_encode_column(table.column(f).expect("listed")).to_f64_lossy())
             .collect();
-        let picked = select_k_best(&data, &labels, RelevanceMethod::Spearman, config.filter_kappa, 0.0);
+        let picked = select_k_best(&data, &labels, RelevanceMethod::Spearman, FILTER_KAPPA, 0.0);
         picked
             .into_iter()
             .map(|s| all_features[s.index].clone())
@@ -138,13 +84,13 @@ pub fn run_join_all(
     let fs_time = fs_start.elapsed();
 
     let refs: Vec<&str> = selected.iter().map(String::as_str).collect();
-    let accs = evaluate_feature_set(&table, &refs, &label, models, config.seed)?;
+    let accs = evaluate_feature_set(&table, &refs, &label, models, seed)?;
     Ok(Some(MethodResult {
-        method: if config.filter { "JoinAll+F".into() } else { "JoinAll".into() },
+        method: if filter { "JoinAll+F".into() } else { "JoinAll".into() },
         accuracy_per_model: accs,
         feature_selection_time: fs_time,
         total_time: t0.elapsed(),
-        n_tables_joined: n_joined,
+        n_tables_joined: joined.len(),
         n_features: selected.len(),
     }))
 }
@@ -176,17 +122,14 @@ mod tests {
             ],
         )
         .unwrap();
-        let s2 = Table::new(
-            "s2",
-            vec![
-                ("k2", Column::from_ints((0..n as i64).map(|i| Some(300 + i)).collect::<Vec<_>>())),
-                (
-                    "noise",
-                    Column::from_floats((0..n).map(|i| Some(((i * 7) % 13) as f64)).collect::<Vec<_>>()),
-                ),
-            ],
-        )
-        .unwrap();
+        // Sixteen noise columns: more candidates than the filter's κ keeps.
+        let k2 = Column::from_ints((0..n as i64).map(|i| Some(300 + i)).collect::<Vec<_>>());
+        let mut s2_cols = vec![("k2".to_string(), k2)];
+        for j in 0..16 {
+            let noise = (0..n).map(|i| Some(((i * (7 + j)) % (13 + j)) as f64));
+            s2_cols.push((format!("noise{j:02}"), Column::from_floats(noise.collect::<Vec<_>>())));
+        }
+        let s2 = Table::new("s2", s2_cols).unwrap();
         SearchContext::from_kfk(
             vec![base, s1, s2],
             &[
@@ -202,7 +145,7 @@ mod tests {
     #[test]
     fn join_all_joins_everything() {
         let c = ctx(200);
-        let r = run_join_all(&c, &[ModelKind::RandomForest], &JoinAllConfig::default())
+        let r = run_join_all(&c, &[ModelKind::RandomForest], false, 29)
             .unwrap()
             .expect("feasible");
         assert_eq!(r.method, "JoinAll");
@@ -215,29 +158,21 @@ mod tests {
     #[test]
     fn filter_variant_selects_subset() {
         let c = ctx(200);
-        let cfg = JoinAllConfig { filter: true, filter_kappa: 2, ..Default::default() };
-        let r = run_join_all(&c, &[ModelKind::RandomForest], &cfg)
+        let r = run_join_all(&c, &[ModelKind::RandomForest], true, 29)
             .unwrap()
             .expect("feasible");
         assert_eq!(r.method, "JoinAll+F");
-        assert!(r.n_features <= 2);
+        assert_eq!(r.n_features, 15);
         assert!(r.mean_accuracy() > 0.9, "the signal must survive filtering");
-    }
-
-    #[test]
-    fn infeasible_ordering_count_skips() {
-        let c = ctx(100);
-        let cfg = JoinAllConfig { max_orderings: 0.5, ..Default::default() };
-        assert!(run_join_all(&c, &[ModelKind::RandomForest], &cfg).unwrap().is_none());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let c = ctx(150);
-        let a = run_join_all(&c, &[ModelKind::RandomForest], &JoinAllConfig::default())
+        let a = run_join_all(&c, &[ModelKind::RandomForest], false, 29)
             .unwrap()
             .unwrap();
-        let b = run_join_all(&c, &[ModelKind::RandomForest], &JoinAllConfig::default())
+        let b = run_join_all(&c, &[ModelKind::RandomForest], false, 29)
             .unwrap()
             .unwrap();
         assert_eq!(a.accuracy_per_model, b.accuracy_per_model);
@@ -247,7 +182,7 @@ mod tests {
     fn cancelled_context_stops_bfs_before_joining() {
         let c = ctx(120);
         c.control().cancel();
-        let r = run_join_all(&c, &[ModelKind::RandomForest], &JoinAllConfig::default())
+        let r = run_join_all(&c, &[ModelKind::RandomForest], false, 29)
             .unwrap()
             .expect("feasible");
         assert_eq!(r.n_tables_joined, 0);

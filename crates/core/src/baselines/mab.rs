@@ -29,21 +29,8 @@ use crate::train::evaluate_feature_set;
 
 /// UCB1 exploration constant.
 const EXPLORATION: f64 = std::f64::consts::SQRT_2;
-
-/// MAB configuration.
-#[derive(Debug, Clone)]
-pub struct MabConfig {
-    /// Total pull budget (each pull = one join + one model training).
-    pub budget: usize,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for MabConfig {
-    fn default() -> Self {
-        MabConfig { budget: 12, seed: 19 }
-    }
-}
+/// Pull budget: each pull is one join and one model training.
+const PULLS: usize = 12;
 
 /// The unqualified final segment of a possibly `table.`-qualified column.
 fn unqualified(name: &str) -> &str {
@@ -101,11 +88,7 @@ fn reward(table: &Table, label: &str, seed: u64) -> Result<f64> {
 }
 
 /// Run the MAB baseline.
-pub fn run_mab(
-    ctx: &SearchContext,
-    models: &[ModelKind],
-    config: &MabConfig,
-) -> Result<MethodResult> {
+pub fn run_mab(ctx: &SearchContext, models: &[ModelKind], seed: u64) -> Result<MethodResult> {
     let _span = autofeat_obs::span("baseline_mab");
     let _scope = autofeat_data::RequestScope::with_ctl(ctx.control()).enter();
     let t0 = Instant::now();
@@ -113,14 +96,14 @@ pub fn run_mab(
 
     let mut state = ctx.base_table().clone();
     let mut joined: Vec<String> = Vec::new();
-    let mut best_reward = reward(&state, &label, config.seed)?;
+    let mut best_reward = reward(&state, &label, seed)?;
 
     // UCB statistics per arm key "left|table|right".
     let mut pulls: std::collections::HashMap<String, (usize, f64)> =
         std::collections::HashMap::new();
     let mut total_pulls = 0usize;
 
-    for _ in 0..config.budget {
+    for _ in 0..PULLS {
         if ctx.control().interrupted().is_some() {
             break;
         }
@@ -159,10 +142,10 @@ pub fn run_mab(
             to_column: right_col.clone(),
             weight: 0.0,
         };
-        let seed = mix_u64(hop_seed(config.seed, &[], &hop), total_pulls as u64);
+        let join_seed = mix_u64(hop_seed(seed, &[], &hop), total_pulls as u64);
         let out = match ctx
             .lake_cache()
-            .left_join_normalized(&state, cand, &left_col, &right_col, table_name, seed)
+            .left_join_normalized(&state, cand, &left_col, &right_col, table_name, join_seed)
         {
             Ok(out) => out,
             Err(e) if e.interrupt().is_some() => break,
@@ -172,7 +155,7 @@ pub fn run_mab(
         let r = if out.matched == 0 {
             0.0
         } else {
-            reward(&out.table, &label, config.seed ^ total_pulls as u64)?
+            reward(&out.table, &label, seed ^ total_pulls as u64)?
         };
         let key = format!("{left_col}|{table_name}|{right_col}");
         let e = pulls.entry(key).or_insert((0, 0.0));
@@ -193,7 +176,7 @@ pub fn run_mab(
         .filter(|c| *c != label)
         .collect();
     let n_features = features.len();
-    let accs = evaluate_feature_set(&state, &features, &label, models, config.seed)?;
+    let accs = evaluate_feature_set(&state, &features, &label, models, seed)?;
     Ok(MethodResult {
         method: "MAB".into(),
         accuracy_per_model: accs,
@@ -257,7 +240,7 @@ mod tests {
     #[test]
     fn mab_accepts_useful_join() {
         let c = ctx(200);
-        let r = run_mab(&c, &[ModelKind::RandomForest], &MabConfig::default()).unwrap();
+        let r = run_mab(&c, &[ModelKind::RandomForest], 19).unwrap();
         assert_eq!(r.method, "MAB");
         assert!(r.n_tables_joined >= 1, "should accept s1");
         assert!(r.mean_accuracy() > 0.9);
@@ -281,18 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_zero_is_base_only() {
-        let c = ctx(100);
-        let cfg = MabConfig { budget: 0, ..Default::default() };
-        let r = run_mab(&c, &[ModelKind::RandomForest], &cfg).unwrap();
-        assert_eq!(r.n_tables_joined, 0);
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let c = ctx(150);
-        let a = run_mab(&c, &[ModelKind::RandomForest], &MabConfig::default()).unwrap();
-        let b = run_mab(&c, &[ModelKind::RandomForest], &MabConfig::default()).unwrap();
+        let a = run_mab(&c, &[ModelKind::RandomForest], 19).unwrap();
+        let b = run_mab(&c, &[ModelKind::RandomForest], 19).unwrap();
         assert_eq!(a.n_tables_joined, b.n_tables_joined);
         assert_eq!(a.accuracy_per_model, b.accuracy_per_model);
     }
@@ -301,7 +276,7 @@ mod tests {
     fn cancelled_context_skips_all_pulls() {
         let c = ctx(120);
         c.control().cancel();
-        let r = run_mab(&c, &[ModelKind::RandomForest], &MabConfig::default()).unwrap();
+        let r = run_mab(&c, &[ModelKind::RandomForest], 19).unwrap();
         assert_eq!(r.n_tables_joined, 0, "no pulls after cancellation");
     }
 }

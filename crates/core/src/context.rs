@@ -490,9 +490,9 @@ impl SearchContext {
     /// right side is the lake's `hop.to_table`, keyed on the hop's left key
     /// as `left` names it ([`qualified_column`]), through the lake cache,
     /// with the picks of [`hop_seed`]`(seed, prefix, hop)`. Every path join
-    /// goes through here — discovery's evaluation, both materializers, the
-    /// ARDA and JoinAll baselines — so a hop joins to the same rows
-    /// wherever it is replayed. Errors with `Invalid` when `hop.to_table`
+    /// goes through here — discovery's evaluation, both materializers, and
+    /// the baselines' walker [`bfs_join`](crate::baselines::bfs_join) — so a
+    /// hop joins to the same rows wherever it is replayed. Errors with `Invalid` when `hop.to_table`
     /// is not in the context.
     pub(crate) fn join_hop(
         &self,

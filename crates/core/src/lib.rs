@@ -35,6 +35,9 @@
 //!   same-name join candidates, model-accuracy reward);
 //! * [`baselines::run_join_all`] — JoinAll / JoinAll+F with the Eq. 3
 //!   feasibility guard.
+//!
+//! ARDA and JoinAll join through one walker, [`baselines::bfs_join`]: ARDA
+//! at depth 1, JoinAll over every reachable table.
 
 // Fail-soft discipline: non-test code must propagate errors, not unwrap.
 // CI runs clippy with `-D warnings`, so this is effectively a deny there.

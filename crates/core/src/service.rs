@@ -60,8 +60,9 @@
 //! names a file path (or `-`/`stderr` for standard error).
 //!
 //! Telemetry never perturbs results — a served request is bit-identical to
-//! the same one-shot [`AutoFeat::discover`] (`tests/serving.rs`) — and what
-//! it costs a request is `lakebench`'s `core.service.overhead_ms`.
+//! the same one-shot [`AutoFeat::discover`] (the equivalence sweep in
+//! `tests/equivalence.rs`) — and what it costs a request is `lakebench`'s
+//! `core.service.overhead_ms`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

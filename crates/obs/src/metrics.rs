@@ -22,7 +22,8 @@
 //! snapshot time.
 //!
 //! Nothing here feeds back into discovery decisions: a served request is
-//! bit-identical to the same one-shot run (`tests/serving.rs`).
+//! bit-identical to the same one-shot run (the equivalence sweep in
+//! `tests/equivalence.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

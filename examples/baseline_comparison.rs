@@ -45,23 +45,17 @@ fn main() {
     print_row(&out.result);
 
     // ARDA (single-hop + RIFS).
-    print_row(&run_arda(&ctx, &models, &ArdaConfig::default()).expect("arda runs"));
+    print_row(&run_arda(&ctx, &models, seed).expect("arda runs"));
 
     // MAB (UCB over same-name join candidates).
-    print_row(&run_mab(&ctx, &models, &MabConfig::default()).expect("mab runs"));
+    print_row(&run_mab(&ctx, &models, seed).expect("mab runs"));
 
     // JoinAll / JoinAll+F (with the Eq. 3 feasibility guard).
-    match run_join_all(&ctx, &models, &JoinAllConfig::default()).expect("join-all runs") {
+    match run_join_all(&ctx, &models, false, seed).expect("join-all runs") {
         Some(r) => print_row(&r),
         None => println!("{:<10} (skipped: ordering count exceeds budget)", "JoinAll"),
     }
-    match run_join_all(
-        &ctx,
-        &models,
-        &JoinAllConfig { filter: true, ..Default::default() },
-    )
-    .expect("join-all+f runs")
-    {
+    match run_join_all(&ctx, &models, true, seed).expect("join-all+f runs") {
         Some(r) => print_row(&r),
         None => println!("{:<10} (skipped)", "JoinAll+F"),
     }

@@ -65,7 +65,7 @@ pub use autofeat_obs as obs;
 /// The most common imports in one place.
 pub mod prelude {
     pub use autofeat_core::{
-        baselines::{run_arda, run_base, run_join_all, run_mab, ArdaConfig, JoinAllConfig, MabConfig},
+        baselines::{run_arda, run_base, run_join_all, run_mab},
         discovery_health_report, load_lake_dir, train_top_k, AutoFeat, AutoFeatConfig,
         DiscoveryRequest, DiscoveryResult, DiscoveryService, LakeLoadReport, MethodResult,
         PathFailure, Phase, PreparedRequest, QuarantinedTable, RankedPath, RequestLogRecord,

@@ -3,12 +3,15 @@
 //! discovery result: workers, cache budget, row layout, tracing and
 //! concurrent serving. [`sweep`] runs a fixture's every config × seed at
 //! the points of a pairwise covering array over the five ([`POINTS`]) and
-//! compares each result with one [`reference`]. `tests/equivalence.rs`
-//! runs every fixture at every point; a suite that owns an axis runs the
-//! lake at the points that vary it.
+//! compares each result with one [`reference`]. A second request kind is
+//! the baselines' join walker, `bfs_join`, at depth 1 (ARDA) and unbounded
+//! (JoinAll) for every seed, held to the walker on the reference's context.
+//! `tests/equivalence.rs` runs every fixture at every point; a suite that
+//! owns an axis runs the lake at the points that vary it.
 
 use std::thread;
 
+use autofeat::core::baselines::bfs_join;
 use autofeat::data::parallel::n_workers;
 use autofeat::obs::{PhaseNode, RunTrace};
 use autofeat::prelude::*;
@@ -73,6 +76,8 @@ pub const POINTS: [Point; 16] = {
 };
 
 const SEEDS: [u64; 2] = [7, 42];
+/// The walker's depths: ARDA's star and JoinAll's whole reachable DRG.
+const DEPTHS: [Option<usize>; 2] = [Some(1), None];
 const CLIENTS: usize = 4;
 const ROUNDS: usize = 3;
 
@@ -111,6 +116,16 @@ pub fn reference(fixture: &Fixture, cfg: &AutoFeatConfig) -> DiscoveryResult {
     AutoFeat::new(cfg.clone().with_threads(1).with_trace(false)).discover(&ctx).unwrap()
 }
 
+/// `bfs_join` at every seed and depth over `ctx`, through its shared cache,
+/// named.
+fn walks(fixture: &Fixture, ctx: &SearchContext) -> Vec<(String, (Table, Vec<String>))> {
+    let walk = |seed: u64, depth: Option<usize>| {
+        let what = format!("{}, bfs_join depth {depth:?}, seed {seed}", fixture.name);
+        (what, bfs_join(ctx, seed, depth).unwrap())
+    };
+    SEEDS.into_iter().flat_map(|seed| DEPTHS.map(|depth| walk(seed, depth))).collect()
+}
+
 /// The bytes one unbounded default run leaves resident on a fresh context.
 fn working_set(fixture: &Fixture) -> u64 {
     let ctx = fixture.context(Layout::Identity, None);
@@ -119,27 +134,31 @@ fn working_set(fixture: &Fixture) -> u64 {
     r.cache.resident_bytes
 }
 
-/// Every request at point `p`, by index: one after another over one fresh
-/// context, or served by one service over it to [`CLIENTS`] threads for
-/// [`ROUNDS`] rounds, each round submitting every request once, so the
-/// cache is warm from the second on.
-fn run(fixture: &Fixture, p: Point, working_set: u64) -> Vec<(usize, DiscoveryResult)> {
+/// A fresh context in point `p`'s layout, its shared cache at `p`'s budget.
+fn point_context(fixture: &Fixture, p: Point, working_set: u64) -> SearchContext {
     let budget = match p.cache {
         Cache::Unbounded | Cache::Off => None,
         Cache::Half => Some(working_set / 2),
         Cache::Zero => Some(0),
     };
-    let ctx = fixture.context(p.layout, budget);
+    fixture.context(p.layout, budget)
+}
+
+/// Every request at point `p` over `ctx`, by index: one after another, or
+/// served by one service over it to [`CLIENTS`] threads for [`ROUNDS`]
+/// rounds, each round submitting every request once, so the cache is warm
+/// from the second on.
+fn run(fixture: &Fixture, ctx: &SearchContext, p: Point) -> Vec<(usize, DiscoveryResult)> {
     let requests = fixture.requests();
     let config = |i: usize| {
         let cfg = requests[i].1.clone().with_threads(p.workers).with_trace(p.traced);
         cfg.with_cache(p.cache != Cache::Off)
     };
     if !p.served {
-        let solo = |i: usize| (i, AutoFeat::new(config(i)).discover(&ctx).unwrap());
+        let solo = |i: usize| (i, AutoFeat::new(config(i)).discover(ctx).unwrap());
         return (0..requests.len()).map(solo).collect();
     }
-    let service = DiscoveryService::new(ctx, AutoFeatConfig::default());
+    let service = DiscoveryService::new(ctx.clone(), AutoFeatConfig::default());
     let submit = |i: usize| (i, service.submit(&DiscoveryRequest::new().with_config(config(i))).unwrap());
     let mut out = Vec::new();
     for round in 0..ROUNDS {
@@ -178,7 +197,9 @@ fn assert_same_trace_shape(want: &RunTrace, got: &RunTrace, what: &str) {
 
 /// Run the fixture at every point `keep` admits and hold each result to its
 /// reference, and each traced solo point's trace shape to that of one
-/// worker, identity layout, same cache. Returns the references, named.
+/// worker, identity layout, same cache. After a point's requests, the
+/// walker runs over the same context, its cache as they left it. Returns
+/// the references, named.
 pub fn sweep(fixture: &Fixture, keep: impl Fn(&Point) -> bool) -> Vec<(String, DiscoveryResult)> {
     let requests = fixture.requests();
     let references: Vec<(String, DiscoveryResult)> =
@@ -186,10 +207,15 @@ pub fn sweep(fixture: &Fixture, keep: impl Fn(&Point) -> bool) -> Vec<(String, D
     for (what, r) in &references {
         assert!(!r.ranked.is_empty(), "{what}: the reference must rank a path");
     }
+    let walk_references = walks(fixture, &fixture.context(Layout::Identity, Some(0)));
+    for (what, (_, joined)) in &walk_references {
+        assert!(!joined.is_empty(), "{what}: the reference must join a table");
+    }
     let working_set = working_set(fixture);
     let traced_env = std::env::var_os("AUTOFEAT_TRACE").is_some();
     for p in POINTS.into_iter().filter(|p| keep(p)) {
-        let results = run(fixture, p, working_set);
+        let ctx = point_context(fixture, p, working_set);
+        let results = run(fixture, &ctx, p);
         assert_eq!(results.len(), requests.len() * if p.served { ROUNDS } else { 1 });
         for (i, r) in &results {
             let what = format!("{}, {p:?}", references[*i].0);
@@ -198,9 +224,13 @@ pub fn sweep(fixture: &Fixture, keep: impl Fn(&Point) -> bool) -> Vec<(String, D
             assert_eq!(r.threads_used, workers, "{what}");
             assert_eq!(r.trace.is_some(), p.traced || traced_env, "{what}: tracing is opt-in");
         }
+        for ((what, want), (_, got)) in walk_references.iter().zip(walks(fixture, &ctx)) {
+            assert_eq!(want, &got, "{what}, {p:?}");
+        }
         if p.traced && !p.served {
             let one_worker = Point { workers: 1, layout: Layout::Identity, ..p };
-            for ((i, r), (_, w)) in results.iter().zip(run(fixture, one_worker, working_set)) {
+            let ctx = point_context(fixture, one_worker, working_set);
+            for ((i, r), (_, w)) in results.iter().zip(run(fixture, &ctx, one_worker)) {
                 let what = format!("{}, {p:?} against one worker", requests[*i].0);
                 assert_same_trace_shape(w.trace.as_ref().unwrap(), r.trace.as_ref().unwrap(), &what);
             }

@@ -167,12 +167,11 @@ fn training_digest(ctx: &SearchContext) -> Vec<String> {
     let models = [ModelKind::RandomForest];
     let seed = 5;
     let mut lines = vec![
-        method_line(&run_arda(ctx, &models, &ArdaConfig { seed }).unwrap()),
-        method_line(&run_mab(ctx, &models, &MabConfig { seed, ..Default::default() }).unwrap()),
+        method_line(&run_arda(ctx, &models, seed).unwrap()),
+        method_line(&run_mab(ctx, &models, seed).unwrap()),
     ];
     for filter in [false, true] {
-        let cfg = JoinAllConfig { filter, seed, ..Default::default() };
-        lines.push(match run_join_all(ctx, &models, &cfg).unwrap() {
+        lines.push(match run_join_all(ctx, &models, filter, seed).unwrap() {
             Some(r) => method_line(&r),
             None => format!("JoinAll filter={filter} skipped"),
         });

@@ -32,14 +32,9 @@ fn shapes(dataset: &str, models: &[ModelKind]) -> Shapes {
     Shapes {
         base: run_base(&ctx, models, seed).expect("BASE runs"),
         autofeat: train_top_k(&ctx, &discovery, models, &cfg).expect("training runs").result,
-        arda: run_arda(&ctx, models, &ArdaConfig { seed })
-            .expect("ARDA runs"),
-        join_all_f: run_join_all(
-            &ctx,
-            models,
-            &JoinAllConfig { filter: true, seed, ..Default::default() },
-        )
-        .expect("JoinAll+F runs")
+        arda: run_arda(&ctx, models, seed).expect("ARDA runs"),
+        join_all_f: run_join_all(&ctx, models, true, seed)
+            .expect("JoinAll+F runs")
         .expect("the KFK snowflake is JoinAll-feasible"),
     }
 }
