@@ -7,6 +7,7 @@ use std::hint::black_box;
 use autofeat_data::csv::{read_csv_str, write_csv_str};
 use autofeat_data::{Column, Table};
 use autofeat_graph::discovery::{ColumnProfile, MinHash, SchemaMatcher};
+use autofeat_graph::DrgMaintainer;
 
 fn table(name: &str, n_rows: usize, n_cols: usize, offset: i64) -> Table {
     let cols: Vec<(String, Column)> = (0..n_cols)
@@ -37,11 +38,12 @@ fn bench_profiles(c: &mut Criterion) {
     group.bench_function("profile_build", |b| {
         b.iter(|| black_box(ColumnProfile::build_all(&lake_shaped)))
     });
-    let a = ColumnProfile::build_all(&table("a", 5_000, 10, 0));
-    let bp = ColumnProfile::build_all(&table("b", 5_000, 10, 2_500));
+    // Two 10-column tables through the DRG maintainer, profiling included:
+    // the production path every lake's matching takes.
+    let (a, bt) = (table("a", 5_000, 10, 0), table("b", 5_000, 10, 2_500));
     let m = SchemaMatcher::paper_default();
     group.bench_function("match_10x10_profiles", |b| {
-        b.iter(|| black_box(m.match_profiles(&a, &bp)))
+        b.iter(|| black_box(DrgMaintainer::build(&[&a, &bt], &m)))
     });
     group.bench_function("minhash_sketch_10k", |b| {
         b.iter(|| {

@@ -26,7 +26,7 @@
 //!   probe table. The code domain is the whole range, so a key the range
 //!   skips has a code no row carries.
 //! * **Hashed.** Any other column. The distinct keys are ordered by their
-//!   process-stable FNV hash ([`StableHasher`]), with the key's total order
+//!   process-stable FNV hash ([`key_hash`]), with the key's total order
 //!   breaking hash ties, and codes are dense ranks in that order; a probe
 //!   table answers key → code.
 //!
@@ -37,11 +37,10 @@
 //! Null keys (null cells, NaN floats) never get a code; their rows carry
 //! the [`NULL_CODE`] sentinel in the row-code sequence.
 
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use crate::column::Column;
-use crate::stable_hash::StableHasher;
+use crate::stable_hash::key_hash;
 use crate::value::Key;
 
 /// Row-code sentinel for rows whose key is null (never a valid code: a
@@ -51,12 +50,6 @@ pub(crate) const NULL_CODE: u32 = u32::MAX;
 
 /// An empty slot of a probe table.
 const EMPTY: u32 = u32::MAX;
-
-fn stable_key_hash(key: &Key) -> u64 {
-    let mut h = StableHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
 
 /// An open-addressing probe table for `n` entries: a power of two of at
 /// least `2n` slots, so linear probing stays short.
@@ -235,7 +228,7 @@ impl KeyDict {
                 null_rows += 1;
                 return;
             };
-            let hash = stable_key_hash(&key);
+            let hash = key_hash(&key);
             let known = |s: u32| seen_hashes[s as usize] == hash && seen_keys[s as usize] == key;
             match probe(&seen, hash, known) {
                 Ok(number) => codes.push(number),
@@ -365,7 +358,7 @@ impl KeyDict {
             }
             Layout::Hashed { keys, slots } => col.keys_in(rows, #[inline(always)] |key| {
                 let code = key.and_then(|key| {
-                    probe(slots, stable_key_hash(&key), |code| keys[code as usize] == key).ok()
+                    probe(slots, key_hash(&key), |code| keys[code as usize] == key).ok()
                 });
                 f(code.unwrap_or(NULL_CODE))
             }),
@@ -410,7 +403,7 @@ mod tests {
                 (&Layout::ByValue { lo, n_codes }, &Key::Num(i)) => value_code(i, lo, n_codes),
                 (Layout::ByValue { .. }, _) => None,
                 (Layout::Hashed { keys, slots }, key) => {
-                    probe(slots, stable_key_hash(key), |code| keys[code as usize] == *key).ok()
+                    probe(slots, key_hash(key), |code| keys[code as usize] == *key).ok()
                 }
             }
         }
@@ -559,7 +552,7 @@ mod tests {
         let keys = match base {
             Some((lo, hi, _)) => (lo..=hi).map(Key::Num).collect(),
             None => {
-                keys.sort_by_key(|k| (stable_key_hash(k), k.clone()));
+                keys.sort_by_key(|k| (key_hash(k), k.clone()));
                 keys
             }
         };

@@ -21,8 +21,8 @@
 //!   ([`encode`]);
 //! * data-quality statistics such as the null-value ratio used by the τ
 //!   pruning rule ([`stats`]);
-//! * a process-stable hasher for determinism-critical derivations
-//!   ([`stable_hash`]) and deterministic fan-out over one shared worker
+//! * a process-stable hasher for determinism-critical derivations, and the
+//!   one hash of a join key ([`stable_hash`]), and deterministic fan-out over one shared worker
 //!   pool ([`parallel`]);
 //! * cooperative run-lifecycle control — a final cancel + deadline, polled
 //!   per item/row block ([`control`]) — per-lake runtime fault domains for

@@ -5,9 +5,12 @@
 //! Determinism-critical code (per-hop join seeding, representative-row
 //! picks) must instead hash through this FNV-1a implementation, whose
 //! output is a pure function of the bytes fed to it — identical across
-//! processes, platforms, and Rust versions.
+//! processes, platforms, and Rust versions. A join key is hashed by
+//! [`key_hash`] and nothing else.
 
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
+
+use crate::value::Key;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -43,6 +46,16 @@ impl Hasher for StableHasher {
     }
 }
 
+/// The hash of a join key: [`StableHasher`] over `Key`'s `Hash`. The one
+/// key hash of the workspace: a hashed `KeyDict` orders its codes by it,
+/// and a column profile's value set is made of it, finalized by
+/// [`mix_u64`].
+pub fn key_hash(key: &Key) -> u64 {
+    let mut h = StableHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
+
 /// Bit-mix a pair of `u64`s into one (SplitMix64 finalizer over the XOR of
 /// the rotated halves). Used to fold derived seeds together cheaply.
 pub fn mix_u64(a: u64, b: u64) -> u64 {
@@ -76,6 +89,21 @@ mod tests {
         };
         assert_eq!(digest("join-path"), digest("join-path"));
         assert_ne!(digest("join-path"), digest("join-patH"));
+    }
+
+    /// Dictionary code order and every profile's value set follow these
+    /// hashes: one key per `Key` variant, pinned to the bit.
+    #[test]
+    fn key_hash_is_pinned_per_variant() {
+        let pinned = [
+            (Key::Num(42), 0x8f91_9d01_1520_8895),
+            (Key::FloatBits(2.5f64.to_bits()), 0x528c_54dc_8fe9_3a48),
+            (Key::Str("user_42".into()), 0xa343_7b50_0c59_f90a),
+            (Key::Bool(true), 0x0835_ef07_b4ee_54c9),
+        ];
+        for (key, want) in pinned {
+            assert_eq!(key_hash(&key), want, "{key:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! occupancy map; any other pair is bounded by its maps; only a pair the
 //! bound cannot reject merges its two value runs.
 
-use crate::discovery::name_sim::name_similarity;
 use crate::discovery::profile::ColumnProfile;
 
 /// Matcher configuration.
@@ -78,19 +77,12 @@ impl SchemaMatcher {
         }
     }
 
-    /// Composite score of a column pair.
-    pub fn score_pair(&self, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
-        if !a.is_joinable_candidate() || !b.is_joinable_candidate() {
-            return 0.0;
-        }
-        let name = name_similarity(&a.column, &b.column);
-        let inst = self.instance_similarity(a, b);
-        self.blend(name, inst)
-    }
-
-    /// The match decision for one pair: `Some(score)` iff
-    /// [`score_pair`](Self::score_pair)'s score reaches the threshold. The
-    /// name similarity comes from `name`, called only for a pair its values
+    /// The match decision for one pair, and the matcher's one scorer:
+    /// `Some(score)` iff the pair's composite score — the blend of name and
+    /// instance similarity, 0 when either column is no join candidate —
+    /// reaches the threshold. At threshold `f64::NEG_INFINITY` it is
+    /// `Some(score)` for every pair and no bound rejects. The name
+    /// similarity comes from `name`, called only for a pair its values
     /// cannot rule out (callers that cache name sims across many pairs — the
     /// incremental DRG maintainer — then neither compute nor cache one for
     /// most of a lake's pairs).
@@ -155,37 +147,10 @@ impl SchemaMatcher {
         ((self.config.name_weight * name + self.config.value_weight * inst) / w).clamp(0.0, 1.0)
     }
 
-    /// Match two pre-profiled tables; returns pairs scoring ≥ threshold,
-    /// sorted by descending score.
-    pub fn match_profiles(
-        &self,
-        left: &[ColumnProfile],
-        right: &[ColumnProfile],
-    ) -> Vec<ColumnMatch> {
-        let mut out = Vec::new();
-        autofeat_obs::add("match.pairs_scored", (left.len() * right.len()) as u64);
-        for a in left {
-            for b in right {
-                let score = self.score_pair(a, b);
-                if score >= self.config.threshold {
-                    out.push(ColumnMatch {
-                        left_column: a.column.clone(),
-                        right_column: b.column.clone(),
-                        score,
-                    });
-                }
-            }
-        }
-        out.sort_by(Self::match_order);
-        autofeat_obs::add("match.pairs_matched", out.len() as u64);
-        out
-    }
-
-    /// The canonical ordering of reported matches: descending score (total
+    /// The order of a table pair's match list: descending score (total
     /// order — scores are finite by construction but a NaN from a hostile
-    /// config must not abort the sort), then column names. Exposed so
-    /// alternative candidate generators can reproduce `match_profiles`
-    /// output exactly.
+    /// config must not abort the sort), then column names. The DRG
+    /// maintainer sorts every list by it, so its edges follow it.
     pub(crate) fn match_order(x: &ColumnMatch, y: &ColumnMatch) -> std::cmp::Ordering {
         y.score
             .total_cmp(&x.score)
@@ -208,11 +173,35 @@ fn exact_similarity(na: usize, nb: usize, shared: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::name_sim::name_similarity;
     use autofeat_data::{Column, Table};
 
-    /// Profile both tables and match them.
+    /// Profile both tables and decide every column pair, in match order.
     fn profile_and_match(m: &SchemaMatcher, left: &Table, right: &Table) -> Vec<ColumnMatch> {
-        m.match_profiles(&ColumnProfile::build_all(left), &ColumnProfile::build_all(right))
+        let right = ColumnProfile::build_all(right);
+        let mut out: Vec<ColumnMatch> = ColumnProfile::build_all(left)
+            .iter()
+            .flat_map(|a| {
+                right.iter().filter_map(move |b| {
+                    let score = m.match_score(|| name_similarity(&a.column, &b.column), a, b)?;
+                    Some(ColumnMatch {
+                        left_column: a.column.clone(),
+                        right_column: b.column.clone(),
+                        score,
+                    })
+                })
+            })
+            .collect();
+        out.sort_by(SchemaMatcher::match_order);
+        out
+    }
+
+    /// The matcher's score of a pair, whatever the threshold.
+    fn unbounded(m: &SchemaMatcher, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
+        let config = MatcherConfig { threshold: f64::NEG_INFINITY, ..m.config().clone() };
+        SchemaMatcher::new(config)
+            .match_score(|| name_similarity(&a.column, &b.column), a, b)
+            .expect("every pair scores at threshold −∞")
     }
 
     fn applicants() -> Table {
@@ -297,18 +286,18 @@ mod tests {
     }
 
     #[test]
-    fn score_pair_bounded() {
+    fn unbounded_score_lies_in_the_unit_interval() {
         let t = applicants();
         let ps = ColumnProfile::build_all(&t);
         let m = SchemaMatcher::paper_default();
-        let s = m.score_pair(&ps[0], &ps[1]);
+        let s = unbounded(&m, &ps[0], &ps[1]);
         assert!((0.0..=1.0).contains(&s));
     }
 
     #[test]
     fn zero_weights_do_not_panic_with_nan() {
-        // Regression: name_weight + value_weight == 0 made score_pair
-        // return 0/0 = NaN and the `partial_cmp(..).expect("finite scores")`
+        // Regression: name_weight + value_weight == 0 made the pair score
+        // 0/0 = NaN and the `partial_cmp(..).expect("finite scores")`
         // sort aborted the process. Now the blend guards the division and
         // the sort is total.
         let m = SchemaMatcher::new(MatcherConfig {
@@ -366,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn match_score_is_score_pair_cut_at_the_threshold() {
+    fn match_score_is_the_unbounded_score_cut_at_the_threshold() {
         let lp = ColumnProfile::build_all(&applicants());
         let rp = ColumnProfile::build_all(&credit());
         let weights = [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.5, 1.0), (1.0, -0.5)];
@@ -376,7 +365,7 @@ mod tests {
                 for a in &lp {
                     for b in &rp {
                         let name = name_similarity(&a.column, &b.column);
-                        let score = m.score_pair(a, b);
+                        let score = unbounded(&m, a, b);
                         assert_eq!(
                             m.match_score(|| name, a, b).map(f64::to_bits),
                             (score >= threshold).then_some(score.to_bits()),

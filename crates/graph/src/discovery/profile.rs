@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 
 use autofeat_data::{Column, Key, Table};
 
-use crate::discovery::value_sim::{hash_value, MinHash, ValueRun};
+use crate::discovery::value_sim::{value_hash, MinHash, ValueRun};
 
 /// MinHash sketch size.
 const SKETCH_K: usize = 128;
@@ -35,7 +35,9 @@ pub struct ColumnProfile {
     pub null_ratio: f64,
     /// Number of distinct non-null values.
     pub distinct: usize,
-    /// Exact hashes of distinct values (present iff `distinct <= EXACT_SET_CAP`).
+    /// The distinct keys' hashes (`value_sim::value_hash`) as a sorted run
+    /// with its occupancy map; `None` past [`EXACT_SET_CAP`], where the
+    /// sketch stands in.
     pub value_hashes: Option<ValueRun>,
     /// MinHash sketch of the value set: made by `build` when the run is
     /// dropped, otherwise by the first [`sketch`](Self::sketch) call.
@@ -103,7 +105,7 @@ impl ColumnProfile {
         col.keys_in(0..col.len(), #[inline(always)] |key| {
             if let Some(key) = key {
                 span.add(&key);
-                hashes.push(hash_value(&key));
+                hashes.push(value_hash(&key));
             }
         });
         let run = ValueRun::from_unsorted(hashes);
@@ -204,7 +206,7 @@ mod tests {
 
     /// A column's distinct key hashes, walked row by row.
     fn hashes_of(col: &Column) -> Vec<u64> {
-        (0..col.len()).filter_map(|row| col.key(row)).map(|k| hash_value(&k)).collect()
+        (0..col.len()).filter_map(|row| col.key(row)).map(|k| value_hash(&k)).collect()
     }
 
     #[test]

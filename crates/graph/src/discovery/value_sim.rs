@@ -1,68 +1,22 @@
 //! Instance-based (value-overlap) column similarity.
 //!
 //! Joinability is fundamentally about overlapping value sets (Def. IV.1:
-//! "their intersection is non-empty"). We provide exact Jaccard and
-//! containment over hashed value sets, the [`ValueRun`] a column profile
-//! keeps its exact set in, plus a MinHash sketch (in the spirit of Lazo) for
-//! estimating Jaccard on large columns without materializing full sets.
+//! "their intersection is non-empty"). A column profile keeps its exact
+//! value set as a [`ValueRun`] of [`value_hash`]es, overlapped by one merge
+//! and bounded by an occupancy map, plus a MinHash sketch (in the spirit of
+//! Lazo) for estimating Jaccard on large columns without materializing
+//! full sets.
 
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use autofeat_data::stable_hash::{key_hash, mix_u64};
+use autofeat_data::Key;
 
-/// Exact Jaccard similarity of two value-hash sets.
-pub fn jaccard(a: &HashSet<u64>, b: &HashSet<u64>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    let union = (a.len() + b.len()) as f64 - inter;
-    inter / union
-}
-
-/// Containment of `a` in `b`: `|a ∩ b| / |a|`. Asymmetric — high when most
-/// of `a`'s values appear in `b` (the FK → PK direction).
-pub fn containment(a: &HashSet<u64>, b: &HashSet<u64>) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.intersection(b).count() as f64 / a.len() as f64
-}
-
-/// The sketch domain's hasher: FNV-1a's offset basis and byte loop, but the
-/// multiplier `0x1000_0000_01b3` where FNV's prime (the join layer's
-/// `autofeat_data::stable_hash::StableHasher`) is `0x100_0000_01b3`. Every
-/// profile, DRG edge and pinned digest was computed with it, so it stays.
-struct SketchHasher(u64);
-
-/// FNV-1a's offset basis, where a [`SketchHasher`] starts.
-const SKETCH_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-impl Hasher for SketchHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-}
-
-/// Stable 64-bit hash for sketching ([`SketchHasher`] — deterministic across
-/// runs, unlike `DefaultHasher` with random keys).
-pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut h = SketchHasher(SKETCH_BASIS);
-    h.write(bytes);
-    h.finish()
-}
-
-/// Hash a value into the sketch domain through the std `Hash` trait.
-pub fn hash_value<T: Hash>(v: &T) -> u64 {
-    let mut h = SketchHasher(SKETCH_BASIS);
-    v.hash(&mut h);
-    h.finish()
+/// The hash a profile keeps of a key: the data crate's [`key_hash`], the
+/// one the dictionaries order their codes by, through the [`mix_u64`]
+/// finalizer. A [`ValueRun`]'s occupancy map reads a hash's top 16 bits,
+/// and FNV leaves those clustered for short keys; `mix_u64(·, 0)` is a
+/// bijection, so a set's size and every intersection are FNV's own.
+pub(crate) fn value_hash(key: &Key) -> u64 {
+    mix_u64(key_hash(key), 0)
 }
 
 /// Bits in a [`ValueRun`]'s occupancy map: one per value of a hash's top 16
@@ -239,45 +193,14 @@ mod tests {
         }
     }
 
-    fn set(values: impl IntoIterator<Item = u64>) -> HashSet<u64> {
-        values.into_iter().collect()
-    }
-
-    #[test]
-    fn jaccard_basics() {
-        let a = set([1, 2, 3]);
-        let b = set([2, 3, 4]);
-        assert!((jaccard(&a, &b) - 0.5).abs() < 1e-12);
-        assert_eq!(jaccard(&a, &a), 1.0);
-        assert_eq!(jaccard(&set([]), &set([])), 0.0);
-        assert_eq!(jaccard(&a, &set([])), 0.0);
-    }
-
-    #[test]
-    fn containment_is_asymmetric() {
-        let fk = set([1, 2]);
-        let pk = set([1, 2, 3, 4]);
-        assert_eq!(containment(&fk, &pk), 1.0);
-        assert_eq!(containment(&pk, &fk), 0.5);
-        assert_eq!(containment(&set([]), &pk), 0.0);
-    }
-
-    #[test]
-    fn stable_hash_is_deterministic_and_spread() {
-        assert_eq!(stable_hash(b"abc"), stable_hash(b"abc"));
-        assert_ne!(stable_hash(b"abc"), stable_hash(b"abd"));
-    }
-
-    #[test]
-    fn hash_value_matches_types() {
-        assert_eq!(hash_value(&42i64), hash_value(&42i64));
-        assert_ne!(hash_value(&42i64), hash_value(&43i64));
-        assert_eq!(hash_value(&"x"), hash_value(&"x"));
+    /// The profile's hash of the integer key `i`.
+    fn spread(i: u64) -> u64 {
+        value_hash(&Key::Num(i as i64))
     }
 
     #[test]
     fn minhash_identical_sets_estimate_one() {
-        let hashes: Vec<u64> = (0..500u64).map(|i| stable_hash(&i.to_le_bytes())).collect();
+        let hashes: Vec<u64> = (0..500u64).map(spread).collect();
         let a = MinHash::from_hashes(128, hashes.iter().copied());
         let b = MinHash::from_hashes(128, hashes.iter().copied());
         assert_eq!(a.jaccard(&b), 1.0);
@@ -285,21 +208,15 @@ mod tests {
 
     #[test]
     fn minhash_disjoint_sets_estimate_near_zero() {
-        let a = MinHash::from_hashes(128, (0..500u64).map(|i| stable_hash(&i.to_le_bytes())));
-        let b = MinHash::from_hashes(
-            128,
-            (1000..1500u64).map(|i| stable_hash(&i.to_le_bytes())),
-        );
+        let a = MinHash::from_hashes(128, (0..500u64).map(spread));
+        let b = MinHash::from_hashes(128, (1000..1500u64).map(spread));
         assert!(a.jaccard(&b) < 0.1);
     }
 
     #[test]
     fn minhash_estimates_half_overlap() {
-        let a = MinHash::from_hashes(256, (0..1000u64).map(|i| stable_hash(&i.to_le_bytes())));
-        let b = MinHash::from_hashes(
-            256,
-            (500..1500u64).map(|i| stable_hash(&i.to_le_bytes())),
-        );
+        let a = MinHash::from_hashes(256, (0..1000u64).map(spread));
+        let b = MinHash::from_hashes(256, (500..1500u64).map(spread));
         // True Jaccard = 500/1500 ≈ 0.333.
         let est = a.jaccard(&b);
         assert!((est - 1.0 / 3.0).abs() < 0.12, "estimate {est}");
@@ -307,7 +224,7 @@ mod tests {
 
     #[test]
     fn from_hashes_equals_folding_insert() {
-        let hashes: Vec<u64> = (0..777u64).map(|i| stable_hash(&(i % 500).to_le_bytes())).collect();
+        let hashes: Vec<u64> = (0..777u64).map(|i| spread(i % 500)).collect();
         for k in [1, 7, 64, 128, 256] {
             for n in [0, 1, 9, hashes.len()] {
                 let mut folded = MinHash::new(k);
@@ -334,7 +251,6 @@ mod tests {
 
     #[test]
     fn intersection_len_counts_shared_hashes() {
-        let spread = |i: u64| stable_hash(&i.to_le_bytes());
         let a = run((0..1000).map(spread));
         let b = run((600..2500).map(spread));
         assert_eq!(a.intersection_len(&b), 400);
@@ -348,7 +264,6 @@ mod tests {
 
     #[test]
     fn intersection_bound_holds_tightens_and_saturates() {
-        let spread = |i: u64| stable_hash(&i.to_le_bytes());
         let sets: Vec<ValueRun> = [0..0u64, 0..1, 0..40, 20..60, 0..4000, 3000..7000, 50_000..54_000, 0..70_000, 60_000..130_000]
             .into_iter()
             .map(|r| run(r.map(spread)))
@@ -376,7 +291,7 @@ mod tests {
         let mut a = MinHash::new(64);
         let mut b = MinHash::new(64);
         for i in 0..100u64 {
-            let h = stable_hash(&i.to_le_bytes());
+            let h = spread(i);
             a.insert(h);
             b.insert(h);
             b.insert(h); // duplicate

@@ -198,8 +198,8 @@ fn cached_name_sim(cache: &mut NameSims, a: &str, b: &str) -> f64 {
 }
 
 /// The match list of one table pair, in [`SchemaMatcher::match_order`]:
-/// every column pair decided by [`SchemaMatcher::match_score`], so scores
-/// are bit-identical to `SchemaMatcher::match_profiles`. A name similarity
+/// every column pair decided by [`SchemaMatcher::match_score`], so each
+/// score is the one the matcher gives the pair at any threshold. A name similarity
 /// is computed (and cached) only for a pair whose values do not settle it.
 /// `match.pairs_scored` counts the pairs; how many of them the occupancy
 /// maps settled without a merge is `match.pairs_bound_rejected`.
@@ -231,6 +231,7 @@ fn pair_list(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::MatcherConfig;
     use crate::drg::EdgeProvenance;
     use autofeat_data::Column;
 
@@ -269,9 +270,15 @@ mod tests {
         })
     }
 
-    /// The reference the maintainer is held to: the schema matcher's
-    /// `match_profiles` over every table pair, no bound and no cache.
+    /// The reference the maintainer is held to: every column pair of every
+    /// table pair scored by the matcher at threshold `−∞`, where no bound
+    /// rejects, then cut at the matcher's threshold; no name cache.
     fn all_pairs_drg(tables: &[&Table], matcher: &SchemaMatcher) -> Drg {
+        let threshold = matcher.config().threshold;
+        let unbounded = SchemaMatcher::new(MatcherConfig {
+            threshold: f64::NEG_INFINITY,
+            ..matcher.config().clone()
+        });
         let mut b = DrgBuilder::new();
         for t in tables {
             b.add_table(t.name());
@@ -280,7 +287,23 @@ mod tests {
             tables.iter().map(|t| ColumnProfile::build_all(t)).collect();
         for i in 0..tables.len() {
             for j in (i + 1)..tables.len() {
-                for m in matcher.match_profiles(&profiles[i], &profiles[j]) {
+                let mut matches = Vec::new();
+                for pa in &profiles[i] {
+                    for pb in &profiles[j] {
+                        let name = || name_similarity(&pa.column, &pb.column);
+                        let score =
+                            unbounded.match_score(name, pa, pb).expect("every pair scores at −∞");
+                        if score >= threshold {
+                            matches.push(ColumnMatch {
+                                left_column: pa.column.clone(),
+                                right_column: pb.column.clone(),
+                                score,
+                            });
+                        }
+                    }
+                }
+                matches.sort_by(SchemaMatcher::match_order);
+                for m in matches {
                     b.add_discovered(
                         tables[i].name(),
                         &m.left_column,

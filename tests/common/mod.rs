@@ -354,18 +354,17 @@ pub mod join_oracle {
 }
 
 /// An independent reference for column matching: a profile is the
-/// `HashSet` of a column's key hashes, collected row by row; a score is the
-/// arithmetic `SchemaMatcher::score_pair` had before profiles kept sorted
-/// runs — `value_sim::jaccard` and `containment` over those sets, blended
-/// with `name_similarity`; a DRG is every column pair of every table pair,
-/// scored. No dictionary, no sorted run, no occupancy bound, no sketch. It
-/// shares with the program the hash of a key, the name similarity and the
-/// two set functions, none of which the program's matcher path rewrote.
+/// `HashSet` of a column's keys, collected row by row; a score is Jaccard
+/// and the larger containment, counted over those sets here, blended with
+/// `name_similarity`; a DRG is every column pair of every table pair,
+/// scored. No hash, no dictionary, no sorted run, no occupancy bound, no
+/// sketch. It shares with the program the name similarity alone: no hash
+/// and no set function.
 pub mod match_oracle {
     use std::collections::HashSet;
 
+    use autofeat::data::Key;
     use autofeat::discovery::name_sim::name_similarity;
-    use autofeat::discovery::value_sim::{containment, hash_value, jaccard};
     use autofeat::discovery::MatcherConfig;
     use autofeat::prelude::*;
 
@@ -373,12 +372,11 @@ pub mod match_oracle {
     pub struct Profile {
         pub column: String,
         pub null_ratio: f64,
-        pub values: HashSet<u64>,
+        pub values: HashSet<Key>,
     }
 
     pub fn profile(name: &str, col: &Column) -> Profile {
-        let values: HashSet<u64> =
-            (0..col.len()).filter_map(|row| col.key(row)).map(|k| hash_value(&k)).collect();
+        let values: HashSet<Key> = (0..col.len()).filter_map(|row| col.key(row)).collect();
         assert!(
             values.len() <= autofeat::discovery::profile::EXACT_SET_CAP,
             "the reference scores exact sets only"
@@ -392,6 +390,23 @@ pub mod match_oracle {
 
     fn joinable(p: &Profile) -> bool {
         !p.values.is_empty() && p.null_ratio < 0.9
+    }
+
+    /// `|a ∩ b| / |a ∪ b|`, 0 for two empty sets.
+    fn jaccard(a: &HashSet<Key>, b: &HashSet<Key>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 0.0;
+        }
+        let shared = a.intersection(b).count() as f64;
+        shared / ((a.len() + b.len()) as f64 - shared)
+    }
+
+    /// `|a ∩ b| / |a|`, 0 for an empty `a`.
+    fn containment(a: &HashSet<Key>, b: &HashSet<Key>) -> f64 {
+        if a.is_empty() {
+            return 0.0;
+        }
+        a.intersection(b).count() as f64 / a.len() as f64
     }
 
     /// Jaccard averaged with the larger containment.

@@ -1,6 +1,6 @@
 //! Column matching checked against a reference that shares none of its
-//! data structures (`common::match_oracle`: row-walked `HashSet`s, the
-//! three-intersection score, all pairs). Scores are compared bit for bit
+//! data structures, hashes or set functions (`common::match_oracle`:
+//! row-walked `HashSet`s of keys, the three-intersection score, all pairs). Scores are compared bit for bit
 //! and edge lists exactly; the lake's DRG is also pinned to a digest
 //! captured at commit 8a7ee06, before profiles kept sorted runs, so a
 //! change shared by the program and the reference cannot pass either.
@@ -187,9 +187,13 @@ fn check_pair(a: &Profiled, b: &Profiled) -> Result<(), String> {
     let inst = match_oracle::instance_similarity(oa, ob);
     for config in configs() {
         let want = match_oracle::blended(&config, inst, oa, ob);
+        let unbounded = MatcherConfig { threshold: f64::NEG_INFINITY, ..config.clone() };
+        let got = SchemaMatcher::new(unbounded).match_score(|| name, pa, pb);
+        prop_assert!(
+            got.map(f64::to_bits) == Some(want.to_bits()),
+            "{what} {config:?}: {got:?} at −∞ for {want}"
+        );
         let matcher = SchemaMatcher::new(config.clone());
-        let got = matcher.score_pair(pa, pb);
-        prop_assert!(got.to_bits() == want.to_bits(), "{what} {config:?}: {got} for {want}");
         let decided = matcher.match_score(|| name, pa, pb);
         prop_assert!(
             decided.map(f64::to_bits) == (want >= config.threshold).then_some(want.to_bits()),

@@ -185,16 +185,20 @@ proptest! {
         extra_a in 1usize..200,
         extra_b in 1usize..200,
     ) {
+        use autofeat::data::stable_hash::{key_hash, mix_u64};
+        use autofeat::data::Key;
         use autofeat::discovery::MinHash;
         use std::collections::HashSet;
-        let hash = |v: u64| autofeat::discovery::value_sim::stable_hash(&v.to_le_bytes());
-        let a_vals: Vec<u64> = (0..(overlap + extra_a) as u64).collect();
-        let b_vals: Vec<u64> = (0..overlap as u64)
-            .chain(1_000_000..(1_000_000 + extra_b as u64))
+        // The hash a profile keeps of an integer key.
+        let hash = |v: i64| mix_u64(key_hash(&Key::Num(v)), 0);
+        let a_vals: Vec<i64> = (0..(overlap + extra_a) as i64).collect();
+        let b_vals: Vec<i64> = (0..overlap as i64)
+            .chain(1_000_000..(1_000_000 + extra_b as i64))
             .collect();
         let sa: HashSet<u64> = a_vals.iter().map(|&v| hash(v)).collect();
         let sb: HashSet<u64> = b_vals.iter().map(|&v| hash(v)).collect();
-        let exact = autofeat::discovery::value_sim::jaccard(&sa, &sb);
+        let shared = sa.intersection(&sb).count() as f64;
+        let exact = shared / ((sa.len() + sb.len()) as f64 - shared);
         let ma = MinHash::from_hashes(256, sa.iter().copied());
         let mb = MinHash::from_hashes(256, sb.iter().copied());
         let est = ma.jaccard(&mb);
