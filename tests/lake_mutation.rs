@@ -4,7 +4,7 @@
 //! [`SearchContext::from_discovery`] over the final table set, and a
 //! resident [`DiscoveryService`] must keep serving coherent snapshots
 //! while the mutations land. Runs under both `AUTOFEAT_THREADS=1` and
-//! `=4` in CI.
+//! `=4` in CI's `threads` job, in debug and in release.
 
 mod common;
 

@@ -316,9 +316,9 @@ fn env_var_enables_tracing_across_thread_counts() {
     std::env::set_var("AUTOFEAT_TRACE", &path);
 
     // Thread counts are explicit here: AUTOFEAT_THREADS resolves once per
-    // process (OnceLock), so mid-process set_var cannot steer it — the CI
-    // resilience job covers the env path by running whole suites under
-    // AUTOFEAT_THREADS=1 and =4.
+    // process (OnceLock), so mid-process set_var cannot steer it — CI's
+    // `threads` job covers the env path by running the whole workspace
+    // under AUTOFEAT_THREADS=1 and =4.
     let r1 = discover(1, false); // trace from env
     let r4 = discover(4, false);
 
