@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use autofeat_data::csv::{read_csv_str, write_csv_str};
 use autofeat_data::{Column, Table};
-use autofeat_graph::discovery::{ColumnProfile, MinHash, SchemaMatcher};
+use autofeat_graph::discovery::{ColumnProfile, SchemaMatcher};
 use autofeat_graph::DrgMaintainer;
 
 fn table(name: &str, n_rows: usize, n_cols: usize, offset: i64) -> Table {
@@ -44,14 +44,6 @@ fn bench_profiles(c: &mut Criterion) {
     let m = SchemaMatcher::paper_default();
     group.bench_function("match_10x10_profiles", |b| {
         b.iter(|| black_box(DrgMaintainer::build(&[&a, &bt], &m)))
-    });
-    group.bench_function("minhash_sketch_10k", |b| {
-        b.iter(|| {
-            black_box(MinHash::from_hashes(
-                128,
-                (0..10_000u64).map(|i| i.wrapping_mul(0x9e3779b97f4a7c15)),
-            ))
-        })
     });
     group.finish();
 }

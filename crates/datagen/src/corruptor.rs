@@ -12,6 +12,7 @@
 //! lenient reader actually faces). Field splitting is plain `,`-based, which
 //! is sufficient for the numeric tables the generator emits.
 
+use autofeat_data::faults::TableFaults;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -49,53 +50,6 @@ impl FaultKind {
             FaultKind::DanglingKeys,
             FaultKind::DuplicateHeader,
         ]
-    }
-}
-
-/// A *runtime* fault kind: unlike [`FaultKind`], these do not corrupt CSV
-/// text — they arm the process-wide fault registry
-/// ([`autofeat_data::faults`]) so the join kernel misbehaves when it touches
-/// the planned table. Deliberately kept out of [`FaultKind::all`]: text
-/// corruption sweeps and runtime-fault drills are separate harnesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeFaultKind {
-    /// Panic while probing a specific row of the table during a join —
-    /// exercises worker panic isolation.
-    PanicOnRow,
-    /// Sleep this many milliseconds inside each join against the table —
-    /// exercises deadline truncation and cancel latency.
-    SlowJoinMs,
-}
-
-/// One planned runtime fault: the table to sabotage, how, and the
-/// seed-deterministic parameter (row index or delay in ms).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuntimeFault {
-    /// Table name the fault targets.
-    pub table: String,
-    /// What goes wrong.
-    pub kind: RuntimeFaultKind,
-    /// Row index ([`RuntimeFaultKind::PanicOnRow`]) or milliseconds
-    /// ([`RuntimeFaultKind::SlowJoinMs`]).
-    pub value: u64,
-}
-
-impl RuntimeFault {
-    /// Arm this fault in `domain` — the lake's own
-    /// (`SearchContext::fault_domain`). Call
-    /// [`FaultDomain::disarm`](autofeat_data::FaultDomain::disarm) to heal.
-    pub fn arm(&self, domain: &autofeat_data::FaultDomain) {
-        let faults = match self.kind {
-            RuntimeFaultKind::PanicOnRow => autofeat_data::faults::TableFaults {
-                panic_on_row: Some(self.value as usize),
-                ..Default::default()
-            },
-            RuntimeFaultKind::SlowJoinMs => autofeat_data::faults::TableFaults {
-                slow_join_ms: Some(self.value),
-                ..Default::default()
-            },
-        };
-        domain.arm(&self.table, faults);
     }
 }
 
@@ -242,21 +196,15 @@ impl FaultInjector {
         out
     }
 
-    /// Plan a runtime fault against table `name` with `n_rows` rows. The
-    /// parameter (panic row / delay) is drawn from the injector's RNG, so a
-    /// fixed seed and call sequence plans the same faults every time. The
-    /// fault is only *planned* here — call [`RuntimeFault::arm`] to activate.
-    pub fn plan_runtime(
-        &mut self,
-        name: &str,
-        kind: RuntimeFaultKind,
-        n_rows: usize,
-    ) -> RuntimeFault {
-        let value = match kind {
-            RuntimeFaultKind::PanicOnRow => self.rng.random_range(0..n_rows.max(1) as u64),
-            RuntimeFaultKind::SlowJoinMs => self.rng.random_range(1..=5),
-        };
-        RuntimeFault { table: name.to_string(), kind, value }
+    /// Plan a runtime fault for a table of `n_rows` rows: a panic at one
+    /// row of its join-index build, the row drawn from the injector's RNG,
+    /// so a fixed seed and call sequence plans the same faults every time.
+    /// Nothing fires until it is armed in the lake's
+    /// [`FaultDomain`](autofeat_data::FaultDomain)
+    /// (`SearchContext::fault_domain`).
+    pub fn plan_runtime(&mut self, n_rows: usize) -> TableFaults {
+        let row = self.rng.random_range(0..n_rows.max(1) as u64);
+        TableFaults { panic_on_row: Some(row as usize), ..TableFaults::default() }
     }
 
     fn record(&mut self, table: &str, kind: FaultKind, detail: String) {
@@ -352,26 +300,26 @@ mod tests {
     fn runtime_plans_are_seed_deterministic_and_in_range() {
         let plan = |seed| {
             let mut inj = FaultInjector::new(seed);
-            (
-                inj.plan_runtime("t", RuntimeFaultKind::PanicOnRow, 50),
-                inj.plan_runtime("t", RuntimeFaultKind::SlowJoinMs, 50),
-            )
+            [inj.plan_runtime(50), inj.plan_runtime(50)]
         };
-        let (p, s) = plan(7);
-        assert_eq!((p.clone(), s.clone()), plan(7));
-        assert!(p.value < 50, "panic row inside the table: {}", p.value);
-        assert!((1..=5).contains(&s.value), "delay in ms range: {}", s.value);
+        let plans = plan(7);
+        assert_eq!(plans, plan(7));
+        for p in plans {
+            let row = p.panic_on_row.expect("a planned panic");
+            assert!(row < 50, "panic row inside the table: {row}");
+            assert_eq!(p.slow_join_ms, None);
+        }
     }
 
     #[test]
     fn armed_runtime_fault_reaches_the_registry() {
         use autofeat_data::{faults::lookup, FaultDomain, RequestScope};
-        let f = RuntimeFault { table: "t".into(), kind: RuntimeFaultKind::PanicOnRow, value: 3 };
+        let planned = FaultInjector::new(7).plan_runtime(50);
         let domain = FaultDomain::new();
         let scope = RequestScope { faults: Some(domain.clone()), ..RequestScope::capture() };
         let _in_domain = scope.enter();
-        f.arm(&domain);
-        assert_eq!(lookup("t").expect("armed").panic_on_row, Some(3));
+        domain.arm("t", planned);
+        assert_eq!(lookup("t"), Some(planned));
         domain.disarm("t");
         assert!(lookup("t").is_none());
     }

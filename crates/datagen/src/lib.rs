@@ -27,7 +27,8 @@
 //! 5. [`FaultInjector`] deterministically injects *file-level* faults (truncated
 //!    or ragged CSV rows, empty tables, all-null columns, NaN floats,
 //!    dangling join keys, duplicate headers) into a serialized lake — the
-//!    harness behind the fail-soft ingestion and discovery tests.
+//!    harness behind the fail-soft ingestion and discovery tests — and
+//!    plans seeded runtime faults for a lake's `FaultDomain`.
 
 mod corruptor;
 pub mod generator;
@@ -35,7 +36,7 @@ pub mod lake;
 pub mod registry;
 pub mod splitter;
 
-pub use corruptor::{FaultInjector, FaultKind, InjectedFault, RuntimeFault, RuntimeFaultKind};
+pub use corruptor::{FaultInjector, FaultKind, InjectedFault};
 pub use generator::{GroundTruth, GroundTruthConfig};
 pub use lake::{corrupt_to_lake, LakeConfig};
 pub use registry::{selection_study_datasets, table2_datasets, DatasetSpec};

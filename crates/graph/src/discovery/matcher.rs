@@ -2,7 +2,8 @@
 //!
 //! For every cross-table column pair the matcher blends name similarity and
 //! instance (value-overlap) similarity into one score in `[0, 1]`; pairs
-//! above the configured threshold become candidate join edges for the DRG.
+//! reaching the paper's threshold become candidate join edges for the DRG.
+//! The threshold and the two weights are the paper's and fixed.
 //!
 //! [`SchemaMatcher::match_score`] decides a pair from its summaries first
 //! and its values last: two columns whose key spans cannot meet share no
@@ -11,27 +12,18 @@
 //! bound cannot reject merges its two value runs.
 
 use crate::discovery::profile::ColumnProfile;
+use crate::discovery::PAPER_THRESHOLD;
 
-/// Matcher configuration.
-#[derive(Debug, Clone)]
-pub struct MatcherConfig {
-    /// Minimum composite score to report a match (paper: 0.55).
-    pub threshold: f64,
-    /// Weight of name similarity in the blend.
-    pub name_weight: f64,
-    /// Weight of instance similarity in the blend.
-    pub value_weight: f64,
-}
+/// Weight of name similarity in the blend.
+const NAME_WEIGHT: f64 = 0.5;
+/// Weight of instance similarity in the blend.
+const VALUE_WEIGHT: f64 = 0.5;
 
-impl Default for MatcherConfig {
-    fn default() -> Self {
-        MatcherConfig {
-            threshold: crate::discovery::PAPER_THRESHOLD,
-            name_weight: 0.5,
-            value_weight: 0.5,
-        }
-    }
-}
+// `match_score` rejects a pair by blending an upper bound on its
+// intersection, which is exact only while the blend does not decrease as
+// either term grows: a positive value weight and a non-negative name weight.
+// A pair that is no join candidate scores 0, which the threshold rejects.
+const _: () = assert!(VALUE_WEIGHT > 0.0 && NAME_WEIGHT >= 0.0 && PAPER_THRESHOLD > 0.0);
 
 /// A scored column correspondence between two tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,50 +36,33 @@ pub struct ColumnMatch {
     pub score: f64,
 }
 
-/// The schema matcher.
+/// The schema matcher, at the paper's 0.55 threshold and equal weights.
 #[derive(Debug, Clone, Default)]
-pub struct SchemaMatcher {
-    config: MatcherConfig,
-}
+pub struct SchemaMatcher;
 
 impl SchemaMatcher {
-    /// Matcher with a custom configuration.
-    pub fn new(config: MatcherConfig) -> Self {
-        SchemaMatcher { config }
-    }
-
-    /// Matcher with the paper's 0.55 threshold.
+    /// The matcher (the paper's threshold and weights).
     pub fn paper_default() -> Self {
-        SchemaMatcher::default()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MatcherConfig {
-        &self.config
+        SchemaMatcher
     }
 
     /// Instance similarity of two profiles: exact Jaccard blended with the
-    /// larger containment direction when exact sets are available (one
-    /// merge of the two runs feeds all three terms), MinHash estimate
-    /// otherwise — the one place a sketch is read.
+    /// larger containment direction, all three terms fed by one merge of
+    /// the two runs.
     pub fn instance_similarity(&self, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
-        match (&a.value_hashes, &b.value_hashes) {
-            (Some(ra), Some(rb)) => exact_similarity(ra.len(), rb.len(), ra.intersection_len(rb)),
-            _ => a.sketch().jaccard(b.sketch()),
-        }
+        let (ra, rb) = (&a.value_hashes, &b.value_hashes);
+        exact_similarity(ra.len(), rb.len(), ra.intersection_len(rb))
     }
 
     /// The match decision for one pair, and the matcher's one scorer:
     /// `Some(score)` iff the pair's composite score — the blend of name and
     /// instance similarity, 0 when either column is no join candidate —
-    /// reaches the threshold. At threshold `f64::NEG_INFINITY` it is
-    /// `Some(score)` for every pair and no bound rejects. The name
-    /// similarity comes from `name`, called only for a pair its values
-    /// cannot rule out (callers that cache name sims across many pairs — the
-    /// incremental DRG maintainer — then neither compute nor cache one for
-    /// most of a lake's pairs).
+    /// reaches the threshold. The name similarity comes from `name`, called
+    /// only for a pair its values cannot rule out (callers that cache name
+    /// sims across many pairs — the incremental DRG maintainer — then
+    /// neither compute nor cache one for most of a lake's pairs).
     ///
-    /// Before merging two exact sets it asks whether the pair could reach
+    /// Before merging two value runs it asks whether the pair could reach
     /// the threshold at all: the same blend, evaluated at an upper bound in
     /// place of the intersection — first at name similarity 1, the most a
     /// name scores, then at the pair's own. The bound is 0 for a pair whose
@@ -97,10 +72,8 @@ impl SchemaMatcher {
     /// That rejects exactly, not heuristically — the bound is never below
     /// the intersection, and every step from intersection and name
     /// similarity to blended score is a correctly rounded operation that
-    /// does not decrease as either grows, *provided* the value weight is
-    /// positive and the name weight non-negative. The weights are the
-    /// caller's, so both signs are checked and the bound is skipped when
-    /// either fails.
+    /// does not decrease as either grows, since the value weight is
+    /// positive and the name weight non-negative.
     ///
     /// [`ValueRun::intersection_bound`]: crate::discovery::value_sim::ValueRun::intersection_bound
     pub fn match_score(
@@ -109,21 +82,14 @@ impl SchemaMatcher {
         a: &ColumnProfile,
         b: &ColumnProfile,
     ) -> Option<f64> {
-        let MatcherConfig { threshold, name_weight, value_weight } = self.config;
         if !a.is_joinable_candidate() || !b.is_joinable_candidate() {
-            return (0.0 >= threshold).then_some(0.0);
+            return None;
         }
-        let monotone = value_weight > 0.0 && name_weight >= 0.0;
-        let mut apart = false;
-        let at_most = match (monotone, &a.value_hashes, &b.value_hashes) {
-            (true, Some(ra), Some(rb)) => {
-                apart = !a.may_share_keys(b);
-                let shared = if apart { 0 } else { ra.intersection_bound(rb) };
-                Some(exact_similarity(ra.len(), rb.len(), shared))
-            }
-            _ => None,
-        };
-        let short = |name: f64| at_most.is_some_and(|x| self.blend(name, x) < threshold);
+        let (ra, rb) = (&a.value_hashes, &b.value_hashes);
+        let apart = !a.may_share_keys(b);
+        let shared = if apart { 0 } else { ra.intersection_bound(rb) };
+        let at_most = exact_similarity(ra.len(), rb.len(), shared);
+        let short = |name: f64| Self::blend(name, at_most) < PAPER_THRESHOLD;
         let name = if short(1.0) { None } else { Some(name()) };
         let Some(name) = name.filter(|&name| !short(name)) else {
             autofeat_obs::incr("match.pairs_bound_rejected");
@@ -132,25 +98,19 @@ impl SchemaMatcher {
             }
             return None;
         };
-        let score = self.blend(name, self.instance_similarity(a, b));
-        (score >= threshold).then_some(score)
+        let score = Self::blend(name, self.instance_similarity(a, b));
+        (score >= PAPER_THRESHOLD).then_some(score)
     }
 
-    fn blend(&self, name: f64, inst: f64) -> f64 {
-        let w = self.config.name_weight + self.config.value_weight;
-        if w <= 0.0 {
-            // Zero (or degenerate) weights would divide 0/0 into NaN and
-            // poison every comparison downstream; an all-zero blend scores
-            // nothing instead.
-            return 0.0;
-        }
-        ((self.config.name_weight * name + self.config.value_weight * inst) / w).clamp(0.0, 1.0)
+    /// The composite score of a candidate pair with name similarity `name`
+    /// and instance similarity `inst`: their weighted mean.
+    pub(crate) fn blend(name: f64, inst: f64) -> f64 {
+        ((NAME_WEIGHT * name + VALUE_WEIGHT * inst) / (NAME_WEIGHT + VALUE_WEIGHT)).clamp(0.0, 1.0)
     }
 
-    /// The order of a table pair's match list: descending score (total
-    /// order — scores are finite by construction but a NaN from a hostile
-    /// config must not abort the sort), then column names. The DRG
-    /// maintainer sorts every list by it, so its edges follow it.
+    /// The order of a table pair's match list: descending score (a total
+    /// order), then column names. The DRG maintainer sorts every list by
+    /// it, so its edges follow it.
     pub(crate) fn match_order(x: &ColumnMatch, y: &ColumnMatch) -> std::cmp::Ordering {
         y.score
             .total_cmp(&x.score)
@@ -196,12 +156,14 @@ mod tests {
         out
     }
 
-    /// The matcher's score of a pair, whatever the threshold.
-    fn unbounded(m: &SchemaMatcher, a: &ColumnProfile, b: &ColumnProfile) -> f64 {
-        let config = MatcherConfig { threshold: f64::NEG_INFINITY, ..m.config().clone() };
-        SchemaMatcher::new(config)
-            .match_score(|| name_similarity(&a.column, &b.column), a, b)
-            .expect("every pair scores at threshold −∞")
+    /// A pair's score without the bound: the blend of its name and instance
+    /// similarity, 0 when either column is no join candidate.
+    fn unbounded(a: &ColumnProfile, b: &ColumnProfile) -> f64 {
+        if !a.is_joinable_candidate() || !b.is_joinable_candidate() {
+            return 0.0;
+        }
+        let name = name_similarity(&a.column, &b.column);
+        SchemaMatcher::blend(name, SchemaMatcher.instance_similarity(a, b))
     }
 
     fn applicants() -> Table {
@@ -262,13 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_is_respected() {
-        let strict = SchemaMatcher::new(MatcherConfig { threshold: 0.99, ..Default::default() });
-        let matches = profile_and_match(&strict, &applicants(), &credit());
-        assert!(matches.iter().all(|c| c.score >= 0.99));
-    }
-
-    #[test]
     fn results_sorted_by_score() {
         let m = SchemaMatcher::paper_default();
         let matches = profile_and_match(&m, &applicants(), &credit());
@@ -289,27 +244,8 @@ mod tests {
     fn unbounded_score_lies_in_the_unit_interval() {
         let t = applicants();
         let ps = ColumnProfile::build_all(&t);
-        let m = SchemaMatcher::paper_default();
-        let s = unbounded(&m, &ps[0], &ps[1]);
+        let s = unbounded(&ps[0], &ps[1]);
         assert!((0.0..=1.0).contains(&s));
-    }
-
-    #[test]
-    fn zero_weights_do_not_panic_with_nan() {
-        // Regression: name_weight + value_weight == 0 made the pair score
-        // 0/0 = NaN and the `partial_cmp(..).expect("finite scores")`
-        // sort aborted the process. Now the blend guards the division and
-        // the sort is total.
-        let m = SchemaMatcher::new(MatcherConfig {
-            threshold: 0.0,
-            name_weight: 0.0,
-            value_weight: 0.0,
-        });
-        let matches = profile_and_match(&m, &applicants(), &credit());
-        assert!(
-            matches.iter().all(|c| c.score == 0.0),
-            "zero-weight blend must score 0.0, not NaN: {matches:?}"
-        );
     }
 
     #[test]
@@ -358,24 +294,40 @@ mod tests {
     fn match_score_is_the_unbounded_score_cut_at_the_threshold() {
         let lp = ColumnProfile::build_all(&applicants());
         let rp = ColumnProfile::build_all(&credit());
-        let weights = [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.5, 1.0), (1.0, -0.5)];
-        for threshold in [-1.0, 0.0, 0.3, 0.55, 0.99] {
-            for (name_weight, value_weight) in weights {
-                let m = SchemaMatcher::new(MatcherConfig { threshold, name_weight, value_weight });
-                for a in &lp {
-                    for b in &rp {
-                        let name = name_similarity(&a.column, &b.column);
-                        let score = unbounded(&m, a, b);
-                        assert_eq!(
-                            m.match_score(|| name, a, b).map(f64::to_bits),
-                            (score >= threshold).then_some(score.to_bits()),
-                            "{}×{} at {threshold}, weights {name_weight}/{value_weight}",
-                            a.column,
-                            b.column
-                        );
-                    }
-                }
+        let m = SchemaMatcher::paper_default();
+        for a in &lp {
+            for b in &rp {
+                let name = name_similarity(&a.column, &b.column);
+                let score = unbounded(a, b);
+                assert_eq!(
+                    m.match_score(|| name, a, b).map(f64::to_bits),
+                    (score >= PAPER_THRESHOLD).then_some(score.to_bits()),
+                    "{}×{}",
+                    a.column,
+                    b.column
+                );
             }
+        }
+    }
+
+    /// A foreign key inside a primary key of more than 100 000 distinct
+    /// keys, under the same name, is an edge: its instance similarity is
+    /// the exact Jaccard averaged with containment 1, as for any smaller
+    /// pair. A Jaccard estimate alone (≈ 0.01) would blend to ≈ 0.505.
+    #[test]
+    fn a_subset_of_a_wide_key_scores_on_its_containment() {
+        let build = |keys: std::ops::Range<i64>| {
+            ColumnProfile::build("t", "customer_id", &Column::from_ints(keys.map(Some)))
+        };
+        let (parent, child) = (build(0..100_001), build(40_000..41_000));
+        assert_eq!((parent.distinct, child.distinct), (100_001, 1_000));
+        let m = SchemaMatcher::paper_default();
+        let inst: f64 = (1_000.0 / 100_001.0 + 1.0) / 2.0;
+        assert_eq!(m.instance_similarity(&parent, &child).to_bits(), inst.to_bits());
+        assert_eq!(m.instance_similarity(&child, &parent).to_bits(), inst.to_bits());
+        for (a, b) in [(&parent, &child), (&child, &parent)] {
+            let score = m.match_score(|| 1.0, a, b).expect("the subset is an edge");
+            assert!((score - 0.7525).abs() < 1e-4, "{score}");
         }
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! Joinability is fundamentally about overlapping value sets (Def. IV.1:
 //! "their intersection is non-empty"). A column profile keeps its exact
-//! value set as a [`ValueRun`] of [`value_hash`]es, overlapped by one merge
-//! and bounded by an occupancy map, plus a MinHash sketch (in the spirit of
-//! Lazo) for estimating Jaccard on large columns without materializing
-//! full sets.
+//! value set, at any size, as a [`ValueRun`] of [`value_hash`]es: two runs
+//! are overlapped by one merge and bounded, before that, by their
+//! occupancy maps.
 
 use autofeat_data::stable_hash::{key_hash, mix_u64};
 use autofeat_data::Key;
@@ -57,11 +56,6 @@ impl ValueRun {
         ValueRun { extra: hashes.len() - occupied, hashes: hashes.into(), occupancy }
     }
 
-    /// The distinct hashes, ascending.
-    pub(crate) fn hashes(&self) -> &[u64] {
-        &self.hashes
-    }
-
     /// Number of distinct hashes.
     pub(crate) fn len(&self) -> usize {
         self.hashes.len()
@@ -102,136 +96,20 @@ impl ValueRun {
     }
 }
 
-/// A fixed-size MinHash sketch of a value set; the fraction of agreeing
-/// slots between two sketches is an unbiased estimate of Jaccard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MinHash {
-    mins: Vec<u64>,
-    n_values: usize,
-}
-
-impl MinHash {
-    /// An empty sketch with `k` permutations.
-    pub(crate) fn new(k: usize) -> Self {
-        assert!(k > 0, "sketch size must be positive");
-        MinHash { mins: vec![u64::MAX; k], n_values: 0 }
-    }
-
-    /// Number of permutations.
-    pub(crate) fn k(&self) -> usize {
-        self.mins.len()
-    }
-
-    /// The `slot`-th permutation of a value hash: a multiply by an odd
-    /// constant and a rotation, both derived from the slot number.
-    fn permuted(slot: usize) -> impl Fn(u64) -> u64 {
-        let multiplier = 0x9e37_79b9_7f4a_7c15 ^ ((slot as u64) << 1 | 1);
-        let rotation = (slot % 63) as u32 + 1;
-        move |value_hash| value_hash.wrapping_mul(multiplier).rotate_left(rotation)
-    }
-
-    /// Build a sketch from value hashes: each slot holds the least of its
-    /// permutation over every hash. Slot-major: a slot's permutation constants are derived
-    /// once and its minimum taken over all hashes, instead of re-deriving
-    /// every slot's constants for every hash.
-    pub fn from_hashes<I: IntoIterator<Item = u64>>(k: usize, iter: I) -> Self {
-        // Slots whose minima one pass over the hashes takes together. A
-        // lone running minimum is one chain of dependent compares, which
-        // leaves the multiplier idle: 84 ns per hash for 128 slots against
-        // 61 ns in eights.
-        const SLOTS_PER_PASS: usize = 8;
-        let hashes: Vec<u64> = iter.into_iter().collect();
-        let mut s = MinHash::new(k);
-        s.n_values = hashes.len();
-        for (pass, slots) in s.mins.chunks_mut(SLOTS_PER_PASS).enumerate() {
-            let permuted: [_; SLOTS_PER_PASS] =
-                std::array::from_fn(|j| Self::permuted(pass * SLOTS_PER_PASS + j));
-            let mut mins = [u64::MAX; SLOTS_PER_PASS];
-            for &h in &hashes {
-                for (min, permuted) in mins.iter_mut().zip(&permuted) {
-                    *min = (*min).min(permuted(h));
-                }
-            }
-            slots.copy_from_slice(&mins[..slots.len()]);
-        }
-        s
-    }
-
-    /// Estimated Jaccard similarity with another sketch of the same size.
-    pub fn jaccard(&self, other: &MinHash) -> f64 {
-        assert_eq!(self.k(), other.k(), "sketch sizes must match");
-        if self.n_values == 0 && other.n_values == 0 {
-            return 0.0;
-        }
-        let agree = self
-            .mins
-            .iter()
-            .zip(&other.mins)
-            .filter(|(a, b)| a == b)
-            .count();
-        agree as f64 / self.k() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    impl MinHash {
-        /// Number of values inserted (with multiplicity).
-        pub(crate) fn n_values(&self) -> usize {
-            self.n_values
-        }
-
-        /// Insert one value hash, one slot at a time: the reference
-        /// [`from_hashes`](MinHash::from_hashes) must equal.
-        fn insert(&mut self, value_hash: u64) {
-            self.n_values += 1;
-            for (i, slot) in self.mins.iter_mut().enumerate() {
-                *slot = (*slot).min(Self::permuted(i)(value_hash));
-            }
+    impl ValueRun {
+        /// The distinct hashes, ascending.
+        pub(crate) fn hashes(&self) -> &[u64] {
+            &self.hashes
         }
     }
 
     /// The profile's hash of the integer key `i`.
     fn spread(i: u64) -> u64 {
         value_hash(&Key::Num(i as i64))
-    }
-
-    #[test]
-    fn minhash_identical_sets_estimate_one() {
-        let hashes: Vec<u64> = (0..500u64).map(spread).collect();
-        let a = MinHash::from_hashes(128, hashes.iter().copied());
-        let b = MinHash::from_hashes(128, hashes.iter().copied());
-        assert_eq!(a.jaccard(&b), 1.0);
-    }
-
-    #[test]
-    fn minhash_disjoint_sets_estimate_near_zero() {
-        let a = MinHash::from_hashes(128, (0..500u64).map(spread));
-        let b = MinHash::from_hashes(128, (1000..1500u64).map(spread));
-        assert!(a.jaccard(&b) < 0.1);
-    }
-
-    #[test]
-    fn minhash_estimates_half_overlap() {
-        let a = MinHash::from_hashes(256, (0..1000u64).map(spread));
-        let b = MinHash::from_hashes(256, (500..1500u64).map(spread));
-        // True Jaccard = 500/1500 ≈ 0.333.
-        let est = a.jaccard(&b);
-        assert!((est - 1.0 / 3.0).abs() < 0.12, "estimate {est}");
-    }
-
-    #[test]
-    fn from_hashes_equals_folding_insert() {
-        let hashes: Vec<u64> = (0..777u64).map(|i| spread(i % 500)).collect();
-        for k in [1, 7, 64, 128, 256] {
-            for n in [0, 1, 9, hashes.len()] {
-                let mut folded = MinHash::new(k);
-                hashes[..n].iter().for_each(|&h| folded.insert(h));
-                assert_eq!(MinHash::from_hashes(k, hashes[..n].iter().copied()), folded, "k {k} n {n}");
-            }
-        }
     }
 
     fn run(values: impl IntoIterator<Item = u64>) -> ValueRun {
@@ -284,30 +162,5 @@ mod tests {
         let (low, high) = (run(0..100), run(50..300));
         assert_eq!(low.intersection_len(&high), 50);
         assert_eq!(low.intersection_bound(&high), 100);
-    }
-
-    #[test]
-    fn minhash_duplicates_do_not_change_sketch() {
-        let mut a = MinHash::new(64);
-        let mut b = MinHash::new(64);
-        for i in 0..100u64 {
-            let h = spread(i);
-            a.insert(h);
-            b.insert(h);
-            b.insert(h); // duplicate
-        }
-        assert_eq!(a.jaccard(&b), 1.0);
-        assert_eq!(b.n_values(), 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "sketch sizes must match")]
-    fn mismatched_sketch_sizes_panic() {
-        MinHash::new(8).jaccard(&MinHash::new(16));
-    }
-
-    #[test]
-    fn empty_sketches_score_zero() {
-        assert_eq!(MinHash::new(8).jaccard(&MinHash::new(8)), 0.0);
     }
 }

@@ -198,9 +198,9 @@ fn cached_name_sim(cache: &mut NameSims, a: &str, b: &str) -> f64 {
 }
 
 /// The match list of one table pair, in [`SchemaMatcher::match_order`]:
-/// every column pair decided by [`SchemaMatcher::match_score`], so each
-/// score is the one the matcher gives the pair at any threshold. A name similarity
-/// is computed (and cached) only for a pair whose values do not settle it.
+/// every column pair decided by [`SchemaMatcher::match_score`], each kept
+/// with its composite score. A name similarity is computed (and cached)
+/// only for a pair whose values do not settle it.
 /// `match.pairs_scored` counts the pairs; how many of them the occupancy
 /// maps settled without a merge is `match.pairs_bound_rejected`.
 fn pair_list(
@@ -231,7 +231,7 @@ fn pair_list(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discovery::MatcherConfig;
+    use crate::discovery::PAPER_THRESHOLD;
     use crate::drg::EdgeProvenance;
     use autofeat_data::Column;
 
@@ -270,15 +270,11 @@ mod tests {
         })
     }
 
-    /// The reference the maintainer is held to: every column pair of every
-    /// table pair scored by the matcher at threshold `−∞`, where no bound
-    /// rejects, then cut at the matcher's threshold; no name cache.
-    fn all_pairs_drg(tables: &[&Table], matcher: &SchemaMatcher) -> Drg {
-        let threshold = matcher.config().threshold;
-        let unbounded = SchemaMatcher::new(MatcherConfig {
-            threshold: f64::NEG_INFINITY,
-            ..matcher.config().clone()
-        });
+    /// The reference the maintainer is held to: every pair of join
+    /// candidates of every table pair scored without the bound — the blend
+    /// of its name and instance similarity — then cut at the paper's
+    /// threshold; no name cache.
+    fn all_pairs_drg(tables: &[&Table]) -> Drg {
         let mut b = DrgBuilder::new();
         for t in tables {
             b.add_table(t.name());
@@ -290,10 +286,13 @@ mod tests {
                 let mut matches = Vec::new();
                 for pa in &profiles[i] {
                     for pb in &profiles[j] {
-                        let name = || name_similarity(&pa.column, &pb.column);
+                        if !pa.is_joinable_candidate() || !pb.is_joinable_candidate() {
+                            continue;
+                        }
+                        let name = name_similarity(&pa.column, &pb.column);
                         let score =
-                            unbounded.match_score(name, pa, pb).expect("every pair scores at −∞");
-                        if score >= threshold {
+                            SchemaMatcher::blend(name, SchemaMatcher.instance_similarity(pa, pb));
+                        if score >= PAPER_THRESHOLD {
                             matches.push(ColumnMatch {
                                 left_column: pa.column.clone(),
                                 right_column: pb.column.clone(),
@@ -325,7 +324,7 @@ mod tests {
         // Sorted input so the all-pairs node order matches assemble()'s.
         let mut sorted = refs.clone();
         sorted.sort_by_key(|t| t.name().to_string());
-        let full = all_pairs_drg(&sorted, &matcher);
+        let full = all_pairs_drg(&sorted);
         let inc = DrgMaintainer::build(&refs, &matcher).assemble();
         assert!(drg_identical(&full, &inc), "the build must reproduce all-pairs edges");
         assert!(inc.n_edges() >= 3, "expected the user_id clique: {:?}", inc.edges());

@@ -277,18 +277,7 @@ pub fn conditional_mutual_information(
     y: &Discretized,
     z: &Discretized,
 ) -> f64 {
-    cmi_impl(x, y, z, false)
-}
-
-/// Miller-Madow-corrected conditional MI: the per-stratum estimates carry
-/// the plug-in bias (once per stratum!), so each is corrected before the
-/// weighted sum.
-pub fn conditional_mutual_information_corrected(
-    x: &Discretized,
-    y: &Discretized,
-    z: &Discretized,
-) -> f64 {
-    cmi_impl(x, y, z, true)
+    cmi_impl(x, y, z)
 }
 
 /// One pass fills the 3-way table `counts[a·slab + c·(ny+1) + b]` of
@@ -305,7 +294,7 @@ fn fill_conditional(t: &mut Tables, x: &Discretized, y: &Discretized, z: &Discre
 
 /// `Σ_z p(z)·I(X;Y|Z=z)` from the table [`fill_conditional`] left in `t`,
 /// strata in ascending z, empty ones skipped.
-fn cmi_from_table(t: &mut Tables, (nx, ny, nz): (usize, usize, usize), corrected: bool) -> f64 {
+fn cmi_from_table(t: &mut Tables, (nx, ny, nz): (usize, usize, usize)) -> f64 {
     let sy = ny + 1;
     let slab = (nz + 1) * sy;
     let total: usize = (0..nz).map(|c| t.m.of(&t.counts[c * sy..], slab, nx, ny)).sum();
@@ -315,7 +304,7 @@ fn cmi_from_table(t: &mut Tables, (nx, ny, nz): (usize, usize, usize), corrected
     let mut cmi = 0.0;
     for c in 0..nz {
         let (n_z, mi_z) =
-            mi_of_table(&t.counts[c * sy..], slab, (nx, ny), corrected, &mut t.m, &mut t.terms, false);
+            mi_of_table(&t.counts[c * sy..], slab, (nx, ny), false, &mut t.m, &mut t.terms, false);
         if n_z > 0 {
             cmi += (n_z as f64 / total as f64) * mi_z;
         }
@@ -327,18 +316,18 @@ fn dims(x: &Discretized, y: &Discretized, z: &Discretized) -> (usize, usize, usi
     (x.n_bins() as usize, y.n_bins() as usize, z.n_bins() as usize)
 }
 
-fn cmi_impl(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool) -> f64 {
+fn cmi_impl(x: &Discretized, y: &Discretized, z: &Discretized) -> f64 {
     if !fits_flat(x, y, z) {
-        return cmi_gather(x, y, z, corrected);
+        return cmi_gather(x, y, z);
     }
     let mut t = Tables::default();
     fill_conditional(&mut t, x, y, z);
-    cmi_from_table(&mut t, dims(x, y, z), corrected)
+    cmi_from_table(&mut t, dims(x, y, z))
 }
 
 /// Fallback CMI for bin counts whose flat table would not fit the budget:
 /// partition rows by z and score each stratum from gathered sub-codes.
-fn cmi_gather(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool) -> f64 {
+fn cmi_gather(x: &Discretized, y: &Discretized, z: &Discretized) -> f64 {
     assert_eq!(x.len(), y.len(), "feature length mismatch");
     assert_eq!(x.len(), z.len(), "feature length mismatch");
     let mut strata: Vec<Vec<usize>> = vec![Vec::new(); z.n_bins() as usize];
@@ -358,12 +347,7 @@ fn cmi_gather(x: &Discretized, y: &Discretized, z: &Discretized, corrected: bool
             continue;
         }
         let w = rows.len() as f64 / total as f64;
-        let mi_z = if corrected {
-            mutual_information_corrected(&x.gather(rows), &y.gather(rows))
-        } else {
-            mutual_information(&x.gather(rows), &y.gather(rows))
-        };
-        cmi += w * mi_z;
+        cmi += w * mutual_information(&x.gather(rows), &y.gather(rows));
     }
     cmi.max(0.0)
 }
@@ -406,7 +390,7 @@ pub(crate) fn mi_and_cmi_with(
     if xy_rows == 0 {
         return (0.0, 0.0);
     }
-    (mi, cmi_from_table(t, (nx, ny, nz), false))
+    (mi, cmi_from_table(t, (nx, ny, nz)))
 }
 
 #[cfg(test)]
@@ -546,11 +530,8 @@ mod tests {
             let x = noisy(seed, 120, 7);
             let y = noisy(seed + 50, 120, 6);
             let z = noisy(seed + 90, 120, 3);
-            for corrected in [false, true] {
-                let flat = cmi_impl(&x, &y, &z, corrected);
-                let gather = cmi_gather(&x, &y, &z, corrected);
-                assert_eq!(flat.to_bits(), gather.to_bits());
-            }
+            let (flat, gather) = (cmi_impl(&x, &y, &z), cmi_gather(&x, &y, &z));
+            assert_eq!(flat.to_bits(), gather.to_bits());
         }
     }
 }

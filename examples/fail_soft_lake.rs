@@ -104,12 +104,11 @@ fn main() {
     //         is final: a later request gets its own control
     //         (`ctx.clone().with_request_control(..)`), as the service gives
     //         every request.
-    datagen::RuntimeFault {
-        table: "s0".into(),
-        kind: datagen::RuntimeFaultKind::SlowJoinMs,
-        value: 10_000,
-    }
-    .arm(ctx.fault_domain());
+    let slow_join = autofeat::data::faults::TableFaults {
+        slow_join_ms: Some(10_000),
+        ..Default::default()
+    };
+    ctx.fault_domain().arm("s0", slow_join);
     let ctrl = std::sync::Arc::clone(ctx.control());
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_millis(50));

@@ -76,7 +76,7 @@ pub mod prelude {
         CacheRecorder, CacheStats, Column, DType, FaultDomain, Interrupt, KeyDict,
         LakeIndexCache, RunControl, Table, Value,
     };
-    pub use autofeat_graph::discovery::{MatcherConfig, SchemaMatcher};
+    pub use autofeat_graph::discovery::SchemaMatcher;
     pub use autofeat_graph::{Drg, DrgBuilder, JoinPath};
     pub use autofeat_metrics::{RedundancyMethod, RelevanceMethod};
     pub use autofeat_ml::eval::ModelKind;

@@ -355,18 +355,20 @@ pub mod join_oracle {
 
 /// An independent reference for column matching: a profile is the
 /// `HashSet` of a column's keys, collected row by row; a score is Jaccard
-/// and the larger containment, counted over those sets here, blended with
-/// `name_similarity`; a DRG is every column pair of every table pair,
-/// scored. No hash, no dictionary, no sorted run, no occupancy bound, no
-/// sketch. It shares with the program the name similarity alone: no hash
-/// and no set function.
+/// and the larger containment, counted over those sets here, blended half
+/// and half with `name_similarity`; a DRG is every column pair of every
+/// table pair, scored and cut at the paper's 0.55. No hash, no dictionary,
+/// no sorted run, no occupancy bound. It shares with the program the name
+/// similarity alone: no hash, no set function and no constant.
 pub mod match_oracle {
     use std::collections::HashSet;
 
     use autofeat::data::Key;
     use autofeat::discovery::name_sim::name_similarity;
-    use autofeat::discovery::MatcherConfig;
     use autofeat::prelude::*;
+
+    /// The paper's threshold for a DRG edge (§VII-A).
+    pub const THRESHOLD: f64 = 0.55;
 
     /// What the reference knows of a column.
     pub struct Profile {
@@ -377,10 +379,6 @@ pub mod match_oracle {
 
     pub fn profile(name: &str, col: &Column) -> Profile {
         let values: HashSet<Key> = (0..col.len()).filter_map(|row| col.key(row)).collect();
-        assert!(
-            values.len() <= autofeat::discovery::profile::EXACT_SET_CAP,
-            "the reference scores exact sets only"
-        );
         Profile { column: name.to_string(), null_ratio: col.null_ratio(), values }
     }
 
@@ -416,21 +414,14 @@ pub mod match_oracle {
         (j + c) / 2.0
     }
 
-    /// The composite score of a pair whose instance similarity is `inst`.
-    pub fn blended(config: &MatcherConfig, inst: f64, a: &Profile, b: &Profile) -> f64 {
+    /// The composite score of a pair: name and instance similarity
+    /// weighted half and half, 0 when either column is no join candidate.
+    pub fn score(a: &Profile, b: &Profile) -> f64 {
         if !joinable(a) || !joinable(b) {
             return 0.0;
         }
         let name = name_similarity(&a.column, &b.column);
-        let w = config.name_weight + config.value_weight;
-        if w <= 0.0 {
-            return 0.0;
-        }
-        ((config.name_weight * name + config.value_weight * inst) / w).clamp(0.0, 1.0)
-    }
-
-    pub fn score(config: &MatcherConfig, a: &Profile, b: &Profile) -> f64 {
-        blended(config, instance_similarity(a, b), a, b)
+        ((0.5 * name + 0.5 * instance_similarity(a, b)) / (0.5 + 0.5)).clamp(0.0, 1.0)
     }
 
     /// One DRG edge: tables, columns, weight bits.
@@ -438,7 +429,7 @@ pub mod match_oracle {
 
     /// The DRG's edge list over `tables`: table pairs in name order, each
     /// pair's matches by descending score, then column names.
-    pub fn drg_edges(tables: &[&Table], config: &MatcherConfig) -> Vec<Edge> {
+    pub fn drg_edges(tables: &[&Table]) -> Vec<Edge> {
         let mut sorted: Vec<&Table> = tables.to_vec();
         sorted.sort_by_key(|t| t.name().to_string());
         let profiled: Vec<Vec<Profile>> = sorted.iter().map(|t| profiles(t)).collect();
@@ -448,8 +439,8 @@ pub mod match_oracle {
                 let mut matches: Vec<(f64, &str, &str)> = Vec::new();
                 for a in &profiled[i] {
                     for b in &profiled[j] {
-                        let s = score(config, a, b);
-                        if s >= config.threshold {
+                        let s = score(a, b);
+                        if s >= THRESHOLD {
                             matches.push((s, &a.column, &b.column));
                         }
                     }

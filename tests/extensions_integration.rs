@@ -35,7 +35,7 @@ fn lsh_discovery_agrees_with_full_matching_on_key_edges() {
     let lake = credit_lake();
     let refs: Vec<&Table> = lake.tables.iter().collect();
     let matcher = SchemaMatcher::paper_default();
-    let full = match_oracle::drg_edges(&refs, matcher.config());
+    let full = match_oracle::drg_edges(&refs);
     let built = match_oracle::edges_of(&DrgMaintainer::build(&refs, &matcher).assemble());
     assert!(
         full.iter().any(|(_, a_column, _, b_column, weight)| {

@@ -7,7 +7,8 @@ use std::collections::HashMap;
 
 use autofeat::core::{discovery_health_report, load_lake_dir, SearchContext};
 use autofeat::data::csv::{write_csv_str, CsvReadOptions};
-use autofeat::datagen::{self, FaultInjector, FaultKind, RuntimeFault, RuntimeFaultKind};
+use autofeat::data::faults::TableFaults;
+use autofeat::datagen::{self, FaultInjector, FaultKind};
 use autofeat::prelude::*;
 
 /// Build a snowflake lake, corrupt it, and write it to a temp dir.
@@ -259,9 +260,9 @@ fn renamed_single_satellite_ctx(prefix: &str) -> (SearchContext, usize) {
 fn planned_runtime_panic_is_isolated_and_heals_on_disarm() {
     let (ctx, n_rows) = renamed_single_satellite_ctx("rtpanic");
     let mut inj = FaultInjector::new(11);
-    let fault = inj.plan_runtime("rtpanic_s0", RuntimeFaultKind::PanicOnRow, n_rows);
-    assert!((fault.value as usize) < n_rows);
-    fault.arm(ctx.fault_domain());
+    let fault = inj.plan_runtime(n_rows);
+    assert!(fault.panic_on_row.is_some_and(|row| row < n_rows));
+    ctx.fault_domain().arm("rtpanic_s0", fault);
 
     // The armed panic fires inside a worker; the run must complete with the
     // failure isolated and accounted, never abort the process.
@@ -286,8 +287,8 @@ fn planned_slow_join_trips_the_deadline_not_an_error() {
     // A join far slower than the budget: the deadline must truncate the run
     // (anytime semantics), not error it, and the slow join's sleep must be
     // interruptible rather than running to completion.
-    RuntimeFault { table: "rtslow_s0".into(), kind: RuntimeFaultKind::SlowJoinMs, value: 2_000 }
-        .arm(ctx.fault_domain());
+    let slow_join = TableFaults { slow_join_ms: Some(2_000), ..Default::default() };
+    ctx.fault_domain().arm("rtslow_s0", slow_join);
     let cfg = AutoFeatConfig::paper().with_time_budget(std::time::Duration::from_millis(40));
     let t0 = std::time::Instant::now();
     let result = AutoFeat::new(cfg).discover(&ctx).unwrap();
@@ -315,8 +316,7 @@ fn runtime_faults_fire_on_joins_the_budget_denies() {
     let (ctx, n_rows) = renamed_single_satellite_ctx("rtdenied");
     let zero = AutoFeatConfig::paper().with_cache_budget_bytes(0);
     let mut inj = FaultInjector::new(11);
-    inj.plan_runtime("rtdenied_s0", RuntimeFaultKind::PanicOnRow, n_rows)
-        .arm(ctx.fault_domain());
+    ctx.fault_domain().arm("rtdenied_s0", inj.plan_runtime(n_rows));
     let result = AutoFeat::new(zero.clone()).discover(&ctx).unwrap();
     assert!(
         result.failures.iter().any(|f| f.error.contains("panicked")),
@@ -333,8 +333,8 @@ fn runtime_faults_fire_on_joins_the_budget_denies() {
     let cache = healed.cache;
     assert!(cache.misses > 0 && cache.misses == cache.rejections, "{cache:?}");
 
-    RuntimeFault { table: "rtdenied_s0".into(), kind: RuntimeFaultKind::SlowJoinMs, value: 2_000 }
-        .arm(ctx.fault_domain());
+    let slow_join = TableFaults { slow_join_ms: Some(2_000), ..Default::default() };
+    ctx.fault_domain().arm("rtdenied_s0", slow_join);
     let cfg = zero.with_time_budget(std::time::Duration::from_millis(40));
     let t0 = std::time::Instant::now();
     let result = AutoFeat::new(cfg).discover(&ctx).unwrap();

@@ -131,23 +131,6 @@ const NAME_PAIRS: [(&str, &str); 7] = [
     ("k", "key_id"),
 ];
 
-fn configs() -> Vec<MatcherConfig> {
-    let mut out = Vec::new();
-    for threshold in [0.55, 0.2, 0.9, 1.0, 0.0, -1.0] {
-        out.push(MatcherConfig { threshold, ..MatcherConfig::default() });
-    }
-    // Weights the bound must stand down for (a sign it needs is missing),
-    // and lopsided ones it must survive.
-    for (name_weight, value_weight) in
-        [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.5, 1.0), (1.0, -0.5), (-1.0, -1.0), (0.2, 3.0), (2.0, 1e-9)]
-    {
-        for threshold in [0.55, 0.05] {
-            out.push(MatcherConfig { threshold, name_weight, value_weight });
-        }
-    }
-    out
-}
-
 /// One column as the program and as the reference profile it.
 struct Profiled {
     program: ColumnProfile,
@@ -178,28 +161,22 @@ fn check_pair(a: &Profiled, b: &Profiled) -> Result<(), String> {
 
     // (b) The occupancy bound is never below the true intersection.
     let shared = oa.values.intersection(&ob.values).count();
-    let (ra, rb) = (pa.value_hashes.as_ref().unwrap(), pb.value_hashes.as_ref().unwrap());
+    let (ra, rb) = (&pa.value_hashes, &pb.value_hashes);
     prop_assert!(ra.intersection_len(rb) == shared, "{what}: merge disagrees with {shared}");
     prop_assert!(ra.intersection_bound(rb) >= shared, "{what}: bound below {shared}");
 
-    // (a) The decision, and the score when it is yes, are the reference's.
-    let name = name_similarity(&pa.column, &pb.column);
+    // (a) The decision at the paper's threshold, and the score when it is
+    // yes, are the reference's; so is the instance similarity of every pair.
+    let matcher = SchemaMatcher::paper_default();
     let inst = match_oracle::instance_similarity(oa, ob);
-    for config in configs() {
-        let want = match_oracle::blended(&config, inst, oa, ob);
-        let unbounded = MatcherConfig { threshold: f64::NEG_INFINITY, ..config.clone() };
-        let got = SchemaMatcher::new(unbounded).match_score(|| name, pa, pb);
-        prop_assert!(
-            got.map(f64::to_bits) == Some(want.to_bits()),
-            "{what} {config:?}: {got:?} at −∞ for {want}"
-        );
-        let matcher = SchemaMatcher::new(config.clone());
-        let decided = matcher.match_score(|| name, pa, pb);
-        prop_assert!(
-            decided.map(f64::to_bits) == (want >= config.threshold).then_some(want.to_bits()),
-            "{what} {config:?}: {decided:?} where the reference scores {want}"
-        );
-    }
+    let got = matcher.instance_similarity(pa, pb);
+    prop_assert!(got.to_bits() == inst.to_bits(), "{what}: instance similarity {got} for {inst}");
+    let want = match_oracle::score(oa, ob);
+    let decided = matcher.match_score(|| name_similarity(&pa.column, &pb.column), pa, pb);
+    prop_assert!(
+        decided.map(f64::to_bits) == (want >= match_oracle::THRESHOLD).then_some(want.to_bits()),
+        "{what}: {decided:?} where the reference scores {want}"
+    );
     Ok(())
 }
 
@@ -302,7 +279,7 @@ fn a_crowded_value_domain_keeps_its_value_driven_edges() {
     let signals = Table::new("signals", columns).unwrap();
     let matcher = SchemaMatcher::paper_default();
     let refs = [&accounts, &signals];
-    let want = match_oracle::drg_edges(&refs, matcher.config());
+    let want = match_oracle::drg_edges(&refs);
     assert_eq!(want.len(), 300, "every flag pair is an edge");
     assert!(want.iter().all(|e| name_similarity(&e.1, &e.3) < 0.75), "no pair's names are alike");
     let built = match_oracle::edges_of(&DrgMaintainer::build(&refs, &matcher).assemble());
@@ -353,7 +330,7 @@ fn lake_drg_equals_the_reference_and_the_parent_commit() {
     for (arrival, tables) in [("generated", generated), ("csv", &through_csv)] {
         let refs: Vec<&Table> = tables.iter().collect();
         let built = match_oracle::edges_of(&DrgMaintainer::build(&refs, &matcher).assemble());
-        assert_eq!(built, match_oracle::drg_edges(&refs, matcher.config()), "{arrival} tables");
+        assert_eq!(built, match_oracle::drg_edges(&refs), "{arrival} tables");
         assert_eq!(digest(&built), LAKE_DIGEST, "{arrival} tables");
     }
 
@@ -364,7 +341,7 @@ fn lake_drg_equals_the_reference_and_the_parent_commit() {
     let leak = Table::new("leak", vec![(lake.label.as_str(), label_values)]).unwrap();
     let with_leak: Vec<Table> = generated.iter().cloned().chain([leak]).collect();
     let refs: Vec<&Table> = with_leak.iter().collect();
-    let visible = match_oracle::drg_edges(&refs, matcher.config());
+    let visible = match_oracle::drg_edges(&refs);
     assert!(visible.iter().any(|e| e.2 == "leak"), "the label would match if it showed");
     let hidden: Vec<Table> = with_leak
         .iter()
@@ -374,6 +351,6 @@ fn lake_drg_equals_the_reference_and_the_parent_commit() {
     let ctx = SearchContext::from_discovery(with_leak, &matcher, &lake.base_name, &lake.label)
         .unwrap();
     let built = match_oracle::edges_of(ctx.drg());
-    assert_eq!(built, match_oracle::drg_edges(&refs, matcher.config()));
+    assert_eq!(built, match_oracle::drg_edges(&refs));
     assert_eq!(digest(&built), LAKE_DIGEST);
 }

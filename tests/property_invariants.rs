@@ -177,35 +177,6 @@ proptest! {
         }
     }
 
-    /// MinHash's Jaccard estimate tracks the exact Jaccard within the
-    /// sketch's sampling error.
-    #[test]
-    fn minhash_tracks_exact_jaccard(
-        overlap in 0usize..400,
-        extra_a in 1usize..200,
-        extra_b in 1usize..200,
-    ) {
-        use autofeat::data::stable_hash::{key_hash, mix_u64};
-        use autofeat::data::Key;
-        use autofeat::discovery::MinHash;
-        use std::collections::HashSet;
-        // The hash a profile keeps of an integer key.
-        let hash = |v: i64| mix_u64(key_hash(&Key::Num(v)), 0);
-        let a_vals: Vec<i64> = (0..(overlap + extra_a) as i64).collect();
-        let b_vals: Vec<i64> = (0..overlap as i64)
-            .chain(1_000_000..(1_000_000 + extra_b as i64))
-            .collect();
-        let sa: HashSet<u64> = a_vals.iter().map(|&v| hash(v)).collect();
-        let sb: HashSet<u64> = b_vals.iter().map(|&v| hash(v)).collect();
-        let shared = sa.intersection(&sb).count() as f64;
-        let exact = shared / ((sa.len() + sb.len()) as f64 - shared);
-        let ma = MinHash::from_hashes(256, sa.iter().copied());
-        let mb = MinHash::from_hashes(256, sb.iter().copied());
-        let est = ma.jaccard(&mb);
-        // 256 slots ⇒ σ ≈ sqrt(J(1−J)/256) ≤ 0.032; allow 6σ.
-        prop_assert!((est - exact).abs() < 0.2, "est {est} vs exact {exact}");
-    }
-
     /// Grouping rows by their key-dictionary code partitions the table:
     /// one group per distinct key, the group sizes sum to the rows, and
     /// every row of a group holds that group's key. (A dictionary of dense

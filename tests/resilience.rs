@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use autofeat::core::discovery_health_report;
-use autofeat::datagen::{RuntimeFault, RuntimeFaultKind};
+use autofeat::data::faults::TableFaults;
 use autofeat::prelude::*;
 
 mod common;
@@ -127,12 +127,7 @@ fn assert_cancel_latency_bounded(r: &DiscoveryResult, what: &str) {
 fn cancel_from_another_thread_is_bounded_and_reported() {
     let ctx = single_sat_ctx(200);
     // A join that would take ~10s: the run can only finish via the cancel.
-    RuntimeFault {
-        table: "sat".into(),
-        kind: RuntimeFaultKind::SlowJoinMs,
-        value: 10_000,
-    }
-    .arm(ctx.fault_domain());
+    ctx.fault_domain().arm("sat", TableFaults { slow_join_ms: Some(10_000), ..Default::default() });
     let ctrl = Arc::clone(ctx.control());
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
@@ -198,8 +193,7 @@ fn injected_panic_never_aborts_at_any_thread_count() {
             AutoFeat::new(AutoFeatConfig::default().with_threads(threads)).discover(ctx).unwrap()
         };
         let ctx = single_sat_ctx(150);
-        RuntimeFault { table: "sat".into(), kind: RuntimeFaultKind::PanicOnRow, value: 0 }
-            .arm(ctx.fault_domain());
+        ctx.fault_domain().arm("sat", TableFaults { panic_on_row: Some(0), ..Default::default() });
         let r = discover(&ctx);
         ctx.fault_domain().disarm("sat");
         assert!(
