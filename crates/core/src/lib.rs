@@ -59,7 +59,7 @@ pub use autofeat::{
 };
 pub use autofeat_data::{Interrupt, RunControl};
 pub use autofeat_obs::{
-    MetricsRegistry, MetricsSnapshot, RunTrace, StatsListener, Tracer, METRICS_SCHEMA_VERSION,
+    MetricsSnapshot, RunTrace, StatsListener, Tracer, METRICS_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
 };
 pub use config::AutoFeatConfig;
@@ -70,6 +70,6 @@ pub use report::{discovery_health_report, MethodResult};
 pub use seeding::hop_seed;
 pub use service::{
     DiscoveryRequest, DiscoveryService, PreparedRequest, RequestLogRecord, RequestOutcome,
-    ServiceStats, REQUEST_LOG_CAP,
+    REQUEST_LOG_CAP,
 };
 pub use train::{train_top_k, TrainOutcome};

@@ -320,7 +320,7 @@ mod tests {
             ColumnProfile::build("t", "customer_id", &Column::from_ints(keys.map(Some)))
         };
         let (parent, child) = (build(0..100_001), build(40_000..41_000));
-        assert_eq!((parent.distinct, child.distinct), (100_001, 1_000));
+        assert_eq!((parent.distinct(), child.distinct()), (100_001, 1_000));
         let m = SchemaMatcher::paper_default();
         let inst: f64 = (1_000.0 / 100_001.0 + 1.0) / 2.0;
         assert_eq!(m.instance_similarity(&parent, &child).to_bits(), inst.to_bits());

@@ -24,8 +24,6 @@ pub struct ColumnProfile {
     pub dtype: autofeat_data::DType,
     /// Fraction of nulls.
     pub null_ratio: f64,
-    /// Number of distinct non-null values.
-    pub distinct: usize,
     /// The distinct keys' hashes (`value_sim::value_hash`) as a sorted run
     /// with its occupancy map, at any number of distinct keys.
     pub value_hashes: ValueRun,
@@ -100,7 +98,6 @@ impl ColumnProfile {
             column: column_name.to_string(),
             dtype: col.dtype(),
             null_ratio: col.null_ratio(),
-            distinct: value_hashes.len(),
             value_hashes,
             span,
         }
@@ -115,6 +112,11 @@ impl ColumnProfile {
             .collect()
     }
 
+    /// Number of distinct non-null values: the length of the value run.
+    pub fn distinct(&self) -> usize {
+        self.value_hashes.len()
+    }
+
     /// Whether the two columns could share a key: `false` decides that they
     /// share none, without reading a value set.
     pub(crate) fn may_share_keys(&self, other: &ColumnProfile) -> bool {
@@ -124,7 +126,7 @@ impl ColumnProfile {
     /// Whether this column looks like a feasible join key: it has at least
     /// one distinct value and is not overwhelmingly null.
     pub(crate) fn is_joinable_candidate(&self) -> bool {
-        self.distinct > 0 && self.null_ratio < 0.9
+        self.distinct() > 0 && self.null_ratio < 0.9
     }
 }
 
@@ -148,9 +150,8 @@ mod tests {
     fn profile_counts_distinct_and_nulls() {
         let t = table();
         let p = ColumnProfile::build("t", "id", t.column("id").unwrap());
-        assert_eq!(p.distinct, 2);
+        assert_eq!(p.distinct(), 2);
         assert!((p.null_ratio - 0.25).abs() < 1e-12);
-        assert_eq!(p.value_hashes.len(), 2);
     }
 
     #[test]
@@ -165,7 +166,7 @@ mod tests {
     fn nan_and_integral_floats_profile_like_their_keys() {
         let x = Column::from_floats([None, Some(f64::NAN), Some(2.0), Some(3.5), Some(3.5)]);
         let p = ColumnProfile::build("t", "x", &x);
-        assert_eq!((p.distinct, p.null_ratio), (2, 0.4), "a NaN is stored as a null");
+        assert_eq!((p.distinct(), p.null_ratio), (2, 0.4), "a NaN is stored as a null");
         let two = ColumnProfile::build("t", "i", &Column::from_ints([Some(2)]));
         assert!(p.value_hashes.hashes().contains(&two.value_hashes.hashes()[0]));
     }
@@ -204,7 +205,7 @@ mod tests {
                 let meets = pa.may_share_keys(pb);
                 assert_eq!(meets, pb.may_share_keys(pa));
                 assert!(meets || shared == 0, "{a:?} and {b:?} share {shared} values apart");
-                disjoint += usize::from(!meets && pa.distinct > 0 && pb.distinct > 0);
+                disjoint += usize::from(!meets && pa.distinct() > 0 && pb.distinct() > 0);
             }
         }
         assert!(disjoint > 100, "{disjoint} disjoint pairs");

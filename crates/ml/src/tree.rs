@@ -27,8 +27,6 @@ pub enum MaxFeatures {
     All,
     /// `ceil(sqrt(d))` random features (Random-Forest style).
     Sqrt,
-    /// A fixed fraction of features.
-    Fraction(f64),
 }
 
 /// Tree hyper-parameters.
@@ -124,7 +122,6 @@ fn candidate_features(
     let k = match max_features {
         MaxFeatures::All => n_features,
         MaxFeatures::Sqrt => (n_features as f64).sqrt().ceil() as usize,
-        MaxFeatures::Fraction(f) => ((n_features as f64 * f).ceil() as usize).max(1),
     }
     .clamp(1, n_features);
     idx.clear();

@@ -262,18 +262,26 @@ fn serve_connection(mut stream: TcpStream, source: &dyn StatsSource) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::{Histogram, MetricValue};
 
     fn sample_snapshot() -> MetricsSnapshot {
-        let reg = MetricsRegistry::new();
-        reg.counter("svc_requests_ok_total", "requests that completed").add(7);
-        reg.gauge("svc_in_flight", "currently executing").set(2.0);
-        let h = reg.histogram("svc_latency_seconds", "request latency");
+        let h = Histogram::default();
         for _ in 0..9 {
             h.observe_secs(0.002);
         }
         h.observe_secs(0.5);
-        reg.snapshot()
+        let metric = |name: &str, help: &str, value| MetricValue {
+            name: name.into(),
+            help: help.into(),
+            value,
+        };
+        MetricsSnapshot {
+            metrics: vec![
+                metric("svc_in_flight", "currently executing", MetricData::Gauge(2.0)),
+                metric("svc_latency_seconds", "request latency", MetricData::Histogram(h.snapshot())),
+                metric("svc_requests_ok_total", "requests that completed", MetricData::Counter(7)),
+            ],
+        }
     }
 
     /// Every non-comment exposition line must be `name[{labels}] value`

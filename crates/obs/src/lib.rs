@@ -31,6 +31,12 @@
 //!   telescope: they sum to (approximately) the root phase's wall clock,
 //!   plus what sibling phases overlapped on different threads.
 //!
+//! The crate's other half is service-lifetime metrics: the latency
+//! [`Histogram`], the [`MetricsSnapshot`] a scrape returns, its two
+//! renderers ([`render_prometheus`], [`render_json`]) and the
+//! [`StatsListener`] that serves them. There is no registry: the owner of
+//! the counted state builds each snapshot from it at scrape time.
+//!
 //! Tracing must never perturb results: nothing in this crate feeds back
 //! into discovery decisions, and the instrumented pipeline is asserted
 //! bit-identical traced vs untraced.
@@ -44,14 +50,13 @@ pub use expose::{
     render_json, render_prometheus, StatsListener, StatsSource, METRICS_SCHEMA_VERSION,
 };
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricData, MetricKind, MetricValue,
-    MetricsRegistry, MetricsSnapshot, N_HIST_BUCKETS,
+    Histogram, HistogramSnapshot, MetricData, MetricValue, MetricsSnapshot, N_HIST_BUCKETS,
 };
 pub use trace::{PhaseNode, RunTrace, TraceEvent, TRACE_SCHEMA_VERSION};
 pub use tracer::{ScopeGuard, Span, TraceScope, Tracer};
 
 /// Upper bounds (seconds) of the log₂ [`Histogram`] grid, which tracer
-/// distributions and registry histograms alike use: bucket `i` covers
+/// distributions and service latency alike use: bucket `i` covers
 /// observations ≤ `1µs × 2^i`, spanning 1µs … ~134s over
 /// [`N_HIST_BUCKETS`] buckets. The last bucket additionally absorbs
 /// anything larger (it renders as `+Inf` in Prometheus exposition).

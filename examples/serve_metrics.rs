@@ -7,10 +7,10 @@
 //! ```
 //!
 //! Demonstrates the whole telemetry surface (DESIGN.md §3k): the always-on
-//! metrics registry (latency quantiles, outcome counters, cache gauges),
-//! the `GET /metrics` Prometheus-style exposition, `/healthz`, split
-//! [`ServiceStats`], and the structured request log — dumped to stderr at
-//! shutdown because this example sets `AUTOFEAT_REQUEST_LOG=-`.
+//! service metrics (latency quantiles, outcome counters, cache gauges) in
+//! the `GET /metrics` Prometheus-style exposition, `/healthz`, and the
+//! structured request log — dumped to stderr at shutdown because this
+//! example sets `AUTOFEAT_REQUEST_LOG=-`.
 
 use std::io::{Read, Write};
 use std::thread;
@@ -113,18 +113,6 @@ fn main() {
         println!("  {line}");
     }
 
-    let stats = service.stats();
-    println!(
-        "\nServiceStats: served={} (ok={}, truncated={}, cancelled={}, error={}), \
-         rejected={}, peak_in_flight={}",
-        stats.requests_served,
-        stats.requests_ok,
-        stats.requests_truncated,
-        stats.requests_cancelled,
-        stats.requests_error,
-        stats.requests_rejected,
-        stats.peak_in_flight,
-    );
     let log = service.request_log();
     println!("request log holds {} records; latest: {}", log.len(), log.last().unwrap().render_line());
 

@@ -69,7 +69,7 @@ pub mod prelude {
         discovery_health_report, load_lake_dir, train_top_k, AutoFeat, AutoFeatConfig,
         DiscoveryRequest, DiscoveryResult, DiscoveryService, LakeLoadReport, MethodResult,
         PathFailure, Phase, PreparedRequest, QuarantinedTable, RankedPath, RequestLogRecord,
-        RequestOutcome, ResilienceStats, SearchContext, ServiceStats, TrainOutcome,
+        RequestOutcome, ResilienceStats, SearchContext, TrainOutcome,
         TruncationReason, REQUEST_LOG_CAP,
     };
     pub use autofeat_data::{

@@ -156,8 +156,8 @@ fn check_pair(a: &Profiled, b: &Profiled) -> Result<(), String> {
         ob.values.len(),
         b.rows
     );
-    prop_assert!(pa.distinct == oa.values.len(), "{what}: distinct {}", pa.distinct);
-    prop_assert!(pb.distinct == ob.values.len(), "{what}: distinct {}", pb.distinct);
+    prop_assert!(pa.distinct() == oa.values.len(), "{what}: distinct {}", pa.distinct());
+    prop_assert!(pb.distinct() == ob.values.len(), "{what}: distinct {}", pb.distinct());
 
     // (b) The occupancy bound is never below the true intersection.
     let shared = oa.values.intersection(&ob.values).count();

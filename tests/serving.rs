@@ -89,12 +89,13 @@ fn per_request_cache_counters_sum_to_shared_cache_totals() {
     );
     assert!(global.hits > 0, "a warm shared cache must serve hits");
     assert!(global.misses > 0, "the cold start must register misses");
+    let snap = service.metrics_snapshot();
     assert_eq!(
-        service.stats().requests_served,
-        (CLIENTS * ROUNDS) as u64,
+        snap.histogram("autofeat_request_latency_seconds").map(|h| h.count),
+        Some((CLIENTS * ROUNDS) as u64),
         "every submit completed and was counted"
     );
-    assert_eq!(service.stats().in_flight, 0);
+    assert_eq!(snap.gauge("autofeat_in_flight"), Some(0.0));
     // Occupancy is a property of the shared cache, reported as-is.
     for c in &per_request {
         assert_eq!(c.entries, global.entries, "occupancy is global, not attributed");
@@ -219,5 +220,5 @@ fn shutdown_under_concurrent_load_degrades_gracefully() {
     });
     let late = service.submit(&DiscoveryRequest::new()).unwrap();
     assert_eq!(late.truncation, Some(TruncationReason::Cancelled), "post-shutdown submit");
-    assert_eq!(service.stats().in_flight, 0);
+    assert_eq!(service.metrics_snapshot().gauge("autofeat_in_flight"), Some(0.0));
 }
