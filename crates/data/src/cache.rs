@@ -47,8 +47,8 @@
 //! admission denials, and the degraded path that hands out unowned entries
 //! when the governor lock is poisoned — never touch residency, so stats
 //! cannot report phantom memory.
-//! The dictionary and fingerprint vector an index reads through follow the
-//! same rule. The table owns them — charged to
+//! The dictionary an index reads through, its fingerprints included,
+//! follows the same rule. The table owns it — charged to
 //! [`Table::key_meta_bytes`](crate::table::Table::key_meta_bytes), shared by
 //! every index over the table — so `JoinIndex::resident_bytes` counts only
 //! the pick array the cache retains (charged from the build, so a fill

@@ -22,13 +22,13 @@ use crate::value::Value;
 /// ## Key metadata
 ///
 /// Every table owns its **key metadata**: a cell per column for its
-/// [`KeyDict`] (dense `u32` join-key codes) and a cell for the per-row
-/// content fingerprints. (A column's null-key count is its
-/// [`Column::null_count`], which a dense column keeps.) The cells start
-/// empty and are **filled by their first reader** ([`Table::key_dict_at`],
-/// [`Table::key_dict_for`], [`Table::row_fingerprints`]), which hands out the
-/// same `Arc` ever after — through every clone and rename of the table,
-/// which share the cells. It is a derived cache — equality ([`PartialEq`])
+/// [`KeyDict`] (dense `u32` join-key codes, the column's rows by code, and
+/// — once a join orders them — those rows' content fingerprints). (A
+/// column's null-key count is its [`Column::null_count`], which a dense
+/// column keeps.) The cells start empty and are **filled by their first
+/// reader** ([`Table::key_dict_at`], [`Table::key_dict_for`]), which hands
+/// out the same `Arc` ever after — through every clone and rename of the
+/// table, which share the cells. It is a derived cache — equality ([`PartialEq`])
 /// ignores it — and it is kept or shed whole: every operation that changes
 /// a cell, a row or the column set (`select`, `drop_columns`, `take`,
 /// `with_column`, `replace_column`, …) returns a table with empty cells of
@@ -50,8 +50,6 @@ pub struct Table {
 struct KeyMeta {
     /// One cell per column, in column order, made by the first reader.
     dicts: OnceLock<Box<[OnceLock<Arc<KeyDict>>]>>,
-    /// One content fingerprint per row.
-    row_fps: OnceLock<Arc<Vec<u64>>>,
 }
 
 impl PartialEq for Table {
@@ -121,7 +119,9 @@ impl Table {
     /// they sit, and the seed is not part of it, so one pass serves every
     /// seed. The join key is not hashed separately: fingerprints are only
     /// compared within one key's group, and the key is one of the cells.
-    fn row_fingerprint(&self, row: usize) -> u64 {
+    /// A dictionary hashes its posted rows' in posting order
+    /// (`KeyDict::fingerprints_by`).
+    pub(crate) fn row_fingerprint(&self, row: usize) -> u64 {
         let mut h = StableHasher::new();
         for c in &self.columns {
             c.hash_cell_into(row, &mut h);
@@ -154,30 +154,13 @@ impl Table {
         }))
     }
 
-    /// Per-row content fingerprints (hash of every cell in column order),
-    /// computed by the first call.
-    pub fn row_fingerprints(&self) -> &[u64] {
-        self.row_fps_arc()
-    }
-
-    /// The shared fingerprint vector itself — a join index over this table
-    /// holds an `Arc` clone instead of copying fingerprints per duplicate
-    /// row (the vector is charged to
-    /// [`key_meta_bytes`](Table::key_meta_bytes), not the cache budget).
-    pub(crate) fn row_fps_arc(&self) -> &Arc<Vec<u64>> {
-        self.key_meta.row_fps.get_or_init(|| {
-            obs::add("keymeta.fingerprint_rows", self.n_rows() as u64);
-            Arc::new((0..self.n_rows()).map(|row| self.row_fingerprint(row)).collect())
-        })
-    }
-
-    /// Heap footprint in bytes of the key metadata built so far, for
-    /// lake-level observability (dictionaries are the table's and shared, so
-    /// they are accounted here, not against the join-index cache budget).
-    /// O(columns): a dictionary recorded its size when it was built.
+    /// Heap footprint in bytes of the key metadata built so far — what its
+    /// dictionaries hold, fingerprints included — for lake-level
+    /// observability (dictionaries are the table's and shared, so they are
+    /// accounted here, not against the join-index cache budget). O(columns):
+    /// a dictionary recorded its size when it was built.
     pub fn key_meta_bytes(&self) -> usize {
-        let fps = self.key_meta.row_fps.get().map_or(0, |v| v.capacity() * size_of::<u64>());
-        self.built_dicts().map(|(_, d)| d.resident_bytes()).sum::<usize>() + fps
+        self.built_dicts().map(|(_, d)| d.resident_bytes()).sum()
     }
 
     /// Heap bytes of the cells this table's columns own, by capacity: what
@@ -199,11 +182,6 @@ impl Table {
     pub fn built_dicts(&self) -> impl Iterator<Item = (usize, &Arc<KeyDict>)> {
         let cells = self.key_meta.dicts.get().map_or(&[][..], |c| &c[..]);
         cells.iter().enumerate().filter_map(|(i, cell)| Some((i, cell.get()?)))
-    }
-
-    /// Whether the row fingerprints have been computed.
-    pub fn has_row_fingerprints(&self) -> bool {
-        self.key_meta.row_fps.get().is_some()
     }
 
     /// Table name.
@@ -554,14 +532,22 @@ mod tests {
     fn key_meta_fills_on_first_use_and_is_ignored_by_equality() {
         let t = sample();
         assert_eq!((t.key_meta_bytes(), t.built_dicts().count()), (0, 0), "nothing built");
-        assert!(!t.has_row_fingerprints());
         let dict = t.key_dict_for(t.column("id").unwrap()).expect("id column has a dictionary");
         assert_eq!(dict.len(), 3);
         assert_eq!(t.built_dicts().map(|(i, _)| i).collect::<Vec<_>>(), [0]);
         assert_eq!(t.key_meta_bytes(), dict.resident_bytes());
-        assert_eq!(t.row_fingerprints().len(), 3);
-        assert!(t.has_row_fingerprints());
-        assert_eq!(t.key_meta_bytes(), dict.resident_bytes() + 3 * 8);
+        // Unique keys: nothing to order, so nothing is hashed.
+        assert_eq!(dict.fingerprints_by(|row| t.row_fingerprint(row)), &[]);
+        assert_eq!((dict.fingerprints(), t.key_meta_bytes()), (None, dict.resident_bytes()));
+        // A repeated key: the rows of its code are hashed, the lone row not.
+        let k = Column::from_ints([Some(7), Some(8), Some(7)]);
+        let r = Table::new("r", vec![("k", k), ("v", Column::from_ints([Some(1), Some(2), Some(3)]))])
+            .unwrap();
+        let repeated = r.key_dict_at(0).unwrap();
+        let bytes = repeated.resident_bytes();
+        let fps = repeated.fingerprints_by(|row| r.row_fingerprint(row)).to_vec();
+        assert_eq!(fps, [0, 2].map(|row| r.row_fingerprint(row)), "in posting order");
+        assert_eq!((repeated.resident_bytes(), r.key_meta_bytes()), (bytes + 2 * 8, bytes + 2 * 8));
         assert_eq!(t, sample(), "key metadata must not affect data equality");
         // A column from a different table never resolves.
         assert!(t.key_dict_for(sample().column("id").unwrap()).is_none());
@@ -579,7 +565,6 @@ mod tests {
         let dict = renamed.key_dict_for(renamed.column("key").unwrap()).unwrap();
         assert!(Arc::ptr_eq(dict, t.key_dict_at(0).unwrap()));
         assert!(Arc::ptr_eq(clone.key_dict_at(2).unwrap(), renamed.key_dict_at(2).unwrap()));
-        assert_eq!(clone.row_fingerprints().as_ptr(), t.row_fingerprints().as_ptr());
         assert_eq!(renamed.key_meta_bytes(), t.key_meta_bytes());
         let ints = || Column::from_ints([Some(7), Some(8), Some(9)]);
         let changed = [
@@ -591,7 +576,6 @@ mod tests {
         ];
         for (op, c) in &changed {
             assert_eq!((c.key_meta_bytes(), c.built_dicts().count()), (0, 0), "{op}");
-            assert!(!c.has_row_fingerprints(), "{op}");
             assert!(!Arc::ptr_eq(c.key_dict_at(0).unwrap(), t.key_dict_at(0).unwrap()), "{op}");
         }
         // Alone in its cells, a table sheds them in place.
@@ -623,10 +607,8 @@ mod tests {
             for c in &changed {
                 assert!(!Arc::ptr_eq(&c.key_meta, &source.key_meta), "built {built}");
                 c.key_dict_at(0).unwrap();
-                c.row_fingerprints();
             }
             assert_eq!(source.built_dicts().count(), usize::from(built));
-            assert!(!source.has_row_fingerprints());
         }
     }
 

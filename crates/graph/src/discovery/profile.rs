@@ -159,7 +159,6 @@ mod tests {
         let t = table();
         ColumnProfile::build_all(&t);
         assert_eq!(t.built_dicts().count(), 0);
-        assert!(!t.has_row_fingerprints());
     }
 
     #[test]

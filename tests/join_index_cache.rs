@@ -139,9 +139,9 @@ fn racing_joins_of_a_denied_table_each_count_a_miss() {
         ],
     )
     .unwrap();
-    // Metadata first, so the race is over the grouping alone.
-    raced.key_dict_at(0).unwrap();
-    raced.row_fingerprints();
+    // Metadata first, so the race is over the grouping alone: an index build
+    // hashes the dictionary's fingerprints.
+    autofeat::data::join::JoinIndex::build(&raced, raced.column("k").unwrap()).unwrap();
     let base = Table::new("base", vec![("k", Column::from_ints((0..64).map(Some)))]).unwrap();
     for workers in [1usize, 4] {
         let cache = LakeIndexCache::with_budget(Some(0));
