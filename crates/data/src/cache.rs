@@ -105,7 +105,7 @@ use crate::column::Column;
 use crate::control;
 use crate::error::{DataError, Result};
 use crate::join::{
-    fold_unindexed, index_bytes, join_through, left_join_with_index, JoinIndex, JoinOutput,
+    fold_unindexed, index_bytes, join_through, left_join_with_index, JoinIndex, JoinOutput, Probe,
 };
 use crate::keydict::KeyDict;
 use crate::stable_hash::StableHasher;
@@ -602,8 +602,8 @@ impl LakeIndexCache {
             Probed::Slot(entry) => self.serve(right, right_key, key_col, &entry)?,
             Probed::Denied(dict) => {
                 let lk = left.column(left_key)?;
-                let picks = self.denied(right, || fold_unindexed(lk, right, &dict, seed))?;
-                return join_through(left, right, lk, &dict, prefix, || Ok(picks.into()));
+                let folded = self.denied(right, || fold_unindexed(lk, right, &dict, seed))?;
+                return join_through(left, right, lk, &dict, prefix, || Ok(Probe::Folded(folded)));
             }
         };
         left_join_with_index(left, right, &index, left_key, prefix, seed)

@@ -26,7 +26,10 @@
 //! seed. A join with any other seed, and one whose index a cache budget
 //! denies, takes it from the **fold**, which reads only the codes the left
 //! side carries: each one's rows and their fingerprints lie side by side in
-//! the dictionary's postings (see [`KeyDict`]).
+//! the dictionary's postings (see [`KeyDict`]). A folded join codes each
+//! left key once: the pass that marks the codes to fold keeps every row's
+//! code, and the probe maps those codes (`Probe`); a join through a pick
+//! array codes each key as it probes it.
 //!
 //! ## Determinism model
 //!
@@ -51,7 +54,6 @@
 //!   takes changes what it costs, never its rows. [`left_join_normalized`]
 //!   is literally [`left_join_with_index`] over a transient index.
 
-use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use autofeat_obs as obs;
@@ -198,36 +200,64 @@ fn fold(
     Ok(())
 }
 
-/// The pick array of the codes `left_key` carries, under `seed`: each code
-/// the left side carries ([`KeyDict::codes_in`]) once, [`fold`]ed in code
-/// order, so the postings are read front to back. Every other code maps to
-/// [`NO_ROW`].
-fn fold_for(left_key: &Column, dict: &KeyDict, seed: u64) -> Result<Vec<u32>> {
-    let mut picks = vec![NO_ROW; dict.n_codes()];
-    let mut wanted = Vec::new();
-    dict.codes_in(left_key, 0..left_key.len(), |code| {
-        // `NULL_CODE` lies past the end of `picks`. A wanted code is marked
-        // with row 0 until the fold writes its pick.
-        if let Some(pick) = picks.get_mut(code as usize).filter(|pick| **pick == NO_ROW) {
-            *pick = 0;
-            wanted.push(code);
-        }
-    });
-    wanted.sort_unstable();
-    fold(dict, seed, wanted, |code, row| picks[code as usize] = row)?;
-    Ok(picks)
+/// A fold's pick array and the code of every left row's key it was folded
+/// for ([`NULL_CODE`] for a null key or one the dictionary lacks): the probe
+/// maps these codes rather than coding the left keys a second time.
+#[derive(Debug)]
+pub(crate) struct Folded {
+    picks: Vec<u32>,
+    codes: Vec<u32>,
 }
 
-/// The pick array of a join whose index a cache budget denies, over
-/// `right`'s key metadata: `dict`, the dictionary it holds for the join
-/// column, whose fingerprints it hashes if no join has yet. An armed
-/// `panic_on_row` fault fires first, as in [`JoinIndex::build`].
+/// Where a join's probe finds each left row's right row.
+pub(crate) enum Probe<'p> {
+    /// A pick array by code: the probe codes each left key and reads it.
+    Picks(&'p [u32]),
+    /// A fold's picks, with the left keys already coded.
+    Folded(Folded),
+}
+
+/// The picks of the codes `left_key` carries, under `seed`. One pass codes
+/// every left row, a [`BLOCK`] of rows between polls, keeps the codes, and
+/// marks each carried code in a bit set; the [`fold`] then takes the marked
+/// codes in ascending order, a word of 64 codes at a time, so the postings
+/// are read front to back. Every other code maps to [`NO_ROW`].
+fn fold_for(left_key: &Column, dict: &KeyDict, seed: u64) -> Result<Folded> {
+    let n = left_key.len();
+    let mut carried = vec![0u64; dict.n_codes().div_ceil(64)];
+    let mut codes = Vec::with_capacity(n);
+    for start in (0..n).step_by(BLOCK) {
+        crate::control::poll_ambient()?;
+        dict.codes_in(left_key, start..(start + BLOCK).min(n), |code| {
+            if code != NULL_CODE {
+                carried[code as usize / 64] |= 1 << (code % 64);
+            }
+            codes.push(code);
+        });
+    }
+    let marked = carried.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            let bit = (bits != 0).then(|| bits.trailing_zeros())?;
+            bits &= bits - 1;
+            Some(word as u32 * 64 + bit)
+        })
+    });
+    let mut picks = vec![NO_ROW; dict.n_codes()];
+    fold(dict, seed, marked, |code, row| picks[code as usize] = row)?;
+    Ok(Folded { picks, codes })
+}
+
+/// The fold of a join whose index a cache budget denies, over `right`'s key
+/// metadata: `dict`, the dictionary it holds for the join column, whose
+/// fingerprints it hashes if no join has yet. An armed `panic_on_row` fault
+/// fires first, as in [`JoinIndex::build`].
 pub(crate) fn fold_unindexed(
     left_key: &Column,
     right: &Table,
     dict: &KeyDict,
     seed: u64,
-) -> Result<Vec<u32>> {
+) -> Result<Folded> {
     panic_on_row_fault(right);
     dict.fingerprints_by(|row| right.row_fingerprint(row));
     fold_for(left_key, dict, seed)
@@ -428,42 +458,30 @@ pub fn left_join_with_index(
         )));
     }
     join_through(left, right, lk, &index.dict, prefix, || match index.picks(seed)? {
-        Some(picks) => Ok(Cow::Borrowed(picks)),
-        None => fold_for(lk, &index.dict, seed).map(Cow::Owned),
+        Some(picks) => Ok(Probe::Picks(picks)),
+        None => fold_for(lk, &index.dict, seed).map(Probe::Folded),
     })
 }
 
-/// Every join's last step: `picks` yields the pick array by `dict` code,
-/// and the probe maps each left row — its key's code in `dict`, that code's
-/// row — a block of rows at a time, with a cooperative poll between blocks
-/// (one thread-local read when no request scope is entered, and never
-/// result-affecting: an interrupt abandons the join rather than truncating
-/// it). Then the output: all left columns, and all right columns (renamed)
-/// as views through the row map. Columns are Arc-backed, so the clones here
-/// are O(1) pointer bumps — the accumulated frontier is shared across hops,
-/// not deep-copied — and no right-hand cell is read.
+/// Every join's last step: `probe` yields the pick array by `dict` code —
+/// with the left keys' codes when a fold made it — and [`row_map`] maps each
+/// left row to its right row. Then the output: all left columns, and all
+/// right columns (renamed) as views through the row map. Columns are
+/// Arc-backed, so the clones here are O(1) pointer bumps — the accumulated
+/// frontier is shared across hops, not deep-copied — and no right-hand cell
+/// is read.
 pub(crate) fn join_through<'p>(
     left: &Table,
     right: &Table,
     lk: &Column,
     dict: &KeyDict,
     prefix: &str,
-    picks: impl FnOnce() -> Result<Cow<'p, [u32]>>,
+    probe: impl FnOnce() -> Result<Probe<'p>>,
 ) -> Result<JoinOutput> {
     let _span = obs::span("join");
     slow_join_fault(right)?;
-    let picks = picks()?;
-    let n = left.n_rows();
-    let mut map: Vec<u32> = Vec::with_capacity(n);
-    for start in (0..n).step_by(BLOCK) {
-        crate::control::poll_ambient()?;
-        // Left keys are coded by the right dictionary, typed per column and
-        // read through the map when the left key is itself a view (every
-        // second hop). `NULL_CODE` lies past the end of `picks`.
-        dict.codes_in(lk, start..(start + BLOCK).min(n), |code| {
-            map.push(picks.get(code as usize).map_or(NO_ROW, |&row| row));
-        });
-    }
+    let map = row_map(lk, dict, probe()?)?;
+    let n = map.len();
     obs::incr("join.calls");
     obs::add("join.left_rows", n as u64);
     let matched = map.iter().filter(|&&r| r != NO_ROW).count();
@@ -486,6 +504,41 @@ pub(crate) fn join_through<'p>(
         right_columns.push(table.push_disambiguated(base, column)?);
     }
     Ok(JoinOutput { table, matched, right_columns })
+}
+
+/// Each row of `lk`'s right row, [`NO_ROW`] where its key is null or has
+/// no pick, a block of rows at a time with a cooperative poll between blocks
+/// (one thread-local read when no request scope is entered, and never
+/// result-affecting: an interrupt abandons the join rather than truncating
+/// it). Through a pick array, each left key is coded by `dict` as it is
+/// mapped — typed per column, and read through the map when the left key is
+/// itself a view (every second hop); a fold's codes are mapped in place.
+fn row_map(lk: &Column, dict: &KeyDict, probe: Probe<'_>) -> Result<Vec<u32>> {
+    // `NULL_CODE` lies past the end of any pick array.
+    let row_of = |picks: &[u32], code: u32| picks.get(code as usize).map_or(NO_ROW, |&row| row);
+    match probe {
+        Probe::Picks(picks) => {
+            let n = lk.len();
+            let mut map = Vec::with_capacity(n);
+            for start in (0..n).step_by(BLOCK) {
+                crate::control::poll_ambient()?;
+                dict.codes_in(lk, start..(start + BLOCK).min(n), |code| {
+                    map.push(row_of(picks, code));
+                });
+            }
+            Ok(map)
+        }
+        Probe::Folded(Folded { picks, mut codes }) => {
+            debug_assert_eq!(codes.len(), lk.len(), "a fold codes every left row");
+            for block in codes.chunks_mut(BLOCK) {
+                crate::control::poll_ambient()?;
+                for code in block {
+                    *code = row_of(&picks, *code);
+                }
+            }
+            Ok(codes)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -915,7 +968,7 @@ mod tests {
         let picks = fold_unindexed(lk, &r, &dict, 42).expect("row 4 is past the table's end");
         let expired = Arc::new(RunControl::new()).scoped(Some(std::time::Instant::now()));
         let _g = RequestScope { ctl: Some(expired), ..RequestScope::capture() }.enter();
-        let err = join_through(&l, &r, lk, &dict, "ext", || Ok(picks.into())).unwrap_err();
+        let err = join_through(&l, &r, lk, &dict, "ext", || Ok(Probe::Folded(picks))).unwrap_err();
         assert_eq!(err.interrupt(), Some(Interrupt::DeadlineExceeded), "slow_join_ms yields");
     }
 
@@ -1115,9 +1168,131 @@ mod tests {
                 };
                 let (want, kept) = row_order_scan(&right, &dict, seed, dict.n_codes(), of_left);
                 let (folded, counted) = picks_of(|| fold_for(&left_key, &dict, seed).unwrap());
-                assert_eq!((folded, counted), (want, kept));
+                assert_eq!((folded.picks, counted), (want, kept));
             }
         }
+    }
+
+    /// The two-pass fold the one-pass fold replaced, kept as its reference:
+    /// the codes the left side carries collected once each and sorted,
+    /// folded through the postings, and then the left keys coded a second
+    /// time, by the probe through the pick array. Returns the picks and the
+    /// row map.
+    fn two_pass_fold(left_key: &Column, dict: &KeyDict, seed: u64) -> Result<(Vec<u32>, Vec<u32>)> {
+        let mut picks = vec![NO_ROW; dict.n_codes()];
+        let mut wanted = Vec::new();
+        dict.codes_in(left_key, 0..left_key.len(), |code| {
+            if let Some(pick) = picks.get_mut(code as usize).filter(|pick| **pick == NO_ROW) {
+                *pick = 0;
+                wanted.push(code);
+            }
+        });
+        wanted.sort_unstable();
+        crate::control::poll_ambient()?;
+        let fps = dict.fingerprints().unwrap_or_default();
+        let (mut postings, mut folded) = (dict.postings(), 0);
+        for code in wanted {
+            let (rows, at) = postings.seek(code);
+            picks[code as usize] = match rows {
+                [] => NO_ROW,
+                &[row] => row,
+                _ => least(rows, &fps[at..at + rows.len()], seed),
+            };
+            folded += rows.len();
+        }
+        obs::add("join.picks", folded as u64);
+        let map = row_map(left_key, dict, Probe::Picks(&picks))?;
+        Ok((picks, map))
+    }
+
+    proptest::proptest! {
+        /// A fold codes the left keys once. Over generated right tables —
+        /// by value and hashed — and left keys with nulls and keys the
+        /// dictionary lacks, read as they are and through a view, both
+        /// folds — another seed on a filled index, and a join the budget
+        /// denies — give the picks, the row map, the output and the
+        /// `join.picks` count of the two-pass fold.
+        #[test]
+        fn one_pass_folds_as_the_two_pass_fold(case in 0u64..u64::MAX) {
+            let d = &mut Draw(case);
+            for _ in 0..4 {
+                let (kind, n) = (d.below(4), d.below(300) as usize);
+                let domain = (d.below(3) != 0).then(|| d.below(n as u64 + 2) + 1);
+                let left = d.below(120) as usize;
+                let (right, probes) = generated(d, kind, n, domain, left);
+                let key = right.column("key").unwrap();
+                // The same keys read backwards through a map that misses a
+                // sixth of the rows, as a second hop's key is.
+                let map: Arc<[u32]> = (0..left as u32)
+                    .rev()
+                    .map(|row| if d.below(6) == 0 { NO_ROW } else { row })
+                    .collect();
+                let viewed = probes.view(&map, None);
+                let (fill, seed) = (d.below(u64::MAX), d.below(u64::MAX));
+                for lk in [probes, viewed] {
+                    let l = Table::new("base", vec![("id", lk)]).unwrap();
+                    let lk = l.column("id").unwrap();
+                    let index = JoinIndex::build(&right, key).unwrap();
+                    left_join_with_index(&l, &right, &index, "id", "ext", fill).unwrap();
+                    let dict = &index.dict;
+                    let ((picks, map), counted) = picks_of(|| two_pass_fold(lk, dict, seed).unwrap());
+                    let want = join_through(&l, &right, lk, dict, "ext", || Ok(Probe::Picks(&picks)));
+                    let want = want.unwrap();
+                    let folds = index.picks.get().is_some_and(|p| p.seed.is_some());
+                    let want_count = if folds { counted } else { 0 };
+
+                    let (folded, count) = picks_of(|| fold_for(lk, dict, seed).unwrap());
+                    assert_eq!((&folded.picks, count), (&picks, counted));
+                    assert_eq!(row_map(lk, dict, Probe::Folded(folded)).unwrap(), map);
+                    let (folded, count) = picks_of(|| fold_unindexed(lk, &right, dict, seed).unwrap());
+                    assert_eq!((&folded.picks, count), (&picks, counted));
+                    assert_eq!(row_map(lk, dict, Probe::Folded(folded)).unwrap(), map);
+
+                    let (out, count) = picks_of(|| left_join_with_index(&l, &right, &index, "id", "ext", seed));
+                    let out = out.unwrap();
+                    assert_eq!((&out.table, out.matched, count), (&want.table, want.matched, want_count));
+                    let denied = crate::cache::LakeIndexCache::with_budget(Some(0));
+                    let (out, count) = picks_of(|| denied.left_join_normalized(&l, &right, "id", "key", "ext", seed));
+                    let out = out.unwrap();
+                    assert_eq!((&out.table, out.matched, count), (&want.table, want.matched, counted));
+                }
+            }
+        }
+    }
+
+    /// An interrupt in a fold's coding pass returns the interrupt, counts no
+    /// pick and sets no pick array: a filled index keeps its first seed's,
+    /// and a denied join leaves the cache empty.
+    #[test]
+    fn an_interrupted_fold_sets_no_picks() {
+        use crate::control::{Interrupt, RunControl};
+        use crate::scope::RequestScope;
+        let n = 3 * BLOCK as i64;
+        let r = Table::new(
+            "ext",
+            vec![
+                ("key", Column::from_ints((0..n).map(|i| Some(i / 4)))),
+                ("v", Column::from_ints((0..n).map(Some))),
+            ],
+        )
+        .unwrap();
+        let l = Table::new("base", vec![("id", Column::from_ints((0..n).map(Some)))]).unwrap();
+        let index = JoinIndex::build(&r, r.column("key").unwrap()).unwrap();
+        left_join_with_index(&l, &r, &index, "id", "ext", 1).unwrap();
+        let filled = index.picks.get().map(|p| (p.seed, p.rows.clone()));
+        let denied = crate::cache::LakeIndexCache::with_budget(Some(0));
+        let cancelled = Arc::new(RunControl::new());
+        cancelled.cancel();
+        let _g = RequestScope::with_ctl(&cancelled).enter();
+        let lk = l.column("id").unwrap();
+        let (err, picked) = picks_of(|| fold_for(lk, &index.dict, 2).unwrap_err());
+        assert_eq!((err.interrupt(), picked), (Some(Interrupt::Cancelled), 0));
+        let (err, picked) = picks_of(|| left_join_with_index(&l, &r, &index, "id", "ext", 2).unwrap_err());
+        assert_eq!((err.interrupt(), picked), (Some(Interrupt::Cancelled), 0));
+        assert_eq!(index.picks.get().map(|p| (p.seed, p.rows.clone())), filled);
+        let (err, picked) = picks_of(|| denied.left_join_normalized(&l, &r, "id", "key", "ext", 2).unwrap_err());
+        assert_eq!((err.interrupt(), picked), (Some(Interrupt::Cancelled), 0));
+        assert_eq!(denied.stats().entries, 0);
     }
 
     #[test]

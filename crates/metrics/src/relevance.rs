@@ -6,12 +6,19 @@
 //! Higher is more relevant. Pearson/Spearman report the **absolute**
 //! correlation so that strongly negative predictors rank as relevant (the
 //! paper sorts by correlation score for the *select-κ-best* heuristic).
-
-use std::borrow::Cow;
+//!
+//! Spearman deletes pairwise: a feature's missing rows leave both sides.
+//! A caller that scores batch after batch against one label vector (a
+//! selector's relevance stage) keeps the labels' ranks and classes
+//! (`LabelRanks`). A feature without missing rows correlates with those
+//! ranks as they are; for one with missing rows the labels of the common
+//! rows are ranked by counting them per class, at most [`MAX_BINS`] counts
+//! and no sort, into the same floats the sort gives. Every other caller
+//! ranks both sides with [`average_ranks`].
 
 use autofeat_obs as obs;
 
-use crate::discretize::{codes_from_order, discretize_equal_frequency, Discretized};
+use crate::discretize::{codes_from_order, discretize_equal_frequency, Discretized, MAX_BINS};
 use crate::entropy::entropy;
 use crate::mi::mutual_information;
 use crate::ranks::{average_ranks, average_ranks_into};
@@ -71,14 +78,14 @@ impl RelevanceMethod {
     /// [`discretize_equal_frequency`] codes of every feature whose scoring
     /// made them on the way: Spearman reads them off the sort its ranks come
     /// from, IG and SU score the codes themselves. `None` where it did not —
-    /// the caller bins those it goes on to need. `label_ranks`, when the
-    /// caller has them, are [`label_ranks`] of `labels`, which Spearman then
-    /// does not rank again.
+    /// the caller bins those it goes on to need. `label`, when the caller
+    /// keeps it, is the [`LabelRanks`] of `labels`, which Spearman then does
+    /// not rank again.
     pub(crate) fn scores_and_codes(
         self,
         features: &[Vec<f64>],
         labels: &[i64],
-        label_ranks: Option<&[f64]>,
+        label: Option<LabelRanks<'_>>,
         bins: Option<u32>,
     ) -> (Vec<f64>, Vec<Option<Discretized>>) {
         let uncoded = |scores: Vec<f64>| {
@@ -119,13 +126,19 @@ impl RelevanceMethod {
             }
             RelevanceMethod::Spearman => {
                 let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-                let y_ranks: Cow<[f64]> =
-                    label_ranks.map_or_else(|| average_ranks(&y).into(), Cow::from);
-                debug_assert_eq!(y_ranks.len(), y.len(), "ranks of other labels");
+                let own;
+                let label = match label {
+                    Some(label) => label,
+                    None => {
+                        own = average_ranks(&y);
+                        LabelRanks { ranks: &own, classes: None }
+                    }
+                };
+                debug_assert_eq!(label.ranks.len(), y.len(), "ranks of other labels");
                 features
                     .iter()
                     .map(|x| {
-                        let (rho, codes) = spearman_with(x, &y, Some(&y_ranks[..]), bins);
+                        let (rho, codes) = spearman_with(x, &y, Some(label), bins);
                         (rho.abs(), codes)
                     })
                     .unzip()
@@ -140,6 +153,27 @@ impl RelevanceMethod {
 /// ranks it once and passes the ranks to each.
 pub(crate) fn label_ranks(labels: &[i64]) -> Vec<f64> {
     average_ranks(&labels.iter().map(|&l| l as f64).collect::<Vec<f64>>())
+}
+
+/// Whether `labels`' classes order and tie their rows as the labels do as
+/// numbers: every label is exactly an `f64`, so no two classes meet in one
+/// value.
+pub(crate) fn classes_rank(labels: &[i64]) -> bool {
+    labels.iter().all(|&l| l as f64 as i64 == l)
+}
+
+/// What Spearman reads of a label vector a caller scores batch after batch
+/// against, made once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LabelRanks<'a> {
+    /// The labels' average ranks ([`label_ranks`]): those of the common rows
+    /// of a feature without missing rows.
+    pub(crate) ranks: &'a [f64],
+    /// The labels' classes, ascending by value (`Discretized::from_codes`
+    /// of them), when [`classes_rank`] holds: the common rows of a feature
+    /// with missing rows rank their labels by counting them
+    /// ([`ranks_by_class`]). `None`: those labels are sorted.
+    pub(crate) classes: Option<&'a Discretized>,
 }
 
 fn label_codes(labels: &[i64]) -> Discretized {
@@ -200,22 +234,25 @@ pub fn spearman_correlation(x: &[f64], y: &[f64]) -> f64 {
     spearman_with(x, y, None, None).0
 }
 
-/// [`spearman_correlation`], given the ranks of the whole of an all-finite
-/// `y` when the caller has them: a feature without missing rows deletes no
-/// pair, so those are the ranks over the common rows and `y` is not sorted
-/// again for it. With `bins`, the `(key, row)` order the ranks of `x` were
+/// [`spearman_correlation`], given the [`LabelRanks`] of an all-finite `y`
+/// (its labels as numbers) when the caller has them. A feature without
+/// missing rows deletes no pair, so the label's ranks are those over the
+/// common rows and `y` is not sorted again for it; for one with missing
+/// rows, the label's classes, when given, rank the common rows' labels
+/// without a sort. With `bins`, the `(key, row)` order the ranks of `x` were
 /// read from also yields its [`discretize_equal_frequency`] codes — unless
 /// that order does not cover the present rows of `x` (fewer than two common
 /// rows, so nothing was sorted, or a non-finite `y` deleted one).
 fn spearman_with(
     x: &[f64],
     y: &[f64],
-    y_ranks: Option<&[f64]>,
+    label: Option<LabelRanks<'_>>,
     bins: Option<u32>,
 ) -> (f64, Option<Discretized>) {
     assert_eq!(x.len(), y.len(), "length mismatch");
     SPEARMAN_SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
+        let y_ranks = label.map(|label| label.ranks);
         if let Some(ry) = y_ranks.filter(|_| x.iter().all(|a| a.is_finite())) {
             if x.len() < 2 {
                 return (0.0, None);
@@ -248,9 +285,35 @@ fn spearman_with(
         let codes = bins.filter(|_| rows.len() == present).map(|bins| {
             bins_off_the_sort(x, &scratch.order, |row| rows[row as usize] as usize, bins)
         });
-        average_ranks_into(&scratch.ys, &mut scratch.order, &mut scratch.ry);
+        match label.and_then(|label| label.classes) {
+            Some(classes) => ranks_by_class(classes, rows, &mut scratch.ry),
+            None => average_ranks_into(&scratch.ys, &mut scratch.order, &mut scratch.ry),
+        }
         (pearson_correlation(&scratch.rx, &scratch.ry), codes)
     })
+}
+
+/// The average ranks of the labels of `rows` among themselves, in `rows`'
+/// order, by counting them per class: classes ascend with the labels, so a
+/// class whose rows follow the `s` rows of the classes below it and number
+/// `k` spans ranks `s + 1 ..= s + k`, and each of its rows gets
+/// `(s + 1 + s + k) / 2` — the integers [`average_ranks_into`] divides for
+/// the same group, so the same bits, with no sort.
+fn ranks_by_class(classes: &Discretized, rows: &[u32], ranks: &mut Vec<f64>) {
+    let codes = classes.codes();
+    let mut count = [0usize; MAX_BINS as usize + 1];
+    for &row in rows {
+        count[codes[row as usize] as usize] += 1;
+    }
+    debug_assert_eq!(count[classes.n_bins() as usize], 0, "a label is missing");
+    let mut rank = [f64::NAN; MAX_BINS as usize + 1];
+    let mut start = 0;
+    for (class, &k) in count.iter().enumerate().take(classes.n_bins() as usize) {
+        rank[class] = (start + 1 + start + k) as f64 / 2.0;
+        start += k;
+    }
+    ranks.clear();
+    ranks.extend(rows.iter().map(|&row| rank[codes[row as usize] as usize]));
 }
 
 fn bins_off_the_sort(
@@ -422,11 +485,86 @@ mod tests {
             vec![1.0; 300],
         ];
         let ranks = label_ranks(&y);
+        let classes = label_codes(&y);
         let m = RelevanceMethod::Spearman;
         let (want, want_codes) = m.scores_and_codes(&feats, &y, None, Some(DEFAULT_BINS));
-        let (got, got_codes) = m.scores_and_codes(&feats, &y, Some(&ranks), Some(DEFAULT_BINS));
-        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!((bits(&got), got_codes), (bits(&want), want_codes));
+        for classes in [None, Some(&classes)] {
+            let label = LabelRanks { ranks: &ranks, classes };
+            let (got, got_codes) = m.scores_and_codes(&feats, &y, Some(label), Some(DEFAULT_BINS));
+            assert_eq!((bits(&got), got_codes), (bits(&want), want_codes.clone()));
+        }
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// Spearman of `x` and `labels` the textbook way, kept as the reference
+    /// for the counted label ranks: the common rows (pairwise deletion),
+    /// both sides ranked by [`average_ranks_into`]'s sort, and Pearson of the
+    /// ranks.
+    fn sorted_spearman(x: &[f64], labels: &[i64]) -> f64 {
+        let common: Vec<usize> = (0..x.len()).filter(|&row| x[row].is_finite()).collect();
+        if common.len() < 2 {
+            return 0.0;
+        }
+        let (mut order, mut rx, mut ry) = (Vec::new(), Vec::new(), Vec::new());
+        average_ranks_into(&common.iter().map(|&r| x[r]).collect::<Vec<_>>(), &mut order, &mut rx);
+        let ys: Vec<f64> = common.iter().map(|&r| labels[r] as f64).collect();
+        average_ranks_into(&ys, &mut order, &mut ry);
+        pearson_correlation(&rx, &ry)
+    }
+
+    proptest::proptest! {
+        /// Every score of a feature with missing rows — the pairwise-deletion
+        /// path, which ranks the common rows' labels by counting their
+        /// classes — has the bits of the sort path, over labels of one class,
+        /// two, `MAX_BINS`, non-contiguous values with the `−1` missing
+        /// label, and values no `f64` tells apart, which the classes do not
+        /// rank; scored one feature at a time with the classes and through a
+        /// selector's relevance stage.
+        #[test]
+        fn counted_label_ranks_have_the_sort_paths_bits(case in 0u64..u64::MAX) {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let rng = &mut StdRng::seed_from_u64(case);
+            for kind in 0..5 {
+                let n = rng.random_range(300usize..700);
+                let values: Vec<i64> = match kind {
+                    0 => vec![rng.random_range(-3i64..3)],
+                    1 => vec![0, 1],
+                    2 => (0..i64::from(MAX_BINS)).collect(),
+                    3 => vec![-1, 0, 2, 7, 1_000_003, -40],
+                    _ => vec![1 << 53, (1 << 53) + 1, 0, -1],
+                };
+                let mut labels: Vec<i64> = (0..n).map(|_| values[rng.random_range(0..values.len())]).collect();
+                labels[..values.len()].copy_from_slice(&values);
+                assert_eq!(classes_rank(&labels), kind != 4);
+                let features: Vec<Vec<f64>> = (0..6)
+                    .map(|f| {
+                        let (distinct, holes) = (rng.random_range(1u64..40), [0.002, 0.2, 0.9, 0.998][f % 4]);
+                        let mut x: Vec<f64> = (0..n)
+                            .map(|_| if rng.random_bool(holes) { f64::NAN } else { rng.random_range(0..distinct) as f64 })
+                            .collect();
+                        x[rng.random_range(0..n)] = f64::NAN;
+                        x
+                    })
+                    .collect();
+                let want: Vec<f64> = features.iter().map(|x| sorted_spearman(x, &labels)).collect();
+                let (ranks, classes) = (label_ranks(&labels), label_codes(&labels));
+                let label = LabelRanks { ranks: &ranks, classes: Some(&classes) };
+                let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
+                if kind != 4 {
+                    let got: Vec<f64> = features.iter().map(|x| spearman_with(x, &y, Some(label), None).0).collect();
+                    assert_eq!(bits(&got), bits(&want), "kind {kind}");
+                }
+                let stage = crate::streaming::StreamingSelector::new(labels, Some(RelevanceMethod::Spearman), None, 6);
+                let (picks, _) = stage.relevance_stage().relevance(&features);
+                for pick in picks {
+                    let score = want[pick.index].abs();
+                    assert_eq!(pick.score.to_bits(), score.to_bits(), "kind {kind}, feature {}", pick.index);
+                }
+            }
+        }
     }
 
     #[test]

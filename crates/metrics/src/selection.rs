@@ -17,7 +17,7 @@ use autofeat_obs as obs;
 use crate::contingency::{Tables, Unit};
 use crate::discretize::{discretize_equal_frequency, Code, Discretized};
 use crate::redundancy::RedundancyScorer;
-use crate::relevance::RelevanceMethod;
+use crate::relevance::{LabelRanks, RelevanceMethod};
 
 /// A feature chosen by a selection step, with its score.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,12 +58,12 @@ pub fn select_k_best_binned(
 }
 
 /// The one select-κ-best: [`select_k_best`] without `bins`, and
-/// [`select_k_best_binned`] with them. `label_ranks` are
-/// `relevance::label_ranks(labels)` when the caller keeps them.
+/// [`select_k_best_binned`] with them. `label` is the
+/// `relevance::LabelRanks` of `labels` when the caller keeps it.
 pub(crate) fn k_best(
     features: &[Vec<f64>],
     labels: &[i64],
-    label_ranks: Option<&[f64]>,
+    label: Option<LabelRanks<'_>>,
     method: RelevanceMethod,
     kappa: usize,
     min_score: f64,
@@ -71,7 +71,7 @@ pub(crate) fn k_best(
 ) -> (Vec<SelectedFeature>, Vec<Discretized>) {
     let _span = obs::span("relevance");
     obs::add("metrics.features_scored", features.len() as u64);
-    let (scores, mut codes) = method.scores_and_codes(features, labels, label_ranks, bins);
+    let (scores, mut codes) = method.scores_and_codes(features, labels, label, bins);
     let mut ranked: Vec<SelectedFeature> = scores
         .into_iter()
         .enumerate()

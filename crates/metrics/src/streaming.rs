@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use crate::discretize::{discretize_equal_frequency, Discretized};
 use crate::redundancy::{RedundancyMethod, RedundancyScorer};
-use crate::relevance::{label_ranks, RelevanceMethod, DEFAULT_BINS};
+use crate::relevance::{classes_rank, label_ranks, LabelRanks, RelevanceMethod, DEFAULT_BINS};
 use crate::selection::{k_best, SelectedFeature, SelectedSet};
 
 /// Outcome of admitting one feature batch. An analysis that is switched off
@@ -59,6 +59,10 @@ pub struct RelevanceStage {
     /// The labels' average ranks when the method is Spearman, which would
     /// rank them again for every batch otherwise.
     label_ranks: Option<Vec<f64>>,
+    /// Whether `label_codes` rank the labels as their values do
+    /// (`relevance::classes_rank`), so Spearman counts them rather than
+    /// sorting them for a feature with missing rows.
+    classes_rank: bool,
 }
 
 impl RelevanceStage {
@@ -76,7 +80,10 @@ impl RelevanceStage {
             Some(method) => k_best(
                 batch,
                 &self.labels,
-                self.label_ranks.as_deref(),
+                self.label_ranks.as_deref().map(|ranks| LabelRanks {
+                    ranks,
+                    classes: self.classes_rank.then_some(&self.label_codes),
+                }),
                 method,
                 self.kappa,
                 0.0,
@@ -119,8 +126,14 @@ impl StreamingSelector {
     ) -> Self {
         let label_codes = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
         let ranks = (relevance == Some(RelevanceMethod::Spearman)).then(|| label_ranks(&labels));
-        let stage =
-            RelevanceStage { method: relevance, kappa, labels, label_codes, label_ranks: ranks };
+        let stage = RelevanceStage {
+            method: relevance,
+            kappa,
+            classes_rank: classes_rank(&labels),
+            labels,
+            label_codes,
+            label_ranks: ranks,
+        };
         StreamingSelector {
             stage: Arc::new(stage),
             redundancy: redundancy.map(RedundancyScorer::new),

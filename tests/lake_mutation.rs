@@ -192,11 +192,13 @@ fn name_only_edges_survive_both_paths() {
 }
 
 /// Removing a table invalidates exactly its cache entries — the counter
-/// moves and the rest of the cache survives.
+/// moves and the rest of the cache survives. The run sets a budget that
+/// keeps every index, so the test owns the cache it asserts on whatever
+/// budget the environment names.
 #[test]
 fn remove_table_invalidates_only_its_cache_slots() {
     let ctx = fresh_ctx(&[0, 2]);
-    let cfg = AutoFeatConfig::default();
+    let cfg = AutoFeatConfig::default().with_cache_budget_bytes(64 << 20);
     AutoFeat::new(cfg.clone()).discover(&ctx.latest()).unwrap();
     let before = ctx.lake_cache().stats();
     assert!(before.entries > 0, "discovery should have populated the cache");
