@@ -63,7 +63,7 @@
 //! the caller gets a structured [`DataError::BuildPanicked`], an empty slot
 //! is dropped so later touches retry, and the event lands in
 //! [`CacheStats::build_panics`]. Cold builds also poll the ambient
-//! [`control`](crate::control) before starting (a transient fold also
+//! [`control`] before starting (a transient fold also
 //! between the blocks of its scan), so a cancelled or deadline-expired run
 //! never pays for an index it cannot use.
 //!

@@ -98,7 +98,7 @@ impl JoinOutput {
 /// A reusable join index for one `(right table, join column)` pair: the
 /// column's dictionary — its rows by code, and the fingerprints a pick
 /// orders them by — and a **pick array**: one right row per dictionary code
-/// ([`NO_ROW`] for a code no row carries).
+/// (`NO_ROW` for a code no row carries).
 ///
 /// Over a column whose keys never repeat the build sets the pick array, and
 /// it serves every seed. Otherwise the first join through the index fills it

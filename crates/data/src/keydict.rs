@@ -565,7 +565,7 @@ impl KeyDict {
 
     /// The content fingerprints of the rows of codes with more than one row,
     /// in posting order, once a join has hashed them
-    /// ([`KeyDict::fingerprints_by`]); `None` before, and always where no
+    /// (`KeyDict::fingerprints_by`); `None` before, and always where no
     /// key repeats.
     pub fn fingerprints(&self) -> Option<&[u64]> {
         self.fps.get().map(|fps| &fps[..])

@@ -314,7 +314,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// Built for the serving path: every discovery request fans its per-level
 /// evaluation out through [`run_indexed_ctl`], and under a resident
-/// [`DiscoveryService`] spawning (and joining) fresh OS threads per level
+/// `DiscoveryService` spawning (and joining) fresh OS threads per level
 /// per request is the cost the pool amortizes across the process lifetime;
 /// requests interleave at item granularity.
 ///

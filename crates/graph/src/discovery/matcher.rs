@@ -66,7 +66,7 @@ impl SchemaMatcher {
     /// the threshold at all: the same blend, evaluated at an upper bound in
     /// place of the intersection — first at name similarity 1, the most a
     /// name scores, then at the pair's own. The bound is 0 for a pair whose
-    /// key spans cannot meet ([`ColumnProfile::may_share_keys`]; counted in
+    /// key spans cannot meet (`ColumnProfile::may_share_keys`; counted in
     /// `match.pairs_range_rejected` when that rejects it), and
     /// [`ValueRun::intersection_bound`] from the occupancy maps otherwise.
     /// That rejects exactly, not heuristically — the bound is never below

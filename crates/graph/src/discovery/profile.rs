@@ -4,9 +4,9 @@
 //! the lake, and every later stage — the range test, the occupancy bound,
 //! exact scoring — reads the profile, never the column.
 //!
-//! Besides its value set a profile records where its keys lie
-//! ([`KeySpan`]): the least and greatest numeric key, and whether any key is
-//! a string or a bool. Two columns whose spans cannot meet share no value,
+//! Besides its value set a profile records where its keys lie, its key
+//! span: the least and greatest numeric key, and whether any key is a string
+//! or a bool. Two columns whose spans cannot meet share no value,
 //! which the matcher reads before it reads either value set.
 
 use autofeat_data::{Column, Key, Table};
@@ -77,7 +77,7 @@ impl KeySpan {
 
 impl ColumnProfile {
     /// Profile one column: one typed pass over its rows hashing every
-    /// non-null key and widening the [`KeySpan`] by it, then sort,
+    /// non-null key and widening the key span by it, then sort,
     /// deduplicate, map. It reads the cells, never
     /// a key dictionary — a profile is wanted for every column of the lake,
     /// a dictionary only for the few a join is keyed on.

@@ -2,7 +2,7 @@
 //!
 //! Joinability is fundamentally about overlapping value sets (Def. IV.1:
 //! "their intersection is non-empty"). A column profile keeps its exact
-//! value set, at any size, as a [`ValueRun`] of [`value_hash`]es: two runs
+//! value set, at any size, as a [`ValueRun`] of value hashes: two runs
 //! are overlapped by one merge and bounded, before that, by their
 //! occupancy maps.
 
@@ -25,7 +25,7 @@ const OCCUPANCY_WORDS: usize = OCCUPANCY_BITS / 64;
 
 /// An exact set of value hashes, laid out for pairwise overlap counting: the
 /// distinct hashes as a strictly ascending run, and a fixed
-/// [`OCCUPANCY_BITS`]-bit map of which top-16-bit prefixes occur in it.
+/// `OCCUPANCY_BITS`-bit map of which top-16-bit prefixes occur in it.
 ///
 /// Two runs intersect by one merge ([`intersection_len`](Self::intersection_len));
 /// two maps bound that intersection from above without touching the runs

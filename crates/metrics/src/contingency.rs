@@ -5,17 +5,24 @@
 //! a 3-way one (`slab = (nz + 1)(ny + 1)`). Missing rows carry the extra code
 //! `n_bins`, so filling is one unconditional increment per row and table; the
 //! readers below simply never visit the last slab, row or column, which is
-//! pairwise deletion. Marginals and totals are sums of the integer cells, so
-//! they equal what a row-at-a-time count over the jointly-present rows gives,
-//! and every float computed from them is the same to the bit.
+//! pairwise deletion. Marginals and totals are exact integers, so they equal
+//! what a row-at-a-time count over the jointly-present rows gives, and every
+//! float computed from them is the same to the bit. A table between two
+//! whole features reads its marginals in O(bins): each feature counted its
+//! rows per bin once, and a bin's present rows are those less the table's
+//! missing column (for `x`) or missing row (for `y`)
+//! ([`Marginals::of_features`]). Only a conditional stratum, which holds a
+//! part of each feature's rows, sums its cells ([`Marginals::of`]).
 //!
 //! `x` need not be one feature: a [`Unit::Pair`] is two features in one code
 //! column, counted with one increment per row, and [`Tables::collapse_pair`]
 //! sums its table back into the two tables a pass over each feature alone
-//! would have counted.
+//! would have counted — in fixed-width sweeps when the candidate has the
+//! pipeline's [`DEFAULT_BINS`] bins.
 
 use crate::discretize::{Code, Discretized};
 use crate::mi::Terms;
+use crate::relevance::DEFAULT_BINS;
 
 /// Code columns counted per row pass by [`Tables::fill`]. Independent tables
 /// keep consecutive increments off one another's counters.
@@ -63,6 +70,10 @@ pub(crate) struct Tables {
     /// The MI terms of the tables read so far, and a count of that work.
     pub(crate) terms: Terms,
 }
+
+/// The slab width of a table against a candidate binned as the pipeline
+/// bins: its bins and the missing code.
+const SLAB: usize = DEFAULT_BINS as usize + 1;
 
 /// Row and column sums of the present cells of one 2-way table.
 #[derive(Default)]
@@ -136,17 +147,45 @@ impl Tables {
         self.joint.clear();
         self.joint.resize((wa + wb) * slab, 0);
         let (of_a, of_b) = self.joint.split_at_mut(wa * slab);
-        let blocks = self.counts[off..][..wa * wb * slab].chunks_exact(wb * slab);
-        for (row_a, block) in of_a.chunks_exact_mut(slab).zip(blocks) {
-            // The block is `wb` slabs `(a, b, ·)`: all of it goes to the
-            // second feature's table as it lies, each slab to row `a`.
-            for (sum, &c) in of_b.iter_mut().zip(block) {
+        let pair = &self.counts[off..][..wa * wb * slab];
+        if slab == SLAB {
+            collapse_fixed::<SLAB>(pair, of_a, of_b);
+        } else {
+            collapse_any(pair, of_a, of_b, slab);
+        }
+    }
+}
+
+/// [`Tables::collapse_pair`] at a slab width known when compiled, so that
+/// each slab's sum into row `a` is a fixed-width sweep.
+fn collapse_fixed<const S: usize>(pair: &[u32], of_a: &mut [u32], of_b: &mut [u32]) {
+    let (rows_a, _) = of_a.as_chunks_mut::<S>();
+    for (row_a, block) in rows_a.iter_mut().zip(pair.chunks_exact(of_b.len())) {
+        // The block is `wb` slabs `(a, b, ·)`: all of it goes to the
+        // second feature's table as it lies, each slab to row `a`.
+        for (sum, &c) in of_b.iter_mut().zip(block) {
+            *sum += c;
+        }
+        let (slabs, _) = block.as_chunks::<S>();
+        let mut sum = [0; S];
+        for cells in slabs {
+            for (sum, &c) in sum.iter_mut().zip(cells) {
                 *sum += c;
             }
-            for cells in block.chunks_exact(slab) {
-                for (sum, &c) in row_a.iter_mut().zip(cells) {
-                    *sum += c;
-                }
+        }
+        *row_a = sum;
+    }
+}
+
+/// [`Tables::collapse_pair`] at any slab width.
+fn collapse_any(pair: &[u32], of_a: &mut [u32], of_b: &mut [u32], slab: usize) {
+    for (row_a, block) in of_a.chunks_exact_mut(slab).zip(pair.chunks_exact(of_b.len())) {
+        for (sum, &c) in of_b.iter_mut().zip(block) {
+            *sum += c;
+        }
+        for cells in block.chunks_exact(slab) {
+            for (sum, &c) in row_a.iter_mut().zip(cells) {
+                *sum += c;
             }
         }
     }
@@ -172,8 +211,25 @@ impl Tables {
 }
 
 impl Marginals {
+    /// The marginals of the table `joint[a·stride + b]` of a whole feature
+    /// `x` against a whole feature `y`, from their rows per code (`x` and
+    /// `y`, missing code last), and their total. Every row of each feature
+    /// was counted once in the table, so a bin's present rows are its rows
+    /// less those in the table's missing column (for `x`) or row (for `y`):
+    /// the integers [`Marginals::of`] sums, in O(nx + ny).
+    pub(crate) fn of_features(&mut self, joint: &[u32], stride: usize, x: &[u32], y: &[u32]) -> usize {
+        let (nx, ny) = (x.len() - 1, y.len() - 1);
+        let missing_x = &joint[nx * stride..][..ny];
+        self.x.clear();
+        self.x.extend(x[..nx].iter().enumerate().map(|(a, &rows)| (rows - joint[a * stride + ny]) as usize));
+        self.y.clear();
+        self.y.extend(y[..ny].iter().zip(missing_x).map(|(&rows, &gone)| (rows - gone) as usize));
+        self.x.iter().sum()
+    }
+
     /// Sum the `nx × ny` present cells `joint[a·stride + b]` along both axes
-    /// and return their total.
+    /// and return their total: the marginals of a table that holds a part of
+    /// each feature's rows, such as one z-stratum of a conditional table.
     pub(crate) fn of(&mut self, joint: &[u32], stride: usize, nx: usize, ny: usize) -> usize {
         self.x.clear();
         self.x.resize(nx, 0);

@@ -5,6 +5,9 @@
 //! Missing values
 //! (`NaN`) get the column's own extra bin `n_bins`, which the estimators fill
 //! like any other and leave out when they read the table (pairwise deletion).
+//! Every feature also carries its rows per bin, missing bin last: a table
+//! between two whole features takes its marginals from them, less the
+//! table's own missing column or row, instead of summing its cells.
 
 use crate::ranks::{sort_key, sorted_order};
 
@@ -12,18 +15,21 @@ use crate::ranks::{sort_key, sorted_order};
 pub(crate) type Code = u8;
 
 /// Largest bin count a [`Discretized`] can hold: codes `0..n_bins` plus the
-/// missing bin `n_bins` must all fit a [`Code`].
+/// missing bin `n_bins` must all fit a one-byte code.
 pub const MAX_BINS: u32 = Code::MAX as u32;
 
-/// A discretized feature: one dense code per row and the number of bins
-/// actually used. Present rows hold `0..n_bins`, missing rows hold `n_bins`
-/// — so every code indexes an `n_bins + 1`-wide contingency axis without a
-/// branch. The fields are private because the kernels index with them
-/// unchecked by any `Option`: the constructors are the only place a code is
-/// made, and they keep `code <= n_bins <= MAX_BINS`.
+/// A discretized feature: one dense code per row, the rows of each code and
+/// the number of bins actually used. Present rows hold `0..n_bins`, missing
+/// rows hold `n_bins` — so every code indexes an `n_bins + 1`-wide
+/// contingency axis without a branch. The fields are private because the
+/// kernels index with them unchecked by any `Option`: the constructors are
+/// the only place a code is made, and they keep `code <= n_bins <= MAX_BINS`
+/// and `counts[c]` the number of rows holding `c`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Discretized {
     codes: Vec<Code>,
+    /// Rows per code, `n_bins + 1` of them: the missing bin is last.
+    counts: Box<[u32]>,
     n_bins: u32,
 }
 
@@ -48,7 +54,16 @@ impl Discretized {
             .iter()
             .map(|v| v.map_or(missing, |x| distinct.binary_search(&x).expect("value present") as Code))
             .collect();
-        Discretized { codes, n_bins: distinct.len() as u32 }
+        Discretized::counted(codes, distinct.len() as u32)
+    }
+
+    /// `codes` over `n_bins` bins, with the rows of each code counted.
+    fn counted(codes: Vec<Code>, n_bins: u32) -> Self {
+        let mut counts = vec![0u32; n_bins as usize + 1];
+        for &c in &codes {
+            counts[c as usize] += 1;
+        }
+        Discretized { codes, counts: counts.into_boxed_slice(), n_bins }
     }
 
     /// Bin every finite value with `bin` (which must stay below `n_bins`);
@@ -60,12 +75,12 @@ impl Discretized {
             .iter()
             .map(|&x| if x.is_finite() { bin(x) as Code } else { missing })
             .collect();
-        Discretized { codes, n_bins }
+        Discretized::counted(codes, n_bins)
     }
 
     /// The rows in `rows`, in that order, over the same bins.
     pub(crate) fn gather(&self, rows: &[usize]) -> Self {
-        Discretized { codes: rows.iter().map(|&i| self.codes[i]).collect(), n_bins: self.n_bins }
+        Discretized::counted(rows.iter().map(|&i| self.codes[i]).collect(), self.n_bins)
     }
 
     /// Number of distinct bins (present codes are in `0..n_bins`).
@@ -91,8 +106,12 @@ impl Discretized {
 
     /// Number of non-missing entries.
     pub fn n_present(&self) -> usize {
-        let missing = self.n_bins as Code;
-        self.codes.iter().filter(|&&c| c != missing).count()
+        self.codes.len() - self.counts[self.n_bins as usize] as usize
+    }
+
+    /// Rows per code, `n_bins + 1` of them, the missing bin last.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.counts
     }
 
     /// The dense codes: `n_bins` marks a missing row.
@@ -156,7 +175,8 @@ pub fn discretize_equal_frequency(values: &[f64], n_bins: u32) -> Discretized {
 /// column: `order` is the `(sort key, row)` of every finite value, ascending
 /// by key ([`sorted_order`]), and `row_of` turns an `order` row into an index
 /// of `values`. One walk, no search: a row's code is the number of `bounds`
-/// at or below its key, and the keys only go up.
+/// at or below its key, and the keys only go up, so a bin's rows are the
+/// walk's positions from where it enters the bin to where it leaves it.
 pub(crate) fn codes_from_order(
     values: &[f64],
     order: &[(u64, u32)],
@@ -195,14 +215,19 @@ pub(crate) fn codes_from_order(
     // `bounds.len()`, the highest one used.
     let n_used = if n == 0 { 0 } else { bounds.len() + 1 };
     let mut codes = vec![n_used as Code; values.len()];
-    let mut bin = 0;
-    for &(key, row) in order {
+    let mut counts = vec![0u32; n_used + 1];
+    let (mut bin, mut start) = (0, 0);
+    for (at, &(key, row)) in order.iter().enumerate() {
         while bounds.get(bin).is_some_and(|&bound| bound <= key) {
-            bin += 1;
+            counts[bin] = (at - start) as u32;
+            (bin, start) = (bin + 1, at);
         }
         codes[row_of(row)] = bin as Code;
     }
-    Discretized { codes, n_bins: n_used as u32 }
+    debug_assert!(n == 0 || bin == bounds.len(), "the largest key is in the highest bin");
+    counts[bin] = (n - start) as u32;
+    counts[n_used] = (values.len() - n) as u32;
+    Discretized { codes, counts: counts.into_boxed_slice(), n_bins: n_used as u32 }
 }
 
 /// Whether `order` names every finite row of `values` once, under its key.
@@ -312,6 +337,59 @@ mod tests {
         let bins: Vec<u32> = codes(&d).into_iter().map(|c| c.unwrap()).collect();
         assert!(bins.windows(2).all(|w| w[0] <= w[1]));
         assert!(d.n_bins() >= 2);
+    }
+
+    /// `d`'s rows per code, against a recount of its codes.
+    fn assert_counted(d: &Discretized) {
+        let mut recount = vec![0u32; d.n_bins() as usize + 1];
+        for &c in d.codes() {
+            recount[c as usize] += 1;
+        }
+        assert_eq!(d.counts(), &recount[..], "{d:?}");
+    }
+
+    #[test]
+    fn every_constructor_counts_its_rows_per_bin() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for d in [
+            Discretized::from_codes([Some(10), Some(-5), None, Some(10)]),
+            Discretized::from_codes([None, None]),
+            Discretized::from_codes([]),
+        ] {
+            assert_counted(&d);
+        }
+        // 90 ties, then 10 larger values: every quantile key is the tie, so
+        // the walk starts in bin 1 and bin 0 holds no row.
+        let mut tied = vec![1.0; 90];
+        tied.extend((0..10).map(|i| 2.0 + i as f64));
+        let columns: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![1.0],
+            vec![2.0, 1.0],
+            vec![nan],
+            vec![nan, 3.0, -inf],
+            (0..100).map(|i| i as f64).collect(),
+            (0..100).map(|i| if i % 7 == 3 { [nan, inf][i % 2] } else { (i * 37 % 101) as f64 }).collect(),
+            tied.clone(),
+            tied.iter().enumerate().map(|(i, &x)| if i % 9 == 0 { nan } else { x }).collect(),
+        ];
+        let mut order = Vec::new();
+        for x in &columns {
+            for bins in [1, 2, 4, 10] {
+                // Both branches of the entry, and the walk on its own over
+                // columns the entry would not sort.
+                let d = discretize_equal_frequency(x, bins);
+                assert_counted(&d);
+                sorted_order(x, &mut order);
+                let walked = codes_from_order(x, &order, |row| row as usize, bins);
+                assert_counted(&walked);
+                let rows: Vec<usize> = (0..x.len()).rev().chain((0..x.len()).step_by(3)).collect();
+                assert_counted(&d.gather(&rows));
+                assert_counted(&walked.gather(&rows[..rows.len() / 2]));
+            }
+        }
+        let skipped = discretize_equal_frequency(&tied, 4);
+        assert_eq!(skipped.counts(), [0, 100, 0], "bin 0 is skipped");
     }
 
     #[test]

@@ -25,13 +25,8 @@ fn h_from_counts(counts: impl IntoIterator<Item = usize>, total: usize) -> f64 {
 
 /// Shannon entropy `H(X)` in bits, over the non-missing rows.
 pub fn entropy(x: &Discretized) -> f64 {
-    let mut counts = vec![0usize; x.n_bins() as usize + 1];
-    for &c in x.codes() {
-        counts[c as usize] += 1;
-    }
-    counts.pop(); // the missing bin
-    let total = counts.iter().sum();
-    h_from_counts(counts, total)
+    let present = &x.counts()[..x.n_bins() as usize];
+    h_from_counts(present.iter().map(|&c| c as usize), x.n_present())
 }
 
 /// The pair table of `(x, y)` with its marginals, and the number of rows
@@ -39,8 +34,7 @@ pub fn entropy(x: &Discretized) -> f64 {
 fn pair_table(x: &Discretized, y: &Discretized) -> (Tables, usize) {
     let mut t = Tables::default();
     t.fill_pairs(&[x.axis()], y);
-    let (nx, ny) = (x.n_bins() as usize, y.n_bins() as usize);
-    let total = t.m.of(&t.counts, ny + 1, nx, ny);
+    let total = t.m.of_features(&t.counts, y.axis().1, x.counts(), y.counts());
     (t, total)
 }
 

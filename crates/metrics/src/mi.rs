@@ -4,6 +4,13 @@
 //! conditional information gain appearing in the unified redundancy
 //! framework (Eq. 1). Both are estimated from contingency counts over the
 //! rows where every involved feature is present, and reported in bits.
+//!
+//! A table between two whole features — every MI here, and every term of a
+//! redundancy pass — takes its marginals from the features' rows per bin
+//! (`Marginals::of_features`); only the strata of a conditional table sum
+//! their cells. Tables a redundancy pass repeats read their terms from rows
+//! kept across the pass (`Terms`), and one whose axes have one present
+//! marginal each reads a single row.
 
 use crate::contingency::{Marginals, Tables, Unit, BATCH};
 use crate::discretize::{Discretized, MAX_BINS};
@@ -31,7 +38,9 @@ fn cell_term(pxy: f64, px: f64, py: f64) -> f64 {
 /// distinct present marginals per axis — at most four rows — and a whole
 /// redundancy pass takes one `ln` per row and distinct count. A table with
 /// more marginals on either axis (nulls, discrete values) takes one `ln` per
-/// occupied cell and never touches the rows: it would not repeat.
+/// occupied cell and never touches the rows: it would not repeat. A table
+/// with one present marginal per axis — `n` a multiple of `B` — reads one
+/// row and lays out nothing per column.
 #[derive(Default)]
 pub(crate) struct Terms {
     /// The total every row was filled under.
@@ -80,6 +89,7 @@ impl Terms {
         self.tables += 1;
         let classes = || Some((two_values(&m.x)?, two_values(&m.y)?));
         let mi = match tabulate.then(classes).flatten() {
+            Some(([ma, 0], [mb, 0])) => self.one_row(joint, stride, m, (ma, mb), total),
             Some((vx, vy)) => self.tabulated(joint, stride, m, (vx, vy), total),
             None => self.each_cell(joint, stride, m, total),
         };
@@ -123,12 +133,7 @@ impl Terms {
         (vx, vy): ([usize; 2], [usize; 2]),
         total: usize,
     ) -> f64 {
-        // The same counts under another total are other terms.
-        if total != self.total || self.cells.len() > TERM_CELLS {
-            self.total = total;
-            self.rows.clear();
-            self.cells.clear();
-        }
+        self.under(total);
         let mut start = [[0; 2]; 2];
         for (i, &ma) in vx.iter().enumerate().filter(|(_, &ma)| ma > 0) {
             for (j, &mb) in vy.iter().enumerate().filter(|(_, &mb)| mb > 0) {
@@ -163,6 +168,46 @@ impl Terms {
         mi
     }
 
+    /// [`Terms::tabulated`] for a table whose present marginals are all `ma`
+    /// on one axis and all `mb` on the other: every term is in one row.
+    fn one_row(
+        &mut self,
+        joint: &[u32],
+        stride: usize,
+        m: &Marginals,
+        (ma, mb): (usize, usize),
+        total: usize,
+    ) -> f64 {
+        self.under(total);
+        let start = self.row(ma, mb);
+        let cells = &mut self.cells[start..][..=ma.min(mb)];
+        let (n, ny) = (total as f64, m.y.len());
+        let (mut mi, mut logs) = (0.0, 0);
+        for (a, _) in m.x.iter().enumerate().filter(|(_, &rows)| rows > 0) {
+            for &c in joint[a * stride..][..ny].iter().filter(|&&c| c > 0) {
+                let t = &mut cells[c as usize];
+                if t.is_nan() {
+                    *t = cell_term(c as f64 / n, ma as f64 / n, mb as f64 / n);
+                    logs += 1;
+                }
+                mi += *t;
+            }
+        }
+        self.logs += logs;
+        mi
+    }
+
+    /// Keep the rows when they were filled under `total`; a full scratch
+    /// starts over.
+    fn under(&mut self, total: usize) {
+        // The same counts under another total are other terms.
+        if total != self.total || self.cells.len() > TERM_CELLS {
+            self.total = total;
+            self.rows.clear();
+            self.cells.clear();
+        }
+    }
+
     /// Where the row of `(ma, mb)` under `self.total` starts, laid out the
     /// first time it is asked for.
     fn row(&mut self, ma: usize, mb: usize) -> usize {
@@ -186,32 +231,45 @@ fn miller_madow_bias(mx: &[usize], my: &[usize], total: usize) -> f64 {
     (kx - 1.0) * (ky - 1.0) / (2.0 * total as f64 * LN_2)
 }
 
-/// `(rows, I)` of one `nx × ny` table: the jointly-present row count and the
-/// plug-in or Miller-Madow-corrected MI over them (0 when there are none).
+/// The plug-in or Miller-Madow-corrected MI of one table over its `total`
+/// jointly-present rows, whose marginals are `m` (0 when there are none).
 /// `tabulate` as in [`Terms::mi`].
 fn mi_of_table(
     joint: &[u32],
     stride: usize,
-    (nx, ny): (usize, usize),
+    (m, total): (&Marginals, usize),
+    corrected: bool,
+    terms: &mut Terms,
+    tabulate: bool,
+) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let raw = terms.mi(joint, stride, m, total, tabulate);
+    if corrected { (raw - miller_madow_bias(&m.x, &m.y, total)).max(0.0) } else { raw }
+}
+
+/// `(rows, I)` of the table `joint` of a whole feature `x` against a whole
+/// feature `y`, given as their rows per code: the jointly-present row count
+/// and [`mi_of_table`] over them.
+fn mi_of_features(
+    joint: &[u32],
+    (x, y): (&[u32], &[u32]),
     corrected: bool,
     m: &mut Marginals,
     terms: &mut Terms,
     tabulate: bool,
 ) -> (usize, f64) {
-    let total = m.of(joint, stride, nx, ny);
-    if total == 0 {
-        return (0, 0.0);
-    }
-    let raw = terms.mi(joint, stride, m, total, tabulate);
-    let mi = if corrected { (raw - miller_madow_bias(&m.x, &m.y, total)).max(0.0) } else { raw };
-    (total, mi)
+    let stride = y.len();
+    let total = m.of_features(joint, stride, x, y);
+    (total, mi_of_table(joint, stride, (m, total), corrected, terms, tabulate))
 }
 
 /// `I(X;Y)` on caller-owned tables.
 pub(crate) fn mi_with(t: &mut Tables, x: &Discretized, y: &Discretized, corrected: bool) -> f64 {
     let off = t.fill_pairs(&[x.axis()], y)[0];
-    let (nx, ny) = (x.n_bins() as usize, y.n_bins() as usize);
-    mi_of_table(&t.counts[off..], ny + 1, (nx, ny), corrected, &mut t.m, &mut t.terms, false).1
+    let axes = (x.counts(), y.counts());
+    mi_of_features(&t.counts[off..], axes, corrected, &mut t.m, &mut t.terms, false).1
 }
 
 /// Miller-Madow `I(X_j;Y)` of every feature of up to [`BATCH`] `units`
@@ -221,8 +279,8 @@ pub(crate) fn mi_with(t: &mut Tables, x: &Discretized, y: &Discretized, correcte
 /// read their terms from `t`'s rows where the marginals allow ([`Terms`]).
 pub(crate) fn mi_units(t: &mut Tables, units: &[Unit], y: &Discretized, mut term: impl FnMut(f64)) {
     let sy = y.axis().1;
-    let mi = |joint: &[u32], nx: usize, m: &mut Marginals, terms: &mut Terms| {
-        mi_of_table(joint, sy, (nx, sy - 1), true, m, terms, true).1
+    let mi = |joint: &[u32], x: &Discretized, m: &mut Marginals, terms: &mut Terms| {
+        mi_of_features(joint, (x.counts(), y.counts()), true, m, terms, true).1
     };
     let mut axes = [(&[][..], 0); BATCH];
     for (axis, unit) in axes.iter_mut().zip(units) {
@@ -231,12 +289,12 @@ pub(crate) fn mi_units(t: &mut Tables, units: &[Unit], y: &Discretized, mut term
     let offs = t.fill_pairs(&axes[..units.len()], y);
     for (unit, off) in units.iter().zip(offs) {
         match *unit {
-            Unit::Single(x) => term(mi(&t.counts[off..], x.n_bins() as usize, &mut t.m, &mut t.terms)),
+            Unit::Single(x) => term(mi(&t.counts[off..], x, &mut t.m, &mut t.terms)),
             Unit::Pair { a, b, .. } => {
-                let (wa, wb) = (a.axis().1, b.axis().1);
-                t.collapse_pair(off, wa, wb, sy);
-                term(mi(&t.joint, wa - 1, &mut t.m, &mut t.terms));
-                term(mi(&t.joint[wa * sy..], wb - 1, &mut t.m, &mut t.terms));
+                let wa = a.axis().1;
+                t.collapse_pair(off, wa, b.axis().1, sy);
+                term(mi(&t.joint, a, &mut t.m, &mut t.terms));
+                term(mi(&t.joint[wa * sy..], b, &mut t.m, &mut t.terms));
             }
         }
     }
@@ -303,9 +361,10 @@ fn cmi_from_table(t: &mut Tables, (nx, ny, nz): (usize, usize, usize)) -> f64 {
     }
     let mut cmi = 0.0;
     for c in 0..nz {
-        let (n_z, mi_z) =
-            mi_of_table(&t.counts[c * sy..], slab, (nx, ny), false, &mut t.m, &mut t.terms, false);
+        let stratum = &t.counts[c * sy..];
+        let n_z = t.m.of(stratum, slab, nx, ny);
         if n_z > 0 {
+            let mi_z = mi_of_table(stratum, slab, (&t.m, n_z), false, &mut t.terms, false);
             cmi += (n_z as f64 / total as f64) * mi_z;
         }
     }
@@ -377,16 +436,18 @@ pub(crate) fn mi_and_cmi_with(
     fill_conditional(t, x, y, z);
     let (nx, ny, nz) = dims(x, y, z);
     let sy = ny + 1;
+    // The x-missing slab too: the y marginal subtracts it.
     t.joint.clear();
-    t.joint.resize(nx * sy, 0);
-    for (a, row) in t.joint.chunks_exact_mut(sy).enumerate() {
-        for stratum in t.counts[a * (nz + 1) * sy..][..(nz + 1) * sy].chunks_exact(sy) {
+    t.joint.resize((nx + 1) * sy, 0);
+    for (row, slab) in t.joint.chunks_exact_mut(sy).zip(t.counts.chunks_exact((nz + 1) * sy)) {
+        for stratum in slab.chunks_exact(sy) {
             for (j, &c) in row.iter_mut().zip(stratum) {
                 *j += c;
             }
         }
     }
-    let (xy_rows, mi) = mi_of_table(&t.joint, sy, (nx, ny), false, &mut t.m, &mut t.terms, false);
+    let axes = (x.counts(), y.counts());
+    let (xy_rows, mi) = mi_of_features(&t.joint, axes, false, &mut t.m, &mut t.terms, false);
     if xy_rows == 0 {
         return (0.0, 0.0);
     }

@@ -262,7 +262,9 @@ fn spearman_with(
             return (pearson_correlation(&scratch.rx, ry), codes);
         }
         // Pairwise deletion first so the ranks are computed on the common
-        // rows; `rows` keeps where each of them sits in `x`.
+        // rows; `rows` keeps where each of them sits in `x`. The labels of
+        // those rows are only kept to be sorted: counted classes read `rows`.
+        let classes = label.and_then(|label| label.classes);
         scratch.xs.clear();
         scratch.ys.clear();
         scratch.rows.clear();
@@ -272,7 +274,9 @@ fn spearman_with(
                 present += 1;
                 if b.is_finite() {
                     scratch.xs.push(*a);
-                    scratch.ys.push(*b);
+                    if classes.is_none() {
+                        scratch.ys.push(*b);
+                    }
                     scratch.rows.push(row as u32);
                 }
             }
@@ -285,7 +289,7 @@ fn spearman_with(
         let codes = bins.filter(|_| rows.len() == present).map(|bins| {
             bins_off_the_sort(x, &scratch.order, |row| rows[row as usize] as usize, bins)
         });
-        match label.and_then(|label| label.classes) {
+        match classes {
             Some(classes) => ranks_by_class(classes, rows, &mut scratch.ry),
             None => average_ranks_into(&scratch.ys, &mut scratch.order, &mut scratch.ry),
         }

@@ -100,7 +100,7 @@ pub(crate) fn k_best(
 
 /// `R_sel`, the running selected set of Algorithm 1: names and codes in
 /// selection order — the order every redundancy sum runs in — and, for every
-/// two neighbours `(2p, 2p + 1)` whose codes fit one [`Code`] together, the
+/// two neighbours `(2p, 2p + 1)` whose codes fit one byte together, the
 /// column `a·(n_b + 1) + b` that lets one counter increment serve both (at
 /// the pipeline's 10 bins they always fit: 11 · 11 = 121). A pair that does
 /// not fit, or whose lengths differ, is counted as two columns.

@@ -9,7 +9,10 @@
 //! multiple of the batch width — as a plain slice and as a `SelectedSet`,
 //! which counts two neighbours per increment and must not move a bit — and
 //! sets binned as the pipeline bins them, whose tables read their MI terms
-//! from rows kept across the call.
+//! from rows kept across the call (one row when each axis has one present
+//! marginal), and pairs with and without holes against candidates of the
+//! pipeline's width and of others, whose tables the pair collapse sums at a
+//! fixed width or at any.
 //!
 //! `common::binning_oracle` is the same for equal-frequency binning: the
 //! value sort and per-row search the bins were made with before they were
@@ -574,6 +577,41 @@ proptest! {
             let kept = set.select_non_redundant(&cands, &labels, &mrmr);
             prop_assert!(kept.first().is_some_and(|s| s.index == 0), "the first candidate is kept: {kept:?}");
         }
+    }
+
+    /// A pair of members, one with holes and one without (in either order),
+    /// against candidates with and without holes of their own: at the
+    /// pipeline's 10 bins, whose pair tables take the fixed-width collapse,
+    /// and at 2, 6 and 30, which take it at any width. Every table's
+    /// marginals come from the features' rows per bin less its missing
+    /// column or row. Binned over 1 000 distinct values, a table between
+    /// null-free 10-bin columns has one present marginal per axis and reads
+    /// one term row; over 1 003, two per axis and up to four rows; a holed
+    /// side takes the per-cell loop.
+    #[test]
+    fn holed_pairs_match_the_oracle(seed in 1u64..u64::MAX, rows in 0usize..2, holed_first in 0usize..2) {
+        let mut rng = Rng(seed);
+        let n = [1_000, 1_003][rows];
+        let holed = |rng: &mut Rng, bins: u32, pct: u64| {
+            let x: Vec<f64> =
+                rng.distinct(n).into_iter().map(|v| if rng.next() % 100 < pct { f64::NAN } else { v }).collect();
+            discretize_equal_frequency(&x, bins)
+        };
+        let signal = rng.distinct(n);
+        let labels = discretize_equal_frequency(&signal, 2);
+        let mut members = vec![holed(&mut rng, 10, 0), holed(&mut rng, 10, 15)];
+        if holed_first == 1 {
+            members.reverse();
+        }
+        prop_assert!(members.iter().all(|m| m.n_bins() == 10));
+        let mut candidates = vec![discretize_equal_frequency(&signal, 10)];
+        for bins in [10, 2, 6, 30] {
+            candidates.push(holed(&mut rng, bins, 0));
+            candidates.push(holed(&mut rng, bins, 20));
+        }
+        let widths: Vec<u32> = candidates.iter().map(Discretized::n_bins).collect();
+        prop_assert!(widths == [10, 10, 10, 2, 2, 6, 6, 30, 30], "{widths:?}");
+        check_set(&set_of(&members), &candidates, &labels, true);
     }
 
     /// `discretize_equal_frequency`, and the codes the fused relevance entry
