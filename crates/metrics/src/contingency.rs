@@ -67,6 +67,8 @@ pub(crate) struct Tables {
     /// 2-way tables a reader collapses out of `counts`.
     pub(crate) joint: Vec<u32>,
     pub(crate) m: Marginals,
+    /// The marginals of each z-stratum of a conditional table.
+    pub(crate) strata: Vec<Marginals>,
     /// The MI terms of the tables read so far, and a count of that work.
     pub(crate) terms: Terms,
 }

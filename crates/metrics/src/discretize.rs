@@ -9,7 +9,7 @@
 //! between two whole features takes its marginals from them, less the
 //! table's own missing column or row, instead of summing its cells.
 
-use crate::ranks::{sort_key, sorted_order};
+use crate::ranks::{names_in_order, sorted_order};
 
 /// Stored width of one bin code.
 pub(crate) type Code = u8;
@@ -167,33 +167,28 @@ pub fn discretize_equal_frequency(values: &[f64], n_bins: u32) -> Discretized {
         });
     }
     let mut order = Vec::new();
-    sorted_order(values, &mut order);
-    codes_from_order(values, &order, |row| row as usize, n_bins)
+    let shift = sorted_order(values, &mut order);
+    codes_from_order(values, &order, shift, n_bins)
 }
 
 /// [`discretize_equal_frequency`] for a caller that has already sorted the
-/// column: `order` is the `(sort key, row)` of every finite value, ascending
-/// by key ([`sorted_order`]), and `row_of` turns an `order` row into an index
-/// of `values`. One walk, no search: a row's code is the number of `bounds`
-/// at or below its key, and the keys only go up, so a bin's rows are the
-/// walk's positions from where it enters the bin to where it leaves it.
-pub(crate) fn codes_from_order(
-    values: &[f64],
-    order: &[(u64, u32)],
-    row_of: impl Fn(u32) -> usize,
-    n_bins: u32,
-) -> Discretized {
+/// column: `order` is one word per finite value, ascending, with `shift` row
+/// bits ([`sorted_order`]). One walk, no search: a row's code is the number
+/// of `bounds` at or below its key, and the keys only go up, so a bin's rows
+/// are the walk's positions from where it enters the bin to where it leaves
+/// it.
+pub(crate) fn codes_from_order(values: &[f64], order: &[u64], shift: u32, n_bins: u32) -> Discretized {
     assert!(n_bins >= 1, "n_bins must be >= 1");
     let n_bins = n_bins.min(MAX_BINS) as usize;
-    debug_assert!(order.windows(2).all(|w| w[0].0 <= w[1].0), "the order must ascend");
-    debug_assert!(covers_present_rows(values, order, &row_of), "the order must cover the present rows");
+    debug_assert!(names_in_order(values, order, shift), "the order must name the present rows in order");
+    let (key, low) = (|w: u64| w >> shift, (1u64 << shift) - 1);
     let n = order.len();
     // ≤ `n_bins` distinct values: each is its own bin, so every distinct key
     // after the first is a bound.
     let mut bounds: Vec<u64> = Vec::with_capacity(n_bins);
     for w in order.windows(2) {
-        if w[0].0 != w[1].0 {
-            bounds.push(w[1].0);
+        if key(w[0]) != key(w[1]) {
+            bounds.push(key(w[1]));
             if bounds.len() == n_bins {
                 break;
             }
@@ -206,8 +201,8 @@ pub(crate) fn codes_from_order(
         bounds.clear();
         for b in 1..n_bins {
             let q = ((b as f64 / n_bins as f64 * n as f64) as usize).clamp(1, n - 1);
-            if bounds.last() != Some(&order[q].0) {
-                bounds.push(order[q].0);
+            if bounds.last() != Some(&key(order[q])) {
+                bounds.push(key(order[q]));
             }
         }
     }
@@ -217,30 +212,17 @@ pub(crate) fn codes_from_order(
     let mut codes = vec![n_used as Code; values.len()];
     let mut counts = vec![0u32; n_used + 1];
     let (mut bin, mut start) = (0, 0);
-    for (at, &(key, row)) in order.iter().enumerate() {
-        while bounds.get(bin).is_some_and(|&bound| bound <= key) {
+    for (at, &w) in order.iter().enumerate() {
+        while bounds.get(bin).is_some_and(|&bound| bound <= key(w)) {
             counts[bin] = (at - start) as u32;
             (bin, start) = (bin + 1, at);
         }
-        codes[row_of(row)] = bin as Code;
+        codes[(w & low) as usize] = bin as Code;
     }
     debug_assert!(n == 0 || bin == bounds.len(), "the largest key is in the highest bin");
     counts[bin] = (n - start) as u32;
     counts[n_used] = (values.len() - n) as u32;
     Discretized { codes, counts: counts.into_boxed_slice(), n_bins: n_used as u32 }
-}
-
-/// Whether `order` names every finite row of `values` once, under its key.
-fn covers_present_rows(
-    values: &[f64],
-    order: &[(u64, u32)],
-    row_of: impl Fn(u32) -> usize,
-) -> bool {
-    let mut seen = vec![false; values.len()];
-    order.iter().all(|&(key, row)| {
-        let x = values[row_of(row)];
-        x.is_finite() && sort_key(x) == key && !std::mem::replace(&mut seen[row_of(row)], true)
-    }) && order.len() == values.iter().filter(|x| x.is_finite()).count()
 }
 
 #[cfg(test)]
@@ -380,8 +362,8 @@ mod tests {
                 // columns the entry would not sort.
                 let d = discretize_equal_frequency(x, bins);
                 assert_counted(&d);
-                sorted_order(x, &mut order);
-                let walked = codes_from_order(x, &order, |row| row as usize, bins);
+                let shift = sorted_order(x, &mut order);
+                let walked = codes_from_order(x, &order, shift, bins);
                 assert_counted(&walked);
                 let rows: Vec<usize> = (0..x.len()).rev().chain((0..x.len()).step_by(3)).collect();
                 assert_counted(&d.gather(&rows));

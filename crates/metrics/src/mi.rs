@@ -273,11 +273,17 @@ pub(crate) fn mi_with(t: &mut Tables, x: &Discretized, y: &Discretized, correcte
 }
 
 /// Miller-Madow `I(X_j;Y)` of every feature of up to [`BATCH`] `units`
-/// against one `y`, handed to `term` in selection order. A full batch shares
-/// a single pass over the rows, and a pair costs that pass one increment for
-/// its two features. These are the tables a redundancy pass repeats, so they
-/// read their terms from `t`'s rows where the marginals allow ([`Terms`]).
-pub(crate) fn mi_units(t: &mut Tables, units: &[Unit], y: &Discretized, mut term: impl FnMut(f64)) {
+/// against one `y`, handed to `term` in selection order until it returns
+/// `false`; returns whether it never did. A full batch shares a single pass
+/// over the rows, and a pair costs that pass one increment for its two
+/// features. These are the tables a redundancy pass repeats, so they read
+/// their terms from `t`'s rows where the marginals allow ([`Terms`]).
+pub(crate) fn mi_units(
+    t: &mut Tables,
+    units: &[Unit],
+    y: &Discretized,
+    mut term: impl FnMut(f64) -> bool,
+) -> bool {
     let sy = y.axis().1;
     let mi = |joint: &[u32], x: &Discretized, m: &mut Marginals, terms: &mut Terms| {
         mi_of_features(joint, (x.counts(), y.counts()), true, m, terms, true).1
@@ -288,16 +294,20 @@ pub(crate) fn mi_units(t: &mut Tables, units: &[Unit], y: &Discretized, mut term
     }
     let offs = t.fill_pairs(&axes[..units.len()], y);
     for (unit, off) in units.iter().zip(offs) {
-        match *unit {
+        let go_on = match *unit {
             Unit::Single(x) => term(mi(&t.counts[off..], x, &mut t.m, &mut t.terms)),
             Unit::Pair { a, b, .. } => {
                 let wa = a.axis().1;
                 t.collapse_pair(off, wa, b.axis().1, sy);
-                term(mi(&t.joint, a, &mut t.m, &mut t.terms));
-                term(mi(&t.joint[wa * sy..], b, &mut t.m, &mut t.terms));
+                term(mi(&t.joint, a, &mut t.m, &mut t.terms))
+                    && term(mi(&t.joint[wa * sy..], b, &mut t.m, &mut t.terms))
             }
+        };
+        if !go_on {
+            return false;
         }
     }
+    true
 }
 
 /// Mutual information `I(X;Y)` in bits. Symmetric; zero for independent
@@ -355,16 +365,21 @@ fn fill_conditional(t: &mut Tables, x: &Discretized, y: &Discretized, z: &Discre
 fn cmi_from_table(t: &mut Tables, (nx, ny, nz): (usize, usize, usize)) -> f64 {
     let sy = ny + 1;
     let slab = (nz + 1) * sy;
-    let total: usize = (0..nz).map(|c| t.m.of(&t.counts[c * sy..], slab, nx, ny)).sum();
+    // Each stratum's marginals, kept from the sweep that totals them.
+    if t.strata.len() < nz {
+        t.strata.resize_with(nz, Default::default);
+    }
+    let strata = &mut t.strata[..nz];
+    let total: usize =
+        strata.iter_mut().enumerate().map(|(c, m)| m.of(&t.counts[c * sy..], slab, nx, ny)).sum();
     if total == 0 {
         return 0.0;
     }
     let mut cmi = 0.0;
-    for c in 0..nz {
-        let stratum = &t.counts[c * sy..];
-        let n_z = t.m.of(stratum, slab, nx, ny);
+    for (c, m) in strata.iter().enumerate() {
+        let n_z = m.x.iter().sum();
         if n_z > 0 {
-            let mi_z = mi_of_table(stratum, slab, (&t.m, n_z), false, &mut t.terms, false);
+            let mi_z = mi_of_table(&t.counts[c * sy..], slab, (m, n_z), false, &mut t.terms, false);
             cmi += (n_z as f64 / total as f64) * mi_z;
         }
     }

@@ -114,8 +114,9 @@ impl RedundancyScorer {
     /// conditional criteria take the features of the units one 3-way pass at
     /// a time.
     ///
-    /// With `reject_early`, MIFS (β ≥ 0), MRMR and CMIM stop as soon as the
-    /// running score is ≤ 0 and return that value: every penalty term is
+    /// With `reject_early`, MIFS (β ≥ 0), MRMR and CMIM stop at the first
+    /// table after which the running score is ≤ 0 — a batch already counted
+    /// is not read further — and return that value: every penalty term is
     /// clamped ≥ 0 and joins a sum (or a running maximum) in a fixed order,
     /// so the running penalty is a floating-point lower bound of the final
     /// one and `J > 0` can no longer come true. CIFE and JMI add conditional
@@ -144,13 +145,19 @@ impl RedundancyScorer {
                 // A negative β would turn the penalty into a reward.
                 let reject_early = reject_early
                     && !matches!(self.method, RedundancyMethod::Mifs { beta } if beta.is_nan() || beta < 0.0);
+                let go_on = |red: f64| !(reject_early && j(red) <= 0.0);
                 // `-0.0` is what `Iterator::sum` starts from.
                 let mut red = -0.0;
-                for batch in selected.chunks(BATCH) {
-                    if reject_early && j(red) <= 0.0 {
-                        break;
+                if go_on(red) {
+                    for batch in selected.chunks(BATCH) {
+                        let add = |mi: f64| {
+                            red += mi;
+                            go_on(red)
+                        };
+                        if !mi_units(t, batch, candidate, add) {
+                            break;
+                        }
                     }
-                    mi_units(t, batch, candidate, |mi| red += mi);
                 }
                 j(red)
             }

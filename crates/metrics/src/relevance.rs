@@ -8,20 +8,23 @@
 //! paper sorts by correlation score for the *select-κ-best* heuristic).
 //!
 //! Spearman deletes pairwise: a feature's missing rows leave both sides.
-//! A caller that scores batch after batch against one label vector (a
-//! selector's relevance stage) keeps the labels' ranks and classes
-//! (`LabelRanks`). A feature without missing rows correlates with those
-//! ranks as they are; for one with missing rows the labels of the common
-//! rows are ranked by counting them per class, at most [`MAX_BINS`] counts
-//! and no sort, into the same floats the sort gives. Every other caller
-//! ranks both sides with [`average_ranks`].
+//! When the labels' classes rank the rows as the labels do (`classes_rank`,
+//! which holds for every discovery label), a feature is scored in one walk
+//! over its sort: one packed word per present value (`ranks::sorted_order`),
+//! then one pass over that order that writes each row's average rank where
+//! the row lies and counts the classes of the ranked rows, at most
+//! [`MAX_BINS`] counts, whose running sums are the labels' ranks over the
+//! common rows — the floats a sort of them gives. The equal-frequency codes
+//! come off the same order, and Pearson runs over the ranked rows in row
+//! order. Labels whose classes do not rank, and [`spearman_correlation`],
+//! rank both sides of the common rows with [`average_ranks`].
 
 use autofeat_obs as obs;
 
 use crate::discretize::{codes_from_order, discretize_equal_frequency, Discretized, MAX_BINS};
 use crate::entropy::entropy;
 use crate::mi::mutual_information;
-use crate::ranks::{average_ranks, average_ranks_into};
+use crate::ranks::{average_ranks, ranks_from_order, sorted_order};
 
 /// Number of bins used when discretizing continuous features for the
 /// information-theoretic measures.
@@ -78,14 +81,15 @@ impl RelevanceMethod {
     /// [`discretize_equal_frequency`] codes of every feature whose scoring
     /// made them on the way: Spearman reads them off the sort its ranks come
     /// from, IG and SU score the codes themselves. `None` where it did not —
-    /// the caller bins those it goes on to need. `label`, when the caller
-    /// keeps it, is the [`LabelRanks`] of `labels`, which Spearman then does
-    /// not rank again.
+    /// the caller bins those it goes on to need. `classes`, when the caller
+    /// keeps them, are the classes of `labels` (`Discretized::from_codes` of
+    /// them) and [`classes_rank`] holds, which Spearman then does not make
+    /// again.
     pub(crate) fn scores_and_codes(
         self,
         features: &[Vec<f64>],
         labels: &[i64],
-        label: Option<LabelRanks<'_>>,
+        classes: Option<&Discretized>,
         bins: Option<u32>,
     ) -> (Vec<f64>, Vec<Option<Discretized>>) {
         let uncoded = |scores: Vec<f64>| {
@@ -125,20 +129,22 @@ impl RelevanceMethod {
                 uncoded(features.iter().map(|x| pearson_correlation(x, &y).abs()).collect())
             }
             RelevanceMethod::Spearman => {
-                let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
                 let own;
-                let label = match label {
-                    Some(label) => label,
+                let classes = match classes {
+                    Some(classes) => classes,
+                    None if classes_rank(labels) => {
+                        own = label_codes(labels);
+                        &own
+                    }
                     None => {
-                        own = average_ranks(&y);
-                        LabelRanks { ranks: &own, classes: None }
+                        let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
+                        return uncoded(features.iter().map(|x| spearman_correlation(x, &y).abs()).collect());
                     }
                 };
-                debug_assert_eq!(label.ranks.len(), y.len(), "ranks of other labels");
                 features
                     .iter()
                     .map(|x| {
-                        let (rho, codes) = spearman_with(x, &y, Some(label), bins);
+                        let (rho, codes) = spearman_by_class(x, classes, bins);
                         (rho.abs(), codes)
                     })
                     .unzip()
@@ -148,32 +154,11 @@ impl RelevanceMethod {
     }
 }
 
-/// The average ranks of `labels` as numbers: what Spearman correlates every
-/// feature against. A caller scoring many batches against one label vector
-/// ranks it once and passes the ranks to each.
-pub(crate) fn label_ranks(labels: &[i64]) -> Vec<f64> {
-    average_ranks(&labels.iter().map(|&l| l as f64).collect::<Vec<f64>>())
-}
-
 /// Whether `labels`' classes order and tie their rows as the labels do as
 /// numbers: every label is exactly an `f64`, so no two classes meet in one
 /// value.
 pub(crate) fn classes_rank(labels: &[i64]) -> bool {
     labels.iter().all(|&l| l as f64 as i64 == l)
-}
-
-/// What Spearman reads of a label vector a caller scores batch after batch
-/// against, made once.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LabelRanks<'a> {
-    /// The labels' average ranks ([`label_ranks`]): those of the common rows
-    /// of a feature without missing rows.
-    pub(crate) ranks: &'a [f64],
-    /// The labels' classes, ascending by value (`Discretized::from_codes`
-    /// of them), when [`classes_rank`] holds: the common rows of a feature
-    /// with missing rows rank their labels by counting them
-    /// ([`ranks_by_class`]). `None`: those labels are sorted.
-    pub(crate) classes: Option<&'a Discretized>,
 }
 
 fn label_codes(labels: &[i64]) -> Discretized {
@@ -189,12 +174,17 @@ fn label_codes(labels: &[i64]) -> Discretized {
 /// are bit-identical.
 pub fn pearson_correlation(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "length mismatch");
-    let present = || {
+    pearson_of(|| {
         x.iter()
             .zip(y)
             .filter(|(a, b)| a.is_finite() && b.is_finite())
             .map(|(&a, &b)| (a, b))
-    };
+    })
+}
+
+/// Pearson correlation of the pairs `present` yields, twice, in one order:
+/// the sums of [`pearson_correlation`], term for term.
+fn pearson_of<I: Iterator<Item = (f64, f64)>>(present: impl Fn() -> I) -> f64 {
     let mut n = 0usize;
     let mut sum_x = 0.0;
     let mut sum_y = 0.0;
@@ -225,124 +215,52 @@ pub fn pearson_correlation(x: &[f64], y: &[f64]) -> f64 {
     (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// Signed Spearman correlation of two numeric slices.
-///
-/// The gathered columns and both rank buffers live in thread-local scratch:
-/// ranking every candidate feature against the label reuses five warm
-/// allocations instead of paying five fresh ones per call.
+/// Signed Spearman correlation of two numeric slices: the average ranks of
+/// the rows where both are finite, and Pearson of them.
 pub fn spearman_correlation(x: &[f64], y: &[f64]) -> f64 {
-    spearman_with(x, y, None, None).0
+    assert_eq!(x.len(), y.len(), "length mismatch");
+    let (xs, ys): (Vec<f64>, Vec<f64>) =
+        x.iter().zip(y).filter(|(a, b)| a.is_finite() && b.is_finite()).map(|(&a, &b)| (a, b)).unzip();
+    pearson_correlation(&average_ranks(&xs), &average_ranks(&ys))
 }
 
-/// [`spearman_correlation`], given the [`LabelRanks`] of an all-finite `y`
-/// (its labels as numbers) when the caller has them. A feature without
-/// missing rows deletes no pair, so the label's ranks are those over the
-/// common rows and `y` is not sorted again for it; for one with missing
-/// rows, the label's classes, when given, rank the common rows' labels
-/// without a sort. With `bins`, the `(key, row)` order the ranks of `x` were
-/// read from also yields its [`discretize_equal_frequency`] codes — unless
-/// that order does not cover the present rows of `x` (fewer than two common
-/// rows, so nothing was sorted, or a non-finite `y` deleted one).
-fn spearman_with(
-    x: &[f64],
-    y: &[f64],
-    label: Option<LabelRanks<'_>>,
-    bins: Option<u32>,
-) -> (f64, Option<Discretized>) {
-    assert_eq!(x.len(), y.len(), "length mismatch");
+/// Signed Spearman correlation of `x` and labels whose `classes` rank the
+/// rows ([`classes_rank`]), in one walk over the sort of `x`: the walk
+/// writes each present row's average rank where the row lies and counts the
+/// classes of the rows it ranks. A class whose rows follow the `s` ranked
+/// rows of the classes below it and number `k` spans ranks `s + 1 ..= s + k`,
+/// so each of its rows ranks `(s + 1 + s + k) / 2` — the integers a sort of
+/// the common rows' labels divides, so the same bits. Pearson then reads the
+/// ranked rows in row order, the pairs and order of a pairwise deletion.
+/// With `bins`, the sort also yields the [`discretize_equal_frequency`]
+/// codes of `x`.
+fn spearman_by_class(x: &[f64], classes: &Discretized, bins: Option<u32>) -> (f64, Option<Discretized>) {
+    assert_eq!(x.len(), classes.len(), "length mismatch");
+    let labels = classes.codes();
     SPEARMAN_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let y_ranks = label.map(|label| label.ranks);
-        if let Some(ry) = y_ranks.filter(|_| x.iter().all(|a| a.is_finite())) {
-            if x.len() < 2 {
-                return (0.0, None);
-            }
-            average_ranks_into(x, &mut scratch.order, &mut scratch.rx);
-            let codes = bins.map(|bins| bins_off_the_sort(x, &scratch.order, |row| row as usize, bins));
-            return (pearson_correlation(&scratch.rx, ry), codes);
+        let (order, rx) = &mut *cell.borrow_mut();
+        let shift = sorted_order(x, order);
+        let mut count = [0usize; MAX_BINS as usize + 1];
+        ranks_from_order(order, shift, x.len(), rx, |row| count[labels[row] as usize] += 1);
+        debug_assert_eq!(count[classes.n_bins() as usize], 0, "a label is missing");
+        let mut rank = [f64::NAN; MAX_BINS as usize + 1];
+        let mut start = 0;
+        for (rank, &k) in rank.iter_mut().zip(&count[..classes.n_bins() as usize]) {
+            *rank = (start + 1 + start + k) as f64 / 2.0;
+            start += k;
         }
-        // Pairwise deletion first so the ranks are computed on the common
-        // rows; `rows` keeps where each of them sits in `x`. The labels of
-        // those rows are only kept to be sorted: counted classes read `rows`.
-        let classes = label.and_then(|label| label.classes);
-        scratch.xs.clear();
-        scratch.ys.clear();
-        scratch.rows.clear();
-        let mut present = 0;
-        for (row, (a, b)) in x.iter().zip(y).enumerate() {
-            if a.is_finite() {
-                present += 1;
-                if b.is_finite() {
-                    scratch.xs.push(*a);
-                    if classes.is_none() {
-                        scratch.ys.push(*b);
-                    }
-                    scratch.rows.push(row as u32);
-                }
-            }
-        }
-        if scratch.xs.len() < 2 {
-            return (0.0, None);
-        }
-        average_ranks_into(&scratch.xs, &mut scratch.order, &mut scratch.rx);
-        let rows = &scratch.rows;
-        let codes = bins.filter(|_| rows.len() == present).map(|bins| {
-            bins_off_the_sort(x, &scratch.order, |row| rows[row as usize] as usize, bins)
+        let ranked = || rx.iter().zip(labels).filter(|(r, _)| !r.is_nan()).map(|(&r, &c)| (r, rank[c as usize]));
+        let codes = bins.map(|bins| {
+            let _span = obs::span("discretize");
+            codes_from_order(x, order, shift, bins)
         });
-        match classes {
-            Some(classes) => ranks_by_class(classes, rows, &mut scratch.ry),
-            None => average_ranks_into(&scratch.ys, &mut scratch.order, &mut scratch.ry),
-        }
-        (pearson_correlation(&scratch.rx, &scratch.ry), codes)
+        (pearson_of(ranked), codes)
     })
 }
 
-/// The average ranks of the labels of `rows` among themselves, in `rows`'
-/// order, by counting them per class: classes ascend with the labels, so a
-/// class whose rows follow the `s` rows of the classes below it and number
-/// `k` spans ranks `s + 1 ..= s + k`, and each of its rows gets
-/// `(s + 1 + s + k) / 2` — the integers [`average_ranks_into`] divides for
-/// the same group, so the same bits, with no sort.
-fn ranks_by_class(classes: &Discretized, rows: &[u32], ranks: &mut Vec<f64>) {
-    let codes = classes.codes();
-    let mut count = [0usize; MAX_BINS as usize + 1];
-    for &row in rows {
-        count[codes[row as usize] as usize] += 1;
-    }
-    debug_assert_eq!(count[classes.n_bins() as usize], 0, "a label is missing");
-    let mut rank = [f64::NAN; MAX_BINS as usize + 1];
-    let mut start = 0;
-    for (class, &k) in count.iter().enumerate().take(classes.n_bins() as usize) {
-        rank[class] = (start + 1 + start + k) as f64 / 2.0;
-        start += k;
-    }
-    ranks.clear();
-    ranks.extend(rows.iter().map(|&row| rank[codes[row as usize] as usize]));
-}
-
-fn bins_off_the_sort(
-    x: &[f64],
-    order: &[(u64, u32)],
-    row_of: impl Fn(u32) -> usize,
-    bins: u32,
-) -> Discretized {
-    let _span = obs::span("discretize");
-    codes_from_order(x, order, row_of, bins)
-}
-
-#[derive(Default)]
-struct SpearmanScratch {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    rows: Vec<u32>,
-    order: Vec<(u64, u32)>,
-    rx: Vec<f64>,
-    ry: Vec<f64>,
-}
-
 thread_local! {
-    static SPEARMAN_SCRATCH: std::cell::RefCell<SpearmanScratch> =
-        std::cell::RefCell::new(SpearmanScratch::default());
+    /// The order words and ranks of the last feature scored on this thread.
+    static SPEARMAN_SCRATCH: std::cell::RefCell<(Vec<u64>, Vec<f64>)> = std::cell::RefCell::default();
 }
 
 /// Probe instances Relief weighs features on (deterministic even spacing).
@@ -478,54 +396,33 @@ mod tests {
         assert!(pearson_correlation(&x, &y) < 0.9);
     }
 
-    /// Ranks of the labels made once and passed in score every batch as
-    /// ranking them per batch does, to the bit, codes included.
+    /// Classes of the labels made once and passed in score every batch as
+    /// making them per batch does, to the bit, codes included.
     #[test]
-    fn passed_label_ranks_change_no_bit() {
+    fn passed_classes_change_no_bit() {
         let y: Vec<i64> = (0..300).map(|i| (i * 7 % 11) % 3).collect();
         let feats: Vec<Vec<f64>> = vec![
             (0..300).map(|i| (i % 17) as f64).collect(),
             (0..300).map(|i| if i % 5 == 0 { f64::NAN } else { i as f64 * 0.3 }).collect(),
             vec![1.0; 300],
         ];
-        let ranks = label_ranks(&y);
-        let classes = label_codes(&y);
         let m = RelevanceMethod::Spearman;
         let (want, want_codes) = m.scores_and_codes(&feats, &y, None, Some(DEFAULT_BINS));
-        for classes in [None, Some(&classes)] {
-            let label = LabelRanks { ranks: &ranks, classes };
-            let (got, got_codes) = m.scores_and_codes(&feats, &y, Some(label), Some(DEFAULT_BINS));
-            assert_eq!((bits(&got), got_codes), (bits(&want), want_codes.clone()));
-        }
+        let (got, got_codes) = m.scores_and_codes(&feats, &y, Some(&label_codes(&y)), Some(DEFAULT_BINS));
+        assert_eq!((bits(&got), got_codes), (bits(&want), want_codes));
     }
 
     fn bits(scores: &[f64]) -> Vec<u64> {
         scores.iter().map(|s| s.to_bits()).collect()
     }
 
-    /// Spearman of `x` and `labels` the textbook way, kept as the reference
-    /// for the counted label ranks: the common rows (pairwise deletion),
-    /// both sides ranked by [`average_ranks_into`]'s sort, and Pearson of the
-    /// ranks.
-    fn sorted_spearman(x: &[f64], labels: &[i64]) -> f64 {
-        let common: Vec<usize> = (0..x.len()).filter(|&row| x[row].is_finite()).collect();
-        if common.len() < 2 {
-            return 0.0;
-        }
-        let (mut order, mut rx, mut ry) = (Vec::new(), Vec::new(), Vec::new());
-        average_ranks_into(&common.iter().map(|&r| x[r]).collect::<Vec<_>>(), &mut order, &mut rx);
-        let ys: Vec<f64> = common.iter().map(|&r| labels[r] as f64).collect();
-        average_ranks_into(&ys, &mut order, &mut ry);
-        pearson_correlation(&rx, &ry)
-    }
-
     proptest::proptest! {
-        /// Every score of a feature with missing rows — the pairwise-deletion
-        /// path, which ranks the common rows' labels by counting their
-        /// classes — has the bits of the sort path, over labels of one class,
-        /// two, `MAX_BINS`, non-contiguous values with the `−1` missing
-        /// label, and values no `f64` tells apart, which the classes do not
-        /// rank; scored one feature at a time with the classes and through a
+        /// Every score of the walk that ranks the common rows' labels by
+        /// counting their classes has the bits of the sort of both sides
+        /// ([`spearman_correlation`]), over labels of one class, two,
+        /// `MAX_BINS`, non-contiguous values with the `−1` missing label,
+        /// and values no `f64` tells apart, which the classes do not rank;
+        /// scored one feature at a time with the classes and through a
         /// selector's relevance stage.
         #[test]
         fn counted_label_ranks_have_the_sort_paths_bits(case in 0u64..u64::MAX) {
@@ -553,12 +450,11 @@ mod tests {
                         x
                     })
                     .collect();
-                let want: Vec<f64> = features.iter().map(|x| sorted_spearman(x, &labels)).collect();
-                let (ranks, classes) = (label_ranks(&labels), label_codes(&labels));
-                let label = LabelRanks { ranks: &ranks, classes: Some(&classes) };
                 let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
+                let want: Vec<f64> = features.iter().map(|x| spearman_correlation(x, &y)).collect();
+                let classes = label_codes(&labels);
                 if kind != 4 {
-                    let got: Vec<f64> = features.iter().map(|x| spearman_with(x, &y, Some(label), None).0).collect();
+                    let got: Vec<f64> = features.iter().map(|x| spearman_by_class(x, &classes, None).0).collect();
                     assert_eq!(bits(&got), bits(&want), "kind {kind}");
                 }
                 let stage = crate::streaming::StreamingSelector::new(labels, Some(RelevanceMethod::Spearman), None, 6);
@@ -579,19 +475,13 @@ mod tests {
     }
 
     #[test]
-    fn bins_come_off_the_sort_only_when_it_covers_the_column() {
-        let x = [3.0, f64::NAN, 1.0, 2.0, 2.0, 9.0];
-        let y = [0.0, 1.0, 0.0, 1.0, 1.0, 0.0];
-        let plain = discretize_equal_frequency(&x, 3);
-        // Labels are finite: the rows the rank sort covers are `x`'s own.
-        let (rho, codes) = spearman_with(&x, &y, None, Some(3));
-        assert_eq!(rho.to_bits(), spearman_correlation(&x, &y).to_bits());
-        assert_eq!(codes, Some(plain));
-        // A non-finite `y` deletes a row `x` has: no codes from that order.
-        let holed = [0.0, 1.0, f64::NAN, 1.0, 1.0, 0.0];
-        assert_eq!(spearman_with(&x, &holed, None, Some(3)).1, None);
-        // Nothing was sorted.
-        assert_eq!(spearman_with(&[1.0, f64::NAN], &[0.0, 1.0], None, Some(3)), (0.0, None));
+    fn bins_come_off_the_sort() {
+        let classes = label_codes(&[0, 1, 0, 1, 1, 0]);
+        for x in [[3.0, f64::NAN, 1.0, 2.0, 2.0, 9.0], [f64::NAN; 6], [f64::NAN, 4.0, f64::NAN, f64::NAN, f64::NAN, f64::NAN]] {
+            let (rho, codes) = spearman_by_class(&x, &classes, Some(3));
+            assert_eq!(rho.to_bits(), spearman_correlation(&x, &[0.0, 1.0, 0.0, 1.0, 1.0, 0.0]).to_bits());
+            assert_eq!(codes, Some(discretize_equal_frequency(&x, 3)));
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use autofeat_obs as obs;
 use crate::contingency::{Tables, Unit};
 use crate::discretize::{discretize_equal_frequency, Code, Discretized};
 use crate::redundancy::RedundancyScorer;
-use crate::relevance::{LabelRanks, RelevanceMethod};
+use crate::relevance::RelevanceMethod;
 
 /// A feature chosen by a selection step, with its score.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,12 +58,13 @@ pub fn select_k_best_binned(
 }
 
 /// The one select-κ-best: [`select_k_best`] without `bins`, and
-/// [`select_k_best_binned`] with them. `label` is the
-/// `relevance::LabelRanks` of `labels` when the caller keeps it.
+/// [`select_k_best_binned`] with them. `classes` are the classes of
+/// `labels` when the caller keeps them and they rank the rows
+/// (`relevance::classes_rank`).
 pub(crate) fn k_best(
     features: &[Vec<f64>],
     labels: &[i64],
-    label: Option<LabelRanks<'_>>,
+    classes: Option<&Discretized>,
     method: RelevanceMethod,
     kappa: usize,
     min_score: f64,
@@ -71,7 +72,7 @@ pub(crate) fn k_best(
 ) -> (Vec<SelectedFeature>, Vec<Discretized>) {
     let _span = obs::span("relevance");
     obs::add("metrics.features_scored", features.len() as u64);
-    let (scores, mut codes) = method.scores_and_codes(features, labels, label, bins);
+    let (scores, mut codes) = method.scores_and_codes(features, labels, classes, bins);
     let mut ranked: Vec<SelectedFeature> = scores
         .into_iter()
         .enumerate()
@@ -391,12 +392,14 @@ mod tests {
     /// `metrics.mi_tables` and `metrics.mi_log_terms` of one call: a label
     /// split off a ten-bin candidate, and the candidate's own codes as
     /// members — once with every 7th row missing, then three times whole.
-    /// The candidate is rejected after that first batch of four members.
-    /// Five tables: its relevance and the four members. Twenty-one `ln`s:
-    /// ten for the ten occupied cells of the relevance table and ten for
-    /// those of the holed member (its marginals are not two-valued), then one
-    /// for the three whole members together, whose every cell is 100 rows
-    /// under the marginals 100 and 100 of 1 000.
+    /// MRMR's `J` is 0.99 − 3.25/4 > 0 after the holed member and
+    /// 0.99 − 6.52/4 ≤ 0 after the first whole one, where the candidate is
+    /// rejected. Three
+    /// tables: its relevance, the holed member and that whole one.
+    /// Twenty-one `ln`s: ten for the ten occupied cells of the relevance
+    /// table and ten for those of the holed member (its marginals are not
+    /// two-valued), then one for the whole member, whose every cell is 100
+    /// rows under the marginals 100 and 100 of 1 000.
     #[test]
     fn mi_work_is_counted_once_per_call() {
         let values: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 1000) as f64).collect();
@@ -412,7 +415,7 @@ mod tests {
         });
         assert!(kept.is_empty());
         let trace = tracer.snapshot();
-        assert_eq!(trace.counter("metrics.mi_tables"), Some(5));
+        assert_eq!(trace.counter("metrics.mi_tables"), Some(3));
         assert_eq!(trace.counter("metrics.mi_log_terms"), Some(21));
     }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use crate::discretize::{discretize_equal_frequency, Discretized};
 use crate::redundancy::{RedundancyMethod, RedundancyScorer};
-use crate::relevance::{classes_rank, label_ranks, LabelRanks, RelevanceMethod, DEFAULT_BINS};
+use crate::relevance::{classes_rank, RelevanceMethod, DEFAULT_BINS};
 use crate::selection::{k_best, SelectedFeature, SelectedSet};
 
 /// Outcome of admitting one feature batch. An analysis that is switched off
@@ -56,12 +56,9 @@ pub struct RelevanceStage {
     kappa: usize,
     labels: Vec<i64>,
     label_codes: Discretized,
-    /// The labels' average ranks when the method is Spearman, which would
-    /// rank them again for every batch otherwise.
-    label_ranks: Option<Vec<f64>>,
     /// Whether `label_codes` rank the labels as their values do
-    /// (`relevance::classes_rank`), so Spearman counts them rather than
-    /// sorting them for a feature with missing rows.
+    /// (`relevance::classes_rank`), so Spearman counts them as it ranks each
+    /// feature rather than sorting them.
     classes_rank: bool,
 }
 
@@ -80,10 +77,7 @@ impl RelevanceStage {
             Some(method) => k_best(
                 batch,
                 &self.labels,
-                self.label_ranks.as_deref().map(|ranks| LabelRanks {
-                    ranks,
-                    classes: self.classes_rank.then_some(&self.label_codes),
-                }),
+                self.classes_rank.then_some(&self.label_codes),
                 method,
                 self.kappa,
                 0.0,
@@ -125,14 +119,12 @@ impl StreamingSelector {
         kappa: usize,
     ) -> Self {
         let label_codes = Discretized::from_codes(labels.iter().map(|&l| Some(l)));
-        let ranks = (relevance == Some(RelevanceMethod::Spearman)).then(|| label_ranks(&labels));
         let stage = RelevanceStage {
             method: relevance,
             kappa,
             classes_rank: classes_rank(&labels),
             labels,
             label_codes,
-            label_ranks: ranks,
         };
         StreamingSelector {
             stage: Arc::new(stage),

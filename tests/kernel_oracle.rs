@@ -17,6 +17,13 @@
 //! `common::binning_oracle` is the same for equal-frequency binning: the
 //! value sort and per-row search the bins were made with before they were
 //! read off the Spearman sort.
+//!
+//! `textbook_spearman` is the same for Spearman: a stable `partial_cmp` sort
+//! of each side over the common rows, average ranks and a two-pass Pearson.
+//! The program sorts one packed word per value, settles the runs whose
+//! words tie on all but the row bits, and counts the label's classes as it
+//! ranks; it must give the textbook's bits at the row counts where the row
+//! bits widen and on values the row bits hide from one another.
 
 use autofeat::metrics::discretize::{discretize_equal_frequency, Discretized, MAX_BINS};
 use autofeat::metrics::entropy::{conditional_entropy, entropy, joint_entropy};
@@ -25,7 +32,8 @@ use autofeat::metrics::mi::{
     mutual_information, mutual_information_corrected,
 };
 use autofeat::metrics::redundancy::{RedundancyMethod, RedundancyScorer};
-use autofeat::metrics::relevance::RelevanceMethod;
+use autofeat::metrics::relevance::{spearman_correlation, RelevanceMethod, DEFAULT_BINS};
+use autofeat::metrics::streaming::StreamingSelector;
 use autofeat::metrics::selection::{
     select_k_best, select_k_best_binned, select_non_redundant, SelectedFeature, SelectedSet,
 };
@@ -732,3 +740,121 @@ fn binning_clamps_the_requested_bin_count() {
     assert_eq!(d.n_present(), 2000);
 }
 
+/// Spearman the textbook way: the rows where both sides are finite, each
+/// side ranked by a stable `partial_cmp` sort of `(value, position)` with
+/// tied values sharing the mean of their ranks, and Pearson of the ranks in
+/// two passes (means, then moments).
+fn textbook_spearman(x: &[f64], y: &[f64]) -> f64 {
+    let rows: Vec<usize> = (0..x.len()).filter(|&r| x[r].is_finite() && y[r].is_finite()).collect();
+    let ranks = |v: &[f64]| {
+        let mut by: Vec<(f64, usize)> = rows.iter().enumerate().map(|(at, &r)| (v[r], at)).collect();
+        by.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let mut ranks = vec![0.0; by.len()];
+        let mut i = 0;
+        while i < by.len() {
+            let j = i + by[i..].iter().take_while(|(v, _)| *v == by[i].0).count() - 1;
+            for &(_, at) in &by[i..=j] {
+                ranks[at] = (i + 1 + j + 1) as f64 / 2.0;
+            }
+            i = j + 1;
+        }
+        ranks
+    };
+    let (rx, ry) = (ranks(x), ranks(y));
+    let n = rows.len();
+    if n < 2 {
+        return 0.0;
+    }
+    let mean = |r: &[f64]| r.iter().fold(0.0, |s, &v| s + v) / n as f64;
+    let (mx, my) = (mean(&rx), mean(&ry));
+    let (mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0);
+    for (&a, &b) in rx.iter().zip(&ry) {
+        let (dx, dy) = (a - mx, b - my);
+        sxx += dx * dx;
+        syy += dy * dy;
+        sxy += dx * dy;
+    }
+    if sxx == 0.0 || syy == 0.0 {
+        return 0.0;
+    }
+    (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
+}
+
+/// Row counts around the powers of two where a packed word's row bits widen.
+const SPEARMAN_ROWS: [usize; 11] = [0, 1, 2, 3, 63, 64, 65, 255, 1023, 1024, 1025];
+
+/// Spearman's features: holed and all-finite, `±0.0`, `NaN` and `±inf`,
+/// 0, 1 and 2 present rows, and values that share their top 54 bits, whose
+/// packed words tie on their high bits at any row count above 2.
+fn spearman_features(rng: &mut Rng, n: usize) -> Vec<Vec<f64>> {
+    let junk = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let present = |k: usize| {
+        let mut x = vec![f64::NAN; n];
+        for i in 0..k.min(n) {
+            x[i * 7919 % n] = i as f64 + 0.5;
+        }
+        x
+    };
+    let shapes = [present(0), present(1), present(2)];
+    let mut features: Vec<Vec<f64>> = (0..6)
+        .map(|shape| {
+            (0..n)
+                .map(|_| {
+                    let r = rng.next();
+                    let near = f64::from_bits(1.5f64.to_bits() + (r >> 20) % 1024);
+                    match shape {
+                        0 => (r % 1_000_003) as f64 / 7.0 - 70_000.0,
+                        1 if r.is_multiple_of(5) => junk[(r >> 8) as usize % 3],
+                        1 => (r % 1_000_003) as f64 / 7.0 - 70_000.0,
+                        2 => [near, -near][(r >> 8) as usize % 2],
+                        3 if r.is_multiple_of(4) => junk[(r >> 8) as usize % 3],
+                        3 => [near, -near, near * 4.0][(r >> 8) as usize % 3],
+                        4 => [-0.0, 0.0, -1.0, 1.0, 0.5, f64::NAN][r as usize % 6],
+                        _ => ((r >> 8) % 7) as f64,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    features.extend(shapes);
+    features
+}
+
+/// `spearman_correlation` and a selector's relevance stage — the one walk
+/// that counts the label's classes — score every feature as the textbook
+/// does, to the bit, and the stage's codes are the binning oracle's, over
+/// labels of one class, two and `MAX_BINS`.
+#[test]
+fn spearman_matches_the_textbook() {
+    let mut rng = Rng(0x5eed);
+    for n in SPEARMAN_ROWS {
+        for classes in [1, 2, MAX_BINS as u64] {
+            for _ in 0..2 {
+                let features = spearman_features(&mut rng, n);
+                let mut labels: Vec<i64> = (0..n).map(|_| (rng.next() % classes) as i64 * 3 - 200).collect();
+                if classes == u64::from(MAX_BINS) && n >= 255 {
+                    for (row, label) in labels.iter_mut().take(255).enumerate() {
+                        *label = row as i64 * 3 - 200;
+                    }
+                }
+                let y: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
+                let want: Vec<f64> = features.iter().map(|x| textbook_spearman(x, &y)).collect();
+                for (x, &want) in features.iter().zip(&want) {
+                    assert_bits(&format!("spearman_correlation, {n} rows, {classes} classes"), spearman_correlation(x, &y), want);
+                }
+                let stage = StreamingSelector::new(labels, Some(RelevanceMethod::Spearman), None, features.len())
+                    .relevance_stage();
+                let (picks, codes) = stage.relevance(&features);
+                let picked: Vec<usize> = picks.iter().map(|p| p.index).collect();
+                let mut scored: Vec<usize> = (0..features.len()).filter(|&f| want[f].abs() > 0.0).collect();
+                scored.sort_by(|&a, &b| want[b].abs().total_cmp(&want[a].abs()).then(a.cmp(&b)));
+                assert_eq!(picked, scored, "{n} rows, {classes} classes");
+                for (pick, codes) in picks.iter().zip(&codes) {
+                    let what = format!("stage, {n} rows, {classes} classes, feature {}", pick.index);
+                    assert_bits(&what, pick.score, want[pick.index].abs());
+                    assert_eq!(binned(codes), binning_oracle(&features[pick.index], DEFAULT_BINS), "{what}");
+                }
+            }
+        }
+    }
+}
