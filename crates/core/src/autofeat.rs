@@ -38,9 +38,12 @@
 //! Trace events are emitted only from `merge` and the loop around it, never
 //! from `evaluate_hop`, so the event log is the same at any worker count.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::fs::OpenOptions;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -112,6 +115,21 @@ impl fmt::Display for Phase {
             Phase::Evaluate => write!(f, "evaluate"),
         }
     }
+}
+
+/// Write one request's trace document (`RunTrace::to_json`, which ends in a
+/// newline) to `path`: the process's first traced request for a path
+/// truncates the file, every later one appends, so a run keeps every
+/// request's trace. One process-wide lock serializes the writes, so
+/// concurrent requests never interleave their documents.
+fn append_trace(path: &Path, json: &str) -> std::io::Result<()> {
+    static WRITTEN: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
+    let mut written = WRITTEN.lock().unwrap_or_else(PoisonError::into_inner);
+    let first = !written.contains(path);
+    let mut file = OpenOptions::new().create(true).write(true).truncate(first).append(!first).open(path)?;
+    file.write_all(json.as_bytes())?;
+    written.insert(path.to_path_buf());
+    Ok(())
 }
 
 /// Map an interrupt reason to the truncation it causes at `phase`.
@@ -408,9 +426,10 @@ impl AutoFeat {
     /// environment variable), the whole run executes under an ambient
     /// [`Tracer`](autofeat_obs::Tracer); the aggregated [`RunTrace`] is
     /// attached to the result and, when `AUTOFEAT_TRACE` names a file,
-    /// written there as JSON. Trace collection never changes the
-    /// result: traced and untraced runs are bit-identical, and counter
-    /// totals are invariant across worker-thread counts.
+    /// appended there as one JSON document per request. Trace collection
+    /// never changes the result: traced and untraced runs are
+    /// bit-identical, and counter totals are invariant across worker-thread
+    /// counts.
     pub fn discover(&self, ctx: &SearchContext) -> Result<DiscoveryResult> {
         if !self.config.trace_enabled() {
             return self.discover_inner(ctx);
@@ -421,7 +440,7 @@ impl AutoFeat {
         if let Some(path) = config::trace_file() {
             // Fail-soft: a bad trace destination must not fail a discovery
             // run that already succeeded.
-            if let Err(e) = std::fs::write(&path, trace.to_json()) {
+            if let Err(e) = append_trace(&path, &trace.to_json()) {
                 eprintln!("autofeat: could not write trace to {}: {e}", path.display());
             }
         }

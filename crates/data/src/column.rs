@@ -1,4 +1,8 @@
-//! Typed, null-aware columns.
+//! Typed, null-aware columns. Floats, strings and bools take one cell per
+//! row; an int column stores offsets from its least present value at the
+//! narrowest of 1, 2, 4 or 8 bytes that holds its span (`Ints`), and every
+//! read widens them back to the same `i64`. SQL NULLs sit in a validity
+//! bitmap beside the cells; a join's right-hand side is a view over them.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -16,9 +20,22 @@ trait Cell: Clone + PartialEq {
     const NULL: Self;
 }
 
-impl Cell for i64 {
-    const NULL: Self = 0;
+/// An int column's cells are offsets from its base; a null slot holds 0.
+macro_rules! zero_null {
+    ($($t:ty),*) => {$(impl Cell for $t { const NULL: Self = 0; })*};
 }
+zero_null!(i64, u8, u16, u32, u64);
+
+/// An int cell as it is stored: an offset from its column's base, at one of
+/// the widths 1, 2, 4 or 8 bytes.
+trait Offset: Cell + Copy + TryFrom<u64> + Into<u64> {
+    /// The value the offset stands for.
+    #[inline]
+    fn widen(self, base: i64) -> i64 {
+        base.wrapping_add(self.into() as i64)
+    }
+}
+impl<T: Cell + Copy + TryFrom<u64> + Into<u64>> Offset for T {}
 
 /// `NaN` is no present float — `from_floats` and `push` turn it into a null
 /// before it is stored — so the numeric read of a float column is its
@@ -38,11 +55,11 @@ impl Cell for Option<Arc<str>> {
     const NULL: Self = None;
 }
 
-/// The dense storage of a column: one `T` per row — eight bytes for an int
-/// or a float — and the SQL NULLs kept beside them as a validity bitmap
-/// (bit `r` set: row `r` is present) and a count. The bitmap exists only
-/// once a row is null, so a null-free column costs its values and nothing
-/// else, and its reads test nothing.
+/// The dense storage of a column: one `T` per row — eight bytes for a
+/// float, one to eight for an int ([`Ints`]) — and the SQL NULLs kept
+/// beside them as a validity bitmap (bit `r` set: row `r` is present) and a
+/// count. The bitmap exists only once a row is null, so a null-free column
+/// costs its values and nothing else, and its reads test nothing.
 #[derive(Debug, Clone)]
 struct Cells<T> {
     values: Vec<T>,
@@ -81,6 +98,14 @@ impl<T: Cell> Cells<T> {
             }
         }
         self.values.push(cell.unwrap_or(T::NULL));
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn nulls(&self) -> usize {
+        self.nulls
     }
 
     #[inline]
@@ -138,9 +163,116 @@ impl<T: Cell> FromIterator<Option<T>> for Cells<T> {
     }
 }
 
+/// An int column's cells: offsets from `base` at the narrowest of 1, 2 or 4
+/// bytes that holds the present values' span, else the plain `i64` bits at
+/// base 0. A read widens back with `base.wrapping_add`: the very `i64` given.
+#[derive(Debug, Clone)]
+struct Ints {
+    base: i64,
+    cells: Width,
+}
+
+#[derive(Debug, Clone)]
+enum Width {
+    W1(Cells<u8>),
+    W2(Cells<u16>),
+    W4(Cells<u32>),
+    W8(Cells<u64>),
+}
+
+/// Run one expression over an int column's cells; `(c, width)` binds the variant too.
+macro_rules! widths {
+    ($cells:expr, $c:ident => $e:expr) => {
+        widths!($cells, ($c, _width) => $e)
+    };
+    ($cells:expr, ($c:ident, $w:ident) => $e:expr) => {
+        match $cells {
+            Width::W1($c) => { let $w = Width::W1; $e }
+            Width::W2($c) => { let $w = Width::W2; $e }
+            Width::W4($c) => { let $w = Width::W4; $e }
+            Width::W8($c) => { let $w = Width::W8; $e }
+        }
+    };
+}
+
+impl Ints {
+    /// `plain` at the narrowest width that holds its present values' span
+    /// (none: 1 byte at base 0), from the least of them — or, `centred`, half
+    /// the spare room below, so pushes past an end rebuild O(log) times a width.
+    fn narrow(plain: Cells<i64>, centred: bool) -> Self {
+        fn at<T: Offset>(plain: Cells<i64>, lo: i64, span: u64, centred: bool, width: fn(Cells<T>) -> Width) -> Ints {
+            let spare = (u64::MAX >> (64 - 8 * std::mem::size_of::<T>())) - span;
+            let base = if centred { lo.wrapping_sub((spare / 2) as i64) } else { lo };
+            let off = |r: usize, v: i64| match &plain.valid {
+                Some(bits) if !bit(bits, r) => T::NULL,
+                _ => T::try_from(v.wrapping_sub(base) as u64).ok().expect("the width holds the span"),
+            };
+            let values = plain.values.iter().enumerate().map(|(r, &v)| off(r, v)).collect();
+            Ints { base, cells: width(Cells { values, valid: plain.valid, nulls: plain.nulls }) }
+        }
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        plain.each(0..plain.len(), None, |c| {
+            if let Some(&v) = c {
+                (lo, hi) = (lo.min(v), hi.max(v));
+            }
+        });
+        let (lo, span) = if lo > hi { (0, 0) } else { (lo, hi.wrapping_sub(lo) as u64) };
+        match span {
+            0..=0xff => at(plain, lo, span, centred, Width::W1),
+            0x100..=0xffff => at(plain, lo, span, centred, Width::W2),
+            0x1_0000..=0xffff_ffff => at(plain, lo, span, centred, Width::W4),
+            _ => at(plain, 0, u64::MAX, centred, Width::W8),
+        }
+    }
+
+    fn len(&self) -> usize {
+        widths!(&self.cells, c => c.len())
+    }
+
+    fn nulls(&self) -> usize {
+        widths!(&self.cells, c => c.nulls)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        widths!(&self.cells, c => c.heap_bytes())
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> Option<i64> {
+        widths!(&self.cells, c => c.get(row).map(|&o| o.widen(self.base)))
+    }
+
+    /// [`Cells::each`], widened: the width is matched once, outside the loop.
+    #[inline]
+    fn each(&self, rows: Range<usize>, map: Option<&[u32]>, mut f: impl FnMut(Option<i64>)) {
+        let base = self.base;
+        widths!(&self.cells, c => c.each(rows, map, |o| f(o.map(|&o| o.widen(base)))))
+    }
+
+    /// Push at the width while the value fits; otherwise rebuild the column
+    /// at the width that holds it, keeping the capacity it had.
+    fn push(&mut self, cell: Option<i64>) {
+        let off = cell.map(|i| i.wrapping_sub(self.base) as u64);
+        let fits = widths!(&mut self.cells, c => match off.map(TryFrom::try_from) {
+            Some(Err(_)) => false,
+            off => {
+                c.push(off.and_then(|o| o.ok()));
+                true
+            }
+        });
+        if !fits {
+            let cap = widths!(&self.cells, c => c.values.capacity());
+            let mut plain: Cells<i64> = (0..self.len()).map(|r| self.get(r)).collect();
+            plain.push(cell);
+            *self = Ints::narrow(plain, true);
+            widths!(&mut self.cells, c => c.values.reserve_exact(cap.saturating_sub(c.len())));
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Payload {
-    Int(Arc<Cells<i64>>),
+    Int(Arc<Ints>),
     Float(Arc<Cells<f64>>),
     Str(Arc<Cells<Option<Arc<str>>>>),
     Bool(Arc<Cells<bool>>),
@@ -199,7 +331,7 @@ impl PartialEq for Column {
             a.len() == b.len() && (0..a.len()).all(|row| a.cell(x, row) == b.cell(y, row))
         }
         match (&self.payload, &other.payload) {
-            (Payload::Int(x), Payload::Int(y)) => same(self, x, other, y),
+            (Payload::Int(_), Payload::Int(_)) => self.iter().eq(other.iter()),
             (Payload::Float(x), Payload::Float(y)) => same(self, x, other, y),
             (Payload::Str(x), Payload::Str(y)) => same(self, x, other, y),
             (Payload::Bool(x), Payload::Bool(y)) => same(self, x, other, y),
@@ -221,16 +353,17 @@ impl Column {
     /// An empty column of the given type with pre-reserved capacity.
     pub fn with_capacity(dtype: DType, cap: usize) -> Self {
         Column::dense(match dtype {
-            DType::Int => Payload::Int(Arc::new(Cells::with_capacity(cap))),
+            DType::Int => Payload::Int(Arc::new(Ints { base: 0, cells: Width::W1(Cells::with_capacity(cap)) })),
             DType::Float => Payload::Float(Arc::new(Cells::with_capacity(cap))),
             DType::Str => Payload::Str(Arc::new(Cells::with_capacity(cap))),
             DType::Bool => Payload::Bool(Arc::new(Cells::with_capacity(cap))),
         })
     }
 
-    /// Build an int column from an iterator of optional values.
+    /// Build an int column from an iterator of optional values, at the
+    /// narrowest width that holds their span.
     pub fn from_ints<I: IntoIterator<Item = Option<i64>>>(iter: I) -> Self {
-        Column::dense(Payload::Int(Arc::new(iter.into_iter().collect())))
+        Column::dense(Payload::Int(Arc::new(Ints::narrow(iter.into_iter().collect(), false))))
     }
 
     /// Build a float column; `NaN`s become nulls.
@@ -314,7 +447,7 @@ impl Column {
     pub fn len(&self) -> usize {
         match &self.view {
             Some(view) => view.map.len(),
-            None => each!(&self.payload, v => v.values.len()),
+            None => each!(&self.payload, v => v.len()),
         }
     }
 
@@ -344,12 +477,18 @@ impl Column {
         self.source_row(row).and_then(|r| v.get(r))
     }
 
+    /// [`Column::cell`] of an int payload, widened.
+    #[inline]
+    fn int(&self, v: &Ints, row: usize) -> Option<i64> {
+        self.source_row(row).and_then(|r| v.get(r))
+    }
+
     /// Number of null entries. O(1) for a dense column, which keeps the
     /// count, and for a view whose join knew the answer; otherwise one
     /// counting pass over `(map, source)` that copies nothing.
     pub fn null_count(&self) -> usize {
         match &self.view {
-            None => each!(&self.payload, v => v.nulls),
+            None => each!(&self.payload, v => v.nulls()),
             Some(View { nulls: Some(nulls), .. }) => *nulls,
             Some(view) => {
                 let (mut nulls, all) = (0usize, 0..view.map.len());
@@ -372,7 +511,7 @@ impl Column {
     /// [`Column::try_get`] for a checked variant).
     pub fn get(&self, row: usize) -> Value {
         match &self.payload {
-            Payload::Int(v) => self.cell(v, row).map(|&i| Value::Int(i)),
+            Payload::Int(v) => self.int(v, row).map(Value::Int),
             Payload::Float(v) => self.cell(v, row).map(|&f| Value::Float(f)),
             Payload::Str(v) => self.cell(v, row).and_then(|s| s.clone()).map(Value::Str),
             Payload::Bool(v) => self.cell(v, row).map(|&b| Value::Bool(b)),
@@ -392,7 +531,7 @@ impl Column {
     /// nulls are `None`.
     pub fn get_f64(&self, row: usize) -> Option<f64> {
         match &self.payload {
-            Payload::Int(v) => self.cell(v, row).map(|&i| i as f64),
+            Payload::Int(v) => self.int(v, row).map(|i| i as f64),
             Payload::Float(v) => self.cell(v, row).copied(),
             Payload::Bool(v) => self.cell(v, row).map(|&b| b.into()),
             Payload::Str(_) => None,
@@ -414,7 +553,7 @@ impl Column {
     pub fn keys_in(&self, rows: Range<usize>, mut f: impl FnMut(Option<Key>)) {
         let map = self.map();
         match &self.payload {
-            Payload::Int(v) => v.each(rows, map, |c| f(c.map(|&i| Key::Num(i)))),
+            Payload::Int(v) => v.each(rows, map, |c| f(c.map(Key::Num))),
             Payload::Float(v) => v.each(rows, map, |c| f(c.and_then(|&x| float_key(x)))),
             Payload::Str(v) => v.each(rows, map, |c| f(c.and_then(|s| s.clone()).map(Key::Str))),
             Payload::Bool(v) => v.each(rows, map, |c| f(c.map(|&b| Key::Bool(b)))),
@@ -429,9 +568,9 @@ impl Column {
     pub fn hash_cell_into(&self, row: usize, h: &mut crate::stable_hash::StableHasher) {
         use std::hash::Hasher as _;
         match &self.payload {
-            Payload::Int(v) => match self.cell(v, row) {
+            Payload::Int(v) => match self.int(v, row) {
                 None => h.write_u8(0),
-                Some(&i) => {
+                Some(i) => {
                     h.write_u8(1);
                     h.write_i64(i);
                 }
@@ -505,20 +644,21 @@ impl Column {
     /// `Some(r)` of `rows` and null for every `None`. Every copy out of a
     /// view comes through here and is counted.
     fn gather(&self, rows: impl ExactSizeIterator<Item = Option<usize>>) -> Column {
-        fn pick<T: Cell>(
-            v: &Cells<T>,
-            rows: impl Iterator<Item = Option<usize>>,
-        ) -> Arc<Cells<T>> {
-            Arc::new(rows.map(|r| r.and_then(|r| v.get(r).cloned())).collect())
+        fn pick<T: Cell>(v: &Cells<T>, rows: impl Iterator<Item = Option<usize>>) -> Cells<T> {
+            rows.map(|r| r.and_then(|r| v.get(r).cloned())).collect()
         }
         if self.view.is_some() {
             obs::add("join.cells_materialized", rows.len() as u64);
         }
         Column::dense(match &self.payload {
-            Payload::Int(v) => Payload::Int(pick(v, rows)),
-            Payload::Float(v) => Payload::Float(pick(v, rows)),
-            Payload::Str(v) => Payload::Str(pick(v, rows)),
-            Payload::Bool(v) => Payload::Bool(pick(v, rows)),
+            // A subset of the rows fits the source's base and width.
+            Payload::Int(v) => {
+                let cells = widths!(&v.cells, (c, width) => width(pick(c, rows)));
+                Payload::Int(Arc::new(Ints { base: v.base, cells }))
+            }
+            Payload::Float(v) => Payload::Float(Arc::new(pick(v, rows))),
+            Payload::Str(v) => Payload::Str(Arc::new(pick(v, rows))),
+            Payload::Bool(v) => Payload::Bool(Arc::new(pick(v, rows))),
         })
     }
 
@@ -538,7 +678,7 @@ impl Column {
     fn each_f64(&self, mut f: impl FnMut(f64)) {
         let (all, map) = (0..self.len(), self.map());
         match &self.payload {
-            Payload::Int(v) => v.each(all, map, |c| f(c.map_or(f64::NAN, |&i| i as f64))),
+            Payload::Int(v) => v.each(all, map, |c| f(c.map_or(f64::NAN, |i| i as f64))),
             Payload::Float(v) => match map {
                 None => v.values.iter().for_each(|&x| f(x)),
                 Some(map) => map
@@ -616,7 +756,7 @@ mod tests {
     fn the_bitmap_appears_with_the_first_null_and_spans_words() {
         let n = 200usize;
         let mut c = Column::from_ints((0..n as i64).map(Some));
-        assert_eq!(c.owned_payload().map(|(_, bytes)| bytes), Some(8 * n), "values only");
+        assert_eq!(c.owned_payload().map(|(_, bytes)| bytes), Some(n), "values only, 1 B each: the span is 199");
         c.push_null();
         for i in n + 1..2 * n {
             c.push(if i % 64 < 2 { Value::Null } else { Value::Int(i as i64) }).unwrap();
@@ -627,7 +767,7 @@ mod tests {
         assert_eq!(c.take(&[199, 200, 201, 256]), Column::from_ints([Some(199), None, Some(201), None]));
         let holed = Column::from_ints((0..n as i64).map(|i| (i != 70).then_some(i)));
         let bytes = holed.owned_payload().unwrap().1;
-        assert!(bytes > 8 * n && bytes <= 8 * n + n.div_ceil(64) * 8, "{bytes}");
+        assert!(bytes > n && bytes <= n + n.div_ceil(64) * 8, "{bytes}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::hash::Hasher;
 
 use autofeat::data::join::left_join_normalized;
 use autofeat::data::stable_hash::StableHasher;
-use autofeat::data::DataError;
+use autofeat::data::{DataError, Key};
 use autofeat::prelude::*;
 use common::column_model::Model;
 use proptest::prelude::*;
@@ -264,40 +264,163 @@ fn a_float_column_with_a_null_equals_itself() {
     assert_eq!(fingerprint(&col, 2), fingerprint(&Column::from_floats([Some(0.0)]), 0));
 }
 
-/// What the cells cost: eight bytes a row for ints and floats, an eighth of
-/// a byte more once a row is null, nothing for a view or a second handle on
-/// the same payload.
+/// What the cells cost: an int the width its column's span needs, a float
+/// eight bytes, an eighth of a byte more once a row is null, nothing for a
+/// view or a second handle on the same payload.
 #[test]
-fn payload_bytes_are_eight_a_cell_plus_a_bitmap_when_there_are_nulls() {
+fn payload_bytes_are_the_width_a_cell_plus_a_bitmap_when_there_are_nulls() {
     let n = 10_000usize;
     let table = |col: Column| Table::new("t", vec![("c", col)]).unwrap();
+    // 10 000 ints span 9 999: 2 bytes a cell.
     let full = [
-        Column::from_ints((0..n as i64).map(Some)),
-        Column::from_floats((0..n).map(|i| Some(i as f64 * 0.5))),
+        (Column::from_ints((0..n as i64).map(Some)), 2),
+        (Column::from_floats((0..n).map(|i| Some(i as f64 * 0.5))), 8),
     ];
-    for col in &full {
+    for (col, width) in &full {
         let bytes = table(col.clone()).payload_bytes();
-        assert!((8 * n..=8 * n + 64).contains(&bytes), "null-free {:?}: {bytes}", col.dtype());
+        assert!((width * n..=width * n + 64).contains(&bytes), "null-free {:?}: {bytes}", col.dtype());
     }
     let holed = [
-        Column::from_ints((0..n as i64).map(|i| (i % 7 != 0).then_some(i))),
-        Column::from_floats((0..n).map(|i| (i % 7 != 3).then_some(i as f64))),
-        Column::from_ints((0..n).map(|_| None)),
+        (Column::from_ints((0..n as i64).map(|i| (i % 7 != 0).then_some(i))), 2),
+        (Column::from_floats((0..n).map(|i| (i % 7 != 3).then_some(i as f64))), 8),
+        (Column::from_ints((0..n).map(|_| None)), 1),
     ];
-    for col in &holed {
+    for (col, width) in &holed {
         let bytes = table(col.clone()).payload_bytes();
-        assert!(bytes > 8 * n && bytes <= 8 * n + n / 8 + 64, "with nulls {:?}: {bytes}", col.dtype());
+        assert!(bytes > width * n && bytes <= width * n + n / 8 + 64, "with nulls {:?}: {bytes}", col.dtype());
     }
 
     // One payload under two names is counted once; a join's views of the
     // right table count nothing, so the joined table costs what its left
     // side does.
-    let left = Table::new("l", vec![("k", full[0].clone()), ("again", full[0].clone())]).unwrap();
-    assert_eq!(left.payload_bytes(), table(full[0].clone()).payload_bytes());
-    let right = Table::new("r", vec![("k", full[0].clone()), ("f", full[1].clone())]).unwrap();
+    let left = Table::new("l", vec![("k", full[0].0.clone()), ("again", full[0].0.clone())]).unwrap();
+    assert_eq!(left.payload_bytes(), table(full[0].0.clone()).payload_bytes());
+    let right = Table::new("r", vec![("k", full[0].0.clone()), ("f", full[1].0.clone())]).unwrap();
     let joined = left_join_normalized(&left, &right, "k", "k", "r", 1).unwrap().table;
     assert_eq!(joined.n_cols(), 4);
     assert_eq!(joined.payload_bytes(), left.payload_bytes());
-    // Once its cells are copied out, a view's column owns them.
-    assert!(joined.take(&[0, 1, 2]).payload_bytes() >= 4 * 3 * 8);
+    // Once its cells are copied out, each column owns them: three ints of
+    // 2 bytes and a float of 8 a row.
+    assert!(joined.take(&[0, 1, 2]).payload_bytes() >= 3 * (3 * 2 + 8));
+}
+
+/// The bytes an int column's cells take, one row to a cell: the `take` of
+/// its present rows, which keeps the width, sizes its cells exactly and
+/// needs no bitmap.
+fn int_width(col: &Column) -> usize {
+    let present: Vec<usize> = (0..col.len()).filter(|&row| !col.get(row).is_null()).collect();
+    let bytes = Table::new("t", vec![("c", col.take(&present))]).unwrap().payload_bytes();
+    assert_eq!(bytes % present.len(), 0, "{bytes} bytes for {} cells", present.len());
+    bytes / present.len()
+}
+
+/// The width the rule gives a span.
+fn width_of_span(span: u64) -> usize {
+    match span {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// Every cell's fingerprint and the keys of every row, as the join index
+/// and the dictionaries read them.
+fn fingerprints_and_keys(col: &Column) -> (Vec<u64>, Vec<Option<Key>>) {
+    let prints = (0..col.len())
+        .map(|row| {
+            let mut h = StableHasher::new();
+            col.hash_cell_into(row, &mut h);
+            h.finish()
+        })
+        .collect();
+    let mut keys = Vec::new();
+    col.keys_in(0..col.len(), |k| keys.push(k));
+    (prints, keys)
+}
+
+/// `cells` as an int column, held to the model at every step a join or a
+/// gather takes it through — dense, a view, a view of that view and their
+/// `take`s, inside `check_writes` — and to the same cells at 8 bytes a
+/// cell: the `take` of a column that also holds both ends of `i64`, which
+/// keeps that column's width. The two are `==` both ways and fingerprint
+/// and key alike.
+fn check_ints(cells: &[Option<i64>], what: &str) -> Result<(), String> {
+    let m = Model::Int(cells.to_vec());
+    let col = m.column();
+    check_reads(&col, &m, what)?;
+    check_writes(&col, &m, &[0, 7, 3, 3, 999], what)?;
+    let map: Vec<Option<usize>> = (0..cells.len()).rev().map(Some).chain([None]).collect();
+    let (view, view_model) = (view_through(&col, &map), m.read_through(&map));
+    check_reads(&view, &view_model, &format!("{what}, view"))?;
+    check_writes(&view, &view_model, &[1, 4], &format!("{what}, view"))?;
+    let outer: Vec<Option<usize>> = (0..view_model.len()).step_by(2).map(Some).chain([None]).collect();
+    let (nested, nested_model) = (view_through(&view, &outer), view_model.read_through(&outer));
+    check_reads(&nested, &nested_model, &format!("{what}, view of a view"))?;
+    check_writes(&nested, &nested_model, &[2, 5], &format!("{what}, view of a view"))?;
+
+    let ends = [Some(i64::MIN), Some(i64::MAX)].into_iter().chain(cells.iter().copied());
+    let wide = Column::from_ints(ends).take(&(2..cells.len() + 2).collect::<Vec<_>>());
+    check_reads(&wide, &m, &format!("{what}, at 8 bytes"))?;
+    prop_assert!(col == wide, "{what}: == the same cells at 8 bytes");
+    prop_assert!(wide == col, "{what}: the same cells at 8 bytes == it");
+    same!(fingerprints_and_keys(&col), fingerprints_and_keys(&wide), "{what}: against 8 bytes");
+    Ok(())
+}
+
+/// Int columns on each side of every width boundary: spans 0, 255, 256,
+/// 65 535, 65 536, 2³² − 1 and 2³² from a base of 0, a negative base,
+/// `i64::MIN`, and up to `i64::MAX`; the full `i64` range; all nulls. Each
+/// column holds both ends of its span, null-free and holed, and takes the
+/// width the rule gives it (`int_width`). 58 columns of 130 rows.
+#[test]
+fn int_columns_match_the_model_at_every_width() -> Result<(), String> {
+    let spans = [0u64, 255, 256, 65_535, 65_536, (1 << 32) - 1, 1 << 32];
+    let mut cases: Vec<(i64, u64)> = vec![(i64::MIN, u64::MAX)];
+    for span in spans {
+        let top = i64::MAX.wrapping_sub(span as i64);
+        cases.extend([(0, span), (-1_000_003, span), (i64::MIN, span), (top, span)]);
+    }
+    for (base, span) in cases {
+        // Both ends, the middle, one in from each end.
+        let picks = [0, span, span / 2, span.saturating_sub(1), span.min(1)];
+        let values: Vec<i64> = (0..130).map(|i| base.wrapping_add(picks[i % 5] as i64)).collect();
+        let what = format!("span {span} from {base}");
+        let col = Column::from_ints(values.iter().copied().map(Some));
+        same!(int_width(&col), width_of_span(span), "{what}: bytes a cell");
+        check_ints(&values.iter().copied().map(Some).collect::<Vec<_>>(), &what)?;
+        let holed: Vec<Option<i64>> =
+            values.iter().enumerate().map(|(i, &v)| (i % 7 != 3).then_some(v)).collect();
+        check_ints(&holed, &format!("{what}, holed"))?;
+    }
+    let nulls = Column::from_ints((0..130).map(|_| None));
+    same!(Table::new("t", vec![("c", nulls)]).unwrap().payload_bytes(), 130 + 3 * 8, "all nulls: 1 byte a cell");
+    check_ints(&[None; 130], "all nulls")
+}
+
+/// Pushes onto a column of `start` that each must leave the column at the
+/// width it is paired with, between nulls: each that does not fit rebuilds
+/// the column, which must still read as the model after every push.
+fn check_pushes(start: &[i64], pushes: &[(i64, usize)]) -> Result<(), String> {
+    let mut col = Column::from_ints(start.iter().copied().map(Some));
+    let mut m = Model::Int(start.iter().copied().map(Some).collect());
+    for &(value, width) in pushes {
+        let what = format!("{start:?} after pushing {value}");
+        col.push(Value::Int(value)).map_err(|e| e.to_string())?;
+        m.push(&Value::Int(value));
+        same!(int_width(&col), width, "{what}: bytes a cell");
+        check_reads(&col, &m, &what)?;
+        col.push_null();
+        m.push(&Value::Null);
+        check_reads(&col, &m, &format!("{what} and a null"))?;
+    }
+    Ok(())
+}
+
+/// Pushes that cross every width boundary in turn (1 → 2 → 4 → 8 bytes),
+/// and pushes below the base.
+#[test]
+fn pushes_across_width_boundaries_match_the_model() -> Result<(), String> {
+    check_pushes(&[], &[(0, 1), (255, 1), (256, 2), (65_536, 4), (1 << 32, 8), (i64::MIN, 8)])?;
+    check_pushes(&[100, 200], &[(50, 1), (0, 1), (-3, 1), (-40_000, 2), (i64::MAX, 8)])
 }

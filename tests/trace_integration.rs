@@ -323,13 +323,18 @@ fn env_var_enables_tracing_across_thread_counts() {
     let r4 = discover(4, false);
 
     std::env::remove_var("AUTOFEAT_TRACE");
-    let written = std::fs::metadata(&path).is_ok();
+    let written = std::fs::read_to_string(&path);
     let _ = std::fs::remove_file(&path);
 
-    assert!(written, "AUTOFEAT_TRACE must produce a trace file");
+    // Each request appends its document: the file keeps both, in order.
+    let written = written.expect("AUTOFEAT_TRACE must produce a trace file");
     assert_eq!(r1.threads_used, 1);
     assert_eq!(r4.threads_used, 4);
     assert!(r1.trace.is_some() && r4.trace.is_some(), "env var enables tracing");
+    let (first, last) = (r1.trace.as_ref().unwrap().to_json(), r4.trace.as_ref().unwrap().to_json());
+    assert_eq!(written.matches("\"schema_version\": 1,").count(), 2, "one document per request");
+    assert!(written.ends_with(&last), "the last document is the last request's trace");
+    assert_eq!(written, first + &last, "the first request's document, then the last's");
     assert_bit_identical(&r1, &r4, "env-traced 1 vs 4 threads");
     assert_eq!(
         r1.trace.unwrap().counters,
